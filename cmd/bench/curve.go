@@ -76,7 +76,6 @@ type curveConfig struct {
 	certify     bool // ride-along certification of every point
 	refineKnee  bool // bisect the knee after each fraction sweep
 	workers     int
-	barrier     bool
 	rebalance   bool
 }
 
@@ -127,7 +126,7 @@ func buildCurve(cfg curveConfig) ([]curveRow, error) {
 									Topology:   topo,
 									Certify:    cfg.certify,
 									RefineKnee: cfg.refineKnee,
-									Workers:    cfg.workers, Barrier: cfg.barrier, Rebalance: cfg.rebalance,
+									Workers:    cfg.workers, Rebalance: cfg.rebalance,
 								})
 								if err != nil {
 									return nil, err

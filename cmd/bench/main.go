@@ -16,11 +16,10 @@
 // schedule on N goroutines: every cell is a function of the shard
 // partition and seed, never of the worker count, so two runs differing
 // only in -workers emit byte-identical JSON (the CI equivalence smoke
-// diffs them). -barrier selects the window-synchronized barrier engine
-// instead (same schedule, more rounds), -rebalance recomputes the
-// client→shard striping from a deterministic probe run, and -workers 0
-// selects the legacy serial scheduler (a different, also deterministic,
-// schedule). Sharded rows carry engine/shards/rounds/
+// diffs them). -rebalance recomputes the client→shard striping from a
+// deterministic probe run, and -workers 0 selects the other of the two
+// stepping engines, the legacy serial scheduler (a different, also
+// deterministic, schedule). Sharded rows carry engine/shards/rounds/
 // critical_path_events plus the lookahead shape (null_advances,
 // blocked_shard_rounds, blocked_time_us): events ÷ critical_path_events
 // is the cell's measured shard-parallelism — the speedup ceiling of a
@@ -136,12 +135,10 @@ type row struct {
 }
 
 // shardCols is the sharded-stepping column set (empty under -workers 0).
-// engine names the stepping engine ("lookahead" or "barrier");
-// null_advances counts shard-rounds that advanced past the global
-// barrier edge on a null-message bound, blocked_shard_rounds/
-// blocked_time_us the shard-rounds (and summed virtual time) spent
-// waiting on a peer's bound — both zero under the barrier engine, which
-// is exactly the comparison E13 charts.
+// engine names the sharded stepping engine (always "lookahead");
+// null_advances counts shard-rounds that advanced past the global window
+// edge on a null-message bound, blocked_shard_rounds/blocked_time_us the
+// shard-rounds (and summed virtual time) spent waiting on a peer's bound.
 type shardCols struct {
 	Shards             int    `json:"shards,omitempty"`
 	Engine             string `json:"engine,omitempty"`
@@ -159,10 +156,7 @@ func shardCells(r *shardCols, s *sim.ShardingStats) {
 		return
 	}
 	r.Shards = s.Shards
-	r.Engine = "barrier"
-	if s.Lookahead {
-		r.Engine = "lookahead"
-	}
+	r.Engine = "lookahead"
 	r.Rounds = s.Rounds
 	r.CriticalPathEvent = s.CriticalEvents
 	r.NullAdvances = s.NullAdvances
@@ -360,7 +354,6 @@ type gridConfig struct {
 	certify     bool
 	stale       bool
 	workers     int
-	barrier     bool
 	rebalance   bool
 	nemesis     string
 }
@@ -410,7 +403,6 @@ func buildGrid(cfg gridConfig) ([]row, error) {
 									Certify:          cfg.certify,
 									ProbeStaleness:   cfg.stale,
 									Workers:          cfg.workers,
-									Barrier:          cfg.barrier,
 									Rebalance:        cfg.rebalance,
 									Nemesis:          nem,
 								})
@@ -480,18 +472,14 @@ func main() {
 	topology := flag.String("topology", "uniform",
 		"comma-separated deployment topologies (uniform, 2site, 3site): multi-site "+
 			"cells draw intra-site latencies from [100,300]us and cross-site from "+
-			"[2000,4000]us with matching per-link floors, the regime where per-link "+
-			"lookahead separates from the barrier engine")
+			"[2000,4000]us with matching per-link floors, which widen the "+
+			"lookahead bounds between sites")
 	objects := flag.Int("objects", 2, "objects per server")
 	seed := flag.Int64("seed", 42, "deterministic run seed")
 	workers := flag.Int("workers", 1,
 		"stepping engine: 0 = legacy serial scheduler; >= 1 = sharded stepping "+
 			"(one shard per server) on that many goroutines — cells are identical "+
 			"for every workers >= 1, so outputs diff byte-for-byte across worker counts")
-	barrier := flag.Bool("barrier", false,
-		"use the window-synchronized barrier engine instead of conservative "+
-			"lookahead for sharded cells (identical schedule and numbers, more "+
-			"rounds; requires -workers >= 1)")
 	rebalance := flag.Bool("rebalance", false,
 		"recompute the client-to-shard striping per cell from a deterministic "+
 			"probe run's per-shard event counts (requires -workers >= 1; the "+
@@ -582,7 +570,7 @@ func main() {
 			objects:    *objects, seed: *seed,
 			uniform: *arrivals == "uniform", certify: *certify,
 			refineKnee: *refineKnee,
-			workers:    *workers, barrier: *barrier, rebalance: *rebalance,
+			workers:    *workers, rebalance: *rebalance,
 		})
 		if err != nil {
 			fail(err)
@@ -600,8 +588,7 @@ func main() {
 			topologies: strings.Split(*topology, ","),
 			objects:    *objects, seed: *seed,
 			certify: *certify, stale: *stale,
-			workers: *workers,
-			barrier: *barrier, rebalance: *rebalance,
+			workers: *workers, rebalance: *rebalance,
 			nemesis: *nemesis,
 		})
 		if err != nil {

@@ -56,10 +56,9 @@ func TestGridJSONByteIdentical(t *testing.T) {
 }
 
 // TestGridWorkersByteIdentical is the bench-level serial-equals-parallel
-// contract, for both sharded engines: the same grid built with Workers=1
-// (serial sharded stepping, the oracle) and Workers=4 must emit
-// byte-identical JSON — worker count parallelizes the stepping, it never
-// touches the schedule.
+// contract: the same grid built with Workers=1 (serial sharded stepping,
+// the oracle) and Workers=4 must emit byte-identical JSON — worker count
+// parallelizes the stepping, it never touches the schedule.
 func TestGridWorkersByteIdentical(t *testing.T) {
 	base := gridConfig{
 		protocols: []string{"cops", "cure"},
@@ -69,39 +68,33 @@ func TestGridWorkersByteIdentical(t *testing.T) {
 		servers: []int{2, 4}, replication: []int{1},
 		objects: 2, seed: 42,
 	}
-	for _, eng := range []struct {
-		name    string
-		barrier bool
-	}{{"lookahead", false}, {"barrier", true}} {
-		run := func(workers int) string {
-			cfg := base
-			cfg.workers = workers
-			cfg.barrier = eng.barrier
-			rows, err := buildGrid(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range rows {
-				if r.Shards == 0 || r.Rounds == 0 || r.CriticalPathEvent == 0 {
-					t.Fatalf("sharded columns missing: %+v", r)
-				}
-				if r.Engine != eng.name {
-					t.Fatalf("engine column %q, want %q", r.Engine, eng.name)
-				}
-				if r.CriticalPathEvent > r.Events {
-					t.Fatalf("critical path %d exceeds events %d", r.CriticalPathEvent, r.Events)
-				}
-			}
-			return encode(t, rows)
+	run := func(workers int) string {
+		cfg := base
+		cfg.workers = workers
+		rows, err := buildGrid(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		requireIdentical(t, eng.name+" workers grid JSON", run(1), run(4))
+		for _, r := range rows {
+			if r.Shards == 0 || r.Rounds == 0 || r.CriticalPathEvent == 0 {
+				t.Fatalf("sharded columns missing: %+v", r)
+			}
+			if r.Engine != "lookahead" {
+				t.Fatalf("engine column %q, want lookahead", r.Engine)
+			}
+			if r.CriticalPathEvent > r.Events {
+				t.Fatalf("critical path %d exceeds events %d", r.CriticalPathEvent, r.Events)
+			}
+		}
+		return encode(t, rows)
 	}
+	requireIdentical(t, "workers grid JSON", run(1), run(4))
 }
 
-// TestGridEngineColumns pins the lookahead shape columns: lookahead
-// cells report null-message-bound advances (the mechanism is exercised
-// on every multi-shard cell), barrier cells never do, and -rebalance
-// marks its rows and stays deterministic across repeats.
+// TestGridEngineColumns pins the lookahead shape columns: sharded cells
+// report null-message-bound advances (the mechanism is exercised on every
+// multi-shard cell), and -rebalance marks its rows and stays
+// deterministic across repeats.
 func TestGridEngineColumns(t *testing.T) {
 	base := gridConfig{
 		protocols: []string{"cops"},
@@ -127,12 +120,6 @@ func TestGridEngineColumns(t *testing.T) {
 	}
 	if la.Rebalanced {
 		t.Fatalf("unrebalanced cell marked rebalanced: %+v", la.shardCols)
-	}
-	bcfg := base
-	bcfg.barrier = true
-	ba := grid(bcfg)[0]
-	if ba.Engine != "barrier" || ba.NullAdvances != 0 || ba.BlockedShardRounds != 0 || ba.BlockedTimeUs != 0 {
-		t.Fatalf("barrier cell carries lookahead columns: %+v", ba.shardCols)
 	}
 	rcfg := base
 	rcfg.rebalance = true
@@ -368,10 +355,9 @@ func TestCurveGridShape(t *testing.T) {
 // TestGridTopology is the bench-level tentpole pin: a -topology
 // uniform,2site sweep emits one row per topology per cell, the 2site
 // rows carry the topology/sites columns (uniform rows omit them, so
-// pre-topology grids stay byte-diffable), and on the 2site cell the
-// lookahead engine's rounds beat the barrier engine's — the per-link
-// cross-site floors reaching sim's shard-pair bounds. Deterministic
-// across repeats.
+// pre-topology grids stay byte-diffable), and the 2site cell's round
+// count is pinned — the per-link cross-site floors reaching sim's
+// shard-pair bounds. Deterministic across repeats.
 func TestGridTopology(t *testing.T) {
 	base := gridConfig{
 		protocols: []string{"cops"},
@@ -399,20 +385,8 @@ func TestGridTopology(t *testing.T) {
 	if la[1].Topology != "2site" || la[1].Sites != 2 {
 		t.Fatalf("2site row mislabeled: %+v", la[1])
 	}
-	bcfg := base
-	bcfg.barrier = true
-	ba := grid(bcfg)
-	for i := range la {
-		if la[i].Committed != ba[i].Committed {
-			t.Fatalf("engines disagree on committed: %d vs %d", la[i].Committed, ba[i].Committed)
-		}
-	}
-	if la[1].Rounds >= ba[1].Rounds {
-		t.Fatalf("2site lookahead rounds %d did not beat barrier rounds %d",
-			la[1].Rounds, ba[1].Rounds)
-	}
-	if ba[1].BlockedTimeUs != 0 {
-		t.Fatalf("barrier cell reports blocked time %d", ba[1].BlockedTimeUs)
+	if la[1].Committed != 120 || la[1].Rounds != 183 {
+		t.Fatalf("2site cell committed %d in %d rounds, want 120 in 183", la[1].Committed, la[1].Rounds)
 	}
 	requireIdentical(t, "topology grid JSON", encode(t, la), encode(t, grid(base)))
 	if _, err := buildGrid(gridConfig{
@@ -429,14 +403,11 @@ func TestGridTopology(t *testing.T) {
 // fault layer: a certified 2000-txn cops cell with mid-run server
 // crash+restart, and a 2-site cure cell with a cross-site partition+heal.
 // Both must carry nonzero recovery-latency and unavailability columns and
-// emit byte-identical JSON with Workers=1 and Workers=4 on both sharded
-// engines. (cure's documented visibility fracture may surface under the
+// emit byte-identical JSON with Workers=1 and Workers=4. (cure's
+// documented visibility fracture may surface under the
 // partition's reshuffled delivery — then the cell must pin the first
 // offending commit instead of certifying clean.)
 func TestGridNemesisAcceptance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long acceptance cells")
-	}
 	cells := []struct {
 		name string
 		cfg  gridConfig
@@ -459,64 +430,57 @@ func TestGridNemesisAcceptance(t *testing.T) {
 		cell := cell
 		t.Run(cell.name, func(t *testing.T) {
 			t.Parallel()
-			for _, eng := range []struct {
-				name    string
-				barrier bool
-			}{{"lookahead", false}, {"barrier", true}} {
-				eng := eng
-				t.Run(eng.name, func(t *testing.T) {
-					t.Parallel()
-					run := func(workers int) []row {
-						cfg := cell.cfg
-						cfg.workers = workers
-						cfg.barrier = eng.barrier
-						rows, err := buildGrid(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if len(rows) != 1 {
-							t.Fatalf("rows = %d, want 1", len(rows))
-						}
-						return rows
+			t.Run("lookahead", func(t *testing.T) {
+				t.Parallel()
+				run := func(workers int) []row {
+					cfg := cell.cfg
+					cfg.workers = workers
+					rows, err := buildGrid(cfg)
+					if err != nil {
+						t.Fatal(err)
 					}
-					rows := run(1)
-					r := rows[0]
-					if r.Incomplete != 0 {
-						t.Fatalf("%d transactions incomplete after heal", r.Incomplete)
+					if len(rows) != 1 {
+						t.Fatalf("rows = %d, want 1", len(rows))
 					}
-					if r.NemFaults == 0 || r.NemUnavailableUs <= 0 {
-						t.Fatalf("fault columns empty: %+v", r.nemCols)
+					return rows
+				}
+				rows := run(1)
+				r := rows[0]
+				if r.Incomplete != 0 {
+					t.Fatalf("%d transactions incomplete after heal", r.Incomplete)
+				}
+				if r.NemFaults == 0 || r.NemUnavailableUs <= 0 {
+					t.Fatalf("fault columns empty: %+v", r.nemCols)
+				}
+				if r.NemRecoveries == 0 || r.NemRecoveryP50Us <= 0 {
+					t.Fatalf("no recovery latency measured: %+v", r.nemCols)
+				}
+				if r.NemFaultedCommitted == 0 {
+					t.Fatalf("no commits crossed the fault window: %+v", r.nemCols)
+				}
+				if r.NemLostMsgs != 0 {
+					t.Fatalf("persistent faults lost %d messages", r.NemLostMsgs)
+				}
+				switch r.Cert {
+				case "ok":
+					// Certified clean across the fault.
+				case "violation":
+					if r.FirstViolationTxn == nil || *r.FirstViolationTxn < 0 {
+						t.Fatalf("violating cell without a pinned first commit: %+v", r.certCols)
 					}
-					if r.NemRecoveries == 0 || r.NemRecoveryP50Us <= 0 {
-						t.Fatalf("no recovery latency measured: %+v", r.nemCols)
-					}
-					if r.NemFaultedCommitted == 0 {
-						t.Fatalf("no commits crossed the fault window: %+v", r.nemCols)
-					}
-					if r.NemLostMsgs != 0 {
-						t.Fatalf("persistent faults lost %d messages", r.NemLostMsgs)
-					}
-					switch r.Cert {
-					case "ok":
-						// Certified clean across the fault.
-					case "violation":
-						if r.FirstViolationTxn == nil || *r.FirstViolationTxn < 0 {
-							t.Fatalf("violating cell without a pinned first commit: %+v", r.certCols)
-						}
-						t.Logf("documented fracture pinned at commit %d (%s)",
-							*r.FirstViolationTxn, r.CertReason)
-					default:
-						t.Fatalf("certification did not run: %+v", r.certCols)
-					}
-					// Worker-count byte-identity (wall-clocks are the one
-					// nondeterministic column set).
-					again := run(4)
-					a, b := rows[0], again[0]
-					a.CertWallMS, b.CertWallMS = 0, 0
-					a.CertBatchWallMS, b.CertBatchWallMS = 0, 0
-					requireIdentical(t, eng.name+" nemesis cell", encode(t, a), encode(t, b))
-				})
-			}
+					t.Logf("documented fracture pinned at commit %d (%s)",
+						*r.FirstViolationTxn, r.CertReason)
+				default:
+					t.Fatalf("certification did not run: %+v", r.certCols)
+				}
+				// Worker-count byte-identity (wall-clocks are the one
+				// nondeterministic column set).
+				again := run(4)
+				a, b := rows[0], again[0]
+				a.CertWallMS, b.CertWallMS = 0, 0
+				a.CertBatchWallMS, b.CertBatchWallMS = 0, 0
+				requireIdentical(t, "nemesis cell", encode(t, a), encode(t, b))
+			})
 		})
 	}
 }

@@ -111,14 +111,10 @@ type CurveOptions struct {
 	// KneeTxns is the transaction count of each refinement point
 	// (default 2×Txns).
 	KneeTxns int
-	// Workers selects the stepping engine for every run of the sweep,
-	// including the closed-loop saturation estimate (see
+	// Workers selects between the two stepping engines for every run of
+	// the sweep, including the closed-loop saturation estimate (see
 	// ThroughputOptions.Workers).
 	Workers int
-	// Barrier selects the window-synchronized barrier engine instead of
-	// the default conservative lookahead when Workers ≥ 1 (see
-	// ThroughputOptions.Barrier).
-	Barrier bool
 	// Rebalance recomputes the client→shard striping from a probe run
 	// before every run of the sweep (see ThroughputOptions.Rebalance).
 	Rebalance bool
@@ -159,7 +155,6 @@ func MeasureLoadCurve(p protocol.Protocol, mix workload.Mix, seed int64, opt Cur
 		Latency:     opt.Latency,
 		Topology:    opt.Topology,
 		Workers:     opt.Workers,
-		Barrier:     opt.Barrier,
 		Rebalance:   opt.Rebalance,
 	})
 	if err != nil {
@@ -178,7 +173,7 @@ func MeasureLoadCurve(p protocol.Protocol, mix workload.Mix, seed int64, opt Cur
 			Latency:     opt.Latency,
 			Rate:        rate, DeterministicArrivals: opt.Deterministic,
 			RecordHistory: opt.Certify && txns <= history.MaxTxns, Certify: opt.Certify,
-			Workers: opt.Workers, Barrier: opt.Barrier, Rebalance: opt.Rebalance,
+			Workers: opt.Workers, Rebalance: opt.Rebalance,
 		})
 		if err != nil {
 			return CurvePoint{}, fmt.Errorf("core: curve point %s at %.0f txn/s: %w", p.Name(), rate, err)

@@ -89,17 +89,12 @@ type ThroughputOptions struct {
 	// (driver.Config.ProbeStaleness semantics: frozen reads of committed
 	// writes on kernel snapshots); tallies land in Staleness.
 	ProbeStaleness bool
-	// Workers selects the stepping engine (driver.Config.Workers
-	// semantics): 0 the serial scheduler, ≥ 1 sharded stepping with one
-	// shard per server and min(Workers, active shards) goroutines. The
-	// measured numbers are a function of the shard partition and seed,
-	// never of the worker count.
+	// Workers selects between the two stepping engines
+	// (driver.Config.Workers semantics): 0 the serial scheduler, ≥ 1
+	// sharded lookahead stepping with one shard per server and
+	// min(Workers, active shards) goroutines. The measured numbers are a
+	// function of the shard partition and seed, never of the worker count.
 	Workers int
-	// Barrier selects the window-synchronized barrier engine instead of
-	// the default conservative-lookahead engine when Workers ≥ 1
-	// (driver.Config.Barrier semantics); both produce the identical
-	// schedule, they differ only in rounds and blocked time.
-	Barrier bool
 	// Rebalance recomputes the client→shard striping from a short
 	// deterministic probe run's per-shard event counts before the
 	// measured run (driver.Config.Rebalance semantics). Requires
@@ -137,7 +132,6 @@ func MeasureThroughputWith(p protocol.Protocol, mix workload.Mix, clients, txns 
 		Certify:          opt.Certify,
 		ProbeStaleness:   opt.ProbeStaleness,
 		Workers:          opt.Workers,
-		Barrier:          opt.Barrier,
 		Rebalance:        opt.Rebalance,
 		Nemesis:          opt.Nemesis,
 	})

@@ -26,20 +26,18 @@
 // configuration and seed produce the same events, the same latencies and
 // the same history.
 //
-// Three stepping engines drive the kernel. The default (Config.Workers
+// Two stepping engines drive the kernel. The default (Config.Workers
 // == 0) is the serial Network scheduler. Workers ≥ 1 selects sharded
-// stepping: one shard per server with clients striped across them,
-// per-shard windows executed on a worker pool, and a deterministic
-// merge — the run is a function of the shard partition and seed only,
-// so Workers=1 reproduces any Workers=N run byte for byte (the serial
-// oracle guarantee), while Workers=0 is a different, also
-// deterministic, schedule. The sharded default is per-link conservative
-// lookahead (sim.NewLookaheadRunner): each shard advances to its own
-// null-message bound instead of a global window edge. Config.Barrier
-// selects the window-synchronized barrier engine of the earlier design
-// for comparison. Report.Sharding records the sharded run's shape,
-// including the critical-path event count that bounds multi-core
-// speedup, the null-message advances and per-shard blocked time.
+// stepping under per-link conservative lookahead
+// (sim.NewLookaheadRunner): one shard per server with clients striped
+// across them, each shard advancing to its own null-message bound on a
+// worker pool, and a deterministic merge — the run is a function of the
+// shard partition and seed only, so Workers=1 reproduces any Workers=N
+// run byte for byte (the serial oracle guarantee), while Workers=0 is a
+// different, also deterministic, schedule. Report.Sharding records the
+// sharded run's shape, including the critical-path event count that
+// bounds multi-core speedup, the null-message advances and per-shard
+// blocked time.
 //
 // Closed-loop sharded runs refill clients mid-window: the runner calls
 // back into the driver after every client step (from the parallel
@@ -51,13 +49,14 @@
 // first onto the least-loaded shards — a pure function of the probe's
 // deterministic counts, reported in Report.Sharding.Partition.
 //
-// Load runs default to the kernel's load mode (tracing and payload
-// retention disabled) so memory stays flat over millions of events; set
-// KeepTrace to retain the full trace for debugging (serial engine only).
+// Load runs use the kernel's load mode (tracing and payload retention
+// disabled) so memory stays flat over millions of events.
 package driver
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -135,9 +134,6 @@ type Config struct {
 	// measured run is untouched and stays deterministic; tallies land in
 	// Report.Staleness.
 	ProbeStaleness bool
-	// KeepTrace retains the full kernel trace and payload registry
-	// instead of running in load mode.
-	KeepTrace bool
 	// Rate > 0 switches the run to open loop: Txns transactions are
 	// injected at instants drawn from an arrival process of Rate
 	// transactions per virtual second (Poisson by default), round-robin
@@ -147,9 +143,6 @@ type Config struct {
 	// DeterministicArrivals selects the fixed-interval arrival process
 	// instead of Poisson (open loop only).
 	DeterministicArrivals bool
-	// NoTimeLeap disables the Network scheduler's time-leap, restoring
-	// the spin-parked-servers behaviour. Comparison/debugging only.
-	NoTimeLeap bool
 	// LatencyFloor declares the lower bound of a custom Latency model
 	// (ignored when Latency is nil — the default model declares 500µs).
 	// The sharded engine sizes its conservative time windows by it; 0 is
@@ -158,21 +151,14 @@ type Config struct {
 	// Workers selects the stepping engine. 0 (the default) is the serial
 	// Network scheduler. ≥ 1 switches to sharded stepping: the process
 	// set is partitioned into one shard per server (clients striped
-	// across them) and per-shard windows execute on min(Workers, active
-	// shards) goroutines, under the per-link lookahead engine unless
-	// Barrier is set. The schedule, history and report are a function of
-	// the shard partition, engine and seed only — NEVER of Workers — so
-	// Workers=1 is the serial differential oracle for any higher setting,
-	// byte for byte. Sharded runs are a different (valid) member of the
-	// schedule space than Workers=0: reports differ between the engines,
-	// deterministically each.
-	// Incompatible with KeepTrace and NoTimeLeap.
+	// across them) and per-shard lookahead windows execute on
+	// min(Workers, active shards) goroutines. The schedule, history and
+	// report are a function of the shard partition and seed only — NEVER
+	// of Workers — so Workers=1 is the serial differential oracle for any
+	// higher setting, byte for byte. Sharded runs are a different (valid)
+	// member of the schedule space than Workers=0: reports differ between
+	// the engines, deterministically each.
 	Workers int
-	// Barrier selects the window-synchronized barrier engine of the
-	// original sharded design instead of per-link lookahead (Workers ≥ 1
-	// only). Kept for comparison runs: the barrier pays a global round
-	// every latency-floor window, which is exactly what lookahead removes.
-	Barrier bool
 	// Nemesis schedules deterministic fault injection — server
 	// crash/restart cycles and link partitions at fixed virtual instants —
 	// into the measured phase (never into initialization). The schedule is
@@ -370,10 +356,8 @@ func deploy(p protocol.Protocol, cfg Config) (*protocol.Deployment, error) {
 		LatencyFloor:     cfg.LatencyFloor,
 		Topology:         cfg.Topology,
 	})
-	if !cfg.KeepTrace {
-		d.Kernel.SetTraceCap(-1)
-		d.Kernel.SetPayloadRetention(false)
-	}
+	d.Kernel.SetTraceCap(-1)
+	d.Kernel.SetPayloadRetention(false)
 	if err := d.InitAll(400_000); err != nil {
 		return nil, fmt.Errorf("driver: %s init: %w", p.Name(), err)
 	}
@@ -596,6 +580,8 @@ type run struct {
 	// loop and while draining).
 	nem        *nemesisState
 	injHorizon sim.Time
+	// done is collect's scratch, kept so a drain allocates nothing.
+	done []*model.Result
 }
 
 func newRun(d *protocol.Deployment, cfg Config) *run {
@@ -647,57 +633,67 @@ func (r *run) nextTxn(i int) *model.Txn {
 	return t
 }
 
-// collect drains finished transactions from every client into the report.
+// collect drains finished transactions from every client into the
+// report, in completion order: a sharded round finishes transactions on
+// many clients at once, and the ride-along session and the nemesis
+// recovery marks both read the drain as a timeline. Ties keep
+// client-index-then-finish order, so the order is a function of seed and
+// partition, never of Workers. (The serial closed loop hands back at
+// every completion that frees a client, so there a drain rarely holds
+// more than one client's results.)
 func (r *run) collect() {
+	done := r.done[:0]
 	for _, cl := range r.cls {
-		for _, res := range cl.TakeFinished() {
-			inject, open := int64(0), false
-			if r.injectAt != nil {
-				if at, found := r.injectAt[res.Txn.ID]; found {
-					inject, open = at, true
-					delete(r.injectAt, res.Txn.ID)
-				}
+		done = append(done, cl.TakeFinished()...)
+	}
+	r.done = done
+	slices.SortStableFunc(done, func(a, b *model.Result) int { return cmp.Compare(a.Completed, b.Completed) })
+	for _, res := range done {
+		inject, open := int64(0), false
+		if r.injectAt != nil {
+			if at, found := r.injectAt[res.Txn.ID]; found {
+				inject, open = at, true
+				delete(r.injectAt, res.Txn.ID)
 			}
-			if r.nem != nil {
-				r.nem.observe(res, r.d.Place)
+		}
+		if r.nem != nil {
+			r.nem.observe(res, r.d.Place)
+		}
+		if !res.OK() {
+			r.rep.Rejected++
+			continue
+		}
+		r.rep.Committed++
+		l := res.Completed - res.Invoked
+		if open {
+			// End-to-end from the scheduled arrival; the split into
+			// queueing and service goes to the dedicated collectors.
+			r.queue.Add(res.Invoked - inject)
+			r.svc.Add(l)
+			l = res.Completed - inject
+		}
+		r.lat.Add(l)
+		if res.Txn.IsReadOnly() {
+			r.rot.Add(l)
+			r.rounds += res.Rounds
+			r.nROT++
+		} else {
+			r.wr.Add(l)
+		}
+		if r.stale != nil && !res.Txn.IsReadOnly() {
+			r.probeStaleness(res)
+		}
+		if r.rep.History != nil || r.sess != nil {
+			rec := history.NewRecord(res)
+			if r.rep.History != nil {
+				r.rep.History.Add(rec)
 			}
-			if !res.OK() {
-				r.rep.Rejected++
-				continue
-			}
-			r.rep.Committed++
-			l := res.Completed - res.Invoked
-			if open {
-				// End-to-end from the scheduled arrival; the split
-				// into queueing and service goes to the dedicated
-				// collectors.
-				r.queue.Add(res.Invoked - inject)
-				r.svc.Add(l)
-				l = res.Completed - inject
-			}
-			r.lat.Add(l)
-			if res.Txn.IsReadOnly() {
-				r.rot.Add(l)
-				r.rounds += res.Rounds
-				r.nROT++
-			} else {
-				r.wr.Add(l)
-			}
-			if r.stale != nil && !res.Txn.IsReadOnly() {
-				r.probeStaleness(res)
-			}
-			if r.rep.History != nil || r.sess != nil {
-				rec := history.NewRecord(res)
-				if r.rep.History != nil {
-					r.rep.History.Add(rec)
-				}
-				if r.sess != nil && !r.sealed {
-					t0 := time.Now()
-					clean := r.sess.Append(rec)
-					r.certWall += time.Since(t0)
-					if !clean {
-						r.sealed = true
-					}
+			if r.sess != nil && !r.sealed {
+				t0 := time.Now()
+				clean := r.sess.Append(rec)
+				r.certWall += time.Since(t0)
+				if !clean {
+					r.sealed = true
 				}
 			}
 		}
@@ -797,31 +793,18 @@ func startRun(d *protocol.Deployment, cfg Config) (*run, error) {
 	if len(d.Clients) < cfg.Clients {
 		return nil, fmt.Errorf("driver: deployment has %d clients, need %d", len(d.Clients), cfg.Clients)
 	}
-	if cfg.Workers <= 0 && cfg.Barrier {
-		return nil, fmt.Errorf("driver: Barrier selects between sharded engines and requires Workers ≥ 1")
-	}
 	if cfg.Rebalance && cfg.plan == nil {
 		return nil, fmt.Errorf("driver: Rebalance needs the probe deployment driver.Run builds; call Run, not RunOn")
 	}
 	r := newRun(d, cfg)
 	if cfg.Workers <= 0 {
-		r.eng = &serialEngine{k: d.Kernel, sched: &sim.Network{NoTimeLeap: cfg.NoTimeLeap}}
+		r.eng = &serialEngine{k: d.Kernel, sched: &sim.Network{}}
 	} else {
-		if cfg.KeepTrace {
-			return nil, fmt.Errorf("driver: Workers and KeepTrace are incompatible (sharded stepping has no global event order to record)")
-		}
-		if cfg.NoTimeLeap {
-			return nil, fmt.Errorf("driver: Workers and NoTimeLeap are incompatible (sharded windows always leap)")
-		}
 		shardOf, shards, err := shardAssignment(d, cfg.plan)
 		if err != nil {
 			return nil, err
 		}
-		mk := sim.NewLookaheadRunner
-		if cfg.Barrier {
-			mk = sim.NewShardedRunner
-		}
-		runner, err := mk(d.Kernel, shardOf, shards, cfg.Workers)
+		runner, err := sim.NewLookaheadRunner(d.Kernel, shardOf, shards, cfg.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("driver: %w", err)
 		}
@@ -956,8 +939,7 @@ func (r *run) runOpen() (*Report, error) {
 		tid := d.Invoke(d.Clients[i], r.nextTxn(i))
 		if r.runner != nil {
 			// Lift the owning shard's persistent clock to the scheduled
-			// instant so the lookahead engine never steps the injection
-			// early (no-op under the barrier engine).
+			// instant so the sharded engine never steps the injection early.
 			r.runner.NotifyInvoked(d.Clients[i], at)
 		}
 		r.injectAt[tid] = int64(at)

@@ -20,8 +20,8 @@ import (
 // other).
 //
 // Faults apply between engine runs, when every pending inbox and arrival
-// lives in the kernel; under sharded engines that quantizes fault
-// instants to window boundaries, deterministically per engine.
+// lives in the kernel; under the sharded engine that quantizes fault
+// instants to round boundaries, deterministically.
 type Nemesis struct {
 	// Crashes is the number of crash→restart cycles to schedule. Targets
 	// rotate pseudo-randomly (seeded) over the servers; clients are never

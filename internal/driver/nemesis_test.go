@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/history"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/protocols/cure"
 	"repro/internal/protocols/spanner"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -22,9 +24,10 @@ func partitionNemesis() *Nemesis {
 
 // TestNemesisWorkersByteIdentical extends the serial-equals-parallel
 // contract to faulted runs: a crash/restart or partition/heal schedule is
-// part of the configuration, not of the execution, so for a fixed seed,
-// engine and schedule the report — fault accounting included — must be
-// byte-identical at every worker count.
+// part of the configuration, not of the execution, so for a fixed seed
+// and schedule the report — fault accounting included — must be
+// byte-identical at every worker count. Every reported recovery latency
+// must also be what NemesisReport documents (checkRecoveryIsEarliest).
 func TestNemesisWorkersByteIdentical(t *testing.T) {
 	protos := []struct {
 		name string
@@ -40,59 +43,91 @@ func TestNemesisWorkersByteIdentical(t *testing.T) {
 		{"crash", func() *Nemesis { return crashNemesis(false) }},
 		{"partition", partitionNemesis},
 	}
-	engines := []struct {
-		name    string
-		barrier bool
-	}{
-		{"lookahead", false},
-		{"barrier", true},
-	}
 	for _, p := range protos {
 		for _, sch := range schedules {
-			for _, eng := range engines {
-				t.Run(p.name+"-"+sch.name+"-"+eng.name, func(t *testing.T) {
-					base := Config{
-						Clients: 8, Txns: 72, Mix: workload.Balanced(), Seed: 7,
-						Servers: 4, ObjectsPerServer: 2,
-						Barrier:       eng.barrier,
-						RecordHistory: true, Certify: true,
-						Nemesis: sch.nem(),
+			t.Run(p.name+"-"+sch.name+"-lookahead", func(t *testing.T) {
+				base := Config{
+					Clients: 8, Txns: 72, Mix: workload.Balanced(), Seed: 7,
+					Servers: 4, ObjectsPerServer: 2,
+					RecordHistory: true, Certify: true,
+					Nemesis: sch.nem(),
+				}
+				runWith := func(workers int) (*Report, string) {
+					cfg := base
+					cfg.Nemesis = sch.nem() // fresh: build mutates defaults
+					cfg.Workers = workers
+					// Run's own steps, spelled out to keep the run's
+					// recovery marks in reach.
+					cfg.defaults()
+					d, err := deploy(p.mk(), cfg)
+					if err != nil {
+						t.Fatalf("workers=%d: %v", workers, err)
 					}
-					runWith := func(workers int) (*Report, string) {
-						cfg := base
-						cfg.Nemesis = sch.nem() // fresh: build mutates defaults
-						cfg.Workers = workers
-						rep, err := Run(p.mk(), cfg)
-						if err != nil {
-							t.Fatalf("workers=%d: %v", workers, err)
-						}
-						if rep.Nemesis == nil {
-							t.Fatalf("workers=%d: no nemesis report", workers)
-						}
-						if rep.Nemesis.Applied != rep.Nemesis.Scheduled {
-							t.Fatalf("workers=%d: applied %d of %d scheduled faults",
-								workers, rep.Nemesis.Applied, rep.Nemesis.Scheduled)
-						}
-						if rep.Nemesis.UnavailableTime <= 0 {
-							t.Fatalf("workers=%d: zero unavailable time across a fault window", workers)
-						}
-						if rep.Incomplete != 0 {
-							t.Fatalf("workers=%d: %d transactions incomplete after heal", workers, rep.Incomplete)
-						}
-						if rep.Cert == nil || !rep.Cert.OK {
-							t.Fatalf("workers=%d: persistent faults must certify clean (delay-indistinguishable): %+v",
-								workers, rep.Cert)
-						}
-						return rep, reportFingerprint(t, rep)
+					r, err := startRun(d, cfg)
+					if err != nil {
+						t.Fatalf("workers=%d: %v", workers, err)
 					}
-					_, want := runWith(1)
-					for _, workers := range []int{2, 4} {
-						_, got := runWith(workers)
-						diffLines(t, "nemesis "+sch.name, want, got)
+					rep, err := r.runClosed()
+					if err != nil {
+						t.Fatalf("workers=%d: %v", workers, err)
 					}
-				})
+					if rep.Nemesis == nil {
+						t.Fatalf("workers=%d: no nemesis report", workers)
+					}
+					if rep.Nemesis.Applied != rep.Nemesis.Scheduled {
+						t.Fatalf("workers=%d: applied %d of %d scheduled faults",
+							workers, rep.Nemesis.Applied, rep.Nemesis.Scheduled)
+					}
+					if rep.Nemesis.UnavailableTime <= 0 {
+						t.Fatalf("workers=%d: zero unavailable time across a fault window", workers)
+					}
+					if rep.Incomplete != 0 {
+						t.Fatalf("workers=%d: %d transactions incomplete after heal", workers, rep.Incomplete)
+					}
+					if rep.Cert == nil || !rep.Cert.OK {
+						t.Fatalf("workers=%d: persistent faults must certify clean (delay-indistinguishable): %+v",
+							workers, rep.Cert)
+					}
+					checkRecoveryIsEarliest(t, r)
+					return rep, reportFingerprint(t, rep)
+				}
+				_, want := runWith(1)
+				for _, workers := range []int{2, 4} {
+					_, got := runWith(workers)
+					diffLines(t, "nemesis "+sch.name, want, got)
+				}
+			})
+		}
+	}
+}
+
+// checkRecoveryIsEarliest recomputes the recovery latencies from every
+// committed result of the run: for each restart/heal mark, the earliest
+// commit at or after it (touching the restarted server, for a restart) —
+// not whichever qualifying commit the drain happened to hand over first.
+func checkRecoveryIsEarliest(t *testing.T, r *run) {
+	t.Helper()
+	want := stats.NewCollector()
+	for _, m := range r.nem.marks {
+		first := int64(-1)
+		for _, cl := range r.cls {
+			for _, res := range cl.Results() {
+				if !res.OK() || res.Completed < int64(m.at) || (first >= 0 && res.Completed >= first) {
+					continue
+				}
+				if m.proc == "" || slices.Contains(r.d.Place.ServersFor(res.Txn.Objects()), m.proc) {
+					first = res.Completed
+				}
 			}
 		}
+		if first >= 0 {
+			want.Add(first - int64(m.at))
+		}
+	}
+	w, got := want.Summarize(), r.rep.Nemesis.RecoveryLatency
+	if got.N != w.N || got.Min != w.Min || got.P50 != w.P50 || got.Max != w.Max {
+		t.Fatalf("recovery latency n/min/p50/max = %d/%d/%d/%d, but the earliest qualifying commits give %d/%d/%d/%d",
+			got.N, got.Min, got.P50, got.Max, w.N, w.Min, w.P50, w.Max)
 	}
 }
 
@@ -126,9 +161,6 @@ func TestNemesisSerialDeterministic(t *testing.T) {
 // is accepted iff it is pinned to a first offending commit whose witness
 // prefix refutes on its own, the documented-gap contract.
 func TestNemesisCertifiedCells(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long certification cells")
-	}
 	t.Run("cops-crash-2000", func(t *testing.T) {
 		rep, err := Run(cops.New(), Config{
 			Clients: 8, Txns: 2000, Mix: workload.Balanced(), Seed: 11,

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/protocols/cops"
-	"repro/internal/protocols/spanner"
 	"repro/internal/workload"
 )
 
@@ -100,36 +99,5 @@ func TestOpenLoopDeterministicArrivals(t *testing.T) {
 	}
 	if rep.Committed == 0 || rep.Incomplete != 0 {
 		t.Fatalf("run broken: %+v", rep)
-	}
-}
-
-// TestTimeLeapCutsEventsAtLowRate is the acceptance criterion for the
-// scheduler time-leap: an open-loop spanner run at ~10% of saturated
-// throughput must not spin parked-server Ready steps — the event count
-// per transaction drops by at least 10× against the pre-leap scheduler.
-func TestTimeLeapCutsEventsAtLowRate(t *testing.T) {
-	run := func(noLeap bool) *Report {
-		rep, err := Run(spanner.New(), Config{
-			Clients: 2, Txns: 30, Mix: workload.ReadHeavy(), Seed: 17,
-			Rate: 50, NoTimeLeap: noLeap,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Incomplete != 0 {
-			t.Fatalf("incomplete = %d", rep.Incomplete)
-		}
-		return rep
-	}
-	leap := run(false)
-	spin := run(true)
-	if leap.Committed != spin.Committed {
-		t.Fatalf("leap committed %d, spin committed %d", leap.Committed, spin.Committed)
-	}
-	perTxnLeap := float64(leap.Events) / float64(leap.Committed)
-	perTxnSpin := float64(spin.Events) / float64(spin.Committed)
-	if perTxnLeap*10 > perTxnSpin {
-		t.Fatalf("time-leap saved too little: %.0f events/txn with leap vs %.0f spinning",
-			perTxnLeap, perTxnSpin)
 	}
 }

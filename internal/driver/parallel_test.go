@@ -39,12 +39,14 @@ func reportFingerprint(t *testing.T, rep *Report) string {
 }
 
 // TestShardedWorkersByteIdentical is the serial-equals-parallel contract
-// of sharded stepping: for a fixed seed, shard partition and engine,
-// Workers is an execution knob, not a semantic one. Workers=1 executes
-// the schedule serially and is the differential oracle; Workers=2, 4 and
-// 8 must reproduce its report, history and ride-along certification
-// verdict byte for byte, across three protocols in both load regimes on
-// both the conservative-lookahead and the barrier engine.
+// of sharded stepping: for a fixed seed and shard partition, Workers is an
+// execution knob, not a semantic one. Workers=1 executes the schedule
+// serially and is the differential oracle; Workers=2, 4 and 8 must
+// reproduce its report, history and ride-along certification verdict byte
+// for byte, across three protocols in both load regimes. Every recorded
+// history must also be in completion order: a round finishes transactions
+// on many clients at once, and the session and the recovery marks read the
+// collection order as a timeline.
 func TestShardedWorkersByteIdentical(t *testing.T) {
 	protos := []struct {
 		name string
@@ -61,56 +63,49 @@ func TestShardedWorkersByteIdentical(t *testing.T) {
 		{"closed", 0},
 		{"open", 800},
 	}
-	engines := []struct {
-		name    string
-		barrier bool
-	}{
-		{"lookahead", false},
-		{"barrier", true},
-	}
 	for _, p := range protos {
 		for _, mode := range modes {
-			for _, eng := range engines {
-				t.Run(p.name+"-"+mode.name+"-"+eng.name, func(t *testing.T) {
-					base := Config{
-						Clients: 8, Txns: 72, Mix: workload.Balanced(), Seed: 7,
-						Servers: 4, ObjectsPerServer: 2,
-						Rate:          mode.rate,
-						Barrier:       eng.barrier,
-						RecordHistory: true, Certify: true,
+			t.Run(p.name+"-"+mode.name+"-lookahead", func(t *testing.T) {
+				base := Config{
+					Clients: 8, Txns: 72, Mix: workload.Balanced(), Seed: 7,
+					Servers: 4, ObjectsPerServer: 2,
+					Rate:          mode.rate,
+					RecordHistory: true, Certify: true,
+				}
+				runWith := func(workers int) (*Report, string) {
+					cfg := base
+					cfg.Workers = workers
+					rep, err := Run(p.mk(), cfg)
+					if err != nil {
+						t.Fatalf("workers=%d: %v", workers, err)
 					}
-					runWith := func(workers int) (*Report, string) {
-						cfg := base
-						cfg.Workers = workers
-						rep, err := Run(p.mk(), cfg)
-						if err != nil {
-							t.Fatalf("workers=%d: %v", workers, err)
-						}
-						if rep.Incomplete != 0 {
-							t.Fatalf("workers=%d: %d transactions incomplete", workers, rep.Incomplete)
-						}
-						if rep.Committed == 0 {
-							t.Fatalf("workers=%d: nothing committed", workers)
-						}
-						if rep.Sharding == nil || rep.Sharding.Shards != 4 {
-							t.Fatalf("workers=%d: sharding stats missing or wrong: %+v", workers, rep.Sharding)
-						}
-						if rep.Sharding.Lookahead == eng.barrier {
-							t.Fatalf("workers=%d: wanted %s engine, stats say Lookahead=%v",
-								workers, eng.name, rep.Sharding.Lookahead)
-						}
-						return rep, reportFingerprint(t, rep)
+					if rep.Incomplete != 0 {
+						t.Fatalf("workers=%d: %d transactions incomplete", workers, rep.Incomplete)
 					}
-					oracle, want := runWith(1)
-					if oracle.Cert == nil {
-						t.Fatal("ride-along certification did not run")
+					if rep.Committed == 0 {
+						t.Fatalf("workers=%d: nothing committed", workers)
 					}
-					for _, workers := range []int{2, 4, 8} {
-						_, got := runWith(workers)
-						diffLines(t, "sharded report", want, got)
+					if rep.Sharding == nil || rep.Sharding.Shards != 4 {
+						t.Fatalf("workers=%d: sharding stats missing or wrong: %+v", workers, rep.Sharding)
 					}
-				})
-			}
+					recs := rep.History.Records()
+					for i := 1; i < len(recs); i++ {
+						if recs[i].Completed < recs[i-1].Completed {
+							t.Fatalf("workers=%d: record %d (%s) completed at %d, before record %d at %d",
+								workers, i, recs[i].ID, recs[i].Completed, i-1, recs[i-1].Completed)
+						}
+					}
+					return rep, reportFingerprint(t, rep)
+				}
+				oracle, want := runWith(1)
+				if oracle.Cert == nil {
+					t.Fatal("ride-along certification did not run")
+				}
+				for _, workers := range []int{2, 4, 8} {
+					_, got := runWith(workers)
+					diffLines(t, "sharded report", want, got)
+				}
+			})
 		}
 	}
 }
@@ -156,39 +151,30 @@ func TestRebalanceDeterministic(t *testing.T) {
 
 // TestMidWindowRefillKeepsThroughput regression-pins the ROADMAP gap the
 // mid-window refill closes: with completions re-arming their client
-// inside the round, the default lookahead engine's closed-loop
-// throughput must not read below the serial engine's at equal
-// parameters. The barrier engine keeps a small residual gap — its
-// shards restart every window at the merged global clock, delaying
-// deliveries the lookahead engine's persistent per-shard clocks make on
-// time — so it is only pinned to stay within 5%. (All three schedules
-// are deterministic, so the comparisons are exact, not statistical.)
+// inside the round, the sharded engine's closed-loop throughput must not
+// read below the serial engine's at equal parameters. (Both schedules
+// are deterministic, so the comparison is exact, not statistical.)
 func TestMidWindowRefillKeepsThroughput(t *testing.T) {
 	base := Config{
 		Clients: 8, Txns: 200, Mix: workload.Balanced(), Seed: 7,
 		Servers: 4, ObjectsPerServer: 2,
 	}
-	run := func(workers int, barrier bool) *Report {
+	run := func(workers int) *Report {
 		cfg := base
 		cfg.Workers = workers
-		cfg.Barrier = barrier
 		rep, err := Run(cops.New(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.Incomplete != 0 {
-			t.Fatalf("workers=%d barrier=%v: %d incomplete", workers, barrier, rep.Incomplete)
+			t.Fatalf("workers=%d: %d incomplete", workers, rep.Incomplete)
 		}
 		return rep
 	}
-	serial := run(0, false)
-	if la := run(1, false); la.Throughput < serial.Throughput {
+	serial := run(0)
+	if la := run(1); la.Throughput < serial.Throughput {
 		t.Errorf("lookahead closed-loop throughput %.1f reads below serial %.1f at equal parameters",
 			la.Throughput, serial.Throughput)
-	}
-	if ba := run(1, true); ba.Throughput < 0.95*serial.Throughput {
-		t.Errorf("barrier closed-loop throughput %.1f fell more than 5%% below serial %.1f",
-			ba.Throughput, serial.Throughput)
 	}
 }
 
@@ -196,44 +182,31 @@ func TestMidWindowRefillKeepsThroughput(t *testing.T) {
 // member of the asynchronous model's schedule space, not a weaker one —
 // causal protocols must still certify clean at their claimed level on
 // sharded histories (the same sweep the ptest conformance suite runs
-// serially), under both the lookahead and the barrier engine.
+// serially).
 func TestShardedRunsAreValidExecutions(t *testing.T) {
 	for _, mk := range []func() protocol.Protocol{
 		func() protocol.Protocol { return cops.New() },
 		func() protocol.Protocol { return cure.New() },
 	} {
-		for _, barrier := range []bool{false, true} {
-			p := mk()
-			rep, err := Run(p, Config{
-				Clients: 8, Txns: 72, Mix: workload.Balanced(), Seed: 3,
-				Servers: 2, ObjectsPerServer: 1,
-				Workers: 2, Barrier: barrier, RecordHistory: true, Certify: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Incomplete != 0 {
-				t.Fatalf("%s (barrier=%v): %d transactions incomplete", rep.Protocol, barrier, rep.Incomplete)
-			}
-			if rep.Cert == nil || !rep.Cert.OK {
-				t.Fatalf("%s (barrier=%v) violates its claimed level under sharded stepping: %+v",
-					rep.Protocol, barrier, rep.Cert)
-			}
+		rep, err := Run(mk(), Config{
+			Clients: 8, Txns: 72, Mix: workload.Balanced(), Seed: 3,
+			Servers: 2, ObjectsPerServer: 1,
+			Workers: 2, RecordHistory: true, Certify: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Incomplete != 0 {
+			t.Fatalf("%s: %d transactions incomplete", rep.Protocol, rep.Incomplete)
+		}
+		if rep.Cert == nil || !rep.Cert.OK {
+			t.Fatalf("%s violates its claimed level under sharded stepping: %+v", rep.Protocol, rep.Cert)
 		}
 	}
 }
 
 // TestShardedConfigValidation pins the incompatible-knob refusals.
 func TestShardedConfigValidation(t *testing.T) {
-	if _, err := Run(cops.New(), Config{Txns: 4, Workers: 1, KeepTrace: true}); err == nil {
-		t.Fatal("Workers+KeepTrace accepted")
-	}
-	if _, err := Run(cops.New(), Config{Txns: 4, Workers: 1, NoTimeLeap: true}); err == nil {
-		t.Fatal("Workers+NoTimeLeap accepted")
-	}
-	if _, err := Run(cops.New(), Config{Txns: 4, Barrier: true}); err == nil {
-		t.Fatal("Barrier without Workers accepted")
-	}
 	if _, err := Run(cops.New(), Config{Txns: 4, Rebalance: true}); err == nil {
 		t.Fatal("Rebalance without Workers accepted")
 	}

@@ -62,8 +62,8 @@ func checkReconfigReport(t *testing.T, rep *Report) {
 // TestReconfigWorkersByteIdentical extends the serial-equals-parallel
 // contract to reconfiguration: a replace or restore schedule — companion
 // restarts at data-dependent sync instants included — is part of the
-// configuration, not of the execution, so for a fixed seed, engine and
-// schedule the report must be byte-identical at every worker count.
+// configuration, not of the execution, so for a fixed seed and schedule
+// the report must be byte-identical at every worker count.
 func TestReconfigWorkersByteIdentical(t *testing.T) {
 	protos := []struct {
 		name string
@@ -79,107 +79,85 @@ func TestReconfigWorkersByteIdentical(t *testing.T) {
 		{"replace", func() *Nemesis { return replaceNemesis(false) }},
 		{"restore", restoreNemesis},
 	}
-	engines := []struct {
-		name    string
-		barrier bool
-	}{
-		{"lookahead", false},
-		{"barrier", true},
-	}
 	for _, p := range protos {
 		for _, sch := range schedules {
-			for _, eng := range engines {
-				t.Run(p.name+"-"+sch.name+"-"+eng.name, func(t *testing.T) {
-					base := Config{
-						Clients: 8, Txns: 72, Mix: workload.Balanced(), Seed: 7,
-						Servers: 4, ObjectsPerServer: 2,
-						Barrier:       eng.barrier,
-						RecordHistory: true, Certify: true,
+			t.Run(p.name+"-"+sch.name+"-lookahead", func(t *testing.T) {
+				base := Config{
+					Clients: 8, Txns: 72, Mix: workload.Balanced(), Seed: 7,
+					Servers: 4, ObjectsPerServer: 2,
+					RecordHistory: true, Certify: true,
+				}
+				runWith := func(workers int) (*Report, string) {
+					cfg := base
+					cfg.Nemesis = sch.nem() // fresh: build mutates defaults
+					cfg.Workers = workers
+					rep, err := Run(p.mk(), cfg)
+					if err != nil {
+						t.Fatalf("workers=%d: %v", workers, err)
 					}
-					runWith := func(workers int) (*Report, string) {
-						cfg := base
-						cfg.Nemesis = sch.nem() // fresh: build mutates defaults
-						cfg.Workers = workers
-						rep, err := Run(p.mk(), cfg)
-						if err != nil {
-							t.Fatalf("workers=%d: %v", workers, err)
-						}
-						checkReconfigReport(t, rep)
-						if rep.Incomplete != 0 {
-							t.Fatalf("workers=%d: %d transactions incomplete after the replacement caught up",
-								workers, rep.Incomplete)
-						}
-						if rep.Cert == nil || !rep.Cert.OK {
-							t.Fatalf("workers=%d: non-lossy reconfiguration must certify clean: %+v",
-								workers, rep.Cert)
-						}
-						return rep, reportFingerprint(t, rep)
+					checkReconfigReport(t, rep)
+					if rep.Incomplete != 0 {
+						t.Fatalf("workers=%d: %d transactions incomplete after the replacement caught up",
+							workers, rep.Incomplete)
 					}
-					_, want := runWith(1)
-					for _, workers := range []int{2, 4} {
-						_, got := runWith(workers)
-						diffLines(t, "reconfig "+sch.name, want, got)
+					if rep.Cert == nil || !rep.Cert.OK {
+						t.Fatalf("workers=%d: non-lossy reconfiguration must certify clean: %+v",
+							workers, rep.Cert)
 					}
-				})
-			}
+					return rep, reportFingerprint(t, rep)
+				}
+				_, want := runWith(1)
+				for _, workers := range []int{2, 4} {
+					_, got := runWith(workers)
+					diffLines(t, "reconfig "+sch.name, want, got)
+				}
+			})
 		}
 	}
 }
 
 // TestReconfigCertified2000 is the acceptance cell: a certified
 // 2000-transaction cops run completes through a mid-run replica
-// replacement on both sharded engines, with W1-vs-W4 byte-identity,
+// replacement on the sharded engine, with W1-vs-W4 byte-identity,
 // nonzero sync accounting, and a ride-along verdict that agrees with the
 // batch re-solve of the recorded history.
 func TestReconfigCertified2000(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long certification cells")
-	}
-	for _, eng := range []struct {
-		name    string
-		barrier bool
-	}{
-		{"lookahead", false},
-		{"barrier", true},
-	} {
-		t.Run(eng.name, func(t *testing.T) {
-			runWith := func(workers, txns int, certify bool) *Report {
-				cfg := Config{
-					Clients: 8, Txns: txns, Mix: workload.Balanced(), Seed: 11,
-					Servers: 4, ObjectsPerServer: 2,
-					Barrier: eng.barrier, Workers: workers,
-					RecordHistory: true, Certify: certify,
-					Nemesis: &Nemesis{Replaces: 1, Start: 20_000},
-				}
-				rep, err := Run(cops.New(), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep.Incomplete != 0 {
-					t.Fatalf("workers=%d: %d transactions incomplete", workers, rep.Incomplete)
-				}
-				checkReconfigReport(t, rep)
-				return rep
+	t.Run("lookahead", func(t *testing.T) {
+		runWith := func(workers, txns int, certify bool) *Report {
+			cfg := Config{
+				Clients: 8, Txns: txns, Mix: workload.Balanced(), Seed: 11,
+				Servers: 4, ObjectsPerServer: 2,
+				Workers:       workers,
+				RecordHistory: true, Certify: certify,
+				Nemesis: &Nemesis{Replaces: 1, Start: 20_000},
 			}
-			// The certified cell: ride-along verdict, batch agreement,
-			// replacement-phase slice populated.
-			rep := runWith(1, 2000, true)
-			if rep.Cert == nil || !rep.Cert.OK {
-				t.Fatalf("certified replace cell refuted: %+v", rep.Cert)
+			rep, err := Run(cops.New(), cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if batch := history.CheckBatch(rep.History, rep.CertLevel); batch.OK != rep.Cert.OK {
-				t.Fatalf("ride-along verdict OK=%v disagrees with batch re-solve OK=%v (%s)",
-					rep.Cert.OK, batch.OK, batch.Reason)
+			if rep.Incomplete != 0 {
+				t.Fatalf("workers=%d: %d transactions incomplete", workers, rep.Incomplete)
 			}
-			if rep.Nemesis.SyncPhaseCommitted == 0 {
-				t.Fatalf("no commit lifetime crossed the catch-up window: %+v", rep.Nemesis)
-			}
-			// W1-vs-W4 byte identity on the same certified cell.
-			w4 := runWith(4, 2000, true)
-			diffLines(t, "reconfig 2000 "+eng.name,
-				reportFingerprint(t, rep), reportFingerprint(t, w4))
-		})
-	}
+			checkReconfigReport(t, rep)
+			return rep
+		}
+		// The certified cell: ride-along verdict, batch agreement,
+		// replacement-phase slice populated.
+		rep := runWith(1, 2000, true)
+		if rep.Cert == nil || !rep.Cert.OK {
+			t.Fatalf("certified replace cell refuted: %+v", rep.Cert)
+		}
+		if batch := history.CheckBatch(rep.History, rep.CertLevel); batch.OK != rep.Cert.OK {
+			t.Fatalf("ride-along verdict OK=%v disagrees with batch re-solve OK=%v (%s)",
+				rep.Cert.OK, batch.OK, batch.Reason)
+		}
+		if rep.Nemesis.SyncPhaseCommitted == 0 {
+			t.Fatalf("no commit lifetime crossed the catch-up window: %+v", rep.Nemesis)
+		}
+		// W1-vs-W4 byte identity on the same certified cell.
+		w4 := runWith(4, 2000, true)
+		diffLines(t, "reconfig 2000", reportFingerprint(t, rep), reportFingerprint(t, w4))
+	})
 }
 
 // TestReplaceLossyHasTeeth: replacing an unreplicated cops server with

@@ -15,11 +15,10 @@ import (
 // cross-site link — which is exactly what the per-link conservative
 // lookahead engine (sim.NewLookaheadRunner) feeds on: a shard whose
 // peers are all across a site boundary can advance CrossLo/IntraLo times
-// further per promise than under a uniform floor, while the
-// window-synchronized barrier engine stays pinned to the tightest
-// (intra-site) edge. A Topology is a pure function of the deployment
-// config — no randomness, no worker-count dependence — so the
-// byte-identity-per-engine contract of sharded runs is preserved.
+// further per promise than under a uniform floor. A Topology is a pure
+// function of the deployment config — no randomness, no worker-count
+// dependence — so the byte-identity contract of sharded runs is
+// preserved.
 type Topology struct {
 	// Name labels the topology in reports and grids ("2site", "3site").
 	Name string

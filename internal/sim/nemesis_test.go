@@ -154,38 +154,32 @@ func TestSnapshotPreservesFaultState(t *testing.T) {
 	}
 }
 
-// The sharded engines replay a crash/restart schedule identically to
-// their own Workers=1 oracle, and faults applied between Runs take
-// effect: nothing is stepped or delivered at a downed process.
+// The sharded engine replays a crash/restart schedule identically to its
+// own Workers=1 oracle, and faults applied between Runs take effect:
+// nothing is stepped or delivered at a downed process.
 func TestShardedRunHonorsFaults(t *testing.T) {
-	for _, lookahead := range []bool{false, true} {
-		k, a, _ := newPingPair(6, 5)
-		k.SetTraceCap(-1)
-		shardOf := func(pid ProcessID) int {
-			if pid == "a" {
-				return 0
-			}
-			return 1
+	k, a, _ := newPingPair(6, 5)
+	k.SetTraceCap(-1)
+	shardOf := func(pid ProcessID) int {
+		if pid == "a" {
+			return 0
 		}
-		mk := NewShardedRunner
-		if lookahead {
-			mk = NewLookaheadRunner
-		}
-		r, err := mk(k, shardOf, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k.Crash("b", false)
-		r.Run(nil, 10_000)
-		if a.pongs != 0 {
-			t.Fatalf("lookahead=%v: pongs while peer down = %d, want 0", lookahead, a.pongs)
-		}
-		k.AdvanceTo(k.Now() + 300)
-		k.Restart("b")
-		r.Run(nil, 10_000)
-		if a.pongs != 5 {
-			t.Fatalf("lookahead=%v: pongs after restart = %d, want 5", lookahead, a.pongs)
-		}
-		mustConserve(t, k)
+		return 1
 	}
+	r, err := NewLookaheadRunner(k, shardOf, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Crash("b", false)
+	r.Run(nil, 10_000)
+	if a.pongs != 0 {
+		t.Fatalf("pongs while peer down = %d, want 0", a.pongs)
+	}
+	k.AdvanceTo(k.Now() + 300)
+	k.Restart("b")
+	r.Run(nil, 10_000)
+	if a.pongs != 5 {
+		t.Fatalf("pongs after restart = %d, want 5", a.pongs)
+	}
+	mustConserve(t, k)
 }

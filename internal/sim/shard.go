@@ -10,51 +10,38 @@ import (
 // ShardedRunner steps a kernel with the process set partitioned into
 // shards, so the protocol state machines of different shards execute
 // concurrently on a worker pool while the run stays fully deterministic.
-// It implements two conservative parallel discrete-event engines sharing
-// one merge discipline:
+// It is a conservative parallel discrete-event engine with per-link
+// lookahead, the classic Chandy–Misra null-message design: shards keep
+// persistent local clocks and each round computes, per shard, the
+// earliest instant any other shard could still affect it — its
+// advancement bound — from the other shards' next-event promises plus the
+// per-link latency floors. No shard ever waits on one it cannot be
+// affected by.
 //
-//   - The window-synchronized barrier (NewShardedRunner), the classic
-//     "bounded lag" / time-bucket design: every round executes one global
-//     window [T, T+Δ) where Δ is the kernel's declared latency floor.
-//   - Per-link conservative lookahead (NewLookaheadRunner), the classic
-//     Chandy–Misra null-message design: shards keep persistent local
-//     clocks and each round computes, per shard, the earliest instant any
-//     other shard could still affect it — its advancement bound — from
-//     the other shards' next-event promises plus the per-link latency
-//     floors. A shard whose bound lies past the global window edge simply
-//     keeps going; no shard ever waits on one it cannot be affected by.
+// A round proceeds as:
 //
-// A barrier round proceeds as:
-//
-//  1. The runner (serial) picks the next window [T, T+Δ). If nothing can
-//     act at the current instant it first leaps T to the earliest future
-//     arrival or declared process wake time, exactly like the Network
-//     scheduler's time-leap.
-//  2. It pops every in-transit message with ReadyAt < T+Δ from the global
-//     arrival index and routes it to the destination process's shard.
-//  3. Every shard with work runs an independent local sub-simulation of
-//     the window — the Network scheduler's policy (pending inboxes first,
+//  1. The runner (serial) computes every shard's advancement bound (see
+//     round) and gives it the window [clock_i, bound_i).
+//  2. Every shard with work runs an independent local sub-simulation of
+//     its window — the Network scheduler's policy (pending inboxes first,
 //     then due deliveries in (ReadyAt, ID) order, then Ready steps, with
 //     Waker-declared wake leaps bounded by the window end) over its own
-//     processes and a local clock starting at T. Sends are buffered;
-//     nothing global is touched. Shards are data-disjoint, so this phase
-//     runs on min(Workers, active shards) goroutines.
-//  4. The runner (serial again) merges: buffered sends are committed to
+//     processes and its local clock. Sends are buffered; nothing global
+//     is touched. Shards are data-disjoint, so this phase runs on
+//     min(Workers, active shards) goroutines.
+//  3. The runner (serial again) merges: buffered sends are committed to
 //     the kernel in fixed shard order, then send order — assigning
 //     message IDs, link sequence numbers and latency samples from the
-//     single kernel RNG in an order that no longer depends on worker
+//     single kernel RNG in an order that does not depend on worker
 //     interleaving — and the kernel clock advances to the latest shard-
 //     local clock.
 //
-// A lookahead round replaces steps 1–2 with the null-message bound
-// computation (see roundLookahead) and gives every shard its own window
-// [clock_i, bound_i); steps 3–4 are identical. The merge rule is what
-// makes both modes deterministic: for a fixed seed, shard partition and
-// engine, the recorded history, every report field and the full JSON
-// output are byte-identical whatever the worker count — Workers=1
-// executes the identical schedule serially and is the differential
-// oracle for Workers≥2 (asserted by tests in internal/driver and
-// cmd/bench and by the CI equivalence smoke).
+// The merge rule is what makes the engine deterministic: for a fixed seed
+// and shard partition, the recorded history, every report field and the
+// full JSON output are byte-identical whatever the worker count —
+// Workers=1 executes the identical schedule serially and is the
+// differential oracle for Workers≥2 (asserted by tests in internal/driver
+// and cmd/bench and by the CI equivalence smoke).
 //
 // Why no message sent inside a window can matter inside it: link latency
 // is at least the declared floor, so a message sent at or after a shard's
@@ -69,21 +56,20 @@ import (
 // protocols' claimed consistency levels like any other schedule (asserted
 // ride-along by the driver's certification).
 type ShardedRunner struct {
-	k         *Kernel
-	workers   int
-	delta     Time
-	lookahead bool
-	shards    []*shard
-	shardOf   map[ProcessID]*shard
-	nProcs    int
-	horizon   Time
+	k       *Kernel
+	workers int
+	delta   Time
+	shards  []*shard
+	shardOf map[ProcessID]*shard
+	nProcs  int
+	horizon Time
 
-	// floors is the lookahead engine's shard-pair bound matrix:
-	// floors[j][i] is the smallest declared latency floor over links from
-	// a shard-j process to a shard-i process — the minimum transit time of
-	// any influence j can exert on i. Always ≥ 1.
+	// floors is the shard-pair bound matrix: floors[j][i] is the smallest
+	// declared latency floor over links from a shard-j process to a
+	// shard-i process — the minimum transit time of any influence j can
+	// exert on i. Always ≥ 1.
 	floors [][]Time
-	// Per-round scratch (lookahead), sized to the shard count once.
+	// Per-round scratch, sized to the shard count once.
 	e, prom, bnd []Time
 	settled      []bool
 	arrTop       []*Message
@@ -99,15 +85,12 @@ type ShardedRunner struct {
 const infTime = Time(1) << 60
 
 // ShardingStats counts the deterministic shape of a sharded run — every
-// field is a pure function of seed, configuration, engine and shard
-// partition, never of worker count or thread timing.
+// field is a pure function of seed, configuration and shard partition,
+// never of worker count or thread timing.
 type ShardingStats struct {
 	// Shards is the partition size; Workers the configured pool size.
 	Shards  int
 	Workers int
-	// Lookahead identifies the engine: false is the window-synchronized
-	// barrier, true the per-link conservative lookahead.
-	Lookahead bool
 	// Rounds is the number of executed rounds; Events the total events
 	// (deliveries + steps) across all shards and rounds.
 	Rounds int
@@ -122,13 +105,13 @@ type ShardingStats struct {
 	// round (occupancy: ActiveShardRounds/Rounds ≤ Shards).
 	ActiveShardRounds int
 	// NullAdvances counts shard-rounds whose advancement bound exceeded
-	// the global barrier edge (earliest pending event plus the global
+	// the global window edge (earliest pending event plus the global
 	// floor): rounds where the per-link bounds provably admitted more
-	// progress than a barrier window would have. Lookahead only.
+	// progress than one global window would have.
 	NullAdvances int
 	// BlockedShardRounds counts shard-rounds that had a next local event
 	// but whose bound did not yet admit it; BlockedTime sums the
-	// shortfall (next event minus bound) over them. Lookahead only.
+	// shortfall (next event minus bound) over them.
 	BlockedShardRounds int
 	BlockedTime        Time
 	// PerShard breaks events and blocking down by shard index.
@@ -158,7 +141,6 @@ type shardSend struct {
 // transient per-round state of its local sub-simulation.
 type shard struct {
 	idx   int
-	la    bool
 	procs []Process
 	ids   []ProcessID
 	local map[ProcessID]int
@@ -167,77 +149,62 @@ type shard struct {
 	// worker goroutines during a round are race-free.
 	down []bool
 
-	due       []*Message   // barrier: window deliveries, (ReadyAt, ID) order
-	arr       arrivalHeap  // lookahead: undelivered arrivals for this shard
+	arr       arrivalHeap  // undelivered arrivals for this shard
 	inbox     [][]*Message // per local process
 	pending   int
-	t         Time
+	t         Time // persistent local clock
 	events    int
 	evBy      []int // per local process, for the rebalance load profile
 	sends     []shardSend
-	di        int        // first undelivered entry of due (barrier)
-	delivered []*Message // messages delivered this round (lookahead)
-
-	wstart, wend Time // this round's window (barrier)
-	bound        Time // this round's advancement bound (lookahead)
+	delivered []*Message // messages delivered this round
+	bound     Time       // this round's advancement bound
 
 	refill func(ProcessID, Time)
 }
 
-// NewShardedRunner partitions the kernel's current process set with
+// NewLookaheadRunner partitions the kernel's current process set with
 // shardOf (which must map every process to [0, nShards)) and returns a
-// runner executing barrier-windowed sharded stepping on max(1, workers)
-// goroutines. Workers=1 runs the identical schedule serially.
+// runner executing per-link conservative-lookahead sharded stepping on
+// max(1, workers) goroutines. Workers=1 runs the identical schedule
+// serially.
 //
 // The kernel must be in load mode (event recording disabled via
 // SetTraceCap(-1)): shards execute off the global event path, so there is
 // no meaningful global interleaving to record. The process set must not
-// change for the runner's lifetime.
-func NewShardedRunner(k *Kernel, shardOf func(ProcessID) int, nShards, workers int) (*ShardedRunner, error) {
-	return newShardedRunner(k, shardOf, nShards, workers, false)
-}
-
-// NewLookaheadRunner is NewShardedRunner with the per-link conservative
-// lookahead engine: shards keep persistent local clocks and advance to
-// per-shard null-message bounds instead of a global window edge. While a
-// lookahead runner is stepping, it owns the kernel's arrival index; Run
-// hands it back before returning, so the kernel stays coherent between
-// Runs exactly as under the barrier engine.
+// change for the runner's lifetime. While the runner is stepping, it owns
+// the kernel's arrival index; Run hands it back before returning, so the
+// kernel stays coherent between Runs.
 func NewLookaheadRunner(k *Kernel, shardOf func(ProcessID) int, nShards, workers int) (*ShardedRunner, error) {
-	return newShardedRunner(k, shardOf, nShards, workers, true)
-}
-
-func newShardedRunner(k *Kernel, shardOf func(ProcessID) int, nShards, workers int, lookahead bool) (*ShardedRunner, error) {
 	if nShards < 1 {
 		return nil, fmt.Errorf("sim: sharded runner needs at least 1 shard, got %d", nShards)
 	}
 	if k.traceCap >= 0 {
 		return nil, fmt.Errorf("sim: sharded stepping requires load mode (SetTraceCap(-1)); full traces only exist for the serial schedulers")
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(workers, 1)
 	r := &ShardedRunner{
-		k:         k,
-		workers:   workers,
-		delta:     k.latencyFloor,
-		lookahead: lookahead,
-		shards:    make([]*shard, nShards),
-		shardOf:   make(map[ProcessID]*shard, len(k.order)),
-		nProcs:    len(k.order),
+		k:          k,
+		workers:    workers,
+		delta:      max(k.latencyFloor, 1),
+		shards:     make([]*shard, nShards),
+		shardOf:    make(map[ProcessID]*shard, len(k.order)),
+		nProcs:     len(k.order),
+		e:          make([]Time, nShards),
+		prom:       make([]Time, nShards),
+		bnd:        make([]Time, nShards),
+		settled:    make([]bool, nShards),
+		arrTop:     make([]*Message, nShards),
+		shardReady: make([]bool, nShards),
+		shardWake:  make([]Time, nShards),
 		stats: ShardingStats{
 			Shards:    nShards,
 			Workers:   workers,
-			Lookahead: lookahead,
 			PerShard:  make([]ShardLoad, nShards),
 			Partition: make(map[string]int, len(k.order)),
 		},
 	}
-	if r.delta < 1 {
-		r.delta = 1
-	}
 	for i := range r.shards {
-		r.shards[i] = &shard{idx: i, la: lookahead, local: make(map[ProcessID]int), t: k.now}
+		r.shards[i] = &shard{idx: i, local: make(map[ProcessID]int), t: k.now}
 	}
 	// k.order is sorted, so every shard's process list is sorted too and
 	// the shard-local pending-inbox scan matches the Network scheduler's
@@ -259,16 +226,7 @@ func newShardedRunner(k *Kernel, shardOf func(ProcessID) int, nShards, workers i
 		sh.evBy = make([]int, len(sh.procs))
 		sh.down = make([]bool, len(sh.procs))
 	}
-	if lookahead {
-		r.e = make([]Time, nShards)
-		r.prom = make([]Time, nShards)
-		r.bnd = make([]Time, nShards)
-		r.settled = make([]bool, nShards)
-		r.arrTop = make([]*Message, nShards)
-		r.shardReady = make([]bool, nShards)
-		r.shardWake = make([]Time, nShards)
-		r.buildFloors()
-	}
+	r.buildFloors()
 	return r, nil
 }
 
@@ -345,14 +303,10 @@ func (r *ShardedRunner) SetRefill(f func(ProcessID, Time)) {
 }
 
 // NotifyInvoked tells the runner about an external injection (the
-// open-loop driver invoking a client) at the given instant. The lookahead
-// engine lifts the owning shard's persistent clock to it so the injected
-// work is never stepped before its scheduled arrival; barrier windows
-// already start at or after the kernel clock, so this is a no-op there.
+// open-loop driver invoking a client) at the given instant: the owning
+// shard's persistent clock is lifted to it so the injected work is never
+// stepped before its scheduled arrival.
 func (r *ShardedRunner) NotifyInvoked(pid ProcessID, at Time) {
-	if !r.lookahead {
-		return
-	}
 	if sh, ok := r.shardOf[pid]; ok && at > sh.t {
 		sh.t = at
 	}
@@ -380,21 +334,13 @@ func (r *ShardedRunner) SetHorizon(t Time) { r.horizon = t }
 // remaining budget) — deterministically so.
 func (r *ShardedRunner) Run(stop func(*Kernel) bool, maxEvents int) int {
 	r.syncFaults()
-	if r.lookahead {
-		defer r.restoreArrivals()
-	}
+	defer r.restoreArrivals()
 	n := 0
 	for n < maxEvents {
 		if stop != nil && stop(r.k) {
 			return n
 		}
-		var executed int
-		var more bool
-		if r.lookahead {
-			executed, more = r.roundLookahead(maxEvents - n)
-		} else {
-			executed, more = r.round(maxEvents - n)
-		}
+		executed, more := r.round(maxEvents - n)
 		n += executed
 		if !more {
 			return n
@@ -418,10 +364,10 @@ func (r *ShardedRunner) syncFaults() {
 	}
 }
 
-// restoreArrivals hands arrival indexing back to the kernel when a
-// lookahead Run returns: every undelivered message parked in a shard heap
-// goes back onto the kernel heap, so between Runs the kernel is exactly
-// as coherent as under the serial schedulers or the barrier engine.
+// restoreArrivals hands arrival indexing back to the kernel when Run
+// returns: every undelivered message parked in a shard heap goes back
+// onto the kernel heap, so between Runs the kernel is exactly as coherent
+// as under the serial schedulers.
 func (r *ShardedRunner) restoreArrivals() {
 	for _, sh := range r.shards {
 		for sh.arr.Len() > 0 {
@@ -503,11 +449,11 @@ func (r *ShardedRunner) runActive(active []*shard, budget int) {
 	wg.Wait()
 }
 
-// merge is the serial commit phase shared by both engines: buffered sends
-// enter the kernel in fixed shard order, then send order (IDs, link
-// sequence numbers, latency draws from the single kernel RNG), leftovers
-// of budget-exhausted shards are restored, the kernel clock advances to
-// the latest shard-local clock, and events are accounted.
+// merge is the serial commit phase: buffered sends enter the kernel in
+// fixed shard order, then send order (IDs, link sequence numbers, latency
+// draws from the single kernel RNG), leftovers of budget-exhausted shards
+// are restored, the kernel clock advances to the latest shard-local
+// clock, and events are accounted.
 func (r *ShardedRunner) merge(active []*shard) int {
 	k := r.k
 	total, crit := 0, 0
@@ -517,16 +463,7 @@ func (r *ShardedRunner) merge(active []*shard) int {
 			k.send(ps.from, ps.out, ps.at)
 		}
 		sh.sends = sh.sends[:0]
-		k.deliveredMsgs += int64(sh.di) + int64(len(sh.delivered))
-		for _, m := range sh.due[sh.di:] {
-			// Budget ran out before delivery: the message goes back into
-			// transit untouched.
-			m.gone = false
-			k.byID[m.ID] = m
-			k.pushArrival(m)
-		}
-		sh.due = sh.due[:0]
-		sh.di = 0
+		k.deliveredMsgs += int64(len(sh.delivered))
 		for _, m := range sh.delivered {
 			delete(k.byID, m.ID)
 		}
@@ -569,119 +506,8 @@ func (r *ShardedRunner) merge(active []*shard) int {
 	return total
 }
 
-// round executes one barrier window. It returns the events executed and
-// whether another round could do work.
-func (r *ShardedRunner) round(budget int) (int, bool) {
-	k := r.k
-	if len(k.order) != r.nProcs {
-		panic("sim: process set changed under a ShardedRunner")
-	}
-	r.adoptPending()
-	anyPending := false
-	for _, sh := range r.shards {
-		if sh.pending > 0 {
-			anyPending = true
-			break
-		}
-	}
-
-	// Serial pre-scan: earliest arrival, process readiness and wakes.
-	var earliest Time
-	haveArrival := false
-	if m := k.EarliestArrival(); m != nil {
-		earliest, haveArrival = m.ReadyAt, true
-	}
-	readyNow := false
-	var wakeMin Time
-	haveWake := false
-	shardReady := make([]bool, len(r.shards))
-	shardWake := make([]Time, len(r.shards))
-	shardHasWake := make([]bool, len(r.shards))
-	for si, sh := range r.shards {
-		for li, p := range sh.procs {
-			if sh.down[li] || !p.Ready() {
-				continue
-			}
-			if w, ok := p.(Waker); ok {
-				wt, useful := w.WakeAt(k.now)
-				if !useful {
-					continue // waiting on a delivery, not on time
-				}
-				if wt > k.now {
-					if !haveWake || wt < wakeMin {
-						wakeMin, haveWake = wt, true
-					}
-					if !shardHasWake[si] || wt < shardWake[si] {
-						shardWake[si], shardHasWake[si] = wt, true
-					}
-					continue
-				}
-			}
-			readyNow = true
-			shardReady[si] = true
-		}
-	}
-
-	// Window start: now if anyone can act, else leap to the earliest
-	// future arrival or wake (the sharded counterpart of the Network
-	// scheduler's time-leap). Nothing anywhere: quiescent.
-	tstart := k.now
-	if !readyNow && !anyPending && !(haveArrival && earliest <= k.now) {
-		leap := Time(0)
-		switch {
-		case haveArrival && (!haveWake || earliest <= wakeMin):
-			leap = earliest
-		case haveWake:
-			leap = wakeMin
-		default:
-			return 0, false // quiescent
-		}
-		tstart = leap
-	}
-	if r.horizon > 0 && tstart >= r.horizon {
-		return 0, false
-	}
-	tend := tstart + r.delta
-	if r.horizon > 0 && tend > r.horizon {
-		tend = r.horizon
-	}
-
-	// Route window deliveries to destination shards. Heap pop order is
-	// (ReadyAt, ID), so each shard's due list arrives sorted.
-	for {
-		m := k.EarliestArrival()
-		if m == nil || m.ReadyAt >= tend {
-			break
-		}
-		delete(k.byID, m.ID)
-		m.gone = true
-		r.shardOf[m.To].due = append(r.shardOf[m.To].due, m)
-	}
-
-	// Activity is decided serially from round inputs, so it cannot depend
-	// on worker timing.
-	active := r.shards[:0:0]
-	for si, sh := range r.shards {
-		if len(sh.due) > 0 || sh.pending > 0 || shardReady[si] || (shardHasWake[si] && shardWake[si] < tend) {
-			sh.wstart, sh.wend = tstart, tend
-			active = append(active, sh)
-		}
-	}
-	if len(active) == 0 {
-		// A wake or arrival exists but lies at or past the horizon-clipped
-		// window end; advance to the window end and let the next round
-		// reach it.
-		if r.horizon > 0 && tend >= r.horizon {
-			return 0, false
-		}
-		k.AdvanceTo(tend)
-		return 0, true
-	}
-	r.runActive(active, budget)
-	return r.merge(active), true
-}
-
-// roundLookahead executes one per-link lookahead round:
+// round executes one per-link lookahead round. It returns the events
+// executed and whether another round could do work.
 //
 //  1. Adopt pending inboxes and freshly committed sends (the kernel
 //     arrival heap drains into the destination shards' heaps — while the
@@ -700,8 +526,8 @@ func (r *ShardedRunner) round(budget int) (int, bool) {
 //     [clock_i, bound_i): deliveries strictly below the bound (in global
 //     (ReadyAt, ID) order, so per-shard delivery order matches the serial
 //     index), wake leaps strictly below the bound, Ready chains
-//     unbounded, exactly like a barrier window.
-//  5. The shared serial merge commits sends and advances the kernel.
+//     unbounded.
+//  5. The serial merge commits sends and advances the kernel.
 //
 // The globally earliest event always lies strictly below its shard's
 // bound (bounds exceed min e_i by at least one positive floor), so every
@@ -709,7 +535,7 @@ func (r *ShardedRunner) round(budget int) (int, bool) {
 // Unlike classic null-message rings there is no Δ-at-a-time creep toward
 // distant wakes: promises are next-EVENT times, not clocks, so an idle
 // gap is crossed in a single round.
-func (r *ShardedRunner) roundLookahead(budget int) (int, bool) {
+func (r *ShardedRunner) round(budget int) (int, bool) {
 	k := r.k
 	if len(k.order) != r.nProcs {
 		panic("sim: process set changed under a ShardedRunner")
@@ -782,7 +608,7 @@ func (r *ShardedRunner) roundLookahead(budget int) (int, bool) {
 	r.computeBounds()
 
 	// Activity and blocked accounting, decided serially from round inputs.
-	barrierEdge := minE + r.delta
+	windowEdge := minE + r.delta
 	active := r.shards[:0:0]
 	for si, sh := range r.shards {
 		bound := r.bnd[si]
@@ -795,7 +621,7 @@ func (r *ShardedRunner) roundLookahead(budget int) (int, bool) {
 			(top != nil && top.ReadyAt < bound) ||
 			r.shardWake[si] < bound {
 			active = append(active, sh)
-			if bound > barrierEdge {
+			if bound > windowEdge {
 				r.stats.NullAdvances++
 			}
 		} else if r.e[si] < infTime {
@@ -867,89 +693,12 @@ func (r *ShardedRunner) computeBounds() {
 	}
 }
 
-// run executes this shard's window for the round under its engine.
+// run is the shard-local sub-simulation of one round: the Network
+// scheduler's policy over the shard's processes only, on the shard's
+// persistent clock, with deliveries popped from the shard's own arrival
+// heap and both deliveries and wake leaps admitted strictly below the
+// shard's advancement bound. It touches no global kernel state.
 func (sh *shard) run(budget int) {
-	if sh.la {
-		sh.runWindowLA(budget)
-	} else {
-		sh.runWindow(sh.wstart, sh.wend, budget)
-	}
-}
-
-// runWindow is the shard-local sub-simulation of one barrier window: the
-// Network scheduler's policy over the shard's processes only, on a local
-// clock. It touches no global kernel state.
-func (sh *shard) runWindow(tstart, tend Time, budget int) {
-	sh.t = tstart
-	for sh.events < budget {
-		// 1. Processes with pending input act first, in sorted ID order.
-		if sh.pending > 0 {
-			for li := range sh.procs {
-				if len(sh.inbox[li]) > 0 {
-					sh.step(li)
-					break
-				}
-			}
-			continue
-		}
-		// 2. Deliveries already due at the local instant.
-		if sh.di < len(sh.due) && sh.due[sh.di].ReadyAt <= sh.t {
-			sh.deliver()
-			continue
-		}
-		// 3. Ready processes act now — except Wakers declaring a future
-		// wake instant (or none at all: those wait for a delivery).
-		acted := false
-		var wake Time
-		wakeLi := -1
-		for li, p := range sh.procs {
-			if sh.down[li] || !p.Ready() {
-				continue
-			}
-			if w, ok := p.(Waker); ok {
-				wt, useful := w.WakeAt(sh.t)
-				if !useful {
-					continue
-				}
-				if wt > sh.t {
-					if wakeLi < 0 || wt < wake {
-						wake, wakeLi = wt, li
-					}
-					continue
-				}
-			}
-			sh.step(li)
-			acted = true
-			break
-		}
-		if acted {
-			continue
-		}
-		// 4. Nobody can act at this instant: advance the local clock to
-		// the next useful one inside the window. Arrivals win ties so the
-		// woken process sees every message due by its wake instant.
-		if sh.di < len(sh.due) && (wakeLi < 0 || sh.due[sh.di].ReadyAt <= wake) {
-			sh.deliver()
-			continue
-		}
-		if wakeLi >= 0 && wake < tend {
-			// The step itself costs StepCost, so the process runs at
-			// exactly its wake instant.
-			if wake-StepCost > sh.t {
-				sh.t = wake - StepCost
-			}
-			sh.step(wakeLi)
-			continue
-		}
-		return // idle within this window
-	}
-}
-
-// runWindowLA is the lookahead counterpart of runWindow: the same local
-// policy, but over the shard's persistent clock, with deliveries popped
-// from the shard's own arrival heap and both deliveries and wake leaps
-// admitted strictly below the shard's advancement bound.
-func (sh *shard) runWindowLA(budget int) {
 	bound := sh.bound
 	for sh.events < budget {
 		// 1. Processes with pending input act first, in sorted ID order.
@@ -964,7 +713,7 @@ func (sh *shard) runWindowLA(budget int) {
 		}
 		// 2. Deliveries already due at the local instant.
 		if m := sh.peekArr(); m != nil && m.ReadyAt < bound && m.ReadyAt <= sh.t {
-			sh.deliverLA()
+			sh.deliver()
 			continue
 		}
 		// 3. Ready processes act now — except Wakers declaring a future
@@ -999,7 +748,7 @@ func (sh *shard) runWindowLA(budget int) {
 		// the next useful one below the bound. Arrivals win ties so the
 		// woken process sees every message due by its wake instant.
 		if m := sh.peekArr(); m != nil && m.ReadyAt < bound && (wakeLi < 0 || m.ReadyAt <= wake) {
-			sh.deliverLA()
+			sh.deliver()
 			continue
 		}
 		if wakeLi >= 0 && wake < bound {
@@ -1029,26 +778,14 @@ func (sh *shard) peekArr() *Message {
 	return nil
 }
 
-// deliver moves the next due message into its local income buffer
-// (barrier engine).
+// deliver pops the shard heap's top — the caller has checked it against
+// the bound — and moves it into its local income buffer. The message is
+// marked gone here (shard-owned while the round runs); its global index
+// entry is removed at the merge.
 func (sh *shard) deliver() {
-	m := sh.due[sh.di]
-	sh.di++
-	sh.admit(m)
-}
-
-// deliverLA pops the shard heap's top — the caller has checked it against
-// the bound — and admits it. The message is marked gone here (shard-owned
-// while the round runs); its global index entry is removed at the merge.
-func (sh *shard) deliverLA() {
 	m := heap.Pop(&sh.arr).(*Message)
 	m.gone = true
 	sh.delivered = append(sh.delivered, m)
-	sh.admit(m)
-}
-
-// admit finishes a delivery: clock, timestamp, income buffer, accounting.
-func (sh *shard) admit(m *Message) {
 	if m.ReadyAt > sh.t {
 		sh.t = m.ReadyAt
 	}
