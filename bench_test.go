@@ -216,19 +216,17 @@ func BenchmarkDriverEventRate(b *testing.B) {
 	b.ReportMetric(float64(evPerRun), "events/run")
 }
 
-// BenchmarkSteppingEngines compares the two kernel stepping engines on
-// the same 8-server 64-client cell (E12/E13): the legacy serial scheduler
-// (workers=0), conservative lookahead executed serially (workers=1, the
-// oracle schedule) and on a 4-goroutine pool (workers=4), and lookahead
-// with the deterministic shard rebalance. Reported metric for sharded
-// runs: events ÷ critical-path events — the measured shard-parallelism,
-// i.e. the multi-core speedup ceiling of the cell.
+// BenchmarkSteppingEngines times the stepping engine on the 8-server
+// 64-client cell (E12/E13): conservative lookahead executed serially
+// (workers=1, the oracle schedule) and on a 4-goroutine pool
+// (workers=4), and with the deterministic shard rebalance. Reported
+// metric: events ÷ critical-path events — the measured
+// shard-parallelism, i.e. the multi-core speedup ceiling of the cell.
 func BenchmarkSteppingEngines(b *testing.B) {
 	cases := []struct {
 		name string
 		opt  core.ThroughputOptions
 	}{
-		{"serial", core.ThroughputOptions{Servers: 8}},
 		{"lookahead/workers=1", core.ThroughputOptions{Servers: 8, Workers: 1}},
 		{"lookahead/workers=4", core.ThroughputOptions{Servers: 8, Workers: 4}},
 		{"lookahead+rebalance/workers=1", core.ThroughputOptions{Servers: 8, Workers: 1, Rebalance: true}},
@@ -245,13 +243,9 @@ func BenchmarkSteppingEngines(b *testing.B) {
 				if rep.Incomplete != 0 {
 					b.Fatalf("%d transactions incomplete", rep.Incomplete)
 				}
-				if rep.Sharding != nil {
-					par = float64(rep.Sharding.Events) / float64(rep.Sharding.CriticalEvents)
-				}
+				par = float64(rep.Sharding.Events) / float64(rep.Sharding.CriticalEvents)
 			}
-			if par > 0 {
-				b.ReportMetric(par, "shard-parallelism")
-			}
+			b.ReportMetric(par, "shard-parallelism")
 		})
 	}
 }

@@ -52,7 +52,7 @@ type curveRow struct {
 	InFlightMax int64   `json:"in_flight_max"`
 
 	// Sharded-stepping shape columns, shared with the closed-loop grid
-	// rows (present with -workers ≥ 1).
+	// rows.
 	shardCols
 
 	// Certification columns, shared with the closed-loop grid rows

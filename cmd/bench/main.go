@@ -17,9 +17,7 @@
 // partition and seed, never of the worker count, so two runs differing
 // only in -workers emit byte-identical JSON (the CI equivalence smoke
 // diffs them). -rebalance recomputes the client→shard striping from a
-// deterministic probe run, and -workers 0 selects the other of the two
-// stepping engines, the legacy serial scheduler (a different, also
-// deterministic, schedule). Sharded rows carry engine/shards/rounds/
+// deterministic probe run. Rows carry engine/shards/rounds/
 // critical_path_events plus the lookahead shape (null_advances,
 // blocked_shard_rounds, blocked_time_us): events ÷ critical_path_events
 // is the cell's measured shard-parallelism — the speedup ceiling of a
@@ -115,11 +113,10 @@ type row struct {
 	WriteP50     int64   `json:"write_p50_us"`
 	WriteP99     int64   `json:"write_p99_us"`
 
-	// Sharded-stepping shape columns (present with -workers ≥ 1), shared
-	// with the -curve rows. All deterministic: critical_path_events is
-	// the serialized run length under unbounded workers, so
-	// events/critical_path_events is the measured shard-parallelism of
-	// the cell.
+	// Sharded-stepping shape columns, shared with the -curve rows. All
+	// deterministic: critical_path_events is the serialized run length
+	// under unbounded workers, so events/critical_path_events is the
+	// measured shard-parallelism of the cell.
 	shardCols
 
 	// Certification columns, shared with the -curve rows (present with
@@ -134,10 +131,10 @@ type row struct {
 	nemCols
 }
 
-// shardCols is the sharded-stepping column set (empty under -workers 0).
-// engine names the sharded stepping engine (always "lookahead");
-// null_advances counts shard-rounds that advanced past the global window
-// edge on a null-message bound, blocked_shard_rounds/blocked_time_us the
+// shardCols is the sharded-stepping column set. engine names the
+// stepping engine (always "lookahead"); null_advances counts
+// shard-rounds that advanced past the global window edge on a
+// null-message bound, blocked_shard_rounds/blocked_time_us the
 // shard-rounds (and summed virtual time) spent waiting on a peer's bound.
 type shardCols struct {
 	Shards             int    `json:"shards,omitempty"`
@@ -152,9 +149,6 @@ type shardCols struct {
 
 // shardCells fills the sharded-stepping columns from a run's stats.
 func shardCells(r *shardCols, s *sim.ShardingStats) {
-	if s == nil {
-		return
-	}
 	r.Shards = s.Shards
 	r.Engine = "lookahead"
 	r.Rounds = s.Rounds
@@ -477,13 +471,12 @@ func main() {
 	objects := flag.Int("objects", 2, "objects per server")
 	seed := flag.Int64("seed", 42, "deterministic run seed")
 	workers := flag.Int("workers", 1,
-		"stepping engine: 0 = legacy serial scheduler; >= 1 = sharded stepping "+
-			"(one shard per server) on that many goroutines — cells are identical "+
-			"for every workers >= 1, so outputs diff byte-for-byte across worker counts")
+		"goroutines stepping the shards (one shard per server), >= 1 — cells are "+
+			"identical for every count, so outputs diff byte-for-byte across worker counts")
 	rebalance := flag.Bool("rebalance", false,
 		"recompute the client-to-shard striping per cell from a deterministic "+
-			"probe run's per-shard event counts (requires -workers >= 1; the "+
-			"chosen partition changes the cell's schedule, deterministically)")
+			"probe run's per-shard event counts (the chosen partition changes "+
+			"the cell's schedule, deterministically)")
 	certify := flag.Bool("certify", false, fmt.Sprintf(
 		"certify each cell ride-along at the protocol's claimed consistency "+
 			"level (adds cert fields incl. first_violation_txn to the grid): "+
@@ -544,6 +537,9 @@ func main() {
 	txnCounts, err := parseInts(*txns)
 	if err != nil {
 		fail(fmt.Errorf("-txns: %w", err))
+	}
+	if *workers < 1 {
+		fail(fmt.Errorf("-workers %d: the serial engine is gone; -workers 1 runs every cell serially and is the byte-identical oracle for any higher count", *workers))
 	}
 
 	var out any

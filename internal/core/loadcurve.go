@@ -49,8 +49,7 @@ type CurvePoint struct {
 	// refinement window.
 	Refined bool
 
-	// Sharding is the deterministic shape of a sharded-stepping point
-	// (CurveOptions.Workers ≥ 1). Nil under the serial engine.
+	// Sharding is the deterministic shape of the point's run.
 	Sharding *sim.ShardingStats
 }
 
@@ -111,8 +110,8 @@ type CurveOptions struct {
 	// KneeTxns is the transaction count of each refinement point
 	// (default 2×Txns).
 	KneeTxns int
-	// Workers selects between the two stepping engines for every run of
-	// the sweep, including the closed-loop saturation estimate (see
+	// Workers sizes the stepping pool for every run of the sweep,
+	// including the closed-loop saturation estimate (see
 	// ThroughputOptions.Workers).
 	Workers int
 	// Rebalance recomputes the client→shard striping from a probe run

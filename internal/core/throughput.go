@@ -48,9 +48,8 @@ type ThroughputReport struct {
 	// ThroughputOptions.ProbeStaleness).
 	Staleness *driver.StalenessReport
 
-	// Sharding is the deterministic shape of a sharded-stepping run
-	// (ThroughputOptions.Workers ≥ 1): windows, total vs critical-path
-	// events, shard occupancy. Nil under the serial engine.
+	// Sharding is the deterministic shape of the run: rounds, total vs
+	// critical-path events, shard occupancy.
 	Sharding *sim.ShardingStats
 
 	// Nemesis is the fault-injection outcome (nil on fault-free runs):
@@ -89,16 +88,15 @@ type ThroughputOptions struct {
 	// (driver.Config.ProbeStaleness semantics: frozen reads of committed
 	// writes on kernel snapshots); tallies land in Staleness.
 	ProbeStaleness bool
-	// Workers selects between the two stepping engines
-	// (driver.Config.Workers semantics): 0 the serial scheduler, ≥ 1
-	// sharded lookahead stepping with one shard per server and
-	// min(Workers, active shards) goroutines. The measured numbers are a
-	// function of the shard partition and seed, never of the worker count.
+	// Workers sizes the stepping pool (driver.Config.Workers semantics,
+	// default 1): one shard per server stepped on min(Workers, active
+	// shards) goroutines. The measured numbers are a function of the
+	// shard partition and seed, never of the worker count.
 	Workers int
 	// Rebalance recomputes the client→shard striping from a short
 	// deterministic probe run's per-shard event counts before the
-	// measured run (driver.Config.Rebalance semantics). Requires
-	// Workers ≥ 1; the chosen partition lands in Sharding.Partition.
+	// measured run (driver.Config.Rebalance semantics); the chosen
+	// partition lands in Sharding.Partition.
 	Rebalance bool
 	// Nemesis schedules deterministic fault injection into the measured
 	// phase (driver.Config.Nemesis semantics): seeded crash/restart,

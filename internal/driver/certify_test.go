@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/history"
+	"repro/internal/protocol"
 	"repro/internal/protocols/cops"
 	"repro/internal/protocols/cure"
 	"repro/internal/protocols/naivefast"
@@ -57,9 +58,12 @@ func TestRideAlongCertifiesOpenLoop(t *testing.T) {
 // TestRideAlongFirstViolationPin pins the first-offending-commit report
 // of a known violator: naivefast (the impossible fast design of Theorem
 // 1) under the conformance sweep's configuration is refuted at append
-// index 4 — the session seals after 5 commits of the 96-transaction run
+// index 6 — the session seals after 7 commits of the 96-transaction run
 // instead of checking the whole history after the fact. The pinned index
 // is deterministic: same protocol, config and seed, same first offender.
+// (Re-pinned from 4 when the serial Workers=0 engine was deleted and this
+// config began running on the sharded schedule: the offender is still
+// c4/1, two more commits complete before it in that schedule.)
 func TestRideAlongFirstViolationPin(t *testing.T) {
 	rep, err := Run(naivefast.New(), Config{
 		Clients: 8, Txns: 96, Mix: workload.Balanced(), Seed: 2,
@@ -73,9 +77,9 @@ func TestRideAlongFirstViolationPin(t *testing.T) {
 	if v.OK {
 		t.Fatal("naivefast certified clean — the ride-along lost the theorem's victim")
 	}
-	const pinnedFirst = 4 // seed 2's first offending commit, txn c4/1
-	if v.FirstViolation != pinnedFirst {
-		t.Fatalf("first violation at append %d (%s), pinned %d: %s",
+	const pinnedFirst = 6 // seed 2's first offending commit, txn c4/1
+	if v.FirstViolation != pinnedFirst || v.FirstViolationID.String() != "c4/1" {
+		t.Fatalf("first violation at append %d (%s), pinned %d (c4/1): %s",
 			v.FirstViolation, v.FirstViolationID, pinnedFirst, v.Reason)
 	}
 	if v.Appended != pinnedFirst+1 {
@@ -159,8 +163,12 @@ func TestCertifyPastBatchCeiling(t *testing.T) {
 // TestStalenessProbes: with ProbeStaleness set, committed writes are
 // sampled through a frozen reserved reader; the tallies are bounded by
 // the sampling cap, internally consistent, and — because probes run on
-// kernel snapshots — the measured run itself is unchanged and the
-// counts deterministic across repeats.
+// kernel snapshots and the results they looked at wait for the collect
+// the un-probed run makes — the whole report outside Staleness is
+// unchanged, faults and ride-along certification included. On a
+// replicated fault-free cell the probe is a measurement, not a constant:
+// some sampled writes are visible, some not (every one read stale while
+// probes ran against the end-of-run state), identically at any Workers.
 func TestStalenessProbes(t *testing.T) {
 	cfg := Config{
 		Clients: 8, Txns: 200, Mix: workload.Balanced(), Seed: 5,
@@ -182,16 +190,32 @@ func TestStalenessProbes(t *testing.T) {
 	}
 
 	// The probes must not perturb the measured run: same run without
-	// probing, same schedule.
-	plain := cfg
-	plain.ProbeStaleness = false
-	rep2, err := Run(cops.New(), plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Committed != rep.Committed || rep2.Events != rep.Events || rep2.Duration != rep.Duration {
-		t.Fatalf("probing changed the run: committed %d/%d events %d/%d duration %d/%d",
-			rep.Committed, rep2.Committed, rep.Events, rep2.Events, rep.Duration, rep2.Duration)
+	// probing, same report — through a fault schedule and ride-along
+	// certification too.
+	for _, c := range []Config{
+		cfg,
+		{Clients: 8, Txns: 300, Mix: workload.Balanced(), Seed: 42, Servers: 4,
+			ProbeStaleness: true, RecordHistory: true, Certify: true,
+			Nemesis: &Nemesis{Crashes: 1, Partitions: 1, Start: 8_000, Period: 40_000}},
+	} {
+		probed, err := Run(cops.New(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if probed.Staleness == nil || probed.Staleness.Probes == 0 {
+			t.Fatalf("no staleness probes ran: %+v", probed.Staleness)
+		}
+		probed.Staleness = nil
+		c.ProbeStaleness = false
+		if c.Nemesis != nil {
+			n := *c.Nemesis
+			c.Nemesis = &n
+		}
+		plain, err := Run(cops.New(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffLines(t, "probed vs plain", reportFingerprint(t, plain), reportFingerprint(t, probed))
 	}
 
 	// And the tallies themselves are deterministic.
@@ -201,5 +225,29 @@ func TestStalenessProbes(t *testing.T) {
 	}
 	if *rep3.Staleness != *st {
 		t.Fatalf("staleness tallies nondeterministic: %+v vs %+v", st, rep3.Staleness)
+	}
+
+	// Replicated, fault-free: a measurement, the same at every Workers.
+	for _, p := range []protocol.Protocol{cops.New(), cure.New()} {
+		var at1 StalenessReport
+		for _, workers := range []int{1, 4} {
+			rep, err := Run(p, Config{
+				Clients: 8, Txns: 300, Mix: workload.Balanced(), Seed: 1,
+				Servers: 2, Replication: 2, Workers: workers,
+				ProbeStaleness: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := *rep.Staleness
+			if st.Probes == 0 || st.Stale == 0 || st.Stale >= st.Probes {
+				t.Fatalf("%s workers=%d: %d of %d probes stale — the probe is not measuring", p.Name(), workers, st.Stale, st.Probes)
+			}
+			if workers == 1 {
+				at1 = st
+			} else if st != at1 {
+				t.Fatalf("%s: tallies differ across Workers: %+v at 1, %+v at %d", p.Name(), at1, st, workers)
+			}
+		}
 	}
 }

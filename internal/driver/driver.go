@@ -26,20 +26,17 @@
 // configuration and seed produce the same events, the same latencies and
 // the same history.
 //
-// Two stepping engines drive the kernel. The default (Config.Workers
-// == 0) is the serial Network scheduler. Workers ≥ 1 selects sharded
-// stepping under per-link conservative lookahead
+// The kernel is stepped under per-link conservative lookahead
 // (sim.NewLookaheadRunner): one shard per server with clients striped
-// across them, each shard advancing to its own null-message bound on a
-// worker pool, and a deterministic merge — the run is a function of the
-// shard partition and seed only, so Workers=1 reproduces any Workers=N
-// run byte for byte (the serial oracle guarantee), while Workers=0 is a
-// different, also deterministic, schedule. Report.Sharding records the
-// sharded run's shape, including the critical-path event count that
-// bounds multi-core speedup, the null-message advances and per-shard
-// blocked time.
+// across them, each shard advancing to its own null-message bound on
+// Config.Workers goroutines, and a deterministic merge — the run is a
+// function of the shard partition and seed only, so Workers=1 reproduces
+// any Workers=N run byte for byte (the serial oracle guarantee).
+// Report.Sharding records the run's shape, including the critical-path
+// event count that bounds multi-core speedup, the null-message advances
+// and per-shard blocked time.
 //
-// Closed-loop sharded runs refill clients mid-window: the runner calls
+// Closed-loop runs refill clients mid-window: the runner calls
 // back into the driver after every client step (from the parallel
 // phase, touching only that client's generator and counters), so a
 // client is topped back up the moment a transaction completes rather
@@ -125,8 +122,9 @@ type Config struct {
 	// ProbeStaleness samples visibility staleness while the run executes:
 	// every probeStride-th committed write transaction is re-read through
 	// a reserved frozen reader (protocol.Deployment.VisibleAll) on a
-	// kernel snapshot taken at collection time, asking whether the values
-	// it wrote are already — and still — the frozen-visible state. A
+	// kernel snapshot taken at the first round boundary after it
+	// completed, asking whether the values it wrote are already — and
+	// still — the frozen-visible state. A
 	// probe counts as stale when some written object returns a different
 	// value (not yet replicated, or already overwritten by a concurrent
 	// writer), and as incomplete when the frozen schedule cannot finish
@@ -148,28 +146,25 @@ type Config struct {
 	// The sharded engine sizes its conservative time windows by it; 0 is
 	// always safe but shrinks windows to 1µs.
 	LatencyFloor sim.Time
-	// Workers selects the stepping engine. 0 (the default) is the serial
-	// Network scheduler. ≥ 1 switches to sharded stepping: the process
+	// Workers is the size of the stepping pool (default 1): the process
 	// set is partitioned into one shard per server (clients striped
 	// across them) and per-shard lookahead windows execute on
 	// min(Workers, active shards) goroutines. The schedule, history and
 	// report are a function of the shard partition and seed only — NEVER
 	// of Workers — so Workers=1 is the serial differential oracle for any
-	// higher setting, byte for byte. Sharded runs are a different (valid)
-	// member of the schedule space than Workers=0: reports differ between
-	// the engines, deterministically each.
+	// higher setting, byte for byte.
 	Workers int
 	// Nemesis schedules deterministic fault injection — server
 	// crash/restart cycles and link partitions at fixed virtual instants —
 	// into the measured phase (never into initialization). The schedule is
 	// a pure function of Seed and the Nemesis configuration, so faulted
-	// runs keep every determinism guarantee: same engine + same worker
-	// partition ⇒ byte-identical report at any Workers count. Nil runs
+	// runs keep every determinism guarantee: same shard partition ⇒
+	// byte-identical report at any Workers count. Nil runs
 	// fault-free (and byte-identical to runs before the nemesis layer
 	// existed).
 	Nemesis *Nemesis
 	// Rebalance replaces the static client→shard striping with a measured
-	// one (Workers ≥ 1, driver.Run only): a short probe run on a separate
+	// one (driver.Run only): a short probe run on a separate
 	// deployment counts events per process, then clients are assigned
 	// longest-processing-time-first to the least-loaded shards. The plan
 	// is a pure function of the probe's deterministic counts — worker
@@ -199,6 +194,9 @@ func (c *Config) defaults() {
 	}
 	if c.MaxEvents <= 0 {
 		c.MaxEvents = 20_000*c.Txns + 200_000
+	}
+	if c.Workers <= 0 {
+		c.Workers = 1
 	}
 }
 
@@ -273,9 +271,8 @@ type Report struct {
 	// transaction slice.
 	Nemesis *NemesisReport
 
-	// Sharding carries the deterministic shape of a sharded run
-	// (Config.Workers ≥ 1): windows executed, per-round critical path and
-	// shard occupancy. Nil under the serial engine.
+	// Sharding carries the deterministic shape of the run: rounds
+	// executed, per-round critical path and shard occupancy.
 	Sharding *sim.ShardingStats
 }
 
@@ -328,9 +325,6 @@ func (r *Report) String() string {
 func Run(p protocol.Protocol, cfg Config) (*Report, error) {
 	cfg.defaults()
 	if cfg.Rebalance {
-		if cfg.Workers <= 0 {
-			return nil, fmt.Errorf("driver: Rebalance requires sharded stepping (Workers ≥ 1)")
-		}
 		plan, err := probePlan(p, cfg)
 		if err != nil {
 			return nil, err
@@ -383,12 +377,11 @@ func probeTxns(cfg Config) int {
 	return n
 }
 
-// probePlan runs the short probe under the statically striped sharded
-// engine and derives the measured assignment: servers stay pinned to
-// their shard; every other process is placed longest-processing-time
-// first onto the currently least-loaded shard (ties: lowest shard, then
-// sorted process ID). Everything in sight is deterministic, so the plan
-// is too.
+// probePlan runs the short probe under the static stripe and derives
+// the measured assignment: servers stay pinned to their shard; every
+// other process is placed longest-processing-time first onto the
+// currently least-loaded shard (ties: lowest shard, then sorted process
+// ID). Everything in sight is deterministic, so the plan is too.
 func probePlan(p protocol.Protocol, cfg Config) (map[sim.ProcessID]int, error) {
 	pc := cfg
 	pc.Rebalance = false
@@ -453,34 +446,7 @@ func probePlan(p protocol.Protocol, cfg Config) (map[sim.ProcessID]int, error) {
 	return plan, nil
 }
 
-// engine abstracts the stepping mode behind the load loops: the serial
-// Network scheduler (Config.Workers == 0) or the sharded window runner.
-// Both contracts match sim.Run's: execute until quiescence, the stop
-// predicate (checked between events / between windows), the horizon, or
-// the event budget, returning the events executed.
-type engine interface {
-	run(stop func(*sim.Kernel) bool, maxEvents int) int
-	setHorizon(t sim.Time)
-}
-
-type serialEngine struct {
-	k     *sim.Kernel
-	sched *sim.Network
-}
-
-func (e *serialEngine) run(stop func(*sim.Kernel) bool, maxEvents int) int {
-	return sim.Run(e.k, e.sched, stop, maxEvents)
-}
-func (e *serialEngine) setHorizon(t sim.Time) { e.sched.Horizon = t }
-
-type shardedEngine struct{ r *sim.ShardedRunner }
-
-func (e *shardedEngine) run(stop func(*sim.Kernel) bool, maxEvents int) int {
-	return e.r.Run(stop, maxEvents)
-}
-func (e *shardedEngine) setHorizon(t sim.Time) { e.r.SetHorizon(t) }
-
-// shardAssignment partitions a deployment for sharded stepping: one
+// shardAssignment partitions a deployment into shards: one
 // shard per server (the shard of partition k owns server k), with the
 // client-side processes (workload clients, readers, initializers)
 // striped across the shards in sorted process order — unless a measured
@@ -547,8 +513,7 @@ type run struct {
 	rep    *Report
 	cls    []protocol.Client
 	gens   []*workload.Generator
-	eng    engine
-	runner *sim.ShardedRunner // non-nil under the sharded engine
+	runner *sim.ShardedRunner
 
 	lat, rot, wr *stats.Collector
 	queue, svc   *stats.Collector
@@ -556,7 +521,7 @@ type run struct {
 	// Closed-loop quota bookkeeping, per client. The mid-window refill
 	// hook mutates issued[i] from worker goroutines — safely, because
 	// client i lives on exactly one shard and the hook touches only
-	// index-i state (the serial merge orders everything else).
+	// index-i state (the runner's merge orders everything else).
 	quota, issued []int
 	clientIdx     map[sim.ProcessID]int
 	// injectAt maps a transaction to its scheduled open-loop arrival
@@ -580,8 +545,12 @@ type run struct {
 	// loop and while draining).
 	nem        *nemesisState
 	injHorizon sim.Time
-	// done is collect's scratch, kept so a drain allocates nothing.
-	done []*model.Result
+	// held is the backlog of results taken from each client but not yet
+	// collected (taken counts every result ever taken); done is collect's
+	// scratch, kept so a drain allocates nothing.
+	held  [][]*model.Result
+	taken int
+	done  []*model.Result
 }
 
 func newRun(d *protocol.Deployment, cfg Config) *run {
@@ -590,6 +559,7 @@ func newRun(d *protocol.Deployment, cfg Config) *run {
 		rep:   &Report{Protocol: d.Proto.Name(), Clients: cfg.Clients, Pipeline: cfg.Pipeline},
 		cls:   make([]protocol.Client, cfg.Clients),
 		gens:  make([]*workload.Generator, cfg.Clients),
+		held:  make([][]*model.Result, cfg.Clients),
 		lat:   stats.NewCollector(),
 		rot:   stats.NewCollector(),
 		wr:    stats.NewCollector(),
@@ -633,18 +603,77 @@ func (r *run) nextTxn(i int) *model.Txn {
 	return t
 }
 
-// collect drains finished transactions from every client into the
-// report, in completion order: a sharded round finishes transactions on
-// many clients at once, and the ride-along session and the nemesis
-// recovery marks both read the drain as a timeline. Ties keep
-// client-index-then-finish order, so the order is a function of seed and
-// partition, never of Workers. (The serial closed loop hands back at
-// every completion that frees a client, so there a drain rarely holds
-// more than one client's results.)
+// take moves every client's newly finished results into the run's
+// backlog, unprocessed, and — when probing — ends with at most one
+// staleness probe: if the committed-write count crossed a probeStride
+// boundary among them, of the most recent committed write taken. The
+// closed loop calls it at the first round boundary after a completion
+// (probeDue hands back there), the nearest consistent cut to the write.
+func (r *run) take() {
+	var probe *model.Result
+	due := false
+	for i, cl := range r.cls {
+		fin := cl.TakeFinished()
+		r.held[i] = append(r.held[i], fin...)
+		r.taken += len(fin)
+		if r.stale == nil {
+			continue
+		}
+		for _, res := range fin {
+			if !res.OK() || res.Txn.IsReadOnly() {
+				continue
+			}
+			due = due || r.writesSeen%probeStride == 0
+			r.writesSeen++
+			if probe == nil || res.Completed >= probe.Completed {
+				probe = res
+			}
+		}
+	}
+	if due && r.stale.Probes < probeCap {
+		r.probeStaleness(probe)
+	}
+}
+
+// probeDue reports that a probing run still below probeCap has finished
+// transactions the driver has not taken: the closed loop then hands back
+// at this round boundary, so a probe samples the kernel right after the
+// completion instead of at the end of the run or fault segment (where
+// every sampled write has long been overwritten). A round boundary is a
+// consistent cut — conservative lookahead never delivers a message
+// before it is sent — and returning there changes nothing about the
+// schedule; the results wait in the backlog for the run's one collect,
+// so nothing else in the report moves either. Once the clock has reached a pending fault's instant the run
+// holds on until the fault is applied: a shard draining a step chain may
+// carry the clock past the instant while others still hold events before
+// it, and re-entering engineRun there would apply the fault early.
+func (r *run) probeDue() bool {
+	if r.stale == nil || r.stale.Probes >= probeCap {
+		return false
+	}
+	if r.nem != nil {
+		if f := r.nem.next(); f != nil && f.At <= r.d.Kernel.Now() {
+			return false
+		}
+	}
+	finished := -r.taken
+	for i, cl := range r.cls {
+		finished += r.issued[i] - cl.Outstanding()
+	}
+	return finished > 0
+}
+
+// collect drains the finished transactions into the report, in
+// completion order: a round finishes transactions on many clients at
+// once, and the ride-along session and the nemesis recovery marks both
+// read the drain as a timeline. Ties keep client-index-then-finish order,
+// so the order is a function of seed and partition, never of Workers.
 func (r *run) collect() {
+	r.take()
 	done := r.done[:0]
-	for _, cl := range r.cls {
-		done = append(done, cl.TakeFinished()...)
+	for i, held := range r.held {
+		done = append(done, held...)
+		r.held[i] = held[:0]
 	}
 	r.done = done
 	slices.SortStableFunc(done, func(a, b *model.Result) int { return cmp.Compare(a.Completed, b.Completed) })
@@ -680,9 +709,6 @@ func (r *run) collect() {
 		} else {
 			r.wr.Add(l)
 		}
-		if r.stale != nil && !res.Txn.IsReadOnly() {
-			r.probeStaleness(res)
-		}
 		if r.rep.History != nil || r.sess != nil {
 			rec := history.NewRecord(res)
 			if r.rep.History != nil {
@@ -705,10 +731,6 @@ func (r *run) collect() {
 // wrote and the tallies record whether its values are the visible state
 // right now. Runs on clones only — the measured run is untouched.
 func (r *run) probeStaleness(res *model.Result) {
-	r.writesSeen++
-	if r.stale.Probes >= probeCap || (r.writesSeen-1)%probeStride != 0 {
-		return
-	}
 	want := make(map[string]model.Value, len(res.Txn.Writes))
 	for _, w := range res.Txn.Writes {
 		want[w.Object] = w.Value // last write wins, matching the checkers
@@ -734,8 +756,9 @@ func (r *run) probeStaleness(res *model.Result) {
 	}
 }
 
-// finish summarizes the run into the report.
-func (r *run) finish(start sim.Time) *Report {
+// finish summarizes the run into the report; the error is the kernel's
+// message-conservation check (sent = delivered + in flight + lost).
+func (r *run) finish(start sim.Time) (*Report, error) {
 	rep := r.rep
 	rep.Duration = r.d.Kernel.Now() - start
 	for _, cl := range r.cls {
@@ -762,15 +785,13 @@ func (r *run) finish(start sim.Time) *Report {
 		rep.Cert = &v
 		rep.CertWall = r.certWall
 	}
-	if r.runner != nil {
-		st := r.runner.Stats()
-		st.Rebalanced = r.cfg.plan != nil
-		rep.Sharding = &st
-	}
+	st := r.runner.Stats()
+	st.Rebalanced = r.cfg.plan != nil
+	rep.Sharding = &st
 	if r.nem != nil {
 		rep.Nemesis = r.nem.finish(r.d.Kernel, start)
 	}
-	return rep
+	return rep, r.d.Kernel.CheckConservation()
 }
 
 // RunOn drives a load run against an existing, initialized deployment.
@@ -787,7 +808,7 @@ func RunOn(d *protocol.Deployment, cfg Config) (*Report, error) {
 }
 
 // startRun validates cfg against the deployment and assembles the run
-// and its stepping engine.
+// and its sharded runner.
 func startRun(d *protocol.Deployment, cfg Config) (*run, error) {
 	cfg.defaults()
 	if len(d.Clients) < cfg.Clients {
@@ -797,19 +818,12 @@ func startRun(d *protocol.Deployment, cfg Config) (*run, error) {
 		return nil, fmt.Errorf("driver: Rebalance needs the probe deployment driver.Run builds; call Run, not RunOn")
 	}
 	r := newRun(d, cfg)
-	if cfg.Workers <= 0 {
-		r.eng = &serialEngine{k: d.Kernel, sched: &sim.Network{}}
-	} else {
-		shardOf, shards, err := shardAssignment(d, cfg.plan)
-		if err != nil {
-			return nil, err
-		}
-		runner, err := sim.NewLookaheadRunner(d.Kernel, shardOf, shards, cfg.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("driver: %w", err)
-		}
-		r.runner = runner
-		r.eng = &shardedEngine{r: runner}
+	shardOf, shards, err := shardAssignment(d, cfg.plan)
+	if err != nil {
+		return nil, err
+	}
+	if r.runner, err = sim.NewLookaheadRunner(d.Kernel, shardOf, shards, cfg.Workers); err != nil {
+		return nil, fmt.Errorf("driver: %w", err)
 	}
 	if cfg.Nemesis != nil {
 		faults, err := cfg.Nemesis.build(d, cfg.Seed, d.Kernel.Now())
@@ -822,7 +836,7 @@ func startRun(d *protocol.Deployment, cfg Config) (*run, error) {
 }
 
 // refillClient tops one client up to its pipeline depth. It doubles as
-// the sharded runner's mid-window refill hook, where it runs on a worker
+// the runner's mid-window refill hook, where it runs on a worker
 // goroutine inside the parallel phase: everything it touches — the
 // client's queue, its generator stream, its quota slot — is owned by
 // exactly one shard, and the kernel is deliberately not told (the
@@ -834,13 +848,7 @@ func (r *run) refillClient(pid sim.ProcessID, _ sim.Time) {
 	}
 	cl := r.cls[i]
 	for r.issued[i] < r.quota[i] && cl.Outstanding() < r.cfg.Pipeline {
-		if r.runner == nil {
-			// Serial engine: go through the deployment so the invoke
-			// annotation lands in the trace (trace mode is serial-only).
-			r.d.Invoke(pid, r.nextTxn(i))
-		} else {
-			cl.Invoke(r.nextTxn(i))
-		}
+		cl.Invoke(r.nextTxn(i))
 		r.issued[i]++
 	}
 }
@@ -858,13 +866,11 @@ func (r *run) runClosed() (*Report, error) {
 		}
 		r.clientIdx[d.Clients[i]] = i
 	}
-	if r.runner != nil {
-		// Mid-window refill: completions re-arm their client inside the
-		// round instead of waiting for the next engine exit.
-		r.runner.SetRefill(r.refillClient)
-	}
-	// refill tops every client up between engine runs (the initial fill,
-	// and the whole story for the serial engine).
+	// Mid-window refill: completions re-arm their client inside the
+	// round instead of waiting for the next engine exit.
+	r.runner.SetRefill(r.refillClient)
+	// refill tops every client up between engine runs (the initial fill;
+	// after it the hook has usually left nothing to do).
 	refill := func() {
 		for i := range r.cls {
 			r.refillClient(d.Clients[i], d.Kernel.Now())
@@ -884,14 +890,13 @@ func (r *run) runClosed() (*Report, error) {
 	start := d.Kernel.Now()
 	for {
 		refill()
-		n := r.engineRun(func(*sim.Kernel) bool { return needRefill() }, cfg.MaxEvents-rep.Events)
+		n := r.engineRun(func(*sim.Kernel) bool { return needRefill() || r.probeDue() }, cfg.MaxEvents-rep.Events)
 		rep.Events += n
-		r.collect()
-		if needRefill() && rep.Events < cfg.MaxEvents {
-			continue // a client freed up: top it up and keep going
-		}
-		// Either everything is issued (n == 0 with nothing enabled means
-		// the run is fully drained) or the event budget ran out.
+		// Only take here: the hook keeps every client topped up, so an
+		// un-probed run comes back once, drained — one collect of the
+		// whole run, below, is what it does and what a probed run must do.
+		r.take()
+		// n == 0 with nothing enabled means the run is fully drained.
 		if n == 0 || rep.Events >= cfg.MaxEvents {
 			break
 		}
@@ -900,19 +905,18 @@ func (r *run) runClosed() (*Report, error) {
 	for _, n := range r.issued {
 		rep.Issued += n
 	}
-	return r.finish(start), nil
+	return r.finish(start)
 }
 
 // runOpen injects transactions at the arrival process's instants,
 // regardless of completions. The engine runs with its horizon set to
 // the next arrival so virtual time never leaps past an injection; at
 // the horizon the driver advances the clock to the scheduled instant
-// and invokes the transaction at the next client round-robin. (Under
-// the sharded engine the clock may already sit a few steps past the
-// instant — window granularity, see sim.ShardedRunner.SetHorizon — so
-// the invocation happens at the first actionable instant at or after
-// it; queueing delay is measured from the scheduled instant in both
-// engines.)
+// and invokes the transaction at the next client round-robin. (The
+// clock may already sit a few steps past the instant — window
+// granularity, see sim.ShardedRunner.SetHorizon — so the invocation
+// happens at the first actionable instant at or after it; queueing
+// delay is measured from the scheduled instant.)
 func (r *run) runOpen() (*Report, error) {
 	d, cfg, rep := r.d, r.cfg, r.rep
 	rep.OfferedRate = cfg.Rate
@@ -937,11 +941,9 @@ func (r *run) runOpen() (*Report, error) {
 		d.Kernel.AdvanceTo(at)
 		i := injected % cfg.Clients
 		tid := d.Invoke(d.Clients[i], r.nextTxn(i))
-		if r.runner != nil {
-			// Lift the owning shard's persistent clock to the scheduled
-			// instant so the sharded engine never steps the injection early.
-			r.runner.NotifyInvoked(d.Clients[i], at)
-		}
+		// Lift the owning shard's persistent clock to the scheduled
+		// instant so the injection is never stepped early.
+		r.runner.NotifyInvoked(d.Clients[i], at)
 		r.injectAt[tid] = int64(at)
 		rep.Issued++
 		depth := 0
@@ -955,5 +957,5 @@ func (r *run) runOpen() (*Report, error) {
 	rep.Events += r.engineRun(nil, cfg.MaxEvents-rep.Events)
 	r.collect()
 	r.rep.InFlight = inFlight.Summarize()
-	return r.finish(start), nil
+	return r.finish(start)
 }

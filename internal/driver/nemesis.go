@@ -12,16 +12,16 @@ import (
 
 // Nemesis schedules deterministic fault injection into a load run: server
 // crash/restart cycles, directed link partitions, replica replacements
-// and coordinated cluster restores applied at fixed virtual instants. The schedule is a pure function of the run seed and
-// this configuration — never of the worker count or the engine — so a
-// faulted run replays byte-for-byte under every stepping mode, and
+// and coordinated cluster restores applied at fixed virtual instants. The
+// schedule is a pure function of the run seed and this configuration —
+// never of the worker count — so a faulted run replays byte-for-byte, and
 // ride-along certification keeps working across the faults (a violation
 // exposed by a fault is pinned by Report.Cert.FirstViolation like any
 // other).
 //
-// Faults apply between engine runs, when every pending inbox and arrival
-// lives in the kernel; under the sharded engine that quantizes fault
-// instants to round boundaries, deterministically.
+// Faults apply between runner segments, when every pending inbox and
+// arrival lives in the kernel; that quantizes fault instants to round
+// boundaries, deterministically.
 type Nemesis struct {
 	// Crashes is the number of crash→restart cycles to schedule. Targets
 	// rotate pseudo-randomly (seeded) over the servers; clients are never
@@ -334,7 +334,7 @@ func (s *nemesisState) next() *sim.Fault {
 // Replace/restore events insert their companion restarts into the armed
 // schedule here — the sync duration is a deterministic function of the
 // versions the replacement adopted, so the inserted instants (and hence
-// the whole schedule) stay identical at any worker count per engine.
+// the whole schedule) stay identical at any worker count.
 func (s *nemesisState) applyDue(k *sim.Kernel) {
 	for s.idx < len(s.faults) && s.faults[s.idx].At <= k.Now() {
 		f := s.faults[s.idx]
@@ -549,18 +549,17 @@ func (s *nemesisState) finish(k *sim.Kernel, runStart sim.Time) *NemesisReport {
 	return s.rep
 }
 
-// engineRun is the fault-aware engine dispatch both load loops go
-// through: it runs the engine in segments bounded by the next scheduled
-// fault instant (and the open-loop injection horizon, when set), applying
-// due faults between segments — serially, with every pending inbox and
+// engineRun is the fault-aware dispatch both load loops go through: it
+// runs the sharded runner in segments bounded by the next scheduled fault
+// instant (and the open-loop injection horizon, when set), applying due
+// faults between segments — serially, with every pending inbox and
 // arrival in the kernel, which is what keeps the faulted schedule a pure
-// function of seed, partition and engine at any worker count. With no
-// nemesis configured it degenerates to a single engine run at the
-// injection horizon, untouched behaviour.
+// function of seed and partition at any worker count. With no nemesis
+// configured it degenerates to a single run at the injection horizon.
 func (r *run) engineRun(stop func(*sim.Kernel) bool, budget int) int {
 	if r.nem == nil {
-		r.eng.setHorizon(r.injHorizon)
-		return r.eng.run(stop, budget)
+		r.runner.SetHorizon(r.injHorizon)
+		return r.runner.Run(stop, budget)
 	}
 	k := r.d.Kernel
 	total := 0
@@ -570,20 +569,19 @@ func (r *run) engineRun(stop func(*sim.Kernel) bool, budget int) int {
 		if f := r.nem.next(); f != nil && (h == 0 || f.At < h) {
 			h = f.At
 		}
-		r.eng.setHorizon(h)
-		n := r.eng.run(stop, budget-total)
-		total += n
+		r.runner.SetHorizon(h)
+		total += r.runner.Run(stop, budget-total)
 		if total >= budget || (stop != nil && stop(k)) {
 			return total
 		}
 		f := r.nem.next()
 		if f == nil || (r.injHorizon != 0 && f.At >= r.injHorizon) {
 			// Schedule spent (or the rest belongs to a later injection
-			// segment): leave the engine at the caller's horizon.
-			r.eng.setHorizon(r.injHorizon)
+			// segment): leave the runner at the caller's horizon.
+			r.runner.SetHorizon(r.injHorizon)
 			return total
 		}
-		// The engine exhausted everything before the fault instant — jump
+		// The runner exhausted everything before the fault instant — jump
 		// the clock there (the virtual-time leap over a dead system) and
 		// apply it. Each pass through here consumes ≥1 fault, so the loop
 		// terminates.

@@ -131,8 +131,9 @@ func checkRecoveryIsEarliest(t *testing.T, r *run) {
 	}
 }
 
-// TestNemesisSerialDeterministic pins the serial engine the same way:
-// same flags, same schedule, byte-identical reports across repeats.
+// TestNemesisSerialDeterministic is the same-flags repeat: same
+// configuration, same schedule, byte-identical reports. (The name dates
+// from the serial Workers=0 engine; left unset, Workers now means 1.)
 func TestNemesisSerialDeterministic(t *testing.T) {
 	cfg := Config{
 		Clients: 8, Txns: 72, Mix: workload.Balanced(), Seed: 3,
@@ -148,7 +149,7 @@ func TestNemesisSerialDeterministic(t *testing.T) {
 		return reportFingerprint(t, rep)
 	}
 	want := run()
-	diffLines(t, "serial nemesis repeat", want, run())
+	diffLines(t, "nemesis repeat", want, run())
 }
 
 // TestNemesisCertifiedCells is the acceptance pair: a 2000-transaction

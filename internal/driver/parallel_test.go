@@ -17,20 +17,13 @@ import (
 // byte for byte.
 func reportFingerprint(t *testing.T, rep *Report) string {
 	t.Helper()
-	cw, workers := rep.CertWall, 0
-	rep.CertWall = 0
-	if rep.Sharding != nil {
-		workers = rep.Sharding.Workers
-		rep.Sharding.Workers = 0
-	}
+	cw, workers := rep.CertWall, rep.Sharding.Workers
+	rep.CertWall, rep.Sharding.Workers = 0, 0
 	js, err := json.MarshalIndent(rep, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.CertWall = cw
-	if rep.Sharding != nil {
-		rep.Sharding.Workers = workers
-	}
+	rep.CertWall, rep.Sharding.Workers = cw, workers
 	out := string(js)
 	if rep.History != nil {
 		out += "\n" + rep.History.String()
@@ -149,40 +142,34 @@ func TestRebalanceDeterministic(t *testing.T) {
 	}
 }
 
-// TestMidWindowRefillKeepsThroughput regression-pins the ROADMAP gap the
+// TestMidWindowRefillKeepsThroughput regression-pins the gap the
 // mid-window refill closes: with completions re-arming their client
-// inside the round, the sharded engine's closed-loop throughput must not
-// read below the serial engine's at equal parameters. (Both schedules
-// are deterministic, so the comparison is exact, not statistical.)
+// inside the round, 200 cops transactions on 8 saturated clients span
+// 53507 virtual µs (3737.8 txn/s). Pinned as a number since the serial
+// Workers=0 engine this used to be compared against is gone — it read
+// 54158 µs (3692.9 txn/s) on the same cell, and a refill that waited for
+// the round boundary reads well above both. The schedule is
+// deterministic, so the pin is exact.
 func TestMidWindowRefillKeepsThroughput(t *testing.T) {
-	base := Config{
+	rep, err := Run(cops.New(), Config{
 		Clients: 8, Txns: 200, Mix: workload.Balanced(), Seed: 7,
 		Servers: 4, ObjectsPerServer: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(workers int) *Report {
-		cfg := base
-		cfg.Workers = workers
-		rep, err := Run(cops.New(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Incomplete != 0 {
-			t.Fatalf("workers=%d: %d incomplete", workers, rep.Incomplete)
-		}
-		return rep
+	if rep.Incomplete != 0 || rep.Committed != 200 {
+		t.Fatalf("committed %d, incomplete %d, want 200 and 0", rep.Committed, rep.Incomplete)
 	}
-	serial := run(0)
-	if la := run(1); la.Throughput < serial.Throughput {
-		t.Errorf("lookahead closed-loop throughput %.1f reads below serial %.1f at equal parameters",
-			la.Throughput, serial.Throughput)
+	if rep.Duration != 53507 {
+		t.Errorf("closed-loop run spanned %d µs (%.1f txn/s), pinned 53507 (3737.8)", rep.Duration, rep.Throughput)
 	}
 }
 
 // TestShardedRunsAreValidExecutions: a sharded schedule is a different
 // member of the asynchronous model's schedule space, not a weaker one —
 // causal protocols must still certify clean at their claimed level on
-// sharded histories (the same sweep the ptest conformance suite runs
-// serially).
+// sharded histories (the cell the ptest conformance suite sweeps).
 func TestShardedRunsAreValidExecutions(t *testing.T) {
 	for _, mk := range []func() protocol.Protocol{
 		func() protocol.Protocol { return cops.New() },
@@ -207,10 +194,7 @@ func TestShardedRunsAreValidExecutions(t *testing.T) {
 
 // TestShardedConfigValidation pins the incompatible-knob refusals.
 func TestShardedConfigValidation(t *testing.T) {
-	if _, err := Run(cops.New(), Config{Txns: 4, Rebalance: true}); err == nil {
-		t.Fatal("Rebalance without Workers accepted")
-	}
-	reb := Config{Clients: 2, Txns: 4, Workers: 1, Rebalance: true}
+	reb := Config{Clients: 2, Txns: 4, Rebalance: true}
 	reb.defaults()
 	d, err := deploy(cops.New(), reb)
 	if err != nil {

@@ -159,10 +159,17 @@ func TestConcurrentOppositeOrderCommitsStayAtomic(t *testing.T) {
 }
 
 // TestSnapshotArbitrationFractureIsInherent pins the minimal
-// reproducer bisected from the E11/E13 cure fracture (16 clients /
-// readheavy / seed 42): at 6 clients, 2 servers and a 70%-read mix the
-// serial engine deterministically produces a history the causal-memory
-// checker rejects for client c3 at index 135 (txn c3/23).
+// reproducer bisected from the cure fracture the grids show (4 servers /
+// 16 clients / readheavy / seed 42, first offender at commit 912): at 4
+// clients, 2 servers, a 70%-read mix and seed 15 the run deterministically
+// produces a 24-transaction history the causal-memory checker rejects
+// for client c0 at index 20 (txn c0/6). Re-bisected when the serial
+// Workers=0 engine was deleted — the old witness (6 clients / 138 txns /
+// seed 6, c3/23 at 135) was a schedule only that engine emitted; this
+// one is the smallest over 3–8 clients × seeds 1–60 on the sharded
+// schedule, and is the same three-transaction shape: c2/1 = B writes
+// X1,X3, c3/1 = A writes X3,X0, c0/2 reads B's X1 beside the initial X0,
+// c0/3 reads A's X0, c0/6 reads X3 from B.
 //
 // The root cause is NOT a read/commit race in the model — it is
 // inherent to Cure-style vector-stamped snapshot reads. Two concurrent
@@ -182,8 +189,7 @@ func TestConcurrentOppositeOrderCommitsStayAtomic(t *testing.T) {
 func TestSnapshotArbitrationFractureIsInherent(t *testing.T) {
 	mix := workload.Mix{ReadFraction: 0.7, ReadWidth: 2, WriteWidth: 2, ZipfS: 0.99}
 	rep, err := driver.Run(cure.New(), driver.Config{
-		Clients: 6, Txns: 138, Mix: mix, Seed: 6,
-		Servers: 2, Rate: 0, Workers: 0,
+		Clients: 4, Txns: 24, Mix: mix, Seed: 15, Servers: 2,
 		RecordHistory: true, Certify: true,
 	})
 	if err != nil {
@@ -194,23 +200,22 @@ func TestSnapshotArbitrationFractureIsInherent(t *testing.T) {
 			"protocol change legitimately closed the snapshot-covering gap, " +
 			"update DESIGN.md and retire this reproducer")
 	}
-	if rep.Cert.FirstViolationID.String() != "c3/23" || rep.Cert.FirstViolation != 135 {
-		t.Fatalf("fracture moved: first=%d id=%s (want 135 / c3/23) — the "+
+	if rep.Cert.FirstViolationID.String() != "c0/6" || rep.Cert.FirstViolation != 20 {
+		t.Fatalf("fracture moved: first=%d id=%s (want 20 / c0/6) — the "+
 			"schedule is no longer the bisected witness",
 			rep.Cert.FirstViolation, rep.Cert.FirstViolationID)
 	}
 }
 
 // TestFaultConformance certifies the standard persistent crash+restart
-// and partition+heal nemesis sweeps on both stepping engines
-// (ptest.RunFaults semantics).
+// and partition+heal nemesis sweeps (ptest.RunFaults semantics).
 func TestFaultConformance(t *testing.T) {
 	ptest.RunFaults(t, cure.New(), ptest.Expect{})
 }
 
 // TestReconfigConformance certifies the standard replica-replacement and
-// whole-cluster-restore sweeps on both stepping engines (ptest.RunReconfig
-// semantics): non-lossy reconfiguration must lose nothing.
+// whole-cluster-restore sweeps (ptest.RunReconfig semantics): non-lossy
+// reconfiguration must lose nothing.
 func TestReconfigConformance(t *testing.T) {
 	ptest.RunReconfig(t, cure.New(), ptest.Expect{})
 }

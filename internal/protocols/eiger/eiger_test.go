@@ -87,8 +87,8 @@ func TestWriteIsTwoPhase(t *testing.T) {
 	}
 }
 
-// TestLoadConformance: eiger must certify clean under concurrent load on
-// both stepping engines. The second-round read-at-time (server honors the
+// TestLoadConformance: eiger must certify clean under concurrent load.
+// The second-round read-at-time (server honors the
 // At timestamp, client settles on SafeT/PendingBelow at the effective
 // time) closed the straddling-read fracture that used to make this suite
 // expected-failing; TestReadAtTimeClosesStraddlingRead pins the exact
@@ -174,15 +174,14 @@ func TestReadAtTimeClosesStraddlingRead(t *testing.T) {
 }
 
 // TestFaultConformance certifies the standard persistent crash+restart
-// and partition+heal nemesis sweeps on both stepping engines
-// (ptest.RunFaults semantics).
+// and partition+heal nemesis sweeps (ptest.RunFaults semantics).
 func TestFaultConformance(t *testing.T) {
 	ptest.RunFaults(t, eiger.New(), ptest.Expect{})
 }
 
 // TestReconfigConformance certifies the standard replica-replacement and
-// whole-cluster-restore sweeps on both stepping engines (ptest.RunReconfig
-// semantics): non-lossy reconfiguration must lose nothing.
+// whole-cluster-restore sweeps (ptest.RunReconfig semantics): non-lossy
+// reconfiguration must lose nothing.
 func TestReconfigConformance(t *testing.T) {
 	ptest.RunReconfig(t, eiger.New(), ptest.Expect{})
 }

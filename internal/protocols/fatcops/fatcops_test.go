@@ -121,7 +121,7 @@ func TestOppositeInstallOrdersRepairedAtomically(t *testing.T) {
 }
 
 // TestLoadConformance: fatcops must certify clean under concurrent load
-// at 2 objects per server on both stepping engines. Each client is a
+// at 2 objects per server. Each client is a
 // replica receiving full causal delivery (every write travels with its
 // entire transitive past, values included) and applying whole write-sets
 // atomically, so its read sequence is causally serializable by
@@ -136,15 +136,14 @@ func TestLoadConformance(t *testing.T) {
 }
 
 // TestFaultConformance certifies the standard persistent crash+restart
-// and partition+heal nemesis sweeps on both stepping engines
-// (ptest.RunFaults semantics).
+// and partition+heal nemesis sweeps (ptest.RunFaults semantics).
 func TestFaultConformance(t *testing.T) {
 	ptest.RunFaults(t, fatcops.New(), ptest.Expect{ObjectsPerServer: 2, LoadSeeds: []int64{5}})
 }
 
 // TestReconfigConformance certifies the standard replica-replacement and
-// whole-cluster-restore sweeps on both stepping engines (ptest.RunReconfig
-// semantics): non-lossy reconfiguration must lose nothing.
+// whole-cluster-restore sweeps (ptest.RunReconfig semantics): non-lossy
+// reconfiguration must lose nothing.
 func TestReconfigConformance(t *testing.T) {
 	ptest.RunReconfig(t, fatcops.New(), ptest.Expect{ObjectsPerServer: 2, LoadSeeds: []int64{5}})
 }

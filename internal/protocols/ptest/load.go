@@ -27,17 +27,10 @@ const loadRate = 1000
 // offending commit whose prefix itself refutes.
 //
 // Expectations come from the load fields of Expect: ViolatesUnderLoad
-// requires at least one sweep to fail certification under EVERY stepping
-// engine (a violator that only misbehaves on one engine's schedule would
-// silently lose coverage when the default engine changes); FractureNote
-// marks a known modeling gap as expected-failing (the suite skips,
-// pointing at the ROADMAP item, when the fracture manifests); otherwise
-// every sweep must certify clean.
-//
-// Every sweep runs twice: once on the serial scheduler and once on the
-// sharded conservative-lookahead engine (Workers=1) — two different,
-// equally valid deterministic schedules, and a protocol's claimed level
-// must hold on both.
+// requires at least one sweep to fail certification; FractureNote marks
+// a known modeling gap as expected-failing (the suite skips, pointing at
+// the ROADMAP item, when the fracture manifests); otherwise every sweep
+// must certify clean.
 func RunLoad(t *testing.T, p protocol.Protocol, e Expect) {
 	t.Helper()
 	seeds := e.LoadSeeds
@@ -61,104 +54,89 @@ func RunLoad(t *testing.T, p protocol.Protocol, e Expect) {
 	}
 	level := p.Claims().Consistency
 
-	engines := []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 0},
-		{"lookahead", 1},
-	}
-	violations := map[string]int{}
-	for _, eng := range engines {
-		for _, seed := range seeds {
-			for _, rate := range []float64{0, loadRate} {
-				mode := eng.name + "/closed"
-				if rate > 0 {
-					mode = eng.name + "/open"
+	violations := 0
+	for _, seed := range seeds {
+		for _, rate := range []float64{0, loadRate} {
+			mode := "closed"
+			if rate > 0 {
+				mode = "open"
+			}
+			rep, err := driver.Run(p, driver.Config{
+				Clients: 8, Txns: txns, Mix: workload.Balanced(), Seed: seed,
+				Servers: srv, ObjectsPerServer: ops,
+				RecordHistory: true, Rate: rate, Certify: true,
+			})
+			if err != nil {
+				t.Fatalf("%s-loop run (seed %d): %v", mode, seed, err)
+			}
+			if rep.Incomplete != 0 {
+				t.Fatalf("%s-loop run (seed %d): %d transactions incomplete", mode, seed, rep.Incomplete)
+			}
+			if rep.Committed+rep.Rejected != rep.Issued {
+				t.Fatalf("%s-loop run (seed %d): committed %d + rejected %d != issued %d",
+					mode, seed, rep.Committed, rep.Rejected, rep.Issued)
+			}
+			if rate > 0 && rep.QueueDelay.N != rep.Committed {
+				t.Fatalf("%s-loop run (seed %d): %d queueing samples for %d commits",
+					mode, seed, rep.QueueDelay.N, rep.Committed)
+			}
+			v := *rep.Cert
+			if rep.History.Len() <= history.MaxTxns {
+				// The ride-along session and the one-shot batch solver
+				// must agree on every sweep of every protocol — the
+				// conformance half of the incremental checker's
+				// contract. (Past history.MaxTxns the batch solver
+				// refuses outright and the streaming session stands
+				// alone; the conformance sweeps stay far below it.)
+				if batch := history.CheckBatch(rep.History, level); batch.OK != v.OK {
+					t.Fatalf("%s-loop run (seed %d): ride-along session says OK=%v (%s), batch says OK=%v (%s)",
+						mode, seed, v.OK, v.Reason, batch.OK, batch.Reason)
 				}
-				rep, err := driver.Run(p, driver.Config{
-					Clients: 8, Txns: txns, Mix: workload.Balanced(), Seed: seed,
-					Servers: srv, ObjectsPerServer: ops,
-					RecordHistory: true, Rate: rate, Certify: true,
-					Workers: eng.workers,
-				})
-				if err != nil {
-					t.Fatalf("%s-loop run (seed %d): %v", mode, seed, err)
+				// And the evicting ride-along session must match the
+				// non-evicting bounded session verdict for verdict,
+				// first offence included — the eviction sweep may never
+				// change what is accepted, only what is retained.
+				if want := history.CheckIncremental(rep.History, level); want.OK != v.OK ||
+					want.FirstViolation != v.FirstViolation {
+					t.Fatalf("%s-loop run (seed %d): evicting session OK=%v fv=%d (%s); bounded session OK=%v fv=%d (%s)",
+						mode, seed, v.OK, v.FirstViolation, v.Reason,
+						want.OK, want.FirstViolation, want.Reason)
 				}
-				if rep.Incomplete != 0 {
-					t.Fatalf("%s-loop run (seed %d): %d transactions incomplete", mode, seed, rep.Incomplete)
+			}
+			if !v.OK && e.ViolatesUnderLoad {
+				// A violation must be pinned to its first offending
+				// commit, and the appended prefix through it must itself
+				// refute.
+				if v.FirstViolation < 0 || v.FirstViolation >= rep.History.Len() {
+					t.Fatalf("%s-loop run (seed %d): first violation index %d out of range: %s",
+						mode, seed, v.FirstViolation, v.Reason)
 				}
-				if rep.Committed+rep.Rejected != rep.Issued {
-					t.Fatalf("%s-loop run (seed %d): committed %d + rejected %d != issued %d",
-						mode, seed, rep.Committed, rep.Rejected, rep.Issued)
+				if len(v.WitnessPrefix) != v.FirstViolation+1 {
+					t.Fatalf("%s-loop run (seed %d): witness prefix has %d entries for first violation %d",
+						mode, seed, len(v.WitnessPrefix), v.FirstViolation)
 				}
-				if rate > 0 && rep.QueueDelay.N != rep.Committed {
-					t.Fatalf("%s-loop run (seed %d): %d queueing samples for %d commits",
-						mode, seed, rep.QueueDelay.N, rep.Committed)
+				if pv := history.CheckBatch(rep.History.Prefix(v.FirstViolation+1), level); pv.OK {
+					t.Fatalf("%s-loop run (seed %d): prefix through first offending commit %d certifies clean",
+						mode, seed, v.FirstViolation)
 				}
-				v := *rep.Cert
-				if rep.History.Len() <= history.MaxTxns {
-					// The ride-along session and the one-shot batch solver
-					// must agree on every sweep of every protocol — the
-					// conformance half of the incremental checker's
-					// contract. (Past history.MaxTxns the batch solver
-					// refuses outright and the streaming session stands
-					// alone; the conformance sweeps stay far below it.)
-					if batch := history.CheckBatch(rep.History, level); batch.OK != v.OK {
-						t.Fatalf("%s-loop run (seed %d): ride-along session says OK=%v (%s), batch says OK=%v (%s)",
-							mode, seed, v.OK, v.Reason, batch.OK, batch.Reason)
-					}
-					// And the evicting ride-along session must match the
-					// non-evicting bounded session verdict for verdict,
-					// first offence included — the eviction sweep may never
-					// change what is accepted, only what is retained.
-					if want := history.CheckIncremental(rep.History, level); want.OK != v.OK ||
-						want.FirstViolation != v.FirstViolation {
-						t.Fatalf("%s-loop run (seed %d): evicting session OK=%v fv=%d (%s); bounded session OK=%v fv=%d (%s)",
-							mode, seed, v.OK, v.FirstViolation, v.Reason,
-							want.OK, want.FirstViolation, want.Reason)
-					}
-				}
-				if !v.OK && e.ViolatesUnderLoad {
-					// A violation must be pinned to its first offending
-					// commit, and the appended prefix through it must itself
-					// refute.
-					if v.FirstViolation < 0 || v.FirstViolation >= rep.History.Len() {
-						t.Fatalf("%s-loop run (seed %d): first violation index %d out of range: %s",
-							mode, seed, v.FirstViolation, v.Reason)
-					}
-					if len(v.WitnessPrefix) != v.FirstViolation+1 {
-						t.Fatalf("%s-loop run (seed %d): witness prefix has %d entries for first violation %d",
-							mode, seed, len(v.WitnessPrefix), v.FirstViolation)
-					}
-					if pv := history.CheckBatch(rep.History.Prefix(v.FirstViolation+1), level); pv.OK {
-						t.Fatalf("%s-loop run (seed %d): prefix through first offending commit %d certifies clean",
-							mode, seed, v.FirstViolation)
-					}
-				}
-				switch {
-				case v.OK:
-					// certified at the claimed level
-				case e.ViolatesUnderLoad:
-					violations[eng.name]++
-				case e.FractureNote != "":
-					t.Skipf("known fracture under concurrent load (%s): %s-loop seed %d: %s",
-						e.FractureNote, mode, seed, v.Reason)
-				default:
-					t.Fatalf("%s-loop run (seed %d) violates claimed %s: %s\n%s",
-						mode, seed, level, v.Reason, rep.History)
-				}
+			}
+			switch {
+			case v.OK:
+				// certified at the claimed level
+			case e.ViolatesUnderLoad:
+				violations++
+			case e.FractureNote != "":
+				t.Skipf("known fracture under concurrent load (%s): %s-loop seed %d: %s",
+					e.FractureNote, mode, seed, v.Reason)
+			default:
+				t.Fatalf("%s-loop run (seed %d) violates claimed %s: %s\n%s",
+					mode, seed, level, v.Reason, rep.History)
 			}
 		}
 	}
-	if e.ViolatesUnderLoad {
-		for _, eng := range engines {
-			if violations[eng.name] == 0 {
-				t.Fatalf("%s is a known %s violator, but every concurrent sweep on the %s engine "+
-					"certified clean — the load suite lost its teeth (seeds %v, %d txns)",
-					p.Name(), level, eng.name, seeds, txns)
-			}
-		}
+	if e.ViolatesUnderLoad && violations == 0 {
+		t.Fatalf("%s is a known %s violator, but every concurrent sweep certified clean — "+
+			"the load suite lost its teeth (seeds %v, %d txns)", p.Name(), level, seeds, txns)
 	}
 	if e.FractureNote != "" {
 		t.Logf("%s: fracture did not manifest in this sweep (%s) — the marker may be removable",

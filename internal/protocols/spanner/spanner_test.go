@@ -120,15 +120,14 @@ func TestLoadConformance(t *testing.T) {
 }
 
 // TestFaultConformance certifies the standard persistent crash+restart
-// and partition+heal nemesis sweeps on both stepping engines
-// (ptest.RunFaults semantics).
+// and partition+heal nemesis sweeps (ptest.RunFaults semantics).
 func TestFaultConformance(t *testing.T) {
 	ptest.RunFaults(t, spanner.New(), ptest.Expect{})
 }
 
 // TestReconfigConformance certifies the standard replica-replacement and
-// whole-cluster-restore sweeps on both stepping engines (ptest.RunReconfig
-// semantics): non-lossy reconfiguration must lose nothing.
+// whole-cluster-restore sweeps (ptest.RunReconfig semantics): non-lossy
+// reconfiguration must lose nothing.
 func TestReconfigConformance(t *testing.T) {
 	ptest.RunReconfig(t, spanner.New(), ptest.Expect{})
 }

@@ -263,8 +263,15 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: resp})
 		case *prepareReq:
-			s.hlc.Observe(int64(now), p.DepTS)
-			ts := s.hlc.Now(int64(now))
+			// Initial versions sit at the bottom of the timestamp order —
+			// the zero stamp — so every cutoff covers them: the cutoff is a
+			// minimum over servers, and one that has been idle since its
+			// own init write drags it below the later servers' init stamps.
+			var ts vclock.HLCStamp
+			if !protocol.IsInitClient(sim.ProcessID(p.TID.Client)) {
+				s.hlc.Observe(int64(now), p.DepTS)
+				ts = s.hlc.Now(int64(now))
+			}
 			s.pending[p.TID] = ts
 			for _, w := range p.Writes {
 				s.st.Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Stamp: ts})

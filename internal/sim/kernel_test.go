@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -227,6 +229,23 @@ func TestScriptedDivergenceDetected(t *testing.T) {
 	Run(k, sched, nil, 100)
 	if sched.Err == nil {
 		t.Fatal("expected divergence error")
+	}
+
+	// A divergence past step 9 must report its step in full: twelve
+	// process steps, then a delivery of a message that was never sent.
+	k, _, _ = newPingPair(19, 2)
+	late := &Scripted{}
+	for i := 0; i < 12; i++ {
+		late.Steps = append(late.Steps, ScriptStep{Kind: ActStep, Proc: "a"})
+	}
+	late.Steps = append(late.Steps, ScriptStep{Kind: ActDeliver, Link: Link{From: "a", To: "b"}, Seq: 42})
+	Run(k, late, nil, 100)
+	var div *DivergenceError
+	if !errors.As(late.Err, &div) || div.Pos != 12 {
+		t.Fatalf("divergence = %v, want a DivergenceError at step 12", late.Err)
+	}
+	if !strings.Contains(late.Err.Error(), "step 12:") {
+		t.Fatalf("error %q does not name step 12", late.Err)
 	}
 }
 

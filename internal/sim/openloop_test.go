@@ -122,35 +122,6 @@ func TestNetworkTimeLeapSkipsIdleSpinning(t *testing.T) {
 	}
 }
 
-func TestNetworkNoTimeLeapSpins(t *testing.T) {
-	k := NewKernel(1, nil)
-	p := &timerProc{id: "t0", fireAt: 2_000}
-	k.Add(p)
-	n := Run(k, &Network{NoTimeLeap: true}, nil, 100_000)
-	if !p.fired {
-		t.Fatal("timer did not fire")
-	}
-	if n < 1_000 {
-		t.Fatalf("expected ~2000 spin steps without the leap, got %d", n)
-	}
-}
-
-func TestNetworkHorizonStopsBeforeLeap(t *testing.T) {
-	k := NewKernel(1, nil)
-	p := &timerProc{id: "t0", fireAt: 50_000}
-	k.Add(p)
-	n := Run(k, &Network{Horizon: 10_000}, nil, 1000)
-	if p.fired {
-		t.Fatal("timer fired past the horizon")
-	}
-	if n != 0 {
-		t.Fatalf("executed %d events, want 0 (only action leaps past horizon)", n)
-	}
-	if k.Now() > 10_000 {
-		t.Fatalf("clock advanced to %d past horizon 10000", k.Now())
-	}
-}
-
 // TestTimeLeapWaiterBlockedOnDeliveryIsSkipped: a Waker reporting ok=false
 // (progress needs a delivery) must not be stepped; the message delivery
 // proceeds and unblocks it.

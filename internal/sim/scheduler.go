@@ -1,5 +1,7 @@
 package sim
 
+import "strconv"
+
 // ActionKind classifies scheduler decisions.
 type ActionKind uint8
 
@@ -210,21 +212,13 @@ type Waker interface {
 //
 // When nobody can act at the current instant, the scheduler leaps virtual
 // time to the earliest useful one: the next message arrival or the
-// earliest wake time a parked process declares via Waker. NoTimeLeap
-// restores the pre-leap behaviour (spin parked Ready processes 1µs per
-// step), kept for measuring what the leap saves.
+// earliest wake time a parked process declares via Waker.
+//
+// Network is the trace-mode scheduler (core's latency table, the
+// reference runs of this package's tests); load runs step under
+// ShardedRunner, whose per-shard policy is this one.
 type Network struct {
 	Only *Restriction
-	// NoTimeLeap disables the time-leap (comparison/debugging only).
-	NoTimeLeap bool
-	// Horizon, when > 0, stops the scheduler at that virtual instant:
-	// actions run only while now is strictly before the horizon, and an
-	// idle-time advance (future delivery or wake leap) that would land at
-	// or past it returns false instead, handing control back to the
-	// driver (which injects open-loop arrivals at the horizon instant).
-	// The gate applies identically with and without the time-leap, so
-	// spin and leap runs inject arrivals at the same instants.
-	Horizon Time
 }
 
 // nextArrival returns the earliest-(ReadyAt, ID) in-transit message under
@@ -254,9 +248,6 @@ func nextArrival(k *Kernel, r *Restriction) *Message {
 // when nobody can act now, advance the clock to the earliest useful
 // instant — the next arrival or the earliest declared wake time.
 func (s *Network) Next(k *Kernel) (Action, bool) {
-	if s.Horizon > 0 && k.now >= s.Horizon {
-		return Action{}, false
-	}
 	if id, ok := firstPendingInbox(k, s.Only); ok {
 		return Action{Kind: ActStep, Proc: id}, true
 	}
@@ -264,9 +255,9 @@ func (s *Network) Next(k *Kernel) (Action, bool) {
 	if m != nil && m.ReadyAt <= k.now {
 		return Action{Kind: ActDeliver, Msg: m.ID}, true
 	}
-	// Ready processes act at the current instant — except, with the leap
-	// enabled, those that declare (via Waker) that a step would only be
-	// useful at a future instant, or not until a delivery arrives.
+	// Ready processes act at the current instant — except those that
+	// declare (via Waker) that a step would only be useful at a future
+	// instant, or not until a delivery arrives.
 	var wake Time
 	var wakeProc ProcessID
 	haveWake := false
@@ -274,18 +265,16 @@ func (s *Network) Next(k *Kernel) (Action, bool) {
 		if !s.Only.AllowsProc(id) || k.Down(id) || !k.procs[id].Ready() {
 			continue
 		}
-		if !s.NoTimeLeap {
-			if w, isWaker := k.procs[id].(Waker); isWaker {
-				t, useful := w.WakeAt(k.now)
-				if !useful {
-					continue // waiting on a delivery, not on time
+		if w, isWaker := k.procs[id].(Waker); isWaker {
+			t, useful := w.WakeAt(k.now)
+			if !useful {
+				continue // waiting on a delivery, not on time
+			}
+			if t > k.now {
+				if !haveWake || t < wake {
+					wake, wakeProc, haveWake = t, id, true
 				}
-				if t > k.now {
-					if !haveWake || t < wake {
-						wake, wakeProc, haveWake = t, id, true
-					}
-					continue
-				}
+				continue
 			}
 		}
 		return Action{Kind: ActStep, Proc: id}, true
@@ -293,15 +282,9 @@ func (s *Network) Next(k *Kernel) (Action, bool) {
 	// Nobody can act now: leap. Arrivals win ties so the woken process
 	// sees every message due by its wake instant.
 	if m != nil && (!haveWake || m.ReadyAt <= wake) {
-		if s.Horizon > 0 && m.ReadyAt >= s.Horizon {
-			return Action{}, false
-		}
 		return Action{Kind: ActDeliver, Msg: m.ID}, true
 	}
 	if haveWake {
-		if s.Horizon > 0 && wake >= s.Horizon {
-			return Action{}, false
-		}
 		// The step itself costs StepCost, so the process runs at exactly
 		// its wake instant.
 		k.AdvanceTo(wake - StepCost)
@@ -357,7 +340,7 @@ type DivergenceError struct {
 }
 
 func (e *DivergenceError) Error() string {
-	return "sim: replay diverged at step " + string(rune('0'+e.Pos%10)) + ": missing " + e.Link.String()
+	return "sim: replay diverged at step " + strconv.Itoa(e.Pos) + ": missing " + e.Link.String()
 }
 
 // DrainRestricted runs round-robin under the restriction until quiescence

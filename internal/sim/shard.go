@@ -312,9 +312,9 @@ func (r *ShardedRunner) NotifyInvoked(pid ProcessID, at Time) {
 	}
 }
 
-// SetHorizon bounds the run like Network.Horizon: no round starts at or
+// SetHorizon bounds the run at a virtual instant: no round starts at or
 // past it (Run returns instead, handing control back to the driver's
-// open-loop injection) and window ends / advancement bounds are clipped
+// open-loop injection or fault schedule) and window ends / advancement bounds are clipped
 // to it. The bound has window granularity, not event granularity: a shard
 // draining a deliver→step chain that began before the horizon may push
 // its local clock — and thus the kernel clock — a few StepCosts past it,
