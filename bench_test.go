@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/history"
 	"repro/internal/model"
 	"repro/internal/protocol"
@@ -225,18 +226,19 @@ func BenchmarkDriverEventRate(b *testing.B) {
 func BenchmarkSteppingEngines(b *testing.B) {
 	cases := []struct {
 		name string
-		opt  core.ThroughputOptions
+		cfg  driver.Config
 	}{
-		{"lookahead/workers=1", core.ThroughputOptions{Servers: 8, Workers: 1}},
-		{"lookahead/workers=4", core.ThroughputOptions{Servers: 8, Workers: 4}},
-		{"lookahead+rebalance/workers=1", core.ThroughputOptions{Servers: 8, Workers: 1, Rebalance: true}},
+		{"lookahead/workers=1", driver.Config{Servers: 8, Workers: 1}},
+		{"lookahead/workers=4", driver.Config{Servers: 8, Workers: 4}},
+		{"lookahead+rebalance/workers=1", driver.Config{Servers: 8, Workers: 1, Rebalance: true}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			var par float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.MeasureThroughputWith(core.ByName("cops"), workload.ReadHeavy(),
-					64, 2000, 42, c.opt)
+				cfg := c.cfg
+				cfg.Clients, cfg.Txns, cfg.Mix, cfg.Seed = 64, 2000, workload.ReadHeavy(), 42
+				rep, err := core.MeasureThroughputWith(core.ByName("cops"), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,17 +1,33 @@
 // Command bench runs the concurrent load harness and emits
-// machine-readable JSON grids.
+// machine-readable JSON grids, one row per measured cell.
 //
-// The default mode drives the closed-loop harness over a protocol × mix ×
-// servers × replication × client-count grid, one summary row per cell:
-// throughput (committed transactions per virtual second), latency
-// percentiles, abort and incompletion counts. The default -servers 2,4,8
-// sweep charts how every protocol behaves as transactions span more
-// partitions — the regime the paper's theorems speak to — and
-// -replication >1 adds the partially replicated placements of Theorem 2.
+// Both modes sweep protocol × mix × topology × servers × replication ×
+// txns × clients, in that order (-protocols, -mixes, -topology, -servers,
+// -replication, -txns; replication factors above a cell's server count
+// are skipped), and share -objects, -seed, -workers, -rebalance and
+// -certify. The default -servers 2,4,8 charts how every protocol behaves
+// as transactions span more partitions — the regime the paper's theorems
+// speak to — and -replication >1 adds the partially replicated placements
+// of Theorem 2. A flag the selected mode does not read is refused by
+// name, never dropped, and so is a sweep with no cell in it.
 //
-// Cells step under the sharded conservative-lookahead engine by default
-// (-workers 1: the process set is partitioned into one shard per server
-// and each shard advances to its Chandy–Misra null-message bound; see
+//   - Closed-loop grid (default): -clients saturated clients per cell
+//     with -pipeline outstanding invocations each; rows carry throughput
+//     (committed transactions per virtual second), latency percentiles,
+//     abort and incompletion counts. Only here: -stale samples committed
+//     writes with a frozen reserved-reader visibility probe (stale_*
+//     columns) and -nemesis injects a deterministic fault schedule (nem_*
+//     columns).
+//   - Open-loop curve (-curve): each cell's saturated throughput is
+//     estimated closed-loop over -curveclients clients, then one
+//     open-loop run per -fractions entry (-arrivals poisson|uniform)
+//     charts the latency–throughput curve, with queueing delay and
+//     service latency reported separately and the knee of the curve on
+//     every row. Only here: -refineknee bisects the queueing/service
+//     crossover with longer-window points after the fraction sweep.
+//
+// Cells step under the sharded conservative-lookahead engine (one shard
+// per server, each advancing to its Chandy–Misra null-message bound; see
 // internal/sim.NewLookaheadRunner). -workers N executes the identical
 // schedule on N goroutines: every cell is a function of the shard
 // partition and seed, never of the worker count, so two runs differing
@@ -23,14 +39,7 @@
 // is the cell's measured shard-parallelism — the speedup ceiling of a
 // perfectly balanced worker pool.
 //
-// With -curve it instead sweeps open-loop offered load over a protocol ×
-// mix × servers × replication × rate grid: each protocol's saturated
-// throughput is estimated closed-loop, then one open-loop run per
-// -fractions entry charts the latency–throughput curve, with queueing
-// delay and service latency reported separately and the knee of the
-// curve on every row.
-//
-// With -certify each cell (closed-loop grid and -curve points alike) is
+// With -certify each cell (grid cells and curve points alike) is
 // certified ride-along: committed transactions feed a streaming
 // history.Session at the protocol's claimed consistency level while the
 // run executes, evicting committed closure prefixes as their outcomes
@@ -39,16 +48,7 @@
 // history.MaxTxns transactions additionally record their history and
 // re-solve it with the one-shot batch checker as a cross-check; both
 // wall-clocks land in the row (cert_wall_ms incremental vs
-// cert_batch_wall_ms, the latter zero past the ceiling) — the
-// certification half of the measurement story: a throughput number only
-// counts if the history behind it checks out.
-//
-// -txns is a sweep axis in both modes (as is -curveclients in curve
-// mode), so one invocation can chart cost against run length. -stale
-// samples committed writes in closed-loop cells with a frozen
-// reserved-reader visibility probe (stale_probes/stale_hits/
-// stale_incomplete); -refineknee bisects each curve's queueing/service
-// crossover with longer-window points after the fraction sweep.
+// cert_batch_wall_ms, the latter zero past the ceiling).
 //
 // Runs are fully deterministic: the same flags produce byte-identical
 // output, so the JSON can be diffed across commits to track performance
@@ -66,8 +66,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -86,32 +88,24 @@ import (
 // settings must diff byte-identically (the CI equivalence smoke relies
 // on it).
 type row struct {
-	Protocol     string  `json:"protocol"`
-	MixName      string  `json:"mix"`
-	ReadFraction float64 `json:"read_fraction"`
-	ZipfS        float64 `json:"zipf_s"`
-	Servers      int     `json:"servers"`
-	Replication  int     `json:"replication"`
-	Topology     string  `json:"topology,omitempty"`
-	Sites        int     `json:"sites,omitempty"`
-	Clients      int     `json:"clients"`
-	Pipeline     int     `json:"pipeline"`
-	Txns         int     `json:"txns"`
-	Committed    int     `json:"committed"`
-	Rejected     int     `json:"rejected"`
-	Incomplete   int     `json:"incomplete"`
-	Events       int     `json:"events"`
-	DurationUs   int64   `json:"duration_us"`
-	Throughput   float64 `json:"throughput_txn_per_s"`
-	LatencyP50   int64   `json:"latency_p50_us"`
-	LatencyP90   int64   `json:"latency_p90_us"`
-	LatencyP99   int64   `json:"latency_p99_us"`
-	LatencyMean  float64 `json:"latency_mean_us"`
-	ROTP50       int64   `json:"rot_p50_us"`
-	ROTP99       int64   `json:"rot_p99_us"`
-	ROTRounds    float64 `json:"rot_rounds"`
-	WriteP50     int64   `json:"write_p50_us"`
-	WriteP99     int64   `json:"write_p99_us"`
+	cellCols
+	Pipeline    int     `json:"pipeline"`
+	Txns        int     `json:"txns"`
+	Committed   int     `json:"committed"`
+	Rejected    int     `json:"rejected"`
+	Incomplete  int     `json:"incomplete"`
+	Events      int     `json:"events"`
+	DurationUs  int64   `json:"duration_us"`
+	Throughput  float64 `json:"throughput_txn_per_s"`
+	LatencyP50  int64   `json:"latency_p50_us"`
+	LatencyP90  int64   `json:"latency_p90_us"`
+	LatencyP99  int64   `json:"latency_p99_us"`
+	LatencyMean float64 `json:"latency_mean_us"`
+	ROTP50      int64   `json:"rot_p50_us"`
+	ROTP99      int64   `json:"rot_p99_us"`
+	ROTRounds   float64 `json:"rot_rounds"`
+	WriteP50    int64   `json:"write_p50_us"`
+	WriteP99    int64   `json:"write_p99_us"`
 
 	// Sharded-stepping shape columns, shared with the -curve rows. All
 	// deterministic: critical_path_events is the serialized run length
@@ -129,6 +123,33 @@ type row struct {
 	// Nemesis fault-injection columns (present with -nemesis only; all
 	// omitted on fault-free rows so existing grids stay byte-diffable).
 	nemCols
+}
+
+// cellCols is the leading column set of every row of both modes: which
+// cell of the sweep the row measured. Uniform-topology rows omit
+// topology/sites, so grids from before the topology axis stay diffable.
+type cellCols struct {
+	Protocol     string  `json:"protocol"`
+	MixName      string  `json:"mix"`
+	ReadFraction float64 `json:"read_fraction"`
+	ZipfS        float64 `json:"zipf_s"`
+	Servers      int     `json:"servers"`
+	Replication  int     `json:"replication"`
+	Topology     string  `json:"topology,omitempty"`
+	Sites        int     `json:"sites,omitempty"`
+	Clients      int     `json:"clients"`
+}
+
+func (c cell) cols() cellCols {
+	cols := cellCols{
+		Protocol: c.p.Name(), MixName: c.mixName,
+		ReadFraction: c.cfg.Mix.ReadFraction, ZipfS: c.cfg.Mix.ZipfS,
+		Servers: c.cfg.Servers, Replication: c.cfg.Replication, Clients: c.cfg.Clients,
+	}
+	if t := c.cfg.Topology; t != nil {
+		cols.Topology, cols.Sites = t.Name, t.Sites
+	}
+	return cols
 }
 
 // shardCols is the sharded-stepping column set. engine names the
@@ -176,8 +197,12 @@ type certCols struct {
 	CertBatchWallMS   float64 `json:"cert_batch_wall_ms,omitempty"`
 }
 
-// certCells fills the certification columns from a measured outcome.
+// certCells fills the certification columns from a measured outcome
+// (none when the cell ran uncertified).
 func certCells(r *certCols, c core.Certification) {
+	if c.Level == "" {
+		return
+	}
 	r.Cert = "ok"
 	if !c.OK {
 		r.Cert = "violation"
@@ -333,113 +358,66 @@ func parseInts(csv string) ([]int, error) {
 	return out, nil
 }
 
-// gridConfig parameterizes a closed-loop grid build.
-type gridConfig struct {
+// sweep is what the flags parse into: the mode, the axes a run takes the
+// cartesian product over, and the driver.Config every cell of it shares.
+type sweep struct {
+	curve       bool
 	protocols   []string
 	mixes       []string
-	clients     []int
+	topologies  []string
 	servers     []int
 	replication []int
-	topologies  []string
 	txns        []int
-	pipeline    int
-	objects     int
-	seed        int64
-	certify     bool
-	stale       bool
-	workers     int
-	rebalance   bool
-	nemesis     string
+	clients     []int // -clients, or -curveclients under -curve
+	// cell holds what the flags fix for every cell (Pipeline,
+	// ObjectsPerServer, Seed, Certify, ProbeStaleness, Workers, Rebalance,
+	// Nemesis, DeterministicArrivals); cells fills in the axes.
+	cell driver.Config
+	// Curve mode only.
+	fractions  []float64
+	refineKnee bool
 }
 
-// buildGrid measures every protocol × mix × servers × replication ×
-// client-count cell closed-loop. Fully deterministic for a fixed config
-// (worker count excluded: it only parallelizes the stepping).
-func buildGrid(cfg gridConfig) ([]row, error) {
-	if len(cfg.topologies) == 0 {
-		cfg.topologies = []string{"uniform"} // the pre-topology default
-	}
-	nem, err := nemesisByName(cfg.nemesis)
-	if err != nil {
-		return nil, err
-	}
-	rows := []row{}
-	for _, name := range cfg.protocols {
+// cell is one point of the sweep: the spec that runs, and the two labels
+// a driver.Config does not keep.
+type cell struct {
+	p       protocol.Protocol
+	mixName string
+	cfg     driver.Config
+}
+
+// cells enumerates the sweep — protocol × mix × topology × servers ×
+// replication × txns × clients, which is the row order of both modes —
+// skipping replication factors that exceed the cell's server count.
+func (s sweep) cells() ([]cell, error) {
+	var out []cell
+	for _, name := range s.protocols {
 		p := core.ByName(strings.TrimSpace(name))
 		if p == nil {
 			return nil, fmt.Errorf("unknown protocol %q (have %v)", name, core.Names())
 		}
-		for _, mixName := range cfg.mixes {
+		for _, mixName := range s.mixes {
 			mixName = strings.TrimSpace(mixName)
 			mix, err := mixByName(mixName)
 			if err != nil {
 				return nil, err
 			}
-			for _, topoName := range cfg.topologies {
-				topoName = strings.TrimSpace(topoName)
-				topo, err := protocol.TopologyByName(topoName)
+			for _, topoName := range s.topologies {
+				topo, err := protocol.TopologyByName(strings.TrimSpace(topoName))
 				if err != nil {
 					return nil, err
 				}
-				for _, srv := range cfg.servers {
-					for _, repl := range cfg.replication {
+				for _, srv := range s.servers {
+					for _, repl := range s.replication {
 						if repl > srv {
-							continue // replication factor cannot exceed servers
+							continue
 						}
-						for _, txns := range cfg.txns {
-							for _, c := range cfg.clients {
-								rep, err := core.MeasureThroughputWith(p, mix, c, txns, cfg.seed, core.ThroughputOptions{
-									Servers:          srv,
-									ObjectsPerServer: cfg.objects,
-									Replication:      repl,
-									Pipeline:         cfg.pipeline,
-									Topology:         topo,
-									Certify:          cfg.certify,
-									ProbeStaleness:   cfg.stale,
-									Workers:          cfg.workers,
-									Rebalance:        cfg.rebalance,
-									Nemesis:          nem,
-								})
-								if err != nil {
-									return nil, err
-								}
-								r := row{
-									Protocol:     rep.Protocol,
-									MixName:      mixName,
-									ReadFraction: mix.ReadFraction,
-									ZipfS:        mix.ZipfS,
-									Servers:      srv,
-									Replication:  repl,
-									Clients:      rep.Clients,
-									Pipeline:     rep.Pipeline,
-									Txns:         txns,
-									Committed:    rep.Committed,
-									Rejected:     rep.Rejected,
-									Incomplete:   rep.Incomplete,
-									Events:       rep.Events,
-									DurationUs:   int64(rep.Duration),
-									Throughput:   rep.Throughput,
-									LatencyP50:   rep.Latency.P50,
-									LatencyP90:   rep.Latency.P90,
-									LatencyP99:   rep.Latency.P99,
-									LatencyMean:  rep.Latency.Mean,
-									ROTP50:       rep.ROT.P50,
-									ROTP99:       rep.ROT.P99,
-									ROTRounds:    rep.ROTRounds,
-									WriteP50:     rep.Write.P50,
-									WriteP99:     rep.Write.P99,
-								}
-								if topo != nil {
-									r.Topology = topo.Name
-									r.Sites = topo.Sites
-								}
-								shardCells(&r.shardCols, rep.Sharding)
-								if cfg.certify {
-									certCells(&r.certCols, rep.Cert)
-								}
-								staleCells(&r.staleCols, rep.Staleness)
-								nemCells(&r.nemCols, rep.Nemesis)
-								rows = append(rows, r)
+						for _, txns := range s.txns {
+							for _, cl := range s.clients {
+								cfg := s.cell
+								cfg.Mix, cfg.Topology = mix, topo
+								cfg.Servers, cfg.Replication, cfg.Txns, cfg.Clients = srv, repl, txns, cl
+								out = append(out, cell{p, mixName, cfg})
 							}
 						}
 					}
@@ -447,37 +425,98 @@ func buildGrid(cfg gridConfig) ([]row, error) {
 			}
 		}
 	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("empty sweep: every -replication factor in %v exceeds every -servers count in %v",
+			s.replication, s.servers)
+	}
+	return out, nil
+}
+
+// buildGrid measures every cell closed-loop. Fully deterministic for a
+// fixed sweep (worker count excluded: it only parallelizes the stepping).
+func buildGrid(s sweep) ([]row, error) {
+	cells, err := s.cells()
+	if err != nil {
+		return nil, err
+	}
+	var rows []row
+	for _, c := range cells {
+		rep, err := core.MeasureThroughputWith(c.p, c.cfg)
+		if err != nil {
+			return nil, err
+		}
+		r := row{
+			cellCols:    c.cols(),
+			Pipeline:    rep.Pipeline,
+			Txns:        c.cfg.Txns,
+			Committed:   rep.Committed,
+			Rejected:    rep.Rejected,
+			Incomplete:  rep.Incomplete,
+			Events:      rep.Events,
+			DurationUs:  int64(rep.Duration),
+			Throughput:  rep.Throughput,
+			LatencyP50:  rep.Latency.P50,
+			LatencyP90:  rep.Latency.P90,
+			LatencyP99:  rep.Latency.P99,
+			LatencyMean: rep.Latency.Mean,
+			ROTP50:      rep.ROT.P50,
+			ROTP99:      rep.ROT.P99,
+			ROTRounds:   rep.ROTRounds,
+			WriteP50:    rep.Write.P50,
+			WriteP99:    rep.Write.P99,
+		}
+		shardCells(&r.shardCols, rep.Sharding)
+		certCells(&r.certCols, rep.Cert)
+		staleCells(&r.staleCols, rep.Staleness)
+		nemCells(&r.nemCols, rep.Nemesis)
+		rows = append(rows, r)
+	}
 	return rows, nil
 }
 
-func main() {
-	protocols := flag.String("protocols", "cops,cure,spanner",
+// flagMode names the flags only one mode reads (true: -curve, false: the
+// closed-loop grid). Set under the other mode they are refused, not
+// dropped: -nemesis and -stale would confound an open-loop latency curve
+// with fault windows and probe hand-backs, -pipeline and -clients have
+// no meaning when arrivals are injected, and the rest shape a rate sweep
+// the grid does not run.
+var flagMode = map[string]bool{
+	"clients": false, "pipeline": false, "stale": false, "nemesis": false,
+	"curveclients": true, "fractions": true, "arrivals": true, "refineknee": true,
+}
+
+// parseSweep parses and validates a command line.
+func parseSweep(args []string, stderr io.Writer) (sweep, error) {
+	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	protocols := fs.String("protocols", "cops,cure,spanner",
 		"comma-separated protocol names, or 'all'")
-	clients := flag.String("clients", "16", "comma-separated concurrent client counts")
-	txns := flag.String("txns", "2000",
+	clients := fs.String("clients", "16",
+		"closed-loop grid only: comma-separated concurrent client counts")
+	txns := fs.String("txns", "2000",
 		"comma-separated transactions-per-cell counts: a sweep axis in both "+
 			"modes (each count is a full grid/curve pass)")
-	mixes := flag.String("mixes", "readheavy", "comma-separated mixes (readheavy, balanced)")
-	pipeline := flag.Int("pipeline", 1, "outstanding invocations per client")
-	servers := flag.String("servers", "2,4,8",
+	mixes := fs.String("mixes", "readheavy", "comma-separated mixes (readheavy, balanced)")
+	pipeline := fs.Int("pipeline", 1, "closed-loop grid only: outstanding invocations per client")
+	servers := fs.String("servers", "2,4,8",
 		"comma-separated server counts: the default grid charts the multi-server cells")
-	replication := flag.String("replication", "1",
+	replication := fs.String("replication", "1",
 		"comma-separated replication factors (>1 deploys the partially replicated placement; factors exceeding the cell's server count are skipped)")
-	topology := flag.String("topology", "uniform",
+	topology := fs.String("topology", "uniform",
 		"comma-separated deployment topologies (uniform, 2site, 3site): multi-site "+
 			"cells draw intra-site latencies from [100,300]us and cross-site from "+
 			"[2000,4000]us with matching per-link floors, which widen the "+
 			"lookahead bounds between sites")
-	objects := flag.Int("objects", 2, "objects per server")
-	seed := flag.Int64("seed", 42, "deterministic run seed")
-	workers := flag.Int("workers", 1,
+	objects := fs.Int("objects", 2, "objects per server")
+	seed := fs.Int64("seed", 42, "deterministic run seed")
+	workers := fs.Int("workers", 1,
 		"goroutines stepping the shards (one shard per server), >= 1 — cells are "+
 			"identical for every count, so outputs diff byte-for-byte across worker counts")
-	rebalance := flag.Bool("rebalance", false,
+	rebalance := fs.Bool("rebalance", false,
 		"recompute the client-to-shard striping per cell from a deterministic "+
 			"probe run's per-shard event counts (the chosen partition changes "+
 			"the cell's schedule, deterministically)")
-	certify := flag.Bool("certify", false, fmt.Sprintf(
+	certify := fs.Bool("certify", false, fmt.Sprintf(
 		"certify each cell ride-along at the protocol's claimed consistency "+
 			"level (adds cert fields incl. first_violation_txn to the grid): "+
 			"the streaming session retires committed prefixes as it goes, so "+
@@ -486,12 +525,12 @@ func main() {
 			"as a cross-check (cert_batch_wall_ms; zero past the ceiling). "+
 			"cert_wall_ms/cert_batch_wall_ms are wall-clock, so output is no "+
 			"longer byte-diffable", history.MaxTxns))
-	stale := flag.Bool("stale", false,
+	stale := fs.Bool("stale", false,
 		"closed-loop grid only: sample committed writes with a frozen "+
 			"reserved-reader visibility probe and add stale_probes/stale_hits/"+
 			"stale_incomplete columns (deterministic: probes run on kernel "+
 			"snapshots between events and never perturb the run)")
-	nemesis := flag.String("nemesis", "",
+	nemesis := fs.String("nemesis", "",
 		"closed-loop grid only: inject a deterministic fault schedule into "+
 			"every cell (crash, crash-lose, partition, crash+partition, "+
 			"replace, replace-lose, restore) and add nem_* columns — applied "+
@@ -500,102 +539,111 @@ func main() {
 			"(nem_sync_* columns). The schedule is a pure function of the seed "+
 			"and cell config, so -nemesis grids stay byte-diffable across "+
 			"worker counts; fault-free rows omit the columns entirely")
-	refineKnee := flag.Bool("refineknee", false,
-		"curve mode: after the -fractions sweep, bisect the queueing/service "+
+	refineKnee := fs.Bool("refineknee", false,
+		"curve mode only: after the -fractions sweep, bisect the queueing/service "+
 			"crossover with longer-window open-loop points (rows marked "+
 			"\"refined\": true) instead of quantizing the knee to the swept "+
 			"fractions; swept rows stay byte-identical to an unrefined sweep")
-	curve := flag.Bool("curve", false,
+	curve := fs.Bool("curve", false,
 		"sweep open-loop offered load instead of closed-loop client counts")
-	fractions := flag.String("fractions", "0.1,0.25,0.5,0.75,0.9,1.1",
-		"curve mode: comma-separated fractions of saturated throughput to offer")
-	curveClients := flag.String("curveclients", "8",
-		"curve mode: comma-separated client counts receiving arrivals (a sweep axis)")
-	arrivals := flag.String("arrivals", "poisson", "curve mode: arrival process (poisson, uniform)")
-	flag.Parse()
-
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
+	fractions := fs.String("fractions", "0.1,0.25,0.5,0.75,0.9,1.1",
+		"curve mode only: comma-separated fractions of saturated throughput to offer")
+	curveClients := fs.String("curveclients", "8",
+		"curve mode only: comma-separated client counts receiving arrivals (a sweep axis)")
+	arrivals := fs.String("arrivals", "poisson", "curve mode only: arrival process (poisson, uniform)")
+	if err := fs.Parse(args); err != nil {
+		return sweep{}, err
 	}
 
-	var names []string
-	if *protocols == "all" {
-		names = core.Names()
-	} else {
-		names = strings.Split(*protocols, ",")
-	}
-	mixNames := strings.Split(*mixes, ",")
-	serverCounts, err := parseInts(*servers)
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if inCurve, modal := flagMode[f.Name]; !modal || inCurve == *curve || err != nil {
+			return
+		}
+		if *curve {
+			err = fmt.Errorf("-%s is closed-loop-grid only: -curve does not read it", f.Name)
+		} else {
+			err = fmt.Errorf("-%s is curve mode only: it needs -curve", f.Name)
+		}
+	})
 	if err != nil {
-		fail(fmt.Errorf("-servers: %w", err))
-	}
-	replFactors, err := parseInts(*replication)
-	if err != nil {
-		fail(fmt.Errorf("-replication: %w", err))
-	}
-	txnCounts, err := parseInts(*txns)
-	if err != nil {
-		fail(fmt.Errorf("-txns: %w", err))
+		return sweep{}, err
 	}
 	if *workers < 1 {
-		fail(fmt.Errorf("-workers %d: the serial engine is gone; -workers 1 runs every cell serially and is the byte-identical oracle for any higher count", *workers))
+		return sweep{}, fmt.Errorf("-workers %d: the serial engine is gone; -workers 1 runs every cell serially and is the byte-identical oracle for any higher count", *workers)
+	}
+	if *arrivals != "poisson" && *arrivals != "uniform" {
+		return sweep{}, fmt.Errorf("unknown arrival process %q (have poisson, uniform)", *arrivals)
 	}
 
+	s := sweep{
+		curve:      *curve,
+		protocols:  strings.Split(*protocols, ","),
+		mixes:      strings.Split(*mixes, ","),
+		topologies: strings.Split(*topology, ","),
+		refineKnee: *refineKnee,
+		cell: driver.Config{
+			Pipeline: *pipeline, ObjectsPerServer: *objects, Seed: *seed,
+			Certify: *certify, ProbeStaleness: *stale,
+			Workers: *workers, Rebalance: *rebalance,
+			DeterministicArrivals: *arrivals == "uniform",
+		},
+	}
+	if *protocols == "all" {
+		s.protocols = core.Names()
+	}
+	clientsFlag := "clients"
+	if s.curve {
+		clients, clientsFlag = curveClients, "curveclients"
+	}
+	for _, axis := range []struct {
+		name string
+		csv  string
+		into *[]int
+	}{
+		{"servers", *servers, &s.servers}, {"replication", *replication, &s.replication},
+		{"txns", *txns, &s.txns}, {clientsFlag, *clients, &s.clients},
+	} {
+		if *axis.into, err = parseInts(axis.csv); err != nil {
+			return sweep{}, fmt.Errorf("-%s: %w", axis.name, err)
+		}
+	}
+	if s.fractions, err = parseFloats(*fractions); err != nil {
+		return sweep{}, fmt.Errorf("-fractions: %w", err)
+	}
+	if s.cell.Nemesis, err = nemesisByName(*nemesis); err != nil {
+		return sweep{}, err
+	}
+	return s, nil
+}
+
+// run is main without the process: parse args into a sweep, measure it,
+// print the rows as JSON. Nothing reaches stdout on error.
+func run(args []string, stdout, stderr io.Writer) error {
+	s, err := parseSweep(args, stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
 	var out any
-	if *curve {
-		if *nemesis != "" {
-			fail(fmt.Errorf("-nemesis is closed-loop-grid only (fault windows would confound the open-loop latency curve)"))
-		}
-		fracs, err := parseFloats(*fractions)
-		if err != nil {
-			fail(err)
-		}
-		if *arrivals != "poisson" && *arrivals != "uniform" {
-			fail(fmt.Errorf("unknown arrival process %q (have poisson, uniform)", *arrivals))
-		}
-		curveCounts, err := parseInts(*curveClients)
-		if err != nil {
-			fail(fmt.Errorf("-curveclients: %w", err))
-		}
-		rows, err := buildCurve(curveConfig{
-			protocols: names, mixes: mixNames, fractions: fracs,
-			clients: curveCounts, txns: txnCounts,
-			servers: serverCounts, replication: replFactors,
-			topologies: strings.Split(*topology, ","),
-			objects:    *objects, seed: *seed,
-			uniform: *arrivals == "uniform", certify: *certify,
-			refineKnee: *refineKnee,
-			workers:    *workers, rebalance: *rebalance,
-		})
-		if err != nil {
-			fail(err)
-		}
-		out = rows
+	if s.curve {
+		out, err = buildCurve(s)
 	} else {
-		counts, err := parseInts(*clients)
-		if err != nil {
-			fail(err)
-		}
-		rows, err := buildGrid(gridConfig{
-			protocols: names, mixes: mixNames, clients: counts,
-			txns: txnCounts, pipeline: *pipeline,
-			servers: serverCounts, replication: replFactors,
-			topologies: strings.Split(*topology, ","),
-			objects:    *objects, seed: *seed,
-			certify: *certify, stale: *stale,
-			workers: *workers, rebalance: *rebalance,
-			nemesis: *nemesis,
-		})
-		if err != nil {
-			fail(err)
-		}
-		out = rows
+		out, err = buildGrid(s)
 	}
-
-	enc := json.NewEncoder(os.Stdout)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fail(err)
+	return enc.Encode(out)
+}
+
+func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "bench:", err)
+		os.Exit(1)
 	}
 }

@@ -1,10 +1,22 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 )
+
+// sweepOf parses a command line the way main does.
+func sweepOf(t *testing.T, line string) sweep {
+	t.Helper()
+	s, err := parseSweep(strings.Fields(line), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 func encode(t *testing.T, v any) string {
 	t.Helper()
@@ -37,14 +49,7 @@ func requireIdentical(t *testing.T, what, a, b string) {
 // — the same config must emit byte-identical JSON across runs so output
 // can be diffed across commits.
 func TestGridJSONByteIdentical(t *testing.T) {
-	cfg := gridConfig{
-		protocols: []string{"cops", "spanner"},
-		mixes:     []string{"readheavy", "balanced"},
-		clients:   []int{2, 8},
-		txns:      []int{120}, pipeline: 1,
-		servers: []int{2}, replication: []int{1},
-		objects: 2, seed: 42, workers: 1,
-	}
+	cfg := sweepOf(t, "-protocols cops,spanner -mixes readheavy,balanced -clients 2,8 -txns 120 -servers 2")
 	run := func() string {
 		rows, err := buildGrid(cfg)
 		if err != nil {
@@ -60,17 +65,10 @@ func TestGridJSONByteIdentical(t *testing.T) {
 // the oracle) and Workers=4 must emit byte-identical JSON — worker count
 // parallelizes the stepping, it never touches the schedule.
 func TestGridWorkersByteIdentical(t *testing.T) {
-	base := gridConfig{
-		protocols: []string{"cops", "cure"},
-		mixes:     []string{"readheavy"},
-		clients:   []int{8},
-		txns:      []int{120}, pipeline: 1,
-		servers: []int{2, 4}, replication: []int{1},
-		objects: 2, seed: 42,
-	}
+	base := sweepOf(t, "-protocols cops,cure -clients 8 -txns 120 -servers 2,4")
 	run := func(workers int) string {
 		cfg := base
-		cfg.workers = workers
+		cfg.cell.Workers = workers
 		rows, err := buildGrid(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -96,15 +94,8 @@ func TestGridWorkersByteIdentical(t *testing.T) {
 // multi-shard cell), and -rebalance marks its rows and stays
 // deterministic across repeats.
 func TestGridEngineColumns(t *testing.T) {
-	base := gridConfig{
-		protocols: []string{"cops"},
-		mixes:     []string{"readheavy"},
-		clients:   []int{8},
-		txns:      []int{120}, pipeline: 1,
-		servers: []int{4}, replication: []int{1},
-		objects: 2, seed: 42, workers: 1,
-	}
-	grid := func(cfg gridConfig) []row {
+	base := sweepOf(t, "-protocols cops -clients 8 -txns 120 -servers 4")
+	grid := func(cfg sweep) []row {
 		rows, err := buildGrid(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +113,7 @@ func TestGridEngineColumns(t *testing.T) {
 		t.Fatalf("unrebalanced cell marked rebalanced: %+v", la.shardCols)
 	}
 	rcfg := base
-	rcfg.rebalance = true
+	rcfg.cell.Rebalance = true
 	rb := grid(rcfg)[0]
 	if !rb.Rebalanced {
 		t.Fatalf("rebalanced cell not marked: %+v", rb.shardCols)
@@ -134,14 +125,7 @@ func TestGridEngineColumns(t *testing.T) {
 // per server count with shard count matching, and skips replication
 // factors exceeding the cell's servers.
 func TestGridServerSweep(t *testing.T) {
-	rows, err := buildGrid(gridConfig{
-		protocols: []string{"cops"},
-		mixes:     []string{"readheavy"},
-		clients:   []int{4},
-		txns:      []int{60}, pipeline: 1,
-		servers: []int{2, 4, 8}, replication: []int{1, 4},
-		objects: 1, seed: 7, workers: 2,
-	})
+	rows, err := buildGrid(sweepOf(t, "-protocols cops -clients 4 -txns 60 -servers 2,4,8 -replication 1,4 -objects 1 -seed 7 -workers 2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,19 +133,17 @@ func TestGridServerSweep(t *testing.T) {
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(rows))
 	}
-	seen := map[[2]int]bool{}
+	for i, want := range [][2]int{{2, 1}, {4, 1}, {4, 4}, {8, 1}, {8, 4}} {
+		if got := [2]int{rows[i].Servers, rows[i].Replication}; got != want {
+			t.Fatalf("row %d is cell servers=%d replication=%d, want %v: the sweep order moved", i, got[0], got[1], want)
+		}
+	}
 	for _, r := range rows {
-		seen[[2]int{r.Servers, r.Replication}] = true
 		if r.Shards != r.Servers {
 			t.Fatalf("cell %d servers has %d shards, want one per server", r.Servers, r.Shards)
 		}
 		if r.Committed == 0 {
 			t.Fatalf("empty cell: %+v", r)
-		}
-	}
-	for _, want := range [][2]int{{2, 1}, {4, 1}, {4, 4}, {8, 1}, {8, 4}} {
-		if !seen[want] {
-			t.Fatalf("missing cell servers=%d replication=%d", want[0], want[1])
 		}
 	}
 }
@@ -171,15 +153,7 @@ func TestGridServerSweep(t *testing.T) {
 // but the wall-clock) are identical across runs. cops (causal) must
 // certify clean; naivefast is the theorem's victim and must be caught.
 func TestCertifyGrid(t *testing.T) {
-	cfg := gridConfig{
-		protocols: []string{"cops", "naivefast"},
-		mixes:     []string{"balanced"},
-		clients:   []int{8},
-		txns:      []int{96}, pipeline: 1,
-		servers: []int{2}, replication: []int{1},
-		objects: 1, seed: 2,
-		certify: true, workers: 1,
-	}
+	cfg := sweepOf(t, "-certify -protocols cops,naivefast -mixes balanced -clients 8 -txns 96 -servers 2 -objects 1 -seed 2")
 	run := func() []row {
 		rows, err := buildGrid(cfg)
 		if err != nil {
@@ -224,14 +198,7 @@ func TestCertifyGrid(t *testing.T) {
 // per count) and -stale adds the deterministic visibility-probe tallies
 // to every row.
 func TestGridTxnsSweepAndStale(t *testing.T) {
-	cfg := gridConfig{
-		protocols: []string{"cops"},
-		mixes:     []string{"balanced"},
-		clients:   []int{4},
-		txns:      []int{60, 120}, pipeline: 1,
-		servers: []int{2}, replication: []int{1},
-		objects: 1, seed: 2, stale: true, workers: 1,
-	}
+	cfg := sweepOf(t, "-stale -protocols cops -mixes balanced -clients 4 -txns 60,120 -servers 2 -objects 1 -seed 2")
 	run := func() []row {
 		rows, err := buildGrid(cfg)
 		if err != nil {
@@ -267,12 +234,7 @@ func TestGridTxnsSweepAndStale(t *testing.T) {
 // swept fractions, marked refined with the doubled window in the txns
 // column, without perturbing the swept rows.
 func TestCurveRefineKnee(t *testing.T) {
-	cfg := curveConfig{
-		protocols: []string{"cops"}, mixes: []string{"readheavy"},
-		fractions: []float64{0.1, 1.2}, clients: []int{4}, txns: []int{80},
-		servers: []int{2}, replication: []int{1},
-		objects: 2, seed: 7, workers: 1,
-	}
+	cfg := sweepOf(t, "-curve -protocols cops -fractions 0.1,1.2 -curveclients 4 -txns 80 -servers 2 -seed 7")
 	base, err := buildCurve(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -306,14 +268,7 @@ func TestCurveRefineKnee(t *testing.T) {
 // TestCurveJSONByteIdentical: same for the open-loop curve grid,
 // including the Poisson arrival stream.
 func TestCurveJSONByteIdentical(t *testing.T) {
-	cfg := curveConfig{
-		protocols: []string{"cops", "cure"},
-		mixes:     []string{"readheavy"},
-		fractions: []float64{0.1, 0.9},
-		clients:   []int{4}, txns: []int{100},
-		servers: []int{2}, replication: []int{1},
-		objects: 2, seed: 42, workers: 1,
-	}
+	cfg := sweepOf(t, "-curve -protocols cops,cure -fractions 0.1,0.9 -curveclients 4 -txns 100 -servers 2")
 	run := func() string {
 		rows, err := buildCurve(cfg)
 		if err != nil {
@@ -327,12 +282,7 @@ func TestCurveJSONByteIdentical(t *testing.T) {
 // TestCurveGridShape checks the grid covers protocol × mix × rate and
 // carries the open-loop fields.
 func TestCurveGridShape(t *testing.T) {
-	rows, err := buildCurve(curveConfig{
-		protocols: []string{"cops"}, mixes: []string{"readheavy"},
-		fractions: []float64{0.25, 1.2}, clients: []int{4}, txns: []int{80},
-		servers: []int{2}, replication: []int{1},
-		objects: 2, seed: 7, uniform: true, workers: 1,
-	})
+	rows, err := buildCurve(sweepOf(t, "-curve -arrivals uniform -protocols cops -fractions 0.25,1.2 -curveclients 4 -txns 80 -servers 2 -seed 7"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,16 +309,8 @@ func TestCurveGridShape(t *testing.T) {
 // count is pinned — the per-link cross-site floors reaching sim's
 // shard-pair bounds. Deterministic across repeats.
 func TestGridTopology(t *testing.T) {
-	base := gridConfig{
-		protocols: []string{"cops"},
-		mixes:     []string{"readheavy"},
-		clients:   []int{8},
-		txns:      []int{120}, pipeline: 1,
-		servers: []int{4}, replication: []int{1},
-		topologies: []string{"uniform", "2site"},
-		objects:    2, seed: 42, workers: 1,
-	}
-	grid := func(cfg gridConfig) []row {
+	base := sweepOf(t, "-topology uniform,2site -protocols cops -clients 8 -txns 120 -servers 4")
+	grid := func(cfg sweep) []row {
 		rows, err := buildGrid(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -389,12 +331,7 @@ func TestGridTopology(t *testing.T) {
 		t.Fatalf("2site cell committed %d in %d rounds, want 120 in 183", la[1].Committed, la[1].Rounds)
 	}
 	requireIdentical(t, "topology grid JSON", encode(t, la), encode(t, grid(base)))
-	if _, err := buildGrid(gridConfig{
-		protocols: []string{"cops"}, mixes: []string{"readheavy"},
-		clients: []int{2}, txns: []int{10}, pipeline: 1,
-		servers: []int{2}, replication: []int{1},
-		topologies: []string{"moonbase"}, objects: 1, seed: 1, workers: 1,
-	}); err == nil {
+	if _, err := buildGrid(sweepOf(t, "-topology moonbase -protocols cops -clients 2 -txns 10 -servers 2 -objects 1 -seed 1")); err == nil {
 		t.Fatal("unknown topology accepted")
 	}
 }
@@ -410,21 +347,10 @@ func TestGridTopology(t *testing.T) {
 func TestGridNemesisAcceptance(t *testing.T) {
 	cells := []struct {
 		name string
-		cfg  gridConfig
+		line string
 	}{
-		{"cops-crash", gridConfig{
-			protocols: []string{"cops"}, mixes: []string{"balanced"},
-			clients: []int{8}, txns: []int{2000}, pipeline: 1,
-			servers: []int{4}, replication: []int{1},
-			objects: 2, seed: 11, certify: true, nemesis: "crash",
-		}},
-		{"cure-2site-partition", gridConfig{
-			protocols: []string{"cure"}, mixes: []string{"balanced"},
-			clients: []int{8}, txns: []int{400}, pipeline: 1,
-			servers: []int{4}, replication: []int{1},
-			topologies: []string{"2site"},
-			objects:    2, seed: 11, certify: true, nemesis: "partition",
-		}},
+		{"cops-crash", "-certify -nemesis crash -protocols cops -mixes balanced -clients 8 -txns 2000 -servers 4 -seed 11"},
+		{"cure-2site-partition", "-certify -nemesis partition -topology 2site -protocols cure -mixes balanced -clients 8 -txns 400 -servers 4 -seed 11"},
 	}
 	for _, cell := range cells {
 		cell := cell
@@ -433,8 +359,8 @@ func TestGridNemesisAcceptance(t *testing.T) {
 			t.Run("lookahead", func(t *testing.T) {
 				t.Parallel()
 				run := func(workers int) []row {
-					cfg := cell.cfg
-					cfg.workers = workers
+					cfg := sweepOf(t, cell.line)
+					cfg.cell.Workers = workers
 					rows, err := buildGrid(cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -492,15 +418,10 @@ func TestGridNemesisAcceptance(t *testing.T) {
 // versions adopted, sync time, and an unavailability window, with nothing
 // lost.
 func TestGridReconfigDeterministic(t *testing.T) {
-	cfg := gridConfig{
-		protocols: []string{"cops"}, mixes: []string{"balanced"},
-		clients: []int{8}, txns: []int{400}, pipeline: 1,
-		servers: []int{2}, replication: []int{1},
-		objects: 2, seed: 5, workers: 1, certify: true, nemesis: "replace",
-	}
+	cfg := sweepOf(t, "-certify -nemesis replace -protocols cops -mixes balanced -clients 8 -txns 400 -servers 2 -seed 5")
 	run := func(workers int) []row {
 		c := cfg
-		c.workers = workers
+		c.cell.Workers = workers
 		rows, err := buildGrid(c)
 		if err != nil {
 			t.Fatal(err)
@@ -543,15 +464,10 @@ func TestGridReconfigDeterministic(t *testing.T) {
 
 // TestGridNemesisDeterministicAndGated: same flags → byte-identical
 // nemesis grids (the bench determinism contract extends to faulted
-// cells); fault-free grids omit every nem_* column; unknown schedule
-// names and -nemesis under -curve are refused.
+// cells); fault-free grids omit every nem_* column. (Unknown schedule
+// names and -nemesis under -curve: TestRunRefusals.)
 func TestGridNemesisDeterministicAndGated(t *testing.T) {
-	cfg := gridConfig{
-		protocols: []string{"cops"}, mixes: []string{"balanced"},
-		clients: []int{8}, txns: []int{150}, pipeline: 1,
-		servers: []int{2}, replication: []int{1},
-		objects: 2, seed: 5, workers: 1, nemesis: "crash+partition",
-	}
+	cfg := sweepOf(t, "-nemesis crash+partition -protocols cops -mixes balanced -clients 8 -txns 150 -servers 2 -seed 5")
 	run := func() string {
 		rows, err := buildGrid(cfg)
 		if err != nil {
@@ -565,7 +481,7 @@ func TestGridNemesisDeterministicAndGated(t *testing.T) {
 	requireIdentical(t, "nemesis grid JSON", run(), run())
 
 	plain := cfg
-	plain.nemesis = ""
+	plain.cell.Nemesis = nil
 	rows, err := buildGrid(plain)
 	if err != nil {
 		t.Fatal(err)
@@ -573,9 +489,97 @@ func TestGridNemesisDeterministicAndGated(t *testing.T) {
 	if rows[0].nemCols != (nemCols{}) {
 		t.Fatalf("fault-free row carries nemesis columns: %+v", rows[0].nemCols)
 	}
-	bad := cfg
-	bad.nemesis = "meteor"
-	if _, err := buildGrid(bad); err == nil {
-		t.Fatal("unknown nemesis schedule accepted")
+}
+
+// TestCurveTopology extends TestGridTopology to curve mode: a 2site curve
+// row is measured on the 2-site deployment it is labelled with — at half
+// of saturation its service p50 is the protocol's round trips, which no
+// 2site cell serves under one cross-site round trip (2×2000µs) — and is
+// byte-identical across worker counts.
+func TestCurveTopology(t *testing.T) {
+	cfg := sweepOf(t, "-curve -topology uniform,2site -protocols cops -servers 4 -curveclients 8 -txns 400 -fractions 0.5")
+	curve := func(workers int) []curveRow {
+		cfg.cell.Workers = workers
+		rows, err := buildCurve(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 2 {
+			t.Fatalf("rows = %d, want uniform + 2site", len(rows))
+		}
+		return rows
+	}
+	rows := curve(1)
+	uniform, geo := rows[0], rows[1]
+	if uniform.Topology != "" || geo.Topology != "2site" || geo.Sites != 2 {
+		t.Fatalf("topology columns mislabeled: %+v / %+v", uniform.cellCols, geo.cellCols)
+	}
+	if geo.ServiceP50 <= uniform.ServiceP50 || geo.ServiceP50 < 4000 {
+		t.Fatalf("2site row served at p50 %dµs (uniform row %dµs): its points ran on the uniform deployment",
+			geo.ServiceP50, uniform.ServiceP50)
+	}
+	requireIdentical(t, "2site curve JSON (W1 vs W4)", encode(t, rows), encode(t, curve(4)))
+}
+
+// TestRunRefusals: a flag the selected mode does not read, an empty sweep
+// and a malformed value are each refused with a reason naming the flag,
+// with nothing on stdout.
+func TestRunRefusals(t *testing.T) {
+	for _, tc := range []struct{ line, names string }{
+		{"-curve -stale", "-stale"},
+		{"-curve -pipeline 4", "-pipeline"},
+		{"-curve -clients 4", "-clients"},
+		{"-curve -nemesis crash", "-nemesis"},
+		{"-refineknee", "-refineknee"},
+		{"-arrivals uniform", "-arrivals"},
+		{"-curveclients 3", "-curveclients"},
+		{"-fractions 0.5", "-fractions"},
+		{"-servers 2 -replication 3", "-replication"},
+		{"-workers 0", "-workers"},
+		{"-nemesis meteor", "meteor"},
+		{"-curve -arrivals burst", "burst"},
+		{"-curve -curveclients x", "-curveclients"},
+		{"-barrier", "-barrier"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(strings.Fields(tc.line), &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("%q: error %v, want a refusal naming %s", tc.line, err, tc.names)
+		}
+		if strings.Contains(err.Error(), "\n") {
+			t.Errorf("%q: reason is not one line: %q", tc.line, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: refused but printed %q", tc.line, stdout.String())
+		}
+	}
+}
+
+// TestRunAccepts drives flags → sweep → rows → JSON in-process, one line
+// per mode; the mixed -servers/-replication sweep skips only its 2×3 cell.
+func TestRunAccepts(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		rows int
+	}{
+		{"-protocols cops -clients 4 -txns 60 -servers 2,4 -replication 1,3 -stale -pipeline 2", 3},
+		{"-curve -refineknee -arrivals uniform -protocols cops -curveclients 4 -txns 60 -servers 2 -fractions 0.1,1.2", 2},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(strings.Fields(tc.line), &stdout, &stderr); err != nil {
+			t.Fatalf("%q: %v", tc.line, err)
+		}
+		var rows []map[string]any
+		if err := json.Unmarshal(stdout.Bytes(), &rows); err != nil {
+			t.Fatalf("%q: stdout is not a JSON grid: %v", tc.line, err)
+		}
+		if len(rows) < tc.rows || stderr.Len() != 0 {
+			t.Fatalf("%q: %d rows (want ≥ %d), stderr %q", tc.line, len(rows), tc.rows, stderr.String())
+		}
+		for _, r := range rows {
+			if r["protocol"] != "cops" || r["incomplete"] != 0.0 {
+				t.Fatalf("%q: malformed row %v", tc.line, r)
+			}
+		}
 	}
 }

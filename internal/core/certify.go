@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/driver"
 	"repro/internal/history"
+	"repro/internal/protocol"
 )
 
 // Certification is the outcome of certifying one load run: the verdict
@@ -34,6 +35,24 @@ type Certification struct {
 	// the only nondeterministic fields of a certified report.
 	IncrementalWall time.Duration
 	BatchWall       time.Duration
+}
+
+// runCell runs one load cell and adds what core owns on top of the
+// driver's spec: with cfg.Certify the run is certified ride-along by the
+// driver's streaming session, and — for cells at or below
+// history.MaxTxns, the batch solver's ceiling — its history is recorded
+// (core sets cfg.RecordHistory; callers do not) and re-solved from
+// scratch as a cross-check. The history is dropped once cross-checked, so
+// a report never pins it.
+func runCell(p protocol.Protocol, cfg driver.Config) (*driver.Report, Certification, error) {
+	cfg.RecordHistory = cfg.Certify && cfg.Txns <= history.MaxTxns
+	load, err := driver.Run(p, cfg)
+	if err != nil || !cfg.Certify {
+		return load, Certification{}, err
+	}
+	cert, err := certifyRun(load)
+	load.History = nil
+	return load, cert, err
 }
 
 // certifyRun extracts the ride-along verdict from a load run and

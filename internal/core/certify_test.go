@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/driver"
 	"repro/internal/history"
 	"repro/internal/workload"
 )
@@ -11,8 +12,8 @@ import (
 // the agreed verdict with both wall-clocks, and a violator cell pins the
 // first offending commit.
 func TestThroughputCertifyRideAlong(t *testing.T) {
-	clean, err := MeasureThroughputWith(ByName("cops"), workload.Balanced(), 8, 200, 2,
-		ThroughputOptions{Certify: true})
+	clean, err := MeasureThroughputWith(ByName("cops"), driver.Config{
+		Clients: 8, Txns: 200, Mix: workload.Balanced(), Seed: 2, Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +24,8 @@ func TestThroughputCertifyRideAlong(t *testing.T) {
 		t.Fatalf("clean cell pins a first violation: %+v", clean.Cert)
 	}
 
-	bad, err := MeasureThroughputWith(ByName("naivefast"), workload.Balanced(), 8, 96, 2,
-		ThroughputOptions{ObjectsPerServer: 1, Certify: true})
+	bad, err := MeasureThroughputWith(ByName("naivefast"), driver.Config{
+		Clients: 8, Txns: 96, Mix: workload.Balanced(), Seed: 2, ObjectsPerServer: 1, Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +45,8 @@ func TestThroughputCertifyPastBatchCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rep, err := MeasureThroughputWith(ByName("cops"), workload.ReadHeavy(), 8, history.MaxTxns+64, 5,
-		ThroughputOptions{Servers: 4, ObjectsPerServer: 8, Certify: true})
+	rep, err := MeasureThroughputWith(ByName("cops"), driver.Config{
+		Clients: 8, Txns: history.MaxTxns + 64, Mix: workload.ReadHeavy(), Seed: 5, Servers: 4, ObjectsPerServer: 8, Certify: true})
 	if err != nil {
 		t.Fatalf("certified cell past the ceiling errored: %v", err)
 	}
@@ -63,8 +64,8 @@ func TestThroughputCertifyPastBatchCeiling(t *testing.T) {
 // TestThroughputStaleness: the staleness probe wiring reaches the core
 // report and stays deterministic.
 func TestThroughputStaleness(t *testing.T) {
-	rep, err := MeasureThroughputWith(ByName("cops"), workload.Balanced(), 8, 200, 5,
-		ThroughputOptions{ProbeStaleness: true})
+	rep, err := MeasureThroughputWith(ByName("cops"), driver.Config{
+		Clients: 8, Txns: 200, Mix: workload.Balanced(), Seed: 5, ProbeStaleness: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +73,8 @@ func TestThroughputStaleness(t *testing.T) {
 	if st == nil || st.Probes == 0 {
 		t.Fatalf("staleness tallies missing: %+v", st)
 	}
-	again, err := MeasureThroughputWith(ByName("cops"), workload.Balanced(), 8, 200, 5,
-		ThroughputOptions{ProbeStaleness: true})
+	again, err := MeasureThroughputWith(ByName("cops"), driver.Config{
+		Clients: 8, Txns: 200, Mix: workload.Balanced(), Seed: 5, ProbeStaleness: true})
 	if err != nil {
 		t.Fatal(err)
 	}

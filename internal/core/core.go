@@ -5,17 +5,14 @@
 // producing a theorem verdict for every protocol.
 //
 // It is also the measurement front door for the load story: closed-loop
-// throughput grids (MeasureThroughput), open-loop latency–throughput
-// curves (MeasureLoadCurve) and, with the Certify options, ride-along
-// certification of every cell — committed transactions feed an
-// incremental history.Session during the run and the recorded history is
-// re-solved by the batch checker, so every published number is backed by
-// two independently agreeing consistency verdicts. The Servers,
-// Replication and Workers options scale the deployment across the
-// multi-server (and partially replicated) grid, with Workers ≥ 1
-// selecting the sharded parallel stepping engine — measured numbers
-// depend on the shard partition and seed, never on the worker count
-// (sim.ShardedRunner's serial-equals-parallel guarantee).
+// throughput cells (MeasureThroughputWith) and open-loop
+// latency–throughput curves (MeasureLoadCurve). What a cell is — its
+// deployment, load regime, stepping pool, faults — is said once, by
+// driver.Config; core adds only certification: with Certify, committed
+// transactions feed an incremental history.Session during the run and
+// the recorded history is re-solved by the batch checker, so every
+// published number is backed by two independently agreeing consistency
+// verdicts.
 package core
 
 import (

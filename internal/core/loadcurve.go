@@ -4,53 +4,29 @@ import (
 	"fmt"
 
 	"repro/internal/driver"
-	"repro/internal/history"
 	"repro/internal/protocol"
-	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// CurvePoint is one offered-rate point of a latency–throughput curve: an
-// open-loop run at a fixed fraction of the protocol's saturated
-// throughput.
+// CurvePoint is one offered-rate point of a latency–throughput curve: the
+// driver's report of an open-loop run at a fixed fraction of the
+// protocol's saturated throughput (OfferedRate is the rate offered,
+// Throughput what actually committed; Latency is end-to-end, QueueDelay
+// and Service its decomposition), plus what the driver does not know.
 type CurvePoint struct {
-	Protocol string
-	Mix      workload.Mix
-	// Fraction of the saturated (closed-loop) throughput offered;
-	// Offered is that rate in transactions per virtual second; Achieved
-	// is what actually committed.
+	driver.Report
+	Mix workload.Mix
+	// Fraction of the saturated (closed-loop) throughput offered.
 	Fraction float64
-	Offered  float64
-	Achieved float64
-
-	Committed  int
-	Rejected   int
-	Incomplete int
-	Events     int
-	Duration   sim.Time
-
-	// Latency is end-to-end (scheduled arrival → completion);
-	// QueueDelay and Service are its decomposition; InFlight samples the
-	// outstanding-transaction depth at every injection.
-	Latency    stats.Summary
-	QueueDelay stats.Summary
-	Service    stats.Summary
-	InFlight   stats.Summary
-
-	// Cert is this point's ride-along certification outcome (populated
-	// when CurveOptions.Certify was set): every open-loop point of the
-	// curve is certified as it runs, same contract as the closed-loop
-	// grid.
-	Cert Certification
-
 	// Refined marks a knee-bisection point (CurveOptions.RefineKnee):
 	// it was not part of the swept fractions and ran with the longer
 	// refinement window.
 	Refined bool
-
-	// Sharding is the deterministic shape of the point's run.
-	Sharding *sim.ShardingStats
+	// Cert is this point's ride-along certification outcome (populated
+	// when CurveOptions.Certify was set; shadows the embedded report's
+	// session verdict): every open-loop point of the curve is certified
+	// as it runs, same contract as the closed-loop grid.
+	Cert Certification
 }
 
 // LoadCurve is a swept latency–throughput curve for one protocol × mix.
@@ -70,13 +46,14 @@ type LoadCurve struct {
 	Knee float64
 }
 
-// CurveOptions scales a load-curve sweep.
+// CurveOptions scales a load-curve sweep. The deployment fields mirror
+// driver.Config flat rather than embedding it: the frozen cmd/perf tracer
+// names them in a composite literal, which Go forbids for promoted
+// fields. config is the one place they become a driver.Config.
 type CurveOptions struct {
 	Servers          int
 	ObjectsPerServer int
-	// Replication > 1 deploys the partially replicated placement
-	// (protocol.Config semantics) instead of the disjoint one.
-	Replication int
+	Replication      int
 	// Clients receiving the open-loop arrivals round-robin (default 8).
 	Clients int
 	// Txns per curve point (default 400).
@@ -86,52 +63,41 @@ type CurveOptions struct {
 	Fractions []float64
 	// Deterministic selects fixed-interval arrivals instead of Poisson.
 	Deterministic bool
-	Latency       sim.LatencyModel
-	// Topology selects a geo-asymmetric deployment for every run of the
-	// sweep (driver.Config semantics). Nil is the uniform deployment.
-	Topology *protocol.Topology
-	// Certify certifies every curve point ride-along at the protocol's
-	// claimed consistency level (see ThroughputOptions.Certify): the
-	// streaming session has no transaction ceiling; the batch
-	// cross-check runs for points at or below history.MaxTxns only.
+	Topology      *protocol.Topology
+	// Certify certifies every curve point ride-along (driver.Config
+	// semantics; the saturation estimate is never certified).
 	Certify bool
 	// RefineKnee bisects the knee after the fraction sweep: between the
 	// highest swept rate still below the queueing/service crossover and
 	// the lowest one past it, extra open-loop points run at the midpoint
 	// rate until the bracket has collapsed (up to kneeRounds rounds).
-	// Refinement points use the longer KneeTxns window — near the
-	// crossover queueing and service percentiles are comparable, so the
-	// short sweep window quantizes the knee to the swept fractions and
-	// its p50s are noisy exactly where the curve bends. Default off: the
-	// swept points and their knee are byte-identical to an unrefined
-	// sweep; refined points are appended after them, marked Refined, and
-	// the reported knee is recomputed over all points.
+	// Refinement points run 2×Txns transactions — near the crossover
+	// queueing and service percentiles are comparable, so the short sweep
+	// window quantizes the knee to the swept fractions and its p50s are
+	// noisy exactly where the curve bends. Default off: the swept points
+	// and their knee are byte-identical to an unrefined sweep; refined
+	// points are appended after them, marked Refined, and the reported
+	// knee is recomputed over all points.
 	RefineKnee bool
-	// KneeTxns is the transaction count of each refinement point
-	// (default 2×Txns).
-	KneeTxns int
-	// Workers sizes the stepping pool for every run of the sweep,
-	// including the closed-loop saturation estimate (see
-	// ThroughputOptions.Workers).
-	Workers int
-	// Rebalance recomputes the client→shard striping from a probe run
-	// before every run of the sweep (see ThroughputOptions.Rebalance).
-	Rebalance bool
+	Workers    int
+	Rebalance  bool
 }
 
-func (o *CurveOptions) defaults() {
-	if o.Clients <= 0 {
-		o.Clients = 8
+// config is the closed-loop saturation run of the sweep; every open-loop
+// point derives from it, so the deployment cannot differ between them.
+func (o CurveOptions) config(mix workload.Mix, seed int64) driver.Config {
+	cfg := driver.Config{
+		Clients: o.Clients, Txns: o.Txns, Mix: mix, Seed: seed,
+		Servers: o.Servers, ObjectsPerServer: o.ObjectsPerServer, Replication: o.Replication,
+		Topology: o.Topology, Workers: o.Workers, Rebalance: o.Rebalance,
 	}
-	if o.Txns <= 0 {
-		o.Txns = 400
+	if cfg.Clients <= 0 {
+		cfg.Clients = 8
 	}
-	if len(o.Fractions) == 0 {
-		o.Fractions = []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1.1}
+	if cfg.Txns <= 0 {
+		cfg.Txns = 400
 	}
-	if o.KneeTxns <= 0 {
-		o.KneeTxns = 2 * o.Txns
-	}
+	return cfg
 }
 
 // kneeRounds bounds the knee bisection: each round halves the bracket,
@@ -144,18 +110,13 @@ const kneeRounds = 4
 // it, reporting queueing delay and latency percentiles per point and the
 // knee of the resulting curve.
 func MeasureLoadCurve(p protocol.Protocol, mix workload.Mix, seed int64, opt CurveOptions) (LoadCurve, error) {
-	opt.defaults()
+	if len(opt.Fractions) == 0 {
+		opt.Fractions = []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1.1}
+	}
 	curve := LoadCurve{Protocol: p.Name(), Mix: mix}
+	base := opt.config(mix, seed)
 
-	sat, err := driver.Run(p, driver.Config{
-		Clients: opt.Clients, Txns: opt.Txns, Mix: mix, Seed: seed,
-		Servers: opt.Servers, ObjectsPerServer: opt.ObjectsPerServer,
-		Replication: opt.Replication,
-		Latency:     opt.Latency,
-		Topology:    opt.Topology,
-		Workers:     opt.Workers,
-		Rebalance:   opt.Rebalance,
-	})
+	sat, err := driver.Run(p, base)
 	if err != nil {
 		return curve, fmt.Errorf("core: saturation estimate for %s: %w", p.Name(), err)
 	}
@@ -164,39 +125,23 @@ func MeasureLoadCurve(p protocol.Protocol, mix workload.Mix, seed int64, opt Cur
 	}
 	curve.Saturated = sat.Throughput
 
-	runPoint := func(rate float64, txns int, refined bool) (CurvePoint, error) {
-		rep, err := driver.Run(p, driver.Config{
-			Clients: opt.Clients, Txns: txns, Mix: mix, Seed: seed,
-			Servers: opt.Servers, ObjectsPerServer: opt.ObjectsPerServer,
-			Replication: opt.Replication,
-			Latency:     opt.Latency,
-			Rate:        rate, DeterministicArrivals: opt.Deterministic,
-			RecordHistory: opt.Certify && txns <= history.MaxTxns, Certify: opt.Certify,
-			Workers: opt.Workers, Rebalance: opt.Rebalance,
-		})
+	// Every point is the saturation run's spec at an open-loop rate;
+	// refinement points run the doubled window.
+	runPoint := func(rate float64, refined bool) (CurvePoint, error) {
+		cfg := base
+		cfg.Rate, cfg.DeterministicArrivals, cfg.Certify = rate, opt.Deterministic, opt.Certify
+		if refined {
+			cfg.Txns *= 2
+		}
+		rep, cert, err := runCell(p, cfg)
 		if err != nil {
 			return CurvePoint{}, fmt.Errorf("core: curve point %s at %.0f txn/s: %w", p.Name(), rate, err)
 		}
-		pt := CurvePoint{
-			Protocol: p.Name(), Mix: mix,
-			Fraction: rate / curve.Saturated, Offered: rate, Achieved: rep.Throughput,
-			Committed: rep.Committed, Rejected: rep.Rejected,
-			Incomplete: rep.Incomplete, Events: rep.Events, Duration: rep.Duration,
-			Latency: rep.Latency, QueueDelay: rep.QueueDelay,
-			Service: rep.Service, InFlight: rep.InFlight,
-			Sharding: rep.Sharding,
-			Refined:  refined,
-		}
-		if opt.Certify {
-			if pt.Cert, err = certifyRun(rep); err != nil {
-				return CurvePoint{}, err
-			}
-		}
-		return pt, nil
+		return CurvePoint{Report: *rep, Mix: mix, Fraction: rate / curve.Saturated, Refined: refined, Cert: cert}, nil
 	}
 
 	for _, frac := range opt.Fractions {
-		pt, err := runPoint(frac*curve.Saturated, opt.Txns, false)
+		pt, err := runPoint(frac*curve.Saturated, false)
 		if err != nil {
 			return curve, err
 		}
@@ -216,16 +161,16 @@ func MeasureLoadCurve(p protocol.Protocol, mix workload.Mix, seed int64, opt Cur
 		lo, hi := 0.0, 0.0
 		for _, pt := range curve.Points {
 			if belowKnee(pt) {
-				if pt.Offered > lo {
-					lo = pt.Offered
+				if pt.OfferedRate > lo {
+					lo = pt.OfferedRate
 				}
-			} else if hi == 0 || pt.Offered < hi {
-				hi = pt.Offered
+			} else if hi == 0 || pt.OfferedRate < hi {
+				hi = pt.OfferedRate
 			}
 		}
 		for round := 0; round < kneeRounds && hi > lo; round++ {
 			mid := (lo + hi) / 2
-			pt, err := runPoint(mid, opt.KneeTxns, true)
+			pt, err := runPoint(mid, true)
 			if err != nil {
 				return curve, err
 			}
@@ -239,8 +184,8 @@ func MeasureLoadCurve(p protocol.Protocol, mix workload.Mix, seed int64, opt Cur
 	}
 
 	for _, pt := range curve.Points {
-		if belowKnee(pt) && pt.Offered > curve.Knee {
-			curve.Knee = pt.Offered
+		if belowKnee(pt) && pt.OfferedRate > curve.Knee {
+			curve.Knee = pt.OfferedRate
 		}
 	}
 	return curve, nil
@@ -253,7 +198,7 @@ func FormatLoadCurve(c LoadCurve) string {
 		"frac", "offered", "achieved", "e2e p50", "queue p50", "svc p50", "depth")
 	for _, pt := range c.Points {
 		out += fmt.Sprintf("%8.2f | %9.0f | %9.0f | %10d | %10d | %10d | %8d\n",
-			pt.Fraction, pt.Offered, pt.Achieved, pt.Latency.P50, pt.QueueDelay.P50,
+			pt.Fraction, pt.OfferedRate, pt.Throughput, pt.Latency.P50, pt.QueueDelay.P50,
 			pt.Service.P50, pt.InFlight.Max)
 	}
 	return out

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/protocol"
 	"repro/internal/protocols/cops"
 	"repro/internal/workload"
 )
@@ -41,12 +42,12 @@ func TestMeasureLoadCurveShape(t *testing.T) {
 	if curve.Knee <= 0 {
 		t.Fatal("knee not found despite an un-queued light-load point")
 	}
-	if curve.Knee >= heavy.Offered {
-		t.Fatalf("knee %.0f at or past the overloaded point %.0f", curve.Knee, heavy.Offered)
+	if curve.Knee >= heavy.OfferedRate {
+		t.Fatalf("knee %.0f at or past the overloaded point %.0f", curve.Knee, heavy.OfferedRate)
 	}
 	// Achieved throughput tracks offered load below the knee.
-	if light.Achieved < 0.5*light.Offered {
-		t.Fatalf("light load achieved %.0f of offered %.0f", light.Achieved, light.Offered)
+	if light.Throughput < 0.5*light.OfferedRate {
+		t.Fatalf("light load achieved %.0f of offered %.0f", light.Throughput, light.OfferedRate)
 	}
 
 	// The table renderer covers every point plus the curve header.
@@ -86,15 +87,15 @@ func TestMeasureLoadCurveKneeRefinement(t *testing.T) {
 		if refined.Points[i].Refined {
 			t.Fatalf("swept point %d marked refined", i)
 		}
-		if refined.Points[i].Offered != pt.Offered || refined.Points[i].Committed != pt.Committed {
+		if refined.Points[i].OfferedRate != pt.OfferedRate || refined.Points[i].Committed != pt.Committed {
 			t.Fatalf("refinement perturbed swept point %d: %+v vs %+v", i, refined.Points[i], pt)
 		}
 	}
 	// Coarse bracket: the swept knee and the lowest swept point past it.
 	hi := 0.0
 	for _, pt := range base.Points {
-		if pt.QueueDelay.P50 > pt.Service.P50 && (hi == 0 || pt.Offered < hi) {
-			hi = pt.Offered
+		if pt.QueueDelay.P50 > pt.Service.P50 && (hi == 0 || pt.OfferedRate < hi) {
+			hi = pt.OfferedRate
 		}
 	}
 	if hi == 0 {
@@ -107,8 +108,8 @@ func TestMeasureLoadCurveKneeRefinement(t *testing.T) {
 		if pt.Committed != 2*opt.Txns {
 			t.Fatalf("refinement point ran %d txns, want the longer window %d", pt.Committed, 2*opt.Txns)
 		}
-		if pt.Offered <= base.Knee || pt.Offered >= hi {
-			t.Fatalf("bisection point %.0f outside the coarse bracket (%.0f, %.0f)", pt.Offered, base.Knee, hi)
+		if pt.OfferedRate <= base.Knee || pt.OfferedRate >= hi {
+			t.Fatalf("bisection point %.0f outside the coarse bracket (%.0f, %.0f)", pt.OfferedRate, base.Knee, hi)
 		}
 	}
 	if refined.Knee < base.Knee || refined.Knee >= hi {
@@ -121,5 +122,32 @@ func TestMeasureLoadCurveKneeRefinement(t *testing.T) {
 	if again.Knee != refined.Knee || len(again.Points) != len(refined.Points) {
 		t.Fatalf("refinement nondeterministic: knee %.2f/%.2f points %d/%d",
 			refined.Knee, again.Knee, len(refined.Points), len(again.Points))
+	}
+}
+
+// TestMeasureLoadCurveHonoursTopology: every open-loop point runs on the
+// deployment the sweep names, not just the saturation estimate. (Points
+// used to drop Topology: the 2site curve was anchored to the 2-site
+// saturation and then measured on the uniform deployment.) Half of
+// saturation is queue-free, so service p50 is the protocol's round trips:
+// on 2site it cannot be below one cross-site round trip.
+func TestMeasureLoadCurveHonoursTopology(t *testing.T) {
+	point := func(topo *protocol.Topology) CurvePoint {
+		curve, err := MeasureLoadCurve(cops.New(), workload.ReadHeavy(), 42, CurveOptions{
+			Servers: 4, Clients: 8, Txns: 400, Fractions: []float64{0.5}, Topology: topo,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return curve.Points[0]
+	}
+	topo, err := protocol.TopologyByName("2site")
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform, geo := point(nil), point(topo)
+	if geo.Service.P50 <= uniform.Service.P50 || geo.Service.P50 < int64(2*topo.CrossLo) {
+		t.Fatalf("2site point served at p50 %dµs (uniform %dµs, cross-site round trip ≥ %dµs): the point ran on the wrong deployment",
+			geo.Service.P50, uniform.Service.P50, 2*topo.CrossLo)
 	}
 }
