@@ -128,16 +128,11 @@ func CopyMissingVersions(dst, src sim.Process, objs []string) int {
 		if !ds.Hosts(obj) || !ss.Hosts(obj) {
 			continue
 		}
-		have := make(map[string]bool)
-		for _, v := range ds.Versions(obj) {
-			have[v.Writer.String()] = true
-		}
 		for _, v := range ss.Versions(obj) {
-			if have[v.Writer.String()] {
-				continue
+			if ds.Find(obj, v.Writer) == nil {
+				ds.Install(v.Clone())
+				n++
 			}
-			ds.Install(v.Clone())
-			n++
 		}
 	}
 	return n

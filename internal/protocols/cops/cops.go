@@ -12,7 +12,9 @@ package cops
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/model"
 	"repro/internal/protocol"
@@ -47,7 +49,7 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 
 // NewClient implements protocol.Protocol.
 func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
-	return &client{Core: protocol.NewCore(id, pl), ctx: make(map[string]depRef)}
+	return &client{Core: protocol.NewCore(id, pl)}
 }
 
 // depRef names a specific version: object, writer and per-object sequence.
@@ -222,15 +224,12 @@ type client struct {
 	protocol.Core
 	phase   phase
 	pending int
-	ctx     map[string]depRef // causal context: latest observed version per object
+	ctx     []depRef // causal context: latest observed version per object, sorted by object
 	got     map[string]readVal
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), phase: c.phase, pending: c.pending, ctx: make(map[string]depRef, len(c.ctx))}
-	for k, v := range c.ctx {
-		cp.ctx[k] = v
-	}
+	cp := &client{Core: c.CloneCore(), phase: c.phase, pending: c.pending, ctx: c.ctxList()}
 	if c.got != nil {
 		cp.got = make(map[string]readVal, len(c.got))
 		for k, v := range c.got {
@@ -243,24 +242,23 @@ func (c *client) Clone() sim.Process {
 func (c *client) Ready() bool { return c.Busy() && !c.Started() }
 
 func (c *client) observe(v readVal) {
-	cur, seen := c.ctx[v.Ref.Object]
-	if !seen || v.Seq > cur.Seq {
-		c.ctx[v.Ref.Object] = depRef{Object: v.Ref.Object, Writer: v.Ref.Writer, Seq: v.Seq}
+	if cur, seen := c.ctxSlot(v.Ref.Object); !seen || v.Seq > cur.Seq {
+		*cur = depRef{Object: v.Ref.Object, Writer: v.Ref.Writer, Seq: v.Seq}
 	}
 }
 
-func (c *client) ctxList() []depRef {
-	objs := make([]string, 0, len(c.ctx))
-	for o := range c.ctx {
-		objs = append(objs, o)
+// ctxSlot returns obj's entry in the context, opening one at its sorted
+// position if obj is new, so the context never needs re-sorting.
+func (c *client) ctxSlot(obj string) (slot *depRef, seen bool) {
+	i, seen := slices.BinarySearchFunc(c.ctx, obj, func(d depRef, obj string) int { return strings.Compare(d.Object, obj) })
+	if !seen {
+		c.ctx = slices.Insert(c.ctx, i, depRef{Object: obj})
 	}
-	sort.Strings(objs)
-	out := make([]depRef, 0, len(objs))
-	for _, o := range objs {
-		out = append(out, c.ctx[o])
-	}
-	return out
+	return &c.ctx[i], seen
 }
+
+// ctxList returns a copy of the context, in object order.
+func (c *client) ctxList() []depRef { return append([]depRef(nil), c.ctx...) }
 
 // inconsistencies returns, per object, the minimum sequence required by
 // the dependencies of the fetched versions that the fetched snapshot does
@@ -300,7 +298,8 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *writeResp:
 			if p.TID == c.Current().ID && c.phase == writing {
 				w := c.Current().Writes[len(c.Current().Writes)-1]
-				c.ctx[w.Object] = depRef{Object: w.Object, Writer: p.TID, Seq: p.Seq}
+				slot, _ := c.ctxSlot(w.Object)
+				*slot = depRef{Object: w.Object, Writer: p.TID, Seq: p.Seq}
 				c.pending--
 			}
 		}

@@ -299,15 +299,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID, Idx: s.idx, Seq: seq}})
 		case *commitReq:
 			delete(s.pending, p.TID)
-			for _, obj := range s.st.Objects() {
-				// Restamp (not a raw Vec overwrite) moves the version from
-				// its prepare-time chain position to its commit-vector one,
-				// keeping the chain in the uniform order snapshot reads
-				// early-exit on.
-				if v := s.st.Restamp(obj, p.TID, p.Vec.Clone()); v != nil {
-					v.Visible = true
-				}
-			}
+			s.st.CommitVec(p.TID, p.Vec)
 			if p.Vec[s.idx] > s.applied {
 				s.applied = p.Vec[s.idx]
 			}

@@ -260,12 +260,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *commitReq:
 			s.clock.Observe(p.TS)
 			delete(s.pending, p.TID)
-			for _, obj := range s.st.Objects() {
-				if v := s.st.Find(obj, p.TID); v != nil {
-					v.Stamp = vclock.HLCStamp{Wall: p.TS, Logical: tieBreak(p.TID)}
-					v.Visible = true
-				}
-			}
+			s.st.CommitAt(p.TID, vclock.HLCStamp{Wall: p.TS, Logical: tieBreak(p.TID)})
 			out = append(out, sim.Outbound{To: m.From, Payload: &commitAck{TID: p.TID, TS: p.TS}})
 		default:
 			panic(fmt.Sprintf("eiger: server %s got %T", s.id, m.Payload))

@@ -189,15 +189,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *readReq:
 			resp := &readResp{TID: p.TID}
 			for _, obj := range p.Objs {
-				var best *store.Version
-				for _, cand := range s.st.Versions(obj) {
-					if !cand.Visible {
-						continue
-					}
-					if best == nil || after(cand.Stamp.Wall, cand.Writer, best.Stamp.Wall, best.Writer) {
-						best = cand
-					}
-				}
+				best := s.st.LatestVisibleByStamp(obj)
 				if best == nil {
 					resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
 					continue
@@ -239,9 +231,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID}})
 		case *commitReq:
-			for _, obj := range s.st.Objects() {
-				s.st.MakeVisible(obj, p.TID)
-			}
+			s.st.Commit(p.TID)
 			out = append(out, sim.Outbound{To: m.From, Payload: &commitAck{TID: p.TID}})
 		default:
 			panic(fmt.Sprintf("ramp: server %s got %T", s.id, m.Payload))

@@ -260,12 +260,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID, TS: ts}})
 		case *commitReq:
 			delete(s.pending, p.TID)
-			for _, obj := range s.st.Objects() {
-				if v := s.st.Find(obj, p.TID); v != nil {
-					v.Stamp = vclock.HLCStamp{Wall: p.TS}
-					v.Visible = true
-				}
-			}
+			s.st.CommitAt(p.TID, vclock.HLCStamp{Wall: p.TS})
 			if p.TS > s.lastTS {
 				s.lastTS = p.TS
 			}

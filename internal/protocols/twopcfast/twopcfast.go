@@ -155,9 +155,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID}})
 		case *commitReq:
-			for _, obj := range s.st.Objects() {
-				s.st.MakeVisible(obj, p.TID)
-			}
+			s.st.Commit(p.TID)
 			out = append(out, sim.Outbound{To: m.From, Payload: &commitAck{TID: p.TID}})
 		default:
 			panic(fmt.Sprintf("twopcfast: server %s got %T", s.id, m.Payload))

@@ -280,12 +280,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *commitReq:
 			s.hlc.Observe(int64(now), p.TS)
 			delete(s.pending, p.TID)
-			for _, obj := range s.st.Objects() {
-				if v := s.st.Find(obj, p.TID); v != nil {
-					v.Stamp = p.TS
-					v.Visible = true
-				}
-			}
+			s.st.CommitAt(p.TID, p.TS)
 			out = append(out, sim.Outbound{To: m.From, Payload: &commitAck{TID: p.TID, TS: p.TS}})
 		case *gossip:
 			if cur, heard := s.known[p.From]; !heard || cur.Before(p.Stable) {

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // LatencyModel samples the network latency for a message on a link.
@@ -188,8 +188,8 @@ func (k *Kernel) Add(p Process) {
 		panic(fmt.Sprintf("sim: duplicate process %s", id))
 	}
 	k.procs[id] = p
-	k.order = append(k.order, id)
-	sort.Slice(k.order, func(i, j int) bool { return k.order[i] < k.order[j] })
+	i, _ := slices.BinarySearch(k.order, id)
+	k.order = slices.Insert(k.order, i, id)
 }
 
 // Now returns the current virtual time.

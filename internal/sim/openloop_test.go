@@ -182,3 +182,35 @@ func TestTimeLeapWaiterBlockedOnDeliveryIsSkipped(t *testing.T) {
 		t.Fatalf("blocked process stepped %d times, want exactly 1", b.steps)
 	}
 }
+
+// TestRoundRobinLeapsOnlyDeclaredIdleTime: in load mode RoundRobin jumps
+// the no-op stretch a Waker declares and accounts for it — same clock,
+// same event count as the traced run that takes every step — and never
+// leaps a Waker that is waiting on a delivery (useful == false).
+func TestRoundRobinLeapsOnlyDeclaredIdleTime(t *testing.T) {
+	run := func(traceCap int) (events int, k *Kernel) {
+		k = NewKernel(1, nil)
+		k.SetTraceCap(traceCap)
+		k.Add(&timerProc{id: "t0", fireAt: 50_000})
+		return Run(k, &RoundRobin{}, nil, 100_000), k
+	}
+	traced, tk := run(0)
+	leapt, lk := run(-1)
+	if traced != 50_000 || leapt != 1 {
+		t.Fatalf("events: traced %d, load mode %d; want 50000 and 1", traced, leapt)
+	}
+	if tk.Now() != 50_000 || lk.Now() != 50_000 {
+		t.Fatalf("clocks: traced %d, load mode %d; want 50000", tk.Now(), lk.Now())
+	}
+	if got := lk.Trace().Dropped; got != int64(tk.Trace().Len()) {
+		t.Fatalf("load mode accounted %d events, the traced run recorded %d", got, tk.Trace().Len())
+	}
+
+	k := NewKernel(1, nil)
+	k.SetTraceCap(-1)
+	b := &blockedProc{id: "b"}
+	k.Add(b)
+	if n := Run(k, &RoundRobin{}, nil, 10); n != 10 || b.steps != 10 || k.Now() != 10*StepCost {
+		t.Fatalf("delivery-bound Waker: %d events, %d steps, now %d; want 10 spins of StepCost", n, b.steps, k.Now())
+	}
+}

@@ -148,8 +148,9 @@ func firstPendingInbox(k *Kernel, r *Restriction) (ProcessID, bool) {
 
 // RoundRobin is a fair deterministic scheduler: it prefers stepping
 // processes that have pending input, then delivers the oldest in-transit
-// message, then steps Ready processes. Within a restriction it drains the
-// system to quiescence.
+// message, then steps Ready processes (in load mode leaping the idle
+// stretch a Waker declares, see leapIdle). Within a restriction it drains
+// the system to quiescence.
 type RoundRobin struct {
 	Only *Restriction
 }
@@ -166,10 +167,31 @@ func (s *RoundRobin) Next(k *Kernel) (Action, bool) {
 	}
 	for _, id := range k.order {
 		if s.Only.AllowsProc(id) && !k.Down(id) && k.procs[id].Ready() {
+			k.leapIdle(k.procs[id])
 			return Action{Kind: ActStep, Proc: id}, true
 		}
 	}
 	return Action{}, false
+}
+
+// leapIdle spares a load-mode run (nothing is recorded) the no-op steps
+// RoundRobin is about to spin through: when p, about to take an
+// empty-inbox step, declares via Waker that only a future instant is
+// useful, each step before it would cost StepCost, count one event and
+// change nothing else — so the clock and the event count jump there
+// directly, as ShardedRunner's merge accounts for a round. Traced runs
+// keep every step: the proof machinery reads them.
+func (k *Kernel) leapIdle(p Process) {
+	w, ok := p.(Waker)
+	if !ok || k.traceCap >= 0 {
+		return
+	}
+	if wake, useful := w.WakeAt(k.now); useful && wake-StepCost > k.now {
+		skipped := int64((wake - StepCost - k.now) / StepCost)
+		k.now = wake - StepCost
+		k.evSeq += skipped
+		k.trace.Dropped += skipped
+	}
 }
 
 // Random chooses uniformly among enabled actions using its own seeded RNG,
@@ -197,8 +219,9 @@ func (s *Random) Next(k *Kernel) (Action, bool) {
 // which an empty-inbox step would make progress; ok == false means no
 // purely time-driven work is pending — progress needs a message delivery
 // first, so stepping the process before one arrives is a no-op. The
-// Network scheduler uses it to leap the clock to the wake instant instead
-// of spinning 1µs Ready steps through the idle stretch.
+// Network scheduler, the sharded runner and — in load mode — RoundRobin
+// use it to leap the clock to the wake instant instead of spinning 1µs
+// Ready steps through the idle stretch.
 type Waker interface {
 	WakeAt(now Time) (wake Time, ok bool)
 }

@@ -60,29 +60,26 @@ func TestSnapshotReadVecUniformAcrossInstallOrders(t *testing.T) {
 		}
 	}
 
-	// InstallOrdered keeps vectored chains in the uniform order at commit
-	// time, so BOTH servers hold identical chains despite installing in
-	// opposite orders — which is what lets SnapshotReadVec stop at the
-	// first visible covered version instead of rescanning the full chain.
+	// Visible versions are indexed in the version order whatever order
+	// they arrived in, so BOTH servers hold identical indexes despite
+	// installing in opposite orders — which is what lets SnapshotReadVec
+	// stop at the first covered version from the tail.
 	for _, obj := range []string{"X0", "X1"} {
-		c0, c1 := s0.Versions(obj), s1.Versions(obj)
+		c0, c1 := s0.visible(obj), s1.visible(obj)
 		if len(c0) != 2 || len(c1) != 2 {
-			t.Fatalf("chain lengths: %d vs %d, want 2", len(c0), len(c1))
+			t.Fatalf("index lengths: %d vs %d, want 2", len(c0), len(c1))
 		}
 		for i := range c0 {
 			if c0[i].Writer != c1[i].Writer {
-				t.Fatalf("%s chains ordered differently at %d: %s vs %s",
+				t.Fatalf("%s indexes ordered differently at %d: %s vs %s",
 					obj, i, c0[i].Writer, c1[i].Writer)
 			}
 		}
-		if vecVersionLess(c0[1], c0[0]) {
-			t.Fatalf("%s chain not in uniform vector order: %s before %s",
+		if stampCompare(c0[1], c0[0]) < 0 {
+			t.Fatalf("%s index not in version order: %s before %s",
 				obj, c0[0], c0[1])
 		}
 	}
-	// The pre-fix behaviour — reading by raw chain position — survives
-	// only on chains that lost the ordering invariant; the dedicated
-	// ordering tests in store_test.go pin that fallback.
 }
 
 // TestSnapshotReadVecExcludesUncovered: a version above the snapshot in

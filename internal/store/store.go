@@ -79,43 +79,46 @@ func (v *Version) String() string {
 	return fmt.Sprintf("%s=%s@%d(%s,%s)", v.Object, v.Value, v.Seq, v.Writer, vis)
 }
 
-// Store is a multi-version store for the objects one server hosts.
+// Store is a multi-version store for the objects one server hosts. Every
+// change to a stored version's visibility, stamp or vector goes through
+// the store (Install, Commit*, MakeVisible, Restamp), which is what keeps
+// each chain's indexes exact: there is no unindexed state to fall back
+// from.
 type Store struct {
-	objects map[string][]*Version
-	// vecOrdered marks chains built exclusively through InstallOrdered
-	// (and re-sorted by Restamp): such chains are sorted by the uniform
-	// vector order, which lets SnapshotReadVec stop at the first visible
-	// covered version from the tail instead of rescanning the whole
-	// chain on every read. A plain Install into such a chain clears the
-	// flag and reads fall back to the full scan. Chains built by plain
-	// Install stay in exact install order — protocols whose version
-	// order IS arrival order (orbe's per-server counters, the
-	// install-order Latest readers) are never reordered behind their
-	// backs.
-	vecOrdered map[string]bool
+	names   []string // hosted objects, sorted; fixed at New
+	objects map[string]*chain
+	// prepared lists, per writer, the versions installed invisible and
+	// not yet committed: what Commit, CommitAt and CommitVec publish.
+	prepared map[model.TxnID][]*Version
+}
+
+// chain is one object's versions three ways: in install order
+// (versions[i].Seq == i+1 — arrival order is never rewritten, orbe's
+// counters and every Latest reader rely on it), by writer, and — the
+// visible ones only — sorted by the version order (stampCompare, top),
+// which is the order every snapshot read selects by.
+type chain struct {
+	versions []*Version
+	byWriter map[model.TxnID]*Version
+	visible  []*Version
 }
 
 // New creates an empty store hosting the given objects.
 func New(objects ...string) *Store {
 	s := &Store{
-		objects:    make(map[string][]*Version, len(objects)),
-		vecOrdered: make(map[string]bool),
+		names:    append([]string(nil), objects...),
+		objects:  make(map[string]*chain, len(objects)),
+		prepared: make(map[model.TxnID][]*Version),
 	}
+	sort.Strings(s.names)
 	for _, o := range objects {
-		s.objects[o] = nil
+		s.objects[o] = &chain{byWriter: make(map[model.TxnID]*Version)}
 	}
 	return s
 }
 
-// Objects returns the hosted object names, sorted.
-func (s *Store) Objects() []string {
-	out := make([]string, 0, len(s.objects))
-	for o := range s.objects {
-		out = append(out, o)
-	}
-	sort.Strings(out)
-	return out
-}
+// Objects returns the hosted object names, sorted (a copy).
+func (s *Store) Objects() []string { return append([]string(nil), s.names...) }
 
 // Hosts reports whether the store hosts obj.
 func (s *Store) Hosts(obj string) bool {
@@ -124,135 +127,187 @@ func (s *Store) Hosts(obj string) bool {
 }
 
 // Install appends a version to obj's chain, assigning its Seq, and returns
-// it. It panics if the store does not host obj (placement bug). The chain
-// stays in exact install order; snapshot-by-vector protocols should use
-// InstallOrdered instead so their reads can early-exit.
+// it. A visible version is indexed on the way in; an invisible one waits
+// for its writer's Commit. It panics if the store does not host obj
+// (placement bug).
 func (s *Store) Install(v *Version) *Version {
-	chain, ok := s.objects[v.Object]
+	c, ok := s.objects[v.Object]
 	if !ok {
 		panic(fmt.Sprintf("store: install on unhosted object %s", v.Object))
 	}
-	if len(chain) > 0 {
-		// Mixing plain installs into an ordered chain voids the sorted
-		// invariant; reads fall back to the full scan.
-		s.vecOrdered[v.Object] = false
+	c.versions = append(c.versions, v)
+	v.Seq = int64(len(c.versions))
+	if _, dup := c.byWriter[v.Writer]; !dup {
+		c.byWriter[v.Writer] = v
 	}
-	v.Seq = int64(len(chain)) + 1
-	s.objects[v.Object] = append(chain, v)
+	if v.Visible {
+		c.place(v, -1)
+	} else {
+		s.prepared[v.Writer] = append(s.prepared[v.Writer], v)
+	}
 	return v
 }
 
-// InstallOrdered adds a vectored version at its uniform-vector-order
-// position (vecVersionLess) instead of appending, assigning its Seq (the
-// 1-based install sequence number, still counting install order), and
-// returns it. Commits mostly arrive in order, so the insert is an append
-// or a short shift near the tail; the sorted chain is what lets
-// SnapshotReadVec stop at the first visible covered version. It panics on
-// an unhosted object or a version without a vector.
-//
-// Only protocols whose version order IS the uniform vector order (the
-// Cure-style snapshot readers) should install through this: it makes
-// Latest's reverse scan mean "largest in uniform order", not "most
-// recently installed". Protocols reading by install order keep using
-// Install and are never reordered.
+// InstallOrdered is Install for the snapshot-by-vector protocols, whose
+// place in the version order is their vector: it panics on a version
+// without one.
 func (s *Store) InstallOrdered(v *Version) *Version {
-	chain, ok := s.objects[v.Object]
-	if !ok {
-		panic(fmt.Sprintf("store: install on unhosted object %s", v.Object))
-	}
 	if v.Vec == nil {
 		panic(fmt.Sprintf("store: InstallOrdered of %s without a vector", v.Object))
 	}
-	v.Seq = int64(len(chain)) + 1
-	wasOrdered := len(chain) == 0 || s.vecOrdered[v.Object]
-	s.vecOrdered[v.Object] = wasOrdered
-	chain = append(chain, v)
-	if wasOrdered {
-		// Insertion sort step: shift v left past strictly greater
-		// versions; amortized O(1) for in-order commit streams.
-		for i := len(chain) - 1; i > 0 && vecVersionLess(v, chain[i-1]); i-- {
-			chain[i] = chain[i-1]
-			chain[i-1] = v
-		}
-	}
-	s.objects[v.Object] = chain
-	return v
+	return s.Install(v)
 }
 
-// Versions returns obj's version chain (nil if unknown): install order
-// for chains built by Install, uniform vector order for chains built by
-// InstallOrdered (see both).
-func (s *Store) Versions(obj string) []*Version { return s.objects[obj] }
+// Commit publishes every version writer prepared in this store, as stamped
+// at prepare time, in O(writes of the transaction).
+func (s *Store) Commit(writer model.TxnID) { s.commit(writer, func(*Version) {}) }
 
-// Restamp replaces the vector timestamp of obj's version by writer — the
-// prepare-then-commit protocols install a version with its prepare-time
-// vector and learn the final commit vector later — and, on an
-// InstallOrdered chain, moves the version to its new uniform-order
-// position so the chain stays sorted. Returns the version, or nil if the
-// writer has no version of obj. On ordered chains, mutating Version.Vec
-// directly instead of calling Restamp voids the invariant
-// SnapshotReadVec's early exit relies on.
-func (s *Store) Restamp(obj string, writer model.TxnID, vec vclock.Vector) *Version {
-	chain := s.objects[obj]
-	idx := -1
-	for i, v := range chain {
-		if v.Writer == writer {
-			idx = i
-			break
-		}
+// CommitAt is Commit with the commit timestamp replacing the prepare-time
+// stamp.
+func (s *Store) CommitAt(writer model.TxnID, at vclock.HLCStamp) {
+	s.commit(writer, func(v *Version) { v.Stamp = at })
+}
+
+// CommitVec is Commit with (a copy of) the commit vector replacing the
+// prepare-time vector.
+func (s *Store) CommitVec(writer model.TxnID, vec vclock.Vector) {
+	s.commit(writer, func(v *Version) { v.Vec = vec.Clone() })
+}
+
+func (s *Store) commit(writer model.TxnID, restamp func(*Version)) {
+	for _, v := range s.prepared[writer] {
+		c := s.objects[v.Object]
+		i := c.position(v)
+		restamp(v)
+		c.place(v, i)
 	}
-	if idx < 0 {
+	delete(s.prepared, writer)
+}
+
+// chainOf returns obj's chain, an empty one if the store does not host obj.
+func (s *Store) chainOf(obj string) *chain {
+	if c := s.objects[obj]; c != nil {
+		return c
+	}
+	return &chain{}
+}
+
+// Versions returns obj's version chain in install order (nil if unknown).
+func (s *Store) Versions(obj string) []*Version { return s.chainOf(obj).versions }
+
+// Restamp replaces the vector timestamp of obj's version by writer,
+// keeping it in version order if it is visible. Returns the version, or
+// nil if the writer has no version of obj.
+func (s *Store) Restamp(obj string, writer model.TxnID, vec vclock.Vector) *Version {
+	v := s.Find(obj, writer)
+	if v == nil {
 		return nil
 	}
-	v := chain[idx]
+	c := s.objects[obj]
+	i := c.position(v)
 	v.Vec = vec
-	if !s.vecOrdered[obj] {
-		return v
-	}
-	if vec == nil {
-		// A vector can only be withdrawn, not reordered by: give up the
-		// invariant for this chain rather than serve misordered reads.
-		s.vecOrdered[obj] = false
-		return v
-	}
-	for idx > 0 && vecVersionLess(v, chain[idx-1]) {
-		chain[idx] = chain[idx-1]
-		chain[idx-1] = v
-		idx--
-	}
-	for idx < len(chain)-1 && vecVersionLess(chain[idx+1], v) {
-		chain[idx] = chain[idx+1]
-		chain[idx+1] = v
-		idx++
+	if i >= 0 {
+		c.settle(i)
 	}
 	return v
 }
 
-// Find returns the version of obj written by writer, or nil.
+// Find returns the version of obj written by writer (the first, should it
+// have installed several), or nil.
 func (s *Store) Find(obj string, writer model.TxnID) *Version {
-	for _, v := range s.objects[obj] {
-		if v.Writer == writer {
-			return v
-		}
-	}
-	return nil
+	return s.chainOf(obj).byWriter[writer]
 }
 
 // MakeVisible marks the version of obj written by writer visible and
 // reports whether it was found.
 func (s *Store) MakeVisible(obj string, writer model.TxnID) bool {
-	if v := s.Find(obj, writer); v != nil {
-		v.Visible = true
-		return true
+	v := s.Find(obj, writer)
+	if v == nil {
+		return false
 	}
-	return false
+	c := s.objects[obj]
+	c.place(v, c.position(v))
+	return true
+}
+
+// position returns v's place in the visible index, -1 if it is not
+// visible. Call it before changing v's stamp or vector.
+func (c *chain) position(v *Version) int {
+	if !v.Visible {
+		return -1
+	}
+	i := sort.Search(len(c.visible), func(i int) bool { return stampCompare(c.visible[i], v) >= 0 })
+	for c.visible[i] != v { // somewhere among its equals
+		i++
+	}
+	return i
+}
+
+// place makes v visible and puts it where the version order wants it; i
+// is its position before its key changed (-1: not indexed yet).
+func (c *chain) place(v *Version, i int) {
+	if i < 0 {
+		v.Visible = true
+		c.visible = append(c.visible, v)
+		i = len(c.visible) - 1
+	}
+	c.settle(i)
+}
+
+// settle shifts visible[i] to its place in the version order. Commits
+// arrive mostly in order, so this is an append or a short shift near the
+// tail; a chain nobody stamps (COPS-style, read by install order) is all
+// equals and never shifts.
+func (c *chain) settle(i int) {
+	idx := c.visible
+	for ; i > 0 && stampCompare(idx[i], idx[i-1]) < 0; i-- {
+		idx[i], idx[i-1] = idx[i-1], idx[i]
+	}
+	for ; i < len(idx)-1 && stampCompare(idx[i+1], idx[i]) < 0; i++ {
+		idx[i], idx[i+1] = idx[i+1], idx[i]
+	}
+}
+
+// stampCompare is the version order up to its tie-break: stamp first, then
+// vector (vectorless below vectored, Vector.Compare among vectored).
+// Stamp-ordered protocols leave vectors nil and vector-ordered ones leave
+// stamps zero, so each sees exactly its own order. The index is sorted by
+// it; versions it calls equal sit together in no particular order.
+func stampCompare(a, b *Version) int {
+	if c := a.Stamp.Compare(b.Stamp); c != 0 {
+		return c
+	}
+	switch {
+	case a.Vec == nil && b.Vec == nil:
+		return 0
+	case a.Vec == nil:
+		return -1
+	case b.Vec == nil:
+		return 1
+	}
+	return a.Vec.Compare(b.Vec)
+}
+
+// top completes the version order: of idx[i] and its equals to the left it
+// returns the one with the largest writer ID. Every server breaks the tie
+// the same way, so two servers serving the same snapshot agree on which of
+// two concurrent transactions wins — keeping multi-object write
+// transactions atomically visible.
+func top(idx []*Version, i int) *Version {
+	best := idx[i]
+	for i--; i >= 0 && stampCompare(idx[i], best) == 0; i-- {
+		if best.Writer.String() < idx[i].Writer.String() {
+			best = idx[i]
+		}
+	}
+	return best
 }
 
 // Latest returns the newest version of obj satisfying pred (nil pred
 // accepts everything), or nil if none does. "Newest" is install order,
 // which the protocols keep consistent with their timestamp order.
 func (s *Store) Latest(obj string, pred func(*Version) bool) *Version {
-	chain := s.objects[obj]
+	chain := s.Versions(obj)
 	for i := len(chain) - 1; i >= 0; i-- {
 		if pred == nil || pred(chain[i]) {
 			return chain[i]
@@ -297,142 +352,88 @@ func (s *Store) LatestVisibleVecLeq(obj string, snap vclock.Vector) *Version {
 	})
 }
 
+// visible returns obj's visible versions in version order (nil if unknown).
+func (s *Store) visible(obj string) []*Version { return s.chainOf(obj).visible }
+
 // SnapshotReadVec returns the visible version of obj that is largest in
-// the uniform vector order (vclock.Vector.Compare, writer ID as the final
-// tie-break) among those with Vec ≤ snap, or nil. Versions without
-// vectors are treated as ≤ everything and older than any vectored
-// version. Because every server applies the same total order, two servers
-// serving the same snapshot agree on which of two concurrent transactions
-// wins — keeping multi-object write transactions atomically visible.
-//
-// On chains kept uniformly ordered by InstallOrdered/Restamp (the
-// snapshot protocols' steady state — they stamp every install) the scan
-// walks backward from the tail and stops at the first visible covered
-// version: anything further left is smaller in the uniform order. The
-// read path is then O(versions above the snapshot), not O(chain length),
-// so reads stay bounded as runs grow. Chains without the ordering
-// invariant fall back to the full scan.
+// the version order among those with Vec ≤ snap (versions without vectors
+// are ≤ everything), or nil: the first covered one from the tail of the
+// index, so the read costs O(versions above the snapshot), not O(chain).
 func (s *Store) SnapshotReadVec(obj string, snap vclock.Vector) *Version {
-	chain := s.objects[obj]
-	if !s.vecOrdered[obj] {
-		return snapshotReadVecScan(chain, snap)
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		v := chain[i]
-		if !v.Visible || !v.Vec.LessEq(snap) {
-			continue
+	idx := s.visible(obj)
+	for i := len(idx) - 1; i >= 0; i-- {
+		if v := idx[i]; v.Vec == nil || v.Vec.LessEq(snap) {
+			return top(idx, i)
 		}
-		// First covered visible version from the tail: the maximum —
-		// everything to its left is smaller in the uniform order.
-		return v
 	}
 	return nil
 }
 
-// snapshotReadVecScan is the unordered-chain fallback: a full scan for
-// the uniform-order maximum among visible covered versions.
-func snapshotReadVecScan(chain []*Version, snap vclock.Vector) *Version {
-	var best *Version
-	for _, v := range chain {
-		if !v.Visible || (v.Vec != nil && !v.Vec.LessEq(snap)) {
-			continue
-		}
-		if best == nil || vecVersionLess(best, v) {
-			best = v
-		}
-	}
-	return best
-}
-
-// vecVersionLess orders versions by (has-vector, Vector.Compare, Writer).
-func vecVersionLess(a, b *Version) bool {
-	if (a.Vec == nil) != (b.Vec == nil) {
-		return a.Vec == nil
-	}
-	if a.Vec != nil {
-		if c := a.Vec.Compare(b.Vec); c != 0 {
-			return c < 0
-		}
-	}
-	return a.Writer.String() < b.Writer.String()
-}
-
-// VersionLess is the global version order timestamp-based protocols use:
-// stamp first, writer ID as the tie-break. Using one order on servers and
-// clients alike is what keeps concurrent equal-stamp transactions from
-// being observed in different orders at different servers.
-func VersionLess(aStamp vclock.HLCStamp, aWriter model.TxnID, bStamp vclock.HLCStamp, bWriter model.TxnID) bool {
-	if c := aStamp.Compare(bStamp); c != 0 {
-		return c < 0
-	}
-	return aWriter.String() < bWriter.String()
-}
-
 // SnapshotRead returns the visible version of obj that is largest in the
-// global version order among those with Stamp ≤ at, or nil.
+// version order among those with Stamp ≤ at, or nil — a binary search.
 func (s *Store) SnapshotRead(obj string, at vclock.HLCStamp) *Version {
-	var best *Version
-	for _, v := range s.objects[obj] {
-		if !v.Visible || at.Before(v.Stamp) {
-			continue
-		}
-		if best == nil || VersionLess(best.Stamp, best.Writer, v.Stamp, v.Writer) {
-			best = v
-		}
+	idx := s.visible(obj)
+	i := sort.Search(len(idx), func(i int) bool { return at.Before(idx[i].Stamp) })
+	if i == 0 {
+		return nil
 	}
-	return best
+	return top(idx, i-1)
 }
 
-// LatestVisibleByStamp returns the visible version of obj with the largest
-// Stamp (ties broken by install order), or nil. Protocols whose version
-// order is timestamp order (not arrival order) read through this.
+// LatestVisibleByStamp returns the visible version of obj that is largest
+// in the version order, or nil. Protocols whose version order is timestamp
+// order (not arrival order) read through this.
 func (s *Store) LatestVisibleByStamp(obj string) *Version {
-	var best *Version
-	for _, v := range s.objects[obj] {
-		if !v.Visible {
-			continue
-		}
-		if best == nil || best.Stamp.Before(v.Stamp) ||
-			(best.Stamp.Compare(v.Stamp) == 0 && v.Seq > best.Seq) {
-			best = v
-		}
+	idx := s.visible(obj)
+	if len(idx) == 0 {
+		return nil
 	}
-	return best
+	return top(idx, len(idx)-1)
 }
 
 // MaxVisibleStamp returns the largest Stamp among visible versions across
 // all hosted objects (zero if none), used by stabilization protocols.
 func (s *Store) MaxVisibleStamp() vclock.HLCStamp {
 	var max vclock.HLCStamp
-	for _, obj := range s.Objects() {
-		for _, v := range s.objects[obj] {
-			if v.Visible && max.Before(v.Stamp) {
-				max = v.Stamp
-			}
+	for _, c := range s.objects {
+		if n := len(c.visible); n > 0 && max.Before(c.visible[n-1].Stamp) {
+			max = c.visible[n-1].Stamp
 		}
 	}
 	return max
 }
 
-// Clone returns a deep copy of the store.
+// Clone returns a deep copy of the store; the copy's indexes point at its
+// own versions.
 func (s *Store) Clone() *Store {
 	c := &Store{
-		objects:    make(map[string][]*Version, len(s.objects)),
-		vecOrdered: make(map[string]bool, len(s.vecOrdered)),
+		names:    s.names,
+		objects:  make(map[string]*chain, len(s.objects)),
+		prepared: make(map[model.TxnID][]*Version, len(s.prepared)),
 	}
-	for o, b := range s.vecOrdered {
-		c.vecOrdered[o] = b
-	}
-	for o, chain := range s.objects {
-		if chain == nil {
-			c.objects[o] = nil
-			continue
+	for o, ch := range s.objects {
+		cp := &chain{
+			versions: make([]*Version, len(ch.versions)),
+			byWriter: make(map[model.TxnID]*Version, len(ch.byWriter)),
+			visible:  make([]*Version, len(ch.visible)),
 		}
-		cp := make([]*Version, len(chain))
-		for i, v := range chain {
-			cp[i] = v.Clone()
+		for i, v := range ch.versions {
+			cp.versions[i] = v.Clone()
+		}
+		for w, v := range ch.byWriter {
+			cp.byWriter[w] = cp.versions[v.Seq-1]
+		}
+		for i, v := range ch.visible {
+			cp.visible[i] = cp.versions[v.Seq-1]
 		}
 		c.objects[o] = cp
+	}
+	for w, vs := range s.prepared {
+		cvs := make([]*Version, len(vs))
+		for i, v := range vs {
+			cvs[i] = c.objects[v.Object].versions[v.Seq-1]
+		}
+		c.prepared[w] = cvs
 	}
 	return c
 }

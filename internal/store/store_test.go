@@ -200,11 +200,10 @@ func TestInstallNeverReorders(t *testing.T) {
 	}
 }
 
-// TestInstallOrderedKeepsUniformVectorOrder pins the commit-time
-// ordering invariant behind SnapshotReadVec's early exit: whatever order
-// vectored versions are installed in, the chain ends up sorted by the
-// uniform vector order (vecVersionLess), with Seq still recording
-// install order.
+// TestInstallOrderedKeepsUniformVectorOrder pins the ordering invariant
+// behind SnapshotReadVec's early exit: whatever order vectored versions
+// are installed in, the visible index ends up sorted by the version
+// order, with Seq and the chain still recording install order.
 func TestInstallOrderedKeepsUniformVectorOrder(t *testing.T) {
 	vecs := []vclock.Vector{{5, 1}, {1, 5}, {3, 3}, {1, 5}, {0, 9}}
 	perm := []int{3, 0, 4, 2, 1} // adversarial install order
@@ -212,29 +211,29 @@ func TestInstallOrderedKeepsUniformVectorOrder(t *testing.T) {
 	for install, idx := range perm {
 		v := s.InstallOrdered(&Version{Object: "X", Value: model.Value(fmt.Sprint(idx)),
 			Writer: tid(fmt.Sprintf("c%d", idx), 1), Vec: vecs[idx].Clone(), Visible: true})
-		if v.Seq != int64(install)+1 {
+		if v.Seq != int64(install)+1 || s.Versions("X")[install] != v {
 			t.Fatalf("Seq = %d for install %d, want install order preserved", v.Seq, install+1)
 		}
 	}
-	chain := s.Versions("X")
-	if len(chain) != len(vecs) {
-		t.Fatalf("chain length %d, want %d", len(chain), len(vecs))
+	index := s.visible("X")
+	if len(index) != len(vecs) {
+		t.Fatalf("index length %d, want %d", len(index), len(vecs))
 	}
-	for i := 1; i < len(chain); i++ {
-		if vecVersionLess(chain[i], chain[i-1]) {
-			t.Fatalf("chain out of uniform order at %d: %s after %s", i, chain[i], chain[i-1])
+	for i := 1; i < len(index); i++ {
+		if stampCompare(index[i], index[i-1]) < 0 {
+			t.Fatalf("index out of version order at %d: %s after %s", i, index[i], index[i-1])
 		}
 	}
 	// The maximum sits at the tail, so the early-exit read returns it
-	// without touching the rest of the chain.
+	// without touching the rest.
 	if got := s.SnapshotReadVec("X", vclock.Vector{9, 9}); got == nil || got.Vec.Compare(vclock.Vector{5, 1}) != 0 {
 		t.Fatalf("snapshot read = %v, want the {5,1} version", got)
 	}
 }
 
-// TestSnapshotReadVecEarlyExitMatchesFullScan: the ordered-chain early
-// exit must agree with the reference full scan on every snapshot, across
-// random install orders, visibility, and coverage patterns.
+// TestSnapshotReadVecEarlyExitMatchesFullScan: the early exit must agree
+// with the reference full scan on every snapshot, across random install
+// orders, visibility, and coverage patterns.
 func TestSnapshotReadVecEarlyExitMatchesFullScan(t *testing.T) {
 	f := func(raw []uint8, snapA, snapB uint8) bool {
 		s := New("X")
@@ -247,7 +246,7 @@ func TestSnapshotReadVecEarlyExitMatchesFullScan(t *testing.T) {
 		}
 		snap := vclock.Vector{int64(snapA % 8), int64(snapB % 8)}
 		got := s.SnapshotReadVec("X", snap)
-		want := snapshotReadVecScan(s.Versions("X"), snap)
+		want := refSnapshotReadVec(s.Versions("X"), snap)
 		return got == want
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -255,10 +254,10 @@ func TestSnapshotReadVecEarlyExitMatchesFullScan(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadVecMixedChainFallback: a plain Install into an
-// ordered chain voids the ordering invariant; reads must fall back to
-// the full scan and still return the uniform-order maximum (vectorless
-// versions rank below every vectored one).
+// TestSnapshotReadVecMixedChainFallback: plain Installs mixed with
+// InstallOrdered ones are indexed like any other version; reads still
+// return the version-order maximum (vectorless versions rank below every
+// vectored one).
 func TestSnapshotReadVecMixedChainFallback(t *testing.T) {
 	s := New("X")
 	s.InstallOrdered(&Version{Object: "X", Value: "v1", Writer: tid("a", 1), Vec: vclock.Vector{2, 2}, Visible: true})
@@ -270,13 +269,12 @@ func TestSnapshotReadVecMixedChainFallback(t *testing.T) {
 		t.Fatalf("mixed-chain read = %v, want the {2,2} version", got)
 	}
 	// A vectorless-prefix chain (plain init install first, ordered
-	// installs after) also reads through the fallback, with vectorless
-	// versions ranking below every vectored one.
+	// installs after): vectorless versions rank below every vectored one.
 	p := New("Y")
 	p.Install(&Version{Object: "Y", Value: "init", Writer: tid("in", 1), Visible: true})
 	p.InstallOrdered(&Version{Object: "Y", Value: "v", Writer: tid("a", 2), Vec: vclock.Vector{1, 1}, Visible: true})
 	if got := p.SnapshotReadVec("Y", vclock.Vector{0, 0}); got == nil || got.Value != "init" {
-		t.Fatalf("prefix fallback = %v, want the vectorless init version", got)
+		t.Fatalf("prefix read = %v, want the vectorless init version", got)
 	}
 	if got := p.SnapshotReadVec("Y", vclock.Vector{2, 2}); got == nil || got.Value != "v" {
 		t.Fatalf("covered read = %v, want the vectored version", got)
