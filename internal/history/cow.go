@@ -3,56 +3,61 @@
 // The incremental session keeps one serialization state per reading
 // client at the causal level, and every state's forced order is a
 // superset of the single global base order (program order, reads-from,
-// real time). Cloning the base per client — the original representation
-// — made every global edge cost O(clients) full closure updates, the
-// dominant term of the 16-client incremental slowdown. A cowClosure
-// instead SHARES the global closure and keeps only the rows a state's
-// own unit edges have diverged on, as sparse per-row overrides:
+// real time). A cowClosure SHARES that global closure and keeps only the
+// rows a state's own unit edges have diverged on, indexed by slot:
 //
-//   - effective succ/pred row of x = override row if present, else the
-//     parent row (the invariant: an override row is always a superset
-//     of its parent row);
-//   - a state with no overrides is represented in O(1) and costs O(1)
-//     per global edge (the parent's own closure pass already updated
-//     every row it can see);
-//   - when the parent gains an edge, applyParentEdge re-closes only the
-//     overridden rows (and copy-on-writes the rare un-overridden row
-//     whose closure now depends on an overridden one).
+//   - effective succ/pred row of x = the override row when one exists,
+//     else the parent's row (an override row is always a superset of the
+//     parent's); one bitset per side records which slots are overridden,
+//     so "the overridden rows among S" is a word-wise AND, never a walk;
+//   - a state with no overrides costs O(1) per global edge: its rows ARE
+//     the parent's, which the parent's own closure pass already updated;
+//   - when the parent gains a→b, only override rows of {a} ∪ pred(a) and
+//     of {b} ∪ succ(b) owe the update. An un-overridden row there is up
+//     to date unless succ(b) (resp. pred(a)) is itself overridden — only
+//     then is every row of the region examined and copied on demand;
+//   - retiring slot t clears bit t in the override rows of succ(t) only.
 //
 // writeThrough marks the aliased total-order state, whose unit edges
 // ARE global facts: it delegates straight to the parent.
 package history
 
 // cowClosure is a transitively closed partial order represented as
-// sparse row overrides over a shared parent closure.
+// slot-indexed row overrides over a shared parent closure.
 type cowClosure struct {
 	parent       *orderClosure
 	writeThrough bool
-	dsucc        map[int]bitset
-	dpred        map[int]bitset
+	// dsucc[x] / dpred[x] is x's override row, nil while x reads the
+	// parent's; osucc / opred hold exactly the slots with a non-nil row,
+	// and rows counts them.
+	dsucc, dpred []bitset
+	osucc, opred bitset
+	rows         int
+	// examined counts the rows applyParentEdge looked at (the overlay
+	// differential test asserts the visit rule with it).
+	examined int
 }
 
-func newCowClosure(parent *orderClosure, writeThrough bool) *cowClosure {
-	return &cowClosure{
-		parent:       parent,
-		writeThrough: writeThrough,
-		dsucc:        make(map[int]bitset),
-		dpred:        make(map[int]bitset),
-	}
+// newCowClosure returns an empty overlay over parent sized for rows of
+// the given word capacity (growWords keeps it in step with the parent).
+func newCowClosure(parent *orderClosure, writeThrough bool, words int) *cowClosure {
+	c := &cowClosure{parent: parent, writeThrough: writeThrough}
+	c.growWords(words)
+	return c
 }
 
 // succRow returns the effective successor row of x (read-only).
 func (c *cowClosure) succRow(x int) bitset {
-	if row, ok := c.dsucc[x]; ok {
-		return row
+	if c.osucc.has(x) {
+		return c.dsucc[x]
 	}
 	return c.parent.succ[x]
 }
 
 // predRow returns the effective predecessor row of x (read-only).
 func (c *cowClosure) predRow(x int) bitset {
-	if row, ok := c.dpred[x]; ok {
-		return row
+	if c.opred.has(x) {
+		return c.dpred[x]
 	}
 	return c.parent.pred[x]
 }
@@ -61,7 +66,7 @@ func (c *cowClosure) predRow(x int) bitset {
 func (c *cowClosure) has(a, b int) bool { return c.succRow(a).has(b) }
 
 // diverged reports whether the overlay differs from its parent.
-func (c *cowClosure) diverged() bool { return len(c.dsucc)+len(c.dpred) > 0 }
+func (c *cowClosure) diverged() bool { return c.rows > 0 }
 
 // addEdge orders a strictly before b and re-closes transitively,
 // copy-on-writing every row the insertion touches. It reports false on
@@ -79,125 +84,126 @@ func (c *cowClosure) addEdge(a, b int) bool {
 	if c.succRow(b).has(a) {
 		return false
 	}
-	c.insert(a, b)
+	c.insert(a, b, false)
 	return true
-}
-
-// insert performs the full closure insertion of edge a→b over the
-// effective rows. Unlike addEdge it does not assume the overlay is
-// currently closed, so applyParentEdge can use it to catch an overlay
-// up after the parent moved ahead; per-row superset checks make it
-// idempotent.
-func (c *cowClosure) insert(a, b int) {
-	// Everything at or before a precedes everything at or after b. The
-	// rows iterated (succ of b, pred of a) are never mutated by the
-	// respective phase: b is not in {a} ∪ pred(a) (that would be the
-	// conflict case) and a is not in {b} ∪ succ(b).
-	after := c.succRow(b)
-	upd := func(x int) {
-		row, ok := c.dsucc[x]
-		if !ok {
-			prow := c.parent.succ[x]
-			if prow.has(b) && prow.containsAll(after) {
-				return
-			}
-			row = prow.clone()
-			c.dsucc[x] = row
-		} else if row.has(b) && row.containsAll(after) {
-			return
-		}
-		row.or(after)
-		row.set(b)
-	}
-	upd(a)
-	c.predRow(a).forEach(upd)
-	before := c.predRow(a)
-	updP := func(y int) {
-		row, ok := c.dpred[y]
-		if !ok {
-			prow := c.parent.pred[y]
-			if prow.has(a) && prow.containsAll(before) {
-				return
-			}
-			row = prow.clone()
-			c.dpred[y] = row
-		} else if row.has(a) && row.containsAll(before) {
-			return
-		}
-		row.or(before)
-		row.set(a)
-	}
-	updP(b)
-	after.forEach(updP)
 }
 
 // applyParentEdge re-establishes the overlay's transitive closure after
 // the parent gained edge a→b (and was itself re-closed). An overlay with
 // no overrides needs nothing: its effective rows ARE the parent's.
 func (c *cowClosure) applyParentEdge(a, b int) {
-	if c.writeThrough || !c.diverged() {
-		return
+	if !c.writeThrough && c.rows > 0 {
+		c.insert(a, b, true)
 	}
-	_, sb := c.dsucc[b]
-	_, pa := c.dpred[a]
-	if !sb && !pa {
-		// succ(b) and pred(a) agree with the parent, so the parent's own
-		// closure pass fully updated every un-overridden row; only the
-		// overridden rows in the affected regions still owe the update.
-		predA := c.predRow(a)
-		after := c.parent.succ[b]
-		for x, row := range c.dsucc {
-			if x == a || predA.has(x) {
-				if !row.has(b) || !row.containsAll(after) {
-					row.or(after)
-					row.set(b)
-				}
+}
+
+// insert makes everything at or before a precede everything at or after
+// b over the effective rows. The rows iterated (succ of b, pred of a) are
+// never mutated by the respective phase: b is not in {a} ∪ pred(a) (that
+// would be the conflict case) and a is not in {b} ∪ succ(b).
+//
+// viaParent says the parent already holds a→b and is closed. Its pass
+// updated the parent row of every x in {a} ∪ pred(a) with b and the
+// PARENT's succ(b) — and an un-overridden x preceding a here precedes it
+// in the parent too — so while succ(b) is not overridden the un-overridden
+// rows are already right and only overridden ones are visited; likewise
+// on the predecessor side while pred(a) is not overridden.
+func (c *cowClosure) insert(a, b int, viaParent bool) {
+	after, before := c.succRow(b), c.predRow(a)
+	leaf := after.empty() // b is the node just appended: single-bit sets
+	upd := func(x int) {
+		c.examined++
+		row := c.dsucc[x]
+		if row == nil {
+			prow := c.parent.succ[x]
+			if prow.has(b) && (leaf || prow.containsAll(after)) {
+				return
 			}
+			row = c.override(c.dsucc, c.osucc, x, prow)
 		}
-		for y, row := range c.dpred {
-			if y == b || after.has(y) {
-				if !row.has(a) || !row.containsAll(predA) {
-					row.or(predA)
-					row.set(a)
-				}
-			}
+		if !leaf {
+			row.or(after)
 		}
-		return
+		row.set(b)
 	}
-	c.insert(a, b)
+	if viaParent && !c.osucc.has(b) {
+		if c.osucc.has(a) {
+			upd(a)
+		}
+		before.forEachAnd(c.osucc, upd)
+	} else {
+		upd(a)
+		before.forEach(upd)
+	}
+	updP := func(y int) {
+		c.examined++
+		row := c.dpred[y]
+		if row == nil {
+			prow := c.parent.pred[y]
+			if prow.has(a) && prow.containsAll(before) {
+				return
+			}
+			row = c.override(c.dpred, c.opred, y, prow)
+		}
+		row.or(before)
+		row.set(a)
+	}
+	if viaParent && !c.opred.has(a) {
+		if c.opred.has(b) {
+			updP(b)
+		}
+		after.forEachAnd(c.opred, updP)
+	} else {
+		updP(b)
+		after.forEach(updP)
+	}
+}
+
+// override starts x's row on one side as a private copy of the parent's.
+func (c *cowClosure) override(rows []bitset, overridden bitset, x int, prow bitset) bitset {
+	rows[x] = prow.clone()
+	overridden.set(x)
+	c.rows++
+	return rows[x]
 }
 
 // materialize builds a dense closure equal to the effective order, for
 // the solver (which owns and mutates its input).
 func (c *cowClosure) materialize() *orderClosure {
 	out := c.parent.clone()
-	for x, row := range c.dsucc {
-		out.succ[x] = row.clone()
-	}
-	for x, row := range c.dpred {
-		out.pred[x] = row.clone()
-	}
+	c.osucc.forEach(func(x int) { out.succ[x] = c.dsucc[x].clone() })
+	c.opred.forEach(func(x int) { out.pred[x] = c.dpred[x].clone() })
 	return out
 }
 
-// growWords widens every override row (the parent grows separately).
+// growWords widens every override row, the overridden sets and the row
+// headers to a capacity of words*64 slots (the parent grows separately).
 func (c *cowClosure) growWords(words int) {
-	for x, row := range c.dsucc {
-		c.dsucc[x] = row.grow(words)
-	}
-	for x, row := range c.dpred {
-		c.dpred[x] = row.grow(words)
+	c.osucc.forEach(func(x int) { c.dsucc[x] = c.dsucc[x].grow(words) })
+	c.opred.forEach(func(x int) { c.dpred[x] = c.dpred[x].grow(words) })
+	c.osucc, c.opred = c.osucc.grow(words), c.opred.grow(words)
+	if n := words * 64; n > len(c.dsucc) {
+		c.dsucc = append(c.dsucc, make([]bitset, n-len(c.dsucc))...)
+		c.dpred = append(c.dpred, make([]bitset, n-len(c.dpred))...)
 	}
 }
 
-// retire drops slot t from the overlay: its own override rows are
-// deleted and the bit is cleared from every override pred row. No
-// override succ row can contain t — an edge x→t would contradict t
-// preceding every live transaction, the retirement precondition.
+// retire drops slot t from the overlay, which must still see t's parent
+// rows (the session retires overlays before it clears the parent): the
+// override pred rows holding bit t are exactly those of t's effective
+// successors, and t's own override rows go. No override succ row of a
+// transaction staying live can contain t — an edge x→t would contradict
+// t preceding every live transaction, the retirement precondition.
 func (c *cowClosure) retire(t int) {
-	delete(c.dsucc, t)
-	delete(c.dpred, t)
-	for _, row := range c.dpred {
-		row.clear(t)
+	c.succRow(t).forEachAnd(c.opred, func(y int) { c.dpred[y].clear(t) })
+	if c.osucc.has(t) {
+		c.dsucc[t] = nil
+		c.osucc.clear(t)
+		c.rows--
+	}
+	if c.opred.has(t) {
+		c.dpred[t] = nil
+		c.opred.clear(t)
+		c.rows--
 	}
 }

@@ -306,7 +306,7 @@ func newSession(initial map[string]model.Value, level string, capHint int) *Sess
 			// base IS the global closure (write-through, not cloned —
 			// there is only one serialization, so its unit edges are
 			// global facts).
-			st := &clientState{base: newCowClosure(s.base, true), shared: true}
+			st := &clientState{base: newCowClosure(s.base, true, s.words), shared: true}
 			s.states[""] = st
 			s.order = append(s.order, st)
 		}
@@ -759,7 +759,7 @@ func (s *Session) stateFor(client string) *clientState {
 	if st, found := s.states[client]; found {
 		return st
 	}
-	st := &clientState{client: client, base: newCowClosure(s.base, false), shared: true}
+	st := &clientState{client: client, base: newCowClosure(s.base, false, s.words), shared: true}
 	s.states[client] = st
 	s.order = append(s.order, st)
 	return st
@@ -1503,10 +1503,12 @@ func (s *Session) retireBatch(members []int) {
 		}
 		s.txns[g] = nil
 		s.writes[g] = nil
+		for _, st := range s.order {
+			st.base.retire(t) // while the base still holds t's rows
+		}
 		clearRows(s.base, t)
 		clearRows(s.model, t)
 		for _, st := range s.order {
-			st.base.retire(t)
 			if !st.shared && st.model != nil {
 				clearRows(st.model, t)
 			}
