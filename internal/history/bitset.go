@@ -39,6 +39,15 @@ func (b bitset) empty() bool {
 	return true
 }
 
+// min returns the smallest element (the set must not be empty).
+func (b bitset) min() int {
+	w := 0
+	for b[w] == 0 {
+		w++
+	}
+	return w<<6 + bits.TrailingZeros64(b[w])
+}
+
 // grow returns a bitset with at least words words, preserving contents.
 // The receiver is returned unchanged when already wide enough.
 func (b bitset) grow(words int) bitset {

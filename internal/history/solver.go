@@ -475,8 +475,38 @@ func (s *solver) searchFull() bool {
 }
 
 // extendClosure produces the smallest-index-first linear extension of a
-// transitively closed partial order.
+// transitively closed partial order: Kahn's algorithm over the closure,
+// with the unplaced-predecessor count per node and the ready nodes kept
+// as a bitset whose lowest element is the next one placed.
 func extendClosure(c *orderClosure) []int {
+	n := len(c.succ)
+	order := make([]int, 0, n)
+	if n == 0 {
+		return order
+	}
+	ready := make(bitset, len(c.pred[0]))
+	waiting := make([]int, n)
+	for i := range waiting {
+		if waiting[i] = c.pred[i].count(); waiting[i] == 0 {
+			ready.set(i)
+		}
+	}
+	for len(order) < n {
+		i := ready.min()
+		ready.clear(i)
+		order = append(order, i)
+		c.succ[i].forEach(func(j int) {
+			if waiting[j]--; waiting[j] == 0 {
+				ready.set(j)
+			}
+		})
+	}
+	return order
+}
+
+// extendClosureScan is the loop extendClosure replaces, kept for one
+// commit so the two can be compared.
+func extendClosureScan(c *orderClosure) []int {
 	n := len(c.succ)
 	var placed bitset
 	if n > 0 {
