@@ -33,3 +33,24 @@ func TestExtendClosureMatchesScan(t *testing.T) {
 		t.Fatalf("empty closure extends to %v", got)
 	}
 }
+
+// extendClosureScan is the loop extendClosure replaced (O(n² · words):
+// every placement rescans from index 0), kept as the reference order.
+func extendClosureScan(c *orderClosure) []int {
+	n := len(c.succ)
+	var placed bitset
+	if n > 0 {
+		placed = make(bitset, len(c.pred[0]))
+	}
+	order := make([]int, 0, n)
+	for len(order) < n {
+		for i := 0; i < n; i++ {
+			if !placed.has(i) && placed.containsAll(c.pred[i]) {
+				placed.set(i)
+				order = append(order, i)
+				break
+			}
+		}
+	}
+	return order
+}

@@ -504,27 +504,6 @@ func extendClosure(c *orderClosure) []int {
 	return order
 }
 
-// extendClosureScan is the loop extendClosure replaces, kept for one
-// commit so the two can be compared.
-func extendClosureScan(c *orderClosure) []int {
-	n := len(c.succ)
-	var placed bitset
-	if n > 0 {
-		placed = make(bitset, len(c.pred[0]))
-	}
-	order := make([]int, 0, n)
-	for len(order) < n {
-		for i := 0; i < n; i++ {
-			if !placed.has(i) && placed.containsAll(c.pred[i]) {
-				placed.set(i)
-				order = append(order, i)
-				break
-			}
-		}
-	}
-	return order
-}
-
 // sortedObjects returns the read-set object names in ascending order so
 // clause construction (and with it branching and witnesses) is
 // deterministic regardless of map iteration.
