@@ -245,7 +245,9 @@ func CheckCausal(h *History) Verdict {
 		return fail("causal relation is cyclic")
 	}
 	base := newOrderClosure(g, topo)
-	var lastWitness []model.TxnID
+	// Each client is decided by the closure search alone; only the last
+	// reading client's satisfying order is extended into the witness.
+	var last *orderClosure
 	for _, c := range h.Clients() {
 		checkSet := newBitset(len(g.txns))
 		any := false
@@ -258,14 +260,16 @@ func CheckCausal(h *History) Verdict {
 		if !any {
 			continue // write-only clients are satisfied by any extension
 		}
-		s := newSolver(g, base.clone(), checkSet)
-		order, found := s.solve()
+		order, found := newSolver(g, base.clone(), checkSet).solveClosure()
 		if !found {
 			return fail("no causal serialization exists for client %s", c)
 		}
-		lastWitness = g.witness(order)
+		last = order
 	}
-	return ok(lastWitness)
+	if last == nil {
+		return ok(nil)
+	}
+	return ok(g.witness(extendClosure(last)))
 }
 
 // CheckSerializable checks classic serializability: one serialization of

@@ -122,3 +122,31 @@ func TestStreamingEvictionPins(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchCausalWitnessPins pins the batch causal checker's verdicts and
+// witnesses (the serialization of the last reading client) over a mixed
+// corpus: how CheckCausal gets there may change, what it returns may not.
+func TestBatchCausalWitnessPins(t *testing.T) {
+	sum := sha256.New()
+	accepts := 0
+	add := func(h *History) {
+		v := CheckCausal(h)
+		fmt.Fprintln(sum, v.OK, v.Reason, v.Witness)
+		if v.OK {
+			accepts++
+		}
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		add(genDifferential(seed*104729, 2+int(seed%13)))
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		add(GenSerializable(seed, 300, 8))
+		add(GenCausalOnly(seed, 60))
+		add(GenViolating(seed, 64))
+	}
+	const pinned = "b721a2b7bea65ac7"
+	if got := fmt.Sprintf("%x", sum.Sum(nil))[:16]; got != pinned || accepts < 100 {
+		t.Fatalf("batch causal verdicts and witnesses digest to %s over %d accepting histories, pinned %s",
+			got, accepts, pinned)
+	}
+}
