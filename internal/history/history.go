@@ -21,7 +21,7 @@
 // over ordering literals (solver.go, entry CheckBatch) re-solves a
 // complete history from scratch and serves as the session's differential
 // oracle and cost baseline; the original exhaustive enumeration survives
-// as the oracle of last resort (exhaustive.go, ≤ 62 transactions).
+// in the tests as their oracle of last resort (≤ 62 transactions).
 package history
 
 import (

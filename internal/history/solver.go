@@ -25,8 +25,8 @@
 // A satisfying assignment is a partial order in which every constraint
 // holds, so ANY linear extension of it is a legal serialization — the
 // witness is its deterministic smallest-index-first extension. The search
-// is sound and complete with respect to the exhaustive checker (see
-// checkExhaustive and the differential suite).
+// is sound and complete with respect to the exhaustive enumeration the
+// differential suite keeps as its oracle (checkExhaustive, test-only).
 package history
 
 import (
