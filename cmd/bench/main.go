@@ -50,6 +50,10 @@
 // wall-clocks land in the row (cert_wall_ms incremental vs
 // cert_batch_wall_ms, the latter zero past the ceiling).
 //
+// -cpuprofile and -memprofile (both modes) write pprof profiles of the
+// whole sweep when it ends; they go to the named files only, so stdout —
+// the grid — is byte-identical with or without them.
+//
 // Runs are fully deterministic: the same flags produce byte-identical
 // output, so the JSON can be diffed across commits to track performance
 // trajectories. (Exception: cert_wall_ms and cert_batch_wall_ms under
@@ -71,6 +75,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -376,6 +382,8 @@ type sweep struct {
 	// Curve mode only.
 	fractions  []float64
 	refineKnee bool
+	// Where to write pprof profiles of the sweep ("": none).
+	cpuProfile, memProfile string
 }
 
 // cell is one point of the sweep: the spec that runs, and the two labels
@@ -551,6 +559,8 @@ func parseSweep(args []string, stderr io.Writer) (sweep, error) {
 	curveClients := fs.String("curveclients", "8",
 		"curve mode only: comma-separated client counts receiving arrivals (a sweep axis)")
 	arrivals := fs.String("arrivals", "poisson", "curve mode only: arrival process (poisson, uniform)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file (never to stdout)")
+	memProfile := fs.String("memprofile", "", "write a heap profile, taken when the sweep ends, to this file")
 	if err := fs.Parse(args); err != nil {
 		return sweep{}, err
 	}
@@ -582,6 +592,7 @@ func parseSweep(args []string, stderr io.Writer) (sweep, error) {
 		mixes:      strings.Split(*mixes, ","),
 		topologies: strings.Split(*topology, ","),
 		refineKnee: *refineKnee,
+		cpuProfile: *cpuProfile, memProfile: *memProfile,
 		cell: driver.Config{
 			Pipeline: *pipeline, ObjectsPerServer: *objects, Seed: *seed,
 			Certify: *certify, ProbeStaleness: *stale,
@@ -617,6 +628,42 @@ func parseSweep(args []string, stderr io.Writer) (sweep, error) {
 	return s, nil
 }
 
+// startProfiles begins the CPU profile (cpu != "") and returns the
+// function that ends it and writes the heap profile (mem != "").
+func startProfiles(cpu, mem string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpu != "" {
+		if cpuFile, err = os.Create(cpu); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
+		}
+		if mem == "" {
+			return nil
+		}
+		f, err := os.Create(mem)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // the live heap, not what the last cycle left behind
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		return f.Close()
+	}, nil
+}
+
 // run is main without the process: parse args into a sweep, measure it,
 // print the rows as JSON. Nothing reaches stdout on error.
 func run(args []string, stdout, stderr io.Writer) error {
@@ -627,11 +674,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	stopProfiles, err := startProfiles(s.cpuProfile, s.memProfile)
+	if err != nil {
+		return err
+	}
 	var out any
 	if s.curve {
 		out, err = buildCurve(s)
 	} else {
 		out, err = buildGrid(s)
+	}
+	if perr := stopProfiles(); err == nil {
+		err = perr
 	}
 	if err != nil {
 		return err

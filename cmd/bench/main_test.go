@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -557,6 +559,8 @@ func TestRunRefusals(t *testing.T) {
 
 // TestRunAccepts drives flags → sweep → rows → JSON in-process, one line
 // per mode; the mixed -servers/-replication sweep skips only its 2×3 cell.
+// Both modes take -cpuprofile/-memprofile: the profiles land in the named
+// files and the grid on stdout keeps its bytes.
 func TestRunAccepts(t *testing.T) {
 	for _, tc := range []struct {
 		line string
@@ -581,5 +585,23 @@ func TestRunAccepts(t *testing.T) {
 				t.Fatalf("%q: malformed row %v", tc.line, r)
 			}
 		}
+
+		cpu, mem := filepath.Join(t.TempDir(), "cpu.pprof"), filepath.Join(t.TempDir(), "mem.pprof")
+		var profiled bytes.Buffer
+		if err := run(append(strings.Fields(tc.line), "-cpuprofile", cpu, "-memprofile", mem), &profiled, &stderr); err != nil {
+			t.Fatalf("%q with profiles: %v", tc.line, err)
+		}
+		if !bytes.Equal(profiled.Bytes(), stdout.Bytes()) || stderr.Len() != 0 {
+			t.Fatalf("%q: profiling changed the output (stderr %q)", tc.line, stderr.String())
+		}
+		for _, f := range []string{cpu, mem} {
+			if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+				t.Fatalf("%q: profile %s missing or empty: %v", tc.line, f, err)
+			}
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-txns", "10", "-cpuprofile", filepath.Join(t.TempDir(), "no", "such", "dir")}, &stdout, &stderr); err == nil || stdout.Len() != 0 {
+		t.Fatalf("unwritable -cpuprofile: err %v, stdout %q", err, stdout.String())
 	}
 }

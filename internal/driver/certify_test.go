@@ -2,6 +2,7 @@ package driver
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/history"
 	"repro/internal/protocol"
@@ -250,4 +251,52 @@ func TestStalenessProbes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRideAlongWithinTwiceBatch is ROADMAP's certification bar as a gate:
+// on the benchmark's full-size causal cell (cops readheavy, 4 servers, 16
+// clients, 2000 txns) the streaming session, fed the recorded history in
+// the order the ride-along collected it, costs at most twice one batch
+// solve. Before the slot-indexed overlays every global edge walked every
+// override row of all 16 client states and this ratio read 3.5–4.2. Like
+// TestSessionIncrementalBudget the ratio only fails past an absolute
+// floor: a fast run that overshoots it is noise, not a regression.
+func TestRideAlongWithinTwiceBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	rep, err := Run(cops.New(), Config{
+		Clients: 16, Txns: 2000, Mix: workload.ReadHeavy(), Seed: 42,
+		Servers: 4, ObjectsPerServer: 2, RecordHistory: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rep.History
+	start := time.Now()
+	if bv := history.CheckBatch(h, "causal"); !bv.OK {
+		t.Fatalf("batch refutes the cops cell: %s", bv.Reason)
+	}
+	batch := time.Since(start)
+	var session time.Duration
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		s := history.NewStreamingSession(h.Initials(), "causal", h.Clients())
+		for _, rec := range h.Records() {
+			if !s.Append(rec) {
+				break
+			}
+		}
+		if sv := s.Finish(); !sv.OK {
+			t.Fatalf("session refutes the cops cell: %s", sv.Reason)
+		}
+		if d := time.Since(start); i == 0 || d < session {
+			session = d
+		}
+	}
+	const floor = 250 * time.Millisecond
+	if session > 2*batch && session > floor {
+		t.Fatalf("session %v vs batch %v: past 2x with the %v floor cleared", session, batch, floor)
+	}
+	t.Logf("cops readheavy 4/16/2000: session %v, batch %v", session, batch)
 }
