@@ -33,8 +33,8 @@ type cowClosure struct {
 	dsucc, dpred []bitset
 	osucc, opred bitset
 	rows         int
-	// examined counts the rows applyParentEdge looked at (the overlay
-	// differential test asserts the visit rule with it).
+	// examined counts the rows insert looked at (the overlay differential
+	// test asserts the visit rule with it).
 	examined int
 }
 
@@ -110,61 +110,45 @@ func (c *cowClosure) applyParentEdge(a, b int) {
 // on the predecessor side while pred(a) is not overridden.
 func (c *cowClosure) insert(a, b int, viaParent bool) {
 	after, before := c.succRow(b), c.predRow(a)
-	leaf := after.empty() // b is the node just appended: single-bit sets
-	upd := func(x int) {
-		c.examined++
-		row := c.dsucc[x]
-		if row == nil {
-			prow := c.parent.succ[x]
-			if prow.has(b) && (leaf || prow.containsAll(after)) {
-				return
-			}
-			row = c.override(c.dsucc, c.osucc, x, prow)
-		}
-		if !leaf {
-			row.or(after)
-		}
-		row.set(b)
-	}
-	if viaParent && !c.osucc.has(b) {
-		if c.osucc.has(a) {
-			upd(a)
-		}
-		before.forEachAnd(c.osucc, upd)
-	} else {
-		upd(a)
-		before.forEach(upd)
-	}
-	updP := func(y int) {
-		c.examined++
-		row := c.dpred[y]
-		if row == nil {
-			prow := c.parent.pred[y]
-			if prow.has(a) && prow.containsAll(before) {
-				return
-			}
-			row = c.override(c.dpred, c.opred, y, prow)
-		}
-		row.or(before)
-		row.set(a)
-	}
-	if viaParent && !c.opred.has(a) {
-		if c.opred.has(b) {
-			updP(b)
-		}
-		after.forEachAnd(c.opred, updP)
-	} else {
-		updP(b)
-		after.forEach(updP)
-	}
+	c.spread(c.dsucc, c.osucc, c.parent.succ, a, before, b, after, viaParent && !c.osucc.has(b))
+	c.spread(c.dpred, c.opred, c.parent.pred, b, after, a, before, viaParent && !c.opred.has(a))
 }
 
-// override starts x's row on one side as a private copy of the parent's.
-func (c *cowClosure) override(rows []bitset, overridden bitset, x int, prow bitset) bitset {
-	rows[x] = prow.clone()
-	overridden.set(x)
-	c.rows++
-	return rows[x]
+// spread adds bit and the set add to one side's row of x and of every
+// member of region — only the overridden ones when overriddenOnly —
+// starting an override (a private copy of the parent's row) where an
+// un-overridden row lacks them. An empty add (b is the node just
+// appended) leaves single-bit sets.
+func (c *cowClosure) spread(drows []bitset, overridden bitset, prows []bitset,
+	x int, region bitset, bit int, add bitset, overriddenOnly bool) {
+	bare := add.empty()
+	upd := func(x int) {
+		c.examined++
+		row := drows[x]
+		if row == nil {
+			prow := prows[x]
+			if prow.has(bit) && (bare || prow.containsAll(add)) {
+				return
+			}
+			row = prow.clone()
+			drows[x] = row
+			overridden.set(x)
+			c.rows++
+		}
+		if !bare {
+			row.or(add)
+		}
+		row.set(bit)
+	}
+	if overriddenOnly {
+		if overridden.has(x) {
+			upd(x)
+		}
+		region.forEachAnd(overridden, upd)
+	} else {
+		upd(x)
+		region.forEach(upd)
+	}
 }
 
 // materialize builds a dense closure equal to the effective order, for

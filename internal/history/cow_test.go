@@ -137,20 +137,13 @@ func (h *overlayHarness) retireOldest(k int) {
 			h.check()
 		}
 	}
-	clearRows := func(c *orderClosure, t int) {
-		for x := range c.pred {
-			c.pred[x].clear(t)
-		}
-		c.succ[t].reset()
-		c.pred[t].reset()
-	}
 	for _, m := range h.live[:k] {
 		h.op = fmt.Sprintf("retire %d", m)
 		for i, ov := range h.ovs {
 			ov.retire(m)
-			clearRows(h.refs[i], m)
+			h.refs[i].retire(m)
 		}
-		clearRows(h.parent, m)
+		h.parent.retire(m)
 		h.free = append(h.free, m)
 	}
 	h.live = append(h.live[:0], h.live[k:]...)

@@ -1448,17 +1448,6 @@ func (s *Session) retireBatch(members []int) {
 			or.writers = append(or.writers, int32(g))
 		}
 	}
-	// No live successor row can contain a member's slot (an edge from a
-	// live transaction into the batch would cycle against the batch
-	// preceding everything live), so clearing the predecessor rows and
-	// zeroing each member's own rows fully releases the slots.
-	clearRows := func(c *orderClosure, t int) {
-		for x := range c.pred {
-			c.pred[x].clear(t)
-		}
-		c.succ[t].reset()
-		c.pred[t].reset()
-	}
 	for li, g := range members {
 		t := s.slot(g)
 		s.batchOf[g] = bi
@@ -1506,11 +1495,11 @@ func (s *Session) retireBatch(members []int) {
 		for _, st := range s.order {
 			st.base.retire(t) // while the base still holds t's rows
 		}
-		clearRows(s.base, t)
-		clearRows(s.model, t)
+		s.base.retire(t)
+		s.model.retire(t)
 		for _, st := range s.order {
 			if !st.shared && st.model != nil {
-				clearRows(st.model, t)
+				st.model.retire(t)
 			}
 		}
 		s.free = append(s.free, int32(t))

@@ -98,6 +98,19 @@ func (c *orderClosure) growWords(words int) {
 	}
 }
 
+// retire releases slot t for reuse (the streaming session's eviction). No
+// live successor row can contain a retiring slot — an edge from a live
+// transaction into the batch would cycle against the batch preceding
+// everything live — so clearing the predecessor rows and zeroing t's own
+// rows is the whole release.
+func (c *orderClosure) retire(t int) {
+	for x := range c.pred {
+		c.pred[x].clear(t)
+	}
+	c.succ[t].reset()
+	c.pred[t].reset()
+}
+
 // addEdge orders a strictly before b and re-closes transitively.
 // It reports false on conflict (b is already ordered before a).
 func (c *orderClosure) addEdge(a, b int) bool {
