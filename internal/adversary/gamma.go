@@ -137,5 +137,5 @@ func (a *Attack) buildContradiction(base *protocol.Deployment, beta []sim.Event,
 	if cl.Busy() {
 		return nil, ErrEscapedRounds
 	}
-	return cl.Results()[tid], nil
+	return cl.Finished(tid), nil
 }

@@ -47,9 +47,9 @@ type LatencyOptions struct {
 }
 
 // MeasureLatency runs txns transactions of the mix on a fresh deployment
-// of p under concurrent closed-loop load (the driver's Network scheduler)
-// and reports latencies. Multi-object writes degrade to single-object
-// writes for protocols without the W property.
+// of p under concurrent closed-loop load (driver.Run, the one sharded
+// engine at Workers 1) and reports latencies. Multi-object writes degrade
+// to single-object writes for protocols without the W property.
 func MeasureLatency(p protocol.Protocol, mix workload.Mix, txns int, seed int64) (LatencyReport, error) {
 	return MeasureLatencyWith(p, mix, txns, seed, LatencyOptions{})
 }

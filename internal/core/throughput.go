@@ -38,21 +38,6 @@ func MeasureThroughputWith(p protocol.Protocol, cfg driver.Config) (ThroughputRe
 	return ThroughputReport{Report: *load, Mix: cfg.Mix, Cert: cert}, nil
 }
 
-// ThroughputSweep measures every protocol at each client count.
-func ThroughputSweep(mix workload.Mix, clientCounts []int, txns int, seed int64) ([]ThroughputReport, error) {
-	var out []ThroughputReport
-	for _, p := range All() {
-		for _, c := range clientCounts {
-			rep, err := MeasureThroughput(p, mix, c, txns, seed)
-			if err != nil {
-				return nil, fmt.Errorf("core: throughput for %s at %d clients: %w", p.Name(), c, err)
-			}
-			out = append(out, rep)
-		}
-	}
-	return out, nil
-}
-
 // FormatThroughput renders a sweep as a table.
 func FormatThroughput(reports []ThroughputReport) string {
 	out := fmt.Sprintf("%-12s | %7s | %10s | %12s | %8s | %8s | %10s\n",

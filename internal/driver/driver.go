@@ -95,10 +95,9 @@ type Config struct {
 	// cross-site lookahead bound. Nil is the uniform deployment.
 	Topology *protocol.Topology
 	// MaxEvents bounds kernel events for the whole run (default
-	// 20_000·Txns + 200_000 — generous because blocking protocols such as
-	// spanner advance their safe time by spinning 1µs steps while a read
-	// is parked, which can cost thousands of events per transaction at
-	// low client counts).
+	// 20_000·Txns + 200_000). The engine leaps parked waits (sim.Waker),
+	// so a run that reaches the bound is stuck, not slow: it ends with
+	// Incomplete > 0 instead of hanging.
 	MaxEvents int
 	// RecordHistory collects completed transactions into Report.History
 	// for consistency checking. The BATCH checkers certify recorded

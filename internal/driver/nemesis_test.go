@@ -101,23 +101,29 @@ func TestNemesisWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-// checkRecoveryIsEarliest recomputes the recovery latencies from every
-// committed result of the run: for each restart/heal mark, the earliest
-// commit at or after it (touching the restarted server, for a restart) —
-// not whichever qualifying commit the drain happened to hand over first.
+// checkRecoveryIsEarliest recomputes the recovery latencies from the
+// run's recorded history (every committed transaction): for each
+// restart/heal mark, the earliest commit at or after it (touching the
+// restarted server, for a restart) — not whichever qualifying commit the
+// drain happened to hand over first.
 func checkRecoveryIsEarliest(t *testing.T, r *run) {
 	t.Helper()
 	want := stats.NewCollector()
 	for _, m := range r.nem.marks {
 		first := int64(-1)
-		for _, cl := range r.cls {
-			for _, res := range cl.Results() {
-				if !res.OK() || res.Completed < int64(m.at) || (first >= 0 && res.Completed >= first) {
-					continue
-				}
-				if m.proc == "" || slices.Contains(r.d.Place.ServersFor(res.Txn.Objects()), m.proc) {
-					first = res.Completed
-				}
+		for _, rec := range r.rep.History.Records() {
+			if rec.Completed < int64(m.at) || (first >= 0 && rec.Completed >= first) {
+				continue
+			}
+			objs := make([]string, 0, len(rec.Reads)+len(rec.Writes))
+			for o := range rec.Reads {
+				objs = append(objs, o)
+			}
+			for _, w := range rec.Writes {
+				objs = append(objs, w.Object)
+			}
+			if m.proc == "" || slices.Contains(r.d.Place.ServersFor(objs), m.proc) {
+				first = rec.Completed
 			}
 		}
 		if first >= 0 {

@@ -358,12 +358,6 @@ func (s *Session) Initial(obj string) model.Value { return s.initial[obj] }
 // Appended returns the number of transactions appended so far.
 func (s *Session) Appended() int { return len(s.txns) }
 
-// Window reports the session's eviction state: currently live
-// transactions, the peak live window, and the retired count.
-func (s *Session) Window() (live, peak, retired int) {
-	return s.nLive, s.peakWindow, s.retired
-}
-
 // retiredG reports whether global index g has been retired.
 func (s *Session) retiredG(g int) bool { return s.batchOf[g] >= 0 }
 

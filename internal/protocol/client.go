@@ -17,15 +17,15 @@ import (
 // protocol-specific code. Protocol clients only ever see the active
 // transaction (Current/Result); the queue is invisible to them.
 type Core struct {
-	id      sim.ProcessID
-	pl      *Placement
-	seq     int
-	cur     *model.Txn
-	curRes  *model.Result
-	queue   []*model.Txn // invoked, waiting for the active txn to finish
-	results map[model.TxnID]*model.Result
-	// finished collects completed results (in completion order, which is
-	// per-client program order) until a driver drains them.
+	id     sim.ProcessID
+	pl     *Placement
+	seq    int
+	cur    *model.Txn
+	curRes *model.Result
+	queue  []*model.Txn // invoked, waiting for the active txn to finish
+	// finished holds completed results (in completion order, which is
+	// per-client program order) until TakeFinished hands them over: a
+	// result has one owner, the core until taken and the taker after.
 	finished []*model.Result
 	// started marks that the first step of the active transaction has
 	// run (the client has sent its first round).
@@ -35,7 +35,7 @@ type Core struct {
 
 // NewCore initializes the embedded client core.
 func NewCore(id sim.ProcessID, pl *Placement) Core {
-	return Core{id: id, pl: pl, results: make(map[model.TxnID]*model.Result)}
+	return Core{id: id, pl: pl}
 }
 
 // ID implements sim.Process.
@@ -85,8 +85,16 @@ func (c *Core) Current() *model.Txn { return c.cur }
 // Result returns the active transaction's accumulating result.
 func (c *Core) Result() *model.Result { return c.curRes }
 
-// Results implements Client.
-func (c *Core) Results() map[model.TxnID]*model.Result { return c.results }
+// Finished implements Client: the completed, not yet taken result of
+// transaction id, nil if there is none.
+func (c *Core) Finished(id model.TxnID) *model.Result {
+	for i := len(c.finished) - 1; i >= 0; i-- {
+		if c.finished[i].Txn.ID == id {
+			return c.finished[i]
+		}
+	}
+	return nil
+}
 
 // TakeFinished implements Client: it drains the results completed since
 // the previous call, in completion order.
@@ -115,7 +123,6 @@ func (c *Core) SentRound() { c.rounds++ }
 
 // complete records res and activates the next queued transaction, if any.
 func (c *Core) complete(res *model.Result) {
-	c.results[c.cur.ID] = res
 	c.finished = append(c.finished, res)
 	c.cur, c.curRes = nil, nil
 	c.started = false
@@ -177,12 +184,8 @@ func (c *Core) CloneCore() Core {
 	for _, t := range c.queue {
 		cp.queue = append(cp.queue, t.Clone())
 	}
-	// Completed results are immutable; slice and map copies suffice.
+	// Completed results are immutable; a slice copy suffices.
 	cp.finished = append([]*model.Result(nil), c.finished...)
-	cp.results = make(map[model.TxnID]*model.Result, len(c.results))
-	for k, v := range c.results {
-		cp.results[k] = v
-	}
 	return cp
 }
 

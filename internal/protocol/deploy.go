@@ -192,7 +192,7 @@ func (d *Deployment) RunTxn(id sim.ProcessID, t *model.Txn, maxEvents int) *mode
 	tid := d.Invoke(id, t)
 	cl := d.Client(id)
 	sim.Run(d.Kernel, &sim.RoundRobin{}, func(*sim.Kernel) bool { return !cl.Busy() }, maxEvents)
-	res := cl.Results()[tid]
+	res := cl.Finished(tid)
 	if res != nil {
 		d.Kernel.Annotate(sim.EvResponse, id, t.ID.String())
 	}
@@ -204,7 +204,7 @@ func (d *Deployment) RunTxnWith(id sim.ProcessID, t *model.Txn, sched sim.Schedu
 	tid := d.Invoke(id, t)
 	cl := d.Client(id)
 	sim.Run(d.Kernel, sched, func(*sim.Kernel) bool { return !cl.Busy() }, maxEvents)
-	res := cl.Results()[tid]
+	res := cl.Finished(tid)
 	if res != nil {
 		d.Kernel.Annotate(sim.EvResponse, id, t.ID.String())
 	}

@@ -2,8 +2,10 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"repro/internal/model"
 	"repro/internal/sim"
 )
 
@@ -145,6 +147,50 @@ func (p *Placement) IsReplicated() bool {
 		}
 	}
 	return false
+}
+
+// Share is one server's part of a request fanned out over the placement.
+type Share[T any] struct {
+	Server sim.ProcessID
+	Items  []T
+}
+
+// ReadShares splits a read set by primary replica and WriteShares a write
+// set over every replica of each written object. Both return the involved
+// servers in Servers() order — the one order every fan-out sends in, so
+// message IDs and latency draws never depend on who wrote the loop — each
+// with its items in request order, repeats kept.
+func (p *Placement) ReadShares(objs []string) []Share[string] {
+	var out []Share[string]
+	for _, obj := range objs {
+		out = addToShare(out, p.PrimaryOf(obj), obj)
+	}
+	return out
+}
+
+// WriteShares: see ReadShares.
+func (p *Placement) WriteShares(writes []model.Write) []Share[model.Write] {
+	var out []Share[model.Write]
+	for _, w := range writes {
+		for _, srv := range p.replicas[w.Object] {
+			out = addToShare(out, srv, w)
+		}
+	}
+	return out
+}
+
+// addToShare appends item to srv's share, opening the share at its sorted
+// position (Servers() is sorted by ID, so comparing IDs keeps its order).
+func addToShare[T any](out []Share[T], srv sim.ProcessID, item T) []Share[T] {
+	i := 0
+	for i < len(out) && out[i].Server < srv {
+		i++
+	}
+	if i == len(out) || out[i].Server != srv {
+		out = slices.Insert(out, i, Share[T]{Server: srv})
+	}
+	out[i].Items = append(out[i].Items, item)
+	return out
 }
 
 // ServersFor returns the sorted union of replicas of the given objects.

@@ -93,7 +93,7 @@ func (d *Deployment) Probe(reader sim.ProcessID, objs []string, order []sim.Proc
 	if cl.Busy() {
 		return nil
 	}
-	return cl.Results()[tid]
+	return cl.Finished(tid)
 }
 
 // ProbeOrders returns the battery of server visit orders used by the

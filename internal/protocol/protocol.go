@@ -1,7 +1,7 @@
-// Package protocol defines the service-provider interface every modeled
-// storage system implements: clients and servers as sim processes,
-// object placement (disjoint or partially replicated), deployments tying
-// a protocol to a kernel, and the value-visibility probes of Definition 2.
+// Package protocol is the zoo's service-provider interface. An entry writes
+// two sim.Processes (Step/Ready/Clone; clients embed Core), payloads with
+// Kind/Txn/PayloadRole (values: immutable once sent) and Claims; placement,
+// fan-out (ReadShares/WriteShares), deployments and probes live here.
 package protocol
 
 import (
@@ -92,10 +92,13 @@ type Client interface {
 	// Outstanding reports the number of invoked-but-unfinished
 	// transactions (the active one plus the queue).
 	Outstanding() int
-	// Results returns the completed transactions' results, keyed by ID.
-	Results() map[model.TxnID]*model.Result
+	// Finished returns the completed result of transaction id while
+	// nobody has taken it (trace-mode flows never drain, so they look
+	// their results up here); nil otherwise.
+	Finished(id model.TxnID) *model.Result
 	// TakeFinished drains the results completed since the previous call,
-	// in completion order (per-client program order).
+	// in completion order (per-client program order). A taken result
+	// belongs to the taker; the client forgets it.
 	TakeFinished() []*model.Result
 }
 

@@ -128,7 +128,7 @@ func TestCoreLifecycle(t *testing.T) {
 	if res.Invoked != 10 || res.Completed != 20 || c.Busy() {
 		t.Fatalf("finish result = %+v", res)
 	}
-	if c.Results()[id] != res {
+	if c.Finished(id) != res {
 		t.Fatal("result not recorded")
 	}
 	// Sequence numbers advance.
@@ -174,19 +174,23 @@ func TestCorePipelinesSecondInvoke(t *testing.T) {
 	if c.Busy() || c.Outstanding() != 0 {
 		t.Fatal("core busy after pipeline drained")
 	}
-	// TakeFinished drains completion-order results exactly once.
+	// TakeFinished drains completion-order results exactly once; until
+	// then each is found by ID, afterwards the core has forgotten it.
+	rejected := c.Finished(id2)
 	fin := c.TakeFinished()
 	if len(fin) != 3 || fin[0].Txn.ID != id1 || fin[1].Txn.ID != id2 || fin[2].Txn.ID != id3 {
 		t.Fatalf("finished = %v", fin)
 	}
-	if fin[1].Err == "" {
+	if fin[1].Err == "" || fin[1] != rejected {
 		t.Fatal("rejected result lost its error")
 	}
 	if len(c.TakeFinished()) != 0 {
 		t.Fatal("TakeFinished not drained")
 	}
-	if len(c.Results()) != 3 {
-		t.Fatalf("results = %d", len(c.Results()))
+	for _, id := range []model.TxnID{id1, id2, id3} {
+		if c.Finished(id) != nil {
+			t.Fatalf("%v still held after it was taken", id)
+		}
 	}
 }
 
@@ -231,8 +235,11 @@ func TestCoreReject(t *testing.T) {
 	if res.OK() || res.Err != "unsupported" || c.Busy() {
 		t.Fatalf("reject = %+v", res)
 	}
-	if c.Results()[id] != res {
+	if c.Finished(id) != res {
 		t.Fatal("rejected result not recorded")
+	}
+	if fin := c.TakeFinished(); len(fin) != 1 || fin[0] != res || c.Finished(id) != nil {
+		t.Fatalf("rejected result not taken once, then gone: %v", fin)
 	}
 }
 

@@ -57,7 +57,6 @@ type snapReq struct {
 }
 
 func (p *snapReq) Kind() string               { return "snap-req" }
-func (p *snapReq) Clone() sim.Payload         { c := *p; return &c }
 func (p *snapReq) Txn() model.TxnID           { return p.TID }
 func (p *snapReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -67,7 +66,6 @@ type snapResp struct {
 }
 
 func (p *snapResp) Kind() string               { return "snap-resp" }
-func (p *snapResp) Clone() sim.Payload         { c := *p; return &c }
 func (p *snapResp) Txn() model.TxnID           { return p.TID }
 func (p *snapResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
 
@@ -78,7 +76,6 @@ type readReq struct {
 }
 
 func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Clone() sim.Payload         { c := *p; c.Objs = append([]string(nil), p.Objs...); return &c }
 func (p *readReq) Txn() model.TxnID           { return p.TID }
 func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -92,12 +89,7 @@ type readResp struct {
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) Clone() sim.Payload {
-	c := *p
-	c.Vals = append([]readVal(nil), p.Vals...)
-	return &c
-}
+func (p *readResp) Kind() string               { return "read-resp" }
 func (p *readResp) Txn() model.TxnID           { return p.TID }
 func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
 func (p *readResp) CarriedValues() []model.ValueRef {
@@ -117,7 +109,6 @@ type writeReq struct {
 }
 
 func (p *writeReq) Kind() string               { return "write-req" }
-func (p *writeReq) Clone() sim.Payload         { c := *p; return &c }
 func (p *writeReq) Txn() model.TxnID           { return p.TID }
 func (p *writeReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 
@@ -127,7 +118,6 @@ type writeResp struct {
 }
 
 func (p *writeResp) Kind() string               { return "write-ack" }
-func (p *writeResp) Clone() sim.Payload         { c := *p; return &c }
 func (p *writeResp) Txn() model.TxnID           { return p.TID }
 func (p *writeResp) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
@@ -220,15 +210,6 @@ func (c *client) Clone() sim.Process {
 
 func (c *client) Ready() bool { return c.Busy() && !c.Started() }
 
-func (c *client) readTargets() map[sim.ProcessID][]string {
-	by := make(map[sim.ProcessID][]string)
-	for _, obj := range c.Current().ReadSet {
-		p := c.Placement().PrimaryOf(obj)
-		by[p] = append(by[p], obj)
-	}
-	return by
-}
-
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	var out []sim.Outbound
 	for _, m := range inbox {
@@ -277,12 +258,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = snapshotting
 			c.haveSnap = false
 			c.readVals = make(map[string]readVal)
-			targets := c.readTargets()
-			for _, srv := range c.Placement().Servers() {
-				if _, involved := targets[srv]; involved {
-					out = append(out, sim.Outbound{To: srv, Payload: &snapReq{TID: t.ID}})
-					c.pending++
-				}
+			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &snapReq{TID: t.ID}})
+				c.pending++
 			}
 			c.SentRound()
 		} else {
@@ -305,13 +283,8 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				c.snap = c.depTS
 			}
 			c.phase = reading
-			targets := c.readTargets()
-			for _, srv := range c.Placement().Servers() {
-				objs, involved := targets[srv]
-				if !involved {
-					continue
-				}
-				out = append(out, sim.Outbound{To: srv, Payload: &readReq{TID: t.ID, Objs: objs, Snap: c.snap}})
+			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap}})
 				c.pending++
 			}
 			c.SentRound()

@@ -67,7 +67,6 @@ type readReq struct {
 }
 
 func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Clone() sim.Payload         { c := *p; c.Objs = append([]string(nil), p.Objs...); return &c }
 func (p *readReq) Txn() model.TxnID           { return p.TID }
 func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -82,16 +81,7 @@ type readResp struct {
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) Clone() sim.Payload {
-	c := *p
-	c.Vals = make([]readVal, len(p.Vals))
-	for i, v := range p.Vals {
-		v.Deps = append([]depRef(nil), v.Deps...)
-		c.Vals[i] = v
-	}
-	return &c
-}
+func (p *readResp) Kind() string               { return "read-resp" }
 func (p *readResp) Txn() model.TxnID           { return p.TID }
 func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
 func (p *readResp) CarriedValues() []model.ValueRef {
@@ -112,7 +102,6 @@ type readAtReq struct {
 }
 
 func (p *readAtReq) Kind() string               { return "read-at-req" }
-func (p *readAtReq) Clone() sim.Payload         { c := *p; return &c }
 func (p *readAtReq) Txn() model.TxnID           { return p.TID }
 func (p *readAtReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -122,12 +111,7 @@ type writeReq struct {
 	Deps []depRef
 }
 
-func (p *writeReq) Kind() string { return "write-req" }
-func (p *writeReq) Clone() sim.Payload {
-	c := *p
-	c.Deps = append([]depRef(nil), p.Deps...)
-	return &c
-}
+func (p *writeReq) Kind() string               { return "write-req" }
 func (p *writeReq) Txn() model.TxnID           { return p.TID }
 func (p *writeReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 
@@ -137,7 +121,6 @@ type writeResp struct {
 }
 
 func (p *writeResp) Kind() string               { return "write-ack" }
-func (p *writeResp) Clone() sim.Payload         { c := *p; return &c }
 func (p *writeResp) Txn() model.TxnID           { return p.TID }
 func (p *writeResp) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
@@ -190,9 +173,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// The latest visible version's sequence is ≥ MinSeq whenever
 			// the dependency was written by a completed transaction, so
 			// this never blocks.
-			if v := s.st.LatestVisible(p.Object); v != nil && v.Seq >= p.MinSeq {
-				resp.Vals = append(resp.Vals, s.valOf(v))
-			} else if v != nil {
+			if v := s.st.LatestVisible(p.Object); v != nil {
 				resp.Vals = append(resp.Vals, s.valOf(v))
 			} else {
 				resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: p.Object, Value: model.Bottom}})
@@ -317,16 +298,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		if t.IsReadOnly() {
 			c.phase = round1
 			c.got = make(map[string]readVal)
-			readsBy := make(map[sim.ProcessID][]string)
-			for _, obj := range t.ReadSet {
-				p := c.Placement().PrimaryOf(obj)
-				readsBy[p] = append(readsBy[p], obj)
-			}
-			for _, srv := range c.Placement().Servers() {
-				if objs, involved := readsBy[srv]; involved {
-					out = append(out, sim.Outbound{To: srv, Payload: &readReq{TID: t.ID, Objs: objs}})
-					c.pending++
-				}
+			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items}})
+				c.pending++
 			}
 		} else {
 			c.phase = writing

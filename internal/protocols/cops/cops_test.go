@@ -46,7 +46,7 @@ func TestSecondRoundRepairsDependencyInversion(t *testing.T) {
 	// Now the ROT's X1 read arrives: it returns b1 with a dependency on
 	// the new X0, and the client's second round must repair X0.
 	sim.Run(d.Kernel, &sim.RoundRobin{}, func(*sim.Kernel) bool { return !d.Client("r0").Busy() }, 200_000)
-	res := d.Client("r0").Results()[rotID]
+	res := d.Client("r0").Finished(rotID)
 	if res == nil {
 		t.Fatal("ROT incomplete")
 	}

@@ -67,7 +67,6 @@ type readReq struct {
 }
 
 func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Clone() sim.Payload         { c := *p; c.Objs = append([]string(nil), p.Objs...); return &c }
 func (p *readReq) Txn() model.TxnID           { return p.TID }
 func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -76,12 +75,7 @@ type readResp struct {
 	Vals []model.ValueRef
 }
 
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) Clone() sim.Payload {
-	c := *p
-	c.Vals = append([]model.ValueRef(nil), p.Vals...)
-	return &c
-}
+func (p *readResp) Kind() string                    { return "read-resp" }
 func (p *readResp) Txn() model.TxnID                { return p.TID }
 func (p *readResp) PayloadRole() protocol.Role      { return protocol.RoleReadResp }
 func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
@@ -92,12 +86,7 @@ type writeReq struct {
 	Deps []model.ValueRef // causal dependencies (object, value, writer)
 }
 
-func (p *writeReq) Kind() string { return "write-req" }
-func (p *writeReq) Clone() sim.Payload {
-	c := *p
-	c.Deps = append([]model.ValueRef(nil), p.Deps...)
-	return &c
-}
+func (p *writeReq) Kind() string               { return "write-req" }
 func (p *writeReq) Txn() model.TxnID           { return p.TID }
 func (p *writeReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 
@@ -106,7 +95,6 @@ type writeResp struct {
 }
 
 func (p *writeResp) Kind() string               { return "write-ack" }
-func (p *writeResp) Clone() sim.Payload         { c := *p; return &c }
 func (p *writeResp) Txn() model.TxnID           { return p.TID }
 func (p *writeResp) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
@@ -117,12 +105,7 @@ type depCheck struct {
 	Items  []model.ValueRef
 }
 
-func (p *depCheck) Kind() string { return "dep-check" }
-func (p *depCheck) Clone() sim.Payload {
-	c := *p
-	c.Items = append([]model.ValueRef(nil), p.Items...)
-	return &c
-}
+func (p *depCheck) Kind() string               { return "dep-check" }
 func (p *depCheck) Txn() model.TxnID           { return p.ForTxn }
 func (p *depCheck) PayloadRole() protocol.Role { return protocol.RoleInternal }
 
@@ -132,12 +115,7 @@ type depResp struct {
 	OldReaders []model.TxnID
 }
 
-func (p *depResp) Kind() string { return "dep-resp" }
-func (p *depResp) Clone() sim.Payload {
-	c := *p
-	c.OldReaders = append([]model.TxnID(nil), p.OldReaders...)
-	return &c
-}
+func (p *depResp) Kind() string               { return "dep-resp" }
 func (p *depResp) Txn() model.TxnID           { return p.ForTxn }
 func (p *depResp) PayloadRole() protocol.Role { return protocol.RoleInternal }
 
@@ -422,16 +400,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			return out
 		}
 		if t.IsReadOnly() {
-			readsBy := make(map[sim.ProcessID][]string)
-			for _, obj := range t.ReadSet {
-				p := pl.PrimaryOf(obj)
-				readsBy[p] = append(readsBy[p], obj)
-			}
-			for _, srv := range pl.Servers() {
-				if objs, okR := readsBy[srv]; okR {
-					out = append(out, sim.Outbound{To: srv, Payload: &readReq{TID: t.ID, Objs: objs}})
-					c.pending++
-				}
+			for _, sh := range pl.ReadShares(t.ReadSet) {
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items}})
+				c.pending++
 			}
 		} else {
 			w := t.Writes[len(t.Writes)-1]

@@ -95,7 +95,7 @@ func TestOldReaderExclusion(t *testing.T) {
 	if cl.Busy() {
 		t.Fatal("ROT did not complete")
 	}
-	res := cl.Results()[rotID]
+	res := cl.Finished(rotID)
 	if res.Value("X0") != protocol.InitialValue("X0") {
 		t.Fatalf("ROT read X0 = %q, want initial", res.Value("X0"))
 	}

@@ -9,7 +9,6 @@ package cure
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/model"
 	"repro/internal/protocol"
@@ -58,7 +57,6 @@ func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Cl
 type gsvReq struct{ TID model.TxnID }
 
 func (p *gsvReq) Kind() string               { return "gsv-req" }
-func (p *gsvReq) Clone() sim.Payload         { c := *p; return &c }
 func (p *gsvReq) Txn() model.TxnID           { return p.TID }
 func (p *gsvReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -68,7 +66,6 @@ type gsvResp struct {
 }
 
 func (p *gsvResp) Kind() string               { return "gsv-resp" }
-func (p *gsvResp) Clone() sim.Payload         { c := *p; c.GSV = p.GSV.Clone(); return &c }
 func (p *gsvResp) Txn() model.TxnID           { return p.TID }
 func (p *gsvResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
 
@@ -78,13 +75,7 @@ type readReq struct {
 	Snap vclock.Vector
 }
 
-func (p *readReq) Kind() string { return "read-req" }
-func (p *readReq) Clone() sim.Payload {
-	c := *p
-	c.Objs = append([]string(nil), p.Objs...)
-	c.Snap = p.Snap.Clone()
-	return &c
-}
+func (p *readReq) Kind() string               { return "read-req" }
 func (p *readReq) Txn() model.TxnID           { return p.TID }
 func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -98,18 +89,7 @@ type readResp struct {
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) Clone() sim.Payload {
-	c := *p
-	c.Vals = make([]readVal, len(p.Vals))
-	for i, v := range p.Vals {
-		if v.Vec != nil {
-			v.Vec = v.Vec.Clone()
-		}
-		c.Vals[i] = v
-	}
-	return &c
-}
+func (p *readResp) Kind() string               { return "read-resp" }
 func (p *readResp) Txn() model.TxnID           { return p.TID }
 func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
 func (p *readResp) CarriedValues() []model.ValueRef {
@@ -128,13 +108,7 @@ type prepareReq struct {
 	Dep    vclock.Vector
 }
 
-func (p *prepareReq) Kind() string { return "prepare" }
-func (p *prepareReq) Clone() sim.Payload {
-	c := *p
-	c.Writes = append([]model.Write(nil), p.Writes...)
-	c.Dep = p.Dep.Clone()
-	return &c
-}
+func (p *prepareReq) Kind() string               { return "prepare" }
 func (p *prepareReq) Txn() model.TxnID           { return p.TID }
 func (p *prepareReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 
@@ -145,7 +119,6 @@ type prepareAck struct {
 }
 
 func (p *prepareAck) Kind() string               { return "prepare-ack" }
-func (p *prepareAck) Clone() sim.Payload         { c := *p; return &c }
 func (p *prepareAck) Txn() model.TxnID           { return p.TID }
 func (p *prepareAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
@@ -155,7 +128,6 @@ type commitReq struct {
 }
 
 func (p *commitReq) Kind() string               { return "commit" }
-func (p *commitReq) Clone() sim.Payload         { c := *p; c.Vec = p.Vec.Clone(); return &c }
 func (p *commitReq) Txn() model.TxnID           { return p.TID }
 func (p *commitReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 
@@ -165,7 +137,6 @@ type commitAck struct {
 }
 
 func (p *commitAck) Kind() string               { return "commit-ack" }
-func (p *commitAck) Clone() sim.Payload         { c := *p; c.Vec = p.Vec.Clone(); return &c }
 func (p *commitAck) Txn() model.TxnID           { return p.TID }
 func (p *commitAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
@@ -175,7 +146,6 @@ type gossip struct {
 }
 
 func (p *gossip) Kind() string               { return "stable-gossip" }
-func (p *gossip) Clone() sim.Payload         { c := *p; return &c }
 func (p *gossip) Txn() model.TxnID           { return model.TxnID{} }
 func (p *gossip) PayloadRole() protocol.Role { return protocol.RoleInternal }
 
@@ -418,21 +388,11 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		} else {
 			c.phase = preparing
 			c.commit = c.dep.Clone()
-			writesBy := make(map[sim.ProcessID][]model.Write)
-			for _, w := range t.Writes {
-				for _, srv := range c.Placement().ReplicasOf(w.Object) {
-					writesBy[srv] = append(writesBy[srv], w)
-				}
-			}
-			srvs := make([]sim.ProcessID, 0, len(writesBy))
-			for srv := range writesBy {
-				srvs = append(srvs, srv)
-			}
-			sort.Slice(srvs, func(i, j int) bool { return srvs[i] < srvs[j] })
-			c.writeTo = srvs
-			for _, srv := range srvs {
-				out = append(out, sim.Outbound{To: srv, Payload: &prepareReq{
-					TID: t.ID, Writes: writesBy[srv], Dep: c.dep.Clone(),
+			c.writeTo = nil
+			for _, sh := range c.Placement().WriteShares(t.Writes) {
+				c.writeTo = append(c.writeTo, sh.Server)
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &prepareReq{
+					TID: t.ID, Writes: sh.Items, Dep: c.dep.Clone(),
 				}})
 				c.pending++
 			}
@@ -446,16 +406,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case gsvWait:
 			c.snap.Merge(c.dep)
 			c.phase = reading
-			readsBy := make(map[sim.ProcessID][]string)
-			for _, obj := range t.ReadSet {
-				p := c.Placement().PrimaryOf(obj)
-				readsBy[p] = append(readsBy[p], obj)
-			}
-			for _, srv := range c.Placement().Servers() {
-				if objs, involved := readsBy[srv]; involved {
-					out = append(out, sim.Outbound{To: srv, Payload: &readReq{TID: t.ID, Objs: objs, Snap: c.snap.Clone()}})
-					c.pending++
-				}
+			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap.Clone()}})
+				c.pending++
 			}
 			c.SentRound()
 		case reading:

@@ -13,7 +13,6 @@ package eiger
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/model"
 	"repro/internal/protocol"
@@ -90,7 +89,6 @@ type readReq struct {
 }
 
 func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Clone() sim.Payload         { c := *p; c.Objs = append([]string(nil), p.Objs...); return &c }
 func (p *readReq) Txn() model.TxnID           { return p.TID }
 func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -115,12 +113,7 @@ type readResp struct {
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) Clone() sim.Payload {
-	c := *p
-	c.Vals = append([]readVal(nil), p.Vals...)
-	return &c
-}
+func (p *readResp) Kind() string               { return "read-resp" }
 func (p *readResp) Txn() model.TxnID           { return p.TID }
 func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
 func (p *readResp) CarriedValues() []model.ValueRef {
@@ -139,12 +132,7 @@ type prepareReq struct {
 	DepTS  int64
 }
 
-func (p *prepareReq) Kind() string { return "prepare" }
-func (p *prepareReq) Clone() sim.Payload {
-	c := *p
-	c.Writes = append([]model.Write(nil), p.Writes...)
-	return &c
-}
+func (p *prepareReq) Kind() string               { return "prepare" }
 func (p *prepareReq) Txn() model.TxnID           { return p.TID }
 func (p *prepareReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 
@@ -154,7 +142,6 @@ type prepareAck struct {
 }
 
 func (p *prepareAck) Kind() string               { return "prepare-ack" }
-func (p *prepareAck) Clone() sim.Payload         { c := *p; return &c }
 func (p *prepareAck) Txn() model.TxnID           { return p.TID }
 func (p *prepareAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
@@ -164,7 +151,6 @@ type commitReq struct {
 }
 
 func (p *commitReq) Kind() string               { return "commit" }
-func (p *commitReq) Clone() sim.Payload         { c := *p; return &c }
 func (p *commitReq) Txn() model.TxnID           { return p.TID }
 func (p *commitReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 
@@ -174,7 +160,6 @@ type commitAck struct {
 }
 
 func (p *commitAck) Kind() string               { return "commit-ack" }
-func (p *commitAck) Clone() sim.Payload         { c := *p; return &c }
 func (p *commitAck) Txn() model.TxnID           { return p.TID }
 func (p *commitAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
@@ -309,18 +294,8 @@ func (c *client) Ready() bool { return c.Busy() && !c.Started() }
 func (c *client) sendReads(at int64) []sim.Outbound {
 	var out []sim.Outbound
 	t := c.Current()
-	readsBy := make(map[sim.ProcessID][]string)
-	for _, obj := range t.ReadSet {
-		p := c.Placement().PrimaryOf(obj)
-		readsBy[p] = append(readsBy[p], obj)
-	}
-	srvs := make([]sim.ProcessID, 0, len(readsBy))
-	for srv := range readsBy {
-		srvs = append(srvs, srv)
-	}
-	sort.Slice(srvs, func(i, j int) bool { return srvs[i] < srvs[j] })
-	for _, srv := range srvs {
-		out = append(out, sim.Outbound{To: srv, Payload: &readReq{TID: t.ID, Objs: readsBy[srv], At: at}})
+	for _, sh := range c.Placement().ReadShares(t.ReadSet) {
+		out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items, At: at}})
 		c.pending++
 	}
 	c.SentRound()
@@ -403,21 +378,11 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		} else {
 			c.phase = preparing
 			c.commitTS = 0
-			writesBy := make(map[sim.ProcessID][]model.Write)
-			for _, w := range t.Writes {
-				for _, srv := range c.Placement().ReplicasOf(w.Object) {
-					writesBy[srv] = append(writesBy[srv], w)
-				}
-			}
-			srvs := make([]sim.ProcessID, 0, len(writesBy))
-			for srv := range writesBy {
-				srvs = append(srvs, srv)
-			}
-			sort.Slice(srvs, func(i, j int) bool { return srvs[i] < srvs[j] })
-			c.writeTo = srvs
-			for _, srv := range srvs {
-				out = append(out, sim.Outbound{To: srv, Payload: &prepareReq{
-					TID: t.ID, Writes: writesBy[srv], DepTS: c.depTS,
+			c.writeTo = nil
+			for _, sh := range c.Placement().WriteShares(t.Writes) {
+				c.writeTo = append(c.writeTo, sh.Server)
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &prepareReq{
+					TID: t.ID, Writes: sh.Items, DepTS: c.depTS,
 				}})
 				c.pending++
 			}

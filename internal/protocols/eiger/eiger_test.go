@@ -52,7 +52,7 @@ func TestRetryResolvesPendingCommit(t *testing.T) {
 	frozen := &sim.RoundRobin{Only: sim.Restrict("r0", "s0", "s1")}
 	sim.Run(d.Kernel, frozen, func(*sim.Kernel) bool { return !d.Client("r0").Busy() }, 300)
 	if !d.Client("r0").Busy() {
-		res := d.Client("r0").Results()[rotID]
+		res := d.Client("r0").Finished(rotID)
 		v0, v1 := res.Value("X0"), res.Value("X1")
 		if (v0 == "n0") != (v1 == "n1") {
 			t.Fatalf("mixed read escaped the retry protocol: %v", res.Values)
@@ -65,7 +65,7 @@ func TestRetryResolvesPendingCommit(t *testing.T) {
 		d.Kernel.Deliver(m.ID)
 	}
 	sim.Run(d.Kernel, &sim.RoundRobin{}, func(*sim.Kernel) bool { return !d.Client("r0").Busy() }, 400_000)
-	res := d.Client("r0").Results()[rotID]
+	res := d.Client("r0").Finished(rotID)
 	if res == nil || !res.OK() {
 		t.Fatalf("ROT failed: %v", res)
 	}
@@ -156,7 +156,7 @@ func TestReadAtTimeClosesStraddlingRead(t *testing.T) {
 
 	// Let the ROT finish: the read-at-time second round must repair X0.
 	sim.Run(d.Kernel, &sim.RoundRobin{}, func(*sim.Kernel) bool { return !d.Client("r0").Busy() }, 400_000)
-	res := d.Client("r0").Results()[rotID]
+	res := d.Client("r0").Finished(rotID)
 	if res == nil || !res.OK() {
 		t.Fatalf("ROT did not complete: %v", res)
 	}

@@ -68,7 +68,6 @@ type readReq struct {
 }
 
 func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Clone() sim.Payload         { c := *p; c.Objs = append([]string(nil), p.Objs...); return &c }
 func (p *readReq) Txn() model.TxnID           { return p.TID }
 func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -77,12 +76,7 @@ type readResp struct {
 	Vals []model.ValueRef
 }
 
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) Clone() sim.Payload {
-	c := *p
-	c.Vals = append([]model.ValueRef(nil), p.Vals...)
-	return &c
-}
+func (p *readResp) Kind() string                    { return "read-resp" }
 func (p *readResp) Txn() model.TxnID                { return p.TID }
 func (p *readResp) PayloadRole() protocol.Role      { return protocol.RoleReadResp }
 func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
@@ -92,12 +86,7 @@ type writeReq struct {
 	Writes []model.Write
 }
 
-func (p *writeReq) Kind() string { return "write-req" }
-func (p *writeReq) Clone() sim.Payload {
-	c := *p
-	c.Writes = append([]model.Write(nil), p.Writes...)
-	return &c
-}
+func (p *writeReq) Kind() string               { return "write-req" }
 func (p *writeReq) Txn() model.TxnID           { return p.TID }
 func (p *writeReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 
@@ -106,7 +95,6 @@ type writeResp struct {
 }
 
 func (p *writeResp) Kind() string               { return "write-ack" }
-func (p *writeResp) Clone() sim.Payload         { c := *p; return &c }
 func (p *writeResp) Txn() model.TxnID           { return p.TID }
 func (p *writeResp) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
@@ -117,7 +105,6 @@ type syncToken struct {
 }
 
 func (p *syncToken) Kind() string               { return "sync" }
-func (p *syncToken) Clone() sim.Payload         { c := *p; return &c }
 func (p *syncToken) Txn() model.TxnID           { return model.TxnID{} }
 func (p *syncToken) PayloadRole() protocol.Role { return protocol.RoleInternal }
 
@@ -223,29 +210,14 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			return out
 		}
 		if t.IsReadOnly() {
-			readsBy := make(map[sim.ProcessID][]string)
-			for _, obj := range t.ReadSet {
-				p := pl.PrimaryOf(obj)
-				readsBy[p] = append(readsBy[p], obj)
-			}
-			for _, srv := range pl.Servers() {
-				if objs, involved := readsBy[srv]; involved {
-					out = append(out, sim.Outbound{To: srv, Payload: &readReq{TID: t.ID, Objs: objs}})
-					c.pending++
-				}
+			for _, sh := range pl.ReadShares(t.ReadSet) {
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items}})
+				c.pending++
 			}
 		} else {
-			writesBy := make(map[sim.ProcessID][]model.Write)
-			for _, w := range t.Writes {
-				for _, srv := range pl.ReplicasOf(w.Object) {
-					writesBy[srv] = append(writesBy[srv], w)
-				}
-			}
-			for _, srv := range pl.Servers() {
-				if ws, involved := writesBy[srv]; involved {
-					out = append(out, sim.Outbound{To: srv, Payload: &writeReq{TID: t.ID, Writes: ws}})
-					c.pending++
-				}
+			for _, sh := range pl.WriteShares(t.Writes) {
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &writeReq{TID: t.ID, Writes: sh.Items}})
+				c.pending++
 			}
 		}
 		c.SentRound()

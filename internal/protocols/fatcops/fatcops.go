@@ -146,7 +146,6 @@ type readReq struct {
 }
 
 func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Clone() sim.Payload         { c := *p; c.Objs = append([]string(nil), p.Objs...); return &c }
 func (p *readReq) Txn() model.TxnID           { return p.TID }
 func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -190,19 +189,7 @@ type readResp struct {
 	Vals []directVal
 }
 
-func (p *readResp) Kind() string { return "fat-read-resp" }
-func (p *readResp) Clone() sim.Payload {
-	c := *p
-	c.Vals = make([]directVal, len(p.Vals))
-	for i, v := range p.Vals {
-		v.Vec = v.Vec.clone()
-		v.WSet = append([]string(nil), v.WSet...)
-		v.Sibs = cloneEntries(v.Sibs)
-		v.Deps = cloneEntries(v.Deps)
-		c.Vals[i] = v
-	}
-	return &c
-}
+func (p *readResp) Kind() string               { return "fat-read-resp" }
 func (p *readResp) Txn() model.TxnID           { return p.TID }
 func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
 func (p *readResp) CarriedValues() []model.ValueRef {
@@ -233,15 +220,7 @@ type writeReq struct {
 	DepVals  []fatEntry
 }
 
-func (p *writeReq) Kind() string { return "fat-write-req" }
-func (p *writeReq) Clone() sim.Payload {
-	c := *p
-	c.Vec = p.Vec.clone()
-	c.Writes = append([]model.Write(nil), p.Writes...)
-	c.Siblings = cloneEntries(p.Siblings)
-	c.DepVals = cloneEntries(p.DepVals)
-	return &c
-}
+func (p *writeReq) Kind() string               { return "fat-write-req" }
 func (p *writeReq) Txn() model.TxnID           { return p.TID }
 func (p *writeReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 
@@ -250,7 +229,6 @@ type writeResp struct {
 }
 
 func (p *writeResp) Kind() string               { return "fat-write-ack" }
-func (p *writeResp) Clone() sim.Payload         { c := *p; return &c }
 func (p *writeResp) Txn() model.TxnID           { return p.TID }
 func (p *writeResp) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
@@ -523,16 +501,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			return out
 		}
 		if t.IsReadOnly() {
-			readsBy := make(map[sim.ProcessID][]string)
-			for _, obj := range t.ReadSet {
-				p := pl.PrimaryOf(obj)
-				readsBy[p] = append(readsBy[p], obj)
-			}
-			for _, srv := range pl.Servers() {
-				if objs, okR := readsBy[srv]; okR {
-					out = append(out, sim.Outbound{To: srv, Payload: &readReq{TID: t.ID, Objs: objs}})
-					c.pending++
-				}
+			for _, sh := range pl.ReadShares(t.ReadSet) {
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items}})
+				c.pending++
 			}
 		} else {
 			c.clock++
@@ -555,19 +526,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				siblings = append(siblings, fatEntry{Object: w.Object, Val: w.Value, Writer: t.ID,
 					TS: ts, Vec: wv, WSet: wset})
 			}
-			writesBy := make(map[sim.ProcessID][]model.Write)
-			for _, w := range t.Writes {
-				for _, srv := range pl.ReplicasOf(w.Object) {
-					writesBy[srv] = append(writesBy[srv], w)
-				}
-			}
-			for _, srv := range pl.Servers() {
-				ws, involved := writesBy[srv]
-				if !involved {
-					continue
-				}
-				out = append(out, sim.Outbound{To: srv, Payload: &writeReq{
-					TID: t.ID, TS: ts, Vec: wv, Writes: ws, Siblings: siblings, DepVals: deps,
+			for _, sh := range pl.WriteShares(t.Writes) {
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &writeReq{
+					TID: t.ID, TS: ts, Vec: wv, Writes: sh.Items, Siblings: siblings, DepVals: deps,
 				}})
 				c.pending++
 			}

@@ -56,7 +56,6 @@ func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Cl
 type gstReq struct{ TID model.TxnID }
 
 func (p *gstReq) Kind() string               { return "gst-req" }
-func (p *gstReq) Clone() sim.Payload         { c := *p; return &c }
 func (p *gstReq) Txn() model.TxnID           { return p.TID }
 func (p *gstReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -66,7 +65,6 @@ type gstResp struct {
 }
 
 func (p *gstResp) Kind() string               { return "gst-resp" }
-func (p *gstResp) Clone() sim.Payload         { c := *p; return &c }
 func (p *gstResp) Txn() model.TxnID           { return p.TID }
 func (p *gstResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
 
@@ -77,7 +75,6 @@ type readReq struct {
 }
 
 func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Clone() sim.Payload         { c := *p; c.Objs = append([]string(nil), p.Objs...); return &c }
 func (p *readReq) Txn() model.TxnID           { return p.TID }
 func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -91,12 +88,7 @@ type readResp struct {
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) Clone() sim.Payload {
-	c := *p
-	c.Vals = append([]readVal(nil), p.Vals...)
-	return &c
-}
+func (p *readResp) Kind() string               { return "read-resp" }
 func (p *readResp) Txn() model.TxnID           { return p.TID }
 func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
 func (p *readResp) CarriedValues() []model.ValueRef {
@@ -116,7 +108,6 @@ type writeReq struct {
 }
 
 func (p *writeReq) Kind() string               { return "write-req" }
-func (p *writeReq) Clone() sim.Payload         { c := *p; return &c }
 func (p *writeReq) Txn() model.TxnID           { return p.TID }
 func (p *writeReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 
@@ -126,7 +117,6 @@ type writeResp struct {
 }
 
 func (p *writeResp) Kind() string               { return "write-ack" }
-func (p *writeResp) Clone() sim.Payload         { c := *p; return &c }
 func (p *writeResp) Txn() model.TxnID           { return p.TID }
 func (p *writeResp) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
@@ -136,7 +126,6 @@ type gossip struct {
 }
 
 func (p *gossip) Kind() string               { return "clock-gossip" }
-func (p *gossip) Clone() sim.Payload         { c := *p; return &c }
 func (p *gossip) Txn() model.TxnID           { return model.TxnID{} }
 func (p *gossip) PayloadRole() protocol.Role { return protocol.RoleInternal }
 
@@ -397,16 +386,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				c.snap = c.depTS
 			}
 			c.phase = reading
-			readsBy := make(map[sim.ProcessID][]string)
-			for _, obj := range t.ReadSet {
-				p := c.Placement().PrimaryOf(obj)
-				readsBy[p] = append(readsBy[p], obj)
-			}
-			for _, srv := range c.Placement().Servers() {
-				if objs, involved := readsBy[srv]; involved {
-					out = append(out, sim.Outbound{To: srv, Payload: &readReq{TID: t.ID, Objs: objs, Snap: c.snap}})
-					c.pending++
-				}
+			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap}})
+				c.pending++
 			}
 			c.SentRound()
 		case reading:

@@ -61,7 +61,6 @@ type readReq struct {
 }
 
 func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Clone() sim.Payload         { c := *p; c.Objs = append([]string(nil), p.Objs...); return &c }
 func (p *readReq) Txn() model.TxnID           { return p.TID }
 func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -70,12 +69,7 @@ type readResp struct {
 	Vals []model.ValueRef
 }
 
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) Clone() sim.Payload {
-	c := *p
-	c.Vals = append([]model.ValueRef(nil), p.Vals...)
-	return &c
-}
+func (p *readResp) Kind() string                    { return "read-resp" }
 func (p *readResp) Txn() model.TxnID                { return p.TID }
 func (p *readResp) PayloadRole() protocol.Role      { return protocol.RoleReadResp }
 func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
@@ -85,12 +79,7 @@ type writeReq struct {
 	Writes []model.Write
 }
 
-func (p *writeReq) Kind() string { return "write-req" }
-func (p *writeReq) Clone() sim.Payload {
-	c := *p
-	c.Writes = append([]model.Write(nil), p.Writes...)
-	return &c
-}
+func (p *writeReq) Kind() string               { return "write-req" }
 func (p *writeReq) Txn() model.TxnID           { return p.TID }
 func (p *writeReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 func (p *writeReq) CarriedValues() []model.ValueRef {
@@ -106,7 +95,6 @@ type writeResp struct {
 }
 
 func (p *writeResp) Kind() string               { return "write-resp" }
-func (p *writeResp) Clone() sim.Payload         { c := *p; return &c }
 func (p *writeResp) Txn() model.TxnID           { return p.TID }
 func (p *writeResp) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
@@ -187,26 +175,18 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		pl := c.Placement()
 		// Reads go to the primary replica of each object; writes go to
 		// every replica of the written object.
-		readsBy := make(map[sim.ProcessID][]string)
-		for _, obj := range t.ReadSet {
-			p := pl.PrimaryOf(obj)
-			readsBy[p] = append(readsBy[p], obj)
-		}
-		writesBy := make(map[sim.ProcessID][]model.Write)
-		for _, w := range t.Writes {
-			for _, srv := range pl.ReplicasOf(w.Object) {
-				writesBy[srv] = append(writesBy[srv], w)
+		// A read-write transaction sends server by server, a server's
+		// reads before its writes.
+		reads, writes := pl.ReadShares(t.ReadSet), pl.WriteShares(t.Writes)
+		for len(reads)+len(writes) > 0 {
+			if len(writes) == 0 || len(reads) > 0 && reads[0].Server <= writes[0].Server {
+				out = append(out, sim.Outbound{To: reads[0].Server, Payload: &readReq{TID: t.ID, Objs: reads[0].Items}})
+				reads = reads[1:]
+			} else {
+				out = append(out, sim.Outbound{To: writes[0].Server, Payload: &writeReq{TID: t.ID, Writes: writes[0].Items}})
+				writes = writes[1:]
 			}
-		}
-		for _, srv := range pl.Servers() {
-			if objs, okR := readsBy[srv]; okR {
-				out = append(out, sim.Outbound{To: srv, Payload: &readReq{TID: t.ID, Objs: objs}})
-				c.pending++
-			}
-			if ws, okW := writesBy[srv]; okW {
-				out = append(out, sim.Outbound{To: srv, Payload: &writeReq{TID: t.ID, Writes: ws}})
-				c.pending++
-			}
+			c.pending++
 		}
 		c.SentRound()
 	}

@@ -60,7 +60,6 @@ func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Cl
 type gsvReq struct{ TID model.TxnID }
 
 func (p *gsvReq) Kind() string               { return "gsv-req" }
-func (p *gsvReq) Clone() sim.Payload         { c := *p; return &c }
 func (p *gsvReq) Txn() model.TxnID           { return p.TID }
 func (p *gsvReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -70,7 +69,6 @@ type gsvResp struct {
 }
 
 func (p *gsvResp) Kind() string               { return "gsv-resp" }
-func (p *gsvResp) Clone() sim.Payload         { c := *p; c.GSV = p.GSV.Clone(); return &c }
 func (p *gsvResp) Txn() model.TxnID           { return p.TID }
 func (p *gsvResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
 
@@ -80,13 +78,7 @@ type readReq struct {
 	Snap vclock.Vector
 }
 
-func (p *readReq) Kind() string { return "read-req" }
-func (p *readReq) Clone() sim.Payload {
-	c := *p
-	c.Objs = append([]string(nil), p.Objs...)
-	c.Snap = p.Snap.Clone()
-	return &c
-}
+func (p *readReq) Kind() string               { return "read-req" }
 func (p *readReq) Txn() model.TxnID           { return p.TID }
 func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -100,18 +92,7 @@ type readResp struct {
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) Clone() sim.Payload {
-	c := *p
-	c.Vals = make([]readVal, len(p.Vals))
-	for i, v := range p.Vals {
-		if v.Vec != nil {
-			v.Vec = v.Vec.Clone()
-		}
-		c.Vals[i] = v
-	}
-	return &c
-}
+func (p *readResp) Kind() string               { return "read-resp" }
 func (p *readResp) Txn() model.TxnID           { return p.TID }
 func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
 func (p *readResp) CarriedValues() []model.ValueRef {
@@ -131,7 +112,6 @@ type writeReq struct {
 }
 
 func (p *writeReq) Kind() string               { return "write-req" }
-func (p *writeReq) Clone() sim.Payload         { c := *p; c.Dep = p.Dep.Clone(); return &c }
 func (p *writeReq) Txn() model.TxnID           { return p.TID }
 func (p *writeReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 
@@ -141,7 +121,6 @@ type writeResp struct {
 }
 
 func (p *writeResp) Kind() string               { return "write-ack" }
-func (p *writeResp) Clone() sim.Payload         { c := *p; c.Vec = p.Vec.Clone(); return &c }
 func (p *writeResp) Txn() model.TxnID           { return p.TID }
 func (p *writeResp) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
@@ -152,7 +131,6 @@ type gossip struct {
 }
 
 func (p *gossip) Kind() string               { return "cnt-gossip" }
-func (p *gossip) Clone() sim.Payload         { c := *p; return &c }
 func (p *gossip) Txn() model.TxnID           { return model.TxnID{} }
 func (p *gossip) PayloadRole() protocol.Role { return protocol.RoleInternal }
 
@@ -361,16 +339,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case gsvWait:
 			c.snap.Merge(c.dep) // snapshot covers the causal past
 			c.phase = reading
-			readsBy := make(map[sim.ProcessID][]string)
-			for _, obj := range t.ReadSet {
-				p := c.Placement().PrimaryOf(obj)
-				readsBy[p] = append(readsBy[p], obj)
-			}
-			for _, srv := range c.Placement().Servers() {
-				if objs, involved := readsBy[srv]; involved {
-					out = append(out, sim.Outbound{To: srv, Payload: &readReq{TID: t.ID, Objs: objs, Snap: c.snap.Clone()}})
-					c.pending++
-				}
+			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap.Clone()}})
+				c.pending++
 			}
 			c.SentRound()
 		case reading:

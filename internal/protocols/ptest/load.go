@@ -33,6 +33,7 @@ const loadRate = 1000
 // must certify clean.
 func RunLoad(t *testing.T, p protocol.Protocol, e Expect) {
 	t.Helper()
+	t.Run("PayloadsImmutable", func(t *testing.T) { payloadsImmutable(t, p, e) })
 	seeds := e.LoadSeeds
 	if len(seeds) == 0 {
 		seeds = []int64{2}

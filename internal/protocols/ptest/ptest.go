@@ -281,7 +281,7 @@ func randomCausal(t *testing.T, p protocol.Protocol, e Expect) {
 				return true
 			}, 400_000)
 			for c := range invs {
-				res := d.Client(c).Results()[ids[c]]
+				res := d.Client(c).Finished(ids[c])
 				if res == nil {
 					t.Fatalf("seed %d: txn at %s did not complete", seed, c)
 				}

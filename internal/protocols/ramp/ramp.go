@@ -71,7 +71,6 @@ type readReq struct {
 }
 
 func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Clone() sim.Payload         { c := *p; c.Objs = append([]string(nil), p.Objs...); return &c }
 func (p *readReq) Txn() model.TxnID           { return p.TID }
 func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -88,16 +87,7 @@ type readResp struct {
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) Clone() sim.Payload {
-	c := *p
-	c.Vals = make([]readVal, len(p.Vals))
-	for i, v := range p.Vals {
-		v.WriteSet = append([]string(nil), v.WriteSet...)
-		c.Vals[i] = v
-	}
-	return &c
-}
+func (p *readResp) Kind() string               { return "read-resp" }
 func (p *readResp) Txn() model.TxnID           { return p.TID }
 func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
 func (p *readResp) CarriedValues() []model.ValueRef {
@@ -118,7 +108,6 @@ type byWriterReq struct {
 }
 
 func (p *byWriterReq) Kind() string               { return "by-writer-req" }
-func (p *byWriterReq) Clone() sim.Payload         { c := *p; return &c }
 func (p *byWriterReq) Txn() model.TxnID           { return p.TID }
 func (p *byWriterReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -129,34 +118,25 @@ type prepareReq struct {
 	WriteSet []string
 }
 
-func (p *prepareReq) Kind() string { return "prepare" }
-func (p *prepareReq) Clone() sim.Payload {
-	c := *p
-	c.Writes = append([]model.Write(nil), p.Writes...)
-	c.WriteSet = append([]string(nil), p.WriteSet...)
-	return &c
-}
+func (p *prepareReq) Kind() string               { return "prepare" }
 func (p *prepareReq) Txn() model.TxnID           { return p.TID }
 func (p *prepareReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 
 type prepareAck struct{ TID model.TxnID }
 
 func (p *prepareAck) Kind() string               { return "prepare-ack" }
-func (p *prepareAck) Clone() sim.Payload         { c := *p; return &c }
 func (p *prepareAck) Txn() model.TxnID           { return p.TID }
 func (p *prepareAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
 type commitReq struct{ TID model.TxnID }
 
 func (p *commitReq) Kind() string               { return "commit" }
-func (p *commitReq) Clone() sim.Payload         { c := *p; return &c }
 func (p *commitReq) Txn() model.TxnID           { return p.TID }
 func (p *commitReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 
 type commitAck struct{ TID model.TxnID }
 
 func (p *commitAck) Kind() string               { return "commit-ack" }
-func (p *commitAck) Clone() sim.Payload         { c := *p; return &c }
 func (p *commitAck) Txn() model.TxnID           { return p.TID }
 func (p *commitAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
@@ -334,36 +314,19 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		if t.IsReadOnly() {
 			c.phase = round1
 			c.got = make(map[string]readVal)
-			readsBy := make(map[sim.ProcessID][]string)
-			for _, obj := range t.ReadSet {
-				p := c.Placement().PrimaryOf(obj)
-				readsBy[p] = append(readsBy[p], obj)
-			}
-			for _, srv := range c.Placement().Servers() {
-				if objs, involved := readsBy[srv]; involved {
-					out = append(out, sim.Outbound{To: srv, Payload: &readReq{TID: t.ID, Objs: objs}})
-					c.pending++
-				}
+			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items}})
+				c.pending++
 			}
 		} else {
 			c.phase = preparing
 			c.clock++
 			ws := t.WriteSet()
-			writesBy := make(map[sim.ProcessID][]model.Write)
-			for _, w := range t.Writes {
-				for _, srv := range c.Placement().ReplicasOf(w.Object) {
-					writesBy[srv] = append(writesBy[srv], w)
-				}
-			}
-			srvs := make([]sim.ProcessID, 0, len(writesBy))
-			for srv := range writesBy {
-				srvs = append(srvs, srv)
-			}
-			sort.Slice(srvs, func(i, j int) bool { return srvs[i] < srvs[j] })
-			c.writeTo = srvs
-			for _, srv := range srvs {
-				out = append(out, sim.Outbound{To: srv, Payload: &prepareReq{
-					TID: t.ID, TS: c.clock, Writes: writesBy[srv], WriteSet: ws,
+			c.writeTo = nil
+			for _, sh := range c.Placement().WriteShares(t.Writes) {
+				c.writeTo = append(c.writeTo, sh.Server)
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &prepareReq{
+					TID: t.ID, TS: c.clock, Writes: sh.Items, WriteSet: ws,
 				}})
 				c.pending++
 			}

@@ -80,7 +80,7 @@ func TestReadAtomicityUnderRandomSchedules(t *testing.T) {
 				return true
 			}, 400_000)
 			for c := range invs {
-				if res := d.Client(c).Results()[ids[c]]; res.OK() {
+				if res := d.Client(c).Finished(ids[c]); res.OK() {
 					h.AddResult(res)
 				}
 			}

@@ -14,7 +14,6 @@ package spanner
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/model"
 	"repro/internal/protocol"
@@ -83,7 +82,6 @@ type readReq struct {
 }
 
 func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Clone() sim.Payload         { c := *p; c.Objs = append([]string(nil), p.Objs...); return &c }
 func (p *readReq) Txn() model.TxnID           { return p.TID }
 func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -92,12 +90,7 @@ type readResp struct {
 	Vals []model.ValueRef
 }
 
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) Clone() sim.Payload {
-	c := *p
-	c.Vals = append([]model.ValueRef(nil), p.Vals...)
-	return &c
-}
+func (p *readResp) Kind() string                    { return "read-resp" }
 func (p *readResp) Txn() model.TxnID                { return p.TID }
 func (p *readResp) PayloadRole() protocol.Role      { return protocol.RoleReadResp }
 func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
@@ -107,12 +100,7 @@ type prepareReq struct {
 	Writes []model.Write
 }
 
-func (p *prepareReq) Kind() string { return "prepare" }
-func (p *prepareReq) Clone() sim.Payload {
-	c := *p
-	c.Writes = append([]model.Write(nil), p.Writes...)
-	return &c
-}
+func (p *prepareReq) Kind() string               { return "prepare" }
 func (p *prepareReq) Txn() model.TxnID           { return p.TID }
 func (p *prepareReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 
@@ -122,7 +110,6 @@ type prepareAck struct {
 }
 
 func (p *prepareAck) Kind() string               { return "prepare-ack" }
-func (p *prepareAck) Clone() sim.Payload         { c := *p; return &c }
 func (p *prepareAck) Txn() model.TxnID           { return p.TID }
 func (p *prepareAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
@@ -132,7 +119,6 @@ type commitReq struct {
 }
 
 func (p *commitReq) Kind() string               { return "commit" }
-func (p *commitReq) Clone() sim.Payload         { c := *p; return &c }
 func (p *commitReq) Txn() model.TxnID           { return p.TID }
 func (p *commitReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 
@@ -141,7 +127,6 @@ type commitAck struct {
 }
 
 func (p *commitAck) Kind() string               { return "commit-ack" }
-func (p *commitAck) Clone() sim.Payload         { c := *p; return &c }
 func (p *commitAck) Txn() model.TxnID           { return p.TID }
 func (p *commitAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
@@ -373,35 +358,18 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		if t.IsReadOnly() {
 			c.phase = reading
 			ts := int64(now) + c.skew + Epsilon // TT.now().latest
-			readsBy := make(map[sim.ProcessID][]string)
-			for _, obj := range t.ReadSet {
-				p := pl.PrimaryOf(obj)
-				readsBy[p] = append(readsBy[p], obj)
-			}
-			for _, srv := range pl.Servers() {
-				if objs, involved := readsBy[srv]; involved {
-					out = append(out, sim.Outbound{To: srv, Payload: &readReq{TID: t.ID, Objs: objs, TS: ts}})
-					c.pending++
-				}
+			for _, sh := range pl.ReadShares(t.ReadSet) {
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items, TS: ts}})
+				c.pending++
 			}
 			c.SentRound()
 		} else {
 			c.phase = preparing
 			c.commitTS = 0
-			writesBy := make(map[sim.ProcessID][]model.Write)
-			for _, w := range t.Writes {
-				for _, srv := range pl.ReplicasOf(w.Object) {
-					writesBy[srv] = append(writesBy[srv], w)
-				}
-			}
-			srvs := make([]sim.ProcessID, 0, len(writesBy))
-			for srv := range writesBy {
-				srvs = append(srvs, srv)
-			}
-			sort.Slice(srvs, func(i, j int) bool { return srvs[i] < srvs[j] })
-			c.writeTo = srvs
-			for _, srv := range srvs {
-				out = append(out, sim.Outbound{To: srv, Payload: &prepareReq{TID: t.ID, Writes: writesBy[srv]}})
+			c.writeTo = nil
+			for _, sh := range pl.WriteShares(t.Writes) {
+				c.writeTo = append(c.writeTo, sh.Server)
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &prepareReq{TID: t.ID, Writes: sh.Items}})
 				c.pending++
 			}
 			c.SentRound()

@@ -41,7 +41,7 @@ func TestStrictSerializability(t *testing.T) {
 				return true
 			}, 400_000)
 			for c := range invs {
-				res := d.Client(c).Results()[ids[c]]
+				res := d.Client(c).Finished(ids[c])
 				if res == nil {
 					t.Fatalf("seed %d: txn at %s incomplete", seed, c)
 				}

@@ -17,7 +17,6 @@ package wren
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/model"
 	"repro/internal/protocol"
@@ -68,7 +67,6 @@ type stableReq struct {
 }
 
 func (p *stableReq) Kind() string               { return "stable-req" }
-func (p *stableReq) Clone() sim.Payload         { c := *p; return &c }
 func (p *stableReq) Txn() model.TxnID           { return p.TID }
 func (p *stableReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -78,7 +76,6 @@ type stableResp struct {
 }
 
 func (p *stableResp) Kind() string               { return "stable-resp" }
-func (p *stableResp) Clone() sim.Payload         { c := *p; return &c }
 func (p *stableResp) Txn() model.TxnID           { return p.TID }
 func (p *stableResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
 
@@ -89,7 +86,6 @@ type readReq struct {
 }
 
 func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Clone() sim.Payload         { c := *p; c.Objs = append([]string(nil), p.Objs...); return &c }
 func (p *readReq) Txn() model.TxnID           { return p.TID }
 func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
 
@@ -103,12 +99,7 @@ type readResp struct {
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) Clone() sim.Payload {
-	c := *p
-	c.Vals = append([]readVal(nil), p.Vals...)
-	return &c
-}
+func (p *readResp) Kind() string               { return "read-resp" }
 func (p *readResp) Txn() model.TxnID           { return p.TID }
 func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
 func (p *readResp) CarriedValues() []model.ValueRef {
@@ -127,12 +118,7 @@ type prepareReq struct {
 	DepTS  vclock.HLCStamp
 }
 
-func (p *prepareReq) Kind() string { return "prepare" }
-func (p *prepareReq) Clone() sim.Payload {
-	c := *p
-	c.Writes = append([]model.Write(nil), p.Writes...)
-	return &c
-}
+func (p *prepareReq) Kind() string               { return "prepare" }
 func (p *prepareReq) Txn() model.TxnID           { return p.TID }
 func (p *prepareReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 
@@ -142,7 +128,6 @@ type prepareAck struct {
 }
 
 func (p *prepareAck) Kind() string               { return "prepare-ack" }
-func (p *prepareAck) Clone() sim.Payload         { c := *p; return &c }
 func (p *prepareAck) Txn() model.TxnID           { return p.TID }
 func (p *prepareAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
@@ -152,7 +137,6 @@ type commitReq struct {
 }
 
 func (p *commitReq) Kind() string               { return "commit" }
-func (p *commitReq) Clone() sim.Payload         { c := *p; return &c }
 func (p *commitReq) Txn() model.TxnID           { return p.TID }
 func (p *commitReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
 
@@ -162,7 +146,6 @@ type commitAck struct {
 }
 
 func (p *commitAck) Kind() string               { return "commit-ack" }
-func (p *commitAck) Clone() sim.Payload         { c := *p; return &c }
 func (p *commitAck) Txn() model.TxnID           { return p.TID }
 func (p *commitAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
 
@@ -172,7 +155,6 @@ type gossip struct {
 }
 
 func (p *gossip) Kind() string               { return "stable-gossip" }
-func (p *gossip) Clone() sim.Payload         { c := *p; return &c }
 func (p *gossip) Txn() model.TxnID           { return model.TxnID{} }
 func (p *gossip) PayloadRole() protocol.Role { return protocol.RoleInternal }
 
@@ -354,15 +336,6 @@ func (c *client) Clone() sim.Process {
 
 func (c *client) Ready() bool { return c.Busy() && !c.Started() }
 
-func (c *client) serversForReads() map[sim.ProcessID][]string {
-	by := make(map[sim.ProcessID][]string)
-	for _, obj := range c.Current().ReadSet {
-		p := c.Placement().PrimaryOf(obj)
-		by[p] = append(by[p], obj)
-	}
-	return by
-}
-
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	var out []sim.Outbound
 	for _, m := range inbox {
@@ -413,21 +386,11 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		} else {
 			c.phase = preparing
 			c.maxPrep = vclock.HLCStamp{}
-			writesBy := make(map[sim.ProcessID][]model.Write)
-			for _, w := range t.Writes {
-				for _, srv := range c.Placement().ReplicasOf(w.Object) {
-					writesBy[srv] = append(writesBy[srv], w)
-				}
-			}
-			srvs := make([]sim.ProcessID, 0, len(writesBy))
-			for srv := range writesBy {
-				srvs = append(srvs, srv)
-			}
-			sort.Slice(srvs, func(i, j int) bool { return srvs[i] < srvs[j] })
-			c.writeTo = srvs
-			for _, srv := range srvs {
-				out = append(out, sim.Outbound{To: srv, Payload: &prepareReq{
-					TID: t.ID, Writes: writesBy[srv], DepTS: c.depTS,
+			c.writeTo = nil
+			for _, sh := range c.Placement().WriteShares(t.Writes) {
+				c.writeTo = append(c.writeTo, sh.Server)
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &prepareReq{
+					TID: t.ID, Writes: sh.Items, DepTS: c.depTS,
 				}})
 				c.pending++
 			}
@@ -441,13 +404,8 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case cutoffWait:
 			// Round 2: snapshot reads at the cutoff.
 			c.phase = reading
-			targets := c.serversForReads()
-			for _, srv := range c.Placement().Servers() {
-				objs, involved := targets[srv]
-				if !involved {
-					continue
-				}
-				out = append(out, sim.Outbound{To: srv, Payload: &readReq{TID: t.ID, Objs: objs, Snap: c.snap}})
+			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
+				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap}})
 				c.pending++
 			}
 			c.SentRound()

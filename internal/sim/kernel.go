@@ -77,8 +77,8 @@ type Kernel struct {
 	// receiving shard more lookahead than the global floor would.
 	linkFloor map[Link]Time
 	// sent is a registry of every payload ever sent, by message ID, used
-	// by trace analysis (spec measurements). Payloads are immutable after
-	// send by convention, so snapshots share the registry entries.
+	// by trace analysis (spec measurements). Payloads are values (see
+	// Payload), so snapshots share these entries like the buffered ones.
 	sent map[int64]Payload
 	// Nemesis state (nemesis.go): crashed processes, severed directed
 	// links, the stash of held (undeliverable) messages, and the recovery
@@ -434,8 +434,9 @@ func refOf(m *Message) MsgRef {
 func (k *Kernel) PayloadOf(id int64) Payload { return k.sent[id] }
 
 // Snapshot returns a deep copy of the configuration: process states, all
-// buffers, RNG state, link sequence counters and the trace so far. The
-// copy's future evolution is completely independent of the original's.
+// buffers (envelopes; payloads are values and shared), RNG state, link
+// sequence counters and the trace so far. The copy's future evolution is
+// completely independent of the original's.
 func (k *Kernel) Snapshot() *Kernel {
 	c := &Kernel{
 		now:            k.now,

@@ -55,10 +55,10 @@ func TestReplayDeterminismOnRealProtocols(t *testing.T) {
 			t.Logf("seed %d: replay diverged: %v", seed, sched.Err)
 			return false
 		}
-		origW := d.Client("c0").Results()[wid]
-		origR := d.Client("c1").Results()[rid]
-		replW := rd.Client("c0").Results()[wid]
-		replR := rd.Client("c1").Results()[rid]
+		origW := d.Client("c0").Finished(wid)
+		origR := d.Client("c1").Finished(rid)
+		replW := rd.Client("c0").Finished(wid)
+		replR := rd.Client("c1").Finished(rid)
 		if (origW == nil) != (replW == nil) || (origR == nil) != (replR == nil) {
 			return false
 		}

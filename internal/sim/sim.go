@@ -19,23 +19,21 @@
 // splitting of Lemma 3).
 //
 // Beyond the proof machinery, the package carries the load-measurement
-// substrate in two stepping modes:
+// substrate. Load runs have one engine: ShardedRunner partitions the
+// process set into shards and steps them in conservative lookahead rounds
+// on a worker pool, merging sends through a deterministic fixed-shard-
+// order rule. For a fixed seed and partition the schedule never depends
+// on the worker count — Workers=1 runs the identical schedule serially
+// and is the differential oracle for any pool size (the serial-equals-
+// parallel guarantee; see ShardedRunner and DESIGN.md). Each shard
+// replays the policy of the trace-mode Network scheduler (due deliveries
+// → ready steps → clock jump, leaping past parked servers that declare a
+// wake instant via Waker), which core's staleness phase still runs whole.
 //
-//   - Serial: the discrete-event Network scheduler (due deliveries →
-//     ready steps → clock jump, with a time-leap past parked servers
-//     that declare a wake instant via Waker), one event at a time.
-//   - Sharded: ShardedRunner partitions the process set into shards and
-//     steps them in conservative time windows on a worker pool, merging
-//     sends through a deterministic fixed-shard-order rule. For a fixed
-//     seed and partition the schedule never depends on the worker
-//     count — Workers=1 runs the identical schedule serially and is the
-//     differential oracle for any pool size (the serial-equals-parallel
-//     guarantee; see ShardedRunner and DESIGN.md).
-//
-// Both modes share the seeded arrival processes for open-loop injection
-// (arrivals.go), Kernel.AdvanceTo plus horizon gating for bounded runs,
-// and a load mode (SetTraceCap/SetPayloadRetention) that keeps memory
-// flat over millions of events.
+// Around the engine sit the seeded arrival processes for open-loop
+// injection (arrivals.go), Kernel.AdvanceTo plus horizon gating for
+// bounded runs, and a load mode (SetTraceCap/SetPayloadRetention) that
+// keeps memory flat over millions of events.
 package sim
 
 import "fmt"
@@ -49,13 +47,13 @@ type ProcessID string
 // adversary is free to ignore it, which models asynchrony.
 type Time int64
 
-// Payload is the protocol-specific content of a message. Implementations
-// must be deeply clonable so configurations can be snapshotted.
+// Payload is the protocol-specific content of a message. A message is a
+// value: a payload is immutable once sent — sender and receivers only read
+// it, and a process builds a new payload to say something new — so the
+// kernel, its snapshots and the sent registry all share the one instance.
 type Payload interface {
 	// Kind returns a short label used in traces ("read-req", "commit", ...).
 	Kind() string
-	// Clone returns a deep copy of the payload.
-	Clone() Payload
 }
 
 // Message is a message either in transit (in an outcome buffer) or awaiting
@@ -90,9 +88,10 @@ func (m *Message) String() string {
 	return fmt.Sprintf("#%d %s->%s %s (seq %d)", m.ID, m.From, m.To, m.Payload.Kind(), m.LinkSeq)
 }
 
+// clone copies the envelope (delivery state differs between a kernel and
+// its snapshot); the payload is a value and is shared.
 func (m *Message) clone() *Message {
 	c := *m
-	c.Payload = m.Payload.Clone()
 	return &c
 }
 
@@ -109,10 +108,10 @@ type Outbound struct {
 	Payload Payload
 }
 
-// Process is a deterministic state machine. Implementations must not share
-// mutable state between clones and must not consult any nondeterministic
-// source (maps must be iterated in sorted order, no wall clocks, no
-// package-level randomness).
+// Process is a deterministic state machine — Step, Ready and Clone are all
+// a model writes per process. Clones share no mutable state (payloads are
+// values, so those may be shared), and no nondeterministic source is
+// consulted: maps iterate in sorted order, no wall clock, no global RNG.
 type Process interface {
 	// ID returns the process identity.
 	ID() ProcessID

@@ -66,7 +66,7 @@ func runPhase(d *protocol.Deployment, sched sim.Scheduler, h *history.History, i
 		return true
 	}, budget)
 	for i, inv := range invs {
-		res := d.Client(inv.client).Results()[ids[i]]
+		res := d.Client(inv.client).Finished(ids[i])
 		if res.OK() && h != nil {
 			h.AddResult(res)
 		}

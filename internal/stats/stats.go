@@ -1,22 +1,18 @@
 // Package stats provides the summary statistics the latency experiments
-// report: mean, percentiles and simple fixed-width histograms over
-// virtual-time samples.
+// report: mean and percentiles over virtual-time samples.
 package stats
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Summary is a one-pass description of a sample set.
 type Summary struct {
-	N                int
-	Mean             float64
-	Min, Max         int64
-	P50, P90, P99    int64
-	samplesRetained  []int64
-	retainedIsSorted bool
+	N             int
+	Mean          float64
+	Min, Max      int64
+	P50, P90, P99 int64
 }
 
 // Collector accumulates samples.
@@ -53,8 +49,6 @@ func (c *Collector) Summarize() Summary {
 	s.P50 = percentile(sorted, 0.50)
 	s.P90 = percentile(sorted, 0.90)
 	s.P99 = percentile(sorted, 0.99)
-	s.samplesRetained = sorted
-	s.retainedIsSorted = true
 	return s
 }
 
@@ -69,42 +63,4 @@ func percentile(sorted []int64, p float64) int64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%d p90=%d p99=%d min=%d max=%d",
 		s.N, s.Mean, s.P50, s.P90, s.P99, s.Min, s.Max)
-}
-
-// Histogram renders a fixed-width ASCII histogram with the given number of
-// buckets.
-func (s Summary) Histogram(buckets int) string {
-	if s.N == 0 || buckets <= 0 {
-		return "(no samples)"
-	}
-	lo, hi := s.Min, s.Max
-	if hi == lo {
-		hi = lo + 1
-	}
-	counts := make([]int, buckets)
-	width := float64(hi-lo) / float64(buckets)
-	for _, v := range s.samplesRetained {
-		b := int(float64(v-lo) / width)
-		if b >= buckets {
-			b = buckets - 1
-		}
-		counts[b]++
-	}
-	maxCount := 0
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range counts {
-		bLo := lo + int64(float64(i)*width)
-		bHi := lo + int64(float64(i+1)*width)
-		bar := ""
-		if maxCount > 0 {
-			bar = strings.Repeat("#", c*40/maxCount)
-		}
-		fmt.Fprintf(&b, "%8d-%-8d %6d %s\n", bLo, bHi, c, bar)
-	}
-	return b.String()
 }

@@ -1,12 +1,11 @@
 // Package vclock provides the logical-time substrates used by the modeled
 // storage systems: Lamport clocks (GentleRain-style global stable time),
-// vector clocks (Cure-style stable vectors), hybrid logical clocks (Wren)
-// and dependency matrices (Orbe).
+// vector clocks (Cure-style stable vectors, Orbe's dependency vectors) and
+// hybrid logical clocks (Wren).
 package vclock
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -209,62 +208,3 @@ func (h *HLC) Observe(phys int64, remote HLCStamp) HLCStamp {
 
 // Clone returns a copy.
 func (h *HLC) Clone() *HLC { c := *h; return &c }
-
-// DepMatrix is an Orbe-style dependency matrix: entry (i, j) is the highest
-// sequence number of server j's updates that partition i's state depends
-// on. For our single-datacenter model we use a flat N×N matrix keyed by
-// server index.
-type DepMatrix struct {
-	N int
-	M []int64
-}
-
-// NewDepMatrix returns an N×N zero matrix.
-func NewDepMatrix(n int) *DepMatrix { return &DepMatrix{N: n, M: make([]int64, n*n)} }
-
-// Get returns entry (i, j).
-func (d *DepMatrix) Get(i, j int) int64 { return d.M[i*d.N+j] }
-
-// Set records entry (i, j) = v if v is larger than the current entry.
-func (d *DepMatrix) Set(i, j int, v int64) {
-	if v > d.M[i*d.N+j] {
-		d.M[i*d.N+j] = v
-	}
-}
-
-// Row returns a copy of row i as a Vector.
-func (d *DepMatrix) Row(i int) Vector {
-	out := make(Vector, d.N)
-	copy(out, d.M[i*d.N:(i+1)*d.N])
-	return out
-}
-
-// MergeRow merges v into row i entrywise-max.
-func (d *DepMatrix) MergeRow(i int, v Vector) {
-	if len(v) != d.N {
-		panic("vclock: MergeRow of mismatched width")
-	}
-	for j, x := range v {
-		d.Set(i, j, x)
-	}
-}
-
-// Clone returns a deep copy.
-func (d *DepMatrix) Clone() *DepMatrix {
-	c := &DepMatrix{N: d.N, M: make([]int64, len(d.M))}
-	copy(c.M, d.M)
-	return c
-}
-
-func (d *DepMatrix) String() string {
-	var b strings.Builder
-	for i := 0; i < d.N; i++ {
-		b.WriteString(d.Row(i).String())
-	}
-	return b.String()
-}
-
-// SortStamps sorts a slice of HLC stamps ascending (test/debug helper).
-func SortStamps(ss []HLCStamp) {
-	sort.Slice(ss, func(i, j int) bool { return ss[i].Before(ss[j]) })
-}

@@ -203,32 +203,3 @@ func TestHLCWallBoundedByMaxPhysical(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDepMatrix(t *testing.T) {
-	d := NewDepMatrix(3)
-	d.Set(0, 1, 5)
-	d.Set(0, 1, 3) // must not lower
-	if d.Get(0, 1) != 5 {
-		t.Fatalf("get = %d, want 5", d.Get(0, 1))
-	}
-	d.MergeRow(0, Vector{1, 9, 2})
-	row := d.Row(0)
-	if row[0] != 1 || row[1] != 9 || row[2] != 2 {
-		t.Fatalf("row = %v", row)
-	}
-	c := d.Clone()
-	c.Set(2, 2, 11)
-	if d.Get(2, 2) != 0 {
-		t.Fatal("clone mutated original")
-	}
-}
-
-func TestSortStamps(t *testing.T) {
-	ss := []HLCStamp{{3, 0}, {1, 2}, {1, 1}, {2, 5}}
-	SortStamps(ss)
-	for i := 1; i < len(ss); i++ {
-		if ss[i].Before(ss[i-1]) {
-			t.Fatalf("not sorted: %v", ss)
-		}
-	}
-}

@@ -13,9 +13,9 @@
 //     any protocol — it either names the property the protocol sacrifices
 //     or constructs a causal-consistency-violating execution;
 //   - MeasureLatency / LatencySweep: the latency/staleness experiments;
-//   - MeasureThroughput / ThroughputSweep: closed-loop concurrent load
-//     runs (many clients, per-txn latency, committed txns per virtual
-//     second) built on the internal/driver harness;
+//   - MeasureThroughput: closed-loop concurrent load runs (many clients,
+//     per-txn latency, committed txns per virtual second) built on the
+//     internal/driver harness;
 //   - Deploy: build a simulated deployment for custom experiments.
 //
 // See DESIGN.md for the layer architecture and system inventory and
