@@ -161,7 +161,7 @@ type Share[T any] struct {
 // message IDs and latency draws never depend on who wrote the loop — each
 // with its items in request order, repeats kept.
 func (p *Placement) ReadShares(objs []string) []Share[string] {
-	var out []Share[string]
+	out := make([]Share[string], 0, min(len(objs), len(p.servers)))
 	for _, obj := range objs {
 		out = addToShare(out, p.PrimaryOf(obj), obj)
 	}
