@@ -53,30 +53,26 @@ type curveRow struct {
 
 // buildCurve measures one latency–throughput curve per cell and flattens
 // the points into grid rows. Fully deterministic for a fixed sweep
-// (worker count excluded: it only parallelizes the stepping).
+// (worker count excluded: it only decides how many curves run at once; a
+// curve's points follow its capacity probe, one after another).
 func buildCurve(s sweep) ([]curveRow, error) {
-	cells, err := s.cells()
-	if err != nil {
-		return nil, err
-	}
 	arrivals := "poisson"
 	if s.cell.DeterministicArrivals {
 		arrivals = "uniform"
 	}
-	var rows []curveRow
-	for _, c := range cells {
+	return measureCells(s, func(c cell) ([]curveRow, error) {
 		curve, err := core.MeasureLoadCurve(c.p, c.cfg.Mix, c.cfg.Seed, core.CurveOptions{
 			Servers: c.cfg.Servers, ObjectsPerServer: c.cfg.ObjectsPerServer,
 			Replication: c.cfg.Replication, Topology: c.cfg.Topology,
 			Clients: c.cfg.Clients, Txns: c.cfg.Txns,
 			Fractions: s.fractions, Deterministic: c.cfg.DeterministicArrivals,
-			Certify: c.cfg.Certify, RefineKnee: s.refineKnee,
-			Workers: c.cfg.Workers, Rebalance: c.cfg.Rebalance,
+			Certify: c.cfg.Certify, RefineKnee: s.refineKnee, Rebalance: c.cfg.Rebalance,
 		})
 		if err != nil {
 			return nil, err
 		}
 		cols := c.cols()
+		var rows []curveRow
 		for _, pt := range curve.Points {
 			r := curveRow{
 				cellCols:    cols,
@@ -108,8 +104,8 @@ func buildCurve(s sweep) ([]curveRow, error) {
 			certCells(&r.certCols, pt.Cert)
 			rows = append(rows, r)
 		}
-	}
-	return rows, nil
+		return rows, nil
+	})
 }
 
 func parseFloats(csv string) ([]float64, error) {

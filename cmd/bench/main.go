@@ -28,16 +28,16 @@
 //
 // Cells step under the sharded conservative-lookahead engine (one shard
 // per server, each advancing to its Chandy–Misra null-message bound; see
-// internal/sim.NewLookaheadRunner). -workers N executes the identical
-// schedule on N goroutines: every cell is a function of the shard
-// partition and seed, never of the worker count, so two runs differing
-// only in -workers emit byte-identical JSON (the CI equivalence smoke
-// diffs them). -rebalance recomputes the client→shard striping from a
-// deterministic probe run. Rows carry engine/shards/rounds/
-// critical_path_events plus the lookahead shape (null_advances,
+// internal/sim.NewLookaheadRunner), each one serially. -workers N runs N
+// cells of the sweep at a time: cells share nothing and rows keep sweep
+// order, so two runs differing only in -workers emit byte-identical JSON
+// (the CI equivalence smokes diff them); *_wall_ms columns are host time,
+// comparable at -workers 1 only. -rebalance recomputes the client→shard
+// striping from a deterministic probe run. Rows carry engine/shards/
+// rounds/critical_path_events plus the lookahead shape (null_advances,
 // blocked_shard_rounds, blocked_time_us): events ÷ critical_path_events
 // is the cell's measured shard-parallelism — the speedup ceiling of a
-// perfectly balanced worker pool.
+// perfectly balanced worker pool inside the cell.
 //
 // With -certify each cell (grid cells and curve points alike) is
 // certified ride-along: committed transactions feed a streaming
@@ -77,8 +77,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/driver"
@@ -89,10 +92,9 @@ import (
 )
 
 // row is one grid cell of the benchmark output. The worker count is
-// deliberately NOT a column: sharded cells are a function of the shard
-// partition and seed only, so grids produced with different -workers
-// settings must diff byte-identically (the CI equivalence smoke relies
-// on it).
+// deliberately NOT a column: it only decides how many cells run at once,
+// so grids produced with different -workers settings must diff
+// byte-identically (the CI equivalence smokes rely on it).
 type row struct {
 	cellCols
 	Pipeline    int     `json:"pipeline"`
@@ -376,9 +378,11 @@ type sweep struct {
 	txns        []int
 	clients     []int // -clients, or -curveclients under -curve
 	// cell holds what the flags fix for every cell (Pipeline,
-	// ObjectsPerServer, Seed, Certify, ProbeStaleness, Workers, Rebalance,
-	// Nemesis, DeterministicArrivals); cells fills in the axes.
+	// ObjectsPerServer, Seed, Certify, ProbeStaleness, Rebalance, Nemesis,
+	// DeterministicArrivals); cells fills in the axes.
 	cell driver.Config
+	// workers is how many cells run at once (-workers).
+	workers int
 	// Curve mode only.
 	fractions  []float64
 	refineKnee bool
@@ -440,15 +444,42 @@ func (s sweep) cells() ([]cell, error) {
 	return out, nil
 }
 
-// buildGrid measures every cell closed-loop. Fully deterministic for a
-// fixed sweep (worker count excluded: it only parallelizes the stepping).
-func buildGrid(s sweep) ([]row, error) {
+// measureCells runs measure over the sweep's cells, s.workers of them at
+// a time, and returns their rows in sweep order. After a failure no
+// further cell starts; cells are claimed in sweep order, so the first
+// failing cell in that order has run, and its error is the one returned.
+func measureCells[R any](s sweep, measure func(cell) ([]R, error)) ([]R, error) {
 	cells, err := s.cells()
 	if err != nil {
 		return nil, err
 	}
-	var rows []row
-	for _, c := range cells {
+	rows := make([][]R, len(cells))
+	errs := make([]error, len(cells))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(s.workers, len(cells)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(cells)); i = next.Add(1) - 1 {
+				if rows[i], errs[i] = measure(cells[i]); errs[i] != nil {
+					next.Store(int64(len(cells)))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if i := slices.IndexFunc(errs, func(err error) bool { return err != nil }); i >= 0 {
+		return nil, errs[i]
+	}
+	return slices.Concat(rows...), nil
+}
+
+// buildGrid measures every cell closed-loop. Fully deterministic for a
+// fixed sweep (worker count excluded: it only decides how many cells run
+// at once).
+func buildGrid(s sweep) ([]row, error) {
+	return measureCells(s, func(c cell) ([]row, error) {
 		rep, err := core.MeasureThroughputWith(c.p, c.cfg)
 		if err != nil {
 			return nil, err
@@ -477,9 +508,8 @@ func buildGrid(s sweep) ([]row, error) {
 		certCells(&r.certCols, rep.Cert)
 		staleCells(&r.staleCols, rep.Staleness)
 		nemCells(&r.nemCols, rep.Nemesis)
-		rows = append(rows, r)
-	}
-	return rows, nil
+		return []row{r}, nil
+	})
 }
 
 // flagMode names the flags only one mode reads (true: -curve, false: the
@@ -518,8 +548,8 @@ func parseSweep(args []string, stderr io.Writer) (sweep, error) {
 	objects := fs.Int("objects", 2, "objects per server")
 	seed := fs.Int64("seed", 42, "deterministic run seed")
 	workers := fs.Int("workers", 1,
-		"goroutines stepping the shards (one shard per server), >= 1 — cells are "+
-			"identical for every count, so outputs diff byte-for-byte across worker counts")
+		"cells of the sweep measured at a time, >= 1 — each cell steps serially and rows "+
+			"keep sweep order, so outputs diff byte-for-byte across worker counts")
 	rebalance := fs.Bool("rebalance", false,
 		"recompute the client-to-shard striping per cell from a deterministic "+
 			"probe run's per-shard event counts (the chosen partition changes "+
@@ -580,7 +610,7 @@ func parseSweep(args []string, stderr io.Writer) (sweep, error) {
 		return sweep{}, err
 	}
 	if *workers < 1 {
-		return sweep{}, fmt.Errorf("-workers %d: the serial engine is gone; -workers 1 runs every cell serially and is the byte-identical oracle for any higher count", *workers)
+		return sweep{}, fmt.Errorf("-workers %d: it counts the cells measured at a time, at least 1; -workers 1 runs the sweep one cell after another and is the byte-identical oracle for any higher count", *workers)
 	}
 	if *arrivals != "poisson" && *arrivals != "uniform" {
 		return sweep{}, fmt.Errorf("unknown arrival process %q (have poisson, uniform)", *arrivals)
@@ -591,12 +621,11 @@ func parseSweep(args []string, stderr io.Writer) (sweep, error) {
 		protocols:  strings.Split(*protocols, ","),
 		mixes:      strings.Split(*mixes, ","),
 		topologies: strings.Split(*topology, ","),
-		refineKnee: *refineKnee,
+		refineKnee: *refineKnee, workers: *workers,
 		cpuProfile: *cpuProfile, memProfile: *memProfile,
 		cell: driver.Config{
 			Pipeline: *pipeline, ObjectsPerServer: *objects, Seed: *seed,
-			Certify: *certify, ProbeStaleness: *stale,
-			Workers: *workers, Rebalance: *rebalance,
+			Certify: *certify, ProbeStaleness: *stale, Rebalance: *rebalance,
 			DeterministicArrivals: *arrivals == "uniform",
 		},
 	}

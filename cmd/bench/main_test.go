@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -62,18 +64,25 @@ func TestGridJSONByteIdentical(t *testing.T) {
 	requireIdentical(t, "grid JSON", run(), run())
 }
 
-// TestGridWorkersByteIdentical is the bench-level serial-equals-parallel
-// contract: the same grid built with Workers=1 (serial sharded stepping,
-// the oracle) and Workers=4 must emit byte-identical JSON — worker count
-// parallelizes the stepping, it never touches the schedule.
+// TestGridWorkersByteIdentical is the bench-level contract of -workers:
+// it decides how many cells of the sweep run at once and nothing else.
+// Cells share nothing and rows keep sweep order, so a grid with more cells
+// than workers, fewer cells than workers, and a -curve sweep each emit
+// byte-identical JSON at every count, -workers 1 being the oracle; and a
+// failing sweep fails the same way at every count, with the error of its
+// first failing cell in sweep order.
 func TestGridWorkersByteIdentical(t *testing.T) {
-	base := sweepOf(t, "-protocols cops,cure -clients 8 -txns 120 -servers 2,4")
+	counts := []int{2, 4, 64}
+	base := sweepOf(t, "-protocols cops,cure,spanner -clients 8 -txns 120 -servers 2,4")
 	run := func(workers int) string {
 		cfg := base
-		cfg.cell.Workers = workers
+		cfg.workers = workers
 		rows, err := buildGrid(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(rows) != 6 {
+			t.Fatalf("%d rows, want the sweep's 6 cells", len(rows))
 		}
 		for _, r := range rows {
 			if r.Shards == 0 || r.Rounds == 0 || r.CriticalPathEvent == 0 {
@@ -88,7 +97,47 @@ func TestGridWorkersByteIdentical(t *testing.T) {
 		}
 		return encode(t, rows)
 	}
-	requireIdentical(t, "workers grid JSON", run(1), run(4))
+	want := run(1)
+	for _, workers := range counts {
+		requireIdentical(t, "workers grid JSON", want, run(workers))
+	}
+
+	curveBase := sweepOf(t, "-curve -protocols cops,eiger -servers 2,4 -curveclients 4 -txns 60 -fractions 0.5,1.1")
+	curve := func(workers int) string {
+		cfg := curveBase
+		cfg.workers = workers
+		rows, err := buildCurve(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encode(t, rows)
+	}
+	want = curve(1)
+	for _, workers := range counts {
+		requireIdentical(t, "workers curve JSON", want, curve(workers))
+	}
+
+	// The sweep's 2nd and 4th cells (cops and cure at 4 servers) fail: the
+	// 2nd's error comes back whatever the count, and serially nothing is
+	// started past it.
+	for _, workers := range append([]int{1}, counts...) {
+		cfg := base
+		cfg.workers = workers
+		var started atomic.Int64
+		_, err := measureCells(cfg, func(c cell) ([]int, error) {
+			started.Add(1)
+			if c.cfg.Servers == 4 && c.p.Name() != "spanner" {
+				return nil, fmt.Errorf("%s at %d servers", c.p.Name(), c.cfg.Servers)
+			}
+			return []int{c.cfg.Servers}, nil
+		})
+		if err == nil || err.Error() != "cops at 4 servers" {
+			t.Errorf("-workers %d: error %v, want the 2nd cell's (cops at 4 servers)", workers, err)
+		}
+		if n := started.Load(); workers == 1 && n != 2 {
+			t.Errorf("-workers 1: %d cells started, want 2 (none after the failure)", n)
+		}
+	}
 }
 
 // TestGridEngineColumns pins the lookahead shape columns: sharded cells

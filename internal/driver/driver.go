@@ -544,13 +544,16 @@ type run struct {
 	// loop and while draining).
 	nem        *nemesisState
 	injHorizon sim.Time
-	// held is the backlog of results taken from each client but not yet
-	// collected (taken counts every result ever taken); done is collect's
-	// scratch, kept so a drain allocates nothing.
-	held  [][]*model.Result
-	taken int
-	done  []*model.Result
+	// held is each client's results taken but not yet drained: completed
+	// at or past the last collect's floor (taken counts all ever taken,
+	// backlog the most held at once); done is collect's scratch.
+	held           [][]*model.Result
+	taken, backlog int
+	done           []*model.Result
 }
+
+// drainAll is the floor of a collect that leaves nothing held.
+const drainAll = sim.Time(1<<63 - 1)
 
 func newRun(d *protocol.Deployment, cfg Config) *run {
 	r := &run{
@@ -615,7 +618,7 @@ func (r *run) take() {
 		fin := cl.TakeFinished()
 		r.held[i] = append(r.held[i], fin...)
 		r.taken += len(fin)
-		if r.stale == nil {
+		if !r.probing() {
 			continue
 		}
 		for _, res := range fin {
@@ -629,25 +632,29 @@ func (r *run) take() {
 			}
 		}
 	}
-	if due && r.stale.Probes < probeCap {
+	if due {
 		r.probeStaleness(probe)
 	}
 }
 
-// probeDue reports that a probing run still below probeCap has finished
-// transactions the driver has not taken: the closed loop then hands back
-// at this round boundary, so a probe samples the kernel right after the
-// completion instead of at the end of the run or fault segment (where
-// every sampled write has long been overwritten). A round boundary is a
-// consistent cut — conservative lookahead never delivers a message
-// before it is sent — and returning there changes nothing about the
-// schedule; the results wait in the backlog for the run's one collect,
-// so nothing else in the report moves either. Once the clock has reached a pending fault's instant the run
-// holds on until the fault is applied: a shard draining a step chain may
-// carry the clock past the instant while others still hold events before
-// it, and re-entering engineRun there would apply the fault early.
+// probing reports that the run samples staleness and is still below
+// probeCap. While it does, results are taken only where probeDue hands
+// back: which probe runs depends on the batches take sees.
+func (r *run) probing() bool { return r.stale != nil && r.stale.Probes < probeCap }
+
+// probeDue reports that a probing run has finished transactions the
+// driver has not taken: the closed loop then hands back at this round
+// boundary, so a probe samples the kernel right after the completion
+// instead of at the end of the run or fault segment (where every sampled
+// write has long been overwritten). A round boundary is a consistent cut
+// — conservative lookahead never delivers a message before it is sent —
+// and returning there changes nothing about the schedule. Once the clock
+// has reached a pending fault's instant the run holds on until the fault
+// is applied: a shard draining a step chain may carry the clock past the
+// instant while others still hold events before it, and re-entering
+// engineRun there would apply the fault early.
 func (r *run) probeDue() bool {
-	if r.stale == nil || r.stale.Probes >= probeCap {
+	if !r.probing() {
 		return false
 	}
 	if r.nem != nil {
@@ -662,17 +669,24 @@ func (r *run) probeDue() bool {
 	return finished > 0
 }
 
-// collect drains the finished transactions into the report, in
-// completion order: a round finishes transactions on many clients at
-// once, and the ride-along session and the nemesis recovery marks both
-// read the drain as a timeline. Ties keep client-index-then-finish order,
-// so the order is a function of seed and partition, never of Workers.
-func (r *run) collect() {
+// collect takes what has finished and drains, in completion order, the
+// held results completed before floor. Nothing can still complete below
+// sim.ShardedRunner.Floor, so a run's drains concatenate to one stable
+// sort of its results by Completed — the ride-along session and the
+// nemesis recovery marks read the drain as a timeline — with ties in
+// client-index-then-finish order: a function of seed and partition only.
+func (r *run) collect(floor sim.Time) {
 	r.take()
+	r.backlog = max(r.backlog, r.taken-r.rep.Committed-r.rep.Rejected)
 	done := r.done[:0]
 	for i, held := range r.held {
-		done = append(done, held...)
-		r.held[i] = held[:0]
+		// A client finishes in clock order: what is due is a prefix.
+		n := 0
+		for n < len(held) && held[n].Completed < int64(floor) {
+			n++
+		}
+		done = append(done, held[:n]...)
+		r.held[i] = slices.Delete(held, 0, n)
 	}
 	r.done = done
 	slices.SortStableFunc(done, func(a, b *model.Result) int { return cmp.Compare(a.Completed, b.Completed) })
@@ -875,13 +889,21 @@ func (r *run) runClosed() (*Report, error) {
 			r.refillClient(d.Clients[i], d.Kernel.Now())
 		}
 	}
-	// needRefill is the scheduler stop predicate: hand control back to
-	// the driver the moment some client has spare pipeline capacity.
-	needRefill := func() bool {
+	// stop is the engine's between-rounds predicate. It hands back the
+	// moment some client has spare pipeline capacity (rare: the hook keeps
+	// them topped up) or a probe is due; otherwise it drains, so the
+	// backlog stays a few rounds deep instead of the run's length.
+	stop := func(*sim.Kernel) bool {
 		for i, cl := range r.cls {
 			if r.issued[i] < r.quota[i] && cl.Outstanding() < cfg.Pipeline {
 				return true
 			}
+		}
+		if r.probeDue() {
+			return true
+		}
+		if !r.probing() {
+			r.collect(r.runner.Floor())
 		}
 		return false
 	}
@@ -889,18 +911,15 @@ func (r *run) runClosed() (*Report, error) {
 	start := d.Kernel.Now()
 	for {
 		refill()
-		n := r.engineRun(func(*sim.Kernel) bool { return needRefill() || r.probeDue() }, cfg.MaxEvents-rep.Events)
+		n := r.engineRun(stop, cfg.MaxEvents-rep.Events)
 		rep.Events += n
-		// Only take here: the hook keeps every client topped up, so an
-		// un-probed run comes back once, drained — one collect of the
-		// whole run, below, is what it does and what a probed run must do.
-		r.take()
+		r.collect(r.runner.Floor())
 		// n == 0 with nothing enabled means the run is fully drained.
 		if n == 0 || rep.Events >= cfg.MaxEvents {
 			break
 		}
 	}
-	r.collect()
+	r.collect(drainAll)
 	for _, n := range r.issued {
 		rep.Issued += n
 	}
@@ -936,7 +955,7 @@ func (r *run) runOpen() (*Report, error) {
 		// due before it included, via the fault-aware dispatch).
 		r.injHorizon = at
 		rep.Events += r.engineRun(nil, cfg.MaxEvents-rep.Events)
-		r.collect()
+		r.collect(drainAll)
 		d.Kernel.AdvanceTo(at)
 		i := injected % cfg.Clients
 		tid := d.Invoke(d.Clients[i], r.nextTxn(i))
@@ -954,7 +973,7 @@ func (r *run) runOpen() (*Report, error) {
 	// Drain: no more arrivals, run until every client is idle.
 	r.injHorizon = 0
 	rep.Events += r.engineRun(nil, cfg.MaxEvents-rep.Events)
-	r.collect()
+	r.collect(drainAll)
 	r.rep.InFlight = inFlight.Summarize()
 	return r.finish(start)
 }

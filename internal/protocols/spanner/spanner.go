@@ -159,12 +159,7 @@ func (s *server) Ready() bool { return len(s.parked) > 0 }
 // blocked behind a prepared-but-uncommitted transaction need the commit
 // delivery, not time, and do not contribute a wake instant.
 func (s *server) WakeAt(now sim.Time) (sim.Time, bool) {
-	minPending := int64(1)<<62 - 1
-	for _, ts := range s.pending {
-		if ts-1 < minPending {
-			minPending = ts - 1
-		}
-	}
+	minPending := s.prepareCap()
 	var wake sim.Time
 	ok := false
 	for _, d := range s.parked {
@@ -197,16 +192,20 @@ func (s *server) Clone() sim.Process {
 	return c
 }
 
+// prepareCap is the cap prepared-but-uncommitted transactions put on safe
+// time: just below the smallest pending prepare timestamp.
+func (s *server) prepareCap() int64 {
+	lim := int64(1)<<62 - 1
+	for _, ts := range s.pending {
+		lim = min(lim, ts-1)
+	}
+	return lim
+}
+
 // safeTime is the largest timestamp at which reads are complete: nothing
 // can commit below it anymore.
 func (s *server) safeTime(now sim.Time) int64 {
-	safe := int64(now) + s.skew - Epsilon
-	for _, ts := range s.pending {
-		if ts-1 < safe {
-			safe = ts - 1
-		}
-	}
-	return safe
+	return min(int64(now)+s.skew-Epsilon, s.prepareCap())
 }
 
 func (s *server) serveRead(from sim.ProcessID, req *readReq) sim.Outbound {
@@ -254,16 +253,19 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			panic(fmt.Sprintf("spanner: server %s got %T", s.id, m.Payload))
 		}
 	}
-	// Un-park reads whose timestamp is now safe.
+	// Un-park reads whose timestamp is now safe (pending is settled for
+	// this step: one safe time serves the whole pass), keeping the rest in
+	// place.
 	if len(s.parked) > 0 {
-		var still []deferredRead
+		safe, still := s.safeTime(now), s.parked[:0]
 		for _, d := range s.parked {
-			if s.safeTime(now) >= d.Req.TS {
+			if safe >= d.Req.TS {
 				out = append(out, s.serveRead(d.From, d.Req))
 			} else {
 				still = append(still, d)
 			}
 		}
+		clear(s.parked[len(still):])
 		s.parked = still
 	}
 	return out

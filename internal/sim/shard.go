@@ -312,6 +312,18 @@ func (r *ShardedRunner) NotifyInvoked(pid ProcessID, at Time) {
 	}
 }
 
+// Floor returns the earliest shard-local clock: every step still to come
+// happens strictly after it, whatever the driver does between Runs — a
+// restart or heal can release held messages onto a shard whose clock lags
+// the last round's earliest event, never behind that shard's own clock.
+func (r *ShardedRunner) Floor() Time {
+	floor := infTime
+	for _, sh := range r.shards {
+		floor = min(floor, sh.t)
+	}
+	return floor
+}
+
 // SetHorizon bounds the run at a virtual instant: no round starts at or
 // past it (Run returns instead, handing control back to the driver's
 // open-loop injection or fault schedule) and window ends / advancement bounds are clipped

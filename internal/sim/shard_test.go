@@ -324,3 +324,39 @@ func TestShardedDeliveriesNeverEarly(t *testing.T) {
 		}
 	})
 }
+
+// TestFloorBoundsEveryLaterStep: Floor, read between rounds, is a lower
+// bound on every step that follows it — also across a crash and restart
+// between Runs, which releases held messages onto a shard whose clock has
+// fallen behind the rest of the system — and it does advance.
+func TestFloorBoundsEveryLaterStep(t *testing.T) {
+	k, r, a := crossShardPing(t, 40, 100, 900, 100)
+	floor := Time(0)
+	r.SetRefill(func(pid ProcessID, at Time) {
+		if at <= floor {
+			t.Errorf("%s stepped at %d, not after the floor %d read before it", pid, at, floor)
+		}
+	})
+	stop := func(*Kernel) bool {
+		if f := r.Floor(); f < floor {
+			t.Errorf("floor went back from %d to %d", floor, f)
+		} else {
+			floor = f
+		}
+		return false
+	}
+	r.SetHorizon(400)
+	r.Run(stop, 100_000)
+	k.Crash("b", false)
+	r.SetHorizon(0)
+	r.Run(stop, 100_000) // everything addressed to b is held: a's shard runs on alone
+	k.AdvanceTo(k.Now() + 5_000)
+	k.Restart("b")
+	r.Run(stop, 100_000)
+	if a.pongs != 40 {
+		t.Fatalf("pongs = %d, want 40", a.pongs)
+	}
+	if floor == 0 {
+		t.Fatal("floor never advanced")
+	}
+}

@@ -4,7 +4,7 @@ package stats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Summary is a one-pass description of a sample set.
@@ -38,8 +38,8 @@ func (c *Collector) Summarize() Summary {
 	if s.N == 0 {
 		return s
 	}
-	sorted := append([]int64(nil), c.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(c.samples)
+	slices.Sort(sorted)
 	var sum int64
 	for _, v := range sorted {
 		sum += v
