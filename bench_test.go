@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/adversary"
@@ -250,6 +251,41 @@ func BenchmarkSteppingEngines(b *testing.B) {
 			b.ReportMetric(par, "shard-parallelism")
 		})
 	}
+}
+
+// BenchmarkOpenLoopInjection times one point of the benchmark's cops curve
+// (4 servers, 32 clients, Poisson arrivals at about half the saturated
+// rate): the engine is re-entered once per injection, so what a Run costs
+// beyond its events shows here and not in the closed-loop cells. Deploy
+// and init are outside the timer and the malloc count.
+func BenchmarkOpenLoopInjection(b *testing.B) {
+	cfg := driver.Config{Servers: 4, Clients: 32, Txns: 5000, Mix: workload.ReadHeavy(), Seed: 42, Rate: 7200}
+	var mallocs uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d := protocol.Deploy(core.ByName("cops"), protocol.Config{Servers: cfg.Servers, ObjectsPerServer: 2, Clients: cfg.Clients, Seed: cfg.Seed})
+		d.Kernel.SetTraceCap(-1)
+		d.Kernel.SetPayloadRetention(false)
+		if err := d.InitAll(400_000); err != nil {
+			b.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		rep, err := driver.RunOn(d, cfg)
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Incomplete != 0 || rep.Issued != cfg.Txns {
+			b.Fatalf("issued %d of %d, %d incomplete", rep.Issued, cfg.Txns, rep.Incomplete)
+		}
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	n := float64(b.N * cfg.Txns)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/injection")
+	b.ReportMetric(float64(mallocs)/n, "allocs/injection")
 }
 
 // --- substrate benchmarks (regression tracking) ---

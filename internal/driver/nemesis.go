@@ -19,9 +19,8 @@ import (
 // exposed by a fault is pinned by Report.Cert.FirstViolation like any
 // other).
 //
-// Faults apply between runner segments, when every pending inbox and
-// arrival lives in the kernel; that quantizes fault instants to round
-// boundaries, deterministically.
+// Faults apply between runner segments, never while shards are stepping;
+// that quantizes fault instants to round boundaries, deterministically.
 type Nemesis struct {
 	// Crashes is the number of crash→restart cycles to schedule. Targets
 	// rotate pseudo-randomly (seeded) over the servers; clients are never
@@ -552,9 +551,9 @@ func (s *nemesisState) finish(k *sim.Kernel, runStart sim.Time) *NemesisReport {
 // engineRun is the fault-aware dispatch both load loops go through: it
 // runs the sharded runner in segments bounded by the next scheduled fault
 // instant (and the open-loop injection horizon, when set), applying due
-// faults between segments — serially, with every pending inbox and
-// arrival in the kernel, which is what keeps the faulted schedule a pure
-// function of seed and partition at any worker count. With no nemesis
+// faults between segments — serially, while no shard is stepping, which
+// is what keeps the faulted schedule a pure function of seed and
+// partition at any worker count. With no nemesis
 // configured it degenerates to a single run at the injection horizon.
 func (r *run) engineRun(stop func(*sim.Kernel) bool, budget int) int {
 	if r.nem == nil {

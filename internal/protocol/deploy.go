@@ -170,10 +170,15 @@ func (d *Deployment) Client(id sim.ProcessID) Client {
 	return cl
 }
 
-// Invoke submits a transaction at a client and annotates the trace.
+// Invoke submits a transaction at a client and annotates the trace. In
+// load mode the annotation is only counted, so its note is not formatted.
 func (d *Deployment) Invoke(id sim.ProcessID, t *model.Txn) model.TxnID {
 	tid := d.Client(id).Invoke(t)
-	d.Kernel.Annotate(sim.EvInvoke, id, t.String())
+	note := ""
+	if d.Kernel.Recording() {
+		note = t.String()
+	}
+	d.Kernel.Annotate(sim.EvInvoke, id, note)
 	return tid
 }
 

@@ -44,7 +44,7 @@ func (*Protocol) Claims() protocol.Claims {
 
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
-	return &server{id: id, pl: pl, st: store.New(pl.HostedBy(id)...), deps: make(map[string][]depRef)}
+	return &server{id: id, pl: pl, st: store.New(pl.HostedBy(id)...), deps: make(map[depsKey][]depRef)}
 }
 
 // NewClient implements protocol.Protocol.
@@ -130,16 +130,21 @@ type server struct {
 	id   sim.ProcessID
 	pl   *protocol.Placement
 	st   *store.Store
-	deps map[string][]depRef // (object\x00writer) -> dependency list
+	deps map[depsKey][]depRef // (object, writer) -> dependency list
 }
 
-func depsKey(obj string, w model.TxnID) string { return obj + "\x00" + w.String() }
+// depsKey names one installed version: the object and the transaction that
+// wrote it.
+type depsKey struct {
+	obj string
+	w   model.TxnID
+}
 
 func (s *server) ID() sim.ProcessID { return s.id }
 func (s *server) Ready() bool       { return false }
 
 func (s *server) Clone() sim.Process {
-	c := &server{id: s.id, pl: s.pl, st: s.st.Clone(), deps: make(map[string][]depRef, len(s.deps))}
+	c := &server{id: s.id, pl: s.pl, st: s.st.Clone(), deps: make(map[depsKey][]depRef, len(s.deps))}
 	for k, v := range s.deps {
 		c.deps[k] = append([]depRef(nil), v...)
 	}
@@ -150,7 +155,7 @@ func (s *server) valOf(v *store.Version) readVal {
 	return readVal{
 		Ref:  model.ValueRef{Object: v.Object, Value: v.Value, Writer: v.Writer},
 		Seq:  v.Seq,
-		Deps: s.deps[depsKey(v.Object, v.Writer)],
+		Deps: s.deps[depsKey{v.Object, v.Writer}],
 	}
 }
 
@@ -181,7 +186,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			out = append(out, sim.Outbound{To: m.From, Payload: resp})
 		case *writeReq:
 			v := s.st.Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Visible: true})
-			s.deps[depsKey(p.W.Object, p.TID)] = append([]depRef(nil), p.Deps...)
+			s.deps[depsKey{p.W.Object, p.TID}] = append([]depRef(nil), p.Deps...)
 			out = append(out, sim.Outbound{To: m.From, Payload: &writeResp{TID: p.TID, Seq: v.Seq}})
 		default:
 			panic(fmt.Sprintf("cops: server %s got %T", s.id, m.Payload))
@@ -377,7 +382,7 @@ func (s *server) SyncFrom(peer sim.Process, objs []string) int {
 	}
 	for _, obj := range objs {
 		for _, v := range src.st.Versions(obj) {
-			key := depsKey(obj, v.Writer)
+			key := depsKey{obj, v.Writer}
 			d, found := src.deps[key]
 			if !found {
 				continue

@@ -246,16 +246,21 @@ type server struct {
 	id   sim.ProcessID
 	pl   *protocol.Placement
 	st   *store.Store
-	meta map[string]metaBlob
+	meta map[metaKey]metaBlob
 }
 
 func (s *server) ID() sim.ProcessID { return s.id }
 func (s *server) Ready() bool       { return false }
 
-func metaKey(obj string, w model.TxnID) string { return obj + "\x00" + w.String() }
+// metaKey names one installed version: the object and the transaction that
+// wrote it.
+type metaKey struct {
+	obj string
+	w   model.TxnID
+}
 
 func (s *server) Clone() sim.Process {
-	c := &server{id: s.id, pl: s.pl, st: s.st.Clone(), meta: make(map[string]metaBlob, len(s.meta))}
+	c := &server{id: s.id, pl: s.pl, st: s.st.Clone(), meta: make(map[metaKey]metaBlob, len(s.meta))}
 	for k, v := range s.meta {
 		c.meta[k] = metaBlob{
 			Sibs: cloneEntries(v.Sibs),
@@ -269,7 +274,7 @@ func (s *server) Clone() sim.Process {
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	if s.meta == nil {
-		s.meta = make(map[string]metaBlob)
+		s.meta = make(map[metaKey]metaBlob)
 	}
 	var out []sim.Outbound
 	for _, m := range inbox {
@@ -284,7 +289,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				}
 				// The current version is the last installed one.
 				v := chain[len(chain)-1]
-				blob := s.meta[metaKey(obj, v.Writer)]
+				blob := s.meta[metaKey{obj, v.Writer}]
 				resp.Vals = append(resp.Vals, directVal{
 					Object: obj, Val: v.Value, Writer: v.Writer, TS: v.Stamp.Wall,
 					Vec: blob.Vec, WSet: blob.WSet, Sibs: blob.Sibs, Deps: blob.Deps,
@@ -302,7 +307,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					Object: w.Object, Value: w.Value, Writer: p.TID,
 					Visible: true, Stamp: vclock.HLCStamp{Wall: p.TS},
 				})
-				s.meta[metaKey(w.Object, p.TID)] = metaBlob{
+				s.meta[metaKey{w.Object, p.TID}] = metaBlob{
 					Sibs: p.Siblings, Deps: p.DepVals, WSet: wset, Vec: p.Vec,
 				}
 			}
@@ -584,11 +589,11 @@ func (s *server) SyncFrom(peer sim.Process, objs []string) int {
 		return n
 	}
 	if s.meta == nil {
-		s.meta = make(map[string]metaBlob)
+		s.meta = make(map[metaKey]metaBlob)
 	}
 	for _, obj := range objs {
 		for _, v := range src.st.Versions(obj) {
-			key := metaKey(obj, v.Writer)
+			key := metaKey{obj, v.Writer}
 			m, found := src.meta[key]
 			if !found {
 				continue

@@ -34,6 +34,7 @@ const loadRate = 1000
 func RunLoad(t *testing.T, p protocol.Protocol, e Expect) {
 	t.Helper()
 	t.Run("PayloadsImmutable", func(t *testing.T) { payloadsImmutable(t, p, e) })
+	t.Run("InboxNotRetained", func(t *testing.T) { inboxNotRetained(t, p, e) })
 	seeds := e.LoadSeeds
 	if len(seeds) == 0 {
 		seeds = []int64{2}

@@ -43,7 +43,7 @@ func (*Protocol) Claims() protocol.Claims {
 
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
-	return &server{id: id, pl: pl, st: store.New(pl.HostedBy(id)...), meta: make(map[string][]string)}
+	return &server{id: id, pl: pl, st: store.New(pl.HostedBy(id)...), meta: make(map[metaKey][]string)}
 }
 
 // NewClient implements protocol.Protocol.
@@ -146,16 +146,21 @@ type server struct {
 	id   sim.ProcessID
 	pl   *protocol.Placement
 	st   *store.Store
-	meta map[string][]string // (object\x00writer) -> write set
+	meta map[metaKey][]string // (object, writer) -> write set
 }
 
-func metaKey(obj string, w model.TxnID) string { return obj + "\x00" + w.String() }
+// metaKey names one installed version: the object and the transaction that
+// wrote it.
+type metaKey struct {
+	obj string
+	w   model.TxnID
+}
 
 func (s *server) ID() sim.ProcessID { return s.id }
 func (s *server) Ready() bool       { return false }
 
 func (s *server) Clone() sim.Process {
-	c := &server{id: s.id, pl: s.pl, st: s.st.Clone(), meta: make(map[string][]string, len(s.meta))}
+	c := &server{id: s.id, pl: s.pl, st: s.st.Clone(), meta: make(map[metaKey][]string, len(s.meta))}
 	for k, v := range s.meta {
 		c.meta[k] = append([]string(nil), v...)
 	}
@@ -177,7 +182,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				resp.Vals = append(resp.Vals, readVal{
 					Ref:      model.ValueRef{Object: obj, Value: best.Value, Writer: best.Writer},
 					TS:       best.Stamp.Wall,
-					WriteSet: s.meta[metaKey(obj, best.Writer)],
+					WriteSet: s.meta[metaKey{obj, best.Writer}],
 				})
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: resp})
@@ -189,7 +194,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				resp.Vals = append(resp.Vals, readVal{
 					Ref:      model.ValueRef{Object: p.Object, Value: v.Value, Writer: v.Writer},
 					TS:       v.Stamp.Wall,
-					WriteSet: s.meta[metaKey(p.Object, v.Writer)],
+					WriteSet: s.meta[metaKey{p.Object, v.Writer}],
 				})
 			} else {
 				resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: p.Object, Value: model.Bottom}})
@@ -207,7 +212,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 						others = append(others, o)
 					}
 				}
-				s.meta[metaKey(w.Object, p.TID)] = others
+				s.meta[metaKey{w.Object, p.TID}] = others
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID}})
 		case *commitReq:
@@ -405,7 +410,7 @@ func (s *server) SyncFrom(peer sim.Process, objs []string) int {
 	}
 	for _, obj := range objs {
 		for _, v := range src.st.Versions(obj) {
-			key := metaKey(obj, v.Writer)
+			key := metaKey{obj, v.Writer}
 			m, found := src.meta[key]
 			if !found {
 				continue

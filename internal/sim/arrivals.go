@@ -1,73 +1,93 @@
 package sim
 
-import "container/heap"
-
-// arrivalHeap is an indexed min-heap over in-transit messages, ordered by
-// (ReadyAt, ID). It is the Network scheduler's earliest-arrival index:
-// instead of rescanning every in-transit message per event (previously an
-// O(n) scan over a fresh slice copy), the next arrival is a heap peek.
-// Entries are lazily invalidated — Deliver/DropInTransit mark the message
-// gone and the heap discards stale tops on the next peek — so every
-// message is pushed and popped exactly once, O(log n) amortized per send.
-// (Executing the delivery still walks the transit buffer, which is O(in-
-// flight messages); making the heap the primary transit structure is a
-// ROADMAP item.)
+// arrivalHeap is a min-heap over in-transit messages ordered by (ReadyAt,
+// ID), the earliest-arrival index of one partition of the process set (see
+// Kernel.arrivals). Entries are lazily invalidated — Deliver/DropInTransit
+// mark the message gone, a fault marks it held, and top discards such
+// entries as they surface (the held stash re-pushes on release, so nothing
+// is lost) — so a message is pushed and popped O(log n) amortized per
+// send. The sifts are typed, with the comparison inlined: this is the one
+// structure every message of every run passes through.
 type arrivalHeap []*Message
 
-func (h arrivalHeap) Len() int { return len(h) }
-
-func (h arrivalHeap) Less(i, j int) bool {
-	if h[i].ReadyAt != h[j].ReadyAt {
-		return h[i].ReadyAt < h[j].ReadyAt
-	}
-	return h[i].ID < h[j].ID
+func earlier(a, b *Message) bool {
+	return a.ReadyAt < b.ReadyAt || (a.ReadyAt == b.ReadyAt && a.ID < b.ID)
 }
 
-func (h arrivalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *arrivalHeap) Push(x any) { *h = append(*h, x.(*Message)) }
-
-func (h *arrivalHeap) Pop() any {
-	old := *h
-	n := len(old)
-	m := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return m
-}
-
-// push adds a freshly sent message to the index.
-func (k *Kernel) pushArrival(m *Message) {
-	heap.Push(&k.arrivals, m)
-}
-
-// EarliestArrival returns the deliverable in-transit message with the
-// smallest (ReadyAt, ID), or nil when nothing is deliverable. Stale heap
-// entries (messages already delivered or dropped) and held entries
-// (stranded by a crash or cut — the kernel's held stash keeps them and
-// re-pushes on release, so discarding the index entry loses nothing) are
-// discarded on the way.
-func (k *Kernel) EarliestArrival() *Message {
-	for k.arrivals.Len() > 0 {
-		m := k.arrivals[0]
-		if m.gone || m.held {
-			heap.Pop(&k.arrivals)
-			continue
+func (h *arrivalHeap) push(m *Message) {
+	s := append(*h, m)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !earlier(m, s[p]) {
+			break
 		}
-		return m
+		s[i], i = s[p], p
+	}
+	s[i] = m
+	*h = s
+}
+
+// pop removes and returns the heap's minimum; the heap must not be empty.
+func (h *arrivalHeap) pop() *Message {
+	s := *h
+	first, n := s[0], len(s)-1
+	m := s[n]
+	s[n] = nil
+	s = s[:n]
+	for i := 0; n > 0; {
+		c := 2*i + 1
+		if c+1 < n && earlier(s[c+1], s[c]) {
+			c++
+		}
+		if c >= n || !earlier(s[c], m) {
+			s[i] = m
+			break
+		}
+		s[i], i = s[c], c
+	}
+	*h = s
+	return first
+}
+
+// top returns the earliest deliverable entry, or nil, discarding stale
+// (delivered, dropped or held) entries on the way.
+func (h *arrivalHeap) top() *Message {
+	for len(*h) > 0 {
+		if m := (*h)[0]; !m.gone && !m.held {
+			return m
+		}
+		h.pop()
 	}
 	return nil
 }
 
-// rebuildArrivals reindexes the heap from the transit buffer (used by
-// Snapshot, whose messages are fresh clones). Held messages stay out:
-// they are re-pushed by releaseHeld when their fault clears.
-func (k *Kernel) rebuildArrivals() {
-	k.arrivals = k.arrivals[:0]
-	for _, m := range k.transit {
-		if !m.held {
-			k.arrivals = append(k.arrivals, m)
+// pushArrival indexes a deliverable in-transit message under its
+// destination's partition.
+func (k *Kernel) pushArrival(m *Message) { k.arrivals[k.part[m.to]].push(m) }
+
+// EarliestArrival returns the deliverable in-transit message with the
+// smallest (ReadyAt, ID), or nil when nothing is deliverable.
+func (k *Kernel) EarliestArrival() *Message {
+	var best *Message
+	for i := range k.arrivals {
+		if m := k.arrivals[i].top(); m != nil && (best == nil || earlier(m, best)) {
+			best = m
 		}
 	}
-	heap.Init(&k.arrivals)
+	return best
+}
+
+// partition re-buckets the arrival index into n heaps, part mapping each
+// slot to its own (NewLookaheadRunner: one heap per shard).
+func (k *Kernel) partition(n int, part []int32) {
+	old := k.arrivals
+	k.arrivals, k.part = make([]arrivalHeap, n), part
+	for _, h := range old {
+		for _, m := range h {
+			if !m.gone && !m.held {
+				k.pushArrival(m)
+			}
+		}
+	}
 }

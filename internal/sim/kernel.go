@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"math"
 	"slices"
 )
 
@@ -34,9 +37,17 @@ const StepCost Time = 1
 // counterpart of a "configuration" in the paper; Snapshot produces the
 // deep copies the proof's indistinguishability arguments manipulate.
 type Kernel struct {
-	now   Time
-	procs map[ProcessID]Process
-	order []ProcessID // sorted IDs, for deterministic iteration
+	now Time
+	// Add gives every process a dense slot, in Add order: ids, procs,
+	// inbox, part, linkSeq and crashed are indexed by it, and a message
+	// carries the slots of both its ends. slotOf is the only map keyed by
+	// ProcessID; send consults it once (the unknown-destination check) and
+	// a delivery never. order lists the slots sorted by ID, for
+	// deterministic iteration.
+	slotOf map[ProcessID]slot
+	ids    []ProcessID
+	procs  []Process
+	order  []slot
 	// transit is the outcome buffers in send order. Delivered/dropped
 	// messages are only marked gone (lazy deletion) and physically removed
 	// by compactTransit once they outnumber the live ones, so delivery
@@ -44,17 +55,25 @@ type Kernel struct {
 	// structure: every live in-transit message, keyed by message ID.
 	transit []*Message
 	byID    map[int64]*Message
-	inbox   map[ProcessID][]*Message
+	inbox   [][]*Message
 	// pendingInboxes counts processes with a non-empty income buffer, so
 	// schedulers can skip the per-process scan when nothing is pending.
 	pendingInboxes int
-	// arrivals indexes transit by (ReadyAt, ID) for the Network scheduler.
-	arrivals arrivalHeap
+	// arrivals indexes transit by (ReadyAt, ID), one heap per partition of
+	// the process set (part: slot → partition), each message in its
+	// destination's. There is a single partition until a ShardedRunner
+	// attaches and makes it one per shard; a shard pops its own heap, and
+	// EarliestArrival is the minimum over the heap tops — so the index is
+	// whole whoever steps next.
+	arrivals []arrivalHeap
+	part     []int32
 	nextID   int64
-	linkSeq  map[Link]int64
-	rng      *RNG
-	latency  LatencyModel
-	trace    *Trace
+	// linkSeq[from][to] is the last sequence number sent on the link. Rows
+	// grow on demand: a client's spans only the servers it writes to.
+	linkSeq [][]int64
+	rng     *RNG
+	latency LatencyModel
+	trace   *Trace
 	// evSeq numbers trace events. It keeps advancing even when events are
 	// capped or discarded, so retained events carry their true positions.
 	evSeq int64
@@ -82,11 +101,10 @@ type Kernel struct {
 	sent map[int64]Payload
 	// Nemesis state (nemesis.go): crashed processes, severed directed
 	// links, the stash of held (undeliverable) messages, and the recovery
-	// hooks run after a lossy crash. All nil/empty on fault-free runs —
-	// the hot paths gate on the map lengths, so the fault layer costs a
-	// fault-free run nothing observable.
-	crashed  map[ProcessID]crashInfo
-	cut      map[Link]bool
+	// hooks run after a lossy crash. A fault-free send pays one flag read
+	// and one map-length compare for all of it.
+	crashed  []crashInfo
+	cut      map[[2]slot]bool
 	heldMsgs []*Message
 	recovery map[ProcessID]func(Process) Process
 	// replacement holds the catch-up hooks run by Replace/Restore
@@ -107,10 +125,9 @@ func NewKernel(seed int64, lat LatencyModel) *Kernel {
 		lat = UniformLatency(500, 1500)
 	}
 	return &Kernel{
-		procs:        make(map[ProcessID]Process),
+		slotOf:       make(map[ProcessID]slot),
 		byID:         make(map[int64]*Message),
-		inbox:        make(map[ProcessID][]*Message),
-		linkSeq:      make(map[Link]int64),
+		arrivals:     make([]arrivalHeap, 1),
 		rng:          NewRNG(seed),
 		latency:      lat,
 		trace:        &Trace{},
@@ -126,6 +143,10 @@ func NewKernel(seed int64, lat LatencyModel) *Kernel {
 // sequence numbers keep advancing regardless, and Trace().Dropped counts
 // the discarded events.
 func (k *Kernel) SetTraceCap(n int) { k.traceCap = n }
+
+// Recording reports whether events are retained (the trace cap is not
+// negative): when they are not, an annotation's note is never read.
+func (k *Kernel) Recording() bool { return k.traceCap >= 0 }
 
 // SetPayloadRetention toggles the sent-payload registry backing PayloadOf.
 // Trace analysis (the spec measurements) needs it; load-mode throughput
@@ -184,12 +205,22 @@ func (k *Kernel) LinkLatencyFloor(l Link) Time {
 // Add registers a process. It panics on duplicate IDs.
 func (k *Kernel) Add(p Process) {
 	id := p.ID()
-	if _, dup := k.procs[id]; dup {
+	if _, dup := k.slotOf[id]; dup {
 		panic(fmt.Sprintf("sim: duplicate process %s", id))
 	}
-	k.procs[id] = p
-	i, _ := slices.BinarySearch(k.order, id)
-	k.order = slices.Insert(k.order, i, id)
+	if len(k.ids) > math.MaxUint16 {
+		panic("sim: more processes than a message's slot fields can name")
+	}
+	s := slot(len(k.ids))
+	k.slotOf[id] = s
+	k.ids = append(k.ids, id)
+	k.procs = append(k.procs, p)
+	k.inbox = append(k.inbox, nil)
+	k.part = append(k.part, 0)
+	k.linkSeq = append(k.linkSeq, nil)
+	k.crashed = append(k.crashed, crashInfo{})
+	i, _ := slices.BinarySearchFunc(k.order, id, func(o slot, id ProcessID) int { return cmp.Compare(k.ids[o], id) })
+	k.order = slices.Insert(k.order, i, s)
 }
 
 // Now returns the current virtual time.
@@ -199,12 +230,19 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Trace() *Trace { return k.trace }
 
 // Process returns the registered process with the given ID, or nil.
-func (k *Kernel) Process(id ProcessID) Process { return k.procs[id] }
+func (k *Kernel) Process(id ProcessID) Process {
+	if s, ok := k.slotOf[id]; ok {
+		return k.procs[s]
+	}
+	return nil
+}
 
 // Processes returns all process IDs in sorted order.
 func (k *Kernel) Processes() []ProcessID {
 	out := make([]ProcessID, len(k.order))
-	copy(out, k.order)
+	for i, s := range k.order {
+		out[i] = k.ids[s]
+	}
 	return out
 }
 
@@ -247,9 +285,10 @@ func (k *Kernel) FindInTransit(l Link, seq int64) *Message {
 
 // Inbox returns the messages delivered to pid but not yet consumed.
 func (k *Kernel) Inbox(pid ProcessID) []*Message {
-	out := make([]*Message, len(k.inbox[pid]))
-	copy(out, k.inbox[pid])
-	return out
+	if s, ok := k.slotOf[pid]; ok {
+		return slices.Clone(k.inbox[s])
+	}
+	return nil
 }
 
 // Quiescent reports whether no message is in transit or awaiting
@@ -259,8 +298,8 @@ func (k *Kernel) Quiescent() bool {
 	if len(k.byID) > 0 || k.pendingInboxes > 0 {
 		return false
 	}
-	for _, id := range k.order {
-		if k.procs[id].Ready() {
+	for _, p := range k.procs {
+		if p.Ready() {
 			return false
 		}
 	}
@@ -288,10 +327,10 @@ func (k *Kernel) Deliver(msgID int64) *Message {
 		k.now = m.ReadyAt
 	}
 	m.DeliveredAt = k.now
-	if len(k.inbox[m.To]) == 0 {
+	if len(k.inbox[m.to]) == 0 {
 		k.pendingInboxes++
 	}
-	k.inbox[m.To] = append(k.inbox[m.To], m)
+	k.inbox[m.to] = append(k.inbox[m.to], m)
 	k.record(Event{
 		Kind: EvDeliver,
 		Msgs: []MsgRef{refOf(m)},
@@ -331,24 +370,24 @@ func (k *Kernel) AdvanceTo(t Time) {
 // its entire income buffer and may send messages. Returns the sent
 // messages. It panics on unknown processes.
 func (k *Kernel) StepProcess(pid ProcessID) []*Message {
-	p, ok := k.procs[pid]
+	s, ok := k.slotOf[pid]
 	if !ok {
 		panic(fmt.Sprintf("sim: StepProcess(%s): unknown process", pid))
 	}
-	if k.Down(pid) {
+	if k.crashed[s].down {
 		panic(fmt.Sprintf("sim: StepProcess(%s): process is crashed", pid))
 	}
-	in := k.inbox[pid]
+	in := k.inbox[s]
 	if len(in) > 0 {
 		k.pendingInboxes--
 	}
-	k.inbox[pid] = nil
+	k.inbox[s] = nil
 	k.now += StepCost
 
-	outs := p.Step(k.now, in)
+	outs := k.procs[s].Step(k.now, in)
 	sent := make([]*Message, 0, len(outs))
 	for _, o := range outs {
-		sent = append(sent, k.send(pid, o, k.now))
+		sent = append(sent, k.send(s, o, k.now))
 	}
 
 	ev := Event{Kind: EvStep, Proc: pid}
@@ -362,33 +401,40 @@ func (k *Kernel) StepProcess(pid ProcessID) []*Message {
 	return sent
 }
 
-// send materializes one outbound message sent by pid at virtual instant
-// at: it assigns the global message ID and per-link sequence number,
-// samples the link latency from the kernel RNG, and registers the message
-// in the transit structures. It is the single commit point for sends —
+// send materializes one outbound message sent by the process in slot
+// from at virtual instant at: it assigns the global message ID and
+// per-link sequence number, samples the link latency from the kernel RNG,
+// and registers the message in the transit structures. It is the single commit point for sends —
 // StepProcess calls it inline; the sharded runner calls it during its
 // serial merge phase, in deterministic shard-then-send order, which is
 // what keeps IDs, sequence numbers and latency draws independent of how
 // many workers executed the steps.
-func (k *Kernel) send(from ProcessID, o Outbound, at Time) *Message {
-	if _, ok := k.procs[o.To]; !ok {
-		panic(fmt.Sprintf("sim: %s sent to unknown process %s", from, o.To))
+func (k *Kernel) send(from slot, o Outbound, at Time) *Message {
+	to, ok := k.slotOf[o.To]
+	if !ok {
+		panic(fmt.Sprintf("sim: %s sent to unknown process %s", k.ids[from], o.To))
 	}
-	l := Link{From: from, To: o.To}
+	seq := k.linkSeq[from]
+	if int(to) >= len(seq) {
+		seq = append(seq, make([]int64, int(to)+1-len(seq))...)
+		k.linkSeq[from] = seq
+	}
+	seq[to]++
 	k.nextID++
-	k.linkSeq[l]++
 	m := &Message{
 		ID:      k.nextID,
-		From:    from,
+		From:    k.ids[from],
 		To:      o.To,
-		LinkSeq: k.linkSeq[l],
+		LinkSeq: seq[to],
 		Payload: o.Payload,
 		SentAt:  at,
+		to:      to,
+		from:    from,
 	}
-	m.ReadyAt = at + k.latency(l, k.rng)
+	m.ReadyAt = at + k.latency(Link{From: m.From, To: m.To}, k.rng)
 	k.transit = append(k.transit, m)
 	k.byID[m.ID] = m
-	if k.blocked(from, o.To) {
+	if k.blocked(from, to) {
 		// Destination down or link cut: the message is committed (ID,
 		// sequence number, latency draw) but held out of the arrival
 		// index until the fault clears.
@@ -440,13 +486,17 @@ func (k *Kernel) PayloadOf(id int64) Payload { return k.sent[id] }
 func (k *Kernel) Snapshot() *Kernel {
 	c := &Kernel{
 		now:            k.now,
-		procs:          make(map[ProcessID]Process, len(k.procs)),
-		order:          append([]ProcessID(nil), k.order...),
+		slotOf:         maps.Clone(k.slotOf),
+		ids:            slices.Clone(k.ids),
+		procs:          make([]Process, len(k.procs)),
+		order:          slices.Clone(k.order),
 		byID:           make(map[int64]*Message, len(k.byID)),
-		inbox:          make(map[ProcessID][]*Message, len(k.inbox)),
+		inbox:          make([][]*Message, len(k.inbox)),
 		pendingInboxes: k.pendingInboxes,
+		arrivals:       make([]arrivalHeap, 1),
+		part:           make([]int32, len(k.part)),
 		nextID:         k.nextID,
-		linkSeq:        make(map[Link]int64, len(k.linkSeq)),
+		linkSeq:        make([][]int64, len(k.linkSeq)),
 		rng:            k.rng.Clone(),
 		latency:        k.latency,
 		trace:          k.trace.clone(),
@@ -455,21 +505,13 @@ func (k *Kernel) Snapshot() *Kernel {
 		keepPayloads:   k.keepPayloads,
 		latencyFloor:   k.latencyFloor,
 		sent:           make(map[int64]Payload, len(k.sent)),
+		crashed:        slices.Clone(k.crashed),
 		deliveredMsgs:  k.deliveredMsgs,
 		lostTransit:    k.lostTransit,
 		lostInbox:      k.lostInbox,
 	}
-	if len(k.crashed) > 0 {
-		c.crashed = make(map[ProcessID]crashInfo, len(k.crashed))
-		for id, ci := range k.crashed {
-			c.crashed[id] = ci
-		}
-	}
 	if len(k.cut) > 0 {
-		c.cut = make(map[Link]bool, len(k.cut))
-		for l := range k.cut {
-			c.cut[l] = true
-		}
+		c.cut = maps.Clone(k.cut)
 	}
 	if len(k.recovery) > 0 {
 		c.recovery = make(map[ProcessID]func(Process) Process, len(k.recovery))
@@ -492,8 +534,8 @@ func (k *Kernel) Snapshot() *Kernel {
 	for id, p := range k.sent {
 		c.sent[id] = p
 	}
-	for id, p := range k.procs {
-		c.procs[id] = p.Clone()
+	for s, p := range k.procs {
+		c.procs[s] = p.Clone()
 	}
 	c.transit = make([]*Message, 0, len(k.byID))
 	for _, m := range k.transit {
@@ -505,10 +547,11 @@ func (k *Kernel) Snapshot() *Kernel {
 		c.byID[cp.ID] = cp
 		if cp.held {
 			c.heldMsgs = append(c.heldMsgs, cp)
+		} else {
+			c.pushArrival(cp)
 		}
 	}
-	c.rebuildArrivals()
-	for id, msgs := range k.inbox {
+	for s, msgs := range k.inbox {
 		if len(msgs) == 0 {
 			continue
 		}
@@ -516,10 +559,10 @@ func (k *Kernel) Snapshot() *Kernel {
 		for i, m := range msgs {
 			cp[i] = m.clone()
 		}
-		c.inbox[id] = cp
+		c.inbox[s] = cp
 	}
-	for l, s := range k.linkSeq {
-		c.linkSeq[l] = s
+	for s, seq := range k.linkSeq {
+		c.linkSeq[s] = slices.Clone(seq)
 	}
 	return c
 }

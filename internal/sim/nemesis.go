@@ -7,8 +7,9 @@ import "fmt"
 // kernel at scheduled virtual instants. Faults are first-class
 // configuration changes, not schedule tricks, and they compose with every
 // stepping engine because the driver applies them only between engine
-// runs — when all pending inboxes and arrivals live in the kernel — so
-// the same schedule replays byte-for-byte at any worker count.
+// runs — never while shards are stepping; inboxes and arrivals live in
+// the kernel throughout — so the same schedule replays byte-for-byte at
+// any worker count.
 //
 // Semantics (see DESIGN.md, "Deterministic fault injection"):
 //
@@ -125,9 +126,10 @@ type Recoverable interface {
 	Recover() Process
 }
 
+// crashInfo is one slot's crash state: down while crashed, lose when the
+// restart must run the recovery hook.
 type crashInfo struct {
-	at   Time
-	lose bool
+	down, lose bool
 }
 
 // SyncStats accounts the state a replacement process adopted during
@@ -176,26 +178,29 @@ func (k *Kernel) SetReplacement(pid ProcessID, f ReplacementHook) {
 
 // Down reports whether pid is currently crashed.
 func (k *Kernel) Down(pid ProcessID) bool {
-	if len(k.crashed) == 0 {
-		return false
-	}
-	_, down := k.crashed[pid]
-	return down
+	s, ok := k.slotOf[pid]
+	return ok && k.crashed[s].down
 }
 
 // LinkCut reports whether the directed link is currently severed.
-func (k *Kernel) LinkCut(l Link) bool { return len(k.cut) > 0 && k.cut[l] }
+func (k *Kernel) LinkCut(l Link) bool {
+	ends, ok := k.linkSlots(l)
+	return ok && k.cut[ends]
+}
+
+// linkSlots resolves a link to its (from, to) slots, the key of cut; ok
+// is false when either end is unknown (such a link carries nothing).
+func (k *Kernel) linkSlots(l Link) (ends [2]slot, ok bool) {
+	from, okF := k.slotOf[l.From]
+	to, okT := k.slotOf[l.To]
+	return [2]slot{from, to}, okF && okT
+}
 
 // blocked reports whether a message on the link can currently make
-// progress toward delivery. Hot path: both checks short-circuit on the
-// map lengths, so fault-free runs pay two integer compares.
-func (k *Kernel) blocked(from, to ProcessID) bool {
-	if len(k.crashed) > 0 {
-		if _, down := k.crashed[to]; down {
-			return true
-		}
-	}
-	return len(k.cut) > 0 && k.cut[Link{From: from, To: to}]
+// progress toward delivery. Hot path: a fault-free run pays one flag read
+// and one integer compare.
+func (k *Kernel) blocked(from, to slot) bool {
+	return k.crashed[to].down || (len(k.cut) > 0 && k.cut[[2]slot{from, to}])
 }
 
 // hold strands a live in-transit message: it stays registered in transit
@@ -204,6 +209,16 @@ func (k *Kernel) blocked(from, to ProcessID) bool {
 func (k *Kernel) hold(m *Message) {
 	m.held = true
 	k.heldMsgs = append(k.heldMsgs, m)
+}
+
+// loseInbox discards the delivered-but-unconsumed messages of the process
+// in slot s: its disk is gone.
+func (k *Kernel) loseInbox(s slot) {
+	if n := len(k.inbox[s]); n > 0 {
+		k.pendingInboxes--
+		k.lostInbox += int64(n)
+		k.inbox[s] = nil
+	}
 }
 
 // holdMatching strands every live in-transit message the predicate
@@ -226,7 +241,7 @@ func (k *Kernel) releaseHeld() {
 		if m.gone {
 			continue // dropped while held
 		}
-		if k.blocked(m.From, m.To) {
+		if k.blocked(m.from, m.to) {
 			kept = append(kept, m)
 			continue
 		}
@@ -245,24 +260,15 @@ func (k *Kernel) releaseHeld() {
 // state and inbox are frozen intact. Either way every in-transit message
 // addressed to pid is held until Restart.
 func (k *Kernel) Crash(pid ProcessID, lose bool) bool {
-	if _, ok := k.procs[pid]; !ok {
+	s, ok := k.slotOf[pid]
+	if !ok || k.crashed[s].down {
 		return false
 	}
-	if k.Down(pid) {
-		return false
-	}
-	if k.crashed == nil {
-		k.crashed = make(map[ProcessID]crashInfo)
-	}
-	k.crashed[pid] = crashInfo{at: k.now, lose: lose}
+	k.crashed[s] = crashInfo{down: true, lose: lose}
 	if lose {
-		if n := len(k.inbox[pid]); n > 0 {
-			k.pendingInboxes--
-			k.lostInbox += int64(n)
-			k.inbox[pid] = nil
-		}
+		k.loseInbox(s)
 	}
-	k.holdMatching(func(m *Message) bool { return m.To == pid })
+	k.holdMatching(func(m *Message) bool { return m.to == s })
 	k.Annotate(EvMark, pid, fmt.Sprintf("crash lose=%v", lose))
 	return true
 }
@@ -273,16 +279,14 @@ func (k *Kernel) Crash(pid ProcessID, lose bool) bool {
 // Held messages addressed to pid become deliverable again (unless their
 // link is also cut).
 func (k *Kernel) Restart(pid ProcessID) bool {
-	info, down := k.crashed[pid]
-	if !down {
+	s, ok := k.slotOf[pid]
+	if !ok || !k.crashed[s].down {
 		return false
 	}
-	delete(k.crashed, pid)
-	if info.lose {
-		if rec := k.recovery[pid]; rec != nil {
-			k.procs[pid] = rec(k.procs[pid])
-		}
+	if rec := k.recovery[pid]; rec != nil && k.crashed[s].lose {
+		k.procs[s] = rec(k.procs[s])
 	}
+	k.crashed[s] = crashInfo{}
 	k.releaseHeld()
 	k.Annotate(EvMark, pid, "restart")
 	return true
@@ -299,39 +303,32 @@ func (k *Kernel) Restart(pid ProcessID) bool {
 // peers transfer. Without, the durable image (state and inbox) reattaches
 // intact. Returns false only for unknown processes.
 func (k *Kernel) Replace(pid ProcessID, lose bool) (SyncStats, bool) {
-	if _, ok := k.procs[pid]; !ok {
+	s, ok := k.slotOf[pid]
+	if !ok {
 		return SyncStats{}, false
 	}
-	if !k.Down(pid) {
+	if !k.crashed[s].down {
 		k.Crash(pid, lose)
 	} else if lose {
 		// Already down from an earlier (persistent) crash: the fresh
 		// disk never saw the delivered-but-unconsumed buffer either.
-		if n := len(k.inbox[pid]); n > 0 {
-			k.pendingInboxes--
-			k.lostInbox += int64(n)
-			k.inbox[pid] = nil
-		}
+		k.loseInbox(s)
 	}
 	hook := k.replacement[pid]
 	if hook == nil {
 		// No catch-up protocol registered: degrade to a plain crash. The
 		// recovery hook (if lossy) rebuilds at the companion restart.
-		ci := k.crashed[pid]
-		ci.lose = lose
-		k.crashed[pid] = ci
+		k.crashed[s].lose = lose
 		k.Annotate(EvMark, pid, fmt.Sprintf("replace lose=%v (no hook)", lose))
 		return SyncStats{}, true
 	}
-	p, st := hook(k, k.procs[pid], lose)
+	p, st := hook(k, k.procs[s], lose)
 	if p != nil {
-		k.procs[pid] = p
+		k.procs[s] = p
 	}
 	// The replacement is already caught up; the companion restart must
 	// resume it as-is, not run the lossy-recovery hook over it.
-	ci := k.crashed[pid]
-	ci.lose = false
-	k.crashed[pid] = ci
+	k.crashed[s].lose = false
 	k.Annotate(EvMark, pid, fmt.Sprintf("replace lose=%v synced=%d+%d", lose, st.Snapshot, st.Peer))
 	return st, true
 }
@@ -348,12 +345,7 @@ func (k *Kernel) Restore(procs []ProcessID, lose bool) (SyncStats, int) {
 	var total SyncStats
 	done := 0
 	for _, pid := range procs {
-		if _, ok := k.procs[pid]; !ok {
-			continue
-		}
-		if !k.Down(pid) {
-			k.Crash(pid, lose)
-		}
+		k.Crash(pid, lose) // no-op on unknown and already-down processes
 	}
 	for _, pid := range procs {
 		st, ok := k.Replace(pid, lose)
@@ -372,26 +364,28 @@ func (k *Kernel) Restore(procs []ProcessID, lose bool) (SyncStats, int) {
 
 // CutLink severs one directed link. In-transit messages on it are held;
 // so is everything sent on it until HealLink. Returns false if already
-// cut.
+// cut (or an end is unknown: such a link carries nothing).
 func (k *Kernel) CutLink(l Link) bool {
-	if k.LinkCut(l) {
+	ends, ok := k.linkSlots(l)
+	if !ok || k.cut[ends] {
 		return false
 	}
 	if k.cut == nil {
-		k.cut = make(map[Link]bool)
+		k.cut = make(map[[2]slot]bool)
 	}
-	k.cut[l] = true
-	k.holdMatching(func(m *Message) bool { return m.From == l.From && m.To == l.To })
+	k.cut[ends] = true
+	k.holdMatching(func(m *Message) bool { return [2]slot{m.from, m.to} == ends })
 	return true
 }
 
 // HealLink restores a severed link and releases its held messages
 // (unless their destination is still down). Returns false if not cut.
 func (k *Kernel) HealLink(l Link) bool {
-	if !k.LinkCut(l) {
+	ends, ok := k.linkSlots(l)
+	if !ok || !k.cut[ends] {
 		return false
 	}
-	delete(k.cut, l)
+	delete(k.cut, ends)
 	k.releaseHeld()
 	return true
 }
@@ -491,7 +485,7 @@ func (k *Kernel) CheckConservation() error {
 			if _, ok := k.byID[m.ID]; !ok {
 				return fmt.Errorf("sim: held message %s not registered live", m)
 			}
-			if !k.blocked(m.From, m.To) {
+			if !k.blocked(m.from, m.to) {
 				return fmt.Errorf("sim: message %s held but neither destination down nor link cut", m)
 			}
 		}

@@ -112,23 +112,22 @@ func enabled(k *Kernel, r *Restriction) []Action {
 			acts = append(acts, Action{Kind: ActDeliver, Msg: m.ID})
 		}
 	}
-	for _, id := range k.order {
-		if !r.AllowsProc(id) || k.Down(id) {
-			continue
-		}
-		if len(k.inbox[id]) > 0 {
-			acts = append(acts, Action{Kind: ActStep, Proc: id})
+	for _, s := range k.order {
+		if k.canStep(s, r) && len(k.inbox[s]) > 0 {
+			acts = append(acts, Action{Kind: ActStep, Proc: k.ids[s]})
 		}
 	}
-	for _, id := range k.order {
-		if !r.AllowsProc(id) || k.Down(id) {
-			continue
-		}
-		if len(k.inbox[id]) == 0 && k.procs[id].Ready() {
-			acts = append(acts, Action{Kind: ActStep, Proc: id})
+	for _, s := range k.order {
+		if k.canStep(s, r) && len(k.inbox[s]) == 0 && k.procs[s].Ready() {
+			acts = append(acts, Action{Kind: ActStep, Proc: k.ids[s]})
 		}
 	}
 	return acts
+}
+
+// canStep reports whether the process in slot s is up and allowed by r.
+func (k *Kernel) canStep(s slot, r *Restriction) bool {
+	return !k.crashed[s].down && r.AllowsProc(k.ids[s])
 }
 
 // firstPendingInbox returns the first process (in sorted ID order) allowed
@@ -138,9 +137,9 @@ func firstPendingInbox(k *Kernel, r *Restriction) (ProcessID, bool) {
 	if k.pendingInboxes == 0 {
 		return "", false
 	}
-	for _, id := range k.order {
-		if r.AllowsProc(id) && !k.Down(id) && len(k.inbox[id]) > 0 {
-			return id, true
+	for _, s := range k.order {
+		if len(k.inbox[s]) > 0 && k.canStep(s, r) {
+			return k.ids[s], true
 		}
 	}
 	return "", false
@@ -165,10 +164,10 @@ func (s *RoundRobin) Next(k *Kernel) (Action, bool) {
 			return Action{Kind: ActDeliver, Msg: m.ID}, true
 		}
 	}
-	for _, id := range k.order {
-		if s.Only.AllowsProc(id) && !k.Down(id) && k.procs[id].Ready() {
-			k.leapIdle(k.procs[id])
-			return Action{Kind: ActStep, Proc: id}, true
+	for _, o := range k.order {
+		if k.canStep(o, s.Only) && k.procs[o].Ready() {
+			k.leapIdle(k.procs[o])
+			return Action{Kind: ActStep, Proc: k.ids[o]}, true
 		}
 	}
 	return Action{}, false
@@ -183,7 +182,7 @@ func (s *RoundRobin) Next(k *Kernel) (Action, bool) {
 // keep every step: the proof machinery reads them.
 func (k *Kernel) leapIdle(p Process) {
 	w, ok := p.(Waker)
-	if !ok || k.traceCap >= 0 {
+	if !ok || k.Recording() {
 		return
 	}
 	if wake, useful := w.WakeAt(k.now); useful && wake-StepCost > k.now {
@@ -284,23 +283,23 @@ func (s *Network) Next(k *Kernel) (Action, bool) {
 	var wake Time
 	var wakeProc ProcessID
 	haveWake := false
-	for _, id := range k.order {
-		if !s.Only.AllowsProc(id) || k.Down(id) || !k.procs[id].Ready() {
+	for _, o := range k.order {
+		if !k.canStep(o, s.Only) || !k.procs[o].Ready() {
 			continue
 		}
-		if w, isWaker := k.procs[id].(Waker); isWaker {
+		if w, isWaker := k.procs[o].(Waker); isWaker {
 			t, useful := w.WakeAt(k.now)
 			if !useful {
 				continue // waiting on a delivery, not on time
 			}
 			if t > k.now {
 				if !haveWake || t < wake {
-					wake, wakeProc, haveWake = t, id, true
+					wake, wakeProc, haveWake = t, k.ids[o], true
 				}
 				continue
 			}
 		}
-		return Action{Kind: ActStep, Proc: id}, true
+		return Action{Kind: ActStep, Proc: k.ids[o]}, true
 	}
 	// Nobody can act now: leap. Arrivals win ties so the woken process
 	// sees every message due by its wake instant.

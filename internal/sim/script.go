@@ -65,9 +65,13 @@ func StepsBy(script []ScriptStep, pid ProcessID, includeDeliveries bool) []Scrip
 // kernel's internal counters. The adversary records this before capturing
 // a script so FilterProcessSteps can distinguish pre-existing messages.
 func (k *Kernel) LinkSeqHighWater() map[Link]int64 {
-	out := make(map[Link]int64, len(k.linkSeq))
-	for l, s := range k.linkSeq {
-		out[l] = s
+	out := make(map[Link]int64)
+	for from, row := range k.linkSeq {
+		for to, seq := range row {
+			if seq > 0 {
+				out[Link{From: k.ids[from], To: k.ids[to]}] = seq
+			}
+		}
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -26,9 +25,10 @@ import (
 //     its window — the Network scheduler's policy (pending inboxes first,
 //     then due deliveries in (ReadyAt, ID) order, then Ready steps, with
 //     Waker-declared wake leaps bounded by the window end) over its own
-//     processes and its local clock. Sends are buffered; nothing global
-//     is touched. Shards are data-disjoint, so this phase runs on
-//     min(Workers, active shards) goroutines.
+//     processes and its local clock. Sends are buffered; of the kernel a
+//     shard touches only what is its alone — its partition of the arrival
+//     index and its processes' slots. Shards are data-disjoint, so this
+//     phase runs on min(Workers, active shards) goroutines.
 //  3. The runner (serial again) merges: buffered sends are committed to
 //     the kernel in fixed shard order, then send order — assigning
 //     message IDs, link sequence numbers and latency samples from the
@@ -60,7 +60,6 @@ type ShardedRunner struct {
 	workers int
 	delta   Time
 	shards  []*shard
-	shardOf map[ProcessID]*shard
 	nProcs  int
 	horizon Time
 
@@ -75,6 +74,8 @@ type ShardedRunner struct {
 	arrTop       []*Message
 	shardReady   []bool
 	shardWake    []Time
+	// evBy counts events per process slot, for the rebalance load profile.
+	evBy []int
 
 	stats ShardingStats
 }
@@ -132,29 +133,30 @@ type ShardLoad struct {
 
 // shardSend is one buffered outbound message awaiting the serial merge.
 type shardSend struct {
-	from ProcessID
+	from slot
 	out  Outbound
 	at   Time
 }
 
 // shard owns a disjoint subset of the kernel's processes plus the
-// transient per-round state of its local sub-simulation.
+// transient per-round state of its local sub-simulation. It keeps no copy
+// of kernel state: processes, crash flags and income buffers are read
+// through the slots, arrivals popped from partition idx of the kernel's
+// index. Faults only change between engine runs, so those reads are
+// race-free from worker goroutines.
 type shard struct {
+	k     *Kernel
 	idx   int
-	procs []Process
-	ids   []ProcessID
-	local map[ProcessID]int
-	// down marks crashed local processes. Refreshed serially at Run
-	// start (faults only change between engine runs), so reads from
-	// worker goroutines during a round are race-free.
-	down []bool
+	slots []slot // sorted by ID, like the Network scheduler's scan
+	evBy  []int  // the runner's, by slot
 
-	arr       arrivalHeap  // undelivered arrivals for this shard
-	inbox     [][]*Message // per local process
+	// pending counts the shard's up processes with a non-empty income
+	// buffer; adopted is the count the round's pre-scan found, so the
+	// merge can settle the kernel's counter by the difference.
 	pending   int
+	adopted   int
 	t         Time // persistent local clock
 	events    int
-	evBy      []int // per local process, for the rebalance load profile
 	sends     []shardSend
 	delivered []*Message // messages delivered this round
 	bound     Time       // this round's advancement bound
@@ -171,14 +173,17 @@ type shard struct {
 // The kernel must be in load mode (event recording disabled via
 // SetTraceCap(-1)): shards execute off the global event path, so there is
 // no meaningful global interleaving to record. The process set must not
-// change for the runner's lifetime. While the runner is stepping, it owns
-// the kernel's arrival index; Run hands it back before returning, so the
-// kernel stays coherent between Runs.
+// change for the runner's lifetime. Attaching re-buckets the kernel's
+// arrival index once, one partition per shard; from then on every send
+// lands in its destination shard's partition directly. The index, the
+// income buffers and every counter stay the kernel's own, so between Runs
+// — and after a budget-cut one — a fault, a snapshot or a serial scheduler
+// finds the kernel whole, with nothing to hand back.
 func NewLookaheadRunner(k *Kernel, shardOf func(ProcessID) int, nShards, workers int) (*ShardedRunner, error) {
 	if nShards < 1 {
 		return nil, fmt.Errorf("sim: sharded runner needs at least 1 shard, got %d", nShards)
 	}
-	if k.traceCap >= 0 {
+	if k.Recording() {
 		return nil, fmt.Errorf("sim: sharded stepping requires load mode (SetTraceCap(-1)); full traces only exist for the serial schedulers")
 	}
 	workers = max(workers, 1)
@@ -187,7 +192,6 @@ func NewLookaheadRunner(k *Kernel, shardOf func(ProcessID) int, nShards, workers
 		workers:    workers,
 		delta:      max(k.latencyFloor, 1),
 		shards:     make([]*shard, nShards),
-		shardOf:    make(map[ProcessID]*shard, len(k.order)),
 		nProcs:     len(k.order),
 		e:          make([]Time, nShards),
 		prom:       make([]Time, nShards),
@@ -196,6 +200,7 @@ func NewLookaheadRunner(k *Kernel, shardOf func(ProcessID) int, nShards, workers
 		arrTop:     make([]*Message, nShards),
 		shardReady: make([]bool, nShards),
 		shardWake:  make([]Time, nShards),
+		evBy:       make([]int, len(k.order)),
 		stats: ShardingStats{
 			Shards:    nShards,
 			Workers:   workers,
@@ -204,28 +209,23 @@ func NewLookaheadRunner(k *Kernel, shardOf func(ProcessID) int, nShards, workers
 		},
 	}
 	for i := range r.shards {
-		r.shards[i] = &shard{idx: i, local: make(map[ProcessID]int), t: k.now}
+		r.shards[i] = &shard{k: k, idx: i, evBy: r.evBy, t: k.now}
 	}
 	// k.order is sorted, so every shard's process list is sorted too and
 	// the shard-local pending-inbox scan matches the Network scheduler's
 	// sorted-ID tie-break.
-	for _, pid := range k.order {
-		s := shardOf(pid)
-		if s < 0 || s >= nShards {
-			return nil, fmt.Errorf("sim: process %s mapped to shard %d, want [0,%d)", pid, s, nShards)
+	part := make([]int32, len(k.order))
+	for _, s := range k.order {
+		pid := k.ids[s]
+		si := shardOf(pid)
+		if si < 0 || si >= nShards {
+			return nil, fmt.Errorf("sim: process %s mapped to shard %d, want [0,%d)", pid, si, nShards)
 		}
-		sh := r.shards[s]
-		sh.local[pid] = len(sh.procs)
-		sh.procs = append(sh.procs, k.procs[pid])
-		sh.ids = append(sh.ids, pid)
-		r.shardOf[pid] = sh
-		r.stats.Partition[string(pid)] = s
+		part[s] = int32(si)
+		r.shards[si].slots = append(r.shards[si].slots, s)
+		r.stats.Partition[string(pid)] = si
 	}
-	for _, sh := range r.shards {
-		sh.inbox = make([][]*Message, len(sh.procs))
-		sh.evBy = make([]int, len(sh.procs))
-		sh.down = make([]bool, len(sh.procs))
-	}
+	k.partition(nShards, part)
 	r.buildFloors()
 	return r, nil
 }
@@ -255,14 +255,12 @@ func (r *ShardedRunner) buildFloors() {
 			}
 		}
 	}
-	for _, from := range r.k.order {
-		si := r.shardOf[from].idx
-		for _, to := range r.k.order {
-			sj := r.shardOf[to].idx
+	for from, si := range r.k.part {
+		for to, sj := range r.k.part {
 			if si == sj {
 				continue
 			}
-			f := r.k.LinkLatencyFloor(Link{From: from, To: to})
+			f := r.k.LinkLatencyFloor(Link{From: r.k.ids[from], To: r.k.ids[to]})
 			if f < 1 {
 				f = 1
 			}
@@ -281,10 +279,8 @@ func (r *ShardedRunner) Stats() ShardingStats { return r.stats }
 // driver's shard rebalance derives its striping from.
 func (r *ShardedRunner) ProcessEvents() map[ProcessID]int {
 	out := make(map[ProcessID]int, r.nProcs)
-	for _, sh := range r.shards {
-		for li, n := range sh.evBy {
-			out[sh.ids[li]] = n
-		}
+	for s, n := range r.evBy {
+		out[r.k.ids[s]] = n
 	}
 	return out
 }
@@ -307,8 +303,9 @@ func (r *ShardedRunner) SetRefill(f func(ProcessID, Time)) {
 // shard's persistent clock is lifted to it so the injected work is never
 // stepped before its scheduled arrival.
 func (r *ShardedRunner) NotifyInvoked(pid ProcessID, at Time) {
-	if sh, ok := r.shardOf[pid]; ok && at > sh.t {
-		sh.t = at
+	if s, ok := r.k.slotOf[pid]; ok {
+		sh := r.shards[r.k.part[s]]
+		sh.t = max(sh.t, at)
 	}
 }
 
@@ -345,8 +342,6 @@ func (r *ShardedRunner) SetHorizon(t Time) { r.horizon = t }
 // count (each shard of a round is capped at an equal share of the
 // remaining budget) — deterministically so.
 func (r *ShardedRunner) Run(stop func(*Kernel) bool, maxEvents int) int {
-	r.syncFaults()
-	defer r.restoreArrivals()
 	n := 0
 	for n < maxEvents {
 		if stop != nil && stop(r.k) {
@@ -359,67 +354,6 @@ func (r *ShardedRunner) Run(stop func(*Kernel) bool, maxEvents int) int {
 		}
 	}
 	return n
-}
-
-// syncFaults refreshes the shards' view of nemesis state at Run start:
-// the per-process down flags, and the process pointers themselves — a
-// lossy restart swaps a fresh process into the kernel between engine
-// runs, and the shard must step the replacement, not the corpse. Faults
-// are applied only between Runs (serially, by the driver), so one
-// refresh per Run keeps every worker's view exact and race-free.
-func (r *ShardedRunner) syncFaults() {
-	for _, sh := range r.shards {
-		for li, id := range sh.ids {
-			sh.procs[li] = r.k.procs[id]
-			sh.down[li] = r.k.Down(id)
-		}
-	}
-}
-
-// restoreArrivals hands arrival indexing back to the kernel when Run
-// returns: every undelivered message parked in a shard heap goes back
-// onto the kernel heap, so between Runs the kernel is exactly as coherent
-// as under the serial schedulers.
-func (r *ShardedRunner) restoreArrivals() {
-	for _, sh := range r.shards {
-		for sh.arr.Len() > 0 {
-			m := heap.Pop(&sh.arr).(*Message)
-			if !m.gone {
-				r.k.pushArrival(m)
-			}
-		}
-	}
-}
-
-// adoptPending moves kernel income buffers (leftovers of a
-// budget-exhausted round, or deliveries a serial scheduler made before
-// this runner took over) into the owning shards' local buffers.
-func (r *ShardedRunner) adoptPending() {
-	k := r.k
-	if k.pendingInboxes == 0 {
-		return
-	}
-	kept := 0
-	for _, pid := range k.order {
-		msgs := k.inbox[pid]
-		if len(msgs) == 0 {
-			continue
-		}
-		if k.Down(pid) {
-			// A persistently-crashed process keeps its delivered-but-
-			// unconsumed messages in the kernel buffer until restart.
-			kept++
-			continue
-		}
-		sh := r.shardOf[pid]
-		li := sh.local[pid]
-		if len(sh.inbox[li]) == 0 {
-			sh.pending++
-		}
-		sh.inbox[li] = append(sh.inbox[li], msgs...)
-		k.inbox[pid] = nil
-	}
-	k.pendingInboxes = kept
 }
 
 // runActive executes the active shards' windows — in parallel when there
@@ -463,9 +397,10 @@ func (r *ShardedRunner) runActive(active []*shard, budget int) {
 
 // merge is the serial commit phase: buffered sends enter the kernel in
 // fixed shard order, then send order (IDs, link sequence numbers, latency
-// draws from the single kernel RNG), leftovers of budget-exhausted shards
-// are restored, the kernel clock advances to the latest shard-local
-// clock, and events are accounted.
+// draws from the single kernel RNG) — each straight into its destination
+// shard's partition of the arrival index — the kernel's delivery and
+// pending-inbox accounts are settled, its clock advances to the latest
+// shard-local clock, and events are accounted.
 func (r *ShardedRunner) merge(active []*shard) int {
 	k := r.k
 	total, crit := 0, 0
@@ -480,20 +415,9 @@ func (r *ShardedRunner) merge(active []*shard) int {
 			delete(k.byID, m.ID)
 		}
 		sh.delivered = sh.delivered[:0]
-		for li, in := range sh.inbox {
-			if len(in) == 0 {
-				continue
-			}
-			// Budget ran out between delivery and the consuming step: the
-			// messages persist in the kernel income buffer.
-			pid := sh.ids[li]
-			if len(k.inbox[pid]) == 0 {
-				k.pendingInboxes++
-			}
-			k.inbox[pid] = append(k.inbox[pid], in...)
-			sh.inbox[li] = nil
-		}
-		sh.pending = 0
+		// Non-zero only when the budget ran out between a delivery and
+		// the consuming step: the messages wait in the income buffer.
+		k.pendingInboxes += sh.pending - sh.adopted
 		total += sh.events
 		r.stats.PerShard[sh.idx].Events += sh.events
 		if sh.events > crit {
@@ -521,25 +445,25 @@ func (r *ShardedRunner) merge(active []*shard) int {
 // round executes one per-link lookahead round. It returns the events
 // executed and whether another round could do work.
 //
-//  1. Adopt pending inboxes and freshly committed sends (the kernel
-//     arrival heap drains into the destination shards' heaps — while the
-//     runner is live, it owns arrival indexing).
-//  2. Serial pre-scan: per shard, the earliest instant e_i it could act —
+//  1. Serial pre-scan: per shard, the earliest instant e_i it could act —
 //     the minimum over its pending inboxes (now), Ready processes (now),
-//     declared wake instants, and its earliest undelivered arrival.
-//  3. Promise fixpoint: shard i cannot send before
+//     declared wake instants, and its earliest undelivered arrival, the
+//     top of its partition of the kernel's index. Everything is read from
+//     the kernel as it stands, so whatever happened since the last round
+//     (a fault, a restart swapping a process, an injection) is seen.
+//  2. Promise fixpoint: shard i cannot send before
 //     P_i = min(e_i, min_{j≠i}(P_j + floor[j→i])) — its own next event,
 //     or the earliest instant another shard's message could trigger one.
 //     Because the floors are positive this is a shortest-path problem
 //     over the shard graph, solved exactly with one Dijkstra pass.
-//  4. Per-shard advancement bound: no future message can reach shard i
+//  3. Per-shard advancement bound: no future message can reach shard i
 //     with ReadyAt below bound_i = min_{j≠i}(P_j + floor[j→i]) — the
 //     null-message guarantee. Every shard executes its own window
 //     [clock_i, bound_i): deliveries strictly below the bound (in global
 //     (ReadyAt, ID) order, so per-shard delivery order matches the serial
 //     index), wake leaps strictly below the bound, Ready chains
 //     unbounded.
-//  5. The serial merge commits sends and advances the kernel.
+//  4. The serial merge commits sends and advances the kernel.
 //
 // The globally earliest event always lies strictly below its shard's
 // bound (bounds exceed min e_i by at least one positive floor), so every
@@ -552,38 +476,28 @@ func (r *ShardedRunner) round(budget int) (int, bool) {
 	if len(k.order) != r.nProcs {
 		panic("sim: process set changed under a ShardedRunner")
 	}
-	r.adoptPending()
-	for {
-		m := k.EarliestArrival()
-		if m == nil {
-			break
-		}
-		heap.Pop(&k.arrivals)
-		heap.Push(&r.shardOf[m.To].arr, m)
-	}
 
 	// Pre-scan: e_i = earliest instant shard i could act.
 	minE := infTime
 	for si, sh := range r.shards {
 		e := infTime
-		if sh.pending > 0 {
-			e = sh.t
-		}
-		top := sh.peekArr()
+		top := k.arrivals[si].top()
 		r.arrTop[si] = top
 		if top != nil {
-			at := top.ReadyAt
-			if sh.t > at {
-				at = sh.t
-			}
-			if at < e {
-				e = at
-			}
+			e = max(top.ReadyAt, sh.t)
 		}
+		sh.pending = 0
 		r.shardReady[si] = false
 		r.shardWake[si] = infTime
-		for li, p := range sh.procs {
-			if sh.down[li] || !p.Ready() {
+		for _, s := range sh.slots {
+			if k.crashed[s].down {
+				continue
+			}
+			if len(k.inbox[s]) > 0 {
+				sh.pending++
+			}
+			p := k.procs[s]
+			if !p.Ready() {
 				continue
 			}
 			if w, ok := p.(Waker); ok {
@@ -600,7 +514,8 @@ func (r *ShardedRunner) round(budget int) (int, bool) {
 			}
 			r.shardReady[si] = true
 		}
-		if r.shardReady[si] && sh.t < e {
+		sh.adopted = sh.pending
+		if (sh.pending > 0 || r.shardReady[si]) && sh.t < e {
 			e = sh.t
 		}
 		if r.shardWake[si] < e {
@@ -707,34 +622,37 @@ func (r *ShardedRunner) computeBounds() {
 
 // run is the shard-local sub-simulation of one round: the Network
 // scheduler's policy over the shard's processes only, on the shard's
-// persistent clock, with deliveries popped from the shard's own arrival
-// heap and both deliveries and wake leaps admitted strictly below the
-// shard's advancement bound. It touches no global kernel state.
+// persistent clock, with deliveries popped from the shard's own partition
+// of the arrival index and both deliveries and wake leaps admitted
+// strictly below the shard's advancement bound. Of the kernel it touches
+// only that partition and its own processes' slots.
 func (sh *shard) run(budget int) {
-	bound := sh.bound
+	k, bound := sh.k, sh.bound
+	arr := &k.arrivals[sh.idx]
 	for sh.events < budget {
-		// 1. Processes with pending input act first, in sorted ID order.
+		// 1. Processes with pending input act first, in sorted ID order
+		// (a crashed one keeps its buffer, unstepped, until restart).
 		if sh.pending > 0 {
-			for li := range sh.procs {
-				if len(sh.inbox[li]) > 0 {
-					sh.step(li)
+			for _, s := range sh.slots {
+				if len(k.inbox[s]) > 0 && !k.crashed[s].down {
+					sh.step(s)
 					break
 				}
 			}
 			continue
 		}
 		// 2. Deliveries already due at the local instant.
-		if m := sh.peekArr(); m != nil && m.ReadyAt < bound && m.ReadyAt <= sh.t {
+		if m := arr.top(); m != nil && m.ReadyAt < bound && m.ReadyAt <= sh.t {
 			sh.deliver()
 			continue
 		}
 		// 3. Ready processes act now — except Wakers declaring a future
 		// wake instant (or none at all: those wait for a delivery).
 		acted := false
-		var wake Time
-		wakeLi := -1
-		for li, p := range sh.procs {
-			if sh.down[li] || !p.Ready() {
+		wake, waker := infTime, slot(0) // earliest declared wake, if any
+		for _, s := range sh.slots {
+			p := k.procs[s]
+			if k.crashed[s].down || !p.Ready() {
 				continue
 			}
 			if w, ok := p.(Waker); ok {
@@ -743,13 +661,13 @@ func (sh *shard) run(budget int) {
 					continue
 				}
 				if wt > sh.t {
-					if wakeLi < 0 || wt < wake {
-						wake, wakeLi = wt, li
+					if wt < wake {
+						wake, waker = wt, s
 					}
 					continue
 				}
 			}
-			sh.step(li)
+			sh.step(s)
 			acted = true
 			break
 		}
@@ -759,73 +677,62 @@ func (sh *shard) run(budget int) {
 		// 4. Nobody can act at this instant: advance the local clock to
 		// the next useful one below the bound. Arrivals win ties so the
 		// woken process sees every message due by its wake instant.
-		if m := sh.peekArr(); m != nil && m.ReadyAt < bound && (wakeLi < 0 || m.ReadyAt <= wake) {
+		if m := arr.top(); m != nil && m.ReadyAt < bound && m.ReadyAt <= wake {
 			sh.deliver()
 			continue
 		}
-		if wakeLi >= 0 && wake < bound {
+		if wake < min(bound, infTime) {
 			// The step itself costs StepCost, so the process runs at
 			// exactly its wake instant.
 			if wake-StepCost > sh.t {
 				sh.t = wake - StepCost
 			}
-			sh.step(wakeLi)
+			sh.step(waker)
 			continue
 		}
 		return // nothing more admissible under this round's bound
 	}
 }
 
-// peekArr returns the shard's earliest undelivered arrival, discarding
-// stale (dropped) heap tops on the way, or nil.
-func (sh *shard) peekArr() *Message {
-	for sh.arr.Len() > 0 {
-		m := sh.arr[0]
-		if m.gone {
-			heap.Pop(&sh.arr)
-			continue
-		}
-		return m
-	}
-	return nil
-}
-
-// deliver pops the shard heap's top — the caller has checked it against
-// the bound — and moves it into its local income buffer. The message is
-// marked gone here (shard-owned while the round runs); its global index
-// entry is removed at the merge.
+// deliver pops the top of the shard's partition — the caller has checked
+// it against the bound — and moves it into its income buffer. The message
+// is marked gone here (shard-owned while the round runs); its byID entry
+// is removed at the merge.
 func (sh *shard) deliver() {
-	m := heap.Pop(&sh.arr).(*Message)
+	k := sh.k
+	m := k.arrivals[sh.idx].pop()
 	m.gone = true
 	sh.delivered = append(sh.delivered, m)
 	if m.ReadyAt > sh.t {
 		sh.t = m.ReadyAt
 	}
 	m.DeliveredAt = sh.t
-	li := sh.local[m.To]
-	if len(sh.inbox[li]) == 0 {
+	if len(k.inbox[m.to]) == 0 {
 		sh.pending++
 	}
-	sh.inbox[li] = append(sh.inbox[li], m)
+	k.inbox[m.to] = append(k.inbox[m.to], m)
 	sh.events++
-	sh.evBy[li]++
+	sh.evBy[m.to]++
 }
 
-// step executes one computation step of the local process li, buffering
-// its sends for the merge.
-func (sh *shard) step(li int) {
-	in := sh.inbox[li]
+// step executes one computation step of the process in slot s, buffering
+// its sends for the merge. The income buffer is emptied in place and used
+// again by the next deliveries (Process.Step may not keep the slice).
+func (sh *shard) step(s slot) {
+	k := sh.k
+	in := k.inbox[s]
 	if len(in) > 0 {
 		sh.pending--
-		sh.inbox[li] = nil
 	}
 	sh.t += StepCost
-	for _, o := range sh.procs[li].Step(sh.t, in) {
-		sh.sends = append(sh.sends, shardSend{from: sh.ids[li], out: o, at: sh.t})
+	for _, o := range k.procs[s].Step(sh.t, in) {
+		sh.sends = append(sh.sends, shardSend{from: s, out: o, at: sh.t})
 	}
+	clear(in)
+	k.inbox[s] = in[:0]
 	sh.events++
-	sh.evBy[li]++
+	sh.evBy[s]++
 	if sh.refill != nil {
-		sh.refill(sh.ids[li], sh.t)
+		sh.refill(k.ids[s], sh.t)
 	}
 }

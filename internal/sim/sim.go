@@ -31,7 +31,7 @@
 // wake instant via Waker), which core's staleness phase still runs whole.
 //
 // Around the engine sit the seeded arrival processes for open-loop
-// injection (arrivals.go), Kernel.AdvanceTo plus horizon gating for
+// injection (openloop.go), Kernel.AdvanceTo plus horizon gating for
 // bounded runs, and a load mode (SetTraceCap/SetPayloadRetention) that
 // keeps memory flat over millions of events.
 package sim
@@ -82,7 +82,13 @@ type Message struct {
 	// crashed or link cut): still in transit, but not deliverable until
 	// the fault clears (nemesis.go).
 	held bool
+	// to and from are the kernel slots of To and From (Kernel.Add); they
+	// sit in what was padding, so the envelope is no larger for them.
+	to, from slot
 }
+
+// slot is a process's dense index within its kernel.
+type slot uint16
 
 func (m *Message) String() string {
 	return fmt.Sprintf("#%d %s->%s %s (seq %d)", m.ID, m.From, m.To, m.Payload.Kind(), m.LinkSeq)
@@ -117,7 +123,9 @@ type Process interface {
 	ID() ProcessID
 	// Step executes one computation step. inbox contains every message in
 	// the process's income buffers, in delivery order; it may be empty (a
-	// spontaneous local step). The return value lists messages to send.
+	// spontaneous local step). The slice is the engine's and is reused
+	// after the call: a process may keep the messages, never the slice.
+	// The return value lists messages to send.
 	Step(now Time, inbox []*Message) []Outbound
 	// Ready reports whether an empty-inbox step would do useful work
 	// (e.g. a client with an invoked-but-unsent transaction, or a server
