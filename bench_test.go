@@ -221,9 +221,9 @@ func BenchmarkDriverEventRate(b *testing.B) {
 // BenchmarkSteppingEngines times the stepping engine on the 8-server
 // 64-client cell (E12/E13): conservative lookahead executed serially
 // (workers=1, the oracle schedule) and on a 4-goroutine pool
-// (workers=4), and with the deterministic shard rebalance. Reported
-// metric: events ÷ critical-path events — the measured
-// shard-parallelism, i.e. the multi-core speedup ceiling of the cell.
+// (workers=4). Reported metric: events ÷ critical-path events — the
+// measured shard-parallelism, i.e. the multi-core speedup ceiling of the
+// cell.
 func BenchmarkSteppingEngines(b *testing.B) {
 	cases := []struct {
 		name string
@@ -231,7 +231,6 @@ func BenchmarkSteppingEngines(b *testing.B) {
 	}{
 		{"lookahead/workers=1", driver.Config{Servers: 8, Workers: 1}},
 		{"lookahead/workers=4", driver.Config{Servers: 8, Workers: 4}},
-		{"lookahead+rebalance/workers=1", driver.Config{Servers: 8, Workers: 1, Rebalance: true}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

@@ -66,7 +66,7 @@ func buildCurve(s sweep) ([]curveRow, error) {
 			Replication: c.cfg.Replication, Topology: c.cfg.Topology,
 			Clients: c.cfg.Clients, Txns: c.cfg.Txns,
 			Fractions: s.fractions, Deterministic: c.cfg.DeterministicArrivals,
-			Certify: c.cfg.Certify, RefineKnee: s.refineKnee, Rebalance: c.cfg.Rebalance,
+			Certify: c.cfg.Certify, RefineKnee: s.refineKnee,
 		})
 		if err != nil {
 			return nil, err

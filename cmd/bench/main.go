@@ -4,9 +4,9 @@
 // Both modes sweep protocol × mix × topology × servers × replication ×
 // txns × clients, in that order (-protocols, -mixes, -topology, -servers,
 // -replication, -txns; replication factors above a cell's server count
-// are skipped), and share -objects, -seed, -workers, -rebalance and
-// -certify. The default -servers 2,4,8 charts how every protocol behaves
-// as transactions span more partitions — the regime the paper's theorems
+// are skipped), and share -objects, -seed, -workers and -certify. The
+// default -servers 2,4,8 charts how every protocol behaves as
+// transactions span more partitions — the regime the paper's theorems
 // speak to — and -replication >1 adds the partially replicated placements
 // of Theorem 2. A flag the selected mode does not read is refused by
 // name, never dropped, and so is a sweep with no cell in it.
@@ -32,8 +32,7 @@
 // cells of the sweep at a time: cells share nothing and rows keep sweep
 // order, so two runs differing only in -workers emit byte-identical JSON
 // (the CI equivalence smokes diff them); *_wall_ms columns are host time,
-// comparable at -workers 1 only. -rebalance recomputes the client→shard
-// striping from a deterministic probe run. Rows carry engine/shards/
+// comparable at -workers 1 only. Rows carry engine/shards/
 // rounds/critical_path_events plus the lookahead shape (null_advances,
 // blocked_shard_rounds, blocked_time_us): events ÷ critical_path_events
 // is the cell's measured shard-parallelism — the speedup ceiling of a
@@ -173,7 +172,6 @@ type shardCols struct {
 	NullAdvances       int    `json:"null_advances,omitempty"`
 	BlockedShardRounds int    `json:"blocked_shard_rounds,omitempty"`
 	BlockedTimeUs      int64  `json:"blocked_time_us,omitempty"`
-	Rebalanced         bool   `json:"rebalanced,omitempty"`
 }
 
 // shardCells fills the sharded-stepping columns from a run's stats.
@@ -185,7 +183,6 @@ func shardCells(r *shardCols, s *sim.ShardingStats) {
 	r.NullAdvances = s.NullAdvances
 	r.BlockedShardRounds = s.BlockedShardRounds
 	r.BlockedTimeUs = int64(s.BlockedTime)
-	r.Rebalanced = s.Rebalanced
 }
 
 // certCols is the certification column set every certified grid row
@@ -378,7 +375,7 @@ type sweep struct {
 	txns        []int
 	clients     []int // -clients, or -curveclients under -curve
 	// cell holds what the flags fix for every cell (Pipeline,
-	// ObjectsPerServer, Seed, Certify, ProbeStaleness, Rebalance, Nemesis,
+	// ObjectsPerServer, Seed, Certify, ProbeStaleness, Nemesis,
 	// DeterministicArrivals); cells fills in the axes.
 	cell driver.Config
 	// workers is how many cells run at once (-workers).
@@ -550,10 +547,6 @@ func parseSweep(args []string, stderr io.Writer) (sweep, error) {
 	workers := fs.Int("workers", 1,
 		"cells of the sweep measured at a time, >= 1 — each cell steps serially and rows "+
 			"keep sweep order, so outputs diff byte-for-byte across worker counts")
-	rebalance := fs.Bool("rebalance", false,
-		"recompute the client-to-shard striping per cell from a deterministic "+
-			"probe run's per-shard event counts (the chosen partition changes "+
-			"the cell's schedule, deterministically)")
 	certify := fs.Bool("certify", false, fmt.Sprintf(
 		"certify each cell ride-along at the protocol's claimed consistency "+
 			"level (adds cert fields incl. first_violation_txn to the grid): "+
@@ -625,7 +618,7 @@ func parseSweep(args []string, stderr io.Writer) (sweep, error) {
 		cpuProfile: *cpuProfile, memProfile: *memProfile,
 		cell: driver.Config{
 			Pipeline: *pipeline, ObjectsPerServer: *objects, Seed: *seed,
-			Certify: *certify, ProbeStaleness: *stale, Rebalance: *rebalance,
+			Certify: *certify, ProbeStaleness: *stale,
 			DeterministicArrivals: *arrivals == "uniform",
 		},
 	}

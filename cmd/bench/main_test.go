@@ -142,34 +142,19 @@ func TestGridWorkersByteIdentical(t *testing.T) {
 
 // TestGridEngineColumns pins the lookahead shape columns: sharded cells
 // report null-message-bound advances (the mechanism is exercised on every
-// multi-shard cell), and -rebalance marks its rows and stays
-// deterministic across repeats.
+// multi-shard cell).
 func TestGridEngineColumns(t *testing.T) {
-	base := sweepOf(t, "-protocols cops -clients 8 -txns 120 -servers 4")
-	grid := func(cfg sweep) []row {
-		rows, err := buildGrid(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != 1 {
-			t.Fatalf("rows = %d, want 1", len(rows))
-		}
-		return rows
+	rows, err := buildGrid(sweepOf(t, "-protocols cops -clients 8 -txns 120 -servers 4"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	la := grid(base)[0]
+	if len(rows) != 1 {
+		t.Fatalf("rows = %d, want 1", len(rows))
+	}
+	la := rows[0]
 	if la.Engine != "lookahead" || la.NullAdvances == 0 {
 		t.Fatalf("lookahead cell must report null advances: %+v", la.shardCols)
 	}
-	if la.Rebalanced {
-		t.Fatalf("unrebalanced cell marked rebalanced: %+v", la.shardCols)
-	}
-	rcfg := base
-	rcfg.cell.Rebalance = true
-	rb := grid(rcfg)[0]
-	if !rb.Rebalanced {
-		t.Fatalf("rebalanced cell not marked: %+v", rb.shardCols)
-	}
-	requireIdentical(t, "rebalance repeat", encode(t, rb), encode(t, grid(rcfg)[0]))
 }
 
 // TestGridServerSweep: the multi-server default sweep produces one cell

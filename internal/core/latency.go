@@ -105,21 +105,30 @@ func MeasureLatencyWith(p protocol.Protocol, mix workload.Mix, txns int, seed in
 
 // measureStaleness runs a short lockstep write loop on a fresh deployment
 // and measures, per write, the extra virtual time until the written values
-// are visible to a fresh reader (the paper's visibility probes need
-// snapshots and fine-grained control, so this phase stays sequential).
+// are visible to a fresh reader. The deployment steps under the load
+// engine on the driver's partition (one shard per server); visibility is
+// checked between engine runs with the frozen probes of VisibleAll, which
+// run on snapshots and leave the stepped kernel untouched.
 func measureStaleness(p protocol.Protocol, mix workload.Mix, opt LatencyOptions, seed int64) (stats.Summary, int, error) {
 	d := protocol.Deploy(p, protocol.Config{
 		Servers: opt.Servers, ObjectsPerServer: opt.ObjectsPerServer,
 		Clients: 1, Seed: seed,
 	})
+	d.Kernel.SetTraceCap(-1)
+	d.Kernel.SetPayloadRetention(false)
 	if err := d.InitAll(400_000); err != nil {
+		return stats.Summary{}, 0, err
+	}
+	shardOf, shards := d.Partition()
+	runner, err := sim.NewLookaheadRunner(d.Kernel, shardOf, shards, 1)
+	if err != nil {
 		return stats.Summary{}, 0, err
 	}
 	gen := workload.NewGenerator(mix, d.Place.Objects(), seed*31+7)
 	multiWrite := p.Claims().MultiWriteTxn
 	stale := stats.NewCollector()
 	incomplete := 0
-	sched := &sim.Network{}
+	cl := d.Client("c0")
 
 	// Cross-server writes are the interesting staleness regime: visibility
 	// of a multi-server transaction waits on stabilization traffic
@@ -143,7 +152,9 @@ func measureStaleness(p protocol.Protocol, mix workload.Mix, opt LatencyOptions,
 		if multiWrite && mix.WriteWidth > 1 {
 			txn = spanning(i)
 		}
-		res := d.RunTxnWith("c0", txn.Clone(), sched, 500_000)
+		tid := d.Invoke("c0", txn.Clone())
+		runner.Run(func(*sim.Kernel) bool { return !cl.Busy() }, 500_000)
+		res := cl.Finished(tid)
 		if res == nil || !res.OK() {
 			incomplete++
 			continue
@@ -155,7 +166,7 @@ func measureStaleness(p protocol.Protocol, mix workload.Mix, opt LatencyOptions,
 		t0 := d.Kernel.Now()
 		visible := d.VisibleAll(d.Readers[0], want, true).Visible
 		for tries := 0; tries < 64 && !visible; tries++ {
-			sim.Run(d.Kernel, sched, nil, 32)
+			runner.Run(nil, 32)
 			visible = d.VisibleAll(d.Readers[0], want, true).Visible
 		}
 		if visible {

@@ -80,7 +80,6 @@ type CurveOptions struct {
 	// knee is recomputed over all points.
 	RefineKnee bool
 	Workers    int
-	Rebalance  bool
 }
 
 // config is the closed-loop saturation run of the sweep; every open-loop
@@ -89,7 +88,7 @@ func (o CurveOptions) config(mix workload.Mix, seed int64) driver.Config {
 	cfg := driver.Config{
 		Clients: o.Clients, Txns: o.Txns, Mix: mix, Seed: seed,
 		Servers: o.Servers, ObjectsPerServer: o.ObjectsPerServer, Replication: o.Replication,
-		Topology: o.Topology, Workers: o.Workers, Rebalance: o.Rebalance,
+		Topology: o.Topology, Workers: o.Workers,
 	}
 	if cfg.Clients <= 0 {
 		cfg.Clients = 8

@@ -27,11 +27,13 @@
 // the same history.
 //
 // The kernel is stepped under per-link conservative lookahead
-// (sim.NewLookaheadRunner): one shard per server with clients striped
-// across them, each shard advancing to its own null-message bound on
-// Config.Workers goroutines, and a deterministic merge — the run is a
-// function of the shard partition and seed only, so Workers=1 reproduces
-// any Workers=N run byte for byte (the serial oracle guarantee).
+// (sim.NewLookaheadRunner) on the deployment's partition
+// (protocol.Deployment.Partition: one shard per server with clients
+// striped across them), each shard advancing to its own null-message
+// bound on Config.Workers goroutines, and a deterministic merge — the
+// run is a function of the shard partition and seed only, so Workers=1
+// reproduces any Workers=N run byte for byte (the serial oracle
+// guarantee).
 // Report.Sharding records the run's shape, including the critical-path
 // event count that bounds multi-core speedup, the null-message advances
 // and per-shard blocked time.
@@ -40,11 +42,7 @@
 // back into the driver after every client step (from the parallel
 // phase, touching only that client's generator and counters), so a
 // client is topped back up the moment a transaction completes rather
-// than at the next round boundary. Config.Rebalance replaces the static
-// client striping with a measured one: a short probe run counts events
-// per process, then clients are re-striped longest-processing-time
-// first onto the least-loaded shards — a pure function of the probe's
-// deterministic counts, reported in Report.Sharding.Partition.
+// than at the next round boundary.
 //
 // Load runs use the kernel's load mode (tracing and payload retention
 // disabled) so memory stays flat over millions of events.
@@ -54,7 +52,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/history"
@@ -162,17 +159,6 @@ type Config struct {
 	// fault-free (and byte-identical to runs before the nemesis layer
 	// existed).
 	Nemesis *Nemesis
-	// Rebalance replaces the static client→shard striping with a measured
-	// one (driver.Run only): a short probe run on a separate
-	// deployment counts events per process, then clients are assigned
-	// longest-processing-time-first to the least-loaded shards. The plan
-	// is a pure function of the probe's deterministic counts — worker
-	// independence is unaffected — and is reported in
-	// Report.Sharding.Partition with Rebalanced set.
-	Rebalance bool
-	// plan carries the measured shard assignment from Run's probe to
-	// RunOn; nil means the static stripe.
-	plan map[sim.ProcessID]int
 }
 
 func (c *Config) defaults() {
@@ -318,18 +304,9 @@ func (r *Report) String() string {
 }
 
 // Run deploys p and drives a load run per cfg (closed loop by default,
-// open loop when cfg.Rate > 0). With cfg.Rebalance it first runs a short
-// probe on a separate deployment to measure the per-process load profile
-// and re-stripes the clients accordingly.
+// open loop when cfg.Rate > 0).
 func Run(p protocol.Protocol, cfg Config) (*Report, error) {
 	cfg.defaults()
-	if cfg.Rebalance {
-		plan, err := probePlan(p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cfg.plan = plan
-	}
 	d, err := deploy(p, cfg)
 	if err != nil {
 		return nil, err
@@ -355,154 +332,6 @@ func deploy(p protocol.Protocol, cfg Config) (*protocol.Deployment, error) {
 		return nil, fmt.Errorf("driver: %s init: %w", p.Name(), err)
 	}
 	return d, nil
-}
-
-// probeTxns sizes the rebalance probe: an eighth of the run, at least two
-// transactions per client, capped well below any real run's cost.
-func probeTxns(cfg Config) int {
-	n := cfg.Txns / 8
-	if min := 2 * cfg.Clients; n < min {
-		n = min
-	}
-	if n > 1024 {
-		n = 1024
-	}
-	if n > cfg.Txns {
-		n = cfg.Txns
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// probePlan runs the short probe under the static stripe and derives
-// the measured assignment: servers stay pinned to their shard; every
-// other process is placed longest-processing-time first onto the
-// currently least-loaded shard (ties: lowest shard, then sorted process
-// ID). Everything in sight is deterministic, so the plan is too.
-func probePlan(p protocol.Protocol, cfg Config) (map[sim.ProcessID]int, error) {
-	pc := cfg
-	pc.Rebalance = false
-	pc.plan = nil
-	pc.Certify = false
-	pc.RecordHistory = false
-	pc.ProbeStaleness = false
-	pc.Nemesis = nil // the probe measures the healthy load profile
-	pc.Txns = probeTxns(cfg)
-	d, err := deploy(p, pc)
-	if err != nil {
-		return nil, fmt.Errorf("driver: rebalance probe: %w", err)
-	}
-	r, err := startRun(d, pc)
-	if err != nil {
-		return nil, fmt.Errorf("driver: rebalance probe: %w", err)
-	}
-	if pc.Rate > 0 {
-		_, err = r.runOpen()
-	} else {
-		_, err = r.runClosed()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("driver: rebalance probe: %w", err)
-	}
-	ev := r.runner.ProcessEvents()
-	plan := make(map[sim.ProcessID]int, len(ev))
-	n := d.Place.NumServers()
-	load := make([]int, n)
-	for _, sid := range d.Place.Servers() {
-		s := d.Place.ServerIndex(sid)
-		plan[sid] = s
-		load[s] += ev[sid]
-	}
-	type item struct {
-		pid sim.ProcessID
-		n   int
-	}
-	var items []item
-	for _, pid := range d.Kernel.Processes() {
-		if _, isServer := plan[pid]; isServer {
-			continue
-		}
-		items = append(items, item{pid, ev[pid]})
-	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].n != items[j].n {
-			return items[i].n > items[j].n
-		}
-		return items[i].pid < items[j].pid
-	})
-	for _, it := range items {
-		best := 0
-		for s := 1; s < n; s++ {
-			if load[s] < load[best] {
-				best = s
-			}
-		}
-		plan[it.pid] = best
-		load[best] += it.n
-	}
-	return plan, nil
-}
-
-// shardAssignment partitions a deployment into shards: one
-// shard per server (the shard of partition k owns server k), with the
-// client-side processes (workload clients, readers, initializers)
-// striped across the shards in sorted process order — unless a measured
-// plan from the rebalance probe overrides the stripe. On a multi-site
-// topology the stripe is site-aware: each client-side process is placed
-// round-robin among the shards of its OWN site, so every shard stays
-// single-site and the lookahead engine's cross-site shard-pair bounds
-// keep the wide cross-site floor instead of collapsing to the intra-site
-// minimum. Either way the assignment is a pure function of
-// deterministic inputs, so the sharded schedule is too.
-func shardAssignment(d *protocol.Deployment, plan map[sim.ProcessID]int) (func(sim.ProcessID) int, int, error) {
-	n := d.Place.NumServers()
-	if plan != nil {
-		for _, pid := range d.Kernel.Processes() {
-			if s, ok := plan[pid]; !ok || s < 0 || s >= n {
-				return nil, 0, fmt.Errorf("driver: rebalance plan does not cover process %s", pid)
-			}
-		}
-		return func(pid sim.ProcessID) int { return plan[pid] }, n, nil
-	}
-	assign := make(map[sim.ProcessID]int, n)
-	for _, sid := range d.Place.Servers() {
-		assign[sid] = d.Place.ServerIndex(sid)
-	}
-	// Shards of each site, in server order; nil when the deployment is
-	// uniform or some site has no server (then the plain stripe below
-	// is the only sound choice).
-	var bySite [][]int
-	if t := d.Topo; t != nil && t.Sites > 1 {
-		bySite = make([][]int, t.Sites)
-		for _, sid := range d.Place.Servers() {
-			s := t.SiteOf(sid)
-			bySite[s] = append(bySite[s], d.Place.ServerIndex(sid))
-		}
-		for _, shards := range bySite {
-			if len(shards) == 0 {
-				bySite = nil
-				break
-			}
-		}
-	}
-	i := 0
-	next := make([]int, len(bySite)) // per-site round-robin cursor
-	for _, pid := range d.Kernel.Processes() {
-		if _, isServer := assign[pid]; isServer {
-			continue
-		}
-		if bySite == nil {
-			assign[pid] = i % n
-			i++
-			continue
-		}
-		s := d.Topo.SiteOf(pid)
-		assign[pid] = bySite[s][next[s]%len(bySite[s])]
-		next[s]++
-	}
-	return func(pid sim.ProcessID) int { return assign[pid] }, n, nil
 }
 
 // run carries the shared machinery of both load regimes.
@@ -799,7 +628,6 @@ func (r *run) finish(start sim.Time) (*Report, error) {
 		rep.CertWall = r.certWall
 	}
 	st := r.runner.Stats()
-	st.Rebalanced = r.cfg.plan != nil
 	rep.Sharding = &st
 	if r.nem != nil {
 		rep.Nemesis = r.nem.finish(r.d.Kernel, start)
@@ -827,14 +655,9 @@ func startRun(d *protocol.Deployment, cfg Config) (*run, error) {
 	if len(d.Clients) < cfg.Clients {
 		return nil, fmt.Errorf("driver: deployment has %d clients, need %d", len(d.Clients), cfg.Clients)
 	}
-	if cfg.Rebalance && cfg.plan == nil {
-		return nil, fmt.Errorf("driver: Rebalance needs the probe deployment driver.Run builds; call Run, not RunOn")
-	}
 	r := newRun(d, cfg)
-	shardOf, shards, err := shardAssignment(d, cfg.plan)
-	if err != nil {
-		return nil, err
-	}
+	shardOf, shards := d.Partition()
+	var err error
 	if r.runner, err = sim.NewLookaheadRunner(d.Kernel, shardOf, shards, cfg.Workers); err != nil {
 		return nil, fmt.Errorf("driver: %w", err)
 	}

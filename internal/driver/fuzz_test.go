@@ -44,7 +44,7 @@ func configFrom(data []byte) (protocol.Protocol, Config) {
 		// Bounded so a run that cannot finish ends as Incomplete quickly.
 		MaxEvents:             20_000 + 1_000*next(),
 		DeterministicArrivals: bit(), RecordHistory: bit(), Certify: bit(),
-		ProbeStaleness: bit(), Rebalance: bit(), Workers: next() % 4,
+		ProbeStaleness: bit(), Workers: next() % 4,
 	}
 	cfg.Topology, _ = protocol.TopologyByName(protocol.Topologies()[next()%3])
 	if bit() {
@@ -63,11 +63,11 @@ func configFrom(data []byte) (protocol.Protocol, Config) {
 // message-conservation check. A hang shows as the fuzz engine's timeout.
 func FuzzConfig(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 4, 1, 40, 2, 2, 1, 0, 7, 190, 2, 2, 99})                                                              // plain closed loop
-	f.Add([]byte{1, 8, 3, 64, 4, 3, 3, 1, 2, 100, 4, 1, 50, 4, 9, 1, 1, 1, 1, 1, 3, 1})                                   // cure, replicated, open loop, probes, rebalance, 2site
-	f.Add([]byte{2, 3, 0, 30, 3, 1, 5, 9, 9, 255, 0, 0, 0, 6, 0, 0, 0, 1, 0, 0, 2, 2})                                    // spanner, replication > servers, read fraction > 1, absurd rate, 3site
-	f.Add([]byte{3, 6, 2, 50, 2, 1, 0, 0, 3, 100, 2, 2, 99, 0, 30, 0, 1, 1, 1, 0, 1, 0, 1, 2, 1, 1, 1, 1, 0, 20, 30, 40}) // naivefast certified under every fault kind
-	f.Add([]byte{0, 5, 1, 20, 4, 2, 2, 0, 1, 100, 2, 2, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 0, 0, 0, 0, 0, 0, 0})      // infinite rate under default-timed faults
+	f.Add([]byte{0, 4, 1, 40, 2, 2, 1, 0, 7, 190, 2, 2, 99})                                                           // plain closed loop
+	f.Add([]byte{1, 8, 3, 64, 4, 3, 3, 1, 2, 100, 4, 1, 50, 4, 9, 1, 1, 1, 1, 3, 1})                                   // cure, replicated, open loop, probes, 2site
+	f.Add([]byte{2, 3, 0, 30, 3, 1, 5, 9, 9, 255, 0, 0, 0, 6, 0, 0, 0, 1, 0, 2, 2})                                    // spanner, replication > servers, read fraction > 1, absurd rate, 3site
+	f.Add([]byte{3, 6, 2, 50, 2, 1, 0, 0, 3, 100, 2, 2, 99, 0, 30, 0, 1, 1, 1, 1, 0, 1, 2, 1, 1, 1, 1, 0, 20, 30, 40}) // naivefast certified under every fault kind
+	f.Add([]byte{0, 5, 1, 20, 4, 2, 2, 0, 1, 100, 2, 2, 0, 8, 0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 0, 0, 0, 0, 0, 0, 0})      // infinite rate under default-timed faults
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, cfg := configFrom(data)
 		rep, err := Run(p, cfg)

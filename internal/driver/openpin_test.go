@@ -51,16 +51,16 @@ func TestOpenLoopNemesisPins(t *testing.T) {
 		want [2]string // by protocol, 12 seed digests each
 	}{
 		{"crash", Nemesis{Crashes: 2}, [2]string{
-			"426d7d4a7bbb 6d5f18f5707c 9a7413c0fcd4 b6ef47944835 6362b132bf73 1a711cc78854 961c863c2ffe eed44d1c6396 0fada98046af 2f562e3fea69 33640cd2ffbe bf9731f9a08a",
-			"4d391a719f93 a09999d377ef f2bdb01d1d95 c43f56c145dc 6845fe7a2c25 ebb8910c013b 12b49bbee3c4 a232d2b8f3a8 f6a62d0c2dc2 435c38aae088 1ca05ef94e68 d793ae51f18b",
+			"c26dc58895f9 09b05e337a7d d2b27bc61275 a7b9eb173117 1cbae80e8dfe 728c28056831 f9f8a8ff4d2b 323a97ee76ec 957bf8e4f0b1 2d3250cb7f76 e35addf7d745 3bf2f99d3ac9",
+			"c0da332321ab d33e4a67e4e2 b373999fb36b c189098adfe5 2b12e8923f2d 7c8ee4b978e8 a2348ee0bbb9 5a10d694a817 80dc682c163d a0042ad2adf0 0120e3fd103b c3146bb174f2",
 		}},
 		{"crash-lose", Nemesis{Crashes: 2, Lose: true}, [2]string{
-			"0843e7ed3748 6f5d79a50804 48d74ce28315 5763ebaff9d1 ad60c131231f 2ad9343b33ad 057aae119284 0909b58fbc65 3c10f5a16d7a c74d7597384d 4cdfb5cf6f5f 463a0bec3752",
-			"4b734689fedf 43cdc5fa85e3 35c8a752ae75 051463331296 b04155d0090b f9da9f517f90 b4b44bc44dd2 313e0f11a1dd e38d408497f3 8c780a904c0d 9691f06ab28a b84e65adba56",
+			"e6e9ffd9fda8 37e4a463ad75 683eb44bb6b9 d59030c94ec2 489b91c4a572 7aaacec48be4 9eaae9ca8a45 4f68084ac82f a4592b9ba504 f0433d99fb7b 152ccbcc7bbd 4be480581d66",
+			"548b7ad2307f 7444ba006721 ae3a86bdbb83 694553221970 8555d8491a11 3912fd3f5a82 3173312b30fc 41ba57a7f18f f9e4f6f9e10b 806571fc5622 784be6ea9be8 4c48511dd86b",
 		}},
 		{"partition", Nemesis{Partitions: 2}, [2]string{
-			"7dbce6908026 c76fadbfc743 81aa5e2cac7d b41cf7caaf89 2f6eb63cea29 4b4bd4d3bd3c 6e4d1e95536a 9175a21b70c9 646ef113223f db4f6b713a65 ed4c35784bb5 f10dfa565b4a",
-			"5672cb82826b c0ed6a6faa6e 6bc34eb7befd 078bf9db2165 29b9c578512c c573f531d6c0 d25c26708701 50df89ac03fd 951368880fdb e8141a2af3c0 4e878372baac 8b907fb22eff",
+			"b1945a63ae24 89629301a65b e157447c3f06 a657420567d2 479a35a1e505 dfde24601553 3eb213b460a5 6e031cad5ff3 942b86e34390 01f2fa144516 9bbff75af962 b2ec18d7897e",
+			"a8908254ff09 6278a5738a0e b5940a902d1d 72ba7fb8f6da eb4eaf0c7846 af06ed151f77 4b04fc4d153b 61571413fe06 1a6cc1f82f7e dd0bd3377c07 c4d44199ff5d 03b0f5ede583",
 		}},
 	}
 	for _, c := range cells {

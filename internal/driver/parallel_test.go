@@ -103,45 +103,6 @@ func TestShardedWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRebalanceDeterministic: the probe-run shard rebalance is a pure
-// function of the seed and configuration — two rebalanced runs reproduce
-// each other byte for byte, the measured partition is reported, and the
-// rebalanced schedule is still worker-count-independent and certifies
-// clean.
-func TestRebalanceDeterministic(t *testing.T) {
-	base := Config{
-		Clients: 8, Txns: 72, Mix: workload.Balanced(), Seed: 7,
-		Servers: 4, ObjectsPerServer: 2,
-		Rebalance:     true,
-		RecordHistory: true, Certify: true,
-	}
-	runWith := func(workers int) (*Report, string) {
-		cfg := base
-		cfg.Workers = workers
-		rep, err := Run(cops.New(), cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if rep.Sharding == nil || !rep.Sharding.Rebalanced {
-			t.Fatalf("workers=%d: rebalance did not happen: %+v", workers, rep.Sharding)
-		}
-		if len(rep.Sharding.Partition) == 0 {
-			t.Fatalf("workers=%d: rebalanced partition not reported", workers)
-		}
-		if rep.Cert == nil || !rep.Cert.OK {
-			t.Fatalf("workers=%d: rebalanced run does not certify: %+v", workers, rep.Cert)
-		}
-		return rep, reportFingerprint(t, rep)
-	}
-	_, want := runWith(1)
-	_, again := runWith(1)
-	diffLines(t, "rebalance repeat", want, again)
-	for _, workers := range []int{2, 4} {
-		_, got := runWith(workers)
-		diffLines(t, "rebalanced report", want, got)
-	}
-}
-
 // TestMidWindowRefillKeepsThroughput regression-pins the gap the
 // mid-window refill closes: with completions re-arming their client
 // inside the round, 200 cops transactions on 8 saturated clients span
@@ -189,18 +150,5 @@ func TestShardedRunsAreValidExecutions(t *testing.T) {
 		if rep.Cert == nil || !rep.Cert.OK {
 			t.Fatalf("%s violates its claimed level under sharded stepping: %+v", rep.Protocol, rep.Cert)
 		}
-	}
-}
-
-// TestShardedConfigValidation pins the incompatible-knob refusals.
-func TestShardedConfigValidation(t *testing.T) {
-	reb := Config{Clients: 2, Txns: 4, Rebalance: true}
-	reb.defaults()
-	d, err := deploy(cops.New(), reb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunOn(d, reb); err == nil {
-		t.Fatal("RunOn with Rebalance accepted (needs the probe deployment only Run builds)")
 	}
 }

@@ -50,9 +50,60 @@ type Deployment struct {
 	Readers []sim.ProcessID
 	Inits   []sim.ProcessID // cin0, cin1, ... one per object
 	// Topo is the deployed topology (nil for the uniform deployment).
-	// The driver's shard striping consults it so each shard stays
-	// single-site and cross-site links retain their wider lookahead.
+	// Partition consults it so each shard stays single-site and
+	// cross-site links retain their wider lookahead.
 	Topo *Topology
+}
+
+// Partition is the shard partition every sharded run of the deployment
+// steps under: one shard per server (shard k owns server k), with the
+// client-side processes (workload clients, readers, initializers)
+// striped across the shards in sorted process order. On a multi-site
+// topology the stripe is site-aware: each client-side process goes
+// round-robin among the shards of its OWN site, so every shard stays
+// single-site and the lookahead engine's cross-site shard-pair bounds
+// keep the wide cross-site floor instead of collapsing to the intra-site
+// minimum. The partition is a pure function of placement and topology,
+// so the sharded schedule is too.
+func (d *Deployment) Partition() (shardOf func(sim.ProcessID) int, shards int) {
+	n := d.Place.NumServers()
+	assign := make(map[sim.ProcessID]int, n)
+	for _, sid := range d.Place.Servers() {
+		assign[sid] = d.Place.ServerIndex(sid)
+	}
+	// Shards of each site, in server order; nil when the deployment is
+	// uniform or some site has no server (then the plain stripe below
+	// is the only sound choice).
+	var bySite [][]int
+	if t := d.Topo; t != nil && t.Sites > 1 {
+		bySite = make([][]int, t.Sites)
+		for _, sid := range d.Place.Servers() {
+			s := t.SiteOf(sid)
+			bySite[s] = append(bySite[s], d.Place.ServerIndex(sid))
+		}
+		for _, shards := range bySite {
+			if len(shards) == 0 {
+				bySite = nil
+				break
+			}
+		}
+	}
+	i := 0
+	next := make([]int, len(bySite)) // per-site round-robin cursor
+	for _, pid := range d.Kernel.Processes() {
+		if _, isServer := assign[pid]; isServer {
+			continue
+		}
+		if bySite == nil {
+			assign[pid] = i % n
+			i++
+			continue
+		}
+		s := d.Topo.SiteOf(pid)
+		assign[pid] = bySite[s][next[s]%len(bySite[s])]
+		next[s]++
+	}
+	return func(pid sim.ProcessID) int { return assign[pid] }, n
 }
 
 // Deploy builds a deployment.

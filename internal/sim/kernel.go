@@ -358,8 +358,8 @@ func (k *Kernel) compactTransit() {
 }
 
 // AdvanceTo jumps virtual time forward to t (no-op when t ≤ now). The
-// Network scheduler's time-leap and the open-loop driver use it to skip
-// idle stretches instead of spinning 1µs steps through them.
+// sharded runner's merge and the open-loop driver use it to skip idle
+// stretches instead of spinning 1µs steps through them.
 func (k *Kernel) AdvanceTo(t Time) {
 	if t > k.now {
 		k.now = t

@@ -20,12 +20,12 @@ func TestConstantLatencyIsAModel(t *testing.T) {
 	}
 }
 
-// TestNetworkHeapMatchesScan cross-checks the heap-backed earliest-arrival
-// selection against a straight scan of the transit buffer on every event
-// of a run.
+// TestNetworkHeapMatchesScan cross-checks the kernel's indexed earliest
+// arrival against a straight scan of the transit buffer on every event of
+// a serial run.
 func TestNetworkHeapMatchesScan(t *testing.T) {
 	k, _, _ := newPingPair(91, 12)
-	sched := &Network{}
+	sched := &RoundRobin{}
 	for i := 0; i < 10_000; i++ {
 		var best *Message
 		for _, m := range k.transit {
@@ -50,7 +50,7 @@ func TestNetworkHeapMatchesScan(t *testing.T) {
 func TestNetworkSchedulerDeterministic(t *testing.T) {
 	run := func() (Time, int) {
 		k, a, _ := newPingPair(17, 20)
-		Run(k, &Network{}, nil, 10_000)
+		Drain(k, 10_000)
 		return k.Now(), a.pongs
 	}
 	t1, p1 := run()
@@ -113,7 +113,7 @@ func TestLoadModeRunMatchesTracedRun(t *testing.T) {
 			k.SetTraceCap(-1)
 			k.SetPayloadRetention(false)
 		}
-		Run(k, &Network{}, nil, 100_000)
+		Drain(k, 100_000)
 		return k.Now(), a.pongs
 	}
 	tt, pt := run(false)

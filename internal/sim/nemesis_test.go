@@ -52,7 +52,7 @@ func TestCrashLoseDropsInboxAndRecovers(t *testing.T) {
 		return &pinger{id: "b", peer: "a", echo: true}
 	})
 	// Let a send its pings, then deliver one into b's inbox unconsumed.
-	Run(k, &Network{}, func(kk *Kernel) bool { return len(kk.Inbox("b")) > 0 }, 10_000)
+	Run(k, &RoundRobin{}, func(kk *Kernel) bool { return len(kk.Inbox("b")) > 0 }, 10_000)
 	if len(k.Inbox("b")) == 0 {
 		t.Fatal("setup: no message pending at b")
 	}

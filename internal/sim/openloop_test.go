@@ -106,11 +106,26 @@ func (p *timerProc) WakeAt(now Time) (Time, bool) {
 	return p.fireAt, true
 }
 
+// oneShard attaches a single-shard lookahead runner to a load-mode
+// kernel: the shard policy with nothing outside it to bound it.
+func oneShard(t *testing.T, k *Kernel) *ShardedRunner {
+	t.Helper()
+	k.SetTraceCap(-1)
+	r, err := NewLookaheadRunner(k, func(ProcessID) int { return 0 }, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestNetworkTimeLeapSkipsIdleSpinning: a shard with nothing to do until
+// a Waker's declared instant leaps there in one step instead of spinning
+// StepCost steps through the idle stretch.
 func TestNetworkTimeLeapSkipsIdleSpinning(t *testing.T) {
 	k := NewKernel(1, nil)
 	p := &timerProc{id: "t0", fireAt: 50_000}
 	k.Add(p)
-	n := Run(k, &Network{}, nil, 1000)
+	n := oneShard(t, k).Run(nil, 1000)
 	if !p.fired {
 		t.Fatalf("timer did not fire after %d events (now=%d)", n, k.Now())
 	}
@@ -173,7 +188,7 @@ func TestTimeLeapWaiterBlockedOnDeliveryIsSkipped(t *testing.T) {
 	b := &blockedProc{id: "b", peer: "a"}
 	k.Add(b)
 	k.Add(&oneShotSender{id: "a", peer: "b"})
-	Run(k, &Network{}, nil, 1000)
+	oneShard(t, k).Run(nil, 1000)
 	if !b.got {
 		t.Fatal("blocked process never received the message")
 	}

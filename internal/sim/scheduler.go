@@ -218,101 +218,11 @@ func (s *Random) Next(k *Kernel) (Action, bool) {
 // which an empty-inbox step would make progress; ok == false means no
 // purely time-driven work is pending — progress needs a message delivery
 // first, so stepping the process before one arrives is a no-op. The
-// Network scheduler, the sharded runner and — in load mode — RoundRobin
-// use it to leap the clock to the wake instant instead of spinning 1µs
-// Ready steps through the idle stretch.
+// sharded runner and — in load mode — RoundRobin use it to leap the clock
+// to the wake instant instead of spinning 1µs Ready steps through the
+// idle stretch.
 type Waker interface {
 	WakeAt(now Time) (wake Time, ok bool)
-}
-
-// Network delivers messages in earliest-ReadyAt order and steps any process
-// with pending input immediately, modelling a well-behaved network for the
-// latency and throughput experiments (no adversarial reordering beyond
-// sampled latency). Unrestricted, it finds the next arrival through the
-// kernel's indexed min-arrival heap instead of rescanning every in-transit
-// message, which keeps per-event cost logarithmic under concurrent load.
-//
-// When nobody can act at the current instant, the scheduler leaps virtual
-// time to the earliest useful one: the next message arrival or the
-// earliest wake time a parked process declares via Waker.
-//
-// Network is the trace-mode scheduler (core's latency table, the
-// reference runs of this package's tests); load runs step under
-// ShardedRunner, whose per-shard policy is this one.
-type Network struct {
-	Only *Restriction
-}
-
-// nextArrival returns the earliest-(ReadyAt, ID) in-transit message under
-// the restriction: heap peek when unrestricted, scan otherwise (restricted
-// runs are small proof-machinery executions).
-func nextArrival(k *Kernel, r *Restriction) *Message {
-	if r == nil {
-		return k.EarliestArrival()
-	}
-	var best *Message
-	for _, m := range k.transit {
-		if m.gone || m.held || !r.AllowsMsg(m) {
-			continue
-		}
-		if best == nil || m.ReadyAt < best.ReadyAt || (m.ReadyAt == best.ReadyAt && m.ID < best.ID) {
-			best = m
-		}
-	}
-	return best
-}
-
-// Next implements Scheduler. The policy is a discrete-event simulation
-// step: react to pending input, deliver messages already due (ReadyAt ≤
-// now), let Ready processes act at the current instant (a freshly invoked
-// client sends its first round *now*, it does not wait for unrelated
-// traffic to drain — essential for concurrent closed-loop load), and only
-// when nobody can act now, advance the clock to the earliest useful
-// instant — the next arrival or the earliest declared wake time.
-func (s *Network) Next(k *Kernel) (Action, bool) {
-	if id, ok := firstPendingInbox(k, s.Only); ok {
-		return Action{Kind: ActStep, Proc: id}, true
-	}
-	m := nextArrival(k, s.Only)
-	if m != nil && m.ReadyAt <= k.now {
-		return Action{Kind: ActDeliver, Msg: m.ID}, true
-	}
-	// Ready processes act at the current instant — except those that
-	// declare (via Waker) that a step would only be useful at a future
-	// instant, or not until a delivery arrives.
-	var wake Time
-	var wakeProc ProcessID
-	haveWake := false
-	for _, o := range k.order {
-		if !k.canStep(o, s.Only) || !k.procs[o].Ready() {
-			continue
-		}
-		if w, isWaker := k.procs[o].(Waker); isWaker {
-			t, useful := w.WakeAt(k.now)
-			if !useful {
-				continue // waiting on a delivery, not on time
-			}
-			if t > k.now {
-				if !haveWake || t < wake {
-					wake, wakeProc, haveWake = t, k.ids[o], true
-				}
-				continue
-			}
-		}
-		return Action{Kind: ActStep, Proc: k.ids[o]}, true
-	}
-	// Nobody can act now: leap. Arrivals win ties so the woken process
-	// sees every message due by its wake instant.
-	if m != nil && (!haveWake || m.ReadyAt <= wake) {
-		return Action{Kind: ActDeliver, Msg: m.ID}, true
-	}
-	if haveWake {
-		// The step itself costs StepCost, so the process runs at exactly
-		// its wake instant.
-		k.AdvanceTo(wake - StepCost)
-		return Action{Kind: ActStep, Proc: wakeProc}, true
-	}
-	return Action{}, false
 }
 
 // Scripted replays a fixed sequence of actions, used by the adversary's

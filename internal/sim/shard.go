@@ -22,8 +22,8 @@ import (
 //  1. The runner (serial) computes every shard's advancement bound (see
 //     round) and gives it the window [clock_i, bound_i).
 //  2. Every shard with work runs an independent local sub-simulation of
-//     its window — the Network scheduler's policy (pending inboxes first,
-//     then due deliveries in (ReadyAt, ID) order, then Ready steps, with
+//     its window — a discrete-event policy (pending inboxes first, then
+//     due deliveries in (ReadyAt, ID) order, then Ready steps, with
 //     Waker-declared wake leaps bounded by the window end) over its own
 //     processes and its local clock. Sends are buffered; of the kernel a
 //     shard touches only what is its alone — its partition of the arrival
@@ -51,8 +51,8 @@ import (
 // simply late (DeliveredAt ≥ ReadyAt always holds), which the
 // asynchronous system model explicitly permits — the adversary may delay
 // any delivery. A sharded execution is therefore a valid execution of the
-// model, just a different member of the schedule space than the serial
-// Network scheduler picks; histories it produces certify at the
+// model, just a different member of the schedule space than a serial
+// scheduler such as RoundRobin picks; histories it produces certify at the
 // protocols' claimed consistency levels like any other schedule (asserted
 // ride-along by the driver's certification).
 type ShardedRunner struct {
@@ -74,8 +74,6 @@ type ShardedRunner struct {
 	arrTop       []*Message
 	shardReady   []bool
 	shardWake    []Time
-	// evBy counts events per process slot, for the rebalance load profile.
-	evBy []int
 
 	stats ShardingStats
 }
@@ -117,11 +115,8 @@ type ShardingStats struct {
 	BlockedTime        Time
 	// PerShard breaks events and blocking down by shard index.
 	PerShard []ShardLoad
-	// Partition records the process→shard assignment of the run;
-	// Rebalanced is set by the driver when the assignment came from a
-	// measured probe run rather than the static stripe.
-	Rebalanced bool
-	Partition  map[string]int
+	// Partition records the process→shard assignment of the run.
+	Partition map[string]int
 }
 
 // ShardLoad is one shard's slice of the run.
@@ -147,8 +142,7 @@ type shardSend struct {
 type shard struct {
 	k     *Kernel
 	idx   int
-	slots []slot // sorted by ID, like the Network scheduler's scan
-	evBy  []int  // the runner's, by slot
+	slots []slot // sorted by ID
 
 	// pending counts the shard's up processes with a non-empty income
 	// buffer; adopted is the count the round's pre-scan found, so the
@@ -200,7 +194,6 @@ func NewLookaheadRunner(k *Kernel, shardOf func(ProcessID) int, nShards, workers
 		arrTop:     make([]*Message, nShards),
 		shardReady: make([]bool, nShards),
 		shardWake:  make([]Time, nShards),
-		evBy:       make([]int, len(k.order)),
 		stats: ShardingStats{
 			Shards:    nShards,
 			Workers:   workers,
@@ -209,11 +202,11 @@ func NewLookaheadRunner(k *Kernel, shardOf func(ProcessID) int, nShards, workers
 		},
 	}
 	for i := range r.shards {
-		r.shards[i] = &shard{k: k, idx: i, evBy: r.evBy, t: k.now}
+		r.shards[i] = &shard{k: k, idx: i, t: k.now}
 	}
 	// k.order is sorted, so every shard's process list is sorted too and
-	// the shard-local pending-inbox scan matches the Network scheduler's
-	// sorted-ID tie-break.
+	// the shard-local scans break ties by process ID, like the kernel's
+	// serial schedulers.
 	part := make([]int32, len(k.order))
 	for _, s := range k.order {
 		pid := k.ids[s]
@@ -273,17 +266,6 @@ func (r *ShardedRunner) buildFloors() {
 
 // Stats returns the deterministic run-shape counters accumulated so far.
 func (r *ShardedRunner) Stats() ShardingStats { return r.stats }
-
-// ProcessEvents returns how many events (deliveries to, plus steps of)
-// each process has executed so far — the deterministic load profile the
-// driver's shard rebalance derives its striping from.
-func (r *ShardedRunner) ProcessEvents() map[ProcessID]int {
-	out := make(map[ProcessID]int, r.nProcs)
-	for s, n := range r.evBy {
-		out[r.k.ids[s]] = n
-	}
-	return out
-}
 
 // SetRefill installs a hook called after every process step, from inside
 // the parallel window execution, with the stepped process's ID and the
@@ -620,12 +602,12 @@ func (r *ShardedRunner) computeBounds() {
 	}
 }
 
-// run is the shard-local sub-simulation of one round: the Network
-// scheduler's policy over the shard's processes only, on the shard's
-// persistent clock, with deliveries popped from the shard's own partition
-// of the arrival index and both deliveries and wake leaps admitted
-// strictly below the shard's advancement bound. Of the kernel it touches
-// only that partition and its own processes' slots.
+// run is the shard-local sub-simulation of one round: a discrete-event
+// policy over the shard's processes only, on the shard's persistent
+// clock, with deliveries popped from the shard's own partition of the
+// arrival index and both deliveries and wake leaps admitted strictly
+// below the shard's advancement bound. Of the kernel it touches only that
+// partition and its own processes' slots.
 func (sh *shard) run(budget int) {
 	k, bound := sh.k, sh.bound
 	arr := &k.arrivals[sh.idx]
@@ -712,7 +694,6 @@ func (sh *shard) deliver() {
 	}
 	k.inbox[m.to] = append(k.inbox[m.to], m)
 	sh.events++
-	sh.evBy[m.to]++
 }
 
 // step executes one computation step of the process in slot s, buffering
@@ -731,7 +712,6 @@ func (sh *shard) step(s slot) {
 	clear(in)
 	k.inbox[s] = in[:0]
 	sh.events++
-	sh.evBy[s]++
 	if sh.refill != nil {
 		sh.refill(k.ids[s], sh.t)
 	}

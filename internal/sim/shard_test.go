@@ -243,7 +243,7 @@ func TestLookaheadRunHandsArrivalsBack(t *testing.T) {
 		t.Fatal("in-transit messages invisible to the kernel arrival index between Runs")
 	}
 	// The serial scheduler can finish the run from here.
-	Run(k, &Network{}, nil, 100_000)
+	Drain(k, 100_000)
 	if a.pongs != 4 || c.pongs != 4 {
 		t.Fatalf("pongs = %d, %d after serial handover, want 4, 4", a.pongs, c.pongs)
 	}

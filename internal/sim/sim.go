@@ -25,10 +25,10 @@
 // order rule. For a fixed seed and partition the schedule never depends
 // on the worker count — Workers=1 runs the identical schedule serially
 // and is the differential oracle for any pool size (the serial-equals-
-// parallel guarantee; see ShardedRunner and DESIGN.md). Each shard
-// replays the policy of the trace-mode Network scheduler (due deliveries
-// → ready steps → clock jump, leaping past parked servers that declare a
-// wake instant via Waker), which core's staleness phase still runs whole.
+// parallel guarantee; see ShardedRunner and DESIGN.md). Each shard runs a
+// discrete-event policy over its own processes (pending inboxes → due
+// deliveries → ready steps → clock jump, leaping past parked servers that
+// declare a wake instant via Waker).
 //
 // Around the engine sit the seeded arrival processes for open-loop
 // injection (openloop.go), Kernel.AdvanceTo plus horizon gating for
