@@ -43,7 +43,9 @@
 // history.Session at the protocol's claimed consistency level while the
 // run executes, evicting committed closure prefixes as their outcomes
 // pin, so -txns has no certification ceiling — a violating cell reports
-// the first offending commit (first_violation_txn). Cells at or below
+// the first offending commit (first_violation_txn). Eviction keeps the
+// cost to the active window at 2 clients; closed-loop cells with 8 or
+// more clients retire nothing, so their cost grows with the whole run. Cells at or below
 // history.MaxTxns transactions additionally record their history and
 // re-solve it with the one-shot batch checker as a cross-check; both
 // wall-clocks land in the row (cert_wall_ms incremental vs
@@ -62,7 +64,7 @@
 //	go run ./cmd/bench -clients 16 -txns 2000
 //	go run ./cmd/bench -protocols all -clients 1,8,32 -mixes readheavy,balanced
 //	go run ./cmd/bench -servers 2,4,8 -replication 1,2 -workers 4 -txns 2000
-//	go run ./cmd/bench -certify -protocols cops -servers 4 -clients 16,256 -txns 2000,100000
+//	go run ./cmd/bench -certify -protocols cops,spanner -mixes balanced -servers 2 -objects 1 -clients 2 -txns 6000
 //	go run ./cmd/bench -stale -protocols cops,cure -clients 16
 //	go run ./cmd/bench -curve -certify -refineknee -protocols cops,spanner -fractions 0.1,0.5,0.9,1.1
 package main
@@ -550,8 +552,10 @@ func parseSweep(args []string, stderr io.Writer) (sweep, error) {
 	certify := fs.Bool("certify", false, fmt.Sprintf(
 		"certify each cell ride-along at the protocol's claimed consistency "+
 			"level (adds cert fields incl. first_violation_txn to the grid): "+
-			"the streaming session retires committed prefixes as it goes, so "+
-			"-txns has no certification ceiling; cells at or below %d txns "+
+			"-txns has no certification ceiling, but the streaming session "+
+			"retires committed prefixes only where their order is decided "+
+			"(nearly all at 2 clients, none at 8 or more closed-loop clients, "+
+			"where cost grows with the whole run); cells at or below %d txns "+
 			"(history.MaxTxns) are additionally re-solved by the batch checker "+
 			"as a cross-check (cert_batch_wall_ms; zero past the ceiling). "+
 			"cert_wall_ms/cert_batch_wall_ms are wall-clock, so output is no "+

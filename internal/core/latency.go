@@ -32,56 +32,30 @@ func (r LatencyReport) String() string {
 		r.Protocol, r.ROT, r.ROTRounds, "", r.Write, "", r.Staleness)
 }
 
-// LatencyOptions scales the latency experiment's deployment.
-type LatencyOptions struct {
-	// Servers and ObjectsPerServer size the placement (defaults 2, 2).
-	Servers          int
-	ObjectsPerServer int
-	// Clients is the number of concurrent closed-loop clients (default 2).
-	Clients int
-	// Pipeline is the per-client outstanding-invocation depth (default 1).
-	Pipeline int
-	// StalenessWrites is the number of writes probed for visibility
-	// staleness (default 8; a negative value skips the staleness phase).
-	StalenessWrites int
-}
+// E7's deployment: latencyServers servers hosting latencyObjects objects
+// each under latencyClients closed-loop clients, then stalenessWrites
+// writes probed for visibility. Both phases deploy the same placement, so
+// the staleness numbers describe the same system as the latency numbers.
+const (
+	latencyServers  = 2
+	latencyObjects  = 2
+	latencyClients  = 2
+	stalenessWrites = 8
+)
 
 // MeasureLatency runs txns transactions of the mix on a fresh deployment
 // of p under concurrent closed-loop load (driver.Run, the one sharded
 // engine at Workers 1) and reports latencies. Multi-object writes degrade
 // to single-object writes for protocols without the W property.
 func MeasureLatency(p protocol.Protocol, mix workload.Mix, txns int, seed int64) (LatencyReport, error) {
-	return MeasureLatencyWith(p, mix, txns, seed, LatencyOptions{})
-}
-
-// MeasureLatencyWith is MeasureLatency with explicit deployment scaling.
-func MeasureLatencyWith(p protocol.Protocol, mix workload.Mix, txns int, seed int64, opt LatencyOptions) (LatencyReport, error) {
-	if opt.Clients <= 0 {
-		opt.Clients = 2
-	}
-	// Both phases must run on identically sized placements so the
-	// staleness numbers describe the same system as the ROT/Write
-	// numbers (driver.Config would default these itself, but
-	// measureStaleness deploys directly).
-	if opt.Servers <= 0 {
-		opt.Servers = 2
-	}
-	if opt.ObjectsPerServer <= 0 {
-		opt.ObjectsPerServer = 2
-	}
-	if opt.StalenessWrites == 0 {
-		opt.StalenessWrites = 8
-	}
-	rep := LatencyReport{Protocol: p.Name(), Mix: mix, Clients: opt.Clients}
-
+	rep := LatencyReport{Protocol: p.Name(), Mix: mix, Clients: latencyClients}
 	load, err := driver.Run(p, driver.Config{
-		Clients:          opt.Clients,
-		Pipeline:         opt.Pipeline,
+		Clients:          latencyClients,
 		Txns:             txns,
 		Mix:              mix,
 		Seed:             seed,
-		Servers:          opt.Servers,
-		ObjectsPerServer: opt.ObjectsPerServer,
+		Servers:          latencyServers,
+		ObjectsPerServer: latencyObjects,
 	})
 	if err != nil {
 		return rep, err
@@ -92,14 +66,12 @@ func MeasureLatencyWith(p protocol.Protocol, mix workload.Mix, txns int, seed in
 	rep.Throughput = load.Throughput
 	rep.Incomplete = load.Incomplete
 
-	if opt.StalenessWrites > 0 {
-		stale, incomplete, err := measureStaleness(p, mix, opt, seed)
-		if err != nil {
-			return rep, err
-		}
-		rep.Staleness = stale
-		rep.Incomplete += incomplete
+	stale, incomplete, err := measureStaleness(p, mix, seed)
+	if err != nil {
+		return rep, err
 	}
+	rep.Staleness = stale
+	rep.Incomplete += incomplete
 	return rep, nil
 }
 
@@ -109,9 +81,9 @@ func MeasureLatencyWith(p protocol.Protocol, mix workload.Mix, txns int, seed in
 // engine on the driver's partition (one shard per server); visibility is
 // checked between engine runs with the frozen probes of VisibleAll, which
 // run on snapshots and leave the stepped kernel untouched.
-func measureStaleness(p protocol.Protocol, mix workload.Mix, opt LatencyOptions, seed int64) (stats.Summary, int, error) {
+func measureStaleness(p protocol.Protocol, mix workload.Mix, seed int64) (stats.Summary, int, error) {
 	d := protocol.Deploy(p, protocol.Config{
-		Servers: opt.Servers, ObjectsPerServer: opt.ObjectsPerServer,
+		Servers: latencyServers, ObjectsPerServer: latencyObjects,
 		Clients: 1, Seed: seed,
 	})
 	d.Kernel.SetTraceCap(-1)
@@ -147,7 +119,7 @@ func measureStaleness(p protocol.Protocol, mix workload.Mix, opt LatencyOptions,
 		return model.NewWriteOnly(model.TxnID{}, writes...)
 	}
 
-	for i := 0; i < opt.StalenessWrites; i++ {
+	for i := 0; i < stalenessWrites; i++ {
 		txn := gen.NextSingleWrite("c0")
 		if multiWrite && mix.WriteWidth > 1 {
 			txn = spanning(i)

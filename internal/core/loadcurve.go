@@ -189,16 +189,3 @@ func MeasureLoadCurve(p protocol.Protocol, mix workload.Mix, seed int64, opt Cur
 	}
 	return curve, nil
 }
-
-// FormatLoadCurve renders a curve as a table.
-func FormatLoadCurve(c LoadCurve) string {
-	out := fmt.Sprintf("%s (saturated %.0f txn/s, knee %.0f txn/s)\n", c.Protocol, c.Saturated, c.Knee)
-	out += fmt.Sprintf("%8s | %9s | %9s | %10s | %10s | %10s | %8s\n",
-		"frac", "offered", "achieved", "e2e p50", "queue p50", "svc p50", "depth")
-	for _, pt := range c.Points {
-		out += fmt.Sprintf("%8.2f | %9.0f | %9.0f | %10d | %10d | %10d | %8d\n",
-			pt.Fraction, pt.OfferedRate, pt.Throughput, pt.Latency.P50, pt.QueueDelay.P50,
-			pt.Service.P50, pt.InFlight.Max)
-	}
-	return out
-}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/driver"
 	"repro/internal/protocol"
 	"repro/internal/workload"
@@ -36,16 +34,4 @@ func MeasureThroughputWith(p protocol.Protocol, cfg driver.Config) (ThroughputRe
 		return ThroughputReport{}, err
 	}
 	return ThroughputReport{Report: *load, Mix: cfg.Mix, Cert: cert}, nil
-}
-
-// FormatThroughput renders a sweep as a table.
-func FormatThroughput(reports []ThroughputReport) string {
-	out := fmt.Sprintf("%-12s | %7s | %10s | %12s | %8s | %8s | %10s\n",
-		"System", "clients", "committed", "thr (txn/s)", "p50", "p99", "incomplete")
-	out += "--------------------------------------------------------------------------------\n"
-	for _, r := range reports {
-		out += fmt.Sprintf("%-12s | %7d | %10d | %12.1f | %8d | %8d | %10d\n",
-			r.Protocol, r.Clients, r.Committed, r.Throughput, r.Latency.P50, r.Latency.P99, r.Incomplete)
-	}
-	return out
 }

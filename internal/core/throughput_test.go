@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -60,16 +59,5 @@ func TestMeasureLatencyOnDriver(t *testing.T) {
 	}
 	if rep.Throughput <= 0 {
 		t.Fatalf("throughput missing from latency report: %+v", rep)
-	}
-}
-
-func TestFormatThroughput(t *testing.T) {
-	rep, err := MeasureThroughput(ByName("cure"), workload.Balanced(), 4, 60, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := FormatThroughput([]ThroughputReport{rep})
-	if !strings.Contains(out, "cure") || !strings.Contains(out, "clients") {
-		t.Fatalf("table malformed:\n%s", out)
 	}
 }

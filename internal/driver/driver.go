@@ -77,16 +77,14 @@ type Config struct {
 	Mix workload.Mix
 	// Seed derives the kernel RNG and all per-client generator streams.
 	Seed int64
-	// Servers, ObjectsPerServer, Replication and Latency size the
-	// deployment (protocol.Config semantics; zero values use its
-	// defaults).
+	// Servers, ObjectsPerServer and Replication size the deployment
+	// (protocol.Config semantics; zero values use its defaults).
 	Servers          int
 	ObjectsPerServer int
 	Replication      int
-	Latency          sim.LatencyModel
 	// Topology selects a geo-asymmetric deployment (protocol.Config
 	// semantics: sites, intra- vs cross-site latency distributions with
-	// declared per-link floors; ignored when Latency is set). Under
+	// declared per-link floors). Under
 	// sharded stepping the client striping becomes site-aware — every
 	// shard stays single-site, so cross-site shard pairs keep the wide
 	// cross-site lookahead bound. Nil is the uniform deployment.
@@ -108,10 +106,12 @@ type Config struct {
 	// violation is pinned to its first offending commit while the run is
 	// still in flight. Works in both load regimes, independent of
 	// RecordHistory. The session retires committed prefixes of its
-	// closure as the run proceeds, so certification memory follows the
-	// active window, not Txns — runs far past history.MaxTxns certify
-	// exactly (that constant still bounds the batch cross-checks
-	// downstream consumers run on recorded histories). The verdict lands
+	// closure once their order is decided, so runs past history.MaxTxns
+	// certify exactly (that constant still bounds the batch cross-checks
+	// downstream consumers run on recorded histories). Memory follows the
+	// active window only where retirement happens: at 2 clients nearly
+	// everything retires, at 8 or more closed-loop clients nothing does
+	// and the window is the whole run. The verdict lands
 	// in Report.Cert and the cumulative wall-clock spent inside the
 	// session in Report.CertWall.
 	Certify bool
@@ -137,11 +137,6 @@ type Config struct {
 	// DeterministicArrivals selects the fixed-interval arrival process
 	// instead of Poisson (open loop only).
 	DeterministicArrivals bool
-	// LatencyFloor declares the lower bound of a custom Latency model
-	// (ignored when Latency is nil — the default model declares 500µs).
-	// The sharded engine sizes its conservative time windows by it; 0 is
-	// always safe but shrinks windows to 1µs.
-	LatencyFloor sim.Time
 	// Workers is the size of the stepping pool (default 1): the process
 	// set is partitioned into one shard per server (clients striped
 	// across them) and per-shard lookahead windows execute on
@@ -322,8 +317,6 @@ func deploy(p protocol.Protocol, cfg Config) (*protocol.Deployment, error) {
 		Replication:      cfg.Replication,
 		Clients:          cfg.Clients,
 		Seed:             cfg.Seed,
-		Latency:          cfg.Latency,
-		LatencyFloor:     cfg.LatencyFloor,
 		Topology:         cfg.Topology,
 	})
 	d.Kernel.SetTraceCap(-1)

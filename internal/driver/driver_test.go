@@ -155,28 +155,6 @@ func TestPipelineDepthQueuesInvocations(t *testing.T) {
 	}
 }
 
-// TestConstantLatencyDeployment uses sim.ConstantLatency as a deployment's
-// latency model (the seed declared it with the wrong type, making this
-// impossible).
-func TestConstantLatencyDeployment(t *testing.T) {
-	rep, err := Run(cops.New(), Config{
-		Clients: 2, Txns: 20, Mix: workload.ReadHeavy(), Seed: 13,
-		Latency: sim.ConstantLatency(400),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Incomplete != 0 {
-		t.Fatalf("incomplete = %d", rep.Incomplete)
-	}
-	// With a constant 400µs link and 1µs steps, a one-round read-only
-	// transaction takes 2·400 plus a few step costs — nothing near the
-	// uniform default's spread.
-	if rep.ROT.N > 0 && (rep.ROT.Min < 800 || rep.ROT.Min > 820) {
-		t.Fatalf("ROT min latency = %d, want ~800-820 under constant 400µs links", rep.ROT.Min)
-	}
-}
-
 // TestLoadModeMemoryFlat ensures a load run leaves no trace events or
 // payload registry behind.
 func TestLoadModeMemoryFlat(t *testing.T) {

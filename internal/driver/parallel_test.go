@@ -12,18 +12,17 @@ import (
 )
 
 // reportFingerprint marshals a report plus its history with the
-// wall-clock (the one nondeterministic field) and the Workers stat (the
-// configuration echo under comparison) zeroed, so runs can be compared
-// byte for byte.
+// wall-clock (the one nondeterministic field) zeroed, so runs can be
+// compared byte for byte.
 func reportFingerprint(t *testing.T, rep *Report) string {
 	t.Helper()
-	cw, workers := rep.CertWall, rep.Sharding.Workers
-	rep.CertWall, rep.Sharding.Workers = 0, 0
+	cw := rep.CertWall
+	rep.CertWall = 0
 	js, err := json.MarshalIndent(rep, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.CertWall, rep.Sharding.Workers = cw, workers
+	rep.CertWall = cw
 	out := string(js)
 	if rep.History != nil {
 		out += "\n" + rep.History.String()

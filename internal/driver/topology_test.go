@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/protocol"
 	"repro/internal/protocols/cops"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -19,31 +18,37 @@ func TestTopologyStripingKeepsShardsSingleSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(cops.New(), Config{
+	cfg := Config{
 		Clients: 9, Txns: 60, Mix: workload.ReadHeavy(), Seed: 3,
 		Servers: 4, Workers: 1, Topology: topo,
-	})
+	}
+	cfg.defaults()
+	d, err := deploy(cops.New(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := rep.Sharding
-	if st == nil || st.Shards != 4 {
+	rep, err := RunOn(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rep.Sharding; st == nil || st.Shards != 4 {
 		t.Fatalf("sharding stats = %+v, want 4 shards", st)
 	}
-	// Servers anchor their shards; derive each shard's site from them.
+	// The run steps on the deployment's partition. Servers anchor their
+	// shards; derive each shard's site from them.
+	shardOf, _ := d.Partition()
 	shardSite := map[int]int{}
-	for pid, shard := range st.Partition {
-		if pid[0] != 's' {
-			continue
+	for _, pid := range d.Kernel.Processes() {
+		if pid[0] == 's' {
+			shardSite[shardOf(pid)] = topo.SiteOf(pid)
 		}
-		shardSite[shard] = topo.SiteOf(sim.ProcessID(pid))
 	}
 	if len(shardSite) != 4 {
 		t.Fatalf("server shards = %d, want one per server", len(shardSite))
 	}
-	for pid, shard := range st.Partition {
-		if got, want := topo.SiteOf(sim.ProcessID(pid)), shardSite[shard]; got != want {
-			t.Fatalf("%s (site %d) landed on shard %d (site %d)", pid, got, shard, want)
+	for _, pid := range d.Kernel.Processes() {
+		if got, want := topo.SiteOf(pid), shardSite[shardOf(pid)]; got != want {
+			t.Fatalf("%s (site %d) landed on shard %d (site %d)", pid, got, shardOf(pid), want)
 		}
 	}
 }

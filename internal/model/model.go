@@ -60,9 +60,6 @@ func NewWriteOnly(id TxnID, writes ...Write) *Txn {
 // IsReadOnly reports whether the transaction writes nothing.
 func (t *Txn) IsReadOnly() bool { return len(t.Writes) == 0 }
 
-// IsWriteOnly reports whether the transaction reads nothing.
-func (t *Txn) IsWriteOnly() bool { return len(t.ReadSet) == 0 }
-
 // WriteSet returns the sorted set of objects written.
 func (t *Txn) WriteSet() []string {
 	objs := make([]string, 0, len(t.Writes))
@@ -75,19 +72,6 @@ func (t *Txn) WriteSet() []string {
 // Objects returns the sorted set of all objects accessed.
 func (t *Txn) Objects() []string {
 	return dedupeSorted(append(append([]string{}, t.ReadSet...), t.WriteSet()...))
-}
-
-// WrittenValue returns the last value the transaction writes to obj, and
-// whether it writes obj at all.
-func (t *Txn) WrittenValue(obj string) (Value, bool) {
-	var v Value
-	found := false
-	for _, w := range t.Writes {
-		if w.Object == obj {
-			v, found = w.Value, true
-		}
-	}
-	return v, found
 }
 
 // Clone returns a deep copy.

@@ -7,35 +7,28 @@ import (
 
 func TestTxnKinds(t *testing.T) {
 	ro := NewReadOnly(TxnID{"c0", 1}, "X1", "X0", "X1")
-	if !ro.IsReadOnly() || ro.IsWriteOnly() {
+	if !ro.IsReadOnly() {
 		t.Fatal("read-only misclassified")
 	}
 	if len(ro.ReadSet) != 2 || ro.ReadSet[0] != "X0" || ro.ReadSet[1] != "X1" {
 		t.Fatalf("read set not deduped/sorted: %v", ro.ReadSet)
 	}
 	wo := NewWriteOnly(TxnID{"c0", 2}, Write{"X0", "a"}, Write{"X1", "b"})
-	if !wo.IsWriteOnly() || wo.IsReadOnly() {
+	if wo.IsReadOnly() {
 		t.Fatal("write-only misclassified")
 	}
 	rw := &Txn{ID: TxnID{"c0", 3}, ReadSet: []string{"X0"}, Writes: []Write{{"X0", "c"}}}
-	if rw.IsReadOnly() || rw.IsWriteOnly() {
+	if rw.IsReadOnly() {
 		t.Fatal("read-write misclassified")
 	}
 }
 
-func TestWriteSetAndWrittenValue(t *testing.T) {
+func TestWriteSet(t *testing.T) {
 	w := NewWriteOnly(TxnID{"c1", 1},
 		Write{"X1", "v1"}, Write{"X0", "v0"}, Write{"X1", "v2"})
 	ws := w.WriteSet()
 	if len(ws) != 2 || ws[0] != "X0" || ws[1] != "X1" {
 		t.Fatalf("write set = %v", ws)
-	}
-	// Last write wins within a transaction.
-	if v, ok := w.WrittenValue("X1"); !ok || v != "v2" {
-		t.Fatalf("WrittenValue(X1) = %q, %v", v, ok)
-	}
-	if _, ok := w.WrittenValue("X9"); ok {
-		t.Fatal("WrittenValue of unwritten object reported ok")
 	}
 }
 

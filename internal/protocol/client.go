@@ -188,7 +188,3 @@ func (c *Core) CloneCore() Core {
 	cp.finished = append([]*model.Result(nil), c.finished...)
 	return cp
 }
-
-// RejectsMultiWrite reports whether the transaction is a multi-object
-// write transaction, which protocols without the W property must reject.
-func RejectsMultiWrite(t *model.Txn) bool { return len(t.WriteSet()) > 1 }

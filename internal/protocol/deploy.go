@@ -26,16 +26,10 @@ type Config struct {
 	Readers int
 	// Seed seeds the kernel RNG (link latencies, random schedules).
 	Seed int64
-	// Latency overrides the kernel latency model. LatencyFloor declares
-	// its lower bound (used to size the sharded runner's conservative
-	// windows); it is ignored when Latency is nil — the default model's
-	// floor (500µs) is declared automatically.
-	Latency      sim.LatencyModel
-	LatencyFloor sim.Time
 	// Topology selects a geo-asymmetric deployment: sites, intra- vs
 	// cross-site latency distributions and their declared per-link
-	// floors (see Topology). Ignored when Latency is set — an explicit
-	// model plus its LatencyFloor wins. Nil is the uniform deployment.
+	// floors (see Topology). Nil is the uniform deployment: the kernel's
+	// default model, uniform over [500µs, 1500µs].
 	Topology *Topology
 }
 
@@ -129,22 +123,15 @@ func Deploy(p Protocol, cfg Config) *Deployment {
 		}
 	}
 	topo := cfg.Topology
-	lat := cfg.Latency
-	if lat != nil {
-		topo = nil // an explicit model wins over a topology
-	} else if topo != nil {
-		lat = topo.Latency()
-	}
-	k := sim.NewKernel(cfg.Seed, lat)
-	switch {
-	case topo != nil:
-		// Floors are declared below, after the process set is complete.
-	case cfg.Latency == nil:
-		// The default model is uniform [500µs, 1500µs]; declare its floor
-		// so sharded stepping gets full-width windows.
+	var k *sim.Kernel
+	if topo != nil {
+		// Its floors are declared below, once the process set is complete.
+		k = sim.NewKernel(cfg.Seed, topo.Latency())
+	} else {
+		// The default model; declare its floor so sharded stepping gets
+		// full-width windows.
+		k = sim.NewKernel(cfg.Seed, nil)
 		k.SetLatencyFloor(500)
-	default:
-		k.SetLatencyFloor(cfg.LatencyFloor)
 	}
 	d := &Deployment{Kernel: k, Proto: p, Place: pl, Topo: topo}
 	// Recovery hooks for lossy crashes (nemesis layer): a process that

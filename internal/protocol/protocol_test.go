@@ -256,21 +256,6 @@ func TestCloneCoreIndependence(t *testing.T) {
 	}
 }
 
-func TestRejectsMultiWriteHelper(t *testing.T) {
-	single := model.NewWriteOnly(model.TxnID{}, model.Write{Object: "X0", Value: "a"})
-	multi := model.NewWriteOnly(model.TxnID{},
-		model.Write{Object: "X0", Value: "a"}, model.Write{Object: "X1", Value: "b"})
-	if RejectsMultiWrite(single) || !RejectsMultiWrite(multi) {
-		t.Fatal("RejectsMultiWrite wrong")
-	}
-	// Two writes to the same object are still single-object.
-	sameObj := model.NewWriteOnly(model.TxnID{},
-		model.Write{Object: "X0", Value: "a"}, model.Write{Object: "X0", Value: "b"})
-	if RejectsMultiWrite(sameObj) {
-		t.Fatal("same-object double write misclassified")
-	}
-}
-
 func TestClaimsFastROT(t *testing.T) {
 	full := Claims{OneRound: true, OneValue: true, NonBlocking: true}
 	if !full.FastROT() {

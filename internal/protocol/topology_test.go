@@ -66,9 +66,6 @@ func TestDeployDeclaresTopologyFloorMatrix(t *testing.T) {
 		Servers: 4, Clients: 4, Seed: 1, Topology: topo,
 	})
 	k := d.Kernel
-	if k.LatencyFloor() != topo.IntraLo {
-		t.Fatalf("global floor = %d, want IntraLo %d", k.LatencyFloor(), topo.IntraLo)
-	}
 	if d.Topo != topo {
 		t.Fatal("deployment did not record the topology")
 	}
@@ -94,28 +91,5 @@ func TestDeployDeclaresTopologyFloorMatrix(t *testing.T) {
 	}
 	if cross == 0 || intra == 0 {
 		t.Fatalf("degenerate matrix: %d cross, %d intra links", cross, intra)
-	}
-}
-
-// TestExplicitLatencyModelWinsOverTopology: an explicit Latency model
-// plus its declared floor takes precedence — the topology is ignored
-// entirely, preserving every pre-topology deployment byte for byte.
-func TestExplicitLatencyModelWinsOverTopology(t *testing.T) {
-	topo, _ := protocol.TopologyByName("2site")
-	d := protocol.Deploy(naivefast.New(), protocol.Config{
-		Servers: 2, Clients: 2, Seed: 1,
-		Latency:      sim.UniformLatency(700, 900),
-		LatencyFloor: 700,
-		Topology:     topo,
-	})
-	if d.Topo != nil {
-		t.Fatal("explicit latency model did not suppress the topology")
-	}
-	if d.Kernel.LatencyFloor() != 700 {
-		t.Fatalf("floor = %d, want the explicit 700", d.Kernel.LatencyFloor())
-	}
-	l := sim.Link{From: "s0", To: "s1"}
-	if d.Kernel.LinkLatencyFloor(l) != 700 {
-		t.Fatal("cross-site link floor declared despite explicit model")
 	}
 }

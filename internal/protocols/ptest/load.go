@@ -1,6 +1,8 @@
 package ptest
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/driver"
@@ -16,35 +18,116 @@ import (
 // queueing.
 const loadRate = 1000
 
-// RunLoad drives the protocol through a concurrent driver sweep — one
-// closed-loop and one open-loop run per seed — with ride-along
-// certification at the protocol's claimed consistency level: an
-// incremental history.Session checks every commit as it lands, and the
-// recorded history is re-checked by the batch solver, which must agree
-// verdict for verdict. It is the concurrency counterpart of Run's
-// sequential suite: every protocol must survive real overlap, and the
-// theorem's victims must be caught violating — at a pinned first
-// offending commit whose prefix itself refutes.
-//
-// Expectations come from the load fields of Expect: ViolatesUnderLoad
-// requires at least one sweep to fail certification; FractureNote marks
-// a known modeling gap as expected-failing (the suite skips, pointing at
-// the ROADMAP item, when the fracture manifests); otherwise every sweep
-// must certify clean.
+// RunLoad drives the protocol through the concurrent sweep — one
+// closed-loop and one open-loop run per seed. It is the concurrency
+// counterpart of Run's sequential suite: every protocol must survive real
+// overlap, and the theorem's victims must be caught violating. Every run
+// is held to sweep's contract.
 func RunLoad(t *testing.T, p protocol.Protocol, e Expect) {
 	t.Helper()
 	t.Run("PayloadsImmutable", func(t *testing.T) { payloadsImmutable(t, p, e) })
 	t.Run("InboxNotRetained", func(t *testing.T) { inboxNotRetained(t, p, e) })
+	sweep(t, p, e, "load", []sweepRun{
+		{mode: "closed-loop"},
+		{mode: "open-loop", rate: loadRate, check: func(rep *driver.Report) error {
+			if rep.QueueDelay.N != rep.Committed {
+				return fmt.Errorf("%d queueing samples for %d commits", rep.QueueDelay.N, rep.Committed)
+			}
+			return nil
+		}},
+	})
+}
+
+// RunFaults drives the protocol through the nemesis sweep: one
+// persistent crash→restart cycle and one partition→heal cycle per seed.
+// Persistence makes every fault observationally a long delay — held
+// traffic is released, never dropped — so a protocol that certifies clean
+// fault-free must certify clean here too, and the theorem's victims must
+// stay caught when the network misbehaves, not only when it is slow.
+func RunFaults(t *testing.T, p protocol.Protocol, e Expect) {
+	t.Helper()
+	sweep(t, p, e, "fault", []sweepRun{
+		// Persistent crash: state and inbox survive the outage.
+		{mode: "crash", nem: &driver.Nemesis{Crashes: 1, Start: 5_000, Duration: 8_000}, check: faulted},
+		// Full bisection: every link across the cut severed, then healed.
+		{mode: "partition", nem: &driver.Nemesis{Partitions: 1, Start: 5_000, Duration: 8_000}, check: faulted},
+	})
+}
+
+// RunReconfig drives the protocol through the reconfiguration sweep: one
+// replica replacement (a fresh process adopts a dead server's shard,
+// re-syncs from the durable image and live peers, and serves only once
+// caught up) and one coordinated whole-cluster restore per seed. Both
+// cycles are non-lossy, so they hold a protocol to what RunFaults does.
+func RunReconfig(t *testing.T, p protocol.Protocol, e Expect) {
+	t.Helper()
+	sweep(t, p, e, "reconfiguration", []sweepRun{
+		// One replacement cycle (fires at Start+Period/4 = 9000): the
+		// target is killed, a replacement adopts its shard and catches up,
+		// the companion restart brings it back once synced.
+		{mode: "replace", nem: &driver.Nemesis{Replaces: 1, Start: 4_000, Period: 20_000}, check: reconfigured},
+		// One coordinated restore cycle (fires at Start+3·Period/4 =
+		// 10000): every server stops together and rebuilds from its
+		// durable snapshot.
+		{mode: "restore", nem: &driver.Nemesis{Restores: 1, Start: 4_000, Period: 8_000}, check: reconfigured},
+	})
+}
+
+// sweepRun is one run of a sweep: its name, offered rate (0 is closed
+// loop), fault schedule (nil is fault-free) and the check only it makes.
+type sweepRun struct {
+	mode  string
+	rate  float64
+	nem   *driver.Nemesis
+	check func(*driver.Report) error
+}
+
+// faulted is what a persistent fault schedule promises: a fault applied,
+// an outage measured and no message lost.
+func faulted(rep *driver.Report) error {
+	switch n := rep.Nemesis; {
+	case n == nil || n.Applied == 0:
+		return fmt.Errorf("no fault applied: %+v", n)
+	case n.UnavailableTime <= 0:
+		return errors.New("fault applied but no unavailability window")
+	case n.LostMessages != 0:
+		return fmt.Errorf("persistent faults lost %d messages", n.LostMessages)
+	}
+	return nil
+}
+
+// reconfigured is faulted plus what a reconfiguration promises: every
+// scheduled fault applied, companion restarts included, and the
+// replacement adopting state before it serves.
+func reconfigured(rep *driver.Report) error {
+	switch n := rep.Nemesis; {
+	case n == nil || n.Replacements+n.Restores == 0:
+		return fmt.Errorf("no reconfiguration applied: %+v", n)
+	case n.Applied != n.Scheduled:
+		return fmt.Errorf("applied %d of %d scheduled faults (companion restarts included)", n.Applied, n.Scheduled)
+	case n.SyncedVersions == 0 || n.SyncTime <= 0:
+		return fmt.Errorf("replacement adopted no state (synced=%d, sync time %d)", n.SyncedVersions, n.SyncTime)
+	}
+	return faulted(rep)
+}
+
+// sweep executes every run once per seed on the deployment Expect sizes,
+// certified ride-along at the protocol's claimed consistency level, and
+// holds each to one contract: every transaction completes and is
+// accounted for, the run's own check passes, the ride-along session
+// agrees with the batch solver and with the non-evicting bounded session
+// (first offence included), and a refutation is pinned to a first
+// offending commit in range whose witness prefix has that length and
+// itself refutes. A victim must be refuted by at least one run; any other
+// protocol must certify clean on all of them.
+func sweep(t *testing.T, p protocol.Protocol, e Expect, suite string, runs []sweepRun) {
+	t.Helper()
 	seeds := e.LoadSeeds
 	if len(seeds) == 0 {
 		seeds = []int64{2}
 	}
 	txns := e.LoadTxns
 	if txns == 0 {
-		// One default for everyone: since the constraint-propagation
-		// solver replaced the exhaustive search, refutation (proving NO
-		// serialization exists for a violator) costs the same order as
-		// acceptance, so violators no longer need a smaller window.
 		txns = 72
 	}
 	srv, ops := e.Servers, e.ObjectsPerServer
@@ -57,91 +140,75 @@ func RunLoad(t *testing.T, p protocol.Protocol, e Expect) {
 	level := p.Claims().Consistency
 
 	violations := 0
-	for _, seed := range seeds {
-		for _, rate := range []float64{0, loadRate} {
-			mode := "closed"
-			if rate > 0 {
-				mode = "open"
+	for _, r := range runs {
+		for _, seed := range seeds {
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("%s run (seed %d): %s", r.mode, seed, fmt.Sprintf(format, args...))
 			}
-			rep, err := driver.Run(p, driver.Config{
+			cfg := driver.Config{
 				Clients: 8, Txns: txns, Mix: workload.Balanced(), Seed: seed,
 				Servers: srv, ObjectsPerServer: ops,
-				RecordHistory: true, Rate: rate, Certify: true,
-			})
+				RecordHistory: true, Rate: r.rate, Certify: true,
+			}
+			if r.nem != nil {
+				nem := *r.nem // the driver fills in defaults
+				cfg.Nemesis = &nem
+			}
+			rep, err := driver.Run(p, cfg)
 			if err != nil {
-				t.Fatalf("%s-loop run (seed %d): %v", mode, seed, err)
+				fail("%v", err)
 			}
 			if rep.Incomplete != 0 {
-				t.Fatalf("%s-loop run (seed %d): %d transactions incomplete", mode, seed, rep.Incomplete)
+				fail("%d transactions incomplete", rep.Incomplete)
 			}
 			if rep.Committed+rep.Rejected != rep.Issued {
-				t.Fatalf("%s-loop run (seed %d): committed %d + rejected %d != issued %d",
-					mode, seed, rep.Committed, rep.Rejected, rep.Issued)
+				fail("committed %d + rejected %d != issued %d", rep.Committed, rep.Rejected, rep.Issued)
 			}
-			if rate > 0 && rep.QueueDelay.N != rep.Committed {
-				t.Fatalf("%s-loop run (seed %d): %d queueing samples for %d commits",
-					mode, seed, rep.QueueDelay.N, rep.Committed)
+			if r.check != nil {
+				if err := r.check(rep); err != nil {
+					fail("%v", err)
+				}
 			}
 			v := *rep.Cert
 			if rep.History.Len() <= history.MaxTxns {
-				// The ride-along session and the one-shot batch solver
-				// must agree on every sweep of every protocol — the
-				// conformance half of the incremental checker's
-				// contract. (Past history.MaxTxns the batch solver
-				// refuses outright and the streaming session stands
-				// alone; the conformance sweeps stay far below it.)
+				// Past history.MaxTxns the batch solver refuses and the
+				// streaming session stands alone; the sweeps stay far below.
 				if batch := history.CheckBatch(rep.History, level); batch.OK != v.OK {
-					t.Fatalf("%s-loop run (seed %d): ride-along session says OK=%v (%s), batch says OK=%v (%s)",
-						mode, seed, v.OK, v.Reason, batch.OK, batch.Reason)
+					fail("ride-along session says OK=%v (%s), batch says OK=%v (%s)",
+						v.OK, v.Reason, batch.OK, batch.Reason)
 				}
-				// And the evicting ride-along session must match the
-				// non-evicting bounded session verdict for verdict,
-				// first offence included — the eviction sweep may never
-				// change what is accepted, only what is retained.
+				// Eviction may change what is retained, never what is
+				// accepted.
 				if want := history.CheckIncremental(rep.History, level); want.OK != v.OK ||
 					want.FirstViolation != v.FirstViolation {
-					t.Fatalf("%s-loop run (seed %d): evicting session OK=%v fv=%d (%s); bounded session OK=%v fv=%d (%s)",
-						mode, seed, v.OK, v.FirstViolation, v.Reason,
-						want.OK, want.FirstViolation, want.Reason)
+					fail("evicting session OK=%v fv=%d (%s); bounded session OK=%v fv=%d (%s)",
+						v.OK, v.FirstViolation, v.Reason, want.OK, want.FirstViolation, want.Reason)
 				}
 			}
-			if !v.OK && e.ViolatesUnderLoad {
-				// A violation must be pinned to its first offending
-				// commit, and the appended prefix through it must itself
-				// refute.
+			if !v.OK {
 				if v.FirstViolation < 0 || v.FirstViolation >= rep.History.Len() {
-					t.Fatalf("%s-loop run (seed %d): first violation index %d out of range: %s",
-						mode, seed, v.FirstViolation, v.Reason)
+					fail("first violation index %d out of range: %s", v.FirstViolation, v.Reason)
 				}
 				if len(v.WitnessPrefix) != v.FirstViolation+1 {
-					t.Fatalf("%s-loop run (seed %d): witness prefix has %d entries for first violation %d",
-						mode, seed, len(v.WitnessPrefix), v.FirstViolation)
+					fail("witness prefix has %d entries for first violation %d",
+						len(v.WitnessPrefix), v.FirstViolation)
 				}
 				if pv := history.CheckBatch(rep.History.Prefix(v.FirstViolation+1), level); pv.OK {
-					t.Fatalf("%s-loop run (seed %d): prefix through first offending commit %d certifies clean",
-						mode, seed, v.FirstViolation)
+					fail("prefix through first offending commit %d certifies clean", v.FirstViolation)
 				}
 			}
 			switch {
 			case v.OK:
-				// certified at the claimed level
 			case e.ViolatesUnderLoad:
 				violations++
-			case e.FractureNote != "":
-				t.Skipf("known fracture under concurrent load (%s): %s-loop seed %d: %s",
-					e.FractureNote, mode, seed, v.Reason)
 			default:
-				t.Fatalf("%s-loop run (seed %d) violates claimed %s: %s\n%s",
-					mode, seed, level, v.Reason, rep.History)
+				fail("violates claimed %s: %s\n%s", level, v.Reason, rep.History)
 			}
 		}
 	}
 	if e.ViolatesUnderLoad && violations == 0 {
-		t.Fatalf("%s is a known %s violator, but every concurrent sweep certified clean — "+
-			"the load suite lost its teeth (seeds %v, %d txns)", p.Name(), level, seeds, txns)
-	}
-	if e.FractureNote != "" {
-		t.Logf("%s: fracture did not manifest in this sweep (%s) — the marker may be removable",
-			p.Name(), e.FractureNote)
+		t.Fatalf("%s is a known %s violator, but every %s run certified clean — "+
+			"the %s suite lost its teeth (seeds %v, %d txns)", p.Name(), level, suite, suite, seeds, txns)
 	}
 }

@@ -40,35 +40,22 @@ type Expect struct {
 	// until stabilization catches up.
 	ReadAsWriter bool
 
-	// --- RunLoad (concurrent driver sweep) expectations ---
+	// --- RunLoad, RunFaults and RunReconfig (driver sweep) expectations ---
 
 	// ViolatesUnderLoad marks a known-by-design victim of the theorem
-	// (naivefast, twopcfast, eigerps): at least one concurrent sweep
+	// (naivefast, twopcfast, eigerps): at least one run of each sweep
 	// must FAIL certification at the claimed consistency level, and the
-	// suite errors if every sweep certifies clean.
+	// suite errors if every run certifies clean. Every other protocol
+	// must certify clean on every run.
 	ViolatesUnderLoad bool
-	// FractureNote marks a protocol whose concurrent certification is
-	// expected to fail because of a known modeling gap (eiger, fatcops —
-	// see the ROADMAP open item named in the note). When the fracture
-	// manifests, the load suite skips with this note; when it does not,
-	// the suite passes and logs that the marker may be removable.
-	FractureNote string
-	// LoadSeeds are the driver seeds the load suite sweeps (default 2).
-	// Fracture configurations pin the seeds where the race is known to
-	// manifest.
+	// LoadSeeds are the driver seeds every sweep runs (default {2}).
 	LoadSeeds []int64
-	// FaultFractureNote marks a protocol whose certification is expected
-	// to fail only under the RunFaults nemesis sweep (a fault-free-clean
-	// protocol whose visibility fractures under the outage's reshuffled
-	// delivery). When unset, RunFaults falls back to FractureNote.
-	FaultFractureNote string
-	// LoadTxns is the transaction count per load run (default 72). The
+	// LoadTxns is the transaction count per run (default 72). The
 	// streaming ride-along session has no transaction ceiling (it
 	// retires committed prefixes of its closure as the sweep runs), so
-	// suites are free to sweep long concurrent windows; violators no
-	// longer need a reduced window for refutation to finish. Sweeps at
-	// or below history.MaxTxns additionally cross-check the verdict
-	// against the batch solver and the non-evicting bounded session.
+	// suites are free to sweep long concurrent windows. Runs at or below
+	// history.MaxTxns additionally cross-check the verdict against the
+	// batch solver and the non-evicting bounded session.
 	LoadTxns int
 }
 

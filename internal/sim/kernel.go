@@ -48,13 +48,15 @@ type Kernel struct {
 	ids    []ProcessID
 	procs  []Process
 	order  []slot
-	// transit is the outcome buffers in send order. Delivered/dropped
+	// transit is the outcome buffers in send order, which is ID order:
+	// send assigns increasing IDs, and compaction and Snapshot keep the
+	// order, so a message is found by binary search. Delivered/dropped
 	// messages are only marked gone (lazy deletion) and physically removed
 	// by compactTransit once they outnumber the live ones, so delivery
-	// never pays an O(in-flight) scan+shift. byID is the primary lookup
-	// structure: every live in-transit message, keyed by message ID.
+	// never pays an O(in-flight) scan+shift. live counts the messages not
+	// gone.
 	transit []*Message
-	byID    map[int64]*Message
+	live    int
 	inbox   [][]*Message
 	// pendingInboxes counts processes with a non-empty income buffer, so
 	// schedulers can skip the per-process scan when nothing is pending.
@@ -126,7 +128,6 @@ func NewKernel(seed int64, lat LatencyModel) *Kernel {
 	}
 	return &Kernel{
 		slotOf:       make(map[ProcessID]slot),
-		byID:         make(map[int64]*Message),
 		arrivals:     make([]arrivalHeap, 1),
 		rng:          NewRNG(seed),
 		latency:      lat,
@@ -168,9 +169,6 @@ func (k *Kernel) SetLatencyFloor(d Time) {
 	}
 	k.latencyFloor = d
 }
-
-// LatencyFloor returns the declared latency lower bound (0 = undeclared).
-func (k *Kernel) LatencyFloor() Time { return k.latencyFloor }
 
 // SetLinkLatencyFloor declares a per-link lower bound on the latency
 // model's samples, overriding the global floor for that link only. Like
@@ -249,7 +247,7 @@ func (k *Kernel) Processes() []ProcessID {
 // InTransit returns the messages currently in outcome buffers, in send
 // order. The returned slice is a copy; the messages are not.
 func (k *Kernel) InTransit() []*Message {
-	out := make([]*Message, 0, len(k.byID))
+	out := make([]*Message, 0, k.live)
 	for _, m := range k.transit {
 		if !m.gone {
 			out = append(out, m)
@@ -295,7 +293,7 @@ func (k *Kernel) Inbox(pid ProcessID) []*Message {
 // consumption and no process is Ready. It corresponds to the paper's
 // quiescent configurations once all invoked transactions have completed.
 func (k *Kernel) Quiescent() bool {
-	if len(k.byID) > 0 || k.pendingInboxes > 0 {
+	if k.live > 0 || k.pendingInboxes > 0 {
 		return false
 	}
 	for _, p := range k.procs {
@@ -308,18 +306,18 @@ func (k *Kernel) Quiescent() bool {
 
 // Deliver moves the identified in-transit message into the destination's
 // income buffer. Virtual time advances to at least the message's ReadyAt.
-// It panics if the message is not in transit (scheduler bug). Removal is
-// by ID index plus lazy slice deletion: O(1) amortized, matching the
-// arrival heap's O(log n) selection.
+// It panics if the message is not in transit (scheduler bug). Lookup is a
+// binary search and removal a lazy slice deletion, matching the arrival
+// heap's O(log n) selection.
 func (k *Kernel) Deliver(msgID int64) *Message {
-	m, ok := k.byID[msgID]
-	if !ok {
+	m := k.liveMessage(msgID)
+	if m == nil {
 		panic(fmt.Sprintf("sim: Deliver(%d): message not in transit", msgID))
 	}
 	if m.held {
 		panic(fmt.Sprintf("sim: Deliver(%d): message is held by a fault (destination down or link cut)", msgID))
 	}
-	delete(k.byID, msgID)
+	k.live--
 	k.deliveredMsgs++
 	m.gone = true
 	k.compactTransit()
@@ -338,11 +336,20 @@ func (k *Kernel) Deliver(msgID int64) *Message {
 	return m
 }
 
+// liveMessage returns the live in-transit message with the given ID, or nil.
+func (k *Kernel) liveMessage(msgID int64) *Message {
+	i, found := slices.BinarySearchFunc(k.transit, msgID, func(m *Message, id int64) int { return cmp.Compare(m.ID, id) })
+	if !found || k.transit[i].gone {
+		return nil
+	}
+	return k.transit[i]
+}
+
 // compactTransit physically removes gone messages from the send-order
 // slice once they outnumber the live ones, keeping deletion amortized
 // O(1) and iteration proportional to the live count.
 func (k *Kernel) compactTransit() {
-	if len(k.transit) < 32 || len(k.transit) < 2*len(k.byID) {
+	if len(k.transit) < 32 || len(k.transit) < 2*k.live {
 		return
 	}
 	live := k.transit[:0]
@@ -433,7 +440,7 @@ func (k *Kernel) send(from slot, o Outbound, at Time) *Message {
 	}
 	m.ReadyAt = at + k.latency(Link{From: m.From, To: m.To}, k.rng)
 	k.transit = append(k.transit, m)
-	k.byID[m.ID] = m
+	k.live++
 	if k.blocked(from, to) {
 		// Destination down or link cut: the message is committed (ID,
 		// sequence number, latency draw) but held out of the arrival
@@ -490,7 +497,7 @@ func (k *Kernel) Snapshot() *Kernel {
 		ids:            slices.Clone(k.ids),
 		procs:          make([]Process, len(k.procs)),
 		order:          slices.Clone(k.order),
-		byID:           make(map[int64]*Message, len(k.byID)),
+		live:           k.live,
 		inbox:          make([][]*Message, len(k.inbox)),
 		pendingInboxes: k.pendingInboxes,
 		arrivals:       make([]arrivalHeap, 1),
@@ -537,14 +544,13 @@ func (k *Kernel) Snapshot() *Kernel {
 	for s, p := range k.procs {
 		c.procs[s] = p.Clone()
 	}
-	c.transit = make([]*Message, 0, len(k.byID))
+	c.transit = make([]*Message, 0, k.live)
 	for _, m := range k.transit {
 		if m.gone {
 			continue
 		}
 		cp := m.clone()
 		c.transit = append(c.transit, cp)
-		c.byID[cp.ID] = cp
 		if cp.held {
 			c.heldMsgs = append(c.heldMsgs, cp)
 		} else {
@@ -572,12 +578,12 @@ func (k *Kernel) Snapshot() *Kernel {
 // failure-injection tests, which verify the checkers catch the resulting
 // anomalies.
 func (k *Kernel) DropInTransit(msgID int64) bool {
-	m, ok := k.byID[msgID]
-	if !ok {
+	m := k.liveMessage(msgID)
+	if m == nil {
 		return false
 	}
-	delete(k.byID, msgID)
 	m.gone = true
+	k.live--
 	k.lostTransit++
 	k.compactTransit()
 	k.Annotate(EvMark, m.From, fmt.Sprintf("dropped %s", m))

@@ -34,8 +34,8 @@ import "fmt"
 //     down until companion restarts model the catch-up completing, so a
 //     replacement never serves reads before it is caught up.
 //
-// Held messages keep their transit registration (byID, transit buffer)
-// so configuration accounting is exact; only the arrival index skips
+// Held messages stay in the transit buffer and the live count so
+// configuration accounting is exact; only the arrival index skips
 // them, which is what makes them undeliverable.
 
 // FaultKind classifies nemesis events.
@@ -203,8 +203,8 @@ func (k *Kernel) blocked(from, to slot) bool {
 	return k.crashed[to].down || (len(k.cut) > 0 && k.cut[[2]slot{from, to}])
 }
 
-// hold strands a live in-transit message: it stays registered in transit
-// and byID (configuration accounting is exact) but leaves the arrival
+// hold strands a live in-transit message: it stays in transit and the
+// live count (configuration accounting is exact) but leaves the arrival
 // index, so no scheduler can deliver it until released.
 func (k *Kernel) hold(m *Message) {
 	m.held = true
@@ -473,22 +473,26 @@ func (k *Kernel) LostInboxMessages() int64 { return k.lostInbox }
 // unbalance the equation. Fault-injection tests assert this after
 // arbitrary schedules.
 func (k *Kernel) CheckConservation() error {
-	live := int64(len(k.byID))
+	live := int64(k.live)
 	if k.nextID != k.deliveredMsgs+live+k.lostTransit {
 		return fmt.Errorf("sim: message conservation broken: sent %d != delivered %d + live %d + dropped %d",
 			k.nextID, k.deliveredMsgs, live, k.lostTransit)
 	}
-	held := 0
+	inTransit, held := 0, 0
 	for _, m := range k.transit {
-		if !m.gone && m.held {
+		if m.gone {
+			continue
+		}
+		inTransit++
+		if m.held {
 			held++
-			if _, ok := k.byID[m.ID]; !ok {
-				return fmt.Errorf("sim: held message %s not registered live", m)
-			}
 			if !k.blocked(m.from, m.to) {
 				return fmt.Errorf("sim: message %s held but neither destination down nor link cut", m)
 			}
 		}
+	}
+	if inTransit != k.live {
+		return fmt.Errorf("sim: live count %d, transit holds %d live messages", k.live, inTransit)
 	}
 	if hm := k.HeldMessages(); hm != held {
 		return fmt.Errorf("sim: held stash tracks %d messages, transit has %d held", hm, held)

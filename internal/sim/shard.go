@@ -87,9 +87,8 @@ const infTime = Time(1) << 60
 // field is a pure function of seed, configuration and shard partition,
 // never of worker count or thread timing.
 type ShardingStats struct {
-	// Shards is the partition size; Workers the configured pool size.
-	Shards  int
-	Workers int
+	// Shards is the partition size.
+	Shards int
 	// Rounds is the number of executed rounds; Events the total events
 	// (deliveries + steps) across all shards and rounds.
 	Rounds int
@@ -100,9 +99,6 @@ type ShardingStats struct {
 	// workload — the wall-clock speedup ceiling a perfectly balanced
 	// multi-core pool could reach.
 	CriticalEvents int
-	// ActiveShardRounds sums the number of shards that had work per
-	// round (occupancy: ActiveShardRounds/Rounds ≤ Shards).
-	ActiveShardRounds int
 	// NullAdvances counts shard-rounds whose advancement bound exceeded
 	// the global window edge (earliest pending event plus the global
 	// floor): rounds where the per-link bounds provably admitted more
@@ -113,17 +109,6 @@ type ShardingStats struct {
 	// shortfall (next event minus bound) over them.
 	BlockedShardRounds int
 	BlockedTime        Time
-	// PerShard breaks events and blocking down by shard index.
-	PerShard []ShardLoad
-	// Partition records the process→shard assignment of the run.
-	Partition map[string]int
-}
-
-// ShardLoad is one shard's slice of the run.
-type ShardLoad struct {
-	Events        int
-	BlockedRounds int
-	BlockedTime   Time
 }
 
 // shardSend is one buffered outbound message awaiting the serial merge.
@@ -152,8 +137,8 @@ type shard struct {
 	t         Time // persistent local clock
 	events    int
 	sends     []shardSend
-	delivered []*Message // messages delivered this round
-	bound     Time       // this round's advancement bound
+	delivered int  // messages delivered this round
+	bound     Time // this round's advancement bound
 
 	refill func(ProcessID, Time)
 }
@@ -194,12 +179,7 @@ func NewLookaheadRunner(k *Kernel, shardOf func(ProcessID) int, nShards, workers
 		arrTop:     make([]*Message, nShards),
 		shardReady: make([]bool, nShards),
 		shardWake:  make([]Time, nShards),
-		stats: ShardingStats{
-			Shards:    nShards,
-			Workers:   workers,
-			PerShard:  make([]ShardLoad, nShards),
-			Partition: make(map[string]int, len(k.order)),
-		},
+		stats:      ShardingStats{Shards: nShards},
 	}
 	for i := range r.shards {
 		r.shards[i] = &shard{k: k, idx: i, t: k.now}
@@ -216,7 +196,6 @@ func NewLookaheadRunner(k *Kernel, shardOf func(ProcessID) int, nShards, workers
 		}
 		part[s] = int32(si)
 		r.shards[si].slots = append(r.shards[si].slots, s)
-		r.stats.Partition[string(pid)] = si
 	}
 	k.partition(nShards, part)
 	r.buildFloors()
@@ -392,16 +371,13 @@ func (r *ShardedRunner) merge(active []*shard) int {
 			k.send(ps.from, ps.out, ps.at)
 		}
 		sh.sends = sh.sends[:0]
-		k.deliveredMsgs += int64(len(sh.delivered))
-		for _, m := range sh.delivered {
-			delete(k.byID, m.ID)
-		}
-		sh.delivered = sh.delivered[:0]
+		k.deliveredMsgs += int64(sh.delivered)
+		k.live -= sh.delivered
+		sh.delivered = 0
 		// Non-zero only when the budget ran out between a delivery and
 		// the consuming step: the messages wait in the income buffer.
 		k.pendingInboxes += sh.pending - sh.adopted
 		total += sh.events
-		r.stats.PerShard[sh.idx].Events += sh.events
 		if sh.events > crit {
 			crit = sh.events
 		}
@@ -420,7 +396,6 @@ func (r *ShardedRunner) merge(active []*shard) int {
 	r.stats.Rounds++
 	r.stats.Events += total
 	r.stats.CriticalEvents += crit
-	r.stats.ActiveShardRounds += len(active)
 	return total
 }
 
@@ -540,8 +515,6 @@ func (r *ShardedRunner) round(budget int) (int, bool) {
 			}
 			r.stats.BlockedShardRounds++
 			r.stats.BlockedTime += gap
-			r.stats.PerShard[si].BlockedRounds++
-			r.stats.PerShard[si].BlockedTime += gap
 		}
 	}
 	if len(active) == 0 {
@@ -678,13 +651,13 @@ func (sh *shard) run(budget int) {
 
 // deliver pops the top of the shard's partition — the caller has checked
 // it against the bound — and moves it into its income buffer. The message
-// is marked gone here (shard-owned while the round runs); its byID entry
-// is removed at the merge.
+// is marked gone here (shard-owned while the round runs); the kernel's
+// delivery and live counts are settled at the merge.
 func (sh *shard) deliver() {
 	k := sh.k
 	m := k.arrivals[sh.idx].pop()
 	m.gone = true
-	sh.delivered = append(sh.delivered, m)
+	sh.delivered++
 	if m.ReadyAt > sh.t {
 		sh.t = m.ReadyAt
 	}

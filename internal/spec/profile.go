@@ -138,7 +138,7 @@ func BuildProfile(p protocol.Protocol, cfg protocol.Config, seeds []int64) (Prof
 		prof.Trials++
 		wd := protocol.Deploy(p, protocol.Config{
 			Servers: cfg.Servers, ObjectsPerServer: cfg.ObjectsPerServer,
-			Replication: cfg.Replication, Clients: 2, Seed: seed, Latency: cfg.Latency,
+			Replication: cfg.Replication, Clients: 2, Seed: seed,
 		})
 		if err := wd.InitAll(200_000); err != nil {
 			return prof, err

@@ -26,9 +26,6 @@ func NewCollector() *Collector { return &Collector{} }
 // Add records one sample.
 func (c *Collector) Add(v int64) { c.samples = append(c.samples, v) }
 
-// AddAll records many samples.
-func (c *Collector) AddAll(vs ...int64) { c.samples = append(c.samples, vs...) }
-
 // N returns the number of samples.
 func (c *Collector) N() int { return len(c.samples) }
 

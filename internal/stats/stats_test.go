@@ -52,7 +52,9 @@ func TestPercentilesOrdered(t *testing.T) {
 
 func TestStringRendering(t *testing.T) {
 	c := NewCollector()
-	c.AddAll(5, 5, 5)
+	for range 3 {
+		c.Add(5)
+	}
 	if got := c.Summarize().String(); !strings.Contains(got, "n=3") {
 		t.Fatalf("string = %q", got)
 	}

@@ -13,8 +13,8 @@ import (
 // same winner for the same snapshot, so no reader can observe one
 // transaction's write on one server and the other's on the second — a
 // half-visible transaction. The regression this guards: selecting by
-// install order (LatestVisibleVecLeq) instead of the uniform vector
-// order fractures atomic visibility exactly this way.
+// install order instead of the uniform vector order fractures atomic
+// visibility exactly this way.
 func TestSnapshotReadVecUniformAcrossInstallOrders(t *testing.T) {
 	// Transactions A and B both write X0 and X1 with concurrent commit
 	// vectors: A committed first at server 0, B first at server 1.

@@ -55,7 +55,6 @@ func refSnapshotReadVec(chain []*Version, snap vclock.Vector) *Version {
 // checkAgainstScans compares every indexed answer of s with the full scan.
 func checkAgainstScans(t *testing.T, what string, s *Store, writers []model.TxnID) {
 	t.Helper()
-	var max vclock.HLCStamp
 	for _, obj := range s.Objects() {
 		chain := s.Versions(obj)
 		for _, w := range writers {
@@ -84,20 +83,14 @@ func checkAgainstScans(t *testing.T, what string, s *Store, writers []model.TxnI
 		if got := s.LatestVisibleByStamp(obj); got != want {
 			t.Fatalf("%s: LatestVisibleByStamp(%s) = %v, scan says %v", what, obj, got, want)
 		}
-		if want != nil && max.Before(want.Stamp) {
-			max = want.Stamp
-		}
-	}
-	if got := s.MaxVisibleStamp(); got != max {
-		t.Fatalf("%s: MaxVisibleStamp = %s, scan says %s", what, got, max)
 	}
 }
 
 // TestIndexesMatchFullScans drives seeded random sequences of every store
 // mutation — prepared and visible installs, stamped and vectored, commits
-// by writer with out-of-order and equal stamps, restamps, single-version
-// publication and clones — over 3 objects × ≤ 200 versions, and after
-// each step holds every indexed read to the naive full scan.
+// by writer with out-of-order and equal stamps, restamps and clones —
+// over 3 objects × ≤ 200 versions, and after each step holds every
+// indexed read to the naive full scan.
 func TestIndexesMatchFullScans(t *testing.T) {
 	objs := []string{"A", "B", "C"}
 	for seed := int64(1); seed <= 40; seed++ {
@@ -154,18 +147,13 @@ func TestIndexesMatchFullScans(t *testing.T) {
 					s.CommitVec(w, vec())
 				}
 				return "commit"
-			case op < 8:
+			default:
 				if v := anyVersion(); v != nil {
 					if got := s.Restamp(v.Object, v.Writer, vec()); got != v {
 						t.Fatalf("seed %d: Restamp returned %v, want %v", seed, got, v)
 					}
 				}
 				return "restamp"
-			default:
-				if v := anyVersion(); v != nil && !s.MakeVisible(v.Object, v.Writer) {
-					t.Fatalf("seed %d: MakeVisible lost %v", seed, v)
-				}
-				return "make-visible"
 			}
 		}
 		for step := 1; step <= 260; step++ {

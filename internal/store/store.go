@@ -81,7 +81,7 @@ func (v *Version) String() string {
 
 // Store is a multi-version store for the objects one server hosts. Every
 // change to a stored version's visibility, stamp or vector goes through
-// the store (Install, Commit*, MakeVisible, Restamp), which is what keeps
+// the store (Install, Commit*, Restamp), which is what keeps
 // each chain's indexes exact: there is no unindexed state to fall back
 // from.
 type Store struct {
@@ -218,18 +218,6 @@ func (s *Store) Find(obj string, writer model.TxnID) *Version {
 	return s.chainOf(obj).byWriter[writer]
 }
 
-// MakeVisible marks the version of obj written by writer visible and
-// reports whether it was found.
-func (s *Store) MakeVisible(obj string, writer model.TxnID) bool {
-	v := s.Find(obj, writer)
-	if v == nil {
-		return false
-	}
-	c := s.objects[obj]
-	c.place(v, c.position(v))
-	return true
-}
-
 // position returns v's place in the visible index, -1 if it is not
 // visible. Call it before changing v's stamp or vector.
 func (c *chain) position(v *Version) int {
@@ -329,29 +317,6 @@ func (s *Store) LatestVisibleFor(obj string, reader model.TxnID) *Version {
 	})
 }
 
-// LatestVisibleAtOrBefore returns the newest visible version of obj with
-// Stamp ≤ at (snapshot reads at a stable cutoff), or nil.
-func (s *Store) LatestVisibleAtOrBefore(obj string, at vclock.HLCStamp) *Version {
-	return s.Latest(obj, func(v *Version) bool {
-		return v.Visible && !at.Before(v.Stamp)
-	})
-}
-
-// LatestVisibleVecLeq returns the newest version in *install order* among
-// visible versions whose vector timestamp is ≤ the snapshot vector.
-// Versions without vectors are treated as ≤ everything. Snapshot-reading
-// protocols should use SnapshotReadVec instead: install order of
-// concurrent transactions differs across servers, so selecting by it
-// fractures atomic multi-object snapshots.
-func (s *Store) LatestVisibleVecLeq(obj string, snap vclock.Vector) *Version {
-	return s.Latest(obj, func(v *Version) bool {
-		if !v.Visible {
-			return false
-		}
-		return v.Vec == nil || v.Vec.LessEq(snap)
-	})
-}
-
 // visible returns obj's visible versions in version order (nil if unknown).
 func (s *Store) visible(obj string) []*Version { return s.chainOf(obj).visible }
 
@@ -389,18 +354,6 @@ func (s *Store) LatestVisibleByStamp(obj string) *Version {
 		return nil
 	}
 	return top(idx, len(idx)-1)
-}
-
-// MaxVisibleStamp returns the largest Stamp among visible versions across
-// all hosted objects (zero if none), used by stabilization protocols.
-func (s *Store) MaxVisibleStamp() vclock.HLCStamp {
-	var max vclock.HLCStamp
-	for _, c := range s.objects {
-		if n := len(c.visible); n > 0 && max.Before(c.visible[n-1].Stamp) {
-			max = c.visible[n-1].Stamp
-		}
-	}
-	return max
 }
 
 // Clone returns a deep copy of the store; the copy's indexes point at its

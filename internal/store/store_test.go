@@ -41,14 +41,13 @@ func TestVisibilityGate(t *testing.T) {
 	if got := s.LatestVisible("X"); got == nil || got.Value != "old" {
 		t.Fatalf("latest visible = %v, want old", got)
 	}
-	if !s.MakeVisible("X", tid("w", 1)) {
-		t.Fatal("MakeVisible failed")
+	s.Commit(tid("nobody", 9)) // nothing prepared: publishes nothing
+	if got := s.LatestVisible("X"); got == nil || got.Value != "old" {
+		t.Fatalf("latest visible after a foreign commit = %v, want old", got)
 	}
+	s.Commit(tid("w", 1))
 	if got := s.LatestVisible("X"); got == nil || got.Value != "new" {
-		t.Fatalf("latest visible after gate = %v, want new", got)
-	}
-	if s.MakeVisible("X", tid("nobody", 9)) {
-		t.Fatal("MakeVisible of unknown writer succeeded")
+		t.Fatalf("latest visible after commit = %v, want new", got)
 	}
 }
 
@@ -67,41 +66,6 @@ func TestHiddenFromReader(t *testing.T) {
 	}
 }
 
-func TestLatestAtOrBefore(t *testing.T) {
-	s := New("X")
-	for i := 1; i <= 4; i++ {
-		s.Install(&Version{
-			Object: "X", Value: model.Value(fmt.Sprint(i)), Writer: tid("c", i),
-			Stamp: vclock.HLCStamp{Wall: int64(i * 10)}, Visible: true,
-		})
-	}
-	got := s.LatestVisibleAtOrBefore("X", vclock.HLCStamp{Wall: 25})
-	if got == nil || got.Value != "2" {
-		t.Fatalf("snapshot read = %v, want 2", got)
-	}
-	got = s.LatestVisibleAtOrBefore("X", vclock.HLCStamp{Wall: 40})
-	if got == nil || got.Value != "4" {
-		t.Fatalf("snapshot read = %v, want 4", got)
-	}
-	if got = s.LatestVisibleAtOrBefore("X", vclock.HLCStamp{Wall: 5}); got != nil {
-		t.Fatalf("snapshot read before all stamps = %v, want nil", got)
-	}
-}
-
-func TestLatestVecLeq(t *testing.T) {
-	s := New("X")
-	s.Install(&Version{Object: "X", Value: "a", Writer: tid("c", 1), Visible: true, Vec: vclock.Vector{1, 0}})
-	s.Install(&Version{Object: "X", Value: "b", Writer: tid("c", 2), Visible: true, Vec: vclock.Vector{2, 3}})
-	got := s.LatestVisibleVecLeq("X", vclock.Vector{1, 5})
-	if got == nil || got.Value != "a" {
-		t.Fatalf("vec read = %v, want a", got)
-	}
-	got = s.LatestVisibleVecLeq("X", vclock.Vector{2, 3})
-	if got == nil || got.Value != "b" {
-		t.Fatalf("vec read = %v, want b", got)
-	}
-}
-
 func TestFind(t *testing.T) {
 	s := New("X")
 	s.Install(&Version{Object: "X", Value: "a", Writer: tid("c", 1)})
@@ -110,16 +74,6 @@ func TestFind(t *testing.T) {
 	}
 	if v := s.Find("X", tid("c", 2)); v != nil {
 		t.Fatal("Find of absent writer returned a version")
-	}
-}
-
-func TestMaxVisibleStamp(t *testing.T) {
-	s := New("X", "Y")
-	s.Install(&Version{Object: "X", Value: "a", Writer: tid("c", 1), Visible: true, Stamp: vclock.HLCStamp{Wall: 5}})
-	s.Install(&Version{Object: "Y", Value: "b", Writer: tid("c", 2), Visible: true, Stamp: vclock.HLCStamp{Wall: 9}})
-	s.Install(&Version{Object: "Y", Value: "c", Writer: tid("c", 3), Visible: false, Stamp: vclock.HLCStamp{Wall: 99}})
-	if got := s.MaxVisibleStamp(); got.Wall != 9 {
-		t.Fatalf("max visible stamp = %v, want 9", got)
 	}
 }
 

@@ -71,13 +71,10 @@ func (v Vector) LessEq(o Vector) bool {
 	return true
 }
 
-// Less reports whether v < o (LessEq and not equal).
-func (v Vector) Less(o Vector) bool { return v.LessEq(o) && !v.Equal(o) }
-
 // Compare is a total order on equal-length vectors: lexicographic by
 // entry. It extends the happened-before partial order (if v ≤ o entrywise
 // then Compare(v, o) ≤ 0), giving concurrent vectors a uniform arbitration
-// every process agrees on — the vector analogue of store.VersionLess.
+// every process agrees on — the vector half of the store's version order.
 func (v Vector) Compare(o Vector) int {
 	if len(v) != len(o) {
 		panic("vclock: compare of mismatched vectors")
@@ -105,9 +102,6 @@ func (v Vector) Equal(o Vector) bool {
 	}
 	return true
 }
-
-// Concurrent reports whether neither vector dominates the other.
-func (v Vector) Concurrent(o Vector) bool { return !v.LessEq(o) && !o.LessEq(v) }
 
 // Min returns the entrywise minimum of the given vectors. It panics when
 // vs is empty. GentleRain/Cure-style stabilization computes this over the
