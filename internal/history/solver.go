@@ -185,8 +185,6 @@ type solver struct {
 	// of re-deriving them clause by clause. Soundness and completeness
 	// are untouched — the hint only permutes branch order.
 	bigHint *orderClosure
-	// hint is bigHint projected to the sub-solver's dense index space.
-	hint []bitset
 }
 
 // newSolver builds the clause set for the txns in checkSet (nil: all
@@ -313,91 +311,17 @@ func (s *solver) solveClosure() (*orderClosure, bool) {
 	return s.order, true
 }
 
-// run solves the clause set by projecting the search onto the
-// clause-involved transactions and replaying the winning disjunct edges
-// onto the full closure. The projection is exact: every test the search
-// performs — clause satisfied/dead, addEdge cycle detection — queries
-// ordering bits between clause endpoints only, and under a transitively
-// closed order a new involved pair x → y appears after addEdge(a, b)
-// exactly when x ⪯ a and b ⪯ y, which is again an involved-pair
-// predicate. So the restricted relation evolves autonomously and the
-// branch-and-propagate search runs unchanged on a K-node closure, with
-// per-node clone and memoization cost O(K²) instead of O(n²) — the
-// difference between streaming certification staying incremental at
-// thousands of committed transactions and grinding on whole-history
-// clones whenever a handful of recent commits are mutually undecided.
+// run solves the clause set directly on the closure it was given.
 func (s *solver) run() bool {
-	if len(s.clauses) == 0 {
-		return true
-	}
-	// Map the clause-involved transactions to a dense [0, K) index space,
-	// in first-appearance order so branching stays deterministic.
-	toSmall := make(map[int]int)
-	var nodes []int
-	add := func(x int) {
-		if _, ok := toSmall[x]; !ok {
-			toSmall[x] = len(nodes)
-			nodes = append(nodes, x)
-		}
-	}
-	for _, c := range s.clauses {
-		add(c.a1)
-		add(c.b1)
-		add(c.a2)
-		add(c.b2)
-	}
-	k := len(nodes)
-	small := &orderClosure{succ: make([]bitset, k), pred: make([]bitset, k)}
-	for i := 0; i < k; i++ {
-		small.succ[i] = newBitset(k)
-		small.pred[i] = newBitset(k)
-	}
-	for i, bi := range nodes {
-		for j, bj := range nodes {
-			if i != j && s.order.succ[bi].has(bj) {
-				small.succ[i].set(j)
-				small.pred[j].set(i)
-			}
-		}
-	}
-	sc := make([]clause, len(s.clauses))
-	for i, c := range s.clauses {
-		sc[i] = clause{toSmall[c.a1], toSmall[c.b1], toSmall[c.a2], toSmall[c.b2]}
-	}
-	sub := &solver{order: small, clauses: sc, failed: make(map[string]struct{})}
-	if h := s.bigHint; h != nil {
-		sub.hint = make([]bitset, k)
-		for i, bi := range nodes {
-			sub.hint[i] = newBitset(k)
-			if bi >= len(h.succ) {
-				continue // appended after the hint model was solved
-			}
-			row := h.succ[bi]
-			for j, bj := range nodes {
-				if bj>>6 < len(row) && row.has(bj) {
-					sub.hint[i].set(j)
-				}
-			}
-		}
-	}
-	if !sub.search() {
-		return false
-	}
-	// Replay one satisfied disjunct per clause onto the full closure. Each
-	// replayed pair holds in the satisfying small order, so the closure of
-	// base ∪ replay is a subrelation of it — acyclic, every addEdge
-	// succeeds, and every clause is satisfied by its chosen edge.
-	for i, c := range sc {
-		big := s.clauses[i]
-		if small.succ[c.a1].has(c.b1) {
-			if !s.order.addEdge(big.a1, big.b1) {
-				return false // unreachable: pair holds in the small order
-			}
-		} else if !s.order.addEdge(big.a2, big.b2) {
-			return false // unreachable
-		}
-	}
-	return true
+	return len(s.clauses) == 0 || s.search()
+}
+
+// hinted reports whether the hint model orders a before b. Rows of
+// transactions appended after the hint model was solved are absent or
+// narrower: such pairs are undecided.
+func (s *solver) hinted(a, b int) bool {
+	h := s.bigHint
+	return a < len(h.succ) && b>>6 < len(h.succ[a]) && h.succ[a].has(b)
 }
 
 // search finds an extension of s.order satisfying every clause, or
@@ -440,7 +364,7 @@ func (s *solver) descend() bool {
 		}
 		c := s.clauses[pick]
 		x1, y1, x2, y2 := c.a1, c.b1, c.a2, c.b2
-		if s.hint != nil && !s.hint[c.a1].has(c.b1) && s.hint[c.a2].has(c.b2) {
+		if s.bigHint != nil && !s.hinted(c.a1, c.b1) && s.hinted(c.a2, c.b2) {
 			x1, y1, x2, y2 = c.a2, c.b2, c.a1, c.b1
 		}
 		if !s.order.addEdge(x1, y1) && !s.order.addEdge(x2, y2) {
@@ -471,7 +395,7 @@ func (s *solver) searchFull() bool {
 	// Branch polarity: follow the warm-start hint when it decided this
 	// pair, otherwise first disjunct first (the deterministic default).
 	x1, y1, x2, y2 := c.a1, c.b1, c.a2, c.b2
-	if s.hint != nil && !s.hint[c.a1].has(c.b1) && s.hint[c.a2].has(c.b2) {
+	if s.bigHint != nil && !s.hinted(c.a1, c.b1) && s.hinted(c.a2, c.b2) {
 		x1, y1, x2, y2 = c.a2, c.b2, c.a1, c.b1
 	}
 	saved := s.order.clone()
