@@ -51,14 +51,14 @@ func TestCertRidePins(t *testing.T) {
 		{"cops-reads", func() protocol.Protocol { return cops.New() },
 			Config{Mix: workload.ReadHeavy(), Servers: 4, Clients: 16, Txns: 1000},
 			map[int64]pin{
-				7000:  {true, 1000, -1, "", 27, 0, 1000, "1d57466690da1741"},
-				42001: {true, 1000, -1, "", 23, 0, 1000, "c12e733825413396"},
+				7000:  {true, 1000, -1, "", 16, 0, 1000, "8dd9ca99f91bc63a"},
+				42001: {true, 1000, -1, "", 18, 0, 1000, "fa60d839cd30e8b5"},
 			}},
 		{"cops-writes", func() protocol.Protocol { return cops.New() },
 			Config{Mix: workload.Balanced(), Servers: 4, Clients: 8, Txns: 500},
 			map[int64]pin{
 				7000:  {true, 500, -1, "", 7, 0, 500, "dce10eecfa8e1710"},
-				42001: {true, 500, -1, "", 8, 0, 500, "56c4de134cf71109"},
+				42001: {true, 500, -1, "", 8, 0, 500, "5f858542da1d10fb"},
 			}},
 		{"spanner-reads", func() protocol.Protocol { return spanner.New() },
 			Config{Mix: workload.ReadHeavy(), Servers: 4, Clients: 8, Txns: 750},

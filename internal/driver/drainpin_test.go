@@ -62,16 +62,16 @@ func TestDrainSequencePins(t *testing.T) {
 		stale             bool
 		want              [3]string // by protocol, in protos order
 	}{
-		{"4srv-p1", 4, 1, nil, false, [3]string{"6e215445c64b50d1", "f78abf6c469d616a", "05947703ed6bc42d"}},
-		{"4srv-p4", 4, 4, nil, false, [3]string{"6e215445c64b50d1", "f78abf6c469d616a", "05947703ed6bc42d"}},
+		{"4srv-p1", 4, 1, nil, false, [3]string{"6e215445c64b50d1", "0e14f0635e341e17", "05947703ed6bc42d"}},
+		{"4srv-p4", 4, 4, nil, false, [3]string{"6e215445c64b50d1", "0e14f0635e341e17", "05947703ed6bc42d"}},
 		{"8srv-p1", 8, 1, nil, false, [3]string{"a67288145d48eb99", "16e06272a17e2914", "97c98f849696194b"}},
 		{"8srv-p4", 8, 4, nil, false, [3]string{"a67288145d48eb99", "16e06272a17e2914", "97c98f849696194b"}},
-		{"4srv-p1-faults", 4, 1, faults, false, [3]string{"edca4c842dadd4dc", "66357f1799c4e94e", "d2df68b58b292d97"}},
-		{"4srv-p4-faults", 4, 4, faults, false, [3]string{"edca4c842dadd4dc", "66357f1799c4e94e", "d2df68b58b292d97"}},
-		{"8srv-p4-faults", 8, 4, faults, false, [3]string{"ebb43ae6fbc68059", "262c499ed035cff8", "4c7dc58e5f3ba502"}},
-		{"4srv-p1-stale", 4, 1, nil, true, [3]string{"38e0de44a65d209b", "24fb1cf1773359aa", "d944ba3441577c9f"}},
-		{"4srv-p4-stale-faults", 4, 4, faults, true, [3]string{"892c8087b5b7bf1f", "dbb2cbc411cc1879", "0174c774f9002a5c"}},
-		{"8srv-p1-stale-faults", 8, 1, faults, true, [3]string{"ec0d311a26bb17e1", "f0be35d9fe804b5a", "a89a7fa5da49e36b"}},
+		{"4srv-p1-faults", 4, 1, faults, false, [3]string{"edca4c842dadd4dc", "e02dc3ee3fee3a5b", "d2df68b58b292d97"}},
+		{"4srv-p4-faults", 4, 4, faults, false, [3]string{"edca4c842dadd4dc", "e02dc3ee3fee3a5b", "d2df68b58b292d97"}},
+		{"8srv-p4-faults", 8, 4, faults, false, [3]string{"ebb43ae6fbc68059", "feb38ea661473a59", "4c7dc58e5f3ba502"}},
+		{"4srv-p1-stale", 4, 1, nil, true, [3]string{"38e0de44a65d209b", "a9e1a6b700dcaddb", "d944ba3441577c9f"}},
+		{"4srv-p4-stale-faults", 4, 4, faults, true, [3]string{"892c8087b5b7bf1f", "af390eeb8de51a84", "0174c774f9002a5c"}},
+		{"8srv-p1-stale-faults", 8, 1, faults, true, [3]string{"ec0d311a26bb17e1", "61d768c7027242f6", "a89a7fa5da49e36b"}},
 	}
 	for _, c := range cells {
 		for pi, p := range protos {

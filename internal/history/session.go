@@ -156,10 +156,6 @@ type clientState struct {
 	// conflict marks a state whose model could not absorb this Append's
 	// constraints: a full solver search is owed at the end of Append.
 	conflict bool
-	// hint is the model the conflict invalidated, retained until the
-	// owed re-solve warm-starts its branch polarity from it (the old
-	// model is usually one flip from a satisfying order).
-	hint *orderClosure
 	// clauses is the retained anti-dependency clause set, slot-indexed.
 	// Clauses satisfied by base are pruned lazily at re-solves and
 	// eviction sweeps.
@@ -800,7 +796,6 @@ func (s *Session) forceGlobal(cur, a, b int) bool {
 			if st.shared {
 				st.shared = false
 				st.model = nil
-				st.hint = s.model
 				st.conflict = true
 			}
 		}
@@ -814,7 +809,6 @@ func (s *Session) forceGlobal(cur, a, b int) bool {
 			st.base.applyParentEdge(sa, sb)
 		}
 		if !st.shared && st.model != nil && !st.model.addEdge(sa, sb) {
-			st.hint = st.model
 			st.model = nil
 			st.conflict = true
 		}
@@ -851,11 +845,9 @@ func (s *Session) forceIn(cur int, st *clientState, a, b int) bool {
 			// valid for everyone else.
 			st.shared = false
 			st.model = nil
-			st.hint = s.model
 			st.conflict = true
 		}
 	} else if st.model != nil && !st.model.addEdge(sa, sb) {
-		st.hint = st.model
 		st.model = nil
 		st.conflict = true
 	}
@@ -1021,7 +1013,7 @@ func (s *Session) ghostCheck(st *clientState, bi int32) bool {
 	if len(clauses) == 0 {
 		return true
 	}
-	_, ok = newClauseSolver(c, clauses, nil).solveClosure()
+	_, ok = newClauseSolver(c, clauses).solveClosure()
 	return ok
 }
 
@@ -1101,13 +1093,8 @@ func (s *Session) addClause(st *clientState, c clause) {
 	if m.addEdge(c.a1, c.b1) || m.addEdge(c.a2, c.b2) {
 		return
 	}
-	if st.shared {
-		st.shared = false
-		st.model = nil
-	} else {
-		st.model = nil
-	}
-	st.hint = m
+	st.shared = false
+	st.model = nil
 	st.conflict = true
 }
 
@@ -1185,9 +1172,7 @@ func (s *Session) resolve(cur int, st *clientState) bool {
 	}
 	st.clauses = live
 	s.resolves++
-	hint := st.hint
-	st.hint = nil
-	m, found := newClauseSolver(st.base.materialize(), st.clauses, hint).solveClosure()
+	m, found := newClauseSolver(st.base.materialize(), st.clauses).solveClosure()
 	if !found {
 		return s.violate(cur, s.ids[cur], "%s", s.noSerialization(st.client))
 	}
@@ -1514,7 +1499,7 @@ func (s *Session) appendBatchWitness(out []model.TxnID, bi int32, st *clientStat
 		return out
 	}
 	if clauses := st.ghostClauses[bi]; len(clauses) > 0 {
-		if m, found := newClauseSolver(c, clauses, nil).solveClosure(); found {
+		if m, found := newClauseSolver(c, clauses).solveClosure(); found {
 			c = m
 		}
 	}

@@ -177,14 +177,6 @@ type solver struct {
 	// impossible (a transaction reading its own write: reads precede
 	// writes, so no placement is ever legal).
 	unsat bool
-	// bigHint is an optional previously satisfying order (the session's
-	// last model): at each branch the search tries the disjunct that
-	// order satisfied first. A model invalidated by one new constraint is
-	// usually one flip away from a satisfying order, so the warm-started
-	// descent commits the surviving guesses without backtracking instead
-	// of re-deriving them clause by clause. Soundness and completeness
-	// are untouched — the hint only permutes branch order.
-	bigHint *orderClosure
 }
 
 // newSolver builds the clause set for the txns in checkSet (nil: all
@@ -283,11 +275,9 @@ func (s *solver) key() string {
 
 // newClauseSolver builds a solver over a pre-built clause set, for the
 // incremental session, which constructs clauses itself as transactions
-// commit. The closure is owned by the solver afterwards; hint, when
-// non-nil, is a previously satisfying order in the same index space used
-// to warm-start branch polarity (see solver.bigHint).
-func newClauseSolver(order *orderClosure, clauses []clause, hint *orderClosure) *solver {
-	return &solver{order: order, clauses: clauses, failed: make(map[string]struct{}), bigHint: hint}
+// commit. The closure is owned by the solver afterwards.
+func newClauseSolver(order *orderClosure, clauses []clause) *solver {
+	return &solver{order: order, clauses: clauses, failed: make(map[string]struct{})}
 }
 
 // solve runs the search and, on success, returns the deterministic
@@ -316,21 +306,13 @@ func (s *solver) run() bool {
 	return len(s.clauses) == 0 || s.search()
 }
 
-// hinted reports whether the hint model orders a before b. Rows of
-// transactions appended after the hint model was solved are absent or
-// narrower: such pairs are undecided.
-func (s *solver) hinted(a, b int) bool {
-	h := s.bigHint
-	return a < len(h.succ) && b>>6 < len(h.succ[a]) && h.succ[a].has(b)
-}
-
 // search finds an extension of s.order satisfying every clause, or
 // reports that none exists. It first runs a clone-free optimistic
-// descent committing one disjunct per undecided clause (hint polarity
-// first); only when that descent dead-ends does it restore the single
-// entry snapshot and run the complete branch-and-memoize search. The
-// happy path — a warm-started re-solve whose hint survives — costs no
-// per-node clones or memo keys at all.
+// descent committing one disjunct per undecided clause; only when that
+// descent dead-ends does it restore the single entry snapshot and run
+// the complete branch-and-memoize search. The happy path — a satisfiable
+// re-solve the greedy choices never trap — costs no per-node clones or
+// memo keys at all.
 func (s *solver) search() bool {
 	if !s.propagate() {
 		return false
@@ -343,67 +325,56 @@ func (s *solver) search() bool {
 	return s.searchFull()
 }
 
+// undecided returns the first clause neither of whose disjuncts the order
+// holds; false when every clause is satisfied.
+func (s *solver) undecided() (clause, bool) {
+	for _, c := range s.clauses {
+		if !s.order.succ[c.a1].has(c.b1) && !s.order.succ[c.a2].has(c.b2) {
+			return c, true
+		}
+	}
+	return clause{}, false
+}
+
 // descend greedily commits clauses in order without backtracking: the
-// preferred disjunct (hint polarity) first, its sibling when the
-// preferred edge cycles immediately. False means only that the greedy
-// path dead-ended, not that the instance is unsatisfiable.
+// first disjunct, its sibling when the first edge cycles immediately.
+// False means only that the greedy path dead-ended, not that the
+// instance is unsatisfiable.
 func (s *solver) descend() bool {
 	for {
 		if !s.propagate() {
 			return false
 		}
-		pick := -1
-		for i, c := range s.clauses {
-			if !s.order.succ[c.a1].has(c.b1) && !s.order.succ[c.a2].has(c.b2) {
-				pick = i
-				break
-			}
-		}
-		if pick < 0 {
+		c, open := s.undecided()
+		if !open {
 			return true
 		}
-		c := s.clauses[pick]
-		x1, y1, x2, y2 := c.a1, c.b1, c.a2, c.b2
-		if s.bigHint != nil && !s.hinted(c.a1, c.b1) && s.hinted(c.a2, c.b2) {
-			x1, y1, x2, y2 = c.a2, c.b2, c.a1, c.b1
-		}
-		if !s.order.addEdge(x1, y1) && !s.order.addEdge(x2, y2) {
+		if !s.order.addEdge(c.a1, c.b1) && !s.order.addEdge(c.a2, c.b2) {
 			return false
 		}
 	}
 }
 
+// searchFull branches on the first undecided clause, first disjunct
+// first, memoizing refuted closure states.
 func (s *solver) searchFull() bool {
 	if !s.propagate() {
 		return false
 	}
-	pick := -1
-	for i, c := range s.clauses {
-		if !s.order.succ[c.a1].has(c.b1) && !s.order.succ[c.a2].has(c.b2) {
-			pick = i
-			break
-		}
-	}
-	if pick < 0 {
+	c, open := s.undecided()
+	if !open {
 		return true // every clause satisfied: the order is legal
 	}
 	key := s.key()
 	if _, refuted := s.failed[key]; refuted {
 		return false
 	}
-	c := s.clauses[pick]
-	// Branch polarity: follow the warm-start hint when it decided this
-	// pair, otherwise first disjunct first (the deterministic default).
-	x1, y1, x2, y2 := c.a1, c.b1, c.a2, c.b2
-	if s.bigHint != nil && !s.hinted(c.a1, c.b1) && s.hinted(c.a2, c.b2) {
-		x1, y1, x2, y2 = c.a2, c.b2, c.a1, c.b1
-	}
 	saved := s.order.clone()
-	if s.order.addEdge(x1, y1) && s.searchFull() {
+	if s.order.addEdge(c.a1, c.b1) && s.searchFull() {
 		return true
 	}
 	s.order.copyFrom(saved)
-	if s.order.addEdge(x2, y2) && s.searchFull() {
+	if s.order.addEdge(c.a2, c.b2) && s.searchFull() {
 		return true
 	}
 	s.order.copyFrom(saved)
