@@ -67,8 +67,6 @@ func (w *Witness) String() string {
 type Verdict struct {
 	Protocol string
 	Claims   protocol.Claims
-	// FastClaimed is true when the protocol claims all of N, O, V.
-	FastClaimed bool
 	// Sacrifices names the property the protocol gives up: "W"
 	// (multi-object write transactions), "O" (one round), "V" (one
 	// value), "N" (non-blocking), or "consistency" when the adversary
@@ -131,7 +129,7 @@ func newValues(objs []string) map[string]model.Value {
 // Run executes the theorem against the protocol.
 func (a *Attack) Run() (*Verdict, error) {
 	claims := a.Proto.Claims()
-	v := &Verdict{Protocol: a.Proto.Name(), Claims: claims, FastClaimed: claims.FastROT()}
+	v := &Verdict{Protocol: a.Proto.Name(), Claims: claims}
 
 	// Gate 1: protocols without multi-object write transactions sacrifice
 	// W — the paper's conclusion for COPS-SNOW and friends. Verified

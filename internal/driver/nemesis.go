@@ -28,8 +28,8 @@ type Nemesis struct {
 	Crashes int
 	// Lose selects volatile-state loss for the scheduled crashes: the
 	// target's income buffer is discarded at crash time and the process is
-	// rebuilt by its recovery hook at restart (factory-fresh unless the
-	// protocol implements sim.Recoverable). False models persistence —
+	// rebuilt factory-fresh by its recovery hook at restart. False models
+	// persistence —
 	// state and inbox survive, making the outage indistinguishable from a
 	// long network delay.
 	Lose bool

@@ -134,26 +134,14 @@ func Deploy(p Protocol, cfg Config) *Deployment {
 		k.SetLatencyFloor(500)
 	}
 	d := &Deployment{Kernel: k, Proto: p, Place: pl, Topo: topo}
-	// Recovery hooks for lossy crashes (nemesis layer): a process that
-	// implements sim.Recoverable rebuilds its own durable state; otherwise
-	// a lossy restart yields a factory-fresh replacement — all volatile
-	// state gone, exactly the fault model of an unreplicated in-memory
-	// store.
-	recoverServer := func(sid sim.ProcessID) func(sim.Process) sim.Process {
-		return func(old sim.Process) sim.Process {
-			if r, ok := old.(sim.Recoverable); ok {
-				return r.Recover()
-			}
-			return p.NewServer(sid, pl)
-		}
+	// Recovery hooks for lossy crashes (nemesis layer): a lossy restart
+	// yields a factory-fresh replacement — all volatile state gone, exactly
+	// the fault model of an unreplicated in-memory store.
+	recoverServer := func(sid sim.ProcessID) func() sim.Process {
+		return func() sim.Process { return p.NewServer(sid, pl) }
 	}
-	recoverClient := func(id sim.ProcessID) func(sim.Process) sim.Process {
-		return func(old sim.Process) sim.Process {
-			if r, ok := old.(sim.Recoverable); ok {
-				return r.Recover()
-			}
-			return p.NewClient(id, pl)
-		}
+	recoverClient := func(id sim.ProcessID) func() sim.Process {
+		return func() sim.Process { return p.NewClient(id, pl) }
 	}
 	for _, sid := range pl.Servers() {
 		k.Add(p.NewServer(sid, pl))

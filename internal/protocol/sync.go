@@ -23,7 +23,7 @@ import (
 //      live peer replica holds for a shared object that the replacement
 //      lacks is deep-copied over, keyed by writer.
 //   3. Neither — the replacement keeps whatever its durable image had
-//      (sim.Recoverable or a full clone); peers transfer nothing.
+//      (a full clone of the dead server); peers transfer nothing.
 //
 // Under disjoint placement no peer shares an object with the dead server,
 // so peer transfer is structurally empty — the durable image (tier: the
@@ -49,18 +49,16 @@ type Syncer interface {
 }
 
 // AdoptShard builds the process that replaces dead server sid: the
-// replacement adopts the durable image (Recover() if the server
-// implements sim.Recoverable, a full clone otherwise; factory-fresh when
-// lose says the disk is gone), then catches up from live peer replicas
-// via SyncFrom. Deploy installs it as the kernel replacement hook for
-// every server; the kernel keeps the returned process down until the
-// companion restart, so it never serves reads before it is caught up.
+// replacement adopts the durable image (a full clone of old;
+// factory-fresh when lose says the disk is gone), then catches up from
+// live peer replicas via SyncFrom. Deploy installs it as the kernel
+// replacement hook for every server; the kernel keeps the returned
+// process down until the companion restart, so it never serves reads
+// before it is caught up.
 func (d *Deployment) AdoptShard(k *sim.Kernel, sid sim.ProcessID, old sim.Process, lose bool) (sim.Process, sim.SyncStats) {
 	var repl sim.Process
 	if lose {
 		repl = d.Proto.NewServer(sid, d.Place)
-	} else if r, ok := old.(sim.Recoverable); ok {
-		repl = r.Recover()
 	} else {
 		repl = old.Clone()
 	}

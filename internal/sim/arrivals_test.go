@@ -121,7 +121,7 @@ func TestCrashBetweenBudgetCutRuns(t *testing.T) {
 			k, r, a := crossShardPing(t, 24, 100, 900, 100)
 			b := k.Process("b").(*pinger)
 			fresh := &pinger{id: "b", peer: "a", echo: true}
-			k.SetRecovery("b", func(Process) Process { return fresh })
+			k.SetRecovery("b", func() Process { return fresh })
 			// One event per shard and Run: the cut falls between a delivery
 			// to b and the step that would consume it.
 			for len(k.Inbox("b")) == 0 {

@@ -108,7 +108,7 @@ type Kernel struct {
 	crashed  []crashInfo
 	cut      map[[2]slot]bool
 	heldMsgs []*Message
-	recovery map[ProcessID]func(Process) Process
+	recovery map[ProcessID]func() Process
 	// replacement holds the catch-up hooks run by Replace/Restore
 	// (reconfiguration: a fresh process adopts a dead one's shard).
 	replacement map[ProcessID]ReplacementHook
@@ -521,7 +521,7 @@ func (k *Kernel) Snapshot() *Kernel {
 		c.cut = maps.Clone(k.cut)
 	}
 	if len(k.recovery) > 0 {
-		c.recovery = make(map[ProcessID]func(Process) Process, len(k.recovery))
+		c.recovery = make(map[ProcessID]func() Process, len(k.recovery))
 		for id, f := range k.recovery {
 			c.recovery[id] = f
 		}

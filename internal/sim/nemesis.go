@@ -20,9 +20,8 @@ import "fmt"
 //     outage is indistinguishable from a long network delay, a schedule
 //     the asynchronous model already contains. With lose=true the income
 //     buffer is discarded at crash time and the process state is rebuilt
-//     at restart by the registered recovery hook (the default installed
-//     by protocol.Deploy drops all volatile state: a factory-fresh
-//     process).
+//     at restart by the registered recovery hook (protocol.Deploy's
+//     drops all state: a factory-fresh process).
 //   - Cut severs one directed link: messages in transit on it and
 //     messages sent on it while cut are held. Heal releases them; they
 //     become deliverable no earlier than max(ReadyAt, heal instant).
@@ -117,15 +116,6 @@ func (f Fault) String() string {
 	}
 }
 
-// Recoverable is optionally implemented by processes that keep durable
-// state across a lossy crash: Recover returns the post-restart process
-// (same ID), typically preserving on-disk fields and discarding the
-// rest. Processes without it are rebuilt factory-fresh by the recovery
-// hook protocol.Deploy installs — the default drop-all-volatile model.
-type Recoverable interface {
-	Recover() Process
-}
-
 // crashInfo is one slot's crash state: down while crashed, lose when the
 // restart must run the recovery hook.
 type crashInfo struct {
@@ -154,13 +144,13 @@ func (s SyncStats) Total() int { return s.Snapshot + s.Peer }
 type ReplacementHook func(k *Kernel, old Process, lose bool) (Process, SyncStats)
 
 // SetRecovery registers the hook that rebuilds pid after a lossy crash.
-// Restart calls it with the pre-crash process and installs the returned
-// one under the same ID; without a hook the old state is kept (which
-// degrades lose to persist). protocol.Deploy installs hooks for every
-// process it creates.
-func (k *Kernel) SetRecovery(pid ProcessID, f func(old Process) Process) {
+// Restart installs the process it returns under the same ID; without a
+// hook the old state is kept (which degrades lose to persist).
+// protocol.Deploy installs a factory-fresh rebuild for every process it
+// creates: a lossy crash loses all state.
+func (k *Kernel) SetRecovery(pid ProcessID, f func() Process) {
 	if k.recovery == nil {
-		k.recovery = make(map[ProcessID]func(Process) Process)
+		k.recovery = make(map[ProcessID]func() Process)
 	}
 	k.recovery[pid] = f
 }
@@ -274,8 +264,8 @@ func (k *Kernel) Crash(pid ProcessID, lose bool) bool {
 }
 
 // Restart brings a crashed pid back at the current instant. After a
-// lossy crash the recovery hook rebuilds the process (factory-fresh by
-// default); after a persistent crash the frozen state simply resumes.
+// lossy crash the recovery hook rebuilds the process; after a persistent
+// crash the frozen state simply resumes.
 // Held messages addressed to pid become deliverable again (unless their
 // link is also cut).
 func (k *Kernel) Restart(pid ProcessID) bool {
@@ -284,7 +274,7 @@ func (k *Kernel) Restart(pid ProcessID) bool {
 		return false
 	}
 	if rec := k.recovery[pid]; rec != nil && k.crashed[s].lose {
-		k.procs[s] = rec(k.procs[s])
+		k.procs[s] = rec()
 	}
 	k.crashed[s] = crashInfo{}
 	k.releaseHeld()

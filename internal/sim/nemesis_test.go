@@ -48,7 +48,7 @@ func TestCrashPersistFreezesAndResumes(t *testing.T) {
 // already been delivered).
 func TestCrashLoseDropsInboxAndRecovers(t *testing.T) {
 	k, a, _ := newPingPair(2, 4)
-	k.SetRecovery("b", func(Process) Process {
+	k.SetRecovery("b", func() Process {
 		return &pinger{id: "b", peer: "a", echo: true}
 	})
 	// Let a send its pings, then deliver one into b's inbox unconsumed.

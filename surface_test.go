@@ -28,6 +28,9 @@ var surfaceAllowed = map[string]string{
 	"sim.ConstantLatency":             "fixed-latency model the kernel, runner and open-loop tests build on",
 	"protocol.Placement.ReplicasOf":   "observer the placement tests assert on",
 	"protocol.Placement.IsReplicated": "observer the placement and partial-replication tests assert on",
+	"protocol.Claims.FastROT":         "Definition 4 predicate the claims tests assert on",
+	"spec.Measurement.FastROT":        "Definition 4 predicate the spec, fatcops and eigerps tests assert on",
+	"spec.Profile.FastROT":            "Definition 4 predicate the spec, core and Table 1 benchmark tests assert on",
 }
 
 // TestExportedSurfaceHasCallers keeps internal/ from carrying API that
