@@ -29,9 +29,8 @@ type Nemesis struct {
 	// Lose selects volatile-state loss for the scheduled crashes: the
 	// target's income buffer is discarded at crash time and the process is
 	// rebuilt factory-fresh by its recovery hook at restart. False models
-	// persistence —
-	// state and inbox survive, making the outage indistinguishable from a
-	// long network delay.
+	// persistence — state and inbox survive, making the outage
+	// indistinguishable from a long network delay.
 	Lose bool
 	// Partitions is the number of partition→heal cycles. Each cut splits
 	// the deployment into two halves (by site on a multi-site topology,

@@ -301,7 +301,8 @@ func (s *solver) solveClosure() (*orderClosure, bool) {
 	return s.order, true
 }
 
-// run solves the clause set directly on the closure it was given.
+// run reports whether some extension of s.order satisfies every clause,
+// leaving the satisfying order in s.order.
 func (s *solver) run() bool {
 	return len(s.clauses) == 0 || s.search()
 }

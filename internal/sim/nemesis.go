@@ -21,7 +21,7 @@ import "fmt"
 //     the asynchronous model already contains. With lose=true the income
 //     buffer is discarded at crash time and the process state is rebuilt
 //     at restart by the registered recovery hook (protocol.Deploy's
-//     drops all state: a factory-fresh process).
+//     builds a factory-fresh process: all volatile state is lost).
 //   - Cut severs one directed link: messages in transit on it and
 //     messages sent on it while cut are held. Heal releases them; they
 //     become deliverable no earlier than max(ReadyAt, heal instant).
