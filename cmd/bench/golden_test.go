@@ -82,3 +82,21 @@ func TestDrainOrderGolden(t *testing.T) {
 			"a758fd25ffa97a6abcdcf6e4d2bc70116e1500473b390e6674873c6fee7a6269"},
 	})
 }
+
+// TestReconfigGolden pins replacement and restore on the three models
+// whose reads serve per-version metadata (cops' dependency lists,
+// fatcops' sibling and dependency values, ramp's write sets), replicated
+// so that a replacement catches up from a live peer: the nem_sync_*
+// columns count what it transferred, and every later read of a
+// transferred version shows whether its metadata came along.
+func TestReconfigGolden(t *testing.T) {
+	const cell = " -protocols cops,fatcops,ramp -mixes readheavy,balanced -servers 4 -replication 2 -clients 8 -txns 600"
+	checkGolden(t, []goldenRow{
+		{"-nemesis replace" + cell,
+			"5adfff4ff7a4ebf83b33455ba58a913758d1ac2e07071f0c8e56c1fc68beb660"},
+		{"-nemesis replace-lose" + cell,
+			"b0e89c37f9fa7f57c9551a4f3d75c39a15e0b3908064a92ac0b6b79fbfd135fd"},
+		{"-nemesis restore" + cell,
+			"9b7a7ecb9302bbe6f3b27aecfd598ad3497ebc33db05bdca72b3926c68b19987"},
+	})
+}
