@@ -102,8 +102,9 @@ func (n *Nemesis) defaults() {
 
 // build validates the configuration against the deployment and returns
 // the armed fault schedule: sorted by instant, At made absolute by adding
-// the run-start time.
-func (n *Nemesis) build(d *protocol.Deployment, seed int64, start sim.Time) ([]sim.Fault, error) {
+// the run-start time. It defaults a copy: cells measured at once share
+// their Nemesis.
+func (n Nemesis) build(d *protocol.Deployment, seed int64, start sim.Time) ([]sim.Fault, error) {
 	n.defaults()
 	servers := d.Place.Servers()
 	isServer := make(map[sim.ProcessID]bool, len(servers))

@@ -54,7 +54,7 @@ func TestNemesisWorkersByteIdentical(t *testing.T) {
 				}
 				runWith := func(workers int) (*Report, string) {
 					cfg := base
-					cfg.Nemesis = sch.nem() // fresh: build mutates defaults
+					cfg.Nemesis = sch.nem() // fresh per run
 					cfg.Workers = workers
 					// Run's own steps, spelled out to keep the run's
 					// recovery marks in reach.

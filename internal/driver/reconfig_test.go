@@ -89,7 +89,7 @@ func TestReconfigWorkersByteIdentical(t *testing.T) {
 				}
 				runWith := func(workers int) (*Report, string) {
 					cfg := base
-					cfg.Nemesis = sch.nem() // fresh: build mutates defaults
+					cfg.Nemesis = sch.nem() // fresh per run
 					cfg.Workers = workers
 					rep, err := Run(p.mk(), cfg)
 					if err != nil {

@@ -1,7 +1,9 @@
 // Package protocol is the zoo's service-provider interface. An entry writes
 // two sim.Processes (Step/Ready/Clone; clients embed Core), payloads with
-// Kind/Txn/PayloadRole (values: immutable once sent) and Claims; placement,
-// fan-out (ReadShares/WriteShares), deployments and probes live here.
+// Kind/Txn (values: immutable once sent) and Claims; a server keeps its
+// per-version metadata on store.Version.Meta. Placement, fan-out
+// (ReadShares/WriteShares), deployments, probes and replacement catch-up
+// live here.
 package protocol
 
 import (
@@ -33,39 +35,13 @@ type Claims struct {
 // per Definition 4.
 func (c Claims) FastROT() bool { return c.OneRound && c.OneValue && c.NonBlocking }
 
-// Role classifies a payload for trace analysis.
-type Role uint8
-
-// Payload roles.
-const (
-	RoleInternal  Role = iota // server↔server or bookkeeping traffic
-	RoleReadReq               // client→server read(-round) request
-	RoleReadResp              // server→client read response
-	RoleWriteReq              // client→server write/prepare/commit request
-	RoleWriteResp             // server→client write ack
-)
-
-func (r Role) String() string {
-	switch r {
-	case RoleReadReq:
-		return "read-req"
-	case RoleReadResp:
-		return "read-resp"
-	case RoleWriteReq:
-		return "write-req"
-	case RoleWriteResp:
-		return "write-resp"
-	default:
-		return "internal"
-	}
-}
-
 // TxnPayload is implemented by payloads belonging to a transaction; the
-// spec package uses it to attribute messages to transactions.
+// spec package uses it to attribute messages to transactions. What a
+// message is for, its link says: client→server is a request and
+// server→client a response (Definition 4).
 type TxnPayload interface {
 	sim.Payload
 	Txn() model.TxnID
-	PayloadRole() Role
 }
 
 // ValueCarrier is implemented by payloads carrying written values; the

@@ -277,15 +277,3 @@ func TestIsInitClient(t *testing.T) {
 		t.Fatal("IsInitClient wrong")
 	}
 }
-
-func TestRoleStrings(t *testing.T) {
-	for role, want := range map[Role]string{
-		RoleReadReq: "read-req", RoleReadResp: "read-resp",
-		RoleWriteReq: "write-req", RoleWriteResp: "write-resp",
-		RoleInternal: "internal",
-	} {
-		if role.String() != want {
-			t.Fatalf("role %d = %q, want %q", role, role.String(), want)
-		}
-	}
-}

@@ -12,17 +12,14 @@ import (
 // driver can schedule replica replacement and whole-cluster restore
 // against any protocol in the zoo without per-protocol wiring.
 //
-// Catch-up has three tiers, most specific first:
+// Catch-up has two tiers:
 //
-//   1. Syncer — the protocol's own catch-up: the replacement pulls
-//      versions AND protocol metadata (dependency tables, write-set
-//      annotations) from each live peer replica. cops/fatcops/ramp
-//      implement it, because their correctness lives partly in side
-//      tables the generic transfer cannot see.
-//   2. StoreCarrier — the generic snapshot transfer: every version a
-//      live peer replica holds for a shared object that the replacement
-//      lacks is deep-copied over, keyed by writer.
-//   3. Neither — the replacement keeps whatever its durable image had
+//   1. StoreCarrier — the store transfer: every version a live peer
+//      replica holds for a shared object that the replacement lacks is
+//      copied over, keyed by writer. A version carries its protocol's
+//      metadata (store.Version.Meta), so the copy serves like the
+//      original.
+//   2. Neither — the replacement keeps whatever its durable image had
 //      (a full clone of the dead server); peers transfer nothing.
 //
 // Under disjoint placement no peer shares an object with the dead server,
@@ -32,20 +29,10 @@ import (
 
 // StoreCarrier is implemented by servers whose durable state is a
 // store.Store — one line per protocol. It powers both halves of the
-// generic catch-up: counting the versions a reattached durable image
-// holds, and transferring missing versions from live peers.
+// catch-up: counting the versions a reattached durable image holds, and
+// transferring missing versions from live peers.
 type StoreCarrier interface {
 	ShardStore() *store.Store
-}
-
-// Syncer is the non-default catch-up hook: the replacement pulls objs
-// (the objects it shares with the peer) from one live peer replica,
-// returning how many versions it adopted. Implementations must be
-// deterministic — peers are visited in sorted order and the kernel RNG is
-// never consulted — and must deep-copy everything they take: the peer
-// keeps running.
-type Syncer interface {
-	SyncFrom(peer sim.Process, objs []string) int
 }
 
 // AdoptShard builds the process that replaces dead server sid: the
@@ -69,9 +56,8 @@ func (d *Deployment) AdoptShard(k *sim.Kernel, sid sim.ProcessID, old sim.Proces
 
 // SyncFrom catches the replacement for server sid up from every live peer
 // replica, in sorted server order: for each object the dead server shared
-// with the peer, the replacement adopts the versions it lacks (through
-// the protocol's own Syncer when implemented, the generic store transfer
-// otherwise). Returns the number of versions transferred. Deterministic
+// with the peer, the replacement adopts the versions it lacks. Returns the
+// number of versions transferred. Deterministic
 // by construction — placement order and writer identity, never the RNG.
 func (d *Deployment) SyncFrom(k *sim.Kernel, repl sim.Process, sid sim.ProcessID) int {
 	synced := 0
@@ -83,12 +69,7 @@ func (d *Deployment) SyncFrom(k *sim.Kernel, repl sim.Process, sid sim.ProcessID
 		if len(shared) == 0 {
 			continue
 		}
-		src := k.Process(peer)
-		if sy, ok := repl.(Syncer); ok {
-			synced += sy.SyncFrom(src, shared)
-			continue
-		}
-		synced += CopyMissingVersions(repl, src, shared)
+		synced += copyMissingVersions(repl, k.Process(peer), shared)
 	}
 	return synced
 }
@@ -105,13 +86,11 @@ func sharedObjects(pl *Placement, a, b sim.ProcessID) []string {
 	return out
 }
 
-// CopyMissingVersions is the generic peer transfer: every version src
-// holds for objs that dst lacks (keyed by writer) is deep-copied into
-// dst's store, preserving visibility, stamps, vectors and dependency
-// values. Returns the number of versions copied; 0 when either side does
-// not expose its store. Protocol Syncer implementations call this for the
-// version chains and then carry their own side tables.
-func CopyMissingVersions(dst, src sim.Process, objs []string) int {
+// copyMissingVersions is the peer transfer: every version src holds for
+// objs that dst lacks (keyed by writer) is cloned into dst's store,
+// preserving visibility, stamps, vectors and metadata. Returns the number
+// of versions copied; 0 when either side does not expose its store.
+func copyMissingVersions(dst, src sim.Process, objs []string) int {
 	dc, ok := dst.(StoreCarrier)
 	if !ok {
 		return 0

@@ -56,18 +56,16 @@ type snapReq struct {
 	TID model.TxnID
 }
 
-func (p *snapReq) Kind() string               { return "snap-req" }
-func (p *snapReq) Txn() model.TxnID           { return p.TID }
-func (p *snapReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *snapReq) Kind() string     { return "snap-req" }
+func (p *snapReq) Txn() model.TxnID { return p.TID }
 
 type snapResp struct {
 	TID model.TxnID
 	TS  vclock.HLCStamp
 }
 
-func (p *snapResp) Kind() string               { return "snap-resp" }
-func (p *snapResp) Txn() model.TxnID           { return p.TID }
-func (p *snapResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
+func (p *snapResp) Kind() string     { return "snap-resp" }
+func (p *snapResp) Txn() model.TxnID { return p.TID }
 
 type readReq struct {
 	TID  model.TxnID
@@ -75,9 +73,8 @@ type readReq struct {
 	Snap vclock.HLCStamp
 }
 
-func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Txn() model.TxnID           { return p.TID }
-func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *readReq) Kind() string     { return "read-req" }
+func (p *readReq) Txn() model.TxnID { return p.TID }
 
 type readVal struct {
 	Ref   model.ValueRef
@@ -89,9 +86,8 @@ type readResp struct {
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string               { return "read-resp" }
-func (p *readResp) Txn() model.TxnID           { return p.TID }
-func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
+func (p *readResp) Kind() string     { return "read-resp" }
+func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	out := make([]model.ValueRef, 0, len(p.Vals))
 	for _, v := range p.Vals {
@@ -108,18 +104,16 @@ type writeReq struct {
 	DepTS vclock.HLCStamp
 }
 
-func (p *writeReq) Kind() string               { return "write-req" }
-func (p *writeReq) Txn() model.TxnID           { return p.TID }
-func (p *writeReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *writeReq) Kind() string     { return "write-req" }
+func (p *writeReq) Txn() model.TxnID { return p.TID }
 
 type writeResp struct {
 	TID model.TxnID
 	TS  vclock.HLCStamp
 }
 
-func (p *writeResp) Kind() string               { return "write-ack" }
-func (p *writeResp) Txn() model.TxnID           { return p.TID }
-func (p *writeResp) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *writeResp) Kind() string     { return "write-ack" }
+func (p *writeResp) Txn() model.TxnID { return p.TID }
 
 // --- server ---
 

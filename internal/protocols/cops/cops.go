@@ -44,7 +44,7 @@ func (*Protocol) Claims() protocol.Claims {
 
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
-	return &server{id: id, pl: pl, st: store.New(pl.HostedBy(id)...), deps: make(map[depsKey][]depRef)}
+	return &server{id: id, pl: pl, st: store.New(pl.HostedBy(id)...)}
 }
 
 // NewClient implements protocol.Protocol.
@@ -53,6 +53,7 @@ func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Cl
 }
 
 // depRef names a specific version: object, writer and per-object sequence.
+// A version's dependency list ([]depRef) is its store.Version.Meta.
 type depRef struct {
 	Object string
 	Writer model.TxnID
@@ -66,9 +67,8 @@ type readReq struct {
 	Objs []string
 }
 
-func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Txn() model.TxnID           { return p.TID }
-func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *readReq) Kind() string     { return "read-req" }
+func (p *readReq) Txn() model.TxnID { return p.TID }
 
 type readVal struct {
 	Ref  model.ValueRef
@@ -81,9 +81,8 @@ type readResp struct {
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string               { return "read-resp" }
-func (p *readResp) Txn() model.TxnID           { return p.TID }
-func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
+func (p *readResp) Kind() string     { return "read-resp" }
+func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	out := make([]model.ValueRef, 0, len(p.Vals))
 	for _, v := range p.Vals {
@@ -101,9 +100,8 @@ type readAtReq struct {
 	MinSeq int64
 }
 
-func (p *readAtReq) Kind() string               { return "read-at-req" }
-func (p *readAtReq) Txn() model.TxnID           { return p.TID }
-func (p *readAtReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *readAtReq) Kind() string     { return "read-at-req" }
+func (p *readAtReq) Txn() model.TxnID { return p.TID }
 
 type writeReq struct {
 	TID  model.TxnID
@@ -111,51 +109,37 @@ type writeReq struct {
 	Deps []depRef
 }
 
-func (p *writeReq) Kind() string               { return "write-req" }
-func (p *writeReq) Txn() model.TxnID           { return p.TID }
-func (p *writeReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *writeReq) Kind() string     { return "write-req" }
+func (p *writeReq) Txn() model.TxnID { return p.TID }
 
 type writeResp struct {
 	TID model.TxnID
 	Seq int64
 }
 
-func (p *writeResp) Kind() string               { return "write-ack" }
-func (p *writeResp) Txn() model.TxnID           { return p.TID }
-func (p *writeResp) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *writeResp) Kind() string     { return "write-ack" }
+func (p *writeResp) Txn() model.TxnID { return p.TID }
 
 // --- server ---
 
 type server struct {
-	id   sim.ProcessID
-	pl   *protocol.Placement
-	st   *store.Store
-	deps map[depsKey][]depRef // (object, writer) -> dependency list
-}
-
-// depsKey names one installed version: the object and the transaction that
-// wrote it.
-type depsKey struct {
-	obj string
-	w   model.TxnID
+	id sim.ProcessID
+	pl *protocol.Placement
+	st *store.Store
 }
 
 func (s *server) ID() sim.ProcessID { return s.id }
 func (s *server) Ready() bool       { return false }
 
 func (s *server) Clone() sim.Process {
-	c := &server{id: s.id, pl: s.pl, st: s.st.Clone(), deps: make(map[depsKey][]depRef, len(s.deps))}
-	for k, v := range s.deps {
-		c.deps[k] = append([]depRef(nil), v...)
-	}
-	return c
+	return &server{id: s.id, pl: s.pl, st: s.st.Clone()}
 }
 
-func (s *server) valOf(v *store.Version) readVal {
+func valOf(v *store.Version) readVal {
 	return readVal{
 		Ref:  model.ValueRef{Object: v.Object, Value: v.Value, Writer: v.Writer},
 		Seq:  v.Seq,
-		Deps: s.deps[depsKey{v.Object, v.Writer}],
+		Deps: v.Meta.([]depRef),
 	}
 }
 
@@ -167,7 +151,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			resp := &readResp{TID: p.TID}
 			for _, obj := range p.Objs {
 				if v := s.st.LatestVisible(obj); v != nil {
-					resp.Vals = append(resp.Vals, s.valOf(v))
+					resp.Vals = append(resp.Vals, valOf(v))
 				} else {
 					resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
 				}
@@ -179,14 +163,13 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// the dependency was written by a completed transaction, so
 			// this never blocks.
 			if v := s.st.LatestVisible(p.Object); v != nil {
-				resp.Vals = append(resp.Vals, s.valOf(v))
+				resp.Vals = append(resp.Vals, valOf(v))
 			} else {
 				resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: p.Object, Value: model.Bottom}})
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: resp})
 		case *writeReq:
-			v := s.st.Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Visible: true})
-			s.deps[depsKey{p.W.Object, p.TID}] = append([]depRef(nil), p.Deps...)
+			v := s.st.Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Visible: true, Meta: p.Deps})
 			out = append(out, sim.Outbound{To: m.From, Payload: &writeResp{TID: p.TID, Seq: v.Seq}})
 		default:
 			panic(fmt.Sprintf("cops: server %s got %T", s.id, m.Payload))
@@ -368,29 +351,3 @@ func (c *client) finishRead(now sim.Time) {
 // ShardStore exposes the durable version store for the reconfiguration
 // layer's catch-up (protocol.StoreCarrier).
 func (s *server) ShardStore() *store.Store { return s.st }
-
-// SyncFrom implements protocol.Syncer, the non-default catch-up: a
-// replacement adopts the peer's missing versions AND the dependency
-// side-table entries that make them safe to serve — a COPS version
-// without its deps list would answer get-transactions with an empty
-// dependency cut, so the generic store transfer alone is not enough here.
-func (s *server) SyncFrom(peer sim.Process, objs []string) int {
-	n := protocol.CopyMissingVersions(s, peer, objs)
-	src, ok := peer.(*server)
-	if !ok {
-		return n
-	}
-	for _, obj := range objs {
-		for _, v := range src.st.Versions(obj) {
-			key := depsKey{obj, v.Writer}
-			d, found := src.deps[key]
-			if !found {
-				continue
-			}
-			if _, have := s.deps[key]; !have {
-				s.deps[key] = append([]depRef(nil), d...)
-			}
-		}
-	}
-	return n
-}

@@ -66,9 +66,8 @@ type readReq struct {
 	Objs []string
 }
 
-func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Txn() model.TxnID           { return p.TID }
-func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *readReq) Kind() string     { return "read-req" }
+func (p *readReq) Txn() model.TxnID { return p.TID }
 
 type readResp struct {
 	TID  model.TxnID
@@ -77,7 +76,6 @@ type readResp struct {
 
 func (p *readResp) Kind() string                    { return "read-resp" }
 func (p *readResp) Txn() model.TxnID                { return p.TID }
-func (p *readResp) PayloadRole() protocol.Role      { return protocol.RoleReadResp }
 func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
 
 type writeReq struct {
@@ -86,17 +84,15 @@ type writeReq struct {
 	Deps []model.ValueRef // causal dependencies (object, value, writer)
 }
 
-func (p *writeReq) Kind() string               { return "write-req" }
-func (p *writeReq) Txn() model.TxnID           { return p.TID }
-func (p *writeReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *writeReq) Kind() string     { return "write-req" }
+func (p *writeReq) Txn() model.TxnID { return p.TID }
 
 type writeResp struct {
 	TID model.TxnID
 }
 
-func (p *writeResp) Kind() string               { return "write-ack" }
-func (p *writeResp) Txn() model.TxnID           { return p.TID }
-func (p *writeResp) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *writeResp) Kind() string     { return "write-ack" }
+func (p *writeResp) Txn() model.TxnID { return p.TID }
 
 // depCheck asks the server storing a dependency to confirm it is visible
 // and to report the read-only transactions that read an older version.
@@ -105,9 +101,8 @@ type depCheck struct {
 	Items  []model.ValueRef
 }
 
-func (p *depCheck) Kind() string               { return "dep-check" }
-func (p *depCheck) Txn() model.TxnID           { return p.ForTxn }
-func (p *depCheck) PayloadRole() protocol.Role { return protocol.RoleInternal }
+func (p *depCheck) Kind() string     { return "dep-check" }
+func (p *depCheck) Txn() model.TxnID { return p.ForTxn }
 
 type depResp struct {
 	ForTxn     model.TxnID
@@ -115,9 +110,8 @@ type depResp struct {
 	OldReaders []model.TxnID
 }
 
-func (p *depResp) Kind() string               { return "dep-resp" }
-func (p *depResp) Txn() model.TxnID           { return p.ForTxn }
-func (p *depResp) PayloadRole() protocol.Role { return protocol.RoleInternal }
+func (p *depResp) Kind() string     { return "dep-resp" }
+func (p *depResp) Txn() model.TxnID { return p.ForTxn }
 
 // --- server ---
 

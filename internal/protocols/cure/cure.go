@@ -56,18 +56,16 @@ func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Cl
 
 type gsvReq struct{ TID model.TxnID }
 
-func (p *gsvReq) Kind() string               { return "gsv-req" }
-func (p *gsvReq) Txn() model.TxnID           { return p.TID }
-func (p *gsvReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *gsvReq) Kind() string     { return "gsv-req" }
+func (p *gsvReq) Txn() model.TxnID { return p.TID }
 
 type gsvResp struct {
 	TID model.TxnID
 	GSV vclock.Vector
 }
 
-func (p *gsvResp) Kind() string               { return "gsv-resp" }
-func (p *gsvResp) Txn() model.TxnID           { return p.TID }
-func (p *gsvResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
+func (p *gsvResp) Kind() string     { return "gsv-resp" }
+func (p *gsvResp) Txn() model.TxnID { return p.TID }
 
 type readReq struct {
 	TID  model.TxnID
@@ -75,9 +73,8 @@ type readReq struct {
 	Snap vclock.Vector
 }
 
-func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Txn() model.TxnID           { return p.TID }
-func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *readReq) Kind() string     { return "read-req" }
+func (p *readReq) Txn() model.TxnID { return p.TID }
 
 type readVal struct {
 	Ref model.ValueRef
@@ -89,9 +86,8 @@ type readResp struct {
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string               { return "read-resp" }
-func (p *readResp) Txn() model.TxnID           { return p.TID }
-func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
+func (p *readResp) Kind() string     { return "read-resp" }
+func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	out := make([]model.ValueRef, 0, len(p.Vals))
 	for _, v := range p.Vals {
@@ -108,9 +104,8 @@ type prepareReq struct {
 	Dep    vclock.Vector
 }
 
-func (p *prepareReq) Kind() string               { return "prepare" }
-func (p *prepareReq) Txn() model.TxnID           { return p.TID }
-func (p *prepareReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *prepareReq) Kind() string     { return "prepare" }
+func (p *prepareReq) Txn() model.TxnID { return p.TID }
 
 type prepareAck struct {
 	TID model.TxnID
@@ -118,36 +113,31 @@ type prepareAck struct {
 	Seq int64
 }
 
-func (p *prepareAck) Kind() string               { return "prepare-ack" }
-func (p *prepareAck) Txn() model.TxnID           { return p.TID }
-func (p *prepareAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *prepareAck) Kind() string     { return "prepare-ack" }
+func (p *prepareAck) Txn() model.TxnID { return p.TID }
 
 type commitReq struct {
 	TID model.TxnID
 	Vec vclock.Vector
 }
 
-func (p *commitReq) Kind() string               { return "commit" }
-func (p *commitReq) Txn() model.TxnID           { return p.TID }
-func (p *commitReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *commitReq) Kind() string     { return "commit" }
+func (p *commitReq) Txn() model.TxnID { return p.TID }
 
 type commitAck struct {
 	TID model.TxnID
 	Vec vclock.Vector
 }
 
-func (p *commitAck) Kind() string               { return "commit-ack" }
-func (p *commitAck) Txn() model.TxnID           { return p.TID }
-func (p *commitAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *commitAck) Kind() string     { return "commit-ack" }
+func (p *commitAck) Txn() model.TxnID { return p.TID }
 
 type gossip struct {
 	Idx    int
 	Stable int64
 }
 
-func (p *gossip) Kind() string               { return "stable-gossip" }
-func (p *gossip) Txn() model.TxnID           { return model.TxnID{} }
-func (p *gossip) PayloadRole() protocol.Role { return protocol.RoleInternal }
+func (p *gossip) Kind() string { return "stable-gossip" }
 
 // --- server ---
 

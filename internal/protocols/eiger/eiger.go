@@ -88,9 +88,8 @@ type readReq struct {
 	At int64
 }
 
-func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Txn() model.TxnID           { return p.TID }
-func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *readReq) Kind() string     { return "read-req" }
+func (p *readReq) Txn() model.TxnID { return p.TID }
 
 type readVal struct {
 	Ref model.ValueRef
@@ -113,9 +112,8 @@ type readResp struct {
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string               { return "read-resp" }
-func (p *readResp) Txn() model.TxnID           { return p.TID }
-func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
+func (p *readResp) Kind() string     { return "read-resp" }
+func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	out := make([]model.ValueRef, 0, len(p.Vals))
 	for _, v := range p.Vals {
@@ -132,36 +130,32 @@ type prepareReq struct {
 	DepTS  int64
 }
 
-func (p *prepareReq) Kind() string               { return "prepare" }
-func (p *prepareReq) Txn() model.TxnID           { return p.TID }
-func (p *prepareReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *prepareReq) Kind() string     { return "prepare" }
+func (p *prepareReq) Txn() model.TxnID { return p.TID }
 
 type prepareAck struct {
 	TID model.TxnID
 	TS  int64
 }
 
-func (p *prepareAck) Kind() string               { return "prepare-ack" }
-func (p *prepareAck) Txn() model.TxnID           { return p.TID }
-func (p *prepareAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *prepareAck) Kind() string     { return "prepare-ack" }
+func (p *prepareAck) Txn() model.TxnID { return p.TID }
 
 type commitReq struct {
 	TID model.TxnID
 	TS  int64
 }
 
-func (p *commitReq) Kind() string               { return "commit" }
-func (p *commitReq) Txn() model.TxnID           { return p.TID }
-func (p *commitReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *commitReq) Kind() string     { return "commit" }
+func (p *commitReq) Txn() model.TxnID { return p.TID }
 
 type commitAck struct {
 	TID model.TxnID
 	TS  int64
 }
 
-func (p *commitAck) Kind() string               { return "commit-ack" }
-func (p *commitAck) Txn() model.TxnID           { return p.TID }
-func (p *commitAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *commitAck) Kind() string     { return "commit-ack" }
+func (p *commitAck) Txn() model.TxnID { return p.TID }
 
 // --- server ---
 

@@ -67,9 +67,8 @@ type readReq struct {
 	Objs []string
 }
 
-func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Txn() model.TxnID           { return p.TID }
-func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *readReq) Kind() string     { return "read-req" }
+func (p *readReq) Txn() model.TxnID { return p.TID }
 
 type readResp struct {
 	TID  model.TxnID
@@ -78,7 +77,6 @@ type readResp struct {
 
 func (p *readResp) Kind() string                    { return "read-resp" }
 func (p *readResp) Txn() model.TxnID                { return p.TID }
-func (p *readResp) PayloadRole() protocol.Role      { return protocol.RoleReadResp }
 func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
 
 type writeReq struct {
@@ -86,17 +84,15 @@ type writeReq struct {
 	Writes []model.Write
 }
 
-func (p *writeReq) Kind() string               { return "write-req" }
-func (p *writeReq) Txn() model.TxnID           { return p.TID }
-func (p *writeReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *writeReq) Kind() string     { return "write-req" }
+func (p *writeReq) Txn() model.TxnID { return p.TID }
 
 type writeResp struct {
 	TID model.TxnID
 }
 
-func (p *writeResp) Kind() string               { return "write-ack" }
-func (p *writeResp) Txn() model.TxnID           { return p.TID }
-func (p *writeResp) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *writeResp) Kind() string     { return "write-ack" }
+func (p *writeResp) Txn() model.TxnID { return p.TID }
 
 // sync is the never-ending background synchronization: the out-of-band
 // visibility mechanism the paper's model excludes would be driven by it.
@@ -104,9 +100,7 @@ type syncToken struct {
 	Round int64
 }
 
-func (p *syncToken) Kind() string               { return "sync" }
-func (p *syncToken) Txn() model.TxnID           { return model.TxnID{} }
-func (p *syncToken) PayloadRole() protocol.Role { return protocol.RoleInternal }
+func (p *syncToken) Kind() string { return "sync" }
 
 // --- server ---
 

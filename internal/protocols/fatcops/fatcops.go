@@ -145,9 +145,8 @@ type readReq struct {
 	Objs []string
 }
 
-func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Txn() model.TxnID           { return p.TID }
-func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *readReq) Kind() string     { return "read-req" }
+func (p *readReq) Txn() model.TxnID { return p.TID }
 
 // fatEntry is one object's candidate value in a fat response, together
 // with the writing transaction's dependency vector and write-set.
@@ -158,16 +157,6 @@ type fatEntry struct {
 	TS     int64
 	Vec    vec
 	WSet   []string
-}
-
-func cloneEntries(es []fatEntry) []fatEntry {
-	c := make([]fatEntry, len(es))
-	for i, e := range es {
-		e.Vec = e.Vec.clone()
-		e.WSet = append([]string(nil), e.WSet...)
-		c[i] = e
-	}
-	return c
 }
 
 // directVal is the primary's answer for one requested object: the current
@@ -189,9 +178,8 @@ type readResp struct {
 	Vals []directVal
 }
 
-func (p *readResp) Kind() string               { return "fat-read-resp" }
-func (p *readResp) Txn() model.TxnID           { return p.TID }
-func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
+func (p *readResp) Kind() string     { return "fat-read-resp" }
+func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	var out []model.ValueRef
 	for _, v := range p.Vals {
@@ -213,28 +201,27 @@ type writeReq struct {
 	Vec vec
 	// Writes are the writes for objects hosted at the destination.
 	Writes []model.Write
-	// Siblings are ALL of the transaction's writes (co-hosted ones
-	// included — readers apply the whole write-set atomically); DepVals
-	// are the causally depended-on values. Both are shipped and stored.
-	Siblings []fatEntry
-	DepVals  []fatEntry
+	// Sibs are ALL of the transaction's writes (co-hosted ones included —
+	// readers apply the whole write-set atomically); DepVals are the
+	// causally depended-on values. Both are shipped and stored.
+	Sibs    []fatEntry
+	DepVals []fatEntry
 }
 
-func (p *writeReq) Kind() string               { return "fat-write-req" }
-func (p *writeReq) Txn() model.TxnID           { return p.TID }
-func (p *writeReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *writeReq) Kind() string     { return "fat-write-req" }
+func (p *writeReq) Txn() model.TxnID { return p.TID }
 
 type writeResp struct {
 	TID model.TxnID
 }
 
-func (p *writeResp) Kind() string               { return "fat-write-ack" }
-func (p *writeResp) Txn() model.TxnID           { return p.TID }
-func (p *writeResp) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *writeResp) Kind() string     { return "fat-write-ack" }
+func (p *writeResp) Txn() model.TxnID { return p.TID }
 
 // --- server ---
 
-// metaBlob is the fat metadata stored per (object, writer).
+// metaBlob is a write transaction's fat metadata, the store.Version.Meta
+// of every version it installed at a server.
 type metaBlob struct {
 	Sibs []fatEntry
 	Deps []fatEntry
@@ -243,39 +230,19 @@ type metaBlob struct {
 }
 
 type server struct {
-	id   sim.ProcessID
-	pl   *protocol.Placement
-	st   *store.Store
-	meta map[metaKey]metaBlob
+	id sim.ProcessID
+	pl *protocol.Placement
+	st *store.Store
 }
 
 func (s *server) ID() sim.ProcessID { return s.id }
 func (s *server) Ready() bool       { return false }
 
-// metaKey names one installed version: the object and the transaction that
-// wrote it.
-type metaKey struct {
-	obj string
-	w   model.TxnID
-}
-
 func (s *server) Clone() sim.Process {
-	c := &server{id: s.id, pl: s.pl, st: s.st.Clone(), meta: make(map[metaKey]metaBlob, len(s.meta))}
-	for k, v := range s.meta {
-		c.meta[k] = metaBlob{
-			Sibs: cloneEntries(v.Sibs),
-			Deps: cloneEntries(v.Deps),
-			WSet: append([]string(nil), v.WSet...),
-			Vec:  v.Vec.clone(),
-		}
-	}
-	return c
+	return &server{id: s.id, pl: s.pl, st: s.st.Clone()}
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	if s.meta == nil {
-		s.meta = make(map[metaKey]metaBlob)
-	}
 	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
@@ -289,7 +256,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				}
 				// The current version is the last installed one.
 				v := chain[len(chain)-1]
-				blob := s.meta[metaKey{obj, v.Writer}]
+				blob := v.Meta.(*metaBlob)
 				resp.Vals = append(resp.Vals, directVal{
 					Object: obj, Val: v.Value, Writer: v.Writer, TS: v.Stamp.Wall,
 					Vec: blob.Vec, WSet: blob.WSet, Sibs: blob.Sibs, Deps: blob.Deps,
@@ -298,18 +265,16 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			out = append(out, sim.Outbound{To: m.From, Payload: resp})
 		case *writeReq:
 			// The sibling list carries the transaction's full write-set.
-			wset := make([]string, 0, len(p.Siblings))
-			for _, e := range p.Siblings {
-				wset = append(wset, e.Object)
+			blob := &metaBlob{Sibs: p.Sibs, Deps: p.DepVals, Vec: p.Vec,
+				WSet: make([]string, 0, len(p.Sibs))}
+			for _, e := range p.Sibs {
+				blob.WSet = append(blob.WSet, e.Object)
 			}
 			for _, w := range p.Writes {
 				s.st.Install(&store.Version{
 					Object: w.Object, Value: w.Value, Writer: p.TID,
-					Visible: true, Stamp: vclock.HLCStamp{Wall: p.TS},
+					Visible: true, Stamp: vclock.HLCStamp{Wall: p.TS}, Meta: blob,
 				})
-				s.meta[metaKey{w.Object, p.TID}] = metaBlob{
-					Sibs: p.Siblings, Deps: p.DepVals, WSet: wset, Vec: p.Vec,
-				}
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: &writeResp{TID: p.TID}})
 		default:
@@ -533,7 +498,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			for _, sh := range pl.WriteShares(t.Writes) {
 				out = append(out, sim.Outbound{To: sh.Server, Payload: &writeReq{
-					TID: t.ID, TS: ts, Vec: wv, Writes: sh.Items, Siblings: siblings, DepVals: deps,
+					TID: t.ID, TS: ts, Vec: wv, Writes: sh.Items, Sibs: siblings, DepVals: deps,
 				}})
 				c.pending++
 			}
@@ -577,36 +542,3 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 // ShardStore exposes the durable version store for the reconfiguration
 // layer's catch-up (protocol.StoreCarrier).
 func (s *server) ShardStore() *store.Store { return s.st }
-
-// SyncFrom implements protocol.Syncer, the non-default catch-up: a
-// replacement adopts the peer's missing versions AND their sibling/dep
-// metadata blobs — fat-COPS answers reads straight from the blob, so a
-// version transferred without it would serve an empty dependency set.
-func (s *server) SyncFrom(peer sim.Process, objs []string) int {
-	n := protocol.CopyMissingVersions(s, peer, objs)
-	src, ok := peer.(*server)
-	if !ok {
-		return n
-	}
-	if s.meta == nil {
-		s.meta = make(map[metaKey]metaBlob)
-	}
-	for _, obj := range objs {
-		for _, v := range src.st.Versions(obj) {
-			key := metaKey{obj, v.Writer}
-			m, found := src.meta[key]
-			if !found {
-				continue
-			}
-			if _, have := s.meta[key]; !have {
-				s.meta[key] = metaBlob{
-					Sibs: cloneEntries(m.Sibs),
-					Deps: cloneEntries(m.Deps),
-					WSet: append([]string(nil), m.WSet...),
-					Vec:  m.Vec.clone(),
-				}
-			}
-		}
-	}
-	return n
-}

@@ -55,18 +55,16 @@ func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Cl
 
 type gstReq struct{ TID model.TxnID }
 
-func (p *gstReq) Kind() string               { return "gst-req" }
-func (p *gstReq) Txn() model.TxnID           { return p.TID }
-func (p *gstReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *gstReq) Kind() string     { return "gst-req" }
+func (p *gstReq) Txn() model.TxnID { return p.TID }
 
 type gstResp struct {
 	TID model.TxnID
 	GST vclock.HLCStamp
 }
 
-func (p *gstResp) Kind() string               { return "gst-resp" }
-func (p *gstResp) Txn() model.TxnID           { return p.TID }
-func (p *gstResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
+func (p *gstResp) Kind() string     { return "gst-resp" }
+func (p *gstResp) Txn() model.TxnID { return p.TID }
 
 type readReq struct {
 	TID  model.TxnID
@@ -74,9 +72,8 @@ type readReq struct {
 	Snap vclock.HLCStamp
 }
 
-func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Txn() model.TxnID           { return p.TID }
-func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *readReq) Kind() string     { return "read-req" }
+func (p *readReq) Txn() model.TxnID { return p.TID }
 
 type readVal struct {
 	Ref   model.ValueRef
@@ -88,9 +85,8 @@ type readResp struct {
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string               { return "read-resp" }
-func (p *readResp) Txn() model.TxnID           { return p.TID }
-func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
+func (p *readResp) Kind() string     { return "read-resp" }
+func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	out := make([]model.ValueRef, 0, len(p.Vals))
 	for _, v := range p.Vals {
@@ -107,27 +103,23 @@ type writeReq struct {
 	DepTS vclock.HLCStamp
 }
 
-func (p *writeReq) Kind() string               { return "write-req" }
-func (p *writeReq) Txn() model.TxnID           { return p.TID }
-func (p *writeReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *writeReq) Kind() string     { return "write-req" }
+func (p *writeReq) Txn() model.TxnID { return p.TID }
 
 type writeResp struct {
 	TID model.TxnID
 	TS  vclock.HLCStamp
 }
 
-func (p *writeResp) Kind() string               { return "write-ack" }
-func (p *writeResp) Txn() model.TxnID           { return p.TID }
-func (p *writeResp) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *writeResp) Kind() string     { return "write-ack" }
+func (p *writeResp) Txn() model.TxnID { return p.TID }
 
 type gossip struct {
 	From  sim.ProcessID
 	Clock vclock.HLCStamp
 }
 
-func (p *gossip) Kind() string               { return "clock-gossip" }
-func (p *gossip) Txn() model.TxnID           { return model.TxnID{} }
-func (p *gossip) PayloadRole() protocol.Role { return protocol.RoleInternal }
+func (p *gossip) Kind() string { return "clock-gossip" }
 
 // --- server ---
 

@@ -60,9 +60,8 @@ type readReq struct {
 	Objs []string
 }
 
-func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Txn() model.TxnID           { return p.TID }
-func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *readReq) Kind() string     { return "read-req" }
+func (p *readReq) Txn() model.TxnID { return p.TID }
 
 type readResp struct {
 	TID  model.TxnID
@@ -71,7 +70,6 @@ type readResp struct {
 
 func (p *readResp) Kind() string                    { return "read-resp" }
 func (p *readResp) Txn() model.TxnID                { return p.TID }
-func (p *readResp) PayloadRole() protocol.Role      { return protocol.RoleReadResp }
 func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
 
 type writeReq struct {
@@ -79,9 +77,8 @@ type writeReq struct {
 	Writes []model.Write
 }
 
-func (p *writeReq) Kind() string               { return "write-req" }
-func (p *writeReq) Txn() model.TxnID           { return p.TID }
-func (p *writeReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *writeReq) Kind() string     { return "write-req" }
+func (p *writeReq) Txn() model.TxnID { return p.TID }
 func (p *writeReq) CarriedValues() []model.ValueRef {
 	out := make([]model.ValueRef, len(p.Writes))
 	for i, w := range p.Writes {
@@ -94,9 +91,8 @@ type writeResp struct {
 	TID model.TxnID
 }
 
-func (p *writeResp) Kind() string               { return "write-resp" }
-func (p *writeResp) Txn() model.TxnID           { return p.TID }
-func (p *writeResp) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *writeResp) Kind() string     { return "write-resp" }
+func (p *writeResp) Txn() model.TxnID { return p.TID }
 
 // --- server ---
 

@@ -59,18 +59,16 @@ func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Cl
 
 type gsvReq struct{ TID model.TxnID }
 
-func (p *gsvReq) Kind() string               { return "gsv-req" }
-func (p *gsvReq) Txn() model.TxnID           { return p.TID }
-func (p *gsvReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *gsvReq) Kind() string     { return "gsv-req" }
+func (p *gsvReq) Txn() model.TxnID { return p.TID }
 
 type gsvResp struct {
 	TID model.TxnID
 	GSV vclock.Vector
 }
 
-func (p *gsvResp) Kind() string               { return "gsv-resp" }
-func (p *gsvResp) Txn() model.TxnID           { return p.TID }
-func (p *gsvResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
+func (p *gsvResp) Kind() string     { return "gsv-resp" }
+func (p *gsvResp) Txn() model.TxnID { return p.TID }
 
 type readReq struct {
 	TID  model.TxnID
@@ -78,9 +76,8 @@ type readReq struct {
 	Snap vclock.Vector
 }
 
-func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Txn() model.TxnID           { return p.TID }
-func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *readReq) Kind() string     { return "read-req" }
+func (p *readReq) Txn() model.TxnID { return p.TID }
 
 type readVal struct {
 	Ref model.ValueRef
@@ -92,9 +89,8 @@ type readResp struct {
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string               { return "read-resp" }
-func (p *readResp) Txn() model.TxnID           { return p.TID }
-func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
+func (p *readResp) Kind() string     { return "read-resp" }
+func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	out := make([]model.ValueRef, 0, len(p.Vals))
 	for _, v := range p.Vals {
@@ -111,18 +107,16 @@ type writeReq struct {
 	Dep vclock.Vector
 }
 
-func (p *writeReq) Kind() string               { return "write-req" }
-func (p *writeReq) Txn() model.TxnID           { return p.TID }
-func (p *writeReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *writeReq) Kind() string     { return "write-req" }
+func (p *writeReq) Txn() model.TxnID { return p.TID }
 
 type writeResp struct {
 	TID model.TxnID
 	Vec vclock.Vector
 }
 
-func (p *writeResp) Kind() string               { return "write-ack" }
-func (p *writeResp) Txn() model.TxnID           { return p.TID }
-func (p *writeResp) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *writeResp) Kind() string     { return "write-ack" }
+func (p *writeResp) Txn() model.TxnID { return p.TID }
 
 type gossip struct {
 	From sim.ProcessID
@@ -130,9 +124,7 @@ type gossip struct {
 	Cnt  int64
 }
 
-func (p *gossip) Kind() string               { return "cnt-gossip" }
-func (p *gossip) Txn() model.TxnID           { return model.TxnID{} }
-func (p *gossip) PayloadRole() protocol.Role { return protocol.RoleInternal }
+func (p *gossip) Kind() string { return "cnt-gossip" }
 
 // --- server ---
 

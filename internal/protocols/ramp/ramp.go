@@ -43,7 +43,7 @@ func (*Protocol) Claims() protocol.Claims {
 
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
-	return &server{id: id, pl: pl, st: store.New(pl.HostedBy(id)...), meta: make(map[metaKey][]string)}
+	return &server{id: id, pl: pl, st: store.New(pl.HostedBy(id)...)}
 }
 
 // NewClient implements protocol.Protocol.
@@ -70,9 +70,8 @@ type readReq struct {
 	Objs []string
 }
 
-func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Txn() model.TxnID           { return p.TID }
-func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *readReq) Kind() string     { return "read-req" }
+func (p *readReq) Txn() model.TxnID { return p.TID }
 
 type readVal struct {
 	Ref model.ValueRef
@@ -87,9 +86,8 @@ type readResp struct {
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string               { return "read-resp" }
-func (p *readResp) Txn() model.TxnID           { return p.TID }
-func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
+func (p *readResp) Kind() string     { return "read-resp" }
+func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	out := make([]model.ValueRef, 0, len(p.Vals))
 	for _, v := range p.Vals {
@@ -107,9 +105,8 @@ type byWriterReq struct {
 	Writer model.TxnID
 }
 
-func (p *byWriterReq) Kind() string               { return "by-writer-req" }
-func (p *byWriterReq) Txn() model.TxnID           { return p.TID }
-func (p *byWriterReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *byWriterReq) Kind() string     { return "by-writer-req" }
+func (p *byWriterReq) Txn() model.TxnID { return p.TID }
 
 type prepareReq struct {
 	TID      model.TxnID
@@ -118,53 +115,47 @@ type prepareReq struct {
 	WriteSet []string
 }
 
-func (p *prepareReq) Kind() string               { return "prepare" }
-func (p *prepareReq) Txn() model.TxnID           { return p.TID }
-func (p *prepareReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *prepareReq) Kind() string     { return "prepare" }
+func (p *prepareReq) Txn() model.TxnID { return p.TID }
 
 type prepareAck struct{ TID model.TxnID }
 
-func (p *prepareAck) Kind() string               { return "prepare-ack" }
-func (p *prepareAck) Txn() model.TxnID           { return p.TID }
-func (p *prepareAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *prepareAck) Kind() string     { return "prepare-ack" }
+func (p *prepareAck) Txn() model.TxnID { return p.TID }
 
 type commitReq struct{ TID model.TxnID }
 
-func (p *commitReq) Kind() string               { return "commit" }
-func (p *commitReq) Txn() model.TxnID           { return p.TID }
-func (p *commitReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *commitReq) Kind() string     { return "commit" }
+func (p *commitReq) Txn() model.TxnID { return p.TID }
 
 type commitAck struct{ TID model.TxnID }
 
-func (p *commitAck) Kind() string               { return "commit-ack" }
-func (p *commitAck) Txn() model.TxnID           { return p.TID }
-func (p *commitAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *commitAck) Kind() string     { return "commit-ack" }
+func (p *commitAck) Txn() model.TxnID { return p.TID }
 
 // --- server ---
 
+// A version's store.Version.Meta is the rest of its writer's write set
+// ([]string).
 type server struct {
-	id   sim.ProcessID
-	pl   *protocol.Placement
-	st   *store.Store
-	meta map[metaKey][]string // (object, writer) -> write set
-}
-
-// metaKey names one installed version: the object and the transaction that
-// wrote it.
-type metaKey struct {
-	obj string
-	w   model.TxnID
+	id sim.ProcessID
+	pl *protocol.Placement
+	st *store.Store
 }
 
 func (s *server) ID() sim.ProcessID { return s.id }
 func (s *server) Ready() bool       { return false }
 
 func (s *server) Clone() sim.Process {
-	c := &server{id: s.id, pl: s.pl, st: s.st.Clone(), meta: make(map[metaKey][]string, len(s.meta))}
-	for k, v := range s.meta {
-		c.meta[k] = append([]string(nil), v...)
+	return &server{id: s.id, pl: s.pl, st: s.st.Clone()}
+}
+
+func valOf(v *store.Version) readVal {
+	return readVal{
+		Ref:      model.ValueRef{Object: v.Object, Value: v.Value, Writer: v.Writer},
+		TS:       v.Stamp.Wall,
+		WriteSet: v.Meta.([]string),
 	}
-	return c
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
@@ -179,11 +170,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
 					continue
 				}
-				resp.Vals = append(resp.Vals, readVal{
-					Ref:      model.ValueRef{Object: obj, Value: best.Value, Writer: best.Writer},
-					TS:       best.Stamp.Wall,
-					WriteSet: s.meta[metaKey{obj, best.Writer}],
-				})
+				resp.Vals = append(resp.Vals, valOf(best))
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: resp})
 		case *byWriterReq:
@@ -191,28 +178,23 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// Prepared-but-uncommitted versions are fetchable: the reader
 			// has proof the transaction committed elsewhere.
 			if v := s.st.Find(p.Object, p.Writer); v != nil {
-				resp.Vals = append(resp.Vals, readVal{
-					Ref:      model.ValueRef{Object: p.Object, Value: v.Value, Writer: v.Writer},
-					TS:       v.Stamp.Wall,
-					WriteSet: s.meta[metaKey{p.Object, v.Writer}],
-				})
+				resp.Vals = append(resp.Vals, valOf(v))
 			} else {
 				resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: p.Object, Value: model.Bottom}})
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: resp})
 		case *prepareReq:
 			for _, w := range p.Writes {
-				s.st.Install(&store.Version{
-					Object: w.Object, Value: w.Value, Writer: p.TID,
-					Stamp: vclock.HLCStamp{Wall: p.TS},
-				})
 				var others []string
 				for _, o := range p.WriteSet {
 					if o != w.Object {
 						others = append(others, o)
 					}
 				}
-				s.meta[metaKey{w.Object, p.TID}] = others
+				s.st.Install(&store.Version{
+					Object: w.Object, Value: w.Value, Writer: p.TID,
+					Stamp: vclock.HLCStamp{Wall: p.TS}, Meta: others,
+				})
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID}})
 		case *commitReq:
@@ -396,29 +378,3 @@ func (c *client) finishRead(now sim.Time) {
 // ShardStore exposes the durable version store for the reconfiguration
 // layer's catch-up (protocol.StoreCarrier).
 func (s *server) ShardStore() *store.Store { return s.st }
-
-// SyncFrom implements protocol.Syncer, the non-default catch-up: a
-// replacement adopts the peer's missing versions AND their write-set
-// annotations — RAMP's read repair detects fractured reads by comparing
-// write sets, so a version without one would never trigger the second
-// round.
-func (s *server) SyncFrom(peer sim.Process, objs []string) int {
-	n := protocol.CopyMissingVersions(s, peer, objs)
-	src, ok := peer.(*server)
-	if !ok {
-		return n
-	}
-	for _, obj := range objs {
-		for _, v := range src.st.Versions(obj) {
-			key := metaKey{obj, v.Writer}
-			m, found := src.meta[key]
-			if !found {
-				continue
-			}
-			if _, have := s.meta[key]; !have {
-				s.meta[key] = append([]string(nil), m...)
-			}
-		}
-	}
-	return n
-}

@@ -81,9 +81,8 @@ type readReq struct {
 	TS   int64 // read timestamp (TT.now().latest at the client)
 }
 
-func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Txn() model.TxnID           { return p.TID }
-func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *readReq) Kind() string     { return "read-req" }
+func (p *readReq) Txn() model.TxnID { return p.TID }
 
 type readResp struct {
 	TID  model.TxnID
@@ -92,7 +91,6 @@ type readResp struct {
 
 func (p *readResp) Kind() string                    { return "read-resp" }
 func (p *readResp) Txn() model.TxnID                { return p.TID }
-func (p *readResp) PayloadRole() protocol.Role      { return protocol.RoleReadResp }
 func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
 
 type prepareReq struct {
@@ -100,35 +98,31 @@ type prepareReq struct {
 	Writes []model.Write
 }
 
-func (p *prepareReq) Kind() string               { return "prepare" }
-func (p *prepareReq) Txn() model.TxnID           { return p.TID }
-func (p *prepareReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *prepareReq) Kind() string     { return "prepare" }
+func (p *prepareReq) Txn() model.TxnID { return p.TID }
 
 type prepareAck struct {
 	TID model.TxnID
 	TS  int64 // prepare timestamp proposal
 }
 
-func (p *prepareAck) Kind() string               { return "prepare-ack" }
-func (p *prepareAck) Txn() model.TxnID           { return p.TID }
-func (p *prepareAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *prepareAck) Kind() string     { return "prepare-ack" }
+func (p *prepareAck) Txn() model.TxnID { return p.TID }
 
 type commitReq struct {
 	TID model.TxnID
 	TS  int64 // commit timestamp
 }
 
-func (p *commitReq) Kind() string               { return "commit" }
-func (p *commitReq) Txn() model.TxnID           { return p.TID }
-func (p *commitReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *commitReq) Kind() string     { return "commit" }
+func (p *commitReq) Txn() model.TxnID { return p.TID }
 
 type commitAck struct {
 	TID model.TxnID
 }
 
-func (p *commitAck) Kind() string               { return "commit-ack" }
-func (p *commitAck) Txn() model.TxnID           { return p.TID }
-func (p *commitAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *commitAck) Kind() string     { return "commit-ack" }
+func (p *commitAck) Txn() model.TxnID { return p.TID }
 
 // --- server ---
 

@@ -66,18 +66,16 @@ type stableReq struct {
 	TID model.TxnID
 }
 
-func (p *stableReq) Kind() string               { return "stable-req" }
-func (p *stableReq) Txn() model.TxnID           { return p.TID }
-func (p *stableReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *stableReq) Kind() string     { return "stable-req" }
+func (p *stableReq) Txn() model.TxnID { return p.TID }
 
 type stableResp struct {
 	TID    model.TxnID
 	Cutoff vclock.HLCStamp
 }
 
-func (p *stableResp) Kind() string               { return "stable-resp" }
-func (p *stableResp) Txn() model.TxnID           { return p.TID }
-func (p *stableResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
+func (p *stableResp) Kind() string     { return "stable-resp" }
+func (p *stableResp) Txn() model.TxnID { return p.TID }
 
 type readReq struct {
 	TID  model.TxnID
@@ -85,9 +83,8 @@ type readReq struct {
 	Snap vclock.HLCStamp
 }
 
-func (p *readReq) Kind() string               { return "read-req" }
-func (p *readReq) Txn() model.TxnID           { return p.TID }
-func (p *readReq) PayloadRole() protocol.Role { return protocol.RoleReadReq }
+func (p *readReq) Kind() string     { return "read-req" }
+func (p *readReq) Txn() model.TxnID { return p.TID }
 
 type readVal struct {
 	Ref   model.ValueRef
@@ -99,9 +96,8 @@ type readResp struct {
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string               { return "read-resp" }
-func (p *readResp) Txn() model.TxnID           { return p.TID }
-func (p *readResp) PayloadRole() protocol.Role { return protocol.RoleReadResp }
+func (p *readResp) Kind() string     { return "read-resp" }
+func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	out := make([]model.ValueRef, 0, len(p.Vals))
 	for _, v := range p.Vals {
@@ -118,45 +114,39 @@ type prepareReq struct {
 	DepTS  vclock.HLCStamp
 }
 
-func (p *prepareReq) Kind() string               { return "prepare" }
-func (p *prepareReq) Txn() model.TxnID           { return p.TID }
-func (p *prepareReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *prepareReq) Kind() string     { return "prepare" }
+func (p *prepareReq) Txn() model.TxnID { return p.TID }
 
 type prepareAck struct {
 	TID model.TxnID
 	TS  vclock.HLCStamp
 }
 
-func (p *prepareAck) Kind() string               { return "prepare-ack" }
-func (p *prepareAck) Txn() model.TxnID           { return p.TID }
-func (p *prepareAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *prepareAck) Kind() string     { return "prepare-ack" }
+func (p *prepareAck) Txn() model.TxnID { return p.TID }
 
 type commitReq struct {
 	TID model.TxnID
 	TS  vclock.HLCStamp
 }
 
-func (p *commitReq) Kind() string               { return "commit" }
-func (p *commitReq) Txn() model.TxnID           { return p.TID }
-func (p *commitReq) PayloadRole() protocol.Role { return protocol.RoleWriteReq }
+func (p *commitReq) Kind() string     { return "commit" }
+func (p *commitReq) Txn() model.TxnID { return p.TID }
 
 type commitAck struct {
 	TID model.TxnID
 	TS  vclock.HLCStamp
 }
 
-func (p *commitAck) Kind() string               { return "commit-ack" }
-func (p *commitAck) Txn() model.TxnID           { return p.TID }
-func (p *commitAck) PayloadRole() protocol.Role { return protocol.RoleWriteResp }
+func (p *commitAck) Kind() string     { return "commit-ack" }
+func (p *commitAck) Txn() model.TxnID { return p.TID }
 
 type gossip struct {
 	From   sim.ProcessID
 	Stable vclock.HLCStamp
 }
 
-func (p *gossip) Kind() string               { return "stable-gossip" }
-func (p *gossip) Txn() model.TxnID           { return model.TxnID{} }
-func (p *gossip) PayloadRole() protocol.Role { return protocol.RoleInternal }
+func (p *gossip) Kind() string { return "stable-gossip" }
 
 // --- server ---
 

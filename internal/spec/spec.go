@@ -60,7 +60,9 @@ func (m Measurement) String() string {
 
 // Measure analyzes the trace window [from, to) of the kernel for the given
 // transaction. clientID is the invoking client; pl gives the server set
-// and object placement (for foreign-value detection).
+// and object placement (for foreign-value detection). As in Definition 4,
+// a message of the transaction on a clientID → server link is a request
+// and one on a server → clientID link a response.
 func Measure(k *sim.Kernel, from, to int, tid model.TxnID, clientID sim.ProcessID, pl *protocol.Placement) Measurement {
 	srv := make(map[sim.ProcessID]bool)
 	for _, s := range pl.Servers() {
@@ -82,26 +84,14 @@ func Measure(k *sim.Kernel, from, to int, tid model.TxnID, clientID sim.ProcessI
 		from = 0
 	}
 	for _, ev := range events[from:to] {
-		switch {
-		case ev.Kind == sim.EvResponse && ev.Proc == clientID:
-			// completion annotation handled by caller; ignore
-		case ev.Kind != sim.EvStep:
-			continue
-		}
 		if ev.Kind != sim.EvStep {
 			continue
 		}
 		if ev.Proc == clientID {
 			sentReq := false
 			for _, ref := range ev.Sent {
-				p, ok := k.PayloadOf(ref.ID).(protocol.TxnPayload)
-				if !ok || p.Txn() != tid {
-					continue
-				}
-				if r := p.PayloadRole(); r == protocol.RoleReadReq || r == protocol.RoleWriteReq {
-					if srv[ref.Link.To] {
-						sentReq = true
-					}
+				if srv[ref.Link.To] && ofTxn(k, ref.ID, tid) {
+					sentReq = true
 				}
 			}
 			if sentReq {
@@ -115,24 +105,16 @@ func Measure(k *sim.Kernel, from, to int, tid model.TxnID, clientID sim.ProcessI
 		// Server step: count consumed requests and sent responses of tid.
 		consumedReq, sentResp := 0, 0
 		for _, ref := range ev.Consumed {
-			p, ok := k.PayloadOf(ref.ID).(protocol.TxnPayload)
-			if ok && p.Txn() == tid && ref.Link.From == clientID {
-				if r := p.PayloadRole(); r == protocol.RoleReadReq || r == protocol.RoleWriteReq {
-					consumedReq++
-				}
+			if ref.Link.From == clientID && ofTxn(k, ref.ID, tid) {
+				consumedReq++
 			}
 		}
 		for _, ref := range ev.Sent {
-			p, ok := k.PayloadOf(ref.ID).(protocol.TxnPayload)
-			if !ok || p.Txn() != tid || ref.Link.To != clientID {
-				continue
-			}
-			role := p.PayloadRole()
-			if role != protocol.RoleReadResp && role != protocol.RoleWriteResp {
+			if ref.Link.To != clientID || !ofTxn(k, ref.ID, tid) {
 				continue
 			}
 			sentResp++
-			if vc, carries := p.(protocol.ValueCarrier); carries {
+			if vc, carries := k.PayloadOf(ref.ID).(protocol.ValueCarrier); carries {
 				perObj := make(map[string]int)
 				total := 0
 				for _, vr := range vc.CarriedValues() {
@@ -184,6 +166,12 @@ func Measure(k *sim.Kernel, from, to int, tid model.TxnID, clientID sim.ProcessI
 		}
 	}
 	return m
+}
+
+// ofTxn reports whether message id belongs to transaction tid.
+func ofTxn(k *sim.Kernel, id int64, tid model.TxnID) bool {
+	p, ok := k.PayloadOf(id).(protocol.TxnPayload)
+	return ok && p.Txn() == tid
 }
 
 // MeasureResult is a convenience wrapper: measure the transaction a

@@ -1,8 +1,8 @@
 // Package store provides the per-server multi-version object store the
 // protocol models build on. Each object holds an append-ordered version
-// chain; versions carry the metadata the various systems need (logical
-// timestamps, dependency lists, sibling writes, reader-exclusion sets) and
-// an explicit visibility gate, which is how protocols such as COPS-SNOW or
+// chain; versions carry the timestamps the various systems order by, a
+// reader-exclusion set, the protocol's own metadata (Version.Meta) and an
+// explicit visibility gate, which is how protocols such as COPS-SNOW or
 // Eiger keep a written-but-not-yet-stable version from being served.
 package store
 
@@ -14,7 +14,11 @@ import (
 	"repro/internal/vclock"
 )
 
-// Version is one installed version of an object.
+// Version is one installed version of an object. The store owns Seq,
+// Visible, Stamp and Vec (Install, Commit*, Restamp change them). HiddenFrom
+// and Meta are immutable once installed — a protocol sets them when it
+// builds the version and only reads them after — so every copy of the
+// version, store clones and peer transfers alike, shares the one instance.
 type Version struct {
 	Object string
 	Value  model.Value
@@ -32,41 +36,17 @@ type Version struct {
 	// HiddenFrom lists reader transactions that must not see this
 	// version even when visible (COPS-SNOW old-reader exclusion).
 	HiddenFrom map[model.TxnID]bool
-	// Deps lists writer transactions this version causally depends on
-	// (COPS/Eiger-style dependency metadata).
-	Deps []model.TxnID
-	// Siblings carries the other writes of the same transaction
-	// (RAMP/fat-metadata designs), keyed by object.
-	Siblings map[string]model.Value
-	// DepValues carries the values of causal dependencies (the §3.4
-	// N+O+W "fat COPS" design), keyed by object.
-	DepValues map[string]model.Value
+	// Meta is the protocol's own per-version metadata (a dependency list,
+	// a write set), nil when unused.
+	Meta any
 }
 
-// Clone returns a deep copy of the version.
+// Clone returns a copy of the version with its own vector; HiddenFrom and
+// Meta are shared.
 func (v *Version) Clone() *Version {
 	c := *v
 	if v.Vec != nil {
 		c.Vec = v.Vec.Clone()
-	}
-	if v.HiddenFrom != nil {
-		c.HiddenFrom = make(map[model.TxnID]bool, len(v.HiddenFrom))
-		for k, b := range v.HiddenFrom {
-			c.HiddenFrom[k] = b
-		}
-	}
-	c.Deps = append([]model.TxnID(nil), v.Deps...)
-	if v.Siblings != nil {
-		c.Siblings = make(map[string]model.Value, len(v.Siblings))
-		for k, val := range v.Siblings {
-			c.Siblings[k] = val
-		}
-	}
-	if v.DepValues != nil {
-		c.DepValues = make(map[string]model.Value, len(v.DepValues))
-		for k, val := range v.DepValues {
-			c.DepValues[k] = val
-		}
 	}
 	return &c
 }
@@ -356,8 +336,8 @@ func (s *Store) LatestVisibleByStamp(obj string) *Version {
 	return top(idx, len(idx)-1)
 }
 
-// Clone returns a deep copy of the store; the copy's indexes point at its
-// own versions.
+// Clone returns a copy of the store holding a Version.Clone of every
+// version; the copy's indexes point at its own versions.
 func (s *Store) Clone() *Store {
 	c := &Store{
 		names:    s.names,

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -77,26 +78,36 @@ func TestFind(t *testing.T) {
 	}
 }
 
+// TestCloneIsDeep pins the clone contract: what the store changes after
+// Install (visibility, vectors, the chain indexes) is the clone's own,
+// while HiddenFrom and Meta, never written after Install, are shared.
 func TestCloneIsDeep(t *testing.T) {
 	s := New("X")
+	meta := []string{"Y"}
 	v := s.Install(&Version{
 		Object: "X", Value: "a", Writer: tid("c", 1), Visible: false,
 		HiddenFrom: map[model.TxnID]bool{tid("r", 1): true},
-		Siblings:   map[string]model.Value{"Y": "sib"},
-		DepValues:  map[string]model.Value{"Z": "dep"},
-		Deps:       []model.TxnID{tid("d", 1)},
+		Meta:       meta,
 		Vec:        vclock.Vector{1, 2},
 	})
 	c := s.Clone()
 	cv := c.Versions("X")[0]
-	cv.Visible = true
-	cv.HiddenFrom[tid("r", 2)] = true
-	cv.Siblings["Y"] = "mut"
-	cv.Vec[0] = 99
-	cv.Deps[0] = tid("d", 2)
+	c.CommitVec(tid("c", 1), vclock.Vector{3, 4})
+	c.Install(&Version{Object: "X", Value: "b", Writer: tid("c", 2), Visible: true})
 
-	if v.Visible || v.HiddenFrom[tid("r", 2)] || v.Siblings["Y"] != "sib" || v.Vec[0] != 1 || v.Deps[0] != tid("d", 1) {
-		t.Fatal("clone shares state with original")
+	if v.Visible || v.Vec[0] != 1 || s.LatestVisible("X") != nil {
+		t.Fatalf("committing in the clone published or restamped the original: %v %v", v, v.Vec)
+	}
+	if len(s.Versions("X")) != 1 || s.Find("X", tid("c", 2)) != nil || s.Find("X", tid("c", 1)) != v {
+		t.Fatal("installing in the clone changed the original's chain")
+	}
+	s.Commit(tid("c", 1))
+	if !v.Visible || c.LatestVisible("X").Value != "b" || len(c.visible("X")) != 2 {
+		t.Fatal("the original's prepared set or visible index is the clone's")
+	}
+	if cv == v || reflect.ValueOf(cv.HiddenFrom).Pointer() != reflect.ValueOf(v.HiddenFrom).Pointer() ||
+		&cv.Meta.([]string)[0] != &meta[0] {
+		t.Fatal("the clone copied what it should share: the version itself is not, HiddenFrom and Meta are")
 	}
 }
 
