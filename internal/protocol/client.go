@@ -31,6 +31,8 @@ type Core struct {
 	// run (the client has sent its first round).
 	started bool
 	rounds  int
+	// pending counts the replies the current round still awaits.
+	pending int
 }
 
 // NewCore initializes the embedded client core.
@@ -120,6 +122,31 @@ func (c *Core) Started() bool { return c.cur != nil && c.started }
 
 // SentRound counts a request-sending round (for Result.Rounds bookkeeping).
 func (c *Core) SentRound() { c.rounds++ }
+
+// Ready implements sim.Process: the active transaction has not taken its
+// first step yet. After that a client steps only on replies.
+func (c *Core) Ready() bool { return c.Busy() && !c.Started() }
+
+// Send appends a request of the active transaction to out and counts the
+// reply the current round awaits for it.
+func (c *Core) Send(out []sim.Outbound, to sim.ProcessID, p TxnPayload) []sim.Outbound {
+	c.pending++
+	return append(out, sim.Outbound{To: to, Payload: p})
+}
+
+// Reply reports whether p answers the active transaction and, if it does,
+// counts it against the current round.
+func (c *Core) Reply(p TxnPayload) bool {
+	if c.cur == nil || p.Txn() != c.cur.ID {
+		return false
+	}
+	c.pending--
+	return true
+}
+
+// RoundDone reports whether the active transaction has started and every
+// reply its current round awaits has arrived.
+func (c *Core) RoundDone() bool { return c.Started() && c.pending == 0 }
 
 // complete records res and activates the next queued transaction, if any.
 func (c *Core) complete(res *model.Result) {

@@ -47,7 +47,8 @@ type TxnPayload interface {
 // ValueCarrier is implemented by payloads carrying written values; the
 // spec package uses it to measure the one-value property. Metadata (e.g.
 // timestamps) is not a value — only data written by some transaction into
-// some object counts (Definition 4, property 2 and its footnote).
+// some object counts (Definition 4, property 2 and its footnote). A ⊥
+// placeholder may be listed: spec skips it, as it is no written value.
 type ValueCarrier interface {
 	CarriedValues() []model.ValueRef
 }

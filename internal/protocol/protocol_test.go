@@ -138,6 +138,38 @@ func TestCoreLifecycle(t *testing.T) {
 	}
 }
 
+// roundMsg is a minimal transaction payload for the round bookkeeping test.
+type roundMsg struct{ tid model.TxnID }
+
+func (m *roundMsg) Kind() string     { return "round" }
+func (m *roundMsg) Txn() model.TxnID { return m.tid }
+
+func TestCoreRound(t *testing.T) {
+	c := NewCore("cX", Disjoint(2, 1))
+	if c.Ready() || c.RoundDone() || c.Reply(&roundMsg{}) {
+		t.Fatal("idle core is ready, done or takes a reply")
+	}
+	id := c.Invoke(model.NewReadOnly(model.TxnID{}, "X0", "X1"))
+	if !c.Ready() || c.RoundDone() {
+		t.Fatal("unstarted transaction: want ready, round not done")
+	}
+	c.Starting(1)
+	out := c.Send(nil, "s0", &roundMsg{tid: id})
+	out = c.Send(out, "s1", &roundMsg{tid: id})
+	if len(out) != 2 || out[1].To != "s1" || c.Ready() || c.RoundDone() {
+		t.Fatalf("after two sends: out = %v, ready = %v, done = %v", out, c.Ready(), c.RoundDone())
+	}
+	if c.Reply(&roundMsg{tid: model.TxnID{Client: "cX", Seq: 9}}) {
+		t.Fatal("reply for another transaction counted")
+	}
+	if !c.Reply(&roundMsg{tid: id}) || c.RoundDone() {
+		t.Fatal("first reply: want counted, round still open")
+	}
+	if !c.Reply(&roundMsg{tid: id}) || !c.RoundDone() {
+		t.Fatal("second reply: want counted, round done")
+	}
+}
+
 func TestCorePipelinesSecondInvoke(t *testing.T) {
 	c := NewCore("cX", Disjoint(2, 1))
 	id1 := c.Invoke(model.NewReadOnly(model.TxnID{}, "X0"))

@@ -89,11 +89,9 @@ type readResp struct {
 func (p *readResp) Kind() string     { return "read-resp" }
 func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
-	out := make([]model.ValueRef, 0, len(p.Vals))
-	for _, v := range p.Vals {
-		if v.Ref.Value != model.Bottom {
-			out = append(out, v.Ref)
-		}
+	out := make([]model.ValueRef, len(p.Vals))
+	for i, v := range p.Vals {
+		out[i] = v.Ref
 	}
 	return out
 }
@@ -181,7 +179,6 @@ const (
 type client struct {
 	protocol.Core
 	phase    phase
-	pending  int
 	depTS    vclock.HLCStamp
 	snap     vclock.HLCStamp
 	haveSnap bool
@@ -190,7 +187,7 @@ type client struct {
 
 func (c *client) Clone() sim.Process {
 	cp := &client{
-		Core: c.CloneCore(), phase: c.phase, pending: c.pending,
+		Core: c.CloneCore(), phase: c.phase,
 		depTS: c.depTS, snap: c.snap, haveSnap: c.haveSnap,
 	}
 	if c.readVals != nil {
@@ -202,17 +199,12 @@ func (c *client) Clone() sim.Process {
 	return cp
 }
 
-func (c *client) Ready() bool { return c.Busy() && !c.Started() }
-
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	var out []sim.Outbound
 	for _, m := range inbox {
-		if !c.Busy() {
-			continue
-		}
 		switch p := m.Payload.(type) {
 		case *snapResp:
-			if p.TID == c.Current().ID && c.phase == snapshotting {
+			if c.phase == snapshotting && c.Reply(p) {
 				// Snapshot = minimum of the involved servers' times, but
 				// never below the client's causal past (so the snapshot
 				// includes everything the client depends on).
@@ -220,21 +212,18 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					c.snap = p.TS
 					c.haveSnap = true
 				}
-				c.pending--
 			}
 		case *readResp:
-			if p.TID == c.Current().ID && c.phase == reading {
+			if c.phase == reading && c.Reply(p) {
 				for _, v := range p.Vals {
 					c.readVals[v.Ref.Object] = v
 				}
-				c.pending--
 			}
 		case *writeResp:
-			if p.TID == c.Current().ID && c.phase == writing {
+			if c.phase == writing && c.Reply(p) {
 				if c.depTS.Before(p.TS) {
 					c.depTS = p.TS
 				}
-				c.pending--
 			}
 		}
 	}
@@ -253,22 +242,20 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.haveSnap = false
 			c.readVals = make(map[string]readVal)
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &snapReq{TID: t.ID}})
-				c.pending++
+				out = c.Send(out, sh.Server, &snapReq{TID: t.ID})
 			}
 			c.SentRound()
 		} else {
 			c.phase = writing
 			w := t.Writes[len(t.Writes)-1]
-			out = append(out, sim.Outbound{To: c.Placement().PrimaryOf(w.Object), Payload: &writeReq{
+			out = c.Send(out, c.Placement().PrimaryOf(w.Object), &writeReq{
 				TID: t.ID, W: w, DepTS: c.depTS,
-			}})
-			c.pending++
+			})
 			c.SentRound()
 		}
 		return out
 	}
-	if c.Busy() && c.Started() && c.pending == 0 {
+	if c.RoundDone() {
 		t := c.Current()
 		switch c.phase {
 		case snapshotting:
@@ -278,8 +265,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			c.phase = reading
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap}})
-				c.pending++
+				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap})
 			}
 			c.SentRound()
 		case reading:

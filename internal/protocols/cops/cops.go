@@ -84,11 +84,9 @@ type readResp struct {
 func (p *readResp) Kind() string     { return "read-resp" }
 func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
-	out := make([]model.ValueRef, 0, len(p.Vals))
-	for _, v := range p.Vals {
-		if v.Ref.Value != model.Bottom {
-			out = append(out, v.Ref)
-		}
+	out := make([]model.ValueRef, len(p.Vals))
+	for i, v := range p.Vals {
+		out[i] = v.Ref
 	}
 	return out
 }
@@ -191,14 +189,13 @@ const (
 
 type client struct {
 	protocol.Core
-	phase   phase
-	pending int
-	ctx     []depRef // causal context: latest observed version per object, sorted by object
-	got     map[string]readVal
+	phase phase
+	ctx   []depRef // causal context: latest observed version per object, sorted by object
+	got   map[string]readVal
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), phase: c.phase, pending: c.pending, ctx: c.ctxList()}
+	cp := &client{Core: c.CloneCore(), phase: c.phase, ctx: c.ctxList()}
 	if c.got != nil {
 		cp.got = make(map[string]readVal, len(c.got))
 		for k, v := range c.got {
@@ -207,8 +204,6 @@ func (c *client) Clone() sim.Process {
 	}
 	return cp
 }
-
-func (c *client) Ready() bool { return c.Busy() && !c.Started() }
 
 func (c *client) observe(v readVal) {
 	if cur, seen := c.ctxSlot(v.Ref.Object); !seen || v.Seq > cur.Seq {
@@ -251,25 +246,20 @@ func (c *client) inconsistencies() map[string]int64 {
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	var out []sim.Outbound
 	for _, m := range inbox {
-		if !c.Busy() {
-			continue
-		}
 		switch p := m.Payload.(type) {
 		case *readResp:
-			if p.TID == c.Current().ID && (c.phase == round1 || c.phase == round2) {
+			if (c.phase == round1 || c.phase == round2) && c.Reply(p) {
 				for _, v := range p.Vals {
 					if cur, fetched := c.got[v.Ref.Object]; !fetched || v.Seq > cur.Seq {
 						c.got[v.Ref.Object] = v
 					}
 				}
-				c.pending--
 			}
 		case *writeResp:
-			if p.TID == c.Current().ID && c.phase == writing {
+			if c.phase == writing && c.Reply(p) {
 				w := c.Current().Writes[len(c.Current().Writes)-1]
 				slot, _ := c.ctxSlot(w.Object)
 				*slot = depRef{Object: w.Object, Writer: p.TID, Seq: p.Seq}
-				c.pending--
 			}
 		}
 	}
@@ -287,21 +277,19 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = round1
 			c.got = make(map[string]readVal)
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items}})
-				c.pending++
+				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
 			}
 		} else {
 			c.phase = writing
 			w := t.Writes[len(t.Writes)-1]
-			out = append(out, sim.Outbound{To: c.Placement().PrimaryOf(w.Object), Payload: &writeReq{
+			out = c.Send(out, c.Placement().PrimaryOf(w.Object), &writeReq{
 				TID: t.ID, W: w, Deps: c.ctxList(),
-			}})
-			c.pending++
+			})
 		}
 		c.SentRound()
 		return out
 	}
-	if c.Busy() && c.Started() && c.pending == 0 {
+	if c.RoundDone() {
 		t := c.Current()
 		switch c.phase {
 		case round1:
@@ -318,10 +306,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			sort.Strings(objs)
 			for _, o := range objs {
-				out = append(out, sim.Outbound{To: c.Placement().PrimaryOf(o), Payload: &readAtReq{
+				out = c.Send(out, c.Placement().PrimaryOf(o), &readAtReq{
 					TID: t.ID, Object: o, MinSeq: need[o],
-				}})
-				c.pending++
+				})
 			}
 			c.SentRound()
 		case round2:

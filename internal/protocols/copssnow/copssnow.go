@@ -329,19 +329,16 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 
 type client struct {
 	protocol.Core
-	deps    map[string]model.ValueRef // latest observed value per object
-	pending int
+	deps map[string]model.ValueRef // latest observed value per object
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), pending: c.pending, deps: make(map[string]model.ValueRef, len(c.deps))}
+	cp := &client{Core: c.CloneCore(), deps: make(map[string]model.ValueRef, len(c.deps))}
 	for k, v := range c.deps {
 		cp.deps[k] = v
 	}
 	return cp
 }
-
-func (c *client) Ready() bool { return c.Busy() && !c.Started() }
 
 func (c *client) depList() []model.ValueRef {
 	objs := make([]string, 0, len(c.deps))
@@ -362,24 +359,18 @@ func (c *client) depList() []model.ValueRef {
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	var out []sim.Outbound
 	for _, m := range inbox {
-		if !c.Busy() {
-			continue
-		}
 		switch p := m.Payload.(type) {
 		case *readResp:
-			if p.TID == c.Current().ID {
+			if c.Reply(p) {
 				for _, vr := range p.Vals {
 					c.Result().Values[vr.Object] = vr.Value
 					if vr.Value != model.Bottom {
 						c.deps[vr.Object] = vr
 					}
 				}
-				c.pending--
 			}
 		case *writeResp:
-			if p.TID == c.Current().ID {
-				c.pending--
-			}
+			c.Reply(p)
 		}
 	}
 	if c.Starting(now) {
@@ -395,21 +386,16 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 		if t.IsReadOnly() {
 			for _, sh := range pl.ReadShares(t.ReadSet) {
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items}})
-				c.pending++
+				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
 			}
 		} else {
 			w := t.Writes[len(t.Writes)-1]
-			out = append(out, sim.Outbound{
-				To:      pl.PrimaryOf(w.Object),
-				Payload: &writeReq{TID: t.ID, W: w, Deps: c.depList()},
-			})
-			c.pending++
+			out = c.Send(out, pl.PrimaryOf(w.Object), &writeReq{TID: t.ID, W: w, Deps: c.depList()})
 		}
 		c.SentRound()
 		return out
 	}
-	if c.Busy() && c.Started() && c.pending == 0 {
+	if c.RoundDone() {
 		t := c.Current()
 		// A completed write becomes its own dependency.
 		for _, w := range t.Writes {

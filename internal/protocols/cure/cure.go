@@ -89,11 +89,9 @@ type readResp struct {
 func (p *readResp) Kind() string     { return "read-resp" }
 func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
-	out := make([]model.ValueRef, 0, len(p.Vals))
-	for _, v := range p.Vals {
-		if v.Ref.Value != model.Bottom {
-			out = append(out, v.Ref)
-		}
+	out := make([]model.ValueRef, len(p.Vals))
+	for i, v := range p.Vals {
+		out[i] = v.Ref
 	}
 	return out
 }
@@ -302,7 +300,6 @@ const (
 type client struct {
 	protocol.Core
 	phase   phase
-	pending int
 	dep     vclock.Vector
 	snap    vclock.Vector
 	commit  vclock.Vector
@@ -311,7 +308,7 @@ type client struct {
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), phase: c.phase, pending: c.pending, dep: c.dep.Clone()}
+	cp := &client{Core: c.CloneCore(), phase: c.phase, dep: c.dep.Clone()}
 	if c.snap != nil {
 		cp.snap = c.snap.Clone()
 	}
@@ -328,38 +325,29 @@ func (c *client) Clone() sim.Process {
 	return cp
 }
 
-func (c *client) Ready() bool { return c.Busy() && !c.Started() }
-
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	var out []sim.Outbound
 	for _, m := range inbox {
-		if !c.Busy() {
-			continue
-		}
 		switch p := m.Payload.(type) {
 		case *gsvResp:
-			if p.TID == c.Current().ID && c.phase == gsvWait {
+			if c.phase == gsvWait && c.Reply(p) {
 				c.snap = p.GSV.Clone()
-				c.pending--
 			}
 		case *readResp:
-			if p.TID == c.Current().ID && c.phase == reading {
+			if c.phase == reading && c.Reply(p) {
 				for _, v := range p.Vals {
 					c.got[v.Ref.Object] = v
 				}
-				c.pending--
 			}
 		case *prepareAck:
-			if p.TID == c.Current().ID && c.phase == preparing {
+			if c.phase == preparing && c.Reply(p) {
 				if p.Seq > c.commit[p.Idx] {
 					c.commit[p.Idx] = p.Seq
 				}
-				c.pending--
 			}
 		case *commitAck:
-			if p.TID == c.Current().ID && c.phase == committing {
+			if c.phase == committing && c.Reply(p) {
 				c.dep.Merge(p.Vec)
-				c.pending--
 			}
 		}
 	}
@@ -373,32 +361,29 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = gsvWait
 			c.got = make(map[string]readVal)
 			last := t.ReadSet[len(t.ReadSet)-1]
-			out = append(out, sim.Outbound{To: c.Placement().PrimaryOf(last), Payload: &gsvReq{TID: t.ID}})
-			c.pending = 1
+			out = c.Send(out, c.Placement().PrimaryOf(last), &gsvReq{TID: t.ID})
 		} else {
 			c.phase = preparing
 			c.commit = c.dep.Clone()
 			c.writeTo = nil
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
 				c.writeTo = append(c.writeTo, sh.Server)
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &prepareReq{
+				out = c.Send(out, sh.Server, &prepareReq{
 					TID: t.ID, Writes: sh.Items, Dep: c.dep.Clone(),
-				}})
-				c.pending++
+				})
 			}
 		}
 		c.SentRound()
 		return out
 	}
-	if c.Busy() && c.Started() && c.pending == 0 {
+	if c.RoundDone() {
 		t := c.Current()
 		switch c.phase {
 		case gsvWait:
 			c.snap.Merge(c.dep)
 			c.phase = reading
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap.Clone()}})
-				c.pending++
+				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap.Clone()})
 			}
 			c.SentRound()
 		case reading:
@@ -415,8 +400,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case preparing:
 			c.phase = committing
 			for _, srv := range c.writeTo {
-				out = append(out, sim.Outbound{To: srv, Payload: &commitReq{TID: t.ID, Vec: c.commit.Clone()}})
-				c.pending++
+				out = c.Send(out, srv, &commitReq{TID: t.ID, Vec: c.commit.Clone()})
 			}
 			c.SentRound()
 		case committing:

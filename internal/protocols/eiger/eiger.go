@@ -115,11 +115,9 @@ type readResp struct {
 func (p *readResp) Kind() string     { return "read-resp" }
 func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
-	out := make([]model.ValueRef, 0, len(p.Vals))
-	for _, v := range p.Vals {
-		if v.Ref.Value != model.Bottom {
-			out = append(out, v.Ref)
-		}
+	out := make([]model.ValueRef, len(p.Vals))
+	for i, v := range p.Vals {
+		out[i] = v.Ref
 	}
 	return out
 }
@@ -262,7 +260,6 @@ const (
 type client struct {
 	protocol.Core
 	phase    phase
-	pending  int
 	depTS    int64
 	commitTS int64
 	rounds   int
@@ -271,7 +268,7 @@ type client struct {
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), phase: c.phase, pending: c.pending,
+	cp := &client{Core: c.CloneCore(), phase: c.phase,
 		depTS: c.depTS, commitTS: c.commitTS, rounds: c.rounds}
 	cp.writeTo = append([]sim.ProcessID(nil), c.writeTo...)
 	if c.got != nil {
@@ -283,14 +280,11 @@ func (c *client) Clone() sim.Process {
 	return cp
 }
 
-func (c *client) Ready() bool { return c.Busy() && !c.Started() }
-
 func (c *client) sendReads(at int64) []sim.Outbound {
 	var out []sim.Outbound
 	t := c.Current()
 	for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-		out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items, At: at}})
-		c.pending++
+		out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, At: at})
 	}
 	c.SentRound()
 	c.rounds++
@@ -332,29 +326,24 @@ func (c *client) settled(eff int64) bool {
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	var out []sim.Outbound
 	for _, m := range inbox {
-		if !c.Busy() {
-			continue
-		}
 		switch p := m.Payload.(type) {
 		case *readResp:
-			if p.TID == c.Current().ID && c.phase == reading {
+			if c.phase == reading && c.Reply(p) {
 				for _, v := range p.Vals {
 					if cur, fetched := c.got[v.Ref.Object]; !fetched || v.TS >= cur.TS {
 						c.got[v.Ref.Object] = v
 					}
 				}
-				c.pending--
 			}
 		case *prepareAck:
-			if p.TID == c.Current().ID && c.phase == preparing {
+			if c.phase == preparing && c.Reply(p) {
 				if p.TS > c.commitTS {
 					c.commitTS = p.TS
 				}
-				c.pending--
 			}
 		case *commitAck:
-			if p.TID == c.Current().ID && c.phase == committing {
-				c.pending--
+			if c.phase == committing {
+				c.Reply(p)
 			}
 		}
 	}
@@ -375,16 +364,15 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.writeTo = nil
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
 				c.writeTo = append(c.writeTo, sh.Server)
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &prepareReq{
+				out = c.Send(out, sh.Server, &prepareReq{
 					TID: t.ID, Writes: sh.Items, DepTS: c.depTS,
-				}})
-				c.pending++
+				})
 			}
 			c.SentRound()
 		}
 		return out
 	}
-	if c.Busy() && c.Started() && c.pending == 0 {
+	if c.RoundDone() {
 		t := c.Current()
 		switch c.phase {
 		case reading:
@@ -409,8 +397,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case preparing:
 			c.phase = committing
 			for _, srv := range c.writeTo {
-				out = append(out, sim.Outbound{To: srv, Payload: &commitReq{TID: t.ID, TS: c.commitTS}})
-				c.pending++
+				out = c.Send(out, srv, &commitReq{TID: t.ID, TS: c.commitTS})
 			}
 			c.SentRound()
 		case committing:

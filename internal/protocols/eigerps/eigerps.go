@@ -167,33 +167,24 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 
 type client struct {
 	protocol.Core
-	pending int
 }
 
 func (c *client) Clone() sim.Process {
-	return &client{Core: c.CloneCore(), pending: c.pending}
+	return &client{Core: c.CloneCore()}
 }
-
-func (c *client) Ready() bool { return c.Busy() && !c.Started() }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	var out []sim.Outbound
 	for _, m := range inbox {
-		if !c.Busy() {
-			continue
-		}
 		switch p := m.Payload.(type) {
 		case *readResp:
-			if p.TID == c.Current().ID {
+			if c.Reply(p) {
 				for _, vr := range p.Vals {
 					c.Result().Values[vr.Object] = vr.Value
 				}
-				c.pending--
 			}
 		case *writeResp:
-			if p.TID == c.Current().ID {
-				c.pending--
-			}
+			c.Reply(p)
 		}
 	}
 	if c.Starting(now) {
@@ -205,19 +196,17 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 		if t.IsReadOnly() {
 			for _, sh := range pl.ReadShares(t.ReadSet) {
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items}})
-				c.pending++
+				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
 			}
 		} else {
 			for _, sh := range pl.WriteShares(t.Writes) {
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &writeReq{TID: t.ID, Writes: sh.Items}})
-				c.pending++
+				out = c.Send(out, sh.Server, &writeReq{TID: t.ID, Writes: sh.Items})
 			}
 		}
 		c.SentRound()
 		return out
 	}
-	if c.Busy() && c.Started() && c.pending == 0 {
+	if c.RoundDone() {
 		c.Finish(now)
 	}
 	return out

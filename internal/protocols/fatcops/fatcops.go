@@ -183,13 +183,9 @@ func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	var out []model.ValueRef
 	for _, v := range p.Vals {
-		if v.Val != model.Bottom {
-			out = append(out, model.ValueRef{Object: v.Object, Value: v.Val, Writer: v.Writer})
-		}
+		out = append(out, model.ValueRef{Object: v.Object, Value: v.Val, Writer: v.Writer})
 		for _, e := range append(append([]fatEntry(nil), v.Sibs...), v.Deps...) {
-			if e.Val != model.Bottom {
-				out = append(out, model.ValueRef{Object: e.Object, Value: e.Val, Writer: e.Writer})
-			}
+			out = append(out, model.ValueRef{Object: e.Object, Value: e.Val, Writer: e.Writer})
 		}
 	}
 	return out
@@ -299,12 +295,11 @@ type client struct {
 	// causal past with values, which is what lets any reader causally
 	// deliver a write it was missing predecessors for. This is the
 	// "prohibitively big amount of data" of §3.4, kept deliberately.
-	past    []fatEntry
-	pending int
+	past []fatEntry
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), clock: c.clock, writes: c.writes, pending: c.pending,
+	cp := &client{Core: c.CloneCore(), clock: c.clock, writes: c.writes,
 		vec:  c.vec.clone(),
 		ctx:  make(map[string]stamped, len(c.ctx)),
 		past: append([]fatEntry(nil), c.past...)}
@@ -313,8 +308,6 @@ func (c *client) Clone() sim.Process {
 	}
 	return cp
 }
-
-func (c *client) Ready() bool { return c.Busy() && !c.Started() }
 
 func (c *client) tick(ts int64) {
 	if ts > c.clock {
@@ -448,19 +441,13 @@ func (c *client) record(t *txnCand) {
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	var out []sim.Outbound
 	for _, m := range inbox {
-		if !c.Busy() {
-			continue
-		}
 		switch p := m.Payload.(type) {
 		case *readResp:
-			if p.TID == c.Current().ID {
+			if c.Reply(p) {
 				c.applyBatch(p.Vals)
-				c.pending--
 			}
 		case *writeResp:
-			if p.TID == c.Current().ID {
-				c.pending--
-			}
+			c.Reply(p)
 		}
 	}
 	if c.Starting(now) {
@@ -472,8 +459,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 		if t.IsReadOnly() {
 			for _, sh := range pl.ReadShares(t.ReadSet) {
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items}})
-				c.pending++
+				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
 			}
 		} else {
 			c.clock++
@@ -497,16 +483,15 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					TS: ts, Vec: wv, WSet: wset})
 			}
 			for _, sh := range pl.WriteShares(t.Writes) {
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &writeReq{
+				out = c.Send(out, sh.Server, &writeReq{
 					TID: t.ID, TS: ts, Vec: wv, Writes: sh.Items, Sibs: siblings, DepVals: deps,
-				}})
-				c.pending++
+				})
 			}
 		}
 		c.SentRound()
 		return out
 	}
-	if c.Busy() && c.Started() && c.pending == 0 {
+	if c.RoundDone() {
 		t := c.Current()
 		if t.IsReadOnly() {
 			// Every response batch has been applied; the replica state is

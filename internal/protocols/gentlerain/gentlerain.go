@@ -88,11 +88,9 @@ type readResp struct {
 func (p *readResp) Kind() string     { return "read-resp" }
 func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
-	out := make([]model.ValueRef, 0, len(p.Vals))
-	for _, v := range p.Vals {
-		if v.Ref.Value != model.Bottom {
-			out = append(out, v.Ref)
-		}
+	out := make([]model.ValueRef, len(p.Vals))
+	for i, v := range p.Vals {
+		out[i] = v.Ref
 	}
 	return out
 }
@@ -290,15 +288,14 @@ const (
 
 type client struct {
 	protocol.Core
-	phase   phase
-	pending int
-	depTS   vclock.HLCStamp
-	snap    vclock.HLCStamp
-	got     map[string]readVal
+	phase phase
+	depTS vclock.HLCStamp
+	snap  vclock.HLCStamp
+	got   map[string]readVal
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), phase: c.phase, pending: c.pending, depTS: c.depTS, snap: c.snap}
+	cp := &client{Core: c.CloneCore(), phase: c.phase, depTS: c.depTS, snap: c.snap}
 	if c.got != nil {
 		cp.got = make(map[string]readVal, len(c.got))
 		for k, v := range c.got {
@@ -308,33 +305,25 @@ func (c *client) Clone() sim.Process {
 	return cp
 }
 
-func (c *client) Ready() bool { return c.Busy() && !c.Started() }
-
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	var out []sim.Outbound
 	for _, m := range inbox {
-		if !c.Busy() {
-			continue
-		}
 		switch p := m.Payload.(type) {
 		case *gstResp:
-			if p.TID == c.Current().ID && c.phase == gstWait {
+			if c.phase == gstWait && c.Reply(p) {
 				c.snap = p.GST
-				c.pending--
 			}
 		case *readResp:
-			if p.TID == c.Current().ID && c.phase == reading {
+			if c.phase == reading && c.Reply(p) {
 				for _, v := range p.Vals {
 					c.got[v.Ref.Object] = v
 				}
-				c.pending--
 			}
 		case *writeResp:
-			if p.TID == c.Current().ID && c.phase == writing {
+			if c.phase == writing && c.Reply(p) {
 				if c.depTS.Before(p.TS) {
 					c.depTS = p.TS
 				}
-				c.pending--
 			}
 		}
 	}
@@ -354,20 +343,18 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// GST from the client's designated server (we use the server
 			// of the last object in the read set).
 			last := t.ReadSet[len(t.ReadSet)-1]
-			out = append(out, sim.Outbound{To: c.Placement().PrimaryOf(last), Payload: &gstReq{TID: t.ID}})
-			c.pending = 1
+			out = c.Send(out, c.Placement().PrimaryOf(last), &gstReq{TID: t.ID})
 		} else {
 			c.phase = writing
 			w := t.Writes[len(t.Writes)-1]
-			out = append(out, sim.Outbound{To: c.Placement().PrimaryOf(w.Object), Payload: &writeReq{
+			out = c.Send(out, c.Placement().PrimaryOf(w.Object), &writeReq{
 				TID: t.ID, W: w, DepTS: c.depTS,
-			}})
-			c.pending = 1
+			})
 		}
 		c.SentRound()
 		return out
 	}
-	if c.Busy() && c.Started() && c.pending == 0 {
+	if c.RoundDone() {
 		t := c.Current()
 		switch c.phase {
 		case gstWait:
@@ -379,8 +366,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			c.phase = reading
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap}})
-				c.pending++
+				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap})
 			}
 			c.SentRound()
 		case reading:

@@ -139,31 +139,24 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 
 type client struct {
 	protocol.Core
-	// pending counts outstanding responses; -1 marks "not yet started".
-	pending int
 }
 
 func (c *client) Clone() sim.Process {
-	return &client{Core: c.CloneCore(), pending: c.pending}
+	return &client{Core: c.CloneCore()}
 }
-
-func (c *client) Ready() bool { return c.Busy() && !c.Started() }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readResp:
-			if c.Busy() && p.TID == c.Current().ID {
+			if c.Reply(p) {
 				for _, vr := range p.Vals {
 					c.Result().Values[vr.Object] = vr.Value
 				}
-				c.pending--
 			}
 		case *writeResp:
-			if c.Busy() && p.TID == c.Current().ID {
-				c.pending--
-			}
+			c.Reply(p)
 		}
 	}
 	if c.Starting(now) {
@@ -176,17 +169,16 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		reads, writes := pl.ReadShares(t.ReadSet), pl.WriteShares(t.Writes)
 		for len(reads)+len(writes) > 0 {
 			if len(writes) == 0 || len(reads) > 0 && reads[0].Server <= writes[0].Server {
-				out = append(out, sim.Outbound{To: reads[0].Server, Payload: &readReq{TID: t.ID, Objs: reads[0].Items}})
+				out = c.Send(out, reads[0].Server, &readReq{TID: t.ID, Objs: reads[0].Items})
 				reads = reads[1:]
 			} else {
-				out = append(out, sim.Outbound{To: writes[0].Server, Payload: &writeReq{TID: t.ID, Writes: writes[0].Items}})
+				out = c.Send(out, writes[0].Server, &writeReq{TID: t.ID, Writes: writes[0].Items})
 				writes = writes[1:]
 			}
-			c.pending++
 		}
 		c.SentRound()
 	}
-	if c.Busy() && c.Started() && c.pending == 0 {
+	if c.RoundDone() {
 		// All responses in: complete.
 		c.Finish(now)
 	}

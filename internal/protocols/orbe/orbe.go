@@ -92,11 +92,9 @@ type readResp struct {
 func (p *readResp) Kind() string     { return "read-resp" }
 func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
-	out := make([]model.ValueRef, 0, len(p.Vals))
-	for _, v := range p.Vals {
-		if v.Ref.Value != model.Bottom {
-			out = append(out, v.Ref)
-		}
+	out := make([]model.ValueRef, len(p.Vals))
+	for i, v := range p.Vals {
+		out[i] = v.Ref
 	}
 	return out
 }
@@ -249,15 +247,14 @@ const (
 
 type client struct {
 	protocol.Core
-	phase   phase
-	pending int
-	dep     vclock.Vector
-	snap    vclock.Vector
-	got     map[string]readVal
+	phase phase
+	dep   vclock.Vector
+	snap  vclock.Vector
+	got   map[string]readVal
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), phase: c.phase, pending: c.pending, dep: c.dep.Clone()}
+	cp := &client{Core: c.CloneCore(), phase: c.phase, dep: c.dep.Clone()}
 	if c.snap != nil {
 		cp.snap = c.snap.Clone()
 	}
@@ -270,31 +267,23 @@ func (c *client) Clone() sim.Process {
 	return cp
 }
 
-func (c *client) Ready() bool { return c.Busy() && !c.Started() }
-
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	var out []sim.Outbound
 	for _, m := range inbox {
-		if !c.Busy() {
-			continue
-		}
 		switch p := m.Payload.(type) {
 		case *gsvResp:
-			if p.TID == c.Current().ID && c.phase == gsvWait {
+			if c.phase == gsvWait && c.Reply(p) {
 				c.snap = p.GSV.Clone()
-				c.pending--
 			}
 		case *readResp:
-			if p.TID == c.Current().ID && c.phase == reading {
+			if c.phase == reading && c.Reply(p) {
 				for _, v := range p.Vals {
 					c.got[v.Ref.Object] = v
 				}
-				c.pending--
 			}
 		case *writeResp:
-			if p.TID == c.Current().ID && c.phase == writing {
+			if c.phase == writing && c.Reply(p) {
 				c.dep.Merge(p.Vec)
-				c.pending--
 			}
 		}
 	}
@@ -312,28 +301,25 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = gsvWait
 			c.got = make(map[string]readVal)
 			last := t.ReadSet[len(t.ReadSet)-1]
-			out = append(out, sim.Outbound{To: c.Placement().PrimaryOf(last), Payload: &gsvReq{TID: t.ID}})
-			c.pending = 1
+			out = c.Send(out, c.Placement().PrimaryOf(last), &gsvReq{TID: t.ID})
 		} else {
 			c.phase = writing
 			w := t.Writes[len(t.Writes)-1]
-			out = append(out, sim.Outbound{To: c.Placement().PrimaryOf(w.Object), Payload: &writeReq{
+			out = c.Send(out, c.Placement().PrimaryOf(w.Object), &writeReq{
 				TID: t.ID, W: w, Dep: c.dep.Clone(),
-			}})
-			c.pending = 1
+			})
 		}
 		c.SentRound()
 		return out
 	}
-	if c.Busy() && c.Started() && c.pending == 0 {
+	if c.RoundDone() {
 		t := c.Current()
 		switch c.phase {
 		case gsvWait:
 			c.snap.Merge(c.dep) // snapshot covers the causal past
 			c.phase = reading
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap.Clone()}})
-				c.pending++
+				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap.Clone()})
 			}
 			c.SentRound()
 		case reading:

@@ -89,11 +89,9 @@ type readResp struct {
 func (p *readResp) Kind() string     { return "read-resp" }
 func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
-	out := make([]model.ValueRef, 0, len(p.Vals))
-	for _, v := range p.Vals {
-		if v.Ref.Value != model.Bottom {
-			out = append(out, v.Ref)
-		}
+	out := make([]model.ValueRef, len(p.Vals))
+	for i, v := range p.Vals {
+		out[i] = v.Ref
 	}
 	return out
 }
@@ -223,13 +221,12 @@ type client struct {
 	protocol.Core
 	clock   int64
 	phase   phase
-	pending int
 	writeTo []sim.ProcessID
 	got     map[string]readVal
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), clock: c.clock, phase: c.phase, pending: c.pending}
+	cp := &client{Core: c.CloneCore(), clock: c.clock, phase: c.phase}
 	cp.writeTo = append([]sim.ProcessID(nil), c.writeTo...)
 	if c.got != nil {
 		cp.got = make(map[string]readVal, len(c.got))
@@ -239,8 +236,6 @@ func (c *client) Clone() sim.Process {
 	}
 	return cp
 }
-
-func (c *client) Ready() bool { return c.Busy() && !c.Started() }
 
 // fractures returns, per object, the writer whose sibling write is missing
 // from the fetched snapshot.
@@ -268,27 +263,23 @@ func (c *client) fractures() map[string]readVal {
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	var out []sim.Outbound
 	for _, m := range inbox {
-		if !c.Busy() {
-			continue
-		}
 		switch p := m.Payload.(type) {
 		case *readResp:
-			if p.TID == c.Current().ID && (c.phase == round1 || c.phase == round2) {
+			if (c.phase == round1 || c.phase == round2) && c.Reply(p) {
 				for _, v := range p.Vals {
 					cur, fetched := c.got[v.Ref.Object]
 					if !fetched || after(v.TS, v.Ref.Writer, cur.TS, cur.Ref.Writer) {
 						c.got[v.Ref.Object] = v
 					}
 				}
-				c.pending--
 			}
 		case *prepareAck:
-			if p.TID == c.Current().ID && c.phase == preparing {
-				c.pending--
+			if c.phase == preparing {
+				c.Reply(p)
 			}
 		case *commitAck:
-			if p.TID == c.Current().ID && c.phase == committing {
-				c.pending--
+			if c.phase == committing {
+				c.Reply(p)
 			}
 		}
 	}
@@ -302,8 +293,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = round1
 			c.got = make(map[string]readVal)
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items}})
-				c.pending++
+				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
 			}
 		} else {
 			c.phase = preparing
@@ -312,16 +302,15 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.writeTo = nil
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
 				c.writeTo = append(c.writeTo, sh.Server)
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &prepareReq{
+				out = c.Send(out, sh.Server, &prepareReq{
 					TID: t.ID, TS: c.clock, Writes: sh.Items, WriteSet: ws,
-				}})
-				c.pending++
+				})
 			}
 		}
 		c.SentRound()
 		return out
 	}
-	if c.Busy() && c.Started() && c.pending == 0 {
+	if c.RoundDone() {
 		t := c.Current()
 		switch c.phase {
 		case round1:
@@ -337,10 +326,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			sort.Strings(objs)
 			for _, o := range objs {
-				out = append(out, sim.Outbound{To: c.Placement().PrimaryOf(o), Payload: &byWriterReq{
+				out = c.Send(out, c.Placement().PrimaryOf(o), &byWriterReq{
 					TID: t.ID, Object: o, Writer: repair[o].Ref.Writer,
-				}})
-				c.pending++
+				})
 			}
 			c.SentRound()
 		case round2:
@@ -348,8 +336,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case preparing:
 			c.phase = committing
 			for _, srv := range c.writeTo {
-				out = append(out, sim.Outbound{To: srv, Payload: &commitReq{TID: t.ID}})
-				c.pending++
+				out = c.Send(out, srv, &commitReq{TID: t.ID})
 			}
 			c.SentRound()
 		case committing:

@@ -281,13 +281,12 @@ type client struct {
 	protocol.Core
 	skew     int64
 	phase    phase
-	pending  int
 	commitTS int64
 	writeTo  []sim.ProcessID
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), skew: c.skew, phase: c.phase, pending: c.pending, commitTS: c.commitTS}
+	cp := &client{Core: c.CloneCore(), skew: c.skew, phase: c.phase, commitTS: c.commitTS}
 	cp.writeTo = append([]sim.ProcessID(nil), c.writeTo...)
 	return cp
 }
@@ -320,27 +319,22 @@ func (c *client) WakeAt(now sim.Time) (sim.Time, bool) {
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	var out []sim.Outbound
 	for _, m := range inbox {
-		if !c.Busy() {
-			continue
-		}
 		switch p := m.Payload.(type) {
 		case *readResp:
-			if p.TID == c.Current().ID && c.phase == reading {
+			if c.phase == reading && c.Reply(p) {
 				for _, vr := range p.Vals {
 					c.Result().Values[vr.Object] = vr.Value
 				}
-				c.pending--
 			}
 		case *prepareAck:
-			if p.TID == c.Current().ID && c.phase == preparing {
+			if c.phase == preparing && c.Reply(p) {
 				if p.TS > c.commitTS {
 					c.commitTS = p.TS
 				}
-				c.pending--
 			}
 		case *commitAck:
-			if p.TID == c.Current().ID && c.phase == committing {
-				c.pending--
+			if c.phase == committing {
+				c.Reply(p)
 			}
 		}
 	}
@@ -355,8 +349,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = reading
 			ts := int64(now) + c.skew + Epsilon // TT.now().latest
 			for _, sh := range pl.ReadShares(t.ReadSet) {
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items, TS: ts}})
-				c.pending++
+				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, TS: ts})
 			}
 			c.SentRound()
 		} else {
@@ -365,14 +358,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.writeTo = nil
 			for _, sh := range pl.WriteShares(t.Writes) {
 				c.writeTo = append(c.writeTo, sh.Server)
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &prepareReq{TID: t.ID, Writes: sh.Items}})
-				c.pending++
+				out = c.Send(out, sh.Server, &prepareReq{TID: t.ID, Writes: sh.Items})
 			}
 			c.SentRound()
 		}
 		return out
 	}
-	if c.Busy() && c.Started() && c.pending == 0 {
+	if c.RoundDone() {
 		switch c.phase {
 		case reading:
 			c.phase = idle
@@ -380,8 +372,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case preparing:
 			c.phase = committing
 			for _, srv := range c.writeTo {
-				out = append(out, sim.Outbound{To: srv, Payload: &commitReq{TID: c.Current().ID, TS: c.commitTS}})
-				c.pending++
+				out = c.Send(out, srv, &commitReq{TID: c.Current().ID, TS: c.commitTS})
 			}
 			c.SentRound()
 		case committing:

@@ -158,39 +158,32 @@ const (
 type client struct {
 	protocol.Core
 	phase   phase
-	pending int
 	writeTo []sim.ProcessID // servers involved in the write
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), phase: c.phase, pending: c.pending}
+	cp := &client{Core: c.CloneCore(), phase: c.phase}
 	cp.writeTo = append([]sim.ProcessID(nil), c.writeTo...)
 	return cp
 }
 
-func (c *client) Ready() bool { return c.Busy() && !c.Started() }
-
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	var out []sim.Outbound
 	for _, m := range inbox {
-		if !c.Busy() {
-			continue
-		}
 		switch p := m.Payload.(type) {
 		case *readResp:
-			if p.TID == c.Current().ID && c.phase == reading {
+			if c.phase == reading && c.Reply(p) {
 				for _, vr := range p.Vals {
 					c.Result().Values[vr.Object] = vr.Value
 				}
-				c.pending--
 			}
 		case *prepareAck:
-			if p.TID == c.Current().ID && c.phase == preparing {
-				c.pending--
+			if c.phase == preparing {
+				c.Reply(p)
 			}
 		case *commitAck:
-			if p.TID == c.Current().ID && c.phase == committing {
-				c.pending--
+			if c.phase == committing {
+				c.Reply(p)
 			}
 		}
 	}
@@ -204,23 +197,21 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		if t.IsReadOnly() {
 			c.phase = reading
 			for _, sh := range pl.ReadShares(t.ReadSet) {
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items}})
-				c.pending++
+				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
 			}
 			c.SentRound()
 		} else {
 			c.phase = preparing
 			c.writeTo = nil
 			for _, sh := range pl.WriteShares(t.Writes) {
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &prepareReq{TID: t.ID, Writes: sh.Items}})
+				out = c.Send(out, sh.Server, &prepareReq{TID: t.ID, Writes: sh.Items})
 				c.writeTo = append(c.writeTo, sh.Server)
-				c.pending++
 			}
 			c.SentRound()
 		}
 		return out
 	}
-	if c.Busy() && c.Started() && c.pending == 0 {
+	if c.RoundDone() {
 		switch c.phase {
 		case reading:
 			c.phase = idle
@@ -229,8 +220,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// All prepared: commit everywhere.
 			c.phase = committing
 			for _, srv := range c.writeTo {
-				out = append(out, sim.Outbound{To: srv, Payload: &commitReq{TID: c.Current().ID}})
-				c.pending++
+				out = c.Send(out, srv, &commitReq{TID: c.Current().ID})
 			}
 			c.SentRound()
 		case committing:

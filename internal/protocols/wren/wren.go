@@ -99,11 +99,9 @@ type readResp struct {
 func (p *readResp) Kind() string     { return "read-resp" }
 func (p *readResp) Txn() model.TxnID { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef {
-	out := make([]model.ValueRef, 0, len(p.Vals))
-	for _, v := range p.Vals {
-		if v.Ref.Value != model.Bottom {
-			out = append(out, v.Ref)
-		}
+	out := make([]model.ValueRef, len(p.Vals))
+	for i, v := range p.Vals {
+		out[i] = v.Ref
 	}
 	return out
 }
@@ -296,7 +294,6 @@ const (
 type client struct {
 	protocol.Core
 	phase    phase
-	pending  int
 	depTS    vclock.HLCStamp // max timestamp of observed values/commits
 	snap     vclock.HLCStamp
 	maxPrep  vclock.HLCStamp
@@ -307,7 +304,7 @@ type client struct {
 
 func (c *client) Clone() sim.Process {
 	cp := &client{
-		Core: c.CloneCore(), phase: c.phase, pending: c.pending,
+		Core: c.CloneCore(), phase: c.phase,
 		depTS: c.depTS, snap: c.snap, maxPrep: c.maxPrep,
 		cache: make(map[string]cached, len(c.cache)),
 	}
@@ -324,37 +321,29 @@ func (c *client) Clone() sim.Process {
 	return cp
 }
 
-func (c *client) Ready() bool { return c.Busy() && !c.Started() }
-
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	var out []sim.Outbound
 	for _, m := range inbox {
-		if !c.Busy() {
-			continue
-		}
 		switch p := m.Payload.(type) {
 		case *stableResp:
-			if p.TID == c.Current().ID && c.phase == cutoffWait {
+			if c.phase == cutoffWait && c.Reply(p) {
 				c.snap = p.Cutoff
-				c.pending--
 			}
 		case *readResp:
-			if p.TID == c.Current().ID && c.phase == reading {
+			if c.phase == reading && c.Reply(p) {
 				for _, v := range p.Vals {
 					c.readVals[v.Ref.Object] = v
 				}
-				c.pending--
 			}
 		case *prepareAck:
-			if p.TID == c.Current().ID && c.phase == preparing {
+			if c.phase == preparing && c.Reply(p) {
 				if c.maxPrep.Before(p.TS) {
 					c.maxPrep = p.TS
 				}
-				c.pending--
 			}
 		case *commitAck:
-			if p.TID == c.Current().ID && c.phase == committing {
-				c.pending--
+			if c.phase == committing {
+				c.Reply(p)
 			}
 		}
 	}
@@ -370,8 +359,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = cutoffWait
 			c.readVals = make(map[string]readVal)
 			first := c.Placement().PrimaryOf(t.ReadSet[0])
-			out = append(out, sim.Outbound{To: first, Payload: &stableReq{TID: t.ID}})
-			c.pending = 1
+			out = c.Send(out, first, &stableReq{TID: t.ID})
 			c.SentRound()
 		} else {
 			c.phase = preparing
@@ -379,24 +367,22 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.writeTo = nil
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
 				c.writeTo = append(c.writeTo, sh.Server)
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &prepareReq{
+				out = c.Send(out, sh.Server, &prepareReq{
 					TID: t.ID, Writes: sh.Items, DepTS: c.depTS,
-				}})
-				c.pending++
+				})
 			}
 			c.SentRound()
 		}
 		return out
 	}
-	if c.Busy() && c.Started() && c.pending == 0 {
+	if c.RoundDone() {
 		t := c.Current()
 		switch c.phase {
 		case cutoffWait:
 			// Round 2: snapshot reads at the cutoff.
 			c.phase = reading
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				out = append(out, sim.Outbound{To: sh.Server, Payload: &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap}})
-				c.pending++
+				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap})
 			}
 			c.SentRound()
 		case reading:
@@ -419,8 +405,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case preparing:
 			c.phase = committing
 			for _, srv := range c.writeTo {
-				out = append(out, sim.Outbound{To: srv, Payload: &commitReq{TID: t.ID, TS: c.maxPrep}})
-				c.pending++
+				out = c.Send(out, srv, &commitReq{TID: t.ID, TS: c.maxPrep})
 			}
 			c.SentRound()
 		case committing:
