@@ -59,7 +59,7 @@ func TestFanOutGolden(t *testing.T) {
 		{"-protocols cops,copssnow,orbe,fatcops,naivefast,eigerps -mixes readheavy,balanced -servers 4 -clients 16 -txns 600 -seed 3",
 			"75533c0187ee4e37f341def3f178f2cc64463da0ca3f01031cdbd53f832e4d60"},
 		{"-protocols cure,spanner,eiger,ramp,wren,twopcfast,eigerps,fatcops,naivefast -mixes balanced -servers 16 -replication 2 -clients 16 -txns 400 -seed 3",
-			"44ce61be698b142e9454f940b1e174a2372ee9b175a6bb423dcaf15080e6b771"},
+			"eb55bab2cf1756ff082f05bc961453a8e49847f2274e06e60e19599492382366"},
 		{"-topology 2site -protocols cops,cure,ramp -mixes balanced -servers 4 -clients 8 -txns 400 -seed 3",
 			"88c713acac5e890949bf67d6afd705b244b725e5052d9deae89364284d7528fd"},
 		{"-curve -protocols cops,eiger -mixes balanced -servers 4 -curveclients 8 -txns 300 -fractions 0.5,1.1 -seed 3",
@@ -93,10 +93,10 @@ func TestReconfigGolden(t *testing.T) {
 	const cell = " -protocols cops,fatcops,ramp -mixes readheavy,balanced -servers 4 -replication 2 -clients 8 -txns 600"
 	checkGolden(t, []goldenRow{
 		{"-nemesis replace" + cell,
-			"5adfff4ff7a4ebf83b33455ba58a913758d1ac2e07071f0c8e56c1fc68beb660"},
+			"3a005a4b5f6c402e477a1b48926fec8b0ebe7066b655364f378bfcce65cd0c16"},
 		{"-nemesis replace-lose" + cell,
-			"b0e89c37f9fa7f57c9551a4f3d75c39a15e0b3908064a92ac0b6b79fbfd135fd"},
+			"964314c6e3815376c3e6af97e54d73c64281e5311c86a2e6f92d92665e1aa857"},
 		{"-nemesis restore" + cell,
-			"9b7a7ecb9302bbe6f3b27aecfd598ad3497ebc33db05bdca72b3926c68b19987"},
+			"47ca799bd138c17f04ec75d48de3184ba178f0ace3eb2b9b959ca3ba316a7e09"},
 	})
 }

@@ -230,6 +230,25 @@ func TestCertifyGrid(t *testing.T) {
 	}
 }
 
+// TestReplicatedGentleRainCertifies: gentlerain reads at the GST, the
+// minimum clock its server has heard from every server. A server's clock
+// moves when it installs a write, and writes go to the primary only, so
+// each server must be primary of something.
+// When the placement made s0 primary of every replicated object, s1 never
+// advanced, the GST stayed zero and the first read returned ⊥.
+func TestReplicatedGentleRainCertifies(t *testing.T) {
+	rows, err := buildGrid(sweepOf(t, "-certify -protocols gentlerain -replication 2 -servers 2 -clients 2 -txns 20 -seed 1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 {
+		t.Fatalf("rows = %d, want 1", len(rows))
+	}
+	if rows[0].Cert != "ok" {
+		t.Fatalf("replicated gentlerain cell: %s (%s)", rows[0].Cert, rows[0].CertReason)
+	}
+}
+
 // TestGridTxnsSweepAndStale: -txns is a sweep axis (one full grid pass
 // per count) and -stale adds the deterministic visibility-probe tallies
 // to every row.

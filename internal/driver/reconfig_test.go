@@ -201,6 +201,31 @@ func TestReplaceLossyHasTeeth(t *testing.T) {
 	}
 }
 
+// TestReplicatedReplaceLoseCopsGap pins a known gap, not a contract: cops
+// sends each write to its object's primary only, so a secondary holds none
+// of its versions, and replacing a primary whose disk is gone loses every
+// write that primary took. A later read then misses a version its causal
+// past requires. This is the bench cell `-certify -nemesis replace-lose
+// -replication 2 -servers 4 -clients 8 -txns 600 -protocols cops -seed 42`.
+// Once every replica installs every version of its objects, the cell must
+// certify clean and this assertion flips.
+func TestReplicatedReplaceLoseCopsGap(t *testing.T) {
+	rep, err := Run(cops.New(), Config{
+		Clients: 8, Txns: 600, Mix: workload.ReadHeavy(), Seed: 42,
+		Servers: 4, ObjectsPerServer: 2, Replication: 2, Certify: true,
+		Nemesis: &Nemesis{Replaces: 1, Lose: true, Start: 20_000, Period: 80_000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rep.Nemesis; n == nil || n.Replacements == 0 {
+		t.Fatalf("lossy replacement not applied: %+v", n)
+	}
+	if rep.Cert == nil || rep.Cert.OK {
+		t.Fatal("the replicated lossy replacement certifies clean: the known gap closed, flip this test")
+	}
+}
+
 // TestReconfigStalenessUnderReplacement: while a replacement of one cure
 // replica catches up, stabilization stalls — the live replica keeps
 // committing but the global stable vector cannot advance past the dead

@@ -21,7 +21,8 @@ type Placement struct {
 	index    map[sim.ProcessID]int
 }
 
-// NewPlacement builds a placement from an explicit object→servers map.
+// NewPlacement builds a placement from an explicit object→servers map. Each
+// object's servers keep the order given: the first named is its primary.
 func NewPlacement(replicas map[string][]sim.ProcessID) *Placement {
 	p := &Placement{
 		replicas: make(map[string][]sim.ProcessID, len(replicas)),
@@ -33,7 +34,6 @@ func NewPlacement(replicas map[string][]sim.ProcessID) *Placement {
 			panic(fmt.Sprintf("protocol: object %s has no replicas", obj))
 		}
 		cp := append([]sim.ProcessID(nil), srvs...)
-		sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
 		p.replicas[obj] = cp
 		p.objects = append(p.objects, obj)
 		for _, s := range cp {
@@ -67,7 +67,8 @@ func Disjoint(nServers, perServer int) *Placement {
 }
 
 // Replicated builds a partially replicated placement: nObjects objects,
-// object Xj hosted on the r servers j%n, (j+1)%n, ..., (j+r-1)%n. With
+// object Xj hosted on the r servers j%n, (j+1)%n, ..., (j+r-1)%n, the
+// first of them its primary, so primaries rotate over the servers. With
 // r < n no server stores every object (for nObjects ≥ n), matching the
 // appendix model.
 func Replicated(nServers, nObjects, r int) *Placement {
@@ -101,7 +102,7 @@ func (p *Placement) Objects() []string {
 	return append([]string(nil), p.objects...)
 }
 
-// ReplicasOf returns the servers hosting obj, sorted. Nil if unknown.
+// ReplicasOf returns the servers hosting obj, primary first. Nil if unknown.
 func (p *Placement) ReplicasOf(obj string) []sim.ProcessID {
 	return append([]sim.ProcessID(nil), p.replicas[obj]...)
 }

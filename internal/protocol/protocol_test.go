@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -57,6 +58,24 @@ func TestReplicatedPlacementNoServerStoresAll(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplicatedPrimariesRotate: object Xj's primary is server j mod n, the
+// first replica Replicated names, not the lowest ID of its replica set (which
+// made s0 primary of every object at 2 servers and left the last server
+// primary of none).
+func TestReplicatedPrimariesRotate(t *testing.T) {
+	pl := Replicated(4, 8, 2)
+	for j := 0; j < 8; j++ {
+		obj := fmt.Sprintf("X%d", j)
+		want := sim.ProcessID(fmt.Sprintf("s%d", j%4))
+		if got := pl.PrimaryOf(obj); got != want {
+			t.Fatalf("PrimaryOf(%s) = %s, want %s", obj, got, want)
+		}
+		if reps := pl.ReplicasOf(obj); len(reps) != 2 || reps[0] != want {
+			t.Fatalf("ReplicasOf(%s) = %v, want %s first", obj, reps, want)
+		}
 	}
 }
 

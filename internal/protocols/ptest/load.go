@@ -112,7 +112,7 @@ func reconfigured(rep *driver.Report) error {
 }
 
 // sweep executes every run once per seed on the deployment Expect sizes,
-// certified ride-along at the protocol's claimed consistency level, and
+// unreplicated and with every object on two servers, certified ride-along at the protocol's claimed consistency level, and
 // holds each to one contract: every transaction completes and is
 // accounted for, the run's own check passes, the ride-along session
 // agrees with the batch solver and with the non-evicting bounded session
@@ -142,73 +142,75 @@ func sweep(t *testing.T, p protocol.Protocol, e Expect, suite string, runs []swe
 	violations := 0
 	for _, r := range runs {
 		for _, seed := range seeds {
-			fail := func(format string, args ...any) {
-				t.Helper()
-				t.Fatalf("%s run (seed %d): %s", r.mode, seed, fmt.Sprintf(format, args...))
-			}
-			cfg := driver.Config{
-				Clients: 8, Txns: txns, Mix: workload.Balanced(), Seed: seed,
-				Servers: srv, ObjectsPerServer: ops,
-				RecordHistory: true, Rate: r.rate, Certify: true,
-			}
-			if r.nem != nil {
-				nem := *r.nem // the driver fills in defaults
-				cfg.Nemesis = &nem
-			}
-			rep, err := driver.Run(p, cfg)
-			if err != nil {
-				fail("%v", err)
-			}
-			if rep.Incomplete != 0 {
-				fail("%d transactions incomplete", rep.Incomplete)
-			}
-			if rep.Committed+rep.Rejected != rep.Issued {
-				fail("committed %d + rejected %d != issued %d", rep.Committed, rep.Rejected, rep.Issued)
-			}
-			if r.check != nil {
-				if err := r.check(rep); err != nil {
+			for _, repl := range []int{1, 2} {
+				fail := func(format string, args ...any) {
+					t.Helper()
+					t.Fatalf("%s run (seed %d, replication %d): %s", r.mode, seed, repl, fmt.Sprintf(format, args...))
+				}
+				cfg := driver.Config{
+					Clients: 8, Txns: txns, Mix: workload.Balanced(), Seed: seed,
+					Servers: srv, ObjectsPerServer: ops, Replication: repl,
+					RecordHistory: true, Rate: r.rate, Certify: true,
+				}
+				if r.nem != nil {
+					nem := *r.nem // the driver fills in defaults
+					cfg.Nemesis = &nem
+				}
+				rep, err := driver.Run(p, cfg)
+				if err != nil {
 					fail("%v", err)
 				}
-			}
-			v := *rep.Cert
-			if rep.History.Len() <= history.MaxTxns {
-				// Past history.MaxTxns the batch solver refuses and the
-				// streaming session stands alone; the sweeps stay far below.
-				if batch := history.CheckBatch(rep.History, level); batch.OK != v.OK {
-					fail("ride-along session says OK=%v (%s), batch says OK=%v (%s)",
-						v.OK, v.Reason, batch.OK, batch.Reason)
+				if rep.Incomplete != 0 {
+					fail("%d transactions incomplete", rep.Incomplete)
 				}
-				// Eviction may change what is retained, never what is
-				// accepted.
-				if want := history.CheckIncremental(rep.History, level); want.OK != v.OK ||
-					want.FirstViolation != v.FirstViolation {
-					fail("evicting session OK=%v fv=%d (%s); bounded session OK=%v fv=%d (%s)",
-						v.OK, v.FirstViolation, v.Reason, want.OK, want.FirstViolation, want.Reason)
+				if rep.Committed+rep.Rejected != rep.Issued {
+					fail("committed %d + rejected %d != issued %d", rep.Committed, rep.Rejected, rep.Issued)
 				}
-			}
-			if !v.OK {
-				if v.FirstViolation < 0 || v.FirstViolation >= rep.History.Len() {
-					fail("first violation index %d out of range: %s", v.FirstViolation, v.Reason)
+				if r.check != nil {
+					if err := r.check(rep); err != nil {
+						fail("%v", err)
+					}
 				}
-				if len(v.WitnessPrefix) != v.FirstViolation+1 {
-					fail("witness prefix has %d entries for first violation %d",
-						len(v.WitnessPrefix), v.FirstViolation)
+				v := *rep.Cert
+				if rep.History.Len() <= history.MaxTxns {
+					// Past history.MaxTxns the batch solver refuses and the
+					// streaming session stands alone; the sweeps stay far below.
+					if batch := history.CheckBatch(rep.History, level); batch.OK != v.OK {
+						fail("ride-along session says OK=%v (%s), batch says OK=%v (%s)",
+							v.OK, v.Reason, batch.OK, batch.Reason)
+					}
+					// Eviction may change what is retained, never what is
+					// accepted.
+					if want := history.CheckIncremental(rep.History, level); want.OK != v.OK ||
+						want.FirstViolation != v.FirstViolation {
+						fail("evicting session OK=%v fv=%d (%s); bounded session OK=%v fv=%d (%s)",
+							v.OK, v.FirstViolation, v.Reason, want.OK, want.FirstViolation, want.Reason)
+					}
 				}
-				if pv := history.CheckBatch(rep.History.Prefix(v.FirstViolation+1), level); pv.OK {
-					fail("prefix through first offending commit %d certifies clean", v.FirstViolation)
+				if !v.OK {
+					if v.FirstViolation < 0 || v.FirstViolation >= rep.History.Len() {
+						fail("first violation index %d out of range: %s", v.FirstViolation, v.Reason)
+					}
+					if len(v.WitnessPrefix) != v.FirstViolation+1 {
+						fail("witness prefix has %d entries for first violation %d",
+							len(v.WitnessPrefix), v.FirstViolation)
+					}
+					if pv := history.CheckBatch(rep.History.Prefix(v.FirstViolation+1), level); pv.OK {
+						fail("prefix through first offending commit %d certifies clean", v.FirstViolation)
+					}
 				}
-			}
-			switch {
-			case v.OK:
-			case e.ViolatesUnderLoad:
-				violations++
-			default:
-				fail("violates claimed %s: %s\n%s", level, v.Reason, rep.History)
+				switch {
+				case v.OK:
+				case e.ViolatesUnderLoad:
+					violations++
+				default:
+					fail("violates claimed %s: %s\n%s", level, v.Reason, rep.History)
+				}
 			}
 		}
 	}
 	if e.ViolatesUnderLoad && violations == 0 {
 		t.Fatalf("%s is a known %s violator, but every %s run certified clean — "+
-			"the %s suite lost its teeth (seeds %v, %d txns)", p.Name(), level, suite, suite, seeds, txns)
+			"the %s suite lost its teeth (seeds %v, replication 1 and 2, %d txns)", p.Name(), level, suite, suite, seeds, txns)
 	}
 }
