@@ -233,9 +233,8 @@ func TestCertifyGrid(t *testing.T) {
 // TestReplicatedGentleRainCertifies: gentlerain reads at the GST, the
 // minimum clock its server has heard from every server. A server's clock
 // moves when it installs a write, and writes go to the primary only, so
-// each server must be primary of something.
-// When the placement made s0 primary of every replicated object, s1 never
-// advanced, the GST stayed zero and the first read returned ⊥.
+// each server must be primary of some object: a server primary of none
+// never moves its clock, the GST stays zero and every read returns ⊥.
 func TestReplicatedGentleRainCertifies(t *testing.T) {
 	rows, err := buildGrid(sweepOf(t, "-certify -protocols gentlerain -replication 2 -servers 2 -clients 2 -txns 20 -seed 1"))
 	if err != nil {

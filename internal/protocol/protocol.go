@@ -1,5 +1,6 @@
 // Package protocol is the zoo's service-provider interface. An entry writes
-// two sim.Processes (Step/Ready/Clone; clients embed Core), payloads with
+// two sim.Processes (Step/Ready/Clone; clients embed Core, which counts
+// each round's replies and supplies Ready), payloads with
 // Kind/Txn (values: immutable once sent) and Claims; a server keeps its
 // per-version metadata on store.Version.Meta. Placement, fan-out
 // (ReadShares/WriteShares), deployments, probes and replacement catch-up

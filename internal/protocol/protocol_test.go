@@ -62,9 +62,8 @@ func TestReplicatedPlacementNoServerStoresAll(t *testing.T) {
 }
 
 // TestReplicatedPrimariesRotate: object Xj's primary is server j mod n, the
-// first replica Replicated names, not the lowest ID of its replica set (which
-// made s0 primary of every object at 2 servers and left the last server
-// primary of none).
+// first replica Replicated names, so with at least n objects every server is
+// primary of some object.
 func TestReplicatedPrimariesRotate(t *testing.T) {
 	pl := Replicated(4, 8, 2)
 	for j := 0; j < 8; j++ {

@@ -112,14 +112,15 @@ func reconfigured(rep *driver.Report) error {
 }
 
 // sweep executes every run once per seed on the deployment Expect sizes,
-// unreplicated and with every object on two servers, certified ride-along at the protocol's claimed consistency level, and
-// holds each to one contract: every transaction completes and is
-// accounted for, the run's own check passes, the ride-along session
-// agrees with the batch solver and with the non-evicting bounded session
-// (first offence included), and a refutation is pinned to a first
-// offending commit in range whose witness prefix has that length and
-// itself refutes. A victim must be refuted by at least one run; any other
-// protocol must certify clean on all of them.
+// unreplicated and with every object on two servers, certified ride-along
+// at the protocol's claimed consistency level, and holds each to one
+// contract: every transaction completes and is accounted for, the run's
+// own check passes, the ride-along session agrees with the batch solver
+// and with the non-evicting bounded session (first offence included), and
+// a refutation is pinned to a first offending commit in range whose
+// witness prefix has that length and itself refutes. A victim must be
+// refuted by at least one run; any other protocol must certify clean on
+// all of them.
 func sweep(t *testing.T, p protocol.Protocol, e Expect, suite string, runs []sweepRun) {
 	t.Helper()
 	seeds := e.LoadSeeds
