@@ -43,14 +43,17 @@ func TestReplicatedPlacementNoServerStoresAll(t *testing.T) {
 		if r >= n {
 			r = n - 1
 		}
-		pl := Replicated(n, n, r)
+		pl := Replicated(n, 2*n, r)
 		for _, s := range pl.Servers() {
 			if len(pl.HostedBy(s)) >= len(pl.Objects()) {
 				return false // some server stores everything
 			}
 		}
-		for _, obj := range pl.Objects() {
-			if len(pl.ReplicasOf(obj)) != r {
+		for j := 0; j < 2*n; j++ {
+			// Xj's primary is server j mod n, named first among its replicas.
+			obj, primary := fmt.Sprintf("X%d", j), sim.ProcessID(fmt.Sprintf("s%d", j%n))
+			reps := pl.ReplicasOf(obj)
+			if len(reps) != r || reps[0] != primary || pl.PrimaryOf(obj) != primary {
 				return false
 			}
 		}
@@ -58,23 +61,6 @@ func TestReplicatedPlacementNoServerStoresAll(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestReplicatedPrimariesRotate: object Xj's primary is server j mod n, the
-// first replica Replicated names, so with at least n objects every server is
-// primary of some object.
-func TestReplicatedPrimariesRotate(t *testing.T) {
-	pl := Replicated(4, 8, 2)
-	for j := 0; j < 8; j++ {
-		obj := fmt.Sprintf("X%d", j)
-		want := sim.ProcessID(fmt.Sprintf("s%d", j%4))
-		if got := pl.PrimaryOf(obj); got != want {
-			t.Fatalf("PrimaryOf(%s) = %s, want %s", obj, got, want)
-		}
-		if reps := pl.ReplicasOf(obj); len(reps) != 2 || reps[0] != want {
-			t.Fatalf("ReplicasOf(%s) = %v, want %s first", obj, reps, want)
-		}
 	}
 }
 
