@@ -9,6 +9,8 @@ import (
 	"repro/internal/protocols/cops"
 	"repro/internal/protocols/cure"
 	"repro/internal/protocols/naivefast"
+	"repro/internal/protocols/ramp"
+	"repro/internal/protocols/wren"
 	"repro/internal/workload"
 )
 
@@ -299,4 +301,46 @@ func TestRideAlongWithinTwiceBatch(t *testing.T) {
 		t.Fatalf("session %v vs batch %v: past 2x with the %v floor cleared", session, batch, floor)
 	}
 	t.Logf("cops readheavy 4/16/2000: session %v, batch %v", session, batch)
+}
+
+// TestRampFracturedReadGap pins a known gap, not a contract: the bench cell
+// `-certify -protocols ramp -mixes balanced -servers 4 -clients 8 -txns
+// 1000 -seed 42` reports a fractured read at commit 479, the first input
+// for a shrinker. Once the cause is found and fixed, the cell must certify
+// clean and this assertion flips.
+func TestRampFracturedReadGap(t *testing.T) {
+	rep, err := Run(ramp.New(), Config{
+		Clients: 8, Txns: 1000, Mix: workload.Balanced(), Seed: 42,
+		Servers: 4, ObjectsPerServer: 2, Certify: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reason = "fractured read: c0/56 read X3 from c4/61 but X0 from older c6/60"
+	if v := rep.Cert; v == nil || v.OK {
+		t.Fatal("the ramp cell certifies clean: the known gap closed, flip this test")
+	} else if v.FirstViolation != 479 || v.Reason != reason {
+		t.Fatalf("violation moved: first %d, %q; pinned 479, %q", v.FirstViolation, v.Reason, reason)
+	}
+}
+
+// TestWrenLargeCellGap pins a known gap, not a contract: the bench cell
+// `-certify -protocols wren -mixes balanced -servers 8 -clients 8 -txns
+// 600 -seed 1` finds no causal serialization from commit 65 on, the
+// second input for a shrinker. Once the cause is found and fixed, the
+// cell must certify clean and this assertion flips.
+func TestWrenLargeCellGap(t *testing.T) {
+	rep, err := Run(wren.New(), Config{
+		Clients: 8, Txns: 600, Mix: workload.Balanced(), Seed: 1,
+		Servers: 8, ObjectsPerServer: 2, Certify: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reason = "no causal serialization exists for client c3"
+	if v := rep.Cert; v == nil || v.OK {
+		t.Fatal("the wren cell certifies clean: the known gap closed, flip this test")
+	} else if v.FirstViolation != 65 || v.Reason != reason {
+		t.Fatalf("violation moved: first %d, %q; pinned 65, %q", v.FirstViolation, v.Reason, reason)
+	}
 }
