@@ -58,7 +58,7 @@ func BenchmarkFigure2Constructions(b *testing.B) {
 	orders := d.ProbeOrders([]string{"X0", "X1"})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := d.Probe("r0", []string{"X0", "X1"}, orders[i%len(orders)], true)
+		res := d.Probe("r0", []string{"X0", "X1"}, orders[i%len(orders)])
 		if res == nil || !res.OK() {
 			b.Fatal("probe failed")
 		}
@@ -392,7 +392,7 @@ func BenchmarkVisibilityProbe(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if vis := d.VisibleAll("r0", want, true); !vis.Visible {
+		if vis := d.VisibleAll("r0", want); !vis.Visible {
 			b.Fatal("initials not visible")
 		}
 	}

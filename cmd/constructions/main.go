@@ -66,7 +66,7 @@ func figure2() {
 	// Construction 1 from C0: Tw not yet started — the reader returns the
 	// initial values regardless of the server order.
 	for _, order := range d.ProbeOrders([]string{"X0", "X1"}) {
-		res := d.Probe("r0", []string{"X0", "X1"}, order, true)
+		res := d.Probe("r0", []string{"X0", "X1"}, order)
 		fmt.Printf("  γ_old with order %v: %v\n", order, res.Values)
 	}
 	// Run Tw to visibility, then Construction 2 returns the new values.
@@ -74,7 +74,7 @@ func figure2() {
 		model.Write{Object: "X0", Value: "new_X0"}, model.Write{Object: "X1", Value: "new_X1"}))
 	d.Settle(400_000)
 	for _, order := range d.ProbeOrders([]string{"X0", "X1"}) {
-		res := d.Probe("r1", []string{"X0", "X1"}, order, true)
+		res := d.Probe("r1", []string{"X0", "X1"}, order)
 		fmt.Printf("  γ_new with order %v: %v\n", order, res.Values)
 	}
 }

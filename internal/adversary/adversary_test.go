@@ -131,7 +131,7 @@ func TestSetupC0(t *testing.T) {
 	if !d.Kernel.Quiescent() {
 		t.Fatal("C0 not quiescent")
 	}
-	vis := d.VisibleAll("r0", oldValues(d), true)
+	vis := d.VisibleAll("r0", oldValues(d))
 	if !vis.Visible {
 		t.Fatalf("initial values not visible at C0: %+v", vis)
 	}

@@ -96,7 +96,7 @@ func (a *Attack) buildContradiction(base *protocol.Deployment, beta []sim.Event,
 	}
 	// β_s: only newSrv's steps and the deliveries feeding them, again
 	// excluding messages the filtered servers never sent.
-	bs := sim.StepsBy(suffix, newSrv, true)
+	bs := sim.StepsBy(suffix, newSrv)
 	for _, q := range oldFirst {
 		bs = sim.FilterProcessSteps(bs, q, highwater)
 	}

@@ -41,7 +41,7 @@ func (a *Attack) recordSolo(cur *protocol.Deployment, cw sim.ProcessID, want map
 		if seg.visIdx < 0 {
 			ev := k.Trace().Events[k.Trace().Len()-1]
 			if ev.Kind == sim.EvStep || ev.Kind == sim.EvDeliver {
-				vis := d.VisibleAll(reader, want, true)
+				vis := d.VisibleAll(reader, want)
 				if vis.Visible {
 					seg.visIdx = k.Trace().Len() - from - 1
 					break
@@ -251,7 +251,7 @@ func (a *Attack) induction(d *protocol.Deployment, cw sim.ProcessID) (*Witness, 
 // visibleOne reports whether every frozen probe returns val for obj.
 func visibleOne(d *protocol.Deployment, reader sim.ProcessID, obj string, val model.Value) bool {
 	for _, order := range d.ProbeOrders([]string{obj}) {
-		res := d.Probe(reader, []string{obj}, order, true)
+		res := d.Probe(reader, []string{obj}, order)
 		if res == nil || !res.OK() || res.Value(obj) != val {
 			return false
 		}

@@ -14,9 +14,10 @@ func witnessHistory(v *Verdict) *history.History {
 	objs := sortedKeys(v.Witness.OldValues)
 	// Initializing writes (one client per object).
 	for i, obj := range objs {
+		cin := initClient(i)
 		h.Add(&history.TxnRecord{
-			ID:     model.TxnID{Client: clientName("cin", i), Seq: 1},
-			Client: clientName("cin", i),
+			ID:     model.TxnID{Client: cin, Seq: 1},
+			Client: cin,
 			Writes: []model.Write{{Object: obj, Value: v.Witness.OldValues[obj]}},
 		})
 	}
@@ -60,6 +61,7 @@ func sortedKeys(m map[string]model.Value) []string {
 	return out
 }
 
-func clientName(prefix string, i int) string {
-	return prefix + string(rune('0'+i%10))
+// initClient names the initializing client of the i-th object.
+func initClient(i int) string {
+	return "cin" + string(rune('0'+i%10))
 }

@@ -136,10 +136,10 @@ func measureStaleness(p protocol.Protocol, mix workload.Mix, seed int64) (stats.
 			want[w.Object] = w.Value
 		}
 		t0 := d.Kernel.Now()
-		visible := d.VisibleAll(d.Readers[0], want, true).Visible
+		visible := d.VisibleAll(d.Readers[0], want).Visible
 		for tries := 0; tries < 64 && !visible; tries++ {
 			runner.Run(nil, 32)
-			visible = d.VisibleAll(d.Readers[0], want, true).Visible
+			visible = d.VisibleAll(d.Readers[0], want).Visible
 		}
 		if visible {
 			stale.Add(int64(d.Kernel.Now() - t0))

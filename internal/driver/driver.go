@@ -570,7 +570,7 @@ func (r *run) probeStaleness(res *model.Result) {
 	for _, w := range res.Txn.Writes {
 		want[w.Object] = w.Value // last write wins, matching the checkers
 	}
-	vis := r.d.VisibleAll(r.d.Readers[0], want, true)
+	vis := r.d.VisibleAll(r.d.Readers[0], want)
 	r.stale.Probes++
 	if vis.Incomplete {
 		r.stale.Incomplete++

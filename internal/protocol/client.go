@@ -120,16 +120,17 @@ func (c *Core) Starting(now sim.Time) bool {
 // Started reports whether the active transaction's first step has run.
 func (c *Core) Started() bool { return c.cur != nil && c.started }
 
-// SentRound counts a request-sending round (for Result.Rounds bookkeeping).
-func (c *Core) SentRound() { c.rounds++ }
-
 // Ready implements sim.Process: the active transaction has not taken its
 // first step yet. After that a client steps only on replies.
 func (c *Core) Ready() bool { return c.Busy() && !c.Started() }
 
 // Send appends a request of the active transaction to out and counts the
-// reply the current round awaits for it.
+// reply the current round awaits for it. A send while no reply is pending
+// opens a new round (Result.Rounds).
 func (c *Core) Send(out []sim.Outbound, to sim.ProcessID, p TxnPayload) []sim.Outbound {
+	if c.pending == 0 {
+		c.rounds++
+	}
 	c.pending++
 	return append(out, sim.Outbound{To: to, Payload: p})
 }

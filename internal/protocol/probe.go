@@ -5,9 +5,6 @@ import (
 	"repro/internal/sim"
 )
 
-// ProbeBudget bounds the event count of a single visibility probe.
-const ProbeBudget = 4096
-
 // Probe clones the current configuration, runs a fresh read-only
 // transaction over objs at the given reader, and returns its result.
 //
@@ -17,30 +14,23 @@ const ProbeBudget = 4096
 // control Constructions 1 and 2 of the paper need (σ_old delivers to p_i
 // first; σ_new to p_{1-i} first).
 //
-// When frozen is true, no message other than the reader's own traffic is
-// delivered and no process other than the reader and the servers steps: a
+// The probe is frozen: no message other than the reader's own traffic is
+// delivered and no process other than the reader and the servers steps — a
 // legal finite prefix in which all other in-transit messages are simply
-// delayed. When frozen is false and the transaction is still incomplete
-// after the frozen phase, the probe "thaws": servers may run and any
-// message addressed to a server or the reader may be delivered (but no
-// other client ever steps) — this lets blocking protocols complete so
-// their eventual visibility can be observed.
+// delayed, so a blocking protocol's probe may not complete.
 //
 // Probe never mutates the original configuration; it returns nil if the
-// transaction does not complete within the budget.
-func (d *Deployment) Probe(reader sim.ProcessID, objs []string, order []sim.ProcessID, frozen bool) *model.Result {
+// transaction does not complete within eight rounds of service.
+func (d *Deployment) Probe(reader sim.ProcessID, objs []string, order []sim.ProcessID) *model.Result {
 	k := d.Kernel.Snapshot()
 	dd := d.At(k)
 	cl := dd.Client(reader)
 	tid := dd.Invoke(reader, model.NewReadOnly(model.TxnID{}, objs...))
 
-	budget := ProbeBudget
-	spend := func(n int) bool { budget -= n; return budget > 0 }
-
-	// Frozen phase: reader and per-order server service only. Servers
-	// downed by a nemesis fault are skipped — the probe simply observes
-	// whatever the surviving servers answer (or blocks, if the protocol
-	// needs the crashed participant).
+	// Reader and per-order server service only. Servers downed by a
+	// nemesis fault are skipped — the probe simply observes whatever the
+	// surviving servers answer (or blocks, if the protocol needs the
+	// crashed participant).
 	for rounds := 0; rounds < 8 && cl.Busy(); rounds++ {
 		progress := false
 		if len(k.Inbox(reader)) > 0 || k.Process(reader).Ready() {
@@ -70,24 +60,9 @@ func (d *Deployment) Probe(reader sim.ProcessID, objs []string, order []sim.Proc
 			k.StepProcess(reader)
 			progress = true
 		}
-		if !progress || !spend(4) {
+		if !progress {
 			break
 		}
-	}
-
-	if cl.Busy() && !frozen {
-		// Thaw: servers plus reader act; deliveries of anything already
-		// sent to them are allowed; other clients stay frozen.
-		allowed := append(dd.Place.Servers(), reader)
-		r := sim.Restrict(allowed...)
-		var others []sim.ProcessID
-		for _, id := range k.Processes() {
-			if !r.AllowsProc(id) {
-				others = append(others, id)
-			}
-		}
-		r.AllowDeliveriesFrom(others...)
-		sim.Run(k, &sim.RoundRobin{Only: r}, func(*sim.Kernel) bool { return !cl.Busy() }, budget)
 	}
 
 	if cl.Busy() {
@@ -141,7 +116,7 @@ type Visibility struct {
 // (every server order) returns exactly them. A probe returning anything
 // else is a scheduling witness that the value is not (yet) visible.
 // Probes run on clones; the configuration is unchanged.
-func (d *Deployment) VisibleAll(reader sim.ProcessID, want map[string]model.Value, frozen bool) Visibility {
+func (d *Deployment) VisibleAll(reader sim.ProcessID, want map[string]model.Value) Visibility {
 	objs := make([]string, 0, len(want))
 	for o := range want {
 		objs = append(objs, o)
@@ -149,7 +124,7 @@ func (d *Deployment) VisibleAll(reader sim.ProcessID, want map[string]model.Valu
 	txnObjs := model.NewReadOnly(model.TxnID{}, objs...).ReadSet // sorted, deduped
 	out := Visibility{Visible: true}
 	for _, order := range d.ProbeOrders(txnObjs) {
-		res := d.Probe(reader, txnObjs, order, frozen)
+		res := d.Probe(reader, txnObjs, order)
 		if res == nil || !res.OK() {
 			out.Visible = false
 			out.Incomplete = true

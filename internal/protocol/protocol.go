@@ -1,6 +1,7 @@
 // Package protocol is the zoo's service-provider interface. An entry writes
-// two sim.Processes (Step/Ready/Clone; clients embed Core, which counts
-// each round's replies and supplies Ready), payloads with
+// two sim.Processes (Step/Clone; clients embed Core, whose Send opens and
+// counts each round and which supplies Ready; servers embed ServerCore,
+// which holds the identity, placement and store), payloads with
 // Kind/Txn (values: immutable once sent) and Claims; a server keeps its
 // per-version metadata on store.Version.Meta. Placement, fan-out
 // (ReadShares/WriteShares), deployments, probes and replacement catch-up

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 func TestDisjointPlacement(t *testing.T) {
@@ -171,6 +172,36 @@ func TestCoreRound(t *testing.T) {
 	}
 	if !c.Reply(&roundMsg{tid: id}) || !c.RoundDone() {
 		t.Fatal("second reply: want counted, round done")
+	}
+	// A send with nothing pending opens the next round: one two-send
+	// round and one one-send round are two rounds.
+	c.Send(nil, "s0", &roundMsg{tid: id})
+	if c.RoundDone() || !c.Reply(&roundMsg{tid: id}) || !c.RoundDone() {
+		t.Fatal("one-send round: want open until its reply, then done")
+	}
+	if res := c.Finish(2); res.Rounds != 2 {
+		t.Fatalf("rounds = %d, want 2", res.Rounds)
+	}
+	c.Invoke(model.NewReadOnly(model.TxnID{}, "X0"))
+	c.Starting(3)
+	if res := c.Reject(3, "nope"); res.Rounds != 0 {
+		t.Fatalf("rejected before any send: rounds = %d, want 0", res.Rounds)
+	}
+}
+
+// TestServerCore: the server core stores what the placement hosts on its
+// server, is never Ready, carries its store for catch-up, and a clone's
+// store is detached from the original's.
+func TestServerCore(t *testing.T) {
+	s := NewServerCore("s1", Disjoint(2, 2))
+	var sc StoreCarrier = &s
+	if s.ID() != "s1" || s.Ready() || fmt.Sprint(sc.ShardStore().Objects()) != "[X2 X3]" {
+		t.Fatalf("id %s, ready %v, objects %v", s.ID(), s.Ready(), sc.ShardStore().Objects())
+	}
+	cp := s.CloneServerCore()
+	cp.ShardStore().Install(&store.Version{Object: "X2", Value: "v", Writer: model.TxnID{Client: "c0", Seq: 1}})
+	if cp.ID() != "s1" || cp.Placement() != s.Placement() || len(cp.ShardStore().Versions("X2")) != 1 || len(s.ShardStore().Versions("X2")) != 0 {
+		t.Fatal("clone shares its store with the original")
 	}
 }
 

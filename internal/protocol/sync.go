@@ -28,9 +28,9 @@ import (
 // an unreplicated server is real data loss that certification must catch.
 
 // StoreCarrier is implemented by servers whose durable state is a
-// store.Store — one line per protocol. It powers both halves of the
-// catch-up: counting the versions a reattached durable image holds, and
-// transferring missing versions from live peers.
+// store.Store — every server embedding ServerCore. It powers both halves
+// of the catch-up: counting the versions a reattached durable image
+// holds, and transferring missing versions from live peers.
 type StoreCarrier interface {
 	ShardStore() *store.Store
 }

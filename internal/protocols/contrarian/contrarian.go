@@ -42,7 +42,7 @@ func (*Protocol) Claims() protocol.Claims {
 
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
-	return &server{id: id, pl: pl, st: store.New(pl.HostedBy(id)...), hlc: &vclock.HLC{}}
+	return &server{ServerCore: protocol.NewServerCore(id, pl), hlc: &vclock.HLC{}}
 }
 
 // NewClient implements protocol.Protocol.
@@ -116,16 +116,12 @@ func (p *writeResp) Txn() model.TxnID { return p.TID }
 // --- server ---
 
 type server struct {
-	id  sim.ProcessID
-	pl  *protocol.Placement
-	st  *store.Store
+	protocol.ServerCore
 	hlc *vclock.HLC
 }
 
-func (s *server) ID() sim.ProcessID { return s.id }
-func (s *server) Ready() bool       { return false }
 func (s *server) Clone() sim.Process {
-	return &server{id: s.id, pl: s.pl, st: s.st.Clone(), hlc: s.hlc.Clone()}
+	return &server{ServerCore: s.CloneServerCore(), hlc: s.hlc.Clone()}
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
@@ -143,7 +139,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *readReq:
 			resp := &readResp{TID: p.TID}
 			for _, obj := range p.Objs {
-				if v := s.st.SnapshotRead(obj, p.Snap); v != nil {
+				if v := s.ShardStore().SnapshotRead(obj, p.Snap); v != nil {
 					resp.Vals = append(resp.Vals, readVal{
 						Ref:   model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer},
 						Stamp: v.Stamp,
@@ -156,10 +152,10 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *writeReq:
 			s.hlc.Observe(int64(now), p.DepTS)
 			ts := s.hlc.Now(int64(now))
-			s.st.Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Stamp: ts, Visible: true})
+			s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Stamp: ts, Visible: true})
 			out = append(out, sim.Outbound{To: m.From, Payload: &writeResp{TID: p.TID, TS: ts}})
 		default:
-			panic(fmt.Sprintf("contrarian: server %s got %T", s.id, m.Payload))
+			panic(fmt.Sprintf("contrarian: server %s got %T", s.ID(), m.Payload))
 		}
 	}
 	return out
@@ -244,14 +240,12 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
 				out = c.Send(out, sh.Server, &snapReq{TID: t.ID})
 			}
-			c.SentRound()
 		} else {
 			c.phase = writing
 			w := t.Writes[len(t.Writes)-1]
 			out = c.Send(out, c.Placement().PrimaryOf(w.Object), &writeReq{
 				TID: t.ID, W: w, DepTS: c.depTS,
 			})
-			c.SentRound()
 		}
 		return out
 	}
@@ -267,7 +261,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
 				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap})
 			}
-			c.SentRound()
 		case reading:
 			for _, obj := range t.ReadSet {
 				v := c.readVals[obj]
@@ -286,8 +279,3 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	}
 	return out
 }
-
-// ShardStore exposes the durable version store for the reconfiguration
-// layer's generic catch-up (protocol.StoreCarrier): a replacement server
-// adopts missing versions from live peer replicas before serving.
-func (s *server) ShardStore() *store.Store { return s.st }

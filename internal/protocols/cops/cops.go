@@ -44,7 +44,7 @@ func (*Protocol) Claims() protocol.Claims {
 
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
-	return &server{id: id, pl: pl, st: store.New(pl.HostedBy(id)...)}
+	return &server{ServerCore: protocol.NewServerCore(id, pl)}
 }
 
 // NewClient implements protocol.Protocol.
@@ -121,16 +121,11 @@ func (p *writeResp) Txn() model.TxnID { return p.TID }
 // --- server ---
 
 type server struct {
-	id sim.ProcessID
-	pl *protocol.Placement
-	st *store.Store
+	protocol.ServerCore
 }
 
-func (s *server) ID() sim.ProcessID { return s.id }
-func (s *server) Ready() bool       { return false }
-
 func (s *server) Clone() sim.Process {
-	return &server{id: s.id, pl: s.pl, st: s.st.Clone()}
+	return &server{ServerCore: s.CloneServerCore()}
 }
 
 func valOf(v *store.Version) readVal {
@@ -148,7 +143,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *readReq:
 			resp := &readResp{TID: p.TID}
 			for _, obj := range p.Objs {
-				if v := s.st.LatestVisible(obj); v != nil {
+				if v := s.ShardStore().LatestVisible(obj); v != nil {
 					resp.Vals = append(resp.Vals, valOf(v))
 				} else {
 					resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
@@ -160,17 +155,17 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// The latest visible version's sequence is ≥ MinSeq whenever
 			// the dependency was written by a completed transaction, so
 			// this never blocks.
-			if v := s.st.LatestVisible(p.Object); v != nil {
+			if v := s.ShardStore().LatestVisible(p.Object); v != nil {
 				resp.Vals = append(resp.Vals, valOf(v))
 			} else {
 				resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: p.Object, Value: model.Bottom}})
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: resp})
 		case *writeReq:
-			v := s.st.Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Visible: true, Meta: p.Deps})
+			v := s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Visible: true, Meta: p.Deps})
 			out = append(out, sim.Outbound{To: m.From, Payload: &writeResp{TID: p.TID, Seq: v.Seq}})
 		default:
-			panic(fmt.Sprintf("cops: server %s got %T", s.id, m.Payload))
+			panic(fmt.Sprintf("cops: server %s got %T", s.ID(), m.Payload))
 		}
 	}
 	return out
@@ -286,7 +281,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				TID: t.ID, W: w, Deps: c.ctxList(),
 			})
 		}
-		c.SentRound()
 		return out
 	}
 	if c.RoundDone() {
@@ -310,7 +304,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					TID: t.ID, Object: o, MinSeq: need[o],
 				})
 			}
-			c.SentRound()
 		case round2:
 			c.finishRead(now)
 		case writing:
@@ -334,7 +327,3 @@ func (c *client) finishRead(now sim.Time) {
 	c.got = nil
 	c.Finish(now)
 }
-
-// ShardStore exposes the durable version store for the reconfiguration
-// layer's catch-up (protocol.StoreCarrier).
-func (s *server) ShardStore() *store.Store { return s.st }

@@ -48,9 +48,9 @@ func (*Protocol) Claims() protocol.Claims {
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
 	return &server{
-		id: id, pl: pl, st: store.New(pl.HostedBy(id)...),
-		readers: make(map[string][]readerRec),
-		pending: make(map[model.TxnID]*pendingWrite),
+		ServerCore: protocol.NewServerCore(id, pl),
+		readers:    make(map[string][]readerRec),
+		pending:    make(map[model.TxnID]*pendingWrite),
 	}
 }
 
@@ -134,22 +134,17 @@ type deferredCheck struct {
 }
 
 type server struct {
-	id       sim.ProcessID
-	pl       *protocol.Placement
-	st       *store.Store
+	protocol.ServerCore
 	readers  map[string][]readerRec
 	pending  map[model.TxnID]*pendingWrite
 	deferred []deferredCheck
 }
 
-func (s *server) ID() sim.ProcessID { return s.id }
-func (s *server) Ready() bool       { return false }
-
 func (s *server) Clone() sim.Process {
 	c := &server{
-		id: s.id, pl: s.pl, st: s.st.Clone(),
-		readers: make(map[string][]readerRec, len(s.readers)),
-		pending: make(map[model.TxnID]*pendingWrite, len(s.pending)),
+		ServerCore: s.CloneServerCore(),
+		readers:    make(map[string][]readerRec, len(s.readers)),
+		pending:    make(map[model.TxnID]*pendingWrite, len(s.pending)),
 	}
 	for k, v := range s.readers {
 		c.readers[k] = append([]readerRec(nil), v...)
@@ -177,7 +172,7 @@ func (s *server) oldReadersOf(obj string, seq int64) []model.TxnID {
 // resolveCheck tries to answer one dependency item; ok=false means the
 // dependency version is not visible here yet.
 func (s *server) resolveCheck(item model.ValueRef) ([]model.TxnID, bool) {
-	v := s.st.Find(item.Object, item.Writer)
+	v := s.ShardStore().Find(item.Object, item.Writer)
 	if v == nil || !v.Visible {
 		return nil, false
 	}
@@ -192,7 +187,7 @@ func (s *server) finishWrite(tid model.TxnID) sim.Outbound {
 	for _, r := range pw.oldReaders {
 		hidden[r] = true
 	}
-	s.st.Install(&store.Version{
+	s.ShardStore().Install(&store.Version{
 		Object: pw.w.Object, Value: pw.w.Value, Writer: tid,
 		Visible: true, HiddenFrom: hidden,
 	})
@@ -206,7 +201,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *readReq:
 			resp := &readResp{TID: p.TID}
 			for _, obj := range p.Objs {
-				v := s.st.LatestVisibleFor(obj, p.TID)
+				v := s.ShardStore().LatestVisibleFor(obj, p.TID)
 				var seq int64
 				if v != nil {
 					seq = v.Seq
@@ -225,14 +220,14 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// are batched per owning server.
 			remote := make(map[sim.ProcessID][]model.ValueRef)
 			for _, dep := range p.Deps {
-				owner := s.pl.PrimaryOf(dep.Object)
-				if owner == s.id {
+				owner := s.Placement().PrimaryOf(dep.Object)
+				if owner == s.ID() {
 					if olds, resolved := s.resolveCheck(dep); resolved {
 						pw.oldReaders = append(pw.oldReaders, olds...)
 					} else {
 						// Local dependency not visible yet: defer to self.
 						pw.remaining++
-						s.deferred = append(s.deferred, deferredCheck{origin: s.id, forTxn: p.TID, item: dep})
+						s.deferred = append(s.deferred, deferredCheck{origin: s.ID(), forTxn: p.TID, item: dep})
 					}
 					continue
 				}
@@ -278,7 +273,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// A self-addressed ack can't happen; ignore defensively.
 
 		default:
-			panic(fmt.Sprintf("copssnow: server %s got %T", s.id, m.Payload))
+			panic(fmt.Sprintf("copssnow: server %s got %T", s.ID(), m.Payload))
 		}
 	}
 
@@ -293,7 +288,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				still = append(still, dc)
 				continue
 			}
-			if dc.origin == s.id {
+			if dc.origin == s.ID() {
 				// Local deferral: credit the pending write directly.
 				if pw, exists := s.pending[dc.forTxn]; exists {
 					pw.remaining--
@@ -392,7 +387,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			w := t.Writes[len(t.Writes)-1]
 			out = c.Send(out, pl.PrimaryOf(w.Object), &writeReq{TID: t.ID, W: w, Deps: c.depList()})
 		}
-		c.SentRound()
 		return out
 	}
 	if c.RoundDone() {
@@ -405,8 +399,3 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	}
 	return out
 }
-
-// ShardStore exposes the durable version store for the reconfiguration
-// layer's generic catch-up (protocol.StoreCarrier): a replacement server
-// adopts missing versions from live peer replicas before serving.
-func (s *server) ShardStore() *store.Store { return s.st }

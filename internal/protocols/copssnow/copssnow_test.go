@@ -42,14 +42,14 @@ func TestDependencyGatesVisibility(t *testing.T) {
 	if len(d.Kernel.InTransitOn(sim.Link{From: "s1", To: "s0"})) == 0 {
 		t.Fatal("no dependency-check message from s1 to s0")
 	}
-	vis := d.VisibleAll("r0", map[string]model.Value{"X1": "b1"}, true)
+	vis := d.VisibleAll("r0", map[string]model.Value{"X1": "b1"})
 	if vis.Visible {
 		t.Fatal("b1 visible before the dependency check completed")
 	}
 
 	// Let the dep-check complete; the value must become visible.
 	d.Settle(200_000)
-	vis = d.VisibleAll("r0", map[string]model.Value{"X1": "b1"}, true)
+	vis = d.VisibleAll("r0", map[string]model.Value{"X1": "b1"})
 	if !vis.Visible {
 		t.Fatalf("b1 not visible after settle: %+v", vis)
 	}

@@ -40,10 +40,11 @@ func (*Protocol) Claims() protocol.Claims {
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
 	return &server{
-		id: id, pl: pl, st: store.New(pl.HostedBy(id)...),
-		idx: pl.ServerIndex(id), n: pl.NumServers(),
-		known:   vclock.NewVector(pl.NumServers()),
-		pending: make(map[model.TxnID]int64),
+		ServerCore: protocol.NewServerCore(id, pl),
+		idx:        pl.ServerIndex(id),
+		n:          pl.NumServers(),
+		known:      vclock.NewVector(pl.NumServers()),
+		pending:    make(map[model.TxnID]int64),
 	}
 }
 
@@ -145,9 +146,7 @@ type parkedRead struct {
 }
 
 type server struct {
-	id         sim.ProcessID
-	pl         *protocol.Placement
-	st         *store.Store
+	protocol.ServerCore
 	idx, n     int
 	nextSeq    int64
 	applied    int64
@@ -157,12 +156,9 @@ type server struct {
 	parked     []parkedRead
 }
 
-func (s *server) ID() sim.ProcessID { return s.id }
-func (s *server) Ready() bool       { return false } // parks resolve on commit arrival
-
 func (s *server) Clone() sim.Process {
 	c := &server{
-		id: s.id, pl: s.pl, st: s.st.Clone(), idx: s.idx, n: s.n,
+		ServerCore: s.CloneServerCore(), idx: s.idx, n: s.n,
 		nextSeq: s.nextSeq, applied: s.applied, known: s.known.Clone(),
 		lastGossip: s.lastGossip,
 		pending:    make(map[model.TxnID]int64, len(s.pending)),
@@ -207,7 +203,7 @@ func (s *server) serveRead(from sim.ProcessID, req *readReq) sim.Outbound {
 		// vector order, NOT install order: concurrent transactions
 		// prepare in different orders at different servers, and an
 		// install-order read would fracture their atomic visibility.
-		v := s.st.SnapshotReadVec(obj, req.Snap)
+		v := s.ShardStore().SnapshotReadVec(obj, req.Snap)
 		if v != nil {
 			resp.Vals = append(resp.Vals, readVal{
 				Ref: model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer},
@@ -252,12 +248,12 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			vec.Merge(p.Dep)
 			vec[s.idx] = seq
 			for _, w := range p.Writes {
-				s.st.InstallOrdered(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Vec: vec})
+				s.ShardStore().InstallOrdered(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Vec: vec})
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID, Idx: s.idx, Seq: seq}})
 		case *commitReq:
 			delete(s.pending, p.TID)
-			s.st.CommitVec(p.TID, p.Vec)
+			s.ShardStore().CommitVec(p.TID, p.Vec)
 			if p.Vec[s.idx] > s.applied {
 				s.applied = p.Vec[s.idx]
 			}
@@ -270,14 +266,14 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				s.known[p.Idx] = p.Stable
 			}
 		default:
-			panic(fmt.Sprintf("cure: server %s got %T", s.id, m.Payload))
+			panic(fmt.Sprintf("cure: server %s got %T", s.ID(), m.Payload))
 		}
 	}
 	// Gossip the stable sequence when it advances.
 	if st := s.stable(); st > s.lastGossip {
 		s.lastGossip = st
-		for _, other := range s.pl.Servers() {
-			if other != s.id {
+		for _, other := range s.Placement().Servers() {
+			if other != s.ID() {
 				out = append(out, sim.Outbound{To: other, Payload: &gossip{Idx: s.idx, Stable: st}})
 			}
 		}
@@ -299,12 +295,11 @@ const (
 
 type client struct {
 	protocol.Core
-	phase   phase
-	dep     vclock.Vector
-	snap    vclock.Vector
-	commit  vclock.Vector
-	writeTo []sim.ProcessID
-	got     map[string]readVal
+	phase  phase
+	dep    vclock.Vector
+	snap   vclock.Vector
+	commit vclock.Vector
+	got    map[string]readVal
 }
 
 func (c *client) Clone() sim.Process {
@@ -315,7 +310,6 @@ func (c *client) Clone() sim.Process {
 	if c.commit != nil {
 		cp.commit = c.commit.Clone()
 	}
-	cp.writeTo = append([]sim.ProcessID(nil), c.writeTo...)
 	if c.got != nil {
 		cp.got = make(map[string]readVal, len(c.got))
 		for k, v := range c.got {
@@ -365,15 +359,12 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		} else {
 			c.phase = preparing
 			c.commit = c.dep.Clone()
-			c.writeTo = nil
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
-				c.writeTo = append(c.writeTo, sh.Server)
 				out = c.Send(out, sh.Server, &prepareReq{
 					TID: t.ID, Writes: sh.Items, Dep: c.dep.Clone(),
 				})
 			}
 		}
-		c.SentRound()
 		return out
 	}
 	if c.RoundDone() {
@@ -385,7 +376,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
 				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap.Clone()})
 			}
-			c.SentRound()
 		case reading:
 			for _, obj := range t.ReadSet {
 				v := c.got[obj]
@@ -399,20 +389,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.Finish(now)
 		case preparing:
 			c.phase = committing
-			for _, srv := range c.writeTo {
+			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
 				out = c.Send(out, srv, &commitReq{TID: t.ID, Vec: c.commit.Clone()})
 			}
-			c.SentRound()
 		case committing:
 			c.phase = idle
-			c.writeTo = nil
 			c.Finish(now)
 		}
 	}
 	return out
 }
-
-// ShardStore exposes the durable version store for the reconfiguration
-// layer's generic catch-up (protocol.StoreCarrier): a replacement server
-// adopts missing versions from live peer replicas before serving.
-func (s *server) ShardStore() *store.Store { return s.st }

@@ -58,7 +58,7 @@ func TestReadParksBehindPendingPrepare(t *testing.T) {
 	// the pending write... but the stable vector advertised by the
 	// servers excludes it, so the probe reads the PREVIOUS consistent
 	// snapshot (a0, a1) — stale, consistent, non-mixed.
-	res := d.Probe("r0", []string{"X0", "X1"}, []sim.ProcessID{"s0", "s1"}, true)
+	res := d.Probe("r0", []string{"X0", "X1"}, []sim.ProcessID{"s0", "s1"})
 	if res != nil {
 		v0, v1 := res.Value("X0"), res.Value("X1")
 		if (v0 == "b0") != (v1 == "b1") {
@@ -68,7 +68,7 @@ func TestReadParksBehindPendingPrepare(t *testing.T) {
 
 	// After the commit is released, the new values become visible.
 	d.Settle(400_000)
-	vis := d.VisibleAll("r1", map[string]model.Value{"X0": "b0", "X1": "b1"}, true)
+	vis := d.VisibleAll("r1", map[string]model.Value{"X0": "b0", "X1": "b1"})
 	if !vis.Visible {
 		t.Fatalf("values invisible after commit released: %+v", vis)
 	}

@@ -69,8 +69,9 @@ func (*Protocol) Claims() protocol.Claims {
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
 	return &server{
-		id: id, pl: pl, st: store.New(pl.HostedBy(id)...),
-		clock: &vclock.Lamport{}, pending: make(map[model.TxnID]int64),
+		ServerCore: protocol.NewServerCore(id, pl),
+		clock:      &vclock.Lamport{},
+		pending:    make(map[model.TxnID]int64),
 	}
 }
 
@@ -158,18 +159,13 @@ func (p *commitAck) Txn() model.TxnID { return p.TID }
 // --- server ---
 
 type server struct {
-	id      sim.ProcessID
-	pl      *protocol.Placement
-	st      *store.Store
+	protocol.ServerCore
 	clock   *vclock.Lamport
 	pending map[model.TxnID]int64
 }
 
-func (s *server) ID() sim.ProcessID { return s.id }
-func (s *server) Ready() bool       { return false }
-
 func (s *server) Clone() sim.Process {
-	c := &server{id: s.id, pl: s.pl, st: s.st.Clone(), clock: s.clock.Clone(),
+	c := &server{ServerCore: s.CloneServerCore(), clock: s.clock.Clone(),
 		pending: make(map[model.TxnID]int64, len(s.pending))}
 	for k, v := range s.pending {
 		c.pending[k] = v
@@ -208,7 +204,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, obj := range p.Objs {
 				// Logical ceiling: a read at eff includes every commit whose
 				// wall time is exactly eff, whatever its tie-break.
-				v := s.st.SnapshotRead(obj, vclock.HLCStamp{Wall: at, Logical: 1 << 62})
+				v := s.ShardStore().SnapshotRead(obj, vclock.HLCStamp{Wall: at, Logical: 1 << 62})
 				if v == nil {
 					resp.Vals = append(resp.Vals, readVal{
 						Ref:          model.ValueRef{Object: obj, Value: model.Bottom},
@@ -230,17 +226,17 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			ts := s.clock.Tick()
 			s.pending[p.TID] = ts
 			for _, w := range p.Writes {
-				s.st.Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID,
+				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID,
 					Stamp: vclock.HLCStamp{Wall: ts}})
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID, TS: ts}})
 		case *commitReq:
 			s.clock.Observe(p.TS)
 			delete(s.pending, p.TID)
-			s.st.CommitAt(p.TID, vclock.HLCStamp{Wall: p.TS, Logical: tieBreak(p.TID)})
+			s.ShardStore().CommitAt(p.TID, vclock.HLCStamp{Wall: p.TS, Logical: tieBreak(p.TID)})
 			out = append(out, sim.Outbound{To: m.From, Payload: &commitAck{TID: p.TID, TS: p.TS}})
 		default:
-			panic(fmt.Sprintf("eiger: server %s got %T", s.id, m.Payload))
+			panic(fmt.Sprintf("eiger: server %s got %T", s.ID(), m.Payload))
 		}
 	}
 	return out
@@ -263,14 +259,12 @@ type client struct {
 	depTS    int64
 	commitTS int64
 	rounds   int
-	writeTo  []sim.ProcessID
 	got      map[string]readVal
 }
 
 func (c *client) Clone() sim.Process {
 	cp := &client{Core: c.CloneCore(), phase: c.phase,
 		depTS: c.depTS, commitTS: c.commitTS, rounds: c.rounds}
-	cp.writeTo = append([]sim.ProcessID(nil), c.writeTo...)
 	if c.got != nil {
 		cp.got = make(map[string]readVal, len(c.got))
 		for k, v := range c.got {
@@ -286,7 +280,6 @@ func (c *client) sendReads(at int64) []sim.Outbound {
 	for _, sh := range c.Placement().ReadShares(t.ReadSet) {
 		out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, At: at})
 	}
-	c.SentRound()
 	c.rounds++
 	return out
 }
@@ -361,14 +354,11 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		} else {
 			c.phase = preparing
 			c.commitTS = 0
-			c.writeTo = nil
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
-				c.writeTo = append(c.writeTo, sh.Server)
 				out = c.Send(out, sh.Server, &prepareReq{
 					TID: t.ID, Writes: sh.Items, DepTS: c.depTS,
 				})
 			}
-			c.SentRound()
 		}
 		return out
 	}
@@ -396,23 +386,16 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.Finish(now)
 		case preparing:
 			c.phase = committing
-			for _, srv := range c.writeTo {
+			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
 				out = c.Send(out, srv, &commitReq{TID: t.ID, TS: c.commitTS})
 			}
-			c.SentRound()
 		case committing:
 			if c.commitTS > c.depTS {
 				c.depTS = c.commitTS
 			}
 			c.phase = idle
-			c.writeTo = nil
 			c.Finish(now)
 		}
 	}
 	return out
 }
-
-// ShardStore exposes the durable version store for the reconfiguration
-// layer's generic catch-up (protocol.StoreCarrier): a replacement server
-// adopts missing versions from live peer replicas before serving.
-func (s *server) ShardStore() *store.Store { return s.st }

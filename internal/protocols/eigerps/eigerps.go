@@ -52,7 +52,7 @@ func (*Protocol) Claims() protocol.Claims {
 
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
-	return &server{id: id, pl: pl, st: store.New(pl.HostedBy(id)...)}
+	return &server{ServerCore: protocol.NewServerCore(id, pl)}
 }
 
 // NewClient implements protocol.Protocol.
@@ -105,15 +105,11 @@ func (p *syncToken) Kind() string { return "sync" }
 // --- server ---
 
 type server struct {
-	id sim.ProcessID
-	pl *protocol.Placement
-	st *store.Store
+	protocol.ServerCore
 }
 
-func (s *server) ID() sim.ProcessID { return s.id }
-func (s *server) Ready() bool       { return false }
 func (s *server) Clone() sim.Process {
-	return &server{id: s.id, pl: s.pl, st: s.st.Clone()}
+	return &server{ServerCore: s.CloneServerCore()}
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
@@ -123,7 +119,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *readReq:
 			resp := &readResp{TID: p.TID}
 			for _, obj := range p.Objs {
-				if v := s.st.LatestVisible(obj); v != nil {
+				if v := s.ShardStore().LatestVisible(obj); v != nil {
 					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer})
 				} else {
 					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: model.Bottom})
@@ -136,13 +132,13 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				// Initializing writes are visible (the system must boot);
 				// everything else stays hidden pending the out-of-band
 				// mechanism that never arrives in this model.
-				s.st.Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Visible: init})
+				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Visible: init})
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: &writeResp{TID: p.TID}})
 			if !init {
 				// Kick off the endless synchronization exchange.
-				for _, other := range s.pl.Servers() {
-					if other != s.id {
+				for _, other := range s.Placement().Servers() {
+					if other != s.ID() {
 						out = append(out, sim.Outbound{To: other, Payload: &syncToken{Round: 1}})
 					}
 				}
@@ -157,7 +153,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				out = append(out, sim.Outbound{To: m.From, Payload: &syncToken{Round: p.Round + 1}})
 			}
 		default:
-			panic(fmt.Sprintf("eigerps: server %s got %T", s.id, m.Payload))
+			panic(fmt.Sprintf("eigerps: server %s got %T", s.ID(), m.Payload))
 		}
 	}
 	return out
@@ -203,7 +199,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				out = c.Send(out, sh.Server, &writeReq{TID: t.ID, Writes: sh.Items})
 			}
 		}
-		c.SentRound()
 		return out
 	}
 	if c.RoundDone() {
@@ -211,8 +206,3 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	}
 	return out
 }
-
-// ShardStore exposes the durable version store for the reconfiguration
-// layer's generic catch-up (protocol.StoreCarrier): a replacement server
-// adopts missing versions from live peer replicas before serving.
-func (s *server) ShardStore() *store.Store { return s.st }

@@ -36,11 +36,11 @@ func TestWritesCompleteButStayInvisible(t *testing.T) {
 	d.Settle(200_000)
 	// The values never become visible — readers still see the initials.
 	vis := d.VisibleAll("r0", map[string]model.Value{
-		"X0": protocol.InitialValue("X0"), "X1": protocol.InitialValue("X1")}, true)
+		"X0": protocol.InitialValue("X0"), "X1": protocol.InitialValue("X1")})
 	if !vis.Visible {
 		t.Fatalf("stale initials not uniformly visible: %+v", vis)
 	}
-	newVis := d.VisibleAll("r1", map[string]model.Value{"X0": "n0", "X1": "n1"}, true)
+	newVis := d.VisibleAll("r1", map[string]model.Value{"X0": "n0", "X1": "n1"})
 	if newVis.Visible {
 		t.Fatal("hidden writes became visible")
 	}

@@ -110,7 +110,7 @@ func (*Protocol) Claims() protocol.Claims {
 
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
-	return &server{id: id, pl: pl, st: store.New(pl.HostedBy(id)...)}
+	return &server{ServerCore: protocol.NewServerCore(id, pl)}
 }
 
 // NewClient implements protocol.Protocol.
@@ -226,16 +226,11 @@ type metaBlob struct {
 }
 
 type server struct {
-	id sim.ProcessID
-	pl *protocol.Placement
-	st *store.Store
+	protocol.ServerCore
 }
 
-func (s *server) ID() sim.ProcessID { return s.id }
-func (s *server) Ready() bool       { return false }
-
 func (s *server) Clone() sim.Process {
-	return &server{id: s.id, pl: s.pl, st: s.st.Clone()}
+	return &server{ServerCore: s.CloneServerCore()}
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
@@ -245,7 +240,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *readReq:
 			resp := &readResp{TID: p.TID}
 			for _, obj := range p.Objs {
-				chain := s.st.Versions(obj)
+				chain := s.ShardStore().Versions(obj)
 				if len(chain) == 0 {
 					resp.Vals = append(resp.Vals, directVal{Object: obj, Val: model.Bottom})
 					continue
@@ -267,14 +262,14 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				blob.WSet = append(blob.WSet, e.Object)
 			}
 			for _, w := range p.Writes {
-				s.st.Install(&store.Version{
+				s.ShardStore().Install(&store.Version{
 					Object: w.Object, Value: w.Value, Writer: p.TID,
 					Visible: true, Stamp: vclock.HLCStamp{Wall: p.TS}, Meta: blob,
 				})
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: &writeResp{TID: p.TID}})
 		default:
-			panic(fmt.Sprintf("fatcops: server %s got %T", s.id, m.Payload))
+			panic(fmt.Sprintf("fatcops: server %s got %T", s.ID(), m.Payload))
 		}
 	}
 	return out
@@ -488,7 +483,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				})
 			}
 		}
-		c.SentRound()
 		return out
 	}
 	if c.RoundDone() {
@@ -523,7 +517,3 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	}
 	return out
 }
-
-// ShardStore exposes the durable version store for the reconfiguration
-// layer's catch-up (protocol.StoreCarrier).
-func (s *server) ShardStore() *store.Store { return s.st }

@@ -63,7 +63,7 @@ func TestSiblingMetadataRepairsMixedRead(t *testing.T) {
 	}
 	d.Kernel.StepProcess("s1")
 
-	res := d.Probe("r0", []string{"X0", "X1"}, []sim.ProcessID{"s0", "s1"}, true)
+	res := d.Probe("r0", []string{"X0", "X1"}, []sim.ProcessID{"s0", "s1"})
 	if res == nil {
 		t.Fatal("probe did not complete")
 	}
@@ -78,7 +78,7 @@ func TestSiblingMetadataRepairsMixedRead(t *testing.T) {
 func TestInitialsVisible(t *testing.T) {
 	d := ptest.Deploy(t, fatcops.New(), ptest.Expect{}, 67)
 	vis := d.VisibleAll("r1", map[string]model.Value{
-		"X0": protocol.InitialValue("X0"), "X1": protocol.InitialValue("X1")}, true)
+		"X0": protocol.InitialValue("X0"), "X1": protocol.InitialValue("X1")})
 	if !vis.Visible {
 		t.Fatalf("initials not visible: %+v", vis)
 	}
@@ -110,7 +110,7 @@ func TestOppositeInstallOrdersRepairedAtomically(t *testing.T) {
 		}
 		d.Kernel.StepProcess(link.To)
 	}
-	res := d.Probe("r0", []string{"X0", "X1"}, []sim.ProcessID{"s0", "s1"}, true)
+	res := d.Probe("r0", []string{"X0", "X1"}, []sim.ProcessID{"s0", "s1"})
 	if res == nil {
 		t.Fatal("probe did not complete")
 	}

@@ -41,8 +41,9 @@ func (*Protocol) Claims() protocol.Claims {
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
 	return &server{
-		id: id, pl: pl, st: store.New(pl.HostedBy(id)...),
-		hlc: &vclock.HLC{}, known: make(map[sim.ProcessID]vclock.HLCStamp),
+		ServerCore: protocol.NewServerCore(id, pl),
+		hlc:        &vclock.HLC{},
+		known:      make(map[sim.ProcessID]vclock.HLCStamp),
 	}
 }
 
@@ -127,9 +128,7 @@ type parkedRead struct {
 }
 
 type server struct {
-	id         sim.ProcessID
-	pl         *protocol.Placement
-	st         *store.Store
+	protocol.ServerCore
 	hlc        *vclock.HLC
 	known      map[sim.ProcessID]vclock.HLCStamp
 	lastGossip vclock.HLCStamp
@@ -137,8 +136,7 @@ type server struct {
 	initSeq    int64
 }
 
-func (s *server) ID() sim.ProcessID { return s.id }
-func (s *server) Ready() bool       { return len(s.parked) > 0 }
+func (s *server) Ready() bool { return len(s.parked) > 0 }
 
 // WakeAt implements sim.Waker: a read parked on a snapshot ahead of the
 // server clock unparks once the clock's wall time (which tracks virtual
@@ -161,7 +159,7 @@ func (s *server) WakeAt(now sim.Time) (sim.Time, bool) {
 
 func (s *server) Clone() sim.Process {
 	c := &server{
-		id: s.id, pl: s.pl, st: s.st.Clone(), hlc: s.hlc.Clone(),
+		ServerCore: s.CloneServerCore(), hlc: s.hlc.Clone(),
 		known:      make(map[sim.ProcessID]vclock.HLCStamp, len(s.known)),
 		lastGossip: s.lastGossip, initSeq: s.initSeq,
 	}
@@ -181,8 +179,8 @@ func (s *server) clock() vclock.HLCStamp {
 
 func (s *server) gst() vclock.HLCStamp {
 	g := s.clock()
-	for _, other := range s.pl.Servers() {
-		if other == s.id {
+	for _, other := range s.Placement().Servers() {
+		if other == s.ID() {
 			continue
 		}
 		ks, heard := s.known[other]
@@ -199,7 +197,7 @@ func (s *server) gst() vclock.HLCStamp {
 func (s *server) serveRead(from sim.ProcessID, req *readReq) sim.Outbound {
 	resp := &readResp{TID: req.TID}
 	for _, obj := range req.Objs {
-		if v := s.st.SnapshotRead(obj, req.Snap); v != nil {
+		if v := s.ShardStore().SnapshotRead(obj, req.Snap); v != nil {
 			resp.Vals = append(resp.Vals, readVal{
 				Ref:   model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer},
 				Stamp: v.Stamp,
@@ -253,22 +251,22 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				s.hlc.Observe(int64(now), p.DepTS)
 				ts = s.hlc.Now(int64(now))
 			}
-			s.st.Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Stamp: ts, Visible: true})
+			s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Stamp: ts, Visible: true})
 			out = append(out, sim.Outbound{To: m.From, Payload: &writeResp{TID: p.TID, TS: ts}})
 		case *gossip:
 			if cur, heard := s.known[p.From]; !heard || cur.Before(p.Clock) {
 				s.known[p.From] = p.Clock
 			}
 		default:
-			panic(fmt.Sprintf("gentlerain: server %s got %T", s.id, m.Payload))
+			panic(fmt.Sprintf("gentlerain: server %s got %T", s.ID(), m.Payload))
 		}
 	}
 	// Event-driven clock gossip whenever the clock advanced.
 	if c := s.clock(); s.lastGossip.Before(c) {
 		s.lastGossip = c
-		for _, other := range s.pl.Servers() {
-			if other != s.id {
-				out = append(out, sim.Outbound{To: other, Payload: &gossip{From: s.id, Clock: c}})
+		for _, other := range s.Placement().Servers() {
+			if other != s.ID() {
+				out = append(out, sim.Outbound{To: other, Payload: &gossip{From: s.ID(), Clock: c}})
 			}
 		}
 	}
@@ -351,7 +349,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				TID: t.ID, W: w, DepTS: c.depTS,
 			})
 		}
-		c.SentRound()
 		return out
 	}
 	if c.RoundDone() {
@@ -368,7 +365,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
 				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap})
 			}
-			c.SentRound()
 		case reading:
 			for _, obj := range t.ReadSet {
 				v := c.got[obj]
@@ -387,8 +383,3 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	}
 	return out
 }
-
-// ShardStore exposes the durable version store for the reconfiguration
-// layer's generic catch-up (protocol.StoreCarrier): a replacement server
-// adopts missing versions from live peer replicas before serving.
-func (s *server) ShardStore() *store.Store { return s.st }

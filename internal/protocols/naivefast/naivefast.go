@@ -42,7 +42,7 @@ func (*Protocol) Claims() protocol.Claims {
 
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *Placement) sim.Process {
-	return &server{id: id, pl: pl, st: store.New(pl.HostedBy(id)...)}
+	return &server{ServerCore: protocol.NewServerCore(id, pl)}
 }
 
 // NewClient implements protocol.Protocol.
@@ -97,16 +97,11 @@ func (p *writeResp) Txn() model.TxnID { return p.TID }
 // --- server ---
 
 type server struct {
-	id sim.ProcessID
-	pl *Placement
-	st *store.Store
+	protocol.ServerCore
 }
 
-func (s *server) ID() sim.ProcessID { return s.id }
-func (s *server) Ready() bool       { return false }
-
 func (s *server) Clone() sim.Process {
-	return &server{id: s.id, pl: s.pl, st: s.st.Clone()}
+	return &server{ServerCore: s.CloneServerCore()}
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
@@ -116,7 +111,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *readReq:
 			resp := &readResp{TID: p.TID}
 			for _, obj := range p.Objs {
-				if v := s.st.LatestVisible(obj); v != nil {
+				if v := s.ShardStore().LatestVisible(obj); v != nil {
 					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer})
 				} else {
 					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: model.Bottom})
@@ -125,11 +120,11 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			out = append(out, sim.Outbound{To: m.From, Payload: resp})
 		case *writeReq:
 			for _, w := range p.Writes {
-				s.st.Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Visible: true})
+				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Visible: true})
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: &writeResp{TID: p.TID}})
 		default:
-			panic(fmt.Sprintf("naivefast: server %s got %T", s.id, m.Payload))
+			panic(fmt.Sprintf("naivefast: server %s got %T", s.ID(), m.Payload))
 		}
 	}
 	return out
@@ -176,7 +171,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				writes = writes[1:]
 			}
 		}
-		c.SentRound()
 	}
 	if c.RoundDone() {
 		// All responses in: complete.
@@ -184,8 +178,3 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	}
 	return out
 }
-
-// ShardStore exposes the durable version store for the reconfiguration
-// layer's generic catch-up (protocol.StoreCarrier): a replacement server
-// adopts missing versions from live peer replicas before serving.
-func (s *server) ShardStore() *store.Store { return s.st }

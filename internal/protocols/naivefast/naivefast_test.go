@@ -70,7 +70,7 @@ func TestMixedVisibilityUnderAdversary(t *testing.T) {
 	}
 	d.Kernel.StepProcess("s1")
 
-	res := d.Probe("r0", []string{"X0", "X1"}, []sim.ProcessID{"s0", "s1"}, true)
+	res := d.Probe("r0", []string{"X0", "X1"}, []sim.ProcessID{"s0", "s1"})
 	if res == nil {
 		t.Fatal("probe did not complete")
 	}
@@ -82,12 +82,12 @@ func TestMixedVisibilityUnderAdversary(t *testing.T) {
 func TestVisibilityProbeBattery(t *testing.T) {
 	d := deploy(t)
 	want := map[string]model.Value{"X0": protocol.InitialValue("X0"), "X1": protocol.InitialValue("X1")}
-	vis := d.VisibleAll("r0", want, true)
+	vis := d.VisibleAll("r0", want)
 	if !vis.Visible {
 		t.Fatalf("initial values not visible: %+v", vis)
 	}
 	// New values are not visible before Tw runs.
-	vis = d.VisibleAll("r0", map[string]model.Value{"X0": "nope", "X1": "nope"}, true)
+	vis = d.VisibleAll("r0", map[string]model.Value{"X0": "nope", "X1": "nope"})
 	if vis.Visible {
 		t.Fatal("unwritten values reported visible")
 	}
@@ -99,7 +99,7 @@ func TestVisibilityProbeBattery(t *testing.T) {
 func TestProbeDoesNotDisturbConfiguration(t *testing.T) {
 	d := deploy(t)
 	before := d.Kernel.Trace().Len()
-	d.Probe("r0", []string{"X0"}, []sim.ProcessID{"s0"}, true)
+	d.Probe("r0", []string{"X0"}, []sim.ProcessID{"s0"})
 	if d.Kernel.Trace().Len() != before {
 		t.Fatal("probe mutated the original kernel")
 	}

@@ -44,9 +44,10 @@ func (*Protocol) Claims() protocol.Claims {
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
 	return &server{
-		id: id, pl: pl, st: store.New(pl.HostedBy(id)...),
-		idx: pl.ServerIndex(id), n: pl.NumServers(),
-		known: vclock.NewVector(pl.NumServers()),
+		ServerCore: protocol.NewServerCore(id, pl),
+		idx:        pl.ServerIndex(id),
+		n:          pl.NumServers(),
+		known:      vclock.NewVector(pl.NumServers()),
 	}
 }
 
@@ -132,20 +133,15 @@ type parkedRead struct {
 }
 
 type server struct {
-	id     sim.ProcessID
-	pl     *protocol.Placement
-	st     *store.Store
+	protocol.ServerCore
 	idx, n int
 	cnt    int64 // local applied-write counter
 	known  vclock.Vector
 	parked []parkedRead
 }
 
-func (s *server) ID() sim.ProcessID { return s.id }
-func (s *server) Ready() bool       { return false } // parks resolve on write arrival
-
 func (s *server) Clone() sim.Process {
-	c := &server{id: s.id, pl: s.pl, st: s.st.Clone(), idx: s.idx, n: s.n, cnt: s.cnt, known: s.known.Clone()}
+	c := &server{ServerCore: s.CloneServerCore(), idx: s.idx, n: s.n, cnt: s.cnt, known: s.known.Clone()}
 	for _, d := range s.parked {
 		cp := *d.Req
 		cp.Snap = d.Req.Snap.Clone()
@@ -167,7 +163,7 @@ func (s *server) serveRead(from sim.ProcessID, req *readReq) sim.Outbound {
 	for _, obj := range req.Objs {
 		// Entire dependency vector must be dominated by the snapshot —
 		// an entry above it means a dependency is outside the snapshot.
-		v := s.st.Latest(obj, func(v *store.Version) bool {
+		v := s.ShardStore().Latest(obj, func(v *store.Version) bool {
 			return v.Visible && v.Vec.LessEq(req.Snap)
 		})
 		if v != nil {
@@ -213,7 +209,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			vec := vclock.NewVector(s.n)
 			vec.Merge(p.Dep)
 			vec[s.idx] = s.cnt
-			s.st.Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Vec: vec, Visible: true})
+			s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Vec: vec, Visible: true})
 			out = append(out, sim.Outbound{To: m.From, Payload: &writeResp{TID: p.TID, Vec: vec}})
 			gossipDue = true
 		case *gossip:
@@ -221,13 +217,13 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				s.known[p.Idx] = p.Cnt
 			}
 		default:
-			panic(fmt.Sprintf("orbe: server %s got %T", s.id, m.Payload))
+			panic(fmt.Sprintf("orbe: server %s got %T", s.ID(), m.Payload))
 		}
 	}
 	if gossipDue {
-		for _, other := range s.pl.Servers() {
-			if other != s.id {
-				out = append(out, sim.Outbound{To: other, Payload: &gossip{From: s.id, Idx: s.idx, Cnt: s.cnt}})
+		for _, other := range s.Placement().Servers() {
+			if other != s.ID() {
+				out = append(out, sim.Outbound{To: other, Payload: &gossip{From: s.ID(), Idx: s.idx, Cnt: s.cnt}})
 			}
 		}
 	}
@@ -309,7 +305,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				TID: t.ID, W: w, Dep: c.dep.Clone(),
 			})
 		}
-		c.SentRound()
 		return out
 	}
 	if c.RoundDone() {
@@ -321,7 +316,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
 				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap.Clone()})
 			}
-			c.SentRound()
 		case reading:
 			for _, obj := range t.ReadSet {
 				v := c.got[obj]
@@ -340,8 +334,3 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	}
 	return out
 }
-
-// ShardStore exposes the durable version store for the reconfiguration
-// layer's generic catch-up (protocol.StoreCarrier): a replacement server
-// adopts missing versions from live peer replicas before serving.
-func (s *server) ShardStore() *store.Store { return s.st }

@@ -43,7 +43,7 @@ func (*Protocol) Claims() protocol.Claims {
 
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
-	return &server{id: id, pl: pl, st: store.New(pl.HostedBy(id)...)}
+	return &server{ServerCore: protocol.NewServerCore(id, pl)}
 }
 
 // NewClient implements protocol.Protocol.
@@ -136,16 +136,11 @@ func (p *commitAck) Txn() model.TxnID { return p.TID }
 // A version's store.Version.Meta is the rest of its writer's write set
 // ([]string).
 type server struct {
-	id sim.ProcessID
-	pl *protocol.Placement
-	st *store.Store
+	protocol.ServerCore
 }
 
-func (s *server) ID() sim.ProcessID { return s.id }
-func (s *server) Ready() bool       { return false }
-
 func (s *server) Clone() sim.Process {
-	return &server{id: s.id, pl: s.pl, st: s.st.Clone()}
+	return &server{ServerCore: s.CloneServerCore()}
 }
 
 func valOf(v *store.Version) readVal {
@@ -163,7 +158,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *readReq:
 			resp := &readResp{TID: p.TID}
 			for _, obj := range p.Objs {
-				best := s.st.LatestVisibleByStamp(obj)
+				best := s.ShardStore().LatestVisibleByStamp(obj)
 				if best == nil {
 					resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
 					continue
@@ -175,7 +170,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			resp := &readResp{TID: p.TID}
 			// Prepared-but-uncommitted versions are fetchable: the reader
 			// has proof the transaction committed elsewhere.
-			if v := s.st.Find(p.Object, p.Writer); v != nil {
+			if v := s.ShardStore().Find(p.Object, p.Writer); v != nil {
 				resp.Vals = append(resp.Vals, valOf(v))
 			} else {
 				resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: p.Object, Value: model.Bottom}})
@@ -189,17 +184,17 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 						others = append(others, o)
 					}
 				}
-				s.st.Install(&store.Version{
+				s.ShardStore().Install(&store.Version{
 					Object: w.Object, Value: w.Value, Writer: p.TID,
 					Stamp: vclock.HLCStamp{Wall: p.TS}, Meta: others,
 				})
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID}})
 		case *commitReq:
-			s.st.Commit(p.TID)
+			s.ShardStore().Commit(p.TID)
 			out = append(out, sim.Outbound{To: m.From, Payload: &commitAck{TID: p.TID}})
 		default:
-			panic(fmt.Sprintf("ramp: server %s got %T", s.id, m.Payload))
+			panic(fmt.Sprintf("ramp: server %s got %T", s.ID(), m.Payload))
 		}
 	}
 	return out
@@ -219,15 +214,13 @@ const (
 
 type client struct {
 	protocol.Core
-	clock   int64
-	phase   phase
-	writeTo []sim.ProcessID
-	got     map[string]readVal
+	clock int64
+	phase phase
+	got   map[string]readVal
 }
 
 func (c *client) Clone() sim.Process {
 	cp := &client{Core: c.CloneCore(), clock: c.clock, phase: c.phase}
-	cp.writeTo = append([]sim.ProcessID(nil), c.writeTo...)
 	if c.got != nil {
 		cp.got = make(map[string]readVal, len(c.got))
 		for k, v := range c.got {
@@ -299,15 +292,12 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = preparing
 			c.clock++
 			ws := t.WriteSet()
-			c.writeTo = nil
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
-				c.writeTo = append(c.writeTo, sh.Server)
 				out = c.Send(out, sh.Server, &prepareReq{
 					TID: t.ID, TS: c.clock, Writes: sh.Items, WriteSet: ws,
 				})
 			}
 		}
-		c.SentRound()
 		return out
 	}
 	if c.RoundDone() {
@@ -330,18 +320,15 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					TID: t.ID, Object: o, Writer: repair[o].Ref.Writer,
 				})
 			}
-			c.SentRound()
 		case round2:
 			c.finishRead(now)
 		case preparing:
 			c.phase = committing
-			for _, srv := range c.writeTo {
+			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
 				out = c.Send(out, srv, &commitReq{TID: t.ID})
 			}
-			c.SentRound()
 		case committing:
 			c.phase = idle
-			c.writeTo = nil
 			c.Finish(now)
 		}
 	}
@@ -361,7 +348,3 @@ func (c *client) finishRead(now sim.Time) {
 	c.got = nil
 	c.Finish(now)
 }
-
-// ShardStore exposes the durable version store for the reconfiguration
-// layer's catch-up (protocol.StoreCarrier).
-func (s *server) ShardStore() *store.Store { return s.st }

@@ -46,7 +46,7 @@ func TestRepairRoundFixesFracturedRead(t *testing.T) {
 
 	// A frozen probe freezes the commit to s0 forever: the reader must
 	// still return an ATOMIC pair thanks to the by-writer repair round.
-	res := d.Probe("r0", []string{"X0", "X1"}, []sim.ProcessID{"s0", "s1"}, true)
+	res := d.Probe("r0", []string{"X0", "X1"}, []sim.ProcessID{"s0", "s1"})
 	if res == nil {
 		t.Fatal("probe did not complete — RAMP reads are non-blocking")
 	}

@@ -62,9 +62,9 @@ func (*Protocol) Claims() protocol.Claims {
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
 	return &server{
-		id: id, pl: pl, st: store.New(pl.HostedBy(id)...),
-		skew:    skewOf(id),
-		pending: make(map[model.TxnID]int64),
+		ServerCore: protocol.NewServerCore(id, pl),
+		skew:       skewOf(id),
+		pending:    make(map[model.TxnID]int64),
 	}
 }
 
@@ -132,16 +132,12 @@ type deferredRead struct {
 }
 
 type server struct {
-	id      sim.ProcessID
-	pl      *protocol.Placement
-	st      *store.Store
+	protocol.ServerCore
 	skew    int64
 	pending map[model.TxnID]int64 // prepared-but-uncommitted timestamps
 	parked  []deferredRead        // reads waiting for safe time
 	lastTS  int64                 // monotonicity guard for prepare stamps
 }
-
-func (s *server) ID() sim.ProcessID { return s.id }
 
 // Ready keeps the server schedulable while reads are parked: stepping it
 // advances virtual time, which advances its safe time.
@@ -173,7 +169,7 @@ func (s *server) WakeAt(now sim.Time) (sim.Time, bool) {
 
 func (s *server) Clone() sim.Process {
 	c := &server{
-		id: s.id, pl: s.pl, st: s.st.Clone(), skew: s.skew, lastTS: s.lastTS,
+		ServerCore: s.CloneServerCore(), skew: s.skew, lastTS: s.lastTS,
 		pending: make(map[model.TxnID]int64, len(s.pending)),
 	}
 	for k, v := range s.pending {
@@ -205,7 +201,7 @@ func (s *server) safeTime(now sim.Time) int64 {
 func (s *server) serveRead(from sim.ProcessID, req *readReq) sim.Outbound {
 	resp := &readResp{TID: req.TID}
 	for _, obj := range req.Objs {
-		if v := s.st.SnapshotRead(obj, vclock.HLCStamp{Wall: req.TS}); v != nil {
+		if v := s.ShardStore().SnapshotRead(obj, vclock.HLCStamp{Wall: req.TS}); v != nil {
 			resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer})
 		} else {
 			resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: model.Bottom})
@@ -233,18 +229,18 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			s.lastTS = ts
 			s.pending[p.TID] = ts
 			for _, w := range p.Writes {
-				s.st.Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID})
+				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID})
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID, TS: ts}})
 		case *commitReq:
 			delete(s.pending, p.TID)
-			s.st.CommitAt(p.TID, vclock.HLCStamp{Wall: p.TS})
+			s.ShardStore().CommitAt(p.TID, vclock.HLCStamp{Wall: p.TS})
 			if p.TS > s.lastTS {
 				s.lastTS = p.TS
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: &commitAck{TID: p.TID}})
 		default:
-			panic(fmt.Sprintf("spanner: server %s got %T", s.id, m.Payload))
+			panic(fmt.Sprintf("spanner: server %s got %T", s.ID(), m.Payload))
 		}
 	}
 	// Un-park reads whose timestamp is now safe (pending is settled for
@@ -282,13 +278,10 @@ type client struct {
 	skew     int64
 	phase    phase
 	commitTS int64
-	writeTo  []sim.ProcessID
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), skew: c.skew, phase: c.phase, commitTS: c.commitTS}
-	cp.writeTo = append([]sim.ProcessID(nil), c.writeTo...)
-	return cp
+	return &client{Core: c.CloneCore(), skew: c.skew, phase: c.phase, commitTS: c.commitTS}
 }
 
 // Ready: commit-wait needs steps to observe time passing.
@@ -351,30 +344,26 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, sh := range pl.ReadShares(t.ReadSet) {
 				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, TS: ts})
 			}
-			c.SentRound()
 		} else {
 			c.phase = preparing
 			c.commitTS = 0
-			c.writeTo = nil
 			for _, sh := range pl.WriteShares(t.Writes) {
-				c.writeTo = append(c.writeTo, sh.Server)
 				out = c.Send(out, sh.Server, &prepareReq{TID: t.ID, Writes: sh.Items})
 			}
-			c.SentRound()
 		}
 		return out
 	}
 	if c.RoundDone() {
+		t := c.Current()
 		switch c.phase {
 		case reading:
 			c.phase = idle
 			c.Finish(now)
 		case preparing:
 			c.phase = committing
-			for _, srv := range c.writeTo {
-				out = c.Send(out, srv, &commitReq{TID: c.Current().ID, TS: c.commitTS})
+			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
+				out = c.Send(out, srv, &commitReq{TID: t.ID, TS: c.commitTS})
 			}
-			c.SentRound()
 		case committing:
 			c.phase = commitWait
 		case commitWait:
@@ -383,15 +372,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// order.
 			if int64(now)+c.skew-Epsilon > c.commitTS {
 				c.phase = idle
-				c.writeTo = nil
 				c.Finish(now)
 			}
 		}
 	}
 	return out
 }
-
-// ShardStore exposes the durable version store for the reconfiguration
-// layer's generic catch-up (protocol.StoreCarrier): a replacement server
-// adopts missing versions from live peer replicas before serving.
-func (s *server) ShardStore() *store.Store { return s.st }

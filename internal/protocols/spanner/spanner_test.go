@@ -100,11 +100,11 @@ func TestReadsNeverReturnMixedTransaction(t *testing.T) {
 	}
 	d.Kernel.StepProcess("s1")
 
-	// A reader now probes with thaw allowed (spanner reads block): s0
+	// A reader now probes (spanner reads block): s0
 	// still has the prepare pending, so the read at the snapshot must
 	// wait for the commit — it cannot return a mixed result. With the
 	// commit to s0 frozen forever, the probe must NOT complete.
-	res := d.Probe("r0", []string{"X0", "X1"}, []sim.ProcessID{"s0", "s1"}, true)
+	res := d.Probe("r0", []string{"X0", "X1"}, []sim.ProcessID{"s0", "s1"})
 	if res != nil {
 		v0, v1 := res.Value("X0"), res.Value("X1")
 		if (v0 == "n0") != (v1 == "n1") {

@@ -45,7 +45,7 @@ func (*Protocol) Claims() protocol.Claims {
 
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
-	return &server{id: id, pl: pl, st: store.New(pl.HostedBy(id)...)}
+	return &server{ServerCore: protocol.NewServerCore(id, pl)}
 }
 
 // NewClient implements protocol.Protocol.
@@ -104,15 +104,11 @@ func (p *commitAck) Txn() model.TxnID { return p.TID }
 // --- server ---
 
 type server struct {
-	id sim.ProcessID
-	pl *protocol.Placement
-	st *store.Store
+	protocol.ServerCore
 }
 
-func (s *server) ID() sim.ProcessID { return s.id }
-func (s *server) Ready() bool       { return false }
 func (s *server) Clone() sim.Process {
-	return &server{id: s.id, pl: s.pl, st: s.st.Clone()}
+	return &server{ServerCore: s.CloneServerCore()}
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
@@ -122,7 +118,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *readReq:
 			resp := &readResp{TID: p.TID}
 			for _, obj := range p.Objs {
-				if v := s.st.LatestVisible(obj); v != nil {
+				if v := s.ShardStore().LatestVisible(obj); v != nil {
 					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer})
 				} else {
 					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: model.Bottom})
@@ -131,14 +127,14 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			out = append(out, sim.Outbound{To: m.From, Payload: resp})
 		case *prepareReq:
 			for _, w := range p.Writes {
-				s.st.Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID})
+				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID})
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID}})
 		case *commitReq:
-			s.st.Commit(p.TID)
+			s.ShardStore().Commit(p.TID)
 			out = append(out, sim.Outbound{To: m.From, Payload: &commitAck{TID: p.TID}})
 		default:
-			panic(fmt.Sprintf("twopcfast: server %s got %T", s.id, m.Payload))
+			panic(fmt.Sprintf("twopcfast: server %s got %T", s.ID(), m.Payload))
 		}
 	}
 	return out
@@ -157,14 +153,11 @@ const (
 
 type client struct {
 	protocol.Core
-	phase   phase
-	writeTo []sim.ProcessID // servers involved in the write
+	phase phase
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), phase: c.phase}
-	cp.writeTo = append([]sim.ProcessID(nil), c.writeTo...)
-	return cp
+	return &client{Core: c.CloneCore(), phase: c.phase}
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
@@ -199,19 +192,16 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, sh := range pl.ReadShares(t.ReadSet) {
 				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
 			}
-			c.SentRound()
 		} else {
 			c.phase = preparing
-			c.writeTo = nil
 			for _, sh := range pl.WriteShares(t.Writes) {
 				out = c.Send(out, sh.Server, &prepareReq{TID: t.ID, Writes: sh.Items})
-				c.writeTo = append(c.writeTo, sh.Server)
 			}
-			c.SentRound()
 		}
 		return out
 	}
 	if c.RoundDone() {
+		t := c.Current()
 		switch c.phase {
 		case reading:
 			c.phase = idle
@@ -219,20 +209,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case preparing:
 			// All prepared: commit everywhere.
 			c.phase = committing
-			for _, srv := range c.writeTo {
-				out = c.Send(out, srv, &commitReq{TID: c.Current().ID})
+			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
+				out = c.Send(out, srv, &commitReq{TID: t.ID})
 			}
-			c.SentRound()
 		case committing:
 			c.phase = idle
-			c.writeTo = nil
 			c.Finish(now)
 		}
 	}
 	return out
 }
-
-// ShardStore exposes the durable version store for the reconfiguration
-// layer's generic catch-up (protocol.StoreCarrier): a replacement server
-// adopts missing versions from live peer replicas before serving.
-func (s *server) ShardStore() *store.Store { return s.st }

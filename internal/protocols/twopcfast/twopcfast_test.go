@@ -43,7 +43,7 @@ func TestAtomicPerServerButNotAcrossServers(t *testing.T) {
 	}
 	// Prepared-but-uncommitted: both objects still show the initials.
 	vis := d.VisibleAll("r0", map[string]model.Value{
-		"X0": protocol.InitialValue("X0"), "X1": protocol.InitialValue("X1")}, true)
+		"X0": protocol.InitialValue("X0"), "X1": protocol.InitialValue("X1")})
 	if !vis.Visible {
 		t.Fatalf("prepared values leaked before commit: %+v", vis)
 	}
@@ -61,7 +61,7 @@ func TestAtomicPerServerButNotAcrossServers(t *testing.T) {
 	d.Kernel.StepProcess("s1")
 
 	// The mixed window: s1 committed, s0 not — a fast reader sees it.
-	res := d.Probe("r0", []string{"X0", "X1"}, []sim.ProcessID{"s0", "s1"}, true)
+	res := d.Probe("r0", []string{"X0", "X1"}, []sim.ProcessID{"s0", "s1"})
 	if res == nil {
 		t.Fatal("probe did not complete")
 	}

@@ -48,10 +48,10 @@ func (*Protocol) Claims() protocol.Claims {
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
 	return &server{
-		id: id, pl: pl, st: store.New(pl.HostedBy(id)...),
-		hlc:     &vclock.HLC{},
-		pending: make(map[model.TxnID]vclock.HLCStamp),
-		known:   make(map[sim.ProcessID]vclock.HLCStamp),
+		ServerCore: protocol.NewServerCore(id, pl),
+		hlc:        &vclock.HLC{},
+		pending:    make(map[model.TxnID]vclock.HLCStamp),
+		known:      make(map[sim.ProcessID]vclock.HLCStamp),
 	}
 }
 
@@ -149,9 +149,7 @@ func (p *gossip) Kind() string { return "stable-gossip" }
 // --- server ---
 
 type server struct {
-	id      sim.ProcessID
-	pl      *protocol.Placement
-	st      *store.Store
+	protocol.ServerCore
 	hlc     *vclock.HLC
 	pending map[model.TxnID]vclock.HLCStamp
 	known   map[sim.ProcessID]vclock.HLCStamp
@@ -160,12 +158,9 @@ type server struct {
 	lastGossip vclock.HLCStamp
 }
 
-func (s *server) ID() sim.ProcessID { return s.id }
-func (s *server) Ready() bool       { return false }
-
 func (s *server) Clone() sim.Process {
 	c := &server{
-		id: s.id, pl: s.pl, st: s.st.Clone(), hlc: s.hlc.Clone(),
+		ServerCore: s.CloneServerCore(), hlc: s.hlc.Clone(),
 		pending:    make(map[model.TxnID]vclock.HLCStamp, len(s.pending)),
 		known:      make(map[sim.ProcessID]vclock.HLCStamp, len(s.known)),
 		lastGossip: s.lastGossip,
@@ -195,8 +190,8 @@ func (s *server) localStable() vclock.HLCStamp {
 // cutoff is the minimum stable timestamp across all servers as known here.
 func (s *server) cutoff() vclock.HLCStamp {
 	cut := s.localStable()
-	for _, other := range s.pl.Servers() {
-		if other == s.id {
+	for _, other := range s.Placement().Servers() {
+		if other == s.ID() {
 			continue
 		}
 		ks, heard := s.known[other]
@@ -222,7 +217,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *readReq:
 			resp := &readResp{TID: p.TID}
 			for _, obj := range p.Objs {
-				if v := s.st.SnapshotRead(obj, p.Snap); v != nil {
+				if v := s.ShardStore().SnapshotRead(obj, p.Snap); v != nil {
 					resp.Vals = append(resp.Vals, readVal{
 						Ref:   model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer},
 						Stamp: v.Stamp,
@@ -244,29 +239,29 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			s.pending[p.TID] = ts
 			for _, w := range p.Writes {
-				s.st.Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Stamp: ts})
+				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Stamp: ts})
 			}
 			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID, TS: ts}})
 		case *commitReq:
 			s.hlc.Observe(int64(now), p.TS)
 			delete(s.pending, p.TID)
-			s.st.CommitAt(p.TID, p.TS)
+			s.ShardStore().CommitAt(p.TID, p.TS)
 			out = append(out, sim.Outbound{To: m.From, Payload: &commitAck{TID: p.TID, TS: p.TS}})
 		case *gossip:
 			if cur, heard := s.known[p.From]; !heard || cur.Before(p.Stable) {
 				s.known[p.From] = p.Stable
 			}
 		default:
-			panic(fmt.Sprintf("wren: server %s got %T", s.id, m.Payload))
+			panic(fmt.Sprintf("wren: server %s got %T", s.ID(), m.Payload))
 		}
 	}
 	// Event-driven stabilization: broadcast the local stable time whenever
 	// it advances.
 	if ls := s.localStable(); s.lastGossip.Before(ls) {
 		s.lastGossip = ls
-		for _, other := range s.pl.Servers() {
-			if other != s.id {
-				out = append(out, sim.Outbound{To: other, Payload: &gossip{From: s.id, Stable: ls}})
+		for _, other := range s.Placement().Servers() {
+			if other != s.ID() {
+				out = append(out, sim.Outbound{To: other, Payload: &gossip{From: s.ID(), Stable: ls}})
 			}
 		}
 	}
@@ -297,7 +292,6 @@ type client struct {
 	depTS    vclock.HLCStamp // max timestamp of observed values/commits
 	snap     vclock.HLCStamp
 	maxPrep  vclock.HLCStamp
-	writeTo  []sim.ProcessID
 	cache    map[string]cached // own committed writes (read-your-writes)
 	readVals map[string]readVal
 }
@@ -308,7 +302,6 @@ func (c *client) Clone() sim.Process {
 		depTS: c.depTS, snap: c.snap, maxPrep: c.maxPrep,
 		cache: make(map[string]cached, len(c.cache)),
 	}
-	cp.writeTo = append([]sim.ProcessID(nil), c.writeTo...)
 	for k, v := range c.cache {
 		cp.cache[k] = v
 	}
@@ -360,18 +353,14 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.readVals = make(map[string]readVal)
 			first := c.Placement().PrimaryOf(t.ReadSet[0])
 			out = c.Send(out, first, &stableReq{TID: t.ID})
-			c.SentRound()
 		} else {
 			c.phase = preparing
 			c.maxPrep = vclock.HLCStamp{}
-			c.writeTo = nil
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
-				c.writeTo = append(c.writeTo, sh.Server)
 				out = c.Send(out, sh.Server, &prepareReq{
 					TID: t.ID, Writes: sh.Items, DepTS: c.depTS,
 				})
 			}
-			c.SentRound()
 		}
 		return out
 	}
@@ -384,7 +373,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
 				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap})
 			}
-			c.SentRound()
 		case reading:
 			for _, obj := range t.ReadSet {
 				v := c.readVals[obj]
@@ -404,10 +392,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.Finish(now)
 		case preparing:
 			c.phase = committing
-			for _, srv := range c.writeTo {
+			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
 				out = c.Send(out, srv, &commitReq{TID: t.ID, TS: c.maxPrep})
 			}
-			c.SentRound()
 		case committing:
 			for _, w := range t.Writes {
 				c.cache[w.Object] = cached{Val: w.Value, TID: t.ID, TS: c.maxPrep}
@@ -416,14 +403,8 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				c.depTS = c.maxPrep
 			}
 			c.phase = idle
-			c.writeTo = nil
 			c.Finish(now)
 		}
 	}
 	return out
 }
-
-// ShardStore exposes the durable version store for the reconfiguration
-// layer's generic catch-up (protocol.StoreCarrier): a replacement server
-// adopts missing versions from live peer replicas before serving.
-func (s *server) ShardStore() *store.Store { return s.st }

@@ -62,7 +62,7 @@ func TestNewValuesInvisibleUntilCutoffAdvances(t *testing.T) {
 
 	// Gossip is still in transit: a fresh reader must see the OLD values
 	// for BOTH objects (consistent, just stale) — never a mix.
-	res := d.Probe("r0", []string{"X0", "X1"}, []sim.ProcessID{"s0", "s1"}, true)
+	res := d.Probe("r0", []string{"X0", "X1"}, []sim.ProcessID{"s0", "s1"})
 	if res == nil {
 		t.Fatal("frozen probe did not complete — wren reads must be non-blocking")
 	}
@@ -75,7 +75,7 @@ func TestNewValuesInvisibleUntilCutoffAdvances(t *testing.T) {
 
 	// After gossip settles, the new values must be visible.
 	d.Settle(400_000)
-	vis := d.VisibleAll("r1", map[string]model.Value{"X0": "n0", "X1": "n1"}, true)
+	vis := d.VisibleAll("r1", map[string]model.Value{"X0": "n0", "X1": "n1"})
 	if !vis.Visible {
 		t.Fatalf("new values not visible after settle: %+v", vis)
 	}

@@ -60,11 +60,6 @@ func Run(k *Kernel, sched Scheduler, stop func(*Kernel) bool, maxEvents int) int
 // allowed processes are delivered.
 type Restriction struct {
 	allowed map[ProcessID]bool
-	// deliverFrom lists extra processes whose already-sent messages may
-	// still be delivered even though the processes themselves are frozen
-	// (delivering an old message is a delivery event, not a step of the
-	// sender — Definition 2 executions may include such deliveries).
-	deliverFrom map[ProcessID]bool
 }
 
 // Restrict builds a Restriction allowing only the listed processes.
@@ -76,28 +71,15 @@ func Restrict(ids ...ProcessID) *Restriction {
 	return r
 }
 
-// AllowDeliveriesFrom additionally permits delivering in-transit messages
-// sent by the listed (otherwise frozen) processes. Returns r for chaining.
-func (r *Restriction) AllowDeliveriesFrom(ids ...ProcessID) *Restriction {
-	if r.deliverFrom == nil {
-		r.deliverFrom = make(map[ProcessID]bool, len(ids))
-	}
-	for _, id := range ids {
-		r.deliverFrom[id] = true
-	}
-	return r
-}
-
 // AllowsProc reports whether the process may take steps.
 func (r *Restriction) AllowsProc(id ProcessID) bool {
 	return r == nil || r.allowed[id]
 }
 
-// AllowsMsg reports whether the message may be delivered. The destination
-// must be an allowed process; the source must be allowed or listed via
-// AllowDeliveriesFrom.
+// AllowsMsg reports whether the message may be delivered: both its source
+// and its destination must be allowed processes.
 func (r *Restriction) AllowsMsg(m *Message) bool {
-	return r == nil || ((r.allowed[m.From] || r.deliverFrom[m.From]) && r.allowed[m.To])
+	return r == nil || (r.allowed[m.From] && r.allowed[m.To])
 }
 
 // enabled lists the currently enabled actions under a restriction, in a

@@ -43,17 +43,17 @@ func FilterProcessSteps(script []ScriptStep, pid ProcessID, sentBefore map[Link]
 	return out
 }
 
-// StepsBy returns only the steps taken by pid (and the deliveries *to* pid
-// needed to feed those steps when includeDeliveries is set). This builds
-// the paper's β_s: "the subsequence of β'_s containing only steps by p".
-func StepsBy(script []ScriptStep, pid ProcessID, includeDeliveries bool) []ScriptStep {
+// StepsBy returns only the steps taken by pid and the deliveries *to* pid
+// needed to feed those steps. This builds the paper's β_s: "the
+// subsequence of β'_s containing only steps by p".
+func StepsBy(script []ScriptStep, pid ProcessID) []ScriptStep {
 	var out []ScriptStep
 	for _, st := range script {
 		if st.Kind == ActStep && st.Proc == pid {
 			out = append(out, st)
 			continue
 		}
-		if includeDeliveries && st.Kind == ActDeliver && st.Link.To == pid {
+		if st.Kind == ActDeliver && st.Link.To == pid {
 			out = append(out, st)
 		}
 	}
