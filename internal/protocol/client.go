@@ -149,6 +149,9 @@ func (c *Core) Reply(p TxnPayload) bool {
 // reply its current round awaits has arrived.
 func (c *Core) RoundDone() bool { return c.Started() && c.pending == 0 }
 
+// Rounds returns the number of rounds the active transaction has opened.
+func (c *Core) Rounds() int { return c.rounds }
+
 // complete records res and activates the next queued transaction, if any.
 func (c *Core) complete(res *model.Result) {
 	c.finished = append(c.finished, res)

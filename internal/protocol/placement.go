@@ -196,16 +196,13 @@ func addToShare[T any](out []Share[T], srv sim.ProcessID, item T) []Share[T] {
 
 // ServersFor returns the sorted union of replicas of the given objects.
 func (p *Placement) ServersFor(objects []string) []sim.ProcessID {
-	seen := make(map[sim.ProcessID]bool)
 	var out []sim.ProcessID
 	for _, o := range objects {
 		for _, s := range p.replicas[o] {
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
+			if i, found := slices.BinarySearch(out, s); !found {
+				out = slices.Insert(out, i, s)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

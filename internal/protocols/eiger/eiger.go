@@ -258,13 +258,12 @@ type client struct {
 	phase    phase
 	depTS    int64
 	commitTS int64
-	rounds   int
 	got      map[string]readVal
 }
 
 func (c *client) Clone() sim.Process {
 	cp := &client{Core: c.CloneCore(), phase: c.phase,
-		depTS: c.depTS, commitTS: c.commitTS, rounds: c.rounds}
+		depTS: c.depTS, commitTS: c.commitTS}
 	if c.got != nil {
 		cp.got = make(map[string]readVal, len(c.got))
 		for k, v := range c.got {
@@ -280,7 +279,6 @@ func (c *client) sendReads(at int64) []sim.Outbound {
 	for _, sh := range c.Placement().ReadShares(t.ReadSet) {
 		out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, At: at})
 	}
-	c.rounds++
 	return out
 }
 
@@ -348,7 +346,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 		if t.IsReadOnly() {
 			c.phase = reading
-			c.rounds = 0
 			c.got = make(map[string]readVal)
 			out = append(out, c.sendReads(0)...)
 		} else {
@@ -366,7 +363,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		switch c.phase {
 		case reading:
-			if eff := c.effTime(); eff > 0 && !c.settled(eff) && c.rounds < MaxReadRounds {
+			if eff := c.effTime(); eff > 0 && !c.settled(eff) && c.Rounds() < MaxReadRounds {
 				// Second round, read-at-time: re-request the snapshot at the
 				// effective time. The servers observe eff into their clocks,
 				// so the retry either settles every object at eff or keeps
