@@ -83,6 +83,12 @@ func TestServersForUnion(t *testing.T) {
 	if len(srvs) != 2 || srvs[0] != "s0" || srvs[1] != "s2" {
 		t.Fatalf("ServersFor = %v", srvs)
 	}
+	// Overlapping replica sets, objects out of server order: each server
+	// once, sorted.
+	pl = NewPlacement(map[string][]sim.ProcessID{"A": {"s2", "s0"}, "B": {"s1", "s2"}})
+	if srvs := pl.ServersFor([]string{"B", "A", "B"}); fmt.Sprint(srvs) != "[s0 s1 s2]" {
+		t.Fatalf("ServersFor = %v", srvs)
+	}
 }
 
 func TestPlacementPanicsOnUnknown(t *testing.T) {
@@ -161,8 +167,8 @@ func TestCoreRound(t *testing.T) {
 	c.Starting(1)
 	out := c.Send(nil, "s0", &roundMsg{tid: id})
 	out = c.Send(out, "s1", &roundMsg{tid: id})
-	if len(out) != 2 || out[1].To != "s1" || c.Ready() || c.RoundDone() {
-		t.Fatalf("after two sends: out = %v, ready = %v, done = %v", out, c.Ready(), c.RoundDone())
+	if len(out) != 2 || out[1].To != "s1" || c.Ready() || c.RoundDone() || c.Rounds() != 1 {
+		t.Fatalf("after two sends: out = %v, ready = %v, done = %v, rounds = %d", out, c.Ready(), c.RoundDone(), c.Rounds())
 	}
 	if c.Reply(&roundMsg{tid: model.TxnID{Client: "cX", Seq: 9}}) {
 		t.Fatal("reply for another transaction counted")
