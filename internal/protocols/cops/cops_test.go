@@ -1,8 +1,11 @@
 package cops_test
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
+	"repro/internal/history"
 	"repro/internal/model"
 	"repro/internal/protocols/cops"
 	"repro/internal/protocols/ptest"
@@ -55,6 +58,69 @@ func TestSecondRoundRepairsDependencyInversion(t *testing.T) {
 	}
 	if res.Rounds < 2 {
 		t.Fatalf("expected a repair round, got rounds=%d values=%v", res.Rounds, res.Values)
+	}
+}
+
+// TestSecondRoundUnderRandomSchedules reaches the repair round without a
+// hand-built schedule: c0 alternates X0 and X1 writes, each depending on
+// the one before, while c1 and c2 run ROTs on {X0, X1}, all pipelined
+// under a random schedule per seed. Some ROT must see a new X1 beside an
+// X0 older than X1's dependency and take a second round, and every
+// history must certify causal. The count of two-round ROTs and a digest
+// of every result pin the repair path byte for byte.
+func TestSecondRoundUnderRandomSchedules(t *testing.T) {
+	const seeds, writes, rots = 64, 48, 24
+	twoRound := 0
+	digest := sha256.New()
+	for seed := int64(1); seed <= seeds; seed++ {
+		d := ptest.Deploy(t, cops.New(), ptest.Expect{}, seed)
+		ids := make(map[sim.ProcessID][]model.TxnID)
+		for i := 0; i < writes; i++ {
+			w := model.Write{Object: fmt.Sprintf("X%d", i%2), Value: model.Value(fmt.Sprintf("v%d.%d", seed, i))}
+			ids["c0"] = append(ids["c0"], d.Invoke("c0", model.NewWriteOnly(model.TxnID{}, w)))
+		}
+		readers := []sim.ProcessID{"c1", "c2"}
+		for i := 0; i < rots; i++ {
+			for _, c := range readers {
+				ids[c] = append(ids[c], d.Invoke(c, model.NewReadOnly(model.TxnID{}, "X0", "X1")))
+			}
+		}
+		clients := append([]sim.ProcessID{"c0"}, readers...)
+		sim.Run(d.Kernel, sim.NewRandom(seed), func(*sim.Kernel) bool {
+			for _, c := range clients {
+				if d.Client(c).Busy() {
+					return false
+				}
+			}
+			return true
+		}, 2_000_000)
+
+		h := history.New(d.Initials())
+		for _, c := range clients {
+			for _, id := range ids[c] {
+				res := d.Client(c).Finished(id)
+				if !res.OK() {
+					t.Fatalf("seed %d: %v did not commit: %v", seed, id, res)
+				}
+				h.AddResult(res)
+				if res.Txn.IsReadOnly() && res.Rounds >= 2 {
+					twoRound++
+				}
+				fmt.Fprintf(digest, "%v %v %d\n", id, res.Values, res.Rounds)
+			}
+		}
+		if v := history.CheckCausal(h); !v.OK {
+			t.Fatalf("seed %d: history not causal: %s\n%s", seed, v.Reason, h)
+		}
+	}
+	got := fmt.Sprintf("%x", digest.Sum(nil))[:16]
+	t.Logf("two-round ROTs %d of %d, digest %s", twoRound, seeds*rots*2, got)
+	if twoRound == 0 {
+		t.Fatal("no ROT took the repair round")
+	}
+	const wantTwoRound, wantDigest = 8, "bf050075b0f5fd65"
+	if twoRound != wantTwoRound || got != wantDigest {
+		t.Fatalf("two-round ROTs %d, digest %s; pinned %d, %s", twoRound, got, wantTwoRound, wantDigest)
 	}
 }
 
