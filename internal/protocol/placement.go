@@ -102,6 +102,16 @@ func (p *Placement) Objects() []string {
 	return append([]string(nil), p.objects...)
 }
 
+// ObjectIndex returns obj's position in Objects(), a dense index for
+// per-object vectors.
+func (p *Placement) ObjectIndex(obj string) int {
+	i, ok := slices.BinarySearch(p.objects, obj)
+	if !ok {
+		panic(fmt.Sprintf("protocol: no placement for object %s", obj))
+	}
+	return i
+}
+
 // ReplicasOf returns the servers hosting obj, primary first. Nil if unknown.
 func (p *Placement) ReplicasOf(obj string) []sim.ProcessID {
 	return append([]sim.ProcessID(nil), p.replicas[obj]...)

@@ -77,6 +77,15 @@ func TestServerIndexStable(t *testing.T) {
 	}
 }
 
+func TestObjectIndexMatchesObjects(t *testing.T) {
+	pl := Disjoint(3, 4) // X10 sorts before X2
+	for i, obj := range pl.Objects() {
+		if got := pl.ObjectIndex(obj); got != i {
+			t.Fatalf("ObjectIndex(%s) = %d, want %d", obj, got, i)
+		}
+	}
+}
+
 func TestServersForUnion(t *testing.T) {
 	pl := Disjoint(3, 1)
 	srvs := pl.ServersFor([]string{"X0", "X2"})
@@ -96,6 +105,7 @@ func TestPlacementPanicsOnUnknown(t *testing.T) {
 	for _, fn := range []func(){
 		func() { pl.PrimaryOf("nope") },
 		func() { pl.ServerIndex("s99") },
+		func() { pl.ObjectIndex("nope") },
 	} {
 		func() {
 			defer func() {

@@ -2,7 +2,7 @@
 // single-object writes carrying explicit dependency metadata, and get-
 // transactions (read-only transactions) that are non-blocking and take at
 // most two rounds — the first round optimistically fetches the latest
-// value of every object plus its dependency list; if the returned versions
+// value of every object plus its dependencies; if the returned versions
 // are mutually inconsistent (some value depends on a newer version of
 // another object than the one returned), a second round fetches the
 // specific missing versions. Each message carries at most one value per
@@ -13,8 +13,6 @@ package cops
 import (
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 
 	"repro/internal/model"
 	"repro/internal/protocol"
@@ -52,12 +50,80 @@ func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Cl
 	return &client{Core: protocol.NewCore(id, pl)}
 }
 
-// depRef names a specific version: object, writer and per-object sequence.
-// A version's dependency list ([]depRef) is its store.Version.Meta.
-type depRef struct {
-	Object string
-	Writer model.TxnID
-	Seq    int64
+// leafSize is how many objects one dependency leaf covers.
+const leafSize = 16
+
+// leaf holds the dependency sequences of leafSize consecutive objects. It
+// holds no pointers, so the collector never scans it.
+type leaf [leafSize]int64
+
+// deps is a dependency vector: entry i is the sequence of the newest
+// version of the placement's i-th object (Objects() order) depended on,
+// 0 for none. A nil or missing leaf reads as zeros. The vectors a client
+// sends share their leaves, and a leaf is never written once sent (a
+// payload's %#v shows leaf addresses, so TestContextMatchesReference is
+// what checks this). A version's deps is its store.Version.Meta.
+type deps []*leaf
+
+// seq returns entry i.
+func (d deps) seq(i int) int64 {
+	if l := i / leafSize; l < len(d) && d[l] != nil {
+		return d[l][i%leafSize]
+	}
+	return 0
+}
+
+// causalContext is a client's causal context: the deps it would send now.
+// It writes its leaves in place, but copies a leaf the first time it
+// changes one that a snapshot shares.
+type causalContext struct {
+	vec   deps
+	owned []bool // owned[l]: vec[l] is in no snapshot, so writable
+}
+
+// set makes entry i seq.
+func (c *causalContext) set(i int, seq int64) {
+	l := i / leafSize
+	if grow := l + 1 - len(c.vec); grow > 0 {
+		c.vec = append(c.vec, make(deps, grow)...)
+		c.owned = append(c.owned, make([]bool, grow)...)
+	}
+	if !c.owned[l] {
+		fresh := new(leaf)
+		if c.vec[l] != nil {
+			*fresh = *c.vec[l]
+		}
+		c.vec[l], c.owned[l] = fresh, true
+	}
+	c.vec[l][i%leafSize] = seq
+}
+
+// observe raises entry i to seq.
+func (c *causalContext) observe(i int, seq int64) {
+	if seq > c.vec.seq(i) {
+		c.set(i, seq)
+	}
+}
+
+// snapshot returns the context as it stands. It shares every leaf, so
+// the context owns none of them afterwards.
+func (c *causalContext) snapshot() deps {
+	clear(c.owned)
+	return slices.Clone(c.vec)
+}
+
+// clone returns an independent copy without writing the receiver: leaves
+// a snapshot shares stay shared, and the ones the receiver still owns are
+// copied for the clone to own.
+func (c *causalContext) clone() causalContext {
+	cp := causalContext{vec: slices.Clone(c.vec), owned: slices.Clone(c.owned)}
+	for l, own := range c.owned {
+		if own {
+			fresh := *c.vec[l]
+			cp.vec[l] = &fresh
+		}
+	}
+	return cp
 }
 
 // --- payloads ---
@@ -73,7 +139,7 @@ func (p *readReq) Txn() model.TxnID { return p.TID }
 type readVal struct {
 	Ref  model.ValueRef
 	Seq  int64
-	Deps []depRef
+	Deps deps
 }
 
 type readResp struct {
@@ -104,7 +170,7 @@ func (p *readAtReq) Txn() model.TxnID { return p.TID }
 type writeReq struct {
 	TID  model.TxnID
 	W    model.Write
-	Deps []depRef
+	Deps deps
 }
 
 func (p *writeReq) Kind() string     { return "write-req" }
@@ -132,7 +198,7 @@ func valOf(v *store.Version) readVal {
 	return readVal{
 		Ref:  model.ValueRef{Object: v.Object, Value: v.Value, Writer: v.Writer},
 		Seq:  v.Seq,
-		Deps: v.Meta.([]depRef),
+		Deps: v.Meta.(deps),
 	}
 }
 
@@ -185,54 +251,29 @@ const (
 type client struct {
 	protocol.Core
 	phase phase
-	ctx   []depRef // causal context: latest observed version per object, sorted by object
-	got   map[string]readVal
+	ctx   causalContext
+	got   []slot // the active ROT's, aligned with its ReadSet
+}
+
+// slot is one object of the active ROT's read set: its index in the
+// context and the newest version of it fetched so far (zero, which reads
+// as ⊥, until one arrives).
+type slot struct {
+	obj int
+	v   readVal
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), phase: c.phase, ctx: c.ctxList()}
-	if c.got != nil {
-		cp.got = make(map[string]readVal, len(c.got))
-		for k, v := range c.got {
-			cp.got[k] = v
-		}
-	}
-	return cp
+	return &client{Core: c.CloneCore(), phase: c.phase, ctx: c.ctx.clone(), got: slices.Clone(c.got)}
 }
 
-func (c *client) observe(v readVal) {
-	if cur, seen := c.ctxSlot(v.Ref.Object); !seen || v.Seq > cur.Seq {
-		*cur = depRef{Object: v.Ref.Object, Writer: v.Ref.Writer, Seq: v.Seq}
-	}
-}
-
-// ctxSlot returns obj's entry in the context, opening one at its sorted
-// position if obj is new, so the context never needs re-sorting.
-func (c *client) ctxSlot(obj string) (slot *depRef, seen bool) {
-	i, seen := slices.BinarySearchFunc(c.ctx, obj, func(d depRef, obj string) int { return strings.Compare(d.Object, obj) })
-	if !seen {
-		c.ctx = slices.Insert(c.ctx, i, depRef{Object: obj})
-	}
-	return &c.ctx[i], seen
-}
-
-// ctxList returns a copy of the context, in object order.
-func (c *client) ctxList() []depRef { return append([]depRef(nil), c.ctx...) }
-
-// inconsistencies returns, per object, the minimum sequence required by
-// the dependencies of the fetched versions that the fetched snapshot does
-// not meet.
-func (c *client) inconsistencies() map[string]int64 {
-	need := make(map[string]int64)
-	for _, v := range c.got {
-		for _, d := range v.Deps {
-			have, fetched := c.got[d.Object]
-			if !fetched {
-				continue // dependency outside the read set: irrelevant
-			}
-			if have.Seq < d.Seq && need[d.Object] < d.Seq {
-				need[d.Object] = d.Seq
-			}
+// need returns the newest sequence of slot b's object that a fetched
+// version depends on, if slot b holds an older one, and 0 otherwise.
+func (c *client) need(b int) int64 {
+	var need int64
+	for _, a := range c.got {
+		if d := a.v.Deps.seq(c.got[b].obj); d > c.got[b].v.Seq && d > need {
+			need = d
 		}
 	}
 	return need
@@ -245,16 +286,15 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *readResp:
 			if (c.phase == round1 || c.phase == round2) && c.Reply(p) {
 				for _, v := range p.Vals {
-					if cur, fetched := c.got[v.Ref.Object]; !fetched || v.Seq > cur.Seq {
-						c.got[v.Ref.Object] = v
+					if s := &c.got[slices.Index(c.Current().ReadSet, v.Ref.Object)]; v.Seq > s.v.Seq {
+						s.v = v
 					}
 				}
 			}
 		case *writeResp:
 			if c.phase == writing && c.Reply(p) {
 				w := c.Current().Writes[len(c.Current().Writes)-1]
-				slot, _ := c.ctxSlot(w.Object)
-				*slot = depRef{Object: w.Object, Writer: p.TID, Seq: p.Seq}
+				c.ctx.set(c.Placement().ObjectIndex(w.Object), p.Seq)
 			}
 		}
 	}
@@ -270,7 +310,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 		if t.IsReadOnly() {
 			c.phase = round1
-			c.got = make(map[string]readVal)
+			for _, obj := range t.ReadSet {
+				c.got = append(c.got, slot{obj: c.Placement().ObjectIndex(obj)})
+			}
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
 				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
 			}
@@ -278,7 +320,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = writing
 			w := t.Writes[len(t.Writes)-1]
 			out = c.Send(out, c.Placement().PrimaryOf(w.Object), &writeReq{
-				TID: t.ID, W: w, Deps: c.ctxList(),
+				TID: t.ID, W: w, Deps: c.ctx.snapshot(),
 			})
 		}
 		return out
@@ -287,22 +329,18 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		switch c.phase {
 		case round1:
-			need := c.inconsistencies()
-			if len(need) == 0 {
+			// Second round: fetch the newer versions that fetched values
+			// depend on, in ReadSet (sorted) order.
+			for i, obj := range t.ReadSet {
+				if need := c.need(i); need > 0 {
+					c.phase = round2
+					out = c.Send(out, c.Placement().PrimaryOf(obj), &readAtReq{
+						TID: t.ID, Object: obj, MinSeq: need,
+					})
+				}
+			}
+			if c.phase == round1 {
 				c.finishRead(now)
-				return out
-			}
-			// Second round: fetch the specific newer versions.
-			c.phase = round2
-			objs := make([]string, 0, len(need))
-			for o := range need {
-				objs = append(objs, o)
-			}
-			sort.Strings(objs)
-			for _, o := range objs {
-				out = c.Send(out, c.Placement().PrimaryOf(o), &readAtReq{
-					TID: t.ID, Object: o, MinSeq: need[o],
-				})
 			}
 		case round2:
 			c.finishRead(now)
@@ -315,15 +353,15 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 }
 
 func (c *client) finishRead(now sim.Time) {
-	t := c.Current()
-	for _, obj := range t.ReadSet {
-		v := c.got[obj]
+	for i, obj := range c.Current().ReadSet {
+		v := c.got[i].v
 		c.Result().Values[obj] = v.Ref.Value
 		if v.Ref.Value != model.Bottom {
-			c.observe(v)
+			c.ctx.observe(c.got[i].obj, v.Seq)
 		}
 	}
 	c.phase = idle
-	c.got = nil
+	clear(c.got)
+	c.got = c.got[:0]
 	c.Finish(now)
 }
