@@ -96,6 +96,16 @@ func (b bitset) forEachAnd(o bitset, f func(i int)) {
 	}
 }
 
+// forEachAndNot calls f for every element of b ∖ o in ascending order
+// (capacities must match). f must not add to either set.
+func (b bitset) forEachAndNot(o bitset, f func(i int)) {
+	for w, word := range b {
+		for word &^= o[w]; word != 0; word &= word - 1 {
+			f(w<<6 + bits.TrailingZeros64(word))
+		}
+	}
+}
+
 // clone returns an independent copy.
 func (b bitset) clone() bitset {
 	out := make(bitset, len(b))

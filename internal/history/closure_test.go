@@ -305,3 +305,52 @@ func TestOrderClosureMatchesReachability(t *testing.T) {
 		}
 	}
 }
+
+// FuzzOrderClosure decodes bytes into closure operations and holds the
+// closure to the reachability oracle after each: the first byte sets the
+// starting node count (1–130), then every op byte is followed by its
+// arguments — an edge takes two node bytes, a branch a count and that
+// many edges, a retirement a byte picking among the current sources.
+func FuzzOrderClosure(f *testing.F) {
+	f.Add([]byte{4, 4, 0, 1, 5, 1, 2, 6, 0, 2, 7, 2, 0, 3})
+	f.Add([]byte{63, 0, 0, 4, 0, 63, 4, 63, 64, 4, 64, 0, 3, 1, 0, 3})
+	f.Add([]byte{129, 2, 3, 0, 65, 65, 128, 128, 1, 4, 129, 0, 5, 1, 129, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		o := newClosureOracle(t, 1+int(data[0])%130)
+		data = data[1:]
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			v := int(data[0])
+			data = data[1:]
+			return v
+		}
+		node := func() int { return next() % len(o.out) }
+		for len(data) > 0 {
+			switch next() % 8 {
+			case 0:
+				if len(o.out) < 130 {
+					o.addNode()
+					o.check(o.c)
+				}
+			case 1:
+				src := o.sources()
+				o.retire(src[next()%len(src)])
+			case 2:
+				edges := make([][2]int, 1+next()%4)
+				for i := range edges {
+					edges[i] = [2]int{node(), node()}
+				}
+				o.branch(edges)
+			case 3:
+				o.extend()
+			default:
+				o.edge(node(), node())
+			}
+		}
+	})
+}

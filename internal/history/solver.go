@@ -113,6 +113,13 @@ func (c *orderClosure) retire(t int) {
 
 // addEdge orders a strictly before b and re-closes transitively.
 // It reports false on conflict (b is already ordered before a).
+//
+// Only rows that lack the result are visited (Italiano's rule): in a
+// closed order x ≺ b already gives succ(x) ⊇ succ(b) ∪ {b}, and a ≺ y
+// gives pred(y) ⊇ pred(a) ∪ {a}, so the successor side touches
+// pred(a) ∖ pred(b) and the predecessor side the y ∈ succ(b) with
+// a ∉ pred(y). Each phase reads the other side's rows before changing
+// them: the successor side takes pred(b) before pred(b) gains pred(a).
 func (c *orderClosure) addEdge(a, b int) bool {
 	if a == b {
 		return false
@@ -129,33 +136,36 @@ func (c *orderClosure) addEdge(a, b int) bool {
 	// unions over the whole row.
 	if c.succ[b].empty() {
 		c.succ[a].set(b)
-		c.pred[a].forEach(func(x int) { c.succ[x].set(b) })
+		c.pred[a].forEachAndNot(c.pred[b], func(x int) { c.succ[x].set(b) })
 		c.pred[b].or(c.pred[a])
 		c.pred[b].set(a)
 		return true
 	}
 	if c.pred[a].empty() {
+		c.succ[b].forEachAndNot(c.succ[a], func(y int) { c.pred[y].set(a) })
 		c.succ[a].or(c.succ[b])
 		c.succ[a].set(b)
 		c.pred[b].set(a)
-		c.succ[b].forEach(func(y int) { c.pred[y].set(a) })
 		return true
 	}
 	// Everything at or before a precedes everything at or after b.
-	after := c.succ[b]
+	before, after := c.pred[a], c.succ[b]
 	update := func(x int) {
 		c.succ[x].or(after)
 		c.succ[x].set(b)
 	}
 	update(a)
-	c.pred[a].forEach(update)
-	before := c.pred[a]
+	before.forEachAndNot(c.pred[b], update)
 	updateP := func(y int) {
 		c.pred[y].or(before)
 		c.pred[y].set(a)
 	}
 	updateP(b)
-	after.forEach(updateP)
+	after.forEach(func(y int) {
+		if !c.pred[y].has(a) {
+			updateP(y)
+		}
+	})
 	return true
 }
 
