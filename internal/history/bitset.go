@@ -106,6 +106,19 @@ func (b bitset) forEachAndNot(o bitset, f func(i int)) {
 	}
 }
 
+// transpose64 transposes a 64×64 bit matrix in place: bit k of row j
+// moves to bit j of row k (recursive block swaps, Hacker's Delight 7-3).
+func transpose64(a *[64]uint64) {
+	m := uint64(0x00000000FFFFFFFF)
+	for j := 32; j != 0; j, m = j>>1, m^(m<<(j>>1)) {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			t := (a[k]>>uint(j) ^ a[k+j]) & m
+			a[k+j] ^= t
+			a[k] ^= t << uint(j)
+		}
+	}
+}
+
 // clone returns an independent copy.
 func (b bitset) clone() bitset {
 	out := make(bitset, len(b))

@@ -95,3 +95,28 @@ func TestBitsetContainsAll(t *testing.T) {
 		t.Fatal("missing element 64 not detected")
 	}
 }
+
+// TestTranspose64 checks the in-place bit-matrix transpose against the
+// definition on random and single-bit matrices.
+func TestTranspose64(t *testing.T) {
+	rng := genRNG(64)
+	for trial := 0; trial < 200; trial++ {
+		var a [64]uint64
+		if trial < 64 {
+			a[trial] = 1 << uint(63-trial/2)
+		} else {
+			for j := range a {
+				a[j] = uint64(rng.next(1<<30))<<34 ^ uint64(rng.next(1<<30))<<4 ^ uint64(rng.next(16))
+			}
+		}
+		in := a
+		transpose64(&a)
+		for j := 0; j < 64; j++ {
+			for k := 0; k < 64; k++ {
+				if in[j]>>uint(k)&1 != a[k]>>uint(j)&1 {
+					t.Fatalf("trial %d: bit %d of row %d did not move to bit %d of row %d", trial, k, j, j, k)
+				}
+			}
+		}
+	}
+}

@@ -306,8 +306,202 @@ func TestOrderClosureMatchesReachability(t *testing.T) {
 	}
 }
 
+// deferredTwin applies every operation to an eager closure and to one
+// deferring its successor columns. After each, the deferred closure must
+// answer every has query, refuse the same edges and hold the same pred
+// rows; its succ rows may lack only deferred columns, and once flushed
+// they must equal the eager rows.
+type deferredTwin struct {
+	t         testing.TB
+	e, d      *orderClosure
+	words     int
+	op        string
+	autoFlush int // inserts that reached 64 deferred columns and flushed
+}
+
+func newDeferredTwin(t testing.TB, nodes int) *deferredTwin {
+	tw := &deferredTwin{t: t, e: &orderClosure{}, d: &orderClosure{}, words: 1}
+	tw.d.deferColumns()
+	for i := 0; i < nodes; i++ {
+		tw.addNode()
+	}
+	return tw
+}
+
+func (tw *deferredTwin) addNode() {
+	tw.op = "addNode"
+	if len(tw.e.succ) == tw.words*64 {
+		tw.words++
+		tw.e.growWords(tw.words)
+		tw.d.growWords(tw.words)
+	}
+	tw.e.addNode(tw.words)
+	tw.d.addNode(tw.words)
+	tw.compare(tw.e, tw.d)
+}
+
+func (tw *deferredTwin) compare(e, d *orderClosure) {
+	tw.t.Helper()
+	if d.nLazy != d.lazy.count() {
+		tw.t.Fatalf("%s: nLazy %d, %d columns deferred", tw.op, d.nLazy, d.lazy.count())
+	}
+	for i := range e.succ {
+		if !slices.Equal(d.pred[i], e.pred[i]) {
+			tw.t.Fatalf("%s: deferred pred[%d] = %v, eager %v", tw.op, i, d.pred[i], e.pred[i])
+		}
+		if !e.succ[i].containsAll(d.succ[i]) {
+			tw.t.Fatalf("%s: deferred succ[%d] = %v holds more than eager %v", tw.op, i, d.succ[i], e.succ[i])
+		}
+		for w := range e.succ[i] {
+			if e.succ[i][w]&^d.lazy[w]&^d.succ[i][w] != 0 {
+				tw.t.Fatalf("%s: deferred succ[%d] = %v lacks an undeferred bit of %v", tw.op, i, d.succ[i], e.succ[i])
+			}
+		}
+		if d.succ[i].empty() != e.succ[i].empty() {
+			tw.t.Fatalf("%s: succ[%d] empty %v deferred, %v eager", tw.op, i, d.succ[i].empty(), e.succ[i].empty())
+		}
+		for j := range e.succ {
+			if d.has(i, j) != e.succ[i].has(j) {
+				tw.t.Fatalf("%s: has(%d, %d) = %v deferred, %v eager", tw.op, i, j, d.has(i, j), e.succ[i].has(j))
+			}
+		}
+	}
+}
+
+func (tw *deferredTwin) edge(a, b int) {
+	tw.t.Helper()
+	tw.op = fmt.Sprintf("edge %d→%d", a, b)
+	full := tw.d.nLazy == 63
+	ge, gd := tw.e.addEdge(a, b), tw.d.addEdge(a, b)
+	if ge != gd {
+		tw.t.Fatalf("%s: addEdge = %v deferred, %v eager", tw.op, gd, ge)
+	}
+	if full && tw.d.nLazy == 0 {
+		tw.autoFlush++
+	}
+	tw.compare(tw.e, tw.d)
+}
+
+func (tw *deferredTwin) retire(t int) {
+	tw.t.Helper()
+	tw.op = fmt.Sprintf("retire %d", t)
+	tw.e.retire(t)
+	tw.d.retire(t)
+	tw.compare(tw.e, tw.d)
+}
+
+func (tw *deferredTwin) branch(edges [][2]int) {
+	tw.t.Helper()
+	se, sd := tw.e.clone(), tw.d.clone()
+	for _, e := range edges {
+		tw.edge(e[0], e[1])
+	}
+	tw.op = "clone after branch"
+	tw.compare(se, sd)
+	tw.e.copyFrom(se)
+	tw.d.copyFrom(sd)
+	tw.op = "copyFrom"
+	tw.compare(tw.e, tw.d)
+}
+
+// settle flushes the deferred closure: its rows must then be the eager
+// ones, and so must its linear extension.
+func (tw *deferredTwin) settle() {
+	tw.t.Helper()
+	if got, want := extendClosure(tw.d), extendClosure(tw.e); !slices.Equal(got, want) {
+		tw.t.Fatalf("extendClosure = %v deferred, %v eager", got, want)
+	}
+	tw.op = "flush"
+	if tw.d.nLazy != 0 {
+		tw.t.Fatalf("%s: %d columns still deferred", tw.op, tw.d.nLazy)
+	}
+	for i := range tw.e.succ {
+		if !slices.Equal(tw.d.succ[i], tw.e.succ[i]) {
+			tw.t.Fatalf("%s: succ[%d] = %v, eager %v", tw.op, i, tw.d.succ[i], tw.e.succ[i])
+		}
+	}
+}
+
+// TestDeferredColumnsMatchEager drives the deferred closure through the
+// operations TestOrderClosureMatchesReachability holds the eager one to
+// — with far more successor-free heads, so that 64 columns wait and
+// flush on their own — and compares the two after every step.
+func TestDeferredColumnsMatchEager(t *testing.T) {
+	for _, n := range []int{5, 64, 65, 130, 200} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("n%d/seed%d", n, seed), func(t *testing.T) {
+				rng := genRNG(seed*6151 + int64(n))
+				tw := newDeferredTwin(t, min(n, 3))
+				m := func() int { return len(tw.e.succ) }
+				pick := func(from []int) int { return from[rng.next(len(from))] }
+				sinks := func() []int {
+					var out []int
+					for i, row := range tw.e.succ {
+						if row.empty() {
+							out = append(out, i)
+						}
+					}
+					return out
+				}
+				sources := func() []int {
+					var out []int
+					for i, row := range tw.e.pred {
+						if row.empty() {
+							out = append(out, i)
+						}
+					}
+					return out
+				}
+				edgeFor := func() [2]int {
+					switch k := rng.next(8); {
+					case k < 4: // into a node with no successors yet
+						return [2]int{rng.next(m()), pick(sinks())}
+					case k < 5: // out of a node with no predecessors
+						return [2]int{pick(sources()), rng.next(m())}
+					case k < 6: // closing a cycle (or a self-loop)
+						a := rng.next(m())
+						var anc []int
+						tw.e.pred[a].forEach(func(x int) { anc = append(anc, x) })
+						return [2]int{a, pick(append(anc, a))}
+					default:
+						a, b := rng.next(m()), rng.next(m())
+						if a > b && rng.next(3) > 0 {
+							a, b = b, a
+						}
+						return [2]int{a, b}
+					}
+				}
+				for step := 0; step < 8*n; step++ {
+					switch k := rng.next(40); {
+					case k < 8 && m() < n:
+						tw.addNode()
+					case k == 8:
+						tw.retire(pick(sources()))
+					case k == 9:
+						edges := make([][2]int, 1+rng.next(4))
+						for i := range edges {
+							edges[i] = edgeFor()
+						}
+						tw.branch(edges)
+					case k == 10 && rng.next(8) == 0:
+						tw.settle()
+					default:
+						e := edgeFor()
+						tw.edge(e[0], e[1])
+					}
+				}
+				tw.settle()
+				if n >= 200 && tw.autoFlush == 0 {
+					t.Fatal("64 deferred columns never waited at once")
+				}
+			})
+		}
+	}
+}
+
 // FuzzOrderClosure decodes bytes into closure operations and holds the
-// closure to the reachability oracle after each: the first byte sets the
+// closure to the reachability oracle after each, and a twin deferring
+// its successor columns to the eager closure: the first byte sets the
 // starting node count (1–130), then every op byte is followed by its
 // arguments — an edge takes two node bytes, a branch a count and that
 // many edges, a retirement a byte picking among the current sources.
@@ -320,6 +514,7 @@ func FuzzOrderClosure(f *testing.F) {
 			return
 		}
 		o := newClosureOracle(t, 1+int(data[0])%130)
+		tw := newDeferredTwin(t, len(o.out))
 		data = data[1:]
 		next := func() int {
 			if len(data) == 0 {
@@ -336,20 +531,27 @@ func FuzzOrderClosure(f *testing.F) {
 				if len(o.out) < 130 {
 					o.addNode()
 					o.check(o.c)
+					tw.addNode()
 				}
 			case 1:
 				src := o.sources()
-				o.retire(src[next()%len(src)])
+				t := src[next()%len(src)]
+				o.retire(t)
+				tw.retire(t)
 			case 2:
 				edges := make([][2]int, 1+next()%4)
 				for i := range edges {
 					edges[i] = [2]int{node(), node()}
 				}
 				o.branch(edges)
+				tw.branch(edges)
 			case 3:
 				o.extend()
+				tw.settle()
 			default:
-				o.edge(node(), node())
+				a, b := node(), node()
+				o.edge(a, b)
+				tw.edge(a, b)
 			}
 		}
 	})

@@ -297,6 +297,7 @@ func newSession(initial map[string]model.Value, level string, capHint int) *Sess
 	if !s.ra {
 		s.base = &orderClosure{}
 		s.model = &orderClosure{}
+		s.model.deferColumns()
 		if !s.perCli {
 			// Total-order levels: one shared serialization state whose
 			// base IS the global closure (write-through, not cloned —
@@ -800,6 +801,7 @@ func (s *Session) forceGlobal(cur, a, b int) bool {
 			}
 		}
 		s.model = s.base.clone()
+		s.model.deferColumns()
 	}
 	for _, st := range s.order {
 		if st.base.diverged() {
@@ -1087,7 +1089,7 @@ func (s *Session) addClause(st *clientState, c clause) {
 	if m == nil {
 		return
 	}
-	if m.succ[c.a1].has(c.b1) || m.succ[c.a2].has(c.b2) {
+	if m.has(c.a1, c.b1) || m.has(c.a2, c.b2) {
 		return
 	}
 	if m.addEdge(c.a1, c.b1) || m.addEdge(c.a2, c.b2) {
@@ -1176,6 +1178,7 @@ func (s *Session) resolve(cur int, st *clientState) bool {
 	if !found {
 		return s.violate(cur, s.ids[cur], "%s", s.noSerialization(st.client))
 	}
+	m.deferColumns()
 	st.shared = false
 	st.model = m
 	st.conflict = false

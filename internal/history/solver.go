@@ -30,6 +30,7 @@
 package history
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/model"
@@ -37,9 +38,18 @@ import (
 
 // orderClosure is a transitively closed strict partial order over txn
 // indices: succ[i] holds every j ordered after i, pred[i] every j before.
+//
+// A closure made with deferColumns (the session's models) may defer the
+// successor column of a node: for y in lazy, succ[x] may lack y although
+// x ∈ pred[y]. Pred rows are always exact, has reads a deferred node's
+// pred row, and an edge's tail always takes its head's bit, so a succ row
+// is empty exactly when its node has no successor. flush writes the
+// deferred columns, up to 64 nodes in one pass.
 type orderClosure struct {
-	succ []bitset
-	pred []bitset
+	succ  []bitset
+	pred  []bitset
+	lazy  bitset // nil: every column is written eagerly
+	nLazy int
 }
 
 // newOrderClosure closes g.preds transitively. topo must be a topological
@@ -66,10 +76,13 @@ func newOrderClosure(g *graph, topo []int) *orderClosure {
 }
 
 func (c *orderClosure) clone() *orderClosure {
-	out := &orderClosure{succ: make([]bitset, len(c.succ)), pred: make([]bitset, len(c.pred))}
+	out := &orderClosure{succ: make([]bitset, len(c.succ)), pred: make([]bitset, len(c.pred)), nLazy: c.nLazy}
 	for i := range c.succ {
 		out.succ[i] = c.succ[i].clone()
 		out.pred[i] = c.pred[i].clone()
+	}
+	if c.lazy != nil {
+		out.lazy = c.lazy.clone()
 	}
 	return out
 }
@@ -79,6 +92,25 @@ func (c *orderClosure) copyFrom(o *orderClosure) {
 		c.succ[i].copyFrom(o.succ[i])
 		c.pred[i].copyFrom(o.pred[i])
 	}
+	c.lazy.copyFrom(o.lazy)
+	c.nLazy = o.nLazy
+}
+
+// deferColumns switches c to deferring successor columns.
+func (c *orderClosure) deferColumns() {
+	words := 0
+	if len(c.succ) > 0 {
+		words = len(c.succ[0])
+	}
+	c.lazy = make(bitset, words)
+}
+
+// has reports whether a is ordered strictly before b.
+func (c *orderClosure) has(a, b int) bool {
+	if c.nLazy > 0 && c.lazy.has(b) {
+		return c.pred[b].has(a)
+	}
+	return c.succ[a].has(b)
 }
 
 // addNode appends an isolated node with row capacity words and returns
@@ -87,6 +119,9 @@ func (c *orderClosure) copyFrom(o *orderClosure) {
 func (c *orderClosure) addNode(words int) int {
 	c.succ = append(c.succ, make(bitset, words))
 	c.pred = append(c.pred, make(bitset, words))
+	if c.lazy != nil {
+		c.lazy = c.lazy.grow(words)
+	}
 	return len(c.succ) - 1
 }
 
@@ -95,6 +130,9 @@ func (c *orderClosure) growWords(words int) {
 	for i := range c.succ {
 		c.succ[i] = c.succ[i].grow(words)
 		c.pred[i] = c.pred[i].grow(words)
+	}
+	if c.lazy != nil {
+		c.lazy = c.lazy.grow(words)
 	}
 }
 
@@ -109,6 +147,71 @@ func (c *orderClosure) retire(t int) {
 	}
 	c.succ[t].reset()
 	c.pred[t].reset()
+	if c.nLazy > 0 && c.lazy.has(t) {
+		c.lazy.clear(t)
+		c.nLazy--
+	}
+}
+
+// deferColumn marks b's successor column deferred, flushing once 64
+// columns wait.
+func (c *orderClosure) deferColumn(b int) {
+	if c.lazy.has(b) {
+		return
+	}
+	c.lazy.set(b)
+	if c.nLazy++; c.nLazy == 64 {
+		c.flush()
+	}
+}
+
+// deferredAfter calls f for every deferred y with b ∈ pred(y) and
+// a ∉ pred(y): the successors of b that succ[b] may not show.
+func (c *orderClosure) deferredAfter(b, a int, f func(y int)) {
+	if c.nLazy == 0 {
+		return
+	}
+	c.lazy.forEach(func(y int) {
+		if c.pred[y].has(b) && !c.pred[y].has(a) {
+			f(y)
+		}
+	})
+}
+
+// flush writes every deferred successor column. For each word of
+// deferred nodes it takes their pred rows 64 predecessors at a time and
+// transposes that 64×64 block, so each predecessor's succ row takes all
+// of its bits for the word in one OR.
+func (c *orderClosure) flush() {
+	if c.nLazy == 0 {
+		return
+	}
+	var block [64]uint64
+	for w, deferred := range c.lazy {
+		if deferred == 0 {
+			continue
+		}
+		for v := range c.lazy {
+			var any uint64
+			for m := deferred; m != 0; m &= m - 1 {
+				j := bits.TrailingZeros64(m)
+				block[j] = c.pred[w<<6+j][v]
+				any |= block[j]
+			}
+			if any == 0 {
+				continue
+			}
+			transpose64(&block)
+			for k, row := range block {
+				if row != 0 {
+					c.succ[v<<6+k][w] |= row
+				}
+			}
+			block = [64]uint64{}
+		}
+		c.lazy[w] = 0
+	}
+	c.nLazy = 0
 }
 
 // addEdge orders a strictly before b and re-closes transitively.
@@ -124,25 +227,32 @@ func (c *orderClosure) addEdge(a, b int) bool {
 	if a == b {
 		return false
 	}
-	if c.succ[a].has(b) {
+	if c.has(a, b) {
 		return true
 	}
-	if c.succ[b].has(a) {
+	if c.has(b, a) {
 		return false
 	}
 	// Fast path for the incremental session's common shape: edges point at
 	// a transaction with no successors yet (the one just appended), so the
 	// closure update degenerates to single-bit sets instead of word-wise
-	// unions over the whole row.
+	// unions over the whole row — or, deferring, to none at all.
 	if c.succ[b].empty() {
 		c.succ[a].set(b)
-		c.pred[a].forEachAndNot(c.pred[b], func(x int) { c.succ[x].set(b) })
+		if c.lazy == nil {
+			c.pred[a].forEachAndNot(c.pred[b], func(x int) { c.succ[x].set(b) })
+		}
 		c.pred[b].or(c.pred[a])
 		c.pred[b].set(a)
+		if c.lazy != nil {
+			c.deferColumn(b)
+		}
 		return true
 	}
 	if c.pred[a].empty() {
-		c.succ[b].forEachAndNot(c.succ[a], func(y int) { c.pred[y].set(a) })
+		setA := func(y int) { c.pred[y].set(a) }
+		c.succ[b].forEachAndNot(c.succ[a], setA)
+		c.deferredAfter(b, a, setA)
 		c.succ[a].or(c.succ[b])
 		c.succ[a].set(b)
 		c.pred[b].set(a)
@@ -166,6 +276,7 @@ func (c *orderClosure) addEdge(a, b int) bool {
 			updateP(y)
 		}
 	})
+	c.deferredAfter(b, a, updateP)
 	return true
 }
 
@@ -398,6 +509,7 @@ func (s *solver) searchFull() bool {
 // with the unplaced-predecessor count per node and the ready nodes kept
 // as a bitset whose lowest element is the next one placed.
 func extendClosure(c *orderClosure) []int {
+	c.flush()
 	n := len(c.succ)
 	order := make([]int, 0, n)
 	if n == 0 {
