@@ -43,8 +43,8 @@ import (
 // successor column of a node: for y in lazy, succ[x] may lack y although
 // x ∈ pred[y]. Pred rows are always exact, has reads a deferred node's
 // pred row, and an edge's tail always takes its head's bit, so a succ row
-// is empty exactly when its node has no successor. flush writes the
-// deferred columns, up to 64 nodes in one pass.
+// is empty exactly when its node has no successor. Once 64 columns wait,
+// flush writes them in one pass.
 type orderClosure struct {
 	succ  []bitset
 	pred  []bitset
