@@ -40,16 +40,19 @@
 //
 // With -certify each cell (grid cells and curve points alike) is
 // certified ride-along: committed transactions feed a streaming
-// history.Session at the protocol's claimed consistency level while the
-// run executes, evicting committed closure prefixes as their outcomes
-// pin, so -txns has no certification ceiling — a violating cell reports
-// the first offending commit (first_violation_txn). Eviction keeps the
-// cost to the active window at 2 clients; closed-loop cells with 8 or
-// more clients retire nothing, so their cost grows with the whole run. Cells at or below
-// history.MaxTxns transactions additionally record their history and
-// re-solve it with the one-shot batch checker as a cross-check; both
-// wall-clocks land in the row (cert_wall_ms incremental vs
-// cert_batch_wall_ms, the latter zero past the ceiling).
+// history.Session at the protocol's claimed consistency level, on its own
+// goroutine while the run executes, evicting committed closure prefixes
+// as their outcomes pin, so -txns has no certification ceiling — a
+// violating cell reports the first offending commit
+// (first_violation_txn). Eviction keeps the cost to the active window at
+// 2 clients; closed-loop cells with 8 or more clients retire nothing, so
+// their cost grows with the whole run. Cells at or below history.MaxTxns
+// transactions additionally record their history, and the driver
+// re-solves it with the one-shot batch checker while the session drains,
+// failing the cell if the verdicts disagree; both wall-clocks land in the
+// row (cert_wall_ms incremental vs cert_batch_wall_ms, the latter zero
+// past the ceiling). The two overlap in time, so they do not sum to the
+// cell's certification cost.
 //
 // -cpuprofile and -memprofile (both modes) write pprof profiles of the
 // whole sweep when it ends; they go to the named files only, so stdout —
@@ -191,7 +194,8 @@ func shardCells(r *shardCols, s *sim.ShardingStats) {
 // carries. cert is "ok" or "violation"; first_violation_txn is the
 // append index of the first offending commit on a violation;
 // cert_wall_ms is the ride-along session's cumulative wall-clock and
-// cert_batch_wall_ms the batch re-check's — the two nondeterministic
+// cert_batch_wall_ms the batch re-check's, which runs while the session
+// drains (so the two overlap and do not sum) — the two nondeterministic
 // fields in the output, so -certify runs are not byte-diffable across
 // commits; everything else still is.
 type certCols struct {
@@ -557,9 +561,10 @@ func parseSweep(args []string, stderr io.Writer) (sweep, error) {
 			"(nearly all at 2 clients, none at 8 or more closed-loop clients, "+
 			"where cost grows with the whole run); cells at or below %d txns "+
 			"(history.MaxTxns) are additionally re-solved by the batch checker "+
-			"as a cross-check (cert_batch_wall_ms; zero past the ceiling). "+
-			"cert_wall_ms/cert_batch_wall_ms are wall-clock, so output is no "+
-			"longer byte-diffable", history.MaxTxns))
+			"while the session drains, and a disagreement fails the cell "+
+			"(cert_batch_wall_ms; zero past the ceiling). "+
+			"cert_wall_ms/cert_batch_wall_ms are wall-clock and overlap in time, "+
+			"so output is no longer byte-diffable and the two do not sum", history.MaxTxns))
 	stale := fs.Bool("stale", false,
 		"closed-loop grid only: sample committed writes with a frozen "+
 			"reserved-reader visibility probe and add stale_probes/stale_hits/"+

@@ -8,11 +8,11 @@
 // throughput cells (MeasureThroughputWith) and open-loop
 // latency–throughput curves (MeasureLoadCurve). What a cell is — its
 // deployment, load regime, stepping pool, faults — is said once, by
-// driver.Config; core adds only certification: with Certify, committed
-// transactions feed an incremental history.Session during the run and
-// the recorded history is re-solved by the batch checker, so every
-// published number is backed by two independently agreeing consistency
-// verdicts.
+// driver.Config; core adds only certification: with Certify, core has
+// the driver record the history of a cell the batch checker can take, so
+// the driver's incremental history.Session (run beside the simulation)
+// is cross-checked against a batch re-solve and every published number
+// is backed by two independently agreeing consistency verdicts.
 package core
 
 import (

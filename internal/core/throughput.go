@@ -15,7 +15,8 @@ type ThroughputReport struct {
 	Mix workload.Mix
 	// Cert is the certification outcome (Level empty unless the run's
 	// driver.Config.Certify was set). It shadows the embedded report's
-	// session verdict, which it summarizes beside the batch cross-check.
+	// session verdict, which it summarizes beside the batch cross-check's
+	// wall-clock.
 	Cert Certification
 }
 

@@ -8,9 +8,11 @@
 // Certification can ride along with the run itself (Config.Certify):
 // every committed transaction is appended to an incremental
 // history.Session at the protocol's claimed consistency level as it is
-// collected, so full-size load runs are certified without re-solving the
-// history afterwards, and a violating run is pinned to its first
-// offending commit (with the minimal witness prefix) in Report.Cert.
+// collected, on a goroutine beside the simulation, and a violating run is
+// pinned to its first offending commit (with the minimal witness prefix)
+// in Report.Cert. A run that also records its history re-solves it with
+// the batch solver while the session drains, and fails if the two
+// disagree.
 //
 // Two load regimes are supported. Closed loop (the default) keeps every
 // client saturated: up to Pipeline invocations outstanding per client, a
@@ -98,22 +100,24 @@ type Config struct {
 	// for consistency checking. The BATCH checkers certify recorded
 	// histories up to history.MaxTxns transactions; past that ceiling the
 	// streaming ride-along session (Certify) is the only exact checker.
+	// With Certify too, the run cross-checks the session against the batch
+	// solver on a recorded history of at most history.MaxTxns.
 	RecordHistory bool
 	// Certify runs ride-along certification: every committed transaction
-	// is appended, as it is collected, to a streaming history.Session
-	// checking the protocol's claimed consistency level, so the full run
-	// is certified without re-solving the history afterwards and a
-	// violation is pinned to its first offending commit while the run is
-	// still in flight. Works in both load regimes, independent of
-	// RecordHistory. The session retires committed prefixes of its
-	// closure once their order is decided, so runs past history.MaxTxns
-	// certify exactly (that constant still bounds the batch cross-checks
-	// downstream consumers run on recorded histories). Memory follows the
-	// active window only where retirement happens: at 2 clients nearly
-	// everything retires, at 8 or more closed-loop clients nothing does
-	// and the window is the whole run. The verdict lands
-	// in Report.Cert and the cumulative wall-clock spent inside the
-	// session in Report.CertWall.
+	// is handed, as it is collected, to a streaming history.Session on its
+	// own goroutine, checking the protocol's claimed consistency level, so
+	// the session runs beside the simulation and a violation is pinned to
+	// its first offending commit. Works in both load regimes. The session
+	// retires committed prefixes of its closure once their order is
+	// decided, so runs past history.MaxTxns certify exactly. Memory
+	// follows the active window only where retirement happens: at 2
+	// clients nearly everything retires, at 8 or more closed-loop clients
+	// nothing does and the window is the whole run. With RecordHistory
+	// and a history of at most history.MaxTxns, the run also re-solves
+	// the history with the batch solver while the session drains, and
+	// returns an error if the two verdicts disagree. The verdict lands in
+	// Report.Cert, the session's wall-clock in Report.CertWall and the
+	// batch re-solve's in Report.CertBatchWall.
 	Certify bool
 	// ProbeStaleness samples visibility staleness while the run executes:
 	// every probeStride-th committed write transaction is re-read through
@@ -236,10 +240,15 @@ type Report struct {
 	// the first offending commit index and minimal witness prefix on
 	// violation, plus the Retired/PeakWindow eviction counters — and
 	// CertWall the cumulative wall-clock spent inside
-	// Session.Append/Finish (the one nondeterministic field of a run).
-	CertLevel string
-	Cert      *history.SessionVerdict
-	CertWall  time.Duration
+	// Session.Append/Finish. CertBatchWall is the wall-clock of the batch
+	// cross-check (zero when none ran). The two walls are the only
+	// nondeterministic fields of a run, and they overlap in time: the
+	// session runs on its own goroutine, so their sum is not the cost of
+	// certifying the run.
+	CertLevel     string
+	Cert          *history.SessionVerdict
+	CertWall      time.Duration
+	CertBatchWall time.Duration `json:",omitempty"`
 
 	// Staleness tallies the frozen visibility probes of the run (nil
 	// unless Config.ProbeStaleness).
@@ -349,12 +358,9 @@ type run struct {
 	// instant (nil in closed loop). Entries are dropped on collection so
 	// memory stays flat over long runs.
 	injectAt map[model.TxnID]int64
-	// sess is the ride-along certification session (nil unless
-	// Config.Certify); sealed reports it refused an append — the history
-	// is already refuted and later commits need not be fed.
-	sess     *history.Session
-	sealed   bool
-	certWall time.Duration
+	// cert is the ride-along certification session on its own goroutine
+	// (nil unless Config.Certify).
+	cert *certifier
 	// stale accumulates the frozen visibility probes (nil unless
 	// Config.ProbeStaleness and the deployment reserved a reader);
 	// writesSeen drives the sampling stride.
@@ -402,15 +408,6 @@ func newRun(d *protocol.Deployment, cfg Config) *run {
 	}
 	if cfg.Certify {
 		r.rep.CertLevel = d.Proto.Claims().Consistency
-		// Streaming session with every workload client declared up front:
-		// eviction may begin before a slow client's first commit is
-		// collected, and an undeclared client arriving after the first
-		// sweep would be refused.
-		names := make([]string, cfg.Clients)
-		for i := 0; i < cfg.Clients; i++ {
-			names[i] = string(d.Clients[i])
-		}
-		r.sess = history.NewStreamingSession(d.Initials(), r.rep.CertLevel, names)
 	}
 	if cfg.ProbeStaleness && len(d.Readers) > 0 {
 		r.stale = &StalenessReport{}
@@ -544,18 +541,13 @@ func (r *run) collect(floor sim.Time) {
 		} else {
 			r.wr.Add(l)
 		}
-		if r.rep.History != nil || r.sess != nil {
+		if r.rep.History != nil || r.cert != nil {
 			rec := history.NewRecord(res)
 			if r.rep.History != nil {
 				r.rep.History.Add(rec)
 			}
-			if r.sess != nil && !r.sealed {
-				t0 := time.Now()
-				clean := r.sess.Append(rec)
-				r.certWall += time.Since(t0)
-				if !clean {
-					r.sealed = true
-				}
+			if r.cert != nil {
+				r.cert.recs <- rec
 			}
 		}
 	}
@@ -591,8 +583,9 @@ func (r *run) probeStaleness(res *model.Result) {
 	}
 }
 
-// finish summarizes the run into the report; the error is the kernel's
-// message-conservation check (sent = delivered + in flight + lost).
+// finish summarizes the run into the report. The error is the kernel's
+// message-conservation check (sent = delivered + in flight + lost) or, on
+// a certified run, the session and batch verdicts disagreeing.
 func (r *run) finish(start sim.Time) (*Report, error) {
 	rep := r.rep
 	rep.Duration = r.d.Kernel.Now() - start
@@ -613,19 +606,102 @@ func (r *run) finish(start sim.Time) (*Report, error) {
 	if rep.Issued > 0 {
 		rep.AbortRate = float64(rep.Rejected) / float64(rep.Issued)
 	}
-	if r.sess != nil {
-		t0 := time.Now()
-		v := r.sess.Finish()
-		r.certWall += time.Since(t0)
-		rep.Cert = &v
-		rep.CertWall = r.certWall
-	}
 	st := r.runner.Stats()
 	rep.Sharding = &st
 	if r.nem != nil {
 		rep.Nemesis = r.nem.finish(r.d.Kernel, start)
 	}
-	return rep, r.d.Kernel.CheckConservation()
+	err := r.d.Kernel.CheckConservation()
+	if r.cert != nil {
+		if e := crossCheck(rep, rep.History, r.stopCert); err == nil {
+			err = e
+		}
+	}
+	return rep, err
+}
+
+// certQueue is the capacity of the session's feed. A run the batch solver
+// can cross-check fits in it whole, so there the simulation never waits
+// for the session and the batch re-solve starts the moment the simulation
+// ends; past that, the run holds at most certQueue records the session
+// has not taken.
+const certQueue = history.MaxTxns
+
+// certifier is the ride-along session on its own goroutine, fed the run's
+// records in drain order. Records are deep copies the run never writes
+// again, so the two goroutines share them read-only.
+type certifier struct {
+	recs    chan *history.TxnRecord
+	done    chan struct{}
+	verdict history.SessionVerdict
+	wall    time.Duration
+}
+
+// startCertifier starts a streaming session at level with every workload
+// client declared up front: eviction may begin before a slow client's
+// first commit is collected, and an undeclared client arriving after the
+// first sweep would be refused.
+func startCertifier(d *protocol.Deployment, clients int, level string) *certifier {
+	names := make([]string, clients)
+	for i := range names {
+		names[i] = string(d.Clients[i])
+	}
+	sess := history.NewStreamingSession(d.Initials(), level, names)
+	c := &certifier{recs: make(chan *history.TxnRecord, certQueue), done: make(chan struct{})}
+	go func() {
+		defer close(c.done)
+		for rec := range c.recs {
+			if sess == nil {
+				continue // the session refused an append: the run is refuted
+			}
+			t0 := time.Now()
+			if !sess.Append(rec) {
+				// Sealed: take the verdict now and let the session go, so
+				// its memory is free for the batch cross-check.
+				c.verdict, sess = sess.Finish(), nil
+			}
+			c.wall += time.Since(t0)
+		}
+		if sess != nil {
+			t0 := time.Now()
+			c.verdict = sess.Finish()
+			c.wall += time.Since(t0)
+		}
+	}()
+	return c
+}
+
+// stopCert closes the session's feed, waits for the session to drain and
+// lands its verdict and wall-clock in the report.
+func (r *run) stopCert() {
+	close(r.cert.recs)
+	<-r.cert.done
+	r.rep.Cert, r.rep.CertWall = &r.cert.verdict, r.cert.wall
+	r.cert = nil
+}
+
+// crossCheck re-solves h, the run's recorded history, with the batch
+// solver, then calls drain to land the session's verdict in rep, and
+// compares the two: the re-solve runs while the session drains. The
+// verdicts disagreeing means a checker bug, never a measurement, so it is
+// an error and no grid can publish either verdict. With no history, or
+// one past history.MaxTxns (the batch solver refuses it), the session's
+// verdict stands alone.
+func crossCheck(rep *Report, h *history.History, drain func()) error {
+	if h == nil || h.Len() > history.MaxTxns {
+		drain()
+		return nil
+	}
+	t0 := time.Now()
+	batch := history.CheckBatch(h, rep.CertLevel)
+	rep.CertBatchWall = time.Since(t0)
+	drain()
+	if batch.OK != rep.Cert.OK {
+		return fmt.Errorf(
+			"driver: incremental and batch certification disagree for %s at %s: session %v (%s), batch %v (%s)",
+			rep.Protocol, rep.CertLevel, rep.Cert.OK, rep.Cert.Reason, batch.OK, batch.Reason)
+	}
+	return nil
 }
 
 // RunOn drives a load run against an existing, initialized deployment.
@@ -660,6 +736,10 @@ func startRun(d *protocol.Deployment, cfg Config) (*run, error) {
 			return nil, err
 		}
 		r.nem = newNemesisState(faults)
+	}
+	// Started last, so no error above leaves it running; finish stops it.
+	if cfg.Certify {
+		r.cert = startCertifier(d, cfg.Clients, r.rep.CertLevel)
 	}
 	return r, nil
 }

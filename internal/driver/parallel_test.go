@@ -12,17 +12,17 @@ import (
 )
 
 // reportFingerprint marshals a report plus its history with the
-// wall-clock (the one nondeterministic field) zeroed, so runs can be
+// wall-clocks (the nondeterministic fields) zeroed, so runs can be
 // compared byte for byte.
 func reportFingerprint(t *testing.T, rep *Report) string {
 	t.Helper()
-	cw := rep.CertWall
-	rep.CertWall = 0
+	cw, bw := rep.CertWall, rep.CertBatchWall
+	rep.CertWall, rep.CertBatchWall = 0, 0
 	js, err := json.MarshalIndent(rep, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.CertWall = cw
+	rep.CertWall, rep.CertBatchWall = cw, bw
 	out := string(js)
 	if rep.History != nil {
 		out += "\n" + rep.History.String()

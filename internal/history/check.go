@@ -28,9 +28,10 @@ func fail(format string, args ...any) Verdict {
 // (NewStreamingSession) retires committed prefixes of the closure, so
 // its memory follows the active window and it certifies runs far past
 // this constant. MaxTxns survives as the differential-oracle bound —
-// below it the batch checker cross-checks every streaming verdict
-// (core certifyRun, ptest.RunLoad); above it the streaming session is
-// the only exact checker and the cross-check is skipped.
+// below it the batch checker cross-checks every streaming verdict of a
+// run that records its history (the load driver's finish, while the
+// session drains); above it the streaming session is the only exact
+// checker and the cross-check is skipped.
 const MaxTxns = 4096
 
 // ov keys the writer lookup: (object, value) pairs are unique writers
@@ -246,8 +247,11 @@ func CheckCausal(h *History) Verdict {
 	}
 	base := newOrderClosure(g, topo)
 	// Each client is decided by the closure search alone; only the last
-	// reading client's satisfying order is extended into the witness.
-	var last *orderClosure
+	// reading client's satisfying order is extended into the witness, and
+	// no search follows it, so every client searches in one work closure
+	// and they share search's entry snapshot: three closures in all,
+	// however many clients read.
+	var work, snap *orderClosure
 	for _, c := range h.Clients() {
 		checkSet := newBitset(len(g.txns))
 		any := false
@@ -260,16 +264,22 @@ func CheckCausal(h *History) Verdict {
 		if !any {
 			continue // write-only clients are satisfied by any extension
 		}
-		order, found := newSolver(g, base.clone(), checkSet).solveClosure()
-		if !found {
+		if work == nil {
+			work = base.clone()
+		} else {
+			work.copyFrom(base)
+		}
+		s := newSolver(g, work, checkSet)
+		s.snap = snap
+		if _, found := s.solveClosure(); !found {
 			return fail("no causal serialization exists for client %s", c)
 		}
-		last = order
+		snap = s.snap
 	}
-	if last == nil {
+	if work == nil {
 		return ok(nil)
 	}
-	return ok(g.witness(extendClosure(last)))
+	return ok(g.witness(extendClosure(work)))
 }
 
 // CheckSerializable checks classic serializability: one serialization of

@@ -298,6 +298,9 @@ type solver struct {
 	// impossible (a transaction reading its own write: reads precede
 	// writes, so no placement is ever legal).
 	unsat bool
+	// snap is search's entry snapshot, allocated on first use; a caller
+	// running several searches over closures of one size hands it on.
+	snap *orderClosure
 }
 
 // newSolver builds the clause set for the txns in checkSet (nil: all
@@ -439,11 +442,15 @@ func (s *solver) search() bool {
 	if !s.propagate() {
 		return false
 	}
-	snap := s.order.clone()
+	if s.snap == nil {
+		s.snap = s.order.clone()
+	} else {
+		s.snap.copyFrom(s.order)
+	}
 	if s.descend() {
 		return true
 	}
-	s.order.copyFrom(snap)
+	s.order.copyFrom(s.snap)
 	return s.searchFull()
 }
 
