@@ -677,7 +677,6 @@ func (r *run) stopCert() {
 	close(r.cert.recs)
 	<-r.cert.done
 	r.rep.Cert, r.rep.CertWall = &r.cert.verdict, r.cert.wall
-	r.cert = nil
 }
 
 // crossCheck re-solves h, the run's recorded history, with the batch
