@@ -160,7 +160,7 @@ func BenchmarkClosedLoopThroughput(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var thr float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.MeasureThroughput(core.ByName(name), workload.ReadHeavy(), 16, 500, int64(i)+1)
+				rep, err := driver.Run(core.ByName(name), driver.Config{Clients: 16, Txns: 500, Mix: workload.ReadHeavy(), Seed: int64(i) + 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -204,14 +204,15 @@ func BenchmarkOpenLoopCurve(b *testing.B) {
 // concurrent load (events are the unit of simulated work, so wall-clock
 // per event is the substrate cost to optimize).
 func BenchmarkDriverEventRate(b *testing.B) {
-	rep, err := core.MeasureThroughput(core.ByName("cops"), workload.ReadHeavy(), 16, 500, 1)
+	cfg := driver.Config{Clients: 16, Txns: 500, Mix: workload.ReadHeavy(), Seed: 1}
+	rep, err := driver.Run(core.ByName("cops"), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	evPerRun := rep.Events
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.MeasureThroughput(core.ByName("cops"), workload.ReadHeavy(), 16, 500, 1); err != nil {
+		if _, err := driver.Run(core.ByName("cops"), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -238,7 +239,7 @@ func BenchmarkSteppingEngines(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := c.cfg
 				cfg.Clients, cfg.Txns, cfg.Mix, cfg.Seed = 64, 2000, workload.ReadHeavy(), 42
-				rep, err := core.MeasureThroughputWith(core.ByName("cops"), cfg)
+				rep, err := driver.Run(core.ByName("cops"), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

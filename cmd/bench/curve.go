@@ -101,7 +101,7 @@ func buildCurve(s sweep) ([]curveRow, error) {
 				InFlightMax: pt.InFlight.Max,
 			}
 			shardCells(&r.shardCols, pt.Sharding)
-			certCells(&r.certCols, pt.Cert)
+			certCells(&r.certCols, &pt.Report)
 			rows = append(rows, r)
 		}
 		return rows, nil

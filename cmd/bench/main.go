@@ -208,10 +208,11 @@ type certCols struct {
 	CertBatchWallMS   float64 `json:"cert_batch_wall_ms,omitempty"`
 }
 
-// certCells fills the certification columns from a measured outcome
-// (none when the cell ran uncertified).
-func certCells(r *certCols, c core.Certification) {
-	if c.Level == "" {
+// certCells fills the certification columns from a run's report (none
+// when the cell ran uncertified).
+func certCells(r *certCols, rep *driver.Report) {
+	c := rep.Cert
+	if c == nil {
 		return
 	}
 	r.Cert = "ok"
@@ -220,11 +221,11 @@ func certCells(r *certCols, c core.Certification) {
 		fv := c.FirstViolation
 		r.FirstViolationTxn = &fv
 	}
-	r.CertLevel = c.Level
+	r.CertLevel = rep.CertLevel
 	r.CertReason = c.Reason
-	r.CertTxns = c.Txns
-	r.CertWallMS = float64(c.IncrementalWall.Microseconds()) / 1000
-	r.CertBatchWallMS = float64(c.BatchWall.Microseconds()) / 1000
+	r.CertTxns = c.Appended
+	r.CertWallMS = float64(rep.CertWall.Microseconds()) / 1000
+	r.CertBatchWallMS = float64(rep.CertBatchWall.Microseconds()) / 1000
 }
 
 // staleCols is the staleness-probe column set (present with -stale
@@ -483,7 +484,7 @@ func measureCells[R any](s sweep, measure func(cell) ([]R, error)) ([]R, error) 
 // at once).
 func buildGrid(s sweep) ([]row, error) {
 	return measureCells(s, func(c cell) ([]row, error) {
-		rep, err := core.MeasureThroughputWith(c.p, c.cfg)
+		rep, err := driver.Run(c.p, c.cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -508,7 +509,7 @@ func buildGrid(s sweep) ([]row, error) {
 			WriteP99:    rep.Write.P99,
 		}
 		shardCells(&r.shardCols, rep.Sharding)
-		certCells(&r.certCols, rep.Cert)
+		certCells(&r.certCols, rep)
 		staleCells(&r.staleCols, rep.Staleness)
 		nemCells(&r.nemCols, rep.Nemesis)
 		return []row{r}, nil

@@ -4,15 +4,11 @@
 // together, regenerating the paper's Table 1 from measured behaviour and
 // producing a theorem verdict for every protocol.
 //
-// It is also the measurement front door for the load story: closed-loop
-// throughput cells (MeasureThroughputWith) and open-loop
-// latency–throughput curves (MeasureLoadCurve). What a cell is — its
-// deployment, load regime, stepping pool, faults — is said once, by
-// driver.Config; core adds only certification: with Certify, core has
-// the driver record the history of a cell the batch checker can take, so
-// the driver's incremental history.Session (run beside the simulation)
-// is cross-checked against a batch re-solve and every published number
-// is backed by two independently agreeing consistency verdicts.
+// It also sweeps open-loop latency–throughput curves (MeasureLoadCurve)
+// and the latency/staleness experiments. A load cell itself is
+// driver.Run over a driver.Config, and the driver owns its
+// certification: with Certify, the ride-along session and, up to
+// history.MaxTxns transactions, the batch cross-check.
 package core
 
 import (

@@ -15,18 +15,12 @@ import (
 // and Service its decomposition), plus what the driver does not know.
 type CurvePoint struct {
 	driver.Report
-	Mix workload.Mix
 	// Fraction of the saturated (closed-loop) throughput offered.
 	Fraction float64
 	// Refined marks a knee-bisection point (CurveOptions.RefineKnee):
 	// it was not part of the swept fractions and ran with the longer
 	// refinement window.
 	Refined bool
-	// Cert is this point's ride-along certification outcome (populated
-	// when CurveOptions.Certify was set; shadows the embedded report's
-	// session verdict): every open-loop point of the curve is certified
-	// as it runs, same contract as the closed-loop grid.
-	Cert Certification
 }
 
 // LoadCurve is a swept latency–throughput curve for one protocol × mix.
@@ -65,7 +59,8 @@ type CurveOptions struct {
 	Deterministic bool
 	Topology      *protocol.Topology
 	// Certify certifies every curve point ride-along (driver.Config
-	// semantics; the saturation estimate is never certified).
+	// semantics, cross-check included; the saturation estimate is never
+	// certified).
 	Certify bool
 	// RefineKnee bisects the knee after the fraction sweep: between the
 	// highest swept rate still below the queueing/service crossover and
@@ -132,11 +127,11 @@ func MeasureLoadCurve(p protocol.Protocol, mix workload.Mix, seed int64, opt Cur
 		if refined {
 			cfg.Txns *= 2
 		}
-		rep, cert, err := runCell(p, cfg)
+		rep, err := driver.Run(p, cfg)
 		if err != nil {
 			return CurvePoint{}, fmt.Errorf("core: curve point %s at %.0f txn/s: %w", p.Name(), rate, err)
 		}
-		return CurvePoint{Report: *rep, Mix: mix, Fraction: rate / curve.Saturated, Refined: refined, Cert: cert}, nil
+		return CurvePoint{Report: *rep, Fraction: rate / curve.Saturated, Refined: refined}, nil
 	}
 
 	for _, frac := range opt.Fractions {

@@ -141,3 +141,23 @@ func TestMeasureLoadCurveHonoursTopology(t *testing.T) {
 			geo.Service.P50, uniform.Service.P50, 2*topo.CrossLo)
 	}
 }
+
+// TestLoadCurveCertify: with CurveOptions.Certify every open-loop point
+// carries its own ride-along verdict, so certification no longer caps
+// the curve's transaction count to a reduced batch window.
+func TestLoadCurveCertify(t *testing.T) {
+	curve, err := MeasureLoadCurve(ByName("cure"), workload.Balanced(), 4, CurveOptions{
+		Clients: 4, Txns: 120, Fractions: []float64{0.25, 0.9}, Certify: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(curve.Points) != 2 {
+		t.Fatalf("points = %d, want 2", len(curve.Points))
+	}
+	for _, pt := range curve.Points {
+		if pt.CertLevel != "causal" || pt.Cert == nil || !pt.Cert.OK || pt.Cert.Appended != pt.Committed {
+			t.Fatalf("curve point certification malformed: %+v", pt.Cert)
+		}
+	}
+}

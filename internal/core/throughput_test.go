@@ -3,12 +3,13 @@ package core
 import (
 	"testing"
 
+	"repro/internal/driver"
 	"repro/internal/workload"
 )
 
 func TestMeasureThroughputDeterministic(t *testing.T) {
-	run := func() ThroughputReport {
-		rep, err := MeasureThroughput(ByName("cops"), workload.ReadHeavy(), 8, 200, 7)
+	run := func() *driver.Report {
+		rep, err := driver.Run(ByName("cops"), driver.Config{Clients: 8, Txns: 200, Mix: workload.ReadHeavy(), Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,11 +29,11 @@ func TestMeasureThroughputDeterministic(t *testing.T) {
 }
 
 func TestThroughputScalesWithClients(t *testing.T) {
-	narrow, err := MeasureThroughput(ByName("cops"), workload.ReadHeavy(), 1, 150, 3)
+	narrow, err := driver.Run(ByName("cops"), driver.Config{Clients: 1, Txns: 150, Mix: workload.ReadHeavy(), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := MeasureThroughput(ByName("cops"), workload.ReadHeavy(), 16, 150, 3)
+	wide, err := driver.Run(ByName("cops"), driver.Config{Clients: 16, Txns: 150, Mix: workload.ReadHeavy(), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,8 +140,19 @@ func TestCertifyPastBatchCeiling(t *testing.T) {
 	if rep.Cert.FirstViolation != -1 {
 		t.Fatalf("clean run pins a violation: %+v", rep.Cert)
 	}
+	if rep.Cert.Appended != history.MaxTxns+64 {
+		t.Fatalf("session appended %d commits, want %d", rep.Cert.Appended, history.MaxTxns+64)
+	}
 	if rep.Cert.PeakWindow == 0 || rep.Cert.PeakWindow > rep.Cert.Appended {
 		t.Fatalf("peak window %d out of range for %d appends", rep.Cert.PeakWindow, rep.Cert.Appended)
+	}
+	// Past the ceiling the session is timed and the batch cross-check,
+	// with the history that would back it, is skipped.
+	if rep.CertWall <= 0 {
+		t.Fatalf("ride-along session reported no wall-clock: %+v", rep.Cert)
+	}
+	if rep.CertBatchWall != 0 {
+		t.Fatalf("batch cross-check ran past the ceiling (wall %v)", rep.CertBatchWall)
 	}
 
 	// Refuting direction: a violator past the ceiling is still caught
@@ -160,6 +171,56 @@ func TestCertifyPastBatchCeiling(t *testing.T) {
 	}
 	if bad.Cert.FirstViolation < 0 || bad.Cert.FirstViolation >= history.MaxTxns {
 		t.Fatalf("violation not pinned early: %+v", bad.Cert)
+	}
+}
+
+// TestThroughputCertifyRideAlong: a certified run without RecordHistory
+// reports the agreed verdict at the claimed level, and a violator run
+// pins the first offending commit.
+func TestThroughputCertifyRideAlong(t *testing.T) {
+	clean, err := Run(cops.New(), Config{
+		Clients: 8, Txns: 200, Mix: workload.Balanced(), Seed: 2, Certify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !clean.Cert.OK || clean.CertLevel != "causal" || clean.Cert.Appended != 200 {
+		t.Fatalf("cops certification malformed: %+v", clean.Cert)
+	}
+	if clean.Cert.FirstViolation != -1 {
+		t.Fatalf("clean cell pins a first violation: %+v", clean.Cert)
+	}
+
+	bad, err := Run(naivefast.New(), Config{
+		Clients: 8, Txns: 96, Mix: workload.Balanced(), Seed: 2, ObjectsPerServer: 1, Certify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad.Cert.OK {
+		t.Fatal("naivefast certified clean")
+	}
+	if bad.Cert.FirstViolation < 0 || bad.Cert.FirstViolation >= bad.Committed {
+		t.Fatalf("violator cell must pin the first offending commit: %+v", bad.Cert)
+	}
+}
+
+// TestThroughputStaleness: the staleness probe wiring reaches the report
+// and stays deterministic.
+func TestThroughputStaleness(t *testing.T) {
+	cfg := Config{Clients: 8, Txns: 200, Mix: workload.Balanced(), Seed: 5, ProbeStaleness: true}
+	rep, err := Run(cops.New(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rep.Staleness
+	if st == nil || st.Probes == 0 {
+		t.Fatalf("staleness tallies missing: %+v", st)
+	}
+	again, err := Run(cops.New(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *again.Staleness != *st {
+		t.Fatalf("staleness tallies nondeterministic: %+v vs %+v", st, again.Staleness)
 	}
 }
 

@@ -89,7 +89,9 @@ func TestCrossCheckDisagreementIsAnError(t *testing.T) {
 // TestCertifiedRunLeavesNoGoroutine: every way a certified run ends —
 // clean, sealed at a violation, open loop, past the batch ceiling with no
 // cross-check, and refused before the simulation starts — stops the
-// session's goroutine before Run returns.
+// session's goroutine before Run returns. Certify alone decides the
+// cross-check: a run without RecordHistory is re-solved too, and its
+// history is not handed out.
 func TestCertifiedRunLeavesNoGoroutine(t *testing.T) {
 	// run counts goroutines in the subtest's own goroutine, before and
 	// after the certified run, and waits for the count to come back.
@@ -111,6 +113,19 @@ func TestCertifiedRunLeavesNoGoroutine(t *testing.T) {
 			RecordHistory: true, Certify: true})
 		if err != nil || !rep.Cert.OK {
 			t.Fatalf("err %v, verdict %+v", err, rep.Cert)
+		}
+	})
+	run("certified without RecordHistory", func(t *testing.T) {
+		rep, err := Run(cops.New(), Config{Clients: 8, Txns: 100, Mix: workload.Balanced(), Seed: 5,
+			Certify: true})
+		if err != nil || !rep.Cert.OK {
+			t.Fatalf("err %v, verdict %+v", err, rep.Cert)
+		}
+		if rep.CertBatchWall <= 0 {
+			t.Fatal("the batch cross-check did not run")
+		}
+		if rep.History != nil {
+			t.Fatal("the cross-check's history was handed out without RecordHistory")
 		}
 	})
 	run("sealed", func(t *testing.T) {

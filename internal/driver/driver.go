@@ -10,9 +10,10 @@
 // history.Session at the protocol's claimed consistency level as it is
 // collected, on a goroutine beside the simulation, and a violating run is
 // pinned to its first offending commit (with the minimal witness prefix)
-// in Report.Cert. A run that also records its history re-solves it with
-// the batch solver while the session drains, and fails if the two
-// disagree.
+// in Report.Cert. The driver owns the cross-check too: a certified run
+// of at most history.MaxTxns transactions records its history and
+// re-solves it with the batch solver while the session drains, and fails
+// if the two disagree.
 //
 // Two load regimes are supported. Closed loop (the default) keeps every
 // client saturated: up to Pipeline invocations outstanding per client, a
@@ -96,12 +97,11 @@ type Config struct {
 	// so a run that reaches the bound is stuck, not slow: it ends with
 	// Incomplete > 0 instead of hanging.
 	MaxEvents int
-	// RecordHistory collects completed transactions into Report.History
-	// for consistency checking. The BATCH checkers certify recorded
-	// histories up to history.MaxTxns transactions; past that ceiling the
-	// streaming ride-along session (Certify) is the only exact checker.
-	// With Certify too, the run cross-checks the session against the batch
-	// solver on a recorded history of at most history.MaxTxns.
+	// RecordHistory hands the completed transactions out in
+	// Report.History for consistency checking. The BATCH checkers certify
+	// recorded histories up to history.MaxTxns transactions; past that
+	// ceiling the streaming ride-along session (Certify) is the only exact
+	// checker. It does not decide the cross-check: Certify does.
 	RecordHistory bool
 	// Certify runs ride-along certification: every committed transaction
 	// is handed, as it is collected, to a streaming history.Session on its
@@ -112,12 +112,13 @@ type Config struct {
 	// decided, so runs past history.MaxTxns certify exactly. Memory
 	// follows the active window only where retirement happens: at 2
 	// clients nearly everything retires, at 8 or more closed-loop clients
-	// nothing does and the window is the whole run. With RecordHistory
-	// and a history of at most history.MaxTxns, the run also re-solves
-	// the history with the batch solver while the session drains, and
-	// returns an error if the two verdicts disagree. The verdict lands in
-	// Report.Cert, the session's wall-clock in Report.CertWall and the
-	// batch re-solve's in Report.CertBatchWall.
+	// nothing does and the window is the whole run. A run of at most
+	// history.MaxTxns transactions also records its history (kept from
+	// the report unless RecordHistory) and re-solves it with the batch
+	// solver while the session drains, returning an error if the two
+	// verdicts disagree. The verdict lands in Report.Cert, the session's
+	// wall-clock in Report.CertWall and the batch re-solve's in
+	// Report.CertBatchWall.
 	Certify bool
 	// ProbeStaleness samples visibility staleness while the run executes:
 	// every probeStride-th committed write transaction is re-read through
@@ -361,6 +362,9 @@ type run struct {
 	// cert is the ride-along certification session on its own goroutine
 	// (nil unless Config.Certify).
 	cert *certifier
+	// hist records the run for Report.History and the batch cross-check
+	// (nil when neither wants it).
+	hist *history.History
 	// stale accumulates the frozen visibility probes (nil unless
 	// Config.ProbeStaleness and the deployment reserved a reader);
 	// writesSeen drives the sampling stride.
@@ -403,8 +407,8 @@ func newRun(d *protocol.Deployment, cfg Config) *run {
 		r.cls[i] = d.Client(d.Clients[i])
 		r.gens[i] = workload.NewGenerator(cfg.Mix, objects, cfg.Seed*1_000_003+int64(i)*7919+11)
 	}
-	if cfg.RecordHistory {
-		r.rep.History = history.New(d.Initials())
+	if cfg.RecordHistory || cfg.Certify && cfg.Txns <= history.MaxTxns {
+		r.hist = history.New(d.Initials())
 	}
 	if cfg.Certify {
 		r.rep.CertLevel = d.Proto.Claims().Consistency
@@ -541,10 +545,10 @@ func (r *run) collect(floor sim.Time) {
 		} else {
 			r.wr.Add(l)
 		}
-		if r.rep.History != nil || r.cert != nil {
+		if r.hist != nil || r.cert != nil {
 			rec := history.NewRecord(res)
-			if r.rep.History != nil {
-				r.rep.History.Add(rec)
+			if r.hist != nil {
+				r.hist.Add(rec)
 			}
 			if r.cert != nil {
 				r.cert.recs <- rec
@@ -613,9 +617,12 @@ func (r *run) finish(start sim.Time) (*Report, error) {
 	}
 	err := r.d.Kernel.CheckConservation()
 	if r.cert != nil {
-		if e := crossCheck(rep, rep.History, r.stopCert); err == nil {
+		if e := crossCheck(rep, r.hist, r.stopCert); err == nil {
 			err = e
 		}
+	}
+	if r.cfg.RecordHistory {
+		rep.History = r.hist
 	}
 	return rep, err
 }

@@ -27,11 +27,11 @@ func fail(format string, args ...any) Verdict {
 // longer the ceiling of the incremental path: a streaming session
 // (NewStreamingSession) retires committed prefixes of the closure, so
 // its memory follows the active window and it certifies runs far past
-// this constant. MaxTxns survives as the differential-oracle bound —
-// below it the batch checker cross-checks every streaming verdict of a
-// run that records its history (the load driver's finish, while the
-// session drains); above it the streaming session is the only exact
-// checker and the cross-check is skipped.
+// this constant. MaxTxns survives as the differential-oracle bound: the
+// load driver cross-checks the streaming verdict of every certified run
+// of at most MaxTxns transactions against the batch checker (in its
+// finish, while the session drains); above it the streaming session is
+// the only exact checker and the cross-check is skipped.
 const MaxTxns = 4096
 
 // ov keys the writer lookup: (object, value) pairs are unique writers
@@ -59,7 +59,8 @@ type graph struct {
 
 // build constructs the dependency graph. realTime adds completed-before-
 // invoked edges (for strict serializability). It returns an error verdict
-// for malformed histories (too large, duplicate values, dangling reads).
+// for malformed histories (too large, duplicate values, dangling reads),
+// the first in transaction order and, within one, in object order.
 func build(h *History, realTime bool) (*graph, *Verdict) {
 	g := &graph{h: h, txns: h.Records(), index: make(map[model.TxnID]int)}
 	n := len(g.txns)
@@ -91,7 +92,8 @@ func build(h *History, realTime bool) (*graph, *Verdict) {
 		for _, w := range t.Writes {
 			g.writes[i][w.Object] = w.Value // last write wins
 		}
-		for obj, val := range g.writes[i] {
+		for _, obj := range sortedObjects(g.writes[i]) {
+			val := g.writes[i][obj]
 			if val == h.Initial(obj) {
 				v := fail("values not distinct: %s=%s written by %s equals the initial value",
 					obj, val, t.ID)
@@ -118,7 +120,8 @@ func build(h *History, realTime bool) (*graph, *Verdict) {
 
 	// Reads-from: forced by value distinctness.
 	for i, t := range g.txns {
-		for obj, val := range t.Reads {
+		for _, obj := range sortedObjects(t.Reads) {
+			val := t.Reads[obj]
 			if val == h.Initial(obj) {
 				continue // reads the initial value
 			}
@@ -326,57 +329,62 @@ func CheckStrictSerializable(h *History) Verdict {
 // fractured read — if T reads object X from writer W, and W also wrote
 // object Y which T reads, then T must read Y from W or from a transaction
 // that did not complete before W was invoked (i.e. not from a strictly
-// older writer). Dangling reads are also violations.
+// older writer). Dangling reads are also violations (build refuses them).
 func CheckReadAtomic(h *History) Verdict {
 	g, errv := build(h, false)
 	if errv != nil {
 		return *errv
 	}
-	writerOf := func(t *TxnRecord, obj string) (int, bool) {
-		val := t.Reads[obj]
-		if val == h.Initial(obj) {
-			return -1, true // initial pseudo-writer: older than everything
-		}
-		j, found := g.writer[ov{obj, val}]
-		return j, found
-	}
 	for _, t := range g.txns {
-		for obj := range t.Reads {
-			w, found := writerOf(t, obj)
-			if !found {
-				return fail("dangling read in %s on %s", t.ID, obj)
-			}
-			if w < 0 {
-				continue
-			}
-			for obj2 := range t.Reads {
-				if obj2 == obj {
-					continue
-				}
-				if _, siblingWrite := g.writes[w][obj2]; !siblingWrite {
-					continue
-				}
-				w2, found2 := writerOf(t, obj2)
-				if !found2 {
-					return fail("dangling read in %s on %s", t.ID, obj2)
-				}
-				if w2 == w {
-					continue
-				}
-				// Fractured if the observed writer of obj2 is strictly
-				// older than w (initial value, or completed before w was
-				// invoked).
-				if w2 < 0 {
-					return fail("fractured read: %s read %s from %s but %s from the initial value",
-						t.ID, obj, g.txns[w].ID, obj2)
-				}
-				a, b := g.txns[w2], g.txns[w]
-				if a.Completed >= 0 && a.Completed < b.Invoked {
-					return fail("fractured read: %s read %s from %s but %s from older %s",
-						t.ID, obj, b.ID, obj2, a.ID)
-				}
-			}
+		if reason := fracturedRead(t, h.Initial, g.writer, g.txns, g.writes); reason != "" {
+			return fail("%s", reason)
 		}
 	}
 	return ok(nil)
+}
+
+// fracturedRead is the fracture test the batch checker and the session
+// share: the first fractured read of t, objects in sorted order, or ""
+// when t reads atomically. Every read of t must have its writer in
+// writer. t's read of obj from w is fractured against obj2 when w also
+// wrote obj2 and t read obj2 from a strictly older writer: the initial
+// value, or one that completed before w was invoked.
+func fracturedRead(t *TxnRecord, initial func(string) model.Value, writer map[ov]int,
+	txns []*TxnRecord, writes []map[string]model.Value) string {
+	writerOf := func(obj string) int {
+		val := t.Reads[obj]
+		if val == initial(obj) {
+			return -1 // initial pseudo-writer: older than everything
+		}
+		return writer[ov{obj, val}]
+	}
+	objs := sortedObjects(t.Reads)
+	for _, obj := range objs {
+		w := writerOf(obj)
+		if w < 0 {
+			continue
+		}
+		for _, obj2 := range objs {
+			if obj2 == obj {
+				continue
+			}
+			if _, sibling := writes[w][obj2]; !sibling {
+				continue
+			}
+			w2 := writerOf(obj2)
+			if w2 == w {
+				continue
+			}
+			if w2 < 0 {
+				return fmt.Sprintf("fractured read: %s read %s from %s but %s from the initial value",
+					t.ID, obj, txns[w].ID, obj2)
+			}
+			a, b := txns[w2], txns[w]
+			if a.Completed >= 0 && a.Completed < b.Invoked {
+				return fmt.Sprintf("fractured read: %s read %s from %s but %s from older %s",
+					t.ID, obj, b.ID, obj2, a.ID)
+			}
+		}
+	}
+	return ""
 }

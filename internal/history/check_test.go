@@ -151,6 +151,48 @@ func TestReadAtomicFracturedRead(t *testing.T) {
 	}
 }
 
+// TestBatchReasonsAreDeterministic: a transaction that breaks the same
+// rule on several objects gets one reason from the batch checker, call
+// after call, and it is the session's: the first offending object in
+// sorted order.
+func TestBatchReasonsAreDeterministic(t *testing.T) {
+	// Two fractured pairs: the reader sees A from w1 but not its B, and
+	// C from w2 but not its D.
+	fractured := New(map[string]model.Value{"A": "a0", "B": "b0", "C": "c0", "D": "d0"})
+	fractured.Add(rec("w1", 1, nil, model.Write{Object: "A", Value: "a1"}, model.Write{Object: "B", Value: "b1"}))
+	fractured.Add(rec("w2", 1, nil, model.Write{Object: "C", Value: "c1"}, model.Write{Object: "D", Value: "d1"}))
+	r := rec("r", 1, map[string]model.Value{"A": "a1", "B": "b0", "C": "c1", "D": "d0"})
+	r.Invoked, r.Completed = 2, 3
+	fractured.Add(r)
+
+	dangling := New(nil)
+	dangling.Add(rec("r", 1, map[string]model.Value{"X": "x9", "Y": "y9", "Z": "z9"}))
+
+	initial := New(map[string]model.Value{"X": "x0", "Y": "y0"})
+	initial.Add(rec("w", 1, nil, model.Write{Object: "X", Value: "x0"}, model.Write{Object: "Y", Value: "y0"}))
+
+	for _, tc := range []struct {
+		name, level string
+		h           *History
+	}{
+		{"two fractured pairs", "read-atomic", fractured},
+		{"three dangling reads", "causal", dangling},
+		{"two writes of initial values", "causal", initial},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := CheckIncremental(tc.h, tc.level)
+			if want.OK {
+				t.Fatal("the session accepts the history")
+			}
+			for i := 0; i < 50; i++ {
+				if got := CheckBatch(tc.h, tc.level); got.Reason != want.Reason {
+					t.Fatalf("call %d: batch reason %q, session %q", i, got.Reason, want.Reason)
+				}
+			}
+		})
+	}
+}
+
 func TestDanglingReadRejectedEverywhere(t *testing.T) {
 	h := New(nil)
 	h.Add(rec("r", 1, map[string]model.Value{"X": "ghost"}))

@@ -11,17 +11,21 @@
 // is acyclic, and for every client c there is a linear extension of it in
 // which every transaction of c is legal.
 //
-// Three checking engines implement that search, all bounded by the
-// shared ceiling MaxTxns. The production path is the incremental Session
-// (session.go): it carries the transitively closed partial order and the
-// anti-dependency clause set across commits, so a load run is certified
-// as it executes (Check is a thin batch wrapper over a one-shot session)
-// and a violation is pinned to its first offending commit with the
-// minimal witness prefix. The one-shot constraint-propagation solver
-// over ordering literals (solver.go, entry CheckBatch) re-solves a
-// complete history from scratch and serves as the session's differential
-// oracle and cost baseline; the original exhaustive enumeration survives
-// in the tests as their oracle of last resort (≤ 62 transactions).
+// Three checking engines implement that search. The production path is
+// the incremental Session (session.go): it carries the transitively
+// closed partial order and the anti-dependency clause set across
+// commits, so a load run is certified as it executes and a violation is
+// pinned to its first offending commit with the minimal witness prefix.
+// A streaming session (NewStreamingSession) retires decided prefixes and
+// has no ceiling; a bounded one (NewSession, and Check, which appends a
+// whole history to one) refuses past MaxTxns. The one-shot
+// constraint-propagation solver over ordering literals (solver.go, entry
+// CheckBatch) re-solves a complete history of at most MaxTxns
+// transactions from scratch and serves as the session's differential
+// oracle and cost baseline; the two share their read-atomicity test and
+// give one Reason for one history. The original exhaustive enumeration
+// survives in the tests as their oracle of last resort (≤ 62
+// transactions).
 package history
 
 import (

@@ -1512,47 +1512,12 @@ func (s *Session) appendBatchWitness(out []model.TxnID, bi int32, st *clientStat
 	return out
 }
 
-// checkReadAtomic runs the pairwise fracture check for reader (all of
-// whose reads have resolved writers) at append index cur, mirroring
-// CheckReadAtomic.
+// checkReadAtomic runs the fracture test for reader (all of whose reads
+// have resolved writers) at append index cur: CheckReadAtomic's test, so
+// both engines give one reason.
 func (s *Session) checkReadAtomic(cur, reader int) bool {
-	t := s.txns[reader]
-	objs := sortedObjects(t.Reads)
-	writerOf := func(obj string) int {
-		val := t.Reads[obj]
-		if val == s.Initial(obj) {
-			return -1 // initial pseudo-writer: older than everything
-		}
-		return s.writer[ov{obj, val}]
-	}
-	for _, obj := range objs {
-		w := writerOf(obj)
-		if w < 0 {
-			continue
-		}
-		for _, obj2 := range objs {
-			if obj2 == obj {
-				continue
-			}
-			if _, sibling := s.writes[w][obj2]; !sibling {
-				continue
-			}
-			w2 := writerOf(obj2)
-			if w2 == w {
-				continue
-			}
-			if w2 < 0 {
-				return s.violate(cur, s.ids[cur],
-					"fractured read: %s read %s from %s but %s from the initial value",
-					t.ID, obj, s.ids[w], obj2)
-			}
-			a, b := s.txns[w2], s.txns[w]
-			if a.Completed >= 0 && a.Completed < b.Invoked {
-				return s.violate(cur, s.ids[cur],
-					"fractured read: %s read %s from %s but %s from older %s",
-					t.ID, obj, b.ID, obj2, a.ID)
-			}
-		}
+	if reason := fracturedRead(s.txns[reader], s.Initial, s.writer, s.txns, s.writes); reason != "" {
+		return s.violate(cur, s.ids[cur], "%s", reason)
 	}
 	return true
 }

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/protocol"
 	"repro/internal/workload"
 )
@@ -50,7 +51,7 @@ type Row = core.Row
 type LatencyReport = core.LatencyReport
 
 // ThroughputReport is the outcome of a closed-loop throughput run.
-type ThroughputReport = core.ThroughputReport
+type ThroughputReport = driver.Report
 
 // LoadCurve is a swept open-loop latency–throughput curve.
 type LoadCurve = core.LoadCurve
@@ -143,7 +144,11 @@ func MeasureThroughput(name string, mix Mix, clients, txns int, seed int64) (Thr
 	if err != nil {
 		return ThroughputReport{}, err
 	}
-	return core.MeasureThroughput(p, mix, clients, txns, seed)
+	rep, err := driver.Run(p, driver.Config{Clients: clients, Txns: txns, Mix: mix, Seed: seed})
+	if err != nil {
+		return ThroughputReport{}, err
+	}
+	return *rep, nil
 }
 
 // MeasureLoadCurve runs the open-loop latency–throughput curve
