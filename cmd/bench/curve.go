@@ -20,10 +20,6 @@ type curveRow struct {
 	Offered   float64 `json:"offered_txn_per_s"`
 	Achieved  float64 `json:"achieved_txn_per_s"`
 	Knee      float64 `json:"knee_txn_per_s"`
-	// Refined marks a knee-bisection point (-refineknee): it ran after
-	// the swept fractions with the longer refinement window, and its
-	// txns column — the point's own issued count — reflects that window.
-	Refined bool `json:"refined,omitempty"`
 
 	Committed  int   `json:"committed"`
 	Rejected   int   `json:"rejected"`
@@ -66,7 +62,7 @@ func buildCurve(s sweep) ([]curveRow, error) {
 			Replication: c.cfg.Replication, Topology: c.cfg.Topology,
 			Clients: c.cfg.Clients, Txns: c.cfg.Txns,
 			Fractions: s.fractions, Deterministic: c.cfg.DeterministicArrivals,
-			Certify: c.cfg.Certify, RefineKnee: s.refineKnee,
+			Certify: c.cfg.Certify,
 		})
 		if err != nil {
 			return nil, err
@@ -83,7 +79,6 @@ func buildCurve(s sweep) ([]curveRow, error) {
 				Offered:     pt.OfferedRate,
 				Achieved:    pt.Throughput,
 				Knee:        curve.Knee,
-				Refined:     pt.Refined,
 				Committed:   pt.Committed,
 				Rejected:    pt.Rejected,
 				Incomplete:  pt.Incomplete,

@@ -23,8 +23,7 @@
 //     open-loop run per -fractions entry (-arrivals poisson|uniform)
 //     charts the latency–throughput curve, with queueing delay and
 //     service latency reported separately and the knee of the curve on
-//     every row. Only here: -refineknee bisects the queueing/service
-//     crossover with longer-window points after the fraction sweep.
+//     every row.
 //
 // Cells step under the sharded conservative-lookahead engine (one shard
 // per server, each advancing to its Chandy–Misra null-message bound; see
@@ -69,7 +68,7 @@
 //	go run ./cmd/bench -servers 2,4,8 -replication 1,2 -workers 4 -txns 2000
 //	go run ./cmd/bench -certify -protocols cops,spanner -mixes balanced -servers 2 -objects 1 -clients 2 -txns 6000
 //	go run ./cmd/bench -stale -protocols cops,cure -clients 16
-//	go run ./cmd/bench -curve -certify -refineknee -protocols cops,spanner -fractions 0.1,0.5,0.9,1.1
+//	go run ./cmd/bench -curve -certify -protocols cops,spanner -fractions 0.1,0.5,0.9,1.1
 package main
 
 import (
@@ -388,8 +387,7 @@ type sweep struct {
 	// workers is how many cells run at once (-workers).
 	workers int
 	// Curve mode only.
-	fractions  []float64
-	refineKnee bool
+	fractions []float64
 	// Where to write pprof profiles of the sweep ("": none).
 	cpuProfile, memProfile string
 }
@@ -519,12 +517,12 @@ func buildGrid(s sweep) ([]row, error) {
 // flagMode names the flags only one mode reads (true: -curve, false: the
 // closed-loop grid). Set under the other mode they are refused, not
 // dropped: -nemesis and -stale would confound an open-loop latency curve
-// with fault windows and probe hand-backs, -pipeline and -clients have
+// with fault windows and staleness probes, -pipeline and -clients have
 // no meaning when arrivals are injected, and the rest shape a rate sweep
 // the grid does not run.
 var flagMode = map[string]bool{
 	"clients": false, "pipeline": false, "stale": false, "nemesis": false,
-	"curveclients": true, "fractions": true, "arrivals": true, "refineknee": true,
+	"curveclients": true, "fractions": true, "arrivals": true,
 }
 
 // parseSweep parses and validates a command line.
@@ -580,11 +578,6 @@ func parseSweep(args []string, stderr io.Writer) (sweep, error) {
 			"(nem_sync_* columns). The schedule is a pure function of the seed "+
 			"and cell config, so -nemesis grids stay byte-diffable across "+
 			"worker counts; fault-free rows omit the columns entirely")
-	refineKnee := fs.Bool("refineknee", false,
-		"curve mode only: after the -fractions sweep, bisect the queueing/service "+
-			"crossover with longer-window open-loop points (rows marked "+
-			"\"refined\": true) instead of quantizing the knee to the swept "+
-			"fractions; swept rows stay byte-identical to an unrefined sweep")
 	curve := fs.Bool("curve", false,
 		"sweep open-loop offered load instead of closed-loop client counts")
 	fractions := fs.String("fractions", "0.1,0.25,0.5,0.75,0.9,1.1",
@@ -624,7 +617,7 @@ func parseSweep(args []string, stderr io.Writer) (sweep, error) {
 		protocols:  strings.Split(*protocols, ","),
 		mixes:      strings.Split(*mixes, ","),
 		topologies: strings.Split(*topology, ","),
-		refineKnee: *refineKnee, workers: *workers,
+		workers:    *workers,
 		cpuProfile: *cpuProfile, memProfile: *memProfile,
 		cell: driver.Config{
 			Pipeline: *pipeline, ObjectsPerServer: *objects, Seed: *seed,

@@ -284,41 +284,6 @@ func TestGridTxnsSweepAndStale(t *testing.T) {
 	requireIdentical(t, "stale grid JSON", encode(t, rows), encode(t, run()))
 }
 
-// TestCurveRefineKnee: -refineknee appends bisection rows after the
-// swept fractions, marked refined with the doubled window in the txns
-// column, without perturbing the swept rows.
-func TestCurveRefineKnee(t *testing.T) {
-	cfg := sweepOf(t, "-curve -protocols cops -fractions 0.1,1.2 -curveclients 4 -txns 80 -servers 2 -seed 7")
-	base, err := buildCurve(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcfg := cfg
-	rcfg.refineKnee = true
-	refined, err := buildCurve(rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(refined) <= len(base) {
-		t.Fatalf("refinement added no rows: %d vs %d", len(refined), len(base))
-	}
-	for i, r := range base {
-		got := refined[i]
-		// The refined sweep recomputes the knee over all points, so the
-		// knee column may differ; everything else on a swept row must not.
-		got.Knee = r.Knee
-		requireIdentical(t, "swept curve row", encode(t, r), encode(t, got))
-	}
-	for _, r := range refined[len(base):] {
-		if !r.Refined {
-			t.Fatalf("bisection row not marked refined: %+v", r)
-		}
-		if r.Txns != 2*80 {
-			t.Fatalf("bisection row txns = %d, want the doubled window", r.Txns)
-		}
-	}
-}
-
 // TestCurveJSONByteIdentical: same for the open-loop curve grid,
 // including the Poisson arrival stream.
 func TestCurveJSONByteIdentical(t *testing.T) {
@@ -575,16 +540,15 @@ func TestCurveTopology(t *testing.T) {
 	requireIdentical(t, "2site curve JSON (W1 vs W4)", encode(t, rows), encode(t, curve(4)))
 }
 
-// TestRunRefusals: a flag the selected mode does not read, an empty sweep
-// and a malformed value are each refused with a reason naming the flag,
-// with nothing on stdout.
+// TestRunRefusals: a flag the selected mode does not read, an empty sweep,
+// a malformed value and a deleted flag are each refused with a reason
+// naming the flag, with nothing on stdout.
 func TestRunRefusals(t *testing.T) {
 	for _, tc := range []struct{ line, names string }{
 		{"-curve -stale", "-stale"},
 		{"-curve -pipeline 4", "-pipeline"},
 		{"-curve -clients 4", "-clients"},
 		{"-curve -nemesis crash", "-nemesis"},
-		{"-refineknee", "-refineknee"},
 		{"-arrivals uniform", "-arrivals"},
 		{"-curveclients 3", "-curveclients"},
 		{"-fractions 0.5", "-fractions"},
@@ -594,6 +558,7 @@ func TestRunRefusals(t *testing.T) {
 		{"-curve -arrivals burst", "burst"},
 		{"-curve -curveclients x", "-curveclients"},
 		{"-barrier", "-barrier"},
+		{"-refineknee", "-refineknee"},
 	} {
 		var stdout, stderr bytes.Buffer
 		err := run(strings.Fields(tc.line), &stdout, &stderr)
@@ -619,7 +584,7 @@ func TestRunAccepts(t *testing.T) {
 		rows int
 	}{
 		{"-protocols cops -clients 4 -txns 60 -servers 2,4 -replication 1,3 -stale -pipeline 2", 3},
-		{"-curve -refineknee -arrivals uniform -protocols cops -curveclients 4 -txns 60 -servers 2 -fractions 0.1,1.2", 2},
+		{"-curve -arrivals uniform -protocols cops -curveclients 4 -txns 60 -servers 2 -fractions 0.1,1.2", 2},
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(strings.Fields(tc.line), &stdout, &stderr); err != nil {

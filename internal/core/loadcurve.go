@@ -17,10 +17,6 @@ type CurvePoint struct {
 	driver.Report
 	// Fraction of the saturated (closed-loop) throughput offered.
 	Fraction float64
-	// Refined marks a knee-bisection point (CurveOptions.RefineKnee):
-	// it was not part of the swept fractions and ran with the longer
-	// refinement window.
-	Refined bool
 }
 
 // LoadCurve is a swept latency–throughput curve for one protocol × mix.
@@ -62,19 +58,7 @@ type CurveOptions struct {
 	// semantics, cross-check included; the saturation estimate is never
 	// certified).
 	Certify bool
-	// RefineKnee bisects the knee after the fraction sweep: between the
-	// highest swept rate still below the queueing/service crossover and
-	// the lowest one past it, extra open-loop points run at the midpoint
-	// rate until the bracket has collapsed (up to kneeRounds rounds).
-	// Refinement points run 2×Txns transactions — near the crossover
-	// queueing and service percentiles are comparable, so the short sweep
-	// window quantizes the knee to the swept fractions and its p50s are
-	// noisy exactly where the curve bends. Default off: the swept points
-	// and their knee are byte-identical to an unrefined sweep; refined
-	// points are appended after them, marked Refined, and the reported
-	// knee is recomputed over all points.
-	RefineKnee bool
-	Workers    int
+	Workers int
 }
 
 // config is the closed-loop saturation run of the sweep; every open-loop
@@ -93,10 +77,6 @@ func (o CurveOptions) config(mix workload.Mix, seed int64) driver.Config {
 	}
 	return cfg
 }
-
-// kneeRounds bounds the knee bisection: each round halves the bracket,
-// so four rounds pin the knee to ~6% of the swept gap.
-const kneeRounds = 4
 
 // MeasureLoadCurve sweeps offered load from light load to past saturation
 // for one protocol and mix: it first estimates the saturated throughput
@@ -119,66 +99,20 @@ func MeasureLoadCurve(p protocol.Protocol, mix workload.Mix, seed int64, opt Cur
 	}
 	curve.Saturated = sat.Throughput
 
-	// Every point is the saturation run's spec at an open-loop rate;
-	// refinement points run the doubled window.
-	runPoint := func(rate float64, refined bool) (CurvePoint, error) {
+	// Every point is the saturation run's spec at an open-loop rate.
+	for _, frac := range opt.Fractions {
 		cfg := base
-		cfg.Rate, cfg.DeterministicArrivals, cfg.Certify = rate, opt.Deterministic, opt.Certify
-		if refined {
-			cfg.Txns *= 2
-		}
+		cfg.Rate, cfg.DeterministicArrivals, cfg.Certify = frac*curve.Saturated, opt.Deterministic, opt.Certify
 		rep, err := driver.Run(p, cfg)
 		if err != nil {
-			return CurvePoint{}, fmt.Errorf("core: curve point %s at %.0f txn/s: %w", p.Name(), rate, err)
+			return curve, fmt.Errorf("core: curve point %s at %.0f txn/s: %w", p.Name(), cfg.Rate, err)
 		}
-		return CurvePoint{Report: *rep, Fraction: rate / curve.Saturated, Refined: refined}, nil
+		curve.Points = append(curve.Points, CurvePoint{Report: *rep, Fraction: frac})
 	}
 
-	for _, frac := range opt.Fractions {
-		pt, err := runPoint(frac*curve.Saturated, false)
-		if err != nil {
-			return curve, err
-		}
-		pt.Fraction = frac // exact, not re-derived through the division
-		curve.Points = append(curve.Points, pt)
-	}
-
-	// belowKnee is the crossover predicate the knee is defined by:
-	// queueing delay has not yet overtaken service time.
-	belowKnee := func(pt CurvePoint) bool { return pt.QueueDelay.P50 <= pt.Service.P50 }
-
-	if opt.RefineKnee {
-		// Bracket the crossover from the swept points: lo is the highest
-		// below-knee rate, hi the lowest past-knee rate above it. With no
-		// point past the knee there is nothing to bisect; with every
-		// point past it the bracket opens at zero offered load.
-		lo, hi := 0.0, 0.0
-		for _, pt := range curve.Points {
-			if belowKnee(pt) {
-				if pt.OfferedRate > lo {
-					lo = pt.OfferedRate
-				}
-			} else if hi == 0 || pt.OfferedRate < hi {
-				hi = pt.OfferedRate
-			}
-		}
-		for round := 0; round < kneeRounds && hi > lo; round++ {
-			mid := (lo + hi) / 2
-			pt, err := runPoint(mid, true)
-			if err != nil {
-				return curve, err
-			}
-			curve.Points = append(curve.Points, pt)
-			if belowKnee(pt) {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-	}
-
+	// The knee: queueing delay has not yet overtaken service time.
 	for _, pt := range curve.Points {
-		if belowKnee(pt) && pt.OfferedRate > curve.Knee {
+		if pt.QueueDelay.P50 <= pt.Service.P50 && pt.OfferedRate > curve.Knee {
 			curve.Knee = pt.OfferedRate
 		}
 	}

@@ -50,71 +50,6 @@ func TestMeasureLoadCurveShape(t *testing.T) {
 	}
 }
 
-// TestMeasureLoadCurveKneeRefinement: with RefineKnee the sweep bisects
-// the queueing/service crossover with longer-window points instead of
-// quantizing the knee to the swept fractions. The swept points stay
-// byte-identical to an unrefined sweep, the refinement points ride
-// behind them marked Refined, and the refined knee lands strictly
-// inside the coarse bracket — deterministically.
-func TestMeasureLoadCurveKneeRefinement(t *testing.T) {
-	opt := CurveOptions{
-		Clients: 4, Txns: 120, Fractions: []float64{0.1, 0.5, 1.2},
-	}
-	base, err := MeasureLoadCurve(cops.New(), workload.ReadHeavy(), 5, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ropt := opt
-	ropt.RefineKnee = true
-	refined, err := MeasureLoadCurve(cops.New(), workload.ReadHeavy(), 5, ropt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(refined.Points) <= len(base.Points) {
-		t.Fatalf("refinement added no points: %d vs %d", len(refined.Points), len(base.Points))
-	}
-	for i, pt := range base.Points {
-		if refined.Points[i].Refined {
-			t.Fatalf("swept point %d marked refined", i)
-		}
-		if refined.Points[i].OfferedRate != pt.OfferedRate || refined.Points[i].Committed != pt.Committed {
-			t.Fatalf("refinement perturbed swept point %d: %+v vs %+v", i, refined.Points[i], pt)
-		}
-	}
-	// Coarse bracket: the swept knee and the lowest swept point past it.
-	hi := 0.0
-	for _, pt := range base.Points {
-		if pt.QueueDelay.P50 > pt.Service.P50 && (hi == 0 || pt.OfferedRate < hi) {
-			hi = pt.OfferedRate
-		}
-	}
-	if hi == 0 {
-		t.Fatal("no swept point past the knee; refinement untestable at this config")
-	}
-	for _, pt := range refined.Points[len(base.Points):] {
-		if !pt.Refined {
-			t.Fatal("bisection point not marked Refined")
-		}
-		if pt.Committed != 2*opt.Txns {
-			t.Fatalf("refinement point ran %d txns, want the longer window %d", pt.Committed, 2*opt.Txns)
-		}
-		if pt.OfferedRate <= base.Knee || pt.OfferedRate >= hi {
-			t.Fatalf("bisection point %.0f outside the coarse bracket (%.0f, %.0f)", pt.OfferedRate, base.Knee, hi)
-		}
-	}
-	if refined.Knee < base.Knee || refined.Knee >= hi {
-		t.Fatalf("refined knee %.0f outside [%.0f, %.0f)", refined.Knee, base.Knee, hi)
-	}
-	again, err := MeasureLoadCurve(cops.New(), workload.ReadHeavy(), 5, ropt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Knee != refined.Knee || len(again.Points) != len(refined.Points) {
-		t.Fatalf("refinement nondeterministic: knee %.2f/%.2f points %d/%d",
-			refined.Knee, again.Knee, len(refined.Points), len(again.Points))
-	}
-}
-
 // TestMeasureLoadCurveHonoursTopology: every open-loop point runs on the
 // deployment the sweep names, not just the saturation estimate. (Points
 // used to drop Topology: the 2site curve was anchored to the 2-site

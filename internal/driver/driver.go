@@ -41,11 +41,14 @@
 // event count that bounds multi-core speedup, the null-message advances
 // and per-shard blocked time.
 //
-// Closed-loop runs refill clients mid-window: the runner calls
-// back into the driver after every client step (from the parallel
-// phase, touching only that client's generator and counters), so a
-// client is topped back up the moment a transaction completes rather
-// than at the next round boundary.
+// A closed-loop run fills its clients once and makes one engine run.
+// Clients refill mid-window: the runner calls back into the driver after
+// every client step (from the parallel phase, touching only that
+// client's generator and counters), so a client is topped back up the
+// moment a transaction completes rather than at the next round boundary.
+// Between rounds the driver drains finished results below the runner's
+// floor and takes its staleness probes, holding both while a fault is
+// due but not yet applied.
 //
 // Load runs use the kernel's load mode (tracing and payload retention
 // disabled) so memory stays flat over millions of events.
@@ -432,8 +435,8 @@ func (r *run) nextTxn(i int) *model.Txn {
 // backlog, unprocessed, and — when probing — ends with at most one
 // staleness probe: if the committed-write count crossed a probeStride
 // boundary among them, of the most recent committed write taken. The
-// closed loop calls it at the first round boundary after a completion
-// (probeDue hands back there), the nearest consistent cut to the write.
+// closed loop takes at every round boundary, so a probe runs at the
+// first one after its write: the nearest consistent cut to it.
 func (r *run) take() {
 	var probe *model.Result
 	due := false
@@ -461,35 +464,22 @@ func (r *run) take() {
 }
 
 // probing reports that the run samples staleness and is still below
-// probeCap. While it does, results are taken only where probeDue hands
-// back: which probe runs depends on the batches take sees.
+// probeCap. Which probe runs depends on the batches take sees, so the
+// closed loop takes at every round boundary, except while faultDue holds.
 func (r *run) probing() bool { return r.stale != nil && r.stale.Probes < probeCap }
 
-// probeDue reports that a probing run has finished transactions the
-// driver has not taken: the closed loop then hands back at this round
-// boundary, so a probe samples the kernel right after the completion
-// instead of at the end of the run or fault segment (where every sampled
-// write has long been overwritten). A round boundary is a consistent cut
-// — conservative lookahead never delivers a message before it is sent —
-// and returning there changes nothing about the schedule. Once the clock
-// has reached a pending fault's instant the run holds on until the fault
-// is applied: a shard draining a step chain may carry the clock past the
-// instant while others still hold events before it, and re-entering
-// engineRun there would apply the fault early.
-func (r *run) probeDue() bool {
-	if !r.probing() {
+// faultDue reports that the clock has reached a pending fault's instant
+// before the fault was applied: a shard draining a step chain may carry
+// the clock past the instant while others still hold events before it.
+// A probe taken then would sample a kernel the fault should already have
+// changed, so the closed loop holds its results until engineRun applies
+// it.
+func (r *run) faultDue() bool {
+	if r.nem == nil {
 		return false
 	}
-	if r.nem != nil {
-		if f := r.nem.next(); f != nil && f.At <= r.d.Kernel.Now() {
-			return false
-		}
-	}
-	finished := -r.taken
-	for i, cl := range r.cls {
-		finished += r.issued[i] - cl.Outstanding()
-	}
-	return finished > 0
+	f := r.nem.next()
+	return f != nil && f.At <= r.d.Kernel.Now()
 }
 
 // collect takes what has finished and drains, in completion order, the
@@ -781,46 +771,24 @@ func (r *run) runClosed() (*Report, error) {
 		}
 		r.clientIdx[d.Clients[i]] = i
 	}
-	// Mid-window refill: completions re-arm their client inside the
-	// round instead of waiting for the next engine exit.
+	// Fill every client once; after that, completions re-arm their
+	// client inside the round (the mid-window refill hook).
 	r.runner.SetRefill(r.refillClient)
-	// refill tops every client up between engine runs (the initial fill;
-	// after it the hook has usually left nothing to do).
-	refill := func() {
-		for i := range r.cls {
-			r.refillClient(d.Clients[i], d.Kernel.Now())
-		}
+	for i := range r.cls {
+		r.refillClient(d.Clients[i], d.Kernel.Now())
 	}
-	// stop is the engine's between-rounds predicate. It hands back the
-	// moment some client has spare pipeline capacity (rare: the hook keeps
-	// them topped up) or a probe is due; otherwise it drains, so the
-	// backlog stays a few rounds deep instead of the run's length.
-	stop := func(*sim.Kernel) bool {
-		for i, cl := range r.cls {
-			if r.issued[i] < r.quota[i] && cl.Outstanding() < cfg.Pipeline {
-				return true
-			}
-		}
-		if r.probeDue() {
-			return true
-		}
-		if !r.probing() {
+	start := d.Kernel.Now()
+	// Between rounds the run drains below the runner's floor, so the
+	// backlog stays a few rounds deep instead of the run's length, and a
+	// probe samples the kernel at the first round boundary after its
+	// write — a consistent cut: conservative lookahead never delivers a
+	// message before it is sent. Results are held while a fault is due.
+	rep.Events = r.engineRun(func(*sim.Kernel) bool {
+		if !r.faultDue() {
 			r.collect(r.runner.Floor())
 		}
 		return false
-	}
-
-	start := d.Kernel.Now()
-	for {
-		refill()
-		n := r.engineRun(stop, cfg.MaxEvents-rep.Events)
-		rep.Events += n
-		r.collect(r.runner.Floor())
-		// n == 0 with nothing enabled means the run is fully drained.
-		if n == 0 || rep.Events >= cfg.MaxEvents {
-			break
-		}
-	}
+	}, cfg.MaxEvents)
 	r.collect(drainAll)
 	for _, n := range r.issued {
 		rep.Issued += n

@@ -31,20 +31,25 @@ func runClosedAtEnd(r *run) (*Report, error) {
 		r.clientIdx[d.Clients[i]] = i
 	}
 	r.runner.SetRefill(r.refillClient)
-	needRefill := func() bool {
+	// handBack returns control at a round boundary where some client has
+	// spare pipeline capacity, or where a probing run has a finished
+	// result it has not taken — unless a fault is due but not applied.
+	handBack := func(*sim.Kernel) bool {
+		finished := -r.taken
 		for i, cl := range r.cls {
 			if r.issued[i] < r.quota[i] && cl.Outstanding() < cfg.Pipeline {
 				return true
 			}
+			finished += r.issued[i] - cl.Outstanding()
 		}
-		return false
+		return r.probing() && !r.faultDue() && finished > 0
 	}
 	start := d.Kernel.Now()
 	for {
 		for i := range r.cls {
 			r.refillClient(d.Clients[i], d.Kernel.Now())
 		}
-		n := r.engineRun(func(*sim.Kernel) bool { return needRefill() || r.probeDue() }, cfg.MaxEvents-rep.Events)
+		n := r.engineRun(handBack, cfg.MaxEvents-rep.Events)
 		rep.Events += n
 		r.take()
 		if n == 0 || rep.Events >= cfg.MaxEvents {
@@ -103,8 +108,8 @@ func TestFoldMatchesCollectAtEnd(t *testing.T) {
 					cfg := Config{
 						Clients: 8, Txns: 300, Mix: workload.Balanced(), Seed: seed,
 						Servers: 4, Pipeline: pipeline, Nemesis: nem,
-						// Probe on odd seeds: a probing run folds at its
-						// hand-backs, an un-probed one between rounds.
+						// Probe on odd seeds: the fold takes a probing run's
+						// probes between rounds, the reference at its hand-backs.
 						ProbeStaleness: seed%2 == 1,
 						Certify:        true, RecordHistory: true,
 					}
@@ -131,21 +136,23 @@ func TestFoldMatchesCollectAtEnd(t *testing.T) {
 }
 
 // TestFoldBoundsBacklog: on a saturated fault-free cell the results held
-// past a drain stay a few rounds' worth, while the reference holds the
-// whole run — a fold that silently never fires fails here, not in a
-// memory profile.
+// past a drain stay a few rounds' worth, probing or not, while the
+// reference holds the whole run — a fold that silently never fires fails
+// here, not in a memory profile.
 func TestFoldBoundsBacklog(t *testing.T) {
-	cfg := Config{Clients: 64, Txns: 20_000, Mix: workload.ReadHeavy(), Seed: 42, Servers: 8}
-	r, folded := closedRun(t, cops.New(), cfg, (*run).runClosed)
-	if r.backlog >= cfg.Txns/10 {
-		t.Errorf("folded run held up to %d of %d results", r.backlog, cfg.Txns)
+	for _, probe := range []bool{false, true} {
+		cfg := Config{Clients: 64, Txns: 20_000, Mix: workload.ReadHeavy(), Seed: 42, Servers: 8, ProbeStaleness: probe}
+		r, folded := closedRun(t, cops.New(), cfg, (*run).runClosed)
+		if r.backlog >= cfg.Txns/10 {
+			t.Errorf("probe=%v: folded run held up to %d of %d results", probe, r.backlog, cfg.Txns)
+		}
+		ref, atEnd := closedRun(t, cops.New(), cfg, runClosedAtEnd)
+		if ref.backlog != cfg.Txns {
+			t.Errorf("probe=%v: reference held up to %d results, want all %d", probe, ref.backlog, cfg.Txns)
+		}
+		if !reflect.DeepEqual(folded, atEnd) {
+			t.Errorf("probe=%v: reports differ:\nfolded %+v\nat end %+v", probe, folded, atEnd)
+		}
+		t.Logf("probe=%v: backlog high-water mark: %d folded, %d collected at the end", probe, r.backlog, ref.backlog)
 	}
-	ref, atEnd := closedRun(t, cops.New(), cfg, runClosedAtEnd)
-	if ref.backlog != cfg.Txns {
-		t.Errorf("reference held up to %d results, want all %d", ref.backlog, cfg.Txns)
-	}
-	if !reflect.DeepEqual(folded, atEnd) {
-		t.Errorf("reports differ:\nfolded %+v\nat end %+v", folded, atEnd)
-	}
-	t.Logf("backlog high-water mark: %d folded, %d collected at the end", r.backlog, ref.backlog)
 }

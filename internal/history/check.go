@@ -193,11 +193,13 @@ func (g *graph) witness(order []int) []model.TxnID {
 // Check certifies a complete history at a claimed consistency level
 // ("causal", "read-atomic", "serializable", "strict-serializable"). Any
 // other level (including "none") falls back to the causal check, the
-// paper's baseline property. The load driver uses it to certify concurrent
-// executions at each protocol's claimed level.
+// paper's baseline property.
 //
-// It is a thin wrapper over a one-shot incremental Session: the history
-// is appended record by record and the final verdict returned. Use
+// It is a thin wrapper over a one-shot bounded Session (at most MaxTxns
+// transactions): the history is appended record by record and the final
+// verdict returned. Tests and the benchtrace tracer's refutation metric
+// call it; the load driver does not — a certified run streams into
+// NewStreamingSession and cross-checks the verdict with CheckBatch. Use
 // CheckIncremental for the full session verdict (first offending commit,
 // witness prefix), or CheckBatch for the retained one-shot solver.
 func Check(h *History, level string) Verdict {
