@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/history"
 	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/sim"
@@ -197,6 +198,11 @@ func (a *Attack) Run() (*Verdict, error) {
 		return nil, err
 	}
 	if w != nil {
+		// The theorem's conclusion, checked: the history the witness
+		// implies must fail Definition 1.
+		if history.CheckCausal(witnessHistory(w)).OK {
+			return nil, fmt.Errorf("adversary: %s: the witness history passes the causal check", a.Proto.Name())
+		}
 		v.Sacrifices = "consistency"
 		v.Witness = w
 		v.Detail = "fast ROTs + multi-object writes: the adversary constructed a mixed read violating Lemma 1"

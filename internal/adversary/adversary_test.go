@@ -3,6 +3,7 @@ package adversary
 import (
 	"testing"
 
+	"repro/internal/history"
 	"repro/internal/protocol"
 	"repro/internal/protocols/contrarian"
 	"repro/internal/protocols/cops"
@@ -139,16 +140,24 @@ func TestSetupC0(t *testing.T) {
 
 // TestWitnessHistoryFailsCausalCheck ties the adversary to the formal
 // checker: feeding the witness execution's transactions into the
-// Definition 1 checker must yield a causal-consistency violation.
+// Definition 1 checker must yield a causal-consistency violation, for
+// both victims under Theorem 1's minimal system and Theorem 2's partially
+// replicated one.
 func TestWitnessHistoryFailsCausalCheck(t *testing.T) {
-	v := run(t, naivefast.New())
-	if v.Witness == nil {
-		t.Fatal("no witness")
-	}
-	// Reconstruct the history the witness implies (cf. Lemma 1's proof):
-	// T_in writes, c_w's initial read, Tw, and the mixed read.
-	h := witnessHistory(v)
-	if verdict := checkCausal(h); verdict {
-		t.Fatal("witness history unexpectedly causal")
+	for _, p := range []protocol.Protocol{naivefast.New(), twopcfast.New()} {
+		for _, a := range []*Attack{NewAttack(p), partialAttack(p, 3)} {
+			v, err := a.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name(), err)
+			}
+			if v.Witness == nil {
+				t.Fatalf("%s (%d servers): no witness", p.Name(), a.Cfg.Servers)
+			}
+			// Reconstruct the history the witness implies (cf. Lemma 1's
+			// proof): T_in writes, c_w's initial read, Tw, and the mixed read.
+			if history.CheckCausal(witnessHistory(v.Witness)).OK {
+				t.Fatalf("%s (%d servers): witness history unexpectedly causal", p.Name(), a.Cfg.Servers)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -134,9 +135,12 @@ func (n Nemesis) build(d *protocol.Deployment, seed int64, start sim.Time) ([]si
 					faults[i].From = append([]sim.ProcessID(nil), servers...)
 					break
 				}
-				for _, pid := range f.From {
+				for j, pid := range f.From {
 					if !isServer[pid] {
 						return nil, fmt.Errorf("driver: nemesis restore includes %q: restore targets must be servers", pid)
+					}
+					if slices.Contains(f.From[:j], pid) {
+						return nil, fmt.Errorf("driver: nemesis restore names %q twice", pid)
 					}
 				}
 			default:
@@ -338,69 +342,37 @@ func (s *nemesisState) applyDue(k *sim.Kernel) {
 	for s.idx < len(s.faults) && s.faults[s.idx].At <= k.Now() {
 		f := s.faults[s.idx]
 		s.idx++
+		r := k.ApplyFault(f)
+		if !r.Applied {
+			continue
+		}
+		s.rep.Applied++
+		// One window slot per target the fault took down (a target
+		// already down keeps its open one); each restart closes one.
+		for range r.Downed {
+			s.open(k.Now())
+		}
 		switch f.Kind {
+		case sim.FaultCrash:
+			s.rep.Crashes++
+		case sim.FaultRestart:
+			s.rep.Restarts++
+			s.close(k.Now())
+			s.marks = append(s.marks, recoveryMark{at: k.Now(), proc: f.Proc})
+		case sim.FaultCut:
+			s.rep.Partitions++
+			s.open(k.Now())
+		case sim.FaultHeal:
+			s.rep.Heals++
+			s.close(k.Now())
+			s.marks = append(s.marks, recoveryMark{at: k.Now()})
 		case sim.FaultReplace:
-			// A replace of an already-down server continues its open crash
-			// window rather than opening a second one (the companion restart
-			// closes exactly one).
-			wasUp := !k.Down(f.Proc)
-			st, ok := k.Replace(f.Proc, f.Lose)
-			if !ok {
-				continue
-			}
-			s.rep.Applied++
 			s.rep.Replacements++
-			if wasUp {
-				s.open(k.Now())
-			}
-			s.scheduleSyncRestart(k, st, []sim.ProcessID{f.Proc})
 		case sim.FaultRestore:
-			// One window slot per server this restore takes down (servers
-			// already down keep their open crash windows); the coordinated
-			// restart closes them all at the same instant.
-			wasUp := 0
-			for _, pid := range f.From {
-				if !k.Down(pid) {
-					wasUp++
-				}
-			}
-			st, done := k.Restore(f.From, f.Lose)
-			if done == 0 {
-				continue
-			}
-			s.rep.Applied++
 			s.rep.Restores++
-			for i := 0; i < wasUp; i++ {
-				s.open(k.Now())
-			}
-			up := make([]sim.ProcessID, 0, done)
-			for _, pid := range f.From {
-				if k.Down(pid) {
-					up = append(up, pid)
-				}
-			}
-			s.scheduleSyncRestart(k, st, up)
-		default:
-			if !k.ApplyFault(f) {
-				continue
-			}
-			s.rep.Applied++
-			switch f.Kind {
-			case sim.FaultCrash:
-				s.rep.Crashes++
-				s.open(k.Now())
-			case sim.FaultRestart:
-				s.rep.Restarts++
-				s.close(k.Now())
-				s.marks = append(s.marks, recoveryMark{at: k.Now(), proc: f.Proc})
-			case sim.FaultCut:
-				s.rep.Partitions++
-				s.open(k.Now())
-			case sim.FaultHeal:
-				s.rep.Heals++
-				s.close(k.Now())
-				s.marks = append(s.marks, recoveryMark{at: k.Now()})
-			}
+		}
+		if len(r.Pending) > 0 {
+			s.scheduleSyncRestart(k, r.Sync, r.Pending)
 		}
 	}
 }

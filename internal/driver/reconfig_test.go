@@ -305,6 +305,7 @@ func TestReconfigValidation(t *testing.T) {
 	bad := []*Nemesis{
 		{Schedule: []sim.Fault{{Kind: sim.FaultReplace, Proc: "c0"}}},                        // clients are not replace targets
 		{Schedule: []sim.Fault{{Kind: sim.FaultRestore, From: []sim.ProcessID{"s0", "c1"}}}}, // restore set must be servers
+		{Schedule: []sim.Fault{{Kind: sim.FaultRestore, From: []sim.ProcessID{"s0", "s0"}}}}, // each server at most once
 		{Replaces: -1},
 		{Restores: -1},
 	}

@@ -134,23 +134,16 @@ func Deploy(p Protocol, cfg Config) *Deployment {
 		k.SetLatencyFloor(500)
 	}
 	d := &Deployment{Kernel: k, Proto: p, Place: pl, Topo: topo}
-	// Recovery hooks for lossy crashes (nemesis layer): a lossy restart
-	// yields a factory-fresh replacement — all volatile state gone, exactly
-	// the fault model of an unreplicated in-memory store.
-	recoverServer := func(sid sim.ProcessID) func() sim.Process {
-		return func() sim.Process { return p.NewServer(sid, pl) }
-	}
-	recoverClient := func(id sim.ProcessID) func() sim.Process {
-		return func() sim.Process { return p.NewClient(id, pl) }
-	}
 	for _, sid := range pl.Servers() {
 		k.Add(p.NewServer(sid, pl))
-		k.SetRecovery(sid, recoverServer(sid))
-		// Replacement hook (reconfiguration): a fresh process adopts this
+		// Nemesis hooks, servers only (the driver crashes, replaces and
+		// restores nothing else): a lossy restart yields a factory-fresh
+		// server — all volatile state gone, exactly the fault model of an
+		// unreplicated in-memory store — and a replacement adopts the
 		// server's shard and catches up before serving (sync.go). The
 		// kernel is a hook parameter, so deployment snapshots replay
 		// replacements against their own copy.
-		sid := sid
+		k.SetRecovery(sid, func() sim.Process { return p.NewServer(sid, pl) })
 		k.SetReplacement(sid, func(kk *sim.Kernel, old sim.Process, lose bool) (sim.Process, sim.SyncStats) {
 			return d.AdoptShard(kk, sid, old, lose)
 		})
@@ -158,19 +151,16 @@ func Deploy(p Protocol, cfg Config) *Deployment {
 	for i := 0; i < cfg.Clients; i++ {
 		id := sim.ProcessID(fmt.Sprintf("c%d", i))
 		k.Add(p.NewClient(id, pl))
-		k.SetRecovery(id, recoverClient(id))
 		d.Clients = append(d.Clients, id)
 	}
 	for i := 0; i < cfg.Readers; i++ {
 		id := sim.ProcessID(fmt.Sprintf("r%d", i))
 		k.Add(p.NewClient(id, pl))
-		k.SetRecovery(id, recoverClient(id))
 		d.Readers = append(d.Readers, id)
 	}
 	for i := range pl.Objects() {
 		id := sim.ProcessID(fmt.Sprintf("cin%d", i))
 		k.Add(p.NewClient(id, pl))
-		k.SetRecovery(id, recoverClient(id))
 		d.Inits = append(d.Inits, id)
 	}
 	if topo != nil {

@@ -94,10 +94,10 @@ func TestShardedEarliestArrivalMatchesScan(t *testing.T) {
 		r.Run(nil, 3)
 		switch i {
 		case 8:
-			k.CutLink(Link{From: "a", To: "b"})
+			k.cutLink(Link{From: "a", To: "b"})
 		case 30:
 			k.AdvanceTo(k.Now() + 2_000)
-			k.HealLink(Link{From: "a", To: "b"})
+			k.healLink(Link{From: "a", To: "b"})
 		}
 		if got, want := k.EarliestArrival(), scanEarliest(k); got != want {
 			t.Fatalf("after run %d: index says %v, scan says %v", i, got, want)
@@ -132,7 +132,7 @@ func TestCrashBetweenBudgetCutRuns(t *testing.T) {
 			if len(k.arrivals[1]) < 4 {
 				t.Fatalf("setup: only %d messages parked for b", len(k.arrivals[1]))
 			}
-			k.Crash("b", lose)
+			k.crash("b", lose)
 			lost := k.LostInboxMessages()
 			if lose == (lost == 0) {
 				t.Fatalf("lose=%v but %d messages lost with the inbox", lose, lost)
@@ -166,7 +166,7 @@ func TestCrashBetweenBudgetCutRuns(t *testing.T) {
 			}
 			mustConserve(t, k)
 			k.AdvanceTo(k.Now() + 3_000)
-			k.Restart("b")
+			k.restart("b")
 			for i := 0; i < 10_000 && !k.Quiescent(); i++ {
 				r.Run(nil, 2)
 			}

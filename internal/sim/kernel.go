@@ -109,7 +109,7 @@ type Kernel struct {
 	cut      map[[2]slot]bool
 	heldMsgs []*Message
 	recovery map[ProcessID]func() Process
-	// replacement holds the catch-up hooks run by Replace/Restore
+	// replacement holds the catch-up hooks run by a replace or restore
 	// (reconfiguration: a fresh process adopts a dead one's shard).
 	replacement map[ProcessID]ReplacementHook
 	// Conservation counters (CheckConservation): deliveries executed,

@@ -3,35 +3,38 @@ package sim
 import "fmt"
 
 // This file is the kernel half of the deterministic nemesis layer: fault
-// events (server crash/restart, directed link cut/heal) applied to a
-// kernel at scheduled virtual instants. Faults are first-class
-// configuration changes, not schedule tricks, and they compose with every
-// stepping engine because the driver applies them only between engine
-// runs — never while shards are stepping; inboxes and arrivals live in
-// the kernel throughout — so the same schedule replays byte-for-byte at
-// any worker count.
+// events (server crash/restart, directed link cut/heal, replica replace,
+// whole-cluster restore) applied to a kernel at scheduled virtual
+// instants. ApplyFault is the one entry point: it applies every kind and
+// reports what changed (FaultResult), and the driver only schedules and
+// counts. Faults are first-class configuration changes, not schedule
+// tricks, and they compose with every stepping engine because the driver
+// applies them only between engine runs — never while shards are
+// stepping; inboxes and arrivals live in the kernel throughout — so the
+// same schedule replays byte-for-byte at any worker count.
 //
 // Semantics (see DESIGN.md, "Deterministic fault injection"):
 //
-//   - Crash freezes a process: it takes no steps and receives no
-//     deliveries until Restart. Messages addressed to it — in transit or
-//     sent while it is down — are held, never dropped. With lose=false
+//   - A crash freezes a process: it takes no steps and receives no
+//     deliveries until its restart. Messages addressed to it — in transit
+//     or sent while it is down — are held, never dropped. With lose=false
 //     (persistence) its state and income buffer survive: the whole
 //     outage is indistinguishable from a long network delay, a schedule
 //     the asynchronous model already contains. With lose=true the income
 //     buffer is discarded at crash time and the process state is rebuilt
 //     at restart by the registered recovery hook (protocol.Deploy's
-//     builds a factory-fresh process: all volatile state is lost).
-//   - Cut severs one directed link: messages in transit on it and
-//     messages sent on it while cut are held. Heal releases them; they
-//     become deliverable no earlier than max(ReadyAt, heal instant).
+//     builds a factory-fresh server: all volatile state is lost).
+//   - A cut severs directed links: messages in transit on them and
+//     messages sent on them while cut are held. A heal releases them;
+//     they become deliverable no earlier than max(ReadyAt, heal instant).
 //     Links stay reliable — a partition delays, it never loses.
-//   - Replace swaps a fresh process into a dead server's slot (adopting
+//   - A replace swaps a fresh process into a dead server's slot (adopting
 //     its ID-space and shard) and catches it up via the registered
-//     replacement hook; Restore is the coordinated whole-cluster
+//     replacement hook; a restore is the coordinated whole-cluster
 //     stop-and-rebuild from durable snapshots. Both leave the targets
-//     down until companion restarts model the catch-up completing, so a
-//     replacement never serves reads before it is caught up.
+//     down (FaultResult.Pending) until companion restarts model the
+//     catch-up completing, so a replacement never serves reads before it
+//     is caught up.
 //
 // Held messages stay in the transit buffer and the live count so
 // configuration accounting is exact; only the arrival index skips
@@ -55,15 +58,17 @@ const (
 	// FaultReplace swaps a fresh process into Proc's slot: the target is
 	// crashed (if still up), rebuilt by its replacement hook — which
 	// adopts the dead server's ID-space and catches its state up — and
-	// stays down until a companion FaultRestart models the catch-up
-	// completing. Lose selects disk loss: the replacement starts
+	// stays down (FaultResult.Pending) until a companion FaultRestart,
+	// which the caller schedules, models the catch-up completing. Lose selects disk loss: the replacement starts
 	// factory-fresh and owns only what live peers can transfer; without
 	// it the replacement reattaches the durable image (snapshot restore).
 	FaultReplace
 	// FaultRestore is the coordinated whole-cluster stop-and-rebuild:
-	// every process in From is crashed first, then each is rebuilt from
+	// every process in From is crashed first, then each is replaced from
 	// its latest durable snapshot (peers are all down, so no live
-	// transfer happens). Lose wipes the snapshots too — total data loss.
+	// transfer happens) and stays down until its companion restart. Lose
+	// wipes the snapshots too — total data loss, which certification
+	// must catch.
 	FaultRestore
 )
 
@@ -144,10 +149,10 @@ func (s SyncStats) Total() int { return s.Snapshot + s.Peer }
 type ReplacementHook func(k *Kernel, old Process, lose bool) (Process, SyncStats)
 
 // SetRecovery registers the hook that rebuilds pid after a lossy crash.
-// Restart installs the process it returns under the same ID; without a
-// hook the old state is kept (which degrades lose to persist).
-// protocol.Deploy installs a factory-fresh rebuild for every process it
-// creates: a lossy crash loses all state.
+// The restart installs the process it returns under the same ID; without
+// a hook the old state is kept (which degrades lose to persist).
+// protocol.Deploy installs a factory-fresh rebuild for every server: a
+// lossy crash loses all state.
 func (k *Kernel) SetRecovery(pid ProcessID, f func() Process) {
 	if k.recovery == nil {
 		k.recovery = make(map[ProcessID]func() Process)
@@ -156,7 +161,7 @@ func (k *Kernel) SetRecovery(pid ProcessID, f func() Process) {
 }
 
 // SetReplacement registers the hook that rebuilds pid during a
-// FaultReplace or FaultRestore. Without one, Replace degrades to a crash:
+// FaultReplace or FaultRestore. Without one, a replace degrades to a crash:
 // the process stays down until its companion restart, which runs the
 // recovery hook if the replace was lossy.
 func (k *Kernel) SetReplacement(pid ProcessID, f ReplacementHook) {
@@ -244,12 +249,12 @@ func (k *Kernel) releaseHeld() {
 	k.heldMsgs = kept
 }
 
-// Crash halts pid at the current instant. Returns false (no-op) if pid
+// crash halts pid at the current instant. Returns false (no-op) if pid
 // is unknown or already down. With lose, the income buffer is dropped on
-// the spot; state is rebuilt at Restart by the recovery hook. Without,
+// the spot; state is rebuilt at restart by the recovery hook. Without,
 // state and inbox are frozen intact. Either way every in-transit message
-// addressed to pid is held until Restart.
-func (k *Kernel) Crash(pid ProcessID, lose bool) bool {
+// addressed to pid is held until restart.
+func (k *Kernel) crash(pid ProcessID, lose bool) bool {
 	s, ok := k.slotOf[pid]
 	if !ok || k.crashed[s].down {
 		return false
@@ -263,12 +268,12 @@ func (k *Kernel) Crash(pid ProcessID, lose bool) bool {
 	return true
 }
 
-// Restart brings a crashed pid back at the current instant. After a
+// restart brings a crashed pid back at the current instant. After a
 // lossy crash the recovery hook rebuilds the process; after a persistent
 // crash the frozen state simply resumes.
 // Held messages addressed to pid become deliverable again (unless their
 // link is also cut).
-func (k *Kernel) Restart(pid ProcessID) bool {
+func (k *Kernel) restart(pid ProcessID) bool {
 	s, ok := k.slotOf[pid]
 	if !ok || !k.crashed[s].down {
 		return false
@@ -282,35 +287,39 @@ func (k *Kernel) Restart(pid ProcessID) bool {
 	return true
 }
 
-// Replace swaps a fresh process into pid's slot at the current instant:
-// the target is crashed first (if still up), then rebuilt by its
-// replacement hook, which adopts the dead process's ID-space and catches
-// its state up. The process REMAINS DOWN afterwards — it only starts
-// serving once a companion Restart fires, which is how the caller models
-// the catch-up taking time. With lose, the replacement's disk is gone:
-// any delivered-but-unconsumed income buffer is discarded (accounted like
-// a lossy crash) and the hook starts factory-fresh, owning only what live
-// peers transfer. Without, the durable image (state and inbox) reattaches
-// intact. Returns false only for unknown processes.
-func (k *Kernel) Replace(pid ProcessID, lose bool) (SyncStats, bool) {
+// replace swaps a fresh process into pid's slot at the current instant
+// and adds the outcome to r: the target is crashed first (if still up),
+// then rebuilt by its replacement hook, which adopts the dead process's
+// ID-space and catches its state up. The process REMAINS DOWN afterwards
+// — it only starts serving once a companion restart fires, which is how
+// the caller models the catch-up taking time. With lose, the
+// replacement's disk is gone: any delivered-but-unconsumed income buffer
+// is discarded (accounted like a lossy crash) and the hook starts
+// factory-fresh, owning only what live peers transfer. Without, the
+// durable image (state and inbox) reattaches intact. Unknown processes
+// are a no-op.
+func (k *Kernel) replace(r *FaultResult, pid ProcessID, lose bool) {
 	s, ok := k.slotOf[pid]
 	if !ok {
-		return SyncStats{}, false
+		return
 	}
 	if !k.crashed[s].down {
-		k.Crash(pid, lose)
+		k.crash(pid, lose)
+		r.Downed++
 	} else if lose {
 		// Already down from an earlier (persistent) crash: the fresh
 		// disk never saw the delivered-but-unconsumed buffer either.
 		k.loseInbox(s)
 	}
+	r.Applied = true
+	r.Pending = append(r.Pending, pid)
 	hook := k.replacement[pid]
 	if hook == nil {
 		// No catch-up protocol registered: degrade to a plain crash. The
 		// recovery hook (if lossy) rebuilds at the companion restart.
 		k.crashed[s].lose = lose
 		k.Annotate(EvMark, pid, fmt.Sprintf("replace lose=%v (no hook)", lose))
-		return SyncStats{}, true
+		return
 	}
 	p, st := hook(k, k.procs[s], lose)
 	if p != nil {
@@ -319,43 +328,15 @@ func (k *Kernel) Replace(pid ProcessID, lose bool) (SyncStats, bool) {
 	// The replacement is already caught up; the companion restart must
 	// resume it as-is, not run the lossy-recovery hook over it.
 	k.crashed[s].lose = false
+	r.Sync.Snapshot += st.Snapshot
+	r.Sync.Peer += st.Peer
 	k.Annotate(EvMark, pid, fmt.Sprintf("replace lose=%v synced=%d+%d", lose, st.Snapshot, st.Peer))
-	return st, true
 }
 
-// Restore performs the coordinated whole-cluster stop-and-rebuild over
-// procs: every process is crashed first (a coordinated stop — no peer is
-// live during the rebuild, so replacement hooks transfer nothing from
-// peers), then each is rebuilt from its latest durable snapshot via
-// Replace. All of them remain down until companion Restarts fire. With
-// lose the snapshots are gone too: every process comes back factory-fresh
-// — total data loss, which certification must catch. Returns the summed
-// sync stats and how many processes were restored.
-func (k *Kernel) Restore(procs []ProcessID, lose bool) (SyncStats, int) {
-	var total SyncStats
-	done := 0
-	for _, pid := range procs {
-		k.Crash(pid, lose) // no-op on unknown and already-down processes
-	}
-	for _, pid := range procs {
-		st, ok := k.Replace(pid, lose)
-		if !ok {
-			continue
-		}
-		total.Snapshot += st.Snapshot
-		total.Peer += st.Peer
-		done++
-	}
-	if done > 0 {
-		k.Annotate(EvMark, "", fmt.Sprintf("restore %d procs lose=%v synced=%d+%d", done, lose, total.Snapshot, total.Peer))
-	}
-	return total, done
-}
-
-// CutLink severs one directed link. In-transit messages on it are held;
-// so is everything sent on it until HealLink. Returns false if already
+// cutLink severs one directed link. In-transit messages on it are held;
+// so is everything sent on it until healLink. Returns false if already
 // cut (or an end is unknown: such a link carries nothing).
-func (k *Kernel) CutLink(l Link) bool {
+func (k *Kernel) cutLink(l Link) bool {
 	ends, ok := k.linkSlots(l)
 	if !ok || k.cut[ends] {
 		return false
@@ -368,9 +349,9 @@ func (k *Kernel) CutLink(l Link) bool {
 	return true
 }
 
-// HealLink restores a severed link and releases its held messages
+// healLink restores a severed link and releases its held messages
 // (unless their destination is still down). Returns false if not cut.
-func (k *Kernel) HealLink(l Link) bool {
+func (k *Kernel) healLink(l Link) bool {
 	ends, ok := k.linkSlots(l)
 	if !ok || !k.cut[ends] {
 		return false
@@ -380,63 +361,73 @@ func (k *Kernel) HealLink(l Link) bool {
 	return true
 }
 
+// FaultResult is what one ApplyFault changed.
+type FaultResult struct {
+	// Applied reports whether anything changed.
+	Applied bool
+	// Downed counts the targets the fault took down that were up: the
+	// outages it opens (a target already down keeps the one it has).
+	Downed int
+	// Pending lists the targets a replace or restore rebuilt and left
+	// down, awaiting their companion restarts; Sync sums what their
+	// replacement hooks adopted.
+	Pending []ProcessID
+	Sync    SyncStats
+}
+
 // ApplyFault executes one nemesis event against the kernel at the
-// current instant (the caller advances the clock to f.At first). It
-// reports whether anything changed — re-crashing a downed process or
-// re-cutting a severed link is a deliberate no-op, which makes arbitrary
-// (fuzzed) schedules safe to apply.
-func (k *Kernel) ApplyFault(f Fault) bool {
+// current instant (the caller advances the clock to f.At first) and is
+// the only way a fault changes a kernel. Re-crashing a downed process or
+// re-cutting a severed link is a deliberate no-op (Applied false), which
+// makes arbitrary (fuzzed) schedules safe to apply.
+func (k *Kernel) ApplyFault(f Fault) FaultResult {
+	var r FaultResult
 	switch f.Kind {
 	case FaultCrash:
-		return k.Crash(f.Proc, f.Lose)
+		if k.crash(f.Proc, f.Lose) {
+			r.Applied, r.Downed = true, 1
+		}
 	case FaultRestart:
-		return k.Restart(f.Proc)
-	case FaultCut:
-		applied := false
+		r.Applied = k.restart(f.Proc)
+	case FaultCut, FaultHeal:
+		op := k.cutLink
+		if f.Kind == FaultHeal {
+			op = k.healLink
+		}
 		for _, a := range f.From {
 			for _, b := range f.To {
 				if a == b {
 					continue
 				}
-				if k.CutLink(Link{From: a, To: b}) {
-					applied = true
-				}
-				if k.CutLink(Link{From: b, To: a}) {
-					applied = true
-				}
-			}
-		}
-		if applied {
-			k.Annotate(EvMark, "", fmt.Sprintf("cut %v|%v", f.From, f.To))
-		}
-		return applied
-	case FaultHeal:
-		applied := false
-		for _, a := range f.From {
-			for _, b := range f.To {
-				if a == b {
-					continue
-				}
-				if k.HealLink(Link{From: a, To: b}) {
-					applied = true
-				}
-				if k.HealLink(Link{From: b, To: a}) {
-					applied = true
+				for _, l := range [2]Link{{From: a, To: b}, {From: b, To: a}} {
+					if op(l) {
+						r.Applied = true
+					}
 				}
 			}
 		}
-		if applied {
-			k.Annotate(EvMark, "", fmt.Sprintf("heal %v|%v", f.From, f.To))
+		if r.Applied {
+			k.Annotate(EvMark, "", fmt.Sprintf("%s %v|%v", f.Kind, f.From, f.To))
 		}
-		return applied
 	case FaultReplace:
-		_, ok := k.Replace(f.Proc, f.Lose)
-		return ok
+		k.replace(&r, f.Proc, f.Lose)
 	case FaultRestore:
-		_, done := k.Restore(f.From, f.Lose)
-		return done > 0
+		// A coordinated stop first: with every target down, no peer is
+		// live during the rebuild, so the hooks transfer nothing from
+		// peers and each target comes back from its durable snapshot.
+		for _, pid := range f.From {
+			if k.crash(pid, f.Lose) { // no-op on unknown and already-down targets
+				r.Downed++
+			}
+		}
+		for _, pid := range f.From {
+			k.replace(&r, pid, f.Lose)
+		}
+		if r.Applied {
+			k.Annotate(EvMark, "", fmt.Sprintf("restore %d procs lose=%v synced=%d+%d", len(r.Pending), f.Lose, r.Sync.Snapshot, r.Sync.Peer))
+		}
 	}
-	return false
+	return r
 }
 
 // HeldMessages returns how many messages are currently held (strand by a

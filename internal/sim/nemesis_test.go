@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func mustConserve(t *testing.T, k *Kernel) {
 	t.Helper()
@@ -13,7 +16,7 @@ func mustConserve(t *testing.T, k *Kernel) {
 // down, full resumption — nothing lost — after restart.
 func TestCrashPersistFreezesAndResumes(t *testing.T) {
 	k, a, _ := newPingPair(1, 5)
-	if !k.Crash("b", false) {
+	if !k.crash("b", false) {
 		t.Fatal("crash b refused")
 	}
 	Drain(k, 10_000)
@@ -29,7 +32,7 @@ func TestCrashPersistFreezesAndResumes(t *testing.T) {
 	mustConserve(t, k)
 	healAt := k.Now() + 500
 	k.AdvanceTo(healAt)
-	if !k.Restart("b") {
+	if !k.restart("b") {
 		t.Fatal("restart b refused")
 	}
 	Drain(k, 10_000)
@@ -56,14 +59,14 @@ func TestCrashLoseDropsInboxAndRecovers(t *testing.T) {
 	if len(k.Inbox("b")) == 0 {
 		t.Fatal("setup: no message pending at b")
 	}
-	if !k.Crash("b", true) {
+	if !k.crash("b", true) {
 		t.Fatal("crash b refused")
 	}
 	if got := k.LostInboxMessages(); got == 0 {
 		t.Fatal("lossy crash dropped no inbox messages")
 	}
 	mustConserve(t, k)
-	k.Restart("b")
+	k.restart("b")
 	Drain(k, 10_000)
 	if a.pongs >= 4 {
 		t.Fatalf("pongs = %d: lossy crash lost nothing", a.pongs)
@@ -76,7 +79,7 @@ func TestCrashLoseDropsInboxAndRecovers(t *testing.T) {
 func TestCutHealBuffersNeverDrops(t *testing.T) {
 	k, a, _ := newPingPair(3, 6)
 	f := Fault{Kind: FaultCut, From: []ProcessID{"a"}, To: []ProcessID{"b"}}
-	if !k.ApplyFault(f) {
+	if !k.ApplyFault(f).Applied {
 		t.Fatal("cut refused")
 	}
 	Drain(k, 10_000)
@@ -90,7 +93,7 @@ func TestCutHealBuffersNeverDrops(t *testing.T) {
 	mustConserve(t, k)
 	healAt := k.Now() + 1000
 	k.AdvanceTo(healAt)
-	if !k.ApplyFault(Fault{Kind: FaultHeal, From: []ProcessID{"a"}, To: []ProcessID{"b"}}) {
+	if !k.ApplyFault(Fault{Kind: FaultHeal, From: []ProcessID{"a"}, To: []ProcessID{"b"}}).Applied {
 		t.Fatal("heal refused")
 	}
 	Drain(k, 10_000)
@@ -105,21 +108,78 @@ func TestCutHealBuffersNeverDrops(t *testing.T) {
 // schedules are safe.
 func TestFaultIdempotence(t *testing.T) {
 	k, _, _ := newPingPair(4, 1)
-	if !k.Crash("a", false) || k.Crash("a", true) {
+	if !k.crash("a", false) || k.crash("a", true) {
 		t.Fatal("double crash should refuse")
 	}
-	if !k.Restart("a") || k.Restart("a") {
+	if !k.restart("a") || k.restart("a") {
 		t.Fatal("double restart should refuse")
 	}
 	l := Link{From: "a", To: "b"}
-	if !k.CutLink(l) || k.CutLink(l) {
+	if !k.cutLink(l) || k.cutLink(l) {
 		t.Fatal("double cut should refuse")
 	}
-	if !k.HealLink(l) || k.HealLink(l) {
+	if !k.healLink(l) || k.healLink(l) {
 		t.Fatal("double heal should refuse")
 	}
-	if k.Crash("nosuch", false) || k.Restart("nosuch") {
+	if k.crash("nosuch", false) || k.restart("nosuch") {
 		t.Fatal("unknown process faults should refuse")
+	}
+}
+
+// ApplyFault's result for every kind: what applied, the targets it took
+// down that were up, the targets a replace or restore left down for their
+// companion restarts, and the summed catch-up of the replacement hooks.
+func TestApplyFaultResult(t *testing.T) {
+	ab := []ProcessID{"a", "b"}
+	cut := Fault{Kind: FaultCut, From: ab[:1], To: ab[1:]}
+	crashB := Fault{Kind: FaultCrash, Proc: "b"}
+	cases := []struct {
+		name  string
+		prior []Fault
+		f     Fault
+		want  FaultResult
+		down  []ProcessID // down afterwards
+	}{
+		{"crash", nil, crashB, FaultResult{Applied: true, Downed: 1}, ab[1:]},
+		{"repeated crash", []Fault{crashB}, crashB, FaultResult{}, ab[1:]},
+		{"restart", []Fault{crashB}, Fault{Kind: FaultRestart, Proc: "b"}, FaultResult{Applied: true}, nil},
+		{"cut", nil, cut, FaultResult{Applied: true}, nil},
+		{"repeated cut", []Fault{cut}, cut, FaultResult{}, nil},
+		{"heal", []Fault{cut}, Fault{Kind: FaultHeal, From: cut.From, To: cut.To}, FaultResult{Applied: true}, nil},
+		{"replace up", nil, Fault{Kind: FaultReplace, Proc: "b"},
+			FaultResult{Applied: true, Downed: 1, Pending: ab[1:], Sync: SyncStats{Snapshot: 2, Peer: 1}}, ab[1:]},
+		{"replace down", []Fault{crashB}, Fault{Kind: FaultReplace, Proc: "b", Lose: true},
+			FaultResult{Applied: true, Pending: ab[1:], Sync: SyncStats{Snapshot: 2, Peer: 1}}, ab[1:]},
+		{"restore one down", []Fault{crashB}, Fault{Kind: FaultRestore, From: ab},
+			FaultResult{Applied: true, Downed: 1, Pending: ab, Sync: SyncStats{Snapshot: 4, Peer: 2}}, ab},
+		{"unknown target", nil, Fault{Kind: FaultReplace, Proc: "nosuch"}, FaultResult{}, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			k, _, _ := newPingPair(7, 3)
+			for _, pid := range ab {
+				k.SetReplacement(pid, func(_ *Kernel, old Process, _ bool) (Process, SyncStats) {
+					return old.Clone(), SyncStats{Snapshot: 2, Peer: 1}
+				})
+			}
+			Drain(k, 20)
+			for _, f := range c.prior {
+				k.ApplyFault(f)
+			}
+			if got := k.ApplyFault(c.f); !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("%s: got %+v, want %+v", c.f, got, c.want)
+			}
+			var down []ProcessID
+			for _, pid := range ab {
+				if k.Down(pid) {
+					down = append(down, pid)
+				}
+			}
+			if !reflect.DeepEqual(down, c.down) {
+				t.Fatalf("down afterwards %v, want %v", down, c.down)
+			}
+			mustConserve(t, k)
+		})
 	}
 }
 
@@ -127,8 +187,8 @@ func TestFaultIdempotence(t *testing.T) {
 // crashed process and the held messages, and evolves independently.
 func TestSnapshotPreservesFaultState(t *testing.T) {
 	k, _, _ := newPingPair(5, 5)
-	k.Crash("b", false)
-	k.CutLink(Link{From: "b", To: "a"})
+	k.crash("b", false)
+	k.cutLink(Link{From: "b", To: "a"})
 	Drain(k, 10_000)
 	held := k.HeldMessages()
 	c := k.Snapshot()
@@ -143,8 +203,8 @@ func TestSnapshotPreservesFaultState(t *testing.T) {
 	}
 	mustConserve(t, c)
 	// Healing the copy must not free the original.
-	c.Restart("b")
-	c.HealLink(Link{From: "b", To: "a"})
+	c.restart("b")
+	c.healLink(Link{From: "b", To: "a"})
 	Drain(c, 10_000)
 	if !c.Quiescent() {
 		t.Fatal("healed snapshot did not drain")
@@ -170,13 +230,13 @@ func TestShardedRunHonorsFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.Crash("b", false)
+	k.crash("b", false)
 	r.Run(nil, 10_000)
 	if a.pongs != 0 {
 		t.Fatalf("pongs while peer down = %d, want 0", a.pongs)
 	}
 	k.AdvanceTo(k.Now() + 300)
-	k.Restart("b")
+	k.restart("b")
 	r.Run(nil, 10_000)
 	if a.pongs != 5 {
 		t.Fatalf("pongs after restart = %d, want 5", a.pongs)

@@ -335,11 +335,11 @@ func TestFloorBoundsEveryLaterStep(t *testing.T) {
 	}
 	r.SetHorizon(400)
 	r.Run(stop, 100_000)
-	k.Crash("b", false)
+	k.crash("b", false)
 	r.SetHorizon(0)
 	r.Run(stop, 100_000) // everything addressed to b is held: a's shard runs on alone
 	k.AdvanceTo(k.Now() + 5_000)
-	k.Restart("b")
+	k.restart("b")
 	r.Run(stop, 100_000)
 	if a.pongs != 40 {
 		t.Fatalf("pongs = %d, want 40", a.pongs)
