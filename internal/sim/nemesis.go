@@ -59,9 +59,10 @@ const (
 	// crashed (if still up), rebuilt by its replacement hook — which
 	// adopts the dead server's ID-space and catches its state up — and
 	// stays down (FaultResult.Pending) until a companion FaultRestart,
-	// which the caller schedules, models the catch-up completing. Lose selects disk loss: the replacement starts
-	// factory-fresh and owns only what live peers can transfer; without
-	// it the replacement reattaches the durable image (snapshot restore).
+	// which the caller schedules, models the catch-up completing. Lose
+	// selects disk loss: the replacement starts factory-fresh and owns
+	// only what live peers can transfer; without it the replacement
+	// reattaches the durable image (snapshot restore).
 	FaultReplace
 	// FaultRestore is the coordinated whole-cluster stop-and-rebuild:
 	// every process in From is crashed first, then each is replaced from
