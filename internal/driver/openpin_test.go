@@ -16,30 +16,24 @@ import (
 // openDigest is a short sha256 over the report JSON (wall-clock zeroed)
 // and the recorded history, one record with its invoke and completion
 // instants per line. The report is hashed with its keys sorted and
-// without the Sharding keys that echo the configuration or break the run
-// down per shard (Workers, ActiveShardRounds, PerShard, Partition): what
-// is pinned is the run, not how its counters are laid out.
+// without the keys that merely restate others (AbortRate; the nemesis
+// report's Restarts and Heals) or echo the configuration or break the run
+// down per shard (Sharding's Workers, ActiveShardRounds, PerShard,
+// Partition): what is pinned is the run, not how its counters are laid
+// out.
 func openDigest(t *testing.T, rep *Report) string {
 	t.Helper()
 	rep.CertWall, rep.CertBatchWall = 0, 0
-	js, err := json.Marshal(rep)
+	top := withoutKeys(t, rep, "AbortRate")
+	var err error
+	if top["Sharding"], err = json.Marshal(withoutKeys(t, rep.Sharding, "Workers", "ActiveShardRounds", "PerShard", "Partition")); err != nil {
+		t.Fatal(err)
+	}
+	if top["Nemesis"], err = json.Marshal(withoutKeys(t, rep.Nemesis, unpinnedNemesisKeys...)); err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.Marshal(top)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var top, sharding map[string]json.RawMessage
-	if err := json.Unmarshal(js, &top); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(top["Sharding"], &sharding); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"Workers", "ActiveShardRounds", "PerShard", "Partition"} {
-		delete(sharding, k)
-	}
-	if top["Sharding"], err = json.Marshal(sharding); err != nil {
-		t.Fatal(err)
-	}
-	if js, err = json.Marshal(top); err != nil {
 		t.Fatal(err)
 	}
 	h := sha256.New()
@@ -48,6 +42,27 @@ func openDigest(t *testing.T, rep *Report) string {
 		fmt.Fprintln(h, rec, rec.Invoked, rec.Completed)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))[:12]
+}
+
+// unpinnedNemesisKeys are the NemesisReport keys no digest hashes: the
+// restart and heal counts, which the applied fault schedule already fixes.
+var unpinnedNemesisKeys = []string{"Restarts", "Heals"}
+
+// withoutKeys returns v's JSON object with keys deleted.
+func withoutKeys(t *testing.T, v any, keys ...string) map[string]json.RawMessage {
+	t.Helper()
+	js, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(js, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		delete(m, k)
+	}
+	return m
 }
 
 // TestOpenLoopNemesisPins pins open-loop runs through fault schedules:
@@ -70,16 +85,16 @@ func TestOpenLoopNemesisPins(t *testing.T) {
 		want [2]string // by protocol, 12 seed digests each
 	}{
 		{"crash", Nemesis{Crashes: 2}, [2]string{
-			"7cabb785dadf d86154f524de e6634a9a335b c41786aff70f 756c3454c4e9 871f42a532d3 a1957a06a0ae 2eab4fcf793f e1de75c4f20f c0fd5a365699 30bd01df4851 98580d37d2c9",
-			"3ebb11405007 088468c00f37 ea1e5d88fe9f da49d712b6c8 03a544b19d0b d440ad778914 c481b382f75f fb4f25e165dc c292d9980286 14be93c342e0 aba7dc10705e d1362ed97b5c",
+			"951404e812fc 4f6ed117f0bd 81c718fd7013 43fb647b203c 6cbdcffbbaee d9456ab55cfa 2c5dc328c62e ffc3c526ef78 8fe0ad27b4cc fca474c51820 3fa9dae7189f 4b1523f99385",
+			"4d656e4f53b0 80840e16619e 6d00d8e09ca9 dfe230e587ce c76c0c710aeb 57eaa6cbe1ce 046217116a64 68c2705e6ed3 1d740b5229a0 35ff2a1051d5 872757ac032c b9c879396239",
 		}},
 		{"crash-lose", Nemesis{Crashes: 2, Lose: true}, [2]string{
-			"e9e5accd6f77 b40639c00ae2 4f2477a957c6 b3bbadb8043a 8a6d1c965dce 2cafd73bc0ba b6e583817ea8 032adb7a2921 68a85e1e31e7 bb7b4a2cb162 bb14fcbe945d ef4aa406ace8",
-			"6abc61b38f85 ab46ddeb8d99 4c9bcac5e474 f168f2f9965b 76b051405962 b5cd82bfa5dc fb68857ed8ea d9dcd2d56a7f 6580a7a256ff 67d257396b67 eb9d0a8435e4 3e05c2dff09f",
+			"0bfc2bf8cfd9 05e281911280 909345caa669 7369209d4ad3 584534707f6f c32e04161eb1 69c180a02bc0 74c88d125b86 d9fe059f6abe 716a882e10ca 29a40b9d677c 4647738b68a3",
+			"b93fa4abb192 0f840d096f63 14abcf7483f2 fc16fce86437 a1f891033a11 94443eba61b5 7cfe15c621f0 24064a515efd f9ff53f4c8b5 fd614cf1fe76 2e9c22adfcaa c38a1954ae2f",
 		}},
 		{"partition", Nemesis{Partitions: 2}, [2]string{
-			"49531b1d9466 fa451fb8bd9b 7a83fd73fbf5 239219617864 c35e7df49e3d 5e3d165f1439 88c27d46de26 4b3bec5ec9b3 67650c47e9ea ff060dc05253 793ff288a2cd ae69c6d15f14",
-			"40aae90f187b cb8d9009d8ae 4e28363018ac 6713eaf93bb3 8f34372fe8d0 337dd572dce5 abc8ed9847ed c871b6881488 16303603662e abb64f4d98b2 355ef8c9089e 92b30268bc06",
+			"669b729444ca e51897db125a 40ecc71eed46 f55632c894ff 0388a26bbf37 9262ba9a0b35 40233adfe3d6 47b9e01ffe43 4f5b11c3645c 844ff36a7008 7591e4b77c3a 74692bf225ab",
+			"97e877d1ff26 c06f42fa4b17 b9df22ff3078 65330a7fc265 b6c278b4beef c32234453dc8 294bcde38013 ae3bf06f2924 52c4825f3ab3 290a9521db31 4bc34cb16245 1ff402e627e2",
 		}},
 	}
 	for _, c := range cells {
