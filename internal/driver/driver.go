@@ -211,8 +211,6 @@ type Report struct {
 
 	// Throughput is committed transactions per virtual second.
 	Throughput float64
-	// AbortRate is Rejected/Issued.
-	AbortRate float64
 
 	// Latency summarizes committed-transaction latency (virtual µs),
 	// split by transaction class, plus mean read-round count. In open
@@ -596,9 +594,6 @@ func (r *run) finish(start sim.Time) (*Report, error) {
 	}
 	if rep.Duration > 0 {
 		rep.Throughput = float64(rep.Committed) / (float64(rep.Duration) / 1e6)
-	}
-	if rep.Issued > 0 {
-		rep.AbortRate = float64(rep.Rejected) / float64(rep.Issued)
 	}
 	st := r.runner.Stats()
 	rep.Sharding = &st

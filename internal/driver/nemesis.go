@@ -238,11 +238,9 @@ type NemesisReport struct {
 	// that changed anything (re-crashing a downed server is a no-op).
 	Scheduled int
 	Applied   int
-	// Per-kind applied counts.
+	// Applied crash and partition counts.
 	Crashes    int
-	Restarts   int
 	Partitions int
-	Heals      int
 	// LostMessages counts income-buffer messages discarded by lossy
 	// crashes (0 under persistence: a partition or persistent crash never
 	// loses anything — held traffic is delayed, not dropped).
@@ -356,14 +354,12 @@ func (s *nemesisState) applyDue(k *sim.Kernel) {
 		case sim.FaultCrash:
 			s.rep.Crashes++
 		case sim.FaultRestart:
-			s.rep.Restarts++
 			s.close(k.Now())
 			s.marks = append(s.marks, recoveryMark{at: k.Now(), proc: f.Proc})
 		case sim.FaultCut:
 			s.rep.Partitions++
 			s.open(k.Now())
 		case sim.FaultHeal:
-			s.rep.Heals++
 			s.close(k.Now())
 			s.marks = append(s.marks, recoveryMark{at: k.Now()})
 		case sim.FaultReplace:
