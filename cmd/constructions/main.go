@@ -67,7 +67,7 @@ func figure2() {
 	// initial values regardless of the server order.
 	for _, order := range d.ProbeOrders([]string{"X0", "X1"}) {
 		res := d.Probe("r0", []string{"X0", "X1"}, order)
-		fmt.Printf("  γ_old with order %v: %v\n", order, res.Values)
+		fmt.Printf("  γ_old with order %v: %v\n", order, reads(res))
 	}
 	// Run Tw to visibility, then Construction 2 returns the new values.
 	d.Invoke("c0", model.NewWriteOnly(model.TxnID{},
@@ -75,8 +75,17 @@ func figure2() {
 	d.Settle(400_000)
 	for _, order := range d.ProbeOrders([]string{"X0", "X1"}) {
 		res := d.Probe("r1", []string{"X0", "X1"}, order)
-		fmt.Printf("  γ_new with order %v: %v\n", order, res.Values)
+		fmt.Printf("  γ_new with order %v: %v\n", order, reads(res))
 	}
+}
+
+// reads keys what res read by object, so it prints as object:value pairs.
+func reads(res *model.Result) map[string]model.Value {
+	m := make(map[string]model.Value, len(res.Txn.ReadSet))
+	for _, obj := range res.Txn.ReadSet {
+		m[obj] = res.Value(obj)
+	}
+	return m
 }
 
 func figure3() {

@@ -24,7 +24,7 @@ func main() {
 	// A fast read-only transaction: one round, one value per object,
 	// non-blocking.
 	res := d.RunTxn("c0", model.NewReadOnly(model.TxnID{}, "X0", "X1"), 100_000)
-	fmt.Printf("ROT #1: %v (rounds=%d)\n", res.Values, res.Rounds)
+	fmt.Printf("ROT #1: %v (rounds=%d)\n", reads(res), res.Rounds)
 
 	// Single-object writes (COPS-SNOW gives up multi-object write
 	// transactions — that is Theorem 1's price for fast reads).
@@ -39,7 +39,7 @@ func main() {
 	d.Settle(100_000)
 
 	res = d.RunTxn("c1", model.NewReadOnly(model.TxnID{}, "X0", "X1"), 100_000)
-	fmt.Printf("ROT #2: %v (rounds=%d)\n", res.Values, res.Rounds)
+	fmt.Printf("ROT #2: %v (rounds=%d)\n", reads(res), res.Rounds)
 
 	// And the theorem verdict for this protocol: it sacrifices W.
 	v, err := repro.RunTheorem("copssnow")
@@ -52,4 +52,13 @@ func main() {
 	mw := d.RunTxn("c0", model.NewWriteOnly(model.TxnID{},
 		model.Write{Object: "X0", Value: "a"}, model.Write{Object: "X1", Value: "b"}), 100_000)
 	fmt.Printf("multi-object write: err=%q\n", mw.Err)
+}
+
+// reads keys what res read by object, so it prints as object:value pairs.
+func reads(res *model.Result) map[string]model.Value {
+	m := make(map[string]model.Value, len(res.Txn.ReadSet))
+	for _, obj := range res.Txn.ReadSet {
+		m[obj] = res.Value(obj)
+	}
+	return m
 }

@@ -355,7 +355,6 @@ type run struct {
 	// client i lives on exactly one shard and the hook touches only
 	// index-i state (the runner's merge orders everything else).
 	quota, issued []int
-	clientIdx     map[sim.ProcessID]int
 	// injectAt maps a transaction to its scheduled open-loop arrival
 	// instant (nil in closed loop). Entries are dropped on collection so
 	// memory stays flat over long runs.
@@ -439,8 +438,9 @@ func (r *run) take() {
 	var probe *model.Result
 	due := false
 	for i, cl := range r.cls {
-		fin := cl.TakeFinished()
-		r.held[i] = append(r.held[i], fin...)
+		n := len(r.held[i])
+		r.held[i] = cl.TakeFinished(r.held[i])
+		fin := r.held[i][n:]
 		r.taken += len(fin)
 		if !r.probing() {
 			continue
@@ -741,11 +741,7 @@ func startRun(d *protocol.Deployment, cfg Config) (*run, error) {
 // client's queue, its generator stream, its quota slot — is owned by
 // exactly one shard, and the kernel is deliberately not told (the
 // invoke annotation is a trace event; load runs drop those anyway).
-func (r *run) refillClient(pid sim.ProcessID, _ sim.Time) {
-	i, ok := r.clientIdx[pid]
-	if !ok {
-		return
-	}
+func (r *run) refillClient(i int, _ sim.Time) {
 	cl := r.cls[i]
 	for r.issued[i] < r.quota[i] && cl.Outstanding() < r.cfg.Pipeline {
 		cl.Invoke(r.nextTxn(i))
@@ -758,19 +754,17 @@ func (r *run) runClosed() (*Report, error) {
 	d, cfg, rep := r.d, r.cfg, r.rep
 	r.quota = make([]int, cfg.Clients)
 	r.issued = make([]int, cfg.Clients)
-	r.clientIdx = make(map[sim.ProcessID]int, cfg.Clients)
 	for i := 0; i < cfg.Clients; i++ {
 		r.quota[i] = cfg.Txns / cfg.Clients
 		if i < cfg.Txns%cfg.Clients {
 			r.quota[i]++
 		}
-		r.clientIdx[d.Clients[i]] = i
 	}
 	// Fill every client once; after that, completions re-arm their
 	// client inside the round (the mid-window refill hook).
-	r.runner.SetRefill(r.refillClient)
+	r.runner.SetRefill(d.Clients, r.refillClient)
 	for i := range r.cls {
-		r.refillClient(d.Clients[i], d.Kernel.Now())
+		r.refillClient(i, d.Kernel.Now())
 	}
 	start := d.Kernel.Now()
 	// Between rounds the run drains below the runner's floor, so the

@@ -22,15 +22,13 @@ func runClosedAtEnd(r *run) (*Report, error) {
 	d, cfg, rep := r.d, r.cfg, r.rep
 	r.quota = make([]int, cfg.Clients)
 	r.issued = make([]int, cfg.Clients)
-	r.clientIdx = make(map[sim.ProcessID]int, cfg.Clients)
 	for i := 0; i < cfg.Clients; i++ {
 		r.quota[i] = cfg.Txns / cfg.Clients
 		if i < cfg.Txns%cfg.Clients {
 			r.quota[i]++
 		}
-		r.clientIdx[d.Clients[i]] = i
 	}
-	r.runner.SetRefill(r.refillClient)
+	r.runner.SetRefill(d.Clients, r.refillClient)
 	// handBack returns control at a round boundary where some client has
 	// spare pipeline capacity, or where a probing run has a finished
 	// result it has not taken — unless a fault is due but not applied.
@@ -47,7 +45,7 @@ func runClosedAtEnd(r *run) (*Report, error) {
 	start := d.Kernel.Now()
 	for {
 		for i := range r.cls {
-			r.refillClient(d.Clients[i], d.Kernel.Now())
+			r.refillClient(i, d.Kernel.Now())
 		}
 		n := r.engineRun(handBack, cfg.MaxEvents-rep.Events)
 		rep.Events += n

@@ -7,6 +7,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -104,8 +105,11 @@ func (t *Txn) String() string {
 // transactions (e.g. a multi-object write transaction submitted to a
 // protocol that does not support them).
 type Result struct {
-	Txn    *Txn
-	Values map[string]Value
+	Txn *Txn
+	// Values holds the value read per object, aligned with Txn.ReadSet
+	// (Bottom until set); read it through Value, write it through
+	// SetValue.
+	Values []Value
 	Err    string
 	// Invoked and Completed are virtual times (sim.Time values) recorded
 	// by the client, used by latency experiments and the strict
@@ -125,7 +129,20 @@ func (r *Result) Value(obj string) Value {
 	if r == nil || r.Values == nil {
 		return Bottom
 	}
-	return r.Values[obj]
+	if i := slices.Index(r.Txn.ReadSet, obj); i >= 0 {
+		return r.Values[i]
+	}
+	return Bottom
+}
+
+// SetValue records v as the value read for obj, which must be in the
+// read set.
+func (r *Result) SetValue(obj string, v Value) {
+	i := slices.Index(r.Txn.ReadSet, obj)
+	if i < 0 {
+		panic(fmt.Sprintf("model: %s sets a value for %s outside its read set", r.Txn.ID, obj))
+	}
+	r.Values[i] = v
 }
 
 // ValueRef describes one written value carried inside a message, used by

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -64,9 +65,14 @@ func TestResultHelpers(t *testing.T) {
 	if nilRes.Value("X") != Bottom {
 		t.Fatal("nil result value not Bottom")
 	}
-	r := &Result{Values: map[string]Value{"X": "v"}}
-	if !r.OK() || r.Value("X") != "v" || r.Value("Y") != Bottom {
+	r := &Result{Txn: NewReadOnly(TxnID{}, "X", "Z"), Values: make([]Value, 2)}
+	r.SetValue("Z", "z")
+	r.SetValue("X", "v")
+	if !r.OK() || r.Value("X") != "v" || r.Value("Z") != "z" || r.Value("Y") != Bottom {
 		t.Fatal("result accessors wrong")
+	}
+	if fmt.Sprint(r.Values) != "[v z]" {
+		t.Fatalf("values %v not aligned with the read set", r.Values)
 	}
 	r.Err = "boom"
 	if r.OK() {

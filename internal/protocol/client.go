@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"slices"
+
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -33,6 +35,8 @@ type Core struct {
 	rounds  int
 	// pending counts the replies the current round still awaits.
 	pending int
+	// out is the send buffer: this step's requests, until Sent.
+	out []sim.Outbound
 }
 
 // NewCore initializes the embedded client core.
@@ -64,7 +68,10 @@ func (c *Core) Invoke(t *model.Txn) model.TxnID {
 // activate makes t the active transaction.
 func (c *Core) activate(t *model.Txn) {
 	c.cur = t
-	c.curRes = &model.Result{Txn: t, Values: make(map[string]model.Value), Invoked: -1}
+	c.curRes = &model.Result{Txn: t, Invoked: -1}
+	if len(t.ReadSet) > 0 {
+		c.curRes.Values = make([]model.Value, len(t.ReadSet))
+	}
 	c.started = false
 	c.rounds = 0
 }
@@ -98,12 +105,13 @@ func (c *Core) Finished(id model.TxnID) *model.Result {
 	return nil
 }
 
-// TakeFinished implements Client: it drains the results completed since
-// the previous call, in completion order.
-func (c *Core) TakeFinished() []*model.Result {
-	out := c.finished
-	c.finished = nil
-	return out
+// TakeFinished implements Client: it appends the results completed since
+// the previous call to dst, in completion order, and returns dst.
+func (c *Core) TakeFinished(dst []*model.Result) []*model.Result {
+	dst = append(dst, c.finished...)
+	clear(c.finished)
+	c.finished = c.finished[:0]
+	return dst
 }
 
 // Starting records the start of the active transaction on the first step
@@ -124,15 +132,28 @@ func (c *Core) Started() bool { return c.cur != nil && c.started }
 // first step yet. After that a client steps only on replies.
 func (c *Core) Ready() bool { return c.Busy() && !c.Started() }
 
-// Send appends a request of the active transaction to out and counts the
-// reply the current round awaits for it. A send while no reply is pending
-// opens a new round (Result.Rounds).
-func (c *Core) Send(out []sim.Outbound, to sim.ProcessID, p TxnPayload) []sim.Outbound {
+// Send queues a request of the active transaction in the send buffer and
+// counts the reply the current round awaits for it. A send while no reply
+// is pending opens a new round (Result.Rounds).
+func (c *Core) Send(to sim.ProcessID, p TxnPayload) {
 	if c.pending == 0 {
 		c.rounds++
 	}
 	c.pending++
-	return append(out, sim.Outbound{To: to, Payload: p})
+	c.out = append(c.out, sim.Outbound{To: to, Payload: p})
+}
+
+// Sent hands out the send buffer, this step's requests, and empties it
+// for the next step: a client's Step ends with return c.Sent(). The
+// buffer is reused, which sim.Process allows: the engine copies the
+// returned slice before the process steps again.
+func (c *Core) Sent() []sim.Outbound { return takeSent(&c.out) }
+
+// takeSent returns *buf and truncates it, keeping its capacity.
+func takeSent(buf *[]sim.Outbound) []sim.Outbound {
+	out := *buf
+	*buf = out[:0]
+	return out
 }
 
 // Reply reports whether p answers the active transaction and, if it does,
@@ -202,10 +223,7 @@ func (c *Core) CloneCore() Core {
 	if c.curRes != nil {
 		r := *c.curRes
 		r.Txn = cp.cur
-		r.Values = make(map[string]model.Value, len(c.curRes.Values))
-		for k, v := range c.curRes.Values {
-			r.Values[k] = v
-		}
+		r.Values = slices.Clone(c.curRes.Values)
 		cp.curRes = &r
 	}
 	// Always detach the queue: even an empty slice may share backing
@@ -217,5 +235,8 @@ func (c *Core) CloneCore() Core {
 	}
 	// Completed results are immutable; a slice copy suffices.
 	cp.finished = append([]*model.Result(nil), c.finished...)
+	// The send buffer is never shared: the original's last Sent() slice
+	// stays the engine's to copy.
+	cp.out = nil
 	return cp
 }

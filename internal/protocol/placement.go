@@ -171,10 +171,28 @@ type Share[T any] struct {
 // servers in Servers() order — the one order every fan-out sends in, so
 // message IDs and latency draws never depend on who wrote the loop — each
 // with its items in request order, repeats kept.
+//
+// ReadShares carves every share's Items from one backing array, each
+// capped at its own length, so an append to one share never reaches the
+// next.
 func (p *Placement) ReadShares(objs []string) []Share[string] {
+	var small [8]sim.ProcessID
+	prim := small[:0] // objs[j]'s primary
 	out := make([]Share[string], 0, min(len(objs), len(p.servers)))
 	for _, obj := range objs {
-		out = addToShare(out, p.PrimaryOf(obj), obj)
+		srv := p.PrimaryOf(obj)
+		prim = append(prim, srv)
+		out, _ = openShare(out, srv)
+	}
+	items := make([]string, 0, len(objs))
+	for i := range out {
+		n := len(items)
+		for j, obj := range objs {
+			if prim[j] == out[i].Server {
+				items = append(items, obj)
+			}
+		}
+		out[i].Items = items[n:len(items):len(items)]
 	}
 	return out
 }
@@ -184,15 +202,18 @@ func (p *Placement) WriteShares(writes []model.Write) []Share[model.Write] {
 	var out []Share[model.Write]
 	for _, w := range writes {
 		for _, srv := range p.replicas[w.Object] {
-			out = addToShare(out, srv, w)
+			var i int
+			out, i = openShare(out, srv)
+			out[i].Items = append(out[i].Items, w)
 		}
 	}
 	return out
 }
 
-// addToShare appends item to srv's share, opening the share at its sorted
-// position (Servers() is sorted by ID, so comparing IDs keeps its order).
-func addToShare[T any](out []Share[T], srv sim.ProcessID, item T) []Share[T] {
+// openShare returns out with srv's share and its index, opening the share
+// at its sorted position if out has none (Servers() is sorted by ID, so
+// comparing IDs keeps its order).
+func openShare[T any](out []Share[T], srv sim.ProcessID) ([]Share[T], int) {
 	i := 0
 	for i < len(out) && out[i].Server < srv {
 		i++
@@ -200,8 +221,7 @@ func addToShare[T any](out []Share[T], srv sim.ProcessID, item T) []Share[T] {
 	if i == len(out) || out[i].Server != srv {
 		out = slices.Insert(out, i, Share[T]{Server: srv})
 	}
-	out[i].Items = append(out[i].Items, item)
-	return out
+	return out, i
 }
 
 // ServersFor returns the sorted union of replicas of the given objects.

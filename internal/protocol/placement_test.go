@@ -58,7 +58,9 @@ func checkShares[T comparable](t *testing.T, name string, pl *Placement, got, wa
 
 // TestSharesMatchMapAndSort runs the differential on seeded random
 // placements (up to 16 servers, so s10..s15 sort before s2) and random
-// read and write sets with repeats.
+// read and write sets with repeats, then on a read set of 16 objects. The
+// read shares share one backing array, so each must be capped at its
+// length.
 func TestSharesMatchMapAndSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 400; trial++ {
@@ -75,9 +77,22 @@ func TestSharesMatchMapAndSort(t *testing.T) {
 			writes = append(writes, model.Write{Object: objs[rng.Intn(len(objs))], Value: model.Value(fmt.Sprint("v", i))})
 		}
 		name := fmt.Sprintf("trial %d (%d servers, replication %d)", trial, nSrv, repl)
-		checkShares(t, fmt.Sprintf("%s: ReadShares(%v)", name, reads), pl, pl.ReadShares(reads),
-			refShares(reads, func(o string) []sim.ProcessID { return []sim.ProcessID{pl.PrimaryOf(o)} }))
+		checkReadShares(t, fmt.Sprintf("%s: ReadShares(%v)", name, reads), pl, reads)
 		checkShares(t, fmt.Sprintf("%s: WriteShares(%v)", name, writes), pl, pl.WriteShares(writes),
 			refShares(writes, func(w model.Write) []sim.ProcessID { return pl.ReplicasOf(w.Object) }))
+	}
+	pl := Replicated(4, 16, 2)
+	checkReadShares(t, "all 16 objects", pl, pl.Objects())
+}
+
+func checkReadShares(t *testing.T, name string, pl *Placement, reads []string) {
+	t.Helper()
+	got := pl.ReadShares(reads)
+	checkShares(t, name, pl, got,
+		refShares(reads, func(o string) []sim.ProcessID { return []sim.ProcessID{pl.PrimaryOf(o)} }))
+	for _, sh := range got {
+		if cap(sh.Items) != len(sh.Items) {
+			t.Fatalf("%s: %s's share has capacity %d past its %d items", name, sh.Server, cap(sh.Items), len(sh.Items))
+		}
 	}
 }

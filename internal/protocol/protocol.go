@@ -1,7 +1,8 @@
 // Package protocol is the zoo's service-provider interface. An entry writes
 // two sim.Processes (Step/Clone; clients embed Core, whose Send opens and
 // counts each round and which supplies Ready; servers embed ServerCore,
-// which holds the identity, placement and store), payloads with
+// which holds the identity, placement and store; both cores buffer Send
+// and a Step returns their Sent), payloads with
 // Kind/Txn (values: immutable once sent) and Claims; a server keeps its
 // per-version metadata on store.Version.Meta. Placement, fan-out
 // (ReadShares/WriteShares), deployments, probes and replacement catch-up
@@ -75,10 +76,11 @@ type Client interface {
 	// nobody has taken it (trace-mode flows never drain, so they look
 	// their results up here); nil otherwise.
 	Finished(id model.TxnID) *model.Result
-	// TakeFinished drains the results completed since the previous call,
-	// in completion order (per-client program order). A taken result
-	// belongs to the taker; the client forgets it.
-	TakeFinished() []*model.Result
+	// TakeFinished drains the results completed since the previous call
+	// by appending them to dst, in completion order (per-client program
+	// order), and returns dst. A taken result belongs to the taker; the
+	// client forgets it.
+	TakeFinished(dst []*model.Result) []*model.Result
 }
 
 // Protocol builds the processes of one modeled system.

@@ -144,7 +144,7 @@ func TestCoreLifecycle(t *testing.T) {
 	if !c.Starting(10) || c.Starting(11) {
 		t.Fatal("Starting must fire exactly once")
 	}
-	c.Result().Values["X0"] = "v"
+	c.Result().SetValue("X0", "v")
 	res := c.Finish(20)
 	if res.Invoked != 10 || res.Completed != 20 || c.Busy() {
 		t.Fatalf("finish result = %+v", res)
@@ -175,10 +175,14 @@ func TestCoreRound(t *testing.T) {
 		t.Fatal("unstarted transaction: want ready, round not done")
 	}
 	c.Starting(1)
-	out := c.Send(nil, "s0", &roundMsg{tid: id})
-	out = c.Send(out, "s1", &roundMsg{tid: id})
+	c.Send("s0", &roundMsg{tid: id})
+	c.Send("s1", &roundMsg{tid: id})
+	out := c.Sent()
 	if len(out) != 2 || out[1].To != "s1" || c.Ready() || c.RoundDone() || c.Rounds() != 1 {
 		t.Fatalf("after two sends: out = %v, ready = %v, done = %v, rounds = %d", out, c.Ready(), c.RoundDone(), c.Rounds())
+	}
+	if len(c.Sent()) != 0 {
+		t.Fatal("Sent did not empty the send buffer")
 	}
 	if c.Reply(&roundMsg{tid: model.TxnID{Client: "cX", Seq: 9}}) {
 		t.Fatal("reply for another transaction counted")
@@ -191,7 +195,7 @@ func TestCoreRound(t *testing.T) {
 	}
 	// A send with nothing pending opens the next round: one two-send
 	// round and one one-send round are two rounds.
-	c.Send(nil, "s0", &roundMsg{tid: id})
+	c.Send("s0", &roundMsg{tid: id})
 	if c.RoundDone() || !c.Reply(&roundMsg{tid: id}) || !c.RoundDone() {
 		t.Fatal("one-send round: want open until its reply, then done")
 	}
@@ -257,17 +261,22 @@ func TestCorePipelinesSecondInvoke(t *testing.T) {
 	if c.Busy() || c.Outstanding() != 0 {
 		t.Fatal("core busy after pipeline drained")
 	}
-	// TakeFinished drains completion-order results exactly once; until
-	// then each is found by ID, afterwards the core has forgotten it.
+	// TakeFinished drains completion-order results exactly once,
+	// appending them after what dst already holds; until then each is
+	// found by ID, afterwards the core has forgotten it.
 	rejected := c.Finished(id2)
-	fin := c.TakeFinished()
-	if len(fin) != 3 || fin[0].Txn.ID != id1 || fin[1].Txn.ID != id2 || fin[2].Txn.ID != id3 {
+	held := &model.Result{}
+	fin := c.TakeFinished([]*model.Result{held})
+	if len(fin) != 4 || fin[0] != held {
+		t.Fatalf("finished = %v, want the held result then three", fin)
+	}
+	if fin = fin[1:]; fin[0].Txn.ID != id1 || fin[1].Txn.ID != id2 || fin[2].Txn.ID != id3 {
 		t.Fatalf("finished = %v", fin)
 	}
 	if fin[1].Err == "" || fin[1] != rejected {
 		t.Fatal("rejected result lost its error")
 	}
-	if len(c.TakeFinished()) != 0 {
+	if again := c.TakeFinished(fin[:0]); len(again) != 0 {
 		t.Fatal("TakeFinished not drained")
 	}
 	for _, id := range []model.TxnID{id1, id2, id3} {
@@ -305,7 +314,7 @@ func TestCloneCoreCopiesPipeline(t *testing.T) {
 	if c.Outstanding() != 2 || c.Started() {
 		t.Fatal("clone drained the original's queue")
 	}
-	if len(c.TakeFinished()) != 0 || len(cp.TakeFinished()) != 2 {
+	if len(c.TakeFinished(nil)) != 0 || len(cp.TakeFinished(nil)) != 2 {
 		t.Fatal("finished lists shared between clones")
 	}
 }
@@ -321,7 +330,7 @@ func TestCoreReject(t *testing.T) {
 	if c.Finished(id) != res {
 		t.Fatal("rejected result not recorded")
 	}
-	if fin := c.TakeFinished(); len(fin) != 1 || fin[0] != res || c.Finished(id) != nil {
+	if fin := c.TakeFinished(nil); len(fin) != 1 || fin[0] != res || c.Finished(id) != nil {
 		t.Fatalf("rejected result not taken once, then gone: %v", fin)
 	}
 }
@@ -330,12 +339,46 @@ func TestCloneCoreIndependence(t *testing.T) {
 	c := NewCore("cX", Disjoint(2, 1))
 	c.Invoke(model.NewReadOnly(model.TxnID{}, "X0"))
 	c.Starting(1)
-	c.Result().Values["X0"] = "orig"
+	c.Result().SetValue("X0", "orig")
 	cp := c.CloneCore()
-	cp.Result().Values["X0"] = "mut"
+	cp.Result().SetValue("X0", "mut")
 	cp.Current().ReadSet[0] = "Z"
-	if c.Result().Values["X0"] != "orig" || c.Current().ReadSet[0] != "X0" {
+	if c.Result().Value("X0") != "orig" || c.Current().ReadSet[0] != "X0" {
 		t.Fatal("clone shares state")
+	}
+}
+
+// TestCloneKeepsSentBuffer: a clone's sends leave the slice the original
+// last handed out untouched, for clients and servers alike. That slice is
+// the engine's until it copies it, and a snapshot may clone the process
+// before then; a buffer the clone shared would be overwritten in place.
+func TestCloneKeepsSentBuffer(t *testing.T) {
+	c := NewCore("cX", Disjoint(2, 1))
+	id := c.Invoke(model.NewReadOnly(model.TxnID{}, "X0", "X1"))
+	c.Starting(1)
+	c.Send("s0", &roundMsg{tid: id})
+	c.Send("s1", &roundMsg{tid: id})
+	c.Sent() // the buffer now has spare capacity
+	c.Send("s0", &roundMsg{tid: id})
+	out := c.Sent()
+	cp := c.CloneCore()
+	cp.Send("s1", &roundMsg{tid: id})
+	cp.Send("s1", &roundMsg{tid: id})
+	if len(out) != 1 || out[0].To != "s0" || len(cp.Sent()) != 2 {
+		t.Fatalf("client: original's sent %v after the clone's sends", out)
+	}
+
+	s := NewServerCore("s0", Disjoint(2, 1))
+	s.Send("c0", &roundMsg{tid: id})
+	s.Send("c1", &roundMsg{tid: id})
+	s.Sent()
+	s.Send("c0", &roundMsg{tid: id})
+	sout := s.Sent()
+	scp := s.CloneServerCore()
+	scp.Send("c1", &roundMsg{tid: id})
+	scp.Send("c1", &roundMsg{tid: id})
+	if len(sout) != 1 || sout[0].To != "c0" || len(scp.Sent()) != 2 {
+		t.Fatalf("server: original's sent %v after the clone's sends", sout)
 	}
 }
 

@@ -125,7 +125,6 @@ func (s *server) Clone() sim.Process {
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *snapReq:
@@ -135,7 +134,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// tracks physical time so snapshots do not lag behind other
 			// servers' write activity.
 			ts := s.hlc.Now(int64(now))
-			out = append(out, sim.Outbound{To: m.From, Payload: &snapResp{TID: p.TID, TS: ts}})
+			s.Send(m.From, &snapResp{TID: p.TID, TS: ts})
 		case *readReq:
 			resp := &readResp{TID: p.TID}
 			for _, obj := range p.Objs {
@@ -148,17 +147,17 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
 				}
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: resp})
+			s.Send(m.From, resp)
 		case *writeReq:
 			s.hlc.Observe(int64(now), p.DepTS)
 			ts := s.hlc.Now(int64(now))
 			s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Stamp: ts, Visible: true})
-			out = append(out, sim.Outbound{To: m.From, Payload: &writeResp{TID: p.TID, TS: ts}})
+			s.Send(m.From, &writeResp{TID: p.TID, TS: ts})
 		default:
 			panic(fmt.Sprintf("contrarian: server %s got %T", s.ID(), m.Payload))
 		}
 	}
-	return out
+	return s.Sent()
 }
 
 // --- client ---
@@ -196,7 +195,6 @@ func (c *client) Clone() sim.Process {
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *snapResp:
@@ -227,27 +225,27 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if len(t.WriteSet()) > 1 {
 			c.Reject(now, "contrarian: multi-object write transactions unsupported")
-			return out
+			return c.Sent()
 		}
 		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
 			c.Reject(now, "contrarian: read-write transactions unsupported")
-			return out
+			return c.Sent()
 		}
 		if t.IsReadOnly() {
 			c.phase = snapshotting
 			c.haveSnap = false
 			c.readVals = make(map[string]readVal)
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				out = c.Send(out, sh.Server, &snapReq{TID: t.ID})
+				c.Send(sh.Server, &snapReq{TID: t.ID})
 			}
 		} else {
 			c.phase = writing
 			w := t.Writes[len(t.Writes)-1]
-			out = c.Send(out, c.Placement().PrimaryOf(w.Object), &writeReq{
+			c.Send(c.Placement().PrimaryOf(w.Object), &writeReq{
 				TID: t.ID, W: w, DepTS: c.depTS,
 			})
 		}
-		return out
+		return c.Sent()
 	}
 	if c.RoundDone() {
 		t := c.Current()
@@ -259,12 +257,12 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			c.phase = reading
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap})
+				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap})
 			}
 		case reading:
 			for _, obj := range t.ReadSet {
 				v := c.readVals[obj]
-				c.Result().Values[obj] = v.Ref.Value
+				c.Result().SetValue(obj, v.Ref.Value)
 				if c.depTS.Before(v.Stamp) {
 					c.depTS = v.Stamp
 				}
@@ -277,5 +275,5 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.Finish(now)
 		}
 	}
-	return out
+	return c.Sent()
 }

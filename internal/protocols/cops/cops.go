@@ -203,11 +203,10 @@ func valOf(v *store.Version) readVal {
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readReq:
-			resp := &readResp{TID: p.TID}
+			resp := &readResp{TID: p.TID, Vals: make([]readVal, 0, len(p.Objs))}
 			for _, obj := range p.Objs {
 				if v := s.ShardStore().LatestVisible(obj); v != nil {
 					resp.Vals = append(resp.Vals, valOf(v))
@@ -215,7 +214,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
 				}
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: resp})
+			s.Send(m.From, resp)
 		case *readAtReq:
 			resp := &readResp{TID: p.TID}
 			// The latest visible version's sequence is ≥ MinSeq whenever
@@ -226,15 +225,15 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			} else {
 				resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: p.Object, Value: model.Bottom}})
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: resp})
+			s.Send(m.From, resp)
 		case *writeReq:
 			v := s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Visible: true, Meta: p.Deps})
-			out = append(out, sim.Outbound{To: m.From, Payload: &writeResp{TID: p.TID, Seq: v.Seq}})
+			s.Send(m.From, &writeResp{TID: p.TID, Seq: v.Seq})
 		default:
 			panic(fmt.Sprintf("cops: server %s got %T", s.ID(), m.Payload))
 		}
 	}
-	return out
+	return s.Sent()
 }
 
 // --- client ---
@@ -280,7 +279,6 @@ func (c *client) need(b int) int64 {
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readResp:
@@ -302,11 +300,11 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if len(t.WriteSet()) > 1 {
 			c.Reject(now, "cops: multi-object write transactions unsupported")
-			return out
+			return c.Sent()
 		}
 		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
 			c.Reject(now, "cops: read-write transactions unsupported")
-			return out
+			return c.Sent()
 		}
 		if t.IsReadOnly() {
 			c.phase = round1
@@ -314,16 +312,16 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				c.got = append(c.got, slot{obj: c.Placement().ObjectIndex(obj)})
 			}
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
+				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
 			}
 		} else {
 			c.phase = writing
 			w := t.Writes[len(t.Writes)-1]
-			out = c.Send(out, c.Placement().PrimaryOf(w.Object), &writeReq{
+			c.Send(c.Placement().PrimaryOf(w.Object), &writeReq{
 				TID: t.ID, W: w, Deps: c.ctx.snapshot(),
 			})
 		}
-		return out
+		return c.Sent()
 	}
 	if c.RoundDone() {
 		t := c.Current()
@@ -334,7 +332,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for i, obj := range t.ReadSet {
 				if need := c.need(i); need > 0 {
 					c.phase = round2
-					out = c.Send(out, c.Placement().PrimaryOf(obj), &readAtReq{
+					c.Send(c.Placement().PrimaryOf(obj), &readAtReq{
 						TID: t.ID, Object: obj, MinSeq: need,
 					})
 				}
@@ -349,13 +347,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.Finish(now)
 		}
 	}
-	return out
+	return c.Sent()
 }
 
 func (c *client) finishRead(now sim.Time) {
 	for i, obj := range c.Current().ReadSet {
 		v := c.got[i].v
-		c.Result().Values[obj] = v.Ref.Value
+		c.Result().SetValue(obj, v.Ref.Value)
 		if v.Ref.Value != model.Bottom {
 			c.ctx.observe(c.got[i].obj, v.Seq)
 		}

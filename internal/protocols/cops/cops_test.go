@@ -121,7 +121,7 @@ func TestSecondRoundUnderRandomSchedules(t *testing.T) {
 	if twoRound == 0 {
 		t.Fatal("no ROT took the repair round")
 	}
-	const wantTwoRound, wantDigest = 8, "bf050075b0f5fd65"
+	const wantTwoRound, wantDigest = 8, "5db9baf67c2b03b4"
 	if twoRound != wantTwoRound || got != wantDigest {
 		t.Fatalf("two-round ROTs %d, digest %s; pinned %d, %s", twoRound, got, wantTwoRound, wantDigest)
 	}

@@ -179,8 +179,9 @@ func (s *server) resolveCheck(item model.ValueRef) ([]model.TxnID, bool) {
 	return s.oldReadersOf(item.Object, v.Seq), true
 }
 
-// finishWrite installs the pending write visibly, hidden from old readers.
-func (s *server) finishWrite(tid model.TxnID) sim.Outbound {
+// finishWrite installs the pending write visibly, hidden from old readers,
+// and acknowledges it.
+func (s *server) finishWrite(tid model.TxnID) {
 	pw := s.pending[tid]
 	delete(s.pending, tid)
 	hidden := make(map[model.TxnID]bool, len(pw.oldReaders))
@@ -191,11 +192,10 @@ func (s *server) finishWrite(tid model.TxnID) sim.Outbound {
 		Object: pw.w.Object, Value: pw.w.Value, Writer: tid,
 		Visible: true, HiddenFrom: hidden,
 	})
-	return sim.Outbound{To: pw.client, Payload: &writeResp{TID: tid}}
+	s.Send(pw.client, &writeResp{TID: tid})
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readReq:
@@ -211,7 +211,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				}
 				s.readers[obj] = append(s.readers[obj], readerRec{rot: p.TID, seq: seq})
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: resp})
+			s.Send(m.From, resp)
 
 		case *writeReq:
 			pw := &pendingWrite{w: p.W, client: m.From}
@@ -240,10 +240,10 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
 			for _, o := range owners {
-				out = append(out, sim.Outbound{To: o, Payload: &depCheck{ForTxn: p.TID, Items: remote[o]}})
+				s.Send(o, &depCheck{ForTxn: p.TID, Items: remote[o]})
 			}
 			if pw.remaining == 0 {
-				out = append(out, s.finishWrite(p.TID))
+				s.finishWrite(p.TID)
 			}
 
 		case *depCheck:
@@ -257,7 +257,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				}
 			}
 			if resp.Resolved > 0 {
-				out = append(out, sim.Outbound{To: m.From, Payload: resp})
+				s.Send(m.From, resp)
 			}
 
 		case *depResp:
@@ -265,7 +265,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				pw.remaining -= p.Resolved
 				pw.oldReaders = append(pw.oldReaders, p.OldReaders...)
 				if pw.remaining <= 0 {
-					out = append(out, s.finishWrite(p.ForTxn))
+					s.finishWrite(p.ForTxn)
 				}
 			}
 
@@ -294,7 +294,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					pw.remaining--
 					pw.oldReaders = append(pw.oldReaders, olds...)
 					if pw.remaining <= 0 {
-						out = append(out, s.finishWrite(dc.forTxn))
+						s.finishWrite(dc.forTxn)
 					}
 				}
 				continue
@@ -314,10 +314,10 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 		sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
 		for _, o := range origins {
-			out = append(out, sim.Outbound{To: o, Payload: resp[o]})
+			s.Send(o, resp[o])
 		}
 	}
-	return out
+	return s.Sent()
 }
 
 // --- client ---
@@ -352,13 +352,12 @@ func (c *client) depList() []model.ValueRef {
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readResp:
 			if c.Reply(p) {
 				for _, vr := range p.Vals {
-					c.Result().Values[vr.Object] = vr.Value
+					c.Result().SetValue(vr.Object, vr.Value)
 					if vr.Value != model.Bottom {
 						c.deps[vr.Object] = vr
 					}
@@ -373,21 +372,21 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		pl := c.Placement()
 		if len(t.WriteSet()) > 1 {
 			c.Reject(now, "copssnow: multi-object write transactions unsupported")
-			return out
+			return c.Sent()
 		}
 		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
 			c.Reject(now, "copssnow: read-write transactions unsupported")
-			return out
+			return c.Sent()
 		}
 		if t.IsReadOnly() {
 			for _, sh := range pl.ReadShares(t.ReadSet) {
-				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
+				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
 			}
 		} else {
 			w := t.Writes[len(t.Writes)-1]
-			out = c.Send(out, pl.PrimaryOf(w.Object), &writeReq{TID: t.ID, W: w, Deps: c.depList()})
+			c.Send(pl.PrimaryOf(w.Object), &writeReq{TID: t.ID, W: w, Deps: c.depList()})
 		}
-		return out
+		return c.Sent()
 	}
 	if c.RoundDone() {
 		t := c.Current()
@@ -397,5 +396,5 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 		c.Finish(now)
 	}
-	return out
+	return c.Sent()
 }

@@ -9,6 +9,7 @@ package cure
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/protocol"
@@ -193,8 +194,8 @@ func (s *server) gsv() vclock.Vector {
 
 func (s *server) canServe(snap vclock.Vector) bool { return snap[s.idx] <= s.stable() }
 
-func (s *server) serveRead(from sim.ProcessID, req *readReq) sim.Outbound {
-	resp := &readResp{TID: req.TID}
+func (s *server) serveRead(from sim.ProcessID, req *readReq) {
+	resp := &readResp{TID: req.TID, Vals: make([]readVal, 0, len(req.Objs))}
 	for _, obj := range req.Objs {
 		// A version is inside the snapshot only if its entire commit
 		// vector is dominated: an entry for another server above the
@@ -213,17 +214,16 @@ func (s *server) serveRead(from sim.ProcessID, req *readReq) sim.Outbound {
 			resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
 		}
 	}
-	return sim.Outbound{To: from, Payload: resp}
+	s.Send(from, resp)
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	// Retry parked reads first so parking is observable as deferral.
 	if len(s.parked) > 0 {
 		var still []parkedRead
 		for _, d := range s.parked {
 			if s.canServe(d.Req.Snap) {
-				out = append(out, s.serveRead(d.From, d.Req))
+				s.serveRead(d.From, d.Req)
 			} else {
 				still = append(still, d)
 			}
@@ -233,10 +233,10 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *gsvReq:
-			out = append(out, sim.Outbound{To: m.From, Payload: &gsvResp{TID: p.TID, GSV: s.gsv()}})
+			s.Send(m.From, &gsvResp{TID: p.TID, GSV: s.gsv()})
 		case *readReq:
 			if s.canServe(p.Snap) {
-				out = append(out, s.serveRead(m.From, p))
+				s.serveRead(m.From, p)
 			} else {
 				s.parked = append(s.parked, parkedRead{From: m.From, Req: p})
 			}
@@ -250,7 +250,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, w := range p.Writes {
 				s.ShardStore().InstallOrdered(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Vec: vec})
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID, Idx: s.idx, Seq: seq}})
+			s.Send(m.From, &prepareAck{TID: p.TID, Idx: s.idx, Seq: seq})
 		case *commitReq:
 			delete(s.pending, p.TID)
 			s.ShardStore().CommitVec(p.TID, p.Vec)
@@ -260,7 +260,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			if s.nextSeq < s.applied {
 				s.nextSeq = s.applied
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: &commitAck{TID: p.TID, Vec: p.Vec.Clone()}})
+			s.Send(m.From, &commitAck{TID: p.TID, Vec: p.Vec.Clone()})
 		case *gossip:
 			if p.Stable > s.known[p.Idx] {
 				s.known[p.Idx] = p.Stable
@@ -274,11 +274,11 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		s.lastGossip = st
 		for _, other := range s.Placement().Servers() {
 			if other != s.ID() {
-				out = append(out, sim.Outbound{To: other, Payload: &gossip{Idx: s.idx, Stable: st}})
+				s.Send(other, &gossip{Idx: s.idx, Stable: st})
 			}
 		}
 	}
-	return out
+	return s.Sent()
 }
 
 // --- client ---
@@ -295,32 +295,28 @@ const (
 
 type client struct {
 	protocol.Core
-	phase  phase
-	dep    vclock.Vector
+	phase phase
+	dep   vclock.Vector
+	// snap is the active ROT's snapshot. Every read request of the round
+	// carries this one vector, so once they are sent it is never written
+	// again: the next ROT's gsv reply replaces it.
 	snap   vclock.Vector
 	commit vclock.Vector
-	got    map[string]readVal
+	got    []readVal // the active ROT's, aligned with its ReadSet
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), phase: c.phase, dep: c.dep.Clone()}
+	cp := &client{Core: c.CloneCore(), phase: c.phase, dep: c.dep.Clone(), got: slices.Clone(c.got)}
 	if c.snap != nil {
 		cp.snap = c.snap.Clone()
 	}
 	if c.commit != nil {
 		cp.commit = c.commit.Clone()
 	}
-	if c.got != nil {
-		cp.got = make(map[string]readVal, len(c.got))
-		for k, v := range c.got {
-			cp.got[k] = v
-		}
-	}
 	return cp
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *gsvResp:
@@ -330,7 +326,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *readResp:
 			if c.phase == reading && c.Reply(p) {
 				for _, v := range p.Vals {
-					c.got[v.Ref.Object] = v
+					c.got[slices.Index(c.Current().ReadSet, v.Ref.Object)] = v
 				}
 			}
 		case *prepareAck:
@@ -349,23 +345,23 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
 			c.Reject(now, "cure: read-write transactions unsupported in this model")
-			return out
+			return c.Sent()
 		}
 		if t.IsReadOnly() {
 			c.phase = gsvWait
-			c.got = make(map[string]readVal)
+			c.got = append(c.got, make([]readVal, len(t.ReadSet))...)
 			last := t.ReadSet[len(t.ReadSet)-1]
-			out = c.Send(out, c.Placement().PrimaryOf(last), &gsvReq{TID: t.ID})
+			c.Send(c.Placement().PrimaryOf(last), &gsvReq{TID: t.ID})
 		} else {
 			c.phase = preparing
 			c.commit = c.dep.Clone()
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
-				out = c.Send(out, sh.Server, &prepareReq{
+				c.Send(sh.Server, &prepareReq{
 					TID: t.ID, Writes: sh.Items, Dep: c.dep.Clone(),
 				})
 			}
 		}
-		return out
+		return c.Sent()
 	}
 	if c.RoundDone() {
 		t := c.Current()
@@ -374,28 +370,29 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.snap.Merge(c.dep)
 			c.phase = reading
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap.Clone()})
+				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap})
 			}
 		case reading:
-			for _, obj := range t.ReadSet {
-				v := c.got[obj]
-				c.Result().Values[obj] = v.Ref.Value
+			for i, obj := range t.ReadSet {
+				v := c.got[i]
+				c.Result().SetValue(obj, v.Ref.Value)
 				if v.Vec != nil {
 					c.dep.Merge(v.Vec)
 				}
 			}
 			c.phase = idle
-			c.got = nil
+			clear(c.got)
+			c.got = c.got[:0]
 			c.Finish(now)
 		case preparing:
 			c.phase = committing
 			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				out = c.Send(out, srv, &commitReq{TID: t.ID, Vec: c.commit.Clone()})
+				c.Send(srv, &commitReq{TID: t.ID, Vec: c.commit.Clone()})
 			}
 		case committing:
 			c.phase = idle
 			c.Finish(now)
 		}
 	}
-	return out
+	return c.Sent()
 }

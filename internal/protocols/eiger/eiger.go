@@ -184,7 +184,6 @@ func (s *server) minPending() int64 {
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readReq:
@@ -220,7 +219,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					SafeT:        s.clock.T,
 				})
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: resp})
+			s.Send(m.From, resp)
 		case *prepareReq:
 			s.clock.Observe(p.DepTS)
 			ts := s.clock.Tick()
@@ -229,17 +228,17 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID,
 					Stamp: vclock.HLCStamp{Wall: ts}})
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID, TS: ts}})
+			s.Send(m.From, &prepareAck{TID: p.TID, TS: ts})
 		case *commitReq:
 			s.clock.Observe(p.TS)
 			delete(s.pending, p.TID)
 			s.ShardStore().CommitAt(p.TID, vclock.HLCStamp{Wall: p.TS, Logical: tieBreak(p.TID)})
-			out = append(out, sim.Outbound{To: m.From, Payload: &commitAck{TID: p.TID, TS: p.TS}})
+			s.Send(m.From, &commitAck{TID: p.TID, TS: p.TS})
 		default:
 			panic(fmt.Sprintf("eiger: server %s got %T", s.ID(), m.Payload))
 		}
 	}
-	return out
+	return s.Sent()
 }
 
 // --- client ---
@@ -273,13 +272,11 @@ func (c *client) Clone() sim.Process {
 	return cp
 }
 
-func (c *client) sendReads(at int64) []sim.Outbound {
-	var out []sim.Outbound
+func (c *client) sendReads(at int64) {
 	t := c.Current()
 	for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-		out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, At: at})
+		c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items, At: at})
 	}
-	return out
 }
 
 // effTime is the transaction's effective time: the newest commit
@@ -315,7 +312,6 @@ func (c *client) settled(eff int64) bool {
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readResp:
@@ -342,22 +338,22 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
 			c.Reject(now, "eiger: read-write transactions unsupported in this model")
-			return out
+			return c.Sent()
 		}
 		if t.IsReadOnly() {
 			c.phase = reading
 			c.got = make(map[string]readVal)
-			out = append(out, c.sendReads(0)...)
+			c.sendReads(0)
 		} else {
 			c.phase = preparing
 			c.commitTS = 0
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
-				out = c.Send(out, sh.Server, &prepareReq{
+				c.Send(sh.Server, &prepareReq{
 					TID: t.ID, Writes: sh.Items, DepTS: c.depTS,
 				})
 			}
 		}
-		return out
+		return c.Sent()
 	}
 	if c.RoundDone() {
 		t := c.Current()
@@ -368,12 +364,12 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				// effective time. The servers observe eff into their clocks,
 				// so the retry either settles every object at eff or keeps
 				// re-polling while a prepare at or below eff is pending.
-				out = append(out, c.sendReads(eff)...)
-				return out
+				c.sendReads(eff)
+				return c.Sent()
 			}
 			for _, obj := range t.ReadSet {
 				v := c.got[obj]
-				c.Result().Values[obj] = v.Ref.Value
+				c.Result().SetValue(obj, v.Ref.Value)
 				if v.TS > c.depTS {
 					c.depTS = v.TS
 				}
@@ -384,7 +380,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case preparing:
 			c.phase = committing
 			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				out = c.Send(out, srv, &commitReq{TID: t.ID, TS: c.commitTS})
+				c.Send(srv, &commitReq{TID: t.ID, TS: c.commitTS})
 			}
 		case committing:
 			if c.commitTS > c.depTS {
@@ -394,5 +390,5 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.Finish(now)
 		}
 	}
-	return out
+	return c.Sent()
 }

@@ -113,7 +113,6 @@ func (s *server) Clone() sim.Process {
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readReq:
@@ -125,7 +124,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: model.Bottom})
 				}
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: resp})
+			s.Send(m.From, resp)
 		case *writeReq:
 			init := protocol.IsInitClient(sim.ProcessID(p.TID.Client))
 			for _, w := range p.Writes {
@@ -134,12 +133,12 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				// mechanism that never arrives in this model.
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Visible: init})
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: &writeResp{TID: p.TID}})
+			s.Send(m.From, &writeResp{TID: p.TID})
 			if !init {
 				// Kick off the endless synchronization exchange.
 				for _, other := range s.Placement().Servers() {
 					if other != s.ID() {
-						out = append(out, sim.Outbound{To: other, Payload: &syncToken{Round: 1}})
+						s.Send(other, &syncToken{Round: 1})
 					}
 				}
 			}
@@ -150,13 +149,13 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// chain, so in the adversary's solo runs there is always one
 			// more server message — the ms_k of Lemma 3.)
 			if p.Round < 16 {
-				out = append(out, sim.Outbound{To: m.From, Payload: &syncToken{Round: p.Round + 1}})
+				s.Send(m.From, &syncToken{Round: p.Round + 1})
 			}
 		default:
 			panic(fmt.Sprintf("eigerps: server %s got %T", s.ID(), m.Payload))
 		}
 	}
-	return out
+	return s.Sent()
 }
 
 // --- client ---
@@ -170,13 +169,12 @@ func (c *client) Clone() sim.Process {
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readResp:
 			if c.Reply(p) {
 				for _, vr := range p.Vals {
-					c.Result().Values[vr.Object] = vr.Value
+					c.Result().SetValue(vr.Object, vr.Value)
 				}
 			}
 		case *writeResp:
@@ -188,21 +186,21 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		pl := c.Placement()
 		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
 			c.Reject(now, "eigerps: read-write transactions unsupported")
-			return out
+			return c.Sent()
 		}
 		if t.IsReadOnly() {
 			for _, sh := range pl.ReadShares(t.ReadSet) {
-				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
+				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
 			}
 		} else {
 			for _, sh := range pl.WriteShares(t.Writes) {
-				out = c.Send(out, sh.Server, &writeReq{TID: t.ID, Writes: sh.Items})
+				c.Send(sh.Server, &writeReq{TID: t.ID, Writes: sh.Items})
 			}
 		}
-		return out
+		return c.Sent()
 	}
 	if c.RoundDone() {
 		c.Finish(now)
 	}
-	return out
+	return c.Sent()
 }

@@ -234,7 +234,6 @@ func (s *server) Clone() sim.Process {
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readReq:
@@ -253,7 +252,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					Vec: blob.Vec, WSet: blob.WSet, Sibs: blob.Sibs, Deps: blob.Deps,
 				})
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: resp})
+			s.Send(m.From, resp)
 		case *writeReq:
 			// The sibling list carries the transaction's full write-set.
 			blob := &metaBlob{Sibs: p.Sibs, Deps: p.DepVals, Vec: p.Vec,
@@ -267,12 +266,12 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					Visible: true, Stamp: vclock.HLCStamp{Wall: p.TS}, Meta: blob,
 				})
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: &writeResp{TID: p.TID}})
+			s.Send(m.From, &writeResp{TID: p.TID})
 		default:
 			panic(fmt.Sprintf("fatcops: server %s got %T", s.ID(), m.Payload))
 		}
 	}
-	return out
+	return s.Sent()
 }
 
 // --- client ---
@@ -434,7 +433,6 @@ func (c *client) record(t *txnCand) {
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readResp:
@@ -450,11 +448,11 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		pl := c.Placement()
 		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
 			c.Reject(now, "fatcops: read-write transactions unsupported")
-			return out
+			return c.Sent()
 		}
 		if t.IsReadOnly() {
 			for _, sh := range pl.ReadShares(t.ReadSet) {
-				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
+				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
 			}
 		} else {
 			c.clock++
@@ -478,12 +476,12 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					TS: ts, Vec: wv, WSet: wset})
 			}
 			for _, sh := range pl.WriteShares(t.Writes) {
-				out = c.Send(out, sh.Server, &writeReq{
+				c.Send(sh.Server, &writeReq{
 					TID: t.ID, TS: ts, Vec: wv, Writes: sh.Items, Sibs: siblings, DepVals: deps,
 				})
 			}
 		}
-		return out
+		return c.Sent()
 	}
 	if c.RoundDone() {
 		t := c.Current()
@@ -492,9 +490,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// the read's snapshot.
 			for _, obj := range t.ReadSet {
 				if s, exists := c.ctx[obj]; exists {
-					c.Result().Values[obj] = s.Val
+					c.Result().SetValue(obj, s.Val)
 				} else {
-					c.Result().Values[obj] = model.Bottom
+					c.Result().SetValue(obj, model.Bottom)
 				}
 			}
 		} else {
@@ -515,5 +513,5 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 		c.Finish(now)
 	}
-	return out
+	return c.Sent()
 }

@@ -194,7 +194,7 @@ func (s *server) gst() vclock.HLCStamp {
 	return g
 }
 
-func (s *server) serveRead(from sim.ProcessID, req *readReq) sim.Outbound {
+func (s *server) serveRead(from sim.ProcessID, req *readReq) {
 	resp := &readResp{TID: req.TID}
 	for _, obj := range req.Objs {
 		if v := s.ShardStore().SnapshotRead(obj, req.Snap); v != nil {
@@ -206,11 +206,10 @@ func (s *server) serveRead(from sim.ProcessID, req *readReq) sim.Outbound {
 			resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
 		}
 	}
-	return sim.Outbound{To: from, Payload: resp}
+	s.Send(from, resp)
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	// Retry parked reads FIRST (before new input): a read parked in step k
 	// is served in step k+1 at the earliest, so the wait is observable as
 	// a deferred (blocking) response.
@@ -219,7 +218,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		var still []parkedRead
 		for _, d := range s.parked {
 			if d.Req.Snap.Before(s.clock()) || d.Req.Snap.Compare(s.clock()) == 0 {
-				out = append(out, s.serveRead(d.From, d.Req))
+				s.serveRead(d.From, d.Req)
 			} else {
 				still = append(still, d)
 			}
@@ -232,10 +231,10 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// Clocks track physical time: advance before answering so the
 			// GST is not stuck at the last write.
 			s.hlc.Now(int64(now))
-			out = append(out, sim.Outbound{To: m.From, Payload: &gstResp{TID: p.TID, GST: s.gst()}})
+			s.Send(m.From, &gstResp{TID: p.TID, GST: s.gst()})
 		case *readReq:
 			if p.Snap.Before(s.clock()) || p.Snap.Compare(s.clock()) == 0 {
-				out = append(out, s.serveRead(m.From, p))
+				s.serveRead(m.From, p)
 			} else {
 				s.parked = append(s.parked, parkedRead{From: m.From, Req: p})
 			}
@@ -252,7 +251,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				ts = s.hlc.Now(int64(now))
 			}
 			s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Stamp: ts, Visible: true})
-			out = append(out, sim.Outbound{To: m.From, Payload: &writeResp{TID: p.TID, TS: ts}})
+			s.Send(m.From, &writeResp{TID: p.TID, TS: ts})
 		case *gossip:
 			if cur, heard := s.known[p.From]; !heard || cur.Before(p.Clock) {
 				s.known[p.From] = p.Clock
@@ -266,11 +265,11 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		s.lastGossip = c
 		for _, other := range s.Placement().Servers() {
 			if other != s.ID() {
-				out = append(out, sim.Outbound{To: other, Payload: &gossip{From: s.ID(), Clock: c}})
+				s.Send(other, &gossip{From: s.ID(), Clock: c})
 			}
 		}
 	}
-	return out
+	return s.Sent()
 }
 
 // --- client ---
@@ -304,7 +303,6 @@ func (c *client) Clone() sim.Process {
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *gstResp:
@@ -329,11 +327,11 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if len(t.WriteSet()) > 1 {
 			c.Reject(now, "gentlerain: multi-object write transactions unsupported")
-			return out
+			return c.Sent()
 		}
 		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
 			c.Reject(now, "gentlerain: read-write transactions unsupported")
-			return out
+			return c.Sent()
 		}
 		if t.IsReadOnly() {
 			c.phase = gstWait
@@ -341,15 +339,15 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// GST from the client's designated server (we use the server
 			// of the last object in the read set).
 			last := t.ReadSet[len(t.ReadSet)-1]
-			out = c.Send(out, c.Placement().PrimaryOf(last), &gstReq{TID: t.ID})
+			c.Send(c.Placement().PrimaryOf(last), &gstReq{TID: t.ID})
 		} else {
 			c.phase = writing
 			w := t.Writes[len(t.Writes)-1]
-			out = c.Send(out, c.Placement().PrimaryOf(w.Object), &writeReq{
+			c.Send(c.Placement().PrimaryOf(w.Object), &writeReq{
 				TID: t.ID, W: w, DepTS: c.depTS,
 			})
 		}
-		return out
+		return c.Sent()
 	}
 	if c.RoundDone() {
 		t := c.Current()
@@ -363,12 +361,12 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			c.phase = reading
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap})
+				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap})
 			}
 		case reading:
 			for _, obj := range t.ReadSet {
 				v := c.got[obj]
-				c.Result().Values[obj] = v.Ref.Value
+				c.Result().SetValue(obj, v.Ref.Value)
 				if c.depTS.Before(v.Stamp) {
 					c.depTS = v.Stamp
 				}
@@ -381,5 +379,5 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.Finish(now)
 		}
 	}
-	return out
+	return c.Sent()
 }

@@ -105,7 +105,6 @@ func (s *server) Clone() sim.Process {
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readReq:
@@ -117,17 +116,17 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: model.Bottom})
 				}
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: resp})
+			s.Send(m.From, resp)
 		case *writeReq:
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Visible: true})
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: &writeResp{TID: p.TID}})
+			s.Send(m.From, &writeResp{TID: p.TID})
 		default:
 			panic(fmt.Sprintf("naivefast: server %s got %T", s.ID(), m.Payload))
 		}
 	}
-	return out
+	return s.Sent()
 }
 
 // --- client ---
@@ -141,13 +140,12 @@ func (c *client) Clone() sim.Process {
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readResp:
 			if c.Reply(p) {
 				for _, vr := range p.Vals {
-					c.Result().Values[vr.Object] = vr.Value
+					c.Result().SetValue(vr.Object, vr.Value)
 				}
 			}
 		case *writeResp:
@@ -164,10 +162,10 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		reads, writes := pl.ReadShares(t.ReadSet), pl.WriteShares(t.Writes)
 		for len(reads)+len(writes) > 0 {
 			if len(writes) == 0 || len(reads) > 0 && reads[0].Server <= writes[0].Server {
-				out = c.Send(out, reads[0].Server, &readReq{TID: t.ID, Objs: reads[0].Items})
+				c.Send(reads[0].Server, &readReq{TID: t.ID, Objs: reads[0].Items})
 				reads = reads[1:]
 			} else {
-				out = c.Send(out, writes[0].Server, &writeReq{TID: t.ID, Writes: writes[0].Items})
+				c.Send(writes[0].Server, &writeReq{TID: t.ID, Writes: writes[0].Items})
 				writes = writes[1:]
 			}
 		}
@@ -176,5 +174,5 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		// All responses in: complete.
 		c.Finish(now)
 	}
-	return out
+	return c.Sent()
 }

@@ -158,7 +158,7 @@ func (s *server) gsv() vclock.Vector {
 
 func (s *server) canServe(snap vclock.Vector) bool { return snap[s.idx] <= s.cnt }
 
-func (s *server) serveRead(from sim.ProcessID, req *readReq) sim.Outbound {
+func (s *server) serveRead(from sim.ProcessID, req *readReq) {
 	resp := &readResp{TID: req.TID}
 	for _, obj := range req.Objs {
 		// Entire dependency vector must be dominated by the snapshot —
@@ -175,18 +175,17 @@ func (s *server) serveRead(from sim.ProcessID, req *readReq) sim.Outbound {
 			resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
 		}
 	}
-	return sim.Outbound{To: from, Payload: resp}
+	s.Send(from, resp)
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	// Retry parked reads before consuming new input (so a park is always
 	// observable as a deferred response).
 	if len(s.parked) > 0 {
 		var still []parkedRead
 		for _, d := range s.parked {
 			if s.canServe(d.Req.Snap) {
-				out = append(out, s.serveRead(d.From, d.Req))
+				s.serveRead(d.From, d.Req)
 			} else {
 				still = append(still, d)
 			}
@@ -197,10 +196,10 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *gsvReq:
-			out = append(out, sim.Outbound{To: m.From, Payload: &gsvResp{TID: p.TID, GSV: s.gsv()}})
+			s.Send(m.From, &gsvResp{TID: p.TID, GSV: s.gsv()})
 		case *readReq:
 			if s.canServe(p.Snap) {
-				out = append(out, s.serveRead(m.From, p))
+				s.serveRead(m.From, p)
 			} else {
 				s.parked = append(s.parked, parkedRead{From: m.From, Req: p})
 			}
@@ -210,7 +209,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			vec.Merge(p.Dep)
 			vec[s.idx] = s.cnt
 			s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Vec: vec, Visible: true})
-			out = append(out, sim.Outbound{To: m.From, Payload: &writeResp{TID: p.TID, Vec: vec}})
+			s.Send(m.From, &writeResp{TID: p.TID, Vec: vec})
 			gossipDue = true
 		case *gossip:
 			if p.Cnt > s.known[p.Idx] {
@@ -223,11 +222,11 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	if gossipDue {
 		for _, other := range s.Placement().Servers() {
 			if other != s.ID() {
-				out = append(out, sim.Outbound{To: other, Payload: &gossip{From: s.ID(), Idx: s.idx, Cnt: s.cnt}})
+				s.Send(other, &gossip{From: s.ID(), Idx: s.idx, Cnt: s.cnt})
 			}
 		}
 	}
-	return out
+	return s.Sent()
 }
 
 // --- client ---
@@ -264,7 +263,6 @@ func (c *client) Clone() sim.Process {
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *gsvResp:
@@ -287,25 +285,25 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if len(t.WriteSet()) > 1 {
 			c.Reject(now, "orbe: multi-object write transactions unsupported")
-			return out
+			return c.Sent()
 		}
 		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
 			c.Reject(now, "orbe: read-write transactions unsupported")
-			return out
+			return c.Sent()
 		}
 		if t.IsReadOnly() {
 			c.phase = gsvWait
 			c.got = make(map[string]readVal)
 			last := t.ReadSet[len(t.ReadSet)-1]
-			out = c.Send(out, c.Placement().PrimaryOf(last), &gsvReq{TID: t.ID})
+			c.Send(c.Placement().PrimaryOf(last), &gsvReq{TID: t.ID})
 		} else {
 			c.phase = writing
 			w := t.Writes[len(t.Writes)-1]
-			out = c.Send(out, c.Placement().PrimaryOf(w.Object), &writeReq{
+			c.Send(c.Placement().PrimaryOf(w.Object), &writeReq{
 				TID: t.ID, W: w, Dep: c.dep.Clone(),
 			})
 		}
-		return out
+		return c.Sent()
 	}
 	if c.RoundDone() {
 		t := c.Current()
@@ -314,12 +312,12 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.snap.Merge(c.dep) // snapshot covers the causal past
 			c.phase = reading
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap.Clone()})
+				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap.Clone()})
 			}
 		case reading:
 			for _, obj := range t.ReadSet {
 				v := c.got[obj]
-				c.Result().Values[obj] = v.Ref.Value
+				c.Result().SetValue(obj, v.Ref.Value)
 				if v.Vec != nil {
 					c.dep.Merge(v.Vec)
 				}
@@ -332,5 +330,5 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.Finish(now)
 		}
 	}
-	return out
+	return c.Sent()
 }

@@ -152,7 +152,6 @@ func valOf(v *store.Version) readVal {
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readReq:
@@ -165,7 +164,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				}
 				resp.Vals = append(resp.Vals, valOf(best))
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: resp})
+			s.Send(m.From, resp)
 		case *byWriterReq:
 			resp := &readResp{TID: p.TID}
 			// Prepared-but-uncommitted versions are fetchable: the reader
@@ -175,7 +174,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			} else {
 				resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: p.Object, Value: model.Bottom}})
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: resp})
+			s.Send(m.From, resp)
 		case *prepareReq:
 			for _, w := range p.Writes {
 				var others []string
@@ -189,15 +188,15 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					Stamp: vclock.HLCStamp{Wall: p.TS}, Meta: others,
 				})
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID}})
+			s.Send(m.From, &prepareAck{TID: p.TID})
 		case *commitReq:
 			s.ShardStore().Commit(p.TID)
-			out = append(out, sim.Outbound{To: m.From, Payload: &commitAck{TID: p.TID}})
+			s.Send(m.From, &commitAck{TID: p.TID})
 		default:
 			panic(fmt.Sprintf("ramp: server %s got %T", s.ID(), m.Payload))
 		}
 	}
-	return out
+	return s.Sent()
 }
 
 // --- client ---
@@ -254,7 +253,6 @@ func (c *client) fractures() map[string]readVal {
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readResp:
@@ -280,25 +278,25 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
 			c.Reject(now, "ramp: read-write transactions unsupported in this model")
-			return out
+			return c.Sent()
 		}
 		if t.IsReadOnly() {
 			c.phase = round1
 			c.got = make(map[string]readVal)
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
+				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
 			}
 		} else {
 			c.phase = preparing
 			c.clock++
 			ws := t.WriteSet()
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
-				out = c.Send(out, sh.Server, &prepareReq{
+				c.Send(sh.Server, &prepareReq{
 					TID: t.ID, TS: c.clock, Writes: sh.Items, WriteSet: ws,
 				})
 			}
 		}
-		return out
+		return c.Sent()
 	}
 	if c.RoundDone() {
 		t := c.Current()
@@ -307,7 +305,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			repair := c.fractures()
 			if len(repair) == 0 {
 				c.finishRead(now)
-				return out
+				return c.Sent()
 			}
 			c.phase = round2
 			objs := make([]string, 0, len(repair))
@@ -316,7 +314,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			sort.Strings(objs)
 			for _, o := range objs {
-				out = c.Send(out, c.Placement().PrimaryOf(o), &byWriterReq{
+				c.Send(c.Placement().PrimaryOf(o), &byWriterReq{
 					TID: t.ID, Object: o, Writer: repair[o].Ref.Writer,
 				})
 			}
@@ -325,21 +323,21 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case preparing:
 			c.phase = committing
 			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				out = c.Send(out, srv, &commitReq{TID: t.ID})
+				c.Send(srv, &commitReq{TID: t.ID})
 			}
 		case committing:
 			c.phase = idle
 			c.Finish(now)
 		}
 	}
-	return out
+	return c.Sent()
 }
 
 func (c *client) finishRead(now sim.Time) {
 	t := c.Current()
 	for _, obj := range t.ReadSet {
 		v := c.got[obj]
-		c.Result().Values[obj] = v.Ref.Value
+		c.Result().SetValue(obj, v.Ref.Value)
 		if v.TS > c.clock {
 			c.clock = v.TS
 		}

@@ -198,8 +198,8 @@ func (s *server) safeTime(now sim.Time) int64 {
 	return min(int64(now)+s.skew-Epsilon, s.prepareCap())
 }
 
-func (s *server) serveRead(from sim.ProcessID, req *readReq) sim.Outbound {
-	resp := &readResp{TID: req.TID}
+func (s *server) serveRead(from sim.ProcessID, req *readReq) {
+	resp := &readResp{TID: req.TID, Vals: make([]model.ValueRef, 0, len(req.Objs))}
 	for _, obj := range req.Objs {
 		if v := s.ShardStore().SnapshotRead(obj, vclock.HLCStamp{Wall: req.TS}); v != nil {
 			resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer})
@@ -207,16 +207,15 @@ func (s *server) serveRead(from sim.ProcessID, req *readReq) sim.Outbound {
 			resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: model.Bottom})
 		}
 	}
-	return sim.Outbound{To: from, Payload: resp}
+	s.Send(from, resp)
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readReq:
 			if s.safeTime(now) >= p.TS {
-				out = append(out, s.serveRead(m.From, p))
+				s.serveRead(m.From, p)
 			} else {
 				// Blocking: park until safe time catches up.
 				s.parked = append(s.parked, deferredRead{From: m.From, Req: p})
@@ -231,14 +230,14 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID})
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID, TS: ts}})
+			s.Send(m.From, &prepareAck{TID: p.TID, TS: ts})
 		case *commitReq:
 			delete(s.pending, p.TID)
 			s.ShardStore().CommitAt(p.TID, vclock.HLCStamp{Wall: p.TS})
 			if p.TS > s.lastTS {
 				s.lastTS = p.TS
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: &commitAck{TID: p.TID}})
+			s.Send(m.From, &commitAck{TID: p.TID})
 		default:
 			panic(fmt.Sprintf("spanner: server %s got %T", s.ID(), m.Payload))
 		}
@@ -250,7 +249,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		safe, still := s.safeTime(now), s.parked[:0]
 		for _, d := range s.parked {
 			if safe >= d.Req.TS {
-				out = append(out, s.serveRead(d.From, d.Req))
+				s.serveRead(d.From, d.Req)
 			} else {
 				still = append(still, d)
 			}
@@ -258,7 +257,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		clear(s.parked[len(still):])
 		s.parked = still
 	}
-	return out
+	return s.Sent()
 }
 
 // --- client ---
@@ -310,13 +309,12 @@ func (c *client) WakeAt(now sim.Time) (sim.Time, bool) {
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readResp:
 			if c.phase == reading && c.Reply(p) {
 				for _, vr := range p.Vals {
-					c.Result().Values[vr.Object] = vr.Value
+					c.Result().SetValue(vr.Object, vr.Value)
 				}
 			}
 		case *prepareAck:
@@ -336,22 +334,22 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		pl := c.Placement()
 		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
 			c.Reject(now, "spanner: read-write transactions unsupported in this model")
-			return out
+			return c.Sent()
 		}
 		if t.IsReadOnly() {
 			c.phase = reading
 			ts := int64(now) + c.skew + Epsilon // TT.now().latest
 			for _, sh := range pl.ReadShares(t.ReadSet) {
-				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, TS: ts})
+				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items, TS: ts})
 			}
 		} else {
 			c.phase = preparing
 			c.commitTS = 0
 			for _, sh := range pl.WriteShares(t.Writes) {
-				out = c.Send(out, sh.Server, &prepareReq{TID: t.ID, Writes: sh.Items})
+				c.Send(sh.Server, &prepareReq{TID: t.ID, Writes: sh.Items})
 			}
 		}
-		return out
+		return c.Sent()
 	}
 	if c.RoundDone() {
 		t := c.Current()
@@ -362,7 +360,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case preparing:
 			c.phase = committing
 			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				out = c.Send(out, srv, &commitReq{TID: t.ID, TS: c.commitTS})
+				c.Send(srv, &commitReq{TID: t.ID, TS: c.commitTS})
 			}
 		case committing:
 			c.phase = commitWait
@@ -376,5 +374,5 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 		}
 	}
-	return out
+	return c.Sent()
 }

@@ -112,7 +112,6 @@ func (s *server) Clone() sim.Process {
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readReq:
@@ -124,20 +123,20 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: model.Bottom})
 				}
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: resp})
+			s.Send(m.From, resp)
 		case *prepareReq:
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID})
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID}})
+			s.Send(m.From, &prepareAck{TID: p.TID})
 		case *commitReq:
 			s.ShardStore().Commit(p.TID)
-			out = append(out, sim.Outbound{To: m.From, Payload: &commitAck{TID: p.TID}})
+			s.Send(m.From, &commitAck{TID: p.TID})
 		default:
 			panic(fmt.Sprintf("twopcfast: server %s got %T", s.ID(), m.Payload))
 		}
 	}
-	return out
+	return s.Sent()
 }
 
 // --- client ---
@@ -161,13 +160,12 @@ func (c *client) Clone() sim.Process {
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readResp:
 			if c.phase == reading && c.Reply(p) {
 				for _, vr := range p.Vals {
-					c.Result().Values[vr.Object] = vr.Value
+					c.Result().SetValue(vr.Object, vr.Value)
 				}
 			}
 		case *prepareAck:
@@ -185,20 +183,20 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		pl := c.Placement()
 		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
 			c.Reject(now, "twopcfast: read-write transactions unsupported")
-			return out
+			return c.Sent()
 		}
 		if t.IsReadOnly() {
 			c.phase = reading
 			for _, sh := range pl.ReadShares(t.ReadSet) {
-				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
+				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
 			}
 		} else {
 			c.phase = preparing
 			for _, sh := range pl.WriteShares(t.Writes) {
-				out = c.Send(out, sh.Server, &prepareReq{TID: t.ID, Writes: sh.Items})
+				c.Send(sh.Server, &prepareReq{TID: t.ID, Writes: sh.Items})
 			}
 		}
-		return out
+		return c.Sent()
 	}
 	if c.RoundDone() {
 		t := c.Current()
@@ -210,12 +208,12 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// All prepared: commit everywhere.
 			c.phase = committing
 			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				out = c.Send(out, srv, &commitReq{TID: t.ID})
+				c.Send(srv, &commitReq{TID: t.ID})
 			}
 		case committing:
 			c.phase = idle
 			c.Finish(now)
 		}
 	}
-	return out
+	return c.Sent()
 }

@@ -206,14 +206,13 @@ func (s *server) cutoff() vclock.HLCStamp {
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *stableReq:
 			// The local clock tracks physical time (as in Wren); advance
 			// it so the stable time is not stuck at the last write.
 			s.hlc.Now(int64(now))
-			out = append(out, sim.Outbound{To: m.From, Payload: &stableResp{TID: p.TID, Cutoff: s.cutoff()}})
+			s.Send(m.From, &stableResp{TID: p.TID, Cutoff: s.cutoff()})
 		case *readReq:
 			resp := &readResp{TID: p.TID}
 			for _, obj := range p.Objs {
@@ -226,7 +225,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
 				}
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: resp})
+			s.Send(m.From, resp)
 		case *prepareReq:
 			// Initial versions sit at the bottom of the timestamp order —
 			// the zero stamp — so every cutoff covers them: the cutoff is a
@@ -241,12 +240,12 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Stamp: ts})
 			}
-			out = append(out, sim.Outbound{To: m.From, Payload: &prepareAck{TID: p.TID, TS: ts}})
+			s.Send(m.From, &prepareAck{TID: p.TID, TS: ts})
 		case *commitReq:
 			s.hlc.Observe(int64(now), p.TS)
 			delete(s.pending, p.TID)
 			s.ShardStore().CommitAt(p.TID, p.TS)
-			out = append(out, sim.Outbound{To: m.From, Payload: &commitAck{TID: p.TID, TS: p.TS}})
+			s.Send(m.From, &commitAck{TID: p.TID, TS: p.TS})
 		case *gossip:
 			if cur, heard := s.known[p.From]; !heard || cur.Before(p.Stable) {
 				s.known[p.From] = p.Stable
@@ -261,11 +260,11 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		s.lastGossip = ls
 		for _, other := range s.Placement().Servers() {
 			if other != s.ID() {
-				out = append(out, sim.Outbound{To: other, Payload: &gossip{From: s.ID(), Stable: ls}})
+				s.Send(other, &gossip{From: s.ID(), Stable: ls})
 			}
 		}
 	}
-	return out
+	return s.Sent()
 }
 
 // --- client ---
@@ -315,7 +314,6 @@ func (c *client) Clone() sim.Process {
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	var out []sim.Outbound
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *stableResp:
@@ -344,7 +342,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
 			c.Reject(now, "wren: read-write transactions unsupported")
-			return out
+			return c.Sent()
 		}
 		if t.IsReadOnly() {
 			// Round 1: fetch the cutoff from one server (any will do; we
@@ -352,17 +350,17 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = cutoffWait
 			c.readVals = make(map[string]readVal)
 			first := c.Placement().PrimaryOf(t.ReadSet[0])
-			out = c.Send(out, first, &stableReq{TID: t.ID})
+			c.Send(first, &stableReq{TID: t.ID})
 		} else {
 			c.phase = preparing
 			c.maxPrep = vclock.HLCStamp{}
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
-				out = c.Send(out, sh.Server, &prepareReq{
+				c.Send(sh.Server, &prepareReq{
 					TID: t.ID, Writes: sh.Items, DepTS: c.depTS,
 				})
 			}
 		}
-		return out
+		return c.Sent()
 	}
 	if c.RoundDone() {
 		t := c.Current()
@@ -371,7 +369,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// Round 2: snapshot reads at the cutoff.
 			c.phase = reading
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				out = c.Send(out, sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap})
+				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap})
 			}
 		case reading:
 			for _, obj := range t.ReadSet {
@@ -382,7 +380,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				if own, cachedOK := c.cache[obj]; cachedOK && ts.Before(own.TS) {
 					val = own.Val
 				}
-				c.Result().Values[obj] = val
+				c.Result().SetValue(obj, val)
 				if c.depTS.Before(ts) {
 					c.depTS = ts
 				}
@@ -393,7 +391,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case preparing:
 			c.phase = committing
 			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				out = c.Send(out, srv, &commitReq{TID: t.ID, TS: c.maxPrep})
+				c.Send(srv, &commitReq{TID: t.ID, TS: c.maxPrep})
 			}
 		case committing:
 			for _, w := range t.Writes {
@@ -406,5 +404,5 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.Finish(now)
 		}
 	}
-	return out
+	return c.Sent()
 }

@@ -68,12 +68,14 @@ type ShardedRunner struct {
 	// shard-i process — the minimum transit time of any influence j can
 	// exert on i. Always ≥ 1.
 	floors [][]Time
-	// Per-round scratch, sized to the shard count once.
+	// Per-round scratch, sized to the shard count once (active grows to
+	// it and is reused).
 	e, prom, bnd []Time
 	settled      []bool
 	arrTop       []*Message
 	shardReady   []bool
 	shardWake    []Time
+	active       []*shard
 
 	stats ShardingStats
 }
@@ -140,7 +142,11 @@ type shard struct {
 	delivered int  // messages delivered this round
 	bound     Time // this round's advancement bound
 
-	refill func(ProcessID, Time)
+	// refill is the SetRefill hook; refillIdx maps a kernel slot to the
+	// index its process has in the hook's list, -1 for processes not on
+	// it. Both are shared by every shard and read-only while rounds run.
+	refill    func(int, Time)
+	refillIdx []int
 }
 
 // NewLookaheadRunner partitions the kernel's current process set with
@@ -246,16 +252,28 @@ func (r *ShardedRunner) buildFloors() {
 // Stats returns the deterministic run-shape counters accumulated so far.
 func (r *ShardedRunner) Stats() ShardingStats { return r.stats }
 
-// SetRefill installs a hook called after every process step, from inside
-// the parallel window execution, with the stepped process's ID and the
-// shard-local clock. The closed-loop driver uses it to top a client back
-// up the moment a transaction completes — mid-window — instead of waiting
-// for the round to end. The hook runs on worker goroutines: it must touch
-// only state owned by the stepped process (the driver's per-client
-// generators qualify; anything kernel-global does not).
-func (r *ShardedRunner) SetRefill(f func(ProcessID, Time)) {
+// SetRefill installs a hook called after every step of a process listed
+// in pids, from inside the parallel window execution, with that process's
+// index in pids and the shard-local clock. The closed-loop driver lists
+// its clients, to top one back up the moment a transaction completes —
+// mid-window — instead of waiting for the round to end. The hook runs on
+// worker goroutines: it must touch only state owned by the stepped
+// process (the driver's per-client generators qualify; anything
+// kernel-global does not).
+func (r *ShardedRunner) SetRefill(pids []ProcessID, f func(i int, at Time)) {
+	idx := make([]int, len(r.k.ids))
+	for s := range idx {
+		idx[s] = -1
+	}
+	for i, pid := range pids {
+		s, ok := r.k.slotOf[pid]
+		if !ok {
+			panic(fmt.Sprintf("sim: SetRefill(%s): unknown process", pid))
+		}
+		idx[s] = i
+	}
 	for _, sh := range r.shards {
-		sh.refill = f
+		sh.refill, sh.refillIdx = f, idx
 	}
 }
 
@@ -493,7 +511,7 @@ func (r *ShardedRunner) round(budget int) (int, bool) {
 
 	// Activity and blocked accounting, decided serially from round inputs.
 	windowEdge := minE + r.delta
-	active := r.shards[:0:0]
+	active := r.active[:0]
 	for si, sh := range r.shards {
 		bound := r.bnd[si]
 		if r.horizon > 0 && bound > r.horizon {
@@ -517,6 +535,7 @@ func (r *ShardedRunner) round(budget int) (int, bool) {
 			r.stats.BlockedTime += gap
 		}
 	}
+	r.active = active
 	if len(active) == 0 {
 		// Unreachable while minE is below the horizon (the globally
 		// earliest event is always admitted), kept as a defensive exit.
@@ -669,9 +688,11 @@ func (sh *shard) deliver() {
 	sh.events++
 }
 
-// step executes one computation step of the process in slot s, buffering
-// its sends for the merge. The income buffer is emptied in place and used
-// again by the next deliveries (Process.Step may not keep the slice).
+// step executes one computation step of the process in slot s, copying
+// its sends into the merge buffer before anything else runs (the process
+// may reuse the returned slice). The income buffer is emptied in place
+// and used again by the next deliveries (Process.Step may not keep the
+// slice).
 func (sh *shard) step(s slot) {
 	k := sh.k
 	in := k.inbox[s]
@@ -686,6 +707,8 @@ func (sh *shard) step(s slot) {
 	k.inbox[s] = in[:0]
 	sh.events++
 	if sh.refill != nil {
-		sh.refill(k.ids[s], sh.t)
+		if i := sh.refillIdx[s]; i >= 0 {
+			sh.refill(i, sh.t)
+		}
 	}
 }

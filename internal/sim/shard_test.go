@@ -320,8 +320,9 @@ func TestShardedDeliveriesNeverEarly(t *testing.T) {
 func TestFloorBoundsEveryLaterStep(t *testing.T) {
 	k, r, a := crossShardPing(t, 40, 100, 900, 100)
 	floor := Time(0)
-	r.SetRefill(func(pid ProcessID, at Time) {
-		if at <= floor {
+	pids := []ProcessID{"a", "b"}
+	r.SetRefill(pids, func(i int, at Time) {
+		if pid := pids[i]; at <= floor {
 			t.Errorf("%s stepped at %d, not after the floor %d read before it", pid, at, floor)
 		}
 	})

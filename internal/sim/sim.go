@@ -125,7 +125,9 @@ type Process interface {
 	// the process's income buffers, in delivery order; it may be empty (a
 	// spontaneous local step). The slice is the engine's and is reused
 	// after the call: a process may keep the messages, never the slice.
-	// The return value lists messages to send.
+	// The return value lists messages to send. The engine copies it
+	// before the process steps again, so a process may hand out one
+	// buffer from every step and overwrite it on the next.
 	Step(now Time, inbox []*Message) []Outbound
 	// Ready reports whether an empty-inbox step would do useful work
 	// (e.g. a client with an invoked-but-unsent transaction, or a server

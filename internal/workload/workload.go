@@ -8,6 +8,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -85,14 +86,11 @@ func (g *Generator) pickObject() string {
 	return g.objects[len(g.objects)-1]
 }
 
-// pickDistinct samples n distinct objects.
+// pickDistinct samples n distinct objects into one fresh slice.
 func (g *Generator) pickDistinct(n int) []string {
-	seen := make(map[string]bool, n)
-	var out []string
+	out := make([]string, 0, n)
 	for len(out) < n {
-		o := g.pickObject()
-		if !seen[o] {
-			seen[o] = true
+		if o := g.pickObject(); !slices.Contains(out, o) {
 			out = append(out, o)
 		}
 	}
@@ -104,7 +102,11 @@ func (g *Generator) pickDistinct(n int) []string {
 func (g *Generator) Next(client string) *model.Txn {
 	g.seq++
 	if g.rng.Float64() < g.mix.ReadFraction {
-		return model.NewReadOnly(model.TxnID{}, g.pickDistinct(g.mix.ReadWidth)...)
+		// The picks are distinct, so sorting them in place is the read
+		// set model.NewReadOnly would build, without its copy.
+		objs := g.pickDistinct(g.mix.ReadWidth)
+		slices.Sort(objs)
+		return &model.Txn{ReadSet: objs}
 	}
 	objs := g.pickDistinct(g.mix.WriteWidth)
 	var writes []model.Write
