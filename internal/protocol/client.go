@@ -109,7 +109,7 @@ func (c *Core) Finished(id model.TxnID) *model.Result {
 // the previous call to dst, in completion order, and returns dst.
 func (c *Core) TakeFinished(dst []*model.Result) []*model.Result {
 	dst = append(dst, c.finished...)
-	clear(c.finished)
+	clear(c.finished) // the taker owns them now; keep no reference
 	c.finished = c.finished[:0]
 	return dst
 }

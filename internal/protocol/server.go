@@ -6,13 +6,13 @@ import (
 )
 
 // ServerCore is the common server machinery embedded by every protocol
-// server, the counterpart of the client Core: its identity, the placement,
-// the version store of the objects it hosts and a send buffer. It supplies ID, a Ready
-// that is always false (a server steps only on messages; servers whose
-// parked reads wait on time rather than on a message, gentlerain and
-// spanner, override it) and ShardStore (StoreCarrier), so replacement
-// catch-up reaches every model's store. Protocol servers implement Step
-// and Clone around it.
+// server, the counterpart of the client Core: its identity, the
+// placement, the version store of the objects it hosts and a send buffer.
+// It supplies ID, a Ready that is always false (a server steps only on
+// messages; servers whose parked reads wait on time rather than on a
+// message, gentlerain and spanner, override it) and ShardStore
+// (StoreCarrier), so replacement catch-up reaches every model's store.
+// Protocol servers implement Step and Clone around it.
 type ServerCore struct {
 	id  sim.ProcessID
 	pl  *Placement
