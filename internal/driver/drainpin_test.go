@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/protocol"
 	"repro/internal/protocols/cops"
+	"repro/internal/protocols/gentlerain"
 	"repro/internal/protocols/naivefast"
 	"repro/internal/protocols/spanner"
 	"repro/internal/workload"
@@ -49,8 +50,10 @@ func drainDigest(t *testing.T, rep *Report) string {
 // timeline — recorded history, ride-along session, nemesis recovery
 // marks — and the batches the staleness probe decides on: pipeline 1 and
 // 4, 4 and 8 servers, fault-free and through crash+partition, probed and
-// not. When the driver drains is an implementation choice; what it feeds,
-// and in which order, is part of every certified, faulted or probed grid.
+// not; on cops, naivefast and the two models that tell the engine when
+// they can step again (sim.Waker), spanner and gentlerain. When the
+// driver drains is an implementation choice; what it feeds, and in which
+// order, is part of every certified, faulted or probed grid.
 func TestDrainSequencePins(t *testing.T) {
 	protos := []struct {
 		name string
@@ -59,6 +62,7 @@ func TestDrainSequencePins(t *testing.T) {
 		{"cops", func() protocol.Protocol { return cops.New() }},
 		{"spanner", func() protocol.Protocol { return spanner.New() }},
 		{"naivefast", func() protocol.Protocol { return naivefast.New() }},
+		{"gentlerain", func() protocol.Protocol { return gentlerain.New() }},
 	}
 	faults := &Nemesis{Crashes: 1, Partitions: 1, Start: 20_000, Period: 120_000, Duration: 10_000}
 	cells := []struct {
@@ -66,18 +70,18 @@ func TestDrainSequencePins(t *testing.T) {
 		servers, pipeline int
 		nem               *Nemesis
 		stale             bool
-		want              [3]string // by protocol, in protos order
+		want              [4]string // by protocol, in protos order
 	}{
-		{"4srv-p1", 4, 1, nil, false, [3]string{"6e215445c64b50d1", "0e14f0635e341e17", "05947703ed6bc42d"}},
-		{"4srv-p4", 4, 4, nil, false, [3]string{"6e215445c64b50d1", "0e14f0635e341e17", "05947703ed6bc42d"}},
-		{"8srv-p1", 8, 1, nil, false, [3]string{"a67288145d48eb99", "16e06272a17e2914", "97c98f849696194b"}},
-		{"8srv-p4", 8, 4, nil, false, [3]string{"a67288145d48eb99", "16e06272a17e2914", "97c98f849696194b"}},
-		{"4srv-p1-faults", 4, 1, faults, false, [3]string{"59e9bbae616b54f9", "b30e1715444f99fb", "2a152f5c396bc0a0"}},
-		{"4srv-p4-faults", 4, 4, faults, false, [3]string{"59e9bbae616b54f9", "b30e1715444f99fb", "2a152f5c396bc0a0"}},
-		{"8srv-p4-faults", 8, 4, faults, false, [3]string{"703c89db20a2f2d0", "d62d05d204c6bb58", "a44e9153ae786c2c"}},
-		{"4srv-p1-stale", 4, 1, nil, true, [3]string{"38e0de44a65d209b", "a9e1a6b700dcaddb", "d944ba3441577c9f"}},
-		{"4srv-p4-stale-faults", 4, 4, faults, true, [3]string{"25e94c4e1a27ebc5", "b5f079c0ded05ba3", "087d0c1d00233c66"}},
-		{"8srv-p1-stale-faults", 8, 1, faults, true, [3]string{"c5b6d4b58095aa1c", "c7ff1a04f53d73b4", "aac6bc15d6d8aa82"}},
+		{"4srv-p1", 4, 1, nil, false, [4]string{"6e215445c64b50d1", "0e14f0635e341e17", "05947703ed6bc42d", "96020b0933c6c028"}},
+		{"4srv-p4", 4, 4, nil, false, [4]string{"6e215445c64b50d1", "0e14f0635e341e17", "05947703ed6bc42d", "96020b0933c6c028"}},
+		{"8srv-p1", 8, 1, nil, false, [4]string{"a67288145d48eb99", "16e06272a17e2914", "97c98f849696194b", "71fc881b3a72ed39"}},
+		{"8srv-p4", 8, 4, nil, false, [4]string{"a67288145d48eb99", "16e06272a17e2914", "97c98f849696194b", "71fc881b3a72ed39"}},
+		{"4srv-p1-faults", 4, 1, faults, false, [4]string{"59e9bbae616b54f9", "b30e1715444f99fb", "2a152f5c396bc0a0", "6a3f43d5c123f2c3"}},
+		{"4srv-p4-faults", 4, 4, faults, false, [4]string{"59e9bbae616b54f9", "b30e1715444f99fb", "2a152f5c396bc0a0", "6a3f43d5c123f2c3"}},
+		{"8srv-p4-faults", 8, 4, faults, false, [4]string{"703c89db20a2f2d0", "d62d05d204c6bb58", "a44e9153ae786c2c", "67da8f7ea528f537"}},
+		{"4srv-p1-stale", 4, 1, nil, true, [4]string{"38e0de44a65d209b", "a9e1a6b700dcaddb", "d944ba3441577c9f", "bbfc7a75c0a52092"}},
+		{"4srv-p4-stale-faults", 4, 4, faults, true, [4]string{"25e94c4e1a27ebc5", "b5f079c0ded05ba3", "087d0c1d00233c66", "6008c8b4254976f5"}},
+		{"8srv-p1-stale-faults", 8, 1, faults, true, [4]string{"c5b6d4b58095aa1c", "c7ff1a04f53d73b4", "aac6bc15d6d8aa82", "67752d7f28b51ec2"}},
 	}
 	for _, c := range cells {
 		for pi, p := range protos {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/protocol"
 	"repro/internal/protocols/cops"
+	"repro/internal/protocols/gentlerain"
 	"repro/internal/protocols/spanner"
 	"repro/internal/workload"
 )
@@ -68,9 +69,10 @@ func withoutKeys(t *testing.T, v any, keys ...string) map[string]json.RawMessage
 // TestOpenLoopNemesisPins pins open-loop runs through fault schedules:
 // the one path where the engine is re-entered once per injection while
 // crashes and cuts hold in-flight messages back and restarts and heals
-// release them. Persistent crash, lossy crash and partition, cops and
-// spanner, 12 seeds each; a lossy crash may strand transactions, which is
-// part of what is pinned.
+// release them. Persistent crash, lossy crash and partition, 12 seeds
+// each, on cops and on the two models that tell the engine when they can
+// step again (sim.Waker): spanner and gentlerain. A lossy crash may
+// strand transactions, which is part of what is pinned.
 func TestOpenLoopNemesisPins(t *testing.T) {
 	protos := []struct {
 		name string
@@ -78,23 +80,27 @@ func TestOpenLoopNemesisPins(t *testing.T) {
 	}{
 		{"cops", func() protocol.Protocol { return cops.New() }},
 		{"spanner", func() protocol.Protocol { return spanner.New() }},
+		{"gentlerain", func() protocol.Protocol { return gentlerain.New() }},
 	}
 	cells := []struct {
 		name string
 		nem  Nemesis
-		want [2]string // by protocol, 12 seed digests each
+		want [3]string // by protocol, 12 seed digests each
 	}{
-		{"crash", Nemesis{Crashes: 2}, [2]string{
+		{"crash", Nemesis{Crashes: 2}, [3]string{
 			"951404e812fc 4f6ed117f0bd 81c718fd7013 43fb647b203c 6cbdcffbbaee d9456ab55cfa 2c5dc328c62e ffc3c526ef78 8fe0ad27b4cc fca474c51820 3fa9dae7189f 4b1523f99385",
 			"4d656e4f53b0 80840e16619e 6d00d8e09ca9 dfe230e587ce c76c0c710aeb 57eaa6cbe1ce 046217116a64 68c2705e6ed3 1d740b5229a0 35ff2a1051d5 872757ac032c b9c879396239",
+			"cbada36b0b53 0a8296b29478 ed23903f6c44 5685efaa9061 0b134c2748d4 c2cc92d26b35 5bd5b733a37a 291b74e299c9 9b0641fcf875 f9813633dd83 9395fc6fd757 407eef12ea16",
 		}},
-		{"crash-lose", Nemesis{Crashes: 2, Lose: true}, [2]string{
+		{"crash-lose", Nemesis{Crashes: 2, Lose: true}, [3]string{
 			"0bfc2bf8cfd9 05e281911280 909345caa669 7369209d4ad3 584534707f6f c32e04161eb1 69c180a02bc0 74c88d125b86 d9fe059f6abe 716a882e10ca 29a40b9d677c 4647738b68a3",
 			"b93fa4abb192 0f840d096f63 14abcf7483f2 fc16fce86437 a1f891033a11 94443eba61b5 7cfe15c621f0 24064a515efd f9ff53f4c8b5 fd614cf1fe76 2e9c22adfcaa c38a1954ae2f",
+			"df05cda914b1 c61ed9356073 62f9e759e9ae 1877bb3ac98c 4a1054938f52 ee05cb4844ae 2e4725d531d3 c612a081b07b 9597cda8990a 22b888177cf5 2261b6322078 88aaf218872c",
 		}},
-		{"partition", Nemesis{Partitions: 2}, [2]string{
+		{"partition", Nemesis{Partitions: 2}, [3]string{
 			"669b729444ca e51897db125a 40ecc71eed46 f55632c894ff 0388a26bbf37 9262ba9a0b35 40233adfe3d6 47b9e01ffe43 4f5b11c3645c 844ff36a7008 7591e4b77c3a 74692bf225ab",
 			"97e877d1ff26 c06f42fa4b17 b9df22ff3078 65330a7fc265 b6c278b4beef c32234453dc8 294bcde38013 ae3bf06f2924 52c4825f3ab3 290a9521db31 4bc34cb16245 1ff402e627e2",
+			"36ae09a173ac cbd85c93abc0 95bf702ffa4b e6e55d8023ea 44d11ad556d5 7edc91da8088 afc2d1c87497 14a85c9d86f2 2183f1afe486 b613d9aa26b8 b75270ce4344 c37b3e5fe638",
 		}},
 	}
 	for _, c := range cells {
