@@ -14,12 +14,17 @@ type poisonPayload struct{}
 func (poisonPayload) Kind() string { return "poison" }
 
 // poison is what a scribbled process finds in its inbox slice once Step
-// has returned.
-var poison = &sim.Message{From: "poison", To: "poison", Payload: poisonPayload{}}
+// has returned, and what its delivered envelopes then read.
+var poison = &sim.Message{From: "poison", To: "poison", LinkSeq: -1, Payload: poisonPayload{}, SentAt: -1, DeliveredAt: -1}
 
+// stepThenScribble steps p, then overwrites the inbox slice and every
+// envelope in it: all of an envelope that a model could read except ID
+// and ReadyAt, the keys the kernel's index still orders it by.
 func stepThenScribble(p sim.Process, now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	out := p.Step(now, inbox)
-	for i := range inbox {
+	for i, m := range inbox {
+		m.From, m.To, m.LinkSeq, m.Payload = poison.From, poison.To, poison.LinkSeq, poison.Payload
+		m.SentAt, m.DeliveredAt = poison.SentAt, poison.DeliveredAt
 		inbox[i] = poison
 	}
 	return out
@@ -67,11 +72,13 @@ func (p scribbling) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol
 }
 
 // inboxNotRetained holds the model to Process.Step's contract — the inbox
-// slice is the engine's, which empties and refills it in place — by
-// running a closed-loop and an open-loop cell twice each: as deployed, and
-// with every process's inbox overwritten the moment its Step returns. A
-// model that kept the slice (parked requests, a batch to answer later)
-// reads poison where it left its messages, and the runs part ways.
+// slice is the engine's, which empties and refills it in place, and a
+// process keeps no envelope past Step — by running a closed-loop and an
+// open-loop cell twice each: as deployed, and with every process's inbox
+// and the envelopes in it overwritten the moment its Step returns. A
+// model that kept the slice or an envelope (parked requests, a batch to
+// answer later) reads poison where it left its messages, and the runs
+// part ways.
 func inboxNotRetained(t *testing.T, p protocol.Protocol, e Expect) {
 	srv, ops := e.Servers, e.ObjectsPerServer
 	if srv == 0 {

@@ -203,6 +203,11 @@ func (s *Random) Next(k *Kernel) (Action, bool) {
 // sharded runner and — in load mode — RoundRobin use it to leap the clock
 // to the wake instant instead of spinning 1µs Ready steps through the
 // idle stretch.
+//
+// Like Ready, WakeAt is a function of the process's own state (see
+// Process.Ready), and its instant argument only clamps: for a fixed
+// state there is one w with WakeAt(now) = (max(w, now), ok) for every
+// now, so an answer stays true as the clock advances.
 type Waker interface {
 	WakeAt(now Time) (wake Time, ok bool)
 }

@@ -68,6 +68,12 @@ type ShardedRunner struct {
 	// shard-i process — the minimum transit time of any influence j can
 	// exert on i. Always ≥ 1.
 	floors [][]Time
+	// stepAt is the readiness cache, one entry per kernel slot: the
+	// earliest instant the slot's process could step with an empty
+	// inbox — the shard clock when it is Ready, a Waker's declared
+	// instant, infTime when it waits on a delivery or is down. Every
+	// shard writes only its own slots' entries (shard.refresh).
+	stepAt []Time
 	// Per-round scratch, sized to the shard count once (active grows to
 	// it and is reused).
 	e, prom, bnd []Time
@@ -132,11 +138,13 @@ type shard struct {
 	slots []slot // sorted by ID
 
 	// pending counts the shard's up processes with a non-empty income
-	// buffer; adopted is the count the round's pre-scan found, so the
-	// merge can settle the kernel's counter by the difference.
+	// buffer, recounted when a Run starts and kept up to date by deliver
+	// and step from then on; adopted is its value when the round began,
+	// so the merge can settle the kernel's counter by the difference.
 	pending   int
 	adopted   int
-	t         Time // persistent local clock
+	stepAt    []Time // the runner's readiness cache
+	t         Time   // persistent local clock
 	events    int
 	sends     []shardSend
 	delivered int  // messages delivered this round
@@ -185,10 +193,11 @@ func NewLookaheadRunner(k *Kernel, shardOf func(ProcessID) int, nShards, workers
 		arrTop:     make([]*Message, nShards),
 		shardReady: make([]bool, nShards),
 		shardWake:  make([]Time, nShards),
+		stepAt:     make([]Time, len(k.ids)),
 		stats:      ShardingStats{Shards: nShards},
 	}
 	for i := range r.shards {
-		r.shards[i] = &shard{k: k, idx: i, t: k.now}
+		r.shards[i] = &shard{k: k, idx: i, t: k.now, stepAt: r.stepAt}
 	}
 	// k.order is sorted, so every shard's process list is sorted too and
 	// the shard-local scans break ties by process ID, like the kernel's
@@ -320,7 +329,16 @@ func (r *ShardedRunner) SetHorizon(t Time) { r.horizon = t }
 // round that crosses it, overshooting by at most the active shard
 // count (each shard of a round is capped at an equal share of the
 // remaining budget) — deterministically so.
+//
+// Run starts by reading every process as the kernel holds it (see
+// refresh): invocations, faults and NotifyInvoked all happen between
+// Runs. The stop predicate runs between rounds and must not change a
+// process.
 func (r *ShardedRunner) Run(stop func(*Kernel) bool, maxEvents int) int {
+	if len(r.k.order) != r.nProcs {
+		panic("sim: process set changed under a ShardedRunner")
+	}
+	r.refresh()
 	n := 0
 	for n < maxEvents {
 		if stop != nil && stop(r.k) {
@@ -333,6 +351,22 @@ func (r *ShardedRunner) Run(stop func(*Kernel) bool, maxEvents int) int {
 		}
 	}
 	return n
+}
+
+// refresh recounts every shard's pending inboxes and recomputes every
+// readiness cache entry from the kernel as it stands: the one place the
+// runner reads processes it has not just stepped.
+func (r *ShardedRunner) refresh() {
+	k := r.k
+	for _, sh := range r.shards {
+		sh.pending = 0
+		for _, s := range sh.slots {
+			if len(k.inbox[s]) > 0 && !k.crashed[s].down {
+				sh.pending++
+			}
+			sh.refresh(s)
+		}
+	}
 }
 
 // runActive executes the active shards' windows — in parallel when there
@@ -421,11 +455,13 @@ func (r *ShardedRunner) merge(active []*shard) int {
 // executed and whether another round could do work.
 //
 //  1. Serial pre-scan: per shard, the earliest instant e_i it could act —
-//     the minimum over its pending inboxes (now), Ready processes (now),
-//     declared wake instants, and its earliest undelivered arrival, the
-//     top of its partition of the kernel's index. Everything is read from
-//     the kernel as it stands, so whatever happened since the last round
-//     (a fault, a restart swapping a process, an injection) is seen.
+//     the minimum over its pending inboxes (now), its processes' readiness
+//     cache entries (now for a Ready process, a Waker's declared instant),
+//     and its earliest undelivered arrival, the top of its partition of
+//     the kernel's index. The pending count and the cache carry over from
+//     the previous round; Run refreshed both from the kernel as it stands
+//     when it started, so whatever happened between Runs (a fault, a
+//     restart swapping a process, an injection) is seen.
 //  2. Promise fixpoint: shard i cannot send before
 //     P_i = min(e_i, min_{j≠i}(P_j + floor[j→i])) — its own next event,
 //     or the earliest instant another shard's message could trigger one.
@@ -448,9 +484,6 @@ func (r *ShardedRunner) merge(active []*shard) int {
 // gap is crossed in a single round.
 func (r *ShardedRunner) round(budget int) (int, bool) {
 	k := r.k
-	if len(k.order) != r.nProcs {
-		panic("sim: process set changed under a ShardedRunner")
-	}
 
 	// Pre-scan: e_i = earliest instant shard i could act.
 	minE := infTime
@@ -461,34 +494,15 @@ func (r *ShardedRunner) round(budget int) (int, bool) {
 		if top != nil {
 			e = max(top.ReadyAt, sh.t)
 		}
-		sh.pending = 0
-		r.shardReady[si] = false
-		r.shardWake[si] = infTime
+		ready, wake := false, infTime
 		for _, s := range sh.slots {
-			if k.crashed[s].down {
-				continue
+			if at := r.stepAt[s]; at <= sh.t {
+				ready = true
+			} else if at < wake {
+				wake = at
 			}
-			if len(k.inbox[s]) > 0 {
-				sh.pending++
-			}
-			p := k.procs[s]
-			if !p.Ready() {
-				continue
-			}
-			if w, ok := p.(Waker); ok {
-				wt, useful := w.WakeAt(sh.t)
-				if !useful {
-					continue // waiting on a delivery, not on time
-				}
-				if wt > sh.t {
-					if wt < r.shardWake[si] {
-						r.shardWake[si] = wt
-					}
-					continue
-				}
-			}
-			r.shardReady[si] = true
 		}
+		r.shardReady[si], r.shardWake[si] = ready, wake
 		sh.adopted = sh.pending
 		if (sh.pending > 0 || r.shardReady[si]) && sh.t < e {
 			e = sh.t
@@ -620,30 +634,20 @@ func (sh *shard) run(budget int) {
 			sh.deliver()
 			continue
 		}
-		// 3. Ready processes act now — except Wakers declaring a future
-		// wake instant (or none at all: those wait for a delivery).
+		// 3. The first process whose readiness cache entry has come due
+		// acts now; the others' entries give the earliest future wake.
 		acted := false
 		wake, waker := infTime, slot(0) // earliest declared wake, if any
 		for _, s := range sh.slots {
-			p := k.procs[s]
-			if k.crashed[s].down || !p.Ready() {
-				continue
+			at := sh.stepAt[s]
+			if at <= sh.t {
+				sh.step(s)
+				acted = true
+				break
 			}
-			if w, ok := p.(Waker); ok {
-				wt, useful := w.WakeAt(sh.t)
-				if !useful {
-					continue
-				}
-				if wt > sh.t {
-					if wt < wake {
-						wake, waker = wt, s
-					}
-					continue
-				}
+			if at < wake {
+				wake, waker = at, s
 			}
-			sh.step(s)
-			acted = true
-			break
 		}
 		if acted {
 			continue
@@ -692,7 +696,8 @@ func (sh *shard) deliver() {
 // its sends into the merge buffer before anything else runs (the process
 // may reuse the returned slice). The income buffer is emptied in place
 // and used again by the next deliveries (Process.Step may not keep the
-// slice).
+// slice). The slot's readiness cache entry is refreshed last, after the
+// refill hook may have invoked the process again.
 func (sh *shard) step(s slot) {
 	k := sh.k
 	in := k.inbox[s]
@@ -711,4 +716,29 @@ func (sh *shard) step(s slot) {
 			sh.refill(i, sh.t)
 		}
 	}
+	sh.refresh(s)
+}
+
+// refresh recomputes slot s's readiness cache entry: infTime when the
+// process is down or not Ready, or when it is a Waker with no wake
+// instant (it waits on a delivery); else the Waker's declared instant or,
+// for any other process, the shard clock. Ready and WakeAt are functions
+// of the process's own state (see Process.Ready), and WakeAt(t) =
+// max(w, t), so an entry stays true until the process steps or is
+// changed between Runs, and an entry at or below the clock means "can
+// step now" however far the clock has moved since.
+func (sh *shard) refresh(s slot) {
+	k := sh.k
+	p := k.procs[s]
+	at := infTime
+	switch w, waker := p.(Waker); {
+	case k.crashed[s].down || !p.Ready():
+	case !waker:
+		at = sh.t
+	default:
+		if wt, useful := w.WakeAt(sh.t); useful {
+			at = wt
+		}
+	}
+	sh.stepAt[s] = at
 }

@@ -349,3 +349,73 @@ func TestFloorBoundsEveryLaterStep(t *testing.T) {
 		t.Fatal("floor never advanced")
 	}
 }
+
+// pingRunner is a ping pair a↔b that sends count pings, one process per
+// shard, under a lookahead runner on one worker.
+func pingRunner(t *testing.T, count int) (*Kernel, *ShardedRunner, *pinger) {
+	t.Helper()
+	k, a, _ := newPingPair(3, count)
+	k.SetTraceCap(-1)
+	r, err := NewLookaheadRunner(k, func(pid ProcessID) int {
+		if pid == "a" {
+			return 0
+		}
+		return 1
+	}, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, r, a
+}
+
+// TestRunRefreshesReadiness: the runner caches each process's readiness
+// and refreshes an entry only when that process steps, so whatever
+// changes a process between Runs must be picked up when the next Run
+// starts, and a refill hook's re-arm right after the step it follows.
+func TestRunRefreshesReadiness(t *testing.T) {
+	t.Run("invoke between runs", func(t *testing.T) {
+		// What core/latency.go does: invoke, no NotifyInvoked, Run.
+		_, r, a := pingRunner(t, 1)
+		r.Run(nil, 10_000)
+		if a.pongs != 1 || a.Ready() {
+			t.Fatalf("first run: %d pongs, ready %v; want 1, false", a.pongs, a.Ready())
+		}
+		a.count = 3
+		r.Run(nil, 10_000)
+		if a.pongs != 3 {
+			t.Fatalf("pongs after re-arming between runs = %d, want 3", a.pongs)
+		}
+	})
+	t.Run("crash then restart", func(t *testing.T) {
+		k, r, a := pingRunner(t, 3)
+		r.Run(nil, 1) // budget cut: a has sent one ping and is still Ready
+		if a.sent != 1 || !a.Ready() {
+			t.Fatalf("budget-cut run: %d sent, ready %v; want 1, true", a.sent, a.Ready())
+		}
+		k.ApplyFault(Fault{At: k.Now(), Kind: FaultCrash, Proc: "a"})
+		r.Run(nil, 10_000)
+		if a.sent != 1 {
+			t.Fatalf("a stepped while down: %d sent, want 1", a.sent)
+		}
+		k.ApplyFault(Fault{At: k.Now(), Kind: FaultRestart, Proc: "a"})
+		r.Run(nil, 10_000)
+		if a.pongs != 3 {
+			t.Fatalf("pongs after restart = %d, want 3", a.pongs)
+		}
+		mustConserve(t, k)
+	})
+	t.Run("refill re-arms mid-window", func(t *testing.T) {
+		_, r, a := pingRunner(t, 1)
+		// Like the closed-loop driver: the next invocation once the last
+		// one is answered, from inside the window.
+		r.SetRefill([]ProcessID{"a"}, func(int, Time) {
+			if a.pongs == a.count && a.count < 4 {
+				a.count++
+			}
+		})
+		r.Run(nil, 10_000)
+		if a.pongs != 4 {
+			t.Fatalf("pongs with a re-arming refill hook = %d, want 4", a.pongs)
+		}
+	})
+}

@@ -123,15 +123,25 @@ type Process interface {
 	ID() ProcessID
 	// Step executes one computation step. inbox contains every message in
 	// the process's income buffers, in delivery order; it may be empty (a
-	// spontaneous local step). The slice is the engine's and is reused
-	// after the call: a process may keep the messages, never the slice.
-	// The return value lists messages to send. The engine copies it
+	// spontaneous local step). The slice and the envelopes in it are the
+	// engine's: a process keeps neither past the call — it may keep a
+	// message's payload and copies of its fields (sender, timestamps),
+	// never the slice or a *Message. The return value lists messages to
+	// send. The engine copies it
 	// before the process steps again, so a process may hand out one
 	// buffer from every step and overwrite it on the next.
 	Step(now Time, inbox []*Message) []Outbound
 	// Ready reports whether an empty-inbox step would do useful work
 	// (e.g. a client with an invoked-but-unsent transaction, or a server
 	// with pending gossip). Schedulers use it to avoid spinning.
+	//
+	// Ready (and WakeAt, for a Waker) is a function of the process's own
+	// state: it changes only through a step of the process, an invoke on
+	// it, or a fault, never through time passing, a delivery into its
+	// income buffer or another process's step. The sharded runner caches
+	// the answer from one step to the next on that promise, so a Run's
+	// stop predicate, which runs between rounds, must not change a
+	// process either.
 	Ready() bool
 	// Clone returns a deep copy of the process for configuration
 	// snapshots.
