@@ -2,7 +2,6 @@ package ptest
 
 import (
 	"fmt"
-	"testing"
 
 	"repro/internal/driver"
 	"repro/internal/model"
@@ -116,20 +115,13 @@ func (p watching) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.C
 	return &watchedClient{p.Protocol.NewClient(id, pl), &watch{log: p.log}}
 }
 
-// readinessIsState holds the model to the contract the engine's
+// readinessViolation holds the model to the contract the engine's
 // readiness cache relies on (sim.Process.Ready, sim.Waker): Ready and
 // WakeAt are functions of the process's own state, so they change only
 // through its steps and invokes, and WakeAt(later) = max(w, later).
 // Every process of a closed-loop and an open-loop cell is watched: its
 // answers are recorded after each Step and Invoke, and must be the same
-// at the entry of its next Step and after each TakeFinished.
-func readinessIsState(t *testing.T, p protocol.Protocol, e Expect) {
-	if err := readinessViolation(p, e); err != nil {
-		t.Error(err)
-	}
-}
-
-// readinessViolation runs the two cells of readinessIsState and returns
+// at the entry of its next Step and after each TakeFinished. It returns
 // the first contradiction, nil when there is none.
 func readinessViolation(p protocol.Protocol, e Expect) error {
 	srv, ops := e.Servers, e.ObjectsPerServer

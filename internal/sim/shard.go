@@ -130,8 +130,10 @@ type shardSend struct {
 // transient per-round state of its local sub-simulation. It keeps no copy
 // of kernel state: processes, crash flags and income buffers are read
 // through the slots, arrivals popped from partition idx of the kernel's
-// index. Faults only change between engine runs, so those reads are
-// race-free from worker goroutines.
+// index. What it derives from them — its pending count and its slots'
+// readiness cache entries — is rebuilt when a Run starts. Faults only
+// change between engine runs, so those reads are race-free from worker
+// goroutines.
 type shard struct {
 	k     *Kernel
 	idx   int
