@@ -45,15 +45,16 @@ func drainDigest(t *testing.T, rep *Report) string {
 	return fmt.Sprintf("%x", h.Sum(nil))[:16]
 }
 
-// TestDrainSequencePins pins the sequence in which a closed-loop run
-// hands finished transactions to the consumers that read it as a
-// timeline — recorded history, ride-along session, nemesis recovery
-// marks — and the batches the staleness probe decides on: pipeline 1 and
-// 4, 4 and 8 servers, fault-free and through crash+partition, probed and
-// not; on cops, naivefast and the two models that tell the engine when
-// they can step again (sim.Waker), spanner and gentlerain. When the
-// driver drains is an implementation choice; what it feeds, and in which
-// order, is part of every certified, faulted or probed grid.
+// TestDrainSequencePins pins the sequence in which a run hands finished
+// transactions to the consumers that read it as a timeline — recorded
+// history, ride-along session, nemesis recovery marks — and the batches
+// the staleness probe decides on: closed loop at pipeline 1 and 4, 4 and
+// 8 servers, fault-free and through crash+partition, probed and not, plus
+// a probed 2site cell and a probed open-loop cell; on cops, naivefast and
+// the two models that tell the engine when they can step again
+// (sim.Waker), spanner and gentlerain. When the driver drains is an
+// implementation choice; what it feeds, and in which order, is part of
+// every certified, faulted or probed grid.
 func TestDrainSequencePins(t *testing.T) {
 	protos := []struct {
 		name string
@@ -83,29 +84,59 @@ func TestDrainSequencePins(t *testing.T) {
 		{"4srv-p4-stale-faults", 4, 4, faults, true, [4]string{"25e94c4e1a27ebc5", "b5f079c0ded05ba3", "087d0c1d00233c66", "6008c8b4254976f5"}},
 		{"8srv-p1-stale-faults", 8, 1, faults, true, [4]string{"c5b6d4b58095aa1c", "c7ff1a04f53d73b4", "aac6bc15d6d8aa82", "67752d7f28b51ec2"}},
 	}
+	pin := func(cell string, pi int, cfg Config, want string) {
+		t.Helper()
+		p := protos[pi]
+		rep, err := Run(p.mk(), cfg)
+		if err != nil {
+			t.Fatalf("%s %s: %v", cell, p.name, err)
+		}
+		if rep.Incomplete != 0 {
+			t.Fatalf("%s %s: %d transactions incomplete", cell, p.name, rep.Incomplete)
+		}
+		if cfg.ProbeStaleness && rep.Staleness.Probes == 0 {
+			t.Fatalf("%s %s: no staleness probe ran", cell, p.name)
+		}
+		if cfg.Nemesis != nil && rep.Nemesis.Applied == 0 {
+			t.Fatalf("%s %s: no fault applied", cell, p.name)
+		}
+		if got := drainDigest(t, rep); got != want {
+			t.Errorf("%s %s: drain digest %s, pinned %s", cell, p.name, got, want)
+		}
+	}
+	base := Config{
+		Clients: 8, Txns: 400, Mix: workload.Balanced(), Seed: 5,
+		ObjectsPerServer: 2, Certify: true, RecordHistory: true,
+	}
 	for _, c := range cells {
-		for pi, p := range protos {
-			rep, err := Run(p.mk(), Config{
-				Clients: 8, Txns: 400, Mix: workload.Balanced(), Seed: 5,
-				Servers: c.servers, ObjectsPerServer: 2, Pipeline: c.pipeline,
-				Nemesis: c.nem, ProbeStaleness: c.stale,
-				Certify: true, RecordHistory: true,
-			})
-			if err != nil {
-				t.Fatalf("%s %s: %v", c.name, p.name, err)
-			}
-			if rep.Incomplete != 0 {
-				t.Fatalf("%s %s: %d transactions incomplete", c.name, p.name, rep.Incomplete)
-			}
-			if c.stale && rep.Staleness.Probes == 0 {
-				t.Fatalf("%s %s: no staleness probe ran", c.name, p.name)
-			}
-			if c.nem != nil && rep.Nemesis.Applied == 0 {
-				t.Fatalf("%s %s: no fault applied", c.name, p.name)
-			}
-			if got := drainDigest(t, rep); got != c.want[pi] {
-				t.Errorf("%s %s: drain digest %s, pinned %s", c.name, p.name, got, c.want[pi])
-			}
+		for pi := range protos {
+			cfg := base
+			cfg.Servers, cfg.Pipeline, cfg.Nemesis, cfg.ProbeStaleness = c.servers, c.pipeline, c.nem, c.stale
+			pin(c.name, pi, cfg, c.want[pi])
+		}
+	}
+	// Two shapes beside the uniform closed loop: a 2site deployment, the
+	// only one whose per-link floors differ, so the floor holds back the
+	// most results; and the open loop, which drains at every injection.
+	twoSite, err := protocol.TopologyByName("2site")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := []struct {
+		name string
+		set  func(*Config)
+		want [4]string
+	}{
+		{"4srv-p4-stale-2site", func(c *Config) { c.Servers, c.Pipeline, c.ProbeStaleness, c.Topology = 4, 4, true, twoSite },
+			[4]string{"5ac8ab04da83f864", "7dd2bf0bfba73926", "cf1d1ccd44156652", "03b15c0d4ce9b192"}},
+		{"4srv-stale-open", func(c *Config) { c.Servers, c.Rate, c.ProbeStaleness = 4, 3000, true },
+			[4]string{"79847400a464b63d", "c66bd9cf26a629e6", "d02f793c24fc1244", "28be4dde2c3a1021"}},
+	}
+	for _, s := range shapes {
+		for pi := range protos {
+			cfg := base
+			s.set(&cfg)
+			pin(s.name, pi, cfg, s.want[pi])
 		}
 	}
 }
