@@ -55,9 +55,9 @@
 package driver
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/history"
@@ -376,12 +376,23 @@ type run struct {
 	// loop and while draining).
 	nem        *nemesisState
 	injHorizon sim.Time
-	// held is each client's results taken but not yet drained: completed
-	// at or past the last collect's floor (taken counts all ever taken,
-	// backlog the most held at once); done is collect's scratch.
-	held           [][]*model.Result
+	// held is the results taken but not yet drained (completed at or past
+	// the last collect's floor), in drain order: by completion instant,
+	// then client index, then finish order. taken counts all ever taken,
+	// backlog the most held at once; fin is take's scratch.
+	held           []heldResult
 	taken, backlog int
-	done           []*model.Result
+	fin            []*model.Result
+	// marked flags the clients that stepped since the last take. Results
+	// are made only inside a client's Step, so take asks no other client.
+	// The refill hook sets marked[i] from client i's shard, like issued[i].
+	marked []bool
+}
+
+// heldResult is a result taken from client index client.
+type heldResult struct {
+	res    *model.Result
+	client int
 }
 
 // drainAll is the floor of a collect that leaves nothing held.
@@ -390,15 +401,15 @@ const drainAll = sim.Time(1<<63 - 1)
 func newRun(d *protocol.Deployment, cfg Config) *run {
 	r := &run{
 		d: d, cfg: cfg,
-		rep:   &Report{Protocol: d.Proto.Name(), Clients: cfg.Clients, Pipeline: cfg.Pipeline},
-		cls:   make([]protocol.Client, cfg.Clients),
-		gens:  make([]*workload.Generator, cfg.Clients),
-		held:  make([][]*model.Result, cfg.Clients),
-		lat:   stats.NewCollector(),
-		rot:   stats.NewCollector(),
-		wr:    stats.NewCollector(),
-		queue: stats.NewCollector(),
-		svc:   stats.NewCollector(),
+		rep:    &Report{Protocol: d.Proto.Name(), Clients: cfg.Clients, Pipeline: cfg.Pipeline},
+		cls:    make([]protocol.Client, cfg.Clients),
+		gens:   make([]*workload.Generator, cfg.Clients),
+		marked: make([]bool, cfg.Clients),
+		lat:    stats.NewCollector(),
+		rot:    stats.NewCollector(),
+		wr:     stats.NewCollector(),
+		queue:  stats.NewCollector(),
+		svc:    stats.NewCollector(),
 	}
 	objects := d.Place.Objects()
 	// Independent deterministic generator stream per client, so the
@@ -428,25 +439,32 @@ func (r *run) nextTxn(i int) *model.Txn {
 	return t
 }
 
-// take moves every client's newly finished results into the run's
+// take moves the marked clients' newly finished results into the run's
 // backlog, unprocessed, and — when probing — ends with at most one
 // staleness probe: if the committed-write count crossed a probeStride
 // boundary among them, of the most recent committed write taken. The
 // closed loop takes at every round boundary, so a probe runs at the
-// first one after its write: the nearest consistent cut to it.
+// first one after its write: the nearest consistent cut to it. Clients
+// are visited in index order and each result is inserted after every held
+// one that completed earlier, or at the same instant on a client with an
+// index no higher, so the backlog stays in drain order.
 func (r *run) take() {
 	var probe *model.Result
 	due := false
 	for i, cl := range r.cls {
-		n := len(r.held[i])
-		r.held[i] = cl.TakeFinished(r.held[i])
-		fin := r.held[i][n:]
-		r.taken += len(fin)
-		if !r.probing() {
+		if !r.marked[i] {
 			continue
 		}
-		for _, res := range fin {
-			if !res.OK() || res.Txn.IsReadOnly() {
+		r.marked[i] = false
+		r.fin = cl.TakeFinished(r.fin[:0])
+		r.taken += len(r.fin)
+		for _, res := range r.fin {
+			at := sort.Search(len(r.held), func(j int) bool {
+				h := r.held[j]
+				return h.res.Completed > res.Completed || h.res.Completed == res.Completed && h.client > i
+			})
+			r.held = slices.Insert(r.held, at, heldResult{res, i})
+			if !r.probing() || !res.OK() || res.Txn.IsReadOnly() {
 				continue
 			}
 			due = due || r.writesSeen%probeStride == 0
@@ -486,22 +504,15 @@ func (r *run) faultDue() bool {
 // sort of its results by Completed — the ride-along session and the
 // nemesis recovery marks read the drain as a timeline — with ties in
 // client-index-then-finish order: a function of seed and partition only.
+// Both loops' refill hooks mark the client that stepped, so a collect
+// costs the marked clients and the results it holds, not one call per
+// client.
 func (r *run) collect(floor sim.Time) {
 	r.take()
-	r.backlog = max(r.backlog, r.taken-r.rep.Committed-r.rep.Rejected)
-	done := r.done[:0]
-	for i, held := range r.held {
-		// A client finishes in clock order: what is due is a prefix.
-		n := 0
-		for n < len(held) && held[n].Completed < int64(floor) {
-			n++
-		}
-		done = append(done, held[:n]...)
-		r.held[i] = slices.Delete(held, 0, n)
-	}
-	r.done = done
-	slices.SortStableFunc(done, func(a, b *model.Result) int { return cmp.Compare(a.Completed, b.Completed) })
-	for _, res := range done {
+	r.backlog = max(r.backlog, len(r.held))
+	n := sort.Search(len(r.held), func(j int) bool { return r.held[j].res.Completed >= int64(floor) })
+	for _, h := range r.held[:n] {
+		res := h.res
 		inject, open := int64(0), false
 		if r.injectAt != nil {
 			if at, found := r.injectAt[res.Txn.ID]; found {
@@ -543,6 +554,7 @@ func (r *run) collect(floor sim.Time) {
 			}
 		}
 	}
+	r.held = slices.Delete(r.held, 0, n)
 }
 
 // probeStaleness samples one committed write transaction: a frozen
@@ -735,13 +747,15 @@ func startRun(d *protocol.Deployment, cfg Config) (*run, error) {
 	return r, nil
 }
 
-// refillClient tops one client up to its pipeline depth. It doubles as
-// the runner's mid-window refill hook, where it runs on a worker
-// goroutine inside the parallel phase: everything it touches — the
-// client's queue, its generator stream, its quota slot — is owned by
-// exactly one shard, and the kernel is deliberately not told (the
-// invoke annotation is a trace event; load runs drop those anyway).
+// refillClient marks one client for the next take and tops it up to its
+// pipeline depth. It doubles as the runner's mid-window refill hook, where
+// it runs on a worker goroutine inside the parallel phase: everything it
+// touches — the client's queue, its generator stream, its quota slot and
+// mark — is owned by exactly one shard, and the kernel is deliberately not
+// told (the invoke annotation is a trace event; load runs drop those
+// anyway).
 func (r *run) refillClient(i int, _ sim.Time) {
+	r.marked[i] = true
 	cl := r.cls[i]
 	for r.issued[i] < r.quota[i] && cl.Outstanding() < r.cfg.Pipeline {
 		cl.Invoke(r.nextTxn(i))
@@ -799,6 +813,8 @@ func (r *run) runOpen() (*Report, error) {
 	rep.OfferedRate = cfg.Rate
 	r.injectAt = make(map[model.TxnID]int64, cfg.Clients*4)
 	inFlight := stats.NewCollector()
+	// Mark each client after its steps, so collect takes from those only.
+	r.runner.SetRefill(d.Clients, func(i int, _ sim.Time) { r.marked[i] = true })
 
 	start := d.Kernel.Now()
 	var arr sim.ArrivalProcess
@@ -823,11 +839,9 @@ func (r *run) runOpen() (*Report, error) {
 		r.runner.NotifyInvoked(d.Clients[i], at)
 		r.injectAt[tid] = int64(at)
 		rep.Issued++
-		depth := 0
-		for _, cl := range r.cls {
-			depth += cl.Outstanding()
-		}
-		inFlight.Add(int64(depth))
+		// Clients are never faulted and every invoked transaction ends as
+		// one result, all taken by the collect above: the rest are in flight.
+		inFlight.Add(int64(rep.Issued - r.taken))
 	}
 	// Drain: no more arrivals, run until every client is idle.
 	r.injHorizon = 0

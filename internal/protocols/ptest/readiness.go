@@ -47,9 +47,14 @@ func (w *watch) check(p sim.Process, now sim.Time, when string) {
 	if got.ready == was.ready && got.ok == was.ok && (!got.ok || got.wake == max(was.wake, now)) {
 		return
 	}
+	w.fail(fmt.Errorf("readiness changed outside the process's own steps and invokes: %s %s at %d: Ready %v, WakeAt (%d, %v); after its last step or invoke at %d: Ready %v, WakeAt (%d, %v)",
+		p.ID(), when, now, got.ready, got.wake, got.ok, was.at, was.ready, was.wake, was.ok))
+}
+
+// fail logs err unless an earlier contradiction is logged already.
+func (w *watch) fail(err error) {
 	if *w.log == nil {
-		*w.log = fmt.Errorf("%s %s at %d: Ready %v, WakeAt (%d, %v); after its last step or invoke at %d: Ready %v, WakeAt (%d, %v)",
-			p.ID(), when, now, got.ready, got.wake, got.ok, was.at, was.ready, was.wake, was.ok)
+		*w.log = err
 	}
 }
 
@@ -71,16 +76,21 @@ func (s *watchedServer) Clone() sim.Process                   { return &watchedS
 func (s *watchedServer) WakeAt(now sim.Time) (sim.Time, bool) { return wakeAt(s.Process, now) }
 
 // watchedClient is the same for a client, which also records after
-// Invoke and checks after TakeFinished.
+// Invoke and checks after TakeFinished. It also holds the client to the
+// contract the driver's take relies on: results are made only inside
+// Step, so TakeFinished hands out nothing new unless the client stepped
+// since the previous call.
 type watchedClient struct {
 	protocol.Client
-	w *watch
+	w       *watch
+	stepped bool
 }
 
 func (c *watchedClient) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	c.w.check(c.Client, now, "at Step")
 	out := c.Client.Step(now, inbox)
 	c.w.record(c.Client, now)
+	c.stepped = true
 	return out
 }
 
@@ -91,13 +101,18 @@ func (c *watchedClient) Invoke(t *model.Txn) model.TxnID {
 }
 
 func (c *watchedClient) TakeFinished(dst []*model.Result) []*model.Result {
+	n := len(dst)
 	dst = c.Client.TakeFinished(dst)
+	if len(dst) > n && !c.stepped {
+		c.w.fail(fmt.Errorf("%s: TakeFinished handed out %s with no step since the previous call", c.ID(), dst[n].Txn.ID))
+	}
+	c.stepped = false
 	c.w.check(c.Client, c.w.last.at, "after TakeFinished")
 	return dst
 }
 
 func (c *watchedClient) Clone() sim.Process {
-	return &watchedClient{c.Client.Clone().(protocol.Client), c.w.clone()}
+	return &watchedClient{c.Client.Clone().(protocol.Client), c.w.clone(), c.stepped}
 }
 func (c *watchedClient) WakeAt(now sim.Time) (sim.Time, bool) { return wakeAt(c.Client, now) }
 
@@ -112,7 +127,7 @@ func (p watching) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Proces
 }
 
 func (p watching) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
-	return &watchedClient{p.Protocol.NewClient(id, pl), &watch{log: p.log}}
+	return &watchedClient{Client: p.Protocol.NewClient(id, pl), w: &watch{log: p.log}}
 }
 
 // readinessViolation holds the model to the contract the engine's
@@ -121,8 +136,10 @@ func (p watching) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.C
 // through its steps and invokes, and WakeAt(later) = max(w, later).
 // Every process of a closed-loop and an open-loop cell is watched: its
 // answers are recorded after each Step and Invoke, and must be the same
-// at the entry of its next Step and after each TakeFinished. It returns
-// the first contradiction, nil when there is none.
+// at the entry of its next Step and after each TakeFinished. A client is
+// also held to finishing transactions only inside Step, which the
+// driver's take relies on: it asks only the clients that stepped. It
+// returns the first contradiction, nil when there is none.
 func readinessViolation(p protocol.Protocol, e Expect) error {
 	srv, ops := e.Servers, e.ObjectsPerServer
 	if srv == 0 {
@@ -140,7 +157,7 @@ func readinessViolation(p protocol.Protocol, e Expect) error {
 			return fmt.Errorf("rate %v: %v", rate, err)
 		}
 		if violation != nil {
-			return fmt.Errorf("rate %v: readiness changed outside the process's own steps and invokes: %v", rate, violation)
+			return fmt.Errorf("rate %v: %v", rate, violation)
 		}
 	}
 	return nil

@@ -1,8 +1,11 @@
 package ptest
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/protocols/cops"
 	"repro/internal/sim"
@@ -54,5 +57,49 @@ func TestReadinessIsStateCatchesSharedState(t *testing.T) {
 	}
 	if readinessViolation(sharing{cops.New(), new(int)}, Expect{}) == nil {
 		t.Fatal("a server whose Ready reads a counter the clients bump passed the readiness check")
+	}
+}
+
+// finishingInInvoke deploys p with workload client c0 completing every
+// invocation inside Invoke, as a rejection, without ever stepping it.
+type finishingInInvoke struct{ protocol.Protocol }
+
+type invokeFinisher struct {
+	protocol.Client
+	seq  int
+	done []*model.Result
+}
+
+func (c *invokeFinisher) Invoke(t *model.Txn) model.TxnID {
+	c.seq++
+	t.ID = model.TxnID{Client: string(c.ID()), Seq: c.seq}
+	c.done = append(c.done, &model.Result{Txn: t, Err: "finished inside Invoke"})
+	return t.ID
+}
+
+func (c *invokeFinisher) TakeFinished(dst []*model.Result) []*model.Result {
+	dst = append(c.Client.TakeFinished(dst), c.done...)
+	c.done = c.done[:0]
+	return dst
+}
+
+func (c *invokeFinisher) Clone() sim.Process {
+	return &invokeFinisher{c.Client.Clone().(protocol.Client), c.seq, slices.Clone(c.done)}
+}
+
+func (p finishingInInvoke) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
+	if id != "c0" {
+		return p.Protocol.NewClient(id, pl)
+	}
+	return &invokeFinisher{Client: p.Protocol.NewClient(id, pl)}
+}
+
+// TestReadinessCatchesFinishInInvoke: a client whose results appear
+// outside Step fails the check — the driver takes only from clients that
+// stepped.
+func TestReadinessCatchesFinishInInvoke(t *testing.T) {
+	err := readinessViolation(finishingInInvoke{cops.New()}, Expect{})
+	if err == nil || !strings.Contains(err.Error(), "no step since the previous call") {
+		t.Fatalf("a client finishing inside Invoke: %v", err)
 	}
 }

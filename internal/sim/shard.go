@@ -265,12 +265,14 @@ func (r *ShardedRunner) Stats() ShardingStats { return r.stats }
 
 // SetRefill installs a hook called after every step of a process listed
 // in pids, from inside the parallel window execution, with that process's
-// index in pids and the shard-local clock. The closed-loop driver lists
-// its clients, to top one back up the moment a transaction completes —
-// mid-window — instead of waiting for the round to end. The hook runs on
-// worker goroutines: it must touch only state owned by the stepped
-// process (the driver's per-client generators qualify; anything
-// kernel-global does not).
+// index in pids and the shard-local clock. The driver lists its clients
+// in both load regimes, to mark the stepped client so that it asks only
+// those for finished results; the closed loop's hook also tops the client
+// back up the moment a transaction completes — mid-window — instead of
+// waiting for the round to end. The hook runs on worker goroutines: it
+// must touch only state owned by the stepped process (the driver's
+// per-client generators and marks qualify; anything kernel-global does
+// not).
 func (r *ShardedRunner) SetRefill(pids []ProcessID, f func(i int, at Time)) {
 	idx := make([]int, len(r.k.ids))
 	for s := range idx {
