@@ -37,11 +37,14 @@ type Core struct {
 	pending int
 	// out is the send buffer: this step's requests, until Sent.
 	out []sim.Outbound
+	// The protocol's Name and Claims().MultiWriteTxn, for Starting.
+	name       string
+	multiWrite bool
 }
 
-// NewCore initializes the embedded client core.
-func NewCore(id sim.ProcessID, pl *Placement) Core {
-	return Core{id: id, pl: pl}
+// NewCore initializes the embedded client core of protocol p's client.
+func NewCore(id sim.ProcessID, pl *Placement, p Protocol) Core {
+	return Core{id: id, pl: pl, name: p.Name(), multiWrite: p.Claims().MultiWriteTxn}
 }
 
 // ID implements sim.Process.
@@ -116,13 +119,28 @@ func (c *Core) TakeFinished(dst []*model.Result) []*model.Result {
 
 // Starting records the start of the active transaction on the first step
 // after it became active and reports whether this step is that first step.
+// It refuses, and reports false, a shape the protocol does not run: a
+// multi-object write without the MultiWriteTxn claim, then any read-write
+// transaction. The next queued transaction becomes active unstarted, so
+// the step sends nothing.
 func (c *Core) Starting(now sim.Time) bool {
 	if c.cur == nil || c.started {
 		return false
 	}
 	c.started = true
-	c.curRes.Invoked = int64(now)
-	return true
+	res, t := c.curRes, c.cur
+	res.Invoked = int64(now)
+	switch {
+	case !c.multiWrite && len(t.Writes) > 1 && len(t.WriteSet()) > 1:
+		res.Err = c.name + ": multi-object write transactions unsupported"
+	case len(t.Writes) > 0 && len(t.ReadSet) > 0:
+		res.Err = c.name + ": read-write transactions unsupported"
+	default:
+		return true
+	}
+	res.Completed = int64(now)
+	c.complete(res)
+	return false
 }
 
 // Started reports whether the active transaction's first step has run.
@@ -193,23 +211,6 @@ func (c *Core) Finish(now sim.Time) *model.Result {
 	res := c.curRes
 	res.Completed = int64(now)
 	res.Rounds = c.rounds
-	c.complete(res)
-	return res
-}
-
-// Reject completes the active transaction immediately with an error (used
-// for unsupported transaction shapes, e.g. multi-object writes on systems
-// without write transactions).
-func (c *Core) Reject(now sim.Time, why string) *model.Result {
-	if c.cur == nil {
-		panic("protocol: Reject with no transaction in flight")
-	}
-	res := c.curRes
-	if res.Invoked < 0 {
-		res.Invoked = int64(now)
-	}
-	res.Err = why
-	res.Completed = int64(now)
 	c.complete(res)
 	return res
 }

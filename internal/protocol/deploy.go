@@ -210,14 +210,7 @@ func (d *Deployment) Participants(clients ...sim.ProcessID) []sim.ProcessID {
 // until the transaction completes (or maxEvents elapse). It returns the
 // result, or nil if the transaction did not complete.
 func (d *Deployment) RunTxn(id sim.ProcessID, t *model.Txn, maxEvents int) *model.Result {
-	tid := d.Invoke(id, t)
-	cl := d.Client(id)
-	sim.Run(d.Kernel, &sim.RoundRobin{}, func(*sim.Kernel) bool { return !cl.Busy() }, maxEvents)
-	res := cl.Finished(tid)
-	if res != nil {
-		d.Kernel.Annotate(sim.EvResponse, id, t.ID.String())
-	}
-	return res
+	return d.RunTxnWith(id, t, &sim.RoundRobin{}, maxEvents)
 }
 
 // RunTxnWith is RunTxn under an arbitrary scheduler.

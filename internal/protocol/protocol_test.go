@@ -129,7 +129,7 @@ func TestEmptyReplicaSetPanics(t *testing.T) {
 
 func TestCoreLifecycle(t *testing.T) {
 	pl := Disjoint(2, 1)
-	c := NewCore("cX", pl)
+	c := NewCore("cX", pl, fake{})
 	if c.Busy() {
 		t.Fatal("fresh core busy")
 	}
@@ -153,7 +153,7 @@ func TestCoreLifecycle(t *testing.T) {
 		t.Fatal("result not recorded")
 	}
 	// Sequence numbers advance.
-	id2 := c.Invoke(model.NewReadOnly(model.TxnID{}, "X1"))
+	id2 := c.Invoke(twoWrites())
 	if id2.Seq != 2 {
 		t.Fatalf("seq = %d", id2.Seq)
 	}
@@ -166,7 +166,7 @@ func (m *roundMsg) Kind() string     { return "round" }
 func (m *roundMsg) Txn() model.TxnID { return m.tid }
 
 func TestCoreRound(t *testing.T) {
-	c := NewCore("cX", Disjoint(2, 1))
+	c := NewCore("cX", Disjoint(2, 1), fake{})
 	if c.Ready() || c.RoundDone() || c.Reply(&roundMsg{}) {
 		t.Fatal("idle core is ready, done or takes a reply")
 	}
@@ -202,10 +202,9 @@ func TestCoreRound(t *testing.T) {
 	if res := c.Finish(2); res.Rounds != 2 {
 		t.Fatalf("rounds = %d, want 2", res.Rounds)
 	}
-	c.Invoke(model.NewReadOnly(model.TxnID{}, "X0"))
-	c.Starting(3)
-	if res := c.Reject(3, "nope"); res.Rounds != 0 {
-		t.Fatalf("rejected before any send: rounds = %d, want 0", res.Rounds)
+	id = c.Invoke(twoWrites())
+	if c.Starting(3) || c.Finished(id).Rounds != 0 {
+		t.Fatalf("refused before any send: rounds = %d, want 0", c.Finished(id).Rounds)
 	}
 }
 
@@ -226,9 +225,9 @@ func TestServerCore(t *testing.T) {
 }
 
 func TestCorePipelinesSecondInvoke(t *testing.T) {
-	c := NewCore("cX", Disjoint(2, 1))
+	c := NewCore("cX", Disjoint(2, 1), fake{})
 	id1 := c.Invoke(model.NewReadOnly(model.TxnID{}, "X0"))
-	id2 := c.Invoke(model.NewReadOnly(model.TxnID{}, "X1"))
+	id2 := c.Invoke(twoWrites())
 	id3 := c.Invoke(model.NewReadOnly(model.TxnID{}, "X0", "X1"))
 	if id1.Seq != 1 || id2.Seq != 2 || id3.Seq != 3 {
 		t.Fatalf("ids = %v %v %v", id1, id2, id3)
@@ -251,10 +250,9 @@ func TestCorePipelinesSecondInvoke(t *testing.T) {
 	if c.Outstanding() != 2 {
 		t.Fatalf("outstanding = %d, want 2", c.Outstanding())
 	}
-	c.Starting(30)
-	c.Reject(35, "nope")
-	if c.Current().ID != id3 {
-		t.Fatalf("after reject: current = %v, want %v", c.Current().ID, id3)
+	c.Starting(30) // refused
+	if c.Current().ID != id3 || c.Started() {
+		t.Fatalf("after refusal: current = %v, want %v unstarted", c.Current().ID, id3)
 	}
 	c.Starting(40)
 	c.Finish(50)
@@ -287,7 +285,7 @@ func TestCorePipelinesSecondInvoke(t *testing.T) {
 }
 
 func TestCloneCoreDetachesDrainedQueue(t *testing.T) {
-	c := NewCore("cX", Disjoint(2, 1))
+	c := NewCore("cX", Disjoint(2, 1), fake{})
 	c.Invoke(model.NewReadOnly(model.TxnID{}, "X0"))
 	c.Invoke(model.NewReadOnly(model.TxnID{}, "X1"))
 	c.Starting(1)
@@ -303,7 +301,7 @@ func TestCloneCoreDetachesDrainedQueue(t *testing.T) {
 }
 
 func TestCloneCoreCopiesPipeline(t *testing.T) {
-	c := NewCore("cX", Disjoint(2, 1))
+	c := NewCore("cX", Disjoint(2, 1), fake{})
 	c.Invoke(model.NewReadOnly(model.TxnID{}, "X0"))
 	c.Invoke(model.NewReadOnly(model.TxnID{}, "X1"))
 	cp := c.CloneCore()
@@ -319,24 +317,77 @@ func TestCloneCoreCopiesPipeline(t *testing.T) {
 	}
 }
 
+// fake is a protocol for the core's tests: the core reads only its name
+// and its multi-object write claim.
+type fake struct{ multiWrite bool }
+
+func (fake) Name() string                                    { return "fake" }
+func (p fake) Claims() Claims                                { return Claims{MultiWriteTxn: p.multiWrite} }
+func (fake) NewServer(sim.ProcessID, *Placement) sim.Process { return nil }
+func (fake) NewClient(sim.ProcessID, *Placement) Client      { return nil }
+
+func twoWrites() *model.Txn {
+	return model.NewWriteOnly(model.TxnID{},
+		model.Write{Object: "X0", Value: "a"}, model.Write{Object: "X1", Value: "b"})
+}
+
 func TestCoreReject(t *testing.T) {
-	c := NewCore("cX", Disjoint(2, 1))
-	id := c.Invoke(model.NewWriteOnly(model.TxnID{},
-		model.Write{Object: "X0", Value: "a"}, model.Write{Object: "X1", Value: "b"}))
-	res := c.Reject(5, "unsupported")
-	if res.OK() || res.Err != "unsupported" || c.Busy() {
-		t.Fatalf("reject = %+v", res)
+	c := NewCore("cX", Disjoint(2, 1), fake{})
+	id := c.Invoke(twoWrites())
+	if c.Starting(5) {
+		t.Fatal("multi-object write started without the claim")
 	}
-	if c.Finished(id) != res {
-		t.Fatal("rejected result not recorded")
+	res := c.Finished(id)
+	if res == nil || res.OK() || res.Invoked != 5 || res.Completed != 5 || c.Busy() {
+		t.Fatalf("refusal = %+v", res)
 	}
 	if fin := c.TakeFinished(nil); len(fin) != 1 || fin[0] != res || c.Finished(id) != nil {
-		t.Fatalf("rejected result not taken once, then gone: %v", fin)
+		t.Fatalf("refused result not taken once, then gone: %v", fin)
+	}
+}
+
+// TestCoreStartingRefusesShapes: Starting refuses a multi-object write
+// exactly when the protocol does not claim them, and every read-write
+// transaction, with the protocol's name in the text; it starts the rest.
+func TestCoreStartingRefusesShapes(t *testing.T) {
+	w := func(obj string) model.Write { return model.Write{Object: obj, Value: "v"} }
+	const mw, rw = "fake: multi-object write transactions unsupported", "fake: read-write transactions unsupported"
+	for _, tc := range []struct {
+		txn        *model.Txn
+		multiWrite bool
+		want       string // the refusal, "" to start
+	}{
+		{model.NewReadOnly(model.TxnID{}, "X0", "X1"), false, ""},
+		{model.NewWriteOnly(model.TxnID{}, w("X0")), false, ""},
+		{model.NewWriteOnly(model.TxnID{}, w("X0"), w("X0")), false, ""},
+		{model.NewWriteOnly(model.TxnID{}, w("X0"), w("X1")), false, mw},
+		{model.NewWriteOnly(model.TxnID{}, w("X0"), w("X1")), true, ""},
+		{&model.Txn{ReadSet: []string{"X0"}, Writes: []model.Write{w("X1")}}, true, rw},
+		{&model.Txn{ReadSet: []string{"X0"}, Writes: []model.Write{w("X0"), w("X1")}}, false, mw},
+	} {
+		c := NewCore("cX", Disjoint(2, 1), fake{multiWrite: tc.multiWrite})
+		id := c.Invoke(tc.txn)
+		next := c.Invoke(model.NewReadOnly(model.TxnID{}, "X0"))
+		started := c.Starting(7)
+		if tc.want == "" {
+			if !started || c.Current().ID != id || c.Finished(id) != nil {
+				t.Errorf("%v (multi-write %v): not started", tc.txn, tc.multiWrite)
+			}
+			continue
+		}
+		res := c.Finished(id)
+		if started || res == nil || res.Err != tc.want || res.Rounds != 0 {
+			t.Errorf("%v (multi-write %v): started %v, result %+v; want refused with %q", tc.txn, tc.multiWrite, started, res, tc.want)
+			continue
+		}
+		if c.Current().ID != next || c.Started() || !c.Starting(8) {
+			t.Errorf("%v: the transaction queued behind the refusal does not start on the next step", tc.txn)
+		}
 	}
 }
 
 func TestCloneCoreIndependence(t *testing.T) {
-	c := NewCore("cX", Disjoint(2, 1))
+	c := NewCore("cX", Disjoint(2, 1), fake{})
 	c.Invoke(model.NewReadOnly(model.TxnID{}, "X0"))
 	c.Starting(1)
 	c.Result().SetValue("X0", "orig")
@@ -353,7 +404,7 @@ func TestCloneCoreIndependence(t *testing.T) {
 // the engine's until it copies it, and a snapshot may clone the process
 // before then; a buffer the clone shared would be overwritten in place.
 func TestCloneKeepsSentBuffer(t *testing.T) {
-	c := NewCore("cX", Disjoint(2, 1))
+	c := NewCore("cX", Disjoint(2, 1), fake{})
 	id := c.Invoke(model.NewReadOnly(model.TxnID{}, "X0", "X1"))
 	c.Starting(1)
 	c.Send("s0", &roundMsg{tid: id})

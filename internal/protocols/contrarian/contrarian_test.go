@@ -17,15 +17,6 @@ func TestConformance(t *testing.T) {
 	})
 }
 
-func TestRejectsMultiWrite(t *testing.T) {
-	d := ptest.Deploy(t, contrarian.New(), ptest.Expect{}, 83)
-	res := d.RunTxn("c0", model.NewWriteOnly(model.TxnID{},
-		model.Write{Object: "X0", Value: "m0"}, model.Write{Object: "X1", Value: "m1"}), 400_000)
-	if res.OK() {
-		t.Fatal("multi-object write accepted")
-	}
-}
-
 // TestSnapshotCoversCausalPast: a client that read a fresh value must get
 // a snapshot at least as new on its next ROT (monotone reads across its
 // transactions).

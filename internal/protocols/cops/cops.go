@@ -46,8 +46,8 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 }
 
 // NewClient implements protocol.Protocol.
-func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
-	return &client{Core: protocol.NewCore(id, pl)}
+func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
+	return &client{Core: protocol.NewCore(id, pl, p)}
 }
 
 // leafSize is how many objects one dependency leaf covers.
@@ -298,14 +298,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	}
 	if c.Starting(now) {
 		t := c.Current()
-		if len(t.WriteSet()) > 1 {
-			c.Reject(now, "cops: multi-object write transactions unsupported")
-			return c.Sent()
-		}
-		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
-			c.Reject(now, "cops: read-write transactions unsupported")
-			return c.Sent()
-		}
 		if t.IsReadOnly() {
 			c.phase = round1
 			for _, obj := range t.ReadSet {

@@ -127,15 +127,6 @@ func TestSecondRoundUnderRandomSchedules(t *testing.T) {
 	}
 }
 
-func TestRejectsMultiWrite(t *testing.T) {
-	d := ptest.Deploy(t, cops.New(), ptest.Expect{}, 101)
-	res := d.RunTxn("c0", model.NewWriteOnly(model.TxnID{},
-		model.Write{Object: "X0", Value: "m0"}, model.Write{Object: "X1", Value: "m1"}), 200_000)
-	if res.OK() {
-		t.Fatal("multi-object write accepted by cops")
-	}
-}
-
 // TestLoadConformance certifies concurrent closed- and open-loop driver
 // sweeps at the claimed consistency level.
 func TestLoadConformance(t *testing.T) {

@@ -55,8 +55,8 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 }
 
 // NewClient implements protocol.Protocol.
-func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
-	return &client{Core: protocol.NewCore(id, pl), deps: make(map[string]model.ValueRef)}
+func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
+	return &client{Core: protocol.NewCore(id, pl, p), deps: make(map[string]model.ValueRef)}
 }
 
 // --- payloads ---
@@ -368,16 +368,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 	}
 	if c.Starting(now) {
-		t := c.Current()
-		pl := c.Placement()
-		if len(t.WriteSet()) > 1 {
-			c.Reject(now, "copssnow: multi-object write transactions unsupported")
-			return c.Sent()
-		}
-		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
-			c.Reject(now, "copssnow: read-write transactions unsupported")
-			return c.Sent()
-		}
+		t, pl := c.Current(), c.Placement()
 		if t.IsReadOnly() {
 			for _, sh := range pl.ReadShares(t.ReadSet) {
 				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items})

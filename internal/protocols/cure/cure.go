@@ -50,8 +50,8 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 }
 
 // NewClient implements protocol.Protocol.
-func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
-	return &client{Core: protocol.NewCore(id, pl), dep: vclock.NewVector(pl.NumServers())}
+func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
+	return &client{Core: protocol.NewCore(id, pl, p), dep: vclock.NewVector(pl.NumServers())}
 }
 
 // --- payloads ---
@@ -343,10 +343,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	}
 	if c.Starting(now) {
 		t := c.Current()
-		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
-			c.Reject(now, "cure: read-write transactions unsupported in this model")
-			return c.Sent()
-		}
 		if t.IsReadOnly() {
 			c.phase = gsvWait
 			c.got = append(c.got, make([]readVal, len(t.ReadSet))...)

@@ -76,8 +76,8 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 }
 
 // NewClient implements protocol.Protocol.
-func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
-	return &client{Core: protocol.NewCore(id, pl)}
+func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
+	return &client{Core: protocol.NewCore(id, pl, p)}
 }
 
 // --- payloads ---
@@ -336,10 +336,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	}
 	if c.Starting(now) {
 		t := c.Current()
-		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
-			c.Reject(now, "eiger: read-write transactions unsupported in this model")
-			return c.Sent()
-		}
 		if t.IsReadOnly() {
 			c.phase = reading
 			c.got = make(map[string]readVal)

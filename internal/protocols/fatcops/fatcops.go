@@ -114,7 +114,7 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 }
 
 // NewClient implements protocol.Protocol.
-func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
+func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
 	// Initializing clients stamp their writes at 1; every other client
 	// boots its clock at 1 so even a blind first write is stamped 2 and
 	// is applied after the initial values.
@@ -122,7 +122,7 @@ func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Cl
 	if protocol.IsInitClient(id) {
 		clock = 0
 	}
-	return &client{Core: protocol.NewCore(id, pl), clock: clock,
+	return &client{Core: protocol.NewCore(id, pl, p), clock: clock,
 		vec: make(vec), ctx: make(map[string]stamped)}
 }
 
@@ -444,12 +444,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 	}
 	if c.Starting(now) {
-		t := c.Current()
-		pl := c.Placement()
-		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
-			c.Reject(now, "fatcops: read-write transactions unsupported")
-			return c.Sent()
-		}
+		t, pl := c.Current(), c.Placement()
 		if t.IsReadOnly() {
 			for _, sh := range pl.ReadShares(t.ReadSet) {
 				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items})

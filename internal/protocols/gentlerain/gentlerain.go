@@ -48,8 +48,8 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 }
 
 // NewClient implements protocol.Protocol.
-func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
-	return &client{Core: protocol.NewCore(id, pl)}
+func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
+	return &client{Core: protocol.NewCore(id, pl, p)}
 }
 
 // --- payloads ---
@@ -325,14 +325,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	}
 	if c.Starting(now) {
 		t := c.Current()
-		if len(t.WriteSet()) > 1 {
-			c.Reject(now, "gentlerain: multi-object write transactions unsupported")
-			return c.Sent()
-		}
-		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
-			c.Reject(now, "gentlerain: read-write transactions unsupported")
-			return c.Sent()
-		}
 		if t.IsReadOnly() {
 			c.phase = gstWait
 			c.got = make(map[string]readVal)

@@ -53,15 +53,6 @@ func TestWriterReadsOwnCausalPast(t *testing.T) {
 	}
 }
 
-func TestRejectsMultiWrite(t *testing.T) {
-	d := ptest.Deploy(t, gentlerain.New(), ptest.Expect{}, 131)
-	res := d.RunTxn("c0", model.NewWriteOnly(model.TxnID{},
-		model.Write{Object: "X0", Value: "m0"}, model.Write{Object: "X1", Value: "m1"}), 400_000)
-	if res.OK() {
-		t.Fatal("multi-object write accepted")
-	}
-}
-
 // TestLoadConformance certifies concurrent closed- and open-loop driver
 // sweeps at the claimed consistency level.
 func TestLoadConformance(t *testing.T) {

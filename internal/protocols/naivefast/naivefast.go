@@ -46,8 +46,8 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *Placement) sim.Process {
 }
 
 // NewClient implements protocol.Protocol.
-func (*Protocol) NewClient(id sim.ProcessID, pl *Placement) protocol.Client {
-	return &client{Core: protocol.NewCore(id, pl)}
+func (p *Protocol) NewClient(id sim.ProcessID, pl *Placement) protocol.Client {
+	return &client{Core: protocol.NewCore(id, pl, p)}
 }
 
 // Placement aliases protocol.Placement for the constructor signatures.
@@ -153,21 +153,14 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 	}
 	if c.Starting(now) {
-		t := c.Current()
-		pl := c.Placement()
+		t, pl := c.Current(), c.Placement()
 		// Reads go to the primary replica of each object; writes go to
 		// every replica of the written object.
-		// A read-write transaction sends server by server, a server's
-		// reads before its writes.
-		reads, writes := pl.ReadShares(t.ReadSet), pl.WriteShares(t.Writes)
-		for len(reads)+len(writes) > 0 {
-			if len(writes) == 0 || len(reads) > 0 && reads[0].Server <= writes[0].Server {
-				c.Send(reads[0].Server, &readReq{TID: t.ID, Objs: reads[0].Items})
-				reads = reads[1:]
-			} else {
-				c.Send(writes[0].Server, &writeReq{TID: t.ID, Writes: writes[0].Items})
-				writes = writes[1:]
-			}
+		for _, sh := range pl.ReadShares(t.ReadSet) {
+			c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
+		}
+		for _, sh := range pl.WriteShares(t.Writes) {
+			c.Send(sh.Server, &writeReq{TID: t.ID, Writes: sh.Items})
 		}
 	}
 	if c.RoundDone() {

@@ -131,19 +131,6 @@ func TestRejectsNothing(t *testing.T) {
 	}
 }
 
-func TestReadWriteTxn(t *testing.T) {
-	d := deploy(t)
-	rw := &model.Txn{ReadSet: []string{"X1"}, Writes: []model.Write{{Object: "X0", Value: "rw0"}}}
-	res := d.RunTxn("c0", rw, 100_000)
-	if !res.OK() || res.Value("X1") != protocol.InitialValue("X1") {
-		t.Fatalf("read-write txn = %v", res)
-	}
-	r := d.RunTxn("c1", model.NewReadOnly(model.TxnID{}, "X0"), 100_000)
-	if r.Value("X0") != "rw0" {
-		t.Fatalf("write part not applied: %v", r.Values)
-	}
-}
-
 // TestDroppedWriteDetectedByChecker is a failure-injection test: the
 // paper's links never lose messages, but if one write of a multi-object
 // transaction is dropped, the resulting permanent mixed state produces a

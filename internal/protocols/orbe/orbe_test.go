@@ -19,15 +19,6 @@ func TestConformance(t *testing.T) {
 	})
 }
 
-func TestRejectsMultiWrite(t *testing.T) {
-	d := ptest.Deploy(t, New(), ptest.Expect{}, 137)
-	res := d.RunTxn("c0", model.NewWriteOnly(model.TxnID{},
-		model.Write{Object: "X0", Value: "m0"}, model.Write{Object: "X1", Value: "m1"}), 400_000)
-	if res.OK() {
-		t.Fatal("multi-object write accepted")
-	}
-}
-
 // TestParkPathServesWhenCounterCatchesUp exercises the blocking path
 // directly (white-box): a read whose snapshot entry is ahead of the
 // server's applied counter parks, and is served once a later write

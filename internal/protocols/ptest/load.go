@@ -27,6 +27,7 @@ func RunLoad(t *testing.T, p protocol.Protocol, e Expect) {
 	t.Helper()
 	t.Run("PayloadsImmutable", func(t *testing.T) { payloadsImmutable(t, p, e) })
 	t.Run("InboxNotRetained", func(t *testing.T) { inboxNotRetained(t, p, e) })
+	t.Run("RefusedShapes", func(t *testing.T) { refusedShapes(t, p, e) })
 	t.Run("ReadinessIsState", func(t *testing.T) {
 		if err := readinessViolation(p, e); err != nil {
 			t.Error(err)

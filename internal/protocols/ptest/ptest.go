@@ -176,20 +176,46 @@ func measuredProperties(t *testing.T, p protocol.Protocol, e Expect) {
 }
 
 func multiWrite(t *testing.T, p protocol.Protocol, e Expect) {
-	d := Deploy(t, p, e, 19)
-	objs := d.Place.Objects()
-	w := model.NewWriteOnly(model.TxnID{},
-		model.Write{Object: objs[0], Value: "mw-a"}, model.Write{Object: objs[1], Value: "mw-b"})
-	res := d.RunTxn("c0", w, 400_000)
-	if e.MultiWrite && !res.OK() {
-		t.Fatalf("multi-write rejected: %v", res)
-	}
-	if !e.MultiWrite && res.OK() {
-		t.Fatal("multi-write accepted by a protocol without the W property")
-	}
-	// Claims must agree with behaviour.
+	// RunLoad's RefusedShapes holds the behaviour to the claim.
 	if p.Claims().MultiWriteTxn != e.MultiWrite {
 		t.Fatalf("claims.MultiWriteTxn = %v, expected %v", p.Claims().MultiWriteTxn, e.MultiWrite)
+	}
+}
+
+// refusedShapes holds the model to protocol.Core's rule: read-write is
+// refused, and a multi-object write exactly without the MultiWriteTxn
+// claim. A refusal names the protocol, sends nothing and has no rounds;
+// the write queued behind it starts on the next step and commits.
+func refusedShapes(t *testing.T, p protocol.Protocol, e Expect) {
+	d := Deploy(t, p, e, 31)
+	objs, cl := d.Place.Objects(), d.Client("c0")
+	w0, w1 := model.Write{Object: objs[0], Value: "w0"}, model.Write{Object: objs[1], Value: "w1"}
+	for _, s := range []struct {
+		txn     *model.Txn
+		refused bool
+		what    string
+	}{
+		{&model.Txn{ReadSet: objs[:1], Writes: []model.Write{w1}}, true, "read-write"},
+		{model.NewWriteOnly(model.TxnID{}, w0, w1), !p.Claims().MultiWriteTxn, "multi-object write"},
+	} {
+		id, next := d.Invoke("c0", s.txn), d.Invoke("c0", model.NewWriteOnly(model.TxnID{}, w0))
+		sent := d.Kernel.StepProcess("c0")
+		if s.refused {
+			want := p.Name() + ": " + s.what + " transactions unsupported"
+			if res := cl.Finished(id); res == nil || res.Err != want || res.Rounds != 0 || len(sent) != 0 {
+				t.Fatalf("%s: result %+v after sending %d; want refused with %q, no rounds, nothing sent", s.what, res, len(sent), want)
+			}
+			if sent = d.Kernel.StepProcess("c0"); len(sent) == 0 {
+				t.Fatalf("%s: the write queued behind the refusal did not start on the next step", s.what)
+			}
+		}
+		sim.Run(d.Kernel, &sim.RoundRobin{}, func(*sim.Kernel) bool { return !cl.Busy() }, 400_000)
+		if res := cl.Finished(id); !s.refused && (res == nil || !res.OK()) {
+			t.Fatalf("%s: accepted, then finished as %+v", s.what, res)
+		}
+		if res := cl.Finished(next); res == nil || !res.OK() {
+			t.Fatalf("%s: the write queued behind it finished as %+v", s.what, res)
+		}
 	}
 }
 

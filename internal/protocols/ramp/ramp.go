@@ -47,12 +47,12 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 }
 
 // NewClient implements protocol.Protocol.
-func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
+func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
 	clock := int64(1)
 	if protocol.IsInitClient(id) {
 		clock = 0
 	}
-	return &client{Core: protocol.NewCore(id, pl), clock: clock}
+	return &client{Core: protocol.NewCore(id, pl, p), clock: clock}
 }
 
 // after is the global version order (timestamp, then writer).
@@ -276,10 +276,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	}
 	if c.Starting(now) {
 		t := c.Current()
-		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
-			c.Reject(now, "ramp: read-write transactions unsupported in this model")
-			return c.Sent()
-		}
 		if t.IsReadOnly() {
 			c.phase = round1
 			c.got = make(map[string]readVal)

@@ -69,8 +69,8 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 }
 
 // NewClient implements protocol.Protocol.
-func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
-	return &client{Core: protocol.NewCore(id, pl), skew: skewOf(id)}
+func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
+	return &client{Core: protocol.NewCore(id, pl, p), skew: skewOf(id)}
 }
 
 // --- payloads ---
@@ -330,12 +330,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 	}
 	if c.Starting(now) {
-		t := c.Current()
-		pl := c.Placement()
-		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
-			c.Reject(now, "spanner: read-write transactions unsupported in this model")
-			return c.Sent()
-		}
+		t, pl := c.Current(), c.Placement()
 		if t.IsReadOnly() {
 			c.phase = reading
 			ts := int64(now) + c.skew + Epsilon // TT.now().latest

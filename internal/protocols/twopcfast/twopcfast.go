@@ -49,8 +49,8 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 }
 
 // NewClient implements protocol.Protocol.
-func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
-	return &client{Core: protocol.NewCore(id, pl)}
+func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
+	return &client{Core: protocol.NewCore(id, pl, p)}
 }
 
 // --- payloads ---
@@ -179,12 +179,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 	}
 	if c.Starting(now) {
-		t := c.Current()
-		pl := c.Placement()
-		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
-			c.Reject(now, "twopcfast: read-write transactions unsupported")
-			return c.Sent()
-		}
+		t, pl := c.Current(), c.Placement()
 		if t.IsReadOnly() {
 			c.phase = reading
 			for _, sh := range pl.ReadShares(t.ReadSet) {

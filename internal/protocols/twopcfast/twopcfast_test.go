@@ -82,15 +82,6 @@ func TestWriteUsesTwoRounds(t *testing.T) {
 	}
 }
 
-func TestRejectsReadWrite(t *testing.T) {
-	d := ptest.Deploy(t, twopcfast.New(), ptest.Expect{}, 41)
-	rw := &model.Txn{ReadSet: []string{"X0"}, Writes: []model.Write{{Object: "X1", Value: "v"}}}
-	res := d.RunTxn("c0", rw, 200_000)
-	if res.OK() {
-		t.Fatal("read-write transaction unexpectedly accepted")
-	}
-}
-
 // TestLoadConformance: twopcfast is a theorem victim — concurrent sweeps must
 // FAIL certification at its claimed level (fast reads are paid for with
 // consistency, exactly as the paper's lower bounds demand).

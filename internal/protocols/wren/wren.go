@@ -56,8 +56,8 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 }
 
 // NewClient implements protocol.Protocol.
-func (*Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
-	return &client{Core: protocol.NewCore(id, pl), cache: make(map[string]cached)}
+func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
+	return &client{Core: protocol.NewCore(id, pl, p), cache: make(map[string]cached)}
 }
 
 // --- payloads ---
@@ -340,10 +340,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	}
 	if c.Starting(now) {
 		t := c.Current()
-		if len(t.Writes) > 0 && len(t.ReadSet) > 0 {
-			c.Reject(now, "wren: read-write transactions unsupported")
-			return c.Sent()
-		}
 		if t.IsReadOnly() {
 			// Round 1: fetch the cutoff from one server (any will do; we
 			// use the primary of the first object).
