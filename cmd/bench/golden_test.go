@@ -61,7 +61,7 @@ func TestFanOutGolden(t *testing.T) {
 		{"-protocols cure,spanner,eiger,ramp,wren,twopcfast,eigerps,fatcops,naivefast -mixes balanced -servers 16 -replication 2 -clients 16 -txns 400 -seed 3",
 			"eb55bab2cf1756ff082f05bc961453a8e49847f2274e06e60e19599492382366"},
 		{"-topology 2site -protocols cops,cure,ramp -mixes balanced -servers 4 -clients 8 -txns 400 -seed 3",
-			"88c713acac5e890949bf67d6afd705b244b725e5052d9deae89364284d7528fd"},
+			"bb3332b6827b9b54fae07853f4da2f12c76c459e81ee11c5ba45a677204f5ca1"},
 		{"-curve -protocols cops,eiger -mixes balanced -servers 4 -curveclients 8 -txns 300 -fractions 0.5,1.1 -seed 3",
 			"594c65e17c325135d787bd79b54681c9f973225e6d561eff35609cf941829208"},
 	})
@@ -93,10 +93,10 @@ func TestReconfigGolden(t *testing.T) {
 	const cell = " -protocols cops,fatcops,ramp -mixes readheavy,balanced -servers 4 -replication 2 -clients 8 -txns 600"
 	checkGolden(t, []goldenRow{
 		{"-nemesis replace" + cell,
-			"3a005a4b5f6c402e477a1b48926fec8b0ebe7066b655364f378bfcce65cd0c16"},
+			"920837f7240a40b1405cc6585d652c2c7734e47bc33f72a724ffd9a539dec490"},
 		{"-nemesis replace-lose" + cell,
-			"964314c6e3815376c3e6af97e54d73c64281e5311c86a2e6f92d92665e1aa857"},
+			"28e741071c2ee8d21d863b5ce818c27b414ea969da067f502e9a892d86b25841"},
 		{"-nemesis restore" + cell,
-			"47ca799bd138c17f04ec75d48de3184ba178f0ace3eb2b9b959ca3ba316a7e09"},
+			"8241ef24d1d6d2bbfba94d5e65498d975156cd0ce8a01e156657a0ed2325dae5"},
 	})
 }

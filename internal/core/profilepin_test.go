@@ -35,7 +35,7 @@ func TestProfilePins(t *testing.T) {
 		"gentlerain": "f94196b6da56",
 		"naivefast":  "ae6902204bb9",
 		"orbe":       "ce2351fb1cd0",
-		"ramp":       "ff36d0ef7ac9",
+		"ramp":       "c5578d41538c",
 		"spanner":    "290462870d72",
 		"twopcfast":  "9da0f75273d9",
 		"wren":       "76ec2e097880",

@@ -364,11 +364,12 @@ func TestRideAlongWithinTwiceBatch(t *testing.T) {
 	t.Logf("cops readheavy 4/16/2000: session %v, batch %v", session, batch)
 }
 
-// TestRampFracturedReadGap pins a known gap, not a contract: the bench cell
+// TestRampFracturedReadGap pins the closed gap: the bench cell
 // `-certify -protocols ramp -mixes balanced -servers 4 -clients 8 -txns
-// 1000 -seed 42` reports a fractured read at commit 479, the first input
-// for a shrinker. Once the cause is found and fixed, the cell must certify
-// clean and this assertion flips.
+// 1000 -seed 42` reported a fractured read at commit 479 while ramp's
+// clock was a Lamport counter, so a writer that finished first could
+// carry the later writer's timestamp or a larger one. Stamped on a hybrid
+// clock over real time, it certifies clean.
 func TestRampFracturedReadGap(t *testing.T) {
 	rep, err := Run(ramp.New(), Config{
 		Clients: 8, Txns: 1000, Mix: workload.Balanced(), Seed: 42,
@@ -377,11 +378,8 @@ func TestRampFracturedReadGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const reason = "fractured read: c0/56 read X3 from c4/61 but X0 from older c6/60"
-	if v := rep.Cert; v == nil || v.OK {
-		t.Fatal("the ramp cell certifies clean: the known gap closed, flip this test")
-	} else if v.FirstViolation != 479 || v.Reason != reason {
-		t.Fatalf("violation moved: first %d, %q; pinned 479, %q", v.FirstViolation, v.Reason, reason)
+	if v := rep.Cert; v == nil || !v.OK {
+		t.Fatalf("the ramp cell does not certify clean: %+v", v)
 	}
 }
 

@@ -284,7 +284,10 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 		} else {
 			c.phase = preparing
-			c.clock++
+			// A hybrid clock on the global clock: writers that do not
+			// overlap are stamped in real-time order, the version order
+			// the read-atomic checker assumes.
+			c.clock = max(c.clock+1, int64(now))
 			ws := t.WriteSet()
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
 				c.Send(sh.Server, &prepareReq{
