@@ -119,10 +119,9 @@ func (c *Core) TakeFinished(dst []*model.Result) []*model.Result {
 
 // Starting records the start of the active transaction on the first step
 // after it became active and reports whether this step is that first step.
-// It refuses, and reports false, a shape the protocol does not run: a
-// multi-object write without the MultiWriteTxn claim, then any read-write
-// transaction. The next queued transaction becomes active unstarted, so
-// the step sends nothing.
+// It refuses, reporting false, a multi-object write the protocol does not
+// claim, then any read-write transaction; the next queued transaction
+// becomes active unstarted, so the step sends nothing.
 func (c *Core) Starting(now sim.Time) bool {
 	if c.cur == nil || c.started {
 		return false

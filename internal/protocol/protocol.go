@@ -1,12 +1,12 @@
 // Package protocol is the zoo's service-provider interface. An entry writes
 // two sim.Processes (Step/Clone; clients embed Core, whose Send opens and
-// counts each round and which supplies Ready; servers embed ServerCore,
-// which holds the identity, placement and store; both cores buffer Send
-// and a Step returns their Sent), payloads with
-// Kind/Txn (values: immutable once sent) and Claims; a server keeps its
-// per-version metadata on store.Version.Meta. Placement, fan-out
-// (ReadShares/WriteShares), deployments, probes and replacement catch-up
-// live here.
+// counts each round, which supplies Ready and refuses the shapes Claims
+// rule out; servers embed ServerCore, which holds the identity, placement
+// and store; both cores buffer Send and a Step returns their Sent),
+// payloads with Kind/Txn (values: immutable once sent) and Claims; a
+// server keeps its per-version metadata on store.Version.Meta. Placement,
+// fan-out (ReadShares/WriteShares), deployments, probes and replacement
+// catch-up live here.
 package protocol
 
 import (

@@ -182,7 +182,8 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 	}
 	if c.Starting(now) {
-		t, pl := c.Current(), c.Placement()
+		t := c.Current()
+		pl := c.Placement()
 		if t.IsReadOnly() {
 			for _, sh := range pl.ReadShares(t.ReadSet) {
 				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items})

@@ -153,7 +153,8 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 	}
 	if c.Starting(now) {
-		t, pl := c.Current(), c.Placement()
+		t := c.Current()
+		pl := c.Placement()
 		// Reads go to the primary replica of each object; writes go to
 		// every replica of the written object.
 		for _, sh := range pl.ReadShares(t.ReadSet) {

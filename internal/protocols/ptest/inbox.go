@@ -80,13 +80,7 @@ func (p scribbling) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol
 // answer later) reads poison where it left its messages, and the runs
 // part ways.
 func inboxNotRetained(t *testing.T, p protocol.Protocol, e Expect) {
-	srv, ops := e.Servers, e.ObjectsPerServer
-	if srv == 0 {
-		srv = 2
-	}
-	if ops == 0 {
-		ops = 1
-	}
+	srv, ops := e.size()
 	for _, rate := range []float64{0, loadRate} {
 		run := func(p protocol.Protocol) string {
 			rep, err := driver.Run(p, driver.Config{

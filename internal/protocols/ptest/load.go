@@ -138,13 +138,7 @@ func sweep(t *testing.T, p protocol.Protocol, e Expect, suite string, runs []swe
 	if txns == 0 {
 		txns = 72
 	}
-	srv, ops := e.Servers, e.ObjectsPerServer
-	if srv == 0 {
-		srv = 2
-	}
-	if ops == 0 {
-		ops = 1
-	}
+	srv, ops := e.size()
 	level := p.Claims().Consistency
 
 	violations := map[int]int{} // refuted runs per replication

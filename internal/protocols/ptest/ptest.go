@@ -5,6 +5,7 @@
 package ptest
 
 import (
+	"cmp"
 	"fmt"
 	"testing"
 
@@ -59,16 +60,15 @@ type Expect struct {
 	LoadTxns int
 }
 
+// size is the deployment e asks for: by default 2 servers, 1 object each.
+func (e Expect) size() (servers, objectsPerServer int) {
+	return cmp.Or(e.Servers, 2), cmp.Or(e.ObjectsPerServer, 1)
+}
+
 // Deploy builds and initializes a deployment for tests.
 func Deploy(t *testing.T, p protocol.Protocol, e Expect, seed int64) *protocol.Deployment {
 	t.Helper()
-	srv, ops := e.Servers, e.ObjectsPerServer
-	if srv == 0 {
-		srv = 2
-	}
-	if ops == 0 {
-		ops = 1
-	}
+	srv, ops := e.size()
 	d := protocol.Deploy(p, protocol.Config{Servers: srv, ObjectsPerServer: ops, Clients: 3, Seed: seed})
 	if err := d.InitAll(400_000); err != nil {
 		t.Fatalf("InitAll: %v", err)
@@ -184,8 +184,9 @@ func multiWrite(t *testing.T, p protocol.Protocol, e Expect) {
 
 // refusedShapes holds the model to protocol.Core's rule: read-write is
 // refused, and a multi-object write exactly without the MultiWriteTxn
-// claim. A refusal names the protocol, sends nothing and has no rounds;
-// the write queued behind it starts on the next step and commits.
+// claim, each with the text a bare Core gives (the protocol package's
+// tests pin its wording). A refusal sends nothing and has no rounds; the
+// write queued behind it starts on the next step and commits.
 func refusedShapes(t *testing.T, p protocol.Protocol, e Expect) {
 	d := Deploy(t, p, e, 31)
 	objs, cl := d.Place.Objects(), d.Client("c0")
@@ -198,10 +199,15 @@ func refusedShapes(t *testing.T, p protocol.Protocol, e Expect) {
 		{&model.Txn{ReadSet: objs[:1], Writes: []model.Write{w1}}, true, "read-write"},
 		{model.NewWriteOnly(model.TxnID{}, w0, w1), !p.Claims().MultiWriteTxn, "multi-object write"},
 	} {
+		core := protocol.NewCore("core", d.Place, p)
+		cid := core.Invoke(s.txn.Clone())
+		if core.Starting(0) == s.refused {
+			t.Fatalf("%s: protocol.Core refuses it: %v, want %v", s.what, !s.refused, s.refused)
+		}
 		id, next := d.Invoke("c0", s.txn), d.Invoke("c0", model.NewWriteOnly(model.TxnID{}, w0))
 		sent := d.Kernel.StepProcess("c0")
 		if s.refused {
-			want := p.Name() + ": " + s.what + " transactions unsupported"
+			want := core.Finished(cid).Err
 			if res := cl.Finished(id); res == nil || res.Err != want || res.Rounds != 0 || len(sent) != 0 {
 				t.Fatalf("%s: result %+v after sending %d; want refused with %q, no rounds, nothing sent", s.what, res, len(sent), want)
 			}

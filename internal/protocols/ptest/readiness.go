@@ -141,13 +141,7 @@ func (p watching) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.C
 // driver's take relies on: it asks only the clients that stepped. It
 // returns the first contradiction, nil when there is none.
 func readinessViolation(p protocol.Protocol, e Expect) error {
-	srv, ops := e.Servers, e.ObjectsPerServer
-	if srv == 0 {
-		srv = 2
-	}
-	if ops == 0 {
-		ops = 1
-	}
+	srv, ops := e.size()
 	for _, rate := range []float64{0, loadRate} {
 		var violation error
 		if _, err := driver.Run(watching{p, &violation}, driver.Config{

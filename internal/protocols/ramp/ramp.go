@@ -284,9 +284,8 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 		} else {
 			c.phase = preparing
-			// A hybrid clock on the global clock: writers that do not
-			// overlap are stamped in real-time order, the version order
-			// the read-atomic checker assumes.
+			// A hybrid clock: writers that do not overlap are stamped in
+			// real-time order, as the read-atomic checker assumes.
 			c.clock = max(c.clock+1, int64(now))
 			ws := t.WriteSet()
 			for _, sh := range c.Placement().WriteShares(t.Writes) {

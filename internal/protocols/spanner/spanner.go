@@ -330,7 +330,8 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 	}
 	if c.Starting(now) {
-		t, pl := c.Current(), c.Placement()
+		t := c.Current()
+		pl := c.Placement()
 		if t.IsReadOnly() {
 			c.phase = reading
 			ts := int64(now) + c.skew + Epsilon // TT.now().latest

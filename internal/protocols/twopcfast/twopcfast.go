@@ -179,7 +179,8 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 	}
 	if c.Starting(now) {
-		t, pl := c.Current(), c.Placement()
+		t := c.Current()
+		pl := c.Placement()
 		if t.IsReadOnly() {
 			c.phase = reading
 			for _, sh := range pl.ReadShares(t.ReadSet) {
