@@ -432,11 +432,7 @@ func newRun(d *protocol.Deployment, cfg Config) *run {
 }
 
 func (r *run) nextTxn(i int) *model.Txn {
-	t := r.gens[i].Next(string(r.d.Clients[i]))
-	if !t.IsReadOnly() && !r.d.Proto.Claims().MultiWriteTxn {
-		t = r.gens[i].NextSingleWrite(string(r.d.Clients[i]))
-	}
-	return t
+	return r.gens[i].NextFor(string(r.d.Clients[i]), r.d.Proto.Claims().MultiWriteTxn)
 }
 
 // take moves the marked clients' newly finished results into the run's

@@ -61,13 +61,17 @@ func NewWriteOnly(id TxnID, writes ...Write) *Txn {
 // IsReadOnly reports whether the transaction writes nothing.
 func (t *Txn) IsReadOnly() bool { return len(t.Writes) == 0 }
 
-// WriteSet returns the sorted set of objects written.
+// WriteSet returns the sorted set of objects written, in one fresh slice.
 func (t *Txn) WriteSet() []string {
-	objs := make([]string, 0, len(t.Writes))
-	for _, w := range t.Writes {
-		objs = append(objs, w.Object)
+	if len(t.Writes) == 0 {
+		return nil
 	}
-	return dedupeSorted(objs)
+	objs := make([]string, len(t.Writes))
+	for i, w := range t.Writes {
+		objs[i] = w.Object
+	}
+	slices.Sort(objs)
+	return slices.Compact(objs)
 }
 
 // Objects returns the sorted set of all objects accessed.

@@ -197,15 +197,34 @@ func (p *Placement) ReadShares(objs []string) []Share[string] {
 	return out
 }
 
-// WriteShares: see ReadShares.
+// WriteShares: see ReadShares; its Items share one backing array the
+// same way.
 func (p *Placement) WriteShares(writes []model.Write) []Share[model.Write] {
-	var out []Share[model.Write]
+	var small [8][]sim.ProcessID
+	reps := small[:0] // writes[j]'s replicas
+	n := 0
 	for _, w := range writes {
-		for _, srv := range p.replicas[w.Object] {
-			var i int
-			out, i = openShare(out, srv)
-			out[i].Items = append(out[i].Items, w)
+		r := p.replicas[w.Object]
+		reps = append(reps, r)
+		n += len(r)
+	}
+	out := make([]Share[model.Write], 0, min(n, len(p.servers)))
+	for _, r := range reps {
+		for _, srv := range r {
+			out, _ = openShare(out, srv)
 		}
+	}
+	items := make([]model.Write, 0, n)
+	for i := range out {
+		k := len(items)
+		for j, w := range writes {
+			for _, srv := range reps[j] {
+				if srv == out[i].Server {
+					items = append(items, w)
+				}
+			}
+		}
+		out[i].Items = items[k:len(items):len(items)]
 	}
 	return out
 }
@@ -226,7 +245,14 @@ func openShare[T any](out []Share[T], srv sim.ProcessID) ([]Share[T], int) {
 
 // ServersFor returns the sorted union of replicas of the given objects.
 func (p *Placement) ServersFor(objects []string) []sim.ProcessID {
-	var out []sim.ProcessID
+	n := 0
+	for _, o := range objects {
+		n += len(p.replicas[o])
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]sim.ProcessID, 0, min(n, len(p.servers)))
 	for _, o := range objects {
 		for _, s := range p.replicas[o] {
 			if i, found := slices.BinarySearch(out, s); !found {

@@ -35,7 +35,9 @@ func refShares[T any](items []T, servers func(T) []sim.ProcessID) []Share[T] {
 
 // checkShares compares got with the reference grouping and with the
 // placement: same servers in the same order with the same items in the
-// same order, a subsequence of Servers(), and never an empty share.
+// same order, a subsequence of Servers(), and never an empty share. The
+// shares' items share one backing array, so each must be capped at its
+// length.
 func checkShares[T comparable](t *testing.T, name string, pl *Placement, got, want []Share[T]) {
 	t.Helper()
 	if !slices.EqualFunc(got, want, func(g, w Share[T]) bool {
@@ -53,14 +55,15 @@ func checkShares[T comparable](t *testing.T, name string, pl *Placement, got, wa
 			t.Fatalf("%s: %s out of Servers() order %v in %v", name, sh.Server, pl.Servers(), got)
 		}
 		order = order[at+1:]
+		if cap(sh.Items) != len(sh.Items) {
+			t.Fatalf("%s: %s's share has capacity %d past its %d items", name, sh.Server, cap(sh.Items), len(sh.Items))
+		}
 	}
 }
 
 // TestSharesMatchMapAndSort runs the differential on seeded random
 // placements (up to 16 servers, so s10..s15 sort before s2) and random
-// read and write sets with repeats, then on a read set of 16 objects. The
-// read shares share one backing array, so each must be capped at its
-// length.
+// read and write sets with repeats, then on a read set of 16 objects.
 func TestSharesMatchMapAndSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 400; trial++ {
@@ -87,12 +90,6 @@ func TestSharesMatchMapAndSort(t *testing.T) {
 
 func checkReadShares(t *testing.T, name string, pl *Placement, reads []string) {
 	t.Helper()
-	got := pl.ReadShares(reads)
-	checkShares(t, name, pl, got,
+	checkShares(t, name, pl, pl.ReadShares(reads),
 		refShares(reads, func(o string) []sim.ProcessID { return []sim.ProcessID{pl.PrimaryOf(o)} }))
-	for _, sh := range got {
-		if cap(sh.Items) != len(sh.Items) {
-			t.Fatalf("%s: %s's share has capacity %d past its %d items", name, sh.Server, cap(sh.Items), len(sh.Items))
-		}
-	}
 }

@@ -45,7 +45,6 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 		idx:        pl.ServerIndex(id),
 		n:          pl.NumServers(),
 		known:      vclock.NewVector(pl.NumServers()),
-		pending:    make(map[model.TxnID]int64),
 	}
 }
 
@@ -151,7 +150,7 @@ type server struct {
 	idx, n     int
 	nextSeq    int64
 	applied    int64
-	pending    map[model.TxnID]int64
+	pending    protocol.Pending
 	known      vclock.Vector
 	lastGossip int64
 	parked     []parkedRead
@@ -161,11 +160,7 @@ func (s *server) Clone() sim.Process {
 	c := &server{
 		ServerCore: s.CloneServerCore(), idx: s.idx, n: s.n,
 		nextSeq: s.nextSeq, applied: s.applied, known: s.known.Clone(),
-		lastGossip: s.lastGossip,
-		pending:    make(map[model.TxnID]int64, len(s.pending)),
-	}
-	for k, v := range s.pending {
-		c.pending[k] = v
+		lastGossip: s.lastGossip, pending: s.pending.Clone(),
 	}
 	for _, d := range s.parked {
 		cp := *d.Req
@@ -177,13 +172,10 @@ func (s *server) Clone() sim.Process {
 
 // stable is the largest sequence with no pending prepare at or below it.
 func (s *server) stable() int64 {
-	st := s.applied
-	for _, seq := range s.pending {
-		if seq-1 < st {
-			st = seq - 1
-		}
+	if seq, ok := s.pending.Min(); ok && seq-1 < s.applied {
+		return seq - 1
 	}
-	return st
+	return s.applied
 }
 
 func (s *server) gsv() vclock.Vector {
@@ -218,9 +210,10 @@ func (s *server) serveRead(from sim.ProcessID, req *readReq) {
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	// Retry parked reads first so parking is observable as deferral.
+	// Retry parked reads first so parking is observable as deferral,
+	// keeping the rest in place.
 	if len(s.parked) > 0 {
-		var still []parkedRead
+		still := s.parked[:0]
 		for _, d := range s.parked {
 			if s.canServe(d.Req.Snap) {
 				s.serveRead(d.From, d.Req)
@@ -228,6 +221,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				still = append(still, d)
 			}
 		}
+		clear(s.parked[len(still):])
 		s.parked = still
 	}
 	for _, m := range inbox {
@@ -243,7 +237,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *prepareReq:
 			s.nextSeq++
 			seq := s.nextSeq
-			s.pending[p.TID] = seq
+			s.pending.Add(p.TID, seq)
 			vec := vclock.NewVector(s.n)
 			vec.Merge(p.Dep)
 			vec[s.idx] = seq
@@ -252,7 +246,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			s.Send(m.From, &prepareAck{TID: p.TID, Idx: s.idx, Seq: seq})
 		case *commitReq:
-			delete(s.pending, p.TID)
+			s.pending.Remove(p.TID)
 			s.ShardStore().CommitVec(p.TID, p.Vec)
 			if p.Vec[s.idx] > s.applied {
 				s.applied = p.Vec[s.idx]
@@ -260,7 +254,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			if s.nextSeq < s.applied {
 				s.nextSeq = s.applied
 			}
-			s.Send(m.From, &commitAck{TID: p.TID, Vec: p.Vec.Clone()})
+			s.Send(m.From, &commitAck{TID: p.TID, Vec: p.Vec})
 		case *gossip:
 			if p.Stable > s.known[p.Idx] {
 				s.known[p.Idx] = p.Stable
@@ -351,10 +345,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		} else {
 			c.phase = preparing
 			c.commit = c.dep.Clone()
+			dep := c.dep.Clone() // every prepare carries this one snapshot
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
-				c.Send(sh.Server, &prepareReq{
-					TID: t.ID, Writes: sh.Items, Dep: c.dep.Clone(),
-				})
+				c.Send(sh.Server, &prepareReq{TID: t.ID, Writes: sh.Items, Dep: dep})
 			}
 		}
 		return c.Sent()
@@ -381,9 +374,11 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.got = c.got[:0]
 			c.Finish(now)
 		case preparing:
+			// Every commit carries c.commit itself: no ack writes it
+			// after this round, and the next write replaces it.
 			c.phase = committing
 			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				c.Send(srv, &commitReq{TID: t.ID, Vec: c.commit.Clone()})
+				c.Send(srv, &commitReq{TID: t.ID, Vec: c.commit})
 			}
 		case committing:
 			c.phase = idle

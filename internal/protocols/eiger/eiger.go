@@ -71,7 +71,6 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 	return &server{
 		ServerCore: protocol.NewServerCore(id, pl),
 		clock:      &vclock.Lamport{},
-		pending:    make(map[model.TxnID]int64),
 	}
 }
 
@@ -161,26 +160,18 @@ func (p *commitAck) Txn() model.TxnID { return p.TID }
 type server struct {
 	protocol.ServerCore
 	clock   *vclock.Lamport
-	pending map[model.TxnID]int64
+	pending protocol.Pending
 }
 
 func (s *server) Clone() sim.Process {
-	c := &server{ServerCore: s.CloneServerCore(), clock: s.clock.Clone(),
-		pending: make(map[model.TxnID]int64, len(s.pending))}
-	for k, v := range s.pending {
-		c.pending[k] = v
-	}
-	return c
+	return &server{ServerCore: s.CloneServerCore(), clock: s.clock.Clone(),
+		pending: s.pending.Clone()}
 }
 
+// minPending is the smallest pending prepare stamp, 0 if none.
 func (s *server) minPending() int64 {
-	min := int64(0)
-	for _, ts := range s.pending {
-		if min == 0 || ts < min {
-			min = ts
-		}
-	}
-	return min
+	ts, _ := s.pending.Min()
+	return ts
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
@@ -223,7 +214,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case *prepareReq:
 			s.clock.Observe(p.DepTS)
 			ts := s.clock.Tick()
-			s.pending[p.TID] = ts
+			s.pending.Add(p.TID, ts)
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID,
 					Stamp: vclock.HLCStamp{Wall: ts}})
@@ -231,7 +222,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			s.Send(m.From, &prepareAck{TID: p.TID, TS: ts})
 		case *commitReq:
 			s.clock.Observe(p.TS)
-			delete(s.pending, p.TID)
+			s.pending.Remove(p.TID)
 			s.ShardStore().CommitAt(p.TID, vclock.HLCStamp{Wall: p.TS, Logical: tieBreak(p.TID)})
 			s.Send(m.From, &commitAck{TID: p.TID, TS: p.TS})
 		default:

@@ -64,7 +64,6 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 	return &server{
 		ServerCore: protocol.NewServerCore(id, pl),
 		skew:       skewOf(id),
-		pending:    make(map[model.TxnID]int64),
 	}
 }
 
@@ -134,9 +133,9 @@ type deferredRead struct {
 type server struct {
 	protocol.ServerCore
 	skew    int64
-	pending map[model.TxnID]int64 // prepared-but-uncommitted timestamps
-	parked  []deferredRead        // reads waiting for safe time
-	lastTS  int64                 // monotonicity guard for prepare stamps
+	pending protocol.Pending // prepared-but-uncommitted timestamps
+	parked  []deferredRead   // reads waiting for safe time
+	lastTS  int64            // monotonicity guard for prepare stamps
 }
 
 // Ready keeps the server schedulable while reads are parked: stepping it
@@ -170,10 +169,7 @@ func (s *server) WakeAt(now sim.Time) (sim.Time, bool) {
 func (s *server) Clone() sim.Process {
 	c := &server{
 		ServerCore: s.CloneServerCore(), skew: s.skew, lastTS: s.lastTS,
-		pending: make(map[model.TxnID]int64, len(s.pending)),
-	}
-	for k, v := range s.pending {
-		c.pending[k] = v
+		pending: s.pending.Clone(),
 	}
 	for _, d := range s.parked {
 		cp := *d.Req
@@ -186,7 +182,7 @@ func (s *server) Clone() sim.Process {
 // time: just below the smallest pending prepare timestamp.
 func (s *server) prepareCap() int64 {
 	lim := int64(1)<<62 - 1
-	for _, ts := range s.pending {
+	if ts, ok := s.pending.Min(); ok {
 		lim = min(lim, ts-1)
 	}
 	return lim
@@ -226,13 +222,13 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				ts = s.lastTS + 1
 			}
 			s.lastTS = ts
-			s.pending[p.TID] = ts
+			s.pending.Add(p.TID, ts)
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID})
 			}
 			s.Send(m.From, &prepareAck{TID: p.TID, TS: ts})
 		case *commitReq:
-			delete(s.pending, p.TID)
+			s.pending.Remove(p.TID)
 			s.ShardStore().CommitAt(p.TID, vclock.HLCStamp{Wall: p.TS})
 			if p.TS > s.lastTS {
 				s.lastTS = p.TS

@@ -148,10 +148,11 @@ func (s *Store) CommitAt(writer model.TxnID, at vclock.HLCStamp) {
 	s.commit(writer, func(v *Version) { v.Stamp = at })
 }
 
-// CommitVec is Commit with (a copy of) the commit vector replacing the
-// prepare-time vector.
+// CommitVec is Commit with the commit vector replacing the prepare-time
+// vector. Every version it publishes shares vec, as payloads share it:
+// nobody may write into vec afterwards.
 func (s *Store) CommitVec(writer model.TxnID, vec vclock.Vector) {
-	s.commit(writer, func(v *Version) { v.Vec = vec.Clone() })
+	s.commit(writer, func(v *Version) { v.Vec = vec })
 }
 
 func (s *Store) commit(writer model.TxnID, restamp func(*Version)) {

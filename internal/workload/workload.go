@@ -6,9 +6,11 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"slices"
+	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -75,20 +77,16 @@ func NewGenerator(mix Mix, objects []string, seed int64) *Generator {
 	return g
 }
 
-// pickObject samples an object by zipf rank.
+// pickObject samples an object by zipf rank: the first whose cumulative
+// weight reaches the draw.
 func (g *Generator) pickObject() string {
-	u := g.rng.Float64()
-	for i, c := range g.weights {
-		if u <= c {
-			return g.objects[i]
-		}
-	}
-	return g.objects[len(g.objects)-1]
+	i := sort.SearchFloat64s(g.weights, g.rng.Float64())
+	return g.objects[min(i, len(g.objects)-1)]
 }
 
-// pickDistinct samples n distinct objects into one fresh slice.
-func (g *Generator) pickDistinct(n int) []string {
-	out := make([]string, 0, n)
+// pickDistinct draws objects into the empty out until it holds n
+// distinct ones, and returns it.
+func (g *Generator) pickDistinct(out []string, n int) []string {
 	for len(out) < n {
 		if o := g.pickObject(); !slices.Contains(out, o) {
 			out = append(out, o)
@@ -97,34 +95,55 @@ func (g *Generator) pickDistinct(n int) []string {
 	return out
 }
 
-// Next produces the next transaction for the given client tag. Values are
-// globally unique by construction.
-func (g *Generator) Next(client string) *model.Txn {
+// value is the written value "v-<client>-<seq>-<obj>", built in one
+// allocation. Values are globally unique by construction.
+func (g *Generator) value(client, obj string) model.Value {
+	var num [20]byte
+	seq := strconv.AppendInt(num[:0], int64(g.seq), 10)
+	var b strings.Builder
+	b.Grow(4 + len(client) + len(seq) + len(obj))
+	b.WriteString("v-")
+	b.WriteString(client)
+	b.WriteByte('-')
+	b.Write(seq)
+	b.WriteByte('-')
+	b.WriteString(obj)
+	return model.Value(b.String())
+}
+
+// Next produces the next transaction for the given client tag.
+func (g *Generator) Next(client string) *model.Txn { return g.NextFor(client, true) }
+
+// NextFor is Next for a system with or without multi-object write
+// transactions. Without them a write comes out as Next followed by
+// NextSingleWrite would give it: the same draws and sequence numbers,
+// without building the discarded multi-object write.
+func (g *Generator) NextFor(client string, multiWrite bool) *model.Txn {
 	g.seq++
 	if g.rng.Float64() < g.mix.ReadFraction {
 		// The picks are distinct, so sorting them in place is the read
 		// set model.NewReadOnly would build, without its copy.
-		objs := g.pickDistinct(g.mix.ReadWidth)
+		objs := g.pickDistinct(make([]string, 0, g.mix.ReadWidth), g.mix.ReadWidth)
 		slices.Sort(objs)
 		return &model.Txn{ReadSet: objs}
 	}
-	objs := g.pickDistinct(g.mix.WriteWidth)
-	var writes []model.Write
-	for _, o := range objs {
-		writes = append(writes, model.Write{
-			Object: o,
-			Value:  model.Value(fmt.Sprintf("v-%s-%d-%s", client, g.seq, o)),
-		})
+	// The write's objects are picked on the stack: without the claim
+	// they only advance the RNG as Next's picks would.
+	var small [8]string
+	objs := g.pickDistinct(small[:0], g.mix.WriteWidth)
+	if !multiWrite {
+		return g.NextSingleWrite(client)
 	}
-	return model.NewWriteOnly(model.TxnID{}, writes...)
+	writes := make([]model.Write, len(objs))
+	for i, o := range objs {
+		writes[i] = model.Write{Object: o, Value: g.value(client, o)}
+	}
+	return &model.Txn{Writes: writes}
 }
 
 // NextSingleWrite produces a single-object write (for no-WTX systems).
 func (g *Generator) NextSingleWrite(client string) *model.Txn {
 	g.seq++
 	o := g.pickObject()
-	return model.NewWriteOnly(model.TxnID{}, model.Write{
-		Object: o,
-		Value:  model.Value(fmt.Sprintf("v-%s-%d-%s", client, g.seq, o)),
-	})
+	return &model.Txn{Writes: []model.Write{{Object: o, Value: g.value(client, o)}}}
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -96,5 +98,75 @@ func TestDistinctObjectsPerTxn(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPickObjectMatchesLinearScan holds the binary search over the
+// cumulative weights to the linear scan it replaced: the first object
+// whose cumulative weight reaches the draw, the last if none does.
+func TestPickObjectMatchesLinearScan(t *testing.T) {
+	many := make([]string, 64)
+	for i := range many {
+		many[i] = fmt.Sprintf("X%d", i)
+	}
+	for _, seed := range []int64{1, 42, 2718} {
+		for _, zipf := range []float64{0, 0.99} {
+			mix := Mix{ReadFraction: 0.5, ZipfS: zipf}
+			g, ref := NewGenerator(mix, many, seed), NewGenerator(mix, many, seed)
+			for i := 0; i < 100_000; i++ {
+				u := ref.rng.Float64()
+				want := ref.objects[len(ref.objects)-1]
+				for j, c := range ref.weights {
+					if u <= c {
+						want = ref.objects[j]
+						break
+					}
+				}
+				if got := g.pickObject(); got != want {
+					t.Fatalf("seed %d zipf %v draw %d: pickObject = %s, scan %s", seed, zipf, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestValueMatchesFormat: a written value is the bytes of
+// fmt.Sprintf("v-%s-%d-%s", client, seq, object).
+func TestValueMatchesFormat(t *testing.T) {
+	g := NewGenerator(Balanced(), objs, 3)
+	for _, client := range []string{"c0", "c17", "", "client-with-dashes"} {
+		for i := 0; i < 200; i++ {
+			txn := g.Next(client)
+			for _, w := range txn.Writes {
+				if want := fmt.Sprintf("v-%s-%d-%s", client, g.seq, w.Object); string(w.Value) != want {
+					t.Fatalf("value %q, want %q", w.Value, want)
+				}
+			}
+			if w := g.NextSingleWrite(client).Writes[0]; string(w.Value) != fmt.Sprintf("v-%s-%d-%s", client, g.seq, w.Object) {
+				t.Fatalf("single write value %q at seq %d", w.Value, g.seq)
+			}
+		}
+	}
+}
+
+// TestNextForSingleWriteMatchesNextThenSingle: for a system without
+// multi-object writes, NextFor gives the transactions the driver used to
+// build as Next, replaced by NextSingleWrite when Next wrote, and leaves
+// the generator where that pair leaves it.
+func TestNextForSingleWriteMatchesNextThenSingle(t *testing.T) {
+	for _, mix := range []Mix{Balanced(), ReadHeavy(), {ReadFraction: 0.2, ReadWidth: 3, WriteWidth: 4, ZipfS: 0.99}} {
+		g, ref := NewGenerator(mix, objs, 9), NewGenerator(mix, objs, 9)
+		for i := 0; i < 10_000; i++ {
+			want := ref.Next("c3")
+			if !want.IsReadOnly() {
+				want = ref.NextSingleWrite("c3")
+			}
+			if got := g.NextFor("c3", false); !reflect.DeepEqual(got, want) {
+				t.Fatalf("mix %+v draw %d: NextFor = %v, Next then NextSingleWrite %v", mix, i, got, want)
+			}
+		}
+		if g.seq != ref.seq || g.rng.Uint64() != ref.rng.Uint64() {
+			t.Fatalf("mix %+v: generators diverged after 10k draws", mix)
+		}
 	}
 }
