@@ -7,6 +7,7 @@ import (
 	"repro/internal/history"
 	"repro/internal/protocol"
 	"repro/internal/protocols/cops"
+	"repro/internal/protocols/copssnow"
 	"repro/internal/protocols/cure"
 	"repro/internal/protocols/spanner"
 	"repro/internal/sim"
@@ -321,6 +322,27 @@ func TestNemesisLossyCrashHasTeeth(t *testing.T) {
 				t.Fatalf("pinned prefix %d does not refute in batch", v.FirstViolation+1)
 			}
 		}
+	}
+}
+
+// TestCopsSnowLostDependencyStaysPending pins the cmd/bench cell
+// `-nemesis crash-lose -protocols copssnow -clients 8 -txns 400 -servers 4`
+// (seed 42, readheavy, 2 objects per server): the lossy crash destroys
+// versions that later writes depend on, and a write whose dependency is
+// gone stays pending — its client never finishes, so the run reports it
+// incomplete rather than committing or rejecting it.
+func TestCopsSnowLostDependencyStaysPending(t *testing.T) {
+	rep, err := Run(copssnow.New(), Config{
+		Clients: 8, Txns: 400, Mix: workload.ReadHeavy(), Seed: 42,
+		Servers: 4, ObjectsPerServer: 2,
+		Nemesis: &Nemesis{Crashes: 1, Lose: true, Start: 20_000, Duration: 10_000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Committed != 278 || rep.Rejected != 0 || rep.Incomplete != 4 {
+		t.Fatalf("committed %d, rejected %d, incomplete %d; want 278, 0, 4",
+			rep.Committed, rep.Rejected, rep.Incomplete)
 	}
 }
 
