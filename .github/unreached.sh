@@ -20,6 +20,7 @@ cd "$work/bin"
 bench() { ./bench "$@" > /dev/null; }
 bench -curve -protocols all -servers 2 -fractions 0.1 -txns 120
 bench -curve -topology 2site -protocols cops -servers 4 -curveclients 8 -txns 400 -fractions 0.5,1.1 -workers 4
+bench -curve -arrivals uniform -protocols cops -servers 2 -fractions 0.5 -txns 120
 for bad in "-curve -stale" "-refineknee" "-servers 2 -replication 3" "-rebalance" "-barrier" "-workers 0"; do
   ./bench $bad > /dev/null 2>&1 || true
 done
@@ -34,7 +35,7 @@ bench -protocols all -mixes readheavy,balanced -servers 2,4 -clients 8 -txns 300
 bench -certify -protocols cops,spanner,naivefast -servers 2,4 -clients 8 -txns 400 -workers 4
 bench -stale -replication 2 -mixes balanced -protocols cops,cure -servers 2 -clients 8 -txns 300 -seed 1
 bench -stale -nemesis crash+partition -mixes balanced -protocols cops,spanner -clients 8 -txns 400 -servers 4 -pipeline 4
-for nem in crash partition replace restore; do
+for nem in crash crash-lose partition replace restore; do
   bench -nemesis $nem -certify -protocols cops,spanner -clients 8 -txns 400 -servers 4
 done
 bench -nemesis replace-lose -replication 2 -protocols cops,fatcops,ramp -servers 4 -clients 8 -txns 600

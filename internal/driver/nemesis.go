@@ -28,8 +28,8 @@ type Nemesis struct {
 	// crashed (the driver holds direct references to them).
 	Crashes int
 	// Lose selects volatile-state loss for the scheduled crashes: the
-	// target's income buffer is discarded at crash time and the process is
-	// rebuilt factory-fresh by its recovery hook at restart. False models
+	// target's income buffer is discarded and the process is rebuilt
+	// factory-fresh by its recovery hook, both at the crash. False models
 	// persistence — state and inbox survive, making the outage
 	// indistinguishable from a long network delay.
 	Lose bool

@@ -298,6 +298,27 @@ func TestReconfigStalenessUnderReplacement(t *testing.T) {
 	}
 }
 
+// TestReplaceAfterLossyCrashFindsNoImage: a lossy crash loses the
+// server's state when it happens, so a non-lossy replace of the same
+// server before its restart finds no durable image to reattach. Were the
+// rebuild left to the restart, the replace would clone the pre-crash
+// state and resurrect its versions.
+func TestReplaceAfterLossyCrashFindsNoImage(t *testing.T) {
+	rep, err := Run(cops.New(), Config{
+		Clients: 4, Txns: 400, Mix: workload.Balanced(), Seed: 5, Servers: 2,
+		Nemesis: &Nemesis{Schedule: []sim.Fault{
+			{At: 4_000, Kind: sim.FaultCrash, Proc: "s0", Lose: true},
+			{At: 5_000, Kind: sim.FaultReplace, Proc: "s0"},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rep.Nemesis; n == nil || n.Replacements != 1 || n.SyncedVersions != 0 {
+		t.Fatalf("replace after a lossy crash adopted versions: %+v", n)
+	}
+}
+
 // TestReconfigValidation pins the configuration refusals for the new
 // schedule kinds.
 func TestReconfigValidation(t *testing.T) {

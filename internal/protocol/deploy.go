@@ -137,12 +137,14 @@ func Deploy(p Protocol, cfg Config) *Deployment {
 	for _, sid := range pl.Servers() {
 		k.Add(p.NewServer(sid, pl))
 		// Nemesis hooks, servers only (the driver crashes, replaces and
-		// restores nothing else): a lossy restart yields a factory-fresh
-		// server — all volatile state gone, exactly the fault model of an
-		// unreplicated in-memory store — and a replacement adopts the
-		// server's shard and catches up before serving (sync.go). The
-		// kernel is a hook parameter, so deployment snapshots replay
-		// replacements against their own copy.
+		// restores nothing else, and the kernel panics on a replace
+		// without a hook): a lossy crash installs a factory-fresh server
+		// on the spot — all volatile state gone, exactly the fault model
+		// of an unreplicated in-memory store, so a later replace finds no
+		// durable image — and a replacement adopts the server's shard and
+		// catches up before serving (sync.go). The kernel is a hook
+		// parameter, so deployment snapshots replay replacements against
+		// their own copy.
 		k.SetRecovery(sid, func() sim.Process { return p.NewServer(sid, pl) })
 		k.SetReplacement(sid, func(kk *sim.Kernel, old sim.Process, lose bool) (sim.Process, sim.SyncStats) {
 			return d.AdoptShard(kk, sid, old, lose)

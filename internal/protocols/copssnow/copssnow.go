@@ -127,17 +127,10 @@ type pendingWrite struct {
 	oldReaders []model.TxnID
 }
 
-type deferredCheck struct {
-	origin sim.ProcessID
-	forTxn model.TxnID
-	item   model.ValueRef
-}
-
 type server struct {
 	protocol.ServerCore
-	readers  map[string][]readerRec
-	pending  map[model.TxnID]*pendingWrite
-	deferred []deferredCheck
+	readers map[string][]readerRec
+	pending map[model.TxnID]*pendingWrite
 }
 
 func (s *server) Clone() sim.Process {
@@ -154,7 +147,6 @@ func (s *server) Clone() sim.Process {
 		pw.oldReaders = append([]model.TxnID(nil), v.oldReaders...)
 		c.pending[k] = &pw
 	}
-	c.deferred = append([]deferredCheck(nil), s.deferred...)
 	return c
 }
 
@@ -170,7 +162,12 @@ func (s *server) oldReadersOf(obj string, seq int64) []model.TxnID {
 }
 
 // resolveCheck tries to answer one dependency item; ok=false means the
-// dependency version is not visible here yet.
+// version is gone. A dependency is a value its client read from the
+// primary, or the client's own acknowledged write: either way it was
+// installed visible here before the client saw it, and no version is ever
+// uninstalled. Only a lossy fault destroys one, and nothing reinstalls
+// it, so a failed check never resolves later: it stays counted as
+// remaining, and the write that depends on it stays pending.
 func (s *server) resolveCheck(item model.ValueRef) ([]model.TxnID, bool) {
 	v := s.ShardStore().Find(item.Object, item.Writer)
 	if v == nil || !v.Visible {
@@ -225,9 +222,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					if olds, resolved := s.resolveCheck(dep); resolved {
 						pw.oldReaders = append(pw.oldReaders, olds...)
 					} else {
-						// Local dependency not visible yet: defer to self.
 						pw.remaining++
-						s.deferred = append(s.deferred, deferredCheck{origin: s.ID(), forTxn: p.TID, item: dep})
 					}
 					continue
 				}
@@ -252,8 +247,6 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				if olds, resolved := s.resolveCheck(item); resolved {
 					resp.Resolved++
 					resp.OldReaders = append(resp.OldReaders, olds...)
-				} else {
-					s.deferred = append(s.deferred, deferredCheck{origin: m.From, forTxn: p.ForTxn, item: item})
 				}
 			}
 			if resp.Resolved > 0 {
@@ -274,47 +267,6 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 
 		default:
 			panic(fmt.Sprintf("copssnow: server %s got %T", s.ID(), m.Payload))
-		}
-	}
-
-	// Retry deferred dependency checks: new versions may have become
-	// visible during this step.
-	if len(s.deferred) > 0 {
-		var still []deferredCheck
-		resp := make(map[sim.ProcessID]*depResp)
-		for _, dc := range s.deferred {
-			olds, resolved := s.resolveCheck(dc.item)
-			if !resolved {
-				still = append(still, dc)
-				continue
-			}
-			if dc.origin == s.ID() {
-				// Local deferral: credit the pending write directly.
-				if pw, exists := s.pending[dc.forTxn]; exists {
-					pw.remaining--
-					pw.oldReaders = append(pw.oldReaders, olds...)
-					if pw.remaining <= 0 {
-						s.finishWrite(dc.forTxn)
-					}
-				}
-				continue
-			}
-			r := resp[dc.origin]
-			if r == nil {
-				r = &depResp{ForTxn: dc.forTxn}
-				resp[dc.origin] = r
-			}
-			r.Resolved++
-			r.OldReaders = append(r.OldReaders, olds...)
-		}
-		s.deferred = still
-		origins := make([]sim.ProcessID, 0, len(resp))
-		for o := range resp {
-			origins = append(origins, o)
-		}
-		sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-		for _, o := range origins {
-			s.Send(o, resp[o])
 		}
 	}
 	return s.Sent()

@@ -140,11 +140,6 @@ func (p *gossip) Kind() string { return "stable-gossip" }
 
 // --- server ---
 
-type parkedRead struct {
-	From sim.ProcessID
-	Req  *readReq
-}
-
 type server struct {
 	protocol.ServerCore
 	idx, n     int
@@ -153,21 +148,15 @@ type server struct {
 	pending    protocol.Pending
 	known      vclock.Vector
 	lastGossip int64
-	parked     []parkedRead
+	parked     protocol.Parked[*readReq]
 }
 
 func (s *server) Clone() sim.Process {
-	c := &server{
+	return &server{
 		ServerCore: s.CloneServerCore(), idx: s.idx, n: s.n,
 		nextSeq: s.nextSeq, applied: s.applied, known: s.known.Clone(),
-		lastGossip: s.lastGossip, pending: s.pending.Clone(),
+		lastGossip: s.lastGossip, pending: s.pending.Clone(), parked: s.parked.Clone(),
 	}
-	for _, d := range s.parked {
-		cp := *d.Req
-		cp.Snap = d.Req.Snap.Clone()
-		c.parked = append(c.parked, parkedRead{From: d.From, Req: &cp})
-	}
-	return c
 }
 
 // stable is the largest sequence with no pending prepare at or below it.
@@ -184,7 +173,7 @@ func (s *server) gsv() vclock.Vector {
 	return g
 }
 
-func (s *server) canServe(snap vclock.Vector) bool { return snap[s.idx] <= s.stable() }
+func (s *server) canServe(req *readReq) bool { return req.Snap[s.idx] <= s.stable() }
 
 func (s *server) serveRead(from sim.ProcessID, req *readReq) {
 	resp := &readResp{TID: req.TID, Vals: make([]readVal, 0, len(req.Objs))}
@@ -210,30 +199,14 @@ func (s *server) serveRead(from sim.ProcessID, req *readReq) {
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	// Retry parked reads first so parking is observable as deferral,
-	// keeping the rest in place.
-	if len(s.parked) > 0 {
-		still := s.parked[:0]
-		for _, d := range s.parked {
-			if s.canServe(d.Req.Snap) {
-				s.serveRead(d.From, d.Req)
-			} else {
-				still = append(still, d)
-			}
-		}
-		clear(s.parked[len(still):])
-		s.parked = still
-	}
+	// Retry parked reads first so parking is observable as deferral.
+	s.parked.Retry(s.canServe, s.serveRead)
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *gsvReq:
 			s.Send(m.From, &gsvResp{TID: p.TID, GSV: s.gsv()})
 		case *readReq:
-			if s.canServe(p.Snap) {
-				s.serveRead(m.From, p)
-			} else {
-				s.parked = append(s.parked, parkedRead{From: m.From, Req: p})
-			}
+			s.parked.Offer(m.From, p, s.canServe, s.serveRead)
 		case *prepareReq:
 			s.nextSeq++
 			seq := s.nextSeq

@@ -122,17 +122,12 @@ func (p *gossip) Kind() string { return "clock-gossip" }
 
 // --- server ---
 
-type parkedRead struct {
-	From sim.ProcessID
-	Req  *readReq
-}
-
 type server struct {
 	protocol.ServerCore
 	hlc        *vclock.HLC
 	known      map[sim.ProcessID]vclock.HLCStamp
 	lastGossip vclock.HLCStamp
-	parked     []parkedRead
+	parked     protocol.Parked[*readReq]
 	initSeq    int64
 }
 
@@ -161,14 +156,10 @@ func (s *server) Clone() sim.Process {
 	c := &server{
 		ServerCore: s.CloneServerCore(), hlc: s.hlc.Clone(),
 		known:      make(map[sim.ProcessID]vclock.HLCStamp, len(s.known)),
-		lastGossip: s.lastGossip, initSeq: s.initSeq,
+		lastGossip: s.lastGossip, initSeq: s.initSeq, parked: s.parked.Clone(),
 	}
 	for k, v := range s.known {
 		c.known[k] = v
-	}
-	for _, d := range s.parked {
-		cp := *d.Req
-		c.parked = append(c.parked, parkedRead{From: d.From, Req: &cp})
 	}
 	return c
 }
@@ -194,6 +185,11 @@ func (s *server) gst() vclock.HLCStamp {
 	return g
 }
 
+// canServe reports whether the server clock has reached req's snapshot.
+func (s *server) canServe(req *readReq) bool {
+	return req.Snap.Before(s.clock()) || req.Snap.Compare(s.clock()) == 0
+}
+
 func (s *server) serveRead(from sim.ProcessID, req *readReq) {
 	resp := &readResp{TID: req.TID}
 	for _, obj := range req.Objs {
@@ -215,15 +211,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	// a deferred (blocking) response.
 	if len(s.parked) > 0 {
 		s.hlc.Now(int64(now))
-		var still []parkedRead
-		for _, d := range s.parked {
-			if d.Req.Snap.Before(s.clock()) || d.Req.Snap.Compare(s.clock()) == 0 {
-				s.serveRead(d.From, d.Req)
-			} else {
-				still = append(still, d)
-			}
-		}
-		s.parked = still
+		s.parked.Retry(s.canServe, s.serveRead)
 	}
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
@@ -233,11 +221,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			s.hlc.Now(int64(now))
 			s.Send(m.From, &gstResp{TID: p.TID, GST: s.gst()})
 		case *readReq:
-			if p.Snap.Before(s.clock()) || p.Snap.Compare(s.clock()) == 0 {
-				s.serveRead(m.From, p)
-			} else {
-				s.parked = append(s.parked, parkedRead{From: m.From, Req: p})
-			}
+			s.parked.Offer(m.From, p, s.canServe, s.serveRead)
 		case *writeReq:
 			var ts vclock.HLCStamp
 			if protocol.IsInitClient(sim.ProcessID(p.TID.Client)) {

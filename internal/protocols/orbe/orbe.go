@@ -127,27 +127,19 @@ func (p *gossip) Kind() string { return "cnt-gossip" }
 
 // --- server ---
 
-type parkedRead struct {
-	From sim.ProcessID
-	Req  *readReq
-}
-
 type server struct {
 	protocol.ServerCore
 	idx, n int
 	cnt    int64 // local applied-write counter
 	known  vclock.Vector
-	parked []parkedRead
+	parked protocol.Parked[*readReq]
 }
 
 func (s *server) Clone() sim.Process {
-	c := &server{ServerCore: s.CloneServerCore(), idx: s.idx, n: s.n, cnt: s.cnt, known: s.known.Clone()}
-	for _, d := range s.parked {
-		cp := *d.Req
-		cp.Snap = d.Req.Snap.Clone()
-		c.parked = append(c.parked, parkedRead{From: d.From, Req: &cp})
+	return &server{
+		ServerCore: s.CloneServerCore(), idx: s.idx, n: s.n, cnt: s.cnt,
+		known: s.known.Clone(), parked: s.parked.Clone(),
 	}
-	return c
 }
 
 func (s *server) gsv() vclock.Vector {
@@ -156,7 +148,7 @@ func (s *server) gsv() vclock.Vector {
 	return g
 }
 
-func (s *server) canServe(snap vclock.Vector) bool { return snap[s.idx] <= s.cnt }
+func (s *server) canServe(req *readReq) bool { return req.Snap[s.idx] <= s.cnt }
 
 func (s *server) serveRead(from sim.ProcessID, req *readReq) {
 	resp := &readResp{TID: req.TID}
@@ -181,28 +173,14 @@ func (s *server) serveRead(from sim.ProcessID, req *readReq) {
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	// Retry parked reads before consuming new input (so a park is always
 	// observable as a deferred response).
-	if len(s.parked) > 0 {
-		var still []parkedRead
-		for _, d := range s.parked {
-			if s.canServe(d.Req.Snap) {
-				s.serveRead(d.From, d.Req)
-			} else {
-				still = append(still, d)
-			}
-		}
-		s.parked = still
-	}
+	s.parked.Retry(s.canServe, s.serveRead)
 	gossipDue := false
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *gsvReq:
 			s.Send(m.From, &gsvResp{TID: p.TID, GSV: s.gsv()})
 		case *readReq:
-			if s.canServe(p.Snap) {
-				s.serveRead(m.From, p)
-			} else {
-				s.parked = append(s.parked, parkedRead{From: m.From, Req: p})
-			}
+			s.parked.Offer(m.From, p, s.canServe, s.serveRead)
 		case *writeReq:
 			s.cnt++
 			vec := vclock.NewVector(s.n)

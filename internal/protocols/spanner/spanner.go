@@ -125,17 +125,12 @@ func (p *commitAck) Txn() model.TxnID { return p.TID }
 
 // --- server ---
 
-type deferredRead struct {
-	From sim.ProcessID
-	Req  *readReq
-}
-
 type server struct {
 	protocol.ServerCore
 	skew    int64
-	pending protocol.Pending // prepared-but-uncommitted timestamps
-	parked  []deferredRead   // reads waiting for safe time
-	lastTS  int64            // monotonicity guard for prepare stamps
+	pending protocol.Pending          // prepared-but-uncommitted timestamps
+	parked  protocol.Parked[*readReq] // reads waiting for safe time
+	lastTS  int64                     // monotonicity guard for prepare stamps
 }
 
 // Ready keeps the server schedulable while reads are parked: stepping it
@@ -167,15 +162,10 @@ func (s *server) WakeAt(now sim.Time) (sim.Time, bool) {
 }
 
 func (s *server) Clone() sim.Process {
-	c := &server{
+	return &server{
 		ServerCore: s.CloneServerCore(), skew: s.skew, lastTS: s.lastTS,
-		pending: s.pending.Clone(),
+		pending: s.pending.Clone(), parked: s.parked.Clone(),
 	}
-	for _, d := range s.parked {
-		cp := *d.Req
-		c.parked = append(c.parked, deferredRead{From: d.From, Req: &cp})
-	}
-	return c
 }
 
 // prepareCap is the cap prepared-but-uncommitted transactions put on safe
@@ -210,12 +200,11 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readReq:
-			if s.safeTime(now) >= p.TS {
-				s.serveRead(m.From, p)
-			} else {
-				// Blocking: park until safe time catches up.
-				s.parked = append(s.parked, deferredRead{From: m.From, Req: p})
-			}
+			// Blocking: park until safe time catches up. An earlier
+			// prepare or commit of this inbox moves safe time, so each
+			// read reads it afresh.
+			safe := s.safeTime(now)
+			s.parked.Offer(m.From, p, func(r *readReq) bool { return safe >= r.TS }, s.serveRead)
 		case *prepareReq:
 			ts := int64(now) + s.skew + Epsilon
 			if ts <= s.lastTS {
@@ -239,20 +228,9 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 	}
 	// Un-park reads whose timestamp is now safe (pending is settled for
-	// this step: one safe time serves the whole pass), keeping the rest in
-	// place.
-	if len(s.parked) > 0 {
-		safe, still := s.safeTime(now), s.parked[:0]
-		for _, d := range s.parked {
-			if safe >= d.Req.TS {
-				s.serveRead(d.From, d.Req)
-			} else {
-				still = append(still, d)
-			}
-		}
-		clear(s.parked[len(still):])
-		s.parked = still
-	}
+	// this step: one safe time serves the whole pass).
+	safe := s.safeTime(now)
+	s.parked.Retry(func(r *readReq) bool { return safe >= r.TS }, s.serveRead)
 	return s.Sent()
 }
 

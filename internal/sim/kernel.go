@@ -39,7 +39,7 @@ const StepCost Time = 1
 type Kernel struct {
 	now Time
 	// Add gives every process a dense slot, in Add order: ids, procs,
-	// inbox, part, linkSeq and crashed are indexed by it, and a message
+	// inbox, part, linkSeq and down are indexed by it, and a message
 	// carries the slots of both its ends. slotOf is the only map keyed by
 	// ProcessID; send consults it once (the unknown-destination check) and
 	// a delivery never. order lists the slots sorted by ID, for
@@ -103,9 +103,9 @@ type Kernel struct {
 	sent map[int64]Payload
 	// Nemesis state (nemesis.go): crashed processes, severed directed
 	// links, the stash of held (undeliverable) messages, and the recovery
-	// hooks run after a lossy crash. A fault-free send pays one flag read
+	// hooks run at a lossy crash. A fault-free send pays one flag read
 	// and one map-length compare for all of it.
-	crashed  []crashInfo
+	down     []bool
 	cut      map[[2]slot]bool
 	heldMsgs []*Message
 	recovery map[ProcessID]func() Process
@@ -216,7 +216,7 @@ func (k *Kernel) Add(p Process) {
 	k.inbox = append(k.inbox, nil)
 	k.part = append(k.part, 0)
 	k.linkSeq = append(k.linkSeq, nil)
-	k.crashed = append(k.crashed, crashInfo{})
+	k.down = append(k.down, false)
 	i, _ := slices.BinarySearchFunc(k.order, id, func(o slot, id ProcessID) int { return cmp.Compare(k.ids[o], id) })
 	k.order = slices.Insert(k.order, i, s)
 }
@@ -381,7 +381,7 @@ func (k *Kernel) StepProcess(pid ProcessID) []*Message {
 	if !ok {
 		panic(fmt.Sprintf("sim: StepProcess(%s): unknown process", pid))
 	}
-	if k.crashed[s].down {
+	if k.down[s] {
 		panic(fmt.Sprintf("sim: StepProcess(%s): process is crashed", pid))
 	}
 	in := k.inbox[s]
@@ -512,7 +512,7 @@ func (k *Kernel) Snapshot() *Kernel {
 		keepPayloads:   k.keepPayloads,
 		latencyFloor:   k.latencyFloor,
 		sent:           make(map[int64]Payload, len(k.sent)),
-		crashed:        slices.Clone(k.crashed),
+		down:           slices.Clone(k.down),
 		deliveredMsgs:  k.deliveredMsgs,
 		lostTransit:    k.lostTransit,
 		lostInbox:      k.lostInbox,

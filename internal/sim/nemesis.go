@@ -21,9 +21,11 @@ import "fmt"
 //     (persistence) its state and income buffer survive: the whole
 //     outage is indistinguishable from a long network delay, a schedule
 //     the asynchronous model already contains. With lose=true the income
-//     buffer is discarded at crash time and the process state is rebuilt
-//     at restart by the registered recovery hook (protocol.Deploy's
-//     builds a factory-fresh server: all volatile state is lost).
+//     buffer and the process state are lost at the crash: the registered
+//     recovery hook (protocol.Deploy's builds a factory-fresh server)
+//     replaces the process on the spot, and the restart only resumes it.
+//     A replace or restore of the same server in between finds no
+//     durable image: the disk went with the crash.
 //   - A cut severs directed links: messages in transit on them and
 //     messages sent on them while cut are held. A heal releases them;
 //     they become deliverable no earlier than max(ReadyAt, heal instant).
@@ -47,8 +49,8 @@ type FaultKind uint8
 const (
 	// FaultCrash halts Proc. Lose selects volatile-state loss.
 	FaultCrash FaultKind = iota
-	// FaultRestart brings Proc back (running the recovery hook if the
-	// crash was lossy).
+	// FaultRestart brings Proc back as it is: a lossy crash already
+	// rebuilt it.
 	FaultRestart
 	// FaultCut severs every directed link between the From and To groups
 	// (both directions).
@@ -100,9 +102,9 @@ type Fault struct {
 	// Proc is the crash/restart/replace target.
 	Proc ProcessID
 	// Lose selects volatile-state loss for a crash: the income buffer is
-	// dropped immediately and the process is rebuilt by its recovery hook
-	// at restart. False models persistence: state and inbox survive the
-	// outage untouched.
+	// dropped and the process is rebuilt by its recovery hook, both at the
+	// crash. False models persistence: state and inbox survive the outage
+	// untouched.
 	Lose bool
 	// From and To are the partition groups for cut/heal: every directed
 	// link between a From process and a To process, in both directions,
@@ -120,12 +122,6 @@ func (f Fault) String() string {
 	default:
 		return fmt.Sprintf("%s(%v|%v)@%d", f.Kind, f.From, f.To, f.At)
 	}
-}
-
-// crashInfo is one slot's crash state: down while crashed, lose when the
-// restart must run the recovery hook.
-type crashInfo struct {
-	down, lose bool
 }
 
 // SyncStats accounts the state a replacement process adopted during
@@ -146,14 +142,15 @@ func (s SyncStats) Total() int { return s.Snapshot + s.Peer }
 // ID-space and shard, catches its state up (from the durable image, from
 // live peers, or both), and reports what it synced. The kernel is passed
 // explicitly so hooks installed before a Snapshot keep working on the
-// copy. protocol.Deploy installs hooks for every server.
+// copy. protocol.Deploy installs hooks for every server, and a replace
+// of a process without one panics.
 type ReplacementHook func(k *Kernel, old Process, lose bool) (Process, SyncStats)
 
-// SetRecovery registers the hook that rebuilds pid after a lossy crash.
-// The restart installs the process it returns under the same ID; without
-// a hook the old state is kept (which degrades lose to persist).
-// protocol.Deploy installs a factory-fresh rebuild for every server: a
-// lossy crash loses all state.
+// SetRecovery registers the hook that rebuilds pid at a lossy crash: the
+// crash installs the process it returns under the same ID, down until the
+// restart. Without a hook the old state is kept (which degrades lose to
+// persist). protocol.Deploy installs a factory-fresh rebuild for every
+// server: a lossy crash loses all state.
 func (k *Kernel) SetRecovery(pid ProcessID, f func() Process) {
 	if k.recovery == nil {
 		k.recovery = make(map[ProcessID]func() Process)
@@ -162,9 +159,7 @@ func (k *Kernel) SetRecovery(pid ProcessID, f func() Process) {
 }
 
 // SetReplacement registers the hook that rebuilds pid during a
-// FaultReplace or FaultRestore. Without one, a replace degrades to a crash:
-// the process stays down until its companion restart, which runs the
-// recovery hook if the replace was lossy.
+// FaultReplace or FaultRestore.
 func (k *Kernel) SetReplacement(pid ProcessID, f ReplacementHook) {
 	if k.replacement == nil {
 		k.replacement = make(map[ProcessID]ReplacementHook)
@@ -175,7 +170,7 @@ func (k *Kernel) SetReplacement(pid ProcessID, f ReplacementHook) {
 // Down reports whether pid is currently crashed.
 func (k *Kernel) Down(pid ProcessID) bool {
 	s, ok := k.slotOf[pid]
-	return ok && k.crashed[s].down
+	return ok && k.down[s]
 }
 
 // LinkCut reports whether the directed link is currently severed.
@@ -196,7 +191,7 @@ func (k *Kernel) linkSlots(l Link) (ends [2]slot, ok bool) {
 // progress toward delivery. Hot path: a fault-free run pays one flag read
 // and one integer compare.
 func (k *Kernel) blocked(from, to slot) bool {
-	return k.crashed[to].down || (len(k.cut) > 0 && k.cut[[2]slot{from, to}])
+	return k.down[to] || (len(k.cut) > 0 && k.cut[[2]slot{from, to}])
 }
 
 // hold strands a live in-transit message: it stays in transit and the
@@ -251,38 +246,36 @@ func (k *Kernel) releaseHeld() {
 }
 
 // crash halts pid at the current instant. Returns false (no-op) if pid
-// is unknown or already down. With lose, the income buffer is dropped on
-// the spot; state is rebuilt at restart by the recovery hook. Without,
+// is unknown or already down. With lose, the income buffer is dropped and
+// the recovery hook rebuilds the process, both on the spot. Without,
 // state and inbox are frozen intact. Either way every in-transit message
 // addressed to pid is held until restart.
 func (k *Kernel) crash(pid ProcessID, lose bool) bool {
 	s, ok := k.slotOf[pid]
-	if !ok || k.crashed[s].down {
+	if !ok || k.down[s] {
 		return false
 	}
-	k.crashed[s] = crashInfo{down: true, lose: lose}
+	k.down[s] = true
 	if lose {
 		k.loseInbox(s)
+		if rec := k.recovery[pid]; rec != nil {
+			k.procs[s] = rec()
+		}
 	}
 	k.holdMatching(func(m *Message) bool { return m.to == s })
 	k.Annotate(EvMark, pid, fmt.Sprintf("crash lose=%v", lose))
 	return true
 }
 
-// restart brings a crashed pid back at the current instant. After a
-// lossy crash the recovery hook rebuilds the process; after a persistent
-// crash the frozen state simply resumes.
-// Held messages addressed to pid become deliverable again (unless their
-// link is also cut).
+// restart brings a crashed pid back at the current instant, resuming the
+// process in its slot. Held messages addressed to pid become deliverable
+// again (unless their link is also cut).
 func (k *Kernel) restart(pid ProcessID) bool {
 	s, ok := k.slotOf[pid]
-	if !ok || !k.crashed[s].down {
+	if !ok || !k.down[s] {
 		return false
 	}
-	if rec := k.recovery[pid]; rec != nil && k.crashed[s].lose {
-		k.procs[s] = rec()
-	}
-	k.crashed[s] = crashInfo{}
+	k.down[s] = false
 	k.releaseHeld()
 	k.Annotate(EvMark, pid, "restart")
 	return true
@@ -297,14 +290,19 @@ func (k *Kernel) restart(pid ProcessID) bool {
 // replacement's disk is gone: any delivered-but-unconsumed income buffer
 // is discarded (accounted like a lossy crash) and the hook starts
 // factory-fresh, owning only what live peers transfer. Without, the
-// durable image (state and inbox) reattaches intact. Unknown processes
-// are a no-op.
+// durable image (state and inbox) reattaches intact; after a lossy crash
+// that image is the fresh process the crash installed. Unknown processes
+// are a no-op; a known one without a replacement hook panics.
 func (k *Kernel) replace(r *FaultResult, pid ProcessID, lose bool) {
 	s, ok := k.slotOf[pid]
 	if !ok {
 		return
 	}
-	if !k.crashed[s].down {
+	hook := k.replacement[pid]
+	if hook == nil {
+		panic(fmt.Sprintf("sim: replace(%s): no replacement hook registered", pid))
+	}
+	if !k.down[s] {
 		k.crash(pid, lose)
 		r.Downed++
 	} else if lose {
@@ -314,21 +312,10 @@ func (k *Kernel) replace(r *FaultResult, pid ProcessID, lose bool) {
 	}
 	r.Applied = true
 	r.Pending = append(r.Pending, pid)
-	hook := k.replacement[pid]
-	if hook == nil {
-		// No catch-up protocol registered: degrade to a plain crash. The
-		// recovery hook (if lossy) rebuilds at the companion restart.
-		k.crashed[s].lose = lose
-		k.Annotate(EvMark, pid, fmt.Sprintf("replace lose=%v (no hook)", lose))
-		return
-	}
 	p, st := hook(k, k.procs[s], lose)
 	if p != nil {
 		k.procs[s] = p
 	}
-	// The replacement is already caught up; the companion restart must
-	// resume it as-is, not run the lossy-recovery hook over it.
-	k.crashed[s].lose = false
 	r.Sync.Snapshot += st.Snapshot
 	r.Sync.Peer += st.Peer
 	k.Annotate(EvMark, pid, fmt.Sprintf("replace lose=%v synced=%d+%d", lose, st.Snapshot, st.Peer))

@@ -109,7 +109,7 @@ func enabled(k *Kernel, r *Restriction) []Action {
 
 // canStep reports whether the process in slot s is up and allowed by r.
 func (k *Kernel) canStep(s slot, r *Restriction) bool {
-	return !k.crashed[s].down && r.AllowsProc(k.ids[s])
+	return !k.down[s] && r.AllowsProc(k.ids[s])
 }
 
 // firstPendingInbox returns the first process (in sorted ID order) allowed

@@ -365,7 +365,7 @@ func (r *ShardedRunner) refresh() {
 	for _, sh := range r.shards {
 		sh.pending = 0
 		for _, s := range sh.slots {
-			if len(k.inbox[s]) > 0 && !k.crashed[s].down {
+			if len(k.inbox[s]) > 0 && !k.down[s] {
 				sh.pending++
 			}
 			sh.refresh(s)
@@ -626,7 +626,7 @@ func (sh *shard) run(budget int) {
 		// (a crashed one keeps its buffer, unstepped, until restart).
 		if sh.pending > 0 {
 			for _, s := range sh.slots {
-				if len(k.inbox[s]) > 0 && !k.crashed[s].down {
+				if len(k.inbox[s]) > 0 && !k.down[s] {
 					sh.step(s)
 					break
 				}
@@ -736,7 +736,7 @@ func (sh *shard) refresh(s slot) {
 	p := k.procs[s]
 	at := infTime
 	switch w, waker := p.(Waker); {
-	case k.crashed[s].down || !p.Ready():
+	case k.down[s] || !p.Ready():
 	case !waker:
 		at = sh.t
 	default:
