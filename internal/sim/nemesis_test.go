@@ -183,6 +183,18 @@ func TestApplyFaultResult(t *testing.T) {
 	}
 }
 
+// A replace needs the hook that builds the successor: without one the
+// kernel panics instead of leaving a process it cannot rebuild.
+func TestReplaceWithoutHookPanics(t *testing.T) {
+	k, _, _ := newPingPair(7, 3)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("replace without a replacement hook did not panic")
+		}
+	}()
+	k.ApplyFault(Fault{Kind: FaultReplace, Proc: "b"})
+}
+
 // Snapshots carry the fault state: a probe taken mid-outage sees the
 // crashed process and the held messages, and evolves independently.
 func TestSnapshotPreservesFaultState(t *testing.T) {
