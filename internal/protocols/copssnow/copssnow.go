@@ -161,13 +161,11 @@ func (s *server) oldReadersOf(obj string, seq int64) []model.TxnID {
 	return out
 }
 
-// resolveCheck tries to answer one dependency item; ok=false means the
-// version is gone. A dependency is a value its client read from the
-// primary, or the client's own acknowledged write: either way it was
-// installed visible here before the client saw it, and no version is ever
-// uninstalled. Only a lossy fault destroys one, and nothing reinstalls
-// it, so a failed check never resolves later: it stays counted as
-// remaining, and the write that depends on it stays pending.
+// resolveCheck tries to answer one dependency item; ok=false means a lossy
+// fault destroyed the version, which was installed visible here before
+// its client saw it. Nothing reinstalls it, so the check never resolves
+// later and the write that depends on it stays pending (DESIGN.md,
+// "copssnow: a dependency check never waits").
 func (s *server) resolveCheck(item model.ValueRef) ([]model.TxnID, bool) {
 	v := s.ShardStore().Find(item.Object, item.Writer)
 	if v == nil || !v.Visible {
