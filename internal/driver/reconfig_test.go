@@ -2,12 +2,14 @@ package driver
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/history"
 	"repro/internal/protocol"
 	"repro/internal/protocols/cops"
 	"repro/internal/protocols/cure"
+	"repro/internal/protocols/gentlerain"
 	"repro/internal/protocols/spanner"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -403,4 +405,47 @@ func FuzzReconfigSchedule(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestGentleRainIdleReplicaStallGap pins a known gap, not a contract: on
+// TestReconfigStalenessUnderReplacement's placement (s0 primary of every
+// object, s1 a pure replica) with no fault at all, s1 takes no write and
+// no GST request, so its clock never moves and it never gossips. s0's
+// GST stays the zero stamp, every read sees the snapshot below the
+// initial versions and returns ⊥, and certification refutes the cell.
+// GentleRain's heartbeats (Du et al., SoCC 2014) close it; once they
+// land, the cell must certify clean and this assertion flips.
+func TestGentleRainIdleReplicaStallGap(t *testing.T) {
+	cfg := Config{
+		Clients: 16, Txns: 600, Mix: workload.Balanced(), Seed: 9,
+		Servers: 2, ObjectsPerServer: 2, Replication: 2, Certify: true,
+	}
+	cfg.defaults()
+	replicas := make(map[string][]sim.ProcessID)
+	for i := 0; i < 4; i++ {
+		replicas[fmt.Sprintf("X%d", i)] = []sim.ProcessID{"s0", "s1"}
+	}
+	d := protocol.Deploy(gentlerain.New(), protocol.Config{
+		Place:   protocol.NewPlacement(replicas),
+		Clients: cfg.Clients,
+		Seed:    cfg.Seed,
+	})
+	d.Kernel.SetTraceCap(-1)
+	d.Kernel.SetPayloadRetention(false)
+	if err := d.InitAll(400_000); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunOn(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Incomplete != 0 {
+		t.Fatalf("%d transactions incomplete", rep.Incomplete)
+	}
+	if rep.Cert == nil || rep.Cert.OK {
+		t.Fatal("gentlerain certifies clean with an idle replica: the known gap closed, flip this test")
+	}
+	if !strings.Contains(rep.Cert.Reason, "dangling read") || !strings.Contains(rep.Cert.Reason, "never written") {
+		t.Fatalf("violation is not the idle-replica ⊥ read: %s", rep.Cert.Reason)
+	}
 }
