@@ -115,6 +115,7 @@ func (p *depResp) Txn() model.TxnID { return p.ForTxn }
 
 // --- server ---
 
+// readerRec is the latest ROT of one client that read an object here.
 type readerRec struct {
 	rot model.TxnID
 	seq int64 // version sequence number the ROT read (0 = initial/none)
@@ -148,6 +149,22 @@ func (s *server) Clone() sim.Process {
 		c.pending[k] = &pw
 	}
 	return c
+}
+
+// recordRead notes that rot read version seq of obj. A client runs one
+// transaction at a time, so rot's read means every earlier ROT of its
+// client has finished and will read nothing more: hiding a version from
+// one is moot, and rot's record replaces the client's instead of growing
+// the list (DESIGN.md, "copssnow: one reader record per client").
+func (s *server) recordRead(obj string, rot model.TxnID, seq int64) {
+	recs := s.readers[obj]
+	for i := range recs {
+		if recs[i].rot.Client == rot.Client {
+			recs[i] = readerRec{rot: rot, seq: seq}
+			return
+		}
+	}
+	s.readers[obj] = append(recs, readerRec{rot: rot, seq: seq})
 }
 
 // oldReadersOf returns the ROTs that read a version of obj older than seq.
@@ -204,7 +221,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				} else {
 					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: model.Bottom})
 				}
-				s.readers[obj] = append(s.readers[obj], readerRec{rot: p.TID, seq: seq})
+				s.recordRead(obj, p.TID, seq)
 			}
 			s.Send(m.From, resp)
 

@@ -44,7 +44,7 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 		ServerCore: protocol.NewServerCore(id, pl),
 		idx:        pl.ServerIndex(id),
 		n:          pl.NumServers(),
-		known:      vclock.NewVector(pl.NumServers()),
+		stab:       protocol.NewStabilizer[int64, protocol.Counters](stableKinds, id, pl),
 	}
 }
 
@@ -55,18 +55,8 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 
 // --- payloads ---
 
-type gsvReq struct{ TID model.TxnID }
-
-func (p *gsvReq) Kind() string     { return "gsv-req" }
-func (p *gsvReq) Txn() model.TxnID { return p.TID }
-
-type gsvResp struct {
-	TID model.TxnID
-	GSV vclock.Vector
-}
-
-func (p *gsvResp) Kind() string     { return "gsv-resp" }
-func (p *gsvResp) Txn() model.TxnID { return p.TID }
+// stableKinds: servers gossip their stable sequence, a ROT fetches the GSV.
+var stableKinds = &protocol.StableKinds{Gossip: "stable-gossip", Req: "gsv-req", Resp: "gsv-resp"}
 
 type readReq struct {
 	TID  model.TxnID
@@ -131,31 +121,23 @@ type commitAck struct {
 func (p *commitAck) Kind() string     { return "commit-ack" }
 func (p *commitAck) Txn() model.TxnID { return p.TID }
 
-type gossip struct {
-	Idx    int
-	Stable int64
-}
-
-func (p *gossip) Kind() string { return "stable-gossip" }
-
 // --- server ---
 
 type server struct {
 	protocol.ServerCore
-	idx, n     int
-	nextSeq    int64
-	applied    int64
-	pending    protocol.Pending
-	known      vclock.Vector
-	lastGossip int64
-	parked     protocol.Parked[*readReq]
+	idx, n  int
+	nextSeq int64
+	applied int64
+	pending protocol.Pending[int64, protocol.Counters]
+	stab    protocol.Stabilizer[int64, protocol.Counters]
+	parked  protocol.Parked[*readReq]
 }
 
 func (s *server) Clone() sim.Process {
 	return &server{
 		ServerCore: s.CloneServerCore(), idx: s.idx, n: s.n,
-		nextSeq: s.nextSeq, applied: s.applied, known: s.known.Clone(),
-		lastGossip: s.lastGossip, pending: s.pending.Clone(), parked: s.parked.Clone(),
+		nextSeq: s.nextSeq, applied: s.applied, stab: s.stab.Clone(),
+		pending: s.pending.Clone(), parked: s.parked.Clone(),
 	}
 }
 
@@ -165,12 +147,6 @@ func (s *server) stable() int64 {
 		return seq - 1
 	}
 	return s.applied
-}
-
-func (s *server) gsv() vclock.Vector {
-	g := s.known.Clone()
-	g[s.idx] = s.stable()
-	return g
 }
 
 func (s *server) canServe(req *readReq) bool { return req.Snap[s.idx] <= s.stable() }
@@ -203,8 +179,8 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	s.parked.Retry(s.canServe, s.serveRead)
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *gsvReq:
-			s.Send(m.From, &gsvResp{TID: p.TID, GSV: s.gsv()})
+		case *protocol.StableReq:
+			s.Send(m.From, protocol.Answer(p, vclock.Vector(s.stab.Vector(s.stable()))))
 		case *readReq:
 			s.parked.Offer(m.From, p, s.canServe, s.serveRead)
 		case *prepareReq:
@@ -228,23 +204,14 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				s.nextSeq = s.applied
 			}
 			s.Send(m.From, &commitAck{TID: p.TID, Vec: p.Vec})
-		case *gossip:
-			if p.Stable > s.known[p.Idx] {
-				s.known[p.Idx] = p.Stable
-			}
+		case *protocol.StableGossip[int64]:
+			s.stab.Heard(p)
 		default:
 			panic(fmt.Sprintf("cure: server %s got %T", s.ID(), m.Payload))
 		}
 	}
 	// Gossip the stable sequence when it advances.
-	if st := s.stable(); st > s.lastGossip {
-		s.lastGossip = st
-		for _, other := range s.Placement().Servers() {
-			if other != s.ID() {
-				s.Send(other, &gossip{Idx: s.idx, Stable: st})
-			}
-		}
-	}
+	s.stab.Publish(&s.ServerCore, s.stable())
 	return s.Sent()
 }
 
@@ -286,9 +253,9 @@ func (c *client) Clone() sim.Process {
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *gsvResp:
+		case *protocol.StableResp[vclock.Vector]:
 			if c.phase == gsvWait && c.Reply(p) {
-				c.snap = p.GSV.Clone()
+				c.snap = p.Snap.Clone()
 			}
 		case *readResp:
 			if c.phase == reading && c.Reply(p) {
@@ -314,7 +281,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = gsvWait
 			c.got = append(c.got, make([]readVal, len(t.ReadSet))...)
 			last := t.ReadSet[len(t.ReadSet)-1]
-			c.Send(c.Placement().PrimaryOf(last), &gsvReq{TID: t.ID})
+			c.Send(c.Placement().PrimaryOf(last), stableKinds.Request(t.ID))
 		} else {
 			c.phase = preparing
 			c.commit = c.dep.Clone()

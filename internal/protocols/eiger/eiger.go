@@ -160,7 +160,7 @@ func (p *commitAck) Txn() model.TxnID { return p.TID }
 type server struct {
 	protocol.ServerCore
 	clock   *vclock.Lamport
-	pending protocol.Pending
+	pending protocol.Pending[int64, protocol.Counters]
 }
 
 func (s *server) Clone() sim.Process {

@@ -43,7 +43,7 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 	return &server{
 		ServerCore: protocol.NewServerCore(id, pl),
 		hlc:        &vclock.HLC{},
-		known:      make(map[sim.ProcessID]vclock.HLCStamp),
+		stab:       protocol.NewStabilizer[vclock.HLCStamp, protocol.HLCs](stableKinds, id, pl),
 	}
 }
 
@@ -54,18 +54,8 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 
 // --- payloads ---
 
-type gstReq struct{ TID model.TxnID }
-
-func (p *gstReq) Kind() string     { return "gst-req" }
-func (p *gstReq) Txn() model.TxnID { return p.TID }
-
-type gstResp struct {
-	TID model.TxnID
-	GST vclock.HLCStamp
-}
-
-func (p *gstResp) Kind() string     { return "gst-resp" }
-func (p *gstResp) Txn() model.TxnID { return p.TID }
+// stableKinds: servers gossip their clocks, a ROT fetches the GST.
+var stableKinds = &protocol.StableKinds{Gossip: "clock-gossip", Req: "gst-req", Resp: "gst-resp"}
 
 type readReq struct {
 	TID  model.TxnID
@@ -113,22 +103,14 @@ type writeResp struct {
 func (p *writeResp) Kind() string     { return "write-ack" }
 func (p *writeResp) Txn() model.TxnID { return p.TID }
 
-type gossip struct {
-	From  sim.ProcessID
-	Clock vclock.HLCStamp
-}
-
-func (p *gossip) Kind() string { return "clock-gossip" }
-
 // --- server ---
 
 type server struct {
 	protocol.ServerCore
-	hlc        *vclock.HLC
-	known      map[sim.ProcessID]vclock.HLCStamp
-	lastGossip vclock.HLCStamp
-	parked     protocol.Parked[*readReq]
-	initSeq    int64
+	hlc     *vclock.HLC
+	stab    protocol.Stabilizer[vclock.HLCStamp, protocol.HLCs]
+	parked  protocol.Parked[*readReq]
+	initSeq int64
 }
 
 func (s *server) Ready() bool { return len(s.parked) > 0 }
@@ -153,36 +135,14 @@ func (s *server) WakeAt(now sim.Time) (sim.Time, bool) {
 }
 
 func (s *server) Clone() sim.Process {
-	c := &server{
+	return &server{
 		ServerCore: s.CloneServerCore(), hlc: s.hlc.Clone(),
-		known:      make(map[sim.ProcessID]vclock.HLCStamp, len(s.known)),
-		lastGossip: s.lastGossip, initSeq: s.initSeq, parked: s.parked.Clone(),
+		stab: s.stab.Clone(), initSeq: s.initSeq, parked: s.parked.Clone(),
 	}
-	for k, v := range s.known {
-		c.known[k] = v
-	}
-	return c
 }
 
 func (s *server) clock() vclock.HLCStamp {
 	return vclock.HLCStamp{Wall: s.hlc.Wall, Logical: s.hlc.Logical}
-}
-
-func (s *server) gst() vclock.HLCStamp {
-	g := s.clock()
-	for _, other := range s.Placement().Servers() {
-		if other == s.ID() {
-			continue
-		}
-		ks, heard := s.known[other]
-		if !heard {
-			return vclock.HLCStamp{}
-		}
-		if ks.Before(g) {
-			g = ks
-		}
-	}
-	return g
 }
 
 // canServe reports whether the server clock has reached req's snapshot.
@@ -215,11 +175,11 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	}
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *gstReq:
+		case *protocol.StableReq:
 			// Clocks track physical time: advance before answering so the
 			// GST is not stuck at the last write.
 			s.hlc.Now(int64(now))
-			s.Send(m.From, &gstResp{TID: p.TID, GST: s.gst()})
+			s.Send(m.From, protocol.Answer(p, s.stab.Min(s.clock())))
 		case *readReq:
 			s.parked.Offer(m.From, p, s.canServe, s.serveRead)
 		case *writeReq:
@@ -236,23 +196,14 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Stamp: ts, Visible: true})
 			s.Send(m.From, &writeResp{TID: p.TID, TS: ts})
-		case *gossip:
-			if cur, heard := s.known[p.From]; !heard || cur.Before(p.Clock) {
-				s.known[p.From] = p.Clock
-			}
+		case *protocol.StableGossip[vclock.HLCStamp]:
+			s.stab.Heard(p)
 		default:
 			panic(fmt.Sprintf("gentlerain: server %s got %T", s.ID(), m.Payload))
 		}
 	}
 	// Event-driven clock gossip whenever the clock advanced.
-	if c := s.clock(); s.lastGossip.Before(c) {
-		s.lastGossip = c
-		for _, other := range s.Placement().Servers() {
-			if other != s.ID() {
-				s.Send(other, &gossip{From: s.ID(), Clock: c})
-			}
-		}
-	}
+	s.stab.Publish(&s.ServerCore, s.clock())
 	return s.Sent()
 }
 
@@ -289,9 +240,9 @@ func (c *client) Clone() sim.Process {
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *gstResp:
+		case *protocol.StableResp[vclock.HLCStamp]:
 			if c.phase == gstWait && c.Reply(p) {
-				c.snap = p.GST
+				c.snap = p.Snap
 			}
 		case *readResp:
 			if c.phase == reading && c.Reply(p) {
@@ -315,7 +266,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// GST from the client's designated server (we use the server
 			// of the last object in the read set).
 			last := t.ReadSet[len(t.ReadSet)-1]
-			c.Send(c.Placement().PrimaryOf(last), &gstReq{TID: t.ID})
+			c.Send(c.Placement().PrimaryOf(last), stableKinds.Request(t.ID))
 		} else {
 			c.phase = writing
 			w := t.Writes[len(t.Writes)-1]

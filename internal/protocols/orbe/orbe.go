@@ -47,7 +47,7 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 		ServerCore: protocol.NewServerCore(id, pl),
 		idx:        pl.ServerIndex(id),
 		n:          pl.NumServers(),
-		known:      vclock.NewVector(pl.NumServers()),
+		stab:       protocol.NewStabilizer[int64, protocol.Counters](stableKinds, id, pl),
 	}
 }
 
@@ -58,18 +58,8 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 
 // --- payloads ---
 
-type gsvReq struct{ TID model.TxnID }
-
-func (p *gsvReq) Kind() string     { return "gsv-req" }
-func (p *gsvReq) Txn() model.TxnID { return p.TID }
-
-type gsvResp struct {
-	TID model.TxnID
-	GSV vclock.Vector
-}
-
-func (p *gsvResp) Kind() string     { return "gsv-resp" }
-func (p *gsvResp) Txn() model.TxnID { return p.TID }
+// stableKinds: servers gossip their write counter, a ROT fetches the GSV.
+var stableKinds = &protocol.StableKinds{Gossip: "cnt-gossip", Req: "gsv-req", Resp: "gsv-resp"}
 
 type readReq struct {
 	TID  model.TxnID
@@ -117,35 +107,21 @@ type writeResp struct {
 func (p *writeResp) Kind() string     { return "write-ack" }
 func (p *writeResp) Txn() model.TxnID { return p.TID }
 
-type gossip struct {
-	From sim.ProcessID
-	Idx  int
-	Cnt  int64
-}
-
-func (p *gossip) Kind() string { return "cnt-gossip" }
-
 // --- server ---
 
 type server struct {
 	protocol.ServerCore
 	idx, n int
 	cnt    int64 // local applied-write counter
-	known  vclock.Vector
+	stab   protocol.Stabilizer[int64, protocol.Counters]
 	parked protocol.Parked[*readReq]
 }
 
 func (s *server) Clone() sim.Process {
 	return &server{
 		ServerCore: s.CloneServerCore(), idx: s.idx, n: s.n, cnt: s.cnt,
-		known: s.known.Clone(), parked: s.parked.Clone(),
+		stab: s.stab.Clone(), parked: s.parked.Clone(),
 	}
-}
-
-func (s *server) gsv() vclock.Vector {
-	g := s.known.Clone()
-	g[s.idx] = s.cnt
-	return g
 }
 
 func (s *server) canServe(req *readReq) bool { return req.Snap[s.idx] <= s.cnt }
@@ -174,11 +150,10 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	// Retry parked reads before consuming new input (so a park is always
 	// observable as a deferred response).
 	s.parked.Retry(s.canServe, s.serveRead)
-	gossipDue := false
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *gsvReq:
-			s.Send(m.From, &gsvResp{TID: p.TID, GSV: s.gsv()})
+		case *protocol.StableReq:
+			s.Send(m.From, protocol.Answer(p, vclock.Vector(s.stab.Vector(s.cnt))))
 		case *readReq:
 			s.parked.Offer(m.From, p, s.canServe, s.serveRead)
 		case *writeReq:
@@ -188,22 +163,14 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			vec[s.idx] = s.cnt
 			s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Vec: vec, Visible: true})
 			s.Send(m.From, &writeResp{TID: p.TID, Vec: vec})
-			gossipDue = true
-		case *gossip:
-			if p.Cnt > s.known[p.Idx] {
-				s.known[p.Idx] = p.Cnt
-			}
+		case *protocol.StableGossip[int64]:
+			s.stab.Heard(p)
 		default:
 			panic(fmt.Sprintf("orbe: server %s got %T", s.ID(), m.Payload))
 		}
 	}
-	if gossipDue {
-		for _, other := range s.Placement().Servers() {
-			if other != s.ID() {
-				s.Send(other, &gossip{From: s.ID(), Idx: s.idx, Cnt: s.cnt})
-			}
-		}
-	}
+	// Gossip the counter when a write advanced it.
+	s.stab.Publish(&s.ServerCore, s.cnt)
 	return s.Sent()
 }
 
@@ -243,9 +210,9 @@ func (c *client) Clone() sim.Process {
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *gsvResp:
+		case *protocol.StableResp[vclock.Vector]:
 			if c.phase == gsvWait && c.Reply(p) {
-				c.snap = p.GSV.Clone()
+				c.snap = p.Snap.Clone()
 			}
 		case *readResp:
 			if c.phase == reading && c.Reply(p) {
@@ -265,7 +232,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = gsvWait
 			c.got = make(map[string]readVal)
 			last := t.ReadSet[len(t.ReadSet)-1]
-			c.Send(c.Placement().PrimaryOf(last), &gsvReq{TID: t.ID})
+			c.Send(c.Placement().PrimaryOf(last), stableKinds.Request(t.ID))
 		} else {
 			c.phase = writing
 			w := t.Writes[len(t.Writes)-1]

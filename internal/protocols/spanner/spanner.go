@@ -128,9 +128,9 @@ func (p *commitAck) Txn() model.TxnID { return p.TID }
 type server struct {
 	protocol.ServerCore
 	skew    int64
-	pending protocol.Pending          // prepared-but-uncommitted timestamps
-	parked  protocol.Parked[*readReq] // reads waiting for safe time
-	lastTS  int64                     // monotonicity guard for prepare stamps
+	pending protocol.Pending[int64, protocol.Counters] // prepared-but-uncommitted timestamps
+	parked  protocol.Parked[*readReq]                  // reads waiting for safe time
+	lastTS  int64                                      // monotonicity guard for prepare stamps
 }
 
 // Ready keeps the server schedulable while reads are parked: stepping it

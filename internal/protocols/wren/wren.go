@@ -50,8 +50,7 @@ func (*Protocol) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process
 	return &server{
 		ServerCore: protocol.NewServerCore(id, pl),
 		hlc:        &vclock.HLC{},
-		pending:    make(map[model.TxnID]vclock.HLCStamp),
-		known:      make(map[sim.ProcessID]vclock.HLCStamp),
+		stab:       protocol.NewStabilizer[vclock.HLCStamp, protocol.HLCs](stableKinds, id, pl),
 	}
 }
 
@@ -62,20 +61,9 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 
 // --- payloads ---
 
-type stableReq struct {
-	TID model.TxnID
-}
-
-func (p *stableReq) Kind() string     { return "stable-req" }
-func (p *stableReq) Txn() model.TxnID { return p.TID }
-
-type stableResp struct {
-	TID    model.TxnID
-	Cutoff vclock.HLCStamp
-}
-
-func (p *stableResp) Kind() string     { return "stable-resp" }
-func (p *stableResp) Txn() model.TxnID { return p.TID }
+// stableKinds: servers gossip their local stable time, a ROT fetches the
+// cutoff.
+var stableKinds = &protocol.StableKinds{Gossip: "stable-gossip", Req: "stable-req", Resp: "stable-resp"}
 
 type readReq struct {
 	TID  model.TxnID
@@ -139,80 +127,47 @@ type commitAck struct {
 func (p *commitAck) Kind() string     { return "commit-ack" }
 func (p *commitAck) Txn() model.TxnID { return p.TID }
 
-type gossip struct {
-	From   sim.ProcessID
-	Stable vclock.HLCStamp
-}
-
-func (p *gossip) Kind() string { return "stable-gossip" }
-
 // --- server ---
 
 type server struct {
 	protocol.ServerCore
-	hlc     *vclock.HLC
-	pending map[model.TxnID]vclock.HLCStamp
-	known   map[sim.ProcessID]vclock.HLCStamp
-	// lastGossip is the last stable value broadcast, to gossip only on
-	// change (keeps the event-driven gossip from looping forever).
-	lastGossip vclock.HLCStamp
+	hlc *vclock.HLC
+	// pending holds the prepare stamps, which the hybrid clock only
+	// grows: initial versions all prepare at the zero stamp, but each
+	// commits before the next is written.
+	pending protocol.Pending[vclock.HLCStamp, protocol.HLCs]
+	stab    protocol.Stabilizer[vclock.HLCStamp, protocol.HLCs]
 }
 
 func (s *server) Clone() sim.Process {
-	c := &server{
+	return &server{
 		ServerCore: s.CloneServerCore(), hlc: s.hlc.Clone(),
-		pending:    make(map[model.TxnID]vclock.HLCStamp, len(s.pending)),
-		known:      make(map[sim.ProcessID]vclock.HLCStamp, len(s.known)),
-		lastGossip: s.lastGossip,
+		pending: s.pending.Clone(), stab: s.stab.Clone(),
 	}
-	for k, v := range s.pending {
-		c.pending[k] = v
-	}
-	for k, v := range s.known {
-		c.known[k] = v
-	}
-	return c
 }
 
 // localStable returns the largest timestamp with no pending prepare at or
 // below it.
 func (s *server) localStable() vclock.HLCStamp {
 	st := vclock.HLCStamp{Wall: s.hlc.Wall, Logical: s.hlc.Logical}
-	for _, ts := range s.pending {
-		below := vclock.HLCStamp{Wall: ts.Wall, Logical: ts.Logical - 1}
-		if below.Before(st) {
+	if ts, ok := s.pending.Min(); ok {
+		if below := (vclock.HLCStamp{Wall: ts.Wall, Logical: ts.Logical - 1}); below.Before(st) {
 			st = below
 		}
 	}
 	return st
 }
 
-// cutoff is the minimum stable timestamp across all servers as known here.
-func (s *server) cutoff() vclock.HLCStamp {
-	cut := s.localStable()
-	for _, other := range s.Placement().Servers() {
-		if other == s.ID() {
-			continue
-		}
-		ks, heard := s.known[other]
-		if !heard {
-			return vclock.HLCStamp{} // no information: snapshot at zero
-		}
-		if ks.Before(cut) {
-			cut = ks
-		}
-	}
-	return cut
-}
-
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *stableReq:
+		case *protocol.StableReq:
 			// The local clock tracks physical time (as in Wren); advance
-			// it so the stable time is not stuck at the last write.
+			// it so the stable time is not stuck at the last write. The
+			// cutoff is the minimum stable time across all servers as
+			// known here.
 			s.hlc.Now(int64(now))
-			s.Send(m.From, &stableResp{TID: p.TID, Cutoff: s.cutoff()})
+			s.Send(m.From, protocol.Answer(p, s.stab.Min(s.localStable())))
 		case *readReq:
 			resp := &readResp{TID: p.TID}
 			for _, obj := range p.Objs {
@@ -236,34 +191,25 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				s.hlc.Observe(int64(now), p.DepTS)
 				ts = s.hlc.Now(int64(now))
 			}
-			s.pending[p.TID] = ts
+			s.pending.Add(p.TID, ts)
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Stamp: ts})
 			}
 			s.Send(m.From, &prepareAck{TID: p.TID, TS: ts})
 		case *commitReq:
 			s.hlc.Observe(int64(now), p.TS)
-			delete(s.pending, p.TID)
+			s.pending.Remove(p.TID)
 			s.ShardStore().CommitAt(p.TID, p.TS)
 			s.Send(m.From, &commitAck{TID: p.TID, TS: p.TS})
-		case *gossip:
-			if cur, heard := s.known[p.From]; !heard || cur.Before(p.Stable) {
-				s.known[p.From] = p.Stable
-			}
+		case *protocol.StableGossip[vclock.HLCStamp]:
+			s.stab.Heard(p)
 		default:
 			panic(fmt.Sprintf("wren: server %s got %T", s.ID(), m.Payload))
 		}
 	}
 	// Event-driven stabilization: broadcast the local stable time whenever
 	// it advances.
-	if ls := s.localStable(); s.lastGossip.Before(ls) {
-		s.lastGossip = ls
-		for _, other := range s.Placement().Servers() {
-			if other != s.ID() {
-				s.Send(other, &gossip{From: s.ID(), Stable: ls})
-			}
-		}
-	}
+	s.stab.Publish(&s.ServerCore, s.localStable())
 	return s.Sent()
 }
 
@@ -316,9 +262,9 @@ func (c *client) Clone() sim.Process {
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *stableResp:
+		case *protocol.StableResp[vclock.HLCStamp]:
 			if c.phase == cutoffWait && c.Reply(p) {
-				c.snap = p.Cutoff
+				c.snap = p.Snap
 			}
 		case *readResp:
 			if c.phase == reading && c.Reply(p) {
@@ -346,7 +292,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = cutoffWait
 			c.readVals = make(map[string]readVal)
 			first := c.Placement().PrimaryOf(t.ReadSet[0])
-			c.Send(first, &stableReq{TID: t.ID})
+			c.Send(first, stableKinds.Request(t.ID))
 		} else {
 			c.phase = preparing
 			c.maxPrep = vclock.HLCStamp{}
