@@ -9,7 +9,8 @@ import (
 
 // Order is a total order on stamps of type S, implemented by an empty
 // struct: Pending and Stabilizer carry it in their type, not in a field,
-// so their zero values are ready and two copies of one compare equal.
+// so two copies of one compare equal under reflect.DeepEqual, and a zero
+// Pending is ready (a Stabilizer comes only from NewStabilizer).
 type Order[S any] interface{ Less(a, b S) bool }
 
 // Counters orders integer stamps and HLCs hybrid logical clock stamps.
