@@ -21,7 +21,7 @@ bench() { ./bench "$@" > /dev/null; }
 bench -curve -protocols all -servers 2 -fractions 0.1 -txns 120
 bench -curve -topology 2site -protocols cops -servers 4 -curveclients 8 -txns 400 -fractions 0.5,1.1 -workers 4
 bench -curve -arrivals uniform -protocols cops -servers 2 -fractions 0.5 -txns 120
-for bad in "-curve -stale" "-refineknee" "-servers 2 -replication 3" "-rebalance" "-barrier" "-workers 0"; do
+for bad in "-curve -stale" "-refineknee" "-servers 2 -replication 3" "-rebalance" "-barrier" "-workers 0" "-topology nosuch"; do
   ./bench $bad > /dev/null 2>&1 || true
 done
 bench -protocols cops,cure,spanner -mixes balanced -objects 64 -servers 8 -clients 64 -txns 4000 -workers 4

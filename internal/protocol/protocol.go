@@ -3,10 +3,11 @@
 // counts each round, which supplies Ready and refuses the shapes Claims
 // rule out; servers embed ServerCore, which holds the identity, placement
 // and store; both cores buffer Send and a Step returns their Sent),
-// payloads with Kind/Txn (values: immutable once sent) and Claims; a
-// server keeps its per-version metadata on store.Version.Meta. Placement,
-// fan-out (ReadShares/WriteShares), deployments, probes and replacement
-// catch-up live here.
+// payloads with Kind, a transaction's embedding the Msg header (values:
+// immutable once sent) and Claims; a server keeps its per-version
+// metadata on store.Version.Meta. Placement, fan-out
+// (ReadShares/WriteShares), deployments, probes and replacement catch-up
+// live here.
 package protocol
 
 import (
@@ -47,7 +48,13 @@ type TxnPayload interface {
 	Txn() model.TxnID
 }
 
-// ValueCarrier is implemented by payloads carrying written values; the
+// Msg is the header every payload of a transaction embeds: it carries the
+// ID and gives them all TxnPayload's Txn. A server answers with Msg: p.Msg.
+type Msg struct{ TID model.TxnID }
+
+func (m Msg) Txn() model.TxnID { return m.TID }
+
+// ValueCarrier is implemented by responses carrying written values; the
 // spec package uses it to measure the one-value property. Metadata (e.g.
 // timestamps) is not a value — only data written by some transaction into
 // some object counts (Definition 4, property 2 and its footnote). A ⊥

@@ -160,10 +160,9 @@ func TestCoreLifecycle(t *testing.T) {
 }
 
 // roundMsg is a minimal transaction payload for the round bookkeeping test.
-type roundMsg struct{ tid model.TxnID }
+type roundMsg struct{ Msg }
 
-func (m *roundMsg) Kind() string     { return "round" }
-func (m *roundMsg) Txn() model.TxnID { return m.tid }
+func (m *roundMsg) Kind() string { return "round" }
 
 func TestCoreRound(t *testing.T) {
 	c := NewCore("cX", Disjoint(2, 1), fake{})
@@ -175,8 +174,8 @@ func TestCoreRound(t *testing.T) {
 		t.Fatal("unstarted transaction: want ready, round not done")
 	}
 	c.Starting(1)
-	c.Send("s0", &roundMsg{tid: id})
-	c.Send("s1", &roundMsg{tid: id})
+	c.Send("s0", &roundMsg{Msg{TID: id}})
+	c.Send("s1", &roundMsg{Msg{TID: id}})
 	out := c.Sent()
 	if len(out) != 2 || out[1].To != "s1" || c.Ready() || c.RoundDone() || c.Rounds() != 1 {
 		t.Fatalf("after two sends: out = %v, ready = %v, done = %v, rounds = %d", out, c.Ready(), c.RoundDone(), c.Rounds())
@@ -184,19 +183,19 @@ func TestCoreRound(t *testing.T) {
 	if len(c.Sent()) != 0 {
 		t.Fatal("Sent did not empty the send buffer")
 	}
-	if c.Reply(&roundMsg{tid: model.TxnID{Client: "cX", Seq: 9}}) {
+	if c.Reply(&roundMsg{Msg{TID: model.TxnID{Client: "cX", Seq: 9}}}) {
 		t.Fatal("reply for another transaction counted")
 	}
-	if !c.Reply(&roundMsg{tid: id}) || c.RoundDone() {
+	if !c.Reply(&roundMsg{Msg{TID: id}}) || c.RoundDone() {
 		t.Fatal("first reply: want counted, round still open")
 	}
-	if !c.Reply(&roundMsg{tid: id}) || !c.RoundDone() {
+	if !c.Reply(&roundMsg{Msg{TID: id}}) || !c.RoundDone() {
 		t.Fatal("second reply: want counted, round done")
 	}
 	// A send with nothing pending opens the next round: one two-send
 	// round and one one-send round are two rounds.
-	c.Send("s0", &roundMsg{tid: id})
-	if c.RoundDone() || !c.Reply(&roundMsg{tid: id}) || !c.RoundDone() {
+	c.Send("s0", &roundMsg{Msg{TID: id}})
+	if c.RoundDone() || !c.Reply(&roundMsg{Msg{TID: id}}) || !c.RoundDone() {
 		t.Fatal("one-send round: want open until its reply, then done")
 	}
 	if res := c.Finish(2); res.Rounds != 2 {
@@ -407,27 +406,27 @@ func TestCloneKeepsSentBuffer(t *testing.T) {
 	c := NewCore("cX", Disjoint(2, 1), fake{})
 	id := c.Invoke(model.NewReadOnly(model.TxnID{}, "X0", "X1"))
 	c.Starting(1)
-	c.Send("s0", &roundMsg{tid: id})
-	c.Send("s1", &roundMsg{tid: id})
+	c.Send("s0", &roundMsg{Msg{TID: id}})
+	c.Send("s1", &roundMsg{Msg{TID: id}})
 	c.Sent() // the buffer now has spare capacity
-	c.Send("s0", &roundMsg{tid: id})
+	c.Send("s0", &roundMsg{Msg{TID: id}})
 	out := c.Sent()
 	cp := c.CloneCore()
-	cp.Send("s1", &roundMsg{tid: id})
-	cp.Send("s1", &roundMsg{tid: id})
+	cp.Send("s1", &roundMsg{Msg{TID: id}})
+	cp.Send("s1", &roundMsg{Msg{TID: id}})
 	if len(out) != 1 || out[0].To != "s0" || len(cp.Sent()) != 2 {
 		t.Fatalf("client: original's sent %v after the clone's sends", out)
 	}
 
 	s := NewServerCore("s0", Disjoint(2, 1))
-	s.Send("c0", &roundMsg{tid: id})
-	s.Send("c1", &roundMsg{tid: id})
+	s.Send("c0", &roundMsg{Msg{TID: id}})
+	s.Send("c1", &roundMsg{Msg{TID: id}})
 	s.Sent()
-	s.Send("c0", &roundMsg{tid: id})
+	s.Send("c0", &roundMsg{Msg{TID: id}})
 	sout := s.Sent()
 	scp := s.CloneServerCore()
-	scp.Send("c1", &roundMsg{tid: id})
-	scp.Send("c1", &roundMsg{tid: id})
+	scp.Send("c1", &roundMsg{Msg{TID: id}})
+	scp.Send("c1", &roundMsg{Msg{TID: id}})
 	if len(sout) != 1 || sout[0].To != "c0" || len(scp.Sent()) != 2 {
 		t.Fatalf("server: original's sent %v after the clone's sends", sout)
 	}

@@ -46,29 +46,29 @@ func (g *StableGossip[S]) Kind() string { return g.kinds.Gossip }
 // StableReq asks a server for its stable snapshot.
 type StableReq struct {
 	kinds *StableKinds
-	TID   model.TxnID
+	Msg
 }
 
-func (r *StableReq) Kind() string     { return r.kinds.Req }
-func (r *StableReq) Txn() model.TxnID { return r.TID }
+func (r *StableReq) Kind() string { return r.kinds.Req }
 
 // StableResp answers a StableReq with the snapshot: a vector (Vector) or a
 // scalar (Min).
 type StableResp[T any] struct {
 	kinds *StableKinds
-	TID   model.TxnID
-	Snap  T
+	Msg
+	Snap T
 }
 
-func (r *StableResp[T]) Kind() string     { return r.kinds.Resp }
-func (r *StableResp[T]) Txn() model.TxnID { return r.TID }
+func (r *StableResp[T]) Kind() string { return r.kinds.Resp }
 
 // Request returns the snapshot request of transaction tid.
-func (k *StableKinds) Request(tid model.TxnID) *StableReq { return &StableReq{kinds: k, TID: tid} }
+func (k *StableKinds) Request(tid model.TxnID) *StableReq {
+	return &StableReq{kinds: k, Msg: Msg{TID: tid}}
+}
 
 // Answer returns req's response carrying snap.
 func Answer[T any](req *StableReq, snap T) *StableResp[T] {
-	return &StableResp[T]{kinds: req.kinds, TID: req.TID, Snap: snap}
+	return &StableResp[T]{kinds: req.kinds, Msg: req.Msg, Snap: snap}
 }
 
 // Heard records a peer's gossip, keeping the larger stamp.

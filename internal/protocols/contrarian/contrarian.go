@@ -52,29 +52,24 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 
 // --- payloads ---
 
-type snapReq struct {
-	TID model.TxnID
-}
+type snapReq struct{ protocol.Msg }
 
-func (p *snapReq) Kind() string     { return "snap-req" }
-func (p *snapReq) Txn() model.TxnID { return p.TID }
+func (p *snapReq) Kind() string { return "snap-req" }
 
 type snapResp struct {
-	TID model.TxnID
-	TS  vclock.HLCStamp
+	protocol.Msg
+	TS vclock.HLCStamp
 }
 
-func (p *snapResp) Kind() string     { return "snap-resp" }
-func (p *snapResp) Txn() model.TxnID { return p.TID }
+func (p *snapResp) Kind() string { return "snap-resp" }
 
 type readReq struct {
-	TID  model.TxnID
+	protocol.Msg
 	Objs []string
 	Snap vclock.HLCStamp
 }
 
-func (p *readReq) Kind() string     { return "read-req" }
-func (p *readReq) Txn() model.TxnID { return p.TID }
+func (p *readReq) Kind() string { return "read-req" }
 
 type readVal struct {
 	Ref   model.ValueRef
@@ -82,12 +77,11 @@ type readVal struct {
 }
 
 type readResp struct {
-	TID  model.TxnID
+	protocol.Msg
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string     { return "read-resp" }
-func (p *readResp) Txn() model.TxnID { return p.TID }
+func (p *readResp) Kind() string { return "read-resp" }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	out := make([]model.ValueRef, len(p.Vals))
 	for i, v := range p.Vals {
@@ -97,21 +91,19 @@ func (p *readResp) CarriedValues() []model.ValueRef {
 }
 
 type writeReq struct {
-	TID   model.TxnID
+	protocol.Msg
 	W     model.Write
 	DepTS vclock.HLCStamp
 }
 
-func (p *writeReq) Kind() string     { return "write-req" }
-func (p *writeReq) Txn() model.TxnID { return p.TID }
+func (p *writeReq) Kind() string { return "write-req" }
 
 type writeResp struct {
-	TID model.TxnID
-	TS  vclock.HLCStamp
+	protocol.Msg
+	TS vclock.HLCStamp
 }
 
-func (p *writeResp) Kind() string     { return "write-ack" }
-func (p *writeResp) Txn() model.TxnID { return p.TID }
+func (p *writeResp) Kind() string { return "write-ack" }
 
 // --- server ---
 
@@ -134,9 +126,9 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// tracks physical time so snapshots do not lag behind other
 			// servers' write activity.
 			ts := s.hlc.Now(int64(now))
-			s.Send(m.From, &snapResp{TID: p.TID, TS: ts})
+			s.Send(m.From, &snapResp{Msg: p.Msg, TS: ts})
 		case *readReq:
-			resp := &readResp{TID: p.TID}
+			resp := &readResp{Msg: p.Msg}
 			for _, obj := range p.Objs {
 				if v := s.ShardStore().SnapshotRead(obj, p.Snap); v != nil {
 					resp.Vals = append(resp.Vals, readVal{
@@ -152,7 +144,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			s.hlc.Observe(int64(now), p.DepTS)
 			ts := s.hlc.Now(int64(now))
 			s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Stamp: ts, Visible: true})
-			s.Send(m.From, &writeResp{TID: p.TID, TS: ts})
+			s.Send(m.From, &writeResp{Msg: p.Msg, TS: ts})
 		default:
 			panic(fmt.Sprintf("contrarian: server %s got %T", s.ID(), m.Payload))
 		}
@@ -228,13 +220,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.haveSnap = false
 			c.readVals = make(map[string]readVal)
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &snapReq{TID: t.ID})
+				c.Send(sh.Server, &snapReq{Msg: protocol.Msg{TID: t.ID}})
 			}
 		} else {
 			c.phase = writing
 			w := t.Writes[len(t.Writes)-1]
 			c.Send(c.Placement().PrimaryOf(w.Object), &writeReq{
-				TID: t.ID, W: w, DepTS: c.depTS,
+				Msg: protocol.Msg{TID: t.ID}, W: w, DepTS: c.depTS,
 			})
 		}
 		return c.Sent()
@@ -249,7 +241,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			c.phase = reading
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap})
+				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items, Snap: c.snap})
 			}
 		case reading:
 			for _, obj := range t.ReadSet {

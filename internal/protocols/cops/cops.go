@@ -129,12 +129,11 @@ func (c *causalContext) clone() causalContext {
 // --- payloads ---
 
 type readReq struct {
-	TID  model.TxnID
+	protocol.Msg
 	Objs []string
 }
 
-func (p *readReq) Kind() string     { return "read-req" }
-func (p *readReq) Txn() model.TxnID { return p.TID }
+func (p *readReq) Kind() string { return "read-req" }
 
 type readVal struct {
 	Ref  model.ValueRef
@@ -143,12 +142,11 @@ type readVal struct {
 }
 
 type readResp struct {
-	TID  model.TxnID
+	protocol.Msg
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string     { return "read-resp" }
-func (p *readResp) Txn() model.TxnID { return p.TID }
+func (p *readResp) Kind() string { return "read-resp" }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	out := make([]model.ValueRef, len(p.Vals))
 	for i, v := range p.Vals {
@@ -159,30 +157,27 @@ func (p *readResp) CarriedValues() []model.ValueRef {
 
 // readAtReq is the second-round fetch of a version at or after minSeq.
 type readAtReq struct {
-	TID    model.TxnID
+	protocol.Msg
 	Object string
 	MinSeq int64
 }
 
-func (p *readAtReq) Kind() string     { return "read-at-req" }
-func (p *readAtReq) Txn() model.TxnID { return p.TID }
+func (p *readAtReq) Kind() string { return "read-at-req" }
 
 type writeReq struct {
-	TID  model.TxnID
+	protocol.Msg
 	W    model.Write
 	Deps deps
 }
 
-func (p *writeReq) Kind() string     { return "write-req" }
-func (p *writeReq) Txn() model.TxnID { return p.TID }
+func (p *writeReq) Kind() string { return "write-req" }
 
 type writeResp struct {
-	TID model.TxnID
+	protocol.Msg
 	Seq int64
 }
 
-func (p *writeResp) Kind() string     { return "write-ack" }
-func (p *writeResp) Txn() model.TxnID { return p.TID }
+func (p *writeResp) Kind() string { return "write-ack" }
 
 // --- server ---
 
@@ -206,7 +201,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readReq:
-			resp := &readResp{TID: p.TID, Vals: make([]readVal, 0, len(p.Objs))}
+			resp := &readResp{Msg: p.Msg, Vals: make([]readVal, 0, len(p.Objs))}
 			for _, obj := range p.Objs {
 				if v := s.ShardStore().LatestVisible(obj); v != nil {
 					resp.Vals = append(resp.Vals, valOf(v))
@@ -216,7 +211,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			s.Send(m.From, resp)
 		case *readAtReq:
-			resp := &readResp{TID: p.TID}
+			resp := &readResp{Msg: p.Msg}
 			// The latest visible version's sequence is ≥ MinSeq whenever
 			// the dependency was written by a completed transaction, so
 			// this never blocks.
@@ -228,7 +223,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			s.Send(m.From, resp)
 		case *writeReq:
 			v := s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Visible: true, Meta: p.Deps})
-			s.Send(m.From, &writeResp{TID: p.TID, Seq: v.Seq})
+			s.Send(m.From, &writeResp{Msg: p.Msg, Seq: v.Seq})
 		default:
 			panic(fmt.Sprintf("cops: server %s got %T", s.ID(), m.Payload))
 		}
@@ -304,13 +299,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				c.got = append(c.got, slot{obj: c.Placement().ObjectIndex(obj)})
 			}
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
+				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items})
 			}
 		} else {
 			c.phase = writing
 			w := t.Writes[len(t.Writes)-1]
 			c.Send(c.Placement().PrimaryOf(w.Object), &writeReq{
-				TID: t.ID, W: w, Deps: c.ctx.snapshot(),
+				Msg: protocol.Msg{TID: t.ID}, W: w, Deps: c.ctx.snapshot(),
 			})
 		}
 		return c.Sent()
@@ -325,7 +320,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				if need := c.need(i); need > 0 {
 					c.phase = round2
 					c.Send(c.Placement().PrimaryOf(obj), &readAtReq{
-						TID: t.ID, Object: obj, MinSeq: need,
+						Msg: protocol.Msg{TID: t.ID}, Object: obj, MinSeq: need,
 					})
 				}
 			}

@@ -62,56 +62,48 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 // --- payloads ---
 
 type readReq struct {
-	TID  model.TxnID
+	protocol.Msg
 	Objs []string
 }
 
-func (p *readReq) Kind() string     { return "read-req" }
-func (p *readReq) Txn() model.TxnID { return p.TID }
+func (p *readReq) Kind() string { return "read-req" }
 
 type readResp struct {
-	TID  model.TxnID
+	protocol.Msg
 	Vals []model.ValueRef
 }
 
 func (p *readResp) Kind() string                    { return "read-resp" }
-func (p *readResp) Txn() model.TxnID                { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
 
 type writeReq struct {
-	TID  model.TxnID
+	protocol.Msg
 	W    model.Write
 	Deps []model.ValueRef // causal dependencies (object, value, writer)
 }
 
-func (p *writeReq) Kind() string     { return "write-req" }
-func (p *writeReq) Txn() model.TxnID { return p.TID }
+func (p *writeReq) Kind() string { return "write-req" }
 
-type writeResp struct {
-	TID model.TxnID
-}
+type writeResp struct{ protocol.Msg }
 
-func (p *writeResp) Kind() string     { return "write-ack" }
-func (p *writeResp) Txn() model.TxnID { return p.TID }
+func (p *writeResp) Kind() string { return "write-ack" }
 
 // depCheck asks the server storing a dependency to confirm it is visible
 // and to report the read-only transactions that read an older version.
 type depCheck struct {
-	ForTxn model.TxnID // the writing transaction
-	Items  []model.ValueRef
+	protocol.Msg // the writing transaction
+	Items        []model.ValueRef
 }
 
-func (p *depCheck) Kind() string     { return "dep-check" }
-func (p *depCheck) Txn() model.TxnID { return p.ForTxn }
+func (p *depCheck) Kind() string { return "dep-check" }
 
 type depResp struct {
-	ForTxn     model.TxnID
+	protocol.Msg
 	Resolved   int
 	OldReaders []model.TxnID
 }
 
-func (p *depResp) Kind() string     { return "dep-resp" }
-func (p *depResp) Txn() model.TxnID { return p.ForTxn }
+func (p *depResp) Kind() string { return "dep-resp" }
 
 // --- server ---
 
@@ -204,14 +196,14 @@ func (s *server) finishWrite(tid model.TxnID) {
 		Object: pw.w.Object, Value: pw.w.Value, Writer: tid,
 		Visible: true, HiddenFrom: hidden,
 	})
-	s.Send(pw.client, &writeResp{TID: tid})
+	s.Send(pw.client, &writeResp{Msg: protocol.Msg{TID: tid}})
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readReq:
-			resp := &readResp{TID: p.TID}
+			resp := &readResp{Msg: p.Msg}
 			for _, obj := range p.Objs {
 				v := s.ShardStore().LatestVisibleFor(obj, p.TID)
 				var seq int64
@@ -250,14 +242,14 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
 			for _, o := range owners {
-				s.Send(o, &depCheck{ForTxn: p.TID, Items: remote[o]})
+				s.Send(o, &depCheck{Msg: p.Msg, Items: remote[o]})
 			}
 			if pw.remaining == 0 {
 				s.finishWrite(p.TID)
 			}
 
 		case *depCheck:
-			resp := &depResp{ForTxn: p.ForTxn}
+			resp := &depResp{Msg: p.Msg}
 			for _, item := range p.Items {
 				if olds, resolved := s.resolveCheck(item); resolved {
 					resp.Resolved++
@@ -269,11 +261,11 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 
 		case *depResp:
-			if pw, exists := s.pending[p.ForTxn]; exists {
+			if pw, exists := s.pending[p.TID]; exists {
 				pw.remaining -= p.Resolved
 				pw.oldReaders = append(pw.oldReaders, p.OldReaders...)
 				if pw.remaining <= 0 {
-					s.finishWrite(p.ForTxn)
+					s.finishWrite(p.TID)
 				}
 			}
 
@@ -339,11 +331,11 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		pl := c.Placement()
 		if t.IsReadOnly() {
 			for _, sh := range pl.ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
+				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items})
 			}
 		} else {
 			w := t.Writes[len(t.Writes)-1]
-			c.Send(pl.PrimaryOf(w.Object), &writeReq{TID: t.ID, W: w, Deps: c.depList()})
+			c.Send(pl.PrimaryOf(w.Object), &writeReq{Msg: protocol.Msg{TID: t.ID}, W: w, Deps: c.depList()})
 		}
 		return c.Sent()
 	}

@@ -59,13 +59,12 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 var stableKinds = &protocol.StableKinds{Gossip: "stable-gossip", Req: "gsv-req", Resp: "gsv-resp"}
 
 type readReq struct {
-	TID  model.TxnID
+	protocol.Msg
 	Objs []string
 	Snap vclock.Vector
 }
 
-func (p *readReq) Kind() string     { return "read-req" }
-func (p *readReq) Txn() model.TxnID { return p.TID }
+func (p *readReq) Kind() string { return "read-req" }
 
 type readVal struct {
 	Ref model.ValueRef
@@ -73,12 +72,11 @@ type readVal struct {
 }
 
 type readResp struct {
-	TID  model.TxnID
+	protocol.Msg
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string     { return "read-resp" }
-func (p *readResp) Txn() model.TxnID { return p.TID }
+func (p *readResp) Kind() string { return "read-resp" }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	out := make([]model.ValueRef, len(p.Vals))
 	for i, v := range p.Vals {
@@ -88,38 +86,34 @@ func (p *readResp) CarriedValues() []model.ValueRef {
 }
 
 type prepareReq struct {
-	TID    model.TxnID
+	protocol.Msg
 	Writes []model.Write
 	Dep    vclock.Vector
 }
 
-func (p *prepareReq) Kind() string     { return "prepare" }
-func (p *prepareReq) Txn() model.TxnID { return p.TID }
+func (p *prepareReq) Kind() string { return "prepare" }
 
 type prepareAck struct {
-	TID model.TxnID
+	protocol.Msg
 	Idx int
 	Seq int64
 }
 
-func (p *prepareAck) Kind() string     { return "prepare-ack" }
-func (p *prepareAck) Txn() model.TxnID { return p.TID }
+func (p *prepareAck) Kind() string { return "prepare-ack" }
 
 type commitReq struct {
-	TID model.TxnID
+	protocol.Msg
 	Vec vclock.Vector
 }
 
-func (p *commitReq) Kind() string     { return "commit" }
-func (p *commitReq) Txn() model.TxnID { return p.TID }
+func (p *commitReq) Kind() string { return "commit" }
 
 type commitAck struct {
-	TID model.TxnID
+	protocol.Msg
 	Vec vclock.Vector
 }
 
-func (p *commitAck) Kind() string     { return "commit-ack" }
-func (p *commitAck) Txn() model.TxnID { return p.TID }
+func (p *commitAck) Kind() string { return "commit-ack" }
 
 // --- server ---
 
@@ -152,7 +146,7 @@ func (s *server) stable() int64 {
 func (s *server) canServe(req *readReq) bool { return req.Snap[s.idx] <= s.stable() }
 
 func (s *server) serveRead(from sim.ProcessID, req *readReq) {
-	resp := &readResp{TID: req.TID, Vals: make([]readVal, 0, len(req.Objs))}
+	resp := &readResp{Msg: req.Msg, Vals: make([]readVal, 0, len(req.Objs))}
 	for _, obj := range req.Objs {
 		// A version is inside the snapshot only if its entire commit
 		// vector is dominated: an entry for another server above the
@@ -193,7 +187,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, w := range p.Writes {
 				s.ShardStore().InstallOrdered(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Vec: vec})
 			}
-			s.Send(m.From, &prepareAck{TID: p.TID, Idx: s.idx, Seq: seq})
+			s.Send(m.From, &prepareAck{Msg: p.Msg, Idx: s.idx, Seq: seq})
 		case *commitReq:
 			s.pending.Remove(p.TID)
 			s.ShardStore().CommitVec(p.TID, p.Vec)
@@ -203,7 +197,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			if s.nextSeq < s.applied {
 				s.nextSeq = s.applied
 			}
-			s.Send(m.From, &commitAck{TID: p.TID, Vec: p.Vec})
+			s.Send(m.From, &commitAck{Msg: p.Msg, Vec: p.Vec})
 		case *protocol.StableGossip[int64]:
 			s.stab.Heard(p)
 		default:
@@ -287,7 +281,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.commit = c.dep.Clone()
 			dep := c.dep.Clone() // every prepare carries this one snapshot
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
-				c.Send(sh.Server, &prepareReq{TID: t.ID, Writes: sh.Items, Dep: dep})
+				c.Send(sh.Server, &prepareReq{Msg: protocol.Msg{TID: t.ID}, Writes: sh.Items, Dep: dep})
 			}
 		}
 		return c.Sent()
@@ -299,7 +293,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.snap.Merge(c.dep)
 			c.phase = reading
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap})
+				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items, Snap: c.snap})
 			}
 		case reading:
 			for i, obj := range t.ReadSet {
@@ -318,7 +312,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// after this round, and the next write replaces it.
 			c.phase = committing
 			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				c.Send(srv, &commitReq{TID: t.ID, Vec: c.commit})
+				c.Send(srv, &commitReq{Msg: protocol.Msg{TID: t.ID}, Vec: c.commit})
 			}
 		case committing:
 			c.phase = idle

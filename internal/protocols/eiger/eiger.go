@@ -82,14 +82,13 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 // --- payloads ---
 
 type readReq struct {
-	TID  model.TxnID
+	protocol.Msg
 	Objs []string
 	// At > 0 requests values at the given effective time (retry rounds).
 	At int64
 }
 
-func (p *readReq) Kind() string     { return "read-req" }
-func (p *readReq) Txn() model.TxnID { return p.TID }
+func (p *readReq) Kind() string { return "read-req" }
 
 type readVal struct {
 	Ref model.ValueRef
@@ -108,12 +107,11 @@ type readVal struct {
 }
 
 type readResp struct {
-	TID  model.TxnID
+	protocol.Msg
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string     { return "read-resp" }
-func (p *readResp) Txn() model.TxnID { return p.TID }
+func (p *readResp) Kind() string { return "read-resp" }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	out := make([]model.ValueRef, len(p.Vals))
 	for i, v := range p.Vals {
@@ -123,37 +121,33 @@ func (p *readResp) CarriedValues() []model.ValueRef {
 }
 
 type prepareReq struct {
-	TID    model.TxnID
+	protocol.Msg
 	Writes []model.Write
 	DepTS  int64
 }
 
-func (p *prepareReq) Kind() string     { return "prepare" }
-func (p *prepareReq) Txn() model.TxnID { return p.TID }
+func (p *prepareReq) Kind() string { return "prepare" }
 
 type prepareAck struct {
-	TID model.TxnID
-	TS  int64
+	protocol.Msg
+	TS int64
 }
 
-func (p *prepareAck) Kind() string     { return "prepare-ack" }
-func (p *prepareAck) Txn() model.TxnID { return p.TID }
+func (p *prepareAck) Kind() string { return "prepare-ack" }
 
 type commitReq struct {
-	TID model.TxnID
-	TS  int64
+	protocol.Msg
+	TS int64
 }
 
-func (p *commitReq) Kind() string     { return "commit" }
-func (p *commitReq) Txn() model.TxnID { return p.TID }
+func (p *commitReq) Kind() string { return "commit" }
 
 type commitAck struct {
-	TID model.TxnID
-	TS  int64
+	protocol.Msg
+	TS int64
 }
 
-func (p *commitAck) Kind() string     { return "commit-ack" }
-func (p *commitAck) Txn() model.TxnID { return p.TID }
+func (p *commitAck) Kind() string { return "commit-ack" }
 
 // --- server ---
 
@@ -190,7 +184,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				s.clock.Observe(p.At)
 				at = p.At
 			}
-			resp := &readResp{TID: p.TID}
+			resp := &readResp{Msg: p.Msg}
 			for _, obj := range p.Objs {
 				// Logical ceiling: a read at eff includes every commit whose
 				// wall time is exactly eff, whatever its tie-break.
@@ -219,12 +213,12 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID,
 					Stamp: vclock.HLCStamp{Wall: ts}})
 			}
-			s.Send(m.From, &prepareAck{TID: p.TID, TS: ts})
+			s.Send(m.From, &prepareAck{Msg: p.Msg, TS: ts})
 		case *commitReq:
 			s.clock.Observe(p.TS)
 			s.pending.Remove(p.TID)
 			s.ShardStore().CommitAt(p.TID, vclock.HLCStamp{Wall: p.TS, Logical: tieBreak(p.TID)})
-			s.Send(m.From, &commitAck{TID: p.TID, TS: p.TS})
+			s.Send(m.From, &commitAck{Msg: p.Msg, TS: p.TS})
 		default:
 			panic(fmt.Sprintf("eiger: server %s got %T", s.ID(), m.Payload))
 		}
@@ -266,7 +260,7 @@ func (c *client) Clone() sim.Process {
 func (c *client) sendReads(at int64) {
 	t := c.Current()
 	for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-		c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items, At: at})
+		c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items, At: at})
 	}
 }
 
@@ -336,7 +330,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.commitTS = 0
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
 				c.Send(sh.Server, &prepareReq{
-					TID: t.ID, Writes: sh.Items, DepTS: c.depTS,
+					Msg: protocol.Msg{TID: t.ID}, Writes: sh.Items, DepTS: c.depTS,
 				})
 			}
 		}
@@ -367,7 +361,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case preparing:
 			c.phase = committing
 			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				c.Send(srv, &commitReq{TID: t.ID, TS: c.commitTS})
+				c.Send(srv, &commitReq{Msg: protocol.Msg{TID: t.ID}, TS: c.commitTS})
 			}
 		case committing:
 			if c.commitTS > c.depTS {

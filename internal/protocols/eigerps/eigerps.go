@@ -63,36 +63,30 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 // --- payloads ---
 
 type readReq struct {
-	TID  model.TxnID
+	protocol.Msg
 	Objs []string
 }
 
-func (p *readReq) Kind() string     { return "read-req" }
-func (p *readReq) Txn() model.TxnID { return p.TID }
+func (p *readReq) Kind() string { return "read-req" }
 
 type readResp struct {
-	TID  model.TxnID
+	protocol.Msg
 	Vals []model.ValueRef
 }
 
 func (p *readResp) Kind() string                    { return "read-resp" }
-func (p *readResp) Txn() model.TxnID                { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
 
 type writeReq struct {
-	TID    model.TxnID
+	protocol.Msg
 	Writes []model.Write
 }
 
-func (p *writeReq) Kind() string     { return "write-req" }
-func (p *writeReq) Txn() model.TxnID { return p.TID }
+func (p *writeReq) Kind() string { return "write-req" }
 
-type writeResp struct {
-	TID model.TxnID
-}
+type writeResp struct{ protocol.Msg }
 
-func (p *writeResp) Kind() string     { return "write-ack" }
-func (p *writeResp) Txn() model.TxnID { return p.TID }
+func (p *writeResp) Kind() string { return "write-ack" }
 
 // sync is the never-ending background synchronization: the out-of-band
 // visibility mechanism the paper's model excludes would be driven by it.
@@ -116,7 +110,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readReq:
-			resp := &readResp{TID: p.TID}
+			resp := &readResp{Msg: p.Msg}
 			for _, obj := range p.Objs {
 				if v := s.ShardStore().LatestVisible(obj); v != nil {
 					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer})
@@ -133,7 +127,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				// mechanism that never arrives in this model.
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Visible: init})
 			}
-			s.Send(m.From, &writeResp{TID: p.TID})
+			s.Send(m.From, &writeResp{Msg: p.Msg})
 			if !init {
 				// Kick off the endless synchronization exchange.
 				for _, other := range s.Placement().Servers() {
@@ -186,11 +180,11 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		pl := c.Placement()
 		if t.IsReadOnly() {
 			for _, sh := range pl.ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
+				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items})
 			}
 		} else {
 			for _, sh := range pl.WriteShares(t.Writes) {
-				c.Send(sh.Server, &writeReq{TID: t.ID, Writes: sh.Items})
+				c.Send(sh.Server, &writeReq{Msg: protocol.Msg{TID: t.ID}, Writes: sh.Items})
 			}
 		}
 		return c.Sent()

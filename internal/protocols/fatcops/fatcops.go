@@ -141,12 +141,11 @@ type stamped struct {
 // --- payloads ---
 
 type readReq struct {
-	TID  model.TxnID
+	protocol.Msg
 	Objs []string
 }
 
-func (p *readReq) Kind() string     { return "read-req" }
-func (p *readReq) Txn() model.TxnID { return p.TID }
+func (p *readReq) Kind() string { return "read-req" }
 
 // fatEntry is one object's candidate value in a fat response, together
 // with the writing transaction's dependency vector and write-set.
@@ -174,12 +173,11 @@ type directVal struct {
 }
 
 type readResp struct {
-	TID  model.TxnID
+	protocol.Msg
 	Vals []directVal
 }
 
-func (p *readResp) Kind() string     { return "fat-read-resp" }
-func (p *readResp) Txn() model.TxnID { return p.TID }
+func (p *readResp) Kind() string { return "fat-read-resp" }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	var out []model.ValueRef
 	for _, v := range p.Vals {
@@ -192,7 +190,7 @@ func (p *readResp) CarriedValues() []model.ValueRef {
 }
 
 type writeReq struct {
-	TID model.TxnID
+	protocol.Msg
 	TS  int64
 	Vec vec
 	// Writes are the writes for objects hosted at the destination.
@@ -204,15 +202,11 @@ type writeReq struct {
 	DepVals []fatEntry
 }
 
-func (p *writeReq) Kind() string     { return "fat-write-req" }
-func (p *writeReq) Txn() model.TxnID { return p.TID }
+func (p *writeReq) Kind() string { return "fat-write-req" }
 
-type writeResp struct {
-	TID model.TxnID
-}
+type writeResp struct{ protocol.Msg }
 
-func (p *writeResp) Kind() string     { return "fat-write-ack" }
-func (p *writeResp) Txn() model.TxnID { return p.TID }
+func (p *writeResp) Kind() string { return "fat-write-ack" }
 
 // --- server ---
 
@@ -237,7 +231,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readReq:
-			resp := &readResp{TID: p.TID}
+			resp := &readResp{Msg: p.Msg}
 			for _, obj := range p.Objs {
 				chain := s.ShardStore().Versions(obj)
 				if len(chain) == 0 {
@@ -266,7 +260,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					Visible: true, Stamp: vclock.HLCStamp{Wall: p.TS}, Meta: blob,
 				})
 			}
-			s.Send(m.From, &writeResp{TID: p.TID})
+			s.Send(m.From, &writeResp{Msg: p.Msg})
 		default:
 			panic(fmt.Sprintf("fatcops: server %s got %T", s.ID(), m.Payload))
 		}
@@ -448,7 +442,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		pl := c.Placement()
 		if t.IsReadOnly() {
 			for _, sh := range pl.ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
+				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items})
 			}
 		} else {
 			c.clock++
@@ -473,7 +467,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			for _, sh := range pl.WriteShares(t.Writes) {
 				c.Send(sh.Server, &writeReq{
-					TID: t.ID, TS: ts, Vec: wv, Writes: sh.Items, Sibs: siblings, DepVals: deps,
+					Msg: protocol.Msg{TID: t.ID}, TS: ts, Vec: wv, Writes: sh.Items, Sibs: siblings, DepVals: deps,
 				})
 			}
 		}

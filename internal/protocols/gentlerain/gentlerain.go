@@ -58,13 +58,12 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 var stableKinds = &protocol.StableKinds{Gossip: "clock-gossip", Req: "gst-req", Resp: "gst-resp"}
 
 type readReq struct {
-	TID  model.TxnID
+	protocol.Msg
 	Objs []string
 	Snap vclock.HLCStamp
 }
 
-func (p *readReq) Kind() string     { return "read-req" }
-func (p *readReq) Txn() model.TxnID { return p.TID }
+func (p *readReq) Kind() string { return "read-req" }
 
 type readVal struct {
 	Ref   model.ValueRef
@@ -72,12 +71,11 @@ type readVal struct {
 }
 
 type readResp struct {
-	TID  model.TxnID
+	protocol.Msg
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string     { return "read-resp" }
-func (p *readResp) Txn() model.TxnID { return p.TID }
+func (p *readResp) Kind() string { return "read-resp" }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	out := make([]model.ValueRef, len(p.Vals))
 	for i, v := range p.Vals {
@@ -87,21 +85,19 @@ func (p *readResp) CarriedValues() []model.ValueRef {
 }
 
 type writeReq struct {
-	TID   model.TxnID
+	protocol.Msg
 	W     model.Write
 	DepTS vclock.HLCStamp
 }
 
-func (p *writeReq) Kind() string     { return "write-req" }
-func (p *writeReq) Txn() model.TxnID { return p.TID }
+func (p *writeReq) Kind() string { return "write-req" }
 
 type writeResp struct {
-	TID model.TxnID
-	TS  vclock.HLCStamp
+	protocol.Msg
+	TS vclock.HLCStamp
 }
 
-func (p *writeResp) Kind() string     { return "write-ack" }
-func (p *writeResp) Txn() model.TxnID { return p.TID }
+func (p *writeResp) Kind() string { return "write-ack" }
 
 // --- server ---
 
@@ -151,7 +147,7 @@ func (s *server) canServe(req *readReq) bool {
 }
 
 func (s *server) serveRead(from sim.ProcessID, req *readReq) {
-	resp := &readResp{TID: req.TID}
+	resp := &readResp{Msg: req.Msg}
 	for _, obj := range req.Objs {
 		if v := s.ShardStore().SnapshotRead(obj, req.Snap); v != nil {
 			resp.Vals = append(resp.Vals, readVal{
@@ -195,7 +191,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				ts = s.hlc.Now(int64(now))
 			}
 			s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Stamp: ts, Visible: true})
-			s.Send(m.From, &writeResp{TID: p.TID, TS: ts})
+			s.Send(m.From, &writeResp{Msg: p.Msg, TS: ts})
 		case *protocol.StableGossip[vclock.HLCStamp]:
 			s.stab.Heard(p)
 		default:
@@ -271,7 +267,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = writing
 			w := t.Writes[len(t.Writes)-1]
 			c.Send(c.Placement().PrimaryOf(w.Object), &writeReq{
-				TID: t.ID, W: w, DepTS: c.depTS,
+				Msg: protocol.Msg{TID: t.ID}, W: w, DepTS: c.depTS,
 			})
 		}
 		return c.Sent()
@@ -288,7 +284,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			c.phase = reading
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap})
+				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items, Snap: c.snap})
 			}
 		case reading:
 			for _, obj := range t.ReadSet {

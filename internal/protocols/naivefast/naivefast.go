@@ -56,43 +56,30 @@ type Placement = protocol.Placement
 // --- payloads ---
 
 type readReq struct {
-	TID  model.TxnID
+	protocol.Msg
 	Objs []string
 }
 
-func (p *readReq) Kind() string     { return "read-req" }
-func (p *readReq) Txn() model.TxnID { return p.TID }
+func (p *readReq) Kind() string { return "read-req" }
 
 type readResp struct {
-	TID  model.TxnID
+	protocol.Msg
 	Vals []model.ValueRef
 }
 
 func (p *readResp) Kind() string                    { return "read-resp" }
-func (p *readResp) Txn() model.TxnID                { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
 
 type writeReq struct {
-	TID    model.TxnID
+	protocol.Msg
 	Writes []model.Write
 }
 
-func (p *writeReq) Kind() string     { return "write-req" }
-func (p *writeReq) Txn() model.TxnID { return p.TID }
-func (p *writeReq) CarriedValues() []model.ValueRef {
-	out := make([]model.ValueRef, len(p.Writes))
-	for i, w := range p.Writes {
-		out[i] = model.ValueRef{Object: w.Object, Value: w.Value, Writer: p.TID}
-	}
-	return out
-}
+func (p *writeReq) Kind() string { return "write-req" }
 
-type writeResp struct {
-	TID model.TxnID
-}
+type writeResp struct{ protocol.Msg }
 
-func (p *writeResp) Kind() string     { return "write-resp" }
-func (p *writeResp) Txn() model.TxnID { return p.TID }
+func (p *writeResp) Kind() string { return "write-resp" }
 
 // --- server ---
 
@@ -108,7 +95,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readReq:
-			resp := &readResp{TID: p.TID}
+			resp := &readResp{Msg: p.Msg}
 			for _, obj := range p.Objs {
 				if v := s.ShardStore().LatestVisible(obj); v != nil {
 					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer})
@@ -121,7 +108,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Visible: true})
 			}
-			s.Send(m.From, &writeResp{TID: p.TID})
+			s.Send(m.From, &writeResp{Msg: p.Msg})
 		default:
 			panic(fmt.Sprintf("naivefast: server %s got %T", s.ID(), m.Payload))
 		}
@@ -158,10 +145,10 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		// Reads go to the primary replica of each object; writes go to
 		// every replica of the written object.
 		for _, sh := range pl.ReadShares(t.ReadSet) {
-			c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
+			c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items})
 		}
 		for _, sh := range pl.WriteShares(t.Writes) {
-			c.Send(sh.Server, &writeReq{TID: t.ID, Writes: sh.Items})
+			c.Send(sh.Server, &writeReq{Msg: protocol.Msg{TID: t.ID}, Writes: sh.Items})
 		}
 	}
 	if c.RoundDone() {

@@ -62,13 +62,12 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 var stableKinds = &protocol.StableKinds{Gossip: "cnt-gossip", Req: "gsv-req", Resp: "gsv-resp"}
 
 type readReq struct {
-	TID  model.TxnID
+	protocol.Msg
 	Objs []string
 	Snap vclock.Vector
 }
 
-func (p *readReq) Kind() string     { return "read-req" }
-func (p *readReq) Txn() model.TxnID { return p.TID }
+func (p *readReq) Kind() string { return "read-req" }
 
 type readVal struct {
 	Ref model.ValueRef
@@ -76,12 +75,11 @@ type readVal struct {
 }
 
 type readResp struct {
-	TID  model.TxnID
+	protocol.Msg
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string     { return "read-resp" }
-func (p *readResp) Txn() model.TxnID { return p.TID }
+func (p *readResp) Kind() string { return "read-resp" }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	out := make([]model.ValueRef, len(p.Vals))
 	for i, v := range p.Vals {
@@ -91,21 +89,19 @@ func (p *readResp) CarriedValues() []model.ValueRef {
 }
 
 type writeReq struct {
-	TID model.TxnID
+	protocol.Msg
 	W   model.Write
 	Dep vclock.Vector
 }
 
-func (p *writeReq) Kind() string     { return "write-req" }
-func (p *writeReq) Txn() model.TxnID { return p.TID }
+func (p *writeReq) Kind() string { return "write-req" }
 
 type writeResp struct {
-	TID model.TxnID
+	protocol.Msg
 	Vec vclock.Vector
 }
 
-func (p *writeResp) Kind() string     { return "write-ack" }
-func (p *writeResp) Txn() model.TxnID { return p.TID }
+func (p *writeResp) Kind() string { return "write-ack" }
 
 // --- server ---
 
@@ -127,7 +123,7 @@ func (s *server) Clone() sim.Process {
 func (s *server) canServe(req *readReq) bool { return req.Snap[s.idx] <= s.cnt }
 
 func (s *server) serveRead(from sim.ProcessID, req *readReq) {
-	resp := &readResp{TID: req.TID}
+	resp := &readResp{Msg: req.Msg}
 	for _, obj := range req.Objs {
 		// Entire dependency vector must be dominated by the snapshot —
 		// an entry above it means a dependency is outside the snapshot.
@@ -162,7 +158,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			vec.Merge(p.Dep)
 			vec[s.idx] = s.cnt
 			s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Vec: vec, Visible: true})
-			s.Send(m.From, &writeResp{TID: p.TID, Vec: vec})
+			s.Send(m.From, &writeResp{Msg: p.Msg, Vec: vec})
 		case *protocol.StableGossip[int64]:
 			s.stab.Heard(p)
 		default:
@@ -237,7 +233,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = writing
 			w := t.Writes[len(t.Writes)-1]
 			c.Send(c.Placement().PrimaryOf(w.Object), &writeReq{
-				TID: t.ID, W: w, Dep: c.dep.Clone(),
+				Msg: protocol.Msg{TID: t.ID}, W: w, Dep: c.dep.Clone(),
 			})
 		}
 		return c.Sent()
@@ -249,7 +245,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.snap.Merge(c.dep) // snapshot covers the causal past
 			c.phase = reading
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap.Clone()})
+				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items, Snap: c.snap.Clone()})
 			}
 		case reading:
 			for _, obj := range t.ReadSet {

@@ -32,14 +32,14 @@ func TestParkPathServesWhenCounterCatchesUp(t *testing.T) {
 
 	// Craft a read at snapshot (2, 0) while s0 has applied only 1 write.
 	writeMsg := &sim.Message{From: "c9", To: "s0", Payload: &writeReq{
-		TID: model.TxnID{Client: "c9", Seq: 1},
+		Msg: protocol.Msg{TID: model.TxnID{Client: "c9", Seq: 1}},
 		W:   model.Write{Object: "X0", Value: "v1"},
 		Dep: vclock.NewVector(2),
 	}}
 	srv.Step(1, []*sim.Message{writeMsg})
 
 	readMsg := &sim.Message{From: "r9", To: "s0", Payload: &readReq{
-		TID:  model.TxnID{Client: "r9", Seq: 1},
+		Msg:  protocol.Msg{TID: model.TxnID{Client: "r9", Seq: 1}},
 		Objs: []string{"X0"},
 		Snap: vclock.Vector{2, 0},
 	}}
@@ -56,7 +56,7 @@ func TestParkPathServesWhenCounterCatchesUp(t *testing.T) {
 	// A second write advances the counter to 2; the parked read must be
 	// served on the next step, with the new value.
 	writeMsg2 := &sim.Message{From: "c9", To: "s0", Payload: &writeReq{
-		TID: model.TxnID{Client: "c9", Seq: 2},
+		Msg: protocol.Msg{TID: model.TxnID{Client: "c9", Seq: 2}},
 		W:   model.Write{Object: "X0", Value: "v2"},
 		Dep: vclock.NewVector(2),
 	}}

@@ -66,12 +66,11 @@ func after(ts1 int64, w1 model.TxnID, ts2 int64, w2 model.TxnID) bool {
 // --- payloads ---
 
 type readReq struct {
-	TID  model.TxnID
+	protocol.Msg
 	Objs []string
 }
 
-func (p *readReq) Kind() string     { return "read-req" }
-func (p *readReq) Txn() model.TxnID { return p.TID }
+func (p *readReq) Kind() string { return "read-req" }
 
 type readVal struct {
 	Ref model.ValueRef
@@ -82,12 +81,11 @@ type readVal struct {
 }
 
 type readResp struct {
-	TID  model.TxnID
+	protocol.Msg
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string     { return "read-resp" }
-func (p *readResp) Txn() model.TxnID { return p.TID }
+func (p *readResp) Kind() string { return "read-resp" }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	out := make([]model.ValueRef, len(p.Vals))
 	for i, v := range p.Vals {
@@ -98,38 +96,33 @@ func (p *readResp) CarriedValues() []model.ValueRef {
 
 // byWriterReq fetches a specific version in the repair round.
 type byWriterReq struct {
-	TID    model.TxnID
+	protocol.Msg
 	Object string
 	Writer model.TxnID
 }
 
-func (p *byWriterReq) Kind() string     { return "by-writer-req" }
-func (p *byWriterReq) Txn() model.TxnID { return p.TID }
+func (p *byWriterReq) Kind() string { return "by-writer-req" }
 
 type prepareReq struct {
-	TID      model.TxnID
+	protocol.Msg
 	TS       int64
 	Writes   []model.Write
 	WriteSet []string
 }
 
-func (p *prepareReq) Kind() string     { return "prepare" }
-func (p *prepareReq) Txn() model.TxnID { return p.TID }
+func (p *prepareReq) Kind() string { return "prepare" }
 
-type prepareAck struct{ TID model.TxnID }
+type prepareAck struct{ protocol.Msg }
 
-func (p *prepareAck) Kind() string     { return "prepare-ack" }
-func (p *prepareAck) Txn() model.TxnID { return p.TID }
+func (p *prepareAck) Kind() string { return "prepare-ack" }
 
-type commitReq struct{ TID model.TxnID }
+type commitReq struct{ protocol.Msg }
 
-func (p *commitReq) Kind() string     { return "commit" }
-func (p *commitReq) Txn() model.TxnID { return p.TID }
+func (p *commitReq) Kind() string { return "commit" }
 
-type commitAck struct{ TID model.TxnID }
+type commitAck struct{ protocol.Msg }
 
-func (p *commitAck) Kind() string     { return "commit-ack" }
-func (p *commitAck) Txn() model.TxnID { return p.TID }
+func (p *commitAck) Kind() string { return "commit-ack" }
 
 // --- server ---
 
@@ -155,7 +148,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readReq:
-			resp := &readResp{TID: p.TID}
+			resp := &readResp{Msg: p.Msg}
 			for _, obj := range p.Objs {
 				best := s.ShardStore().LatestVisibleByStamp(obj)
 				if best == nil {
@@ -166,7 +159,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			s.Send(m.From, resp)
 		case *byWriterReq:
-			resp := &readResp{TID: p.TID}
+			resp := &readResp{Msg: p.Msg}
 			// Prepared-but-uncommitted versions are fetchable: the reader
 			// has proof the transaction committed elsewhere.
 			if v := s.ShardStore().Find(p.Object, p.Writer); v != nil {
@@ -188,10 +181,10 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					Stamp: vclock.HLCStamp{Wall: p.TS}, Meta: others,
 				})
 			}
-			s.Send(m.From, &prepareAck{TID: p.TID})
+			s.Send(m.From, &prepareAck{Msg: p.Msg})
 		case *commitReq:
 			s.ShardStore().Commit(p.TID)
-			s.Send(m.From, &commitAck{TID: p.TID})
+			s.Send(m.From, &commitAck{Msg: p.Msg})
 		default:
 			panic(fmt.Sprintf("ramp: server %s got %T", s.ID(), m.Payload))
 		}
@@ -280,7 +273,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = round1
 			c.got = make(map[string]readVal)
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
+				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items})
 			}
 		} else {
 			c.phase = preparing
@@ -290,7 +283,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			ws := t.WriteSet()
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
 				c.Send(sh.Server, &prepareReq{
-					TID: t.ID, TS: c.clock, Writes: sh.Items, WriteSet: ws,
+					Msg: protocol.Msg{TID: t.ID}, TS: c.clock, Writes: sh.Items, WriteSet: ws,
 				})
 			}
 		}
@@ -313,7 +306,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			sort.Strings(objs)
 			for _, o := range objs {
 				c.Send(c.Placement().PrimaryOf(o), &byWriterReq{
-					TID: t.ID, Object: o, Writer: repair[o].Ref.Writer,
+					Msg: protocol.Msg{TID: t.ID}, Object: o, Writer: repair[o].Ref.Writer,
 				})
 			}
 		case round2:
@@ -321,7 +314,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case preparing:
 			c.phase = committing
 			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				c.Send(srv, &commitReq{TID: t.ID})
+				c.Send(srv, &commitReq{Msg: protocol.Msg{TID: t.ID}})
 			}
 		case committing:
 			c.phase = idle

@@ -75,53 +75,45 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 // --- payloads ---
 
 type readReq struct {
-	TID  model.TxnID
+	protocol.Msg
 	Objs []string
 	TS   int64 // read timestamp (TT.now().latest at the client)
 }
 
-func (p *readReq) Kind() string     { return "read-req" }
-func (p *readReq) Txn() model.TxnID { return p.TID }
+func (p *readReq) Kind() string { return "read-req" }
 
 type readResp struct {
-	TID  model.TxnID
+	protocol.Msg
 	Vals []model.ValueRef
 }
 
 func (p *readResp) Kind() string                    { return "read-resp" }
-func (p *readResp) Txn() model.TxnID                { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
 
 type prepareReq struct {
-	TID    model.TxnID
+	protocol.Msg
 	Writes []model.Write
 }
 
-func (p *prepareReq) Kind() string     { return "prepare" }
-func (p *prepareReq) Txn() model.TxnID { return p.TID }
+func (p *prepareReq) Kind() string { return "prepare" }
 
 type prepareAck struct {
-	TID model.TxnID
-	TS  int64 // prepare timestamp proposal
+	protocol.Msg
+	TS int64 // prepare timestamp proposal
 }
 
-func (p *prepareAck) Kind() string     { return "prepare-ack" }
-func (p *prepareAck) Txn() model.TxnID { return p.TID }
+func (p *prepareAck) Kind() string { return "prepare-ack" }
 
 type commitReq struct {
-	TID model.TxnID
-	TS  int64 // commit timestamp
+	protocol.Msg
+	TS int64 // commit timestamp
 }
 
-func (p *commitReq) Kind() string     { return "commit" }
-func (p *commitReq) Txn() model.TxnID { return p.TID }
+func (p *commitReq) Kind() string { return "commit" }
 
-type commitAck struct {
-	TID model.TxnID
-}
+type commitAck struct{ protocol.Msg }
 
-func (p *commitAck) Kind() string     { return "commit-ack" }
-func (p *commitAck) Txn() model.TxnID { return p.TID }
+func (p *commitAck) Kind() string { return "commit-ack" }
 
 // --- server ---
 
@@ -185,7 +177,7 @@ func (s *server) safeTime(now sim.Time) int64 {
 }
 
 func (s *server) serveRead(from sim.ProcessID, req *readReq) {
-	resp := &readResp{TID: req.TID, Vals: make([]model.ValueRef, 0, len(req.Objs))}
+	resp := &readResp{Msg: req.Msg, Vals: make([]model.ValueRef, 0, len(req.Objs))}
 	for _, obj := range req.Objs {
 		if v := s.ShardStore().SnapshotRead(obj, vclock.HLCStamp{Wall: req.TS}); v != nil {
 			resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer})
@@ -215,14 +207,14 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID})
 			}
-			s.Send(m.From, &prepareAck{TID: p.TID, TS: ts})
+			s.Send(m.From, &prepareAck{Msg: p.Msg, TS: ts})
 		case *commitReq:
 			s.pending.Remove(p.TID)
 			s.ShardStore().CommitAt(p.TID, vclock.HLCStamp{Wall: p.TS})
 			if p.TS > s.lastTS {
 				s.lastTS = p.TS
 			}
-			s.Send(m.From, &commitAck{TID: p.TID})
+			s.Send(m.From, &commitAck{Msg: p.Msg})
 		default:
 			panic(fmt.Sprintf("spanner: server %s got %T", s.ID(), m.Payload))
 		}
@@ -310,13 +302,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = reading
 			ts := int64(now) + c.skew + Epsilon // TT.now().latest
 			for _, sh := range pl.ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items, TS: ts})
+				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items, TS: ts})
 			}
 		} else {
 			c.phase = preparing
 			c.commitTS = 0
 			for _, sh := range pl.WriteShares(t.Writes) {
-				c.Send(sh.Server, &prepareReq{TID: t.ID, Writes: sh.Items})
+				c.Send(sh.Server, &prepareReq{Msg: protocol.Msg{TID: t.ID}, Writes: sh.Items})
 			}
 		}
 		return c.Sent()
@@ -330,7 +322,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case preparing:
 			c.phase = committing
 			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				c.Send(srv, &commitReq{TID: t.ID, TS: c.commitTS})
+				c.Send(srv, &commitReq{Msg: protocol.Msg{TID: t.ID}, TS: c.commitTS})
 			}
 		case committing:
 			c.phase = commitWait

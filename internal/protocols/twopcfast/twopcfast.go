@@ -56,50 +56,38 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 // --- payloads ---
 
 type readReq struct {
-	TID  model.TxnID
+	protocol.Msg
 	Objs []string
 }
 
-func (p *readReq) Kind() string     { return "read-req" }
-func (p *readReq) Txn() model.TxnID { return p.TID }
+func (p *readReq) Kind() string { return "read-req" }
 
 type readResp struct {
-	TID  model.TxnID
+	protocol.Msg
 	Vals []model.ValueRef
 }
 
 func (p *readResp) Kind() string                    { return "read-resp" }
-func (p *readResp) Txn() model.TxnID                { return p.TID }
 func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
 
 type prepareReq struct {
-	TID    model.TxnID
+	protocol.Msg
 	Writes []model.Write
 }
 
-func (p *prepareReq) Kind() string     { return "prepare" }
-func (p *prepareReq) Txn() model.TxnID { return p.TID }
+func (p *prepareReq) Kind() string { return "prepare" }
 
-type prepareAck struct {
-	TID model.TxnID
-}
+type prepareAck struct{ protocol.Msg }
 
-func (p *prepareAck) Kind() string     { return "prepare-ack" }
-func (p *prepareAck) Txn() model.TxnID { return p.TID }
+func (p *prepareAck) Kind() string { return "prepare-ack" }
 
-type commitReq struct {
-	TID model.TxnID
-}
+type commitReq struct{ protocol.Msg }
 
-func (p *commitReq) Kind() string     { return "commit" }
-func (p *commitReq) Txn() model.TxnID { return p.TID }
+func (p *commitReq) Kind() string { return "commit" }
 
-type commitAck struct {
-	TID model.TxnID
-}
+type commitAck struct{ protocol.Msg }
 
-func (p *commitAck) Kind() string     { return "commit-ack" }
-func (p *commitAck) Txn() model.TxnID { return p.TID }
+func (p *commitAck) Kind() string { return "commit-ack" }
 
 // --- server ---
 
@@ -115,7 +103,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *readReq:
-			resp := &readResp{TID: p.TID}
+			resp := &readResp{Msg: p.Msg}
 			for _, obj := range p.Objs {
 				if v := s.ShardStore().LatestVisible(obj); v != nil {
 					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer})
@@ -128,10 +116,10 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID})
 			}
-			s.Send(m.From, &prepareAck{TID: p.TID})
+			s.Send(m.From, &prepareAck{Msg: p.Msg})
 		case *commitReq:
 			s.ShardStore().Commit(p.TID)
-			s.Send(m.From, &commitAck{TID: p.TID})
+			s.Send(m.From, &commitAck{Msg: p.Msg})
 		default:
 			panic(fmt.Sprintf("twopcfast: server %s got %T", s.ID(), m.Payload))
 		}
@@ -184,12 +172,12 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		if t.IsReadOnly() {
 			c.phase = reading
 			for _, sh := range pl.ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items})
+				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items})
 			}
 		} else {
 			c.phase = preparing
 			for _, sh := range pl.WriteShares(t.Writes) {
-				c.Send(sh.Server, &prepareReq{TID: t.ID, Writes: sh.Items})
+				c.Send(sh.Server, &prepareReq{Msg: protocol.Msg{TID: t.ID}, Writes: sh.Items})
 			}
 		}
 		return c.Sent()
@@ -204,7 +192,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// All prepared: commit everywhere.
 			c.phase = committing
 			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				c.Send(srv, &commitReq{TID: t.ID})
+				c.Send(srv, &commitReq{Msg: protocol.Msg{TID: t.ID}})
 			}
 		case committing:
 			c.phase = idle

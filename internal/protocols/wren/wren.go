@@ -66,13 +66,12 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 var stableKinds = &protocol.StableKinds{Gossip: "stable-gossip", Req: "stable-req", Resp: "stable-resp"}
 
 type readReq struct {
-	TID  model.TxnID
+	protocol.Msg
 	Objs []string
 	Snap vclock.HLCStamp
 }
 
-func (p *readReq) Kind() string     { return "read-req" }
-func (p *readReq) Txn() model.TxnID { return p.TID }
+func (p *readReq) Kind() string { return "read-req" }
 
 type readVal struct {
 	Ref   model.ValueRef
@@ -80,12 +79,11 @@ type readVal struct {
 }
 
 type readResp struct {
-	TID  model.TxnID
+	protocol.Msg
 	Vals []readVal
 }
 
-func (p *readResp) Kind() string     { return "read-resp" }
-func (p *readResp) Txn() model.TxnID { return p.TID }
+func (p *readResp) Kind() string { return "read-resp" }
 func (p *readResp) CarriedValues() []model.ValueRef {
 	out := make([]model.ValueRef, len(p.Vals))
 	for i, v := range p.Vals {
@@ -95,37 +93,33 @@ func (p *readResp) CarriedValues() []model.ValueRef {
 }
 
 type prepareReq struct {
-	TID    model.TxnID
+	protocol.Msg
 	Writes []model.Write
 	DepTS  vclock.HLCStamp
 }
 
-func (p *prepareReq) Kind() string     { return "prepare" }
-func (p *prepareReq) Txn() model.TxnID { return p.TID }
+func (p *prepareReq) Kind() string { return "prepare" }
 
 type prepareAck struct {
-	TID model.TxnID
-	TS  vclock.HLCStamp
+	protocol.Msg
+	TS vclock.HLCStamp
 }
 
-func (p *prepareAck) Kind() string     { return "prepare-ack" }
-func (p *prepareAck) Txn() model.TxnID { return p.TID }
+func (p *prepareAck) Kind() string { return "prepare-ack" }
 
 type commitReq struct {
-	TID model.TxnID
-	TS  vclock.HLCStamp
+	protocol.Msg
+	TS vclock.HLCStamp
 }
 
-func (p *commitReq) Kind() string     { return "commit" }
-func (p *commitReq) Txn() model.TxnID { return p.TID }
+func (p *commitReq) Kind() string { return "commit" }
 
 type commitAck struct {
-	TID model.TxnID
-	TS  vclock.HLCStamp
+	protocol.Msg
+	TS vclock.HLCStamp
 }
 
-func (p *commitAck) Kind() string     { return "commit-ack" }
-func (p *commitAck) Txn() model.TxnID { return p.TID }
+func (p *commitAck) Kind() string { return "commit-ack" }
 
 // --- server ---
 
@@ -169,7 +163,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			s.hlc.Now(int64(now))
 			s.Send(m.From, protocol.Answer(p, s.stab.Min(s.localStable())))
 		case *readReq:
-			resp := &readResp{TID: p.TID}
+			resp := &readResp{Msg: p.Msg}
 			for _, obj := range p.Objs {
 				if v := s.ShardStore().SnapshotRead(obj, p.Snap); v != nil {
 					resp.Vals = append(resp.Vals, readVal{
@@ -195,12 +189,12 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Stamp: ts})
 			}
-			s.Send(m.From, &prepareAck{TID: p.TID, TS: ts})
+			s.Send(m.From, &prepareAck{Msg: p.Msg, TS: ts})
 		case *commitReq:
 			s.hlc.Observe(int64(now), p.TS)
 			s.pending.Remove(p.TID)
 			s.ShardStore().CommitAt(p.TID, p.TS)
-			s.Send(m.From, &commitAck{TID: p.TID, TS: p.TS})
+			s.Send(m.From, &commitAck{Msg: p.Msg, TS: p.TS})
 		case *protocol.StableGossip[vclock.HLCStamp]:
 			s.stab.Heard(p)
 		default:
@@ -298,7 +292,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.maxPrep = vclock.HLCStamp{}
 			for _, sh := range c.Placement().WriteShares(t.Writes) {
 				c.Send(sh.Server, &prepareReq{
-					TID: t.ID, Writes: sh.Items, DepTS: c.depTS,
+					Msg: protocol.Msg{TID: t.ID}, Writes: sh.Items, DepTS: c.depTS,
 				})
 			}
 		}
@@ -311,7 +305,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// Round 2: snapshot reads at the cutoff.
 			c.phase = reading
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{TID: t.ID, Objs: sh.Items, Snap: c.snap})
+				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items, Snap: c.snap})
 			}
 		case reading:
 			for _, obj := range t.ReadSet {
@@ -333,7 +327,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case preparing:
 			c.phase = committing
 			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				c.Send(srv, &commitReq{TID: t.ID, TS: c.maxPrep})
+				c.Send(srv, &commitReq{Msg: protocol.Msg{TID: t.ID}, TS: c.maxPrep})
 			}
 		case committing:
 			for _, w := range t.Writes {
