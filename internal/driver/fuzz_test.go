@@ -49,8 +49,7 @@ func configFrom(data []byte) (protocol.Protocol, Config) {
 	cfg.Topology, _ = protocol.TopologyByName(protocol.Topologies()[next()%3])
 	if bit() {
 		cfg.Nemesis = &Nemesis{
-			Crashes: next() % 3, Partitions: next() % 3, Replaces: next() % 2, Restores: next() % 2,
-			Lose: bit(), ServersOnly: bit(),
+			Crashes: next() % 3, Partitions: next() % 3, Replaces: next() % 2, Restores: next() % 2, Lose: bit(),
 			Start: sim.Time(next()) * 200, Period: sim.Time(next()) * 500, Duration: sim.Time(next()) * 100,
 		}
 	}
@@ -63,11 +62,11 @@ func configFrom(data []byte) (protocol.Protocol, Config) {
 // message-conservation check. A hang shows as the fuzz engine's timeout.
 func FuzzConfig(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 4, 1, 40, 2, 2, 1, 0, 7, 190, 2, 2, 99})                                                           // plain closed loop
-	f.Add([]byte{1, 8, 3, 64, 4, 3, 3, 1, 2, 100, 4, 1, 50, 4, 9, 1, 1, 1, 1, 3, 1})                                   // cure, replicated, open loop, probes, 2site
-	f.Add([]byte{2, 3, 0, 30, 3, 1, 5, 9, 9, 255, 0, 0, 0, 6, 0, 0, 0, 1, 0, 2, 2})                                    // spanner, replication > servers, read fraction > 1, absurd rate, 3site
-	f.Add([]byte{3, 6, 2, 50, 2, 1, 0, 0, 3, 100, 2, 2, 99, 0, 30, 0, 1, 1, 1, 1, 0, 1, 2, 1, 1, 1, 1, 0, 20, 30, 40}) // naivefast certified under every fault kind
-	f.Add([]byte{0, 5, 1, 20, 4, 2, 2, 0, 1, 100, 2, 2, 0, 8, 0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 0, 0, 0, 0, 0, 0, 0})      // infinite rate under default-timed faults
+	f.Add([]byte{0, 4, 1, 40, 2, 2, 1, 0, 7, 190, 2, 2, 99})                                                        // plain closed loop
+	f.Add([]byte{1, 8, 3, 64, 4, 3, 3, 1, 2, 100, 4, 1, 50, 4, 9, 1, 1, 1, 1, 3, 1})                                // cure, replicated, open loop, probes, 2site
+	f.Add([]byte{2, 3, 0, 30, 3, 1, 5, 9, 9, 255, 0, 0, 0, 6, 0, 0, 0, 1, 0, 2, 2})                                 // spanner, replication > servers, read fraction > 1, absurd rate, 3site
+	f.Add([]byte{3, 6, 2, 50, 2, 1, 0, 0, 3, 100, 2, 2, 99, 0, 30, 0, 1, 1, 1, 1, 0, 1, 2, 1, 1, 1, 1, 20, 30, 40}) // naivefast certified under every fault kind
+	f.Add([]byte{0, 5, 1, 20, 4, 2, 2, 0, 1, 100, 2, 2, 0, 8, 0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 0, 0, 0, 0, 0, 0})      // infinite rate under default-timed faults
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, cfg := configFrom(data)
 		rep, err := Run(p, cfg)

@@ -38,11 +38,6 @@ type Nemesis struct {
 	// by trailing-index parity otherwise) and severs every link between
 	// them, both directions.
 	Partitions int
-	// ServersOnly restricts partition groups to the servers: client↔server
-	// links stay up, only server↔server replication/gossip traffic is cut.
-	// This is the staleness scenario — reads still complete, but return
-	// un-replicated values.
-	ServersOnly bool
 	// Replaces is the number of replica-replacement cycles: a server is
 	// killed and a fresh process adopts its ID-space and shard, re-syncs
 	// from the durable image and live peers (protocol.Deployment's
@@ -182,7 +177,7 @@ func (n Nemesis) build(d *protocol.Deployment, seed int64, start sim.Time) ([]si
 					From: append([]sim.ProcessID(nil), servers...)})
 		}
 		if n.Partitions > 0 {
-			a, b := n.groups(d)
+			a, b := groups(d)
 			if len(a) == 0 || len(b) == 0 {
 				return nil, fmt.Errorf("driver: nemesis partition needs two non-empty halves (got %d|%d)", len(a), len(b))
 			}
@@ -203,14 +198,9 @@ func (n Nemesis) build(d *protocol.Deployment, seed int64, start sim.Time) ([]si
 
 // groups returns the two partition halves: the sites split (site 0 vs the
 // rest) when the deployment is multi-site, trailing-index parity
-// otherwise. ServersOnly keeps clients out — only replication traffic is
-// severed.
-func (n *Nemesis) groups(d *protocol.Deployment) (a, b []sim.ProcessID) {
-	var pool []sim.ProcessID
-	pool = append(pool, d.Place.Servers()...)
-	if !n.ServersOnly {
-		pool = append(pool, d.Clients...)
-	}
+// otherwise.
+func groups(d *protocol.Deployment) (a, b []sim.ProcessID) {
+	pool := append(d.Place.Servers(), d.Clients...)
 	if t := d.Topo; t != nil && t.Sites > 1 {
 		for _, pid := range pool {
 			if t.SiteOf(pid) == 0 {

@@ -248,17 +248,20 @@ func checkCertifiedCell(t *testing.T, rep *Report, knownFracture bool) {
 }
 
 // TestNemesisStalenessUnderPartition: with replication traffic severed
-// (ServersOnly partition) while clients keep committing at their
-// primaries, the staleness probes sampled inside the fault window must
-// observe stale values — replicas cannot have the writes yet — at a
-// higher rate than the run overall, and the run must still drain clean
-// after heal.
+// (a cut between the two servers, client links up) while clients keep
+// committing at their primaries, the staleness probes sampled inside the
+// fault window must observe stale values — replicas cannot have the
+// writes yet — at a higher rate than the run overall, and the run must
+// still drain clean after heal.
 func TestNemesisStalenessUnderPartition(t *testing.T) {
 	rep, err := Run(cure.New(), Config{
 		Clients: 8, Txns: 300, Mix: workload.Balanced(), Seed: 9,
 		Servers: 2, ObjectsPerServer: 2, Replication: 2,
 		ProbeStaleness: true, Certify: true,
-		Nemesis: &Nemesis{Partitions: 1, ServersOnly: true, Start: 10_000, Duration: 40_000},
+		Nemesis: &Nemesis{Schedule: []sim.Fault{
+			{At: 25_000, Kind: sim.FaultCut, From: []sim.ProcessID{"s0"}, To: []sim.ProcessID{"s1"}},
+			{At: 65_000, Kind: sim.FaultHeal, From: []sim.ProcessID{"s0"}, To: []sim.ProcessID{"s1"}},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)

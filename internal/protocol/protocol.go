@@ -6,8 +6,8 @@
 // payloads with Kind, a transaction's embedding the Msg header (values:
 // immutable once sent) and Claims; a server keeps its per-version
 // metadata on store.Version.Meta. Placement, fan-out
-// (ReadShares/WriteShares), deployments, probes and replacement catch-up
-// live here.
+// (ReadShares/WriteShares), the two-phase commit's messages, deployments,
+// probes and replacement catch-up live here.
 package protocol
 
 import (

@@ -85,35 +85,12 @@ func (p *readResp) CarriedValues() []model.ValueRef {
 	return out
 }
 
-type prepareReq struct {
-	protocol.Msg
-	Writes []model.Write
-	Dep    vclock.Vector
-}
-
-func (p *prepareReq) Kind() string { return "prepare" }
-
-type prepareAck struct {
-	protocol.Msg
+// prepared is a prepare ack's stamp: the server's index and the sequence
+// it gave the transaction.
+type prepared struct {
 	Idx int
 	Seq int64
 }
-
-func (p *prepareAck) Kind() string { return "prepare-ack" }
-
-type commitReq struct {
-	protocol.Msg
-	Vec vclock.Vector
-}
-
-func (p *commitReq) Kind() string { return "commit" }
-
-type commitAck struct {
-	protocol.Msg
-	Vec vclock.Vector
-}
-
-func (p *commitAck) Kind() string { return "commit-ack" }
 
 // --- server ---
 
@@ -177,7 +154,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			s.Send(m.From, protocol.Answer(p, vclock.Vector(s.stab.Vector(s.stable()))))
 		case *readReq:
 			s.parked.Offer(m.From, p, s.canServe, s.serveRead)
-		case *prepareReq:
+		case *protocol.Prepare[vclock.Vector]:
 			s.nextSeq++
 			seq := s.nextSeq
 			s.pending.Add(p.TID, seq)
@@ -187,17 +164,17 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, w := range p.Writes {
 				s.ShardStore().InstallOrdered(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Vec: vec})
 			}
-			s.Send(m.From, &prepareAck{Msg: p.Msg, Idx: s.idx, Seq: seq})
-		case *commitReq:
+			s.Send(m.From, &protocol.Prepared[prepared]{Msg: p.Msg, Stamp: prepared{Idx: s.idx, Seq: seq}})
+		case *protocol.Commit[vclock.Vector]:
 			s.pending.Remove(p.TID)
-			s.ShardStore().CommitVec(p.TID, p.Vec)
-			if p.Vec[s.idx] > s.applied {
-				s.applied = p.Vec[s.idx]
+			s.ShardStore().CommitVec(p.TID, p.Stamp)
+			if p.Stamp[s.idx] > s.applied {
+				s.applied = p.Stamp[s.idx]
 			}
 			if s.nextSeq < s.applied {
 				s.nextSeq = s.applied
 			}
-			s.Send(m.From, &commitAck{Msg: p.Msg, Vec: p.Vec})
+			s.Send(m.From, &protocol.Committed{Msg: p.Msg})
 		case *protocol.StableGossip[int64]:
 			s.stab.Heard(p)
 		default:
@@ -257,15 +234,15 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					c.got[slices.Index(c.Current().ReadSet, v.Ref.Object)] = v
 				}
 			}
-		case *prepareAck:
+		case *protocol.Prepared[prepared]:
 			if c.phase == preparing && c.Reply(p) {
-				if p.Seq > c.commit[p.Idx] {
-					c.commit[p.Idx] = p.Seq
+				if p.Stamp.Seq > c.commit[p.Stamp.Idx] {
+					c.commit[p.Stamp.Idx] = p.Stamp.Seq
 				}
 			}
-		case *commitAck:
-			if c.phase == committing && c.Reply(p) {
-				c.dep.Merge(p.Vec)
+		case *protocol.Committed:
+			if c.phase == committing {
+				c.Reply(p)
 			}
 		}
 	}
@@ -279,10 +256,8 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		} else {
 			c.phase = preparing
 			c.commit = c.dep.Clone()
-			dep := c.dep.Clone() // every prepare carries this one snapshot
-			for _, sh := range c.Placement().WriteShares(t.Writes) {
-				c.Send(sh.Server, &prepareReq{Msg: protocol.Msg{TID: t.ID}, Writes: sh.Items, Dep: dep})
-			}
+			// Every prepare carries this one dependency snapshot.
+			protocol.SendPrepares(&c.Core, c.dep.Clone())
 		}
 		return c.Sent()
 	}
@@ -311,10 +286,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// Every commit carries c.commit itself: no ack writes it
 			// after this round, and the next write replaces it.
 			c.phase = committing
-			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				c.Send(srv, &commitReq{Msg: protocol.Msg{TID: t.ID}, Vec: c.commit})
-			}
+			protocol.SendCommits(&c.Core, c.commit)
 		case committing:
+			c.dep.Merge(c.commit)
 			c.phase = idle
 			c.Finish(now)
 		}

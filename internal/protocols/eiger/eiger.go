@@ -120,35 +120,6 @@ func (p *readResp) CarriedValues() []model.ValueRef {
 	return out
 }
 
-type prepareReq struct {
-	protocol.Msg
-	Writes []model.Write
-	DepTS  int64
-}
-
-func (p *prepareReq) Kind() string { return "prepare" }
-
-type prepareAck struct {
-	protocol.Msg
-	TS int64
-}
-
-func (p *prepareAck) Kind() string { return "prepare-ack" }
-
-type commitReq struct {
-	protocol.Msg
-	TS int64
-}
-
-func (p *commitReq) Kind() string { return "commit" }
-
-type commitAck struct {
-	protocol.Msg
-	TS int64
-}
-
-func (p *commitAck) Kind() string { return "commit-ack" }
-
 // --- server ---
 
 type server struct {
@@ -205,20 +176,20 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				})
 			}
 			s.Send(m.From, resp)
-		case *prepareReq:
-			s.clock.Observe(p.DepTS)
+		case *protocol.Prepare[int64]:
+			s.clock.Observe(p.Dep)
 			ts := s.clock.Tick()
 			s.pending.Add(p.TID, ts)
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID,
 					Stamp: vclock.HLCStamp{Wall: ts}})
 			}
-			s.Send(m.From, &prepareAck{Msg: p.Msg, TS: ts})
-		case *commitReq:
-			s.clock.Observe(p.TS)
+			s.Send(m.From, &protocol.Prepared[int64]{Msg: p.Msg, Stamp: ts})
+		case *protocol.Commit[int64]:
+			s.clock.Observe(p.Stamp)
 			s.pending.Remove(p.TID)
-			s.ShardStore().CommitAt(p.TID, vclock.HLCStamp{Wall: p.TS, Logical: tieBreak(p.TID)})
-			s.Send(m.From, &commitAck{Msg: p.Msg, TS: p.TS})
+			s.ShardStore().CommitAt(p.TID, vclock.HLCStamp{Wall: p.Stamp, Logical: tieBreak(p.TID)})
+			s.Send(m.From, &protocol.Committed{Msg: p.Msg})
 		default:
 			panic(fmt.Sprintf("eiger: server %s got %T", s.ID(), m.Payload))
 		}
@@ -307,13 +278,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					}
 				}
 			}
-		case *prepareAck:
+		case *protocol.Prepared[int64]:
 			if c.phase == preparing && c.Reply(p) {
-				if p.TS > c.commitTS {
-					c.commitTS = p.TS
+				if p.Stamp > c.commitTS {
+					c.commitTS = p.Stamp
 				}
 			}
-		case *commitAck:
+		case *protocol.Committed:
 			if c.phase == committing {
 				c.Reply(p)
 			}
@@ -328,11 +299,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		} else {
 			c.phase = preparing
 			c.commitTS = 0
-			for _, sh := range c.Placement().WriteShares(t.Writes) {
-				c.Send(sh.Server, &prepareReq{
-					Msg: protocol.Msg{TID: t.ID}, Writes: sh.Items, DepTS: c.depTS,
-				})
-			}
+			protocol.SendPrepares(&c.Core, c.depTS)
 		}
 		return c.Sent()
 	}
@@ -360,9 +327,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.Finish(now)
 		case preparing:
 			c.phase = committing
-			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				c.Send(srv, &commitReq{Msg: protocol.Msg{TID: t.ID}, TS: c.commitTS})
-			}
+			protocol.SendCommits(&c.Core, c.commitTS)
 		case committing:
 			if c.commitTS > c.depTS {
 				c.depTS = c.commitTS

@@ -103,26 +103,12 @@ type byWriterReq struct {
 
 func (p *byWriterReq) Kind() string { return "by-writer-req" }
 
-type prepareReq struct {
-	protocol.Msg
+// txnMeta is what every prepare of a write carries beside its writes: the
+// transaction's timestamp and its whole write set.
+type txnMeta struct {
 	TS       int64
-	Writes   []model.Write
 	WriteSet []string
 }
-
-func (p *prepareReq) Kind() string { return "prepare" }
-
-type prepareAck struct{ protocol.Msg }
-
-func (p *prepareAck) Kind() string { return "prepare-ack" }
-
-type commitReq struct{ protocol.Msg }
-
-func (p *commitReq) Kind() string { return "commit" }
-
-type commitAck struct{ protocol.Msg }
-
-func (p *commitAck) Kind() string { return "commit-ack" }
 
 // --- server ---
 
@@ -168,23 +154,23 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: p.Object, Value: model.Bottom}})
 			}
 			s.Send(m.From, resp)
-		case *prepareReq:
+		case *protocol.Prepare[txnMeta]:
 			for _, w := range p.Writes {
 				var others []string
-				for _, o := range p.WriteSet {
+				for _, o := range p.Dep.WriteSet {
 					if o != w.Object {
 						others = append(others, o)
 					}
 				}
 				s.ShardStore().Install(&store.Version{
 					Object: w.Object, Value: w.Value, Writer: p.TID,
-					Stamp: vclock.HLCStamp{Wall: p.TS}, Meta: others,
+					Stamp: vclock.HLCStamp{Wall: p.Dep.TS}, Meta: others,
 				})
 			}
-			s.Send(m.From, &prepareAck{Msg: p.Msg})
-		case *commitReq:
+			s.Send(m.From, &protocol.Prepared[struct{}]{Msg: p.Msg})
+		case *protocol.Commit[struct{}]:
 			s.ShardStore().Commit(p.TID)
-			s.Send(m.From, &commitAck{Msg: p.Msg})
+			s.Send(m.From, &protocol.Committed{Msg: p.Msg})
 		default:
 			panic(fmt.Sprintf("ramp: server %s got %T", s.ID(), m.Payload))
 		}
@@ -257,11 +243,11 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					}
 				}
 			}
-		case *prepareAck:
+		case *protocol.Prepared[struct{}]:
 			if c.phase == preparing {
 				c.Reply(p)
 			}
-		case *commitAck:
+		case *protocol.Committed:
 			if c.phase == committing {
 				c.Reply(p)
 			}
@@ -280,12 +266,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// A hybrid clock: writers that do not overlap are stamped in
 			// real-time order, as the read-atomic checker assumes.
 			c.clock = max(c.clock+1, int64(now))
-			ws := t.WriteSet()
-			for _, sh := range c.Placement().WriteShares(t.Writes) {
-				c.Send(sh.Server, &prepareReq{
-					Msg: protocol.Msg{TID: t.ID}, TS: c.clock, Writes: sh.Items, WriteSet: ws,
-				})
-			}
+			protocol.SendPrepares(&c.Core, txnMeta{TS: c.clock, WriteSet: t.WriteSet()})
 		}
 		return c.Sent()
 	}
@@ -313,9 +294,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.finishRead(now)
 		case preparing:
 			c.phase = committing
-			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				c.Send(srv, &commitReq{Msg: protocol.Msg{TID: t.ID}})
-			}
+			protocol.SendCommits(&c.Core, struct{}{})
 		case committing:
 			c.phase = idle
 			c.Finish(now)

@@ -90,31 +90,6 @@ type readResp struct {
 func (p *readResp) Kind() string                    { return "read-resp" }
 func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
 
-type prepareReq struct {
-	protocol.Msg
-	Writes []model.Write
-}
-
-func (p *prepareReq) Kind() string { return "prepare" }
-
-type prepareAck struct {
-	protocol.Msg
-	TS int64 // prepare timestamp proposal
-}
-
-func (p *prepareAck) Kind() string { return "prepare-ack" }
-
-type commitReq struct {
-	protocol.Msg
-	TS int64 // commit timestamp
-}
-
-func (p *commitReq) Kind() string { return "commit" }
-
-type commitAck struct{ protocol.Msg }
-
-func (p *commitAck) Kind() string { return "commit-ack" }
-
 // --- server ---
 
 type server struct {
@@ -197,8 +172,8 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// read reads it afresh.
 			safe := s.safeTime(now)
 			s.parked.Offer(m.From, p, func(r *readReq) bool { return safe >= r.TS }, s.serveRead)
-		case *prepareReq:
-			ts := int64(now) + s.skew + Epsilon
+		case *protocol.Prepare[struct{}]:
+			ts := int64(now) + s.skew + Epsilon // prepare timestamp proposal
 			if ts <= s.lastTS {
 				ts = s.lastTS + 1
 			}
@@ -207,14 +182,14 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID})
 			}
-			s.Send(m.From, &prepareAck{Msg: p.Msg, TS: ts})
-		case *commitReq:
+			s.Send(m.From, &protocol.Prepared[int64]{Msg: p.Msg, Stamp: ts})
+		case *protocol.Commit[int64]:
 			s.pending.Remove(p.TID)
-			s.ShardStore().CommitAt(p.TID, vclock.HLCStamp{Wall: p.TS})
-			if p.TS > s.lastTS {
-				s.lastTS = p.TS
+			s.ShardStore().CommitAt(p.TID, vclock.HLCStamp{Wall: p.Stamp})
+			if p.Stamp > s.lastTS {
+				s.lastTS = p.Stamp
 			}
-			s.Send(m.From, &commitAck{Msg: p.Msg})
+			s.Send(m.From, &protocol.Committed{Msg: p.Msg})
 		default:
 			panic(fmt.Sprintf("spanner: server %s got %T", s.ID(), m.Payload))
 		}
@@ -283,13 +258,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					c.Result().SetValue(vr.Object, vr.Value)
 				}
 			}
-		case *prepareAck:
+		case *protocol.Prepared[int64]:
 			if c.phase == preparing && c.Reply(p) {
-				if p.TS > c.commitTS {
-					c.commitTS = p.TS
+				if p.Stamp > c.commitTS {
+					c.commitTS = p.Stamp
 				}
 			}
-		case *commitAck:
+		case *protocol.Committed:
 			if c.phase == committing {
 				c.Reply(p)
 			}
@@ -307,23 +282,18 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		} else {
 			c.phase = preparing
 			c.commitTS = 0
-			for _, sh := range pl.WriteShares(t.Writes) {
-				c.Send(sh.Server, &prepareReq{Msg: protocol.Msg{TID: t.ID}, Writes: sh.Items})
-			}
+			protocol.SendPrepares(&c.Core, struct{}{})
 		}
 		return c.Sent()
 	}
 	if c.RoundDone() {
-		t := c.Current()
 		switch c.phase {
 		case reading:
 			c.phase = idle
 			c.Finish(now)
 		case preparing:
 			c.phase = committing
-			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				c.Send(srv, &commitReq{Msg: protocol.Msg{TID: t.ID}, TS: c.commitTS})
-			}
+			protocol.SendCommits(&c.Core, c.commitTS)
 		case committing:
 			c.phase = commitWait
 		case commitWait:

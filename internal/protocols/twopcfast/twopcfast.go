@@ -70,25 +70,6 @@ type readResp struct {
 func (p *readResp) Kind() string                    { return "read-resp" }
 func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
 
-type prepareReq struct {
-	protocol.Msg
-	Writes []model.Write
-}
-
-func (p *prepareReq) Kind() string { return "prepare" }
-
-type prepareAck struct{ protocol.Msg }
-
-func (p *prepareAck) Kind() string { return "prepare-ack" }
-
-type commitReq struct{ protocol.Msg }
-
-func (p *commitReq) Kind() string { return "commit" }
-
-type commitAck struct{ protocol.Msg }
-
-func (p *commitAck) Kind() string { return "commit-ack" }
-
 // --- server ---
 
 type server struct {
@@ -112,14 +93,14 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				}
 			}
 			s.Send(m.From, resp)
-		case *prepareReq:
+		case *protocol.Prepare[struct{}]:
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID})
 			}
-			s.Send(m.From, &prepareAck{Msg: p.Msg})
-		case *commitReq:
+			s.Send(m.From, &protocol.Prepared[struct{}]{Msg: p.Msg})
+		case *protocol.Commit[struct{}]:
 			s.ShardStore().Commit(p.TID)
-			s.Send(m.From, &commitAck{Msg: p.Msg})
+			s.Send(m.From, &protocol.Committed{Msg: p.Msg})
 		default:
 			panic(fmt.Sprintf("twopcfast: server %s got %T", s.ID(), m.Payload))
 		}
@@ -156,11 +137,11 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					c.Result().SetValue(vr.Object, vr.Value)
 				}
 			}
-		case *prepareAck:
+		case *protocol.Prepared[struct{}]:
 			if c.phase == preparing {
 				c.Reply(p)
 			}
-		case *commitAck:
+		case *protocol.Committed:
 			if c.phase == committing {
 				c.Reply(p)
 			}
@@ -176,14 +157,11 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 		} else {
 			c.phase = preparing
-			for _, sh := range pl.WriteShares(t.Writes) {
-				c.Send(sh.Server, &prepareReq{Msg: protocol.Msg{TID: t.ID}, Writes: sh.Items})
-			}
+			protocol.SendPrepares(&c.Core, struct{}{})
 		}
 		return c.Sent()
 	}
 	if c.RoundDone() {
-		t := c.Current()
 		switch c.phase {
 		case reading:
 			c.phase = idle
@@ -191,9 +169,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case preparing:
 			// All prepared: commit everywhere.
 			c.phase = committing
-			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				c.Send(srv, &commitReq{Msg: protocol.Msg{TID: t.ID}})
-			}
+			protocol.SendCommits(&c.Core, struct{}{})
 		case committing:
 			c.phase = idle
 			c.Finish(now)

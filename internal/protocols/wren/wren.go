@@ -92,35 +92,6 @@ func (p *readResp) CarriedValues() []model.ValueRef {
 	return out
 }
 
-type prepareReq struct {
-	protocol.Msg
-	Writes []model.Write
-	DepTS  vclock.HLCStamp
-}
-
-func (p *prepareReq) Kind() string { return "prepare" }
-
-type prepareAck struct {
-	protocol.Msg
-	TS vclock.HLCStamp
-}
-
-func (p *prepareAck) Kind() string { return "prepare-ack" }
-
-type commitReq struct {
-	protocol.Msg
-	TS vclock.HLCStamp
-}
-
-func (p *commitReq) Kind() string { return "commit" }
-
-type commitAck struct {
-	protocol.Msg
-	TS vclock.HLCStamp
-}
-
-func (p *commitAck) Kind() string { return "commit-ack" }
-
 // --- server ---
 
 type server struct {
@@ -175,26 +146,26 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				}
 			}
 			s.Send(m.From, resp)
-		case *prepareReq:
+		case *protocol.Prepare[vclock.HLCStamp]:
 			// Initial versions sit at the bottom of the timestamp order —
 			// the zero stamp — so every cutoff covers them: the cutoff is a
 			// minimum over servers, and one that has been idle since its
 			// own init write drags it below the later servers' init stamps.
 			var ts vclock.HLCStamp
 			if !protocol.IsInitClient(sim.ProcessID(p.TID.Client)) {
-				s.hlc.Observe(int64(now), p.DepTS)
+				s.hlc.Observe(int64(now), p.Dep)
 				ts = s.hlc.Now(int64(now))
 			}
 			s.pending.Add(p.TID, ts)
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Stamp: ts})
 			}
-			s.Send(m.From, &prepareAck{Msg: p.Msg, TS: ts})
-		case *commitReq:
-			s.hlc.Observe(int64(now), p.TS)
+			s.Send(m.From, &protocol.Prepared[vclock.HLCStamp]{Msg: p.Msg, Stamp: ts})
+		case *protocol.Commit[vclock.HLCStamp]:
+			s.hlc.Observe(int64(now), p.Stamp)
 			s.pending.Remove(p.TID)
-			s.ShardStore().CommitAt(p.TID, p.TS)
-			s.Send(m.From, &commitAck{Msg: p.Msg, TS: p.TS})
+			s.ShardStore().CommitAt(p.TID, p.Stamp)
+			s.Send(m.From, &protocol.Committed{Msg: p.Msg})
 		case *protocol.StableGossip[vclock.HLCStamp]:
 			s.stab.Heard(p)
 		default:
@@ -266,13 +237,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					c.readVals[v.Ref.Object] = v
 				}
 			}
-		case *prepareAck:
+		case *protocol.Prepared[vclock.HLCStamp]:
 			if c.phase == preparing && c.Reply(p) {
-				if c.maxPrep.Before(p.TS) {
-					c.maxPrep = p.TS
+				if c.maxPrep.Before(p.Stamp) {
+					c.maxPrep = p.Stamp
 				}
 			}
-		case *commitAck:
+		case *protocol.Committed:
 			if c.phase == committing {
 				c.Reply(p)
 			}
@@ -290,11 +261,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		} else {
 			c.phase = preparing
 			c.maxPrep = vclock.HLCStamp{}
-			for _, sh := range c.Placement().WriteShares(t.Writes) {
-				c.Send(sh.Server, &prepareReq{
-					Msg: protocol.Msg{TID: t.ID}, Writes: sh.Items, DepTS: c.depTS,
-				})
-			}
+			protocol.SendPrepares(&c.Core, c.depTS)
 		}
 		return c.Sent()
 	}
@@ -326,9 +293,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.Finish(now)
 		case preparing:
 			c.phase = committing
-			for _, srv := range c.Placement().ServersFor(t.WriteSet()) {
-				c.Send(srv, &commitReq{Msg: protocol.Msg{TID: t.ID}, TS: c.maxPrep})
-			}
+			protocol.SendCommits(&c.Core, c.maxPrep)
 		case committing:
 			for _, w := range t.Writes {
 				c.cache[w.Object] = cached{Val: w.Value, TID: t.ID, TS: c.maxPrep}
