@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,7 +17,22 @@ import (
 // Prepare, Prepared, Commit and Committed. It fails on any Kind method
 // under internal/protocols that returns one of their kinds.
 func TestModelsShareTwoPhaseCommit(t *testing.T) {
-	twoPC := map[string]bool{"prepare": true, "prepare-ack": true, "commit": true, "commit-ack": true}
+	kindsOutsideProtocol(t, "2PC", "prepare", "prepare-ack", "commit", "commit-ack")
+}
+
+// TestModelsShareReadRound keeps the read round in one place: a model's
+// read request and reply are protocol's Read and ReadReply. It fails on
+// any Kind method under internal/protocols that returns one of their
+// kinds.
+func TestModelsShareReadRound(t *testing.T) {
+	kindsOutsideProtocol(t, "read", "read-req", "read-resp")
+}
+
+// kindsOutsideProtocol fails t on every Kind method under
+// internal/protocols that returns one of kinds, the kinds of protocol's
+// messages for what.
+func kindsOutsideProtocol(t *testing.T, what string, kinds ...string) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir("internal/protocols", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
@@ -37,9 +53,9 @@ func TestModelsShareTwoPhaseCommit(t *testing.T) {
 					return true
 				}
 				if lit, ok := ret.Results[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					if k, _ := strconv.Unquote(lit.Value); twoPC[k] {
-						t.Errorf("%s: %s.Kind returns %q: send protocol's 2PC message instead",
-							fset.Position(fd.Pos()), recvType(fd.Recv.List[0].Type), k)
+					if k, _ := strconv.Unquote(lit.Value); slices.Contains(kinds, k) {
+						t.Errorf("%s: %s.Kind returns %q: send protocol's %s message instead",
+							fset.Position(fd.Pos()), recvType(fd.Recv.List[0].Type), k, what)
 					}
 				}
 				return true

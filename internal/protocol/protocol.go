@@ -6,8 +6,9 @@
 // payloads with Kind, a transaction's embedding the Msg header (values:
 // immutable once sent) and Claims; a server keeps its per-version
 // metadata on store.Version.Meta. Placement, fan-out
-// (ReadShares/WriteShares), the two-phase commit's messages, deployments,
-// probes and replacement catch-up live here.
+// (ReadShares/WriteShares), the read round's messages (Read, ReadReply),
+// the two-phase commit's, deployments, probes and replacement catch-up
+// live here.
 package protocol
 
 import (

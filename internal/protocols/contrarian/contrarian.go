@@ -63,33 +63,6 @@ type snapResp struct {
 
 func (p *snapResp) Kind() string { return "snap-resp" }
 
-type readReq struct {
-	protocol.Msg
-	Objs []string
-	Snap vclock.HLCStamp
-}
-
-func (p *readReq) Kind() string { return "read-req" }
-
-type readVal struct {
-	Ref   model.ValueRef
-	Stamp vclock.HLCStamp
-}
-
-type readResp struct {
-	protocol.Msg
-	Vals []readVal
-}
-
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) CarriedValues() []model.ValueRef {
-	out := make([]model.ValueRef, len(p.Vals))
-	for i, v := range p.Vals {
-		out[i] = v.Ref
-	}
-	return out
-}
-
 type writeReq struct {
 	protocol.Msg
 	W     model.Write
@@ -127,17 +100,15 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// servers' write activity.
 			ts := s.hlc.Now(int64(now))
 			s.Send(m.From, &snapResp{Msg: p.Msg, TS: ts})
-		case *readReq:
-			resp := &readResp{Msg: p.Msg}
+		case *protocol.Read[vclock.HLCStamp]:
+			resp := protocol.ReplyTo[vclock.HLCStamp](p)
 			for _, obj := range p.Objs {
-				if v := s.ShardStore().SnapshotRead(obj, p.Snap); v != nil {
-					resp.Vals = append(resp.Vals, readVal{
-						Ref:   model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer},
-						Stamp: v.Stamp,
-					})
-				} else {
-					resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
+				v := s.ShardStore().SnapshotRead(obj, p.At)
+				var ts vclock.HLCStamp
+				if v != nil {
+					ts = v.Stamp
 				}
+				resp.Add(obj, v, ts)
 			}
 			s.Send(m.From, resp)
 		case *writeReq:
@@ -169,7 +140,7 @@ type client struct {
 	depTS    vclock.HLCStamp
 	snap     vclock.HLCStamp
 	haveSnap bool
-	readVals map[string]readVal
+	readVals map[string]protocol.Val[vclock.HLCStamp]
 }
 
 func (c *client) Clone() sim.Process {
@@ -178,7 +149,7 @@ func (c *client) Clone() sim.Process {
 		depTS: c.depTS, snap: c.snap, haveSnap: c.haveSnap,
 	}
 	if c.readVals != nil {
-		cp.readVals = make(map[string]readVal, len(c.readVals))
+		cp.readVals = make(map[string]protocol.Val[vclock.HLCStamp], len(c.readVals))
 		for k, v := range c.readVals {
 			cp.readVals[k] = v
 		}
@@ -199,7 +170,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					c.haveSnap = true
 				}
 			}
-		case *readResp:
+		case *protocol.ReadReply[vclock.HLCStamp]:
 			if c.phase == reading && c.Reply(p) {
 				for _, v := range p.Vals {
 					c.readVals[v.Ref.Object] = v
@@ -218,7 +189,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		if t.IsReadOnly() {
 			c.phase = snapshotting
 			c.haveSnap = false
-			c.readVals = make(map[string]readVal)
+			c.readVals = make(map[string]protocol.Val[vclock.HLCStamp])
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
 				c.Send(sh.Server, &snapReq{Msg: protocol.Msg{TID: t.ID}})
 			}
@@ -240,15 +211,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				c.snap = c.depTS
 			}
 			c.phase = reading
-			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items, Snap: c.snap})
-			}
+			protocol.SendReads(&c.Core, c.snap)
 		case reading:
 			for _, obj := range t.ReadSet {
 				v := c.readVals[obj]
 				c.Result().SetValue(obj, v.Ref.Value)
-				if c.depTS.Before(v.Stamp) {
-					c.depTS = v.Stamp
+				if c.depTS.Before(v.Meta) {
+					c.depTS = v.Meta
 				}
 			}
 			c.phase = idle

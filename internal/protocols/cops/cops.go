@@ -128,41 +128,12 @@ func (c *causalContext) clone() causalContext {
 
 // --- payloads ---
 
-type readReq struct {
-	protocol.Msg
-	Objs []string
-}
-
-func (p *readReq) Kind() string { return "read-req" }
-
-type readVal struct {
-	Ref  model.ValueRef
+// readMeta is what a value read carries: its install sequence and its
+// writer's dependencies.
+type readMeta struct {
 	Seq  int64
 	Deps deps
 }
-
-type readResp struct {
-	protocol.Msg
-	Vals []readVal
-}
-
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) CarriedValues() []model.ValueRef {
-	out := make([]model.ValueRef, len(p.Vals))
-	for i, v := range p.Vals {
-		out[i] = v.Ref
-	}
-	return out
-}
-
-// readAtReq is the second-round fetch of a version at or after minSeq.
-type readAtReq struct {
-	protocol.Msg
-	Object string
-	MinSeq int64
-}
-
-func (p *readAtReq) Kind() string { return "read-at-req" }
 
 type writeReq struct {
 	protocol.Msg
@@ -189,36 +160,21 @@ func (s *server) Clone() sim.Process {
 	return &server{ServerCore: s.CloneServerCore()}
 }
 
-func valOf(v *store.Version) readVal {
-	return readVal{
-		Ref:  model.ValueRef{Object: v.Object, Value: v.Value, Writer: v.Writer},
-		Seq:  v.Seq,
-		Deps: v.Meta.(deps),
+func metaOf(v *store.Version) readMeta {
+	if v == nil {
+		return readMeta{}
 	}
+	return readMeta{Seq: v.Seq, Deps: v.Meta.(deps)}
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *readReq:
-			resp := &readResp{Msg: p.Msg, Vals: make([]readVal, 0, len(p.Objs))}
+		case *protocol.Read[struct{}]:
+			resp := protocol.ReplyTo[readMeta](p)
 			for _, obj := range p.Objs {
-				if v := s.ShardStore().LatestVisible(obj); v != nil {
-					resp.Vals = append(resp.Vals, valOf(v))
-				} else {
-					resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
-				}
-			}
-			s.Send(m.From, resp)
-		case *readAtReq:
-			resp := &readResp{Msg: p.Msg}
-			// The latest visible version's sequence is ≥ MinSeq whenever
-			// the dependency was written by a completed transaction, so
-			// this never blocks.
-			if v := s.ShardStore().LatestVisible(p.Object); v != nil {
-				resp.Vals = append(resp.Vals, valOf(v))
-			} else {
-				resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: p.Object, Value: model.Bottom}})
+				v := s.ShardStore().LatestVisible(obj)
+				resp.Add(obj, v, metaOf(v))
 			}
 			s.Send(m.From, resp)
 		case *writeReq:
@@ -254,32 +210,31 @@ type client struct {
 // as ⊥, until one arrives).
 type slot struct {
 	obj int
-	v   readVal
+	v   protocol.Val[readMeta]
 }
 
 func (c *client) Clone() sim.Process {
 	return &client{Core: c.CloneCore(), phase: c.phase, ctx: c.ctx.clone(), got: slices.Clone(c.got)}
 }
 
-// need returns the newest sequence of slot b's object that a fetched
-// version depends on, if slot b holds an older one, and 0 otherwise.
-func (c *client) need(b int) int64 {
-	var need int64
+// stale reports whether a fetched version depends on a newer version of
+// slot b's object than slot b holds.
+func (c *client) stale(b int) bool {
 	for _, a := range c.got {
-		if d := a.v.Deps.seq(c.got[b].obj); d > c.got[b].v.Seq && d > need {
-			need = d
+		if a.v.Meta.Deps.seq(c.got[b].obj) > c.got[b].v.Meta.Seq {
+			return true
 		}
 	}
-	return need
+	return false
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *readResp:
+		case *protocol.ReadReply[readMeta]:
 			if (c.phase == round1 || c.phase == round2) && c.Reply(p) {
 				for _, v := range p.Vals {
-					if s := &c.got[slices.Index(c.Current().ReadSet, v.Ref.Object)]; v.Seq > s.v.Seq {
+					if s := &c.got[slices.Index(c.Current().ReadSet, v.Ref.Object)]; v.Meta.Seq > s.v.Meta.Seq {
 						s.v = v
 					}
 				}
@@ -298,9 +253,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			for _, obj := range t.ReadSet {
 				c.got = append(c.got, slot{obj: c.Placement().ObjectIndex(obj)})
 			}
-			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items})
-			}
+			protocol.SendReads(&c.Core, struct{}{})
 		} else {
 			c.phase = writing
 			w := t.Writes[len(t.Writes)-1]
@@ -314,13 +267,16 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		switch c.phase {
 		case round1:
-			// Second round: fetch the newer versions that fetched values
-			// depend on, in ReadSet (sorted) order.
+			// Second round: read again, in ReadSet (sorted) order, each
+			// object a fetched value depends on at a newer version. The
+			// server's latest visible version is at least that new
+			// whenever the dependency's writer completed, so this never
+			// blocks.
 			for i, obj := range t.ReadSet {
-				if need := c.need(i); need > 0 {
+				if c.stale(i) {
 					c.phase = round2
-					c.Send(c.Placement().PrimaryOf(obj), &readAtReq{
-						Msg: protocol.Msg{TID: t.ID}, Object: obj, MinSeq: need,
+					c.Send(c.Placement().PrimaryOf(obj), &protocol.Read[struct{}]{
+						Msg: protocol.Msg{TID: t.ID}, Objs: []string{obj},
 					})
 				}
 			}
@@ -342,7 +298,7 @@ func (c *client) finishRead(now sim.Time) {
 		v := c.got[i].v
 		c.Result().SetValue(obj, v.Ref.Value)
 		if v.Ref.Value != model.Bottom {
-			c.ctx.observe(c.got[i].obj, v.Seq)
+			c.ctx.observe(c.got[i].obj, v.Meta.Seq)
 		}
 	}
 	c.phase = idle

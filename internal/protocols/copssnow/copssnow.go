@@ -61,21 +61,6 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 
 // --- payloads ---
 
-type readReq struct {
-	protocol.Msg
-	Objs []string
-}
-
-func (p *readReq) Kind() string { return "read-req" }
-
-type readResp struct {
-	protocol.Msg
-	Vals []model.ValueRef
-}
-
-func (p *readResp) Kind() string                    { return "read-resp" }
-func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
-
 type writeReq struct {
 	protocol.Msg
 	W    model.Write
@@ -202,17 +187,15 @@ func (s *server) finishWrite(tid model.TxnID) {
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *readReq:
-			resp := &readResp{Msg: p.Msg}
+		case *protocol.Read[struct{}]:
+			resp := protocol.ReplyTo[struct{}](p)
 			for _, obj := range p.Objs {
 				v := s.ShardStore().LatestVisibleFor(obj, p.TID)
 				var seq int64
 				if v != nil {
 					seq = v.Seq
-					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer})
-				} else {
-					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: model.Bottom})
 				}
+				resp.Add(obj, v, struct{}{})
 				s.recordRead(obj, p.TID, seq)
 			}
 			s.Send(m.From, resp)
@@ -313,12 +296,12 @@ func (c *client) depList() []model.ValueRef {
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *readResp:
+		case *protocol.ReadReply[struct{}]:
 			if c.Reply(p) {
-				for _, vr := range p.Vals {
-					c.Result().SetValue(vr.Object, vr.Value)
-					if vr.Value != model.Bottom {
-						c.deps[vr.Object] = vr
+				for _, v := range p.Vals {
+					c.Result().SetValue(v.Ref.Object, v.Ref.Value)
+					if v.Ref.Value != model.Bottom {
+						c.deps[v.Ref.Object] = v.Ref
 					}
 				}
 			}
@@ -328,14 +311,11 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	}
 	if c.Starting(now) {
 		t := c.Current()
-		pl := c.Placement()
 		if t.IsReadOnly() {
-			for _, sh := range pl.ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items})
-			}
+			protocol.SendReads(&c.Core, struct{}{})
 		} else {
 			w := t.Writes[len(t.Writes)-1]
-			c.Send(pl.PrimaryOf(w.Object), &writeReq{Msg: protocol.Msg{TID: t.ID}, W: w, Deps: c.depList()})
+			c.Send(c.Placement().PrimaryOf(w.Object), &writeReq{Msg: protocol.Msg{TID: t.ID}, W: w, Deps: c.depList()})
 		}
 		return c.Sent()
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -58,33 +57,6 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 // stableKinds: servers gossip their stable sequence, a ROT fetches the GSV.
 var stableKinds = &protocol.StableKinds{Gossip: "stable-gossip", Req: "gsv-req", Resp: "gsv-resp"}
 
-type readReq struct {
-	protocol.Msg
-	Objs []string
-	Snap vclock.Vector
-}
-
-func (p *readReq) Kind() string { return "read-req" }
-
-type readVal struct {
-	Ref model.ValueRef
-	Vec vclock.Vector
-}
-
-type readResp struct {
-	protocol.Msg
-	Vals []readVal
-}
-
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) CarriedValues() []model.ValueRef {
-	out := make([]model.ValueRef, len(p.Vals))
-	for i, v := range p.Vals {
-		out[i] = v.Ref
-	}
-	return out
-}
-
 // prepared is a prepare ack's stamp: the server's index and the sequence
 // it gave the transaction.
 type prepared struct {
@@ -101,7 +73,7 @@ type server struct {
 	applied int64
 	pending protocol.Pending[int64, protocol.Counters]
 	stab    protocol.Stabilizer[int64, protocol.Counters]
-	parked  protocol.Parked[*readReq]
+	parked  protocol.Parked[*protocol.Read[vclock.Vector]]
 }
 
 func (s *server) Clone() sim.Process {
@@ -120,10 +92,10 @@ func (s *server) stable() int64 {
 	return s.applied
 }
 
-func (s *server) canServe(req *readReq) bool { return req.Snap[s.idx] <= s.stable() }
+func (s *server) canServe(req *protocol.Read[vclock.Vector]) bool { return req.At[s.idx] <= s.stable() }
 
-func (s *server) serveRead(from sim.ProcessID, req *readReq) {
-	resp := &readResp{Msg: req.Msg, Vals: make([]readVal, 0, len(req.Objs))}
+func (s *server) serveRead(from sim.ProcessID, req *protocol.Read[vclock.Vector]) {
+	resp := protocol.ReplyTo[vclock.Vector](req)
 	for _, obj := range req.Objs {
 		// A version is inside the snapshot only if its entire commit
 		// vector is dominated: an entry for another server above the
@@ -132,15 +104,12 @@ func (s *server) serveRead(from sim.ProcessID, req *readReq) {
 		// vector order, NOT install order: concurrent transactions
 		// prepare in different orders at different servers, and an
 		// install-order read would fracture their atomic visibility.
-		v := s.ShardStore().SnapshotReadVec(obj, req.Snap)
+		v := s.ShardStore().SnapshotReadVec(obj, req.At)
+		var vec vclock.Vector
 		if v != nil {
-			resp.Vals = append(resp.Vals, readVal{
-				Ref: model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer},
-				Vec: v.Vec,
-			})
-		} else {
-			resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
+			vec = v.Vec
 		}
+		resp.Add(obj, v, vec)
 	}
 	s.Send(from, resp)
 }
@@ -152,7 +121,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		switch p := m.Payload.(type) {
 		case *protocol.StableReq:
 			s.Send(m.From, protocol.Answer(p, vclock.Vector(s.stab.Vector(s.stable()))))
-		case *readReq:
+		case *protocol.Read[vclock.Vector]:
 			s.parked.Offer(m.From, p, s.canServe, s.serveRead)
 		case *protocol.Prepare[vclock.Vector]:
 			s.nextSeq++
@@ -207,7 +176,7 @@ type client struct {
 	// again: the next ROT's gsv reply replaces it.
 	snap   vclock.Vector
 	commit vclock.Vector
-	got    []readVal // the active ROT's, aligned with its ReadSet
+	got    []protocol.Val[vclock.Vector] // the active ROT's, aligned with its ReadSet
 }
 
 func (c *client) Clone() sim.Process {
@@ -228,7 +197,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			if c.phase == gsvWait && c.Reply(p) {
 				c.snap = p.Snap.Clone()
 			}
-		case *readResp:
+		case *protocol.ReadReply[vclock.Vector]:
 			if c.phase == reading && c.Reply(p) {
 				for _, v := range p.Vals {
 					c.got[slices.Index(c.Current().ReadSet, v.Ref.Object)] = v
@@ -250,7 +219,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if t.IsReadOnly() {
 			c.phase = gsvWait
-			c.got = append(c.got, make([]readVal, len(t.ReadSet))...)
+			c.got = append(c.got, make([]protocol.Val[vclock.Vector], len(t.ReadSet))...)
 			last := t.ReadSet[len(t.ReadSet)-1]
 			c.Send(c.Placement().PrimaryOf(last), stableKinds.Request(t.ID))
 		} else {
@@ -267,15 +236,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case gsvWait:
 			c.snap.Merge(c.dep)
 			c.phase = reading
-			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items, Snap: c.snap})
-			}
+			protocol.SendReads(&c.Core, c.snap)
 		case reading:
 			for i, obj := range t.ReadSet {
 				v := c.got[i]
 				c.Result().SetValue(obj, v.Ref.Value)
-				if v.Vec != nil {
-					c.dep.Merge(v.Vec)
+				if v.Meta != nil {
+					c.dep.Merge(v.Meta)
 				}
 			}
 			c.phase = idle

@@ -81,18 +81,10 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 
 // --- payloads ---
 
-type readReq struct {
-	protocol.Msg
-	Objs []string
-	// At > 0 requests values at the given effective time (retry rounds).
-	At int64
-}
-
-func (p *readReq) Kind() string { return "read-req" }
-
-type readVal struct {
-	Ref model.ValueRef
-	TS  int64
+// readMeta is what a value read carries. (A read's At > 0 asks for the
+// values at that effective time: the retry rounds.)
+type readMeta struct {
+	TS int64
 	// PendingBelow is the smallest pending-prepare timestamp on the
 	// object's server (0 = none): a value with TS < effective time while
 	// PendingBelow ≤ effective time may be superseded.
@@ -104,20 +96,6 @@ type readVal struct {
 	// value accompanied by SafeT ≥ eff and no pending prepare at or below
 	// eff is provably the value at effective time eff.
 	SafeT int64
-}
-
-type readResp struct {
-	protocol.Msg
-	Vals []readVal
-}
-
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) CarriedValues() []model.ValueRef {
-	out := make([]model.ValueRef, len(p.Vals))
-	for i, v := range p.Vals {
-		out[i] = v.Ref
-	}
-	return out
 }
 
 // --- server ---
@@ -142,7 +120,7 @@ func (s *server) minPending() int64 {
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *readReq:
+		case *protocol.Read[int64]:
 			// Second-round read-at-time: the client requests the snapshot at
 			// its computed effective time. Observing At pushes the clock past
 			// it, so after this response every future prepare at this server
@@ -155,25 +133,16 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				s.clock.Observe(p.At)
 				at = p.At
 			}
-			resp := &readResp{Msg: p.Msg}
+			resp := protocol.ReplyTo[readMeta](p)
 			for _, obj := range p.Objs {
 				// Logical ceiling: a read at eff includes every commit whose
 				// wall time is exactly eff, whatever its tie-break.
 				v := s.ShardStore().SnapshotRead(obj, vclock.HLCStamp{Wall: at, Logical: 1 << 62})
-				if v == nil {
-					resp.Vals = append(resp.Vals, readVal{
-						Ref:          model.ValueRef{Object: obj, Value: model.Bottom},
-						PendingBelow: s.minPending(),
-						SafeT:        s.clock.T,
-					})
-					continue
+				meta := readMeta{PendingBelow: s.minPending(), SafeT: s.clock.T}
+				if v != nil {
+					meta.TS = v.Stamp.Wall
 				}
-				resp.Vals = append(resp.Vals, readVal{
-					Ref:          model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer},
-					TS:           v.Stamp.Wall,
-					PendingBelow: s.minPending(),
-					SafeT:        s.clock.T,
-				})
+				resp.Add(obj, v, meta)
 			}
 			s.Send(m.From, resp)
 		case *protocol.Prepare[int64]:
@@ -213,26 +182,19 @@ type client struct {
 	phase    phase
 	depTS    int64
 	commitTS int64
-	got      map[string]readVal
+	got      map[string]protocol.Val[readMeta]
 }
 
 func (c *client) Clone() sim.Process {
 	cp := &client{Core: c.CloneCore(), phase: c.phase,
 		depTS: c.depTS, commitTS: c.commitTS}
 	if c.got != nil {
-		cp.got = make(map[string]readVal, len(c.got))
+		cp.got = make(map[string]protocol.Val[readMeta], len(c.got))
 		for k, v := range c.got {
 			cp.got[k] = v
 		}
 	}
 	return cp
-}
-
-func (c *client) sendReads(at int64) {
-	t := c.Current()
-	for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-		c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items, At: at})
-	}
 }
 
 // effTime is the transaction's effective time: the newest commit
@@ -241,8 +203,8 @@ func (c *client) sendReads(at int64) {
 func (c *client) effTime() int64 {
 	eff := int64(0)
 	for _, v := range c.got {
-		if v.TS > eff {
-			eff = v.TS
+		if v.Meta.TS > eff {
+			eff = v.Meta.TS
 		}
 	}
 	return eff
@@ -257,10 +219,10 @@ func (c *client) effTime() int64 {
 // one server while the winner is visible at another.
 func (c *client) settled(eff int64) bool {
 	for _, v := range c.got {
-		if v.SafeT < eff {
+		if v.Meta.SafeT < eff {
 			return false
 		}
-		if v.PendingBelow > 0 && v.PendingBelow <= eff {
+		if v.Meta.PendingBelow > 0 && v.Meta.PendingBelow <= eff {
 			return false
 		}
 	}
@@ -270,10 +232,10 @@ func (c *client) settled(eff int64) bool {
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *readResp:
+		case *protocol.ReadReply[readMeta]:
 			if c.phase == reading && c.Reply(p) {
 				for _, v := range p.Vals {
-					if cur, fetched := c.got[v.Ref.Object]; !fetched || v.TS >= cur.TS {
+					if cur, fetched := c.got[v.Ref.Object]; !fetched || v.Meta.TS >= cur.Meta.TS {
 						c.got[v.Ref.Object] = v
 					}
 				}
@@ -294,8 +256,8 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if t.IsReadOnly() {
 			c.phase = reading
-			c.got = make(map[string]readVal)
-			c.sendReads(0)
+			c.got = make(map[string]protocol.Val[readMeta])
+			protocol.SendReads(&c.Core, int64(0))
 		} else {
 			c.phase = preparing
 			c.commitTS = 0
@@ -312,14 +274,14 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				// effective time. The servers observe eff into their clocks,
 				// so the retry either settles every object at eff or keeps
 				// re-polling while a prepare at or below eff is pending.
-				c.sendReads(eff)
+				protocol.SendReads(&c.Core, eff)
 				return c.Sent()
 			}
 			for _, obj := range t.ReadSet {
 				v := c.got[obj]
 				c.Result().SetValue(obj, v.Ref.Value)
-				if v.TS > c.depTS {
-					c.depTS = v.TS
+				if v.Meta.TS > c.depTS {
+					c.depTS = v.Meta.TS
 				}
 			}
 			c.phase = idle

@@ -140,13 +140,6 @@ type stamped struct {
 
 // --- payloads ---
 
-type readReq struct {
-	protocol.Msg
-	Objs []string
-}
-
-func (p *readReq) Kind() string { return "read-req" }
-
 // fatEntry is one object's candidate value in a fat response, together
 // with the writing transaction's dependency vector and write-set.
 type fatEntry struct {
@@ -230,7 +223,7 @@ func (s *server) Clone() sim.Process {
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *readReq:
+		case *protocol.Read[struct{}]:
 			resp := &readResp{Msg: p.Msg}
 			for _, obj := range p.Objs {
 				chain := s.ShardStore().Versions(obj)
@@ -439,11 +432,8 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	}
 	if c.Starting(now) {
 		t := c.Current()
-		pl := c.Placement()
 		if t.IsReadOnly() {
-			for _, sh := range pl.ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items})
-			}
+			protocol.SendReads(&c.Core, struct{}{})
 		} else {
 			c.clock++
 			c.writes++
@@ -465,7 +455,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				siblings = append(siblings, fatEntry{Object: w.Object, Val: w.Value, Writer: t.ID,
 					TS: ts, Vec: wv, WSet: wset})
 			}
-			for _, sh := range pl.WriteShares(t.Writes) {
+			for _, sh := range c.Placement().WriteShares(t.Writes) {
 				c.Send(sh.Server, &writeReq{
 					Msg: protocol.Msg{TID: t.ID}, TS: ts, Vec: wv, Writes: sh.Items, Sibs: siblings, DepVals: deps,
 				})

@@ -57,33 +57,6 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 // stableKinds: servers gossip their clocks, a ROT fetches the GST.
 var stableKinds = &protocol.StableKinds{Gossip: "clock-gossip", Req: "gst-req", Resp: "gst-resp"}
 
-type readReq struct {
-	protocol.Msg
-	Objs []string
-	Snap vclock.HLCStamp
-}
-
-func (p *readReq) Kind() string { return "read-req" }
-
-type readVal struct {
-	Ref   model.ValueRef
-	Stamp vclock.HLCStamp
-}
-
-type readResp struct {
-	protocol.Msg
-	Vals []readVal
-}
-
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) CarriedValues() []model.ValueRef {
-	out := make([]model.ValueRef, len(p.Vals))
-	for i, v := range p.Vals {
-		out[i] = v.Ref
-	}
-	return out
-}
-
 type writeReq struct {
 	protocol.Msg
 	W     model.Write
@@ -105,7 +78,7 @@ type server struct {
 	protocol.ServerCore
 	hlc     *vclock.HLC
 	stab    protocol.Stabilizer[vclock.HLCStamp, protocol.HLCs]
-	parked  protocol.Parked[*readReq]
+	parked  protocol.Parked[*protocol.Read[vclock.HLCStamp]]
 	initSeq int64
 }
 
@@ -119,7 +92,7 @@ func (s *server) WakeAt(now sim.Time) (sim.Time, bool) {
 	var wake sim.Time
 	ok := false
 	for _, d := range s.parked {
-		t := sim.Time(d.Req.Snap.Wall + 1)
+		t := sim.Time(d.Req.At.Wall + 1)
 		if !ok || t < wake {
 			wake, ok = t, true
 		}
@@ -142,21 +115,19 @@ func (s *server) clock() vclock.HLCStamp {
 }
 
 // canServe reports whether the server clock has reached req's snapshot.
-func (s *server) canServe(req *readReq) bool {
-	return req.Snap.Before(s.clock()) || req.Snap.Compare(s.clock()) == 0
+func (s *server) canServe(req *protocol.Read[vclock.HLCStamp]) bool {
+	return req.At.Before(s.clock()) || req.At.Compare(s.clock()) == 0
 }
 
-func (s *server) serveRead(from sim.ProcessID, req *readReq) {
-	resp := &readResp{Msg: req.Msg}
+func (s *server) serveRead(from sim.ProcessID, req *protocol.Read[vclock.HLCStamp]) {
+	resp := protocol.ReplyTo[vclock.HLCStamp](req)
 	for _, obj := range req.Objs {
-		if v := s.ShardStore().SnapshotRead(obj, req.Snap); v != nil {
-			resp.Vals = append(resp.Vals, readVal{
-				Ref:   model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer},
-				Stamp: v.Stamp,
-			})
-		} else {
-			resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
+		v := s.ShardStore().SnapshotRead(obj, req.At)
+		var ts vclock.HLCStamp
+		if v != nil {
+			ts = v.Stamp
 		}
+		resp.Add(obj, v, ts)
 	}
 	s.Send(from, resp)
 }
@@ -176,7 +147,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// GST is not stuck at the last write.
 			s.hlc.Now(int64(now))
 			s.Send(m.From, protocol.Answer(p, s.stab.Min(s.clock())))
-		case *readReq:
+		case *protocol.Read[vclock.HLCStamp]:
 			s.parked.Offer(m.From, p, s.canServe, s.serveRead)
 		case *writeReq:
 			var ts vclock.HLCStamp
@@ -219,13 +190,13 @@ type client struct {
 	phase phase
 	depTS vclock.HLCStamp
 	snap  vclock.HLCStamp
-	got   map[string]readVal
+	got   map[string]protocol.Val[vclock.HLCStamp]
 }
 
 func (c *client) Clone() sim.Process {
 	cp := &client{Core: c.CloneCore(), phase: c.phase, depTS: c.depTS, snap: c.snap}
 	if c.got != nil {
-		cp.got = make(map[string]readVal, len(c.got))
+		cp.got = make(map[string]protocol.Val[vclock.HLCStamp], len(c.got))
 		for k, v := range c.got {
 			cp.got[k] = v
 		}
@@ -240,7 +211,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			if c.phase == gstWait && c.Reply(p) {
 				c.snap = p.Snap
 			}
-		case *readResp:
+		case *protocol.ReadReply[vclock.HLCStamp]:
 			if c.phase == reading && c.Reply(p) {
 				for _, v := range p.Vals {
 					c.got[v.Ref.Object] = v
@@ -258,7 +229,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if t.IsReadOnly() {
 			c.phase = gstWait
-			c.got = make(map[string]readVal)
+			c.got = make(map[string]protocol.Val[vclock.HLCStamp])
 			// GST from the client's designated server (we use the server
 			// of the last object in the read set).
 			last := t.ReadSet[len(t.ReadSet)-1]
@@ -283,15 +254,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				c.snap = c.depTS
 			}
 			c.phase = reading
-			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items, Snap: c.snap})
-			}
+			protocol.SendReads(&c.Core, c.snap)
 		case reading:
 			for _, obj := range t.ReadSet {
 				v := c.got[obj]
 				c.Result().SetValue(obj, v.Ref.Value)
-				if c.depTS.Before(v.Stamp) {
-					c.depTS = v.Stamp
+				if c.depTS.Before(v.Meta) {
+					c.depTS = v.Meta
 				}
 			}
 			c.phase = idle

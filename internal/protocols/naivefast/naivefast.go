@@ -55,21 +55,6 @@ type Placement = protocol.Placement
 
 // --- payloads ---
 
-type readReq struct {
-	protocol.Msg
-	Objs []string
-}
-
-func (p *readReq) Kind() string { return "read-req" }
-
-type readResp struct {
-	protocol.Msg
-	Vals []model.ValueRef
-}
-
-func (p *readResp) Kind() string                    { return "read-resp" }
-func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
-
 type writeReq struct {
 	protocol.Msg
 	Writes []model.Write
@@ -94,14 +79,10 @@ func (s *server) Clone() sim.Process {
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *readReq:
-			resp := &readResp{Msg: p.Msg}
+		case *protocol.Read[struct{}]:
+			resp := protocol.ReplyTo[struct{}](p)
 			for _, obj := range p.Objs {
-				if v := s.ShardStore().LatestVisible(obj); v != nil {
-					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer})
-				} else {
-					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: model.Bottom})
-				}
+				resp.Add(obj, s.ShardStore().LatestVisible(obj), struct{}{})
 			}
 			s.Send(m.From, resp)
 		case *writeReq:
@@ -129,10 +110,10 @@ func (c *client) Clone() sim.Process {
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *readResp:
+		case *protocol.ReadReply[struct{}]:
 			if c.Reply(p) {
-				for _, vr := range p.Vals {
-					c.Result().SetValue(vr.Object, vr.Value)
+				for _, v := range p.Vals {
+					c.Result().SetValue(v.Ref.Object, v.Ref.Value)
 				}
 			}
 		case *writeResp:
@@ -141,13 +122,10 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	}
 	if c.Starting(now) {
 		t := c.Current()
-		pl := c.Placement()
 		// Reads go to the primary replica of each object; writes go to
 		// every replica of the written object.
-		for _, sh := range pl.ReadShares(t.ReadSet) {
-			c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items})
-		}
-		for _, sh := range pl.WriteShares(t.Writes) {
+		protocol.SendReads(&c.Core, struct{}{})
+		for _, sh := range c.Placement().WriteShares(t.Writes) {
 			c.Send(sh.Server, &writeReq{Msg: protocol.Msg{TID: t.ID}, Writes: sh.Items})
 		}
 	}

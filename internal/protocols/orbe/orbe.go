@@ -61,33 +61,6 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 // stableKinds: servers gossip their write counter, a ROT fetches the GSV.
 var stableKinds = &protocol.StableKinds{Gossip: "cnt-gossip", Req: "gsv-req", Resp: "gsv-resp"}
 
-type readReq struct {
-	protocol.Msg
-	Objs []string
-	Snap vclock.Vector
-}
-
-func (p *readReq) Kind() string { return "read-req" }
-
-type readVal struct {
-	Ref model.ValueRef
-	Vec vclock.Vector
-}
-
-type readResp struct {
-	protocol.Msg
-	Vals []readVal
-}
-
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) CarriedValues() []model.ValueRef {
-	out := make([]model.ValueRef, len(p.Vals))
-	for i, v := range p.Vals {
-		out[i] = v.Ref
-	}
-	return out
-}
-
 type writeReq struct {
 	protocol.Msg
 	W   model.Write
@@ -110,7 +83,7 @@ type server struct {
 	idx, n int
 	cnt    int64 // local applied-write counter
 	stab   protocol.Stabilizer[int64, protocol.Counters]
-	parked protocol.Parked[*readReq]
+	parked protocol.Parked[*protocol.Read[vclock.Vector]]
 }
 
 func (s *server) Clone() sim.Process {
@@ -120,24 +93,21 @@ func (s *server) Clone() sim.Process {
 	}
 }
 
-func (s *server) canServe(req *readReq) bool { return req.Snap[s.idx] <= s.cnt }
+func (s *server) canServe(req *protocol.Read[vclock.Vector]) bool { return req.At[s.idx] <= s.cnt }
 
-func (s *server) serveRead(from sim.ProcessID, req *readReq) {
-	resp := &readResp{Msg: req.Msg}
+func (s *server) serveRead(from sim.ProcessID, req *protocol.Read[vclock.Vector]) {
+	resp := protocol.ReplyTo[vclock.Vector](req)
 	for _, obj := range req.Objs {
 		// Entire dependency vector must be dominated by the snapshot —
 		// an entry above it means a dependency is outside the snapshot.
 		v := s.ShardStore().Latest(obj, func(v *store.Version) bool {
-			return v.Visible && v.Vec.LessEq(req.Snap)
+			return v.Visible && v.Vec.LessEq(req.At)
 		})
+		var vec vclock.Vector
 		if v != nil {
-			resp.Vals = append(resp.Vals, readVal{
-				Ref: model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer},
-				Vec: v.Vec,
-			})
-		} else {
-			resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
+			vec = v.Vec
 		}
+		resp.Add(obj, v, vec)
 	}
 	s.Send(from, resp)
 }
@@ -150,7 +120,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		switch p := m.Payload.(type) {
 		case *protocol.StableReq:
 			s.Send(m.From, protocol.Answer(p, vclock.Vector(s.stab.Vector(s.cnt))))
-		case *readReq:
+		case *protocol.Read[vclock.Vector]:
 			s.parked.Offer(m.From, p, s.canServe, s.serveRead)
 		case *writeReq:
 			s.cnt++
@@ -185,8 +155,10 @@ type client struct {
 	protocol.Core
 	phase phase
 	dep   vclock.Vector
-	snap  vclock.Vector
-	got   map[string]readVal
+	// snap is the active ROT's snapshot, which every read of the round
+	// carries: the next ROT's gsv reply replaces it, nothing writes it.
+	snap vclock.Vector
+	got  map[string]protocol.Val[vclock.Vector]
 }
 
 func (c *client) Clone() sim.Process {
@@ -195,7 +167,7 @@ func (c *client) Clone() sim.Process {
 		cp.snap = c.snap.Clone()
 	}
 	if c.got != nil {
-		cp.got = make(map[string]readVal, len(c.got))
+		cp.got = make(map[string]protocol.Val[vclock.Vector], len(c.got))
 		for k, v := range c.got {
 			cp.got[k] = v
 		}
@@ -210,7 +182,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			if c.phase == gsvWait && c.Reply(p) {
 				c.snap = p.Snap.Clone()
 			}
-		case *readResp:
+		case *protocol.ReadReply[vclock.Vector]:
 			if c.phase == reading && c.Reply(p) {
 				for _, v := range p.Vals {
 					c.got[v.Ref.Object] = v
@@ -226,7 +198,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if t.IsReadOnly() {
 			c.phase = gsvWait
-			c.got = make(map[string]readVal)
+			c.got = make(map[string]protocol.Val[vclock.Vector])
 			last := t.ReadSet[len(t.ReadSet)-1]
 			c.Send(c.Placement().PrimaryOf(last), stableKinds.Request(t.ID))
 		} else {
@@ -244,15 +216,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case gsvWait:
 			c.snap.Merge(c.dep) // snapshot covers the causal past
 			c.phase = reading
-			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items, Snap: c.snap.Clone()})
-			}
+			protocol.SendReads(&c.Core, c.snap)
 		case reading:
 			for _, obj := range t.ReadSet {
 				v := c.got[obj]
 				c.Result().SetValue(obj, v.Ref.Value)
-				if v.Vec != nil {
-					c.dep.Merge(v.Vec)
+				if v.Meta != nil {
+					c.dep.Merge(v.Meta)
 				}
 			}
 			c.phase = idle

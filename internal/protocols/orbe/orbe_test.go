@@ -38,14 +38,14 @@ func TestParkPathServesWhenCounterCatchesUp(t *testing.T) {
 	}}
 	srv.Step(1, []*sim.Message{writeMsg})
 
-	readMsg := &sim.Message{From: "r9", To: "s0", Payload: &readReq{
+	readMsg := &sim.Message{From: "r9", To: "s0", Payload: &protocol.Read[vclock.Vector]{
 		Msg:  protocol.Msg{TID: model.TxnID{Client: "r9", Seq: 1}},
 		Objs: []string{"X0"},
-		Snap: vclock.Vector{2, 0},
+		At:   vclock.Vector{2, 0},
 	}}
 	out := srv.Step(2, []*sim.Message{readMsg})
 	for _, o := range out {
-		if _, isResp := o.Payload.(*readResp); isResp {
+		if _, isResp := o.Payload.(*protocol.ReadReply[vclock.Vector]); isResp {
 			t.Fatal("read served although snapshot is ahead of applied counter")
 		}
 	}
@@ -64,7 +64,7 @@ func TestParkPathServesWhenCounterCatchesUp(t *testing.T) {
 	out = srv.Step(4, nil)
 	served := false
 	for _, o := range out {
-		if resp, isResp := o.Payload.(*readResp); isResp {
+		if resp, isResp := o.Payload.(*protocol.ReadReply[vclock.Vector]); isResp {
 			served = true
 			if resp.Vals[0].Ref.Value != "v2" {
 				t.Fatalf("parked read returned %q, want v2", resp.Vals[0].Ref.Value)

@@ -65,33 +65,11 @@ func after(ts1 int64, w1 model.TxnID, ts2 int64, w2 model.TxnID) bool {
 
 // --- payloads ---
 
-type readReq struct {
-	protocol.Msg
-	Objs []string
-}
-
-func (p *readReq) Kind() string { return "read-req" }
-
-type readVal struct {
-	Ref model.ValueRef
-	TS  int64
-	// WriteSet lists the other objects written by the same transaction
-	// (RAMP metadata used for fracture detection).
+// readMeta is what a value read carries: its timestamp and the other
+// objects its writer wrote (RAMP metadata used for fracture detection).
+type readMeta struct {
+	TS       int64
 	WriteSet []string
-}
-
-type readResp struct {
-	protocol.Msg
-	Vals []readVal
-}
-
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) CarriedValues() []model.ValueRef {
-	out := make([]model.ValueRef, len(p.Vals))
-	for i, v := range p.Vals {
-		out[i] = v.Ref
-	}
-	return out
 }
 
 // byWriterReq fetches a specific version in the repair round.
@@ -122,37 +100,29 @@ func (s *server) Clone() sim.Process {
 	return &server{ServerCore: s.CloneServerCore()}
 }
 
-func valOf(v *store.Version) readVal {
-	return readVal{
-		Ref:      model.ValueRef{Object: v.Object, Value: v.Value, Writer: v.Writer},
-		TS:       v.Stamp.Wall,
-		WriteSet: v.Meta.([]string),
+func metaOf(v *store.Version) readMeta {
+	if v == nil {
+		return readMeta{}
 	}
+	return readMeta{TS: v.Stamp.Wall, WriteSet: v.Meta.([]string)}
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *readReq:
-			resp := &readResp{Msg: p.Msg}
+		case *protocol.Read[struct{}]:
+			resp := protocol.ReplyTo[readMeta](p)
 			for _, obj := range p.Objs {
-				best := s.ShardStore().LatestVisibleByStamp(obj)
-				if best == nil {
-					resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
-					continue
-				}
-				resp.Vals = append(resp.Vals, valOf(best))
+				v := s.ShardStore().LatestVisibleByStamp(obj)
+				resp.Add(obj, v, metaOf(v))
 			}
 			s.Send(m.From, resp)
 		case *byWriterReq:
-			resp := &readResp{Msg: p.Msg}
+			resp := &protocol.ReadReply[readMeta]{Msg: p.Msg}
 			// Prepared-but-uncommitted versions are fetchable: the reader
 			// has proof the transaction committed elsewhere.
-			if v := s.ShardStore().Find(p.Object, p.Writer); v != nil {
-				resp.Vals = append(resp.Vals, valOf(v))
-			} else {
-				resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: p.Object, Value: model.Bottom}})
-			}
+			v := s.ShardStore().Find(p.Object, p.Writer)
+			resp.Add(p.Object, v, metaOf(v))
 			s.Send(m.From, resp)
 		case *protocol.Prepare[txnMeta]:
 			for _, w := range p.Writes {
@@ -194,13 +164,13 @@ type client struct {
 	protocol.Core
 	clock int64
 	phase phase
-	got   map[string]readVal
+	got   map[string]protocol.Val[readMeta]
 }
 
 func (c *client) Clone() sim.Process {
 	cp := &client{Core: c.CloneCore(), clock: c.clock, phase: c.phase}
 	if c.got != nil {
-		cp.got = make(map[string]readVal, len(c.got))
+		cp.got = make(map[string]protocol.Val[readMeta], len(c.got))
 		for k, v := range c.got {
 			cp.got[k] = v
 		}
@@ -210,19 +180,19 @@ func (c *client) Clone() sim.Process {
 
 // fractures returns, per object, the writer whose sibling write is missing
 // from the fetched snapshot.
-func (c *client) fractures() map[string]readVal {
-	repair := make(map[string]readVal)
+func (c *client) fractures() map[string]protocol.Val[readMeta] {
+	repair := make(map[string]protocol.Val[readMeta])
 	for _, v := range c.got {
 		if v.Ref.Value == model.Bottom {
 			continue
 		}
-		for _, sibling := range v.WriteSet {
+		for _, sibling := range v.Meta.WriteSet {
 			have, fetched := c.got[sibling]
 			if !fetched {
 				continue // outside the read set
 			}
-			if have.Ref.Writer != v.Ref.Writer && after(v.TS, v.Ref.Writer, have.TS, have.Ref.Writer) {
-				if cur, dup := repair[sibling]; !dup || after(v.TS, v.Ref.Writer, cur.TS, cur.Ref.Writer) {
+			if have.Ref.Writer != v.Ref.Writer && after(v.Meta.TS, v.Ref.Writer, have.Meta.TS, have.Ref.Writer) {
+				if cur, dup := repair[sibling]; !dup || after(v.Meta.TS, v.Ref.Writer, cur.Meta.TS, cur.Ref.Writer) {
 					repair[sibling] = v
 				}
 			}
@@ -234,11 +204,11 @@ func (c *client) fractures() map[string]readVal {
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *readResp:
+		case *protocol.ReadReply[readMeta]:
 			if (c.phase == round1 || c.phase == round2) && c.Reply(p) {
 				for _, v := range p.Vals {
 					cur, fetched := c.got[v.Ref.Object]
-					if !fetched || after(v.TS, v.Ref.Writer, cur.TS, cur.Ref.Writer) {
+					if !fetched || after(v.Meta.TS, v.Ref.Writer, cur.Meta.TS, cur.Ref.Writer) {
 						c.got[v.Ref.Object] = v
 					}
 				}
@@ -257,10 +227,8 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if t.IsReadOnly() {
 			c.phase = round1
-			c.got = make(map[string]readVal)
-			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items})
-			}
+			c.got = make(map[string]protocol.Val[readMeta])
+			protocol.SendReads(&c.Core, struct{}{})
 		} else {
 			c.phase = preparing
 			// A hybrid clock: writers that do not overlap are stamped in
@@ -308,8 +276,8 @@ func (c *client) finishRead(now sim.Time) {
 	for _, obj := range t.ReadSet {
 		v := c.got[obj]
 		c.Result().SetValue(obj, v.Ref.Value)
-		if v.TS > c.clock {
-			c.clock = v.TS
+		if v.Meta.TS > c.clock {
+			c.clock = v.Meta.TS
 		}
 	}
 	c.phase = idle

@@ -15,7 +15,6 @@ package spanner
 import (
 	"fmt"
 
-	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -72,31 +71,13 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 	return &client{Core: protocol.NewCore(id, pl, p), skew: skewOf(id)}
 }
 
-// --- payloads ---
-
-type readReq struct {
-	protocol.Msg
-	Objs []string
-	TS   int64 // read timestamp (TT.now().latest at the client)
-}
-
-func (p *readReq) Kind() string { return "read-req" }
-
-type readResp struct {
-	protocol.Msg
-	Vals []model.ValueRef
-}
-
-func (p *readResp) Kind() string                    { return "read-resp" }
-func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
-
 // --- server ---
 
 type server struct {
 	protocol.ServerCore
 	skew    int64
 	pending protocol.Pending[int64, protocol.Counters] // prepared-but-uncommitted timestamps
-	parked  protocol.Parked[*readReq]                  // reads waiting for safe time
+	parked  protocol.Parked[*protocol.Read[int64]]     // reads waiting for safe time
 	lastTS  int64                                      // monotonicity guard for prepare stamps
 }
 
@@ -114,10 +95,10 @@ func (s *server) WakeAt(now sim.Time) (sim.Time, bool) {
 	var wake sim.Time
 	ok := false
 	for _, d := range s.parked {
-		if d.Req.TS > minPending {
+		if d.Req.At > minPending {
 			continue // a pending prepare caps safe time below this read
 		}
-		t := sim.Time(d.Req.TS - s.skew + Epsilon)
+		t := sim.Time(d.Req.At - s.skew + Epsilon)
 		if !ok || t < wake {
 			wake, ok = t, true
 		}
@@ -151,14 +132,10 @@ func (s *server) safeTime(now sim.Time) int64 {
 	return min(int64(now)+s.skew-Epsilon, s.prepareCap())
 }
 
-func (s *server) serveRead(from sim.ProcessID, req *readReq) {
-	resp := &readResp{Msg: req.Msg, Vals: make([]model.ValueRef, 0, len(req.Objs))}
+func (s *server) serveRead(from sim.ProcessID, req *protocol.Read[int64]) {
+	resp := protocol.ReplyTo[struct{}](req)
 	for _, obj := range req.Objs {
-		if v := s.ShardStore().SnapshotRead(obj, vclock.HLCStamp{Wall: req.TS}); v != nil {
-			resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer})
-		} else {
-			resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: model.Bottom})
-		}
+		resp.Add(obj, s.ShardStore().SnapshotRead(obj, vclock.HLCStamp{Wall: req.At}), struct{}{})
 	}
 	s.Send(from, resp)
 }
@@ -166,12 +143,12 @@ func (s *server) serveRead(from sim.ProcessID, req *readReq) {
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *readReq:
+		case *protocol.Read[int64]:
 			// Blocking: park until safe time catches up. An earlier
 			// prepare or commit of this inbox moves safe time, so each
 			// read reads it afresh.
 			safe := s.safeTime(now)
-			s.parked.Offer(m.From, p, func(r *readReq) bool { return safe >= r.TS }, s.serveRead)
+			s.parked.Offer(m.From, p, func(r *protocol.Read[int64]) bool { return safe >= r.At }, s.serveRead)
 		case *protocol.Prepare[struct{}]:
 			ts := int64(now) + s.skew + Epsilon // prepare timestamp proposal
 			if ts <= s.lastTS {
@@ -197,7 +174,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	// Un-park reads whose timestamp is now safe (pending is settled for
 	// this step: one safe time serves the whole pass).
 	safe := s.safeTime(now)
-	s.parked.Retry(func(r *readReq) bool { return safe >= r.TS }, s.serveRead)
+	s.parked.Retry(func(r *protocol.Read[int64]) bool { return safe >= r.At }, s.serveRead)
 	return s.Sent()
 }
 
@@ -252,10 +229,10 @@ func (c *client) WakeAt(now sim.Time) (sim.Time, bool) {
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *readResp:
+		case *protocol.ReadReply[struct{}]:
 			if c.phase == reading && c.Reply(p) {
-				for _, vr := range p.Vals {
-					c.Result().SetValue(vr.Object, vr.Value)
+				for _, v := range p.Vals {
+					c.Result().SetValue(v.Ref.Object, v.Ref.Value)
 				}
 			}
 		case *protocol.Prepared[int64]:
@@ -271,14 +248,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 	}
 	if c.Starting(now) {
-		t := c.Current()
-		pl := c.Placement()
-		if t.IsReadOnly() {
+		if c.Current().IsReadOnly() {
 			c.phase = reading
-			ts := int64(now) + c.skew + Epsilon // TT.now().latest
-			for _, sh := range pl.ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items, TS: ts})
-			}
+			protocol.SendReads(&c.Core, int64(now)+c.skew+Epsilon) // TT.now().latest
 		} else {
 			c.phase = preparing
 			c.commitTS = 0

@@ -17,7 +17,6 @@ package twopcfast
 import (
 	"fmt"
 
-	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -53,23 +52,6 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 	return &client{Core: protocol.NewCore(id, pl, p)}
 }
 
-// --- payloads ---
-
-type readReq struct {
-	protocol.Msg
-	Objs []string
-}
-
-func (p *readReq) Kind() string { return "read-req" }
-
-type readResp struct {
-	protocol.Msg
-	Vals []model.ValueRef
-}
-
-func (p *readResp) Kind() string                    { return "read-resp" }
-func (p *readResp) CarriedValues() []model.ValueRef { return p.Vals }
-
 // --- server ---
 
 type server struct {
@@ -83,14 +65,10 @@ func (s *server) Clone() sim.Process {
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *readReq:
-			resp := &readResp{Msg: p.Msg}
+		case *protocol.Read[struct{}]:
+			resp := protocol.ReplyTo[struct{}](p)
 			for _, obj := range p.Objs {
-				if v := s.ShardStore().LatestVisible(obj); v != nil {
-					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer})
-				} else {
-					resp.Vals = append(resp.Vals, model.ValueRef{Object: obj, Value: model.Bottom})
-				}
+				resp.Add(obj, s.ShardStore().LatestVisible(obj), struct{}{})
 			}
 			s.Send(m.From, resp)
 		case *protocol.Prepare[struct{}]:
@@ -131,10 +109,10 @@ func (c *client) Clone() sim.Process {
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *readResp:
+		case *protocol.ReadReply[struct{}]:
 			if c.phase == reading && c.Reply(p) {
-				for _, vr := range p.Vals {
-					c.Result().SetValue(vr.Object, vr.Value)
+				for _, v := range p.Vals {
+					c.Result().SetValue(v.Ref.Object, v.Ref.Value)
 				}
 			}
 		case *protocol.Prepared[struct{}]:
@@ -148,13 +126,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		}
 	}
 	if c.Starting(now) {
-		t := c.Current()
-		pl := c.Placement()
-		if t.IsReadOnly() {
+		if c.Current().IsReadOnly() {
 			c.phase = reading
-			for _, sh := range pl.ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items})
-			}
+			protocol.SendReads(&c.Core, struct{}{})
 		} else {
 			c.phase = preparing
 			protocol.SendPrepares(&c.Core, struct{}{})

@@ -65,33 +65,6 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 // cutoff.
 var stableKinds = &protocol.StableKinds{Gossip: "stable-gossip", Req: "stable-req", Resp: "stable-resp"}
 
-type readReq struct {
-	protocol.Msg
-	Objs []string
-	Snap vclock.HLCStamp
-}
-
-func (p *readReq) Kind() string { return "read-req" }
-
-type readVal struct {
-	Ref   model.ValueRef
-	Stamp vclock.HLCStamp
-}
-
-type readResp struct {
-	protocol.Msg
-	Vals []readVal
-}
-
-func (p *readResp) Kind() string { return "read-resp" }
-func (p *readResp) CarriedValues() []model.ValueRef {
-	out := make([]model.ValueRef, len(p.Vals))
-	for i, v := range p.Vals {
-		out[i] = v.Ref
-	}
-	return out
-}
-
 // --- server ---
 
 type server struct {
@@ -133,17 +106,15 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// known here.
 			s.hlc.Now(int64(now))
 			s.Send(m.From, protocol.Answer(p, s.stab.Min(s.localStable())))
-		case *readReq:
-			resp := &readResp{Msg: p.Msg}
+		case *protocol.Read[vclock.HLCStamp]:
+			resp := protocol.ReplyTo[vclock.HLCStamp](p)
 			for _, obj := range p.Objs {
-				if v := s.ShardStore().SnapshotRead(obj, p.Snap); v != nil {
-					resp.Vals = append(resp.Vals, readVal{
-						Ref:   model.ValueRef{Object: obj, Value: v.Value, Writer: v.Writer},
-						Stamp: v.Stamp,
-					})
-				} else {
-					resp.Vals = append(resp.Vals, readVal{Ref: model.ValueRef{Object: obj, Value: model.Bottom}})
+				v := s.ShardStore().SnapshotRead(obj, p.At)
+				var ts vclock.HLCStamp
+				if v != nil {
+					ts = v.Stamp
 				}
+				resp.Add(obj, v, ts)
 			}
 			s.Send(m.From, resp)
 		case *protocol.Prepare[vclock.HLCStamp]:
@@ -203,7 +174,7 @@ type client struct {
 	snap     vclock.HLCStamp
 	maxPrep  vclock.HLCStamp
 	cache    map[string]cached // own committed writes (read-your-writes)
-	readVals map[string]readVal
+	readVals map[string]protocol.Val[vclock.HLCStamp]
 }
 
 func (c *client) Clone() sim.Process {
@@ -216,7 +187,7 @@ func (c *client) Clone() sim.Process {
 		cp.cache[k] = v
 	}
 	if c.readVals != nil {
-		cp.readVals = make(map[string]readVal, len(c.readVals))
+		cp.readVals = make(map[string]protocol.Val[vclock.HLCStamp], len(c.readVals))
 		for k, v := range c.readVals {
 			cp.readVals[k] = v
 		}
@@ -231,7 +202,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			if c.phase == cutoffWait && c.Reply(p) {
 				c.snap = p.Snap
 			}
-		case *readResp:
+		case *protocol.ReadReply[vclock.HLCStamp]:
 			if c.phase == reading && c.Reply(p) {
 				for _, v := range p.Vals {
 					c.readVals[v.Ref.Object] = v
@@ -255,7 +226,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// Round 1: fetch the cutoff from one server (any will do; we
 			// use the primary of the first object).
 			c.phase = cutoffWait
-			c.readVals = make(map[string]readVal)
+			c.readVals = make(map[string]protocol.Val[vclock.HLCStamp])
 			first := c.Placement().PrimaryOf(t.ReadSet[0])
 			c.Send(first, stableKinds.Request(t.ID))
 		} else {
@@ -271,13 +242,11 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		case cutoffWait:
 			// Round 2: snapshot reads at the cutoff.
 			c.phase = reading
-			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &readReq{Msg: protocol.Msg{TID: t.ID}, Objs: sh.Items, Snap: c.snap})
-			}
+			protocol.SendReads(&c.Core, c.snap)
 		case reading:
 			for _, obj := range t.ReadSet {
 				v := c.readVals[obj]
-				val, ts := v.Ref.Value, v.Stamp
+				val, ts := v.Ref.Value, v.Meta
 				// Read-your-writes: a cached own write beyond the snapshot
 				// wins.
 				if own, cachedOK := c.cache[obj]; cachedOK && ts.Before(own.TS) {
