@@ -28,6 +28,14 @@ func TestModelsShareReadRound(t *testing.T) {
 	kindsOutsideProtocol(t, "read", "read-req", "read-resp")
 }
 
+// TestModelsShareWriteRound keeps the one-round write in one place: a
+// model's write request and ack are protocol's Write and WriteAck. It
+// fails on any Kind method under internal/protocols that returns one of
+// their kinds, or the kinds models once gave their own.
+func TestModelsShareWriteRound(t *testing.T) {
+	kindsOutsideProtocol(t, "write", "write-req", "write-ack", "write-resp", "fat-write-req", "fat-write-ack")
+}
+
 // kindsOutsideProtocol fails t on every Kind method under
 // internal/protocols that returns one of kinds, the kinds of protocol's
 // messages for what.

@@ -13,7 +13,6 @@ package contrarian
 import (
 	"fmt"
 
-	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -52,31 +51,8 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 
 // --- payloads ---
 
-type snapReq struct{ protocol.Msg }
-
-func (p *snapReq) Kind() string { return "snap-req" }
-
-type snapResp struct {
-	protocol.Msg
-	TS vclock.HLCStamp
-}
-
-func (p *snapResp) Kind() string { return "snap-resp" }
-
-type writeReq struct {
-	protocol.Msg
-	W     model.Write
-	DepTS vclock.HLCStamp
-}
-
-func (p *writeReq) Kind() string { return "write-req" }
-
-type writeResp struct {
-	protocol.Msg
-	TS vclock.HLCStamp
-}
-
-func (p *writeResp) Kind() string { return "write-ack" }
+// snapKinds: a ROT asks each server it reads from for its clock.
+var snapKinds = &protocol.StableKinds{Req: "snap-req", Resp: "snap-resp"}
 
 // --- server ---
 
@@ -92,14 +68,13 @@ func (s *server) Clone() sim.Process {
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *snapReq:
+		case *protocol.StableReq:
 			// The server's current time: every version stamped at or
 			// below it is already installed (writes are visible on
 			// arrival), so reads at this snapshot never block. The clock
 			// tracks physical time so snapshots do not lag behind other
 			// servers' write activity.
-			ts := s.hlc.Now(int64(now))
-			s.Send(m.From, &snapResp{Msg: p.Msg, TS: ts})
+			s.Send(m.From, protocol.Answer(p, s.hlc.Now(int64(now))))
 		case *protocol.Read[vclock.HLCStamp]:
 			resp := protocol.ReplyTo[vclock.HLCStamp](p)
 			for _, obj := range p.Objs {
@@ -111,11 +86,12 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				resp.Add(obj, v, ts)
 			}
 			s.Send(m.From, resp)
-		case *writeReq:
-			s.hlc.Observe(int64(now), p.DepTS)
+		case *protocol.Write[vclock.HLCStamp]:
+			s.hlc.Observe(int64(now), p.Dep)
 			ts := s.hlc.Now(int64(now))
-			s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Stamp: ts, Visible: true})
-			s.Send(m.From, &writeResp{Msg: p.Msg, TS: ts})
+			w := p.Writes[0]
+			s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Stamp: ts, Visible: true})
+			s.Send(m.From, &protocol.WriteAck[vclock.HLCStamp]{Msg: p.Msg, Stamp: ts})
 		default:
 			panic(fmt.Sprintf("contrarian: server %s got %T", s.ID(), m.Payload))
 		}
@@ -160,13 +136,13 @@ func (c *client) Clone() sim.Process {
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case *snapResp:
+		case *protocol.StableResp[vclock.HLCStamp]:
 			if c.phase == snapshotting && c.Reply(p) {
 				// Snapshot = minimum of the involved servers' times, but
 				// never below the client's causal past (so the snapshot
 				// includes everything the client depends on).
-				if !c.haveSnap || p.TS.Before(c.snap) {
-					c.snap = p.TS
+				if !c.haveSnap || p.Snap.Before(c.snap) {
+					c.snap = p.Snap
 					c.haveSnap = true
 				}
 			}
@@ -176,10 +152,10 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					c.readVals[v.Ref.Object] = v
 				}
 			}
-		case *writeResp:
+		case *protocol.WriteAck[vclock.HLCStamp]:
 			if c.phase == writing && c.Reply(p) {
-				if c.depTS.Before(p.TS) {
-					c.depTS = p.TS
+				if c.depTS.Before(p.Stamp) {
+					c.depTS = p.Stamp
 				}
 			}
 		}
@@ -191,14 +167,11 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.haveSnap = false
 			c.readVals = make(map[string]protocol.Val[vclock.HLCStamp])
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
-				c.Send(sh.Server, &snapReq{Msg: protocol.Msg{TID: t.ID}})
+				c.Send(sh.Server, snapKinds.Request(t.ID))
 			}
 		} else {
 			c.phase = writing
-			w := t.Writes[len(t.Writes)-1]
-			c.Send(c.Placement().PrimaryOf(w.Object), &writeReq{
-				Msg: protocol.Msg{TID: t.ID}, W: w, DepTS: c.depTS,
-			})
+			protocol.SendPrimaryWrite(&c.Core, c.depTS)
 		}
 		return c.Sent()
 	}

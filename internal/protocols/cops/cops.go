@@ -135,21 +135,6 @@ type readMeta struct {
 	Deps deps
 }
 
-type writeReq struct {
-	protocol.Msg
-	W    model.Write
-	Deps deps
-}
-
-func (p *writeReq) Kind() string { return "write-req" }
-
-type writeResp struct {
-	protocol.Msg
-	Seq int64
-}
-
-func (p *writeResp) Kind() string { return "write-ack" }
-
 // --- server ---
 
 type server struct {
@@ -177,9 +162,10 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				resp.Add(obj, v, metaOf(v))
 			}
 			s.Send(m.From, resp)
-		case *writeReq:
-			v := s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Visible: true, Meta: p.Deps})
-			s.Send(m.From, &writeResp{Msg: p.Msg, Seq: v.Seq})
+		case *protocol.Write[deps]:
+			w := p.Writes[0]
+			v := s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Visible: true, Meta: p.Dep})
+			s.Send(m.From, &protocol.WriteAck[int64]{Msg: p.Msg, Stamp: v.Seq})
 		default:
 			panic(fmt.Sprintf("cops: server %s got %T", s.ID(), m.Payload))
 		}
@@ -239,10 +225,10 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					}
 				}
 			}
-		case *writeResp:
+		case *protocol.WriteAck[int64]:
 			if c.phase == writing && c.Reply(p) {
 				w := c.Current().Writes[len(c.Current().Writes)-1]
-				c.ctx.set(c.Placement().ObjectIndex(w.Object), p.Seq)
+				c.ctx.set(c.Placement().ObjectIndex(w.Object), p.Stamp)
 			}
 		}
 	}
@@ -256,10 +242,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			protocol.SendReads(&c.Core, struct{}{})
 		} else {
 			c.phase = writing
-			w := t.Writes[len(t.Writes)-1]
-			c.Send(c.Placement().PrimaryOf(w.Object), &writeReq{
-				Msg: protocol.Msg{TID: t.ID}, W: w, Deps: c.ctx.snapshot(),
-			})
+			protocol.SendPrimaryWrite(&c.Core, c.ctx.snapshot())
 		}
 		return c.Sent()
 	}

@@ -61,18 +61,6 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 
 // --- payloads ---
 
-type writeReq struct {
-	protocol.Msg
-	W    model.Write
-	Deps []model.ValueRef // causal dependencies (object, value, writer)
-}
-
-func (p *writeReq) Kind() string { return "write-req" }
-
-type writeResp struct{ protocol.Msg }
-
-func (p *writeResp) Kind() string { return "write-ack" }
-
 // depCheck asks the server storing a dependency to confirm it is visible
 // and to report the read-only transactions that read an older version.
 type depCheck struct {
@@ -181,7 +169,7 @@ func (s *server) finishWrite(tid model.TxnID) {
 		Object: pw.w.Object, Value: pw.w.Value, Writer: tid,
 		Visible: true, HiddenFrom: hidden,
 	})
-	s.Send(pw.client, &writeResp{Msg: protocol.Msg{TID: tid}})
+	s.Send(pw.client, &protocol.WriteAck[struct{}]{Msg: protocol.Msg{TID: tid}})
 }
 
 func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
@@ -200,13 +188,13 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 			s.Send(m.From, resp)
 
-		case *writeReq:
-			pw := &pendingWrite{w: p.W, client: m.From}
+		case *protocol.Write[[]model.ValueRef]:
+			pw := &pendingWrite{w: p.Writes[0], client: m.From}
 			s.pending[p.TID] = pw
 			// Partition dependencies: local ones resolve now; remote ones
 			// are batched per owning server.
 			remote := make(map[sim.ProcessID][]model.ValueRef)
-			for _, dep := range p.Deps {
+			for _, dep := range p.Dep {
 				owner := s.Placement().PrimaryOf(dep.Object)
 				if owner == s.ID() {
 					if olds, resolved := s.resolveCheck(dep); resolved {
@@ -251,9 +239,6 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					s.finishWrite(p.TID)
 				}
 			}
-
-		case *writeResp:
-			// A self-addressed ack can't happen; ignore defensively.
 
 		default:
 			panic(fmt.Sprintf("copssnow: server %s got %T", s.ID(), m.Payload))
@@ -305,7 +290,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					}
 				}
 			}
-		case *writeResp:
+		case *protocol.WriteAck[struct{}]:
 			c.Reply(p)
 		}
 	}
@@ -314,8 +299,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		if t.IsReadOnly() {
 			protocol.SendReads(&c.Core, struct{}{})
 		} else {
-			w := t.Writes[len(t.Writes)-1]
-			c.Send(c.Placement().PrimaryOf(w.Object), &writeReq{Msg: protocol.Msg{TID: t.ID}, W: w, Deps: c.depList()})
+			protocol.SendPrimaryWrite(&c.Core, c.depList())
 		}
 		return c.Sent()
 	}

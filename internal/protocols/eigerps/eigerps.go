@@ -23,7 +23,6 @@ package eigerps
 import (
 	"fmt"
 
-	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -62,17 +61,6 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 
 // --- payloads ---
 
-type writeReq struct {
-	protocol.Msg
-	Writes []model.Write
-}
-
-func (p *writeReq) Kind() string { return "write-req" }
-
-type writeResp struct{ protocol.Msg }
-
-func (p *writeResp) Kind() string { return "write-ack" }
-
 // sync is the never-ending background synchronization: the out-of-band
 // visibility mechanism the paper's model excludes would be driven by it.
 type syncToken struct {
@@ -100,7 +88,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				resp.Add(obj, s.ShardStore().LatestVisible(obj), struct{}{})
 			}
 			s.Send(m.From, resp)
-		case *writeReq:
+		case *protocol.Write[struct{}]:
 			init := protocol.IsInitClient(sim.ProcessID(p.TID.Client))
 			for _, w := range p.Writes {
 				// Initializing writes are visible (the system must boot);
@@ -108,7 +96,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				// mechanism that never arrives in this model.
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Visible: init})
 			}
-			s.Send(m.From, &writeResp{Msg: p.Msg})
+			s.Send(m.From, &protocol.WriteAck[struct{}]{Msg: p.Msg})
 			if !init {
 				// Kick off the endless synchronization exchange.
 				for _, other := range s.Placement().Servers() {
@@ -152,18 +140,15 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					c.Result().SetValue(v.Ref.Object, v.Ref.Value)
 				}
 			}
-		case *writeResp:
+		case *protocol.WriteAck[struct{}]:
 			c.Reply(p)
 		}
 	}
 	if c.Starting(now) {
-		t := c.Current()
-		if t.IsReadOnly() {
+		if c.Current().IsReadOnly() {
 			protocol.SendReads(&c.Core, struct{}{})
 		} else {
-			for _, sh := range c.Placement().WriteShares(t.Writes) {
-				c.Send(sh.Server, &writeReq{Msg: protocol.Msg{TID: t.ID}, Writes: sh.Items})
-			}
+			protocol.SendWrites(&c.Core, struct{}{})
 		}
 		return c.Sent()
 	}

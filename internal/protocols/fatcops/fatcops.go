@@ -182,35 +182,21 @@ func (p *readResp) CarriedValues() []model.ValueRef {
 	return out
 }
 
-type writeReq struct {
-	protocol.Msg
-	TS  int64
-	Vec vec
-	// Writes are the writes for objects hosted at the destination.
-	Writes []model.Write
-	// Sibs are ALL of the transaction's writes (co-hosted ones included —
-	// readers apply the whole write-set atomically); DepVals are the
-	// causally depended-on values. Both are shipped and stored.
-	Sibs    []fatEntry
-	DepVals []fatEntry
-}
-
-func (p *writeReq) Kind() string { return "fat-write-req" }
-
-type writeResp struct{ protocol.Msg }
-
-func (p *writeResp) Kind() string { return "fat-write-ack" }
-
-// --- server ---
-
-// metaBlob is a write transaction's fat metadata, the store.Version.Meta
-// of every version it installed at a server.
+// metaBlob is a write transaction's fat metadata: each of its writes
+// carries it, and every version it installs keeps it as its
+// store.Version.Meta.
 type metaBlob struct {
+	TS int64 // the writing transaction's Lamport timestamp
+	// Sibs are ALL of the transaction's writes (co-hosted ones included —
+	// readers apply the whole write-set atomically); Deps are the
+	// causally depended-on values. Both are shipped and stored.
 	Sibs []fatEntry
 	Deps []fatEntry
 	WSet []string // every object the writing transaction touched
 	Vec  vec      // the writing transaction's dependency vector
 }
+
+// --- server ---
 
 type server struct {
 	protocol.ServerCore
@@ -240,20 +226,15 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				})
 			}
 			s.Send(m.From, resp)
-		case *writeReq:
-			// The sibling list carries the transaction's full write-set.
-			blob := &metaBlob{Sibs: p.Sibs, Deps: p.DepVals, Vec: p.Vec,
-				WSet: make([]string, 0, len(p.Sibs))}
-			for _, e := range p.Sibs {
-				blob.WSet = append(blob.WSet, e.Object)
-			}
+		case *protocol.Write[metaBlob]:
+			blob := p.Dep
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{
 					Object: w.Object, Value: w.Value, Writer: p.TID,
-					Visible: true, Stamp: vclock.HLCStamp{Wall: p.TS}, Meta: blob,
+					Visible: true, Stamp: vclock.HLCStamp{Wall: blob.TS}, Meta: &blob,
 				})
 			}
-			s.Send(m.From, &writeResp{Msg: p.Msg})
+			s.Send(m.From, &protocol.WriteAck[struct{}]{Msg: p.Msg})
 		default:
 			panic(fmt.Sprintf("fatcops: server %s got %T", s.ID(), m.Payload))
 		}
@@ -426,7 +407,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			if c.Reply(p) {
 				c.applyBatch(p.Vals)
 			}
-		case *writeResp:
+		case *protocol.WriteAck[struct{}]:
 			c.Reply(p)
 		}
 	}
@@ -455,11 +436,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				siblings = append(siblings, fatEntry{Object: w.Object, Val: w.Value, Writer: t.ID,
 					TS: ts, Vec: wv, WSet: wset})
 			}
-			for _, sh := range c.Placement().WriteShares(t.Writes) {
-				c.Send(sh.Server, &writeReq{
-					Msg: protocol.Msg{TID: t.ID}, TS: ts, Vec: wv, Writes: sh.Items, Sibs: siblings, DepVals: deps,
-				})
-			}
+			protocol.SendWrites(&c.Core, metaBlob{TS: ts, Sibs: siblings, Deps: deps, WSet: wset, Vec: wv})
 		}
 		return c.Sent()
 	}

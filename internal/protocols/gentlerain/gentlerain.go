@@ -11,7 +11,6 @@ package gentlerain
 import (
 	"fmt"
 
-	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -56,21 +55,6 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 
 // stableKinds: servers gossip their clocks, a ROT fetches the GST.
 var stableKinds = &protocol.StableKinds{Gossip: "clock-gossip", Req: "gst-req", Resp: "gst-resp"}
-
-type writeReq struct {
-	protocol.Msg
-	W     model.Write
-	DepTS vclock.HLCStamp
-}
-
-func (p *writeReq) Kind() string { return "write-req" }
-
-type writeResp struct {
-	protocol.Msg
-	TS vclock.HLCStamp
-}
-
-func (p *writeResp) Kind() string { return "write-ack" }
 
 // --- server ---
 
@@ -149,7 +133,7 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			s.Send(m.From, protocol.Answer(p, s.stab.Min(s.clock())))
 		case *protocol.Read[vclock.HLCStamp]:
 			s.parked.Offer(m.From, p, s.canServe, s.serveRead)
-		case *writeReq:
+		case *protocol.Write[vclock.HLCStamp]:
 			var ts vclock.HLCStamp
 			if protocol.IsInitClient(sim.ProcessID(p.TID.Client)) {
 				// Initial versions sit at the bottom of the timestamp
@@ -158,11 +142,12 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				ts = vclock.HLCStamp{Wall: 1, Logical: s.initSeq}
 				s.hlc.Observe(int64(now), ts)
 			} else {
-				s.hlc.Observe(int64(now), p.DepTS)
+				s.hlc.Observe(int64(now), p.Dep)
 				ts = s.hlc.Now(int64(now))
 			}
-			s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Stamp: ts, Visible: true})
-			s.Send(m.From, &writeResp{Msg: p.Msg, TS: ts})
+			w := p.Writes[0]
+			s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Stamp: ts, Visible: true})
+			s.Send(m.From, &protocol.WriteAck[vclock.HLCStamp]{Msg: p.Msg, Stamp: ts})
 		case *protocol.StableGossip[vclock.HLCStamp]:
 			s.stab.Heard(p)
 		default:
@@ -217,10 +202,10 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					c.got[v.Ref.Object] = v
 				}
 			}
-		case *writeResp:
+		case *protocol.WriteAck[vclock.HLCStamp]:
 			if c.phase == writing && c.Reply(p) {
-				if c.depTS.Before(p.TS) {
-					c.depTS = p.TS
+				if c.depTS.Before(p.Stamp) {
+					c.depTS = p.Stamp
 				}
 			}
 		}
@@ -236,10 +221,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.Send(c.Placement().PrimaryOf(last), stableKinds.Request(t.ID))
 		} else {
 			c.phase = writing
-			w := t.Writes[len(t.Writes)-1]
-			c.Send(c.Placement().PrimaryOf(w.Object), &writeReq{
-				Msg: protocol.Msg{TID: t.ID}, W: w, DepTS: c.depTS,
-			})
+			protocol.SendPrimaryWrite(&c.Core, c.depTS)
 		}
 		return c.Sent()
 	}

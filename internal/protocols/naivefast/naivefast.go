@@ -13,7 +13,6 @@ package naivefast
 import (
 	"fmt"
 
-	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -53,19 +52,6 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *Placement) protocol.Client {
 // Placement aliases protocol.Placement for the constructor signatures.
 type Placement = protocol.Placement
 
-// --- payloads ---
-
-type writeReq struct {
-	protocol.Msg
-	Writes []model.Write
-}
-
-func (p *writeReq) Kind() string { return "write-req" }
-
-type writeResp struct{ protocol.Msg }
-
-func (p *writeResp) Kind() string { return "write-resp" }
-
 // --- server ---
 
 type server struct {
@@ -85,11 +71,11 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				resp.Add(obj, s.ShardStore().LatestVisible(obj), struct{}{})
 			}
 			s.Send(m.From, resp)
-		case *writeReq:
+		case *protocol.Write[struct{}]:
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Visible: true})
 			}
-			s.Send(m.From, &writeResp{Msg: p.Msg})
+			s.Send(m.From, &protocol.WriteAck[struct{}]{Msg: p.Msg})
 		default:
 			panic(fmt.Sprintf("naivefast: server %s got %T", s.ID(), m.Payload))
 		}
@@ -116,18 +102,15 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					c.Result().SetValue(v.Ref.Object, v.Ref.Value)
 				}
 			}
-		case *writeResp:
+		case *protocol.WriteAck[struct{}]:
 			c.Reply(p)
 		}
 	}
 	if c.Starting(now) {
-		t := c.Current()
 		// Reads go to the primary replica of each object; writes go to
 		// every replica of the written object.
 		protocol.SendReads(&c.Core, struct{}{})
-		for _, sh := range c.Placement().WriteShares(t.Writes) {
-			c.Send(sh.Server, &writeReq{Msg: protocol.Msg{TID: t.ID}, Writes: sh.Items})
-		}
+		protocol.SendWrites(&c.Core, struct{}{})
 	}
 	if c.RoundDone() {
 		// All responses in: complete.

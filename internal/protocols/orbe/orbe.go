@@ -14,7 +14,6 @@ package orbe
 import (
 	"fmt"
 
-	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -60,21 +59,6 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 
 // stableKinds: servers gossip their write counter, a ROT fetches the GSV.
 var stableKinds = &protocol.StableKinds{Gossip: "cnt-gossip", Req: "gsv-req", Resp: "gsv-resp"}
-
-type writeReq struct {
-	protocol.Msg
-	W   model.Write
-	Dep vclock.Vector
-}
-
-func (p *writeReq) Kind() string { return "write-req" }
-
-type writeResp struct {
-	protocol.Msg
-	Vec vclock.Vector
-}
-
-func (p *writeResp) Kind() string { return "write-ack" }
 
 // --- server ---
 
@@ -122,13 +106,14 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			s.Send(m.From, protocol.Answer(p, vclock.Vector(s.stab.Vector(s.cnt))))
 		case *protocol.Read[vclock.Vector]:
 			s.parked.Offer(m.From, p, s.canServe, s.serveRead)
-		case *writeReq:
+		case *protocol.Write[vclock.Vector]:
 			s.cnt++
 			vec := vclock.NewVector(s.n)
 			vec.Merge(p.Dep)
 			vec[s.idx] = s.cnt
-			s.ShardStore().Install(&store.Version{Object: p.W.Object, Value: p.W.Value, Writer: p.TID, Vec: vec, Visible: true})
-			s.Send(m.From, &writeResp{Msg: p.Msg, Vec: vec})
+			w := p.Writes[0]
+			s.ShardStore().Install(&store.Version{Object: w.Object, Value: w.Value, Writer: p.TID, Vec: vec, Visible: true})
+			s.Send(m.From, &protocol.WriteAck[vclock.Vector]{Msg: p.Msg, Stamp: vec})
 		case *protocol.StableGossip[int64]:
 			s.stab.Heard(p)
 		default:
@@ -188,9 +173,9 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 					c.got[v.Ref.Object] = v
 				}
 			}
-		case *writeResp:
+		case *protocol.WriteAck[vclock.Vector]:
 			if c.phase == writing && c.Reply(p) {
-				c.dep.Merge(p.Vec)
+				c.dep.Merge(p.Stamp)
 			}
 		}
 	}
@@ -203,10 +188,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.Send(c.Placement().PrimaryOf(last), stableKinds.Request(t.ID))
 		} else {
 			c.phase = writing
-			w := t.Writes[len(t.Writes)-1]
-			c.Send(c.Placement().PrimaryOf(w.Object), &writeReq{
-				Msg: protocol.Msg{TID: t.ID}, W: w, Dep: c.dep.Clone(),
-			})
+			protocol.SendPrimaryWrite(&c.Core, c.dep.Clone())
 		}
 		return c.Sent()
 	}

@@ -31,10 +31,10 @@ func TestParkPathServesWhenCounterCatchesUp(t *testing.T) {
 	srv := New().NewServer("s0", pl).(*server)
 
 	// Craft a read at snapshot (2, 0) while s0 has applied only 1 write.
-	writeMsg := &sim.Message{From: "c9", To: "s0", Payload: &writeReq{
-		Msg: protocol.Msg{TID: model.TxnID{Client: "c9", Seq: 1}},
-		W:   model.Write{Object: "X0", Value: "v1"},
-		Dep: vclock.NewVector(2),
+	writeMsg := &sim.Message{From: "c9", To: "s0", Payload: &protocol.Write[vclock.Vector]{
+		Msg:    protocol.Msg{TID: model.TxnID{Client: "c9", Seq: 1}},
+		Dep:    vclock.NewVector(2),
+		Writes: []model.Write{{Object: "X0", Value: "v1"}},
 	}}
 	srv.Step(1, []*sim.Message{writeMsg})
 
@@ -55,10 +55,10 @@ func TestParkPathServesWhenCounterCatchesUp(t *testing.T) {
 
 	// A second write advances the counter to 2; the parked read must be
 	// served on the next step, with the new value.
-	writeMsg2 := &sim.Message{From: "c9", To: "s0", Payload: &writeReq{
-		Msg: protocol.Msg{TID: model.TxnID{Client: "c9", Seq: 2}},
-		W:   model.Write{Object: "X0", Value: "v2"},
-		Dep: vclock.NewVector(2),
+	writeMsg2 := &sim.Message{From: "c9", To: "s0", Payload: &protocol.Write[vclock.Vector]{
+		Msg:    protocol.Msg{TID: model.TxnID{Client: "c9", Seq: 2}},
+		Dep:    vclock.NewVector(2),
+		Writes: []model.Write{{Object: "X0", Value: "v2"}},
 	}}
 	srv.Step(3, []*sim.Message{writeMsg2})
 	out = srv.Step(4, nil)
