@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Prints the functions of internal/protocol, internal/protocols (ptest
-# excluded) and internal/sim that no small CI run reaches, one
+# Prints the functions of every package of the module (the test helper
+# internal/protocols/ptest excluded) that no small CI run reaches, one
 # "file function" per line, sorted. The runs are .github/runs.txt
 # (ci.yml's smaller cmd/bench lines and the paper tools), built with
 # -cover. CI diffs the output against .github/unreached.txt, which may
@@ -29,6 +29,5 @@ done < "$runs"
 go tool covdata func -i "$GOCOVERDIR" |
   awk '$NF == "0.0%" { split($1, f, ":"); print f[1], $2 }' |
   sed 's|^repro/||' |
-  grep -E '^internal/(protocol|protocols/[a-z]+|sim)/' |
   grep -v '^internal/protocols/ptest/' |
   sort

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"slices"
@@ -41,15 +42,7 @@ func TestModelsShareWriteRound(t *testing.T) {
 // messages for what.
 func kindsOutsideProtocol(t *testing.T, what string, kinds ...string) {
 	t.Helper()
-	fset := token.NewFileSet()
-	err := filepath.WalkDir("internal/protocols", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	walkModels(t, func(fset *token.FileSet, f *ast.File) {
 		for _, dd := range f.Decls {
 			fd, ok := dd.(*ast.FuncDecl)
 			if !ok || fd.Recv == nil || fd.Name.Name != "Kind" || fd.Body == nil {
@@ -69,6 +62,46 @@ func kindsOutsideProtocol(t *testing.T, what string, kinds ...string) {
 				return true
 			})
 		}
+	})
+}
+
+// TestModelsKeepNoReplyMap keeps the read fold in one place: a client
+// gathers its ROT's replies in a protocol.Gather, by read-set position.
+// It fails on any struct field under internal/protocols whose type is a
+// map to protocol.Val.
+func TestModelsKeepNoReplyMap(t *testing.T) {
+	walkModels(t, func(fset *token.FileSet, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				if m, ok := field.Type.(*ast.MapType); ok {
+					if ix, ok := m.Value.(*ast.IndexExpr); ok && types.ExprString(ix.X) == "protocol.Val" {
+						t.Errorf("%s: a field maps to protocol.Val: gather the replies in a protocol.Gather",
+							fset.Position(field.Pos()))
+					}
+				}
+			}
+			return true
+		})
+	})
+}
+
+// walkModels calls visit on every Go file under internal/protocols.
+func walkModels(t *testing.T, visit func(*token.FileSet, *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal/protocols", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(fset, f)
 		return nil
 	})
 	if err != nil {

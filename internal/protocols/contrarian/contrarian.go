@@ -116,21 +116,14 @@ type client struct {
 	depTS    vclock.HLCStamp
 	snap     vclock.HLCStamp
 	haveSnap bool
-	readVals map[string]protocol.Val[vclock.HLCStamp]
+	got      protocol.Gather[vclock.HLCStamp]
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{
+	return &client{
 		Core: c.CloneCore(), phase: c.phase,
-		depTS: c.depTS, snap: c.snap, haveSnap: c.haveSnap,
+		depTS: c.depTS, snap: c.snap, haveSnap: c.haveSnap, got: c.got.Clone(),
 	}
-	if c.readVals != nil {
-		cp.readVals = make(map[string]protocol.Val[vclock.HLCStamp], len(c.readVals))
-		for k, v := range c.readVals {
-			cp.readVals[k] = v
-		}
-	}
-	return cp
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
@@ -148,9 +141,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 		case *protocol.ReadReply[vclock.HLCStamp]:
 			if c.phase == reading && c.Reply(p) {
-				for _, v := range p.Vals {
-					c.readVals[v.Ref.Object] = v
-				}
+				c.got.Put(&c.Core, p, nil)
 			}
 		case *protocol.WriteAck[vclock.HLCStamp]:
 			if c.phase == writing && c.Reply(p) {
@@ -165,7 +156,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		if t.IsReadOnly() {
 			c.phase = snapshotting
 			c.haveSnap = false
-			c.readVals = make(map[string]protocol.Val[vclock.HLCStamp])
+			c.got.Start(&c.Core)
 			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
 				c.Send(sh.Server, snapKinds.Request(t.ID))
 			}
@@ -176,7 +167,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		return c.Sent()
 	}
 	if c.RoundDone() {
-		t := c.Current()
 		switch c.phase {
 		case snapshotting:
 			// The snapshot must cover the client's causal past.
@@ -186,15 +176,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = reading
 			protocol.SendReads(&c.Core, c.snap)
 		case reading:
-			for _, obj := range t.ReadSet {
-				v := c.readVals[obj]
-				c.Result().SetValue(obj, v.Ref.Value)
+			for _, v := range c.got.Vals {
 				if c.depTS.Before(v.Meta) {
 					c.depTS = v.Meta
 				}
 			}
+			c.got.Fill(&c.Core)
 			c.phase = idle
-			c.readVals = nil
 			c.Finish(now)
 		case writing:
 			c.phase = idle

@@ -188,26 +188,22 @@ type client struct {
 	protocol.Core
 	phase phase
 	ctx   causalContext
-	got   []slot // the active ROT's, aligned with its ReadSet
-}
-
-// slot is one object of the active ROT's read set: its index in the
-// context and the newest version of it fetched so far (zero, which reads
-// as ⊥, until one arrives).
-type slot struct {
-	obj int
-	v   protocol.Val[readMeta]
+	got   protocol.Gather[readMeta] // the newest version of each object fetched so far
 }
 
 func (c *client) Clone() sim.Process {
-	return &client{Core: c.CloneCore(), phase: c.phase, ctx: c.ctx.clone(), got: slices.Clone(c.got)}
+	return &client{Core: c.CloneCore(), phase: c.phase, ctx: c.ctx.clone(), got: c.got.Clone()}
 }
 
+// newer keeps the newer of two rounds' versions of an object.
+func newer(v, cur protocol.Val[readMeta]) bool { return v.Meta.Seq > cur.Meta.Seq }
+
 // stale reports whether a fetched version depends on a newer version of
-// slot b's object than slot b holds.
+// read-set object b than slot b holds.
 func (c *client) stale(b int) bool {
-	for _, a := range c.got {
-		if a.v.Meta.Deps.seq(c.got[b].obj) > c.got[b].v.Meta.Seq {
+	obj, have := c.Placement().ObjectIndex(c.Current().ReadSet[b]), c.got.Vals[b].Meta.Seq
+	for _, a := range c.got.Vals {
+		if a.Meta.Deps.seq(obj) > have {
 			return true
 		}
 	}
@@ -219,11 +215,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		switch p := m.Payload.(type) {
 		case *protocol.ReadReply[readMeta]:
 			if (c.phase == round1 || c.phase == round2) && c.Reply(p) {
-				for _, v := range p.Vals {
-					if s := &c.got[slices.Index(c.Current().ReadSet, v.Ref.Object)]; v.Meta.Seq > s.v.Meta.Seq {
-						s.v = v
-					}
-				}
+				c.got.Put(&c.Core, p, newer)
 			}
 		case *protocol.WriteAck[int64]:
 			if c.phase == writing && c.Reply(p) {
@@ -236,9 +228,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if t.IsReadOnly() {
 			c.phase = round1
-			for _, obj := range t.ReadSet {
-				c.got = append(c.got, slot{obj: c.Placement().ObjectIndex(obj)})
-			}
+			c.got.Start(&c.Core)
 			protocol.SendReads(&c.Core, struct{}{})
 		} else {
 			c.phase = writing
@@ -278,14 +268,11 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 
 func (c *client) finishRead(now sim.Time) {
 	for i, obj := range c.Current().ReadSet {
-		v := c.got[i].v
-		c.Result().SetValue(obj, v.Ref.Value)
-		if v.Ref.Value != model.Bottom {
-			c.ctx.observe(c.got[i].obj, v.Meta.Seq)
+		if v := c.got.Vals[i]; v.Ref.Value != model.Bottom {
+			c.ctx.observe(c.Placement().ObjectIndex(obj), v.Meta.Seq)
 		}
 	}
+	c.got.Fill(&c.Core)
 	c.phase = idle
-	clear(c.got)
-	c.got = c.got[:0]
 	c.Finish(now)
 }

@@ -283,8 +283,8 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		switch p := m.Payload.(type) {
 		case *protocol.ReadReply[struct{}]:
 			if c.Reply(p) {
+				p.Fill(&c.Core)
 				for _, v := range p.Vals {
-					c.Result().SetValue(v.Ref.Object, v.Ref.Value)
 					if v.Ref.Value != model.Bottom {
 						c.deps[v.Ref.Object] = v.Ref
 					}

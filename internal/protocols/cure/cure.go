@@ -9,7 +9,6 @@ package cure
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/protocol"
 	"repro/internal/sim"
@@ -176,11 +175,11 @@ type client struct {
 	// again: the next ROT's gsv reply replaces it.
 	snap   vclock.Vector
 	commit vclock.Vector
-	got    []protocol.Val[vclock.Vector] // the active ROT's, aligned with its ReadSet
+	got    protocol.Gather[vclock.Vector]
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), phase: c.phase, dep: c.dep.Clone(), got: slices.Clone(c.got)}
+	cp := &client{Core: c.CloneCore(), phase: c.phase, dep: c.dep.Clone(), got: c.got.Clone()}
 	if c.snap != nil {
 		cp.snap = c.snap.Clone()
 	}
@@ -199,9 +198,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 		case *protocol.ReadReply[vclock.Vector]:
 			if c.phase == reading && c.Reply(p) {
-				for _, v := range p.Vals {
-					c.got[slices.Index(c.Current().ReadSet, v.Ref.Object)] = v
-				}
+				c.got.Put(&c.Core, p, nil)
 			}
 		case *protocol.Prepared[prepared]:
 			if c.phase == preparing && c.Reply(p) {
@@ -219,7 +216,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if t.IsReadOnly() {
 			c.phase = gsvWait
-			c.got = append(c.got, make([]protocol.Val[vclock.Vector], len(t.ReadSet))...)
+			c.got.Start(&c.Core)
 			last := t.ReadSet[len(t.ReadSet)-1]
 			c.Send(c.Placement().PrimaryOf(last), stableKinds.Request(t.ID))
 		} else {
@@ -231,23 +228,19 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		return c.Sent()
 	}
 	if c.RoundDone() {
-		t := c.Current()
 		switch c.phase {
 		case gsvWait:
 			c.snap.Merge(c.dep)
 			c.phase = reading
 			protocol.SendReads(&c.Core, c.snap)
 		case reading:
-			for i, obj := range t.ReadSet {
-				v := c.got[i]
-				c.Result().SetValue(obj, v.Ref.Value)
+			for _, v := range c.got.Vals {
 				if v.Meta != nil {
 					c.dep.Merge(v.Meta)
 				}
 			}
+			c.got.Fill(&c.Core)
 			c.phase = idle
-			clear(c.got)
-			c.got = c.got[:0]
 			c.Finish(now)
 		case preparing:
 			// Every commit carries c.commit itself: no ack writes it

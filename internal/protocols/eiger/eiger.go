@@ -182,27 +182,25 @@ type client struct {
 	phase    phase
 	depTS    int64
 	commitTS int64
-	got      map[string]protocol.Val[readMeta]
+	got      protocol.Gather[readMeta]
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), phase: c.phase,
-		depTS: c.depTS, commitTS: c.commitTS}
-	if c.got != nil {
-		cp.got = make(map[string]protocol.Val[readMeta], len(c.got))
-		for k, v := range c.got {
-			cp.got[k] = v
-		}
-	}
-	return cp
+	return &client{Core: c.CloneCore(), phase: c.phase,
+		depTS: c.depTS, commitTS: c.commitTS, got: c.got.Clone()}
 }
+
+// newer lets a value replace its slot unless the slot's is newer: every
+// first-round value lands on a zero slot, and at an equal stamp the
+// retry's SafeT and PendingBelow are the fresher.
+func newer(v, cur protocol.Val[readMeta]) bool { return v.Meta.TS >= cur.Meta.TS }
 
 // effTime is the transaction's effective time: the newest commit
 // timestamp among the fetched values (Eiger's "effective time" of the
 // read-only transaction).
 func (c *client) effTime() int64 {
 	eff := int64(0)
-	for _, v := range c.got {
+	for _, v := range c.got.Vals {
 		if v.Meta.TS > eff {
 			eff = v.Meta.TS
 		}
@@ -218,7 +216,7 @@ func (c *client) effTime() int64 {
 // transactions can tie at eff, and the tie loser may still be pending at
 // one server while the winner is visible at another.
 func (c *client) settled(eff int64) bool {
-	for _, v := range c.got {
+	for _, v := range c.got.Vals {
 		if v.Meta.SafeT < eff {
 			return false
 		}
@@ -234,11 +232,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		switch p := m.Payload.(type) {
 		case *protocol.ReadReply[readMeta]:
 			if c.phase == reading && c.Reply(p) {
-				for _, v := range p.Vals {
-					if cur, fetched := c.got[v.Ref.Object]; !fetched || v.Meta.TS >= cur.Meta.TS {
-						c.got[v.Ref.Object] = v
-					}
-				}
+				c.got.Put(&c.Core, p, newer)
 			}
 		case *protocol.Prepared[int64]:
 			if c.phase == preparing && c.Reply(p) {
@@ -256,7 +250,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if t.IsReadOnly() {
 			c.phase = reading
-			c.got = make(map[string]protocol.Val[readMeta])
+			c.got.Start(&c.Core)
 			protocol.SendReads(&c.Core, int64(0))
 		} else {
 			c.phase = preparing
@@ -266,7 +260,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		return c.Sent()
 	}
 	if c.RoundDone() {
-		t := c.Current()
 		switch c.phase {
 		case reading:
 			if eff := c.effTime(); eff > 0 && !c.settled(eff) && c.Rounds() < MaxReadRounds {
@@ -277,15 +270,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 				protocol.SendReads(&c.Core, eff)
 				return c.Sent()
 			}
-			for _, obj := range t.ReadSet {
-				v := c.got[obj]
-				c.Result().SetValue(obj, v.Ref.Value)
+			for _, v := range c.got.Vals {
 				if v.Meta.TS > c.depTS {
 					c.depTS = v.Meta.TS
 				}
 			}
+			c.got.Fill(&c.Core)
 			c.phase = idle
-			c.got = nil
 			c.Finish(now)
 		case preparing:
 			c.phase = committing

@@ -136,9 +136,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		switch p := m.Payload.(type) {
 		case *protocol.ReadReply[struct{}]:
 			if c.Reply(p) {
-				for _, v := range p.Vals {
-					c.Result().SetValue(v.Ref.Object, v.Ref.Value)
-				}
+				p.Fill(&c.Core)
 			}
 		case *protocol.WriteAck[struct{}]:
 			c.Reply(p)

@@ -175,18 +175,11 @@ type client struct {
 	phase phase
 	depTS vclock.HLCStamp
 	snap  vclock.HLCStamp
-	got   map[string]protocol.Val[vclock.HLCStamp]
+	got   protocol.Gather[vclock.HLCStamp]
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), phase: c.phase, depTS: c.depTS, snap: c.snap}
-	if c.got != nil {
-		cp.got = make(map[string]protocol.Val[vclock.HLCStamp], len(c.got))
-		for k, v := range c.got {
-			cp.got[k] = v
-		}
-	}
-	return cp
+	return &client{Core: c.CloneCore(), phase: c.phase, depTS: c.depTS, snap: c.snap, got: c.got.Clone()}
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
@@ -198,9 +191,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 		case *protocol.ReadReply[vclock.HLCStamp]:
 			if c.phase == reading && c.Reply(p) {
-				for _, v := range p.Vals {
-					c.got[v.Ref.Object] = v
-				}
+				c.got.Put(&c.Core, p, nil)
 			}
 		case *protocol.WriteAck[vclock.HLCStamp]:
 			if c.phase == writing && c.Reply(p) {
@@ -214,7 +205,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if t.IsReadOnly() {
 			c.phase = gstWait
-			c.got = make(map[string]protocol.Val[vclock.HLCStamp])
+			c.got.Start(&c.Core)
 			// GST from the client's designated server (we use the server
 			// of the last object in the read set).
 			last := t.ReadSet[len(t.ReadSet)-1]
@@ -226,7 +217,6 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		return c.Sent()
 	}
 	if c.RoundDone() {
-		t := c.Current()
 		switch c.phase {
 		case gstWait:
 			// The snapshot must cover the client's causal past — this is
@@ -238,15 +228,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = reading
 			protocol.SendReads(&c.Core, c.snap)
 		case reading:
-			for _, obj := range t.ReadSet {
-				v := c.got[obj]
-				c.Result().SetValue(obj, v.Ref.Value)
+			for _, v := range c.got.Vals {
 				if c.depTS.Before(v.Meta) {
 					c.depTS = v.Meta
 				}
 			}
+			c.got.Fill(&c.Core)
 			c.phase = idle
-			c.got = nil
 			c.Finish(now)
 		case writing:
 			c.phase = idle

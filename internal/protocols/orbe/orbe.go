@@ -143,19 +143,13 @@ type client struct {
 	// snap is the active ROT's snapshot, which every read of the round
 	// carries: the next ROT's gsv reply replaces it, nothing writes it.
 	snap vclock.Vector
-	got  map[string]protocol.Val[vclock.Vector]
+	got  protocol.Gather[vclock.Vector]
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), phase: c.phase, dep: c.dep.Clone()}
+	cp := &client{Core: c.CloneCore(), phase: c.phase, dep: c.dep.Clone(), got: c.got.Clone()}
 	if c.snap != nil {
 		cp.snap = c.snap.Clone()
-	}
-	if c.got != nil {
-		cp.got = make(map[string]protocol.Val[vclock.Vector], len(c.got))
-		for k, v := range c.got {
-			cp.got[k] = v
-		}
 	}
 	return cp
 }
@@ -169,9 +163,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 		case *protocol.ReadReply[vclock.Vector]:
 			if c.phase == reading && c.Reply(p) {
-				for _, v := range p.Vals {
-					c.got[v.Ref.Object] = v
-				}
+				c.got.Put(&c.Core, p, nil)
 			}
 		case *protocol.WriteAck[vclock.Vector]:
 			if c.phase == writing && c.Reply(p) {
@@ -183,7 +175,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if t.IsReadOnly() {
 			c.phase = gsvWait
-			c.got = make(map[string]protocol.Val[vclock.Vector])
+			c.got.Start(&c.Core)
 			last := t.ReadSet[len(t.ReadSet)-1]
 			c.Send(c.Placement().PrimaryOf(last), stableKinds.Request(t.ID))
 		} else {
@@ -193,22 +185,19 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		return c.Sent()
 	}
 	if c.RoundDone() {
-		t := c.Current()
 		switch c.phase {
 		case gsvWait:
 			c.snap.Merge(c.dep) // snapshot covers the causal past
 			c.phase = reading
 			protocol.SendReads(&c.Core, c.snap)
 		case reading:
-			for _, obj := range t.ReadSet {
-				v := c.got[obj]
-				c.Result().SetValue(obj, v.Ref.Value)
+			for _, v := range c.got.Vals {
 				if v.Meta != nil {
 					c.dep.Merge(v.Meta)
 				}
 			}
+			c.got.Fill(&c.Core)
 			c.phase = idle
-			c.got = nil
 			c.Finish(now)
 		case writing:
 			c.phase = idle

@@ -33,7 +33,7 @@ func RunLoad(t *testing.T, p protocol.Protocol, e Expect) {
 			t.Error(err)
 		}
 	})
-	sweep(t, p, e, "load", []sweepRun{
+	runs := []sweepRun{
 		{mode: "closed-loop"},
 		{mode: "open-loop", rate: loadRate, check: func(rep *driver.Report) error {
 			if rep.QueueDelay.N != rep.Committed {
@@ -41,7 +41,9 @@ func RunLoad(t *testing.T, p protocol.Protocol, e Expect) {
 			}
 			return nil
 		}},
-	})
+	}
+	t.Run("RoundContract", func(t *testing.T) { roundContract(t, p, e, runs) })
+	sweep(t, p, e, "load", runs)
 }
 
 // RunFaults drives the protocol through the nemesis sweep: one
@@ -52,12 +54,14 @@ func RunLoad(t *testing.T, p protocol.Protocol, e Expect) {
 // stay caught when the network misbehaves, not only when it is slow.
 func RunFaults(t *testing.T, p protocol.Protocol, e Expect) {
 	t.Helper()
-	sweep(t, p, e, "fault", []sweepRun{
+	runs := []sweepRun{
 		// Persistent crash: state and inbox survive the outage.
 		{mode: "crash", nem: &driver.Nemesis{Crashes: 1, Start: 5_000, Duration: 8_000}, check: faulted},
 		// Full bisection: every link across the cut severed, then healed.
 		{mode: "partition", nem: &driver.Nemesis{Partitions: 1, Start: 5_000, Duration: 8_000}, check: faulted},
-	})
+	}
+	t.Run("RoundContract", func(t *testing.T) { roundContract(t, p, e, runs) })
+	sweep(t, p, e, "fault", runs)
 }
 
 // RunReconfig drives the protocol through the reconfiguration sweep: one

@@ -7,6 +7,7 @@ package ptest
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/history"
@@ -243,6 +244,28 @@ func cloneIndependence(t *testing.T, p protocol.Protocol, e Expect) {
 	sim.Run(snap, &sim.RoundRobin{}, func(*sim.Kernel) bool { return !scl.Busy() }, 400_000)
 	if scl.Busy() {
 		t.Fatal("snapshot run did not complete")
+	}
+
+	// Mid-ROT: snapshot once the client has folded its first read reply
+	// (RoundRobin steps a process right after each delivery to it).
+	id := d.Invoke("c0", model.NewReadOnly(model.TxnID{}, objs[0], objs[1]))
+	replied := false
+	sim.Run(d.Kernel, &sim.RoundRobin{}, func(k *sim.Kernel) bool {
+		for _, m := range k.Inbox("c0") {
+			_, carries := m.Payload.(protocol.ValueCarrier)
+			replied = replied || carries
+		}
+		return replied && len(k.Inbox("c0")) == 0
+	}, 400_000)
+	if !replied || !cl.Busy() {
+		t.Fatalf("ROT replied %v, busy %v: no snapshot between its replies", replied, cl.Busy())
+	}
+	snap = d.Kernel.Snapshot()
+	scl = snap.Process("c0").(protocol.Client)
+	sim.Run(d.Kernel, &sim.RoundRobin{}, func(*sim.Kernel) bool { return !cl.Busy() }, 400_000)
+	sim.Run(snap, &sim.RoundRobin{}, func(*sim.Kernel) bool { return !scl.Busy() }, 400_000)
+	if res, sres := cl.Finished(id), scl.Finished(id); res == nil || sres == nil || !slices.Equal(res.Values, sres.Values) {
+		t.Fatalf("ROT from mid-read snapshot: original %v, snapshot %v", res, sres)
 	}
 }
 

@@ -51,9 +51,10 @@ func (w *watch) check(p sim.Process, now sim.Time, when string) {
 		p.ID(), when, now, got.ready, got.wake, got.ok, was.at, was.ready, was.wake, was.ok))
 }
 
-// fail logs err unless an earlier contradiction is logged already.
+// fail logs err unless an earlier contradiction is logged already, or
+// the run logs none.
 func (w *watch) fail(err error) {
-	if *w.log == nil {
+	if w.log != nil && *w.log == nil {
 		*w.log = err
 	}
 }
@@ -79,16 +80,20 @@ func (s *watchedServer) WakeAt(now sim.Time) (sim.Time, bool) { return wakeAt(s.
 // Invoke and checks after TakeFinished. It also holds the client to the
 // contract the driver's take relies on: results are made only inside
 // Step, so TakeFinished hands out nothing new unless the client stepped
-// since the previous call.
+// since the previous call. And it holds the client's requests to the
+// round contract (rounds).
 type watchedClient struct {
 	protocol.Client
 	w       *watch
+	r       *rounds
 	stepped bool
 }
 
 func (c *watchedClient) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	c.w.check(c.Client, now, "at Step")
+	c.r.received(c.ID(), inbox)
 	out := c.Client.Step(now, inbox)
+	c.r.sent(out)
 	c.w.record(c.Client, now)
 	c.stepped = true
 	return out
@@ -112,14 +117,16 @@ func (c *watchedClient) TakeFinished(dst []*model.Result) []*model.Result {
 }
 
 func (c *watchedClient) Clone() sim.Process {
-	return &watchedClient{c.Client.Clone().(protocol.Client), c.w.clone(), c.stepped}
+	return &watchedClient{c.Client.Clone().(protocol.Client), c.w.clone(), c.r.clone(), c.stepped}
 }
 func (c *watchedClient) WakeAt(now sim.Time) (sim.Time, bool) { return wakeAt(c.Client, now) }
 
-// watching deploys p with every process watched into one log.
+// watching deploys p with every process watched: readiness into log,
+// the clients' rounds into rounds.log (either nil logs nothing).
 type watching struct {
 	protocol.Protocol
-	log *error
+	log    *error
+	rounds rounds
 }
 
 func (p watching) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
@@ -127,7 +134,9 @@ func (p watching) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Proces
 }
 
 func (p watching) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
-	return &watchedClient{Client: p.Protocol.NewClient(id, pl), w: &watch{log: p.log}}
+	r := p.rounds
+	r.open = map[awaited][][]string{}
+	return &watchedClient{Client: p.Protocol.NewClient(id, pl), w: &watch{log: p.log}, r: &r}
 }
 
 // readinessViolation holds the model to the contract the engine's
@@ -144,7 +153,7 @@ func readinessViolation(p protocol.Protocol, e Expect) error {
 	srv, ops := e.size()
 	for _, rate := range []float64{0, loadRate} {
 		var violation error
-		if _, err := driver.Run(watching{p, &violation}, driver.Config{
+		if _, err := driver.Run(watching{Protocol: p, log: &violation}, driver.Config{
 			Clients: 8, Txns: 96, Mix: workload.Balanced(), Seed: 11,
 			Servers: srv, ObjectsPerServer: ops, Rate: rate,
 		}); err != nil {

@@ -12,6 +12,7 @@ package ramp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -164,35 +165,36 @@ type client struct {
 	protocol.Core
 	clock int64
 	phase phase
-	got   map[string]protocol.Val[readMeta]
+	got   protocol.Gather[readMeta]
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), clock: c.clock, phase: c.phase}
-	if c.got != nil {
-		cp.got = make(map[string]protocol.Val[readMeta], len(c.got))
-		for k, v := range c.got {
-			cp.got[k] = v
-		}
-	}
-	return cp
+	return &client{Core: c.CloneCore(), clock: c.clock, phase: c.phase, got: c.got.Clone()}
+}
+
+// newer is the version order; a zero slot (⊥) is older than any version.
+func newer(v, cur protocol.Val[readMeta]) bool {
+	return after(v.Meta.TS, v.Ref.Writer, cur.Meta.TS, cur.Ref.Writer)
 }
 
 // fractures returns, per object, the writer whose sibling write is missing
-// from the fetched snapshot.
+// from the fetched snapshot; nil when the snapshot is whole.
 func (c *client) fractures() map[string]protocol.Val[readMeta] {
-	repair := make(map[string]protocol.Val[readMeta])
-	for _, v := range c.got {
+	var repair map[string]protocol.Val[readMeta]
+	for _, v := range c.got.Vals {
 		if v.Ref.Value == model.Bottom {
 			continue
 		}
 		for _, sibling := range v.Meta.WriteSet {
-			have, fetched := c.got[sibling]
-			if !fetched {
+			i := slices.Index(c.Current().ReadSet, sibling)
+			if i < 0 {
 				continue // outside the read set
 			}
-			if have.Ref.Writer != v.Ref.Writer && after(v.Meta.TS, v.Ref.Writer, have.Meta.TS, have.Ref.Writer) {
-				if cur, dup := repair[sibling]; !dup || after(v.Meta.TS, v.Ref.Writer, cur.Meta.TS, cur.Ref.Writer) {
+			if have := c.got.Vals[i]; have.Ref.Writer != v.Ref.Writer && newer(v, have) {
+				if cur, dup := repair[sibling]; !dup || newer(v, cur) {
+					if repair == nil {
+						repair = make(map[string]protocol.Val[readMeta])
+					}
 					repair[sibling] = v
 				}
 			}
@@ -206,12 +208,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		switch p := m.Payload.(type) {
 		case *protocol.ReadReply[readMeta]:
 			if (c.phase == round1 || c.phase == round2) && c.Reply(p) {
-				for _, v := range p.Vals {
-					cur, fetched := c.got[v.Ref.Object]
-					if !fetched || after(v.Meta.TS, v.Ref.Writer, cur.Meta.TS, cur.Ref.Writer) {
-						c.got[v.Ref.Object] = v
-					}
-				}
+				c.got.Put(&c.Core, p, newer)
 			}
 		case *protocol.Prepared[struct{}]:
 			if c.phase == preparing {
@@ -227,7 +224,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		t := c.Current()
 		if t.IsReadOnly() {
 			c.phase = round1
-			c.got = make(map[string]protocol.Val[readMeta])
+			c.got.Start(&c.Core)
 			protocol.SendReads(&c.Core, struct{}{})
 		} else {
 			c.phase = preparing
@@ -272,15 +269,12 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 }
 
 func (c *client) finishRead(now sim.Time) {
-	t := c.Current()
-	for _, obj := range t.ReadSet {
-		v := c.got[obj]
-		c.Result().SetValue(obj, v.Ref.Value)
+	for _, v := range c.got.Vals {
 		if v.Meta.TS > c.clock {
 			c.clock = v.Meta.TS
 		}
 	}
+	c.got.Fill(&c.Core)
 	c.phase = idle
-	c.got = nil
 	c.Finish(now)
 }

@@ -111,9 +111,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		switch p := m.Payload.(type) {
 		case *protocol.ReadReply[struct{}]:
 			if c.phase == reading && c.Reply(p) {
-				for _, v := range p.Vals {
-					c.Result().SetValue(v.Ref.Object, v.Ref.Value)
-				}
+				p.Fill(&c.Core)
 			}
 		case *protocol.Prepared[struct{}]:
 			if c.phase == preparing {

@@ -169,28 +169,22 @@ const (
 
 type client struct {
 	protocol.Core
-	phase    phase
-	depTS    vclock.HLCStamp // max timestamp of observed values/commits
-	snap     vclock.HLCStamp
-	maxPrep  vclock.HLCStamp
-	cache    map[string]cached // own committed writes (read-your-writes)
-	readVals map[string]protocol.Val[vclock.HLCStamp]
+	phase   phase
+	depTS   vclock.HLCStamp // max timestamp of observed values/commits
+	snap    vclock.HLCStamp
+	maxPrep vclock.HLCStamp
+	cache   map[string]cached // own committed writes (read-your-writes)
+	got     protocol.Gather[vclock.HLCStamp]
 }
 
 func (c *client) Clone() sim.Process {
 	cp := &client{
 		Core: c.CloneCore(), phase: c.phase,
 		depTS: c.depTS, snap: c.snap, maxPrep: c.maxPrep,
-		cache: make(map[string]cached, len(c.cache)),
+		cache: make(map[string]cached, len(c.cache)), got: c.got.Clone(),
 	}
 	for k, v := range c.cache {
 		cp.cache[k] = v
-	}
-	if c.readVals != nil {
-		cp.readVals = make(map[string]protocol.Val[vclock.HLCStamp], len(c.readVals))
-		for k, v := range c.readVals {
-			cp.readVals[k] = v
-		}
 	}
 	return cp
 }
@@ -204,9 +198,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			}
 		case *protocol.ReadReply[vclock.HLCStamp]:
 			if c.phase == reading && c.Reply(p) {
-				for _, v := range p.Vals {
-					c.readVals[v.Ref.Object] = v
-				}
+				c.got.Put(&c.Core, p, nil)
 			}
 		case *protocol.Prepared[vclock.HLCStamp]:
 			if c.phase == preparing && c.Reply(p) {
@@ -226,7 +218,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// Round 1: fetch the cutoff from one server (any will do; we
 			// use the primary of the first object).
 			c.phase = cutoffWait
-			c.readVals = make(map[string]protocol.Val[vclock.HLCStamp])
+			c.got.Start(&c.Core)
 			first := c.Placement().PrimaryOf(t.ReadSet[0])
 			c.Send(first, stableKinds.Request(t.ID))
 		} else {
@@ -244,21 +236,19 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = reading
 			protocol.SendReads(&c.Core, c.snap)
 		case reading:
-			for _, obj := range t.ReadSet {
-				v := c.readVals[obj]
-				val, ts := v.Ref.Value, v.Meta
+			for i, obj := range t.ReadSet {
+				v := &c.got.Vals[i]
 				// Read-your-writes: a cached own write beyond the snapshot
 				// wins.
-				if own, cachedOK := c.cache[obj]; cachedOK && ts.Before(own.TS) {
-					val = own.Val
+				if own, cachedOK := c.cache[obj]; cachedOK && v.Meta.Before(own.TS) {
+					v.Ref.Value = own.Val
 				}
-				c.Result().SetValue(obj, val)
-				if c.depTS.Before(ts) {
-					c.depTS = ts
+				if c.depTS.Before(v.Meta) {
+					c.depTS = v.Meta
 				}
 			}
+			c.got.Fill(&c.Core)
 			c.phase = idle
-			c.readVals = nil
 			c.Finish(now)
 		case preparing:
 			c.phase = committing

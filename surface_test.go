@@ -19,8 +19,6 @@ var surfaceAllowed = map[string]string{
 	"ptest.RunFaults":                 "the crash and partition conformance sweep every model test runs",
 	"ptest.RunReconfig":               "the replace and restore conformance sweep every model test runs",
 	"history.GenViolating":            "violating-history generator the checker, streaming and benchmark tests share",
-	"history.EncodeHistory":           "history codec of the checker and eviction fuzz corpora",
-	"history.DecodeHistory":           "history codec of the checker and eviction fuzz corpora",
 	"sim.Kernel.Quiescent":            "observer the kernel, runner, fault and adversary tests assert on",
 	"sim.Kernel.DropInTransit":        "message loss the kernel and naivefast tests inject",
 	"sim.Kernel.EarliestArrival":      "observer the arrival-index tests hold to a full scan",
