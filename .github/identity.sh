@@ -2,9 +2,10 @@
 # Runs .github/runs.txt (the runs .github/unreached.sh covers) at <rev>
 # and at the working tree and compares each run's output, stderr and
 # exit status included, with the wall-clock lines (`_wall_ms"`) filtered
-# out. Prints one line per run, "same" or "DIFF", and exits 1 on any
-# difference. <rev> is checked out with `git worktree add` into a temp
-# dir, removed on exit:
+# out. Each binary is built in both trees from cmd/<name> or
+# examples/<name>, whichever exists. Prints one line per run, "same" or
+# "DIFF", and exits 1 on any difference. <rev> is extracted with `git
+# archive` into a temp dir, removed on exit:
 #
 #	.github/identity.sh HEAD~1
 set -euo pipefail
@@ -12,16 +13,18 @@ rev=${1:?usage: .github/identity.sh <rev>}
 root=$(git rev-parse --show-toplevel)
 runs=$root/.github/runs.txt
 work=$(mktemp -d)
-trap 'git -C "$root" worktree remove --force "$work/base" 2> /dev/null || true; rm -rf "$work"' EXIT
-git -C "$root" worktree add --quiet --detach "$work/base" "$rev"
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/base"
+git -C "$root" archive "$rev" | tar -x -C "$work/base"
 for tree in base head; do
   src=$work/base
   [ $tree = head ] && src=$root
   mkdir "$work/$tree-bin" "$work/$tree-out"
-  for c in bench table1 impossibility constructions audit latency; do
-    (cd "$src" && go build -o "$work/$tree-bin/$c" ./cmd/$c)
+  for c in $(awk '!/^#/ && NF { print $1 == "!" ? $2 : $1 }' "$runs" | sort -u); do
+    pkg=./cmd/$c
+    [ -d "$src/$pkg" ] || pkg=./examples/$c
+    (cd "$src" && go build -o "$work/$tree-bin/$c" "$pkg")
   done
-  (cd "$src" && go build -o "$work/$tree-bin/quickstart" ./examples/quickstart)
 done
 diffs=0
 i=0

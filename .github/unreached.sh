@@ -2,10 +2,10 @@
 # Prints the functions of every package of the module (the test helper
 # internal/protocols/ptest excluded) that no small CI run reaches, one
 # "file function" per line, sorted. The runs are .github/runs.txt
-# (ci.yml's smaller cmd/bench lines and the paper tools), built with
-# -cover. CI diffs the output against .github/unreached.txt, which may
-# only shrink; after reaching or deleting a listed function, refresh it
-# with
+# (ci.yml's smaller cmd/bench lines, the paper tools and the examples),
+# each binary built with -cover from cmd/<name> or examples/<name>. CI
+# diffs the output against .github/unreached.txt, which may only shrink;
+# after reaching or deleting a listed function, refresh it with
 #
 #	.github/unreached.sh > .github/unreached.txt
 set -euo pipefail
@@ -13,10 +13,11 @@ runs=$(cd "$(dirname "$0")" && pwd)/runs.txt
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 mkdir "$work/bin" "$work/cov"
-for c in bench table1 impossibility constructions audit latency; do
-  go build -cover -o "$work/bin/$c" ./cmd/$c
+for c in $(awk '!/^#/ && NF { print $1 == "!" ? $2 : $1 }' "$runs" | sort -u); do
+  pkg=./cmd/$c
+  [ -d "$pkg" ] || pkg=./examples/$c
+  go build -cover -o "$work/bin/$c" "$pkg"
 done
-go build -cover -o "$work/bin/quickstart" ./examples/quickstart
 export GOCOVERDIR="$work/cov"
 cd "$work/bin"
 while read -r -a run; do

@@ -71,7 +71,7 @@ func main() {
 	fmt.Printf("  reads : %s\n", readLat.Summarize())
 	fmt.Printf("  writes: %s\n", writeLat.Summarize())
 
-	if v := history.CheckCausal(h); v.OK {
+	if v := history.Check(h, "causal"); v.OK {
 		fmt.Println("  history is causally consistent (Definition 1 checker)")
 	} else {
 		log.Fatalf("  CAUSAL VIOLATION: %s", v.Reason)

@@ -335,27 +335,34 @@ func TestRideAlongWithinTwiceBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each side is the fastest of three runs, taken alternately, so CPU
+	// contention from other processes weighs on both alike.
 	h := rep.History
-	start := time.Now()
-	if bv := history.CheckBatch(h, "causal"); !bv.OK {
-		t.Fatalf("batch refutes the cops cell: %s", bv.Reason)
-	}
-	batch := time.Since(start)
-	var session time.Duration
-	for i := 0; i < 3; i++ {
+	var batch, session time.Duration
+	fastest := func(best *time.Duration, i int, f func()) {
 		start := time.Now()
-		s := history.NewStreamingSession(h.Initials(), "causal", h.Clients())
-		for _, rec := range h.Records() {
-			if !s.Append(rec) {
-				break
+		f()
+		if d := time.Since(start); i == 0 || d < *best {
+			*best = d
+		}
+	}
+	for i := 0; i < 3; i++ {
+		fastest(&batch, i, func() {
+			if bv := history.CheckBatch(h, "causal"); !bv.OK {
+				t.Fatalf("batch refutes the cops cell: %s", bv.Reason)
 			}
-		}
-		if sv := s.Finish(); !sv.OK {
-			t.Fatalf("session refutes the cops cell: %s", sv.Reason)
-		}
-		if d := time.Since(start); i == 0 || d < session {
-			session = d
-		}
+		})
+		fastest(&session, i, func() {
+			s := history.NewStreamingSession(h.Initials(), "causal", h.Clients())
+			for _, rec := range h.Records() {
+				if !s.Append(rec) {
+					break
+				}
+			}
+			if sv := s.Finish(); !sv.OK {
+				t.Fatalf("session refutes the cops cell: %s", sv.Reason)
+			}
+		})
 	}
 	const floor = 250 * time.Millisecond
 	if session > 2*batch && session > floor {

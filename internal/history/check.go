@@ -195,21 +195,13 @@ func (g *graph) witness(order []int) []model.TxnID {
 // other level (including "none") falls back to the causal check, the
 // paper's baseline property.
 //
-// It is a thin wrapper over a one-shot bounded Session (at most MaxTxns
-// transactions): the history is appended record by record and the final
-// verdict returned. Tests and the benchtrace tracer's refutation metric
-// call it; the load driver does not — a certified run streams into
-// NewStreamingSession and cross-checks the verdict with CheckBatch. Use
-// CheckIncremental for the full session verdict (first offending commit,
-// witness prefix), or CheckBatch for the retained one-shot solver.
-func Check(h *History, level string) Verdict {
-	return CheckIncremental(h, level).Verdict
-}
-
-// CheckIncremental runs a whole history through an incremental Session
-// and returns the full session verdict, including the first offending
-// commit index and minimal witness prefix on refutation.
-func CheckIncremental(h *History, level string) SessionVerdict {
+// It runs the history record by record through a one-shot bounded
+// Session (at most MaxTxns transactions) and returns the session's
+// verdict: on refutation, the first offending commit and the minimal
+// witness prefix. The load driver does not call it — a certified run
+// streams into NewStreamingSession and cross-checks the verdict with
+// CheckBatch, the retained one-shot solver.
+func Check(h *History, level string) SessionVerdict {
 	s := NewSession(h.initial, level, h.Len())
 	for _, rec := range h.Records() {
 		if !s.Append(rec) {

@@ -180,7 +180,7 @@ func TestBatchReasonsAreDeterministic(t *testing.T) {
 		{"two writes of initial values", "causal", initial},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want := CheckIncremental(tc.h, tc.level)
+			want := Check(tc.h, tc.level)
 			if want.OK {
 				t.Fatal("the session accepts the history")
 			}

@@ -121,7 +121,7 @@ func FuzzCheck(f *testing.F) {
 			if got.OK && level != "causal" {
 				validateTotalWitness(t, h, got.Witness, level == "strict-serializable")
 			}
-			verdicts[level] = got
+			verdicts[level] = got.Verdict
 		}
 		if verdicts["strict-serializable"].OK && !verdicts["serializable"].OK {
 			t.Fatalf("strict accepted but serializable refuted\n%s", h)

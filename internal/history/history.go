@@ -48,9 +48,6 @@ type TxnRecord struct {
 	Invoked, Completed int64
 }
 
-// IsReadOnly reports whether the record performed no writes.
-func (r *TxnRecord) IsReadOnly() bool { return len(r.Writes) == 0 }
-
 func (r *TxnRecord) String() string {
 	s := r.ID.String() + "{"
 	objs := make([]string, 0, len(r.Reads))

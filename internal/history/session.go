@@ -352,9 +352,6 @@ func NewStreamingSession(initial map[string]model.Value, level string, clients [
 // Initial returns the initial value of obj (the zero Value when unset).
 func (s *Session) Initial(obj string) model.Value { return s.initial[obj] }
 
-// Appended returns the number of transactions appended so far.
-func (s *Session) Appended() int { return len(s.txns) }
-
 // retiredG reports whether global index g has been retired.
 func (s *Session) retiredG(g int) bool { return s.batchOf[g] >= 0 }
 

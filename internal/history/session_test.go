@@ -19,7 +19,7 @@ func TestSessionMatchesBatchOnRandomHistories(t *testing.T) {
 		n := 2 + int(seed%13) // 2..14 transactions
 		h := genDifferential(seed*104729, n)
 		for _, level := range sessionLevels {
-			got := CheckIncremental(h, level)
+			got := Check(h, level)
 			want := CheckBatch(h, level)
 			if got.OK != want.OK {
 				t.Fatalf("seed %d level %s: session says OK=%v (%s), batch says OK=%v (%s)\n%s",
@@ -58,7 +58,7 @@ func TestSessionAgreesOnGeneratorShapes(t *testing.T) {
 			{"violating", GenViolating(seed, 40)},
 		} {
 			for _, level := range sessionLevels {
-				got := CheckIncremental(tc.h, level)
+				got := Check(tc.h, level)
 				want := CheckBatch(tc.h, level)
 				if got.OK != want.OK {
 					t.Fatalf("%s seed %d level %s: session OK=%v, batch OK=%v (%s / %s)",
@@ -80,7 +80,7 @@ func TestSessionFirstViolationIsMinimal(t *testing.T) {
 		n := 4 + int(seed%11)
 		h := genDifferential(seed*7919, n)
 		for _, level := range []string{"causal", "serializable", "strict-serializable"} {
-			sv := CheckIncremental(h, level)
+			sv := Check(h, level)
 			if sv.OK {
 				continue
 			}
@@ -129,7 +129,7 @@ func TestSessionFullGridWindow(t *testing.T) {
 	run := func(what string, h *History, level string, wantOK bool) SessionVerdict {
 		t.Helper()
 		start := time.Now()
-		sv := CheckIncremental(h, level)
+		sv := Check(h, level)
 		elapsed := time.Since(start)
 		if sv.OK != wantOK {
 			t.Fatalf("%s at %s: OK=%v (want %v): %s", what, level, sv.OK, wantOK, sv.Reason)
@@ -265,7 +265,7 @@ func TestSessionIncrementalBudget(t *testing.T) {
 		t.Fatalf("batch refutes the serializable corpus: %s", bv.Reason)
 	}
 	var sv SessionVerdict
-	inc := best(func() { sv = CheckIncremental(h, "causal") })
+	inc := best(func() { sv = Check(h, "causal") })
 	if !sv.OK {
 		t.Fatalf("session refutes the serializable corpus: %s", sv.Reason)
 	}

@@ -71,7 +71,7 @@ func TestStreamingEvictionDifferential(t *testing.T) {
 		t.Helper()
 		for _, level := range sessionLevels {
 			got := runStreaming(h, level, 1)
-			want := CheckIncremental(h, level)
+			want := Check(h, level)
 			if got.OK != want.OK || got.FirstViolation != want.FirstViolation ||
 				got.FirstViolationID != want.FirstViolationID {
 				t.Fatalf("%s at %s: evicting OK=%v fv=%d (%s); bounded OK=%v fv=%d (%s)\n%s",
@@ -132,7 +132,7 @@ func FuzzStreamingEviction(f *testing.F) {
 		}
 		for _, level := range sessionLevels {
 			got := runStreaming(h, level, 1)
-			want := CheckIncremental(h, level)
+			want := Check(h, level)
 			if got.OK != want.OK || got.FirstViolation != want.FirstViolation {
 				t.Fatalf("level %s: evicting OK=%v fv=%d (%s); bounded OK=%v fv=%d (%s)\n%s",
 					level, got.OK, got.FirstViolation, got.Reason,

@@ -128,7 +128,7 @@ func TestStableRequestAnswer(t *testing.T) {
 	if req.Kind() != "q" || resp.Kind() != "r" || req.Txn() != tid || resp.Txn() != tid {
 		t.Fatalf("request %s %v, answer %s %v", req.Kind(), req.Txn(), resp.Kind(), resp.Txn())
 	}
-	if !resp.Snap.Equal(vclock.Vector{1, 2}) {
+	if !slices.Equal(resp.Snap, vclock.Vector{1, 2}) {
 		t.Fatalf("answer carries %v", resp.Snap)
 	}
 }

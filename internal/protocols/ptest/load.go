@@ -184,7 +184,7 @@ func sweep(t *testing.T, p protocol.Protocol, e Expect, suite string, runs []swe
 					// Eviction may change what is retained, never what is
 					// accepted. (Past history.MaxTxns the bounded session
 					// refuses; the sweeps stay far below.)
-					if want := history.CheckIncremental(rep.History, level); want.OK != v.OK ||
+					if want := history.Check(rep.History, level); want.OK != v.OK ||
 						want.FirstViolation != v.FirstViolation {
 						fail("evicting session OK=%v fv=%d (%s); bounded session OK=%v fv=%d (%s)",
 							v.OK, v.FirstViolation, v.Reason, want.OK, want.FirstViolation, want.Reason)

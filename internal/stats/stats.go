@@ -26,9 +26,6 @@ func NewCollector() *Collector { return &Collector{} }
 // Add records one sample.
 func (c *Collector) Add(v int64) { c.samples = append(c.samples, v) }
 
-// N returns the number of samples.
-func (c *Collector) N() int { return len(c.samples) }
-
 // Summarize computes the summary.
 func (c *Collector) Summarize() Summary {
 	s := Summary{N: len(c.samples)}

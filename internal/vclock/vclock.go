@@ -90,40 +90,6 @@ func (v Vector) Compare(o Vector) int {
 	return 0
 }
 
-// Equal reports entrywise equality.
-func (v Vector) Equal(o Vector) bool {
-	if len(v) != len(o) {
-		return false
-	}
-	for i, x := range v {
-		if x != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Min returns the entrywise minimum of the given vectors. It panics when
-// vs is empty. GentleRain/Cure-style stabilization computes this over the
-// per-server version vectors.
-func Min(vs ...Vector) Vector {
-	if len(vs) == 0 {
-		panic("vclock: Min of no vectors")
-	}
-	out := vs[0].Clone()
-	for _, v := range vs[1:] {
-		if len(v) != len(out) {
-			panic("vclock: Min of mismatched vectors")
-		}
-		for i, x := range v {
-			if x < out[i] {
-				out[i] = x
-			}
-		}
-	}
-	return out
-}
-
 func (v Vector) String() string {
 	parts := make([]string, len(v))
 	for i, x := range v {

@@ -1,17 +1,12 @@
 package repro
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/model"
 )
 
 func TestFacadeProtocols(t *testing.T) {
-	names := Protocols()
-	if len(names) != 14 {
-		t.Fatalf("protocols = %d, want 14", len(names))
-	}
 	if _, err := Lookup("copssnow"); err != nil {
 		t.Fatal(err)
 	}
@@ -65,18 +60,5 @@ func TestFacadeCharacterizeAndLatency(t *testing.T) {
 	}
 	if rep.ROTRounds != 1 {
 		t.Fatalf("copssnow rounds = %f", rep.ROTRounds)
-	}
-}
-
-func TestFacadeTable1SmallRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("table1 over all protocols is slow")
-	}
-	out, err := Table1([]int64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "copssnow") || !strings.Contains(out, "sacrifices") {
-		t.Fatalf("table output malformed:\n%s", out)
 	}
 }

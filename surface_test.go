@@ -31,23 +31,28 @@ var surfaceAllowed = map[string]string{
 	"spec.Profile.FastROT":            "Definition 4 predicate the spec, core and Table 1 benchmark tests assert on",
 }
 
-// TestExportedSurfaceHasCallers keeps internal/ from carrying API that
-// only its own tests reach. It parses every non-test Go file of the
-// module, whatever its build tags (so the benchtrace tracer under
-// cmd/perf counts as a caller), and fails on an exported function, method
-// or type declared in internal/ whose name appears nowhere outside its
-// own declaration, unless surfaceAllowed names it. The check goes by
-// name, so two declarations sharing a name keep each other alive only
-// when some file also uses that name.
+// TestExportedSurfaceHasCallers keeps internal/ and the root facade from
+// carrying API that only their own tests reach. It parses every non-test
+// Go file of the module, whatever its build tags (so the benchtrace
+// tracer under cmd/perf counts as a caller), and fails on an exported
+// function, method or type declared in internal/ whose name appears
+// nowhere outside its own declaration, unless surfaceAllowed names it.
+// The check goes by name, so two declarations sharing a name keep each
+// other alive only when some file also uses that name. The facade's
+// function names repeat those of the packages it wraps, so an exported
+// function of the root package counts only repro.<Name> selectors and
+// unqualified uses in the root package's own files.
 func TestExportedSurfaceHasCallers(t *testing.T) {
 	type decl struct {
 		name     string // package-qualified, receiver type included
 		ident    string
 		pos, end token.Pos
+		root     bool // a function of the root package
 	}
 	fset := token.NewFileSet()
 	var decls []decl
 	var files []*ast.File
+	rootFiles := map[*ast.File]bool{}
 	declared := map[token.Pos]bool{} // name idents of every func and type declaration
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -68,11 +73,16 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 		}
 		files = append(files, f)
 		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+		root := filepath.Dir(path) == "."
+		rootFiles[f] = root
 		pkg := f.Name.Name
 		for _, dd := range f.Decls {
 			switch dd := dd.(type) {
 			case *ast.FuncDecl:
 				declared[dd.Name.Pos()] = true
+				if root && dd.Recv == nil && dd.Name.IsExported() {
+					decls = append(decls, decl{pkg + "." + dd.Name.Name, dd.Name.Name, dd.Pos(), dd.End(), true})
+				}
 				if !internal || !dd.Name.IsExported() {
 					continue
 				}
@@ -80,7 +90,7 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 				if dd.Recv != nil {
 					name = pkg + "." + recvType(dd.Recv.List[0].Type) + "." + dd.Name.Name
 				}
-				decls = append(decls, decl{name, dd.Name.Name, dd.Pos(), dd.End()})
+				decls = append(decls, decl{name, dd.Name.Name, dd.Pos(), dd.End(), false})
 			case *ast.GenDecl:
 				for _, s := range dd.Specs {
 					ts, ok := s.(*ast.TypeSpec)
@@ -89,7 +99,7 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 					}
 					declared[ts.Name.Pos()] = true
 					if internal && ts.Name.IsExported() {
-						decls = append(decls, decl{pkg + "." + ts.Name.Name, ts.Name.Name, ts.Pos(), ts.End()})
+						decls = append(decls, decl{pkg + "." + ts.Name.Name, ts.Name.Name, ts.Pos(), ts.End(), false})
 					}
 				}
 			}
@@ -100,10 +110,24 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 	uses := map[string][]token.Pos{}
+	rootUses := map[string][]token.Pos{} // repro.<Name> selectors, unqualified names in the root package
 	for _, f := range files {
+		selected := map[*ast.Ident]bool{} // the Sel of every selector
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id.Pos()] {
-				uses[id.Name] = append(uses[id.Name], id.Pos())
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				selected[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "repro" {
+					rootUses[n.Sel.Name] = append(rootUses[n.Sel.Name], n.Sel.Pos())
+				}
+			case *ast.Ident:
+				if declared[n.Pos()] {
+					break
+				}
+				uses[n.Name] = append(uses[n.Name], n.Pos())
+				if rootFiles[f] && !selected[n] {
+					rootUses[n.Name] = append(rootUses[n.Name], n.Pos())
+				}
 			}
 			return true
 		})
@@ -111,7 +135,11 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 	var unused []string
 	for _, d := range decls {
 		used := false
-		for _, p := range uses[d.ident] {
+		byName := uses
+		if d.root {
+			byName = rootUses
+		}
+		for _, p := range byName[d.ident] {
 			if p < d.pos || p >= d.end {
 				used = true
 				break
@@ -124,7 +152,7 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 	slices.Sort(unused)
 	for _, name := range unused {
 		if _, ok := surfaceAllowed[name]; !ok {
-			t.Errorf("%s is exported from internal/ but no program file uses it: delete it (with its self-tests) or use it", name)
+			t.Errorf("%s is exported but no program file uses it: delete it (with its self-tests) or use it", name)
 		}
 	}
 	for name := range surfaceAllowed {
