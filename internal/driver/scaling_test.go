@@ -11,6 +11,7 @@ import (
 	"repro/internal/protocols/cure"
 	"repro/internal/protocols/eiger"
 	"repro/internal/protocols/eigerps"
+	"repro/internal/protocols/fatcops"
 	"repro/internal/protocols/gentlerain"
 	"repro/internal/protocols/naivefast"
 	"repro/internal/protocols/orbe"
@@ -28,16 +29,13 @@ import (
 // every ROT's reader record and copied all of them into each write)
 // allocates more per event the longer it runs, and fails here long
 // before it exhausts a host's memory.
-//
-// fatcops is left out, not gated loosely: each reply re-parses the
-// writer's whole causal past, so its bytes per event grow with the run
-// (ROADMAP direction 13(b)). It joins this list when that is fixed.
 func TestHostCostLinearInRun(t *testing.T) {
 	const growth = 1.3
 	models := []protocol.Protocol{
 		contrarian.New(), cops.New(), copssnow.New(), cure.New(),
-		eiger.New(), eigerps.New(), gentlerain.New(), naivefast.New(),
-		orbe.New(), ramp.New(), spanner.New(), twopcfast.New(), wren.New(),
+		eiger.New(), eigerps.New(), fatcops.New(), gentlerain.New(),
+		naivefast.New(), orbe.New(), ramp.New(), spanner.New(),
+		twopcfast.New(), wren.New(),
 	}
 	perEvent := func(p protocol.Protocol, txns int) float64 {
 		cfg := Config{Clients: 16, Txns: txns, Mix: workload.Balanced(), Seed: 42, Servers: 4}

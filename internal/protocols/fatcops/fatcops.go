@@ -12,20 +12,20 @@
 // is not efficient, as it requires to store and communicate a
 // prohibitively big amount of data".
 //
-// Client model. Each client IS a tiny replica. A write's dependency
-// metadata is the writer's ENTIRE applied history with values (full
-// causal delivery), so a read response parses into a batch of complete
-// transactions — the current version with its siblings, plus every
-// transaction in its transitive causal past, each carrying its FULL
-// write-set of values — and the client applies them like a replicated
-// store would:
-//
-//   - a transaction already applied is skipped (dependency vectors count
-//     per-client write transactions, and a client's writes always apply
-//     in order, so the vector test is exact);
-//   - the remainder are applied in (Lamport timestamp, writer) order — a
-//     linear extension of happens-before — each one atomically installing
-//     values for its whole write-set.
+// Client model. Each client IS a tiny replica. Every write transaction is
+// one immutable record, built once by its writer and shared by pointer by
+// its writes, the versions servers keep and every client that applies it:
+// its id, Lamport timestamp and write set with values, and its writer's
+// applied log per origin client when it wrote (full causal delivery).
+// The log lengths are the write's dependency vector. A client's writes
+// are causally ordered, so every log of an origin client is a prefix of
+// that client's writes in order: applying its j-th write means its first
+// j-1 are applied. A read response therefore brings, for each origin,
+// exactly the transactions past the reader's own log of it, each with
+// its FULL write set of values, and the client applies them like a
+// replicated store would, in (Lamport timestamp, writer) order — a
+// linear extension of happens-before — each one atomically installing
+// values for its whole write set.
 //
 // The client's serialization is its application order with reads
 // interleaved, which is causally legal by construction: a response can
@@ -42,12 +42,15 @@
 // (latest value per object) lets a write drag a transaction into the
 // reader's past without its values, wedging objects the skipped entries
 // no longer cover. Full causal delivery is what the paper's "store and
-// communicate a prohibitively big amount of data" verdict is about.
+// communicate a prohibitively big amount of data" verdict is about: the
+// model ships and counts it (CarriedValues) but shares it on the host.
 package fatcops
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/protocol"
@@ -55,37 +58,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/vclock"
 )
-
-// vec is a dependency vector: client → number of that client's write
-// transactions in the causal past. Vectors are immutable once built.
-type vec map[string]int64
-
-// leq reports a ≤ b pointwise (a is in b's causal past or equal).
-func (a vec) leq(b vec) bool {
-	for k, v := range a {
-		if v > b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// mergeInto folds a into dst pointwise (dst is the caller's mutable copy).
-func (a vec) mergeInto(dst vec) {
-	for k, v := range a {
-		if v > dst[k] {
-			dst[k] = v
-		}
-	}
-}
-
-func (a vec) clone() vec {
-	c := make(vec, len(a))
-	for k, v := range a {
-		c[k] = v
-	}
-	return c
-}
 
 // Protocol is the fatcops factory.
 type Protocol struct{}
@@ -123,46 +95,41 @@ func (p *Protocol) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.
 		clock = 0
 	}
 	return &client{Core: protocol.NewCore(id, pl, p), clock: clock,
-		vec: make(vec), ctx: make(map[string]stamped)}
+		ctx: make(map[string]model.Value), log: make(map[string][]*txn)}
 }
 
-// stamped is an applied value with its writer, the writer's Lamport
-// timestamp, and the writing transaction's dependency vector, write-set
-// and full value map. All are immutable once built.
-type stamped struct {
-	Val    model.Value
-	Writer model.TxnID
-	TS     int64
-	Vec    vec
-	WSet   []string
-	Vals   map[string]model.Value
+// txn is one write transaction's record: its writes carry it, every
+// version it installs keeps it as its store.Version.Meta, and every
+// client that applies it appends it to its log. Never written once sent.
+type txn struct {
+	id     model.TxnID
+	ts     int64         // the writer's Lamport timestamp
+	writes []model.Write // the whole write set with values
+	// past is the writer's applied log per origin client when it wrote,
+	// this transaction included, each slice capped at its length; the
+	// lengths are the transaction's dependency vector.
+	past map[string][]*txn
+}
+
+// capped copies log with every slice capped at its length, so appends
+// through either copy never show through the other.
+func capped(log map[string][]*txn) map[string][]*txn {
+	out := make(map[string][]*txn, len(log))
+	for k, l := range log {
+		out[k] = l[:len(l):len(l)]
+	}
+	return out
 }
 
 // --- payloads ---
 
-// fatEntry is one object's candidate value in a fat response, together
-// with the writing transaction's dependency vector and write-set.
-type fatEntry struct {
-	Object string
-	Val    model.Value
-	Writer model.TxnID
-	TS     int64
-	Vec    vec
-	WSet   []string
-}
-
 // directVal is the primary's answer for one requested object: the current
-// version (last installed at the primary) plus the writing transaction's
-// stored fat metadata.
+// version (last installed at the primary) and its writer's record, nil
+// for ⊥.
 type directVal struct {
 	Object string
 	Val    model.Value
-	Writer model.TxnID
-	TS     int64
-	Vec    vec
-	WSet   []string   // all objects the current writer's transaction wrote
-	Sibs   []fatEntry // current writer's sibling writes
-	Deps   []fatEntry // current writer's dependency values
+	Txn    *txn
 }
 
 type readResp struct {
@@ -171,29 +138,28 @@ type readResp struct {
 }
 
 func (p *readResp) Kind() string { return "fat-read-resp" }
+
+// CarriedValues implements protocol.ValueCarrier: each answer, then
+// every write of its writer's past, the writer's own write set included.
 func (p *readResp) CarriedValues() []model.ValueRef {
 	var out []model.ValueRef
 	for _, v := range p.Vals {
-		out = append(out, model.ValueRef{Object: v.Object, Value: v.Val, Writer: v.Writer})
-		for _, e := range append(append([]fatEntry(nil), v.Sibs...), v.Deps...) {
-			out = append(out, model.ValueRef{Object: e.Object, Value: e.Val, Writer: e.Writer})
+		ref := model.ValueRef{Object: v.Object, Value: v.Val}
+		if v.Txn == nil {
+			out = append(out, ref)
+			continue
+		}
+		ref.Writer = v.Txn.id
+		out = append(out, ref)
+		for _, k := range slices.Sorted(maps.Keys(v.Txn.past)) {
+			for _, t := range v.Txn.past[k] {
+				for _, w := range t.writes {
+					out = append(out, model.ValueRef{Object: w.Object, Value: w.Value, Writer: t.id})
+				}
+			}
 		}
 	}
 	return out
-}
-
-// metaBlob is a write transaction's fat metadata: each of its writes
-// carries it, and every version it installs keeps it as its
-// store.Version.Meta.
-type metaBlob struct {
-	TS int64 // the writing transaction's Lamport timestamp
-	// Sibs are ALL of the transaction's writes (co-hosted ones included —
-	// readers apply the whole write-set atomically); Deps are the
-	// causally depended-on values. Both are shipped and stored.
-	Sibs []fatEntry
-	Deps []fatEntry
-	WSet []string // every object the writing transaction touched
-	Vec  vec      // the writing transaction's dependency vector
 }
 
 // --- server ---
@@ -210,28 +176,22 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case *protocol.Read[struct{}]:
-			resp := &readResp{Msg: p.Msg}
+			resp := &readResp{Msg: p.Msg, Vals: make([]directVal, 0, len(p.Objs))}
 			for _, obj := range p.Objs {
-				chain := s.ShardStore().Versions(obj)
-				if len(chain) == 0 {
-					resp.Vals = append(resp.Vals, directVal{Object: obj, Val: model.Bottom})
-					continue
-				}
+				dv := directVal{Object: obj}
 				// The current version is the last installed one.
-				v := chain[len(chain)-1]
-				blob := v.Meta.(*metaBlob)
-				resp.Vals = append(resp.Vals, directVal{
-					Object: obj, Val: v.Value, Writer: v.Writer, TS: v.Stamp.Wall,
-					Vec: blob.Vec, WSet: blob.WSet, Sibs: blob.Sibs, Deps: blob.Deps,
-				})
+				if chain := s.ShardStore().Versions(obj); len(chain) > 0 {
+					v := chain[len(chain)-1]
+					dv.Val, dv.Txn = v.Value, v.Meta.(*txn)
+				}
+				resp.Vals = append(resp.Vals, dv)
 			}
 			s.Send(m.From, resp)
-		case *protocol.Write[metaBlob]:
-			blob := p.Dep
+		case *protocol.Write[*txn]:
 			for _, w := range p.Writes {
 				s.ShardStore().Install(&store.Version{
 					Object: w.Object, Value: w.Value, Writer: p.TID,
-					Visible: true, Stamp: vclock.HLCStamp{Wall: blob.TS}, Meta: &blob,
+					Visible: true, Stamp: vclock.HLCStamp{Wall: p.Dep.ts}, Meta: p.Dep,
 				})
 			}
 			s.Send(m.From, &protocol.WriteAck[struct{}]{Msg: p.Msg})
@@ -246,158 +206,62 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 
 type client struct {
 	protocol.Core
-	clock  int64
-	writes int64 // own write transactions issued (this client's vector entry)
-	vec    vec   // applied causal past: exactly the transactions applied
+	clock int64
 	// ctx is the local replica state: the latest applied value per object.
-	ctx map[string]stamped
-	// past is the client's entire applied history, flattened to (writer,
-	// object, value) entries in application order. It is shipped verbatim
-	// as the dependency metadata of every write — the whole transitive
-	// causal past with values, which is what lets any reader causally
-	// deliver a write it was missing predecessors for. This is the
-	// "prohibitively big amount of data" of §3.4, kept deliberately.
-	past []fatEntry
+	ctx map[string]model.Value
+	// log is every applied transaction per origin client, in that
+	// client's write order: a prefix of its writes.
+	log map[string][]*txn
 }
 
 func (c *client) Clone() sim.Process {
-	cp := &client{Core: c.CloneCore(), clock: c.clock, writes: c.writes,
-		vec:  c.vec.clone(),
-		ctx:  make(map[string]stamped, len(c.ctx)),
-		past: append([]fatEntry(nil), c.past...)}
-	for k, v := range c.ctx {
-		cp.ctx[k] = v
+	return &client{Core: c.CloneCore(), clock: c.clock, ctx: maps.Clone(c.ctx), log: capped(c.log)}
+}
+
+// apply installs t's whole write set in the local replica state and
+// appends t to its origin's log. Initial writes precede everything, but
+// blind writers do not carry them in their pasts, so a later write of
+// the object may be applied first: an initial value only fills an object
+// the client has never seen written.
+func (c *client) apply(t *txn) {
+	initial := protocol.IsInitClient(sim.ProcessID(t.id.Client))
+	for _, w := range t.writes {
+		if _, held := c.ctx[w.Object]; !held || !initial {
+			c.ctx[w.Object] = w.Value
+		}
 	}
-	return cp
+	c.log[t.id.Client] = append(c.log[t.id.Client], t)
 }
 
-func (c *client) tick(ts int64) {
-	if ts > c.clock {
-		c.clock = ts
-	}
-}
-
-// txnCand is one complete transaction reconstructed from a fat response:
-// its full write-set with values, ready to be applied atomically.
-type txnCand struct {
-	id   model.TxnID
-	ts   int64
-	vc   vec
-	wset []string
-	vals map[string]model.Value
-}
-
-// applyBatch parses one read response into complete transactions and
-// applies them to the local replica state. A transaction already applied
-// is skipped (the vector test is exact: counters are per-client
-// sequential and a client's writes always apply in order); the rest are
-// applied in (TS, writer) order — a linear extension of happens-before,
-// because causally ordered writes have strictly increasing Lamport
-// timestamps — each atomically installing its whole write-set. Because
-// every write travels with its full transitive past, a response never
-// introduces a transaction into the causal past without also delivering
-// its values, so the application order with reads interleaved is a legal
-// causal serialization by construction.
+// applyBatch applies what one read response brings that the client has
+// not applied. Every log of an origin is a prefix of its writes, so the
+// missing ones are those past the client's own log in each log the
+// response carries. They are applied once each, in (TS, writer) order —
+// a linear extension of happens-before, because causally ordered writes
+// have strictly increasing Lamport timestamps — each atomically
+// installing its whole write set.
 func (c *client) applyBatch(vals []directVal) {
-	cands := make(map[string]*txnCand)
-	ensure := func(w model.TxnID, ts int64, vc vec, wset []string) *txnCand {
-		k := w.String()
-		t := cands[k]
-		if t == nil {
-			t = &txnCand{id: w, ts: ts, vc: vc, wset: wset, vals: make(map[string]model.Value)}
-			cands[k] = t
-		}
-		return t
-	}
+	var batch []*txn
 	for _, dv := range vals {
-		if dv.Val == model.Bottom {
+		if dv.Txn == nil {
 			continue
 		}
-		t := ensure(dv.Writer, dv.TS, dv.Vec, dv.WSet)
-		t.vals[dv.Object] = dv.Val
-		for _, e := range dv.Sibs {
-			t.vals[e.Object] = e.Val
-		}
-		for _, e := range dv.Deps {
-			d := ensure(e.Writer, e.TS, e.Vec, e.WSet)
-			d.vals[e.Object] = e.Val
+		for k, l := range dv.Txn.past {
+			if n := len(c.log[k]); len(l) > n {
+				batch = append(batch, l[n:]...)
+			}
 		}
 	}
-	batch := make([]*txnCand, 0, len(cands))
-	for _, t := range cands {
-		batch = append(batch, t)
-	}
-	sort.Slice(batch, func(i, j int) bool {
-		if batch[i].ts != batch[j].ts {
-			return batch[i].ts < batch[j].ts
+	slices.SortFunc(batch, func(a, b *txn) int {
+		if a == b || a.ts != b.ts {
+			return cmp.Compare(a.ts, b.ts)
 		}
-		return batch[i].id.String() < batch[j].id.String()
+		return cmp.Compare(a.id.String(), b.id.String())
 	})
-	for _, t := range batch {
-		c.tick(t.ts)
-		if t.vc.leq(c.vec) {
-			continue // already in the causal past: superseded
-		}
-		if protocol.IsInitClient(sim.ProcessID(t.id.Client)) {
-			// Initial writes precede everything, but blind writers do not
-			// record them in dependency vectors, so the vector test above
-			// cannot supersede them: an initial value only fills an
-			// object the client has never seen written.
-			for _, o := range t.wset {
-				if _, held := c.ctx[o]; held {
-					continue
-				}
-				c.ctx[o] = stamped{Val: t.vals[o], Writer: t.id, TS: t.ts,
-					Vec: t.vc, WSet: t.wset, Vals: t.vals}
-			}
-			c.record(t)
-			continue
-		}
-		wset := t.wset
-		if len(wset) == 0 {
-			wset = make([]string, 0, len(t.vals))
-			for o := range t.vals {
-				wset = append(wset, o)
-			}
-			sort.Strings(wset)
-		}
-		complete := true
-		for _, o := range wset {
-			if _, known := t.vals[o]; !known {
-				complete = false
-				break
-			}
-		}
-		if !complete {
-			// Partial application would leave the cut inconsistent;
-			// the invariant (siblings always carry the full write-set)
-			// makes this unreachable, but skip defensively.
-			continue
-		}
-		for _, o := range wset {
-			c.ctx[o] = stamped{Val: t.vals[o], Writer: t.id, TS: t.ts,
-				Vec: t.vc, WSet: wset, Vals: t.vals}
-		}
-		c.record(t)
+	for _, t := range slices.Compact(batch) {
+		c.clock = max(c.clock, t.ts)
+		c.apply(t)
 	}
-}
-
-// record appends an applied transaction to the client's flattened history
-// and folds it into the applied-past vector.
-func (c *client) record(t *txnCand) {
-	wset := t.wset
-	if len(wset) == 0 {
-		wset = make([]string, 0, len(t.vals))
-		for o := range t.vals {
-			wset = append(wset, o)
-		}
-		sort.Strings(wset)
-	}
-	for _, o := range wset {
-		c.past = append(c.past, fatEntry{Object: o, Val: t.vals[o], Writer: t.id,
-			TS: t.ts, Vec: t.vc, WSet: wset})
-	}
-	t.vc.mergeInto(c.vec)
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
@@ -416,27 +280,13 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		if t.IsReadOnly() {
 			protocol.SendReads(&c.Core, struct{}{})
 		} else {
+			// The client's own write is the newest thing in its causal
+			// past: apply it, then ship the whole applied log with it.
 			c.clock++
-			c.writes++
-			ts := c.clock
-			// The write's dependency metadata is the client's ENTIRE
-			// applied history with values — full causal delivery.
-			deps := append([]fatEntry(nil), c.past...)
-			// wv is shipped and stored remotely, so it must be frozen
-			// here: the client's own mutable vec is a separate copy.
-			wv := c.vec.clone()
-			wv[string(c.ID())] = c.writes
-			c.vec = wv.clone()
-			wset := make([]string, 0, len(t.Writes))
-			for _, w := range t.Writes {
-				wset = append(wset, w.Object)
-			}
-			var siblings []fatEntry
-			for _, w := range t.Writes {
-				siblings = append(siblings, fatEntry{Object: w.Object, Val: w.Value, Writer: t.ID,
-					TS: ts, Vec: wv, WSet: wset})
-			}
-			protocol.SendWrites(&c.Core, metaBlob{TS: ts, Sibs: siblings, Deps: deps, WSet: wset, Vec: wv})
+			w := &txn{id: t.ID, ts: c.clock, writes: t.Writes}
+			c.apply(w)
+			w.past = capped(c.log)
+			protocol.SendWrites(&c.Core, w)
 		}
 		return c.Sent()
 	}
@@ -446,27 +296,8 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			// Every response batch has been applied; the replica state is
 			// the read's snapshot.
 			for _, obj := range t.ReadSet {
-				if s, exists := c.ctx[obj]; exists {
-					c.Result().SetValue(obj, s.Val)
-				} else {
-					c.Result().SetValue(obj, model.Bottom)
-				}
+				c.Result().SetValue(obj, c.ctx[obj])
 			}
-		} else {
-			// The client's own writes are the newest thing in its causal
-			// past: apply them to the local replica unconditionally.
-			vals := make(map[string]model.Value, len(t.Writes))
-			wset := make([]string, 0, len(t.Writes))
-			for _, w := range t.Writes {
-				vals[w.Object] = w.Value
-				wset = append(wset, w.Object)
-			}
-			wv := c.vec.clone()
-			for _, w := range t.Writes {
-				c.ctx[w.Object] = stamped{Val: w.Value, Writer: t.ID, TS: c.clock,
-					Vec: wv, WSet: wset, Vals: vals}
-			}
-			c.record(&txnCand{id: t.ID, ts: c.clock, vc: wv, wset: wset, vals: vals})
 		}
 		c.Finish(now)
 	}

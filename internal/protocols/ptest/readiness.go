@@ -125,8 +125,9 @@ func (c *watchedClient) WakeAt(now sim.Time) (sim.Time, bool) { return wakeAt(c.
 // the clients' rounds into rounds.log (either nil logs nothing).
 type watching struct {
 	protocol.Protocol
-	log    *error
-	rounds rounds
+	log     *error
+	rounds  rounds
+	clients map[sim.ProcessID]*rounds // every client's rounds, when non-nil
 }
 
 func (p watching) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
@@ -136,6 +137,9 @@ func (p watching) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Proces
 func (p watching) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
 	r := p.rounds
 	r.open = map[awaited][][]string{}
+	if p.clients != nil {
+		p.clients[id] = &r
+	}
 	return &watchedClient{Client: p.Protocol.NewClient(id, pl), w: &watch{log: p.log}, r: &r}
 }
 

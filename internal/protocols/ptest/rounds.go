@@ -2,6 +2,7 @@ package ptest
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -120,12 +121,31 @@ func (r *rounds) clone() *rounds {
 	return &c
 }
 
+// unanswered reports the first of clients' requests still open, in
+// client and message order; nil when every one was answered.
+func unanswered(clients map[sim.ProcessID]*rounds) error {
+	for _, id := range slices.Sorted(maps.Keys(clients)) {
+		var open []string
+		for k, q := range clients[id].open {
+			for _, objs := range q {
+				open = append(open, fmt.Sprintf("%s from %s for %s (objects %v)", k.kind, k.server, k.txn, objs))
+			}
+		}
+		if len(open) > 0 {
+			slices.Sort(open)
+			return fmt.Errorf("%s never got %d awaited replies: %v", id, len(open), open)
+		}
+	}
+	return nil
+}
+
 // roundContract runs each of runs once at replication 1 and 2, with
 // every client's requests and replies held to the round contract:
 // each read is answered at most once, by the server it went to, for its
 // transaction, with its objects in order; each write, prepare and
 // commit is acknowledged at most once; and no reply answers a request
-// that was never sent.
+// that was never sent. A fault-free run must also answer every request
+// by its end, which makes each of those "exactly once".
 func roundContract(t *testing.T, p protocol.Protocol, e Expect, runs []sweepRun) {
 	srv, ops := e.size()
 	for _, r := range runs {
@@ -139,9 +159,13 @@ func roundContract(t *testing.T, p protocol.Protocol, e Expect, runs []sweepRun)
 				nem := *r.nem
 				cfg.Nemesis = &nem
 			}
-			w := watching{Protocol: p, rounds: rounds{log: &broken, fat: !p.Claims().OneValue}}
+			w := watching{Protocol: p, rounds: rounds{log: &broken, fat: !p.Claims().OneValue},
+				clients: map[sim.ProcessID]*rounds{}}
 			if _, err := driver.Run(w, cfg); err != nil {
 				t.Fatalf("%s run, replication %d: %v", r.mode, repl, err)
+			}
+			if broken == nil && r.nem == nil {
+				broken = unanswered(w.clients)
 			}
 			if broken != nil {
 				t.Errorf("%s run, replication %d: %v", r.mode, repl, broken)
