@@ -21,8 +21,9 @@ import (
 // read-heavy cell for their folds of the ROT's replies. Mallocs are
 // counted around driver.Run, deployment included, and divided by the
 // run's events; a step that allocates its own send slice, result map,
-// reply map or share arrays again, or a write that copies its vectors
-// per message, lands well above the gate.
+// reply map or share arrays again, a write that copies its vectors per
+// message, or an engine that allocates every message envelope again,
+// lands above the gate.
 func TestLoadAllocsPerEvent(t *testing.T) {
 	paper := []protocol.Protocol{cops.New(), cure.New(), spanner.New()}
 	cells := []struct {
@@ -31,9 +32,9 @@ func TestLoadAllocsPerEvent(t *testing.T) {
 		cfg   Config
 		proto []protocol.Protocol
 	}{
-		{"reads", 2.0, Config{Clients: 64, Txns: 20_000, Mix: workload.ReadHeavy(), Seed: 42, Servers: 8},
+		{"reads", 1.5, Config{Clients: 64, Txns: 20_000, Mix: workload.ReadHeavy(), Seed: 42, Servers: 8},
 			append(paper, gentlerain.New(), ramp.New())},
-		{"writes", 2.5, Config{Clients: 64, Txns: 20_000, Mix: workload.Balanced(), Seed: 42, Servers: 8, ObjectsPerServer: 64}, paper},
+		{"writes", 2.0, Config{Clients: 64, Txns: 20_000, Mix: workload.Balanced(), Seed: 42, Servers: 8, ObjectsPerServer: 64}, paper},
 	}
 	for _, cell := range cells {
 		for _, p := range cell.proto {

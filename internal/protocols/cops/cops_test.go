@@ -148,10 +148,13 @@ func TestReconfigConformance(t *testing.T) {
 
 // TestContextBytesFlatInKeyspace gates what a write's causal context
 // costs: bytes allocated per committed transaction on the load-writes
-// shape (8 servers, 64 clients, balanced, 20k txns, seed 42) may grow at
-// most 1.3× from 2 to 64 objects per server. Copying the whole context
-// into every write measured 1.99× (2452 → 4877 B); writes sharing its
-// leaves, 1.16× (1630 → 1895 B).
+// shape (8 servers, 64 clients, balanced, 20k txns, seed 42) may grow by
+// at most 336 B from 2 to 64 objects per server. Copying the whole
+// context into every write measured +2425 B (2452 → 4877 B); writes
+// sharing its leaves, +269 B (845 → 1114 B once the engine reused its
+// message envelopes, 1119 → 1379 B before). The bound is in bytes, not
+// a ratio: the same growth reads as a larger ratio whenever the engine
+// allocates less per transaction.
 func TestContextBytesFlatInKeyspace(t *testing.T) {
 	perTxn := func(objects int) float64 {
 		var before, after runtime.MemStats
@@ -168,8 +171,8 @@ func TestContextBytesFlatInKeyspace(t *testing.T) {
 		return float64(after.TotalAlloc-before.TotalAlloc) / float64(rep.Committed)
 	}
 	narrow, wide := perTxn(2), perTxn(64)
-	t.Logf("bytes per txn: %.0f at 2 objects per server, %.0f at 64 (%.2f×)", narrow, wide, wide/narrow)
-	if wide > 1.3*narrow {
-		t.Fatalf("bytes per txn grow %.2f× from 2 to 64 objects per server, bound 1.3×", wide/narrow)
+	t.Logf("bytes per txn: %.0f at 2 objects per server, %.0f at 64 (%+.0f B)", narrow, wide, wide-narrow)
+	if wide-narrow > 336 {
+		t.Fatalf("bytes per txn grow by %.0f B from 2 to 64 objects per server, bound 336 B", wide-narrow)
 	}
 }

@@ -91,7 +91,8 @@ type watchedClient struct {
 
 func (c *watchedClient) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 	c.w.check(c.Client, now, "at Step")
-	c.r.received(c.ID(), inbox)
+	cur, _ := c.Client.(current)
+	c.r.received(c.ID(), cur, inbox)
 	out := c.Client.Step(now, inbox)
 	c.r.sent(out)
 	c.w.record(c.Client, now)

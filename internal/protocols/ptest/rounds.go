@@ -43,7 +43,11 @@ type rounds struct {
 // received matches every reply in inbox to an open request, which it
 // closes: the reply comes from the server the request went to, for its
 // transaction, and a read's reply carries the read's objects in order.
-func (r *rounds) received(client sim.ProcessID, inbox []*sim.Message) {
+// The transaction must still be the client's active one as the step
+// begins, when cur (every model's protocol.Core) says which that is: a
+// client that finished before a reply it awaited came in counted its
+// round as done too early.
+func (r *rounds) received(client sim.ProcessID, cur current, inbox []*sim.Message) {
 	for _, m := range inbox {
 		tp, ok := m.Payload.(protocol.TxnPayload)
 		if !ok {
@@ -66,8 +70,18 @@ func (r *rounds) received(client sim.ProcessID, inbox []*sim.Message) {
 			continue
 		}
 		r.open[k] = slices.Delete(open, i, i+1)
+		if cur == nil {
+			continue
+		}
+		if active := cur.Current(); active == nil || active.ID != tp.Txn() {
+			r.fail(fmt.Errorf("%s got %s from %s for %s after that transaction finished", client, tp.Kind(), m.From, tp.Txn()))
+		}
 	}
 }
+
+// current is a client naming its active transaction (nil when idle):
+// protocol.Core's Current, which every model's client embeds.
+type current interface{ Current() *model.Txn }
 
 // answers reports whether a reply carrying the objects carried answers
 // a request for asked: the same objects in order, or for a fat reply,
@@ -143,8 +157,9 @@ func unanswered(clients map[sim.ProcessID]*rounds) error {
 // every client's requests and replies held to the round contract:
 // each read is answered at most once, by the server it went to, for its
 // transaction, with its objects in order; each write, prepare and
-// commit is acknowledged at most once; and no reply answers a request
-// that was never sent. A fault-free run must also answer every request
+// commit is acknowledged at most once; no reply answers a request that
+// was never sent; and every reply arrives while its transaction is the
+// client's active one. A fault-free run must also answer every request
 // by its end, which makes each of those "exactly once".
 func roundContract(t *testing.T, p protocol.Protocol, e Expect, runs []sweepRun) {
 	srv, ops := e.size()

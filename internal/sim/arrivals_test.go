@@ -231,10 +231,11 @@ func (c *echoClient) Step(_ Time, inbox []*Message) []Outbound {
 // TestEchoAllocsPerEvent is a counted gate on what the engine itself
 // allocates: the echo cell of cmd/perf/layers (8 servers, one shard each,
 // 64 closed-loop clients striped over them, no protocol work) must stay at
-// or below 1.34 mallocs per event — measured 1.3292 when deliveries began
-// reusing the income buffers, 1.8274 before. Per request (four events)
-// the cell's own processes allocate a payload, the client's Outbound slice
-// and the server's; the engine adds the two message envelopes.
+// or below 0.80 mallocs per event — measured 0.769 once sends began
+// reusing consumed envelopes, 1.3292 before (and 1.8274 before deliveries
+// reused the income buffers). Per request (four events) the cell's own
+// processes allocate a payload, the client's Outbound slice and the
+// server's; in steady state the engine adds nothing.
 func TestEchoAllocsPerEvent(t *testing.T) {
 	const servers, clients, requests = 8, 64, 500
 	k := NewKernel(42, nil)
@@ -265,7 +266,9 @@ func TestEchoAllocsPerEvent(t *testing.T) {
 	if want := clients*requests*4 + clients; events != want {
 		t.Fatalf("executed %d events, want %d", events, want)
 	}
-	if per := float64(after.Mallocs-before.Mallocs) / float64(events); per > 1.34 {
-		t.Fatalf("%.4f allocs/event, gate 1.34", per)
+	per := float64(after.Mallocs-before.Mallocs) / float64(events)
+	t.Logf("%.4f allocs/event over %d events", per, events)
+	if per > 0.80 {
+		t.Fatalf("%.4f allocs/event, gate 0.80", per)
 	}
 }

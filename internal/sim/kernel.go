@@ -58,6 +58,11 @@ type Kernel struct {
 	transit []*Message
 	live    int
 	inbox   [][]*Message
+	// free holds envelopes a runner step consumed that have left transit
+	// (compactTransit moves them here); send reuses them before it
+	// allocates. Only the serial phases touch it, and Snapshot starts its
+	// copy without one.
+	free []*Message
 	// pendingInboxes counts processes with a non-empty income buffer, so
 	// schedulers can skip the per-process scan when nothing is pending.
 	pendingInboxes int
@@ -319,7 +324,7 @@ func (k *Kernel) Deliver(msgID int64) *Message {
 	}
 	k.live--
 	k.deliveredMsgs++
-	m.gone = true
+	m.gone, m.pinned = true, true // its arrival entry stays behind
 	k.compactTransit()
 	if m.ReadyAt > k.now {
 		k.now = m.ReadyAt
@@ -347,15 +352,20 @@ func (k *Kernel) liveMessage(msgID int64) *Message {
 
 // compactTransit physically removes gone messages from the send-order
 // slice once they outnumber the live ones, keeping deletion amortized
-// O(1) and iteration proportional to the live count.
+// O(1) and iteration proportional to the live count. A removed envelope
+// a runner step consumed, and that no arrival entry can still name, goes
+// on the free list: nothing else holds it any more.
 func (k *Kernel) compactTransit() {
 	if len(k.transit) < 32 || len(k.transit) < 2*k.live {
 		return
 	}
 	live := k.transit[:0]
 	for _, m := range k.transit {
-		if !m.gone {
+		switch {
+		case !m.gone:
 			live = append(live, m)
+		case m.consumed && !m.pinned:
+			k.free = append(k.free, m)
 		}
 	}
 	for i := len(live); i < len(k.transit); i++ {
@@ -411,7 +421,8 @@ func (k *Kernel) StepProcess(pid ProcessID) []*Message {
 // send materializes one outbound message sent by the process in slot
 // from at virtual instant at: it assigns the global message ID and
 // per-link sequence number, samples the link latency from the kernel RNG,
-// and registers the message in the transit structures. It is the single commit point for sends —
+// and registers the message in the transit structures, in an envelope
+// from the free list when there is one. It is the single commit point for sends —
 // StepProcess calls it inline; the sharded runner calls it during its
 // serial merge phase, in deterministic shard-then-send order, which is
 // what keeps IDs, sequence numbers and latency draws independent of how
@@ -428,7 +439,13 @@ func (k *Kernel) send(from slot, o Outbound, at Time) *Message {
 	}
 	seq[to]++
 	k.nextID++
-	m := &Message{
+	var m *Message
+	if n := len(k.free); n > 0 {
+		m, k.free = k.free[n-1], k.free[:n-1]
+	} else {
+		m = new(Message)
+	}
+	*m = Message{
 		ID:      k.nextID,
 		From:    k.ids[from],
 		To:      o.To,

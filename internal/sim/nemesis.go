@@ -196,9 +196,10 @@ func (k *Kernel) blocked(from, to slot) bool {
 
 // hold strands a live in-transit message: it stays in transit and the
 // live count (configuration accounting is exact) but leaves the arrival
-// index, so no scheduler can deliver it until released.
+// index, so no scheduler can deliver it until released. Its envelope is
+// pinned: the index entry it may leave behind outlives the release.
 func (k *Kernel) hold(m *Message) {
-	m.held = true
+	m.held, m.pinned = true, true
 	k.heldMsgs = append(k.heldMsgs, m)
 }
 

@@ -66,8 +66,10 @@ type ShardedRunner struct {
 	// floors is the shard-pair bound matrix: floors[j][i] is the smallest
 	// declared latency floor over links from a shard-j process to a
 	// shard-i process — the minimum transit time of any influence j can
-	// exert on i. Always ≥ 1.
-	floors [][]Time
+	// exert on i. Always ≥ 1. uniform says every entry is delta: no link
+	// declares a floor of its own.
+	floors  [][]Time
+	uniform bool
 	// stepAt is the readiness cache, one entry per kernel slot: the
 	// earliest instant the slot's process could step with an empty
 	// inbox — the shard clock when it is Ready, a Waker's declared
@@ -234,7 +236,8 @@ func (r *ShardedRunner) buildFloors() {
 		}
 		r.floors[i] = row
 	}
-	if len(r.k.linkFloor) == 0 {
+	r.uniform = len(r.k.linkFloor) == 0
+	if r.uniform {
 		return
 	}
 	for i := range r.floors {
@@ -470,7 +473,8 @@ func (r *ShardedRunner) merge(active []*shard) int {
 //     P_i = min(e_i, min_{j≠i}(P_j + floor[j→i])) — its own next event,
 //     or the earliest instant another shard's message could trigger one.
 //     Because the floors are positive this is a shortest-path problem
-//     over the shard graph, solved exactly with one Dijkstra pass.
+//     over the shard graph, solved exactly with one Dijkstra pass — or,
+//     when every floor is the same Δ, in closed form (uniformBounds).
 //  3. Per-shard advancement bound: no future message can reach shard i
 //     with ReadyAt below bound_i = min_{j≠i}(P_j + floor[j→i]) — the
 //     null-message guarantee. Every shard executes its own window
@@ -569,9 +573,13 @@ func (r *ShardedRunner) round(budget int) (int, bool) {
 // order is exact), then bound_i as the earliest promised influence on i.
 func (r *ShardedRunner) computeBounds() {
 	S := len(r.shards)
-	if S == 1 {
+	switch {
+	case S == 1:
 		// A single shard can never be affected from outside.
 		r.bnd[0] = infTime
+		return
+	case r.uniform:
+		r.uniformBounds(r.delta)
 		return
 	}
 	copy(r.prom, r.e)
@@ -609,6 +617,34 @@ func (r *ShardedRunner) computeBounds() {
 			}
 		}
 		r.bnd[i] = b
+	}
+}
+
+// uniformBounds is computeBounds when every shard pair's floor is d, in
+// O(S). A path of two hops or more never beats one, so the fixpoint is
+// P_j = min(e_j, min_{k≠j} e_k + d), and min_{j≠i}(P_j + d) comes to
+//
+//	bound_i = min(min_{j≠i} e_j + d, e_i + 2d)
+//
+// (the second term: i's own next event, echoed back by another shard),
+// capped at infTime like the pass, which needs only the two smallest e.
+// The earliest shard's bound is not the smallest e plus d but the
+// runner-up's, capped by its own echo.
+func (r *ShardedRunner) uniformBounds(d Time) {
+	first, second, at := infTime, infTime, -1
+	for i, e := range r.e {
+		if e < first {
+			first, second, at = e, first, i
+		} else if e < second {
+			second = e
+		}
+	}
+	for i, e := range r.e {
+		other := first
+		if i == at {
+			other = second
+		}
+		r.bnd[i] = min(other+d, e+2*d, infTime)
 	}
 }
 
@@ -698,15 +734,20 @@ func (sh *shard) deliver() {
 
 // step executes one computation step of the process in slot s, copying
 // its sends into the merge buffer before anything else runs (the process
-// may reuse the returned slice). The income buffer is emptied in place
-// and used again by the next deliveries (Process.Step may not keep the
-// slice). The slot's readiness cache entry is refreshed last, after the
-// refill hook may have invoked the process again.
+// may reuse the returned slice). Its envelopes are marked consumed before
+// Step sees them (a wrapper may rewrite the slice), so compaction can free
+// them for reuse. The income buffer is emptied in place and used again by
+// the next deliveries (Process.Step may keep neither). The slot's
+// readiness cache entry is refreshed last, after the refill hook may have
+// invoked the process again.
 func (sh *shard) step(s slot) {
 	k := sh.k
 	in := k.inbox[s]
 	if len(in) > 0 {
 		sh.pending--
+	}
+	for _, m := range in {
+		m.consumed = true
 	}
 	sh.t += StepCost
 	for _, o := range k.procs[s].Step(sh.t, in) {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -418,4 +420,60 @@ func TestRunRefreshesReadiness(t *testing.T) {
 			t.Fatalf("pongs with a re-arming refill hook = %d, want 4", a.pongs)
 		}
 	})
+}
+
+// TestUniformBoundsMatchDijkstra: when every shard pair shares one floor,
+// the closed form gives every shard the bound the Dijkstra pass gives it,
+// on random next-event vectors with ties and idle (infTime) shards. The
+// values span several floors, so the earliest shard's bound — the
+// runner-up's next event plus Δ, or its own plus 2Δ — is seldom the
+// smallest e plus Δ.
+func TestUniformBoundsMatchDijkstra(t *testing.T) {
+	const d = 100
+	rng := NewRNG(5)
+	for S := 2; S <= 16; S++ {
+		k := NewKernel(1, nil)
+		k.SetLatencyFloor(d)
+		k.SetTraceCap(-1)
+		for i := 0; i < S; i++ {
+			k.Add(&pinger{id: ProcessID(fmt.Sprintf("p%02d", i))})
+		}
+		r, err := NewLookaheadRunner(k, func(p ProcessID) int { return int(p[1]-'0')*10 + int(p[2]-'0') }, S, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.uniform {
+			t.Fatalf("S=%d: floors %v not read as uniform", S, r.floors)
+		}
+		for trial := 0; trial < 400; trial++ {
+			for i := range r.e {
+				r.e[i] = Time(rng.Intn(7)) * d / 2
+				if rng.Intn(4) == 0 {
+					r.e[i] = infTime
+				}
+			}
+			r.uniform = false
+			r.computeBounds()
+			want := slices.Clone(r.bnd)
+			r.uniform = true
+			r.computeBounds()
+			if !slices.Equal(r.bnd, want) {
+				t.Fatalf("S=%d, e=%v: closed form %v, Dijkstra %v", S, r.e, r.bnd, want)
+			}
+		}
+	}
+	// A link declared slower than the rest keeps the Dijkstra pass.
+	k := NewKernel(1, nil)
+	k.SetLatencyFloor(d)
+	k.SetLinkLatencyFloor(Link{From: "a", To: "b"}, 3*d)
+	k.SetTraceCap(-1)
+	k.Add(&pinger{id: "a"})
+	k.Add(&pinger{id: "b"})
+	r, err := NewLookaheadRunner(k, func(p ProcessID) int { return int(p[0] - 'a') }, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.uniform {
+		t.Fatalf("per-link floors %v read as uniform", r.floors)
+	}
 }

@@ -82,8 +82,17 @@ type Message struct {
 	// crashed or link cut): still in transit, but not deliverable until
 	// the fault clears (nemesis.go).
 	held bool
+	// consumed marks an envelope a runner step handed to Process.Step;
+	// once it has also left transit, send reuses it (Kernel.free).
+	consumed bool
+	// pinned marks an envelope the arrival index may still point at after
+	// it leaves transit, which is never reused: a held message (its
+	// release pushes it again, and the entry left behind is discarded only
+	// by its gone flag) or one Kernel.Deliver took out without a pop.
+	pinned bool
 	// to and from are the kernel slots of To and From (Kernel.Add); they
-	// sit in what was padding, so the envelope is no larger for them.
+	// and the flags above sit in what was padding, so the envelope is no
+	// larger for them.
 	to, from slot
 }
 
@@ -126,10 +135,11 @@ type Process interface {
 	// spontaneous local step). The slice and the envelopes in it are the
 	// engine's: a process keeps neither past the call — it may keep a
 	// message's payload and copies of its fields (sender, timestamps),
-	// never the slice or a *Message. The return value lists messages to
-	// send. The engine copies it
-	// before the process steps again, so a process may hand out one
-	// buffer from every step and overwrite it on the next.
+	// never the slice or a *Message. Once Step returns, the sharded runner
+	// refills the slice and reuses the envelopes for later sends. The
+	// return value lists messages to send. The engine copies it before
+	// the process steps again, so a process may hand out one buffer from
+	// every step and overwrite it on the next.
 	Step(now Time, inbox []*Message) []Outbound
 	// Ready reports whether an empty-inbox step would do useful work
 	// (e.g. a client with an invoked-but-unsent transaction, or a server
