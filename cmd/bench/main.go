@@ -608,6 +608,13 @@ func parseSweep(args []string, stderr io.Writer) (sweep, error) {
 	if *workers < 1 {
 		return sweep{}, fmt.Errorf("-workers %d: it counts the cells measured at a time, at least 1; -workers 1 runs the sweep one cell after another and is the byte-identical oracle for any higher count", *workers)
 	}
+	// The driver reads 0 as its default: refused, not silently replaced.
+	if *objects < 1 {
+		return sweep{}, fmt.Errorf("-objects %d: it counts the objects per server, at least 1", *objects)
+	}
+	if *pipeline < 1 {
+		return sweep{}, fmt.Errorf("-pipeline %d: it counts the outstanding invocations per client, at least 1", *pipeline)
+	}
 	if *arrivals != "poisson" && *arrivals != "uniform" {
 		return sweep{}, fmt.Errorf("unknown arrival process %q (have poisson, uniform)", *arrivals)
 	}

@@ -554,6 +554,8 @@ func TestRunRefusals(t *testing.T) {
 		{"-fractions 0.5", "-fractions"},
 		{"-servers 2 -replication 3", "-replication"},
 		{"-workers 0", "-workers"},
+		{"-objects 0", "-objects"},
+		{"-pipeline 0", "-pipeline"},
 		{"-nemesis meteor", "meteor"},
 		{"-curve -arrivals burst", "burst"},
 		{"-curve -curveclients x", "-curveclients"},
@@ -564,6 +566,7 @@ func TestRunRefusals(t *testing.T) {
 		err := run(strings.Fields(tc.line), &stdout, &stderr)
 		if err == nil || !strings.Contains(err.Error(), tc.names) {
 			t.Errorf("%q: error %v, want a refusal naming %s", tc.line, err, tc.names)
+			continue
 		}
 		if strings.Contains(err.Error(), "\n") {
 			t.Errorf("%q: reason is not one line: %q", tc.line, err)

@@ -40,14 +40,16 @@ func (w *sentWatch) scan(k *sim.Kernel) {
 // Every payload must still print as it did when sent, on both kernels, and
 // both must return the same results: a receiver writing into a received
 // slice, or a sender still building on a sent one, shows as a changed
-// fingerprint or a diverged fork.
+// fingerprint or a diverged fork. Every process is watched, and both
+// kernels must end with no breach and every request answered.
 func payloadsImmutable(t *testing.T, p protocol.Protocol, e Expect) {
 	for name, mk := range map[string]func(phase int64) sim.Scheduler{
 		"roundrobin": func(int64) sim.Scheduler { return &sim.RoundRobin{} },
 		"random7":    func(phase int64) sim.Scheduler { return sim.NewRandom(7 + phase) },
 		"random31":   func(phase int64) sim.Scheduler { return sim.NewRandom(31 + phase) },
 	} {
-		d := Deploy(t, p, e, 37)
+		wp := watched(p)
+		d := Deploy(t, wp, e, 37)
 		objs := d.Place.Objects()
 		const perClient = 4
 		ids := make([][]model.TxnID, len(d.Clients))
@@ -92,6 +94,9 @@ func payloadsImmutable(t *testing.T, p protocol.Protocol, e Expect) {
 					t.Errorf("%s: payload of message %d changed after it was sent:\n  sent %s\n  now  %s", name, id, sent, now)
 				}
 			}
+			if err := wp.broken(clientRounds(run.d)); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
 		}
 		for i, c := range d.Clients {
 			for _, id := range ids[i] {
@@ -105,4 +110,13 @@ func payloadsImmutable(t *testing.T, p protocol.Protocol, e Expect) {
 			}
 		}
 	}
+}
+
+// clientRounds is the open requests of every watched client of d.
+func clientRounds(d *protocol.Deployment) map[sim.ProcessID]*rounds {
+	open := map[sim.ProcessID]*rounds{}
+	for _, c := range d.Clients {
+		open[c] = d.Client(c).(*watchedClient).r
+	}
+	return open
 }

@@ -26,14 +26,8 @@ const loadRate = 1000
 func RunLoad(t *testing.T, p protocol.Protocol, e Expect) {
 	t.Helper()
 	t.Run("PayloadsImmutable", func(t *testing.T) { payloadsImmutable(t, p, e) })
-	t.Run("InboxNotRetained", func(t *testing.T) { inboxNotRetained(t, p, e) })
 	t.Run("RefusedShapes", func(t *testing.T) { refusedShapes(t, p, e) })
-	t.Run("ReadinessIsState", func(t *testing.T) {
-		if err := readinessViolation(p, e); err != nil {
-			t.Error(err)
-		}
-	})
-	runs := []sweepRun{
+	sweep(t, p, e, "load", []sweepRun{
 		{mode: "closed-loop"},
 		{mode: "open-loop", rate: loadRate, check: func(rep *driver.Report) error {
 			if rep.QueueDelay.N != rep.Committed {
@@ -41,9 +35,7 @@ func RunLoad(t *testing.T, p protocol.Protocol, e Expect) {
 			}
 			return nil
 		}},
-	}
-	t.Run("RoundContract", func(t *testing.T) { roundContract(t, p, e, runs) })
-	sweep(t, p, e, "load", runs)
+	})
 }
 
 // RunFaults drives the protocol through the nemesis sweep: one
@@ -54,14 +46,12 @@ func RunLoad(t *testing.T, p protocol.Protocol, e Expect) {
 // stay caught when the network misbehaves, not only when it is slow.
 func RunFaults(t *testing.T, p protocol.Protocol, e Expect) {
 	t.Helper()
-	runs := []sweepRun{
+	sweep(t, p, e, "fault", []sweepRun{
 		// Persistent crash: state and inbox survive the outage.
 		{mode: "crash", nem: &driver.Nemesis{Crashes: 1, Start: 5_000, Duration: 8_000}, check: faulted},
 		// Full bisection: every link across the cut severed, then healed.
 		{mode: "partition", nem: &driver.Nemesis{Partitions: 1, Start: 5_000, Duration: 8_000}, check: faulted},
-	}
-	t.Run("RoundContract", func(t *testing.T) { roundContract(t, p, e, runs) })
-	sweep(t, p, e, "fault", runs)
+	})
 }
 
 // RunReconfig drives the protocol through the reconfiguration sweep: one
@@ -131,7 +121,8 @@ func reconfigured(rep *driver.Report) error {
 // a refutation is pinned to a first offending commit in range whose
 // witness prefix has that length and itself refutes. A victim must be
 // refuted by at least one run at each replication; any other protocol
-// must certify clean on all of them.
+// must certify clean on all of them. Every run also has a watched twin
+// (twin), whose breaches one subtest per contract reports.
 func sweep(t *testing.T, p protocol.Protocol, e Expect, suite string, runs []sweepRun) {
 	t.Helper()
 	seeds := e.LoadSeeds
@@ -145,7 +136,8 @@ func sweep(t *testing.T, p protocol.Protocol, e Expect, suite string, runs []swe
 	srv, ops := e.size()
 	level := p.Claims().Consistency
 
-	violations := map[int]int{} // refuted runs per replication
+	violations := map[int]int{}      // refuted runs per replication
+	breaches := map[string][]error{} // the twins' breaches per contract
 	for _, r := range runs {
 		for _, seed := range seeds {
 			for _, repl := range []int{1, 2} {
@@ -156,11 +148,7 @@ func sweep(t *testing.T, p protocol.Protocol, e Expect, suite string, runs []swe
 				cfg := driver.Config{
 					Clients: 8, Txns: txns, Mix: workload.Balanced(), Seed: seed,
 					Servers: srv, ObjectsPerServer: ops, Replication: repl,
-					RecordHistory: true, Rate: r.rate, Certify: true,
-				}
-				if r.nem != nil {
-					nem := *r.nem // the driver fills in defaults
-					cfg.Nemesis = &nem
+					RecordHistory: true, Rate: r.rate, Nemesis: r.nem, Certify: true,
 				}
 				rep, err := driver.Run(p, cfg)
 				if err != nil {
@@ -176,6 +164,13 @@ func sweep(t *testing.T, p protocol.Protocol, e Expect, suite string, runs []swe
 					if err := r.check(rep); err != nil {
 						fail("%v", err)
 					}
+				}
+				var b *breach
+				if err := twin(p, cfg, rep); errors.As(err, &b) {
+					breaches[b.contract] = append(breaches[b.contract],
+						fmt.Errorf("%s run (seed %d, replication %d): %v", r.mode, seed, repl, b.err))
+				} else if err != nil {
+					fail("watched twin: %v", err)
 				}
 				v := *rep.Cert
 				// driver.Run has already held the session to the batch
@@ -212,10 +207,51 @@ func sweep(t *testing.T, p protocol.Protocol, e Expect, suite string, runs []swe
 			}
 		}
 	}
+	for _, c := range contracts {
+		t.Run(c, func(t *testing.T) {
+			for _, err := range breaches[c] {
+				t.Error(err)
+			}
+		})
+	}
 	for _, repl := range []int{1, 2} {
 		if e.ViolatesUnderLoad && violations[repl] == 0 {
 			t.Fatalf("%s is a known %s violator, but every %s run at replication %d certified clean — "+
 				"the %s suite lost its teeth (seeds %v, %d txns)", p.Name(), level, suite, repl, suite, seeds, txns)
 		}
 	}
+}
+
+// contracts are what a watched twin is held to (readiness.go), each
+// reported by a subtest of the sweep that names it.
+var contracts = []string{"ReadinessIsState", "RoundContract", "InboxNotRetained"}
+
+// twin runs cfg again with every process of p watched, recorded and
+// uncertified, and returns the first contract that run breaks. It must
+// print plain's report and history, and when cfg schedules no fault it
+// must have answered every request by its end. A model that panics on
+// the poison it kept fails InboxNotRetained.
+func twin(p protocol.Protocol, cfg driver.Config, plain *driver.Report) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &breach{"InboxNotRetained", fmt.Errorf("the run panics when inbox slices and envelopes are overwritten after Step: %v", r)}
+		}
+	}()
+	w := watched(p)
+	cfg.Certify, cfg.RecordHistory = false, true
+	rep, err := driver.Run(w, cfg)
+	if err != nil {
+		return err
+	}
+	open := w.clients
+	if cfg.Nemesis != nil {
+		open = nil
+	}
+	if err := w.broken(open); err != nil {
+		return err
+	}
+	if a, b := plain.String()+"\n"+plain.History.String(), rep.String()+"\n"+rep.History.String(); a != b {
+		return &breach{"InboxNotRetained", fmt.Errorf("the run changes when inbox slices and envelopes are overwritten after Step:\n%s\n--- watched ---\n%s", a, b)}
+	}
+	return nil
 }

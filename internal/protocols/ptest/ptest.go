@@ -301,10 +301,12 @@ func sequentialHistory(t *testing.T, p protocol.Protocol, e Expect) {
 
 // randomCausal checks causal consistency of concurrent workloads under
 // several random schedules. Only protocols that actually guarantee causal
-// consistency opt in.
+// consistency opt in. Every process is watched, and each run must end,
+// at quiescence, with no breach and every request answered.
 func randomCausal(t *testing.T, p protocol.Protocol, e Expect) {
 	for seed := int64(1); seed <= 5; seed++ {
-		d := Deploy(t, p, e, seed*100)
+		wp := watched(p)
+		d := Deploy(t, wp, e, seed*100)
 		objs := d.Place.Objects()
 		h := history.New(d.Initials())
 		sched := sim.NewRandom(seed * 7)
@@ -355,6 +357,10 @@ func randomCausal(t *testing.T, p protocol.Protocol, e Expect) {
 		})
 		if v := history.CheckCausal(h); !v.OK {
 			t.Fatalf("seed %d: history not causal: %s\n%s", seed, v.Reason, h)
+		}
+		sim.Run(d.Kernel, sched, nil, 400_000)
+		if err := wp.broken(wp.clients); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }

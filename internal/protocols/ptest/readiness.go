@@ -3,12 +3,28 @@ package ptest
 import (
 	"fmt"
 
-	"repro/internal/driver"
 	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/sim"
-	"repro/internal/workload"
+	"repro/internal/store"
 )
+
+// This file is the watched deployment (watched): every sweep run has a
+// watched twin (see twin), and the random-schedule runs are watched
+// themselves. It holds each process to the contracts that the engine and
+// the driver rely on:
+//
+//   - ReadinessIsState: Ready and WakeAt are functions of the process's
+//     own state (sim.Process.Ready, sim.Waker), so they change only
+//     through its steps and invokes, and WakeAt(later) = max(w, later);
+//     a client also makes results only inside Step, because the driver
+//     takes them only from clients that stepped.
+//   - RoundContract: the client's requests and replies keep rounds.
+//   - InboxNotRetained: the inbox slice handed to Step and its envelopes
+//     are the engine's, which refills the slice and reuses the envelopes;
+//     a process keeps neither. Both are overwritten with poison the
+//     moment Step returns, so a model that kept one reads poison and the
+//     twin parts ways with the plain run.
 
 // readiness is what a process answered to Ready and WakeAt(at).
 type readiness struct {
@@ -21,6 +37,15 @@ type readiness struct {
 func ask(p sim.Process, at sim.Time) readiness {
 	wake, ok := wakeAt(p, at)
 	return readiness{at: at, ready: p.Ready(), wake: wake, ok: ok}
+}
+
+// wakeAt passes a Waker's declaration on. A process that declares nothing
+// acts as soon as it is Ready, which is what (now, true) says.
+func wakeAt(p sim.Process, now sim.Time) (sim.Time, bool) {
+	if w, ok := p.(sim.Waker); ok {
+		return w.WakeAt(now)
+	}
+	return now, true
 }
 
 // watch holds one process's last recorded answers; log keeps the first
@@ -51,37 +76,59 @@ func (w *watch) check(p sim.Process, now sim.Time, when string) {
 		p.ID(), when, now, got.ready, got.wake, got.ok, was.at, was.ready, was.wake, was.ok))
 }
 
-// fail logs err unless an earlier contradiction is logged already, or
-// the run logs none.
+// fail logs err unless an earlier contradiction is logged already.
 func (w *watch) fail(err error) {
-	if w.log != nil && *w.log == nil {
+	if *w.log == nil {
 		*w.log = err
 	}
 }
 
 func (w *watch) clone() *watch { c := *w; return &c }
 
-// watchedServer checks the server it wraps at every Step's entry.
+type poisonPayload struct{}
+
+func (poisonPayload) Kind() string { return "poison" }
+
+// poison is what a watched process finds in its inbox slice once Step
+// has returned, and what its delivered envelopes then read.
+var poison = &sim.Message{From: "poison", To: "poison", LinkSeq: -1, Payload: poisonPayload{}, SentAt: -1, DeliveredAt: -1}
+
+// step checks p's readiness, steps it, then overwrites the inbox slice
+// and every envelope in it — all of an envelope that a model could read
+// except ID and ReadyAt, the keys the kernel's index still orders it by —
+// and records p's readiness again.
+func (w *watch) step(p sim.Process, now sim.Time, inbox []*sim.Message) []sim.Outbound {
+	w.check(p, now, "at Step")
+	out := p.Step(now, inbox)
+	for i, m := range inbox {
+		m.From, m.To, m.LinkSeq, m.Payload = poison.From, poison.To, poison.LinkSeq, poison.Payload
+		m.SentAt, m.DeliveredAt = poison.SentAt, poison.DeliveredAt
+		inbox[i] = poison
+	}
+	w.record(p, now)
+	return out
+}
+
+// watchedServer is a watched server. It passes its store on, which a
+// replacement adopts and catches up (protocol.StoreCarrier).
 type watchedServer struct {
 	sim.Process
 	w *watch
 }
 
 func (s *watchedServer) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	s.w.check(s.Process, now, "at Step")
-	out := s.Process.Step(now, inbox)
-	s.w.record(s.Process, now)
-	return out
+	return s.w.step(s.Process, now, inbox)
 }
 func (s *watchedServer) Clone() sim.Process                   { return &watchedServer{s.Process.Clone(), s.w.clone()} }
 func (s *watchedServer) WakeAt(now sim.Time) (sim.Time, bool) { return wakeAt(s.Process, now) }
+func (s *watchedServer) ShardStore() *store.Store {
+	return s.Process.(protocol.StoreCarrier).ShardStore()
+}
 
-// watchedClient is the same for a client, which also records after
-// Invoke and checks after TakeFinished. It also holds the client to the
-// contract the driver's take relies on: results are made only inside
-// Step, so TakeFinished hands out nothing new unless the client stepped
-// since the previous call. And it holds the client's requests to the
-// round contract (rounds).
+// watchedClient is a watched client, which also records after Invoke
+// and checks after TakeFinished: TakeFinished hands out nothing new
+// unless the client stepped since the previous call. Its requests and
+// replies go through rounds.
 type watchedClient struct {
 	protocol.Client
 	w       *watch
@@ -90,12 +137,10 @@ type watchedClient struct {
 }
 
 func (c *watchedClient) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	c.w.check(c.Client, now, "at Step")
 	cur, _ := c.Client.(current)
 	c.r.received(c.ID(), cur, inbox)
-	out := c.Client.Step(now, inbox)
+	out := c.w.step(c.Client, now, inbox)
 	c.r.sent(out)
-	c.w.record(c.Client, now)
 	c.stepped = true
 	return out
 }
@@ -122,51 +167,49 @@ func (c *watchedClient) Clone() sim.Process {
 }
 func (c *watchedClient) WakeAt(now sim.Time) (sim.Time, bool) { return wakeAt(c.Client, now) }
 
-// watching deploys p with every process watched: readiness into log,
-// the clients' rounds into rounds.log (either nil logs nothing).
+// watching deploys p with every process watched: readiness breaches
+// into ready, round breaches into rounds, each client's open requests
+// into clients (the ones NewClient built; a snapshot's are its own).
 type watching struct {
 	protocol.Protocol
-	log     *error
-	rounds  rounds
-	clients map[sim.ProcessID]*rounds // every client's rounds, when non-nil
+	ready, rounds *error
+	clients       map[sim.ProcessID]*rounds
+}
+
+func watched(p protocol.Protocol) watching {
+	return watching{Protocol: p, ready: new(error), rounds: new(error), clients: map[sim.ProcessID]*rounds{}}
 }
 
 func (p watching) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
-	return &watchedServer{p.Protocol.NewServer(id, pl), &watch{log: p.log}}
+	return &watchedServer{p.Protocol.NewServer(id, pl), &watch{log: p.ready}}
 }
 
 func (p watching) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
-	r := p.rounds
-	r.open = map[awaited][][]string{}
-	if p.clients != nil {
-		p.clients[id] = &r
-	}
-	return &watchedClient{Client: p.Protocol.NewClient(id, pl), w: &watch{log: p.log}, r: &r}
+	r := &rounds{log: p.rounds, fat: !p.Claims().OneValue, open: map[awaited][][]string{}}
+	p.clients[id] = r
+	return &watchedClient{Client: p.Protocol.NewClient(id, pl), w: &watch{log: p.ready}, r: r}
 }
 
-// readinessViolation holds the model to the contract the engine's
-// readiness cache relies on (sim.Process.Ready, sim.Waker): Ready and
-// WakeAt are functions of the process's own state, so they change only
-// through its steps and invokes, and WakeAt(later) = max(w, later).
-// Every process of a closed-loop and an open-loop cell is watched: its
-// answers are recorded after each Step and Invoke, and must be the same
-// at the entry of its next Step and after each TakeFinished. A client is
-// also held to finishing transactions only inside Step, which the
-// driver's take relies on: it asks only the clients that stepped. It
-// returns the first contradiction, nil when there is none.
-func readinessViolation(p protocol.Protocol, e Expect) error {
-	srv, ops := e.size()
-	for _, rate := range []float64{0, loadRate} {
-		var violation error
-		if _, err := driver.Run(watching{Protocol: p, log: &violation}, driver.Config{
-			Clients: 8, Txns: 96, Mix: workload.Balanced(), Seed: 11,
-			Servers: srv, ObjectsPerServer: ops, Rate: rate,
-		}); err != nil {
-			return fmt.Errorf("rate %v: %v", rate, err)
-		}
-		if violation != nil {
-			return fmt.Errorf("rate %v: %v", rate, violation)
-		}
+// A breach is the first offence against one of the watched contracts.
+type breach struct {
+	contract string
+	err      error
+}
+
+func (b *breach) Error() string { return b.contract + ": " + b.err.Error() }
+
+// broken returns the first contract the run broke, readiness before
+// rounds; open, when not nil, are clients that must have had every
+// request answered by now.
+func (p watching) broken(open map[sim.ProcessID]*rounds) error {
+	err := unanswered(open)
+	switch {
+	case *p.ready != nil:
+		return &breach{"ReadinessIsState", *p.ready}
+	case *p.rounds != nil:
+		return &breach{"RoundContract", *p.rounds}
+	case err != nil:
+		return &breach{"RoundContract", err}
 	}
 	return nil
 }

@@ -1,15 +1,44 @@
 package ptest
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/driver"
 	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/protocols/cops"
 	"repro/internal/sim"
+	"repro/internal/store"
+	"repro/internal/workload"
 )
+
+// holds runs a closed-loop cell of p as a sweep does, plain and then as
+// its watched twin, and returns the twin's first breach.
+func holds(t *testing.T, p protocol.Protocol, nem *driver.Nemesis) error {
+	t.Helper()
+	cfg := driver.Config{
+		Clients: 8, Txns: 96, Mix: workload.Balanced(), Seed: 11,
+		Servers: 2, ObjectsPerServer: 1, Nemesis: nem, RecordHistory: true,
+	}
+	rep, err := driver.Run(p, cfg)
+	if err != nil {
+		t.Fatalf("plain run: %v", err)
+	}
+	return twin(p, cfg, rep)
+}
+
+// wantBreach fails unless err is a breach of contract whose text holds
+// want.
+func wantBreach(t *testing.T, err error, contract, want string) {
+	t.Helper()
+	var b *breach
+	if !errors.As(err, &b) || b.contract != contract || !strings.Contains(b.err.Error(), want) {
+		t.Fatalf("got %v, want a %s breach saying %q", err, contract, want)
+	}
+}
 
 // sharing deploys p with every server's Ready reading a counter that
 // every client step bumps: readiness that changes while the server
@@ -52,12 +81,10 @@ func (p sharing) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Cl
 // plain model passes it, and the same model with a server Ready that
 // reads another process's counter fails it.
 func TestReadinessIsStateCatchesSharedState(t *testing.T) {
-	if err := readinessViolation(cops.New(), Expect{}); err != nil {
+	if err := holds(t, cops.New(), nil); err != nil {
 		t.Fatalf("plain cops: %v", err)
 	}
-	if readinessViolation(sharing{cops.New(), new(int)}, Expect{}) == nil {
-		t.Fatal("a server whose Ready reads a counter the clients bump passed the readiness check")
-	}
+	wantBreach(t, holds(t, sharing{cops.New(), new(int)}, nil), "ReadinessIsState", "readiness changed")
 }
 
 // finishingInInvoke deploys p with workload client c0 completing every
@@ -98,8 +125,84 @@ func (p finishingInInvoke) NewClient(id sim.ProcessID, pl *protocol.Placement) p
 // outside Step fails the check — the driver takes only from clients that
 // stepped.
 func TestReadinessCatchesFinishInInvoke(t *testing.T) {
-	err := readinessViolation(finishingInInvoke{cops.New()}, Expect{})
-	if err == nil || !strings.Contains(err.Error(), "no step since the previous call") {
-		t.Fatalf("a client finishing inside Invoke: %v", err)
+	wantBreach(t, holds(t, finishingInInvoke{cops.New()}, nil), "ReadinessIsState", "no step since the previous call")
+}
+
+// parking deploys p with every server answering each inbox one step
+// late: it keeps the envelopes Step was handed and hands them on at its
+// next step.
+type parking struct{ protocol.Protocol }
+
+type parkingServer struct {
+	sim.Process
+	parked []*sim.Message
+}
+
+func (s *parkingServer) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
+	late := s.parked
+	s.parked = slices.Clone(inbox)
+	return s.Process.Step(now, late)
+}
+
+func (s *parkingServer) Ready() bool { return s.Process.Ready() || len(s.parked) > 0 }
+
+func (s *parkingServer) WakeAt(now sim.Time) (sim.Time, bool) {
+	if len(s.parked) > 0 {
+		return now, true
 	}
+	return wakeAt(s.Process, now)
+}
+
+func (s *parkingServer) Clone() sim.Process {
+	return &parkingServer{s.Process.Clone(), slices.Clone(s.parked)}
+}
+
+func (s *parkingServer) ShardStore() *store.Store {
+	return s.Process.(protocol.StoreCarrier).ShardStore()
+}
+
+func (p parking) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
+	return &parkingServer{Process: p.Protocol.NewServer(id, pl)}
+}
+
+// TestInboxNotRetainedCatchesParkedEnvelopes: a server that keeps its
+// envelopes past Step fails the check, fault-free and through a replica
+// replacement.
+func TestInboxNotRetainedCatchesParkedEnvelopes(t *testing.T) {
+	replace := &driver.Nemesis{Replaces: 1, Start: 4_000, Period: 20_000}
+	for _, nem := range []*driver.Nemesis{nil, replace} {
+		if err := holds(t, cops.New(), nem); err != nil {
+			t.Fatalf("plain cops (nemesis %v): %v", nem, err)
+		}
+		wantBreach(t, holds(t, parking{cops.New()}, nem), "InboxNotRetained", "overwritten after Step")
+	}
+}
+
+// doubleAcking deploys p with every server sending each write
+// acknowledgement twice.
+type doubleAcking struct{ protocol.Protocol }
+
+type doubleAcker struct{ sim.Process }
+
+func (s doubleAcker) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
+	var out []sim.Outbound
+	for _, o := range s.Process.Step(now, inbox) {
+		out = append(out, o)
+		if o.Payload.Kind() == "write-ack" {
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+func (s doubleAcker) Clone() sim.Process { return doubleAcker{s.Process.Clone()} }
+
+func (p doubleAcking) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
+	return doubleAcker{p.Protocol.NewServer(id, pl)}
+}
+
+// TestRoundContractCatchesDoubleAck: a write acknowledged twice answers
+// no open request the second time.
+func TestRoundContractCatchesDoubleAck(t *testing.T) {
+	wantBreach(t, holds(t, doubleAcking{cops.New()}, nil), "RoundContract", "answering no open request")
 }

@@ -5,13 +5,10 @@ import (
 	"maps"
 	"reflect"
 	"slices"
-	"testing"
 
-	"repro/internal/driver"
 	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // answer names the reply each request kind awaits; "values" is any
@@ -121,7 +118,7 @@ func (r *rounds) sent(out []sim.Outbound) {
 }
 
 func (r *rounds) fail(err error) {
-	if r.log != nil && *r.log == nil {
+	if *r.log == nil {
 		*r.log = err
 	}
 }
@@ -151,40 +148,4 @@ func unanswered(clients map[sim.ProcessID]*rounds) error {
 		}
 	}
 	return nil
-}
-
-// roundContract runs each of runs once at replication 1 and 2, with
-// every client's requests and replies held to the round contract:
-// each read is answered at most once, by the server it went to, for its
-// transaction, with its objects in order; each write, prepare and
-// commit is acknowledged at most once; no reply answers a request that
-// was never sent; and every reply arrives while its transaction is the
-// client's active one. A fault-free run must also answer every request
-// by its end, which makes each of those "exactly once".
-func roundContract(t *testing.T, p protocol.Protocol, e Expect, runs []sweepRun) {
-	srv, ops := e.size()
-	for _, r := range runs {
-		for _, repl := range []int{1, 2} {
-			var broken error
-			cfg := driver.Config{
-				Clients: 8, Txns: 96, Mix: workload.Balanced(), Seed: 11,
-				Servers: srv, ObjectsPerServer: ops, Replication: repl, Rate: r.rate,
-			}
-			if r.nem != nil {
-				nem := *r.nem
-				cfg.Nemesis = &nem
-			}
-			w := watching{Protocol: p, rounds: rounds{log: &broken, fat: !p.Claims().OneValue},
-				clients: map[sim.ProcessID]*rounds{}}
-			if _, err := driver.Run(w, cfg); err != nil {
-				t.Fatalf("%s run, replication %d: %v", r.mode, repl, err)
-			}
-			if broken == nil && r.nem == nil {
-				broken = unanswered(w.clients)
-			}
-			if broken != nil {
-				t.Errorf("%s run, replication %d: %v", r.mode, repl, broken)
-			}
-		}
-	}
 }

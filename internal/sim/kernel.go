@@ -81,12 +81,11 @@ type Kernel struct {
 	rng     *RNG
 	latency LatencyModel
 	trace   *Trace
-	// evSeq numbers trace events. It keeps advancing even when events are
-	// capped or discarded, so retained events carry their true positions.
+	// evSeq numbers trace events. It keeps advancing when recording is
+	// off, so Trace().Dropped counts the discarded events.
 	evSeq int64
-	// traceCap bounds the retained trace: 0 keeps everything (the proof
-	// machinery needs full traces), n > 0 keeps roughly the most recent n
-	// events, and a negative cap disables recording entirely (load mode).
+	// traceCap < 0 turns recording off (load mode); any other value
+	// records every event (the proof machinery needs full traces).
 	traceCap int
 	// keepPayloads controls the sent-payload registry below. Load-mode
 	// runs disable it so memory stays flat over millions of events.
@@ -142,16 +141,14 @@ func NewKernel(seed int64, lat LatencyModel) *Kernel {
 	}
 }
 
-// SetTraceCap bounds the retained execution trace. n == 0 restores the
-// default unbounded trace, n > 0 retains at least the most recent n events
-// (the buffer is compacted when it reaches 2n, so between n and 2n events
-// are resident), and n < 0 disables event recording entirely. Event
-// sequence numbers keep advancing regardless, and Trace().Dropped counts
-// the discarded events.
+// SetTraceCap turns event recording off (n < 0) or on (any other n, the
+// default): a recording kernel keeps every event. Event sequence numbers
+// keep advancing regardless, and Trace().Dropped counts the discarded
+// events.
 func (k *Kernel) SetTraceCap(n int) { k.traceCap = n }
 
-// Recording reports whether events are retained (the trace cap is not
-// negative): when they are not, an annotation's note is never read.
+// Recording reports whether events are retained: when they are not, an
+// annotation's note is never read.
 func (k *Kernel) Recording() bool { return k.traceCap >= 0 }
 
 // SetPayloadRetention toggles the sent-payload registry backing PayloadOf.
@@ -401,15 +398,16 @@ func (k *Kernel) StepProcess(pid ProcessID) []*Message {
 	k.inbox[s] = nil
 	k.now += StepCost
 
+	// The consumed refs are taken before Step: the process may keep
+	// neither the slice nor its envelopes, and a wrapper may rewrite both.
+	ev := Event{Kind: EvStep, Proc: pid}
+	for _, m := range in {
+		ev.Consumed = append(ev.Consumed, refOf(m))
+	}
 	outs := k.procs[s].Step(k.now, in)
 	sent := make([]*Message, 0, len(outs))
 	for _, o := range outs {
 		sent = append(sent, k.send(s, o, k.now))
-	}
-
-	ev := Event{Kind: EvStep, Proc: pid}
-	for _, m := range in {
-		ev.Consumed = append(ev.Consumed, refOf(m))
 	}
 	for _, m := range sent {
 		ev.Sent = append(ev.Sent, refOf(m))
@@ -487,11 +485,6 @@ func (k *Kernel) record(ev Event) {
 	k.evSeq++
 	ev.At = k.now
 	k.trace.Events = append(k.trace.Events, ev)
-	if k.traceCap > 0 && len(k.trace.Events) >= 2*k.traceCap {
-		drop := len(k.trace.Events) - k.traceCap
-		k.trace.Dropped += int64(drop)
-		k.trace.Events = append(k.trace.Events[:0:0], k.trace.Events[drop:]...)
-	}
 }
 
 func refOf(m *Message) MsgRef {

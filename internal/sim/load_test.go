@@ -63,28 +63,6 @@ func TestNetworkSchedulerDeterministic(t *testing.T) {
 	}
 }
 
-func TestTraceCapBoundsRetainedEvents(t *testing.T) {
-	k, a, _ := newPingPair(31, 50)
-	k.SetTraceCap(16)
-	Drain(k, 100_000)
-	if a.pongs != 50 {
-		t.Fatalf("pongs = %d, want 50", a.pongs)
-	}
-	tr := k.Trace()
-	if len(tr.Events) >= 32 {
-		t.Fatalf("retained %d events, cap 16 allows < 32", len(tr.Events))
-	}
-	if tr.Dropped == 0 {
-		t.Fatal("no events dropped despite cap")
-	}
-	// Sequence numbers keep advancing over drops: the last retained event
-	// carries its true position.
-	last := tr.Events[len(tr.Events)-1]
-	if last.Seq != tr.Dropped+int64(len(tr.Events))-1 {
-		t.Fatalf("last seq = %d, dropped = %d, retained = %d", last.Seq, tr.Dropped, len(tr.Events))
-	}
-}
-
 func TestTraceDisabledStillRuns(t *testing.T) {
 	k, a, _ := newPingPair(37, 25)
 	k.SetTraceCap(-1)

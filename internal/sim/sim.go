@@ -32,8 +32,8 @@
 //
 // Around the engine sit the seeded arrival processes for open-loop
 // injection (openloop.go), Kernel.AdvanceTo plus horizon gating for
-// bounded runs, and a load mode (SetTraceCap/SetPayloadRetention) that
-// keeps memory flat over millions of events.
+// bounded runs, and a load mode (recording and payload retention off)
+// that keeps memory flat over millions of events.
 package sim
 
 import "fmt"

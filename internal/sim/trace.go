@@ -76,12 +76,12 @@ func (e Event) String() string {
 	}
 }
 
-// Trace is an append-only execution log. Under a trace cap (load mode) it
-// retains only the most recent events; Dropped counts the discarded ones.
+// Trace is an append-only execution log. With recording off (load mode)
+// it retains no events; Dropped counts the discarded ones.
 type Trace struct {
 	Events []Event
-	// Dropped is the number of events discarded under a trace cap. The
-	// full history spans Dropped+len(Events) events.
+	// Dropped is the number of events discarded while recording was off.
+	// The full history spans Dropped+len(Events) events.
 	Dropped int64
 }
 
