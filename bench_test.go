@@ -119,40 +119,6 @@ func BenchmarkLimitsCorners(b *testing.B) {
 	}
 }
 
-// --- E7: latency and staleness ---
-
-func BenchmarkROTLatency(b *testing.B) {
-	for _, name := range []string{"copssnow", "wren", "contrarian", "spanner", "fatcops", "eiger"} {
-		b.Run(name, func(b *testing.B) {
-			var p50 int64
-			for i := 0; i < b.N; i++ {
-				rep, err := core.MeasureLatency(core.ByName(name), workload.ReadHeavy(), 30, int64(i)+1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				p50 = rep.ROT.P50
-			}
-			b.ReportMetric(float64(p50), "virtual-µs-p50")
-		})
-	}
-}
-
-func BenchmarkVisibilityStaleness(b *testing.B) {
-	for _, name := range []string{"copssnow", "wren", "cure"} {
-		b.Run(name, func(b *testing.B) {
-			var mean float64
-			for i := 0; i < b.N; i++ {
-				rep, err := core.MeasureLatency(core.ByName(name), workload.Balanced(), 30, int64(i)+1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mean = rep.Staleness.Mean
-			}
-			b.ReportMetric(mean, "virtual-µs-mean")
-		})
-	}
-}
-
 // --- E8: closed-loop concurrent throughput (the load harness) ---
 
 func BenchmarkClosedLoopThroughput(b *testing.B) {

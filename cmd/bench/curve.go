@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -107,7 +108,7 @@ func parseFloats(csv string) ([]float64, error) {
 	var out []float64
 	for _, f := range strings.Split(csv, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
 			return nil, fmt.Errorf("bad fraction %q", f)
 		}
 		out = append(out, v)

@@ -48,6 +48,17 @@ func TestWideKeyspaceGolden(t *testing.T) {
 	})
 }
 
+// TestLatencyTableGolden pins E7's latency table: every model on both
+// mixes at 2 servers and 2 clients, 60 transactions, seed 42. Its rows
+// carry ROT and write latency summaries, read rounds, throughput and the
+// incomplete count.
+func TestLatencyTableGolden(t *testing.T) {
+	checkGolden(t, []goldenRow{
+		{"-protocols all -mixes readheavy,balanced -servers 2 -clients 2 -txns 60 -seed 42",
+			"692177c75000490bd9867735ff6248a67aca91c665ac2314bd50fac20e18a98e"},
+	})
+}
+
 // TestFanOutGolden pins what the rows above leave out: the other six
 // models on both mixes, every multi-write model on a 16-server replicated
 // cell (s10..s15 sort before s2, so a request fanned out in any order but

@@ -559,6 +559,8 @@ func TestRunRefusals(t *testing.T) {
 		{"-nemesis meteor", "meteor"},
 		{"-curve -arrivals burst", "burst"},
 		{"-curve -curveclients x", "-curveclients"},
+		{"-curve -fractions NaN", "-fractions"},
+		{"-curve -fractions Inf", "-fractions"},
 		{"-barrier", "-barrier"},
 		{"-refineknee", "-refineknee"},
 	} {

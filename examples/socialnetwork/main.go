@@ -15,9 +15,11 @@ import (
 	"log"
 
 	"repro"
+	"repro/internal/driver"
 	"repro/internal/history"
 	"repro/internal/model"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -78,14 +80,21 @@ func main() {
 	}
 
 	// The cost of the W property: reads take 2 rounds instead of 1.
-	rep, err := repro.MeasureLatency("wren", repro.ReadHeavy(), 40, 5)
-	if err != nil {
-		log.Fatal(err)
+	readHeavy := func(name string) *driver.Report {
+		p, err := repro.Lookup(name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		rep, err := driver.Run(p, driver.Config{
+			Clients: 2, Txns: 40, Mix: workload.ReadHeavy(), Seed: 5,
+			Servers: 2, ObjectsPerServer: 2,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return rep
 	}
-	fast, err := repro.MeasureLatency("copssnow", repro.ReadHeavy(), 40, 5)
-	if err != nil {
-		log.Fatal(err)
-	}
+	rep, fast := readHeavy("wren"), readHeavy("copssnow")
 	fmt.Printf("\nread-heavy sweep: wren ROT p50 = %dµs (%.1f rounds) vs copssnow ROT p50 = %dµs (%.1f rounds)\n",
 		rep.ROT.P50, rep.ROTRounds, fast.ROT.P50, fast.ROTRounds)
 	fmt.Println("  — the extra round is Theorem 1's price for multi-object write transactions.")

@@ -67,23 +67,3 @@ func TestThroughputCertifyPastBatchCeiling(t *testing.T) {
 		t.Fatalf("batch cross-check ran past the ceiling (wall %v)", rep.CertBatchWall)
 	}
 }
-
-func TestMeasureLatencyOnDriver(t *testing.T) {
-	rep, err := MeasureLatency(ByName("copssnow"), workload.ReadHeavy(), 40, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Incomplete != 0 {
-		t.Fatalf("incomplete = %d", rep.Incomplete)
-	}
-	if rep.ROT.N == 0 || rep.ROT.P50 <= 0 {
-		t.Fatalf("no ROT latencies: %+v", rep.ROT)
-	}
-	// copssnow is the one-round system: exactly one read round per ROT.
-	if rep.ROTRounds != 1 {
-		t.Fatalf("copssnow rounds = %.2f, want 1", rep.ROTRounds)
-	}
-	if rep.Throughput <= 0 {
-		t.Fatalf("throughput missing from latency report: %+v", rep)
-	}
-}

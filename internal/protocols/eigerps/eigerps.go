@@ -11,8 +11,11 @@
 // complete immediately; the servers then exchange synchronization tokens
 // forever without ever making the versions visible (visibility would need
 // the excluded out-of-band channel). Read-only transactions are genuinely
-// fast — one round, one value, non-blocking — and always causally
-// consistent, because they only ever see the initial values.
+// fast — one round, one value, non-blocking — and only ever see the
+// initial values. That is causally consistent for every client but the
+// writer: a client that reads back an object it wrote sees the initial
+// value, and the causal checker, whose definition includes a client's own
+// writes, refuses the history.
 //
 // The theorem adversary's verdict is exactly the paper's criticism: the
 // protocol violates minimal progress (Definition 3) — its troublesome

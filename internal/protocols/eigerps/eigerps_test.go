@@ -3,10 +3,12 @@ package eigerps_test
 import (
 	"testing"
 
+	"repro/internal/history"
 	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/protocols/eigerps"
 	"repro/internal/protocols/ptest"
+	"repro/internal/sim"
 	"repro/internal/spec"
 )
 
@@ -58,16 +60,32 @@ func TestMeasuredFastDespiteWrites(t *testing.T) {
 	}
 }
 
+// TestHistoryStaysCausalBecauseReadsAreStale: readers only ever see the
+// initial values. For another client that is causally consistent — the
+// paper's point about these designs: they are "consistent" only because
+// reads can be indefinitely stale. The writer itself is not spared: a
+// client that reads the initial value back after its own write breaks
+// causal consistency, which includes a client's own writes.
 func TestHistoryStaysCausalBecauseReadsAreStale(t *testing.T) {
-	// Readers only ever see the initial values, which is trivially
-	// causally consistent — the paper's point about these designs: they
-	// are "consistent" only because reads can be indefinitely stale.
-	d := ptest.Deploy(t, eigerps.New(), ptest.Expect{}, 167)
-	d.RunTxn("c0", model.NewWriteOnly(model.TxnID{},
-		model.Write{Object: "X0", Value: "s0v"}, model.Write{Object: "X1", Value: "s1v"}), 200_000)
-	r := d.RunTxn("c1", model.NewReadOnly(model.TxnID{}, "X0", "X1"), 200_000)
-	if r.Value("X0") != protocol.InitialValue("X0") || r.Value("X1") != protocol.InitialValue("X1") {
-		t.Fatalf("reader saw non-initial values: %v", r.Values)
+	for _, tc := range []struct {
+		reader sim.ProcessID
+		causal bool
+	}{
+		{"c1", true},
+		{"c0", false},
+	} {
+		d := ptest.Deploy(t, eigerps.New(), ptest.Expect{}, 167)
+		h := history.New(d.Initials())
+		h.AddResult(d.RunTxn("c0", model.NewWriteOnly(model.TxnID{},
+			model.Write{Object: "X0", Value: "s0v"}, model.Write{Object: "X1", Value: "s1v"}), 200_000))
+		r := d.RunTxn(tc.reader, model.NewReadOnly(model.TxnID{}, "X0", "X1"), 200_000)
+		if r.Value("X0") != protocol.InitialValue("X0") || r.Value("X1") != protocol.InitialValue("X1") {
+			t.Fatalf("%s saw non-initial values: %v", tc.reader, r.Values)
+		}
+		h.AddResult(r)
+		if v := history.Check(h, "causal"); v.OK != tc.causal {
+			t.Errorf("%s reads after c0's write: causal %v, want %v (%s)", tc.reader, v.OK, tc.causal, v.Reason)
+		}
 	}
 }
 

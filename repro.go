@@ -12,7 +12,6 @@
 //   - RunTheorem: run the mechanical adversary of Theorems 1 and 2 against
 //     any protocol — it either names the property the protocol sacrifices
 //     or constructs a causal-consistency-violating execution;
-//   - MeasureLatency: the latency/staleness experiment;
 //   - Deploy: build a simulated deployment for custom experiments.
 //
 // See DESIGN.md for the layer architecture and system inventory and
@@ -25,7 +24,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/protocol"
-	"repro/internal/workload"
 )
 
 // Protocol is a modeled storage system.
@@ -42,12 +40,6 @@ type Verdict = adversary.Verdict
 
 // Row is a measured Table 1 row.
 type Row = core.Row
-
-// LatencyReport is the outcome of a latency experiment.
-type LatencyReport = core.LatencyReport
-
-// Mix describes a workload.
-type Mix = workload.Mix
 
 // Lookup returns the protocol with the given name.
 func Lookup(name string) (Protocol, error) {
@@ -104,15 +96,3 @@ func RunTheoremPartial(name string, servers int) (*Verdict, error) {
 	}
 	return a.Run()
 }
-
-// MeasureLatency runs the latency experiment for one protocol.
-func MeasureLatency(name string, mix Mix, txns int, seed int64) (LatencyReport, error) {
-	p, err := Lookup(name)
-	if err != nil {
-		return LatencyReport{}, err
-	}
-	return core.MeasureLatency(p, mix, txns, seed)
-}
-
-// ReadHeavy is the canonical 95/5 workload mix.
-func ReadHeavy() Mix { return workload.ReadHeavy() }

@@ -43,22 +43,12 @@ func TestFacadeTheorem(t *testing.T) {
 	}
 }
 
-func TestFacadeCharacterizeAndLatency(t *testing.T) {
+func TestFacadeCharacterize(t *testing.T) {
 	row, err := Characterize("wren", []int64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if row.Verdict.Sacrifices != "O" {
 		t.Fatalf("wren sacrifices %q", row.Verdict.Sacrifices)
-	}
-	rep, err := MeasureLatency("copssnow", ReadHeavy(), 20, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ROT.N == 0 || rep.Incomplete != 0 {
-		t.Fatalf("latency report = %+v", rep)
-	}
-	if rep.ROTRounds != 1 {
-		t.Fatalf("copssnow rounds = %f", rep.ROTRounds)
 	}
 }
