@@ -233,7 +233,6 @@ func TestThroughputStaleness(t *testing.T) {
 // replicated fault-free cell the probe is a measurement, not a constant:
 // some sampled writes are visible, some not (every one read stale while
 // probes ran against the end-of-run state), identically at any Workers.
-// With one client the hits are visibility lag alone: cure's, not cops'.
 func TestStalenessProbes(t *testing.T) {
 	cfg := Config{
 		Clients: 8, Txns: 200, Mix: workload.Balanced(), Seed: 5,
@@ -313,24 +312,6 @@ func TestStalenessProbes(t *testing.T) {
 			} else if st != at1 {
 				t.Fatalf("%s: tallies differ across Workers: %+v at 1, %+v at %d", p.Name(), at1, st, workers)
 			}
-		}
-	}
-
-	// One client, so no concurrent writer overwrites a probed value: every
-	// stale hit is visibility lag. cure's cross-server writes wait for
-	// stabilization traffic between the shards; cops' are visible the
-	// moment they commit.
-	for _, p := range []protocol.Protocol{cops.New(), cure.New()} {
-		rep, err := Run(p, Config{
-			Clients: 1, Txns: 2000, Mix: workload.Balanced(), Seed: 42,
-			Servers: 2, ProbeStaleness: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := *rep.Staleness
-		if st.Probes == 0 || st.Incomplete != 0 || (st.Stale > 0) != (p.Name() == "cure") {
-			t.Errorf("%s, one client: %d of %d probes stale, %d incomplete", p.Name(), st.Stale, st.Probes, st.Incomplete)
 		}
 	}
 }
