@@ -44,7 +44,7 @@ func TestWideKeyspaceGolden(t *testing.T) {
 		{"-protocols spanner,cure,wren,eiger,ramp,twopcfast,gentlerain,contrarian" + cell,
 			"5f09427736e17688dbed210a170677f2de71cc1603ccbdf139673cb2359bcc2e"},
 		{"-nemesis crash+partition -stale -protocols cops,spanner" + cell,
-			"f79846e30000226c97c6afa5072d3283cd8580ef96b2b513e0b5f2ddedff1544"},
+			"1eedee6b3bb1a5731e920608eb197c39e7b39ad8b693d78618596dff78d7b9f6"},
 	})
 }
 
@@ -90,7 +90,7 @@ func TestDrainOrderGolden(t *testing.T) {
 		{"-certify -pipeline 4 -protocols cops,spanner,naivefast" + cell,
 			"db118ddd690c7fd64d53ae2f5476b631d3545fae41101b3be88b1213225c3b92"},
 		{"-stale -nemesis crash+partition -protocols cops,cure,spanner" + cell,
-			"a758fd25ffa97a6abcdcf6e4d2bc70116e1500473b390e6674873c6fee7a6269"},
+			"fbc63a5e8597d93f3582a1431a4d3304f786a3936bc7b718549685fcf73b8d01"},
 	})
 }
 

@@ -563,6 +563,7 @@ func TestRunRefusals(t *testing.T) {
 		{"-curve -fractions Inf", "-fractions"},
 		{"-barrier", "-barrier"},
 		{"-refineknee", "-refineknee"},
+		{"-rebalance", "-rebalance"},
 	} {
 		var stdout, stderr bytes.Buffer
 		err := run(strings.Fields(tc.line), &stdout, &stderr)

@@ -80,9 +80,9 @@ func TestDrainSequencePins(t *testing.T) {
 		{"4srv-p1-faults", 4, 1, faults, false, [4]string{"59e9bbae616b54f9", "b30e1715444f99fb", "2a152f5c396bc0a0", "6a3f43d5c123f2c3"}},
 		{"4srv-p4-faults", 4, 4, faults, false, [4]string{"59e9bbae616b54f9", "b30e1715444f99fb", "2a152f5c396bc0a0", "6a3f43d5c123f2c3"}},
 		{"8srv-p4-faults", 8, 4, faults, false, [4]string{"703c89db20a2f2d0", "d62d05d204c6bb58", "a44e9153ae786c2c", "67da8f7ea528f537"}},
-		{"4srv-p1-stale", 4, 1, nil, true, [4]string{"38e0de44a65d209b", "a9e1a6b700dcaddb", "d944ba3441577c9f", "bbfc7a75c0a52092"}},
-		{"4srv-p4-stale-faults", 4, 4, faults, true, [4]string{"25e94c4e1a27ebc5", "b5f079c0ded05ba3", "087d0c1d00233c66", "6008c8b4254976f5"}},
-		{"8srv-p1-stale-faults", 8, 1, faults, true, [4]string{"c5b6d4b58095aa1c", "c7ff1a04f53d73b4", "aac6bc15d6d8aa82", "67752d7f28b51ec2"}},
+		{"4srv-p1-stale", 4, 1, nil, true, [4]string{"38e0de44a65d209b", "a755aa51c28c187a", "d944ba3441577c9f", "bbfc7a75c0a52092"}},
+		{"4srv-p4-stale-faults", 4, 4, faults, true, [4]string{"25e94c4e1a27ebc5", "42e19514e46eed0f", "087d0c1d00233c66", "6008c8b4254976f5"}},
+		{"8srv-p1-stale-faults", 8, 1, faults, true, [4]string{"c5b6d4b58095aa1c", "66a04c32db89ef30", "aac6bc15d6d8aa82", "67752d7f28b51ec2"}},
 	}
 	pin := func(cell string, pi int, cfg Config, want string) {
 		t.Helper()
@@ -128,9 +128,9 @@ func TestDrainSequencePins(t *testing.T) {
 		want [4]string
 	}{
 		{"4srv-p4-stale-2site", func(c *Config) { c.Servers, c.Pipeline, c.ProbeStaleness, c.Topology = 4, 4, true, twoSite },
-			[4]string{"5ac8ab04da83f864", "7dd2bf0bfba73926", "cf1d1ccd44156652", "03b15c0d4ce9b192"}},
+			[4]string{"5ac8ab04da83f864", "228e48056bd6e34c", "cf1d1ccd44156652", "03b15c0d4ce9b192"}},
 		{"4srv-stale-open", func(c *Config) { c.Servers, c.Rate, c.ProbeStaleness = 4, 3000, true },
-			[4]string{"79847400a464b63d", "c66bd9cf26a629e6", "d02f793c24fc1244", "28be4dde2c3a1021"}},
+			[4]string{"79847400a464b63d", "8a8be3e485f8a463", "d02f793c24fc1244", "28be4dde2c3a1021"}},
 	}
 	for _, s := range shapes {
 		for pi := range protos {

@@ -567,7 +567,7 @@ func (r *run) probeStaleness(res *model.Result) {
 	if vis.Incomplete {
 		r.stale.Incomplete++
 	}
-	if !vis.Visible {
+	if vis.Counterexample != nil {
 		r.stale.Stale++
 	}
 	if r.nem != nil && r.nem.overlaps(res.Invoked, res.Completed) {
@@ -577,7 +577,7 @@ func (r *run) probeStaleness(res *model.Result) {
 		if vis.Incomplete {
 			r.stale.FaultedIncomplete++
 		}
-		if !vis.Visible {
+		if vis.Counterexample != nil {
 			r.stale.FaultedStale++
 		}
 	}
