@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -24,7 +23,6 @@ import (
 	"repro/internal/protocols/spanner"
 	"repro/internal/protocols/twopcfast"
 	"repro/internal/protocols/wren"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -35,11 +33,9 @@ type cost struct{ events, mallocs, bytes, retainedKB float64 }
 // hostCosts is the ledger, as measured: a count off its entry by more than
 // ledgerSlack fails, so every gain or loss shows in the diff that makes it.
 var hostCosts = map[string]cost{
-	"echo":       {128064, 0.769, 18.7, 75},
 	"reads/cops": {164924, 1.418, 97.5, 571}, "reads/cure": {275734, 1.226, 80.7, 746}, "reads/spanner": {209550, 1.185, 76.7, 614},
 	"reads/gentlerain": {520864, 0.789, 42.3, 468}, "reads/ramp": {176484, 1.418, 96.5, 716},
-	"keyspace/cops/2": {134640, 1.634, 125.5, 4068}, "writes/cops": {131176, 1.924, 169.8, 8659},
-	"writes/cure": {422676, 1.249, 80.4, 6327}, "writes/spanner": {260855, 1.363, 92.8, 5506},
+	"writes/cops": {131176, 1.924, 169.8, 8659}, "writes/cure": {422676, 1.249, 80.4, 6327}, "writes/spanner": {260855, 1.363, 92.8, 5506},
 	"linear/contrarian/2k": {20124, 1.273, 88.4, 279}, "linear/contrarian/8k": {81220, 1.232, 86.7, 977},
 	"linear/cops/2k": {13076, 1.750, 129.1, 438}, "linear/cops/8k": {52524, 1.684, 126.7, 1598},
 	"linear/copssnow/2k": {24624, 3.252, 639.9, 4150}, "linear/copssnow/8k": {99472, 3.312, 692.5, 18127},
@@ -67,34 +63,45 @@ const ledgerSlack, knownGap = 0.03, "copssnow64/8k"
 // +29% bytes/event, eigerps +22%), so there only events and bounds hold.
 var raced = strings.Contains(fmt.Sprint(debug.ReadBuildInfo()), "-race=true")
 
-// ledgerCell is one ledger row (a nil p: the echo cell). gate bounds its
-// mallocs per event; over its base, ratio its bytes/event, perTxn its B/txn.
+// ledgerCell is one ledger row. gate bounds its mallocs per event; ratio,
+// its bytes/event over those of its base row.
 type ledgerCell struct {
-	name, base          string
-	p                   protocol.Protocol
-	cfg                 Config
-	gate, ratio, perTxn float64
+	name, base  string
+	p           protocol.Protocol
+	cfg         Config
+	gate, ratio float64
 }
 
-// TestHostCostLedger holds every ledger cell to its entry and bounds: the
-// engine alone; the paper's cells read-heavy and balanced over 64 objects
-// per server; cops at 2 objects per server, which writes/cops may exceed by
-// 336 B/txn (a write copying the whole causal context measured +2 425 B);
-// every model at 2k and 8k txns, where state growing with every txn shows
-// as bytes/event growing past 1.3×; copssnow at the benchmark's 64 clients.
-func TestHostCostLedger(t *testing.T) {
+// TestLoadAllocsPerEvent holds the load path on the cells the paper is
+// about to their ledger entries and mallocs/event bounds: cops, cure and
+// spanner read-heavy, where nearly every transaction is a two-object ROT
+// (gentlerain and ramp join for their folds of the ROT's replies), and
+// balanced over a 64-object shard, where half are writes through prepare
+// and commit (cure, spanner) or single-object writes (cops). A step that
+// allocates its own send slice, result map or reply map again, a write
+// that copies its vectors per message, or an engine that allocates every
+// message envelope again, lands above the bound.
+func TestLoadAllocsPerEvent(t *testing.T) {
 	reads := Config{Clients: 64, Txns: 20_000, Mix: workload.ReadHeavy(), Seed: 42, Servers: 8}
 	writes := Config{Clients: 64, Txns: 20_000, Mix: workload.Balanced(), Seed: 42, Servers: 8, ObjectsPerServer: 64}
-	narrow := Config{Clients: 64, Txns: 20_000, Mix: workload.Balanced(), Seed: 42, Servers: 8, ObjectsPerServer: 2}
-	cells := []ledgerCell{{name: "echo", gate: 0.80}}
+	var cells []ledgerCell
 	for _, p := range []protocol.Protocol{cops.New(), cure.New(), spanner.New(), gentlerain.New(), ramp.New()} {
 		cells = append(cells, ledgerCell{name: "reads/" + p.Name(), p: p, cfg: reads, gate: 1.5})
 	}
-	cells = append(cells,
-		ledgerCell{name: "keyspace/cops/2", p: cops.New(), cfg: narrow},
-		ledgerCell{name: "writes/cops", base: "keyspace/cops/2", p: cops.New(), cfg: writes, gate: 2.0, perTxn: 336},
-		ledgerCell{name: "writes/cure", p: cure.New(), cfg: writes, gate: 2.0},
-		ledgerCell{name: "writes/spanner", p: spanner.New(), cfg: writes, gate: 2.0})
+	for _, p := range []protocol.Protocol{cops.New(), cure.New(), spanner.New()} {
+		cells = append(cells, ledgerCell{name: "writes/" + p.Name(), p: p, cfg: writes, gate: 2.0})
+	}
+	checkLedger(t, cells)
+}
+
+// TestHostCostLinearInRun holds every model at 2k and 8k txns to its
+// ledger entries, and bytes/event at 8k to 1.3× those at 2k: a model whose
+// state grows with every txn it has served (copssnow once kept every ROT's
+// reader record and copied all of them into each write) allocates more per
+// event the longer it runs. copssnow at the benchmark's 64 clients is
+// pinned too; its growth is the known gap.
+func TestHostCostLinearInRun(t *testing.T) {
+	var cells []ledgerCell
 	pair := func(name string, p protocol.Protocol, cfg Config) {
 		short, long := cfg, cfg
 		short.Txns, long.Txns = 2_000, 8_000
@@ -108,6 +115,12 @@ func TestHostCostLedger(t *testing.T) {
 		pair("linear/"+p.Name(), p, Config{Clients: 16, Mix: workload.Balanced(), Seed: 42, Servers: 4})
 	}
 	pair("copssnow64", copssnow.New(), Config{Clients: 64, Mix: workload.Balanced(), Seed: 42, Servers: 8})
+	checkLedger(t, cells)
+}
+
+// checkLedger measures each cell and holds it to its hostCosts entry and
+// its bounds.
+func checkLedger(t *testing.T, cells []ledgerCell) {
 	got := map[string]cost{}
 	for _, c := range cells {
 		g := c.measure(t)
@@ -128,116 +141,36 @@ func TestHostCostLedger(t *testing.T) {
 		if c.gate > 0 && g.mallocs > c.gate {
 			t.Errorf("%s: %.3f mallocs/event, bound %.2f", c.name, g.mallocs, c.gate)
 		}
-		b, ok := got[c.base]
-		perTxn := func(x cost) float64 { return x.bytes * x.events / float64(c.cfg.Txns) }
-		switch {
-		case !ok:
-		case c.perTxn > 0 && perTxn(g)-perTxn(b) > c.perTxn:
-			t.Errorf("%s: %.0f B/txn more than %s, bound %.0f B", c.name, perTxn(g)-perTxn(b), c.base, c.perTxn)
-		case c.ratio > 0 && g.bytes > c.ratio*b.bytes && c.name != knownGap:
+		if b, ok := got[c.base]; ok && g.bytes > c.ratio*b.bytes && c.name != knownGap {
 			t.Errorf("%s: %.0f bytes/event, %.2f× %s's; bound %.1f×", c.name, g.bytes, g.bytes/b.bytes, c.base, c.ratio)
 		}
 	}
 }
 
-// measure runs the cell, counting allocation around deploy and RunOn (echo:
-// its runner's Run). Two GCs first empty the sync.Pool caches; retained is
-// then the live heap with the deployment held less that once it is dropped.
+// measure runs the cell, counting allocation around deploy and RunOn. Two
+// GCs first empty the sync.Pool caches; retained is then the live heap with
+// the deployment held less that once it is dropped.
 func (c ledgerCell) measure(t *testing.T) cost {
 	var before, after, held, freed runtime.MemStats
-	var events int
-	var keep any
 	runtime.GC()
 	runtime.GC()
-	if c.p == nil {
-		r := echoCell(t)
-		runtime.ReadMemStats(&before)
-		events, keep = r.Run(nil, 100_000_000), r
-		runtime.ReadMemStats(&after)
-	} else {
-		c.cfg.defaults()
-		runtime.ReadMemStats(&before)
-		d, err := deploy(c.p, c.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		rep, err := RunOn(d, c.cfg)
-		runtime.ReadMemStats(&after)
-		if err != nil || rep.Incomplete != 0 {
-			t.Fatalf("%s: %v, report %v", c.name, err, rep)
-		}
-		events, keep = rep.Events, d
+	c.cfg.defaults()
+	runtime.ReadMemStats(&before)
+	d, err := deploy(c.p, c.cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	rep, err := RunOn(d, c.cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil || rep.Incomplete != 0 {
+		t.Fatalf("%s: %v, report %v", c.name, err, rep)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&held)
-	runtime.KeepAlive(keep)
+	runtime.KeepAlive(d)
 	runtime.GC()
 	runtime.ReadMemStats(&freed)
-	n := float64(events)
+	n := float64(rep.Events)
 	return cost{n, float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n,
 		float64(held.HeapAlloc-freed.HeapAlloc) / 1024}
-}
-
-// echoCell is the engine with no protocol work: 8 servers, one shard
-// each, and 64 closed-loop clients striped over them, 500 requests each.
-// Per request (four events) the processes allocate a payload and two
-// Outbound slices; the engine adds nothing.
-func echoCell(t *testing.T) *sim.ShardedRunner {
-	const servers, clients, requests = 8, 64, 500
-	k := sim.NewKernel(42, nil)
-	k.SetLatencyFloor(500)
-	k.SetTraceCap(-1)
-	k.SetPayloadRetention(false)
-	sids := make([]sim.ProcessID, servers)
-	for i := range sids {
-		sids[i] = sim.ProcessID(fmt.Sprint("s", i))
-		k.Add(&echoServer{id: sids[i]})
-	}
-	for i := 0; i < clients; i++ {
-		k.Add(&echoClient{id: sim.ProcessID(fmt.Sprint("c", i)), servers: sids, left: requests})
-	}
-	shardOf := func(p sim.ProcessID) int { n, _ := strconv.Atoi(string(p[1:])); return n % servers }
-	r, err := sim.NewLookaheadRunner(k, shardOf, servers, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
-type echoPayload struct{ n int }
-
-func (p *echoPayload) Kind() string { return "echo" }
-
-// echoServer answers every message with the same payload.
-type echoServer struct{ id sim.ProcessID }
-
-func (s *echoServer) ID() sim.ProcessID  { return s.id }
-func (s *echoServer) Ready() bool        { return false }
-func (s *echoServer) Clone() sim.Process { c := *s; return &c }
-func (s *echoServer) Step(_ sim.Time, inbox []*sim.Message) []sim.Outbound {
-	out := make([]sim.Outbound, 0, len(inbox))
-	for _, m := range inbox {
-		out = append(out, sim.Outbound{To: m.From, Payload: m.Payload})
-	}
-	return out
-}
-
-// echoClient keeps one request outstanding, servers visited round-robin.
-type echoClient struct {
-	id      sim.ProcessID
-	servers []sim.ProcessID
-	left    int
-	started bool
-}
-
-func (c *echoClient) ID() sim.ProcessID  { return c.id }
-func (c *echoClient) Ready() bool        { return !c.started && c.left > 0 }
-func (c *echoClient) Clone() sim.Process { d := *c; return &d }
-func (c *echoClient) Step(_ sim.Time, inbox []*sim.Message) []sim.Outbound {
-	if c.started && len(inbox) == 0 || c.left == 0 {
-		return nil
-	}
-	c.started = true
-	c.left--
-	return []sim.Outbound{{To: c.servers[c.left%len(c.servers)], Payload: &echoPayload{n: c.left}}}
 }
