@@ -229,9 +229,10 @@ func certCells(r *certCols, rep *driver.Report) {
 
 // staleCols is the staleness-probe column set (present with -stale
 // only). stale_probes counts sampled committed writes, stale_hits the
-// probes whose write was not yet fully visible to the frozen reserved
-// reader, stale_incomplete the probes whose read could not even finish
-// on the frozen schedule. Probes run on kernel snapshots between events,
+// probes whose finished read on the frozen reserved reader returned a
+// value other than the one written, stale_incomplete the probes whose
+// read could not finish on the frozen schedule; such a probe is not a
+// hit. Probes run on kernel snapshots between events,
 // so unlike the cert wall-clocks all three tallies are deterministic and
 // byte-diffable.
 type staleCols struct {

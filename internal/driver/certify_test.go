@@ -282,6 +282,15 @@ func TestStalenessProbes(t *testing.T) {
 		diffLines(t, "probed vs plain", reportFingerprint(t, plain), reportFingerprint(t, probed))
 	}
 
+	// And the tallies themselves are deterministic.
+	rep3, err := Run(cops.New(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *rep3.Staleness != *st {
+		t.Fatalf("staleness tallies nondeterministic: %+v vs %+v", st, rep3.Staleness)
+	}
+
 	// Replicated, fault-free: a measurement, the same at every Workers.
 	for _, p := range []protocol.Protocol{cops.New(), cure.New()} {
 		var at1 StalenessReport

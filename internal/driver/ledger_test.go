@@ -54,17 +54,14 @@ var hostCosts = map[string]cost{
 }
 
 // ledgerSlack is the drift a count may show before its entry must change.
-// knownGap is the one cell exempt from the linear bound: copssnow at 64
-// clients allocates and holds more per event the longer it runs (ROADMAP,
-// Known gaps).
-const ledgerSlack, knownGap = 0.03, "copssnow64/8k"
+const ledgerSlack = 0.03
 
 // raced is a -race build. Its instrumentation allocates more (fatcops
 // +29% bytes/event, eigerps +22%), so there only events and bounds hold.
 var raced = strings.Contains(fmt.Sprint(debug.ReadBuildInfo()), "-race=true")
 
 // ledgerCell is one ledger row. gate bounds its mallocs per event; ratio,
-// its bytes/event over those of its base row.
+// if set, its bytes/event over those of its base row.
 type ledgerCell struct {
 	name, base  string
 	p           protocol.Protocol
@@ -102,19 +99,20 @@ func TestLoadAllocsPerEvent(t *testing.T) {
 // pinned too; its growth is the known gap.
 func TestHostCostLinearInRun(t *testing.T) {
 	var cells []ledgerCell
-	pair := func(name string, p protocol.Protocol, cfg Config) {
+	pair := func(name string, p protocol.Protocol, cfg Config, ratio float64) {
 		short, long := cfg, cfg
 		short.Txns, long.Txns = 2_000, 8_000
 		cells = append(cells, ledgerCell{name: name + "/2k", p: p, cfg: short},
-			ledgerCell{name: name + "/8k", base: name + "/2k", p: p, cfg: long, ratio: 1.3})
+			ledgerCell{name: name + "/8k", base: name + "/2k", p: p, cfg: long, ratio: ratio})
 	}
 	for _, p := range []protocol.Protocol{
 		contrarian.New(), cops.New(), copssnow.New(), cure.New(), eiger.New(), eigerps.New(), fatcops.New(),
 		gentlerain.New(), naivefast.New(), orbe.New(), ramp.New(), spanner.New(), twopcfast.New(), wren.New(),
 	} {
-		pair("linear/"+p.Name(), p, Config{Clients: 16, Mix: workload.Balanced(), Seed: 42, Servers: 4})
+		pair("linear/"+p.Name(), p, Config{Clients: 16, Mix: workload.Balanced(), Seed: 42, Servers: 4}, 1.3)
 	}
-	pair("copssnow64", copssnow.New(), Config{Clients: 64, Mix: workload.Balanced(), Seed: 42, Servers: 8})
+	// The known gap (ROADMAP, Known gaps): pinned, but under no ratio bound.
+	pair("copssnow64", copssnow.New(), Config{Clients: 64, Mix: workload.Balanced(), Seed: 42, Servers: 8}, 0)
 	checkLedger(t, cells)
 }
 
@@ -141,7 +139,7 @@ func checkLedger(t *testing.T, cells []ledgerCell) {
 		if c.gate > 0 && g.mallocs > c.gate {
 			t.Errorf("%s: %.3f mallocs/event, bound %.2f", c.name, g.mallocs, c.gate)
 		}
-		if b, ok := got[c.base]; ok && g.bytes > c.ratio*b.bytes && c.name != knownGap {
+		if b := got[c.base]; c.ratio > 0 && g.bytes > c.ratio*b.bytes {
 			t.Errorf("%s: %.0f bytes/event, %.2f× %s's; bound %.1f×", c.name, g.bytes, g.bytes/b.bytes, c.base, c.ratio)
 		}
 	}
