@@ -119,6 +119,49 @@ func transpose64(a *[64]uint64) {
 	}
 }
 
+// orTransposed takes the rows w<<6+j of src for each bit j of mask,
+// transposes their word v as one 64×64 block and ORs it into dst: bit k
+// of src[w<<6+j][v] becomes bit j of dst[v<<6+k][w].
+func orTransposed(dst, src []bitset, w, v int, mask uint64) {
+	var block [64]uint64
+	var any uint64
+	for m := mask; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		block[j] = src[w<<6+j][v]
+		any |= block[j]
+	}
+	if any == 0 {
+		return
+	}
+	transpose64(&block)
+	for k, row := range block {
+		if row != 0 {
+			dst[v<<6+k][w] |= row
+		}
+	}
+}
+
+// transposed returns the transpose of the n×n bit matrix rows (row j
+// holds bit k exactly when the result's row k holds bit j), 64×64 blocks
+// at a time.
+func transposed(rows []bitset) []bitset {
+	n := len(rows)
+	out := make([]bitset, n)
+	for i := range out {
+		out[i] = newBitset(n)
+	}
+	for w := 0; w<<6 < n; w++ {
+		mask := ^uint64(0)
+		if rest := n - w<<6; rest < 64 {
+			mask = 1<<uint(rest) - 1
+		}
+		for v := 0; v<<6 < n; v++ {
+			orTransposed(out, rows, w, v, mask)
+		}
+	}
+	return out
+}
+
 // clone returns an independent copy.
 func (b bitset) clone() bitset {
 	out := make(bitset, len(b))

@@ -2,6 +2,7 @@ package history
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/model"
 )
@@ -137,47 +138,51 @@ func build(h *History, realTime bool) (*graph, *Verdict) {
 	}
 
 	if realTime {
-		for i, a := range g.txns {
-			if a.Completed < 0 {
-				continue
+		// a precedes b when a completed strictly before b was invoked:
+		// walk the txns by invocation, each OR-ing in the running set of
+		// those completed before it.
+		done := newBitset(n)
+		byDone := make([]int, 0, n)
+		byInv := make([]int, n)
+		for i, t := range g.txns {
+			byInv[i] = i
+			if t.Completed >= 0 {
+				byDone = append(byDone, i)
 			}
-			for j, b := range g.txns {
-				if i != j && a.Completed < b.Invoked {
-					g.preds[j].set(i)
-				}
+		}
+		sort.Slice(byDone, func(x, y int) bool { return g.txns[byDone[x]].Completed < g.txns[byDone[y]].Completed })
+		sort.Slice(byInv, func(x, y int) bool { return g.txns[byInv[x]].Invoked < g.txns[byInv[y]].Invoked })
+		k := 0
+		for _, j := range byInv {
+			for ; k < len(byDone) && g.txns[byDone[k]].Completed < g.txns[j].Invoked; k++ {
+				done.set(byDone[k])
 			}
+			g.preds[j].or(done)
+			g.preds[j].clear(j) // no self-edge, even if j completed before it was invoked
 		}
 	}
 	return g, nil
 }
 
 // acyclic checks the (transitive) predecessor relation for cycles via
-// Kahn's algorithm and returns a topological order when acyclic.
+// Kahn's algorithm over the successor rows (FIFO frontier, successors
+// ascending) and returns a topological order when acyclic.
 func (g *graph) acyclic() ([]int, bool) {
 	n := len(g.txns)
+	succ := transposed(g.preds)
 	indeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		indeg[i] = g.preds[i].count()
-	}
-	var order []int
-	var frontier []int
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			frontier = append(frontier, i)
+	order := make([]int, 0, n)
+	for i := range indeg {
+		if indeg[i] = g.preds[i].count(); indeg[i] == 0 {
+			order = append(order, i)
 		}
 	}
-	for len(frontier) > 0 {
-		v := frontier[0]
-		frontier = frontier[1:]
-		order = append(order, v)
-		for j := 0; j < n; j++ {
-			if g.preds[j].has(v) {
-				indeg[j]--
-				if indeg[j] == 0 {
-					frontier = append(frontier, j)
-				}
+	for k := 0; k < len(order); k++ {
+		succ[order[k]].forEach(func(j int) {
+			if indeg[j]--; indeg[j] == 0 {
+				order = append(order, j)
 			}
-		}
+		})
 	}
 	return order, len(order) == n
 }

@@ -126,6 +126,50 @@ func TestStrictSerializableRejectsStaleRead(t *testing.T) {
 	}
 }
 
+// TestRealTimeLitmus pins two assumptions of the real-time order that
+// strict serializability adds: a precedes b only when a completed
+// strictly before b was invoked, so a tie (a.Completed == b.Invoked)
+// leaves them unordered, and a record that never completed (Completed <
+// 0) precedes nothing. In each history the reader r, invoked after the
+// writer w, reads the initial value, so only "r before w" is legal: the
+// history is accepted exactly when real time does not order w before r.
+// Session, batch solver and exhaustive oracle must all agree.
+func TestRealTimeLitmus(t *testing.T) {
+	mk := func(wDone, rInvoked int64) *History {
+		h := New(map[string]model.Value{"X": "x0"})
+		w := rec("w", 1, nil, model.Write{Object: "X", Value: "x1"})
+		w.Invoked, w.Completed = 0, wDone
+		r := rec("r", 1, map[string]model.Value{"X": "x0"})
+		r.Invoked, r.Completed = rInvoked, rInvoked+5
+		h.Add(w)
+		h.Add(r)
+		return h
+	}
+	for _, tc := range []struct {
+		name         string
+		wDone, rInv  int64
+		wantAccepted bool
+	}{
+		{"tie leaves them unordered", 10, 10, true},
+		{"completed one tick earlier orders them", 10, 11, false},
+		{"incomplete record adds no edge", -1, 100, true},
+	} {
+		h := mk(tc.wDone, tc.rInv)
+		for name, ok := range map[string]bool{
+			"Check":      Check(h, "strict-serializable").OK,
+			"CheckBatch": CheckBatch(h, "strict-serializable").OK,
+			"exhaustive": checkExhaustive(h, "strict-serializable").OK,
+		} {
+			if ok != tc.wantAccepted {
+				t.Errorf("%s: %s accepted=%v, want %v", tc.name, name, ok, tc.wantAccepted)
+			}
+		}
+		if v := CheckBatch(h, "strict-serializable"); v.OK && (len(v.Witness) != 2 || v.Witness[0].Client != "r") {
+			t.Errorf("%s: witness %v does not put the reader first", tc.name, v.Witness)
+		}
+	}
+}
+
 func TestReadAtomicFracturedRead(t *testing.T) {
 	mk := func(xv, yv model.Value) *History {
 		h := New(map[string]model.Value{"X": "x0", "Y": "y0"})

@@ -1,7 +1,9 @@
 // The original enumeration-based checkers, kept verbatim in spirit as the
 // differential-testing oracle for the constraint-propagation solver: both
 // paths must agree on every verdict for every history the exhaustive side
-// can afford (≤ 62 transactions, its uint64-mask ceiling).
+// can afford (≤ 62 transactions, its uint64-mask ceiling). It shares only
+// build's program-order and reads-from edges with the solver: real time
+// and the topological check are its own pair-by-pair reference code.
 package history
 
 import (
@@ -38,7 +40,7 @@ func exhaustiveCausal(h *History) Verdict {
 	if errv != nil {
 		return *errv
 	}
-	if _, isDag := g.acyclic(); !isDag {
+	if _, isDag := refAcyclic(g); !isDag {
 		return fail("causal relation is cyclic")
 	}
 	var lastWitness []model.TxnID
@@ -69,7 +71,7 @@ func exhaustiveTotal(h *History, realTime bool) Verdict {
 	if errv != nil {
 		return *errv
 	}
-	if _, isDag := g.acyclic(); !isDag {
+	if _, isDag := refAcyclic(g); !isDag {
 		if realTime {
 			return fail("real-time-augmented dependency relation is cyclic")
 		}
@@ -85,22 +87,67 @@ func exhaustiveTotal(h *History, realTime bool) Verdict {
 	return ok(g.witness(order))
 }
 
-// buildMasks builds the shared graph and converts its predecessor bitsets
-// to the uint64 masks the enumeration operates on.
+// buildMasks builds the shared graph without real time, adds the
+// real-time edges pair by pair (refRealTime), and converts the
+// predecessor bitsets to the uint64 masks the enumeration operates on.
 func buildMasks(h *History, realTime bool) (*graph, []uint64, *Verdict) {
 	if n := h.Len(); n > maxExhaustiveTxns {
 		v := fail("history too large for exhaustive checking: %d > %d transactions", n, maxExhaustiveTxns)
 		return nil, nil, &v
 	}
-	g, errv := build(h, realTime)
+	g, errv := build(h, false)
 	if errv != nil {
 		return nil, nil, errv
+	}
+	if realTime {
+		refRealTime(g)
 	}
 	masks := make([]uint64, len(g.txns))
 	for i := range g.txns {
 		g.preds[i].forEach(func(j int) { masks[i] |= 1 << uint(j) })
 	}
 	return g, masks, nil
+}
+
+// refRealTime adds every completed-before-invoked edge pair by pair: the
+// reference for build's one-sweep real-time rows.
+func refRealTime(g *graph) {
+	for i, a := range g.txns {
+		if a.Completed < 0 {
+			continue
+		}
+		for j, b := range g.txns {
+			if i != j && a.Completed < b.Invoked {
+				g.preds[j].set(i)
+			}
+		}
+	}
+}
+
+// refAcyclic is Kahn's algorithm probing every predecessor row for each
+// node it pops: the reference for graph.acyclic's order.
+func refAcyclic(g *graph) ([]int, bool) {
+	n := len(g.txns)
+	indeg := make([]int, n)
+	var frontier, order []int
+	for i := 0; i < n; i++ {
+		if indeg[i] = g.preds[i].count(); indeg[i] == 0 {
+			frontier = append(frontier, i)
+		}
+	}
+	for len(frontier) > 0 {
+		v := frontier[0]
+		frontier = frontier[1:]
+		order = append(order, v)
+		for j := 0; j < n; j++ {
+			if g.preds[j].has(v) {
+				if indeg[j]--; indeg[j] == 0 {
+					frontier = append(frontier, j)
+				}
+			}
+		}
+	}
+	return order, len(order) == n
 }
 
 // legalFor searches for a linear extension of the mask graph in which

@@ -92,11 +92,11 @@ func TestSeedHistoriesRoundTripAndVerdicts(t *testing.T) {
 }
 
 // FuzzCheck feeds mutated encoded histories to every checker level and
-// cross-checks the constraint-propagation solver against the exhaustive
-// oracle: identical verdicts, the strict ⇒ serializable ⇒ causal
-// implication chain, valid witnesses on acceptance, and no panics on
-// malformed inputs. CI runs a short -fuzztime smoke; longer local runs
-// dig deeper.
+// cross-checks three verdicts: the session (Check), the batch solver
+// (CheckBatch) and the exhaustive oracle must agree, with the strict ⇒
+// serializable ⇒ causal implication chain, valid witnesses on
+// acceptance, and no panics on malformed inputs. CI runs a short
+// -fuzztime smoke; longer local runs dig deeper.
 func FuzzCheck(f *testing.F) {
 	for _, h := range seedHistories() {
 		data, err := EncodeHistory(h)
@@ -113,13 +113,15 @@ func FuzzCheck(f *testing.F) {
 		verdicts := map[string]Verdict{}
 		for _, level := range []string{"causal", "serializable", "strict-serializable"} {
 			got := Check(h, level)
+			batch := CheckBatch(h, level)
 			want := checkExhaustive(h, level)
-			if got.OK != want.OK {
-				t.Fatalf("level %s: solver OK=%v (%s), exhaustive OK=%v (%s)\n%s",
-					level, got.OK, got.Reason, want.OK, want.Reason, h)
+			if got.OK != want.OK || batch.OK != want.OK {
+				t.Fatalf("level %s: session OK=%v (%s), batch OK=%v (%s), exhaustive OK=%v (%s)\n%s",
+					level, got.OK, got.Reason, batch.OK, batch.Reason, want.OK, want.Reason, h)
 			}
 			if got.OK && level != "causal" {
 				validateTotalWitness(t, h, got.Witness, level == "strict-serializable")
+				validateTotalWitness(t, h, batch.Witness, level == "strict-serializable")
 			}
 			verdicts[level] = got.Verdict
 		}

@@ -441,23 +441,25 @@ func (s *Session) Append(rec *TxnRecord) bool {
 			}
 		}
 		// Real time (strict serializability): live transactions newest
-		// first so older pairs are usually already implied transitively;
-		// edges against the retired prefix reduce to one comparison (a
-		// retired txn precedes i by construction, and i preceding any
-		// retired txn is a cycle).
+		// first so older pairs are usually already implied transitively,
+		// and skipped: base ⊆ model ⊆ every state's closure, so an edge
+		// the base holds is everywhere already. Edges against the retired
+		// prefix reduce to one comparison (a retired txn precedes i by
+		// construction, and i preceding any retired txn is a cycle).
 		if s.realTime {
+			si := s.slot(i)
 			for t := len(s.globOf) - 1; t >= 0; t-- {
 				j := s.globOf[t]
 				if j < 0 || j == i {
 					continue
 				}
 				a := s.txns[j]
-				if a.Completed >= 0 && a.Completed < rec.Invoked {
+				if a.Completed >= 0 && a.Completed < rec.Invoked && !s.base.has(t, si) {
 					if !s.forceGlobal(i, j, i) {
 						return false
 					}
 				}
-				if rec.Completed >= 0 && rec.Completed < a.Invoked {
+				if rec.Completed >= 0 && rec.Completed < a.Invoked && !s.base.has(si, t) {
 					if !s.forceGlobal(i, i, j) {
 						return false
 					}

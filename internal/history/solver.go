@@ -56,22 +56,26 @@ type orderClosure struct {
 // order of g (from graph.acyclic).
 func newOrderClosure(g *graph, topo []int) *orderClosure {
 	n := len(g.txns)
-	c := &orderClosure{succ: make([]bitset, n), pred: make([]bitset, n)}
-	for i := 0; i < n; i++ {
-		c.succ[i] = newBitset(n)
+	c := &orderClosure{pred: make([]bitset, n)}
+	for i := range c.pred {
 		c.pred[i] = newBitset(n)
 	}
 	// Process in topological order: every direct predecessor's closure is
-	// complete before it is folded in.
+	// complete before it is folded in. A row that is a union of closed
+	// rows holds the closure of each of its members, so a direct
+	// predecessor already in it adds nothing; folding from the highest
+	// index down lets the latest real-time predecessors cover the rest.
 	for _, i := range topo {
-		g.preds[i].forEach(func(j int) {
-			c.pred[i].or(c.pred[j])
-			c.pred[i].set(j)
-		})
+		row, direct := c.pred[i], g.preds[i]
+		for w := len(direct) - 1; w >= 0; w-- {
+			for m := direct[w] &^ row[w]; m != 0; m = direct[w] &^ row[w] {
+				j := w<<6 + 63 - bits.LeadingZeros64(m)
+				row.or(c.pred[j])
+				row.set(j)
+			}
+		}
 	}
-	for i := 0; i < n; i++ {
-		c.pred[i].forEach(func(j int) { c.succ[j].set(i) })
-	}
+	c.succ = transposed(c.pred)
 	return c
 }
 
@@ -186,28 +190,12 @@ func (c *orderClosure) flush() {
 	if c.nLazy == 0 {
 		return
 	}
-	var block [64]uint64
 	for w, deferred := range c.lazy {
 		if deferred == 0 {
 			continue
 		}
 		for v := range c.lazy {
-			var any uint64
-			for m := deferred; m != 0; m &= m - 1 {
-				j := bits.TrailingZeros64(m)
-				block[j] = c.pred[w<<6+j][v]
-				any |= block[j]
-			}
-			if any == 0 {
-				continue
-			}
-			transpose64(&block)
-			for k, row := range block {
-				if row != 0 {
-					c.succ[v<<6+k][w] |= row
-				}
-			}
-			block = [64]uint64{}
+			orTransposed(c.succ, c.pred, w, v, deferred)
 		}
 		c.lazy[w] = 0
 	}
