@@ -119,15 +119,16 @@ func transpose64(a *[64]uint64) {
 	}
 }
 
-// orTransposed takes the rows w<<6+j of src for each bit j of mask,
-// transposes their word v as one 64×64 block and ORs it into dst: bit k
-// of src[w<<6+j][v] becomes bit j of dst[v<<6+k][w].
-func orTransposed(dst, src []bitset, w, v int, mask uint64) {
+// orTransposed takes row j of src for each bit j of mask (the rows of
+// block w), keeps the bits of their word v that keep holds, transposes
+// that 64×64 block and ORs it into dst: bit k of src[j][v] becomes bit j
+// of dst[v<<6+k][w].
+func orTransposed(dst, src []bitset, w, v int, mask, keep uint64) {
 	var block [64]uint64
 	var any uint64
 	for m := mask; m != 0; m &= m - 1 {
 		j := bits.TrailingZeros64(m)
-		block[j] = src[w<<6+j][v]
+		block[j] = src[j][v] & keep
 		any |= block[j]
 	}
 	if any == 0 {
@@ -156,7 +157,7 @@ func transposed(rows []bitset) []bitset {
 			mask = 1<<uint(rest) - 1
 		}
 		for v := 0; v<<6 < n; v++ {
-			orTransposed(out, rows, w, v, mask)
+			orTransposed(out, rows[w<<6:], w, v, mask, ^uint64(0))
 		}
 	}
 	return out

@@ -5,12 +5,13 @@ import (
 	"testing"
 )
 
-// overlayHarness drives one parent closure, a few overlays sharing it and
-// one dense reference closure per overlay through the operations the
-// session performs, in the session's order: the parent is re-closed
-// first, every diverged overlay is caught up next, slots are retired
-// overlay-first and reused zeroed. The reference of overlay i receives
-// the union of the parent's edges and overlay i's own unit edges.
+// overlayHarness drives one parent closure deferring its successor
+// columns, a few overlays sharing it and one eager dense reference
+// closure per overlay through the operations the session performs, in
+// the session's order: the parent is re-closed first, every diverged
+// overlay is caught up next, slots are retired overlay-first and reused
+// zeroed. The reference of overlay i receives the union of the parent's
+// edges and overlay i's own unit edges.
 type overlayHarness struct {
 	t      *testing.T
 	rng    genRNG
@@ -28,6 +29,7 @@ type overlayHarness struct {
 
 func newOverlayHarness(t *testing.T, seed int64, overlays int) *overlayHarness {
 	h := &overlayHarness{t: t, rng: genRNG(seed), words: 1, parent: &orderClosure{}}
+	h.parent.deferColumns()
 	for i := 0; i < overlays; i++ {
 		h.ovs = append(h.ovs, newCowClosure(h.parent, false, h.words))
 		h.refs = append(h.refs, &orderClosure{})
@@ -66,7 +68,7 @@ func (h *overlayHarness) addNode() int {
 // reports exactly its reference's conflict and then leaves the edge out.
 func (h *overlayHarness) parentEdge(a, b int) bool {
 	h.op = fmt.Sprintf("parent edge %d→%d", a, b)
-	if a == b || h.parent.succ[b].has(a) {
+	if a == b || h.parent.has(b, a) {
 		return false
 	}
 	conflict := false
@@ -86,10 +88,14 @@ func (h *overlayHarness) parentEdge(a, b int) bool {
 	for i, ov := range h.ovs {
 		if ov.diverged() {
 			// The visit rule, as a count: into a node with no successors
-			// the catch-up may look at the overridden successor rows of
-			// {a} ∪ pred(a) and at b's predecessor row, nothing else.
+			// whose column waits, the catch-up may look at a's successor
+			// row and b's predecessor row, nothing else; once a flush has
+			// written the column, at the overridden successor rows of
+			// {a} ∪ pred(a) and at b's predecessor row.
 			leaf, allowed, was := h.refs[i].succ[b].empty(), 1, ov.examined
-			ov.predRow(a).forEachAnd(ov.osucc, func(int) { allowed++ })
+			if !h.parent.lazy.has(b) {
+				ov.predRow(a).forEachAnd(ov.osucc, func(int) { allowed++ })
+			}
 			if ov.osucc.has(a) {
 				allowed++
 			}
@@ -131,7 +137,7 @@ func (h *overlayHarness) retireOldest(k int) {
 	}
 	for _, m := range h.live[:k] {
 		for _, x := range h.live[k:] {
-			if !h.parent.succ[m].has(x) && !h.parentEdge(m, x) {
+			if !h.parent.has(m, x) && !h.parentEdge(m, x) {
 				return // some order has x before m: the batch is not retirable
 			}
 			h.check()
@@ -150,9 +156,11 @@ func (h *overlayHarness) retireOldest(k int) {
 }
 
 // check compares every effective row of every overlay, free slots
-// included, with its reference, and the overridden sets with the rows
-// they index.
+// included, with its reference — a succ row may lack only the parent's
+// deferred columns, whose pred rows stay exact — and the overridden sets
+// with the rows they index.
 func (h *overlayHarness) check() {
+	lazy := h.parent.lazy
 	for i, ov := range h.ovs {
 		if n := ov.osucc.count() + ov.opred.count(); n != ov.rows {
 			h.t.Fatalf("after %s: overlay %d counts %d override rows, its sets hold %d", h.op, i, ov.rows, n)
@@ -163,9 +171,9 @@ func (h *overlayHarness) check() {
 			}
 		}
 		for x := range h.parent.succ {
-			if !sameBits(ov.succRow(x), h.refs[i].succ[x]) {
-				h.t.Fatalf("after %s: overlay %d succ row %d = %v, reference %v",
-					h.op, i, x, members(ov.succRow(x)), members(h.refs[i].succ[x]))
+			if got, want := ov.succRow(x), h.refs[i].succ[x]; !want.containsAll(got) || !got.containsAll(without(want, lazy)) {
+				h.t.Fatalf("after %s: overlay %d succ row %d = %v, reference %v, deferred %v",
+					h.op, i, x, members(got), members(want), members(lazy))
 			}
 			if !sameBits(ov.predRow(x), h.refs[i].pred[x]) {
 				h.t.Fatalf("after %s: overlay %d pred row %d = %v, reference %v",
@@ -189,6 +197,15 @@ func (h *overlayHarness) checkMaterialized() {
 			h.check()
 		}
 	}
+}
+
+// without returns b minus the members of o.
+func without(b, o bitset) bitset {
+	out := b.clone()
+	for w := range out {
+		out[w] &^= o[w]
+	}
+	return out
 }
 
 func sameBits(a, b bitset) bool {
@@ -263,4 +280,69 @@ func TestOverlayMatchesDenseClosure(t *testing.T) {
 				seed, grown, retired, refused, h.leafEdges, h.spared)
 		}
 	}
+}
+
+// FuzzOverlay drives the overlay harness from bytes and holds every
+// overlay to its dense reference after each operation. The first byte
+// sets the overlay count (1–4); then each op byte is followed by its
+// arguments: a new node takes a count of parent edges into it and a node
+// byte for each, a parent edge two node bytes, a unit edge an overlay
+// byte and two node bytes, a retirement a batch size; flush and
+// materialize take none. A node byte picks among the live slots, oldest
+// first.
+func FuzzOverlay(f *testing.F) {
+	f.Add([]byte{2, 0, 0, 0, 1, 0, 0, 2, 0, 1, 3, 0, 0, 1, 4, 1, 1, 0, 7, 6})
+	grow := []byte{3}
+	for k := byte(0); k < 150; k++ {
+		grow = append(grow, 0, 2, k, k/2, 3, k%3, k, k/3)
+		if k%16 == 15 {
+			grow = append(grow, 5, 2, 6, 7)
+		}
+	}
+	f.Add(grow)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		h := newOverlayHarness(t, 1, 1+int(data[0])%4)
+		data = data[1:]
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			v := int(data[0])
+			data = data[1:]
+			return v
+		}
+		node := func() int { return h.live[next()%len(h.live)] }
+		for len(data) > 0 {
+			switch op := next() % 8; {
+			case op < 2 || len(h.live) < 2:
+				if len(h.live) >= 300 {
+					break
+				}
+				b := h.addNode()
+				h.check()
+				for k := next() % 3; k >= 0 && len(h.live) > 1; k-- {
+					if a := node(); a != b {
+						h.parentEdge(a, b)
+						h.check()
+					}
+				}
+			case op == 2:
+				h.parentEdge(node(), node())
+			case op < 5:
+				i := next() % len(h.ovs)
+				h.unitEdge(i, node(), node())
+			case op == 5:
+				h.retireOldest(1 + next()%3)
+			case op == 6:
+				h.op = "flush"
+				h.parent.flush()
+			default:
+				h.checkMaterialized()
+			}
+			h.check()
+		}
+	})
 }

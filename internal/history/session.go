@@ -94,6 +94,7 @@ package history
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -235,6 +236,7 @@ type Session struct {
 	batches           []*retiredBatch
 	retiredW          map[string]*objRetired
 	maxRetiredInvoked int64 // real time vs retired txns, one comparison
+	maxInvoked        int64 // latest invocation appended, retired or not
 
 	valueReaders map[string][]*obligation
 	initReaders  map[string][]int
@@ -247,16 +249,20 @@ type Session struct {
 	// maps a slot back (-1: free).
 	slotOf     []int32
 	globOf     []int
+	live       bitset // slots holding a live transaction
 	free       []int32
 	nLive      int
 	peakWindow int
 	retired    int
 
-	words  int // current bitset word capacity of every closure
-	base   *orderClosure
-	model  *orderClosure // the shared model (see package comment)
-	states map[string]*clientState
-	order  []*clientState // states in creation order (deterministic)
+	words int // current bitset word capacity of every closure
+	base  *orderClosure
+	// model is the shared model (see package comment), nil while no state
+	// leans on it; jointOwed: a global edge broke it (resolveJoint).
+	model     *orderClosure
+	jointOwed bool
+	states    map[string]*clientState
+	order     []*clientState // states in creation order (deterministic)
 
 	resolves int
 	done     bool
@@ -296,13 +302,13 @@ func newSession(initial map[string]model.Value, level string, capHint int) *Sess
 	s.words = (capHint + 63) / 64
 	if !s.ra {
 		s.base = &orderClosure{}
-		s.model = &orderClosure{}
-		s.model.deferColumns()
+		s.base.deferColumns()
 		if !s.perCli {
 			// Total-order levels: one shared serialization state whose
 			// base IS the global closure (write-through, not cloned —
 			// there is only one serialization, so its unit edges are
 			// global facts).
+			s.model = s.base.clone()
 			st := &clientState{base: newCowClosure(s.base, true, s.words), shared: true}
 			s.states[""] = st
 			s.order = append(s.order, st)
@@ -362,6 +368,9 @@ func (s *Session) slot(g int) int { return int(s.slotOf[g]) }
 // state's private one (nil while a resolve is owed).
 func (s *Session) modelOf(st *clientState) *orderClosure {
 	if st.shared {
+		if s.jointOwed {
+			return nil
+		}
 		return s.model
 	}
 	return st.model
@@ -440,29 +449,31 @@ func (s *Session) Append(rec *TxnRecord) bool {
 				return false
 			}
 		}
-		// Real time (strict serializability): live transactions newest
-		// first so older pairs are usually already implied transitively,
-		// and skipped: base ⊆ model ⊆ every state's closure, so an edge
-		// the base holds is everywhere already. Edges against the retired
-		// prefix reduce to one comparison (a retired txn precedes i by
+		// Real time (strict serializability): an edge the base holds is
+		// everywhere already (base ⊆ model ⊆ every state's closure), so
+		// only live slots missing from i's pred row are visited, newest
+		// first and a word at a time (an edge from a newer slot usually
+		// brings the older ones along); edges out of i only if some txn
+		// was invoked after i completed. Edges against the retired prefix
+		// reduce to one comparison (a retired txn precedes i by
 		// construction, and i preceding any retired txn is a cycle).
 		if s.realTime {
 			si := s.slot(i)
-			for t := len(s.globOf) - 1; t >= 0; t-- {
+			pred := s.base.pred[si]
+			for w := len(s.live) - 1; w >= 0; w-- {
+				for todo, m := s.live[w], s.live[w]&^pred[w]; m != 0; m = todo &^ pred[w] {
+					k := 63 - bits.LeadingZeros64(m)
+					todo &^= 1 << uint(k)
+					j := s.globOf[w<<6+k]
+					if a := s.txns[j]; j != i && a.Completed >= 0 && a.Completed < rec.Invoked && !s.forceGlobal(i, j, i) {
+						return false
+					}
+				}
+			}
+			for t := len(s.globOf) - 1; rec.Completed >= 0 && rec.Completed < s.maxInvoked && t >= 0; t-- {
 				j := s.globOf[t]
-				if j < 0 || j == i {
-					continue
-				}
-				a := s.txns[j]
-				if a.Completed >= 0 && a.Completed < rec.Invoked && !s.base.has(t, si) {
-					if !s.forceGlobal(i, j, i) {
-						return false
-					}
-				}
-				if rec.Completed >= 0 && rec.Completed < a.Invoked && !s.base.has(si, t) {
-					if !s.forceGlobal(i, i, j) {
-						return false
-					}
+				if j >= 0 && rec.Completed < s.txns[j].Invoked && !s.base.has(si, t) && !s.forceGlobal(i, i, j) {
+					return false
 				}
 			}
 			if s.retired > 0 && rec.Completed >= 0 && rec.Completed < s.maxRetiredInvoked {
@@ -471,6 +482,7 @@ func (s *Session) Append(rec *TxnRecord) bool {
 		}
 	}
 	s.lastOf[rec.Client] = i
+	s.maxInvoked = max(s.maxInvoked, rec.Invoked)
 
 	// The new transaction as a writer: thread the obligations of every
 	// EARLIER read of the objects it wrote.
@@ -561,6 +573,9 @@ func (s *Session) Append(rec *TxnRecord) bool {
 
 	// Any state whose model could not absorb the new constraints owes a
 	// full solver search; failure here is the first offending commit.
+	if s.jointOwed {
+		s.resolveJoint()
+	}
 	for _, st := range s.order {
 		if st.conflict && !s.resolve(i, st) {
 			return false
@@ -709,6 +724,7 @@ func (s *Session) addSlot(g int) int {
 		t := int(s.free[n-1])
 		s.free = s.free[:n-1]
 		s.globOf[t] = g
+		s.live.set(t)
 		s.nLive++
 		return t
 	}
@@ -716,7 +732,9 @@ func (s *Session) addSlot(g int) int {
 	if n >= s.words*64 {
 		s.words *= 2
 		s.base.growWords(s.words)
-		s.model.growWords(s.words)
+		if s.model != nil {
+			s.model.growWords(s.words)
+		}
 		for _, st := range s.order {
 			st.base.growWords(s.words)
 			if !st.shared && st.model != nil {
@@ -725,13 +743,17 @@ func (s *Session) addSlot(g int) int {
 		}
 	}
 	s.base.addNode(s.words)
-	s.model.addNode(s.words)
+	if s.model != nil {
+		s.model.addNode(s.words)
+	}
 	for _, st := range s.order {
 		if !st.shared && st.model != nil {
 			st.model.addNode(s.words)
 		}
 	}
 	s.globOf = append(s.globOf, g)
+	s.live = s.live.grow(s.words)
+	s.live.set(n)
 	s.nLive++
 	if s.nLive > s.peakWindow {
 		s.peakWindow = s.nLive
@@ -741,13 +763,17 @@ func (s *Session) addSlot(g int) int {
 
 // stateFor returns (creating on first use) the serialization state the
 // given client's read obligations constrain. New states start as pure
-// views of the global closure and the shared model — creation is O(1).
+// views of the global closure and the shared model (rebuilt from the
+// base if no state leans on it any more) — creation is O(1).
 func (s *Session) stateFor(client string) *clientState {
 	if !s.perCli {
 		return s.states[""]
 	}
 	if st, found := s.states[client]; found {
 		return st
+	}
+	if s.model == nil {
+		s.model = s.base.clone()
 	}
 	st := &clientState{client: client, base: newCowClosure(s.base, false, s.words), shared: true}
 	s.states[client] = st
@@ -788,19 +814,11 @@ func (s *Session) forceGlobal(cur, a, b int) bool {
 	if !s.base.addEdge(sa, sb) {
 		return s.violate(cur, s.ids[cur], "%s", s.cyclicBase())
 	}
-	if !s.model.addEdge(sa, sb) {
+	if s.model != nil && !s.jointOwed && !s.model.addEdge(sa, sb) {
 		// The shared model committed disjuncts that contradict the new
-		// base edge: every state leaning on it owes a private re-solve,
-		// and the shared model restarts from the (consistent) base.
-		for _, st := range s.order {
-			if st.shared {
-				st.shared = false
-				st.model = nil
-				st.conflict = true
-			}
-		}
-		s.model = s.base.clone()
-		s.model.deferColumns()
+		// base edge: every state leaning on it owes a re-solve, one joint
+		// search at the end of this Append.
+		s.jointOwed = true
 	}
 	for _, st := range s.order {
 		if st.base.diverged() {
@@ -810,8 +828,7 @@ func (s *Session) forceGlobal(cur, a, b int) bool {
 			st.base.applyParentEdge(sa, sb)
 		}
 		if !st.shared && st.model != nil && !st.model.addEdge(sa, sb) {
-			st.model = nil
-			st.conflict = true
+			s.owe(st)
 		}
 	}
 	return true
@@ -841,18 +858,25 @@ func (s *Session) forceIn(cur int, st *clientState, a, b int) bool {
 		return s.violate(cur, s.ids[cur], "%s", s.noSerialization(st.client))
 	}
 	if st.shared {
-		if !s.model.addEdge(sa, sb) {
+		if !s.jointOwed && !s.model.addEdge(sa, sb) {
 			// Only this state needs the edge; the shared model stays
 			// valid for everyone else.
-			st.shared = false
-			st.model = nil
-			st.conflict = true
+			s.owe(st)
 		}
 	} else if st.model != nil && !st.model.addEdge(sa, sb) {
-		st.model = nil
-		st.conflict = true
+		s.owe(st)
 	}
 	return true
+}
+
+// owe marks st's model broken: a private resolve is owed at the end of
+// this Append. A shared model no state leans on is dropped rather than
+// kept up to date (stateFor rebuilds one for a new state).
+func (s *Session) owe(st *clientState) {
+	st.shared, st.model, st.conflict = false, nil, true
+	if !slices.ContainsFunc(s.order, func(o *clientState) bool { return o.shared }) {
+		s.model = nil
+	}
 }
 
 // edge dispositions against the retired prefix.
@@ -1094,9 +1118,7 @@ func (s *Session) addClause(st *clientState, c clause) {
 	if m.addEdge(c.a1, c.b1) || m.addEdge(c.a2, c.b2) {
 		return
 	}
-	st.shared = false
-	st.model = nil
-	st.conflict = true
+	s.owe(st)
 }
 
 // bind resolves a value read to its writer: the reads-from edge becomes
@@ -1164,14 +1186,7 @@ func (s *Session) bind(cur int, ob *obligation, wi int) bool {
 // no legal serialization: the current append is the first offending
 // commit.
 func (s *Session) resolve(cur int, st *clientState) bool {
-	live := st.clauses[:0]
-	for _, c := range st.clauses {
-		if st.base.has(c.a1, c.b1) || st.base.has(c.a2, c.b2) {
-			continue // satisfied by the base: monotone, stays satisfied
-		}
-		live = append(live, c)
-	}
-	st.clauses = live
+	st.pruneClauses()
 	s.resolves++
 	m, found := newClauseSolver(st.base.materialize(), st.clauses).solveClosure()
 	if !found {
@@ -1184,6 +1199,49 @@ func (s *Session) resolve(cur int, st *clientState) bool {
 	return true
 }
 
+// resolveJoint re-solves the broken shared model once for every state
+// leaning on it, over the base plus their unit edges and live clauses, so
+// they keep sharing it. Only if that joint instance is unsatisfiable (two
+// states' constraints can contradict each other) does each fall back to
+// the private resolve that decides its verdict.
+func (s *Session) resolveJoint() {
+	s.jointOwed = false
+	s.resolves++
+	joint, found := s.base.eagerClone(), true
+	var clauses []clause
+	for _, st := range s.order {
+		if st.shared {
+			st.pruneClauses()
+			clauses = append(clauses, st.clauses...)
+			found = found && st.base.addUnits(joint)
+		}
+	}
+	if found {
+		if m, ok := newClauseSolver(joint, clauses).solveClosure(); ok {
+			m.deferColumns()
+			s.model = m
+			return
+		}
+	}
+	for _, st := range s.order {
+		if st.shared {
+			s.owe(st)
+		}
+	}
+}
+
+// pruneClauses drops the clauses st's base satisfies (monotone: they stay
+// satisfied).
+func (st *clientState) pruneClauses() {
+	live := st.clauses[:0]
+	for _, c := range st.clauses {
+		if !st.base.has(c.a1, c.b1) && !st.base.has(c.a2, c.b2) {
+			live = append(live, c)
+		}
+	}
+	st.clauses = live
+}
+
 // sweep retires the largest retirable downward-closed set of live
 // transactions (conditions C1–C6 of the package comment): transactions
 // failing a per-member condition block, anything not base-preceding a
@@ -1193,10 +1251,9 @@ func (s *Session) resolve(cur int, st *clientState) bool {
 // comment); the decisions can refute the history, in which case sweep
 // reports false with the current append as the offending commit.
 func (s *Session) sweep(cur int) bool {
-	if s.nLive < 2 {
+	if s.nLive < 2 || !s.tailsShareAncestor() {
 		return true
 	}
-	liveSet := newBitset(s.words * 64)
 	blocked := newBitset(s.words * 64)
 	var queue []int
 	block := func(t int) {
@@ -1206,12 +1263,8 @@ func (s *Session) sweep(cur int) bool {
 		}
 	}
 	for t, g := range s.globOf {
-		if g < 0 {
-			continue
-		}
-		liveSet.set(t)
-		if s.unresolved[g] != 0 || // C3: pending reads still thread constraints
-			s.lastOf[s.txns[g].Client] == g { // C6: program-order tail
+		if g >= 0 && (s.unresolved[g] != 0 || // C3: pending reads still thread constraints
+			s.lastOf[s.txns[g].Client] == g) { // C6: program-order tail
 			block(t)
 		}
 	}
@@ -1219,8 +1272,8 @@ func (s *Session) sweep(cur int) bool {
 		y := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		pred := s.base.pred[y]
-		for w := range liveSet {
-			rest := liveSet[w] &^ blocked[w] &^ pred[w]
+		for w := range s.live {
+			rest := s.live[w] &^ blocked[w] &^ pred[w]
 			for rest != 0 {
 				block(w<<6 + bits.TrailingZeros64(rest))
 				rest &= rest - 1
@@ -1374,6 +1427,21 @@ func (s *Session) sweep(cur int) bool {
 	return true
 }
 
+// tailsShareAncestor reports whether some live transaction base-precedes
+// every client's newest one, as each member of a retirable batch must
+// (C1: C6 keeps every tail live and out of the batch).
+func (s *Session) tailsShareAncestor() bool {
+	for w, common := range s.live {
+		for _, g := range s.lastOf {
+			common &= s.base.pred[s.slot(g)][w]
+		}
+		if common != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // retireBatch evicts the given global indices from the window as one
 // batch: the base order among them is frozen (along with each state's
 // own forced units, migrated to ghost edges), their per-object
@@ -1388,9 +1456,8 @@ func (s *Session) retireBatch(members []int) {
 	batch := &retiredBatch{members: members, succ: make([]bitset, k)}
 	for li, g := range members {
 		row := newBitset(k)
-		sr := s.base.succ[s.slot(g)]
 		for lj, h := range members {
-			if lj != li && sr.has(s.slot(h)) {
+			if lj != li && s.base.has(s.slot(g), s.slot(h)) {
 				row.set(lj)
 			}
 		}
@@ -1435,6 +1502,7 @@ func (s *Session) retireBatch(members []int) {
 		s.localOf[g] = int32(li)
 		s.slotOf[g] = -1
 		s.globOf[t] = -1
+		s.live.clear(t)
 		s.nLive--
 		s.retired++
 		rec := s.txns[g]
@@ -1477,7 +1545,9 @@ func (s *Session) retireBatch(members []int) {
 			st.base.retire(t) // while the base still holds t's rows
 		}
 		s.base.retire(t)
-		s.model.retire(t)
+		if s.model != nil {
+			s.model.retire(t)
+		}
 		for _, st := range s.order {
 			if !st.shared && st.model != nil {
 				st.model.retire(t)

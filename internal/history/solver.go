@@ -44,12 +44,15 @@ import (
 // x ∈ pred[y]. Pred rows are always exact, has reads a deferred node's
 // pred row, and an edge's tail always takes its head's bit, so a succ row
 // is empty exactly when its node has no successor. Once 64 columns wait,
-// flush writes them in one pass.
+// flush writes them in one pass. The session's base also defers, and the
+// overlays sharing it (cow.go) defer the same columns: its flush writes
+// theirs first.
 type orderClosure struct {
-	succ  []bitset
-	pred  []bitset
-	lazy  bitset // nil: every column is written eagerly
-	nLazy int
+	succ     []bitset
+	pred     []bitset
+	lazy     bitset // nil: every column is written eagerly
+	nLazy    int
+	overlays []*cowClosure
 }
 
 // newOrderClosure closes g.preds transitively. topo must be a topological
@@ -88,6 +91,15 @@ func (c *orderClosure) clone() *orderClosure {
 	if c.lazy != nil {
 		out.lazy = c.lazy.clone()
 	}
+	return out
+}
+
+// eagerClone flushes c and returns a copy that writes every column
+// eagerly, for the solver (which reads whole succ rows).
+func (c *orderClosure) eagerClone() *orderClosure {
+	c.flush()
+	out := c.clone()
+	out.lazy = nil
 	return out
 }
 
@@ -190,12 +202,15 @@ func (c *orderClosure) flush() {
 	if c.nLazy == 0 {
 		return
 	}
+	for _, ov := range c.overlays {
+		ov.flush()
+	}
 	for w, deferred := range c.lazy {
 		if deferred == 0 {
 			continue
 		}
 		for v := range c.lazy {
-			orTransposed(c.succ, c.pred, w, v, deferred)
+			orTransposed(c.succ, c.pred[w<<6:], w, v, deferred, ^uint64(0))
 		}
 		c.lazy[w] = 0
 	}
