@@ -51,8 +51,8 @@ func TestCertRidePins(t *testing.T) {
 		{"cops-reads", func() protocol.Protocol { return cops.New() },
 			Config{Mix: workload.ReadHeavy(), Servers: 4, Clients: 16, Txns: 1000},
 			map[int64]pin{
-				7000:  {true, 1000, -1, "", 16, 0, 1000, "8dd9ca99f91bc63a"},
-				42001: {true, 1000, -1, "", 18, 0, 1000, "fa60d839cd30e8b5"},
+				7000:  {true, 1000, -1, "", 5, 0, 1000, "f406aa51d0b945db"},
+				42001: {true, 1000, -1, "", 11, 0, 1000, "c4bba90709bfeb05"},
 			}},
 		{"cops-writes", func() protocol.Protocol { return cops.New() },
 			Config{Mix: workload.Balanced(), Servers: 4, Clients: 8, Txns: 500},
