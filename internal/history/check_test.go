@@ -135,14 +135,27 @@ func TestStrictSerializableRejectsStaleRead(t *testing.T) {
 // history is accepted exactly when real time does not order w before r.
 // Session, batch solver and exhaustive oracle must all agree.
 func TestRealTimeLitmus(t *testing.T) {
+	// Appended reader first, the session orders the writer before the
+	// reader only through the edge out of the newer append.
+	for _, readerFirst := range []bool{false, true} {
+		testRealTimeLitmus(t, readerFirst)
+	}
+}
+
+func testRealTimeLitmus(t *testing.T, readerFirst bool) {
 	mk := func(wDone, rInvoked int64) *History {
 		h := New(map[string]model.Value{"X": "x0"})
 		w := rec("w", 1, nil, model.Write{Object: "X", Value: "x1"})
 		w.Invoked, w.Completed = 0, wDone
 		r := rec("r", 1, map[string]model.Value{"X": "x0"})
 		r.Invoked, r.Completed = rInvoked, rInvoked+5
+		if readerFirst {
+			h.Add(r)
+		}
 		h.Add(w)
-		h.Add(r)
+		if !readerFirst {
+			h.Add(r)
+		}
 		return h
 	}
 	for _, tc := range []struct {
@@ -161,7 +174,7 @@ func TestRealTimeLitmus(t *testing.T) {
 			"exhaustive": checkExhaustive(h, "strict-serializable").OK,
 		} {
 			if ok != tc.wantAccepted {
-				t.Errorf("%s: %s accepted=%v, want %v", tc.name, name, ok, tc.wantAccepted)
+				t.Errorf("%s (reader first %v): %s accepted=%v, want %v", tc.name, readerFirst, name, ok, tc.wantAccepted)
 			}
 		}
 		if v := CheckBatch(h, "strict-serializable"); v.OK && (len(v.Witness) != 2 || v.Witness[0].Client != "r") {

@@ -277,3 +277,66 @@ func TestSessionIncrementalBudget(t *testing.T) {
 	}
 	t.Logf("16-client 2000-txn causal: incremental %v, batch %v (resolves=%d)", inc, batch, sv.Resolves)
 }
+
+// TestSessionJointResolve drives both ends of the joint re-solve on
+// four-transaction causal histories. In "joint" a global edge (O's write
+// of M, read by t) breaks the clause disjunct t→O the shared model
+// committed for T, while A's unit a→O lands in the same append: one joint
+// search serves both states, which keep sharing a model that holds each
+// one's base. In "fallback" A's unit a→P and B's unit b→Q are each
+// consistent with the shared model when they arrive, but the global edges
+// Q→a and P→b close a cycle through both, so the joint instance is
+// unsatisfiable while each state alone is not: both fall back to private
+// resolves and the shared model goes.
+func TestSessionJointResolve(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		recs     []*TxnRecord
+		resolves int
+		shared   bool
+	}{
+		{"joint", []*TxnRecord{
+			rec("A", 1, map[string]model.Value{"X": "x0"}),
+			rec("C", 1, nil, model.Write{Object: "K", Value: "w1"}),
+			rec("T", 1, map[string]model.Value{"K": "w1", "M": "o1"}),
+			rec("D", 1, nil, model.Write{Object: "K", Value: "o2"}, model.Write{Object: "M", Value: "o1"},
+				model.Write{Object: "X", Value: "ox"}),
+		}, 1, true},
+		{"fallback", []*TxnRecord{
+			rec("A", 1, map[string]model.Value{"X": "x0", "Y": "q1"}),
+			rec("B", 1, map[string]model.Value{"Y": "y0", "X": "p1"}),
+			rec("C", 1, nil, model.Write{Object: "X", Value: "p1"}),
+			rec("D", 1, nil, model.Write{Object: "Y", Value: "q1"}),
+		}, 3, false},
+	} {
+		h := New(map[string]model.Value{"X": "x0", "Y": "y0", "K": "k0", "M": "m0"})
+		for _, r := range tc.recs {
+			h.Add(r)
+		}
+		s := NewSession(h.initial, "causal", h.Len())
+		for _, r := range h.Records() {
+			s.Append(r)
+		}
+		sv := s.Finish()
+		if bv := CheckBatch(h, "causal"); !sv.OK || !bv.OK || sv.Resolves != tc.resolves {
+			t.Fatalf("%s: session OK=%v (%s) with %d resolves, batch OK=%v; want both OK, %d resolves",
+				tc.name, sv.OK, sv.Reason, sv.Resolves, bv.OK, tc.resolves)
+		}
+		if (s.model != nil) != tc.shared {
+			t.Errorf("%s: shared model kept = %v", tc.name, s.model != nil)
+		}
+		for _, st := range s.order {
+			m := s.modelOf(st)
+			if st.shared != tc.shared || m == nil {
+				t.Fatalf("%s: state %s shared=%v, model %v", tc.name, st.client, st.shared, m != nil)
+			}
+			for a := range s.globOf {
+				for b := range s.globOf {
+					if st.base.has(a, b) && !m.has(a, b) {
+						t.Errorf("%s: state %s's model lacks its base edge %d→%d", tc.name, st.client, a, b)
+					}
+				}
+			}
+		}
+	}
+}
