@@ -470,7 +470,7 @@ func (s *Session) Append(rec *TxnRecord) bool {
 					}
 				}
 			}
-			for t := len(s.globOf) - 1; rec.Completed >= 0 && rec.Completed < s.maxInvoked && t >= 0; t-- {
+			for t := len(s.globOf) - 1; t >= 0 && rec.Completed >= 0 && rec.Completed < s.maxInvoked; t-- {
 				j := s.globOf[t]
 				if j >= 0 && rec.Completed < s.txns[j].Invoked && !s.base.has(si, t) && !s.forceGlobal(i, i, j) {
 					return false
