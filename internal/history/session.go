@@ -1251,7 +1251,7 @@ func (st *clientState) pruneClauses() {
 // comment); the decisions can refute the history, in which case sweep
 // reports false with the current append as the offending commit.
 func (s *Session) sweep(cur int) bool {
-	if s.nLive < 2 || !s.tailsShareAncestor() {
+	if s.nLive < 2 || !s.mayRetire() {
 		return true
 	}
 	blocked := newBitset(s.words * 64)
@@ -1427,19 +1427,24 @@ func (s *Session) sweep(cur int) bool {
 	return true
 }
 
-// tailsShareAncestor reports whether some live transaction base-precedes
-// every client's newest one, as each member of a retirable batch must
-// (C1: C6 keeps every tail live and out of the batch).
-func (s *Session) tailsShareAncestor() bool {
-	for w, common := range s.live {
-		for _, g := range s.lastOf {
-			common &= s.base.pred[s.slot(g)][w]
+// mayRetire reports whether the sweep's batch can be nonempty. It would
+// hold every minimal live transaction (a blocked one has no live
+// predecessor to block the members with), and each member base-precedes
+// every client's newest transaction (C1, with C6 keeping tails live and
+// blocked): one minimal transaction missing from a tail's pred row
+// leaves nothing to retire.
+func (s *Session) mayRetire() bool {
+	for t, g := range s.globOf {
+		if g < 0 || !s.base.pred[t].empty() {
+			continue
 		}
-		if common != 0 {
-			return true
+		for _, tail := range s.lastOf {
+			if !s.base.pred[s.slot(tail)].has(t) {
+				return false
+			}
 		}
 	}
-	return false
+	return true
 }
 
 // retireBatch evicts the given global indices from the window as one
