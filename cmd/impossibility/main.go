@@ -4,11 +4,14 @@
 // properties {W, O, V, N} the protocol sacrifices, or — for designs that
 // claim all four — the constructed execution γ/δ whose mixed read violates
 // Lemma 1, together with the induction prefixes α_k and the messages ms_k.
+// With -trace it renders that execution (Figure 3).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/adversary"
@@ -17,13 +20,28 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	name := flag.String("protocol", "", "protocol to attack (default: all)")
-	partial := flag.Bool("partial", false, "use the Theorem 2 system: m servers, partial replication")
-	servers := flag.Int("servers", 3, "server count for -partial")
-	maxK := flag.Int("k", 8, "maximum induction depth")
-	showTrace := flag.Bool("trace", false, "render the contradiction execution (Figure 3)")
-	flag.Parse()
+// errUsage marks a refused command line: main exits 2 on it, as the flag
+// package does, and 1 on a run that fails.
+var errUsage = errors.New("usage")
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("impossibility", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	name := fs.String("protocol", "", "protocol to attack (default: all)")
+	partial := fs.Bool("partial", false, "use the Theorem 2 system: m servers, partial replication")
+	servers := fs.Int("servers", 3, "server count for -partial, at least 3")
+	showTrace := fs.Bool("trace", false, "render the contradiction execution (Figure 3)")
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	serversSet := false
+	fs.Visit(func(f *flag.Flag) { serversSet = serversSet || f.Name == "servers" })
+	switch {
+	case serversSet && !*partial:
+		return fmt.Errorf("%w: -servers applies only with -partial", errUsage)
+	case *partial && *servers < 3:
+		return fmt.Errorf("%w: -partial needs -servers ≥ 3, got %d: on fewer, two replicas per object put every object on every server", errUsage, *servers)
+	}
 
 	names := core.Names()
 	if *name != "" {
@@ -32,11 +50,9 @@ func main() {
 	for _, n := range names {
 		p := core.ByName(n)
 		if p == nil {
-			fmt.Fprintf(os.Stderr, "unknown protocol %q\n", n)
-			os.Exit(1)
+			return fmt.Errorf("unknown protocol %q", n)
 		}
 		a := adversary.NewAttack(p)
-		a.MaxK = *maxK
 		if *partial {
 			a.Cfg = protocol.Config{
 				Servers: *servers, ObjectsPerServer: 1, Replication: 2,
@@ -45,14 +61,24 @@ func main() {
 		}
 		v, err := a.Run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", n, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", n, err)
 		}
-		fmt.Println(v)
+		fmt.Fprintln(stdout, v)
 		if *showTrace && len(a.LastContradictionTrace) > 0 {
-			fmt.Println("\ncontradiction execution (γ/δ):")
-			fmt.Print(trace.Render(a.LastContradictionTrace, nil))
+			fmt.Fprintln(stdout, "\ncontradiction execution (γ/δ):")
+			fmt.Fprint(stdout, trace.Render(a.LastContradictionTrace, nil))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
+	}
+	return nil
+}
+
+func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "impossibility:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
 	}
 }

@@ -70,6 +70,10 @@ func TestOldReaderExclusion(t *testing.T) {
 		d.Kernel.Deliver(m.ID)
 	}
 	d.Kernel.StepProcess("s0") // X0 read served and recorded; X1 request still in transit
+	// Hold the X1 request on a cut link, or the writes' RunTxn would
+	// deliver it before b1 exists.
+	cut := sim.Fault{Kind: sim.FaultCut, From: []sim.ProcessID{"r0"}, To: []sim.ProcessID{"s1"}}
+	d.Kernel.ApplyFault(cut)
 
 	// Meanwhile c0 writes X0 = a0, then X1 = b1 (depending on X0 = a0).
 	if res := d.RunTxn("c0", model.NewWriteOnly(model.TxnID{}, model.Write{Object: "X0", Value: "a0"}), 200_000); !res.OK() {
@@ -79,6 +83,8 @@ func TestOldReaderExclusion(t *testing.T) {
 		t.Fatal("write b1 failed")
 	}
 	d.Settle(200_000)
+	cut.Kind = sim.FaultHeal
+	d.Kernel.ApplyFault(cut)
 
 	// Now the ROT's X1 read arrives: because the ROT read the OLD X0, it
 	// must not see b1 (which depends on the NEW X0).

@@ -6,15 +6,14 @@
 //   - Lookup / Protocol: the registry of the modeled storage systems
 //     (the Table 1 systems, the §3.4 corner designs and the
 //     "impossible" victim protocols the theorem refutes);
-//   - Characterize: measure one protocol's Table 1 row (rounds, values
-//     per message, blocking, write-transaction support, consistency
-//     checks);
-//   - RunTheorem: run the mechanical adversary of Theorems 1 and 2 against
-//     any protocol — it either names the property the protocol sacrifices
-//     or constructs a causal-consistency-violating execution;
+//   - RunTheorem: run the mechanical adversary of Theorem 1 against any
+//     protocol — it either names the property the protocol sacrifices or
+//     constructs a causal-consistency-violating execution;
 //   - Deploy: build a simulated deployment for custom experiments.
 //
-// See DESIGN.md for the layer architecture and system inventory and
+// Table 1, the §3.4 corners, Theorem 2 and the proof's figures are
+// printed by cmd/table1, cmd/impossibility and cmd/constructions. See
+// DESIGN.md for the layer architecture and system inventory and
 // EXPERIMENTS.md for how to run the experiments and benchmarks.
 package repro
 
@@ -37,9 +36,6 @@ type Config = protocol.Config
 
 // Verdict is the outcome of the theorem adversary.
 type Verdict = adversary.Verdict
-
-// Row is a measured Table 1 row.
-type Row = core.Row
 
 // Lookup returns the protocol with the given name.
 func Lookup(name string) (Protocol, error) {
@@ -64,15 +60,6 @@ func Deploy(name string, cfg Config) (*Deployment, error) {
 	return d, nil
 }
 
-// Characterize measures one protocol's Table 1 row.
-func Characterize(name string, seeds []int64) (Row, error) {
-	p, err := Lookup(name)
-	if err != nil {
-		return Row{}, err
-	}
-	return core.Characterize(p, seeds)
-}
-
 // RunTheorem runs the adversary of Theorem 1 against the named protocol.
 func RunTheorem(name string) (*Verdict, error) {
 	p, err := Lookup(name)
@@ -80,19 +67,4 @@ func RunTheorem(name string) (*Verdict, error) {
 		return nil, err
 	}
 	return adversary.NewAttack(p).Run()
-}
-
-// RunTheoremPartial runs the general (Theorem 2) attack: m servers,
-// partially replicated objects.
-func RunTheoremPartial(name string, servers int) (*Verdict, error) {
-	p, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	a := adversary.NewAttack(p)
-	a.Cfg = protocol.Config{
-		Servers: servers, ObjectsPerServer: 1, Replication: 2,
-		Clients: 2, Readers: 8, Seed: 101,
-	}
-	return a.Run()
 }

@@ -34,21 +34,4 @@ func TestFacadeTheorem(t *testing.T) {
 	if v.Sacrifices != "consistency" || v.Witness == nil {
 		t.Fatalf("verdict = %+v", v)
 	}
-	v2, err := RunTheoremPartial("naivefast", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2.Sacrifices != "consistency" {
-		t.Fatalf("partial verdict = %q", v2.Sacrifices)
-	}
-}
-
-func TestFacadeCharacterize(t *testing.T) {
-	row, err := Characterize("wren", []int64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Verdict.Sacrifices != "O" {
-		t.Fatalf("wren sacrifices %q", row.Verdict.Sacrifices)
-	}
 }
