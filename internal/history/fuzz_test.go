@@ -10,8 +10,10 @@ import (
 // §3 counterexample (Lemma 1's mixed read, the witness the adversary
 // extracts from naivefast/twopcfast), the one-round fracture shape that
 // fails eigerps under load (half a multi-object commit visible), a
-// divergent-order history (causal but not serializable), and a clean
-// accepting history.
+// divergent-order history (causal but not serializable), a clean
+// accepting history, and three fuzzer-minimized histories in which a
+// streaming session that sweeps after every append sees a late read of
+// a retired writer.
 func seedHistories() map[string]*History {
 	rec := func(client string, seq int, inv, dur int64, reads map[string]model.Value, writes ...model.Write) *TxnRecord {
 		return &TxnRecord{
@@ -55,6 +57,43 @@ func seedHistories() map[string]*History {
 	accept.Add(rec("c1", 2, 6, 2, nil, model.Write{Object: "B", Value: "w9"}))
 	accept.Add(rec("c2", 1, 9, 2, map[string]model.Value{"B": "w9"}))
 	out["accepting"] = accept
+
+	// A stale read of a version a later batch superseded: c0/5 reads
+	// w6 after c0/3, retired in a later batch than w6's writer, wrote
+	// w15. Only bind's later-batch refutation decides it.
+	laterBatch := New(encInitials())
+	laterBatch.Add(rec("c0", 1, 16, 17, nil, model.Write{Object: "A", Value: "w1"}))
+	laterBatch.Add(rec("c0", 2, 32, 17, nil, model.Write{Object: "A", Value: "w6"}))
+	laterBatch.Add(rec("c1", 1, 48, 17, map[string]model.Value{"A": "w15"}))
+	laterBatch.Add(rec("c0", 3, 64, 17, nil, model.Write{Object: "A", Value: "w15"}))
+	laterBatch.Add(rec("c0", 4, 80, 17, map[string]model.Value{"A": "w15"}))
+	laterBatch.Add(rec("c0", 5, 80, 1, map[string]model.Value{"A": "w6"}))
+	out["stale-read-later-batch"] = laterBatch
+
+	// A stale read inside one batch: c0/4 reads w0 after c0/2 wrote w1,
+	// and both writers retired together (the dangling reads of w15 keep
+	// their readers live). The frozen batch order refutes it at the
+	// strict level, through bind's same-batch loop.
+	sameBatch := New(encInitials())
+	sameBatch.Add(rec("c0", 1, 16, 17, nil, model.Write{Object: "A", Value: "w0"}))
+	sameBatch.Add(rec("c0", 2, 32, 17, nil, model.Write{Object: "A", Value: "w1"}))
+	sameBatch.Add(rec("c0", 3, 48, 17, map[string]model.Value{"A": "w15"}))
+	sameBatch.Add(rec("c1", 1, 64, 17, map[string]model.Value{"A": "w15"}))
+	sameBatch.Add(rec("c0", 4, 64, 1, map[string]model.Value{"A": "w0"}))
+	out["stale-read-same-batch"] = sameBatch
+
+	// A ghost unit from a late read: c1/1 and c0/1 overlap, so they
+	// retire in one batch unordered. c0/3's read of w1 forces c1/1
+	// before c0/1 there; c0/4's read of w15 then needs the reverse, which
+	// refutes the strict level only if the first unit was recorded.
+	ghostUnit := New(encInitials())
+	ghostUnit.Add(rec("c1", 1, 16, 17, nil, model.Write{Object: "A", Value: "w15"}))
+	ghostUnit.Add(rec("c0", 1, 32, 17, nil, model.Write{Object: "A", Value: "w1"}))
+	ghostUnit.Add(rec("c0", 2, 48, 17, map[string]model.Value{"A": "w0"}))
+	ghostUnit.Add(rec("c1", 2, 64, 17, map[string]model.Value{"A": "w0"}))
+	ghostUnit.Add(rec("c0", 3, 80, 17, map[string]model.Value{"A": "w1"}))
+	ghostUnit.Add(rec("c0", 4, 80, 1, map[string]model.Value{"A": "w15"}))
+	out["late-read-ghost-unit"] = ghostUnit
 	return out
 }
 
@@ -62,16 +101,22 @@ func seedHistories() map[string]*History {
 // must round-trip through the encoding and carry its intended verdict.
 func TestSeedHistoriesRoundTripAndVerdicts(t *testing.T) {
 	wantCausal := map[string]bool{
-		"lemma1-mixed-read": false,
-		"fractured-commit":  false,
-		"divergent-orders":  true,
-		"accepting":         true,
+		"lemma1-mixed-read":      false,
+		"fractured-commit":       false,
+		"divergent-orders":       true,
+		"accepting":              true,
+		"stale-read-later-batch": false,
+		"stale-read-same-batch":  false,
+		"late-read-ghost-unit":   false,
 	}
 	wantSer := map[string]bool{
-		"lemma1-mixed-read": false,
-		"fractured-commit":  false,
-		"divergent-orders":  false,
-		"accepting":         true,
+		"lemma1-mixed-read":      false,
+		"fractured-commit":       false,
+		"divergent-orders":       false,
+		"accepting":              true,
+		"stale-read-later-batch": false,
+		"stale-read-same-batch":  false,
+		"late-read-ghost-unit":   false,
 	}
 	for name, h := range seedHistories() {
 		data, err := EncodeHistory(h)

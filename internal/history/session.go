@@ -66,29 +66,36 @@
 // unit-forced), and a member↔member disjunct joins the batch's ghost
 // constraint set below.
 //
+// Every base edge the session forces, a→b, has a live head b: program
+// order ends at a new transaction (its tail, the client's newest, is
+// live by C6), real-time edges join live slots, a reads-from edge ends
+// at a reader just appended or holding pending reads (C3), and the
+// reader and writer lists the other edges are built from (initReaders,
+// valueReaders, writersOf) drop transactions at retirement. So the only
+// retired endpoint an edge can name is a writer: the tail of a
+// reads-from edge (it already precedes every live transaction), or the
+// head of an anti-dependency disjunct (dead, so its live sibling is
+// forced).
+//
 // Members of one batch may be mutually unordered (concurrent
 // transactions retire together — requiring a total chain would deadlock
 // the window on the first concurrent pair), so each batch freezes its
-// internal base order at retirement. Every later ordering question
-// against the retired set is then a recorded fact: cross-batch pairs
-// are ordered by batch (each batch preceded everything live when it
-// retired, including all later batches), same-batch pairs by the frozen
-// order. The one genuinely open case — constraints between two
-// same-batch members the base never ordered, reachable through clause
-// decisions at the sweep or a late read of a long-retired writer — is
+// internal base order at retirement: cross-batch pairs are ordered by
+// batch, same-batch pairs by the frozen order. What it leaves open is
 // recorded per state as "ghost" unit edges and ghost clauses over the
-// frozen batch order, decided exactly as the non-evicting session's
-// solver would: retired↔live edges all point retired→live, so a batch
-// is isolated from the live window and a batch-local solver search
-// (ghostCheck) is the whole decision. Per-state forced units between
-// batch members migrate into ghost edges at retirement, preserving
-// each serialization's facts. Verdicts and first-violation indices are
-// identical to the non-evicting session (the eviction differential
-// fuzz pins this). Retired slots return to a free list and are reused,
-// so bitset rows are sized by the PEAK window. Per-transaction scalars
-// that future reads may still name (the (object,value)→writer map,
-// IDs, the duplicate-ID index, batch positions) are kept for the whole
-// run; they are O(1) per transaction, not O(window).
+// batch, from three sources: the sweep's decisions on member↔member
+// disjuncts, the state's own forced units between members (migrated at
+// retirement), and a late read of a retired writer (its same-batch
+// co-writers of the object must precede it). No edge points from a
+// live transaction into the retired prefix, so a batch is isolated from
+// the live window and a batch-local solver search (ghostCheck) decides
+// them exactly as the non-evicting session's solver would. Verdicts and
+// first-violation indices are identical to the non-evicting session
+// (the eviction differential fuzz pins this). Retired slots return to a
+// free list and are reused, so bitset rows are sized by the PEAK
+// window. Per-transaction scalars that future reads may still name (the
+// (object,value)→writer map, IDs, the duplicate-ID index, batch
+// positions) are kept for the whole run; they are O(1) per transaction.
 package history
 
 import (
@@ -164,9 +171,9 @@ type clientState struct {
 	// ghosts holds this serialization's forced unit edges between
 	// same-batch retired transactions the base never ordered, as local
 	// index pairs per batch (see the package comment); ghostClauses holds
-	// the still-disjunctive constraints whose disjuncts both landed
-	// inside one batch, in the same local index space. Nil until a sweep
-	// decision or a late read creates one.
+	// the sweep's still-disjunctive constraints whose disjuncts both
+	// landed inside one batch, in the same local index space. Nil until
+	// one of the three ghost sources creates one.
 	ghosts       map[int32][][2]int32
 	ghostClauses map[int32][]clause
 }
@@ -783,32 +790,12 @@ func (s *Session) stateFor(client string) *clientState {
 
 // forceGlobal adds a forced edge of the global relation (program order,
 // reads-from, real time) to the base, the shared model, and every
-// state. a and b are global indices; edges into or out of the retired
-// prefix reduce to implication or refutation. A cycle in the global
-// base refutes the history outright.
+// state. a and b are global indices; only a can be retired (see the
+// package comment), and then it already precedes b. A cycle in the
+// global base refutes the history outright.
 func (s *Session) forceGlobal(cur, a, b int) bool {
-	ra, rb := s.retiredG(a), s.retiredG(b)
-	switch {
-	case ra && rb:
-		switch s.edgeStatus(a, b) {
-		case edgeSatisfied:
-			return true // already a frozen fact
-		case edgeDead:
-			return s.violate(cur, s.ids[cur], "%s", s.cyclicBase())
-		}
-		// Base-unordered within one batch: a global fact binds every
-		// serialization (unreachable from current edge sources, which
-		// always have a live endpoint; kept for completeness).
-		for _, st := range s.order {
-			if !s.ghostForce(cur, st, a, b) {
-				return false
-			}
-		}
+	if s.retiredG(a) {
 		return true
-	case ra:
-		return true // retired precedes every live transaction
-	case rb:
-		return s.violate(cur, s.ids[cur], "%s", s.cyclicBase())
 	}
 	sa, sb := s.slot(a), s.slot(b)
 	if !s.base.addEdge(sa, sb) {
@@ -834,25 +821,10 @@ func (s *Session) forceGlobal(cur, a, b int) bool {
 	return true
 }
 
-// forceIn adds a forced edge to one state's base and folds it into its
-// model (degrading the state to a private re-solve on conflict; a base
-// conflict refutes). a and b are global indices.
+// forceIn adds a forced edge between two live transactions (global
+// indices) to one state's base and folds it into its model (degrading
+// the state to a private re-solve on conflict; a base conflict refutes).
 func (s *Session) forceIn(cur int, st *clientState, a, b int) bool {
-	ra, rb := s.retiredG(a), s.retiredG(b)
-	switch {
-	case ra && rb:
-		switch s.edgeStatus(a, b) {
-		case edgeSatisfied:
-			return true
-		case edgeDead:
-			return s.violate(cur, s.ids[cur], "%s", s.noSerialization(st.client))
-		}
-		return s.ghostForce(cur, st, a, b)
-	case ra:
-		return true
-	case rb:
-		return s.violate(cur, s.ids[cur], "%s", s.noSerialization(st.client))
-	}
 	sa, sb := s.slot(a), s.slot(b)
 	if !st.base.addEdge(sa, sb) {
 		return s.violate(cur, s.ids[cur], "%s", s.noSerialization(st.client))
@@ -876,47 +848,6 @@ func (s *Session) owe(st *clientState) {
 	st.shared, st.model, st.conflict = false, nil, true
 	if !slices.ContainsFunc(s.order, func(o *clientState) bool { return o.shared }) {
 		s.model = nil
-	}
-}
-
-// edge dispositions against the retired prefix.
-const (
-	edgeOpen      = iota // both endpoints live: a real ordering literal
-	edgeSatisfied        // already a frozen or implied base fact
-	edgeDead             // its reverse is a frozen or implied base fact
-	edgeGhost            // both retired in one batch, base-unordered
-)
-
-// edgeStatus classifies a prospective edge a→b (global indices) against
-// the retired prefix. Retired transactions precede every live one,
-// earlier batches precede later ones, and same-batch pairs resolve
-// against the batch's frozen base order — every non-ghost answer is a
-// base fact the non-evicting session would have read off its closure.
-func (s *Session) edgeStatus(a, b int) int {
-	ba, bb := s.batchOf[a], s.batchOf[b]
-	switch {
-	case ba >= 0 && bb >= 0:
-		if ba != bb {
-			if ba < bb {
-				return edgeSatisfied
-			}
-			return edgeDead
-		}
-		batch := s.batches[ba]
-		la, lb := int(s.localOf[a]), int(s.localOf[b])
-		if batch.succ[la].has(lb) {
-			return edgeSatisfied
-		}
-		if batch.succ[lb].has(la) {
-			return edgeDead
-		}
-		return edgeGhost
-	case ba >= 0:
-		return edgeSatisfied
-	case bb >= 0:
-		return edgeDead
-	default:
-		return edgeOpen
 	}
 }
 
@@ -949,53 +880,27 @@ func ghostReaches(batch *retiredBatch, edges [][2]int32, from, to int) bool {
 	return false
 }
 
-// ghostBlocked reports whether forcing the same-batch unit a→b would
-// cycle against st's view of the batch (the frozen base order plus its
-// own ghost units).
-func (s *Session) ghostBlocked(st *clientState, a, b int) bool {
-	bi := s.batchOf[a]
-	var edges [][2]int32
-	if st.ghosts != nil {
-		edges = st.ghosts[bi]
-	}
-	return ghostReaches(s.batches[bi], edges, int(s.localOf[b]), int(s.localOf[a]))
-}
-
 // ghostForce records the forced unit a→b (same-batch retired global
-// indices, base-unordered) in st, refuting on a cycle or when the
-// batch's ghost clause set loses its last satisfying order — the exact
-// decision the non-evicting session's solver would make, since ghost
-// constraints can never interact with the live window (no edge points
-// from a live transaction into the retired prefix).
+// indices) in st unless the frozen batch order plus st's ghost units
+// imply it, refuting on a reverse path or when the batch's ghost clause
+// set loses its last satisfying order — the exact decision the
+// non-evicting session's solver would make, since no edge points from
+// a live transaction into the retired prefix.
 func (s *Session) ghostForce(cur int, st *clientState, a, b int) bool {
-	if s.ghostBlocked(st, a, b) {
-		return s.violate(cur, s.ids[cur], "%s", s.noSerialization(st.client))
-	}
 	bi := s.batchOf[a]
 	la, lb := s.localOf[a], s.localOf[b]
-	edges := st.ghosts[bi]
-	if ghostReaches(s.batches[bi], edges, int(la), int(lb)) {
-		return true // already implied
+	batch, edges := s.batches[bi], st.ghosts[bi]
+	if ghostReaches(batch, edges, int(lb), int(la)) {
+		return s.violate(cur, s.ids[cur], "%s", s.noSerialization(st.client))
+	}
+	if ghostReaches(batch, edges, int(la), int(lb)) {
+		return true
 	}
 	if st.ghosts == nil {
 		st.ghosts = make(map[int32][][2]int32)
 	}
 	st.ghosts[bi] = append(edges, [2]int32{la, lb})
 	if len(st.ghostClauses[bi]) > 0 && !s.ghostCheck(st, bi) {
-		return s.violate(cur, s.ids[cur], "%s", s.noSerialization(st.client))
-	}
-	return true
-}
-
-// ghostClauseAdd retains a clause whose disjuncts both landed inside
-// one batch (batch-local indices) and re-decides the batch's ghost
-// constraint set.
-func (s *Session) ghostClauseAdd(cur int, st *clientState, bi int32, c clause) bool {
-	if st.ghostClauses == nil {
-		st.ghostClauses = make(map[int32][]clause)
-	}
-	st.ghostClauses[bi] = append(st.ghostClauses[bi], c)
-	if !s.ghostCheck(st, bi) {
 		return s.violate(cur, s.ids[cur], "%s", s.noSerialization(st.client))
 	}
 	return true
@@ -1043,50 +948,15 @@ func (s *Session) ghostCheck(st *clientState, bi int32) bool {
 }
 
 // addConstraint threads the anti-dependency disjunction
-// (a1→b1) ∨ (a2→b2) (global indices) into st. Disjuncts touching the
-// retired prefix are decided immediately: a satisfied disjunct drops
-// the clause, a dead disjunct unit-forces its sibling, two dead
-// disjuncts refute, a single ghost disjunct (same-batch retired pair
-// the base never ordered) commits as a ghost unit when free, and two
-// ghost disjuncts are retained as a ghost clause. Fully live clauses
-// are retained slot-indexed.
+// (a1→b1) ∨ (a2→b2) (global indices) into st. Only a head (b1 or b2,
+// the writer the read observed) can be retired, and at most one is: a
+// disjunct into the retired prefix is dead, so its live sibling is
+// unit-forced. Otherwise the clause is retained slot-indexed.
 func (s *Session) addConstraint(cur int, st *clientState, a1, b1, a2, b2 int) bool {
-	d1, d2 := s.edgeStatus(a1, b1), s.edgeStatus(a2, b2)
 	switch {
-	case d1 == edgeSatisfied || d2 == edgeSatisfied:
-		return true
-	case d1 == edgeDead && d2 == edgeDead:
-		return s.violate(cur, s.ids[cur], "%s", s.noSerialization(st.client))
-	case d1 == edgeDead:
-		if d2 == edgeGhost {
-			return s.ghostForce(cur, st, a2, b2)
-		}
+	case s.retiredG(b1):
 		return s.forceIn(cur, st, a2, b2)
-	case d2 == edgeDead:
-		if d1 == edgeGhost {
-			return s.ghostForce(cur, st, a1, b1)
-		}
-		return s.forceIn(cur, st, a1, b1)
-	case d1 == edgeGhost && d2 == edgeGhost:
-		// Both disjuncts landed inside one batch (they share a
-		// transaction, so it is the same batch): keep the disjunction as
-		// a ghost clause — greedily committing one side could refute a
-		// history the other side satisfies.
-		return s.ghostClauseAdd(cur, st, s.batchOf[a1], clause{
-			int(s.localOf[a1]), int(s.localOf[b1]),
-			int(s.localOf[a2]), int(s.localOf[b2])})
-	case d1 == edgeGhost:
-		// A free ghost edge satisfies the clause without constraining
-		// the live window; only when it would cycle must the live
-		// sibling carry the clause.
-		if !s.ghostBlocked(st, a1, b1) {
-			return s.ghostForce(cur, st, a1, b1)
-		}
-		return s.forceIn(cur, st, a2, b2)
-	case d2 == edgeGhost:
-		if !s.ghostBlocked(st, a2, b2) {
-			return s.ghostForce(cur, st, a2, b2)
-		}
+	case s.retiredG(b2):
 		return s.forceIn(cur, st, a1, b1)
 	}
 	s.addClause(st, clause{s.slot(a1), s.slot(b1), s.slot(a2), s.slot(b2)})
@@ -1125,7 +995,7 @@ func (s *Session) addClause(st *clientState, c clause) {
 // part of the global base and the read's anti-dependency clauses are
 // threaded against every other known writer of the object (writers still
 // to come are threaded by the writer-side pass of Append; retired
-// writers reduce to one chain-position comparison).
+// writers reduce to a batch comparison and same-batch ghost units).
 func (s *Session) bind(cur int, ob *obligation, wi int) bool {
 	ob.writer = wi
 	if ob.reader == wi {
@@ -1146,27 +1016,15 @@ func (s *Session) bind(cur int, ob *obligation, wi int) bool {
 		// Every retired writer o of the object in a batch after wi's
 		// sits between wi and the (live) reader in every extension of
 		// the base: (o→wi) and (reader→o) are both base-refuted. Writers
-		// retired in wi's own batch resolve against the frozen batch
-		// order, or become ghost units when the base never ordered them;
+		// retired in wi's own batch must precede wi (ghostForce);
 		// earlier-batch writers satisfy their disjunct outright.
-		if or := s.retiredW[ob.obj]; or != nil {
-			if or.batch > s.batchOf[wi] {
-				return s.violate(cur, s.ids[cur], "%s", s.noSerialization(st.client))
-			}
-			for _, og := range or.writers {
-				o := int(og)
-				if o == wi {
-					continue
-				}
-				switch s.edgeStatus(o, wi) {
-				case edgeSatisfied:
-				case edgeDead:
-					return s.violate(cur, s.ids[cur], "%s", s.noSerialization(st.client))
-				case edgeGhost:
-					if !s.ghostForce(cur, st, o, wi) {
-						return false
-					}
-				}
+		or := s.retiredW[ob.obj] // non-nil: wi wrote ob.obj
+		if or.batch > s.batchOf[wi] {
+			return s.violate(cur, s.ids[cur], "%s", s.noSerialization(st.client))
+		}
+		for _, o := range or.writers {
+			if int(o) != wi && !s.ghostForce(cur, st, int(o), wi) {
+				return false
 			}
 		}
 	}
@@ -1292,12 +1150,13 @@ func (s *Session) sweep(cur int) bool {
 	sort.Ints(members)
 
 	// Decide every clause that references a member, in slot space while
-	// slots are still valid: against st's own base a disjunct may already
-	// be satisfied or dead; otherwise membership decides it — a member
-	// base-precedes everything staying live, so member→out is satisfied,
-	// out→member is dead, and member↔member (a "pair") is deferred to the
-	// batch's ghost domain. Actions are collected as global indices and
-	// applied after retireBatch assigns the batch-local index space.
+	// slots are still valid, against st's own base: a member base-precedes
+	// everything staying live (C1), so member→out is satisfied and
+	// out→member dead there, and a disjunct the base leaves open either
+	// joins two members (a "pair", deferred to the batch's ghost domain)
+	// or two transactions staying live. Actions are collected as global
+	// indices and applied after retireBatch assigns the batch-local index
+	// space.
 	const (
 		dSat = iota
 		dDead
@@ -1317,20 +1176,13 @@ func (s *Session) sweep(cur int) bool {
 	var acts []sweepAct
 	for _, st := range s.order {
 		classify := func(a, b int) int {
-			if st.base.has(a, b) {
-				return dSat
-			}
-			if st.base.has(b, a) {
-				return dDead
-			}
-			ina, inb := !blocked.has(a), !blocked.has(b)
 			switch {
-			case ina && inb:
-				return dPair
-			case ina:
+			case st.base.has(a, b):
 				return dSat
-			case inb:
+			case st.base.has(b, a):
 				return dDead
+			case !blocked.has(a): // a member, so b is one too (C1)
+				return dPair
 			}
 			return dOpen
 		}
@@ -1339,7 +1191,7 @@ func (s *Session) sweep(cur int) bool {
 			d1, d2 := classify(c.a1, c.b1), classify(c.a2, c.b2)
 			switch {
 			case d1 == dSat || d2 == dSat:
-				// Satisfied forever (base and membership facts are monotone).
+				// Satisfied forever (base facts are monotone).
 			case d1 == dOpen && d2 == dOpen:
 				keep = append(keep, c)
 			case d1 == dDead && d2 == dDead:
@@ -1363,17 +1215,6 @@ func (s *Session) sweep(cur int) bool {
 			case d2 == dPair && d1 == dDead:
 				acts = append(acts, sweepAct{st: st, kind: actGhost,
 					a1: s.globOf[c.a2], b1: s.globOf[c.b2]})
-			default:
-				// dPair with a dOpen sibling cannot arise: the disjuncts
-				// share a transaction, which cannot be both in and out of
-				// the batch. Satisfy the live sibling defensively.
-				if d1 == dOpen {
-					acts = append(acts, sweepAct{st: st, kind: actForce,
-						a1: s.globOf[c.a1], b1: s.globOf[c.b1]})
-				} else {
-					acts = append(acts, sweepAct{st: st, kind: actForce,
-						a1: s.globOf[c.a2], b1: s.globOf[c.b2]})
-				}
 			}
 		}
 		st.clauses = keep

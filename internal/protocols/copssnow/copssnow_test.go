@@ -110,6 +110,58 @@ func TestOldReaderExclusion(t *testing.T) {
 	}
 }
 
+// TestCopsSnowThreeHopChainGap pins a known causality gap on a three-hop
+// chain. ROT r0 reads X0's initial value while its X2 read is held on a
+// cut; meanwhile c0 writes X0=a0, c1 reads a0 and writes X1=m1, and c2
+// reads m1 and writes X2=b2. b2's dependency check asks only for the old
+// readers of X1, which r0 never read, so b2 is not hidden from r0 and the
+// ROT returns X0 initial with X2=b2: no causal serialization has that
+// read. The test asserts the mixed read as it happens today; a transitive
+// readers check flips it, and this test then asserts the causal read.
+func TestCopsSnowThreeHopChainGap(t *testing.T) {
+	d := ptest.Deploy(t, copssnow.New(), ptest.Expect{Servers: 3}, 47)
+
+	rotID := d.Invoke("r0", model.NewReadOnly(model.TxnID{}, "X0", "X2"))
+	d.Kernel.StepProcess("r0")
+	cut := sim.Fault{Kind: sim.FaultCut, From: []sim.ProcessID{"r0"}, To: []sim.ProcessID{"s2"}}
+	d.Kernel.ApplyFault(cut)
+	for _, m := range d.Kernel.InTransitOn(sim.Link{From: "r0", To: "s0"}) {
+		d.Kernel.Deliver(m.ID)
+	}
+	d.Kernel.StepProcess("s0") // X0 read served and recorded; X2 request held
+
+	read := func(c sim.ProcessID, obj string, want model.Value) {
+		t.Helper()
+		if res := d.RunTxn(c, model.NewReadOnly(model.TxnID{}, obj), 200_000); !res.OK() || res.Value(obj) != want {
+			t.Fatalf("%s read %s = %v, want %s", c, obj, res, want)
+		}
+	}
+	write := func(c sim.ProcessID, obj string, v model.Value) {
+		t.Helper()
+		if res := d.RunTxn(c, model.NewWriteOnly(model.TxnID{}, model.Write{Object: obj, Value: v}), 200_000); !res.OK() {
+			t.Fatalf("%s write %s=%s failed", c, obj, v)
+		}
+	}
+	write("c0", "X0", "a0")
+	read("c1", "X0", "a0")
+	write("c1", "X1", "m1")
+	read("c2", "X1", "m1")
+	write("c2", "X2", "b2")
+	d.Settle(200_000)
+	cut.Kind = sim.FaultHeal
+	d.Kernel.ApplyFault(cut)
+	d.Settle(200_000)
+
+	cl := d.Client("r0")
+	if cl.Busy() {
+		t.Fatal("ROT did not complete")
+	}
+	res := cl.Finished(rotID)
+	if res.Value("X0") != protocol.InitialValue("X0") || res.Value("X2") != "b2" {
+		t.Fatalf("ROT read %v, want the mixed read X0 initial, X2=b2 (gap closed? assert the causal read now)", res.Values)
+	}
+}
+
 // TestLoadConformance certifies concurrent closed- and open-loop driver
 // sweeps at the claimed consistency level.
 func TestLoadConformance(t *testing.T) {
