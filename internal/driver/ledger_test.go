@@ -33,24 +33,24 @@ type cost struct{ events, mallocs, bytes, retainedKB float64 }
 // hostCosts is the ledger, as measured: a count off its entry by more than
 // ledgerSlack fails, so every gain or loss shows in the diff that makes it.
 var hostCosts = map[string]cost{
-	"reads/cops": {164924, 1.418, 97.5, 571}, "reads/cure": {275734, 1.226, 80.7, 746}, "reads/spanner": {209550, 1.185, 76.7, 614},
-	"reads/gentlerain": {520864, 0.789, 42.3, 468}, "reads/ramp": {176484, 1.418, 96.5, 716},
-	"writes/cops": {131176, 1.924, 169.8, 8659}, "writes/cure": {422676, 1.249, 80.4, 6327}, "writes/spanner": {260855, 1.363, 92.8, 5506},
-	"linear/contrarian/2k": {20124, 1.273, 88.4, 279}, "linear/contrarian/8k": {81220, 1.232, 86.7, 977},
-	"linear/cops/2k": {13076, 1.750, 129.1, 438}, "linear/cops/8k": {52524, 1.684, 126.7, 1598},
-	"linear/copssnow/2k": {24624, 3.252, 639.9, 4150}, "linear/copssnow/8k": {99472, 3.312, 692.5, 18127},
-	"linear/cure/2k": {36038, 1.283, 78.9, 582}, "linear/cure/8k": {143206, 1.252, 77.5, 2090},
-	"linear/eiger/2k": {29856, 1.473, 92.9, 541}, "linear/eiger/8k": {118088, 1.471, 92.1, 1958},
-	"linear/eigerps/2k": {189188, 0.618, 16.8, 753}, "linear/eigerps/8k": {742620, 0.611, 16.3, 2545},
-	"linear/fatcops/2k": {16196, 4.633, 286.8, 2424}, "linear/fatcops/8k": {64572, 5.244, 289.5, 9344},
-	"linear/gentlerain/2k": {29048, 0.974, 62.6, 286}, "linear/gentlerain/8k": {116752, 0.942, 61.1, 985},
-	"linear/naivefast/2k": {16196, 1.575, 123.3, 523}, "linear/naivefast/8k": {64572, 1.526, 122.3, 1941},
-	"linear/orbe/2k": {23090, 1.269, 81.8, 319}, "linear/orbe/8k": {92438, 1.230, 80.2, 1107},
-	"linear/ramp/2k": {23532, 1.652, 105.6, 608}, "linear/ramp/8k": {93376, 1.613, 104.8, 2257},
-	"linear/spanner/2k": {26159, 1.308, 87.2, 531}, "linear/spanner/8k": {103847, 1.274, 86.2, 1950},
-	"linear/twopcfast/2k": {23404, 1.435, 95.7, 525}, "linear/twopcfast/8k": {92824, 1.398, 94.8, 1942},
-	"linear/wren/2k": {38018, 1.091, 70.7, 575}, "linear/wren/8k": {151366, 1.060, 68.5, 1994},
-	"copssnow64/2k": {33992, 3.130, 1278.8, 11413}, "copssnow64/8k": {155932, 3.815, 2557.2, 109729},
+	"reads/cops": {164924, 1.418, 87.7, 571}, "reads/cure": {275734, 1.226, 74.9, 746}, "reads/spanner": {209550, 1.185, 69.4, 614},
+	"reads/gentlerain": {520864, 0.789, 39.3, 468}, "reads/ramp": {176484, 1.418, 87.6, 716},
+	"writes/cops": {131176, 1.924, 157.3, 8659}, "writes/cure": {422676, 1.249, 76.5, 6327}, "writes/spanner": {260855, 1.363, 87.0, 5506},
+	"linear/contrarian/2k": {20124, 1.273, 85.2, 279}, "linear/contrarian/8k": {81220, 1.232, 79.7, 977},
+	"linear/cops/2k": {13076, 1.750, 121.9, 438}, "linear/cops/8k": {52524, 1.684, 115.3, 1598},
+	"linear/copssnow/2k": {24624, 3.252, 637.7, 4150}, "linear/copssnow/8k": {99472, 3.312, 686.9, 18127},
+	"linear/cure/2k": {36038, 1.283, 77.0, 582}, "linear/cure/8k": {143206, 1.252, 73.5, 2090},
+	"linear/eiger/2k": {29856, 1.473, 92.3, 541}, "linear/eiger/8k": {118088, 1.471, 87.7, 1958},
+	"linear/eigerps/2k": {189188, 0.618, 16.2, 753}, "linear/eigerps/8k": {742620, 0.611, 15.5, 2545},
+	"linear/fatcops/2k": {16196, 4.633, 280.0, 2424}, "linear/fatcops/8k": {64572, 5.244, 280.3, 9344},
+	"linear/gentlerain/2k": {29048, 0.974, 59.7, 286}, "linear/gentlerain/8k": {116752, 0.942, 56.0, 985},
+	"linear/naivefast/2k": {16196, 1.575, 116.5, 523}, "linear/naivefast/8k": {64572, 1.526, 112.7, 1941},
+	"linear/orbe/2k": {23090, 1.269, 79.0, 319}, "linear/orbe/8k": {92438, 1.230, 74.0, 1107},
+	"linear/ramp/2k": {23532, 1.652, 102.5, 608}, "linear/ramp/8k": {93376, 1.613, 98.6, 2257},
+	"linear/spanner/2k": {26159, 1.308, 85.5, 531}, "linear/spanner/8k": {103847, 1.274, 80.9, 1950},
+	"linear/twopcfast/2k": {23404, 1.435, 91.9, 525}, "linear/twopcfast/8k": {92824, 1.398, 88.5, 1942},
+	"linear/wren/2k": {38018, 1.091, 68.7, 575}, "linear/wren/8k": {151366, 1.060, 64.7, 1994},
+	"copssnow64/2k": {33992, 3.130, 1276.9, 11413}, "copssnow64/8k": {155932, 3.815, 2553.6, 109729},
 }
 
 // ledgerSlack is the drift a count may show before its entry must change.
