@@ -89,7 +89,8 @@ func TestPercentilesOrdered(t *testing.T) {
 			large[i] = rng.Int64N(4*denseCap) - denseCap
 		}
 	}
-	// dense's counters wrap at 1<<16: 0 and 5 twice, 3 between, and -1.
+	// dense's counters wrap at 1<<16: those of 0 and 5 wrap twice, beside
+	// a lone 3 and a -1.
 	wrapped := []int64{-1, 5, 3, 0}
 	for range 2 << 16 {
 		wrapped = append(wrapped, 0, 5)
