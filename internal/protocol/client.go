@@ -35,8 +35,10 @@ type Core struct {
 	rounds  int
 	// pending counts the replies the current round still awaits.
 	pending int
-	// out is the send buffer: this step's requests, until Sent.
-	out []sim.Outbound
+	// out is the send buffer: this step's requests, until Sent; shares
+	// is SendReads' fan-out buffer.
+	out    []sim.Outbound
+	shares []Share[string]
 	// The protocol's Name and Claims().MultiWriteTxn, for Starting.
 	name       string
 	multiWrite bool
@@ -68,12 +70,23 @@ func (c *Core) Invoke(t *model.Txn) model.TxnID {
 	return t.ID
 }
 
-// activate makes t the active transaction.
+// activate makes t the active transaction. Its result comes in one
+// allocation with Values when it reads at most two objects (both mixes'
+// width).
 func (c *Core) activate(t *model.Txn) {
 	c.cur = t
-	c.curRes = &model.Result{Txn: t, Invoked: -1}
-	if len(t.ReadSet) > 0 {
-		c.curRes.Values = make([]model.Value, len(t.ReadSet))
+	switch n := len(t.ReadSet); {
+	case n == 0:
+		c.curRes = &model.Result{Txn: t, Invoked: -1}
+	case n <= 2:
+		b := &struct {
+			r model.Result
+			v [2]model.Value
+		}{r: model.Result{Txn: t, Invoked: -1}}
+		b.r.Values = b.v[:n:n]
+		c.curRes = &b.r
+	default:
+		c.curRes = &model.Result{Txn: t, Invoked: -1, Values: make([]model.Value, n)}
 	}
 	c.started = false
 	c.rounds = 0
@@ -236,7 +249,7 @@ func (c *Core) CloneCore() Core {
 	// Completed results are immutable; a slice copy suffices.
 	cp.finished = append([]*model.Result(nil), c.finished...)
 	// The send buffer is never shared: the original's last Sent() slice
-	// stays the engine's to copy.
-	cp.out = nil
+	// stays the engine's to copy. Nor is the fan-out buffer.
+	cp.out, cp.shares = nil, nil
 	return cp
 }

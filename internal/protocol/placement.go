@@ -172,27 +172,45 @@ type Share[T any] struct {
 // message IDs and latency draws never depend on who wrote the loop — each
 // with its items in request order, repeats kept.
 //
-// ReadShares carves every share's Items from one backing array, each
-// capped at its own length, so an append to one share never reaches the
-// next.
-func (p *Placement) ReadShares(objs []string) []Share[string] {
+// ReadShares writes the shares over dst's backing array. A share whose
+// objects are adjacent in objs takes them as a slice of objs, so objs
+// must not be written after the call; the others are carved from one
+// fresh array. Every share's Items is capped at its own length, so an
+// append to one share never reaches the next.
+func (p *Placement) ReadShares(dst []Share[string], objs []string) []Share[string] {
 	var small [8]sim.ProcessID
 	prim := small[:0] // objs[j]'s primary
-	out := make([]Share[string], 0, min(len(objs), len(p.servers)))
+	out := dst[:0]
 	for _, obj := range objs {
 		srv := p.PrimaryOf(obj)
 		prim = append(prim, srv)
 		out, _ = openShare(out, srv)
 	}
-	items := make([]string, 0, len(objs))
+	var items []string
 	for i := range out {
-		n := len(items)
+		first, last, n := -1, 0, 0
+		for j := range objs {
+			if prim[j] == out[i].Server {
+				if first < 0 {
+					first = j
+				}
+				last, n = j+1, n+1
+			}
+		}
+		if last-first == n {
+			out[i].Items = objs[first:last:last]
+			continue
+		}
+		if items == nil {
+			items = make([]string, 0, len(objs))
+		}
+		k := len(items)
 		for j, obj := range objs {
 			if prim[j] == out[i].Server {
 				items = append(items, obj)
 			}
 		}
-		out[i].Items = items[n:len(items):len(items)]
+		out[i].Items = items[k:len(items):len(items)]
 	}
 	return out
 }

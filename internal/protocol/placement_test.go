@@ -36,7 +36,7 @@ func refShares[T any](items []T, servers func(T) []sim.ProcessID) []Share[T] {
 // checkShares compares got with the reference grouping and with the
 // placement: same servers in the same order with the same items in the
 // same order, a subsequence of Servers(), and never an empty share. The
-// shares' items share one backing array, so each must be capped at its
+// shares' items share backing arrays, so each must be capped at its
 // length.
 func checkShares[T comparable](t *testing.T, name string, pl *Placement, got, want []Share[T]) {
 	t.Helper()
@@ -88,8 +88,20 @@ func TestSharesMatchMapAndSort(t *testing.T) {
 	checkReadShares(t, "all 16 objects", pl, pl.Objects())
 }
 
+// checkReadShares checks ReadShares into no buffer and over a used one,
+// and that a share whose objects are adjacent in reads is a slice of it.
 func checkReadShares(t *testing.T, name string, pl *Placement, reads []string) {
 	t.Helper()
-	checkShares(t, name, pl, pl.ReadShares(reads),
-		refShares(reads, func(o string) []sim.ProcessID { return []sim.ProcessID{pl.PrimaryOf(o)} }))
+	want := refShares(reads, func(o string) []sim.ProcessID { return []sim.ProcessID{pl.PrimaryOf(o)} })
+	checkShares(t, name, pl, pl.ReadShares(nil, reads), want)
+	used := pl.ReadShares(nil, pl.Objects())
+	got := pl.ReadShares(used, reads)
+	checkShares(t, name+" over a used buffer", pl, got, want)
+	for _, sh := range got {
+		at := slices.Index(reads, sh.Items[0])
+		if end := at + len(sh.Items); end <= len(reads) && slices.Equal(reads[at:end], sh.Items) &&
+			&reads[at] != &sh.Items[0] {
+			t.Fatalf("%s: %s's adjacent objects %v copied", name, sh.Server, sh.Items)
+		}
+	}
 }

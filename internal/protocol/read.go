@@ -55,8 +55,17 @@ func (r *ReadReply[M]) CarriedValues() []model.ValueRef {
 	return out
 }
 
-// ReplyTo returns req's empty reply, with room for a Val per object.
+// ReplyTo returns req's empty reply, with room for a Val per object: a
+// one-object reply comes in one allocation with its Val.
 func ReplyTo[M, Q any](req *Read[Q]) *ReadReply[M] {
+	if len(req.Objs) == 1 {
+		b := &struct {
+			r ReadReply[M]
+			v [1]Val[M]
+		}{r: ReadReply[M]{Msg: req.Msg}}
+		b.r.Vals = b.v[:0]
+		return &b.r
+	}
 	return &ReadReply[M]{Msg: req.Msg, Vals: make([]Val[M], 0, len(req.Objs))}
 }
 
@@ -72,9 +81,12 @@ func (r *ReadReply[M]) Add(obj string, v *store.Version, meta M) {
 
 // SendReads sends the active transaction's reads, one per ReadShares
 // entry in Servers() order, each carrying at: the reads share at, so it
-// must not be written after the call.
+// must not be written after the call. The shares are built in the
+// client's own buffer, and their objects alias the read set where they
+// can (transactions are immutable once invoked).
 func SendReads[Q any](c *Core, at Q) {
-	for _, sh := range c.pl.ReadShares(c.cur.ReadSet) {
+	c.shares = c.pl.ReadShares(c.shares, c.cur.ReadSet)
+	for _, sh := range c.shares {
 		c.Send(sh.Server, &Read[Q]{Msg: Msg{TID: c.cur.ID}, At: at, Objs: sh.Items})
 	}
 }

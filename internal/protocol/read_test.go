@@ -25,7 +25,7 @@ func TestReadRound(t *testing.T) {
 		t.Fatal("read-only transaction refused")
 	}
 	want := []sim.ProcessID{"s0", "s1", "s3"}
-	shares := pl.ReadShares(txn.ReadSet)
+	shares := pl.ReadShares(nil, txn.ReadSet)
 
 	q := []int64{7}
 	SendReads(&c, q)
@@ -44,6 +44,8 @@ func TestReadRound(t *testing.T) {
 			t.Fatalf("read %d: txn %v kind %q", i, r.TID, r.Kind())
 		case !slices.Equal(r.Objs, shares[i].Items) || len(r.Objs) != 1 || r.Objs[0] != txn.ReadSet[i]:
 			t.Fatalf("read %d objects %v, want %v", i, r.Objs, shares[i].Items)
+		case &r.Objs[0] != &txn.ReadSet[i]:
+			t.Fatalf("read %d carries a copy of its object", i)
 		case &r.At[0] != &q[0]:
 			t.Fatalf("read %d carries a copy of q", i)
 		}

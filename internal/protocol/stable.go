@@ -80,16 +80,18 @@ func (st *Stabilizer[S, O]) Heard(g *StableGossip[S]) {
 }
 
 // Publish gossips local to every peer, in Servers() order, if it is past
-// the last stamp published; otherwise it sends nothing.
+// the last stamp published; otherwise it sends nothing. Every peer gets
+// the same payload (payloads are immutable once sent).
 func (st *Stabilizer[S, O]) Publish(s *ServerCore, local S) {
 	var o O
 	if !o.Less(st.last, local) {
 		return
 	}
 	st.last = local
+	g := &StableGossip[S]{kinds: st.kinds, Idx: st.idx, Stamp: local}
 	for _, other := range s.pl.servers {
 		if other != s.id {
-			s.Send(other, &StableGossip[S]{kinds: st.kinds, Idx: st.idx, Stamp: local})
+			s.Send(other, g)
 		}
 	}
 }

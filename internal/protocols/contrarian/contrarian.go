@@ -157,7 +157,7 @@ func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 			c.phase = snapshotting
 			c.haveSnap = false
 			c.got.Start(&c.Core)
-			for _, sh := range c.Placement().ReadShares(t.ReadSet) {
+			for _, sh := range c.Placement().ReadShares(nil, t.ReadSet) {
 				c.Send(sh.Server, snapKinds.Request(t.ID))
 			}
 		} else {

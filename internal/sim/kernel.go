@@ -66,6 +66,11 @@ type Kernel struct {
 	// pendingInboxes counts processes with a non-empty income buffer, so
 	// schedulers can skip the per-process scan when nothing is pending.
 	pendingInboxes int
+	// edits counts the changes to processes and income buffers made
+	// outside a ShardedRunner: serial deliveries and steps, crashes,
+	// restarts and replacements. A runner re-reads every process when it
+	// moved since the runner's last Run.
+	edits uint64
 	// arrivals indexes transit by (ReadyAt, ID), one heap per partition of
 	// the process set (part: slot → partition), each message in its
 	// destination's. There is a single partition until a ShardedRunner
@@ -319,6 +324,7 @@ func (k *Kernel) Deliver(msgID int64) *Message {
 	if m.held {
 		panic(fmt.Sprintf("sim: Deliver(%d): message is held by a fault (destination down or link cut)", msgID))
 	}
+	k.edits++
 	k.live--
 	k.deliveredMsgs++
 	m.gone, m.pinned = true, true // its arrival entry stays behind
@@ -351,7 +357,8 @@ func (k *Kernel) liveMessage(msgID int64) *Message {
 // slice once they outnumber the live ones, keeping deletion amortized
 // O(1) and iteration proportional to the live count. A removed envelope
 // a runner step consumed, and that no arrival entry can still name, goes
-// on the free list: nothing else holds it any more.
+// on the free list: nothing else holds it any more. It drops its payload
+// there, which it would otherwise keep alive until reused.
 func (k *Kernel) compactTransit() {
 	if len(k.transit) < 32 || len(k.transit) < 2*k.live {
 		return
@@ -362,6 +369,7 @@ func (k *Kernel) compactTransit() {
 		case !m.gone:
 			live = append(live, m)
 		case m.consumed && !m.pinned:
+			m.Payload = nil
 			k.free = append(k.free, m)
 		}
 	}
@@ -391,6 +399,7 @@ func (k *Kernel) StepProcess(pid ProcessID) []*Message {
 	if k.down[s] {
 		panic(fmt.Sprintf("sim: StepProcess(%s): process is crashed", pid))
 	}
+	k.edits++
 	in := k.inbox[s]
 	if len(in) > 0 {
 		k.pendingInboxes--

@@ -256,6 +256,7 @@ func (k *Kernel) crash(pid ProcessID, lose bool) bool {
 	if !ok || k.down[s] {
 		return false
 	}
+	k.edits++
 	k.down[s] = true
 	if lose {
 		k.loseInbox(s)
@@ -276,6 +277,7 @@ func (k *Kernel) restart(pid ProcessID) bool {
 	if !ok || !k.down[s] {
 		return false
 	}
+	k.edits++
 	k.down[s] = false
 	k.releaseHeld()
 	k.Annotate(EvMark, pid, "restart")
@@ -311,6 +313,7 @@ func (k *Kernel) replace(r *FaultResult, pid ProcessID, lose bool) {
 		// disk never saw the delivered-but-unconsumed buffer either.
 		k.loseInbox(s)
 	}
+	k.edits++
 	r.Applied = true
 	r.Pending = append(r.Pending, pid)
 	p, st := hook(k, k.procs[s], lose)

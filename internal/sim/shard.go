@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -63,27 +64,21 @@ type ShardedRunner struct {
 	nProcs  int
 	horizon Time
 
-	// floors is the shard-pair bound matrix: floors[j][i] is the smallest
-	// declared latency floor over links from a shard-j process to a
-	// shard-i process — the minimum transit time of any influence j can
-	// exert on i. Always ≥ 1. uniform says every entry is delta: no link
-	// declares a floor of its own.
-	floors  [][]Time
-	uniform bool
-	// stepAt is the readiness cache, one entry per kernel slot: the
-	// earliest instant the slot's process could step with an empty
-	// inbox — the shard clock when it is Ready, a Waker's declared
-	// instant, infTime when it waits on a delivery or is down. Every
-	// shard writes only its own slots' entries (shard.refresh).
-	stepAt []Time
+	// reach is the closed floor matrix, row i for shard i: reach[i][j],
+	// j ≠ i, is the shortest path over declared floors from shard j to
+	// shard i — the soonest j's next event can reach i — and reach[i][i]
+	// is i's fastest echo, out to another shard and back. Entries are ≥ 1
+	// and at most infTime.
+	reach [][]Time
+	// notified lists the slots NotifyInvoked named since the last Run;
+	// seen is the kernel's edits count when the last Run started.
+	notified []slot
+	seen     uint64
 	// Per-round scratch, sized to the shard count once (active grows to
 	// it and is reused).
-	e, prom, bnd []Time
-	settled      []bool
-	arrTop       []*Message
-	shardReady   []bool
-	shardWake    []Time
-	active       []*shard
+	e, bnd []Time
+	arrTop []*Message
+	active []*shard
 
 	stats ShardingStats
 }
@@ -132,23 +127,36 @@ type shardSend struct {
 // transient per-round state of its local sub-simulation. It keeps no copy
 // of kernel state: processes, crash flags and income buffers are read
 // through the slots, arrivals popped from partition idx of the kernel's
-// index. What it derives from them — its pending count and its slots'
-// readiness cache entries — is rebuilt when a Run starts. Faults only
-// change between engine runs, so those reads are race-free from worker
-// goroutines.
+// index. What it derives from them — its pending count and mask, its
+// slots' readiness cache entries and their minimum — is kept up to date
+// by deliver and step, and re-read where Run finds the kernel changed.
+// Faults only change between engine runs, so those reads are race-free
+// from worker goroutines.
 type shard struct {
 	k     *Kernel
 	idx   int
 	slots []slot // sorted by ID
 
 	// pending counts the shard's up processes with a non-empty income
-	// buffer, recounted when a Run starts and kept up to date by deliver
-	// and step from then on; adopted is its value when the round began,
-	// so the merge can settle the kernel's counter by the difference.
-	pending   int
-	adopted   int
-	stepAt    []Time // the runner's readiness cache
-	t         Time   // persistent local clock
+	// buffer and mask holds their bits, by index in slots, so its lowest
+	// set bit is the first of them in ID order; adopted is pending's value
+	// when the round began, so the merge can settle the kernel's counter
+	// by the difference.
+	pending int
+	mask    []uint64
+	adopted int
+	// stepAt is the readiness cache, one entry per kernel slot and shared
+	// by every shard, each writing only its own slots' entries (refresh):
+	// the earliest instant the slot's process could step with an empty
+	// inbox — the shard clock when it is Ready, a Waker's declared
+	// instant, infTime when it waits on a delivery or is down. next is
+	// the least of the shard's entries: the shard can step now when it is
+	// at or below t, and no sooner than it otherwise. pos, shared too,
+	// maps a slot to its index in its shard's slots, its bit in mask.
+	stepAt    []Time
+	next      Time
+	pos       []int
+	t         Time // persistent local clock
 	events    int
 	sends     []shardSend
 	delivered int  // messages delivered this round
@@ -185,23 +193,20 @@ func NewLookaheadRunner(k *Kernel, shardOf func(ProcessID) int, nShards, workers
 	}
 	workers = max(workers, 1)
 	r := &ShardedRunner{
-		k:          k,
-		workers:    workers,
-		delta:      max(k.latencyFloor, 1),
-		shards:     make([]*shard, nShards),
-		nProcs:     len(k.order),
-		e:          make([]Time, nShards),
-		prom:       make([]Time, nShards),
-		bnd:        make([]Time, nShards),
-		settled:    make([]bool, nShards),
-		arrTop:     make([]*Message, nShards),
-		shardReady: make([]bool, nShards),
-		shardWake:  make([]Time, nShards),
-		stepAt:     make([]Time, len(k.ids)),
-		stats:      ShardingStats{Shards: nShards},
+		k:       k,
+		workers: workers,
+		delta:   max(k.latencyFloor, 1),
+		shards:  make([]*shard, nShards),
+		nProcs:  len(k.order),
+		e:       make([]Time, nShards),
+		bnd:     make([]Time, nShards),
+		arrTop:  make([]*Message, nShards),
+		seen:    k.edits - 1, // the first Run reads every process
+		stats:   ShardingStats{Shards: nShards},
 	}
+	stepAt, pos := make([]Time, len(k.ids)), make([]int, len(k.ids))
 	for i := range r.shards {
-		r.shards[i] = &shard{k: k, idx: i, t: k.now, stepAt: r.stepAt}
+		r.shards[i] = &shard{k: k, idx: i, t: k.now, stepAt: stepAt, pos: pos}
 	}
 	// k.order is sorted, so every shard's process list is sorted too and
 	// the shard-local scans break ties by process ID, like the kernel's
@@ -214,53 +219,77 @@ func NewLookaheadRunner(k *Kernel, shardOf func(ProcessID) int, nShards, workers
 			return nil, fmt.Errorf("sim: process %s mapped to shard %d, want [0,%d)", pid, si, nShards)
 		}
 		part[s] = int32(si)
-		r.shards[si].slots = append(r.shards[si].slots, s)
+		sh := r.shards[si]
+		pos[s] = len(sh.slots)
+		sh.slots = append(sh.slots, s)
+	}
+	for _, sh := range r.shards {
+		sh.mask = make([]uint64, (len(sh.slots)+63)/64)
 	}
 	k.partition(nShards, part)
-	r.buildFloors()
+	r.reach = closeFloors(r.shardFloors())
 	return r, nil
 }
 
-// buildFloors fills the shard-pair bound matrix. Without per-link floor
-// declarations every entry is the global floor; with them, the exact
-// minimum over the links between each shard pair (a one-time O(P²) pass,
-// only paid when per-link floors exist).
-func (r *ShardedRunner) buildFloors() {
-	S := len(r.shards)
+// shardFloors returns the shard-pair floor matrix: entry [j][i] is the
+// smallest declared latency floor over links from a shard-j process to a
+// shard-i process, infTime where there is none, 0 on the diagonal.
+// Without per-link floor declarations every other entry is the global
+// floor; with them, the exact minimum over the links between each shard
+// pair (a one-time O(P²) pass, only paid when per-link floors exist).
+func (r *ShardedRunner) shardFloors() [][]Time {
 	base := r.delta
-	r.floors = make([][]Time, S)
-	for i := range r.floors {
-		row := make([]Time, S)
-		for j := range row {
-			row[j] = base
-		}
-		r.floors[i] = row
+	if len(r.k.linkFloor) > 0 {
+		base = infTime // lowered link by link below
 	}
-	r.uniform = len(r.k.linkFloor) == 0
-	if r.uniform {
-		return
-	}
-	for i := range r.floors {
-		for j := range r.floors[i] {
+	f := make([][]Time, len(r.shards))
+	for j := range f {
+		f[j] = make([]Time, len(r.shards))
+		for i := range f[j] {
 			if i != j {
-				r.floors[i][j] = infTime
+				f[j][i] = base
 			}
 		}
 	}
-	for from, si := range r.k.part {
-		for to, sj := range r.k.part {
-			if si == sj {
-				continue
-			}
-			f := r.k.LinkLatencyFloor(Link{From: r.k.ids[from], To: r.k.ids[to]})
-			if f < 1 {
-				f = 1
-			}
-			if f < r.floors[si][sj] {
-				r.floors[si][sj] = f
+	if base < infTime {
+		return f
+	}
+	for from, sj := range r.k.part {
+		for to, si := range r.k.part {
+			if si != sj {
+				l := Link{From: r.k.ids[from], To: r.k.ids[to]}
+				f[sj][si] = min(f[sj][si], max(r.k.LinkLatencyFloor(l), 1))
 			}
 		}
 	}
+	return f
+}
+
+// closeFloors closes the floor matrix f (f[j][i] from shard j to shard i,
+// 0 on the diagonal) under shortest paths and returns it transposed, with
+// each shard's fastest echo on the diagonal: the runner's reach.
+func closeFloors(f [][]Time) [][]Time {
+	S := len(f)
+	for m := range S {
+		for j := range S {
+			for i := range S {
+				f[j][i] = min(f[j][i], f[j][m]+f[m][i])
+			}
+		}
+	}
+	reach := make([][]Time, S)
+	for i := range reach {
+		reach[i] = make([]Time, S)
+		echo := infTime
+		for j := range S {
+			if j != i {
+				reach[i][j] = f[j][i]
+				echo = min(echo, f[i][j]+f[j][i])
+			}
+		}
+		reach[i][i] = echo
+	}
+	return reach
 }
 
 // Stats returns the deterministic run-shape counters accumulated so far.
@@ -296,11 +325,13 @@ func (r *ShardedRunner) SetRefill(pids []ProcessID, f func(i int, at Time)) {
 // NotifyInvoked tells the runner about an external injection (the
 // open-loop driver invoking a client) at the given instant: the owning
 // shard's persistent clock is lifted to it so the injected work is never
-// stepped before its scheduled arrival.
+// stepped before its scheduled arrival, and the next Run re-reads the
+// process.
 func (r *ShardedRunner) NotifyInvoked(pid ProcessID, at Time) {
 	if s, ok := r.k.slotOf[pid]; ok {
 		sh := r.shards[r.k.part[s]]
 		sh.t = max(sh.t, at)
+		r.notified = append(r.notified, s)
 	}
 }
 
@@ -337,15 +368,16 @@ func (r *ShardedRunner) SetHorizon(t Time) { r.horizon = t }
 // count (each shard of a round is capped at an equal share of the
 // remaining budget) — deterministically so.
 //
-// Run starts by reading every process as the kernel holds it (see
-// refresh): invocations, faults and NotifyInvoked all happen between
-// Runs. The stop predicate runs between rounds and must not change a
-// process.
+// Run starts by re-reading what changed since the last one (see
+// reread): every process once a fault or a serial step changed the
+// kernel, else only those NotifyInvoked named. Whatever else changes a
+// process between Runs must name it with NotifyInvoked. The stop
+// predicate runs between rounds and must not change a process.
 func (r *ShardedRunner) Run(stop func(*Kernel) bool, maxEvents int) int {
 	if len(r.k.order) != r.nProcs {
 		panic("sim: process set changed under a ShardedRunner")
 	}
-	r.refresh()
+	r.reread()
 	n := 0
 	for n < maxEvents {
 		if stop != nil && stop(r.k) {
@@ -360,20 +392,30 @@ func (r *ShardedRunner) Run(stop func(*Kernel) bool, maxEvents int) int {
 	return n
 }
 
-// refresh recounts every shard's pending inboxes and recomputes every
-// readiness cache entry from the kernel as it stands: the one place the
-// runner reads processes it has not just stepped.
-func (r *ShardedRunner) refresh() {
+// reread brings every shard's pending count and mask, readiness cache and
+// minimum up to the kernel as it stands: the one place the runner reads
+// processes it has not just stepped. The kernel counts its own edits
+// (Kernel.edits: crashes, restarts, replacements, serial steps and
+// deliveries); when they moved, every slot is re-read, else only the
+// notified ones.
+func (r *ShardedRunner) reread() {
 	k := r.k
-	for _, sh := range r.shards {
-		sh.pending = 0
-		for _, s := range sh.slots {
-			if len(k.inbox[s]) > 0 && !k.down[s] {
-				sh.pending++
+	if r.seen != k.edits {
+		r.seen = k.edits
+		for _, sh := range r.shards {
+			for _, s := range sh.slots {
+				sh.reread(s)
 			}
-			sh.refresh(s)
+			sh.next = sh.scanNext()
+		}
+	} else {
+		for _, s := range r.notified {
+			sh := r.shards[k.part[s]]
+			sh.reread(s)
+			sh.next = sh.scanNext()
 		}
 	}
+	r.notified = r.notified[:0]
 }
 
 // runActive executes the active shards' windows — in parallel when there
@@ -462,27 +504,20 @@ func (r *ShardedRunner) merge(active []*shard) int {
 // executed and whether another round could do work.
 //
 //  1. Serial pre-scan: per shard, the earliest instant e_i it could act —
-//     the minimum over its pending inboxes (now), its processes' readiness
-//     cache entries (now for a Ready process, a Waker's declared instant),
-//     and its earliest undelivered arrival, the top of its partition of
-//     the kernel's index. The pending count and the cache carry over from
-//     the previous round; Run refreshed both from the kernel as it stands
-//     when it started, so whatever happened between Runs (a fault, a
-//     restart swapping a process, an injection) is seen.
-//  2. Promise fixpoint: shard i cannot send before
-//     P_i = min(e_i, min_{j≠i}(P_j + floor[j→i])) — its own next event,
-//     or the earliest instant another shard's message could trigger one.
-//     Because the floors are positive this is a shortest-path problem
-//     over the shard graph, solved exactly with one Dijkstra pass — or,
-//     when every floor is the same Δ, in closed form (uniformBounds).
-//  3. Per-shard advancement bound: no future message can reach shard i
-//     with ReadyAt below bound_i = min_{j≠i}(P_j + floor[j→i]) — the
+//     now if an inbox is pending or its readiness minimum has come due,
+//     else the minimum itself (a Waker's declared instant), or the top of
+//     its partition of the kernel's index if that is sooner. All three
+//     carry over from the previous round, re-read by Run when it started.
+//  2. Per-shard advancement bound: no future message can reach shard i
+//     with ReadyAt below
+//     bound_i = min(min_{j≠i}(e_j + F*[j][i]), e_i + echo_i) — another
+//     shard's next event carried over the shortest floor path to i, or
+//     i's own echoed back (reach holds both, see closeFloors). This is the
 //     null-message guarantee. Every shard executes its own window
 //     [clock_i, bound_i): deliveries strictly below the bound (in global
 //     (ReadyAt, ID) order, so per-shard delivery order matches the serial
-//     index), wake leaps strictly below the bound, Ready chains
-//     unbounded.
-//  4. The serial merge commits sends and advances the kernel.
+//     index), wake leaps strictly below the bound, Ready chains unbounded.
+//  3. The serial merge commits sends and advances the kernel.
 //
 // The globally earliest event always lies strictly below its shard's
 // bound (bounds exceed min e_i by at least one positive floor), so every
@@ -502,26 +537,14 @@ func (r *ShardedRunner) round(budget int) (int, bool) {
 		if top != nil {
 			e = max(top.ReadyAt, sh.t)
 		}
-		ready, wake := false, infTime
-		for _, s := range sh.slots {
-			if at := r.stepAt[s]; at <= sh.t {
-				ready = true
-			} else if at < wake {
-				wake = at
-			}
-		}
-		r.shardReady[si], r.shardWake[si] = ready, wake
 		sh.adopted = sh.pending
-		if (sh.pending > 0 || r.shardReady[si]) && sh.t < e {
-			e = sh.t
-		}
-		if r.shardWake[si] < e {
-			e = r.shardWake[si]
+		if sh.pending > 0 || sh.next <= sh.t {
+			e = min(e, sh.t)
+		} else {
+			e = min(e, sh.next)
 		}
 		r.e[si] = e
-		if e < minE {
-			minE = e
-		}
+		minE = min(minE, e)
 	}
 	if minE == infTime {
 		return 0, false // quiescent
@@ -541,20 +564,15 @@ func (r *ShardedRunner) round(budget int) (int, bool) {
 		}
 		sh.bound = bound
 		top := r.arrTop[si]
-		if sh.pending > 0 || r.shardReady[si] ||
-			(top != nil && top.ReadyAt < bound) ||
-			r.shardWake[si] < bound {
+		if sh.pending > 0 || sh.next <= sh.t || sh.next < bound ||
+			(top != nil && top.ReadyAt < bound) {
 			active = append(active, sh)
 			if bound > windowEdge {
 				r.stats.NullAdvances++
 			}
 		} else if r.e[si] < infTime {
-			gap := r.e[si] - bound
-			if gap < 0 {
-				gap = 0
-			}
 			r.stats.BlockedShardRounds++
-			r.stats.BlockedTime += gap
+			r.stats.BlockedTime += max(r.e[si]-bound, 0)
 		}
 	}
 	r.active = active
@@ -568,83 +586,14 @@ func (r *ShardedRunner) round(budget int) (int, bool) {
 }
 
 // computeBounds derives each shard's advancement bound from the next-event
-// times in r.e: first the promise fixpoint over the shard graph (one
-// Dijkstra pass — floors are positive, so settling in ascending promise
-// order is exact), then bound_i as the earliest promised influence on i.
+// times in r.e, capped at infTime.
 func (r *ShardedRunner) computeBounds() {
-	S := len(r.shards)
-	switch {
-	case S == 1:
-		// A single shard can never be affected from outside.
-		r.bnd[0] = infTime
-		return
-	case r.uniform:
-		r.uniformBounds(r.delta)
-		return
-	}
-	copy(r.prom, r.e)
-	for i := range r.settled {
-		r.settled[i] = false
-	}
-	for it := 0; it < S; it++ {
-		u, best := -1, infTime
-		for i, s := range r.settled {
-			if !s && r.prom[i] < best {
-				u, best = i, r.prom[i]
-			}
-		}
-		if u < 0 {
-			break
-		}
-		r.settled[u] = true
-		for v := 0; v < S; v++ {
-			if v == u || r.settled[v] {
-				continue
-			}
-			if nb := best + r.floors[u][v]; nb < r.prom[v] {
-				r.prom[v] = nb
-			}
-		}
-	}
-	for i := 0; i < S; i++ {
+	for i, row := range r.reach {
 		b := infTime
-		for j := 0; j < S; j++ {
-			if j == i {
-				continue
-			}
-			if nb := r.prom[j] + r.floors[j][i]; nb < b {
-				b = nb
-			}
+		for j, d := range row {
+			b = min(b, r.e[j]+d)
 		}
 		r.bnd[i] = b
-	}
-}
-
-// uniformBounds is computeBounds when every shard pair's floor is d, in
-// O(S). A path of two hops or more never beats one, so the fixpoint is
-// P_j = min(e_j, min_{k≠j} e_k + d), and min_{j≠i}(P_j + d) comes to
-//
-//	bound_i = min(min_{j≠i} e_j + d, e_i + 2d)
-//
-// (the second term: i's own next event, echoed back by another shard),
-// capped at infTime like the pass, which needs only the two smallest e.
-// The earliest shard's bound is not the smallest e plus d but the
-// runner-up's, capped by its own echo.
-func (r *ShardedRunner) uniformBounds(d Time) {
-	first, second, at := infTime, infTime, -1
-	for i, e := range r.e {
-		if e < first {
-			first, second, at = e, first, i
-		} else if e < second {
-			second = e
-		}
-	}
-	for i, e := range r.e {
-		other := first
-		if i == at {
-			other = second
-		}
-		r.bnd[i] = min(other+d, e+2*d, infTime)
 	}
 }
 
@@ -661,12 +610,7 @@ func (sh *shard) run(budget int) {
 		// 1. Processes with pending input act first, in sorted ID order
 		// (a crashed one keeps its buffer, unstepped, until restart).
 		if sh.pending > 0 {
-			for _, s := range sh.slots {
-				if len(k.inbox[s]) > 0 && !k.down[s] {
-					sh.step(s)
-					break
-				}
-			}
+			sh.step(sh.firstPending())
 			continue
 		}
 		// 2. Deliveries already due at the local instant.
@@ -708,8 +652,53 @@ func (sh *shard) run(budget int) {
 			sh.step(waker)
 			continue
 		}
-		return // nothing more admissible under this round's bound
+		// Nothing more is admissible under this round's bound, and the
+		// scan above found every entry past the clock: wake is their least.
+		sh.next = wake
+		return
 	}
+	sh.next = sh.scanNext() // the budget cut the window short
+}
+
+// firstPending returns the first up process, in ID order, with a
+// non-empty income buffer; the caller has checked there is one.
+func (sh *shard) firstPending() slot {
+	i := 0
+	for sh.mask[i] == 0 {
+		i++
+	}
+	return sh.slots[i*64+bits.TrailingZeros64(sh.mask[i])]
+}
+
+// flip toggles slot s's bit in the pending mask and counts the change.
+func (sh *shard) flip(s slot, on bool) {
+	i := sh.pos[s]
+	sh.mask[i/64] ^= 1 << (i % 64)
+	if on {
+		sh.pending++
+	} else {
+		sh.pending--
+	}
+}
+
+// scanNext returns the least of the shard's readiness cache entries.
+func (sh *shard) scanNext() Time {
+	next := infTime
+	for _, s := range sh.slots {
+		next = min(next, sh.stepAt[s])
+	}
+	return next
+}
+
+// reread re-reads slot s from the kernel as it stands: its pending bit and
+// its readiness cache entry.
+func (sh *shard) reread(s slot) {
+	i := sh.pos[s]
+	on := len(sh.k.inbox[s]) > 0 && !sh.k.down[s]
+	if on != (sh.mask[i/64]&(1<<(i%64)) != 0) {
+		sh.flip(s, on)
+	}
+	sh.refresh(s)
 }
 
 // deliver pops the top of the shard's partition — the caller has checked
@@ -726,7 +715,7 @@ func (sh *shard) deliver() {
 	}
 	m.DeliveredAt = sh.t
 	if len(k.inbox[m.to]) == 0 {
-		sh.pending++
+		sh.flip(m.to, true)
 	}
 	k.inbox[m.to] = append(k.inbox[m.to], m)
 	sh.events++
@@ -744,7 +733,7 @@ func (sh *shard) step(s slot) {
 	k := sh.k
 	in := k.inbox[s]
 	if len(in) > 0 {
-		sh.pending--
+		sh.flip(s, false)
 	}
 	for _, m := range in {
 		m.consumed = true
@@ -770,7 +759,7 @@ func (sh *shard) step(s slot) {
 // for any other process, the shard clock. Ready and WakeAt are functions
 // of the process's own state (see Process.Ready), and WakeAt(t) =
 // max(w, t), so an entry stays true until the process steps or is
-// changed between Runs, and an entry at or below the clock means "can
+// changed between Runs (see reread), and an entry at or below the clock means "can
 // step now" however far the clock has moved since.
 func (sh *shard) refresh(s slot) {
 	k := sh.k

@@ -371,18 +371,20 @@ func pingRunner(t *testing.T, count int) (*Kernel, *ShardedRunner, *pinger) {
 }
 
 // TestRunRefreshesReadiness: the runner caches each process's readiness
-// and refreshes an entry only when that process steps, so whatever
-// changes a process between Runs must be picked up when the next Run
-// starts, and a refill hook's re-arm right after the step it follows.
+// and refreshes an entry only when that process steps, so what changes a
+// process between Runs — an invocation named by NotifyInvoked, a fault —
+// must be picked up when the next Run starts, and a refill hook's re-arm
+// right after the step it follows.
 func TestRunRefreshesReadiness(t *testing.T) {
 	t.Run("invoke between runs", func(t *testing.T) {
-		// What core/latency.go does: invoke, no NotifyInvoked, Run.
-		_, r, a := pingRunner(t, 1)
+		// What the open-loop driver does: invoke, NotifyInvoked, Run.
+		k, r, a := pingRunner(t, 1)
 		r.Run(nil, 10_000)
 		if a.pongs != 1 || a.Ready() {
 			t.Fatalf("first run: %d pongs, ready %v; want 1, false", a.pongs, a.Ready())
 		}
 		a.count = 3
+		r.NotifyInvoked("a", k.Now())
 		r.Run(nil, 10_000)
 		if a.pongs != 3 {
 			t.Fatalf("pongs after re-arming between runs = %d, want 3", a.pongs)
@@ -422,58 +424,289 @@ func TestRunRefreshesReadiness(t *testing.T) {
 	})
 }
 
-// TestUniformBoundsMatchDijkstra: when every shard pair shares one floor,
-// the closed form gives every shard the bound the Dijkstra pass gives it,
-// on random next-event vectors with ties and idle (infTime) shards. The
-// values span several floors, so the earliest shard's bound — the
-// runner-up's next event plus Δ, or its own plus 2Δ — is seldom the
-// smallest e plus Δ.
-func TestUniformBoundsMatchDijkstra(t *testing.T) {
-	const d = 100
-	rng := NewRNG(5)
-	for S := 2; S <= 16; S++ {
-		k := NewKernel(1, nil)
-		k.SetLatencyFloor(d)
-		k.SetTraceCap(-1)
-		for i := 0; i < S; i++ {
-			k.Add(&pinger{id: ProcessID(fmt.Sprintf("p%02d", i))})
-		}
-		r, err := NewLookaheadRunner(k, func(p ProcessID) int { return int(p[1]-'0')*10 + int(p[2]-'0') }, S, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !r.uniform {
-			t.Fatalf("S=%d: floors %v not read as uniform", S, r.floors)
-		}
-		for trial := 0; trial < 400; trial++ {
-			for i := range r.e {
-				r.e[i] = Time(rng.Intn(7)) * d / 2
-				if rng.Intn(4) == 0 {
-					r.e[i] = infTime
-				}
+// dijkstraBounds is the bound rule the closed form replaced, kept as its
+// reference: the promise fixpoint P_i = min(e_i, min_{j≠i}(P_j +
+// f[j][i])) over the direct floors f, solved by one Dijkstra pass, then
+// bound_i = min_{j≠i}(P_j + f[j][i]), capped at infTime.
+func dijkstraBounds(f [][]Time, e []Time) []Time {
+	S := len(e)
+	prom := slices.Clone(e)
+	settled := make([]bool, S)
+	for range S {
+		u, best := -1, infTime
+		for i, done := range settled {
+			if !done && prom[i] < best {
+				u, best = i, prom[i]
 			}
-			r.uniform = false
-			r.computeBounds()
-			want := slices.Clone(r.bnd)
-			r.uniform = true
-			r.computeBounds()
-			if !slices.Equal(r.bnd, want) {
-				t.Fatalf("S=%d, e=%v: closed form %v, Dijkstra %v", S, r.e, r.bnd, want)
+		}
+		if u < 0 {
+			break
+		}
+		settled[u] = true
+		for v := range S {
+			if v != u && !settled[v] {
+				prom[v] = min(prom[v], best+f[u][v])
 			}
 		}
 	}
-	// A link declared slower than the rest keeps the Dijkstra pass.
+	bnd := make([]Time, S)
+	for i := range S {
+		bnd[i] = infTime
+		for j := range S {
+			if j != i {
+				bnd[i] = min(bnd[i], prom[j]+f[j][i])
+			}
+		}
+	}
+	return bnd
+}
+
+// randomFloors returns an S×S direct floor matrix (0 on the diagonal) of
+// one of three kinds: uniform; site-blocked, each shard in one of up to
+// three sites with a cheap floor inside a site and a dear one across; or
+// non-metric, where the direct floor is often dearer than a two-hop path
+// and some pairs have no link at all (infTime).
+func randomFloors(rng *RNG, kind, S int) [][]Time {
+	const d = 100
+	site := make([]int, S)
+	for i := range site {
+		site[i] = rng.Intn(3)
+	}
+	f := make([][]Time, S)
+	for j := range f {
+		f[j] = make([]Time, S)
+		for i := range f[j] {
+			switch {
+			case i == j:
+			case kind == 0:
+				f[j][i] = d
+			case kind == 1 && site[i] == site[j]:
+				f[j][i] = d
+			case kind == 1:
+				f[j][i] = 7 * d
+			case rng.Intn(6) == 0:
+				f[j][i] = infTime
+			default:
+				f[j][i] = Time(1+rng.Intn(12)) * d / 2
+			}
+		}
+	}
+	return f
+}
+
+// TestBoundsMatchDijkstra: the closed form over the closed floor matrix
+// gives every shard the bound the Dijkstra pass gives it, for S = 1..16
+// on uniform, site-blocked and non-metric floors, with next-event vectors
+// that tie and leave shards idle (infTime). A runner built from per-link
+// declarations closes the matrix of its shard-pair minima.
+func TestBoundsMatchDijkstra(t *testing.T) {
+	rng := NewRNG(5)
+	for S := 1; S <= 16; S++ {
+		for kind := range 3 {
+			for trial := 0; trial < 60; trial++ {
+				f := randomFloors(rng, kind, S)
+				closed := make([][]Time, S)
+				for j := range f {
+					closed[j] = slices.Clone(f[j])
+				}
+				r := &ShardedRunner{reach: closeFloors(closed), e: make([]Time, S), bnd: make([]Time, S)}
+				for e := 0; e < 8; e++ {
+					for i := range r.e {
+						r.e[i] = Time(rng.Intn(9)) * 50
+						if rng.Intn(4) == 0 {
+							r.e[i] = infTime
+						}
+					}
+					r.computeBounds()
+					if want := dijkstraBounds(f, r.e); !slices.Equal(r.bnd, want) {
+						t.Fatalf("S=%d kind %d, floors %v, e=%v: closed form %v, Dijkstra %v", S, kind, f, r.e, r.bnd, want)
+					}
+				}
+			}
+		}
+	}
+	// Two processes per shard, shard i in site i%2: links inside a site
+	// keep the global floor, links across declare 5Δ, and one link
+	// declares less than the global floor (read as 1 at least).
+	const S, d = 4, 100
 	k := NewKernel(1, nil)
 	k.SetLatencyFloor(d)
-	k.SetLinkLatencyFloor(Link{From: "a", To: "b"}, 3*d)
 	k.SetTraceCap(-1)
-	k.Add(&pinger{id: "a"})
-	k.Add(&pinger{id: "b"})
-	r, err := NewLookaheadRunner(k, func(p ProcessID) int { return int(p[0] - 'a') }, 2, 1)
+	var pids []ProcessID
+	for i := 0; i < 2*S; i++ {
+		pids = append(pids, ProcessID(fmt.Sprintf("p%d", i)))
+		k.Add(&pinger{id: pids[i]})
+	}
+	want := make([][]Time, S)
+	for j := range want {
+		want[j] = make([]Time, S)
+		for i := range want[j] {
+			switch {
+			case i == j:
+			case i%2 == j%2:
+				want[j][i] = d
+			default:
+				want[j][i] = 5 * d
+			}
+		}
+	}
+	for _, from := range pids {
+		for _, to := range pids {
+			if (from[1]-'0')/2%2 != (to[1]-'0')/2%2 {
+				k.SetLinkLatencyFloor(Link{From: from, To: to}, 5*d)
+			}
+		}
+	}
+	k.SetLinkLatencyFloor(Link{From: "p0", To: "p5"}, 0)
+	want[0][2] = 1
+	r, err := NewLookaheadRunner(k, func(p ProcessID) int { return int(p[1]-'0') / 2 }, S, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.uniform {
-		t.Fatalf("per-link floors %v read as uniform", r.floors)
+	if got := closeFloors(want); !reflect.DeepEqual(r.reach, got) {
+		t.Fatalf("per-link floors: reach %v, want %v", r.reach, got)
+	}
+}
+
+// readinessOf is the readiness cache entry of slot s recomputed from the
+// kernel at shard clock t, written out apart from shard.refresh.
+func readinessOf(k *Kernel, s slot, t Time) Time {
+	p := k.procs[s]
+	if k.down[s] || !p.Ready() {
+		return infTime
+	}
+	if w, ok := p.(Waker); ok {
+		if at, useful := w.WakeAt(t); useful {
+			return at
+		}
+		return infTime
+	}
+	return t
+}
+
+// checkRunnerState compares what the runner keeps per shard with a full
+// recomputation from the kernel: the pending count and mask, every
+// readiness cache entry and their minimum. Entries at or below the shard
+// clock all mean "can step now", so they compare as the clock.
+func checkRunnerState(t *testing.T, k *Kernel, r *ShardedRunner) {
+	t.Helper()
+	for si, sh := range r.shards {
+		pending, next := 0, infTime
+		for i, s := range sh.slots {
+			on := len(k.inbox[s]) > 0 && !k.down[s]
+			if on {
+				pending++
+			}
+			if got := sh.mask[i/64]>>(i%64)&1 == 1; got != on {
+				t.Fatalf("shard %d, %s: pending bit %v, kernel says %v", si, k.ids[s], got, on)
+			}
+			at := readinessOf(k, s, sh.t)
+			if got := max(sh.stepAt[s], sh.t); got != max(at, sh.t) {
+				t.Fatalf("shard %d (clock %d), %s: cached readiness %d, recomputed %d", si, sh.t, k.ids[s], sh.stepAt[s], at)
+			}
+			next = min(next, at)
+		}
+		if sh.pending != pending {
+			t.Fatalf("shard %d: pending %d, kernel has %d", si, sh.pending, pending)
+		}
+		if max(sh.next, sh.t) != max(next, sh.t) {
+			t.Fatalf("shard %d (clock %d): minimum %d, recomputed %d", si, sh.t, sh.next, next)
+		}
+	}
+}
+
+// TestRunRereadsWhatChanged drives a runner through random sequences of
+// budget-cut Runs, invocations named by NotifyInvoked, faults (crash,
+// lossy crash, restart, replace, cut, heal) and serial deliveries and
+// steps. Every Run re-reads only what NotifyInvoked named unless the
+// kernel counted an edit, so whenever a round starts the runner's state
+// must equal a full recomputation. One shard holds more than 64
+// processes, so its pending mask spans two words.
+func TestRunRereadsWhatChanged(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		k := NewKernel(seed, UniformLatency(20, 200))
+		k.SetLatencyFloor(20)
+		k.SetTraceCap(-1)
+		shardOf := map[ProcessID]int{}
+		for i := 0; i < 70; i++ {
+			id := ProcessID(fmt.Sprintf("i%02d", i))
+			k.Add(&pinger{id: id, echo: true})
+			shardOf[id] = 0
+		}
+		var clients []*pinger
+		var servers, busy []ProcessID // busy: every process but the idle ones
+		for i := 0; i < 3; i++ {
+			p := &pinger{id: ProcessID(fmt.Sprintf("p%d", i)), peer: ProcessID(fmt.Sprintf("q%d", (i+1)%3))}
+			q := ProcessID(fmt.Sprintf("q%d", i))
+			k.Add(p)
+			k.Add(&pinger{id: q, echo: true})
+			k.SetRecovery(q, func() Process { return &pinger{id: q, echo: true} })
+			k.SetReplacement(q, func(*Kernel, Process, bool) (Process, SyncStats) {
+				return &pinger{id: q, echo: true}, SyncStats{}
+			})
+			shardOf[p.id], shardOf[q] = i, i
+			clients, servers = append(clients, p), append(servers, q)
+			busy = append(busy, p.id, q)
+		}
+		timer := &timerProc{id: "t2", fireAt: 300}
+		k.Add(timer)
+		shardOf["t2"] = 2
+		busy = append(busy, "t2")
+		r, err := NewLookaheadRunner(k, func(p ProcessID) int { return shardOf[p] }, 3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := func(*Kernel) bool { checkRunnerState(t, k, r); return false }
+		rng := NewRNG(seed)
+		all := k.Processes()
+		for op := 0; op < 400; op++ {
+			switch rng.Intn(9) {
+			case 0, 1, 2:
+				r.Run(stop, 1+rng.Intn(8))
+			case 3:
+				p := clients[rng.Intn(len(clients))]
+				p.count += 1 + rng.Intn(3)
+				r.NotifyInvoked(p.id, k.Now())
+			case 4:
+				timer.fired, timer.fireAt = false, k.Now()+Time(rng.Intn(400))
+				r.NotifyInvoked("t2", k.Now())
+			case 5:
+				f := Fault{At: k.Now(), Proc: busy[rng.Intn(len(busy))], Lose: rng.Intn(2) == 0}
+				switch rng.Intn(3) {
+				case 0:
+					f.Kind = FaultCrash
+				case 1:
+					f.Kind = FaultRestart
+				default:
+					f.Kind, f.Proc = FaultReplace, servers[rng.Intn(len(servers))]
+				}
+				k.ApplyFault(f)
+			case 6:
+				f := Fault{At: k.Now(), Kind: FaultCut, From: []ProcessID{servers[rng.Intn(3)]}, To: []ProcessID{clients[rng.Intn(3)].id}}
+				if rng.Intn(2) == 0 {
+					f.Kind = FaultHeal
+				}
+				k.ApplyFault(f)
+			case 7:
+				if m := k.EarliestArrival(); m != nil {
+					k.Deliver(m.ID)
+				}
+			default:
+				if pid := busy[rng.Intn(len(busy))]; !k.Down(pid) {
+					k.StepProcess(pid)
+				}
+			}
+		}
+		for _, pid := range all {
+			k.ApplyFault(Fault{At: k.Now(), Kind: FaultRestart, Proc: pid})
+		}
+		for _, p := range clients {
+			k.ApplyFault(Fault{At: k.Now(), Kind: FaultHeal, From: servers, To: []ProcessID{p.id}})
+		}
+		r.Run(stop, 1_000_000)
+		if !k.Quiescent() {
+			t.Fatalf("seed %d: not quiescent after the final Run", seed)
+		}
+		mustConserve(t, k)
 	}
 }

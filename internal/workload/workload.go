@@ -122,10 +122,16 @@ func (g *Generator) NextFor(client string, multiWrite bool) *model.Txn {
 	g.seq++
 	if g.rng.Float64() < g.mix.ReadFraction {
 		// The picks are distinct, so sorting them in place is the read
-		// set model.NewReadOnly would build, without its copy.
-		objs := g.pickDistinct(make([]string, 0, g.mix.ReadWidth), g.mix.ReadWidth)
-		slices.Sort(objs)
-		return &model.Txn{ReadSet: objs}
+		// set model.NewReadOnly would build, without its copy. At both
+		// mixes' width, two, it comes in one allocation with the
+		// transaction.
+		b := new(struct {
+			t   model.Txn
+			buf [2]string
+		})
+		b.t.ReadSet = g.pickDistinct(b.buf[:0], g.mix.ReadWidth)
+		slices.Sort(b.t.ReadSet)
+		return &b.t
 	}
 	// The write's objects are picked on the stack: without the claim
 	// they only advance the RNG as Next's picks would.
