@@ -33,23 +33,23 @@ type cost struct{ events, mallocs, bytes, retainedKB float64 }
 // hostCosts is the ledger, as measured: a count off its entry by more than
 // ledgerSlack fails, so every gain or loss shows in the diff that makes it.
 var hostCosts = map[string]cost{
-	"reads/cops": {164924, 0.761, 74.8, 554}, "reads/cure": {275734, 0.795, 66.3, 730}, "reads/spanner": {209550, 0.667, 59.3, 616},
-	"reads/gentlerain": {520864, 0.350, 27.8, 437}, "reads/ramp": {176484, 0.803, 75.6, 700},
-	"writes/cops": {131176, 1.503, 149.1, 8668}, "writes/cure": {422676, 0.959, 70.1, 6332}, "writes/spanner": {260855, 1.149, 82.9, 5527},
-	"linear/contrarian/2k": {20124, 0.990, 79.8, 279}, "linear/contrarian/8k": {81220, 0.945, 74.1, 978},
-	"linear/cops/2k": {13076, 1.331, 113.7, 437}, "linear/cops/8k": {52524, 1.257, 106.8, 1598},
+	"reads/cops": {164924, 0.761, 74.8, 554}, "reads/cure": {275734, 0.795, 66.2, 699}, "reads/spanner": {209550, 0.667, 59.2, 586},
+	"reads/gentlerain": {520864, 0.350, 27.8, 421}, "reads/ramp": {176484, 0.803, 75.5, 670},
+	"writes/cops": {131176, 1.503, 149.1, 8668}, "writes/cure": {422676, 0.959, 69.3, 6013}, "writes/spanner": {260855, 1.149, 81.6, 5208},
+	"linear/contrarian/2k": {20124, 0.990, 79.0, 263}, "linear/contrarian/8k": {81220, 0.945, 73.3, 916},
+	"linear/cops/2k": {13076, 1.331, 112.5, 422}, "linear/cops/8k": {52524, 1.257, 105.6, 1536},
 	"linear/copssnow/2k": {24624, 3.029, 633.4, 4134}, "linear/copssnow/8k": {99472, 3.087, 682.4, 18109},
-	"linear/cure/2k": {36038, 1.051, 72.1, 579}, "linear/cure/8k": {143206, 1.017, 68.5, 2089},
-	"linear/eiger/2k": {29856, 1.183, 85.6, 540}, "linear/eiger/8k": {118088, 1.176, 80.9, 1957},
-	"linear/eigerps/2k": {189188, 0.589, 15.7, 743}, "linear/eigerps/8k": {742620, 0.581, 14.9, 2533},
+	"linear/cure/2k": {36038, 1.051, 71.2, 547}, "linear/cure/8k": {143206, 1.017, 67.6, 1964},
+	"linear/eiger/2k": {29856, 1.183, 84.5, 508}, "linear/eiger/8k": {118088, 1.176, 79.8, 1833},
+	"linear/eigerps/2k": {189188, 0.589, 15.5, 711}, "linear/eigerps/8k": {742620, 0.581, 14.7, 2409},
 	"linear/fatcops/2k": {16196, 4.401, 273.5, 2425}, "linear/fatcops/8k": {64572, 5.020, 273.4, 9344},
-	"linear/gentlerain/2k": {29048, 0.647, 51.6, 284}, "linear/gentlerain/8k": {116752, 0.612, 47.8, 981},
-	"linear/naivefast/2k": {16196, 1.239, 109.9, 523}, "linear/naivefast/8k": {64572, 1.183, 105.8, 1940},
-	"linear/orbe/2k": {23090, 0.944, 72.2, 316}, "linear/orbe/8k": {92438, 0.902, 67.1, 1106},
-	"linear/ramp/2k": {23532, 1.421, 97.8, 608}, "linear/ramp/8k": {93376, 1.375, 93.8, 2257},
-	"linear/spanner/2k": {26159, 1.100, 81.4, 532}, "linear/spanner/8k": {103847, 1.060, 76.6, 1952},
-	"linear/twopcfast/2k": {23404, 1.202, 87.3, 526}, "linear/twopcfast/8k": {92824, 1.159, 83.7, 1942},
-	"linear/wren/2k": {38018, 0.854, 62.9, 575}, "linear/wren/8k": {151366, 0.820, 58.7, 1993},
+	"linear/gentlerain/2k": {29048, 0.647, 51.0, 268}, "linear/gentlerain/8k": {116752, 0.612, 47.2, 920},
+	"linear/naivefast/2k": {16196, 1.239, 107.9, 491}, "linear/naivefast/8k": {64572, 1.183, 103.9, 1815},
+	"linear/orbe/2k": {23090, 0.944, 71.5, 301}, "linear/orbe/8k": {92438, 0.902, 66.4, 1044},
+	"linear/ramp/2k": {23532, 1.421, 96.5, 577}, "linear/ramp/8k": {93376, 1.375, 92.5, 2132},
+	"linear/spanner/2k": {26159, 1.100, 80.1, 501}, "linear/spanner/8k": {103847, 1.060, 75.4, 1827},
+	"linear/twopcfast/2k": {23404, 1.202, 86.0, 494}, "linear/twopcfast/8k": {92824, 1.159, 82.3, 1817},
+	"linear/wren/2k": {38018, 0.854, 62.0, 542}, "linear/wren/8k": {151366, 0.820, 57.9, 1868},
 	"copssnow64/2k": {33992, 2.969, 1274.1, 11185}, "copssnow64/8k": {155932, 3.667, 2550.8, 109291},
 }
 

@@ -157,7 +157,8 @@ func (s *server) resolveCheck(item model.ValueRef) ([]model.TxnID, bool) {
 }
 
 // finishWrite installs the pending write visibly, hidden from old readers,
-// and acknowledges it.
+// and acknowledges it. The version's Meta is the set of ROTs it is hidden
+// from.
 func (s *server) finishWrite(tid model.TxnID) {
 	pw := s.pending[tid]
 	delete(s.pending, tid)
@@ -167,7 +168,7 @@ func (s *server) finishWrite(tid model.TxnID) {
 	}
 	s.ShardStore().Install(&store.Version{
 		Object: pw.w.Object, Value: pw.w.Value, Writer: tid,
-		Visible: true, HiddenFrom: hidden,
+		Visible: true, Meta: hidden,
 	})
 	s.Send(pw.client, &protocol.WriteAck[struct{}]{Msg: protocol.Msg{TID: tid}})
 }
@@ -177,8 +178,12 @@ func (s *server) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
 		switch p := m.Payload.(type) {
 		case *protocol.Read[struct{}]:
 			resp := protocol.ReplyTo[struct{}](p)
+			servable := func(v *store.Version) bool {
+				hidden, _ := v.Meta.(map[model.TxnID]bool)
+				return v.Visible && !hidden[p.TID]
+			}
 			for _, obj := range p.Objs {
-				v := s.ShardStore().LatestVisibleFor(obj, p.TID)
+				v := s.ShardStore().Latest(obj, servable)
 				var seq int64
 				if v != nil {
 					seq = v.Seq

@@ -1,9 +1,9 @@
 // Package store provides the per-server multi-version object store the
 // protocol models build on. Each object holds an append-ordered version
-// chain; versions carry the timestamps the various systems order by, a
-// reader-exclusion set, the protocol's own metadata (Version.Meta) and an
-// explicit visibility gate, which is how protocols such as COPS-SNOW or
-// Eiger keep a written-but-not-yet-stable version from being served.
+// chain; versions carry the timestamps the various systems order by, the
+// protocol's own metadata (Version.Meta) and an explicit visibility gate,
+// which is how protocols such as Eiger or Spanner keep a
+// written-but-not-yet-stable version from being served.
 package store
 
 import (
@@ -15,10 +15,10 @@ import (
 )
 
 // Version is one installed version of an object. The store owns Seq,
-// Visible, Stamp and Vec (Install, Commit*, Restamp change them). HiddenFrom
-// and Meta are immutable once installed — a protocol sets them when it
-// builds the version and only reads them after — so every copy of the
-// version, store clones and peer transfers alike, shares the one instance.
+// Visible, Stamp and Vec (Install, Commit*, Restamp change them). Meta is
+// immutable once installed — a protocol sets it when it builds the version
+// and only reads it after — so every copy of the version, store clones and
+// peer transfers alike, shares the one instance.
 type Version struct {
 	Object string
 	Value  model.Value
@@ -33,16 +33,12 @@ type Version struct {
 	Vec vclock.Vector
 	// Visible gates whether reads may return this version.
 	Visible bool
-	// HiddenFrom lists reader transactions that must not see this
-	// version even when visible (COPS-SNOW old-reader exclusion).
-	HiddenFrom map[model.TxnID]bool
 	// Meta is the protocol's own per-version metadata (a dependency list,
 	// a write set), nil when unused.
 	Meta any
 }
 
-// Clone returns a copy of the version with its own vector; HiddenFrom and
-// Meta are shared.
+// Clone returns a copy of the version with its own vector; Meta is shared.
 func (v *Version) Clone() *Version {
 	c := *v
 	if v.Vec != nil {
@@ -288,14 +284,6 @@ func (s *Store) Latest(obj string, pred func(*Version) bool) *Version {
 // LatestVisible returns the newest visible version of obj, or nil.
 func (s *Store) LatestVisible(obj string) *Version {
 	return s.Latest(obj, func(v *Version) bool { return v.Visible })
-}
-
-// LatestVisibleFor returns the newest visible version of obj that is not
-// hidden from reader (COPS-SNOW semantics), or nil.
-func (s *Store) LatestVisibleFor(obj string, reader model.TxnID) *Version {
-	return s.Latest(obj, func(v *Version) bool {
-		return v.Visible && !v.HiddenFrom[reader]
-	})
 }
 
 // visible returns obj's visible versions in version order (nil if unknown).

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -52,21 +51,6 @@ func TestVisibilityGate(t *testing.T) {
 	}
 }
 
-func TestHiddenFromReader(t *testing.T) {
-	s := New("X")
-	s.Install(&Version{Object: "X", Value: "old", Writer: tid("init", 0), Visible: true})
-	s.Install(&Version{
-		Object: "X", Value: "new", Writer: tid("w", 1), Visible: true,
-		HiddenFrom: map[model.TxnID]bool{tid("r", 7): true},
-	})
-	if got := s.LatestVisibleFor("X", tid("r", 7)); got.Value != "old" {
-		t.Fatalf("excluded reader saw %q", got.Value)
-	}
-	if got := s.LatestVisibleFor("X", tid("r", 8)); got.Value != "new" {
-		t.Fatalf("other reader saw %q", got.Value)
-	}
-}
-
 func TestFind(t *testing.T) {
 	s := New("X")
 	s.Install(&Version{Object: "X", Value: "a", Writer: tid("c", 1)})
@@ -80,15 +64,13 @@ func TestFind(t *testing.T) {
 
 // TestCloneIsDeep pins the clone contract: what the store changes after
 // Install (visibility, vectors, the chain indexes) is the clone's own,
-// while HiddenFrom and Meta, never written after Install, are shared.
+// while Meta, never written after Install, is shared.
 func TestCloneIsDeep(t *testing.T) {
 	s := New("X")
 	meta := []string{"Y"}
 	v := s.Install(&Version{
 		Object: "X", Value: "a", Writer: tid("c", 1), Visible: false,
-		HiddenFrom: map[model.TxnID]bool{tid("r", 1): true},
-		Meta:       meta,
-		Vec:        vclock.Vector{1, 2},
+		Meta: meta, Vec: vclock.Vector{1, 2},
 	})
 	c := s.Clone()
 	cv := c.Versions("X")[0]
@@ -105,9 +87,8 @@ func TestCloneIsDeep(t *testing.T) {
 	if !v.Visible || c.LatestVisible("X").Value != "b" || len(c.visible("X")) != 2 {
 		t.Fatal("the original's prepared set or visible index is the clone's")
 	}
-	if cv == v || reflect.ValueOf(cv.HiddenFrom).Pointer() != reflect.ValueOf(v.HiddenFrom).Pointer() ||
-		&cv.Meta.([]string)[0] != &meta[0] {
-		t.Fatal("the clone copied what it should share: the version itself is not, HiddenFrom and Meta are")
+	if cv == v || &cv.Meta.([]string)[0] != &meta[0] {
+		t.Fatal("the clone copied what it should share: the version itself is not, Meta is")
 	}
 }
 
