@@ -513,10 +513,12 @@ func (s *nemesisState) finish(k *sim.Kernel, runStart sim.Time) *NemesisReport {
 // is what keeps the faulted schedule a pure function of seed and
 // partition at any worker count. With no nemesis
 // configured it degenerates to a single run at the injection horizon.
+// Between rounds, before stop, the deployment prunes its stores.
 func (r *run) engineRun(stop func(*sim.Kernel) bool, budget int) int {
+	between := func(k *sim.Kernel) bool { r.d.Prune(r.runner.Floor()); return stop != nil && stop(k) }
 	if r.nem == nil {
 		r.runner.SetHorizon(r.injHorizon)
-		return r.runner.Run(stop, budget)
+		return r.runner.Run(between, budget)
 	}
 	k := r.d.Kernel
 	total := 0
@@ -527,7 +529,7 @@ func (r *run) engineRun(stop func(*sim.Kernel) bool, budget int) int {
 			h = f.At
 		}
 		r.runner.SetHorizon(h)
-		total += r.runner.Run(stop, budget-total)
+		total += r.runner.Run(between, budget-total)
 		if total >= budget || (stop != nil && stop(k)) {
 			return total
 		}

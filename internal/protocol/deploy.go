@@ -46,7 +46,8 @@ type Deployment struct {
 	// Topo is the deployed topology (nil for the uniform deployment).
 	// Partition consults it so each shard stays single-site and
 	// cross-site links retain their wider lookahead.
-	Topo *Topology
+	Topo    *Topology
+	pruneAt sim.Time // Prune's next pass
 }
 
 // Partition is the shard partition every sharded run of the deployment

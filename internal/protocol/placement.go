@@ -19,6 +19,8 @@ type Placement struct {
 	replicas map[string][]sim.ProcessID
 	hosted   map[sim.ProcessID][]string
 	index    map[sim.ProcessID]int
+	// replicated: some object has more than one replica.
+	replicated bool
 }
 
 // NewPlacement builds a placement from an explicit object→servers map. Each
@@ -35,6 +37,7 @@ func NewPlacement(replicas map[string][]sim.ProcessID) *Placement {
 		}
 		cp := append([]sim.ProcessID(nil), srvs...)
 		p.replicas[obj] = cp
+		p.replicated = p.replicated || len(cp) > 1
 		p.objects = append(p.objects, obj)
 		for _, s := range cp {
 			p.hosted[s] = append(p.hosted[s], obj)
@@ -151,14 +154,7 @@ func (p *Placement) ServerIndex(id sim.ProcessID) int {
 }
 
 // IsReplicated reports whether any object has more than one replica.
-func (p *Placement) IsReplicated() bool {
-	for _, srvs := range p.replicas {
-		if len(srvs) > 1 {
-			return true
-		}
-	}
-	return false
-}
+func (p *Placement) IsReplicated() bool { return p.replicated }
 
 // Share is one server's part of a request fanned out over the placement.
 type Share[T any] struct {

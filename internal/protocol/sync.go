@@ -16,7 +16,9 @@ import (
 // Catch-up is one store transfer: every version a live peer replica
 // holds for a shared object that the replacement lacks is copied over,
 // keyed by writer. A version carries its protocol's metadata
-// (store.Version.Meta), so the copy serves like the original.
+// (store.Version.Meta), so the copy serves like the original. The
+// durable image counts the versions it installed (store.Store.Installed),
+// dropped ones too; a store with peers drops none (Deployment.Prune).
 //
 // Under disjoint placement no peer shares an object with the dead server,
 // so peer transfer is structurally empty — the durable image (the lose
@@ -51,7 +53,7 @@ func (d *Deployment) AdoptShard(k *sim.Kernel, sid sim.ProcessID, old sim.Proces
 	dst := repl.(StoreCarrier).ShardStore()
 	var st sim.SyncStats
 	for _, obj := range dst.Objects() {
-		st.Snapshot += len(dst.Versions(obj))
+		st.Snapshot += dst.Installed(obj)
 	}
 	for _, peer := range d.Place.Servers() {
 		if peer == sid || k.Down(peer) {

@@ -9,7 +9,9 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/protocols/cops"
 	"repro/internal/protocols/fatcops"
+	"repro/internal/protocols/naivefast"
 	"repro/internal/protocols/ramp"
+	"repro/internal/protocols/spanner"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -77,4 +79,62 @@ func sourceOf(d *protocol.Deployment, sid sim.ProcessID, obj string, writer mode
 		}
 	}
 	return nil
+}
+
+// TestPruneInvisibleToCatchUp runs the same writes on a deployment that
+// prunes and on a twin whose stores keep every version, then replaces
+// every server of each with its disk kept. The replacements must report
+// the same SyncStats and serve the same newest versions, each read the
+// model's way: install order for naivefast, stamp order for spanner. At replication 1
+// the pruned stores hold fewer versions than they installed; at
+// replication 2 they drop none, as catch-up compares writers with peers.
+func TestPruneInvisibleToCatchUp(t *testing.T) {
+	for _, m := range []struct {
+		p    protocol.Protocol
+		read func(*store.Store, string) *store.Version
+	}{{naivefast.New(), (*store.Store).LatestVisible}, {spanner.New(), (*store.Store).LatestVisibleByStamp}} {
+		p, read := m.p, m.read
+		for _, repl := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/r%d", p.Name(), repl), func(t *testing.T) {
+				cfg := protocol.Config{Servers: 3, ObjectsPerServer: 2, Replication: repl, Clients: 2, Seed: 5}
+				d, twin := protocol.Deploy(p, cfg), protocol.Deploy(p, cfg)
+				for _, sid := range twin.Place.Servers() {
+					twin.Kernel.Process(sid).(protocol.StoreCarrier).ShardStore().Horizon = store.Horizon{}
+				}
+				objs := d.Place.Objects()
+				for _, dd := range []*protocol.Deployment{d, twin} {
+					if err := dd.InitAll(200_000); err != nil {
+						t.Fatal(err)
+					}
+					for i := range 24 {
+						dd.RunTxn(dd.Clients[i%2], model.NewWriteOnly(model.TxnID{},
+							model.Write{Object: objs[i%len(objs)], Value: model.Value(fmt.Sprint("w", i))}), 200_000)
+						dd.Settle(200_000)
+						if dd == d {
+							d.Prune(d.Kernel.Now())
+						}
+					}
+				}
+				held, installed := 0, 0
+				for _, sid := range d.Place.Servers() {
+					got, gs := d.AdoptShard(d.Kernel, sid, d.Kernel.Process(sid), false)
+					want, ws := twin.AdoptShard(twin.Kernel, sid, twin.Kernel.Process(sid), false)
+					if gs != ws {
+						t.Fatalf("%s: catch-up %+v, the unpruned twin's %+v", sid, gs, ws)
+					}
+					g, w := got.(protocol.StoreCarrier).ShardStore(), want.(protocol.StoreCarrier).ShardStore()
+					for _, obj := range g.Objects() {
+						if a, b := read(g, obj), read(w, obj); a.Writer != b.Writer || a.Value != b.Value {
+							t.Fatalf("%s: %s serves %v, the unpruned twin %v", sid, obj, a, b)
+						}
+						held += len(g.Versions(obj))
+						installed += g.Installed(obj)
+					}
+				}
+				if dropped := held < installed; dropped != (repl == 1) {
+					t.Fatalf("replication %d: pruned stores hold %d of %d versions installed", repl, held, installed)
+				}
+			})
+		}
+	}
 }

@@ -91,6 +91,12 @@ func (s *server) stable() int64 {
 	return s.applied
 }
 
+// ReadPoint implements protocol.ReadPointer: every later snapshot covers
+// the one this server hands out now.
+func (s *server) ReadPoint(sim.Time) (store.Horizon, bool) {
+	return store.Horizon{Vec: s.stab.Vector(s.stable())}, true
+}
+
 func (s *server) canServe(req *protocol.Read[vclock.Vector]) bool { return req.At[s.idx] <= s.stable() }
 
 func (s *server) serveRead(from sim.ProcessID, req *protocol.Read[vclock.Vector]) {
@@ -187,6 +193,11 @@ func (c *client) Clone() sim.Process {
 		cp.commit = c.commit.Clone()
 	}
 	return cp
+}
+
+// ReadPoint implements protocol.ReadPointer: a ROT's snapshot covers dep.
+func (c *client) ReadPoint(sim.Time) (store.Horizon, bool) {
+	return store.Horizon{Vec: c.dep}, c.phase == gsvWait || c.phase == reading
 }
 
 func (c *client) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {

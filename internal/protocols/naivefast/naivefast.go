@@ -41,7 +41,7 @@ func (*Protocol) Claims() protocol.Claims {
 
 // NewServer implements protocol.Protocol.
 func (*Protocol) NewServer(id sim.ProcessID, pl *Placement) sim.Process {
-	return &server{ServerCore: protocol.NewServerCore(id, pl)}
+	return &server{ServerCore: protocol.NewLatestServerCore(id, pl)}
 }
 
 // NewClient implements protocol.Protocol.

@@ -224,7 +224,7 @@ func sweep(t *testing.T, p protocol.Protocol, e Expect, suite string, runs []swe
 
 // contracts are what a watched twin is held to (readiness.go), each
 // reported by a subtest of the sweep that names it.
-var contracts = []string{"ReadinessIsState", "RoundContract", "InboxNotRetained"}
+var contracts = []string{"ReadinessIsState", "RoundContract", "InboxNotRetained", "ReadsAboveHorizon"}
 
 // twin runs cfg again with every process of p watched, recorded and
 // uncertified, and returns the first contract that run breaks. It must

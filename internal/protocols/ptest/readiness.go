@@ -25,6 +25,8 @@ import (
 //     a process keeps neither. Both are overwritten with poison the
 //     moment Step returns, so a model that kept one reads poison and the
 //     twin parts ways with the plain run.
+//   - ReadsAboveHorizon: no server reads below its store's horizon
+//     (store.Horizon), where it may miss a version the store dropped.
 
 // readiness is what a process answered to Ready and WakeAt(at).
 type readiness struct {
@@ -109,18 +111,35 @@ func (w *watch) step(p sim.Process, now sim.Time, inbox []*sim.Message) []sim.Ou
 	return out
 }
 
+// readPoint passes a ReadPointer's point on.
+func readPoint(p sim.Process, now sim.Time) (store.Horizon, bool) {
+	if r, ok := p.(protocol.ReadPointer); ok {
+		return r.ReadPoint(now)
+	}
+	return store.Horizon{}, false
+}
+
 // watchedServer is a watched server. It passes its store on, which a
-// replacement adopts and catches up (protocol.StoreCarrier).
+// replacement adopts and catches up (protocol.StoreCarrier), and logs the
+// first step after which its store read below the horizon.
 type watchedServer struct {
 	sim.Process
-	w *watch
+	w     *watch
+	below *error
 }
 
 func (s *watchedServer) Step(now sim.Time, inbox []*sim.Message) []sim.Outbound {
-	return s.w.step(s.Process, now, inbox)
+	out := s.w.step(s.Process, now, inbox)
+	if c, ok := s.Process.(protocol.StoreCarrier); ok && c.ShardStore().Below > 0 && *s.below == nil {
+		*s.below = fmt.Errorf("%s read below its store's horizon by %d", s.ID(), now)
+	}
+	return out
 }
-func (s *watchedServer) Clone() sim.Process                   { return &watchedServer{s.Process.Clone(), s.w.clone()} }
-func (s *watchedServer) WakeAt(now sim.Time) (sim.Time, bool) { return wakeAt(s.Process, now) }
+func (s *watchedServer) Clone() sim.Process {
+	return &watchedServer{s.Process.Clone(), s.w.clone(), s.below}
+}
+func (s *watchedServer) WakeAt(now sim.Time) (sim.Time, bool)       { return wakeAt(s.Process, now) }
+func (s *watchedServer) ReadPoint(t sim.Time) (store.Horizon, bool) { return readPoint(s.Process, t) }
 func (s *watchedServer) ShardStore() *store.Store {
 	return s.Process.(protocol.StoreCarrier).ShardStore()
 }
@@ -165,23 +184,25 @@ func (c *watchedClient) TakeFinished(dst []*model.Result) []*model.Result {
 func (c *watchedClient) Clone() sim.Process {
 	return &watchedClient{c.Client.Clone().(protocol.Client), c.w.clone(), c.r.clone(), c.stepped}
 }
-func (c *watchedClient) WakeAt(now sim.Time) (sim.Time, bool) { return wakeAt(c.Client, now) }
+func (c *watchedClient) WakeAt(now sim.Time) (sim.Time, bool)       { return wakeAt(c.Client, now) }
+func (c *watchedClient) ReadPoint(t sim.Time) (store.Horizon, bool) { return readPoint(c.Client, t) }
 
 // watching deploys p with every process watched: readiness breaches
-// into ready, round breaches into rounds, each client's open requests
-// into clients (the ones NewClient built; a snapshot's are its own).
+// into ready, round breaches into rounds, reads below a horizon into
+// below, each client's open requests into clients (the ones NewClient
+// built; a snapshot's are its own).
 type watching struct {
 	protocol.Protocol
-	ready, rounds *error
-	clients       map[sim.ProcessID]*rounds
+	ready, rounds, below *error
+	clients              map[sim.ProcessID]*rounds
 }
 
 func watched(p protocol.Protocol) watching {
-	return watching{Protocol: p, ready: new(error), rounds: new(error), clients: map[sim.ProcessID]*rounds{}}
+	return watching{Protocol: p, ready: new(error), rounds: new(error), below: new(error), clients: map[sim.ProcessID]*rounds{}}
 }
 
 func (p watching) NewServer(id sim.ProcessID, pl *protocol.Placement) sim.Process {
-	return &watchedServer{p.Protocol.NewServer(id, pl), &watch{log: p.ready}}
+	return &watchedServer{p.Protocol.NewServer(id, pl), &watch{log: p.ready}, p.below}
 }
 
 func (p watching) NewClient(id sim.ProcessID, pl *protocol.Placement) protocol.Client {
@@ -210,6 +231,8 @@ func (p watching) broken(open map[sim.ProcessID]*rounds) error {
 		return &breach{"RoundContract", *p.rounds}
 	case err != nil:
 		return &breach{"RoundContract", err}
+	case *p.below != nil:
+		return &breach{"ReadsAboveHorizon", *p.below}
 	}
 	return nil
 }

@@ -201,6 +201,15 @@ func (c *client) Clone() sim.Process {
 	return &client{Core: c.CloneCore(), skew: c.skew, phase: c.phase, commitTS: c.commitTS}
 }
 
+// ReadPoint implements protocol.ReadPointer: the active ROT's timestamp,
+// else the least one a ROT started at now or later picks.
+func (c *client) ReadPoint(now sim.Time) (store.Horizon, bool) {
+	if c.phase == reading {
+		now = sim.Time(c.Result().Invoked)
+	}
+	return store.Horizon{At: vclock.HLCStamp{Wall: int64(now) + c.skew + Epsilon}}, true
+}
+
 // Ready: commit-wait needs steps to observe time passing.
 func (c *client) Ready() bool {
 	return c.Busy() && (!c.Started() || c.phase == commitWait)

@@ -372,7 +372,7 @@ func (r *ShardedRunner) SetHorizon(t Time) { r.horizon = t }
 // reread): every process once a fault or a serial step changed the
 // kernel, else only those NotifyInvoked named. Whatever else changes a
 // process between Runs must name it with NotifyInvoked. The stop
-// predicate runs between rounds and must not change a process.
+// predicate runs between rounds and must not change any process's readiness.
 func (r *ShardedRunner) Run(stop func(*Kernel) bool, maxEvents int) int {
 	if len(r.k.order) != r.nProcs {
 		panic("sim: process set changed under a ShardedRunner")

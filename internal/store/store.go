@@ -3,11 +3,15 @@
 // chain; versions carry the timestamps the various systems order by, the
 // protocol's own metadata (Version.Meta) and an explicit visibility gate,
 // which is how protocols such as Eiger or Spanner keep a
-// written-but-not-yet-stable version from being served.
+// written-but-not-yet-stable version from being served. A store keeps
+// only what a read at or above its Horizon can return, so a version's Seq
+// is its install count, not its place in the chain.
 package store
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -23,8 +27,7 @@ type Version struct {
 	Object string
 	Value  model.Value
 	Writer model.TxnID
-	// Seq is the per-object install sequence number (1-based), assigned
-	// by Install.
+	// Seq is the per-object install count (1-based), assigned by Install.
 	Seq int64
 	// Stamp is the protocol's logical timestamp for the version (HLC or
 	// Lamport packed into an HLCStamp; zero when unused).
@@ -66,17 +69,31 @@ type Store struct {
 	// prepared lists, per writer, the versions installed invisible and
 	// not yet committed: what Commit, CommitAt and CommitVec publish.
 	prepared map[model.TxnID][]*Version
+	Horizon  Horizon // the oldest point reads still ask for
+	Below    int     // reads that asked below it
 }
 
-// chain is one object's versions three ways: in install order
-// (versions[i].Seq == i+1 — arrival order is never rewritten, orbe's
-// counters and every Latest reader rely on it), by writer, and — the
-// visible ones only — sorted by the version order (stampCompare, top),
-// which is the order every snapshot read selects by.
+// A Horizon is Latest (reads return the newest visible version), a stamp
+// At (SnapshotRead) or a shared vector Vec (SnapshotReadVec), zero to keep
+// everything. When a chain changes, the store drops its visible versions
+// older, in the version order (install order under Latest), than the one
+// a read at the horizon returns, keeping every prepared version.
+type Horizon struct {
+	Latest bool
+	At     vclock.HLCStamp
+	Vec    vclock.Vector
+}
+
+// chain is one object's versions three ways: in install order (by Seq —
+// arrival order is never rewritten, orbe's counters and every Latest
+// reader rely on it), by writer, and — the visible ones only — sorted by
+// the version order (stampCompare, top), which is the order every
+// snapshot read selects by. seq counts the installs, dropped ones too.
 type chain struct {
 	versions []*Version
 	byWriter map[model.TxnID]*Version
 	visible  []*Version
+	seq      int64
 }
 
 // New creates an empty store hosting the given objects.
@@ -112,17 +129,22 @@ func (s *Store) Install(v *Version) *Version {
 		panic(fmt.Sprintf("store: install on unhosted object %s", v.Object))
 	}
 	c.versions = append(c.versions, v)
-	v.Seq = int64(len(c.versions))
+	c.seq++
+	v.Seq = c.seq
 	if _, dup := c.byWriter[v.Writer]; !dup {
 		c.byWriter[v.Writer] = v
 	}
 	if v.Visible {
 		c.place(v, -1)
+		s.prune(c, v.Object)
 	} else {
 		s.prepared[v.Writer] = append(s.prepared[v.Writer], v)
 	}
 	return v
 }
+
+// Installed returns how many versions of obj the store has installed.
+func (s *Store) Installed(obj string) int { return int(s.chainOf(obj).seq) }
 
 // InstallOrdered is Install for the snapshot-by-vector protocols, whose
 // place in the version order is their vector: it panics on a version
@@ -157,8 +179,32 @@ func (s *Store) commit(writer model.TxnID, restamp func(*Version)) {
 		i := c.position(v)
 		restamp(v)
 		c.place(v, i)
+		s.prune(c, v.Object)
 	}
 	delete(s.prepared, writer)
+}
+
+// prune drops what no read at or above the horizon returns (Horizon).
+func (s *Store) prune(c *chain, obj string) {
+	keep, h := (*Version)(nil), s.Horizon
+	switch {
+	case h.Latest:
+		keep = s.LatestVisible(obj)
+	case h.Vec != nil:
+		keep = s.SnapshotReadVec(obj, h.Vec)
+	case h.At != vclock.HLCStamp{}:
+		keep = s.SnapshotRead(obj, h.At)
+	}
+	gone := func(v *Version) bool { return v.Visible && v != keep && (h.Latest || stampCompare(v, keep) < 0) }
+	if keep == nil || !slices.ContainsFunc(c.visible, gone) {
+		return
+	}
+	c.visible = slices.DeleteFunc(c.visible, gone)
+	c.versions = slices.DeleteFunc(c.versions, gone)
+	clear(c.byWriter) // deletes would leave its table's size to the hash seed
+	for _, v := range slices.Backward(c.versions) {
+		c.byWriter[v.Writer] = v
+	}
 }
 
 // chainOf returns obj's chain, an empty one if the store does not host obj.
@@ -294,6 +340,9 @@ func (s *Store) visible(obj string) []*Version { return s.chainOf(obj).visible }
 // are ≤ everything), or nil: the first covered one from the tail of the
 // index, so the read costs O(versions above the snapshot), not O(chain).
 func (s *Store) SnapshotReadVec(obj string, snap vclock.Vector) *Version {
+	if s.Horizon.Vec != nil && !s.Horizon.Vec.LessEq(snap) {
+		s.Below++
+	}
 	idx := s.visible(obj)
 	for i := len(idx) - 1; i >= 0; i-- {
 		if v := idx[i]; v.Vec == nil || v.Vec.LessEq(snap) {
@@ -306,6 +355,9 @@ func (s *Store) SnapshotReadVec(obj string, snap vclock.Vector) *Version {
 // SnapshotRead returns the visible version of obj that is largest in the
 // version order among those with Stamp ≤ at, or nil — a binary search.
 func (s *Store) SnapshotRead(obj string, at vclock.HLCStamp) *Version {
+	if at.Before(s.Horizon.At) && s.Horizon.At != (vclock.HLCStamp{}) {
+		s.Below++
+	}
 	idx := s.visible(obj)
 	i := sort.Search(len(idx), func(i int) bool { return at.Before(idx[i].Stamp) })
 	if i == 0 {
@@ -332,30 +384,39 @@ func (s *Store) Clone() *Store {
 		names:    s.names,
 		objects:  make(map[string]*chain, len(s.objects)),
 		prepared: make(map[model.TxnID][]*Version, len(s.prepared)),
+		Horizon:  s.Horizon,
+		Below:    s.Below,
 	}
 	for o, ch := range s.objects {
 		cp := &chain{
 			versions: make([]*Version, len(ch.versions)),
 			byWriter: make(map[model.TxnID]*Version, len(ch.byWriter)),
 			visible:  make([]*Version, len(ch.visible)),
+			seq:      ch.seq,
 		}
 		for i, v := range ch.versions {
 			cp.versions[i] = v.Clone()
 		}
 		for w, v := range ch.byWriter {
-			cp.byWriter[w] = cp.versions[v.Seq-1]
+			cp.byWriter[w] = cp.versions[ch.index(v)]
 		}
 		for i, v := range ch.visible {
-			cp.visible[i] = cp.versions[v.Seq-1]
+			cp.visible[i] = cp.versions[ch.index(v)]
 		}
 		c.objects[o] = cp
 	}
 	for w, vs := range s.prepared {
 		cvs := make([]*Version, len(vs))
 		for i, v := range vs {
-			cvs[i] = c.objects[v.Object].versions[v.Seq-1]
+			cvs[i] = c.objects[v.Object].versions[s.objects[v.Object].index(v)]
 		}
 		c.prepared[w] = cvs
 	}
 	return c
+}
+
+// index returns v's place in the chain, which is in Seq order.
+func (c *chain) index(v *Version) int {
+	i, _ := slices.BinarySearchFunc(c.versions, v.Seq, func(x *Version, seq int64) int { return cmp.Compare(x.Seq, seq) })
+	return i
 }

@@ -226,3 +226,42 @@ func TestSnapshotReadVecMixedChainFallback(t *testing.T) {
 		t.Fatalf("covered read = %v, want the vectored version", got)
 	}
 }
+
+// TestInstalledCountsDropped: under the Latest horizon a chain holds its
+// newest visible version alone, while Seq and Installed go on counting
+// every install, the dropped ones too, in the store and in its clone.
+func TestInstalledCountsDropped(t *testing.T) {
+	s := New("X")
+	s.Horizon = Horizon{Latest: true}
+	for i := 1; i <= 5; i++ {
+		s.Install(&Version{Object: "X", Value: model.Value(fmt.Sprint(i)), Writer: tid("c", i), Visible: true})
+	}
+	if held := s.Versions("X"); len(held) != 1 || held[0].Seq != 5 || s.Installed("X") != 5 {
+		t.Fatalf("the Latest horizon left %v, %d installed; want the 5th alone", held, s.Installed("X"))
+	}
+	c := s.Clone()
+	c.Install(&Version{Object: "X", Value: "6", Writer: tid("c", 6), Visible: true})
+	if v := c.LatestVisible("X"); v.Seq != 6 || c.Installed("X") != 6 || s.Installed("X") != 5 {
+		t.Fatalf("the clone's next install is Seq %d of %d (the store's %d), want 6 of 6 (5)", v.Seq, c.Installed("X"), s.Installed("X"))
+	}
+}
+
+// TestReadsBelowHorizonCount: a read whose point lies below the horizon
+// counts in Below, one at or above it does not.
+func TestReadsBelowHorizonCount(t *testing.T) {
+	s := New("X")
+	s.Horizon = Horizon{At: vclock.HLCStamp{Wall: 5}}
+	s.SnapshotRead("X", vclock.HLCStamp{Wall: 5})
+	s.SnapshotRead("X", vclock.HLCStamp{Wall: 9})
+	if s.Below != 0 {
+		t.Fatalf("reads at and above the horizon counted %d", s.Below)
+	}
+	s.SnapshotRead("X", vclock.HLCStamp{Wall: 4, Logical: 7})
+	v := New("X")
+	v.Horizon = Horizon{Vec: vclock.Vector{2, 2}}
+	v.SnapshotReadVec("X", vclock.Vector{3, 2})
+	v.SnapshotReadVec("X", vclock.Vector{3, 1})
+	if s.Below != 1 || v.Below != 1 {
+		t.Fatalf("below-horizon reads counted %d and %d, want 1 and 1", s.Below, v.Below)
+	}
+}
