@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Runs .github/runs.txt (the runs .github/unreached.sh covers) at <rev>
 # and at the working tree and compares each run's output, stderr and
-# exit status included, with the wall-clock lines (`_wall_ms"`) filtered
-# out. Each binary is built in both trees from cmd/<name> or
-# examples/<name>, whichever exists. Prints one line per run, "same" or
-# "DIFF", and exits 1 on any difference. <rev> is extracted with `git
-# archive` into a temp dir, removed on exit:
+# exit status included. Each binary is built in both trees from
+# cmd/<name> or examples/<name>, whichever exists. Prints one line per
+# run, "same" or "DIFF", and exits 1 on any difference. <rev> is
+# extracted with `git archive` into a temp dir, removed on exit:
 #
 #	.github/identity.sh HEAD~1
 set -euo pipefail
@@ -35,8 +34,8 @@ while read -r -a run; do
   [ "${cmd[0]}" = '!' ] && cmd=("${cmd[@]:1}")
   for tree in base head; do
     status=0
-    (cd "$work/$tree-bin" && "./${cmd[0]}" "${cmd[@]:1}") > "$work/raw" 2>&1 < /dev/null || status=$?
-    { grep -v '_wall_ms"' "$work/raw" || true; echo "exit $status"; } > "$work/$tree-out/$i"
+    (cd "$work/$tree-bin" && "./${cmd[0]}" "${cmd[@]:1}") > "$work/$tree-out/$i" 2>&1 < /dev/null || status=$?
+    echo "exit $status" >> "$work/$tree-out/$i"
   done
   if cmp -s "$work/base-out/$i" "$work/head-out/$i"; then
     echo "same  ${run[*]}"

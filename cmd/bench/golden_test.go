@@ -10,8 +10,7 @@ import (
 
 type goldenRow struct{ line, sum string }
 
-// checkGolden hashes each command's grid minus its *_wall_ms lines (host
-// time, present under -certify only).
+// checkGolden hashes each command's grid.
 func checkGolden(t *testing.T, rows []goldenRow) {
 	t.Helper()
 	for _, tc := range rows {
@@ -19,13 +18,7 @@ func checkGolden(t *testing.T, rows []goldenRow) {
 		if err := run(strings.Fields(tc.line), &stdout, &stderr); err != nil {
 			t.Fatalf("%q: %v", tc.line, err)
 		}
-		h := sha256.New()
-		for _, line := range strings.SplitAfter(stdout.String(), "\n") {
-			if !strings.Contains(line, "_wall_ms\"") {
-				h.Write([]byte(line))
-			}
-		}
-		if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.sum {
+		if got := fmt.Sprintf("%x", sha256.Sum256(stdout.Bytes())); got != tc.sum {
 			t.Errorf("%q: sha256 %s, pinned %s", tc.line, got, tc.sum)
 		}
 	}
@@ -88,7 +81,7 @@ func TestDrainOrderGolden(t *testing.T) {
 	const cell = " -mixes balanced -servers 4 -clients 16 -txns 400 -seed 3"
 	checkGolden(t, []goldenRow{
 		{"-certify -pipeline 4 -protocols cops,spanner,naivefast" + cell,
-			"db118ddd690c7fd64d53ae2f5476b631d3545fae41101b3be88b1213225c3b92"},
+			"e97decf0fdccf657ffac782e0af8ec4d9e4beda33b2e31df1e5529298b88e6ac"},
 		{"-stale -nemesis crash+partition -protocols cops,cure,spanner" + cell,
 			"fbc63a5e8597d93f3582a1431a4d3304f786a3936bc7b718549685fcf73b8d01"},
 	})

@@ -30,8 +30,7 @@
 // internal/sim.NewLookaheadRunner), each one serially. -workers N runs N
 // cells of the sweep at a time: cells share nothing and rows keep sweep
 // order, so two runs differing only in -workers emit byte-identical JSON
-// (the CI equivalence smokes diff them); *_wall_ms columns are host time,
-// comparable at -workers 1 only. Rows carry engine/shards/
+// (the CI equivalence smokes diff them). Rows carry engine/shards/
 // rounds/critical_path_events plus the lookahead shape (null_advances,
 // blocked_shard_rounds, blocked_time_us): events ÷ critical_path_events
 // is the cell's measured shard-parallelism — the speedup ceiling of a
@@ -48,20 +47,15 @@
 // their cost grows with the whole run. Cells at or below history.MaxTxns
 // transactions additionally record their history, and the driver
 // re-solves it with the one-shot batch checker while the session drains,
-// failing the cell if the verdicts disagree; both wall-clocks land in the
-// row (cert_wall_ms incremental vs cert_batch_wall_ms, the latter zero
-// past the ceiling). The two overlap in time, so they do not sum to the
-// cell's certification cost.
+// failing the cell if the verdicts disagree.
 //
 // -cpuprofile and -memprofile (both modes) write pprof profiles of the
 // whole sweep when it ends; they go to the named files only, so stdout —
 // the grid — is byte-identical with or without them.
 //
 // Runs are fully deterministic: the same flags produce byte-identical
-// output, so the JSON can be diffed across commits to track performance
-// trajectories. (Exception: cert_wall_ms and cert_batch_wall_ms under
-// -certify are wall-clock; every other field — the -stale tallies
-// included — stays deterministic.)
+// output, -certify and -stale included, so the JSON can be diffed across
+// commits to track performance trajectories.
 //
 //	go run ./cmd/bench -clients 16 -txns 2000
 //	go run ./cmd/bench -protocols all -clients 1,8,32 -mixes readheavy,balanced
@@ -191,20 +185,13 @@ func shardCells(r *shardCols, s *sim.ShardingStats) {
 
 // certCols is the certification column set every certified grid row
 // carries. cert is "ok" or "violation"; first_violation_txn is the
-// append index of the first offending commit on a violation;
-// cert_wall_ms is the ride-along session's cumulative wall-clock and
-// cert_batch_wall_ms the batch re-check's, which runs while the session
-// drains (so the two overlap and do not sum) — the two nondeterministic
-// fields in the output, so -certify runs are not byte-diffable across
-// commits; everything else still is.
+// append index of the first offending commit on a violation.
 type certCols struct {
-	Cert              string  `json:"cert,omitempty"`
-	CertLevel         string  `json:"cert_level,omitempty"`
-	CertReason        string  `json:"cert_reason,omitempty"`
-	CertTxns          int     `json:"cert_txns,omitempty"`
-	FirstViolationTxn *int    `json:"first_violation_txn,omitempty"`
-	CertWallMS        float64 `json:"cert_wall_ms,omitempty"`
-	CertBatchWallMS   float64 `json:"cert_batch_wall_ms,omitempty"`
+	Cert              string `json:"cert,omitempty"`
+	CertLevel         string `json:"cert_level,omitempty"`
+	CertReason        string `json:"cert_reason,omitempty"`
+	CertTxns          int    `json:"cert_txns,omitempty"`
+	FirstViolationTxn *int   `json:"first_violation_txn,omitempty"`
 }
 
 // certCells fills the certification columns from a run's report (none
@@ -223,8 +210,6 @@ func certCells(r *certCols, rep *driver.Report) {
 	r.CertLevel = rep.CertLevel
 	r.CertReason = c.Reason
 	r.CertTxns = c.Appended
-	r.CertWallMS = float64(rep.CertWall.Microseconds()) / 1000
-	r.CertBatchWallMS = float64(rep.CertBatchWall.Microseconds()) / 1000
 }
 
 // staleCols is the staleness-probe column set (present with -stale
@@ -232,9 +217,8 @@ func certCells(r *certCols, rep *driver.Report) {
 // probes whose finished read on the frozen reserved reader returned a
 // value other than the one written, stale_incomplete the probes whose
 // read could not finish on the frozen schedule; such a probe is not a
-// hit. Probes run on kernel snapshots between events,
-// so unlike the cert wall-clocks all three tallies are deterministic and
-// byte-diffable.
+// hit. Probes run on kernel snapshots between events, so all three
+// tallies are deterministic and byte-diffable.
 type staleCols struct {
 	StaleProbes     int `json:"stale_probes,omitempty"`
 	StaleHits       int `json:"stale_hits,omitempty"`
@@ -561,10 +545,7 @@ func parseSweep(args []string, stderr io.Writer) (sweep, error) {
 			"(nearly all at 2 clients, none at 8 or more closed-loop clients, "+
 			"where cost grows with the whole run); cells at or below %d txns "+
 			"(history.MaxTxns) are additionally re-solved by the batch checker "+
-			"while the session drains, and a disagreement fails the cell "+
-			"(cert_batch_wall_ms; zero past the ceiling). "+
-			"cert_wall_ms/cert_batch_wall_ms are wall-clock and overlap in time, "+
-			"so output is no longer byte-diffable and the two do not sum", history.MaxTxns))
+			"while the session drains, and a disagreement fails the cell", history.MaxTxns))
 	stale := fs.Bool("stale", false,
 		"closed-loop grid only: sample committed writes with a frozen "+
 			"reserved-reader visibility probe and add stale_probes/stale_hits/"+

@@ -185,9 +185,9 @@ func TestGridServerSweep(t *testing.T) {
 }
 
 // TestCertifyGrid: with certification on, every cell carries a verdict at
-// the protocol's claimed level, and the deterministic fields (everything
-// but the wall-clock) are identical across runs. cops (causal) must
-// certify clean; naivefast is the theorem's victim and must be caught.
+// the protocol's claimed level, and the rows are identical across runs.
+// cops (causal) must certify clean; naivefast is the theorem's victim and
+// must be caught.
 func TestCertifyGrid(t *testing.T) {
 	cfg := sweepOf(t, "-certify -protocols cops,naivefast -mixes balanced -clients 8 -txns 96 -servers 2 -objects 1 -seed 2")
 	run := func() []row {
@@ -220,14 +220,7 @@ func TestCertifyGrid(t *testing.T) {
 	if fv := byProto["naivefast"].FirstViolationTxn; fv == nil || *fv < 0 || *fv >= byProto["naivefast"].CertTxns {
 		t.Fatalf("violating cell must pin the first offending commit: %+v", fv)
 	}
-	// Everything except the wall-clocks must be deterministic.
-	again := run()
-	for i := range rows {
-		a, b := rows[i], again[i]
-		a.CertWallMS, b.CertWallMS = 0, 0
-		a.CertBatchWallMS, b.CertBatchWallMS = 0, 0
-		requireIdentical(t, "certify grid JSON", encode(t, a), encode(t, b))
-	}
+	requireIdentical(t, "certify grid JSON", encode(t, rows), encode(t, run()))
 }
 
 // TestReplicatedGentleRainCertifies: gentlerain reads at the GST, the
@@ -418,13 +411,8 @@ func TestGridNemesisAcceptance(t *testing.T) {
 				default:
 					t.Fatalf("certification did not run: %+v", r.certCols)
 				}
-				// Worker-count byte-identity (wall-clocks are the one
-				// nondeterministic column set).
-				again := run(4)
-				a, b := rows[0], again[0]
-				a.CertWallMS, b.CertWallMS = 0, 0
-				a.CertBatchWallMS, b.CertBatchWallMS = 0, 0
-				requireIdentical(t, "nemesis cell", encode(t, a), encode(t, b))
+				// Worker-count byte-identity.
+				requireIdentical(t, "nemesis cell", encode(t, rows), encode(t, run(4)))
 			})
 		})
 	}
@@ -470,15 +458,10 @@ func TestGridReconfigDeterministic(t *testing.T) {
 	if r.Cert != "ok" {
 		t.Fatalf("replace cell did not certify clean: %+v", r.certCols)
 	}
-	// Same flags → byte-identical (wall-clocks are the one
-	// nondeterministic column set), and workers is not a schedule input.
-	norm := func(rs []row) string {
-		rs[0].CertWallMS, rs[0].CertBatchWallMS = 0, 0
-		return encode(t, rs)
-	}
-	first := norm(rows)
-	requireIdentical(t, "replace cell JSON (same flags)", first, norm(run(1)))
-	requireIdentical(t, "replace cell JSON (W1 vs W4)", first, norm(run(4)))
+	// Same flags → byte-identical, and workers is not a schedule input.
+	first := encode(t, rows)
+	requireIdentical(t, "replace cell JSON (same flags)", first, encode(t, run(1)))
+	requireIdentical(t, "replace cell JSON (W1 vs W4)", first, encode(t, run(4)))
 }
 
 // TestGridNemesisDeterministicAndGated: same flags → byte-identical

@@ -49,3 +49,48 @@ func TestVerdictGolden(t *testing.T) {
 	}
 	requireIdentical(t, "verdict map (run 1: golden, run 2: now)", string(want), got.String())
 }
+
+// TestVerdictMapVictims is the theorem read off the verdict golden, with
+// no re-run: only the three victims of the impossibility (eigerps,
+// naivefast, twopcfast) and wren, whose gap README's verdict table
+// names, violate anywhere, and every victim violates at least one cell
+// of every (seed, replication) sweep.
+func TestVerdictMapVictims(t *testing.T) {
+	victims := []string{"eigerps", "naivefast", "twopcfast"}
+	mayViolate := map[string]bool{"wren": true}
+	for _, v := range victims {
+		mayViolate[v] = true
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", "verdicts.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	caught := map[string]bool{} // "protocol seed replication"
+	for _, line := range strings.Split(string(data), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || strings.HasPrefix(f[0], "#") {
+			continue
+		}
+		if len(f) != 7 {
+			t.Fatalf("malformed verdict line %q", line)
+		}
+		proto, repl, seed, cert := f[0], f[3], f[4], f[5]
+		switch cert {
+		case "ok":
+		case "violation":
+			if !mayViolate[proto] {
+				t.Errorf("unexpected violation: %s", line)
+			}
+			caught[proto+" "+seed+" "+repl] = true
+		default:
+			t.Fatalf("unknown verdict in %q", line)
+		}
+	}
+	for _, sw := range verdictSweeps {
+		for _, v := range victims {
+			if !caught[fmt.Sprintf("%s %d %d", v, sw.seed, sw.replication)] {
+				t.Errorf("victim never caught: %s at seed %d, replication %d", v, sw.seed, sw.replication)
+			}
+		}
+	}
+}

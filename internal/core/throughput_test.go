@@ -46,8 +46,8 @@ func TestThroughputScalesWithClients(t *testing.T) {
 
 // TestThroughputCertifyPastBatchCeiling: the old up-front refusal at
 // history.MaxTxns is gone — a cell past the batch ceiling certifies via
-// the streaming session, with the batch cross-check (and the recorded
-// history backing it) skipped rather than refusing the run.
+// the streaming session rather than refusing the run (that it records
+// no history for a batch cross-check is TestCertifiedRunLeavesNoGoroutine's).
 func TestThroughputCertifyPastBatchCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -59,11 +59,5 @@ func TestThroughputCertifyPastBatchCeiling(t *testing.T) {
 	}
 	if !rep.Cert.OK || rep.Cert.Appended != history.MaxTxns+64 {
 		t.Fatalf("past-ceiling certification malformed: %+v", rep.Cert)
-	}
-	if rep.CertWall <= 0 {
-		t.Fatalf("ride-along session reported no wall-clock: %+v", rep.Cert)
-	}
-	if rep.CertBatchWall != 0 {
-		t.Fatalf("batch cross-check ran past the ceiling (wall %v)", rep.CertBatchWall)
 	}
 }

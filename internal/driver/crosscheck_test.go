@@ -79,9 +79,6 @@ func TestCrossCheckDisagreementIsAnError(t *testing.T) {
 			if err != nil && !strings.Contains(err.Error(), "disagree") {
 				t.Fatalf("error does not name the disagreement: %v", err)
 			}
-			if ran := rep.CertBatchWall > 0; ran != (tc.h != nil && tc.h.Len() <= history.MaxTxns) {
-				t.Fatalf("batch wall %v", rep.CertBatchWall)
-			}
 		})
 	}
 }
@@ -90,12 +87,13 @@ func TestCrossCheckDisagreementIsAnError(t *testing.T) {
 // clean, sealed at a violation, open loop, past the batch ceiling with no
 // cross-check, and refused before the simulation starts — stops the
 // session's goroutine before Run returns. Certify alone decides the
-// cross-check: a run without RecordHistory is re-solved too, and its
-// history is not handed out.
+// cross-check: a run without RecordHistory records the history the batch
+// re-solve needs up to history.MaxTxns transactions, none past it, and
+// does not hand it out.
 func TestCertifiedRunLeavesNoGoroutine(t *testing.T) {
-	// run counts goroutines in the subtest's own goroutine, before and
+	// check counts goroutines in the subtest's own goroutine, before and
 	// after the certified run, and waits for the count to come back.
-	run := func(name string, body func(t *testing.T)) {
+	check := func(name string, body func(t *testing.T)) {
 		t.Run(name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			body(t)
@@ -108,51 +106,51 @@ func TestCertifiedRunLeavesNoGoroutine(t *testing.T) {
 			}
 		})
 	}
-	run("closed loop", func(t *testing.T) {
+	check("closed loop", func(t *testing.T) {
 		rep, err := Run(cops.New(), Config{Clients: 8, Txns: 100, Mix: workload.Balanced(), Seed: 5,
 			RecordHistory: true, Certify: true})
 		if err != nil || !rep.Cert.OK {
 			t.Fatalf("err %v, verdict %+v", err, rep.Cert)
 		}
 	})
-	run("certified without RecordHistory", func(t *testing.T) {
-		rep, err := Run(cops.New(), Config{Clients: 8, Txns: 100, Mix: workload.Balanced(), Seed: 5,
-			Certify: true})
-		if err != nil || !rep.Cert.OK {
-			t.Fatalf("err %v, verdict %+v", err, rep.Cert)
+	check("certified without RecordHistory", func(t *testing.T) {
+		r, rep := closedRun(t, cops.New(), Config{Clients: 8, Txns: 100, Mix: workload.Balanced(), Seed: 5,
+			Certify: true}, (*run).runClosed)
+		if !rep.Cert.OK {
+			t.Fatalf("verdict %+v", rep.Cert)
 		}
-		if rep.CertBatchWall <= 0 {
-			t.Fatal("the batch cross-check did not run")
+		if r.hist == nil || r.hist.Len() != rep.Committed {
+			t.Fatal("the run recorded no history for the batch cross-check")
 		}
 		if rep.History != nil {
 			t.Fatal("the cross-check's history was handed out without RecordHistory")
 		}
 	})
-	run("sealed", func(t *testing.T) {
+	check("sealed", func(t *testing.T) {
 		rep, err := Run(naivefast.New(), Config{Clients: 8, Txns: 96, Mix: workload.Balanced(), Seed: 2,
 			Servers: 2, ObjectsPerServer: 1, RecordHistory: true, Certify: true})
 		if err != nil || rep.Cert.OK {
 			t.Fatalf("err %v, verdict %+v", err, rep.Cert)
 		}
 	})
-	run("open loop", func(t *testing.T) {
+	check("open loop", func(t *testing.T) {
 		rep, err := Run(cure.New(), Config{Clients: 8, Txns: 100, Mix: workload.Balanced(), Seed: 3, Rate: 1000,
 			RecordHistory: true, Certify: true})
 		if err != nil || !rep.Cert.OK {
 			t.Fatalf("err %v, verdict %+v", err, rep.Cert)
 		}
 	})
-	run("past the batch ceiling", func(t *testing.T) {
-		rep, err := Run(cops.New(), Config{Clients: 2, Txns: history.MaxTxns + 100, Mix: workload.Balanced(), Seed: 1,
-			RecordHistory: true, Certify: true})
-		if err != nil || !rep.Cert.OK {
-			t.Fatalf("err %v, verdict %+v", err, rep.Cert)
+	check("past the batch ceiling", func(t *testing.T) {
+		r, rep := closedRun(t, cops.New(), Config{Clients: 2, Txns: history.MaxTxns + 100, Mix: workload.Balanced(), Seed: 1,
+			Certify: true}, (*run).runClosed)
+		if !rep.Cert.OK {
+			t.Fatalf("verdict %+v", rep.Cert)
 		}
-		if rep.CertBatchWall != 0 {
-			t.Fatalf("batch cross-check ran on %d transactions (wall %v)", rep.History.Len(), rep.CertBatchWall)
+		if r.hist != nil {
+			t.Fatalf("the run recorded %d transactions for a batch cross-check past the ceiling", r.hist.Len())
 		}
 	})
-	run("nemesis refused", func(t *testing.T) {
+	check("nemesis refused", func(t *testing.T) {
 		if _, err := Run(cops.New(), Config{Clients: 8, Txns: 100, Seed: 5, Certify: true,
 			Nemesis: &Nemesis{Crashes: -1}}); err == nil {
 			t.Fatal("a negative crash count built")

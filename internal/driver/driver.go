@@ -58,7 +58,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"repro/internal/history"
 	"repro/internal/model"
@@ -119,9 +118,7 @@ type Config struct {
 	// history.MaxTxns transactions also records its history (kept from
 	// the report unless RecordHistory) and re-solves it with the batch
 	// solver while the session drains, returning an error if the two
-	// verdicts disagree. The verdict lands in Report.Cert, the session's
-	// wall-clock in Report.CertWall and the batch re-solve's in
-	// Report.CertBatchWall.
+	// verdicts disagree. The verdict lands in Report.Cert.
 	Certify bool
 	// ProbeStaleness samples visibility staleness while the run executes:
 	// every probeStride-th committed write transaction is re-read through
@@ -240,17 +237,9 @@ type Report struct {
 	// set): CertLevel is the consistency level checked (the protocol's
 	// claimed level), Cert the incremental session verdict — including
 	// the first offending commit index and minimal witness prefix on
-	// violation, plus the Retired/PeakWindow eviction counters — and
-	// CertWall the cumulative wall-clock spent inside
-	// Session.Append/Finish. CertBatchWall is the wall-clock of the batch
-	// cross-check (zero when none ran). The two walls are the only
-	// nondeterministic fields of a run, and they overlap in time: the
-	// session runs on its own goroutine, so their sum is not the cost of
-	// certifying the run.
-	CertLevel     string
-	Cert          *history.SessionVerdict
-	CertWall      time.Duration
-	CertBatchWall time.Duration `json:",omitempty"`
+	// violation, plus the Retired/PeakWindow eviction counters.
+	CertLevel string
+	Cert      *history.SessionVerdict
 
 	// Staleness tallies the frozen visibility probes of the run (nil
 	// unless Config.ProbeStaleness).
@@ -634,7 +623,6 @@ type certifier struct {
 	recs    chan *history.TxnRecord
 	done    chan struct{}
 	verdict history.SessionVerdict
-	wall    time.Duration
 }
 
 // startCertifier starts a streaming session at level with every workload
@@ -654,29 +642,25 @@ func startCertifier(d *protocol.Deployment, clients int, level string) *certifie
 			if sess == nil {
 				continue // the session refused an append: the run is refuted
 			}
-			t0 := time.Now()
 			if !sess.Append(rec) {
 				// Sealed: take the verdict now and let the session go, so
 				// its memory is free for the batch cross-check.
 				c.verdict, sess = sess.Finish(), nil
 			}
-			c.wall += time.Since(t0)
 		}
 		if sess != nil {
-			t0 := time.Now()
 			c.verdict = sess.Finish()
-			c.wall += time.Since(t0)
 		}
 	}()
 	return c
 }
 
 // stopCert closes the session's feed, waits for the session to drain and
-// lands its verdict and wall-clock in the report.
+// lands its verdict in the report.
 func (r *run) stopCert() {
 	close(r.cert.recs)
 	<-r.cert.done
-	r.rep.Cert, r.rep.CertWall = &r.cert.verdict, r.cert.wall
+	r.rep.Cert = &r.cert.verdict
 }
 
 // crossCheck re-solves h, the run's recorded history, with the batch
@@ -691,9 +675,7 @@ func crossCheck(rep *Report, h *history.History, drain func()) error {
 		drain()
 		return nil
 	}
-	t0 := time.Now()
 	batch := history.CheckBatch(h, rep.CertLevel)
-	rep.CertBatchWall = time.Since(t0)
 	drain()
 	if batch.OK != rep.Cert.OK {
 		return fmt.Errorf(

@@ -81,7 +81,6 @@ func closedRun(t *testing.T, p protocol.Protocol, cfg Config, loop func(*run) (*
 	if rep.Incomplete != 0 {
 		t.Fatalf("%d transactions incomplete", rep.Incomplete)
 	}
-	rep.CertWall, rep.CertBatchWall = 0, 0
 	return r, rep
 }
 

@@ -14,8 +14,8 @@ import (
 	"repro/internal/workload"
 )
 
-// openDigest is a short sha256 over the report JSON (wall-clock zeroed)
-// and the recorded history, one record with its invoke and completion
+// openDigest is a short sha256 over the report JSON and the recorded
+// history, one record with its invoke and completion
 // instants per line. The report is hashed with its keys sorted and
 // without the keys that merely restate others (AbortRate; the nemesis
 // report's Restarts and Heals) or echo the configuration or break the run
@@ -24,7 +24,6 @@ import (
 // out.
 func openDigest(t *testing.T, rep *Report) string {
 	t.Helper()
-	rep.CertWall, rep.CertBatchWall = 0, 0
 	top := withoutKeys(t, rep, "AbortRate")
 	var err error
 	if top["Sharding"], err = json.Marshal(withoutKeys(t, rep.Sharding, "Workers", "ActiveShardRounds", "PerShard", "Partition")); err != nil {
@@ -88,19 +87,19 @@ func TestOpenLoopNemesisPins(t *testing.T) {
 		want [3]string // by protocol, 12 seed digests each
 	}{
 		{"crash", Nemesis{Crashes: 2}, [3]string{
-			"951404e812fc 4f6ed117f0bd 81c718fd7013 43fb647b203c 6cbdcffbbaee d9456ab55cfa 2c5dc328c62e ffc3c526ef78 8fe0ad27b4cc fca474c51820 3fa9dae7189f 4b1523f99385",
-			"4d656e4f53b0 80840e16619e 6d00d8e09ca9 dfe230e587ce c76c0c710aeb 57eaa6cbe1ce 046217116a64 68c2705e6ed3 1d740b5229a0 35ff2a1051d5 872757ac032c b9c879396239",
-			"cbada36b0b53 0a8296b29478 ed23903f6c44 5685efaa9061 0b134c2748d4 c2cc92d26b35 5bd5b733a37a 291b74e299c9 9b0641fcf875 f9813633dd83 9395fc6fd757 407eef12ea16",
+			"7f207931e2d2 5d587bfbfe26 8959a9f1048c e3895aa04851 90b4efbbaebf ab7398d372d0 4ffb70773d2a b12285d60111 20bd98bf1640 d17d03e3b760 b708719aea9b 8ab6f18905fc",
+			"911b6e3b64d8 c91190927e55 4d66391ad58b 79c423a5a3e7 ca6de15406bd 67562de85ab3 71b2678c31c1 9e9b4176c67c c25b50c33404 7e010ae7372c f7cf0d731011 235ac28c314d",
+			"d116e5ce7c22 b67159dcf8a2 df85c2d9b45f 69e7250f77a1 6abac3eb151d 48eec3d56e99 0c795003e332 6275102163df a086aef03aae 617753e1d806 f7b10633c33c 4c5ce63b163f",
 		}},
 		{"crash-lose", Nemesis{Crashes: 2, Lose: true}, [3]string{
-			"0bfc2bf8cfd9 05e281911280 909345caa669 7369209d4ad3 584534707f6f c32e04161eb1 69c180a02bc0 74c88d125b86 d9fe059f6abe 716a882e10ca 29a40b9d677c 4647738b68a3",
-			"b93fa4abb192 0f840d096f63 14abcf7483f2 fc16fce86437 a1f891033a11 94443eba61b5 7cfe15c621f0 24064a515efd f9ff53f4c8b5 fd614cf1fe76 2e9c22adfcaa c38a1954ae2f",
-			"df05cda914b1 c61ed9356073 62f9e759e9ae 1877bb3ac98c 4a1054938f52 ee05cb4844ae 2e4725d531d3 c612a081b07b 9597cda8990a 22b888177cf5 2261b6322078 88aaf218872c",
+			"da7cdb999e10 abebf1bb7310 772c7dbd2287 b4a916a7c859 732e4daa5058 6b9cd41da1f2 b3d601edc8ec fec294a70fa7 0e7ecdfa6c4c 0540ee16b0da 2a0eb841fdbb 7712f73c9592",
+			"badca8a2debb 74d756a26672 79d9c22f00bb 4c8912cfb8e6 273379813a8d 4c5ff3bb6e08 e2b79676552c 5726a97e331f 07915fce9aaf ba0ef5a20743 6cc8778b1d8d a8e868449293",
+			"a236d37a7ac5 92ed4a424491 70a63ee9f2a4 46b04414fa78 5b8a10e212c0 6fb68f74d6d6 9bd95ba9a1da b6c161bec870 47b91d9b4a4c 5ca9dd7a59e4 5745b52a3f8d d2658cbe9048",
 		}},
 		{"partition", Nemesis{Partitions: 2}, [3]string{
-			"669b729444ca e51897db125a 40ecc71eed46 f55632c894ff 0388a26bbf37 9262ba9a0b35 40233adfe3d6 47b9e01ffe43 4f5b11c3645c 844ff36a7008 7591e4b77c3a 74692bf225ab",
-			"97e877d1ff26 c06f42fa4b17 b9df22ff3078 65330a7fc265 b6c278b4beef c32234453dc8 294bcde38013 ae3bf06f2924 52c4825f3ab3 290a9521db31 4bc34cb16245 1ff402e627e2",
-			"36ae09a173ac cbd85c93abc0 95bf702ffa4b e6e55d8023ea 44d11ad556d5 7edc91da8088 afc2d1c87497 14a85c9d86f2 2183f1afe486 b613d9aa26b8 b75270ce4344 c37b3e5fe638",
+			"928926b1e2fc fb6e3c43d905 c166f6ac23e6 4d0a7f5c274a 4b0e9a98a551 f6d8bfcf36ba 6a7b4afd20a9 6fadf73b499b bd85f0a6e0b6 3a1c7f19745e 62af1f58d10b 2c4e81a4b6e7",
+			"b035bd60fdfa a6e4df61d7c1 4e2d44f39fdd 6b1d761b609b cdc58c8f3ca1 37b8df1dfd71 8fb951a21e85 d166e27efef1 33fa0cff2c9a b254866a6102 89b127221d1e 61cdeec6e964",
+			"41508ef54fb1 8ccbd5a2feff 155f75e38f04 af9f2a70c9fa 93966401b6ce 65ec2675c7a3 4166af507c20 e84ac5c0a3bf d4e40489a462 e9d7e629dbf5 1aba9b03adcb 55d79a326872",
 		}},
 	}
 	for _, c := range cells {

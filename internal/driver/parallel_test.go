@@ -11,18 +11,14 @@ import (
 	"repro/internal/workload"
 )
 
-// reportFingerprint marshals a report plus its history with the
-// wall-clocks (the nondeterministic fields) zeroed, so runs can be
+// reportFingerprint marshals a report plus its history, so runs can be
 // compared byte for byte.
 func reportFingerprint(t *testing.T, rep *Report) string {
 	t.Helper()
-	cw, bw := rep.CertWall, rep.CertBatchWall
-	rep.CertWall, rep.CertBatchWall = 0, 0
 	js, err := json.MarshalIndent(rep, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.CertWall, rep.CertBatchWall = cw, bw
 	out := string(js)
 	if rep.History != nil {
 		out += "\n" + rep.History.String()
